@@ -115,55 +115,6 @@ struct Row {
     /// Point-query cells only: this row's firings over the matching
     /// `rl-full` full-closure cell's firings. `None` everywhere else.
     demand_ratio: Option<f64>,
-    /// Per-worker round time series + channel matrix of the kept rep,
-    /// for the `<out>_rounds.json` companion report.
-    rounds_series: Json,
-}
-
-/// The per-round metrics of one kept outcome: channel matrix plus, per
-/// worker, one record per engine round (submitted/fresh from the eval
-/// stats, sent = channel tuples shipped at that local round).
-fn rounds_series(outcome: &gst_runtime::ExecutionOutcome) -> Json {
-    let workers = outcome
-        .stats
-        .workers
-        .iter()
-        .map(|w| {
-            let rounds = w
-                .eval
-                .per_round
-                .iter()
-                .map(|sample| {
-                    let sent = w
-                        .sent_per_round
-                        .iter()
-                        .filter(|(r, _)| *r == sample.round)
-                        .map(|(_, t)| t)
-                        .sum::<u64>();
-                    Json::obj(vec![
-                        ("round", count(sample.round)),
-                        ("submitted", count(sample.submitted)),
-                        ("fresh", count(sample.fresh)),
-                        ("sent", count(sent)),
-                    ])
-                })
-                .collect();
-            Json::obj(vec![
-                ("worker", count(w.processor as u64)),
-                ("rounds", Json::Arr(rounds)),
-            ])
-        })
-        .collect();
-    let matrix = outcome
-        .stats
-        .channel_matrix
-        .iter()
-        .map(|row| Json::Arr(row.iter().map(|&v| count(v)).collect()))
-        .collect();
-    Json::obj(vec![
-        ("channel_matrix", Json::Arr(matrix)),
-        ("workers", Json::Arr(workers)),
-    ])
 }
 
 fn measure(
@@ -228,7 +179,6 @@ fn measure(
         phase_us,
         correct: answer.set_eq(oracle),
         demand_ratio: None,
-        rounds_series: rounds_series(&outcome),
     }
 }
 
@@ -695,33 +645,6 @@ fn main() {
     std::fs::write(&out_path, report.render()).expect("cannot write report");
     eprintln!("wrote {out_path}");
 
-    // Companion report: the per-round time series of every kept rep —
-    // the §6 duplication/communication trade-off round by round.
-    let rounds_path = format!(
-        "{}_rounds.json",
-        out_path.strip_suffix(".json").unwrap_or(&out_path)
-    );
-    let rounds_report = Json::obj(vec![
-        ("bench", s("throughput-rounds")),
-        ("smoke", Json::Bool(smoke)),
-        (
-            "cells",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("workload", s(r.workload)),
-                            ("scheme", s(r.scheme)),
-                            ("n", count(r.n as u64)),
-                            ("series", r.rounds_series.clone()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    std::fs::write(&rounds_path, rounds_report.render()).expect("cannot write rounds report");
-    eprintln!("wrote {rounds_path}");
     if !all_correct {
         std::process::exit(1);
     }

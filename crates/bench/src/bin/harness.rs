@@ -272,8 +272,9 @@ fn main() {
         }
         println!("{}\n", t.render());
         println!(
-            "deterministic round traces replayed under three machine models — the\n\
-             winning scheme flips with the architecture, exactly §8's point.\n"
+            "the journal of one fixed-seed simulated run per scheme, priced under\n\
+             three machine models — what communication costs decides the ranking,\n\
+             exactly §8's point. A model, not a measurement: see benchmark/.\n"
         );
     }
 

@@ -17,7 +17,7 @@ use gst_core::prelude::{
 use gst_core::schemes::{BaseDistribution, CompiledScheme};
 use gst_eval::seminaive_eval;
 use gst_frontend::{LinearSirup, Program, Variable};
-use gst_runtime::{ExecutionOutcome, FaultPlan, RuntimeConfig};
+use gst_runtime::{ExecutionOutcome, FaultPlan, Journal, ObsKind, RuntimeConfig};
 use gst_storage::{round_robin_fragment, Relation};
 use gst_workloads::{
     chain, chain_sirup, even_odd, example6_sirup, grid, layered, linear_ancestor,
@@ -723,28 +723,20 @@ pub fn communication_scaling(n: usize, sizes: &[u64]) -> Vec<ScalingRow> {
             let db = fx.database(&data);
             let seq = seminaive_eval(&fx.program, &db).unwrap();
             let closure = seq.relation(fx.output_id()).len() as u64;
-            let c1 = example1_wolfson(&sirup, n, &db)
-                .unwrap()
-                .run_synchronous()
-                .unwrap()
-                .stats
-                .total_tuples_sent();
-            let c3 = example3_hash_partition(&sirup, n, &db)
-                .unwrap()
-                .run_synchronous()
-                .unwrap()
-                .stats
-                .total_tuples_sent();
-            let c2 = example2_valduriez(
-                &sirup,
-                round_robin_fragment(&data, n).unwrap(),
-                &db,
-            )
-            .unwrap()
-            .run_synchronous()
-            .unwrap()
-            .stats
-            .total_tuples_sent();
+            // Shipped-tuple totals do not depend on the schedule; the
+            // fixed-seed simulated run makes the whole row reproducible.
+            let sent = |scheme: CompiledScheme| {
+                scheme
+                    .run_simulated(nodes, FaultPlan::none())
+                    .unwrap()
+                    .stats
+                    .total_tuples_sent()
+            };
+            let c1 = sent(example1_wolfson(&sirup, n, &db).unwrap());
+            let c3 = sent(example3_hash_partition(&sirup, n, &db).unwrap());
+            let c2 = sent(
+                example2_valduriez(&sirup, round_robin_fragment(&data, n).unwrap(), &db).unwrap(),
+            );
             ScalingRow {
                 edges: data.len() as u64,
                 closure,
@@ -765,17 +757,89 @@ pub struct SimulatedRow {
     pub predicted_us: (f64, f64, f64),
 }
 
-/// **P3 — §8, quantified**: replay deterministic round traces of the
-/// three §4 schemes under three machine models (shared memory, LAN
+/// Cost parameters of a hypothetical parallel machine, in microseconds.
+#[derive(Debug, Clone, Copy)]
+struct MachineModel {
+    /// Per rule firing (compute).
+    firing_us: f64,
+    /// Per tuple on the wire (bandwidth term).
+    tuple_us: f64,
+    /// Per message (latency/overhead term).
+    message_us: f64,
+}
+
+/// Shared-memory multiprocessor: passing a tuple is a pointer write.
+const SHARED_MEMORY: MachineModel = MachineModel { firing_us: 1.0, tuple_us: 0.01, message_us: 0.1 };
+/// A LAN cluster: communication costs real microseconds.
+const LAN_CLUSTER: MachineModel = MachineModel { firing_us: 1.0, tuple_us: 1.0, message_us: 50.0 };
+/// A geo-distributed deployment: latency dominates everything.
+const WAN: MachineModel = MachineModel { firing_us: 1.0, tuple_us: 2.0, message_us: 10_000.0 };
+
+/// Predicted wall time (µs) of a traced run on `model`, pricing the
+/// journal as bulk-synchronous supersteps over a full-bisection network.
+/// The workers' k-th engine rounds form superstep k; a batch belongs to
+/// the round its sender closed last:
+///
+/// ```text
+/// step time = max_w (firings_w · firing_us)                       (compute)
+///           + max_w (batches_w · message_us + tuples_w · tuple_us)   (comm)
+/// total     = Σ_steps step time
+/// ```
+///
+/// Absolute numbers are not the point — which scheme wins on which
+/// machine is. Initialization firings happen outside any round span and
+/// are not priced.
+fn predicted_us(journal: &Journal, model: &MachineModel) -> f64 {
+    use std::collections::BTreeMap;
+    // superstep → worker → (firings, tuples sent, batches sent)
+    let mut steps: BTreeMap<u64, BTreeMap<usize, (u64, u64, u64)>> = BTreeMap::new();
+    let mut last_round: BTreeMap<usize, u64> = BTreeMap::new();
+    for e in &journal.events {
+        match e.kind {
+            ObsKind::RoundEnd { round, firings, .. } => {
+                last_round.insert(e.worker, round);
+                steps.entry(round).or_default().entry(e.worker).or_default().0 += firings;
+            }
+            ObsKind::BatchSent { tuples, .. } => {
+                let round = last_round.get(&e.worker).copied().unwrap_or(0);
+                let cell = steps.entry(round).or_default().entry(e.worker).or_default();
+                cell.1 += tuples;
+                cell.2 += 1;
+            }
+            _ => {}
+        }
+    }
+    steps
+        .values()
+        .map(|workers| {
+            let compute = workers
+                .values()
+                .map(|&(firings, _, _)| firings as f64 * model.firing_us)
+                .fold(0.0, f64::max);
+            let comm = workers
+                .values()
+                .map(|&(_, tuples, batches)| {
+                    tuples as f64 * model.tuple_us + batches as f64 * model.message_us
+                })
+                .fold(0.0, f64::max);
+            compute + comm
+        })
+        .sum()
+}
+
+/// **P3 — §8, quantified**: price the journal of one fixed-seed simulated
+/// run of each §4 scheme under three machine models (shared memory, LAN
 /// cluster, WAN). The winner flips with the architecture — the paper's
 /// closing claim, in predicted microseconds.
 pub fn simulate_architectures(nodes: u64, edges: u64, seed: u64, ns: &[usize]) -> Vec<SimulatedRow> {
-    use gst_runtime::{execute_synchronous_traced, simulate_bsp, MachineModel};
-
     let fx = linear_ancestor();
     let data = random_digraph(nodes, edges, seed);
     let db = fx.database(&data);
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
+    let traced = RuntimeConfig {
+        trace: true,
+        ..RuntimeConfig::default()
+    };
 
     let mut rows = Vec::new();
     for &n in ns {
@@ -792,14 +856,17 @@ pub fn simulate_architectures(nodes: u64, edges: u64, seed: u64, ns: &[usize]) -
             ),
         ];
         for (name, scheme) in schemes {
-            let (_, trace) = execute_synchronous_traced(&scheme.workers).unwrap();
+            let journal = scheme
+                .run_simulated_with(seed, FaultPlan::none(), &traced)
+                .unwrap()
+                .journal;
             rows.push(SimulatedRow {
                 scheme: name.into(),
                 n,
                 predicted_us: (
-                    simulate_bsp(&trace, &MachineModel::shared_memory()),
-                    simulate_bsp(&trace, &MachineModel::lan_cluster()),
-                    simulate_bsp(&trace, &MachineModel::wan()),
+                    predicted_us(&journal, &SHARED_MEMORY),
+                    predicted_us(&journal, &LAN_CLUSTER),
+                    predicted_us(&journal, &WAN),
                 ),
             });
         }
@@ -903,6 +970,35 @@ mod tests {
         // Communication grows with the closure.
         assert!(rows[1].closure > rows[0].closure);
         assert!(rows[1].comm.2 > rows[0].comm.2);
+    }
+
+    #[test]
+    fn predicted_time_is_max_per_phase_summed_over_supersteps() {
+        use gst_runtime::{ObsEvent, TimeBase};
+        let ev = |worker, kind| ObsEvent { time: 0, worker, kind };
+        let end = |round, firings| ObsKind::RoundEnd { round, fresh: 0, firings };
+        let sent = |to, tuples| ObsKind::BatchSent { to, tuples, bytes: 0, seq: 0 };
+        let journal = Journal {
+            base: TimeBase::VirtualTicks,
+            events: vec![
+                ev(0, end(0, 10)),
+                ev(1, end(0, 30)),
+                ev(0, sent(1, 5)),
+                ev(0, end(1, 20)),
+                ev(1, end(1, 20)),
+                ev(1, sent(0, 7)),
+            ],
+        };
+        let model = MachineModel { firing_us: 1.0, tuple_us: 1.0, message_us: 10.0 };
+        // step 0: compute max(10,30)=30, comm max(5+10, 0)=15 → 45
+        // step 1: compute max(20,20)=20, comm max(0, 7+10)=17 → 37
+        assert!((predicted_us(&journal, &model) - 82.0).abs() < 1e-9);
+        // Free communication leaves the compute critical path.
+        let free = MachineModel { tuple_us: 0.0, message_us: 0.0, ..model };
+        assert!((predicted_us(&journal, &free) - 50.0).abs() < 1e-9);
+        // Latency-dominated machines punish messages.
+        assert!(predicted_us(&journal, &WAN) > 10.0 * predicted_us(&journal, &SHARED_MEMORY));
+        assert_eq!(predicted_us(&Journal::default(), &LAN_CLUSTER), 0.0);
     }
 
     #[test]

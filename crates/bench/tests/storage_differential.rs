@@ -10,16 +10,16 @@
 //!    everything every round) — identical least models.
 //! 2. **Parallel**: every §4 scheme × N pools exactly the sequential
 //!    model, tuple for tuple.
-//! 3. **Determinism**: repeated bulk-synchronous runs are bit-identical —
-//!    sorted models, firing counts, shipped-tuple totals, and the full
-//!    per-link channel matrix — and the async runtime ships the same
-//!    tuple totals as the phased mode.
+//! 3. **Determinism**: repeated fixed-seed simulated runs are
+//!    bit-identical — sorted models, firing counts, shipped-tuple totals,
+//!    and the full per-link channel matrix — and the threaded runtime
+//!    ships the same tuple totals.
 
 use gst_core::prelude::{example1_wolfson, example2_valduriez, example3_hash_partition};
 use gst_core::schemes::CompiledScheme;
 use gst_eval::{naive_eval, seminaive_eval};
 use gst_frontend::LinearSirup;
-use gst_runtime::RuntimeConfig;
+use gst_runtime::{FaultPlan, RuntimeConfig};
 use gst_storage::{round_robin_fragment, Relation};
 use gst_workloads::{chain, grid, layered, linear_ancestor, random_digraph};
 
@@ -95,11 +95,11 @@ fn every_scheme_pools_the_sequential_model() {
     }
 }
 
-/// Layer 3: the phased synchronous mode is deterministic down to firing
-/// counts and the per-link channel matrix, and the async runtime ships
+/// Layer 3: a fixed-seed simulated run is deterministic down to firing
+/// counts and the per-link channel matrix, and the threaded runtime ships
 /// the same tuple totals and computes the same model.
 #[test]
-fn synchronous_runs_are_bit_identical_and_agree_with_async() {
+fn fixed_seed_sim_runs_are_bit_identical_and_agree_with_threaded() {
     let fx = linear_ancestor();
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
     let anc = fx.output_id();
@@ -108,12 +108,12 @@ fn synchronous_runs_are_bit_identical_and_agree_with_async() {
     let db = fx.database(&data);
     for n in [2, 4] {
         for (sname, scheme) in &schemes(&sirup, n, &data, &db) {
-            let a = scheme.run_synchronous().unwrap();
-            let b = scheme.run_synchronous().unwrap();
+            let a = scheme.run_simulated(7, FaultPlan::none()).unwrap();
+            let b = scheme.run_simulated(7, FaultPlan::none()).unwrap();
             assert_eq!(
                 a.relation(anc).sorted(),
                 b.relation(anc).sorted(),
-                "{sname}/N={n}: synchronous model not reproducible"
+                "{sname}/N={n}: simulated model not reproducible"
             );
             assert_eq!(
                 a.stats.total_firings(),
@@ -125,16 +125,16 @@ fn synchronous_runs_are_bit_identical_and_agree_with_async() {
                 "{sname}/N={n}: channel matrix not reproducible"
             );
 
-            let async_ = scheme.execute(&config).unwrap();
+            let threaded = scheme.execute(&config).unwrap();
             assert_eq!(
-                async_.relation(anc).sorted(),
+                threaded.relation(anc).sorted(),
                 a.relation(anc).sorted(),
-                "{sname}/N={n}: async and synchronous models diverge"
+                "{sname}/N={n}: threaded and simulated models diverge"
             );
             assert_eq!(
-                async_.stats.total_tuples_sent(),
+                threaded.stats.total_tuples_sent(),
                 a.stats.total_tuples_sent(),
-                "{sname}/N={n}: delta shipping totals diverge between modes"
+                "{sname}/N={n}: delta shipping totals diverge between transports"
             );
         }
     }

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::schemes::{BaseDistribution, CompiledScheme};
     pub use crate::session::{RoundReport, UpdateBatch, UpdateSession};
     pub use crate::strategy::{
-        choose, crossover, demand_choices, sample_key_frequencies, CostModel,
+        choose, demand_choices, sample_key_frequencies, CostModel,
         KeyFrequencyProfile, SchemeProfile, SkewPolicy, DEMAND_HASH_SEED,
     };
 }

@@ -24,7 +24,7 @@ pub mod presets;
 use gst_common::Result;
 use gst_eval::plan::RelationId;
 use gst_runtime::{
-    execute_processors, ExecutionOutcome, FaultPlan, RuntimeConfig, SimTransport, Transport,
+    ExecutionOutcome, FaultPlan, RuntimeConfig, SimTransport, ThreadedTransport, Transport,
     WorkerSpec,
 };
 
@@ -51,9 +51,9 @@ impl CompiledScheme {
         self.workers.len()
     }
 
-    /// Run the scheme on the runtime.
+    /// Run the scheme on OS threads ([`gst_runtime::ThreadedTransport`]).
     pub fn execute(&self, config: &RuntimeConfig) -> Result<ExecutionOutcome> {
-        execute_processors(self.workers.clone(), config)
+        ThreadedTransport.execute(self.workers.clone(), config)
     }
 
     /// Run with default runtime settings.
@@ -61,18 +61,13 @@ impl CompiledScheme {
         self.execute(&RuntimeConfig::default())
     }
 
-    /// Run in the strict, deterministic bulk-synchronous mode (the
-    /// paper's phased `repeat … until` loop; see
-    /// [`gst_runtime::execute_synchronous`]).
-    pub fn run_synchronous(&self) -> Result<ExecutionOutcome> {
-        gst_runtime::execute_synchronous(&self.workers)
-    }
-
     /// Run under the deterministic simulation transport: all processors
     /// interleaved on one thread under a virtual clock, with the schedule
     /// and every injected fault drawn from `seed` (see
     /// [`gst_runtime::SimTransport`]). Same seed, same plan ⇒ bit-for-bit
-    /// the same run.
+    /// the same run — model, firings, channel matrix — which makes a
+    /// fixed-seed, fault-free run the deterministic reference for the
+    /// threaded one.
     pub fn run_simulated(&self, seed: u64, faults: FaultPlan) -> Result<ExecutionOutcome> {
         self.run_simulated_with(seed, faults, &RuntimeConfig::default())
     }

@@ -196,18 +196,6 @@ pub fn choose<'a>(profiles: &'a [SchemeProfile], model: &CostModel) -> Option<&'
     })
 }
 
-/// The comm-cost ratio at which two profiles break even, if one exists
-/// for positive ratios: solves `f_a + r·s_a = f_b + r·s_b` for `r`.
-pub fn crossover(a: &SchemeProfile, b: &SchemeProfile) -> Option<f64> {
-    let df = b.firings as f64 - a.firings as f64;
-    let ds = a.tuples_sent as f64 - b.tuples_sent as f64;
-    if ds == 0.0 {
-        return None;
-    }
-    let r = df / ds;
-    (r > 0.0).then_some(r)
-}
-
 /// Hash seed shared by every rule of a demand-partitioned magic program.
 ///
 /// One seed across all rules is what makes the strategy *co-locating*:
@@ -300,40 +288,6 @@ mod tests {
         ];
         let slow_net = CostModel::with_comm_ratio(10.0);
         assert_eq!(choose(&profiles, &slow_net).unwrap().name, "no-comm");
-    }
-
-    #[test]
-    fn crossover_sits_between_the_regimes() {
-        let a = profile("non-redundant", 1_000, 500);
-        let b = profile("no-comm", 3_000, 0);
-        let r = crossover(&a, &b).unwrap();
-        assert!((r - 4.0).abs() < 1e-9);
-        // Below r, a wins; above, b wins.
-        assert_eq!(
-            choose(&[a.clone(), b.clone()], &CostModel::with_comm_ratio(3.9))
-                .unwrap()
-                .name,
-            "non-redundant"
-        );
-        assert_eq!(
-            choose(&[a, b], &CostModel::with_comm_ratio(4.1)).unwrap().name,
-            "no-comm"
-        );
-    }
-
-    #[test]
-    fn crossover_none_for_equal_communication() {
-        let a = profile("a", 10, 5);
-        let b = profile("b", 20, 5);
-        assert_eq!(crossover(&a, &b), None);
-    }
-
-    #[test]
-    fn crossover_none_when_one_dominates() {
-        // b is worse on both axes: no positive break-even ratio.
-        let a = profile("a", 10, 5);
-        let b = profile("b", 20, 9);
-        assert_eq!(crossover(&a, &b), None);
     }
 
     #[test]

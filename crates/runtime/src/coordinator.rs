@@ -1,20 +1,15 @@
-//! Top-level execution entry points and runtime configuration.
+//! Runtime configuration shared by every transport.
 //!
 //! The part of the paper's architecture that lives outside any single
-//! processor: wiring the complete channel set the abstract architecture
+//! processor — wiring the complete channel set the abstract architecture
 //! assumes (schemes needing fewer channels simply never use the rest),
 //! running every worker to distributed termination, and the *final
-//! pooling* step — the union `t(W̄) :- t_out^i(W̄)` over all processors.
-//!
-//! The mechanics live behind the [`Transport`] trait
-//! ([`crate::transport`]); [`execute_processors`] is the conventional
-//! entry point bound to the OS-thread transport.
+//! pooling* step, the union `t(W̄) :- t_out^i(W̄)` over all processors —
+//! is behind the [`crate::transport::Transport`] trait. This module holds
+//! the knobs its implementations read; the tests below drive the
+//! OS-thread transport end to end on hand-built specs.
 
-use crate::spec::WorkerSpec;
-use crate::stats::ExecutionOutcome;
-use crate::transport::{ThreadedTransport, Transport};
 use crate::worker::WorkerConfig;
-use gst_common::Result;
 
 /// Crash-recovery knobs for the supervising transport.
 #[derive(Debug, Clone)]
@@ -66,23 +61,11 @@ pub struct RuntimeConfig {
     pub trace: bool,
 }
 
-/// Execute one [`WorkerSpec`] per processor on OS threads and pool the
-/// results.
-///
-/// `specs[i].program.processor` must equal `i` — the ring used for
-/// termination detection and the channel matrix are indexed by position.
-/// Equivalent to `ThreadedTransport.execute(specs, config)`.
-pub fn execute_processors(
-    specs: Vec<WorkerSpec>,
-    config: &RuntimeConfig,
-) -> Result<ExecutionOutcome> {
-    ThreadedTransport.execute(specs, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChannelOut, ProcessorProgram};
+    use crate::spec::{ChannelOut, ProcessorProgram, WorkerSpec};
+    use crate::transport::{ThreadedTransport, Transport};
     use gst_common::{ituple, Interner};
     use gst_frontend::parse_program;
     use gst_storage::Database;
@@ -152,7 +135,7 @@ mod tests {
         };
 
         let outcome =
-            execute_processors(vec![spec0, spec1], &RuntimeConfig::default()).unwrap();
+            ThreadedTransport.execute(vec![spec0, spec1], &RuntimeConfig::default()).unwrap();
         let answer_rel = outcome.relation(answer);
         assert_eq!(answer_rel.len(), 2);
         assert!(answer_rel.contains(&ituple![1]));
@@ -187,7 +170,7 @@ mod tests {
             edb: Arc::new(db),
             session: None,
         };
-        let outcome = execute_processors(vec![spec], &RuntimeConfig::default()).unwrap();
+        let outcome = ThreadedTransport.execute(vec![spec], &RuntimeConfig::default()).unwrap();
         assert_eq!(outcome.relation(global).len(), 3);
         assert!(outcome.stats.communication_free());
     }
@@ -209,7 +192,7 @@ mod tests {
             edb: Arc::new(Database::new(unit.program.interner.clone())),
             session: None,
         };
-        assert!(execute_processors(vec![spec], &RuntimeConfig::default()).is_err());
+        assert!(ThreadedTransport.execute(vec![spec], &RuntimeConfig::default()).is_err());
     }
 
     #[test]
@@ -234,12 +217,12 @@ mod tests {
             edb: Arc::new(Database::new(interner)),
             session: None,
         };
-        assert!(execute_processors(vec![spec], &RuntimeConfig::default()).is_err());
+        assert!(ThreadedTransport.execute(vec![spec], &RuntimeConfig::default()).is_err());
     }
 
     #[test]
     fn empty_spec_list_is_rejected() {
-        assert!(execute_processors(vec![], &RuntimeConfig::default()).is_err());
+        assert!(ThreadedTransport.execute(vec![], &RuntimeConfig::default()).is_err());
     }
 
     /// A peer failure must not hang the fleet — and must not even need
@@ -305,7 +288,7 @@ mod tests {
         let mut config = RuntimeConfig::default();
         config.worker.idle_watchdog = std::time::Duration::from_secs(300);
         let started = std::time::Instant::now();
-        let err = execute_processors(vec![spec0, spec1], &config).unwrap_err();
+        let err = ThreadedTransport.execute(vec![spec0, spec1], &config).unwrap_err();
         assert!(
             started.elapsed() < std::time::Duration::from_secs(60),
             "abort must tear the fleet down long before any watchdog"
@@ -385,14 +368,14 @@ mod tests {
         ];
 
         let baseline =
-            execute_processors(specs.clone(), &RuntimeConfig::default()).unwrap();
+            ThreadedTransport.execute(specs.clone(), &RuntimeConfig::default()).unwrap();
 
         let mut config = RuntimeConfig::default();
         config.supervisor.fail_point = Some(crate::coordinator::FailPoint {
             worker: 1,
             after_steps: 3,
         });
-        let recovered = execute_processors(specs.clone(), &config).unwrap();
+        let recovered = ThreadedTransport.execute(specs.clone(), &config).unwrap();
         assert_eq!(recovered.stats.restarts, 1, "exactly one restart");
         assert!(
             recovered
@@ -414,7 +397,7 @@ mod tests {
             after_steps: 3,
         });
         let started = std::time::Instant::now();
-        let err = execute_processors(specs, &config).unwrap_err();
+        let err = ThreadedTransport.execute(specs, &config).unwrap_err();
         assert!(started.elapsed() < std::time::Duration::from_secs(60), "no hang");
         assert!(err.to_string().contains("fail-point"), "got: {err}");
     }

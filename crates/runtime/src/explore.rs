@@ -10,9 +10,9 @@
 //! noise: most of the injected faults are irrelevant to the bug.
 //! [`shrink_failure`] greedily disables fault dimensions (crash → stalls
 //! → drops → duplication → delay spread) while the failure reproduces,
-//! ending with a minimal plan and its full [`SimTrace`] — the replayable,
-//! human-readable counterexample. This is the classic property-testing
-//! shrink loop, applied to fault plans instead of data.
+//! ending with a minimal plan and the failing run's [`Journal`] — the
+//! replayable, human-readable counterexample. This is the classic
+//! property-testing shrink loop, applied to fault plans instead of data.
 
 use std::ops::Range;
 
@@ -22,11 +22,12 @@ use gst_storage::Relation;
 
 use crate::coordinator::RuntimeConfig;
 use crate::fault::FaultPlan;
-use crate::sim::{SimTrace, SimTransport};
+use crate::obs::Journal;
+use crate::sim::SimTransport;
 use crate::spec::WorkerSpec;
 
 /// The expected least model: predicate → relation, as computed by a
-/// trusted oracle (sequential semi-naive or the synchronous executor).
+/// trusted oracle (sequential semi-naive evaluation).
 pub type ExpectedModel = FxHashMap<RelationId, Relation>;
 
 /// One seed that did not reproduce the expected model.
@@ -105,7 +106,7 @@ pub fn sweep_seeds(
 }
 
 /// A shrunk counterexample: the minimal fault plan that still fails, and
-/// the replayable trace of the failing run.
+/// the journal of the failing run.
 #[derive(Debug, Clone)]
 pub struct Shrunk {
     /// The failing seed (unchanged by shrinking).
@@ -114,8 +115,9 @@ pub struct Shrunk {
     pub plan: FaultPlan,
     /// Why the minimal run fails.
     pub reason: String,
-    /// The failing run's full schedule.
-    pub trace: SimTrace,
+    /// The failing run's journal: every delivery, stall and crash beside
+    /// what each worker recorded up to the failure.
+    pub trace: Journal,
 }
 
 /// Greedily minimize the fault plan of a failing seed, keeping only the
@@ -281,7 +283,10 @@ mod tests {
         assert_eq!(shrunk.plan.stall_prob, 0.0);
         assert_eq!(shrunk.plan.max_delay, shrunk.plan.min_delay);
         assert!(shrunk.reason.contains("idle") || shrunk.reason.contains("failed"));
-        assert!(!shrunk.trace.events.is_empty(), "trace is replayable evidence");
+        assert!(
+            shrunk.trace.events.iter().any(|e| e.kind == crate::obs::ObsKind::Crashed),
+            "the journal is the evidence: it must show the crash"
+        );
     }
 
     #[test]

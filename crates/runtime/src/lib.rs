@@ -13,15 +13,25 @@
 //! rewritten program, with termination detected by Safra's colored-token
 //! ring algorithm (the same diffusing-computation family the paper cites),
 //! implemented as a pure, unit-testable state machine in [`termination`].
-//! How the machines are driven is the [`transport::Transport`]'s choice:
+//! How the machines are driven is the [`transport::Transport`]'s choice,
+//! and `Transport::execute` is the only way to run a fleet:
 //!
-//! * [`transport::ThreadedTransport`] (the default behind
-//!   [`execute_processors`]) — one OS thread per processor, blocking
-//!   queues, real parallelism;
+//! * [`transport::ThreadedTransport`] — one OS thread per processor,
+//!   blocking queues, real parallelism (a fleet whose compiled network is
+//!   silent skips the queues, codec and termination ring altogether);
 //! * [`sim::SimTransport`] — every processor interleaved on one thread
 //!   under a virtual clock with a seeded scheduler and [`fault::FaultPlan`]
 //!   injection: deterministic, replayable, adversarial. [`explore`] sweeps
-//!   seed ranges and shrinks failures to minimal replayable traces.
+//!   seed ranges and shrinks failures to minimal fault plans;
+//! * [`net::NetCoordinator`] — one OS process per processor over loopback
+//!   TCP, relayed and supervised by the coordinator.
+//!
+//! There is no separate bulk-synchronous mode: the paper's phased
+//! `repeat … until` loop is one fair schedule among those the simulator
+//! explores, and a fixed-seed simulated run is the deterministic reference
+//! (same model, firings and channel matrix on every rerun). Every
+//! transport records the same [`obs::Journal`] when `config.trace` is set;
+//! it is the only trace model.
 //!
 //! The runtime is scheme-agnostic: it executes any [`ProcessorProgram`] —
 //! the rewriting schemes in `gst-core` produce them — and reports the
@@ -42,15 +52,13 @@ pub mod obs;
 pub mod profile;
 pub mod sim;
 pub mod spec;
-pub mod simulate;
 pub mod stats;
-pub mod sync;
 pub mod termination;
 pub mod transport;
 pub(crate) mod wire;
 pub mod worker;
 
-pub use coordinator::{execute_processors, FailPoint, RuntimeConfig, SupervisorConfig};
+pub use coordinator::{FailPoint, RuntimeConfig, SupervisorConfig};
 pub use explore::{shrink_failure, sweep_seeds, ExpectedModel, Shrunk, SweepReport};
 pub use fault::{CrashSpec, FaultPlan};
 pub use net::{
@@ -61,9 +69,7 @@ pub use obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
 pub use profile::{
     HotRule, IdleGap, PhaseTotals, ProfileReport, RoundCost, WorkerProfile, PHASES,
 };
-pub use sim::{SimTrace, SimTransport, TraceEvent};
-pub use simulate::{simulate_bsp, MachineModel, RoundTrace};
-pub use sync::{execute_synchronous, execute_synchronous_traced};
+pub use sim::SimTransport;
 pub use spec::{ChannelOut, ProcessorProgram, SessionSeed, WorkerSpec};
 pub use stats::{ExecutionOutcome, ParallelStats, WorkerReport};
 pub use transport::{ThreadedTransport, Transport};

@@ -1311,8 +1311,8 @@ impl Supervisor<'_> {
             let body = wire::encode_nonce(self.nonce);
             for (peer, slot) in self.links.iter_mut().enumerate() {
                 if let Some(link) = slot {
-                    if wire::write_frame(&mut link.stream, wire::FRAME_PING, &body).is_err() {
-                        failed.push((peer, "heartbeat write failed"));
+                    if let Err(e) = wire::write_frame(&mut link.stream, wire::FRAME_PING, &body) {
+                        failed.push((peer, format!("heartbeat write failed: {e}")));
                     }
                 }
             }
@@ -1320,7 +1320,7 @@ impl Supervisor<'_> {
         for (peer, slot) in self.links.iter().enumerate() {
             if let Some(link) = slot {
                 if link.last_heard.elapsed() > self.net.heartbeat_timeout {
-                    failed.push((peer, "heartbeat timeout"));
+                    failed.push((peer, "heartbeat timeout".to_string()));
                 }
             }
         }

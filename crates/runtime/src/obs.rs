@@ -15,11 +15,10 @@
 //!   per emission when off) and stamps events against either a wall clock
 //!   (threaded transport, microseconds since the run started) or the
 //!   virtual clock (simulation, ticks). The transports add their own
-//!   events — deliveries, stalls, crashes, restarts — so the
-//!   [`crate::sim::TraceEvent`] schedule and the worker's view land in one
-//!   [`Journal`].
-//! * **Consumers** — a human-readable listing (`Display`, the sim trace
-//!   format generalized to both transports), a Chrome trace-event JSON
+//!   events — deliveries, stalls, crashes, restarts — straight into the
+//!   same [`Journal`], so the simulator's schedule and the worker's view
+//!   are one recording.
+//! * **Consumers** — a human-readable listing (`Display`), a Chrome trace-event JSON
 //!   export ([`Journal::chrome_trace`], loadable in Perfetto or
 //!   `chrome://tracing`: one track per worker, rounds as spans, everything
 //!   else as instants), and the validators the test suite and the CI

@@ -9,7 +9,7 @@
 //! worker steps next, how long a step takes, when a message arrives,
 //! whether it is duplicated, delayed or dropped-and-redelivered
 //! ([`FaultPlan`]) — is drawn from a [`SmallRng`] seeded by the caller.
-//! Identical seed, specs and plan ⇒ identical event sequence, trace,
+//! Identical seed, specs and plan ⇒ identical event sequence, journal,
 //! per-worker firing counts and final model, bit for bit. A failing seed
 //! from a sweep ([`crate::explore`]) is therefore a complete, replayable
 //! bug report.
@@ -44,7 +44,7 @@ use gst_common::{Result, SmallRng};
 use crate::coordinator::RuntimeConfig;
 use crate::fault::FaultPlan;
 use crate::message::{Envelope, Message, MessageKind};
-use crate::obs::{ObsEvent, ObsKind, TimeBase, TraceSink};
+use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
 use crate::spec::WorkerSpec;
 use crate::stats::ExecutionOutcome;
 use crate::transport::{assemble_outcome, validate_specs, Transport};
@@ -62,131 +62,6 @@ const MAX_EVENTS: u64 = 20_000_000;
 /// supervisor's restart of the worker — long enough for in-flight
 /// pre-crash traffic to keep racing the recovery broadcast.
 const RESTART_DELAY: u64 = 25;
-
-/// What one simulated worker step reported (public mirror of the worker's
-/// internal step result).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepOutcome {
-    /// Progress was made.
-    Worked,
-    /// Locally quiescent; the worker sleeps until a delivery.
-    Idle,
-    /// Globally terminated.
-    Done,
-}
-
-/// One entry of the replayable schedule trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A worker executed one scheduling quantum.
-    Step {
-        /// Virtual time of the step.
-        time: u64,
-        /// Which worker stepped.
-        worker: usize,
-        /// What the step reported.
-        outcome: StepOutcome,
-    },
-    /// An envelope reached a worker's queue.
-    Deliver {
-        /// Virtual delivery time.
-        time: u64,
-        /// Receiving worker.
-        to: usize,
-        /// Sending worker.
-        from: usize,
-        /// Per-link sequence number of the envelope.
-        seq: u64,
-        /// Kind of message delivered.
-        kind: MessageKind,
-        /// True for the fault injector's duplicate copy.
-        duplicate: bool,
-    },
-    /// The fault plan stalled a worker.
-    Stall {
-        /// When the stall began.
-        time: u64,
-        /// Which worker stalled.
-        worker: usize,
-        /// When it resumes.
-        until: u64,
-    },
-    /// The fault plan killed a worker.
-    Crash {
-        /// When it died.
-        time: u64,
-        /// Which worker died.
-        worker: usize,
-    },
-    /// The simulated supervisor restarted a crashed worker into a fresh
-    /// recovery epoch.
-    Restart {
-        /// When the fresh incarnation came up.
-        time: u64,
-        /// Which worker was restarted.
-        worker: usize,
-        /// The recovery epoch the whole fleet moves to.
-        epoch: u64,
-    },
-}
-
-/// The full schedule of one simulated run — deterministic in (specs,
-/// seed, plan), so two runs are bit-for-bit comparable.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SimTrace {
-    /// Events in execution order.
-    pub events: Vec<TraceEvent>,
-    /// Virtual time at which the run ended.
-    pub virtual_time: u64,
-}
-
-impl SimTrace {
-    /// Number of worker steps per processor (a compact schedule
-    /// fingerprint used by reproducibility assertions).
-    pub fn steps_per_worker(&self, n: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; n];
-        for e in &self.events {
-            if let TraceEvent::Step { worker, .. } = e {
-                counts[*worker] += 1;
-            }
-        }
-        counts
-    }
-
-    /// Number of duplicate deliveries the fault injector produced.
-    pub fn duplicates(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Deliver { duplicate: true, .. }))
-            .count() as u64
-    }
-}
-
-impl std::fmt::Display for SimTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for e in &self.events {
-            match e {
-                TraceEvent::Step { time, worker, outcome } => {
-                    writeln!(f, "[{time:>8}] step    w{worker} -> {outcome:?}")?
-                }
-                TraceEvent::Deliver { time, to, from, seq, kind, duplicate } => {
-                    let marker = if *duplicate { " (dup)" } else { "" };
-                    writeln!(f, "[{time:>8}] deliver w{from} -> w{to} {kind} #{seq}{marker}")?
-                }
-                TraceEvent::Stall { time, worker, until } => {
-                    writeln!(f, "[{time:>8}] stall   w{worker} until {until}")?
-                }
-                TraceEvent::Crash { time, worker } => {
-                    writeln!(f, "[{time:>8}] crash   w{worker}")?
-                }
-                TraceEvent::Restart { time, worker, epoch } => {
-                    writeln!(f, "[{time:>8}] restart w{worker} epoch {epoch}")?
-                }
-            }
-        }
-        writeln!(f, "[{:>8}] end of simulation", self.virtual_time)
-    }
-}
 
 enum EventKind {
     /// Give worker `w` one step.
@@ -242,6 +117,22 @@ impl Outbox for SimOutbox {
     }
 }
 
+/// A core in recovery epoch `epoch` with the config's knobs applied.
+/// Sinks and profilers run on the virtual clock: the journal carries only
+/// ticks and counters and profile durations are deterministic work
+/// proxies, so same-seed runs are bit-identical in both.
+fn new_core(spec: WorkerSpec, n: usize, epoch: u64, config: &RuntimeConfig) -> Result<WorkerCore> {
+    let mut core = WorkerCore::with_epoch(spec, n, epoch)?;
+    core.set_morsel_threads(config.worker.morsel_threads);
+    if config.trace {
+        core.set_sink(TraceSink::virtual_clock(core.id()));
+    }
+    if config.worker.profile {
+        core.set_profiler(crate::profile::Profiler::ticks(), gst_eval::TimeMode::Ticks);
+    }
+    Ok(core)
+}
+
 /// The single-threaded, virtual-clock transport.
 #[derive(Debug, Clone)]
 pub struct SimTransport {
@@ -265,24 +156,81 @@ impl SimTransport {
         SimTransport { seed, faults: plan }
     }
 
-    /// Run the fleet, returning the outcome together with the replayable
-    /// trace (also populated when the run fails).
+    /// Run the fleet with tracing forced on, returning the outcome together
+    /// with the journal. A failed run still yields its journal — every
+    /// delivery, stall and crash up to the failure, plus what each worker
+    /// had recorded — which is the replayable evidence
+    /// [`crate::explore::shrink_failure`] reports.
     pub fn run_traced(
         &self,
         specs: Vec<WorkerSpec>,
         config: &RuntimeConfig,
-    ) -> (Result<ExecutionOutcome>, SimTrace) {
-        let mut trace = SimTrace::default();
-        let result = self.run_inner(specs, config, &mut trace);
-        (result, trace)
+    ) -> (Result<ExecutionOutcome>, Journal) {
+        let config = RuntimeConfig {
+            trace: true,
+            ..config.clone()
+        };
+        let (result, journal) = self.run(specs, &config);
+        let result = result.map(|mut outcome| {
+            outcome.journal = journal.clone();
+            outcome
+        });
+        (result, journal)
     }
 
-    fn run_inner(
+    /// Run the fleet. The journal comes back beside the result (not inside
+    /// the outcome) so that it survives a failed run; it is empty unless
+    /// `config.trace` is set.
+    fn run(
         &self,
         specs: Vec<WorkerSpec>,
         config: &RuntimeConfig,
-        trace: &mut SimTrace,
-    ) -> Result<ExecutionOutcome> {
+    ) -> (Result<ExecutionOutcome>, Journal) {
+        let started = Instant::now();
+        // A recoverable crash rebuilds the dead worker from its spec, so
+        // retain a copy (the cores consume the originals).
+        let retained: Option<Vec<WorkerSpec>> = self
+            .faults
+            .crash
+            .is_some_and(|c| c.recover)
+            .then(|| specs.clone());
+        let mut cores = match self.build_cores(specs, config) {
+            Ok(cores) => cores,
+            Err(e) => return (Err(e), Journal::default()),
+        };
+        // Transport-level journal entries (deliveries, stalls, crashes,
+        // restarts) plus the buffer salvaged from a crashed incarnation;
+        // worker steps are journaled as rounds and idles by the workers'
+        // own sinks.
+        let mut events: Vec<ObsEvent> = Vec::new();
+        let driven = self.drive(&mut cores, retained.as_deref(), config, &mut events);
+        let journal = Journal::assemble(
+            TimeBase::VirtualTicks,
+            events,
+            cores.iter_mut().map(WorkerCore::take_trace_events).collect(),
+        );
+        let result = driven.and_then(|restarts| {
+            let results = cores
+                .into_iter()
+                .map(|core| finish_core(core, &config.worker))
+                .collect();
+            assemble_outcome(
+                results,
+                started.elapsed(),
+                restarts,
+                TimeBase::VirtualTicks,
+                Vec::new(),
+            )
+        });
+        (result, journal)
+    }
+
+    /// Validate the fleet and build one core per spec.
+    fn build_cores(
+        &self,
+        specs: Vec<WorkerSpec>,
+        config: &RuntimeConfig,
+    ) -> Result<Vec<WorkerCore>> {
         validate_specs(&specs)?;
         if let Some(crash) = self.faults.crash {
             if crash.worker >= specs.len() {
@@ -292,44 +240,29 @@ impl SimTransport {
                 )));
             }
         }
-        let started = Instant::now();
         let n = specs.len();
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        // A recoverable crash rebuilds the dead worker from its spec, so
-        // retain a copy (the cores consume the originals).
-        let retained: Option<Vec<WorkerSpec>> = self
-            .faults
-            .crash
-            .is_some_and(|c| c.recover)
-            .then(|| specs.clone());
-        let mut cores = specs
+        specs
             .into_iter()
-            .map(|spec| WorkerCore::new(spec, n))
-            .collect::<Result<Vec<_>>>()?;
-        for core in cores.iter_mut() {
-            core.set_morsel_threads(config.worker.morsel_threads);
-        }
-        if config.trace {
-            // Virtual-clock sinks: the journal then carries only virtual
-            // ticks and counters, so same-seed runs are bit-identical.
-            for (w, core) in cores.iter_mut().enumerate() {
-                core.set_sink(TraceSink::virtual_clock(w));
+            .map(|spec| new_core(spec, n, 0, config))
+            .collect()
+    }
+
+    /// The discrete-event loop: step and deliver until every survivor
+    /// terminated or the queue ran dry. Returns the number of restarts.
+    fn drive(
+        &self,
+        cores: &mut [WorkerCore],
+        retained: Option<&[WorkerSpec]>,
+        config: &RuntimeConfig,
+        events: &mut Vec<ObsEvent>,
+    ) -> Result<u64> {
+        let n = cores.len();
+        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let record = |events: &mut Vec<ObsEvent>, time: u64, worker: usize, kind: ObsKind| {
+            if config.trace {
+                events.push(ObsEvent { time, worker, kind });
             }
-        }
-        if config.worker.profile {
-            // Virtual-clock profilers: durations are deterministic work
-            // proxies, so same-seed profiles are bit-identical too.
-            for core in cores.iter_mut() {
-                core.set_profiler(
-                    crate::profile::Profiler::ticks(),
-                    gst_eval::TimeMode::Ticks,
-                );
-            }
-        }
-        // Journal buffers salvaged from crashed incarnations (the threaded
-        // transport loses these with the thread; the simulator can do
-        // better).
-        let mut lost_events: Vec<ObsEvent> = Vec::new();
+        };
 
         let mut heap: BinaryHeap<Event> = BinaryHeap::new();
         let mut tiebreak = 0u64;
@@ -377,15 +310,6 @@ impl SimTransport {
                     cores[w].set_trace_now(now);
                     let mut out = SimOutbox::default();
                     let step = cores[w].step(&mut out)?;
-                    trace.events.push(TraceEvent::Step {
-                        time: now,
-                        worker: w,
-                        outcome: match step {
-                            Step::Worked => StepOutcome::Worked,
-                            Step::Idle => StepOutcome::Idle,
-                            Step::Done => StepOutcome::Done,
-                        },
-                    });
                     for (to, env) in out.sends {
                         self.route(&mut rng, &mut push, &mut heap, now, to, env);
                     }
@@ -395,11 +319,7 @@ impl SimTransport {
                             && rng.gen_bool(self.faults.stall_prob)
                         {
                             at += self.faults.stall_ticks;
-                            trace.events.push(TraceEvent::Stall {
-                                time: now,
-                                worker: w,
-                                until: at,
-                            });
+                            record(events, now, w, ObsKind::Stalled { until: at });
                         }
                         ready_pending[w] = true;
                         push(&mut heap, at, EventKind::Ready(w));
@@ -410,14 +330,17 @@ impl SimTransport {
                     if crashed[to] {
                         continue; // a dead worker black-holes its queue
                     }
-                    trace.events.push(TraceEvent::Deliver {
-                        time: now,
+                    record(
+                        events,
+                        now,
                         to,
-                        from: env.from,
-                        seq: env.seq,
-                        kind: env.message.kind(),
-                        duplicate,
-                    });
+                        ObsKind::Delivered {
+                            from: env.from,
+                            kind: env.message.kind(),
+                            seq: env.seq,
+                            duplicate,
+                        },
+                    );
                     if cores[to].terminated() {
                         continue; // late duplicate after termination
                     }
@@ -430,7 +353,7 @@ impl SimTransport {
                 EventKind::Crash(w) => {
                     if !cores[w].terminated() {
                         crashed[w] = true;
-                        trace.events.push(TraceEvent::Crash { time: now, worker: w });
+                        record(events, now, w, ObsKind::Crashed);
                         let recoverable = self.faults.crash.is_some_and(|c| c.recover);
                         if recoverable && config.supervisor.max_restarts >= 1 {
                             push(&mut heap, now + RESTART_DELAY, EventKind::Restart(w));
@@ -445,29 +368,19 @@ impl SimTransport {
                     if cores.iter().any(|c| c.terminated()) || !crashed[w] {
                         continue;
                     }
-                    let specs = retained.as_ref().expect("restart without retained specs");
+                    let specs = retained.expect("restart without retained specs");
                     epoch += 1;
                     restarts += 1;
-                    // Salvage the dead incarnation's journal before the
-                    // replacement drops it.
-                    lost_events.extend(cores[w].take_trace_events());
-                    cores[w] = WorkerCore::with_epoch(specs[w].clone(), n, epoch)?;
-                    cores[w].set_morsel_threads(config.worker.morsel_threads);
-                    if config.worker.profile {
-                        // The crashed incarnation's partial profile dies
-                        // with it (as its stats do); the replacement
-                        // accounts from its restart onward.
-                        cores[w].set_profiler(
-                            crate::profile::Profiler::ticks(),
-                            gst_eval::TimeMode::Ticks,
-                        );
-                    }
-                    if config.trace {
-                        cores[w].set_sink(TraceSink::virtual_clock(w));
-                        cores[w].set_trace_now(now);
-                    }
+                    record(events, now, w, ObsKind::Restarted { epoch });
+                    // The crashed incarnation's partial profile dies with
+                    // it (as its stats do); its journal buffer is salvaged
+                    // before the replacement drops it. All of it predates
+                    // the restart, so the journal's time sort files it
+                    // ahead of whatever is recorded from here on.
+                    events.extend(cores[w].take_trace_events());
+                    cores[w] = new_core(specs[w].clone(), n, epoch, config)?;
+                    cores[w].set_trace_now(now);
                     crashed[w] = false;
-                    trace.events.push(TraceEvent::Restart { time: now, worker: w, epoch });
                     // Broadcast Recover ahead of any new-epoch traffic: the
                     // deliveries are pushed directly at `now` (bypassing the
                     // fault plan — a supervisor channel is reliable), while
@@ -499,7 +412,6 @@ impl SimTransport {
                 break;
             }
         }
-        trace.virtual_time = now;
 
         // The queue ran dry. If a healthy worker never terminated, the
         // fleet starved — exactly the condition the threaded transport's
@@ -515,63 +427,7 @@ impl SimTransport {
                 "every worker crashed before termination".into(),
             ));
         }
-
-        // The schedule trace is a producer into the unified journal:
-        // deliveries, stalls, crashes and restarts become transport-level
-        // events (worker steps stay trace-only — the journal records them
-        // as rounds/idles from the worker's own sink).
-        let transport_events = if config.trace {
-            let mut events: Vec<ObsEvent> = trace
-                .events
-                .iter()
-                .filter_map(|e| match e {
-                    TraceEvent::Step { .. } => None,
-                    TraceEvent::Deliver { time, to, from, seq, kind, duplicate } => {
-                        Some(ObsEvent {
-                            time: *time,
-                            worker: *to,
-                            kind: ObsKind::Delivered {
-                                from: *from,
-                                kind: *kind,
-                                seq: *seq,
-                                duplicate: *duplicate,
-                            },
-                        })
-                    }
-                    TraceEvent::Stall { time, worker, until } => Some(ObsEvent {
-                        time: *time,
-                        worker: *worker,
-                        kind: ObsKind::Stalled { until: *until },
-                    }),
-                    TraceEvent::Crash { time, worker } => Some(ObsEvent {
-                        time: *time,
-                        worker: *worker,
-                        kind: ObsKind::Crashed,
-                    }),
-                    TraceEvent::Restart { time, worker, epoch } => Some(ObsEvent {
-                        time: *time,
-                        worker: *worker,
-                        kind: ObsKind::Restarted { epoch: *epoch },
-                    }),
-                })
-                .collect();
-            events.extend(lost_events);
-            events
-        } else {
-            Vec::new()
-        };
-
-        let results = cores
-            .into_iter()
-            .map(|core| finish_core(core, &config.worker))
-            .collect();
-        assemble_outcome(
-            results,
-            started.elapsed(),
-            restarts,
-            TimeBase::VirtualTicks,
-            transport_events,
-        )
+        Ok(restarts)
     }
 
     /// Route one send through the fault plan, scheduling delivery events.
@@ -623,7 +479,11 @@ impl SimTransport {
 
 impl Transport for SimTransport {
     fn execute(&self, specs: Vec<WorkerSpec>, config: &RuntimeConfig) -> Result<ExecutionOutcome> {
-        self.run_traced(specs, config).0
+        let (result, journal) = self.run(specs, config);
+        result.map(|mut outcome| {
+            outcome.journal = journal;
+            outcome
+        })
     }
 }
 
@@ -635,8 +495,8 @@ mod tests {
     use gst_storage::Database;
     use std::sync::Arc;
 
-    /// The ping-pong fleet from the sync tests: two workers alternately
-    /// extending paths over a chain whose edges they own half each.
+    /// A ping-pong fleet: two workers alternately extending paths over a
+    /// chain whose edges they own half each.
     fn ping_pong_specs() -> (Vec<WorkerSpec>, gst_eval::plan::RelationId) {
         let interner = Interner::new();
         let unit0 = gst_frontend::parser::parse_program_with(
@@ -706,9 +566,9 @@ mod tests {
     #[test]
     fn sim_matches_threaded_semantics() {
         let (specs, answer) = ping_pong_specs();
-        let threaded =
-            crate::coordinator::execute_processors(specs.clone(), &RuntimeConfig::default())
-                .unwrap();
+        let threaded = crate::transport::ThreadedTransport
+            .execute(specs.clone(), &RuntimeConfig::default())
+            .unwrap();
         let sim = SimTransport::new(7)
             .execute(specs, &RuntimeConfig::default())
             .unwrap();
@@ -725,10 +585,12 @@ mod tests {
     fn same_seed_is_bit_for_bit_reproducible() {
         let (specs, answer) = ping_pong_specs();
         let sim = SimTransport::with_faults(99, FaultPlan::chaos());
-        let (a, ta) = sim.run_traced(specs.clone(), &RuntimeConfig::default());
-        let (b, tb) = sim.run_traced(specs, &RuntimeConfig::default());
+        let (a, ja) = sim.run_traced(specs.clone(), &RuntimeConfig::default());
+        let (b, jb) = sim.run_traced(specs, &RuntimeConfig::default());
         let (a, b) = (a.unwrap(), b.unwrap());
-        assert_eq!(ta, tb, "identical trace, event for event");
+        assert!(!ja.is_empty());
+        assert_eq!(ja, jb, "identical journal, event for event");
+        assert_eq!(a.journal, ja, "a successful run carries the same journal");
         assert!(a.relation(answer).set_eq(&b.relation(answer)));
         for (wa, wb) in a.stats.workers.iter().zip(&b.stats.workers) {
             assert_eq!(wa.eval.firings, wb.eval.firings);
@@ -742,9 +604,9 @@ mod tests {
         let (specs, _) = ping_pong_specs();
         let sim_a = SimTransport::with_faults(1, FaultPlan::jitter());
         let sim_b = SimTransport::with_faults(2, FaultPlan::jitter());
-        let (_, ta) = sim_a.run_traced(specs.clone(), &RuntimeConfig::default());
-        let (_, tb) = sim_b.run_traced(specs, &RuntimeConfig::default());
-        assert_ne!(ta.events, tb.events, "seeds should yield distinct schedules");
+        let (_, ja) = sim_a.run_traced(specs.clone(), &RuntimeConfig::default());
+        let (_, jb) = sim_b.run_traced(specs, &RuntimeConfig::default());
+        assert_ne!(ja, jb, "seeds should yield distinct schedules");
     }
 
     #[test]
@@ -771,10 +633,15 @@ mod tests {
             dup_prob: 1.0,
             ..FaultPlan::jitter()
         };
-        let (outcome, trace) =
+        let (outcome, journal) =
             SimTransport::with_faults(5, plan).run_traced(specs, &RuntimeConfig::default());
         let outcome = outcome.unwrap();
-        assert!(trace.duplicates() > 0, "every batch should be duplicated");
+        let duplicated = journal
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, ObsKind::Delivered { duplicate: true, .. }))
+            .count();
+        assert!(duplicated > 0, "every batch should be duplicated");
         let absorbed: u64 = outcome.stats.workers.iter().map(|w| w.duplicate_batches).sum();
         assert!(absorbed > 0, "workers must see (and dedup) duplicates");
     }
@@ -784,13 +651,21 @@ mod tests {
         let (specs, _) = ping_pong_specs();
         // Kill worker 1 early, before the fixpoint can complete.
         let sim = SimTransport::with_faults(3, FaultPlan::with_crash(1, 2));
-        let (result, trace) = sim.run_traced(specs, &RuntimeConfig::default());
+        let (result, journal) = sim.run_traced(specs.clone(), &RuntimeConfig::default());
         let err = result.unwrap_err().to_string();
         assert!(err.contains("idle"), "want the watchdog error, got: {err}");
-        assert!(trace
+        // The failed run still hands back its journal: the crash, and what
+        // the survivor did before starving.
+        assert!(journal
             .events
             .iter()
-            .any(|e| matches!(e, TraceEvent::Crash { worker: 1, .. })));
+            .any(|e| e.worker == 1 && e.kind == ObsKind::Crashed));
+        assert!(journal.worker_events(0).any(|e| e.kind == ObsKind::IdleWait));
+        journal.validate().expect("a failed run's journal is well-formed");
+        // Untraced, the same failure records nothing.
+        let (result, journal) = sim.run(specs, &RuntimeConfig::default());
+        assert!(result.is_err());
+        assert!(journal.is_empty());
     }
 
     #[test]
@@ -802,15 +677,15 @@ mod tests {
         // Crash mid-run (t=60): traffic has already flowed, so recovery
         // must actually replay, not just restart.
         let sim = SimTransport::with_faults(3, FaultPlan::with_recovering_crash(1, 60));
-        let (result, trace) = sim.run_traced(specs, &RuntimeConfig::default());
+        let (result, journal) = sim.run_traced(specs, &RuntimeConfig::default());
         let outcome = result.expect("recovering crash must not fail the run");
         assert_eq!(outcome.stats.restarts, 1, "exactly one restart");
         assert!(
-            trace.events.iter().any(|e| matches!(
-                e,
-                TraceEvent::Restart { worker: 1, epoch: 1, .. }
-            )),
-            "trace should record the restart"
+            journal
+                .events
+                .iter()
+                .any(|e| e.worker == 1 && e.kind == ObsKind::Restarted { epoch: 1 }),
+            "journal should record the restart"
         );
         assert!(outcome.relation(answer).set_eq(&clean.relation(answer)));
         assert!(!outcome.relation(answer).is_empty());
@@ -826,11 +701,11 @@ mod tests {
         let mut config = RuntimeConfig::default();
         config.supervisor.max_restarts = 0;
         let sim = SimTransport::with_faults(3, FaultPlan::with_recovering_crash(1, 2));
-        let (result, trace) = sim.run_traced(specs, &config);
+        let (result, journal) = sim.run_traced(specs, &config);
         let err = result.unwrap_err().to_string();
         assert!(err.contains("idle"), "want the watchdog error, got: {err}");
         assert!(
-            !trace.events.iter().any(|e| matches!(e, TraceEvent::Restart { .. })),
+            !journal.events.iter().any(|e| matches!(e.kind, ObsKind::Restarted { .. })),
             "no budget, no restart"
         );
     }

@@ -8,7 +8,7 @@
 //! [`WorkerSpec`]s to distributed termination and pools the answer, and
 //! everything above it (schemes, CLI, experiments) is transport-agnostic.
 //!
-//! Two implementations exist:
+//! Three implementations exist:
 //!
 //! * [`ThreadedTransport`] — one OS thread per processor with blocking
 //!   queues, supervised for crash recovery; real parallelism, schedule
@@ -16,7 +16,9 @@
 //! * [`crate::sim::SimTransport`] — all processors interleaved on the
 //!   calling thread under a virtual clock, schedule chosen by a seeded
 //!   PRNG, with optional fault injection. Same [`crate::worker::WorkerCore`],
-//!   adversarial schedules, bit-for-bit reproducible.
+//!   adversarial schedules, bit-for-bit reproducible;
+//! * [`crate::net::NetCoordinator`] — one OS process per processor over
+//!   loopback TCP, every envelope relayed by the coordinator.
 //!
 //! ## Supervision (crash recovery)
 //!
@@ -107,7 +109,7 @@ pub(crate) fn pool_into(
 /// pooled answer, and its journal buffer.
 pub(crate) type WorkerResult = (WorkerReport, PooledRelations, Vec<ObsEvent>);
 
-/// Assemble the final outcome from per-worker results (shared by both
+/// Assemble the final outcome from per-worker results (shared by all
 /// transports). Worker journal buffers travel with their reports and are
 /// merged — in processor order, after the transport's own events — into
 /// one time-sorted [`Journal`].

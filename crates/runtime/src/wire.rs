@@ -110,7 +110,7 @@ pub(crate) fn write_frame(w: &mut dyn Write, kind: u8, body: &[u8]) -> Result<()
     w.write_all(&head)
         .and_then(|()| w.write_all(body))
         .and_then(|()| w.flush())
-        .map_err(|e| Error::Runtime(format!("link write failed: {e}")))
+        .map_err(|e| Error::Runtime(format!("link write failed ({:?}): {e}", e.kind())))
 }
 
 /// Read one frame. `Ok(None)` is a clean EOF at a frame boundary (the
@@ -1385,6 +1385,23 @@ mod tests {
             assert_eq!((kind, got.as_slice()), (FRAME_SHUTDOWN, &[] as &[u8]));
             assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
         }
+    }
+
+    /// A failed write names the I/O error's kind and text: the heartbeat
+    /// failure the coordinator reports is built from this message.
+    #[test]
+    fn write_failure_carries_the_io_error() {
+        struct Refusing;
+        impl Write for Refusing {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "socket full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = write_frame(&mut Refusing, FRAME_PING, &[]).unwrap_err().to_string();
+        assert!(err.contains("WouldBlock") && err.contains("socket full"), "{err}");
     }
 
     #[test]

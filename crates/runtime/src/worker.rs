@@ -283,12 +283,8 @@ struct ShipGroup {
 }
 
 impl WorkerCore {
-    pub(crate) fn new(spec: WorkerSpec, n: usize) -> Result<Self> {
-        WorkerCore::with_epoch(spec, n, 0)
-    }
-
-    /// A core (re)started in recovery epoch `epoch` — used by supervisors
-    /// to rebuild a crashed processor from its retained spec.
+    /// A core in recovery epoch `epoch`: 0 for a fresh fleet, higher when a
+    /// supervisor rebuilds a crashed processor from its retained spec.
     pub(crate) fn with_epoch(spec: WorkerSpec, n: usize, epoch: u64) -> Result<Self> {
         let id = spec.program.processor;
         let mut ship_groups: Vec<ShipGroup> = Vec::new();
@@ -1150,7 +1146,7 @@ mod tests {
             session: None,
         };
         // Two processors so worker 1 is a non-initiator ring member.
-        (WorkerCore::new(spec, 2).unwrap(), interner)
+        (WorkerCore::with_epoch(spec, 2, 0).unwrap(), interner)
     }
 
     fn token() -> Envelope {
@@ -1247,7 +1243,7 @@ mod tests {
             edb: Arc::new(Database::new(interner.clone())),
             session: None,
         };
-        let mut core = WorkerCore::new(spec, 2).unwrap();
+        let mut core = WorkerCore::with_epoch(spec, 2, 0).unwrap();
         let mut out = Recorder::default();
 
         let payload = crate::codec::encode_batch(inbox.1, &[ituple![7]]).unwrap();
@@ -1304,7 +1300,7 @@ mod tests {
             edb: Arc::new(db),
             session: None,
         };
-        let mut core = WorkerCore::new(spec, 2).unwrap();
+        let mut core = WorkerCore::with_epoch(spec, 2, 0).unwrap();
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
 
@@ -1362,7 +1358,7 @@ mod tests {
             edb: Arc::new(db),
             session: None,
         };
-        let mut core = WorkerCore::new(spec, 3).unwrap();
+        let mut core = WorkerCore::with_epoch(spec, 3, 0).unwrap();
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
         assert_eq!(core.replay_tail_len(1), 1, "one batch retained per destination");
@@ -1467,7 +1463,7 @@ mod tests {
             edb: Arc::new(db),
             session: None,
         };
-        let mut core = WorkerCore::new(spec, 3).unwrap();
+        let mut core = WorkerCore::with_epoch(spec, 3, 0).unwrap();
         core.set_sink(TraceSink::virtual_clock(0));
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}

@@ -1,5 +1,5 @@
-//! Storage layer: relations, hash indexes, semi-naive deltas, the database
-//! catalog, and horizontal fragmentation.
+//! Storage layer: relations, hash indexes, the database catalog, and
+//! horizontal fragmentation.
 //!
 //! Everything here is single-threaded and owned; the parallel runtime gives
 //! each worker its own `Database` of fragments, mirroring the paper's
@@ -10,13 +10,11 @@
 #![warn(missing_docs)]
 
 pub mod database;
-pub mod delta;
 pub mod index;
 pub mod partition;
 pub mod relation;
 
 pub use database::Database;
-pub use delta::DeltaRelation;
 pub use index::{hash_key, postings_in_range, HashIndex};
 pub use partition::{hash_fragment, replicated_fragments, round_robin_fragment, Fragmentation};
 pub use relation::Relation;

@@ -486,10 +486,25 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             )]
         }
         (None, Some((name, arity))) => {
-            let sym = interner
-                .get(name)
-                .ok_or_else(|| format!("unknown predicate `{name}`"))?;
-            vec![(format!("{name}/{arity}"), (sym, *arity))]
+            // Every arity the name is used with, in rules or in facts.
+            let sym = interner.get(name);
+            let known: Vec<(gst_common::SymbolId, usize)> = program
+                .predicates()
+                .iter()
+                .map(|p| (p.name, p.arity))
+                .chain(db.iter().map(|(id, _)| *id))
+                .filter(|(s, _)| Some(*s) == sym)
+                .collect();
+            match known.iter().find(|(_, a)| a == arity) {
+                Some(&id) => vec![(format!("{name}/{arity}"), id)],
+                None if known.is_empty() => return Err(format!("unknown predicate `{name}`")),
+                None => {
+                    return Err(format!(
+                        "--print {name}/{arity}: `{name}` has arity {}",
+                        known[0].1
+                    ))
+                }
+            }
         }
         (None, None) => program
             .derived_predicates()
@@ -557,30 +572,40 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 config.supervisor.restart_backoff = std::time::Duration::from_millis(ms);
             }
             config.trace = show_trace || trace_out.is_some();
+            // The one place the transport is chosen; the batch path and
+            // the `--updates` path both run on it.
+            let sim_transport = if sim {
+                let plan = FaultPlan::parse(&faults).map_err(|e| e.to_string())?;
+                Some(SimTransport::with_faults(seed, plan))
+            } else {
+                None
+            };
+            let net_transport = if net {
+                Some(build_net_coordinator(
+                    net_config,
+                    net_faults.as_deref(),
+                    net_kill.as_deref(),
+                )?)
+            } else {
+                None
+            };
+            let transport: &dyn Transport = match (&sim_transport, &net_transport) {
+                (Some(sim), _) => sim,
+                (None, Some(net)) => net,
+                (None, None) => &ThreadedTransport,
+            };
             if let Some(upath) = &updates {
                 let stream = std::fs::read_to_string(upath)
                     .map_err(|e| format!("cannot read {upath}: {e}"))?;
                 let batches = parse_updates(&stream, &program)?;
-                let transport: Box<dyn Transport> = if sim {
-                    let plan = FaultPlan::parse(&faults).map_err(|e| e.to_string())?;
-                    Box::new(SimTransport::with_faults(seed, plan))
-                } else if net {
-                    Box::new(build_net_coordinator(
-                        net_config.clone(),
-                        net_faults.as_deref(),
-                        net_kill.as_deref(),
-                    )?)
-                } else {
-                    Box::new(ThreadedTransport)
-                };
                 let mut session =
                     UpdateSession::new(&scheme, &program, &db).map_err(|e| e.to_string())?;
                 session
-                    .initialize(transport.as_ref(), &config)
+                    .initialize(transport, &config)
                     .map_err(|e| e.to_string())?;
                 for batch in &batches {
                     let report = session
-                        .apply(batch, transport.as_ref(), &config)
+                        .apply(batch, transport, &config)
                         .map_err(|e| e.to_string())?;
                     if show_stats {
                         eprintln!(
@@ -637,37 +662,19 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                     started,
                 );
             }
-            let outcome = if sim {
-                let plan = FaultPlan::parse(&faults).map_err(|e| e.to_string())?;
-                if config.trace {
-                    let transport = SimTransport::with_faults(seed, plan);
-                    let (result, trace) =
-                        transport.run_traced(scheme.workers.clone(), &config);
-                    match result {
-                        Ok(outcome) => outcome,
-                        Err(e) => {
-                            // A failed run has no journal; the raw simulation
-                            // schedule still shows the fault that killed it.
-                            eprint!("{trace}");
-                            return Err(e.to_string());
-                        }
-                    }
-                } else {
-                    scheme
-                        .run_simulated_with(seed, plan, &config)
-                        .map_err(|e| e.to_string())?
+            let outcome = match &sim_transport {
+                // A failed simulated run still has a journal, and it shows
+                // the fault that killed it.
+                Some(sim) if config.trace => {
+                    let (result, journal) = sim.run_traced(scheme.workers.clone(), &config);
+                    result.map_err(|e| {
+                        eprint!("{journal}");
+                        e.to_string()
+                    })?
                 }
-            } else if net {
-                let coordinator = build_net_coordinator(
-                    net_config.clone(),
-                    net_faults.as_deref(),
-                    net_kill.as_deref(),
-                )?;
-                coordinator
+                _ => transport
                     .execute(scheme.workers.clone(), &config)
-                    .map_err(|e| e.to_string())?
-            } else {
-                scheme.execute(&config).map_err(|e| e.to_string())?
+                    .map_err(|e| e.to_string())?,
             };
             if show_trace {
                 eprint!("{}", outcome.journal);

@@ -71,7 +71,7 @@ pub mod prelude {
         Term, Variable,
     };
     pub use gst_runtime::{
-        execute_processors, ChannelOut, ExecutionOutcome, ProcessorProgram, RuntimeConfig,
+        ChannelOut, ExecutionOutcome, ProcessorProgram, RuntimeConfig,
         SessionSeed, ThreadedTransport, Transport, WorkerSpec,
     };
     pub use gst_storage::{

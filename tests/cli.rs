@@ -67,6 +67,40 @@ fn run_with_print_filter_and_stats() {
     assert!(stderr.contains("processing_firings="), "{stderr}");
 }
 
+/// `--print` of a name the program knows under another arity is a usage
+/// error, sequentially and under a parallel scheme. A *base* predicate at
+/// its own arity is accepted and prints its header without tuples:
+/// `benchmark/src/e2e.rs` times `--print par/2` runs and counts any fact
+/// line as a wrong answer, so printing the base relation itself has to
+/// arrive together with a change to the benchmark.
+#[test]
+fn print_checks_the_arity_and_accepts_base_predicates() {
+    let file = write_program("print-arity.dl", ANCESTOR);
+    for scheme in ["seq", "example3"] {
+        let run = |spec: &str| {
+            pdatalog()
+                .args(["run"])
+                .arg(&file)
+                .args(["--scheme", scheme, "--workers", "2", "--print", spec])
+                .output()
+                .unwrap()
+        };
+        for spec in ["par/3", "anc/1"] {
+            let out = run(spec);
+            assert!(!out.status.success(), "{scheme}: --print {spec} must fail");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(stderr.contains("has arity 2"), "{scheme} {spec}: {stderr}");
+        }
+        let out = run("nosuch/2");
+        assert!(!out.status.success());
+        assert!(String::from_utf8(out.stderr).unwrap().contains("unknown predicate"));
+
+        let out = run("par/2");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(String::from_utf8(out.stdout).unwrap(), "% par/2: 0 tuples\n");
+    }
+}
+
 #[test]
 fn analyze_reports_sirup_and_theorem3() {
     let file = write_program("analyze.dl", ANCESTOR);

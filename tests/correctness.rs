@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use parallel_datalog::core::schemes::BaseDistribution;
 use parallel_datalog::prelude::*;
+use parallel_datalog::runtime::FaultPlan;
 use parallel_datalog::workloads::{
     binary_tree, chain, cycle, grid, layered, linear_ancestor, nonlinear_ancestor,
     random_digraph, same_generation, same_generation_tree, star,
@@ -26,6 +27,10 @@ fn datasets() -> Vec<(&'static str, Relation)> {
         ("empty", Relation::new(2)),
     ]
 }
+
+/// Seed of the deterministic reference runs: any fixed value gives a
+/// single-threaded schedule that repeats bit for bit.
+const SIM_SEED: u64 = 1990;
 
 fn var(p: &Program, name: &str) -> Variable {
     Variable(p.interner.get(name).unwrap())
@@ -202,11 +207,11 @@ fn same_generation_parallel_is_correct() {
     assert!(outcome.relation(sg).len() >= 16 * 16);
 }
 
-/// The deterministic bulk-synchronous mode and the asynchronous runtime
-/// are interchangeable: same least model, same total tuple traffic, for
-/// every scheme family.
+/// A fixed-seed simulated run — single-threaded, deterministic — and the
+/// threaded runtime are interchangeable: same least model, same total
+/// tuple traffic, same processing firings, for every scheme family.
 #[test]
-fn synchronous_mode_matches_asynchronous() {
+fn fixed_seed_sim_matches_threaded() {
     let fx = linear_ancestor();
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
     let edges = random_digraph(24, 55, 31);
@@ -218,31 +223,32 @@ fn synchronous_mode_matches_asynchronous() {
         example3_hash_partition(&sirup, 4, &db).unwrap(),
         example2_valduriez(&sirup, round_robin_fragment(&edges, 4).unwrap(), &db).unwrap(),
     ] {
-        let sync = scheme.run_synchronous().unwrap();
-        let asynchronous = scheme.run().unwrap();
+        let sim = scheme.run_simulated(SIM_SEED, FaultPlan::none()).unwrap();
+        let threaded = scheme.run().unwrap();
         assert!(
-            sync.relation(anc).set_eq(&asynchronous.relation(anc)),
-            "{}: results differ between modes",
+            sim.relation(anc).set_eq(&threaded.relation(anc)),
+            "{}: results differ between transports",
             scheme.kind
         );
         assert_eq!(
-            sync.stats.total_tuples_sent(),
-            asynchronous.stats.total_tuples_sent(),
-            "{}: delta shipping must send each tuple once in both modes",
+            sim.stats.total_tuples_sent(),
+            threaded.stats.total_tuples_sent(),
+            "{}: delta shipping must send each tuple once on both transports",
             scheme.kind
         );
         assert_eq!(
-            sync.stats.total_processing_firings(),
-            asynchronous.stats.total_processing_firings(),
+            sim.stats.total_processing_firings(),
+            threaded.stats.total_processing_firings(),
             "{}: non-redundant firing counts are schedule-independent",
             scheme.kind
         );
     }
 }
 
-/// Synchronous mode on the §7 general scheme (non-linear program).
+/// The fixed-seed simulated run on the §7 general scheme (non-linear
+/// program).
 #[test]
-fn synchronous_mode_on_general_scheme() {
+fn fixed_seed_sim_on_general_scheme() {
     let fx = nonlinear_ancestor();
     let db = fx.database(&grid(4, 4));
     let h: DiscriminatorRef = Arc::new(HashMod::new(3, 13));
@@ -258,13 +264,16 @@ fn synchronous_mode_on_general_scheme() {
     ];
     let scheme =
         rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
-    let sync = scheme.run_synchronous().unwrap();
+    let sim = scheme.run_simulated(SIM_SEED, FaultPlan::none()).unwrap();
     let seq = seminaive_eval(&fx.program, &db).unwrap();
     let anc = fx.output_id();
-    assert!(sync.relation(anc).set_eq(&seq.relation(anc)));
-    assert!(sync.stats.total_processing_firings() <= seq.stats.firings);
-    // Byte accounting: wire bytes flow only where tuples flow.
-    assert!((sync.stats.total_bytes_sent() > 0) == (sync.stats.total_tuples_sent() > 0));
+    assert!(sim.relation(anc).set_eq(&seq.relation(anc)));
+    assert!(sim.stats.total_processing_firings() <= seq.stats.firings);
+    // Byte accounting: wire bytes flow only where tuples flow, and every
+    // byte sent is received by someone.
+    assert!((sim.stats.total_bytes_sent() > 0) == (sim.stats.total_tuples_sent() > 0));
+    let received: u64 = sim.stats.workers.iter().map(|w| w.received_bytes).sum();
+    assert_eq!(sim.stats.total_bytes_sent(), received);
 }
 
 /// Built-in comparison literals flow through the planner's constraint

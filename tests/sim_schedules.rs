@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use parallel_datalog::core::schemes::{BaseDistribution, CompiledScheme};
 use parallel_datalog::prelude::*;
-use parallel_datalog::runtime::{sweep_seeds, ExpectedModel, FaultPlan, SimTransport};
+use parallel_datalog::runtime::{sweep_seeds, ExpectedModel, FaultPlan, ObsKind, SimTransport};
 use parallel_datalog::workloads::{graphs, linear_ancestor};
 
 /// The sequential least model, keyed by the scheme's answer predicates.
@@ -263,8 +263,8 @@ fn update_rounds_recover_from_crash_schedules() {
 /// Satellite property: duplicated *and* reordered batch delivery leaves
 /// the least model unchanged (set-semantics idempotence). Every batch is
 /// duplicated (`dup=1.0`) and delivery order is scrambled by a wide delay
-/// window; the trace must actually witness duplicate deliveries, and the
-/// pooled model must still equal the sequential one.
+/// window; the journal must actually witness duplicate deliveries, and
+/// the pooled model must still equal the sequential one.
 #[test]
 fn duplication_and_reordering_preserve_the_least_model() {
     let fx = linear_ancestor();
@@ -279,9 +279,14 @@ fn duplication_and_reordering_preserve_the_least_model() {
     let mut duplicates_witnessed = 0u64;
     for seed in 0..24 {
         let sim = SimTransport::with_faults(seed, plan.clone());
-        let (result, trace) = sim.run_traced(scheme.workers.clone(), &config);
+        let (result, journal) = sim.run_traced(scheme.workers.clone(), &config);
         let outcome = result.unwrap();
-        duplicates_witnessed += trace.duplicates();
+        let delivered_twice = journal
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, ObsKind::Delivered { duplicate: true, .. }))
+            .count() as u64;
+        duplicates_witnessed += delivered_twice;
         for (&pred, want) in &expected {
             assert!(
                 outcome.relation(pred).set_eq(want),
@@ -290,9 +295,8 @@ fn duplication_and_reordering_preserve_the_least_model() {
         }
         let dup_count: u64 = outcome.stats.workers.iter().map(|w| w.duplicate_batches).sum();
         assert_eq!(
-            dup_count,
-            trace.duplicates(),
-            "seed {seed}: every traced duplicate must be observed (and absorbed) by a worker"
+            dup_count, delivered_twice,
+            "seed {seed}: every journaled duplicate must be observed (and absorbed) by a worker"
         );
     }
     assert!(
@@ -301,9 +305,9 @@ fn duplication_and_reordering_preserve_the_least_model() {
     );
 }
 
-/// Acceptance: a fixed seed is bit-for-bit reproducible — same schedule
-/// trace, same per-worker firing counts, same channel matrix, same final
-/// model across two independent runs.
+/// Acceptance: a fixed seed is bit-for-bit reproducible — same journal,
+/// same per-worker firing counts, same channel matrix, same final model
+/// across two independent runs.
 #[test]
 fn fixed_seed_is_bit_for_bit_reproducible_on_a_real_scheme() {
     let fx = linear_ancestor();
@@ -316,13 +320,13 @@ fn fixed_seed_is_bit_for_bit_reproducible_on_a_real_scheme() {
 
     let run = |seed: u64| {
         let sim = SimTransport::with_faults(seed, plan.clone());
-        let (result, trace) = sim.run_traced(scheme.workers.clone(), &config);
-        (result.unwrap(), trace)
+        let (result, journal) = sim.run_traced(scheme.workers.clone(), &config);
+        (result.unwrap(), journal)
     };
-    let (a, ta) = run(42);
-    let (b, tb) = run(42);
+    let (a, ja) = run(42);
+    let (b, jb) = run(42);
 
-    assert_eq!(ta, tb, "schedule traces differ between identical runs");
+    assert_eq!(ja, jb, "journals differ between identical runs");
     assert_eq!(
         a.stats.channel_matrix, b.stats.channel_matrix,
         "per-channel tuple counts differ"
@@ -338,6 +342,6 @@ fn fixed_seed_is_bit_for_bit_reproducible_on_a_real_scheme() {
     }
 
     // ... and a different seed really explores a different schedule.
-    let (_, tc) = run(43);
-    assert_ne!(ta, tc, "different seeds should produce different traces");
+    let (_, jc) = run(43);
+    assert_ne!(ja, jc, "different seeds should produce different journals");
 }
