@@ -11,9 +11,11 @@
 //! otherwise. For traces, `--workers N` additionally requires worker
 //! tracks `0..N`, each with a termination marker, and `--require-sends`
 //! fails traces with no communication events. For profiles, `--workers
-//! N` requires exactly N worker profiles and `--require-idle` fails
-//! profiles where no worker ever waited (a parallel run that never
-//! idles is a vacuous profile — the phase timers were not exercised).
+//! N` requires exactly N worker profiles and `--require-idle` fails a
+//! vacuous profile: one where some worker's five phases sum to zero
+//! (its timers never ran) or where no worker ever waited — every run
+//! ends in a termination probe the passive workers sit out, so a
+//! parallel run with no idle time at all did not time its waits.
 
 use gst_bench::tracecheck::{check_chrome_trace, check_profile_json};
 
@@ -65,9 +67,10 @@ fn run() -> Result<(), String> {
                 ));
             }
         }
-        if require_idle && summary.idle_total == 0 {
+        if require_idle && (summary.idle_total == 0 || summary.quietest_worker == 0) {
             return Err(format!(
-                "{path}: no idle time in any worker (phase timers not exercised?)"
+                "{path}: vacuous profile (idle total {}, quietest worker's phase sum {})",
+                summary.idle_total, summary.quietest_worker
             ));
         }
         println!(

@@ -170,6 +170,9 @@ pub struct ProfileSummary {
     pub rounds: usize,
     /// Merged idle time across all workers (in the profile's time base).
     pub idle_total: u64,
+    /// The smallest phase sum (all five phases) of any one worker: zero
+    /// means some worker's timers recorded nothing at all.
+    pub quietest_worker: u64,
 }
 
 /// The five phase names every profile must account, in emission order.
@@ -301,6 +304,7 @@ pub fn check_profile_json(text: &str) -> Result<ProfileSummary, String> {
         return Err("no worker profiles".into());
     }
     let mut summed = [0u64; 5];
+    let mut quietest_worker = u64::MAX;
     for (i, w) in workers.iter().enumerate() {
         w.get("processor")
             .and_then(Json::as_num)
@@ -309,6 +313,7 @@ pub fn check_profile_json(text: &str) -> Result<ProfileSummary, String> {
             .get("profile")
             .ok_or_else(|| format!("workers[{i}]: missing profile"))?;
         let phases = check_worker_profile(profile, &format!("workers[{i}].profile"))?;
+        quietest_worker = quietest_worker.min(phases.iter().sum());
         for (total, v) in summed.iter_mut().zip(phases) {
             *total += v;
         }
@@ -389,6 +394,7 @@ pub fn check_profile_json(text: &str) -> Result<ProfileSummary, String> {
         workers: workers.len(),
         rounds: rounds.len(),
         idle_total: merged_phases[4],
+        quietest_worker,
     })
 }
 
@@ -505,7 +511,10 @@ mod tests {
     #[test]
     fn accepts_a_well_formed_profile() {
         let summary = check_profile_json(&profile_doc(100, 7)).unwrap();
-        assert_eq!(summary, ProfileSummary { workers: 1, rounds: 1, idle_total: 7 });
+        assert_eq!(
+            summary,
+            ProfileSummary { workers: 1, rounds: 1, idle_total: 7, quietest_worker: 107 }
+        );
     }
 
     #[test]
@@ -568,26 +577,9 @@ mod tests {
         let mut workers = Vec::new();
         for w in 0..2usize {
             let mut report = gst_runtime::WorkerReport {
-                processor: w,
-                eval: gst_eval::EvalStats::new(2),
                 processing_firings: 10,
-                sent_tuples_to: vec![0, 0],
-                sent_bytes_to: vec![0, 0],
-                sent_messages: 0,
-                received_tuples: 0,
-                received_bytes: 0,
-                encode_calls: 0,
-                encoded_bytes: 0,
-                encoded_raw_bytes: 0,
-                duplicate_batches: 0,
-                replayed_batches: 0,
-                stale_dropped: 0,
-                retract_tuples_sent: 0,
-                retract_tuples_received: 0,
-                pooled_tuples: 0,
-                busy: std::time::Duration::ZERO,
-                sent_per_round: Vec::new(),
                 profile: Some(profile_for(w as u64)),
+                ..gst_runtime::WorkerReport::new(w, 2)
             };
             report.eval.time_by_rule = vec![90, 10 + w as u64];
             report.eval.firings_by_rule = vec![7, 3];
@@ -607,5 +599,6 @@ mod tests {
         assert_eq!(summary.workers, 2);
         assert_eq!(summary.rounds, 2);
         assert_eq!(summary.idle_total, 80);
+        assert_eq!(summary.quietest_worker, 100 + 5 + 3 + 40);
     }
 }

@@ -75,7 +75,6 @@ type IndexKey = (RelationId, Vec<usize>);
 
 /// A resumable semi-naive evaluator for one evaluation site.
 pub struct FixpointEngine {
-    program: Program,
     edb: Arc<Database>,
     idb: FxHashMap<RelationId, IdbState>,
     /// Plans fired every round (delta versions of rules with derived
@@ -162,7 +161,6 @@ impl FixpointEngine {
 
         let stats = EvalStats::new(program.rules.len());
         Ok(FixpointEngine {
-            program: program.clone(),
             edb,
             idb,
             round_plans,
@@ -240,11 +238,6 @@ impl FixpointEngine {
         Ok(())
     }
 
-    /// The program this engine runs.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
     /// Derived predicates (including injected channel predicates).
     pub fn idb_predicates(&self) -> Vec<RelationId> {
         self.idb.keys().copied().collect()
@@ -263,10 +256,9 @@ impl FixpointEngine {
     }
 
     /// Everything appended to `pred`'s row arena at or after row `from` —
-    /// a borrowed slice spanning any number of rounds. Workers that defer
-    /// shipping to the local fixpoint read their per-channel backlog this
-    /// way: the arena keeps rows in insertion order, so "what I have not
-    /// shipped yet" is just a suffix.
+    /// a borrowed slice spanning any number of rounds. Workers read what
+    /// a channel has not shipped yet this way: the arena keeps rows in
+    /// insertion order, so the backlog is just a suffix.
     pub fn rows_from(&self, pred: RelationId, from: usize) -> &[Tuple] {
         self.idb
             .get(&pred)
@@ -337,22 +329,11 @@ impl FixpointEngine {
         }
     }
 
-    /// Queue the current delta of `from` into the pending pool of `to` —
-    /// the path for a worker's self-channel (`t_ii`), which needs no wire
-    /// format. Equivalent to `inject(to, delta_tuples(from))` but legal
-    /// while the delta borrows the engine. Returns the tuples queued.
-    ///
-    /// # Errors
-    /// `to` must be a derived predicate with the same arity as `from`.
-    pub fn loopback(&mut self, from: RelationId, to: RelationId) -> Result<u64> {
-        let start = self.idb.get(&from).map(|s| s.delta_start).unwrap_or(0);
-        self.loopback_from(from, to, start)
-    }
-
-    /// Like [`FixpointEngine::loopback`], but queues every row of `from`
-    /// at or after arena row `from_row` — the self-channel counterpart of
-    /// [`FixpointEngine::rows_from`] for workers that ship at the local
-    /// fixpoint instead of every round.
+    /// Queue every row of `from` at or after arena row `from_row` into the
+    /// pending pool of `to` — the path for a worker's self-channel
+    /// (`t_ii`), which needs no wire format: the self-channel counterpart
+    /// of encoding [`FixpointEngine::rows_from`]. Returns the tuples
+    /// queued.
     ///
     /// # Errors
     /// `to` must be a derived predicate with the same arity as `from`.

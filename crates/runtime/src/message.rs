@@ -56,11 +56,12 @@ pub enum Message {
         /// absorbed by the sender of this message.
         acked: u64,
     },
-    /// Replay of a compacted log prefix: the union of every batch with
-    /// sequence number `< upto` on this link, one payload per inbox
-    /// predicate. Sets the receiver's watermark to `upto`.
+    /// Replay of a compacted log prefix: every batch with sequence number
+    /// `< upto` on this link, as one logical message. Sets the receiver's
+    /// watermark to `upto`.
     Snapshot {
-        /// One encoded batch per inbox the compacted prefix touched.
+        /// The compacted batches' payloads as first shipped, in ship
+        /// order, each with the inbox it addresses.
         payloads: Vec<(RelationId, Payload)>,
         /// The watermark this snapshot stands in for.
         upto: u64,

@@ -717,12 +717,13 @@ pub fn run_net_worker(args: &NetWorkerArgs, decoder: Option<ConstraintDecoderFn>
             Ok(Step::Worked) => idle_since = None,
             Ok(Step::Idle) => {
                 let since = *idle_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= worker_cfg.idle_watchdog {
+                let left = worker_cfg.idle_watchdog.saturating_sub(since.elapsed());
+                if left.is_zero() {
                     let e = watchdog_error(core.id(), since.elapsed());
                     report_fatal(&gate, &e);
                     return Err(e);
                 }
-                match rx.recv_timeout(worker_cfg.idle_poll) {
+                match rx.recv_timeout(left) {
                     Ok(RxEv::Env(env)) => core.enqueue(env),
                     Ok(RxEv::Shutdown) => return Ok(()),
                     Ok(RxEv::Lost(e)) => return Err(e),
@@ -916,6 +917,9 @@ struct Link {
     stream: TcpStream,
     incarnation: u64,
     last_heard: Instant,
+    /// A heartbeat write failed: stop pinging. Not a verdict — see
+    /// [`Supervisor::tick`].
+    write_dead: bool,
 }
 
 type RunOutput = (
@@ -1054,7 +1058,7 @@ impl Supervisor<'_> {
             // worker that no longer needs one: reject by dropping.
             return;
         }
-        let mut link = Link { stream, incarnation, last_heard: Instant::now() };
+        let mut link = Link { stream, incarnation, last_heard: Instant::now(), write_dead: false };
         // The pending Recover travels inside the job frame: the
         // incarnation absorbs it before its first engine step, exactly
         // like the threaded supervisor's broadcast-before-spawn. A
@@ -1304,29 +1308,35 @@ impl Supervisor<'_> {
         if self.aborting.is_some() {
             return;
         }
-        let mut failed = Vec::new();
         if self.last_ping.elapsed() >= self.net.heartbeat_interval {
             self.last_ping = Instant::now();
             self.nonce += 1;
             let body = wire::encode_nonce(self.nonce);
-            for (peer, slot) in self.links.iter_mut().enumerate() {
-                if let Some(link) = slot {
-                    if let Err(e) = wire::write_frame(&mut link.stream, wire::FRAME_PING, &body) {
-                        failed.push((peer, format!("heartbeat write failed: {e}")));
-                    }
+            for link in self.links.iter_mut().flatten() {
+                // A failed ping is not a death. A worker that has written
+                // its RESULT and exited fails this write while the RESULT
+                // is still queued behind other events; only the read side
+                // knows which it is — RESULT finishes the link, EOF
+                // without one kills it, silence runs into the timeout
+                // below.
+                if !link.write_dead
+                    && wire::write_frame(&mut link.stream, wire::FRAME_PING, &body).is_err()
+                {
+                    link.write_dead = true;
                 }
             }
         }
+        let mut silent = Vec::new();
         for (peer, slot) in self.links.iter().enumerate() {
             if let Some(link) = slot {
                 if link.last_heard.elapsed() > self.net.heartbeat_timeout {
-                    failed.push((peer, "heartbeat timeout".to_string()));
+                    silent.push(peer);
                 }
             }
         }
-        for (peer, error) in failed {
+        for peer in silent {
             if self.finished[peer].is_none() {
-                self.die(peer, Error::Runtime(format!("worker {peer}: {error}")));
+                self.die(peer, Error::Runtime(format!("worker {peer}: heartbeat timeout")));
             } else {
                 self.links[peer] = None;
             }
@@ -1612,6 +1622,83 @@ mod tests {
         let outcome = coord.execute(specs, &config).unwrap();
         assert_eq!(outcome.stats.restarts, 0);
         assert_eq!(outcome.relation(answer).len(), 6 * 7 / 2);
+    }
+
+    /// A worker that computes its single-processor job and then hangs up
+    /// at once, the way a worker *process* does by exiting (the in-process
+    /// worker's reader thread keeps its socket open until teardown). It
+    /// queues a backlog of well-formed frames ahead of its RESULT, so the
+    /// coordinator — one event, then one tick, per loop turn — is still
+    /// working through the backlog when its pings start failing against
+    /// the closed socket. Backlog and RESULT leave in one write, one
+    /// loopback segment: the close that follows may reset the connection
+    /// (there are unread pings), which discards only what is still unsent.
+    struct HangUpLauncher;
+
+    struct Joined(Option<std::thread::JoinHandle<()>>);
+
+    impl WorkerHandle for Joined {
+        fn kill(&mut self) {
+            if let Some(thread) = self.0.take() {
+                thread.join().expect("scripted worker panicked");
+            }
+        }
+    }
+
+    impl Launcher for HangUpLauncher {
+        fn spawn_worker(&self, args: &NetWorkerArgs) -> Result<Box<dyn WorkerHandle>> {
+            let args = args.clone();
+            let thread = std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(&args.connect).unwrap();
+                let hello = wire::encode_hello(args.index, args.incarnation);
+                wire::write_frame(&mut stream, wire::FRAME_HELLO, &hello).unwrap();
+                let job = loop {
+                    match wire::read_frame(&mut stream).unwrap() {
+                        Some((wire::FRAME_JOB, body)) => break body,
+                        Some(_) => {}
+                        None => return,
+                    }
+                };
+                let job = wire::decode_job(&job, None).unwrap();
+                let mut core = WorkerCore::with_epoch(job.spec, job.n, job.epoch).unwrap();
+                // A fleet of one: whatever it sends (the token) is to itself.
+                let mut out = crate::sim::SimOutbox::default();
+                while core.step(&mut out).unwrap() != Step::Done {
+                    out.sends.drain(..).for_each(|(_, env)| core.enqueue(env));
+                }
+                let (report, pooled, _) = finish_core(core, &job.worker);
+                let mut frames = Vec::new();
+                for nonce in 0..64 {
+                    let body = wire::encode_nonce(nonce);
+                    wire::write_frame(&mut frames, wire::FRAME_PONG, &body).unwrap();
+                }
+                let body = wire::encode_result(&report, &pooled).unwrap();
+                wire::write_frame(&mut frames, wire::FRAME_RESULT, &body).unwrap();
+                std::io::Write::write_all(&mut stream, &frames).unwrap();
+            });
+            Ok(Box::new(Joined(Some(thread))))
+        }
+    }
+
+    /// The end-of-run heartbeat race: a ping written to a worker that has
+    /// already sent its RESULT and closed must not declare it dead. With a
+    /// zero heartbeat interval every loop turn pings, so each of the 50
+    /// runs fails ping writes with the RESULT still queued.
+    #[test]
+    fn failed_ping_to_a_finished_worker_is_not_a_death() {
+        // Worker 0 of the chain fleet on its own: its three edges, no peer.
+        let interner = Interner::new();
+        let (mut specs, answer) = chain_fleet(&interner, 6);
+        specs.truncate(1);
+        specs[0].program.outgoing.clear();
+        let net = NetConfig { heartbeat_interval: Duration::ZERO, ..NetConfig::default() };
+        for run in 0..50 {
+            let outcome = NetCoordinator::new(Arc::new(HangUpLauncher), net.clone())
+                .execute(specs.clone(), &RuntimeConfig::default())
+                .unwrap_or_else(|e| panic!("run {run}: {e}"));
+            assert_eq!(outcome.stats.restarts, 0, "run {run}: nobody died");
+            assert_eq!(outcome.relation(answer).len(), 3);
+        }
     }
 
     /// Tracing a recovered run records the transport-level crash and

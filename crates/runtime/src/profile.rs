@@ -6,8 +6,10 @@
 //! compute or barrier wait. This module splits every worker's run into
 //! five phases:
 //!
-//! * `compute` — semi-naive rounds inside the local engine (bootstrap
-//!   included), further split per rule by `EvalStats::time_by_rule`;
+//! * `compute` — semi-naive rounds inside the local engine: bootstrap,
+//!   rule firings (further split per rule by `EvalStats::time_by_rule`),
+//!   the `advance` that dedups a round's derivations into the arenas and
+//!   syncs the indexes, and self-channel loopback copies;
 //! * `encode` — columnar wire encoding on the ship path;
 //! * `decode` — coalesced batch decode-and-inject passes;
 //! * `replay` — crash-recovery retransmission from the replay logs;
@@ -16,8 +18,8 @@
 //!
 //! Times are stamped in the journal's [`TimeBase`]: wall-clock
 //! microseconds on the threaded and TCP transports, and deterministic
-//! *work proxies* under the simulator's virtual clock (firings for
-//! compute, payload bytes for encode, tuples for decode, messages for
+//! *work proxies* under the simulator's virtual clock (firings plus
+//! tuples submitted and looped back for compute, payload bytes for encode, tuples for decode, messages for
 //! replay, virtual-tick gaps for idle) — so a simulated profile is
 //! bit-identical across same-seed reruns while still ranking the same
 //! hot spots. Distribution shape is captured in mergeable log-bucketed
@@ -45,7 +47,8 @@ pub const PHASES: [&str; 5] = ["compute", "encode", "decode", "replay", "idle"];
 /// Accumulated time per phase, in the run's [`TimeBase`] units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
-    /// Semi-naive round processing (bootstrap included).
+    /// Semi-naive round processing: bootstrap, rule firings, the
+    /// `advance` that dedups each round into the arenas, loopback copies.
     pub compute: u64,
     /// Columnar wire encoding on the ship path.
     pub encode: u64,
@@ -110,7 +113,7 @@ pub struct WorkerProfile {
     pub phases: PhaseTotals,
     /// One sample per processed round: the round's compute time.
     pub round_latency: Histogram,
-    /// One sample per wire encode (per channel per fixpoint).
+    /// One sample per wire encode (per channel per round).
     pub encode_time: Histogram,
     /// One sample per coalesced decode-and-inject pass.
     pub decode_time: Histogram,

@@ -106,8 +106,8 @@ impl Ord for Event {
 
 /// Outbox that collects a step's sends for the event loop to route.
 #[derive(Default)]
-struct SimOutbox {
-    sends: Vec<(usize, Envelope)>,
+pub(crate) struct SimOutbox {
+    pub(crate) sends: Vec<(usize, Envelope)>,
 }
 
 impl Outbox for SimOutbox {

@@ -36,7 +36,7 @@ pub struct WorkerReport {
     /// Wire bytes received.
     pub received_bytes: u64,
     /// Distinct `encode_batch` calls on the ship path — one per
-    /// (fixpoint, channel relation), however many destinations the
+    /// (round, channel relation), however many destinations the
     /// payload was multicast to.
     pub encode_calls: u64,
     /// Bytes those encodes produced. Each multicast payload is counted
@@ -78,11 +78,38 @@ pub struct WorkerReport {
 }
 
 impl WorkerReport {
-    /// The same report with `pooled_tuples` filled in (pooling happens
-    /// after the worker's own counters are frozen).
-    pub fn with_pooled(mut self, pooled_tuples: u64) -> Self {
-        self.pooled_tuples = pooled_tuples;
-        self
+    /// The all-zero report of processor `processor` in a fleet of `n`: a
+    /// worker counts straight into it as it runs.
+    pub fn new(processor: usize, n: usize) -> Self {
+        WorkerReport {
+            processor,
+            eval: EvalStats::default(),
+            processing_firings: 0,
+            sent_tuples_to: vec![0; n],
+            sent_bytes_to: vec![0; n],
+            sent_messages: 0,
+            received_tuples: 0,
+            received_bytes: 0,
+            encode_calls: 0,
+            encoded_bytes: 0,
+            encoded_raw_bytes: 0,
+            duplicate_batches: 0,
+            replayed_batches: 0,
+            stale_dropped: 0,
+            retract_tuples_sent: 0,
+            retract_tuples_received: 0,
+            pooled_tuples: 0,
+            busy: Duration::ZERO,
+            sent_per_round: Vec::new(),
+            profile: None,
+        }
+    }
+
+    /// Freeze the engine's side of the report: its statistics and, out of
+    /// them, the firings of the paper's *processing* rules.
+    pub(crate) fn set_eval(&mut self, eval: &EvalStats, processing_rules: &[usize]) {
+        self.processing_firings = eval.firings_for_rules(processing_rules);
+        self.eval = eval.clone();
     }
 }
 
@@ -251,26 +278,14 @@ mod tests {
 
     fn report(processor: usize, sent: Vec<u64>) -> WorkerReport {
         WorkerReport {
-            processor,
-            eval: EvalStats::new(0),
             processing_firings: 10,
             sent_bytes_to: sent.iter().map(|t| t * 9).collect(),
             sent_tuples_to: sent,
             sent_messages: 1,
-            received_tuples: 0,
-            received_bytes: 0,
             encode_calls: 1,
             encoded_bytes: 9,
             encoded_raw_bytes: 90,
-            duplicate_batches: 0,
-            replayed_batches: 0,
-            stale_dropped: 0,
-            retract_tuples_sent: 0,
-            retract_tuples_received: 0,
-            pooled_tuples: 0,
-            busy: Duration::ZERO,
-            sent_per_round: Vec::new(),
-            profile: None,
+            ..WorkerReport::new(processor, 2)
         }
     }
 

@@ -208,31 +208,10 @@ fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<Work
     } else {
         Vec::new()
     };
-    let pooled_tuples = pooled.iter().map(|(_, r)| r.len() as u64).sum();
-    let eval = engine.stats().clone();
-    let processing_firings = eval.firings_for_rules(&spec.program.processing_rules);
-    let report = WorkerReport {
-        processor: spec.program.processor,
-        eval,
-        processing_firings,
-        sent_tuples_to: vec![0; n],
-        sent_bytes_to: vec![0; n],
-        sent_messages: 0,
-        received_tuples: 0,
-        received_bytes: 0,
-        encode_calls: 0,
-        encoded_bytes: 0,
-        encoded_raw_bytes: 0,
-        duplicate_batches: 0,
-        replayed_batches: 0,
-        stale_dropped: 0,
-        retract_tuples_sent: 0,
-        retract_tuples_received: 0,
-        pooled_tuples,
-        busy: t0.elapsed(),
-        sent_per_round: Vec::new(),
-        profile: None,
-    };
+    let mut report = WorkerReport::new(spec.program.processor, n);
+    report.set_eval(engine.stats(), &spec.program.processing_rules);
+    report.pooled_tuples = pooled.iter().map(|(_, r)| r.len() as u64).sum();
+    report.busy = t0.elapsed();
     Ok((report, pooled, Vec::new()))
 }
 
@@ -288,12 +267,18 @@ fn lock(slot: &Mutex<Sender<Envelope>>) -> MutexGuard<'_, Sender<Envelope>> {
     slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Enqueue `env` to every worker's current incarnation. Sends to a worker
+/// Enqueue `env` to every worker's current incarnation, holding every
+/// slot until the last queue has its copy: a worker that acts on its
+/// `Recover` at once cannot get a new-epoch envelope (its `AckSync`, the
+/// relaunched token) into a peer's queue ahead of that peer's `Recover`,
+/// whose epoch repair would discard it. Workers lock one slot at a time,
+/// so taking them all in index order cannot deadlock. Sends to a worker
 /// that already exited fail silently — its receiver is gone, and so is
 /// its interest.
 fn broadcast(registry: &Registry, env: &Envelope) {
-    for slot in registry.iter() {
-        let _ = lock(slot).send(env.clone());
+    let slots: Vec<_> = registry.iter().map(lock).collect();
+    for tx in &slots {
+        let _ = tx.send(env.clone());
     }
 }
 
@@ -325,8 +310,10 @@ impl Outbox for ThreadOutbox {
     }
 }
 
-/// The per-thread driver: drain the queue, step the core, block (bounded)
-/// when idle, watchdog a starving worker, honor the fail-point.
+/// The per-thread driver: drain the queue, step the core, block on the
+/// queue when idle — every wake-up cause (batch, token, recover, abort)
+/// is a message on it — for at most what is left of the watchdog, honor
+/// the fail-point.
 fn run_threaded(
     spec: WorkerSpec,
     senders: Registry,
@@ -368,11 +355,13 @@ fn run_threaded(
             Ok(Step::Worked) => idle_since = None,
             Ok(Step::Idle) => {
                 let since = *idle_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= config.worker.idle_watchdog {
+                let left = config.worker.idle_watchdog.saturating_sub(since.elapsed());
+                if left.is_zero() {
                     return WorkerExit::Fatal(watchdog_error(core.id(), since.elapsed()));
                 }
-                match rx.recv_timeout(config.worker.idle_poll) {
+                match rx.recv_timeout(left) {
                     Ok(env) => core.enqueue(env),
+                    // One more (idle) step, then the check above fires.
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => {
                         // The registry anchor is gone: the coordinator

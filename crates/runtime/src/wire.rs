@@ -306,7 +306,6 @@ pub(crate) fn encode_job(
     let mut buf = Vec::with_capacity(1024);
     put_uv(&mut buf, epoch);
     put_uv(&mut buf, n as u64);
-    put_uv(&mut buf, worker.idle_poll.as_micros() as u64);
     put_uv(&mut buf, worker.idle_watchdog.as_micros() as u64);
     buf.push(u8::from(worker.pool_results));
     put_uv(&mut buf, worker.morsel_threads as u64);
@@ -368,7 +367,6 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
     if n == 0 || n > 1 << 16 {
         return Err(corrupt(&format!("implausible fleet size {n}")));
     }
-    let idle_poll = c.get_uv().ok_or_else(|| corrupt("job idle_poll"))?;
     let idle_watchdog = c.get_uv().ok_or_else(|| corrupt("job idle_watchdog"))?;
     let pool_results = match c.get_u8().ok_or_else(|| corrupt("job pool flag"))? {
         0 => false,
@@ -387,7 +385,6 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
         other => return Err(corrupt(&format!("unknown profile flag {other}"))),
     };
     let worker = WorkerConfig {
-        idle_poll: Duration::from_micros(idle_poll),
         idle_watchdog: Duration::from_micros(idle_watchdog),
         pool_results,
         morsel_threads,
@@ -1124,7 +1121,6 @@ mod tests {
         let job = roundtrip_job(&spec);
         assert_eq!(job.epoch, 3);
         assert_eq!(job.n, 4);
-        assert_eq!(job.worker.idle_poll, WorkerConfig::default().idle_poll);
         assert_eq!(job.worker.idle_watchdog, WorkerConfig::default().idle_watchdog);
         assert!(job.worker.pool_results);
         assert_eq!(job.worker.morsel_threads, 1);
@@ -1469,31 +1465,14 @@ mod tests {
             message: Message::Batch { inbox, payload, retract: false },
         };
         let report = WorkerReport {
-            processor: 0,
             eval: EvalStats::new(2),
-            processing_firings: 0,
-            sent_tuples_to: vec![0, 0],
-            sent_bytes_to: vec![0, 0],
-            sent_messages: 0,
-            received_tuples: 0,
-            received_bytes: 0,
-            encode_calls: 0,
-            encoded_bytes: 0,
-            encoded_raw_bytes: 0,
-            duplicate_batches: 0,
-            replayed_batches: 0,
-            stale_dropped: 0,
-            retract_tuples_sent: 0,
-            retract_tuples_received: 0,
-            pooled_tuples: 0,
-            busy: Duration::ZERO,
-            sent_per_round: vec![],
             profile: Some({
                 let mut p = crate::profile::WorkerProfile::default();
                 p.round_latency.record(77);
                 p.per_round = vec![(1, crate::profile::PhaseTotals::default())];
                 p
             }),
+            ..WorkerReport::new(0, 2)
         };
         let bodies: Vec<(&str, Vec<u8>)> = vec![
             ("hello", encode_hello(1, 0)),

@@ -16,13 +16,21 @@
 //! arriving batches into the inbox predicates; and the asynchrony the
 //! paper insists on ("processor i does not wait for data from processor
 //! j") falls out of absorbing whatever has arrived before each engine
-//! round, never blocking for more.
+//! round, never blocking for more. The loop body is one [`WorkerCore::step`]:
+//! receive (absorb and inject what arrived), close the previous round
+//! (`advance`: dedup the derived rows into the arenas), **send** the
+//! channel rows that advance admitted, then process one round. Sending
+//! every round — not once at the local fixpoint — is what lets processor
+//! `j` start on `i`'s first frontier while `i` is still deriving its
+//! second; a worker that ships only when it has nothing left to do makes
+//! the fleet compute in alternation.
 //!
 //! The worker is deliberately **re-entrant**: it owns no channel handles
 //! and no event loop. [`WorkerCore::step`] performs exactly one scheduling
-//! quantum — absorb pending envelopes, then either run one engine round or
-//! handle the termination token — and reports whether it worked, went
-//! idle, or terminated. How steps are driven is the transport's business:
+//! quantum — absorb pending envelopes, then either run one engine round
+//! (shipping its input first) or handle the termination token — and
+//! reports whether it worked, went idle, or terminated. How steps are
+//! driven is the transport's business:
 //! [`crate::transport::ThreadedTransport`] wraps the core in an OS thread
 //! with a blocking queue, while [`crate::sim::SimTransport`] interleaves
 //! many cores under a virtual clock, one `step` at a time, in whatever
@@ -31,7 +39,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use gst_common::{Error, FxHashMap, FxHashSet, Result, Tuple};
+use gst_common::{Error, FxHashSet, Result};
 use gst_eval::plan::RelationId;
 use gst_eval::FixpointEngine;
 
@@ -45,9 +53,8 @@ use crate::termination::{Safra, TokenAction, TokenMsg};
 /// Runtime knobs shared by all workers.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
-    /// How long a passive worker blocks on its queue per wait.
-    pub idle_poll: Duration,
-    /// Give up if passive this long with no token traffic (a peer died).
+    /// Give up if passive this long with no arrival — batch, token or
+    /// control message — on the queue the worker blocks on (a peer died).
     pub idle_watchdog: Duration,
     /// Perform the final-pooling step. Disable to measure the recursive
     /// computation alone — the paper treats pooling as a separate cost
@@ -67,7 +74,6 @@ pub struct WorkerConfig {
 impl Default for WorkerConfig {
     fn default() -> Self {
         WorkerConfig {
-            idle_poll: Duration::from_millis(1),
             idle_watchdog: Duration::from_secs(30),
             pool_results: true,
             morsel_threads: 1,
@@ -98,29 +104,27 @@ pub(crate) enum Step {
 }
 
 /// Sender-side retention of one link's batch history, enabling crash
-/// recovery by replay while keeping memory bounded.
+/// recovery by replay.
 ///
 /// The tail holds individual batches not yet acknowledged by the
 /// receiver. When the receiver's piggybacked cumulative ack advances, the
-/// acked prefix is *compacted*: its tuples are folded (set-union, per
-/// inbox) into the snapshot and the batches are dropped. Memory is then
-/// bounded by the receiver's unacked window plus the number of *distinct*
-/// tuples ever shipped on the link — not by total traffic. Replay for a
-/// receiver whose watermark predates the tail ships the snapshot (as one
-/// logical message standing in for sequence numbers `< base`) followed by
-/// the tail.
+/// acked prefix is *compacted*: its `(inbox, payload)` pairs move, still
+/// encoded, onto the snapshot list and lose their per-batch sequence
+/// numbers. No decode, no hashing — an ack costs a pointer move per batch
+/// and the retained data stays at wire size. Channel arena rows are
+/// distinct and each ships once per link, so memory is bounded by the
+/// number of *distinct* tuples ever shipped on the link, not by total
+/// traffic. Replay for a receiver whose watermark predates the tail ships
+/// the snapshot (as one logical message standing in for sequence numbers
+/// `< base`) followed by the tail.
 #[derive(Default)]
 struct ReplayLog {
     /// Every batch with sequence number `< base` has been compacted into
     /// `snapshot`.
     base: u64,
-    /// Set-union of the compacted prefix, per inbox predicate.
-    snapshot: FxHashMap<RelationId, FxHashSet<Tuple>>,
-    /// Cached wire encoding of `snapshot`, invalidated exactly when a
-    /// compaction folds a batch in. Acks piggyback on every envelope;
-    /// without the cache, every replay re-sorted and re-encoded an
-    /// unchanged snapshot.
-    encoded: Option<Vec<(RelationId, Payload)>>,
+    /// The compacted prefix: the acked batches' payloads in ship order,
+    /// each with the inbox it addresses.
+    snapshot: Vec<(RelationId, Payload)>,
     /// Retained batches, contiguous sequence numbers starting at `base`,
     /// each tagged with the recovery epoch it was shipped in and the inbox
     /// it addresses (the payload itself is destination-independent).
@@ -135,55 +139,19 @@ struct ReplayLog {
 }
 
 impl ReplayLog {
-    /// Fold every batch with sequence number `< acked` into the snapshot.
-    fn truncate_to(&mut self, acked: u64) -> Result<()> {
-        if acked <= self.base {
-            // Nothing newly acknowledged — the common case for the ack
-            // piggybacked on every envelope. No decode, no invalidation.
-            return Ok(());
-        }
+    /// Move every batch with sequence number `< acked` onto the snapshot.
+    /// Acks piggyback on every envelope, so the common call finds nothing
+    /// newly acknowledged and does nothing.
+    fn truncate_to(&mut self, acked: u64) {
         while self.tail.front().is_some_and(|(seq, ..)| *seq < acked) {
             let (_, _, inbox, payload, _) = self.tail.pop_front().expect("front checked");
-            let tuples = crate::codec::decode_batch(&payload)?;
-            self.snapshot.entry(inbox).or_default().extend(tuples);
-            // The snapshot changed, so its cached encoding is stale. The
-            // fold itself is the invalidation point — no separate check.
-            self.encoded = None;
+            self.snapshot.push((inbox, payload));
         }
-        self.base = acked;
-        Ok(())
-    }
-
-    /// Encode the snapshot, one payload per inbox, in deterministic order.
-    /// Cached between compactions: repeated replays clone the retained
-    /// `Arc` payloads instead of re-sorting and re-encoding.
-    fn snapshot_payloads(&mut self) -> Result<Vec<(RelationId, Payload)>> {
-        if let Some(cached) = &self.encoded {
-            return Ok(cached.clone());
-        }
-        let mut inboxes: Vec<&RelationId> = self.snapshot.keys().collect();
-        inboxes.sort();
-        let payloads = inboxes
-            .into_iter()
-            .map(|inbox| {
-                let mut tuples: Vec<Tuple> = self.snapshot[inbox].iter().cloned().collect();
-                tuples.sort();
-                Ok((*inbox, crate::codec::encode_batch(inbox.1, &tuples)?))
-            })
-            .collect::<Result<Vec<(RelationId, Payload)>>>()?;
-        self.encoded = Some(payloads.clone());
-        Ok(payloads)
-    }
-
-    /// Retained batch count (diagnostics and the drain test).
-    #[cfg(test)]
-    fn tail_len(&self) -> usize {
-        self.tail.len()
+        self.base = self.base.max(acked);
     }
 
     fn clear(&mut self) {
         self.snapshot.clear();
-        self.encoded = None;
         self.tail.clear();
     }
 }
@@ -223,12 +191,10 @@ pub(crate) struct WorkerCore {
     seen_above: Vec<FxHashSet<u64>>,
     /// Sender-side replay log per destination link.
     replay: Vec<ReplayLog>,
-    /// Outgoing channels grouped by channel relation. Deltas accumulate
-    /// across rounds and go out as one batch per channel at the local
-    /// fixpoint — the arena's insertion order makes the backlog a
-    /// borrowable suffix, and coarse batches keep the envelope count (and
-    /// the scheduler churn it causes) proportional to fixpoints, not
-    /// rounds. A channel feeding several destinations (the broadcast
+    /// Outgoing channels grouped by channel relation. Every round ships
+    /// what the round's `advance` admitted: the arena's insertion order
+    /// makes "not yet shipped" a borrowable suffix, encoded straight onto
+    /// the wire. A channel feeding several destinations (the broadcast
     /// scheme) is encoded once and the payload `Arc` shared.
     ship_groups: Vec<ShipGroup>,
     /// Batches accepted since the last drain, grouped per inbox (same
@@ -238,37 +204,17 @@ pub(crate) struct WorkerCore {
     stash: Vec<Vec<Payload>>,
     /// Total payloads currently stashed (fast emptiness check).
     stash_count: usize,
-    // statistics
-    sent_tuples_to: Vec<u64>,
-    sent_bytes_to: Vec<u64>,
-    sent_messages: u64,
-    received_tuples: u64,
-    received_bytes: u64,
-    /// Distinct `encode_batch` calls on the ship path.
-    encode_calls: u64,
-    /// Bytes those encodes produced (each multicast payload counted once,
-    /// unlike `sent_bytes_to` which counts per link).
-    encoded_bytes: u64,
-    /// What the row-oriented wire format would have spent on the same
-    /// batches — the reference of the journal's compression ratio.
-    encoded_raw_bytes: u64,
-    duplicate_batches: u64,
-    replayed_batches: u64,
-    stale_dropped: u64,
-    /// Tuples shipped on delete-marked channels (DRed over-deletion).
-    retract_tuples_sent: u64,
-    /// Tuples received in delete-marked batches (first deliveries only).
-    retract_tuples_received: u64,
-    busy: Duration,
-    /// Channel tuples shipped per engine round, `(round, tuples)` —
-    /// sparse: rounds that shipped nothing have no entry.
-    sent_per_round: Vec<(u64, u64)>,
+    /// The report this worker will hand back, counted into as it runs:
+    /// traffic, codec, recovery and busy-time counters. The engine's side
+    /// (`eval`, `processing_firings`), the profile and the pooled count
+    /// are filled in by [`WorkerCore::into_report`].
+    report: WorkerReport,
     /// Event journal buffer; disabled (free) unless tracing is on.
     sink: TraceSink,
     /// Phase-attributed profiler; `None` (free) unless profiling is on.
     prof: Option<Box<Profiler>>,
-    /// True while the previous step reported `Idle` — the idle-wait event
-    /// fires on the transition, not on every 1 ms poll.
+    /// True while the previous step reported `Idle`: the gap before the
+    /// next step is then the profiler's idle time.
     was_idle: bool,
 }
 
@@ -324,21 +270,7 @@ impl WorkerCore {
             ship_groups,
             stash,
             stash_count: 0,
-            sent_tuples_to: vec![0; n],
-            sent_bytes_to: vec![0; n],
-            sent_messages: 0,
-            received_tuples: 0,
-            received_bytes: 0,
-            encode_calls: 0,
-            encoded_bytes: 0,
-            encoded_raw_bytes: 0,
-            duplicate_batches: 0,
-            replayed_batches: 0,
-            stale_dropped: 0,
-            retract_tuples_sent: 0,
-            retract_tuples_received: 0,
-            busy: Duration::ZERO,
-            sent_per_round: Vec::new(),
+            report: WorkerReport::new(id, n),
             sink: TraceSink::disabled(),
             prof: None,
             was_idle: false,
@@ -413,26 +345,38 @@ impl WorkerCore {
         }
         let t0 = std::time::Instant::now();
         let result = self.step_inner(out);
-        self.busy += t0.elapsed();
+        self.report.busy += t0.elapsed();
         if let Some(p) = self.prof.as_mut() {
             p.step_end();
         }
-        if self.sink.enabled() {
-            // Journal the *transition* into idleness: the threaded
-            // transport re-polls an idle worker every `idle_poll`, and one
-            // event per wait beats one per poll.
-            if matches!(result, Ok(Step::Idle)) {
-                if !self.was_idle {
-                    self.was_idle = true;
-                    self.sink.emit(ObsKind::IdleWait);
-                }
-            } else {
-                self.was_idle = false;
-            }
-        } else {
-            self.was_idle = matches!(result, Ok(Step::Idle));
+        // Every transport parks an idle worker until its next arrival, so
+        // one `Idle` result is one wait.
+        self.was_idle = matches!(result, Ok(Step::Idle));
+        if self.was_idle {
+            self.sink.emit(ObsKind::IdleWait);
         }
         result
+    }
+
+    /// Start a phase timer; `None` when profiling is off.
+    fn phase_start(&self) -> Option<Option<std::time::Instant>> {
+        self.prof.as_ref().map(|p| p.start())
+    }
+
+    /// Charge the time since `t0` — or, on the simulator's clock, `proxy`
+    /// ticks of work — to `phase` of `round`. Returns what was charged and
+    /// the profile, for the call sites that also feed a histogram.
+    fn phase_stop(
+        &mut self,
+        t0: Option<Option<std::time::Instant>>,
+        phase: usize,
+        round: u64,
+        proxy: u64,
+    ) -> Option<(u64, &mut crate::profile::WorkerProfile)> {
+        let (t0, p) = (t0?, self.prof.as_mut()?);
+        let d = p.stop(t0, proxy);
+        p.add(phase, round, d);
+        Some((d, &mut p.profile))
     }
 
     fn step_inner(&mut self, out: &mut dyn Outbox) -> Result<Step> {
@@ -441,15 +385,9 @@ impl WorkerCore {
         }
         if !self.bootstrapped {
             self.bootstrapped = true;
-            let t0 = self.prof.as_ref().map(|p| (p.start(), self.engine.stats().firings));
+            let t0 = self.phase_start();
             self.engine.bootstrap()?;
-            if let Some((t0, firings_before)) = t0 {
-                let firings = self.engine.stats().firings - firings_before;
-                if let Some(p) = self.prof.as_mut() {
-                    let d = p.stop(t0, firings);
-                    p.add(PHASE_COMPUTE, 0, d);
-                }
-            }
+            self.phase_stop(t0, PHASE_COMPUTE, 0, self.engine.stats().firings);
         }
 
         // Receiving step: absorb what the transport delivered.
@@ -463,52 +401,52 @@ impl WorkerCore {
 
         // Coalesced receive: one decode-and-inject pass per inbox over
         // everything stashed since the last engine step.
-        let t0 = (self.prof.is_some() && self.stash_count > 0)
-            .then(|| self.prof.as_ref().expect("checked").start());
-        let decoded = self.drain_stash()?;
-        if let Some(t0) = t0 {
+        if self.stash_count > 0 {
+            let t0 = self.phase_start();
+            let decoded = self.drain_stash()?;
             let round = self.engine.stats().rounds;
-            if let Some(p) = self.prof.as_mut() {
-                let d = p.stop(t0, decoded);
-                p.add(PHASE_DECODE, round, d);
-                p.profile.decode_time.record(d);
+            if let Some((d, profile)) = self.phase_stop(t0, PHASE_DECODE, round, decoded) {
+                profile.decode_time.record(d);
             }
         }
 
-        // Processing step: one engine round.
+        // Close the previous round: dedup what it derived (and what just
+        // arrived) into the arenas and bring the indexes up to date. This
+        // is where the storage work lives, so it is compute time; the
+        // tick proxy is the tuples submitted. An advance with nothing
+        // submitted is charged nothing and opens no per-round entry.
+        let t0 = self.phase_start();
         let fresh = self.engine.advance();
+        // `advance` already closed the round in the stats, so the round
+        // its rows feed — shipped now, processed next — is `rounds - 1`.
+        let round = self.engine.stats().rounds - 1;
+        let submitted = self.engine.stats().per_round.last().map_or(0, |r| r.submitted);
+        if submitted > 0 {
+            self.phase_stop(t0, PHASE_COMPUTE, round, submitted);
+        }
         if fresh > 0 {
-            // `advance` already closed the round in the stats, so the
-            // round that is now processing is `rounds - 1`.
-            let round = self.engine.stats().rounds - 1;
-            let observing = self.sink.enabled() || self.prof.is_some();
-            let firings_before = if observing { self.engine.stats().firings } else { 0 };
-            let t0 = self.prof.as_ref().map(|p| p.start());
-            if self.sink.enabled() {
-                self.sink.emit(ObsKind::RoundBegin { round });
-            }
+            // Sending step, every round: peers start on these rows while
+            // this worker is still processing them.
+            self.ship_channel_deltas(round, out)?;
+
+            // Processing step: one engine round.
+            let firings_before = self.engine.stats().firings;
+            let t0 = self.phase_start();
+            self.sink.emit(ObsKind::RoundBegin { round });
             self.engine.process_round();
-            if observing {
-                let firings = self.engine.stats().firings - firings_before;
-                if self.sink.enabled() {
-                    self.sink.emit(ObsKind::RoundEnd { round, fresh, firings });
-                }
-                if let Some(t0) = t0 {
-                    if let Some(p) = self.prof.as_mut() {
-                        let d = p.stop(t0, firings);
-                        p.add(PHASE_COMPUTE, round, d);
-                        p.profile.round_latency.record(d);
-                    }
-                }
+            let firings = self.engine.stats().firings - firings_before;
+            self.sink.emit(ObsKind::RoundEnd { round, fresh, firings });
+            if let Some((d, profile)) = self.phase_stop(t0, PHASE_COMPUTE, round, firings) {
+                profile.round_latency.record(d);
             }
             return Ok(Step::Worked);
         }
 
-        // Sending step, deferred to the local fixpoint: ship each
-        // channel's accumulated backlog as a single batch. A loopback
-        // re-activates the engine, so report `Worked` and let the next
-        // step pick the fixpoint back up.
-        if self.ship_channel_deltas(out)? {
+        // Local fixpoint. Every admitted row went out with its round, so
+        // this final flush finds a backlog only if some path ever admits
+        // channel rows without running a round; a loopback would then
+        // re-activate the engine, hence `Worked`.
+        if self.ship_channel_deltas(round, out)? {
             return Ok(Step::Worked);
         }
         debug_assert!(self.engine.quiescent());
@@ -541,7 +479,7 @@ impl WorkerCore {
             return self.on_recover(epoch, restarted, out);
         }
         if env.epoch < self.epoch {
-            self.stale_dropped += 1;
+            self.report.stale_dropped += 1;
             return Ok(());
         }
         debug_assert!(
@@ -550,7 +488,7 @@ impl WorkerCore {
         );
         // Piggybacked cumulative ack: compact the replay log for the link
         // *to* this sender.
-        self.replay[env.from].truncate_to(env.ack)?;
+        self.replay[env.from].truncate_to(env.ack);
         match env.message {
             Message::Batch { inbox, payload, retract } => {
                 self.accept_batch(env.from, env.seq, inbox, payload, retract)
@@ -590,7 +528,7 @@ impl WorkerCore {
     /// `AckSync` with our watermark goes to every peer to trigger replay.
     fn on_recover(&mut self, epoch: u64, restarted: usize, out: &mut dyn Outbox) -> Result<()> {
         if epoch < self.epoch || (epoch == self.epoch && self.recover_handled) {
-            self.stale_dropped += 1;
+            self.report.stale_dropped += 1;
             return Ok(());
         }
         self.epoch = epoch;
@@ -598,7 +536,7 @@ impl WorkerCore {
         self.sink.emit(ObsKind::EpochRepair { epoch });
         self.safra.on_recover(epoch);
         if self.held_token.take().is_some() {
-            self.stale_dropped += 1;
+            self.report.stale_dropped += 1;
         }
         if restarted != self.id {
             // The restarted peer's new incarnation numbers its batches
@@ -631,14 +569,14 @@ impl WorkerCore {
     /// already shipped in the current epoch are skipped: their original
     /// send was counted post-recovery and the transport delivers it.
     fn replay_link(&mut self, to: usize, acked: u64, out: &mut dyn Outbox) -> Result<()> {
-        let t0 = self.prof.as_ref().map(|p| p.start());
-        self.replay[to].truncate_to(acked)?;
-        let replayed_before = self.replayed_batches;
+        let t0 = self.phase_start();
+        self.replay[to].truncate_to(acked);
+        let replayed_before = self.report.replayed_batches;
         let base = self.replay[to].base;
         if acked < base {
-            let payloads = self.replay[to].snapshot_payloads()?;
+            let payloads = self.replay[to].snapshot.clone();
             self.safra.on_send();
-            self.replayed_batches += 1;
+            self.report.replayed_batches += 1;
             let env = Envelope {
                 from: self.id,
                 seq: self.next_ctrl_seq(to),
@@ -659,7 +597,7 @@ impl WorkerCore {
             .collect();
         for (seq, inbox, payload, retract) in resend {
             self.safra.on_send();
-            self.replayed_batches += 1;
+            self.report.replayed_batches += 1;
             let env = Envelope {
                 from: self.id,
                 seq,
@@ -669,16 +607,10 @@ impl WorkerCore {
             };
             out.send(to, env)?;
         }
-        let messages = self.replayed_batches - replayed_before;
+        let messages = self.report.replayed_batches - replayed_before;
         if messages > 0 {
             self.sink.emit(ObsKind::ReplaySent { to, messages });
-            if let Some(t0) = t0 {
-                let round = self.engine.stats().rounds;
-                if let Some(p) = self.prof.as_mut() {
-                    let d = p.stop(t0, messages);
-                    p.add(PHASE_REPLAY, round, d);
-                }
-            }
+            self.phase_stop(t0, PHASE_REPLAY, self.engine.stats().rounds, messages);
         }
         Ok(())
     }
@@ -701,8 +633,8 @@ impl WorkerCore {
         });
         for (inbox, payload) in payloads {
             let (_, count) = crate::codec::peek_batch(&payload)?;
-            self.received_bytes += payload.len() as u64;
-            self.received_tuples += count as u64;
+            self.report.received_bytes += payload.len() as u64;
+            self.report.received_tuples += count as u64;
             self.stash_payload(inbox, payload)?;
         }
         if upto > self.recv_floor[from] {
@@ -745,14 +677,14 @@ impl WorkerCore {
         });
         if first_delivery {
             self.safra.on_basic_receive();
-            self.received_bytes += payload.len() as u64;
-            self.received_tuples += count as u64;
+            self.report.received_bytes += payload.len() as u64;
+            self.report.received_tuples += count as u64;
             if retract {
-                self.retract_tuples_received += count as u64;
+                self.report.retract_tuples_received += count as u64;
             }
             self.advance_floor(from);
         } else {
-            self.duplicate_batches += 1;
+            self.report.duplicate_batches += 1;
         }
         self.stash_payload(inbox, payload)
     }
@@ -810,15 +742,16 @@ impl WorkerCore {
         }
     }
 
-    /// Ship every channel predicate's fresh delta (paper: sending step).
+    /// Ship every channel predicate's unshipped rows (paper: sending
+    /// step) — what the advance that opened `round` admitted.
     ///
-    /// The delta is a borrowed arena suffix encoded straight onto the
+    /// The backlog is a borrowed arena suffix encoded straight onto the
     /// wire — no intermediate tuple vector; the only retained copy is the
     /// payload the replay log needs anyway. A channel feeding several
     /// remote destinations (the broadcast scheme's shared head predicate)
     /// is encoded exactly once and every destination's envelope clones
     /// the payload `Arc` — single-encode multicast.
-    fn ship_channel_deltas(&mut self, out: &mut dyn Outbox) -> Result<bool> {
+    fn ship_channel_deltas(&mut self, round: u64, out: &mut dyn Outbox) -> Result<bool> {
         let mut shipped = false;
         for k in 0..self.ship_groups.len() {
             let (channel, from_row) =
@@ -830,30 +763,25 @@ impl WorkerCore {
             self.ship_groups[k].from_row = from_row + count;
             shipped = true;
             let payload = if self.ship_groups[k].dests.iter().any(|(d, _)| *d != self.id) {
-                let t0 = self.prof.as_ref().map(|p| p.start());
+                let t0 = self.phase_start();
                 let payload = {
                     let tuples = self.engine.rows_from(channel, from_row);
                     crate::codec::encode_batch(channel.1, tuples)?
                 };
+                let bytes = payload.len() as u64;
                 let raw_bytes = crate::codec::row_format_bytes(channel.1, count);
-                self.encode_calls += 1;
-                self.encoded_bytes += payload.len() as u64;
-                self.encoded_raw_bytes += raw_bytes;
+                self.report.encode_calls += 1;
+                self.report.encoded_bytes += bytes;
+                self.report.encoded_raw_bytes += raw_bytes;
                 self.sink.emit(ObsKind::BatchEncoded {
                     channel: channel.0 .0,
                     tuples: count as u64,
-                    bytes: payload.len() as u64,
+                    bytes,
                     raw_bytes,
                 });
-                if let Some(t0) = t0 {
-                    let round = self.engine.stats().rounds;
-                    let bytes = payload.len() as u64;
-                    if let Some(p) = self.prof.as_mut() {
-                        let d = p.stop(t0, bytes);
-                        p.add(PHASE_ENCODE, round, d);
-                        p.profile.encode_time.record(d);
-                        p.profile.batch_bytes.record(bytes);
-                    }
+                if let Some((d, profile)) = self.phase_stop(t0, PHASE_ENCODE, round, bytes) {
+                    profile.encode_time.record(d);
+                    profile.batch_bytes.record(bytes);
                 }
                 Some(payload)
             } else {
@@ -863,21 +791,30 @@ impl WorkerCore {
             // Routing, replay, and Safra accounting are identical — only
             // the envelope flag and traffic attribution differ.
             let retract = self.spec.program.retract_channels.contains(&channel);
-            let dests = self.ship_groups[k].dests.clone();
-            for (dest, inbox) in dests {
+            for d in 0..self.ship_groups[k].dests.len() {
+                let (dest, inbox) = self.ship_groups[k].dests[d];
                 if dest == self.id {
-                    // Local loopback (t_ii): no network, no counters.
-                    self.engine.loopback_from(channel, inbox, from_row)?;
+                    // Local loopback (t_ii): no network, no counters — a
+                    // copy into the inbox's pending pool, so compute time.
+                    let t0 = self.phase_start();
+                    let looped = self.engine.loopback_from(channel, inbox, from_row)?;
+                    self.phase_stop(t0, PHASE_COMPUTE, round, looped);
                     continue;
                 }
                 let payload = payload.clone().expect("remote dest implies an encode");
                 if retract {
-                    self.retract_tuples_sent += count as u64;
+                    self.report.retract_tuples_sent += count as u64;
                 }
-                self.sent_tuples_to[dest] += count as u64;
-                self.sent_bytes_to[dest] += payload.len() as u64;
-                self.sent_messages += 1;
-                self.record_round_send(count as u64);
+                self.report.sent_tuples_to[dest] += count as u64;
+                self.report.sent_bytes_to[dest] += payload.len() as u64;
+                self.report.sent_messages += 1;
+                // Attribute the tuples to the round they feed (sparse
+                // series; one entry when the round ships on several
+                // channels).
+                match self.report.sent_per_round.last_mut() {
+                    Some((r, total)) if *r == round => *total += count as u64,
+                    _ => self.report.sent_per_round.push((round, count as u64)),
+                }
                 self.safra.on_send();
                 let seq = self.next_batch_seq(dest);
                 self.sink.emit(ObsKind::BatchSent {
@@ -906,17 +843,6 @@ impl WorkerCore {
         Ok(shipped)
     }
 
-    /// Attribute `tuples` shipped tuples to the engine round that derived
-    /// them (sparse per-round series; merged into the open entry when the
-    /// round ships on several channels).
-    fn record_round_send(&mut self, tuples: u64) {
-        let round = self.engine.stats().rounds;
-        match self.sent_per_round.last_mut() {
-            Some((r, total)) if *r == round => *total += tuples,
-            _ => self.sent_per_round.push((round, tuples)),
-        }
-    }
-
     fn handle_token(&mut self, token: TokenMsg, out: &mut dyn Outbox) -> Result<()> {
         match self.safra.on_token(token) {
             TokenAction::Forward(t) | TokenAction::Relaunch(t) => {
@@ -925,7 +851,7 @@ impl WorkerCore {
             TokenAction::Drop => {
                 // A pre-recovery token survived in our queue; the current
                 // epoch's probe supersedes it.
-                self.stale_dropped += 1;
+                self.report.stale_dropped += 1;
                 self.sink.emit(ObsKind::TokenDropped);
                 Ok(())
             }
@@ -980,40 +906,12 @@ impl WorkerCore {
         seq
     }
 
-    /// Retained (unacked) replay-log batches toward `dest` — exercised by
-    /// the log-drain test.
-    #[cfg(test)]
-    pub(crate) fn replay_tail_len(&self, dest: usize) -> usize {
-        self.replay[dest].tail_len()
-    }
-
     pub(crate) fn into_report(self, pooled_tuples: u64) -> WorkerReport {
-        let stats = self.engine.stats().clone();
-        let processing_firings = stats.firings_for_rules(&self.spec.program.processing_rules);
-        let profile = self.prof.map(|p| p.profile);
-        WorkerReport {
-            processor: self.id,
-            eval: stats,
-            processing_firings,
-            sent_tuples_to: self.sent_tuples_to,
-            sent_bytes_to: self.sent_bytes_to,
-            sent_messages: self.sent_messages,
-            received_tuples: self.received_tuples,
-            received_bytes: self.received_bytes,
-            encode_calls: self.encode_calls,
-            encoded_bytes: self.encoded_bytes,
-            encoded_raw_bytes: self.encoded_raw_bytes,
-            duplicate_batches: self.duplicate_batches,
-            replayed_batches: self.replayed_batches,
-            stale_dropped: self.stale_dropped,
-            retract_tuples_sent: self.retract_tuples_sent,
-            retract_tuples_received: self.retract_tuples_received,
-            pooled_tuples: 0,
-            busy: self.busy,
-            sent_per_round: self.sent_per_round,
-            profile,
-        }
-        .with_pooled(pooled_tuples)
+        let mut report = self.report;
+        report.set_eval(self.engine.stats(), &self.spec.program.processing_rules);
+        report.profile = self.prof.map(|p| p.profile);
+        report.pooled_tuples = pooled_tuples;
+        report
     }
 
     /// Move the pooled relations out of the engine (final pooling, §3
@@ -1028,10 +926,6 @@ impl WorkerCore {
             })
             .collect()
     }
-
-    pub(crate) fn pool_results(&self, config: &WorkerConfig) -> bool {
-        config.pool_results
-    }
 }
 
 /// `(global predicate, relation)` pairs a worker pools into the answer.
@@ -1043,7 +937,7 @@ pub(crate) fn finish_core(
     mut core: WorkerCore,
     config: &WorkerConfig,
 ) -> (WorkerReport, PooledRelations, Vec<ObsEvent>) {
-    let pooled = if core.pool_results(config) {
+    let pooled = if config.pool_results {
         core.take_pooled()
     } else {
         Vec::new()
@@ -1083,60 +977,66 @@ mod tests {
         }
     }
 
-    /// The snapshot encoding is cached: repeated replays after an
-    /// unchanged compaction point return the same `Arc` payloads, and a
-    /// no-op ack neither decodes nor invalidates anything.
+    /// Compaction keeps the acked batches exactly as they were shipped:
+    /// the same `Arc`s, in ship order, never decoded — the payloads here
+    /// are not even decodable, and `truncate_to` has no error to return.
     #[test]
-    fn replay_snapshot_encoding_is_cached_until_compaction() {
+    fn acked_batches_are_retained_encoded() {
         let interner = Interner::new();
         let inbox = (interner.intern("t@in"), 2);
         let mut log = ReplayLog::default();
-        let p1 = crate::codec::encode_batch(inbox.1, &[ituple![1, 2]]).unwrap();
-        let p2 = crate::codec::encode_batch(inbox.1, &[ituple![3, 4]]).unwrap();
-        log.tail.push_back((0, 0, inbox, p1, false));
-        log.tail.push_back((1, 0, inbox, p2, false));
+        let shipped: Vec<Payload> = (0..3u8).map(|k| Arc::new(vec![0xFF, k])).collect();
+        for (seq, payload) in shipped.iter().enumerate() {
+            log.tail.push_back((seq as u64, 0, inbox, payload.clone(), false));
+        }
+        let retained = |log: &ReplayLog, k: usize| {
+            log.snapshot.len() == k
+                && log.snapshot.iter().zip(&shipped).all(|((to, kept), sent)| {
+                    *to == inbox && Arc::ptr_eq(kept, sent)
+                })
+        };
 
-        log.truncate_to(1).unwrap(); // folds seq 0
-        let a = log.snapshot_payloads().unwrap();
-        let b = log.snapshot_payloads().unwrap();
-        assert!(
-            Arc::ptr_eq(&a[0].1, &b[0].1),
-            "second replay reuses the cached encoding"
-        );
+        log.truncate_to(2);
+        assert!(retained(&log, 2), "the two acked batches, by pointer");
+        assert_eq!((log.base, log.tail.len()), (2, 1));
 
-        log.truncate_to(1).unwrap(); // duplicate ack: no fold, no invalidation
-        let c = log.snapshot_payloads().unwrap();
-        assert!(Arc::ptr_eq(&a[0].1, &c[0].1));
+        log.truncate_to(1); // a stale ack moves nothing, not even `base`
+        assert!(retained(&log, 2));
+        assert_eq!((log.base, log.tail.len()), (2, 1));
 
-        log.truncate_to(2).unwrap(); // folds seq 1: cache invalidated
-        let d = log.snapshot_payloads().unwrap();
-        assert!(!Arc::ptr_eq(&a[0].1, &d[0].1));
-        assert_eq!(d[0].0, inbox, "snapshot payloads carry their inbox");
-        let tuples = crate::codec::decode_batch(&d[0].1).unwrap();
-        assert_eq!(tuples.len(), 2, "snapshot holds both folded batches");
+        log.truncate_to(3);
+        assert!(retained(&log, 3));
+        assert_eq!((log.base, log.tail.len()), (3, 0));
     }
 
-    /// A two-worker core pair: worker 0 derives from `e` and has real work
-    /// to do; worker 1 just stores what it receives.
-    fn busy_core() -> (WorkerCore, Interner) {
+    /// Processor `processor` of `n`: closes a 4-edge chain over four rounds
+    /// (4, 3, 2 then 1 new `t` rows) and ships every `t` row on channel
+    /// `send` to each processor in `dests`; accepts batches on `inbox/2`.
+    fn chain_core(processor: usize, dests: &[usize], n: usize) -> WorkerCore {
         let interner = Interner::new();
         let unit = gst_frontend::parser::parse_program_with(
             "t(X,Y) :- e(X,Y).\n\
-             t(X,Y) :- e(X,Z), t(Z,Y).",
+             t(X,Y) :- e(X,Z), t(Z,Y).\n\
+             send(X,Y) :- t(X,Y).",
             &interner,
         )
         .unwrap();
         let e = (interner.intern("e"), 2);
+        let send = (interner.get("send").unwrap(), 2);
+        let inbox = (interner.intern("inbox"), 2);
         let mut db = Database::new(interner.clone());
         for k in 0..4i64 {
             db.insert(e, ituple![k, k + 1]).unwrap();
         }
         let spec = WorkerSpec {
             program: ProcessorProgram {
-                processor: 1,
+                processor,
                 program: unit.program,
-                outgoing: vec![],
-                inboxes: vec![],
+                outgoing: dests
+                    .iter()
+                    .map(|&dest| crate::spec::ChannelOut { channel: send, dest, inbox })
+                    .collect(),
+                inboxes: vec![inbox],
                 processing_rules: vec![0, 1],
                 pooling: vec![],
                 local_idb: vec![],
@@ -1145,22 +1045,74 @@ mod tests {
             edb: Arc::new(db),
             session: None,
         };
-        // Two processors so worker 1 is a non-initiator ring member.
-        (WorkerCore::with_epoch(spec, 2, 0).unwrap(), interner)
+        WorkerCore::with_epoch(spec, n, 0).unwrap()
     }
 
-    fn token() -> Envelope {
-        Envelope {
-            from: 0,
-            seq: 0,
-            epoch: 0,
-            ack: 0,
-            message: Message::Token(TokenMsg {
-                color: Color::White,
-                count: 0,
-                epoch: 0,
-            }),
+    /// The payloads of the batches in `sent` addressed to `dest`.
+    fn batches_to(sent: &[(usize, Envelope)], dest: usize) -> Vec<Payload> {
+        sent.iter()
+            .filter(|(to, _)| *to == dest)
+            .filter_map(|(_, env)| match &env.message {
+                Message::Batch { payload, .. } => Some(payload.clone()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// An envelope from `from` whose only content is its piggybacked ack.
+    fn ack_from(from: usize, epoch: u64, ack: u64) -> Envelope {
+        let message = Message::Token(TokenMsg { color: Color::White, count: 0, epoch });
+        Envelope { from, seq: 0, epoch, ack, message }
+    }
+
+    /// The sending step runs every round: a round that admitted channel
+    /// rows ships them in the same step that goes on to process them —
+    /// the engine is mid-fixpoint when the batch leaves — and the step
+    /// that finds the fixpoint has nothing left to flush.
+    #[test]
+    fn channel_rows_ship_with_their_round_not_at_the_fixpoint() {
+        let mut core = chain_core(0, &[1], 2);
+        let mut out = Recorder::default();
+        let mut sizes = Vec::new();
+        loop {
+            let before = batches_to(&out.sent, 1).len();
+            let step = core.step(&mut out).unwrap();
+            let new = &batches_to(&out.sent, 1)[before..];
+            for payload in new {
+                assert!(
+                    !core.engine.quiescent(),
+                    "a batch left at the fixpoint instead of with its round"
+                );
+                sizes.push(crate::codec::decode_batch(payload).unwrap().len());
+            }
+            if step == Step::Idle {
+                assert!(core.engine.quiescent() && new.is_empty());
+                break;
+            }
         }
+        assert_eq!(sizes, vec![4, 3, 2, 1], "one batch per productive round");
+    }
+
+    /// Under the simulator's clock the storage work is visible as compute
+    /// ticks: every tuple submitted to an `advance`, and every tuple a
+    /// self-channel copies into its inbox, is one tick on top of the
+    /// firings.
+    #[test]
+    fn advance_and_loopback_ticks_land_in_compute() {
+        let mut core = chain_core(0, &[0], 1);
+        core.set_profiler(Profiler::ticks(), gst_eval::TimeMode::Ticks);
+        let mut out = Recorder::default();
+        while !matches!(core.step(&mut out).unwrap(), Step::Idle | Step::Done) {
+            let sent = std::mem::take(&mut out.sent);
+            sent.into_iter().for_each(|(_, env)| core.enqueue(env));
+        }
+        let stats = core.engine.stats();
+        let (firings, submitted) = (stats.firings, stats.derived + stats.duplicates);
+        // 10 `t` rows fire `send` once each and loop back once each.
+        assert_eq!((firings, submitted), (20, 30));
+        let phases = core.prof.as_ref().unwrap().profile.phases;
+        assert_eq!(phases.compute, firings + submitted + 10);
+        assert_eq!(phases.encode + phases.decode + phases.replay, 0);
     }
 
     /// Safra's rule: an *active* process holds the token and forwards it
@@ -1169,9 +1121,9 @@ mod tests {
     /// quiescent.
     #[test]
     fn token_is_held_while_active_and_forwarded_when_passive() {
-        let (mut core, _interner) = busy_core();
+        let mut core = chain_core(1, &[], 2);
         let mut out = Recorder::default();
-        core.enqueue(token());
+        core.enqueue(ack_from(0, 0, 0));
         // The chain of length 4 needs several rounds; the token must not
         // appear in the outbox while rounds still produce fresh tuples.
         let mut worked = 0;
@@ -1210,10 +1162,10 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "two tokens in the ring")]
     fn duplicated_token_trips_the_ring_invariant() {
-        let (mut core, _interner) = busy_core();
+        let mut core = chain_core(1, &[], 2);
         let mut out = Recorder::default();
-        core.enqueue(token());
-        core.enqueue(token());
+        core.enqueue(ack_from(0, 0, 0));
+        core.enqueue(ack_from(0, 0, 0));
         // Both tokens are absorbed in one step while the engine is active:
         // the second must trip the debug assertion.
         let _ = core.step(&mut out);
@@ -1224,29 +1176,11 @@ mod tests {
     /// double-counted by the termination detector or the traffic stats.
     #[test]
     fn duplicate_batch_is_injected_but_not_double_counted() {
-        let interner = Interner::new();
-        let unit =
-            gst_frontend::parser::parse_program_with("out(X) :- inbox(X).", &interner).unwrap();
-        let inbox = (interner.intern("inbox"), 1);
-        let out_pred = (interner.get("out").unwrap(), 1);
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 1,
-                program: unit.program,
-                outgoing: vec![],
-                inboxes: vec![inbox],
-                processing_rules: vec![0],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(Database::new(interner.clone())),
-            session: None,
-        };
-        let mut core = WorkerCore::with_epoch(spec, 2, 0).unwrap();
+        let mut core = chain_core(1, &[], 2);
+        let inbox = core.spec.program.inboxes[0];
         let mut out = Recorder::default();
 
-        let payload = crate::codec::encode_batch(inbox.1, &[ituple![7]]).unwrap();
+        let payload = crate::codec::encode_batch(inbox.1, &[ituple![7, 8]]).unwrap();
         let env = Envelope {
             from: 0,
             seq: 0,
@@ -1258,12 +1192,12 @@ mod tests {
         core.enqueue(env);
         while core.step(&mut out).unwrap() == Step::Worked {}
 
-        assert_eq!(core.received_tuples, 1, "duplicate not counted");
-        assert_eq!(core.duplicate_batches, 1);
+        assert_eq!(core.report.received_tuples, 1, "duplicate not counted");
+        assert_eq!(core.report.duplicate_batches, 1);
         assert_eq!(
-            core.engine.relation(out_pred).map(|r| r.len()),
+            core.engine.relation(inbox).map(|r| r.len()),
             Some(1),
-            "set semantics: the duplicate derives nothing new"
+            "set semantics: the duplicate adds nothing new"
         );
         // Safra saw exactly one logical receive: counter −1, black.
         assert_eq!(core.safra.counter(), -1);
@@ -1272,55 +1206,31 @@ mod tests {
     /// Replay-log memory stays bounded: a shipped batch is retained in
     /// the sender's tail only until *any* envelope from the receiver
     /// carries a piggybacked cumulative ack past it, at which point the
-    /// acked prefix is compacted out (set-union into the snapshot) and
-    /// the tail drains.
+    /// acked prefix — however many batches — moves out of the tail onto
+    /// the snapshot list, still encoded.
     #[test]
     fn piggybacked_acks_drain_the_replay_tail() {
-        let interner = Interner::new();
-        let unit =
-            gst_frontend::parser::parse_program_with("send(X) :- src(X).", &interner).unwrap();
-        let src = (interner.intern("src"), 1);
-        let send = (interner.get("send").unwrap(), 1);
-        let inbox = (interner.intern("inbox"), 1);
-        let mut db = Database::new(interner.clone());
-        for k in 0..3i64 {
-            db.insert(src, ituple![k]).unwrap();
-        }
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit.program,
-                outgoing: vec![crate::spec::ChannelOut { channel: send, dest: 1, inbox }],
-                inboxes: vec![],
-                processing_rules: vec![0],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db),
-            session: None,
-        };
-        let mut core = WorkerCore::with_epoch(spec, 2, 0).unwrap();
+        let mut core = chain_core(0, &[1], 2);
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
+        let shipped = batches_to(&out.sent, 1);
+        assert_eq!(shipped.len(), 4, "one batch per round of the chain");
+        assert_eq!(core.replay[1].tail.len(), 4, "shipped batches are retained for replay");
 
-        assert!(
-            out.sent.iter().any(|(to, env)| *to == 1 && matches!(env.message, Message::Batch { .. })),
-            "the rule must actually ship a batch for the test to mean anything"
-        );
-        assert_eq!(core.replay_tail_len(1), 1, "shipped batch is retained for replay");
-
-        // The receiver absorbed seq 0, so its watermark for our link is 1;
-        // any envelope it sends back piggybacks that as the cumulative ack.
-        core.enqueue(Envelope {
-            from: 1,
-            seq: 0,
-            epoch: 0,
-            ack: 1,
-            message: Message::Token(TokenMsg { color: Color::White, count: 0, epoch: 0 }),
-        });
+        // The receiver absorbed seqs 0..3, so its watermark for our link
+        // is 3; any envelope it sends back piggybacks that as the
+        // cumulative ack.
+        core.enqueue(ack_from(1, 0, 3));
         core.step(&mut out).unwrap();
-        assert_eq!(core.replay_tail_len(1), 0, "acked prefix is compacted out of the tail");
+        assert_eq!(core.replay[1].tail.len(), 1, "acked prefix is compacted out of the tail");
+        core.enqueue(ack_from(1, 0, 4));
+        core.step(&mut out).unwrap();
+        assert_eq!(core.replay[1].tail.len(), 0);
+        let kept = &core.replay[1].snapshot;
+        assert!(
+            kept.len() == 4 && kept.iter().zip(&shipped).all(|((_, k), s)| Arc::ptr_eq(k, s)),
+            "the snapshot is the shipped payloads themselves, in ship order"
+        );
     }
 
     /// The link-level recovery contract behind the TCP transport's
@@ -1328,53 +1238,25 @@ mod tests {
     /// replay log, and the compacted prefix is **not** re-replayed after
     /// the epoch bump — a surviving peer whose watermark already covers
     /// it receives nothing, while a fresh incarnation (watermark 0) gets
-    /// the full pre-epoch history.
+    /// the full pre-epoch history: the compacted prefix as one snapshot,
+    /// then the unacked tail batch by batch.
     #[test]
     fn acked_prefix_is_not_replayed_after_epoch_bump() {
-        let interner = Interner::new();
-        let unit =
-            gst_frontend::parser::parse_program_with("send(X) :- src(X).", &interner).unwrap();
-        let src = (interner.intern("src"), 1);
-        let send = (interner.get("send").unwrap(), 1);
-        let inbox = (interner.intern("inbox"), 1);
-        let mut db = Database::new(interner.clone());
-        for k in 0..3i64 {
-            db.insert(src, ituple![k]).unwrap();
-        }
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit.program,
-                outgoing: vec![
-                    crate::spec::ChannelOut { channel: send, dest: 1, inbox },
-                    crate::spec::ChannelOut { channel: send, dest: 2, inbox },
-                ],
-                inboxes: vec![],
-                processing_rules: vec![0],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db),
-            session: None,
-        };
-        let mut core = WorkerCore::with_epoch(spec, 3, 0).unwrap();
+        let mut core = chain_core(0, &[1, 2], 3);
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
-        assert_eq!(core.replay_tail_len(1), 1, "one batch retained per destination");
-        assert_eq!(core.replay_tail_len(2), 1);
+        let shipped = batches_to(&out.sent, 2);
+        assert_eq!(core.replay[1].tail.len(), 4, "four batches retained per destination");
+        assert_eq!(core.replay[2].tail.len(), 4);
 
-        // Peer 1 acks seq 0 before anything crashes: the prefix is folded
-        // into the snapshot and the tail drains.
-        core.enqueue(Envelope {
-            from: 1,
-            seq: 0,
-            epoch: 0,
-            ack: 1,
-            message: Message::Token(TokenMsg { color: Color::White, count: 0, epoch: 0 }),
-        });
+        // Before anything crashes, peer 1 acks everything and peer 2 the
+        // first two batches: those prefixes leave the tails.
+        core.enqueue(ack_from(1, 0, 4));
         core.step(&mut out).unwrap();
-        assert_eq!(core.replay_tail_len(1), 0, "pre-crash ack compacts the tail");
+        core.enqueue(ack_from(2, 0, 2));
+        core.step(&mut out).unwrap();
+        assert_eq!(core.replay[1].tail.len(), 0, "pre-crash ack compacts the tail");
+        assert_eq!(core.replay[2].tail.len(), 2);
 
         // Peer 2 crashes; the supervisor bumps the epoch. The core must
         // answer with an `AckSync` to every peer so replay can begin.
@@ -1401,8 +1283,8 @@ mod tests {
             from: 1,
             seq: 1,
             epoch: 1,
-            ack: 1,
-            message: Message::AckSync { acked: 1 },
+            ack: 4,
+            message: Message::AckSync { acked: 4 },
         });
         core.step(&mut out).unwrap();
         assert_eq!(
@@ -1410,10 +1292,10 @@ mod tests {
             mark,
             "an acked prefix is never re-replayed after the epoch bump"
         );
-        assert_eq!(core.replayed_batches, 0);
+        assert_eq!(core.report.replayed_batches, 0);
 
         // The crashed peer's fresh incarnation starts at watermark 0 and
-        // gets exactly the retained pre-epoch batch back.
+        // gets the whole history back, the acked half still by pointer.
         core.enqueue(Envelope {
             from: 2,
             seq: 0,
@@ -1422,83 +1304,53 @@ mod tests {
             message: Message::AckSync { acked: 0 },
         });
         core.step(&mut out).unwrap();
-        let replayed = out.sent[mark..]
-            .iter()
-            .filter(|(to, env)| *to == 2 && matches!(env.message, Message::Batch { .. }))
-            .count();
-        assert_eq!(replayed, 1, "the fresh incarnation receives the full history");
-        assert_eq!(core.replayed_batches, 1);
+        let replayed = &out.sent[mark..];
+        match &replayed[0].1.message {
+            Message::Snapshot { payloads, upto: 2 } => assert!(
+                payloads.len() == 2
+                    && payloads.iter().zip(&shipped).all(|((_, p), s)| Arc::ptr_eq(p, s)),
+                "the snapshot replays the two acked payloads as shipped"
+            ),
+            other => panic!("expected the compacted prefix first, got {other:?}"),
+        }
+        let tail = batches_to(replayed, 2);
+        assert!(
+            tail.len() == 2 && tail.iter().zip(&shipped[2..]).all(|(p, s)| Arc::ptr_eq(p, s)),
+            "then the unacked tail"
+        );
+        assert_eq!(core.report.replayed_batches, 3, "one snapshot and two batches");
     }
 
     /// A channel feeding several destinations (the broadcast scheme's
-    /// shared head predicate) is encoded exactly once per fixpoint: every
+    /// shared head predicate) is encoded exactly once per round: every
     /// destination's envelope shares the same payload `Arc`, and the
     /// journal records one `encode` event for the two `send`s.
     #[test]
     fn broadcast_channel_is_encoded_once_and_shared() {
-        let interner = Interner::new();
-        let unit =
-            gst_frontend::parser::parse_program_with("send(X) :- src(X).", &interner).unwrap();
-        let src = (interner.intern("src"), 1);
-        let send = (interner.get("send").unwrap(), 1);
-        let inbox = (interner.intern("inbox"), 1);
-        let mut db = Database::new(interner.clone());
-        for k in 0..3i64 {
-            db.insert(src, ituple![k]).unwrap();
-        }
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit.program,
-                outgoing: vec![
-                    crate::spec::ChannelOut { channel: send, dest: 1, inbox },
-                    crate::spec::ChannelOut { channel: send, dest: 2, inbox },
-                ],
-                inboxes: vec![],
-                processing_rules: vec![0],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db),
-            session: None,
-        };
-        let mut core = WorkerCore::with_epoch(spec, 3, 0).unwrap();
+        let mut core = chain_core(0, &[1, 2], 3);
         core.set_sink(TraceSink::virtual_clock(0));
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
 
-        let payloads: Vec<Payload> = out
-            .sent
-            .iter()
-            .filter_map(|(_, env)| match &env.message {
-                Message::Batch { payload, .. } => Some(payload.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(payloads.len(), 2, "one batch per destination");
+        let (to_1, to_2) = (batches_to(&out.sent, 1), batches_to(&out.sent, 2));
+        assert_eq!((to_1.len(), to_2.len()), (4, 4), "one batch per round per destination");
         assert!(
-            Arc::ptr_eq(&payloads[0], &payloads[1]),
-            "both destinations share the single encoding"
+            to_1.iter().zip(&to_2).all(|(a, b)| Arc::ptr_eq(a, b)),
+            "both destinations share each round's single encoding"
         );
         let events = core.take_trace_events();
-        let encodes = events
-            .iter()
-            .filter(|e| matches!(e.kind, ObsKind::BatchEncoded { .. }))
-            .count();
-        let sends = events
-            .iter()
-            .filter(|e| matches!(e.kind, ObsKind::BatchSent { .. }))
-            .count();
-        assert_eq!(encodes, 1, "one encode per (fixpoint, channel relation)");
-        assert_eq!(sends, 2, "but one send per destination");
+        let count = |pick: fn(&ObsKind) -> bool| events.iter().filter(|e| pick(&e.kind)).count();
+        let encodes = count(|k| matches!(k, ObsKind::BatchEncoded { .. }));
+        let sends = count(|k| matches!(k, ObsKind::BatchSent { .. }));
+        assert_eq!(encodes, 4, "one encode per (round, channel relation)");
+        assert_eq!(sends, 8, "but one send per destination");
     }
 
     /// Terminate wins over queued work: once absorbed, the core reports
     /// Done and stops stepping.
     #[test]
     fn terminate_short_circuits_pending_work() {
-        let (mut core, _interner) = busy_core();
+        let mut core = chain_core(1, &[], 2);
         let mut out = Recorder::default();
         core.enqueue(Envelope {
             from: 0,

@@ -1058,7 +1058,7 @@ fn render_channel_matrix(matrix: &[Vec<u64>]) -> String {
 }
 
 /// Per-worker wire-codec effectiveness: how many times each worker ran
-/// the columnar encoder (one per shared channel per fixpoint, not one
+/// the columnar encoder (one per shared channel per round, not one
 /// per destination), the encoded bytes it shipped, and the compression
 /// ratio versus the row-format wire cost of the same tuples.
 fn render_wire_table(stats: &parallel_datalog::runtime::ParallelStats) -> String {

@@ -89,15 +89,19 @@ fn sweep_recovery(
     replayed
 }
 
-/// §4 Example 3 (the §3 non-redundant scheme with `v(r)=⟨Z⟩`) on a chain.
-fn chain_example3() -> (CompiledScheme, ExpectedModel) {
+/// §4 Example 3 (the §3 non-redundant scheme with `v(r)=⟨Z⟩`) on `edges`
+/// over `n` processors.
+fn example3_on(edges: &Relation, n: usize) -> (CompiledScheme, ExpectedModel) {
     let fx = linear_ancestor();
-    let edges = graphs::chain(8);
-    let db = fx.database(&edges);
+    let db = fx.database(edges);
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
-    let scheme = example3_hash_partition(&sirup, 3, &db).unwrap();
-    let expected = oracle(&fx, &edges, &scheme);
+    let scheme = example3_hash_partition(&sirup, n, &db).unwrap();
+    let expected = oracle(&fx, edges, &scheme);
     (scheme, expected)
+}
+
+fn chain_example3() -> (CompiledScheme, ExpectedModel) {
+    example3_on(&graphs::chain(8), 3)
 }
 
 /// §4 Example 1 (zero-communication choice) on a grid.
@@ -344,4 +348,82 @@ fn fixed_seed_is_bit_for_bit_reproducible_on_a_real_scheme() {
     // ... and a different seed really explores a different schedule.
     let (_, jc) = run(43);
     assert_ne!(ja, jc, "different seeds should produce different journals");
+}
+
+/// Linear ancestor on `grid(12, 12)` at N=2: a closure of ~40 rounds per
+/// worker with traffic in both directions every round.
+fn grid12_example3() -> (CompiledScheme, ExpectedModel) {
+    example3_on(&graphs::grid(12, 12), 2)
+}
+
+/// The sending step runs every round (§3: "repeat: processing rules,
+/// sending rules, receiving rules"): whatever a worker ships, it ships
+/// on its way into the round that processes the same rows, so in its
+/// journal every send is followed directly by a `RoundBegin`. A worker
+/// that ships only at its local fixpoint has nothing left to process by
+/// then — its sends are followed by arrivals, the token, or `IdleWait`,
+/// and its peer had nothing to overlap with in the meantime.
+#[test]
+fn every_send_is_followed_by_the_round_that_processes_it() {
+    let (scheme, _) = grid12_example3();
+    let (result, journal) =
+        SimTransport::new(7).run_traced(scheme.workers.clone(), &RuntimeConfig::default());
+    result.unwrap();
+    for worker in 0..scheme.processors() {
+        let mut events = journal.events.iter().filter(|e| e.worker == worker).peekable();
+        let mut shipping_rounds = 0;
+        while let Some(event) = events.next() {
+            if !matches!(event.kind, ObsKind::BatchSent { .. }) {
+                continue;
+            }
+            shipping_rounds += 1;
+            // A round may ship on several channels: skip to the end of
+            // its encode/send run.
+            while events
+                .next_if(|e| {
+                    matches!(e.kind, ObsKind::BatchEncoded { .. } | ObsKind::BatchSent { .. })
+                })
+                .is_some()
+            {}
+            let next = events.peek().map(|e| &e.kind);
+            assert!(
+                matches!(next, Some(ObsKind::RoundBegin { .. })),
+                "worker {worker}: send at t={} is followed by {next:?}, not by a round",
+                event.time
+            );
+        }
+        assert!(shipping_rounds > 10, "worker {worker} shipped in only {shipping_rounds} rounds");
+    }
+}
+
+/// Crash recovery when the compacted replay prefix is long: by the time
+/// a worker dies at t=400 the survivor has had dozens of per-round
+/// batches acked, so the fresh incarnation's history arrives as one
+/// snapshot message carrying every one of those payloads, then the
+/// unacked tail. Swept over eight schedules, crashing either worker.
+#[test]
+fn recovery_replays_a_snapshot_of_many_acked_batches() {
+    let (scheme, expected) = grid12_example3();
+    let plan = FaultPlan::with_recovering_crash(1, 400);
+    let (result, journal) = SimTransport::with_faults(3, plan)
+        .run_traced(scheme.workers.clone(), &RuntimeConfig::default());
+    let outcome = result.unwrap();
+    assert_eq!(outcome.stats.restarts, 1);
+    let longest_snapshot = journal
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            ObsKind::SnapshotReceived { payloads, .. } => Some(payloads),
+            _ => None,
+        })
+        .max();
+    assert!(
+        longest_snapshot >= Some(10),
+        "the crash must land after ≥ 10 batches were acked, saw {longest_snapshot:?}"
+    );
+    for (&pred, want) in &expected {
+        assert!(outcome.relation(pred).set_eq(want), "recovered model diverges");
+    }
+    let replayed = sweep_recovery("grid(12,12)/example3", &scheme, &expected, 0..8, |_| 400);
+    assert!(replayed > 0, "no seed replayed anything");
 }
