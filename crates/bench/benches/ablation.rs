@@ -68,10 +68,12 @@ fn bench_constraint_pushdown(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(name), &opts, |b, &opts| {
             b.iter(|| {
-                let mut engine = FixpointEngine::with_options(
+                let mut engine = FixpointEngine::with_routes(
                     &worker.program.program,
                     worker.edb.clone(),
                     &worker.program.extra_idb(),
+                    worker.program.processor,
+                    &worker.program.routes,
                     opts,
                 )
                 .unwrap();

@@ -37,25 +37,34 @@
 //!
 //! `--guard` is the CI wire-format regression check: it re-measures two
 //! fixed full-size cells (grid/qi-hash/N=4 and chain/ex2-broadcast/N=4),
-//! asserts oracle correctness and bit-identical firing counts against the
-//! committed row-format reference, and fails unless `bytes_shipped` is at
-//! least 2× smaller than that reference. Each cell is measured twice: on
-//! the threaded transport and over the TCP multi-process transport
-//! (loopback sockets via `NetCoordinator`), so the framed wire protocol
-//! is held to the same byte envelope. The reference file
+//! asserts oracle correctness and that every firing was a processing
+//! firing (`firings == Σ worker_firings` — the sending step is a route
+//! table, not rules), and fails unless `bytes_shipped` is at least 2×
+//! smaller than the committed row-format reference. Each cell is measured
+//! twice: on the threaded transport and over the TCP multi-process
+//! transport (loopback sockets via `NetCoordinator`), so the framed wire
+//! protocol is held to the same byte envelope. The reference file
 //! (`BENCH_wire_guard.json`) is a frozen snapshot of the pre-columnar
 //! baseline and is intentionally *not* regenerated with
 //! `BENCH_throughput_baseline.json` — regenerating it would make the guard
-//! compare the codec against itself.
+//! compare the codec against itself. (Its `firings` column still counts
+//! the sending rules the workers of that time executed, so it is a bytes
+//! reference only.)
 //!
 //! `--batch-baseline FILE` (only with `--guard`) additionally pins the
-//! guarded cells against the *current* columnar baseline: batch-mode
-//! firing counts must be bit-identical and `bytes_shipped` must not
-//! regress. This is the update-session isolation check — incremental
+//! guarded cells against the *current* columnar baseline: the processing
+//! firings (`Σ worker_firings`) and `comm_tuples` must be bit-identical
+//! and `bytes_shipped` must not regress. This is the semantics
+//! fingerprint, and the update-session isolation check — incremental
 //! maintenance promotes base predicates to `local_idb` only inside a
 //! session, so ordinary batch compilation must produce exactly the
 //! plans, firings, and wire bytes it produced before the session layer
 //! existed.
+//!
+//! A full or `--smoke` run also fails unless every `n = 1` row fired
+//! exactly what the sequential engine fires on the program the row runs
+//! (`firings == seq_firings`): one processor pays no rewrite tax in
+//! firings.
 //!
 //! Every row is checked against the sequential semi-naive oracle (same
 //! least model) before its timing is trusted, and the report records the
@@ -103,6 +112,9 @@ struct Row {
     comm_tuples: u64,
     /// Total rule firings across workers (semantics fingerprint).
     firings: u64,
+    /// What the sequential engine fires on the program this row runs
+    /// (filled in by the caller of [`measure`]).
+    seq_firings: u64,
     /// Processing firings per worker, in processor order — the per-cell
     /// load-skew record.
     worker_firings: Vec<u64>,
@@ -175,6 +187,7 @@ fn measure(
         bytes_shipped: outcome.stats.total_bytes_sent(),
         comm_tuples: outcome.stats.total_tuples_sent(),
         firings: outcome.stats.total_firings(),
+        seq_firings: 0,
         worker_firings,
         phase_us,
         correct: answer.set_eq(oracle),
@@ -225,8 +238,8 @@ fn run_guard(baseline_path: &str, batch_baseline: Option<&str>) -> i32 {
     let anc = fx.output_id();
     let n = 4;
 
-    // The guarded cells: one hash-partition scheme (per-destination
-    // channels) and one broadcast scheme (shared multicast channel), both
+    // The guarded cells: one hash-partition scheme (a buffer per
+    // destination) and one broadcast scheme (one buffer, multicast), both
     // at full workload size so the byte counts are load-bearing.
     let cells: Vec<(&'static str, Relation, &'static str)> = vec![
         ("grid", grid(20, 20), "qi-hash"),
@@ -265,19 +278,17 @@ fn run_guard(baseline_path: &str, batch_baseline: Option<&str>) -> i32 {
             .get("bytes_shipped")
             .and_then(Json::as_num)
             .expect("baseline row has bytes_shipped") as u64;
-        let base_firings = base_row
-            .get("firings")
-            .and_then(Json::as_num)
-            .expect("baseline row has firings") as u64;
 
         let correct = row.correct;
         let shrink_ok = row.bytes_shipped * 2 <= base_bytes;
-        let firings_ok = row.firings == base_firings;
+        let processing: u64 = row.worker_firings.iter().sum();
+        let firings_ok = row.firings == processing;
         let ratio = base_bytes as f64 / row.bytes_shipped.max(1) as f64;
         println!(
-            "guard {wname}/{sname}/n={n}: bytes {} -> {} ({ratio:.2}x), firings {} -> {}, \
-             correct={correct} shrink_ok={shrink_ok} firings_ok={firings_ok}",
-            base_bytes, row.bytes_shipped, base_firings, row.firings,
+            "guard {wname}/{sname}/n={n}: bytes {} -> {} ({ratio:.2}x), firings {} \
+             (processing {processing}), correct={correct} shrink_ok={shrink_ok} \
+             firings_ok={firings_ok}",
+            base_bytes, row.bytes_shipped, row.firings,
         );
         if !correct {
             eprintln!("guard FAIL: {wname}/{sname}/n={n} diverged from the sequential oracle");
@@ -295,9 +306,9 @@ fn run_guard(baseline_path: &str, batch_baseline: Option<&str>) -> i32 {
         }
         if !firings_ok {
             eprintln!(
-                "guard FAIL: {wname}/{sname}/n={n} fired {} rules; \
-                 reference fired {} (semantics fingerprint changed)",
-                row.firings, base_firings,
+                "guard FAIL: {wname}/{sname}/n={n} fired {} rules, {processing} of them \
+                 processing rules (a sending step is being executed as rules)",
+                row.firings,
             );
             ok = false;
         }
@@ -352,23 +363,29 @@ fn run_guard(baseline_path: &str, batch_baseline: Option<&str>) -> i32 {
             ok = false;
             continue;
         };
-        let cur_bytes = cur_row
-            .get("bytes_shipped")
-            .and_then(Json::as_num)
-            .expect("batch baseline row has bytes_shipped") as u64;
-        let cur_firings = cur_row
-            .get("firings")
-            .and_then(Json::as_num)
-            .expect("batch baseline row has firings") as u64;
+        let field = |name: &str| {
+            cur_row.get(name).and_then(Json::as_num).expect("batch baseline row field") as u64
+        };
+        let cur_bytes = field("bytes_shipped");
+        let cur_comm = field("comm_tuples");
+        let cur_processing: u64 = cur_row
+            .get("worker_firings")
+            .and_then(Json::as_arr)
+            .expect("batch baseline row has worker_firings")
+            .iter()
+            .filter_map(Json::as_num)
+            .sum::<f64>() as u64;
         println!(
-            "guard {wname}/{sname}/n={n} (batch baseline): bytes {} -> {}, firings {} -> {}",
-            cur_bytes, row.bytes_shipped, cur_firings, row.firings,
+            "guard {wname}/{sname}/n={n} (batch baseline): bytes {} -> {}, processing firings \
+             {} -> {}, comm_tuples {} -> {}",
+            cur_bytes, row.bytes_shipped, cur_processing, processing, cur_comm, row.comm_tuples,
         );
-        if row.firings != cur_firings {
+        if processing != cur_processing || row.comm_tuples != cur_comm {
             eprintln!(
-                "guard FAIL: {wname}/{sname}/n={n} batch-mode firings changed \
-                 ({} vs baseline {}) — the session layer leaked into batch plans",
-                row.firings, cur_firings,
+                "guard FAIL: {wname}/{sname}/n={n} batch-mode semantics fingerprint changed \
+                 (processing firings {processing} vs baseline {cur_processing}, comm_tuples \
+                 {} vs {cur_comm}) — the session layer leaked into batch plans",
+                row.comm_tuples,
             );
             ok = false;
         }
@@ -387,7 +404,7 @@ fn run_guard(baseline_path: &str, batch_baseline: Option<&str>) -> i32 {
         }
     }
     if ok {
-        println!("wire guard holds: >=2x smaller shipments, identical firing counts");
+        println!("wire guard holds: >=2x smaller shipments, processing firings only and identical");
         0
     } else {
         1
@@ -436,7 +453,7 @@ fn main() {
             ("zipf", zipf_digraph(6000, 4800, 30, 42)),
         ]
     };
-    let ns: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 8] };
+    let ns: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
     let reps = if smoke { 1 } else { 3 };
 
     let fx = linear_ancestor();
@@ -507,7 +524,8 @@ fn main() {
                 }
             }
             for (sname, scheme, config) in &schemes {
-                rows.push(measure((wname, sname), n, scheme, &reference, anc, reps, config));
+                let row = measure((wname, sname), n, scheme, &reference, anc, reps, config);
+                rows.push(Row { seq_firings: oracle.stats.firings, ..row });
             }
 
             // Demand-driven point-query cells (DESIGN.md §15): the same
@@ -529,6 +547,8 @@ fn main() {
                     reps,
                     &plain,
                 );
+                let seq_firings = seminaive_eval(&rlfx.program, &rl_db).unwrap().stats.firings;
+                let full = Row { seq_firings, ..full };
                 let goal = Atom::new(
                     rlfx.output_id().0,
                     vec![
@@ -543,6 +563,9 @@ fn main() {
                         filtered.insert(t.clone()).unwrap();
                     }
                 }
+                let mut seeded = rl_db.clone();
+                let seed = (rw.seed_predicate.name, rw.seed_predicate.arity);
+                seeded.insert(seed, rw.seed_fact.clone()).unwrap();
                 let mut magic = measure(
                     (wname, "magic-point"),
                     n,
@@ -552,6 +575,7 @@ fn main() {
                     reps,
                     &plain,
                 );
+                magic.seq_firings = seminaive_eval(&rw.program, &seeded).unwrap().stats.firings;
                 magic.demand_ratio = Some(magic.firings as f64 / full.firings.max(1) as f64);
                 rows.push(full);
                 rows.push(magic);
@@ -593,6 +617,13 @@ fn main() {
         "all {} configurations matched the sequential least model: {all_correct}",
         rows.len()
     );
+    let astray: Vec<&Row> =
+        rows.iter().filter(|r| r.n == 1 && r.firings != r.seq_firings).collect();
+    for Row { workload, scheme, firings, seq_firings, .. } in &astray {
+        eprintln!("FAIL: {workload}/{scheme}/n=1 fired {firings} rules, sequential {seq_firings}");
+    }
+    let n1_ok = astray.is_empty();
+    println!("every n=1 row fires exactly what the sequential engine fires: {n1_ok}");
 
     let report = Json::obj(vec![
         ("bench", s("throughput")),
@@ -616,6 +647,7 @@ fn main() {
                             ("bytes_shipped", count(r.bytes_shipped)),
                             ("comm_tuples", count(r.comm_tuples)),
                             ("firings", count(r.firings)),
+                            ("seq_firings", count(r.seq_firings)),
                             (
                                 "worker_firings",
                                 Json::Arr(r.worker_firings.iter().map(|&f| count(f)).collect()),
@@ -645,7 +677,7 @@ fn main() {
     std::fs::write(&out_path, report.render()).expect("cannot write report");
     eprintln!("wrote {out_path}");
 
-    if !all_correct {
+    if !all_correct || !n1_ok {
         std::process::exit(1);
     }
 }

@@ -539,12 +539,7 @@ pub fn speedup_curve(
             let mut check = gst_storage::Relation::new(anc.1);
             for w in &scheme.workers {
                 let t0 = Instant::now();
-                let mut engine = gst_eval::FixpointEngine::new(
-                    &w.program.program,
-                    w.edb.clone(),
-                    &w.program.extra_idb(),
-                )
-                .unwrap();
+                let mut engine = w.build_engine().unwrap();
                 engine.run_to_fixpoint().unwrap();
                 worker_ms.push(t0.elapsed().as_secs_f64() * 1e3);
                 for (local, _global) in &w.program.pooling {

@@ -671,6 +671,10 @@ impl Constraint for DiscConstraint {
         self.disc.assign(bound) == self.expect
     }
 
+    fn partition(&self, bound: &[Value]) -> Option<usize> {
+        Some(self.disc.assign(bound))
+    }
+
     fn describe(&self, interner: &Interner) -> String {
         let names: Vec<String> = self.vars.iter().map(|v| v.name(interner)).collect();
         format!(

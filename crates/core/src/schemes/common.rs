@@ -1,14 +1,18 @@
 //! Shared machinery for the rewriting schemes: predicate naming, rule
-//! assembly, validation, and distribution of base relations to workers.
+//! assembly, the route table that stands for the sending rules,
+//! validation, and distribution of base relations to workers.
 
 use std::sync::Arc;
 
-use gst_common::{Error, Interner, Result, SymbolId, Tuple};
+use gst_common::{Error, Interner, Result};
 use gst_eval::plan::RelationId;
 use gst_frontend::ast::{Atom, Literal, Rule, Term};
-use gst_frontend::{Program, Variable};
-use gst_runtime::ProcessorProgram;
+use gst_frontend::{LinearSirup, Program, Variable};
+use gst_runtime::{ProcessorProgram, Route, WorkerSpec};
 use gst_storage::{Database, Relation};
+
+use crate::discriminator::{DiscConstraint, DiscriminatorRef};
+use crate::schemes::CompiledScheme;
 
 /// Generates the per-processor predicate names of the rewritten programs.
 ///
@@ -41,33 +45,10 @@ impl Namer {
         (self.interner.intern(&name), pred.1)
     }
 
-    /// The channel predicate `t_ij`.
-    pub fn channel(&self, pred: RelationId, i: usize, j: usize) -> RelationId {
-        let name = format!("{}@ch{}_{}", self.base_name(pred), i, j);
-        (self.interner.intern(&name), pred.1)
-    }
-
-    /// The shared broadcast channel `t_i*`: one predicate feeding every
-    /// other processor, so the runtime encodes its delta once and
-    /// multicasts the payload (instead of one `t_ij` per destination,
-    /// which would re-encode identical bytes `n-1` times).
-    pub fn broadcast(&self, pred: RelationId, i: usize) -> RelationId {
-        let name = format!("{}@bc{}", self.base_name(pred), i);
-        (self.interner.intern(&name), pred.1)
-    }
-
     /// `t^i` of the communication-free scheme ([Wolfson 88] / §6).
     pub fn local(&self, pred: RelationId, i: usize) -> RelationId {
         let name = format!("{}@loc{}", self.base_name(pred), i);
         (self.interner.intern(&name), pred.1)
-    }
-
-    /// A sequence of fresh distinct variables `W̄` "not appearing in the
-    /// original program" (paper, receiving step).
-    pub fn fresh_vars(&self, count: usize) -> Vec<Term> {
-        (0..count)
-            .map(|k| Term::Var(Variable(self.interner.intern(&format!("W@{k}")))))
-            .collect()
     }
 }
 
@@ -94,10 +75,10 @@ pub fn validate_sequence(rule: &Rule, vars: &[Variable], which: &str) -> Result<
     Ok(())
 }
 
-/// Whether a conditional send is possible: the sending rule can evaluate
-/// `h(v(r)) = j` on an outgoing tuple only if every `v(r)` variable is
-/// bound by the tuple pattern — i.e. occurs in `pattern` — and `h` is
-/// locally evaluable. Otherwise the scheme broadcasts (Example 2).
+/// Whether a conditional send is possible: `h(v(r))` can be evaluated on
+/// an outgoing tuple only if every `v(r)` variable is bound by the tuple
+/// pattern — i.e. occurs in `pattern` — and `h` is locally evaluable.
+/// Otherwise the scheme broadcasts (Example 2).
 pub fn can_route(pattern: &[Term], vars: &[Variable], locally_evaluable: bool) -> bool {
     locally_evaluable
         && vars.iter().all(|v| {
@@ -105,6 +86,86 @@ pub fn can_route(pattern: &[Term], vars: &[Variable], locally_evaluable: bool) -
                 .iter()
                 .any(|t| matches!(t, Term::Var(tv) if tv == v))
         })
+}
+
+/// The sending step of one consuming occurrence `t(Ȳ)` at processor `i`
+/// of `n`, as a [`Route`]: the rule family
+/// `t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j` (the `j = i` member feeding
+/// `t_in^i` directly) when `key = (v(r), h)` can be evaluated on the
+/// tuple, and the unconditioned broadcast of Example 2 — every `t_out^i`
+/// tuple to every processor — when the caller found it cannot
+/// ([`can_route`]) and passes `None`.
+pub fn sending_route(
+    namer: &Namer,
+    pred: RelationId,
+    i: usize,
+    n: usize,
+    args: &[Term],
+    key: Option<(&[Variable], &DiscriminatorRef)>,
+) -> Route {
+    let dests = (0..n).map(|j| (j, namer.input(pred, j))).collect();
+    match key {
+        Some((v, h)) => Route {
+            source: atom(namer.out(pred, i), args.to_vec()),
+            key: Some(DiscConstraint::literal(v.to_vec(), h.clone(), i)),
+            dests,
+            retract: false,
+        },
+        None => Route::broadcast(namer.out(pred, i), &namer.interner, dests),
+    }
+}
+
+/// The initialization rule `head(Z̄) :- s-body, h'(v(e)) = i` of the sirup
+/// schemes: the whole exit body — atoms and any built-in constraint
+/// literals (e.g. comparisons) the rule carries — plus the condition.
+pub fn initialization_rule(
+    sirup: &LinearSirup,
+    head: RelationId,
+    v_e: &[Variable],
+    h_prime: &DiscriminatorRef,
+    i: usize,
+) -> Rule {
+    let mut body: Vec<Literal> = sirup.exit_rule().body.to_vec();
+    body.push(Literal::Constraint(DiscConstraint::literal(v_e.to_vec(), h_prime.clone(), i)));
+    Rule::new(atom(head, sirup.exit_head.clone()), body)
+}
+
+/// The recursive rule with its `t`-atom reading `input`, its head writing
+/// `head`, and `condition` (the processing rule's `h(v(r)) = i`, if the
+/// scheme has one) appended.
+pub fn processing_rule(
+    sirup: &LinearSirup,
+    head: RelationId,
+    input: RelationId,
+    condition: Option<gst_frontend::ast::ConstraintRef>,
+) -> Rule {
+    let mut body: Vec<Literal> = sirup.recursive_rule().body.to_vec();
+    let mut atoms = body.iter_mut().filter_map(|l| match l {
+        Literal::Atom(a) => Some(a),
+        Literal::Constraint(_) => None,
+    });
+    if let Some(a) = atoms.nth(sirup.recursive_atom_index) {
+        a.predicate = input.0;
+    }
+    body.extend(condition.map(Literal::Constraint));
+    Rule::new(atom(head, sirup.head.clone()), body)
+}
+
+/// Distribute the base relations over `programs` and assemble the scheme.
+pub fn assemble(
+    programs: Vec<ProcessorProgram>,
+    db: &Database,
+    base: BaseDistribution,
+    answers: Vec<RelationId>,
+    kind: &'static str,
+) -> Result<CompiledScheme> {
+    let edbs = worker_databases(db, &programs, base)?;
+    let workers = programs
+        .into_iter()
+        .zip(edbs)
+        .map(|(program, edb)| WorkerSpec { program, edb, session: None })
+        .collect();
+    Ok(CompiledScheme { workers, answers, kind, hot_keys_split: 0 })
 }
 
 /// How base relations reach the workers.
@@ -277,32 +338,9 @@ pub fn program(rules: Vec<Rule>, interner: &Interner) -> Program {
     Program::new(rules, interner.clone())
 }
 
-/// Resolve a predicate name for error messages.
-pub fn pred_name(interner: &Interner, pred: RelationId) -> String {
-    format!("{}/{}", interner.resolve(pred.0), pred.1)
-}
-
 /// Helper: the `SymbolId` part of a frontend predicate.
 pub fn rel_id(p: gst_frontend::Predicate) -> RelationId {
     (p.name, p.arity)
-}
-
-/// A tuple of the values bound to `vars` read from `pattern` positions of
-/// `t` (used by tests to cross-check constraint evaluation).
-pub fn project_by_vars(t: &Tuple, pattern: &[Term], vars: &[Variable]) -> Option<Vec<gst_common::Value>> {
-    vars.iter()
-        .map(|v| {
-            pattern
-                .iter()
-                .position(|term| matches!(term, Term::Var(tv) if tv == v))
-                .map(|p| t.get(p))
-        })
-        .collect()
-}
-
-/// Stable symbol lookup for tests.
-pub fn sym(interner: &Interner, name: &str) -> SymbolId {
-    interner.get(name).expect("symbol interned")
 }
 
 #[cfg(test)]
@@ -310,6 +348,19 @@ mod tests {
     use super::*;
     use gst_common::ituple;
     use gst_frontend::parse_program;
+
+    /// Processor `processor` running `program`'s one rule, no routing.
+    fn bare(processor: usize, program: Program) -> ProcessorProgram {
+        ProcessorProgram {
+            processor,
+            program,
+            routes: vec![],
+            inboxes: vec![],
+            processing_rules: vec![0],
+            pooling: vec![],
+            local_idb: vec![],
+        }
+    }
 
     #[test]
     fn namer_is_stable_and_distinct() {
@@ -319,16 +370,8 @@ mod tests {
         assert_eq!(n.out(t, 0), n.out(t, 0));
         assert_ne!(n.out(t, 0), n.out(t, 1));
         assert_ne!(n.out(t, 0), n.input(t, 0));
-        assert_ne!(n.channel(t, 0, 1), n.channel(t, 1, 0));
+        assert_ne!(n.input(t, 0), n.input(t, 1));
         assert_eq!(interner.resolve(n.out(t, 3).0).as_ref(), "anc@out3");
-    }
-
-    #[test]
-    fn fresh_vars_are_distinct() {
-        let n = Namer::new(Interner::new());
-        let vars = n.fresh_vars(3);
-        assert_eq!(vars.len(), 3);
-        assert_ne!(vars[0], vars[1]);
     }
 
     #[test]
@@ -359,16 +402,7 @@ mod tests {
         let unit = parse_program("t(X) :- e(X).\ne(1).").unwrap();
         let mut db = Database::new(unit.program.interner.clone());
         db.load_facts(unit.facts.clone()).unwrap();
-        let pp = ProcessorProgram {
-            processor: 0,
-            program: unit.program.clone(),
-            outgoing: vec![],
-            inboxes: vec![],
-            processing_rules: vec![0],
-            pooling: vec![],
-            local_idb: vec![],
-            retract_channels: vec![],
-        };
+        let pp = bare(0, unit.program.clone());
         let dbs = worker_databases(&db, &[pp.clone(), { let mut q = pp; q.processor = 1; q }], BaseDistribution::Shared)
             .unwrap();
         assert!(Arc::ptr_eq(&dbs[0], &dbs[1]));
@@ -381,16 +415,7 @@ mod tests {
         let e = (unit.program.interner.get("e").unwrap(), 2);
         db.insert(e, ituple![1, 2]).unwrap();
         db.insert(e, ituple![3, 4]).unwrap();
-        let pp = ProcessorProgram {
-            processor: 0,
-            program: unit.program.clone(),
-            outgoing: vec![],
-            inboxes: vec![],
-            processing_rules: vec![0],
-            pooling: vec![],
-            local_idb: vec![],
-            retract_channels: vec![],
-        };
+        let pp = bare(0, unit.program.clone());
         let dbs = worker_databases(&db, &[pp], BaseDistribution::MinimalFragments).unwrap();
         assert_eq!(dbs[0].relation(e).unwrap().len(), 2);
     }
@@ -420,16 +445,7 @@ mod tests {
                     h.clone(),
                     i,
                 )));
-            programs.push(ProcessorProgram {
-                processor: i,
-                program: Program::new(rules, interner.clone()),
-                outgoing: vec![],
-                inboxes: vec![],
-                processing_rules: vec![0],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            });
+            programs.push(bare(i, Program::new(rules, interner.clone())));
         }
         program.rules.clear();
 
@@ -444,20 +460,5 @@ mod tests {
                 assert_eq!(h.assign(&[t.get(1)]), i);
             }
         }
-    }
-
-    #[test]
-    fn project_by_vars_reads_positions() {
-        let interner = Interner::new();
-        let x = Variable(interner.intern("X"));
-        let y = Variable(interner.intern("Y"));
-        let pattern = vec![Term::Var(x), Term::Var(y)];
-        let t = ituple![7, 9];
-        assert_eq!(
-            project_by_vars(&t, &pattern, &[y, x]),
-            Some(vec![gst_common::Value::Int(9), gst_common::Value::Int(7)])
-        );
-        let z = Variable(interner.intern("Z"));
-        assert_eq!(project_by_vars(&t, &pattern, &[z]), None);
     }
 }

@@ -16,8 +16,13 @@
 //! shipped once per *consuming occurrence's* routing — e.g. `anc(a,b)`
 //! goes both to `h(b)` (to join as `anc(X,Z)`) and to `h(a)` (to join as
 //! `anc(Z,Y)`), matching the paper's two sending rules for Example 8.
-//! Inbox deduplication (the receive step's difference operation) absorbs
-//! the overlap.
+//!
+//! As in §3 the sending rules are the specification: each consuming
+//! occurrence becomes one [`gst_runtime::Route`] of `C_out^i`, and the
+//! engine hashes a tuple under every route of its predicate as it is
+//! deduplicated — a tuple two occurrences send to the same processor
+//! goes there once. An occurrence whose `v(r_k)` is not bound by the
+//! atom broadcasts.
 //!
 //! Base relations are distributed per [`BaseDistribution`]: the paper's
 //! `D_in^i :- D, h(v(r)) = i` fragments fall out of
@@ -27,13 +32,13 @@ use gst_common::{Error, Result};
 use gst_eval::plan::RelationId;
 use gst_frontend::ast::Literal;
 use gst_frontend::{Program, ProgramAnalysis, Variable};
-use gst_runtime::{ChannelOut, ProcessorProgram, WorkerSpec};
+use gst_runtime::ProcessorProgram;
 use gst_storage::Database;
 
 use crate::discriminator::{DiscConstraint, DiscriminatorRef};
 use crate::schemes::common::{
-    atom, can_route, program, rel_id, validate_sequence, worker_databases, BaseDistribution,
-    Namer,
+    assemble, atom, can_route, program, rel_id, sending_route, validate_sequence,
+    BaseDistribution, Namer,
 };
 use crate::schemes::CompiledScheme;
 
@@ -131,93 +136,36 @@ pub fn rewrite_general(
             ));
         }
 
-        // Sending rules: per rule, per derived occurrence, per target.
-        let mut channels: Vec<RelationId> = Vec::new(); // derived preds with traffic
+        // Sending: one route per rule and distinct derived occurrence.
+        let mut routes = Vec::new();
         for (k, rule) in source.rules.iter().enumerate() {
             let choice = &choices[k];
-            // Distinct (pred, args) occurrences of derived predicates.
-            let mut occurrences: Vec<(RelationId, Vec<gst_frontend::Term>)> = Vec::new();
+            let mut occurrences: Vec<(RelationId, &[gst_frontend::Term])> = Vec::new();
             for a in rule.body_atoms() {
-                let id: RelationId = (a.predicate, a.terms.len());
-                if derived.contains(&id) && !occurrences.contains(&(id, a.terms.clone())) {
-                    occurrences.push((id, a.terms.clone()));
+                let occurrence = ((a.predicate, a.terms.len()), a.terms.as_slice());
+                if derived.contains(&occurrence.0) && !occurrences.contains(&occurrence) {
+                    occurrences.push(occurrence);
                 }
             }
             for (c_id, args) in occurrences {
-                if !channels.contains(&c_id) {
-                    channels.push(c_id);
-                }
-                let routed = can_route(&args, &choice.v, choice.h.locally_evaluable());
-                let pattern = if routed {
-                    args.clone()
-                } else {
-                    namer.fresh_vars(c_id.1)
-                };
-                for j in 0..n {
-                    let head_pred = if j == i {
-                        namer.input(c_id, i)
-                    } else {
-                        namer.channel(c_id, i, j)
-                    };
-                    let mut body = vec![Literal::Atom(atom(
-                        namer.out(c_id, i),
-                        pattern.clone(),
-                    ))];
-                    if routed {
-                        body.push(Literal::Constraint(DiscConstraint::literal(
-                            choice.v.clone(),
-                            choice.h.clone(),
-                            j,
-                        )));
-                    } else if j != i {
-                        // Broadcast: unconditional. For j == i the local
-                        // copy is also unconditional.
-                    }
-                    let candidate = gst_frontend::Rule::new(atom(head_pred, pattern.clone()), body);
-                    if !rules.contains(&candidate) {
-                        rules.push(candidate);
-                    }
-                }
+                let routed = can_route(args, &choice.v, choice.h.locally_evaluable());
+                let key = routed.then_some((choice.v.as_slice(), &choice.h));
+                routes.push(sending_route(&namer, c_id, i, n, args, key));
             }
         }
-
-        let outgoing = channels
-            .iter()
-            .flat_map(|&c_id| {
-                (0..n).filter(move |&j| j != i).map(move |j| (c_id, j))
-            })
-            .map(|(c_id, j)| ChannelOut {
-                channel: namer.channel(c_id, i, j),
-                dest: j,
-                inbox: namer.input(c_id, j),
-            })
-            .collect();
 
         programs.push(ProcessorProgram {
             processor: i,
             program: program(rules, &interner),
-            outgoing,
+            routes,
             inboxes: derived.iter().map(|&d| namer.input(d, i)).collect(),
             processing_rules: (0..rule_count).collect(),
             pooling: derived.iter().map(|&d| (namer.out(d, i), d)).collect(),
             local_idb: vec![],
-            retract_channels: vec![],
         });
     }
 
-    let edbs = worker_databases(db, &programs, base)?;
-    let workers = programs
-        .into_iter()
-        .zip(edbs)
-        .map(|(program, edb)| WorkerSpec { program, edb, session: None })
-        .collect();
-
-    Ok(CompiledScheme {
-        workers,
-        answers: derived,
-        kind: "general scheme (§7 T_i)",
-        hot_keys_split: 0,
-    })
+    assemble(programs, db, base, derived, "general scheme (§7 T_i)")
 }
 
 #[cfg(test)]

@@ -25,21 +25,24 @@
 //! spectrum (experiment S1).
 //!
 //! §6 requires every variable of `v(r)` to appear in `Ȳ` — enforced here —
-//! which also guarantees the sending rules can always evaluate `h_i` on
-//! an outgoing tuple (no broadcast fallback exists in this scheme).
+//! which also guarantees `h_i` can always be evaluated on an outgoing
+//! tuple (no broadcast fallback exists in this scheme). As in §3, the
+//! sending rules are the specification; processor `i` runs them as one
+//! [`gst_runtime::Route`] keyed on its own `h_i`.
 //!
 //! [`Constant`]: crate::discriminator::Constant
 //! [`Mixed`]: crate::discriminator::Mixed
 
 use gst_common::{Error, Result};
-use gst_frontend::ast::{Literal, Term};
+use gst_frontend::ast::Term;
 use gst_frontend::{LinearSirup, Variable};
-use gst_runtime::{ChannelOut, ProcessorProgram, WorkerSpec};
+use gst_runtime::ProcessorProgram;
 use gst_storage::Database;
 
-use crate::discriminator::{DiscConstraint, DiscriminatorRef};
+use crate::discriminator::DiscriminatorRef;
 use crate::schemes::common::{
-    atom, program, rel_id, validate_sequence, worker_databases, BaseDistribution, Namer,
+    assemble, initialization_rule, processing_rule, program, rel_id, sending_route,
+    validate_sequence, BaseDistribution, Namer,
 };
 use crate::schemes::CompiledScheme;
 
@@ -102,102 +105,28 @@ pub fn rewrite_generalized(
         let out_i = namer.out(t, i);
         let in_i = namer.input(t, i);
         let h_i = &cfg.h_locals[i];
-        let mut rules = Vec::new();
+        // Initialization as in §3; the processing rule is unconditioned.
+        let rules = vec![
+            initialization_rule(sirup, out_i, &cfg.v_e, &cfg.h_prime, i),
+            processing_rule(sirup, out_i, in_i, None),
+        ];
 
-        // 0: initialization.
-        // Clone the whole exit body — atoms AND any built-in constraint
-        // literals (e.g. comparisons) the source rule carries.
-        let mut body: Vec<Literal> = sirup.exit_rule().body.to_vec();
-        body.push(Literal::Constraint(DiscConstraint::literal(
-            cfg.v_e.clone(),
-            cfg.h_prime.clone(),
-            i,
-        )));
-        rules.push(gst_frontend::Rule::new(
-            atom(out_i, sirup.exit_head.clone()),
-            body,
-        ));
-
-        // 1: unconditioned processing.
-        let mut body: Vec<Literal> = Vec::new();
-        let mut seen_atoms = 0usize;
-        for literal in &sirup.recursive_rule().body {
-            match literal {
-                Literal::Atom(a) => {
-                    if seen_atoms == sirup.recursive_atom_index {
-                        body.push(Literal::Atom(atom(in_i, a.terms.clone())));
-                    } else {
-                        body.push(Literal::Atom(a.clone()));
-                    }
-                    seen_atoms += 1;
-                }
-                Literal::Constraint(c) => body.push(Literal::Constraint(c.clone())),
-            }
-        }
-        rules.push(gst_frontend::Rule::new(atom(out_i, sirup.head.clone()), body));
-
-        // Sending with the processor's own h_i; j = i is a local rule.
-        let pattern = sirup.recursive_args.clone();
-        let mut outgoing = Vec::new();
-        rules.push(gst_frontend::Rule::new(
-            atom(in_i, pattern.clone()),
-            vec![
-                Literal::Atom(atom(out_i, pattern.clone())),
-                Literal::Constraint(DiscConstraint::literal(
-                    cfg.v_r.clone(),
-                    h_i.clone(),
-                    i,
-                )),
-            ],
-        ));
-        for j in 0..n {
-            if j == i {
-                continue;
-            }
-            let ch = namer.channel(t, i, j);
-            rules.push(gst_frontend::Rule::new(
-                atom(ch, pattern.clone()),
-                vec![
-                    Literal::Atom(atom(out_i, pattern.clone())),
-                    Literal::Constraint(DiscConstraint::literal(
-                        cfg.v_r.clone(),
-                        h_i.clone(),
-                        j,
-                    )),
-                ],
-            ));
-            outgoing.push(ChannelOut {
-                channel: ch,
-                dest: j,
-                inbox: namer.input(t, j),
-            });
-        }
+        // Sending with the processor's own h_i.
+        let key = Some((cfg.v_r.as_slice(), h_i));
+        let routes = vec![sending_route(&namer, t, i, n, &sirup.recursive_args, key)];
 
         programs.push(ProcessorProgram {
             processor: i,
             program: program(rules, &interner),
-            outgoing,
+            routes,
             inboxes: vec![in_i],
             processing_rules: vec![0, 1],
             pooling: vec![(out_i, t)],
             local_idb: vec![],
-            retract_channels: vec![],
         });
     }
 
-    let edbs = worker_databases(db, &programs, BaseDistribution::Shared)?;
-    let workers = programs
-        .into_iter()
-        .zip(edbs)
-        .map(|(program, edb)| WorkerSpec { program, edb, session: None })
-        .collect();
-
-    Ok(CompiledScheme {
-        workers,
-        answers: vec![t],
-        kind: "generalized trade-off (§6 R_i)",
-        hot_keys_split: 0,
-    })
+    assemble(programs, db, BaseDistribution::Shared, vec![t], "generalized trade-off (§6 R_i)")
 }
 
 #[cfg(test)]

@@ -18,33 +18,41 @@
 //! final pooling:   t(W̄)       :- t_out^i(W̄)
 //! ```
 //!
+//! That rewrite is the *specification*. What a processor runs is its
+//! initialization and processing rules plus a [route table]: the sending
+//! rules `{t_ij}_j` are one [`Route`] — body atom `t_out^i(Ȳ)`, condition
+//! `h(v(r)) = ·`, inbox `t_in^j` per destination — which the engine
+//! evaluates on each tuple as it is deduplicated into `t_out^i`: `h` is
+//! computed once and the tuple appended to `t_in^i`'s pending pool
+//! (`j = i`, the same round) or to processor `j`'s ship buffer. No `t_ij`
+//! is materialized and no sending rule fires.
+//!
 //! Implementation notes:
-//! * the `i → i` "channel" is realized as a direct local rule
-//!   `t_in^i(Ȳ) :- t_out^i(Ȳ), h(v(r)) = i` — semantically identical and
-//!   it spares a loopback message;
 //! * receiving and pooling are performed by the runtime (inbox injection
 //!   and answer pooling), not as materialized rules;
 //! * when `h` cannot be evaluated on an outgoing tuple — its variables
-//!   are not all in `Ȳ`, or `h` is [`FragmentOwner`]-like — the sending
-//!   rules drop their condition and broadcast, exactly the resolution the
+//!   are not all in `Ȳ`, or `h` is [`FragmentOwner`]-like — the route
+//!   drops its condition and broadcasts, exactly the resolution the
 //!   paper adopts for Example 2 ("the extra communication does not make
-//!   the parallel execution either incorrect or redundant");
+//!   the parallel execution either incorrect or redundant"); the
+//!   broadcast is buffered and encoded once for all destinations;
 //! * the selection `h(v(r)) = i` of the processing rule is pushed into
 //!   the join by the planner's eager constraint placement, realizing the
 //!   fragment reads `b_k^i :- b_k, h(v(r)) = i` of the paper.
 //!
+//! [route table]: gst_runtime::ProcessorProgram::routes
+//! [`Route`]: gst_runtime::Route
 //! [`FragmentOwner`]: crate::discriminator::FragmentOwner
 
 use gst_common::Result;
-use gst_frontend::ast::Literal;
 use gst_frontend::{LinearSirup, Variable};
-use gst_runtime::{ChannelOut, ProcessorProgram, WorkerSpec};
+use gst_runtime::ProcessorProgram;
 use gst_storage::Database;
 
 use crate::discriminator::{DiscConstraint, DiscriminatorRef};
 use crate::schemes::common::{
-    atom, can_route, program, rel_id, validate_sequence, worker_databases, BaseDistribution,
-    Namer,
+    assemble, can_route, initialization_rule, processing_rule, program, rel_id, sending_route,
+    validate_sequence, BaseDistribution, Namer,
 };
 use crate::schemes::CompiledScheme;
 
@@ -84,147 +92,38 @@ pub fn rewrite_non_redundant(
     let namer = Namer::new(interner.clone());
     let t = rel_id(sirup.target);
 
-    // Can the sending rules evaluate h on an outgoing tuple?
+    // Can h be evaluated on an outgoing tuple?
     let routed = can_route(&sirup.recursive_args, &cfg.v_r, cfg.h.locally_evaluable());
 
     let mut programs: Vec<ProcessorProgram> = Vec::with_capacity(n);
     for i in 0..n {
         let out_i = namer.out(t, i);
         let in_i = namer.input(t, i);
-        let mut rules = Vec::new();
+        // initialization  t_out^i(Z̄) :- s-body, h'(v(e)) = i;
+        // processing      t_out^i(X̄) :- …, t_in^i(Ȳ), …, h(v(r)) = i.
+        let condition = DiscConstraint::literal(cfg.v_r.clone(), cfg.h.clone(), i);
+        let rules = vec![
+            initialization_rule(sirup, out_i, &cfg.v_e, &cfg.h_prime, i),
+            processing_rule(sirup, out_i, in_i, Some(condition)),
+        ];
 
-        // 0: initialization  t_out^i(Z̄) :- s-body, h'(v(e)) = i.
-        {
-            // Clone the whole exit body — atoms AND any built-in
-            // constraint literals (e.g. comparisons) the rule carries.
-            let mut body: Vec<Literal> = sirup.exit_rule().body.to_vec();
-            body.push(Literal::Constraint(DiscConstraint::literal(
-                cfg.v_e.clone(),
-                cfg.h_prime.clone(),
-                i,
-            )));
-            rules.push(gst_frontend::Rule::new(
-                atom(out_i, sirup.exit_head.clone()),
-                body,
-            ));
-        }
-
-        // 1: processing  t_out^i(X̄) :- …, t_in^i(Ȳ), …, h(v(r)) = i.
-        {
-            let mut body: Vec<Literal> = Vec::with_capacity(sirup.base_atoms.len() + 2);
-            let mut seen_atoms = 0usize;
-            for literal in &sirup.recursive_rule().body {
-                match literal {
-                    Literal::Atom(a) => {
-                        if seen_atoms == sirup.recursive_atom_index {
-                            body.push(Literal::Atom(atom(in_i, a.terms.clone())));
-                        } else {
-                            body.push(Literal::Atom(a.clone()));
-                        }
-                        seen_atoms += 1;
-                    }
-                    Literal::Constraint(c) => body.push(Literal::Constraint(c.clone())),
-                }
-            }
-            body.push(Literal::Constraint(DiscConstraint::literal(
-                cfg.v_r.clone(),
-                cfg.h.clone(),
-                i,
-            )));
-            rules.push(gst_frontend::Rule::new(atom(out_i, sirup.head.clone()), body));
-        }
-
-        // Sending rules. Local (j = i) targets t_in^i directly.
-        let mut outgoing = Vec::new();
-        if routed {
-            let pattern = sirup.recursive_args.clone();
-            rules.push(gst_frontend::Rule::new(
-                atom(in_i, pattern.clone()),
-                vec![
-                    Literal::Atom(atom(out_i, pattern.clone())),
-                    Literal::Constraint(DiscConstraint::literal(
-                        cfg.v_r.clone(),
-                        cfg.h.clone(),
-                        i,
-                    )),
-                ],
-            ));
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let ch = namer.channel(t, i, j);
-                rules.push(gst_frontend::Rule::new(
-                    atom(ch, pattern.clone()),
-                    vec![
-                        Literal::Atom(atom(out_i, pattern.clone())),
-                        Literal::Constraint(DiscConstraint::literal(
-                            cfg.v_r.clone(),
-                            cfg.h.clone(),
-                            j,
-                        )),
-                    ],
-                ));
-                outgoing.push(ChannelOut {
-                    channel: ch,
-                    dest: j,
-                    inbox: namer.input(t, j),
-                });
-            }
-        } else {
-            // Broadcast: every t_out tuple to every processor. All
-            // destinations share one channel predicate `t_i*`, so the
-            // runtime encodes the delta once and multicasts the payload.
-            // One sending rule per destination is kept (their firings are
-            // the per-destination sends the paper's cost model charges
-            // for); set semantics collapse their identical derivations.
-            let fresh = namer.fresh_vars(t.1);
-            rules.push(gst_frontend::Rule::new(
-                atom(in_i, fresh.clone()),
-                vec![Literal::Atom(atom(out_i, fresh.clone()))],
-            ));
-            let ch = namer.broadcast(t, i);
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                rules.push(gst_frontend::Rule::new(
-                    atom(ch, fresh.clone()),
-                    vec![Literal::Atom(atom(out_i, fresh.clone()))],
-                ));
-                outgoing.push(ChannelOut {
-                    channel: ch,
-                    dest: j,
-                    inbox: namer.input(t, j),
-                });
-            }
-        }
+        // Sending: one route, conditioned on h when h can be evaluated
+        // on an outgoing tuple, a broadcast otherwise.
+        let key = routed.then_some((cfg.v_r.as_slice(), &cfg.h));
+        let routes = vec![sending_route(&namer, t, i, n, &sirup.recursive_args, key)];
 
         programs.push(ProcessorProgram {
             processor: i,
             program: program(rules, &interner),
-            outgoing,
+            routes,
             inboxes: vec![in_i],
             processing_rules: vec![0, 1],
             pooling: vec![(out_i, t)],
             local_idb: vec![],
-            retract_channels: vec![],
         });
     }
 
-    let edbs = worker_databases(db, &programs, cfg.base)?;
-    let workers = programs
-        .into_iter()
-        .zip(edbs)
-        .map(|(program, edb)| WorkerSpec { program, edb, session: None })
-        .collect();
-
-    Ok(CompiledScheme {
-        workers,
-        answers: vec![t],
-        kind: "non-redundant (§3 Q_i)",
-        hot_keys_split: 0,
-    })
+    assemble(programs, db, cfg.base, vec![t], "non-redundant (§3 Q_i)")
 }
 
 #[cfg(test)]
@@ -233,7 +132,6 @@ mod tests {
     use crate::discriminator::HashMod;
     use gst_common::ituple;
     use gst_eval::seminaive_eval;
-    use gst_frontend::parse_program;
     use gst_workloads::{chain, linear_ancestor, random_digraph};
     use std::sync::Arc;
 
@@ -411,12 +309,5 @@ mod tests {
         let p = fx.output_id();
         assert!(outcome.relation(p).set_eq(&seq.relation(p)));
         assert!(!outcome.relation(p).is_empty());
-    }
-
-    #[test]
-    fn parse_program_shape_guard() {
-        // A non-sirup must be rejected before reaching this scheme.
-        let p = parse_program("t(X) :- t(X).").unwrap().program;
-        assert!(LinearSirup::from_program(&p).is_err());
     }
 }

@@ -95,6 +95,27 @@ pub fn example2_valduriez(
     Ok(scheme)
 }
 
+/// Example 3's discriminating position: the variable at the first
+/// position `p` of the recursive atom that occurs in a base atom of the
+/// recursive rule, and the exit head's variable at `p`.
+fn hash_position(sirup: &LinearSirup, who: &str) -> Result<(Variable, Variable)> {
+    let in_base = |v: &Variable| sirup.base_atoms.iter().any(|a| a.variables().any(|b| b == *v));
+    sirup
+        .recursive_args
+        .iter()
+        .zip(&sirup.exit_head)
+        .find_map(|pair| match pair {
+            (Term::Var(v), Term::Var(e)) if in_base(v) => Some((*v, *e)),
+            _ => None,
+        })
+        .ok_or_else(|| {
+            Error::Shape(format!(
+                "{who} needs a recursive-atom position whose variable occurs in a \
+                 base atom and whose exit-head position is a variable"
+            ))
+        })
+}
+
 /// Example 3 — the paper's new algorithm: hash-discriminate on the
 /// variable `Ȳ` and the exit head share at a dataflow position, giving
 /// point-to-point communication over disjoint base fragments — strictly
@@ -108,29 +129,7 @@ pub fn example3_hash_partition(
     n: usize,
     db: &Database,
 ) -> Result<CompiledScheme> {
-    let base_vars: Vec<Variable> = sirup
-        .base_atoms
-        .iter()
-        .flat_map(|a| a.variables().collect::<Vec<_>>())
-        .collect();
-    let mut picked = None;
-    for (p, term) in sirup.recursive_args.iter().enumerate() {
-        if let Term::Var(v) = term {
-            if base_vars.contains(v) {
-                if let Some(Term::Var(e)) = sirup.exit_head.get(p) {
-                    picked = Some((p, *v, *e));
-                    break;
-                }
-            }
-        }
-    }
-    let Some((_p, v_r_var, v_e_var)) = picked else {
-        return Err(Error::Shape(
-            "Example 3 needs a recursive-atom position whose variable occurs in a \
-             base atom and whose exit-head position is a variable"
-                .into(),
-        ));
-    };
+    let (v_r_var, v_e_var) = hash_position(sirup, "Example 3")?;
     let h: DiscriminatorRef = Arc::new(HashMod::new(n, 0xE3));
     let cfg = NonRedundantConfig {
         v_r: vec![v_r_var],
@@ -164,29 +163,7 @@ pub fn skew_aware_hash_partition(
     db: &Database,
     policy: &SkewPolicy,
 ) -> Result<CompiledScheme> {
-    let base_vars: Vec<Variable> = sirup
-        .base_atoms
-        .iter()
-        .flat_map(|a| a.variables().collect::<Vec<_>>())
-        .collect();
-    let mut picked = None;
-    for (p, term) in sirup.recursive_args.iter().enumerate() {
-        if let Term::Var(v) = term {
-            if base_vars.contains(v) {
-                if let Some(Term::Var(e)) = sirup.exit_head.get(p) {
-                    picked = Some((*v, *e));
-                    break;
-                }
-            }
-        }
-    }
-    let Some((v_r_var, v_e_var)) = picked else {
-        return Err(Error::Shape(
-            "skew-aware partition needs a recursive-atom position whose variable \
-             occurs in a base atom and whose exit-head position is a variable"
-                .into(),
-        ));
-    };
+    let (v_r_var, v_e_var) = hash_position(sirup, "skew-aware partition")?;
 
     // Extended sequences: the key variable first, then the remaining
     // distinct variables of the recursive atom / exit head. Every extended

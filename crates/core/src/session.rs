@@ -6,10 +6,10 @@
 //! shards (`t@out^i`, the pooled head predicates), its inbox replicas
 //! (`t@in^i` — joinable copies of remote derivations, which must be
 //! maintained exactly like the shards), and its replica of every
-//! updatable base predicate. Channels are *not* maintained: they are
-//! transient per-round transport predicates, re-derived empty at the
-//! start of every phase, which is what keeps the runtime's ship
-//! watermarks (`from_row = 0`) correct without any plumbing.
+//! updatable base predicate. Nothing else is stored: the route table
+//! ships exactly the rows that are fresh in `t@out^i` in the phase at
+//! hand, so a preseeded shard ships nothing and a re-inserted tuple
+//! ships again, without any plumbing.
 //!
 //! Each update round applies one [`UpdateBatch`] in two phases:
 //!
@@ -20,9 +20,9 @@
 //!    into the phase as plain base facts). The cone is itself a
 //!    monotone Datalog fixpoint, so it runs on the unmodified parallel
 //!    runtime — same semi-naive deltas, same Safra termination, same
-//!    crash recovery — with its channels flagged as
-//!    [retract channels](gst_runtime::ProcessorProgram::retract_channels)
-//!    so deletion traffic is accounted separately on the wire.
+//!    crash recovery — with its routes flagged
+//!    [`retract`](gst_runtime::Route::retract) so deletion traffic is
+//!    accounted separately on the wire.
 //!    Everything the cone reaches is tombstoned out of the maintained
 //!    state (arena rows keep their slots; see `gst_storage`).
 //!
@@ -33,7 +33,7 @@
 //!    batch's base inserts, are injected into the workers' pending
 //!    pools while the surviving state is preseeded with an empty delta
 //!    ([`gst_runtime::SessionSeed`]). The ordinary semi-naive loop then
-//!    cascades: seeds become deltas, deltas fire rules, sending rules
+//!    cascades: seeds become deltas, deltas fire rules, the routes
 //!    ship fresh derivations, and the distributed fixpoint converges to
 //!    exactly the least model of the updated database.
 //!
@@ -53,7 +53,7 @@ use gst_eval::plan::RelationId;
 use gst_frontend::ast::Literal;
 use gst_frontend::Program;
 use gst_runtime::{
-    ChannelOut, ExecutionOutcome, ParallelStats, ProcessorProgram, RuntimeConfig, SessionSeed,
+    ExecutionOutcome, ParallelStats, ProcessorProgram, Route, RuntimeConfig, SessionSeed,
     Transport, WorkerSpec,
 };
 use gst_storage::{Database, Relation};
@@ -494,9 +494,9 @@ impl UpdateSession {
                     .collect();
                 let mut inject: Vec<(RelationId, Vec<Tuple>)> = Vec::new();
                 // Rederivation seeds are injected into every worker's
-                // answer shard: the local-copy and sending rules fan
-                // each seed out to exactly the inbox replicas that need
-                // it, and set semantics absorbs the redundancy.
+                // answer shard: its routes fan each seed out to exactly
+                // the inbox replicas that need it, and set semantics
+                // absorbs the redundancy.
                 for (g, tuples) in &seeds {
                     for &(w, local) in &self
                         .by_answer
@@ -564,10 +564,11 @@ impl UpdateSession {
     /// head and that one atom renamed to their `~del` twins; all other
     /// literals (including the discriminating constraints) are kept
     /// verbatim and read the pre-delete maintained state, shipped into
-    /// the phase as plain base facts. The cone thus retraces exactly
-    /// the original derivations' routing, so every shard and inbox copy
-    /// of an affected tuple receives a deletion marker at the worker
-    /// that holds it.
+    /// the phase as plain base facts; every route is renamed to its
+    /// `~del` twin the same way. The cone thus retraces exactly the
+    /// original derivations' routing, so every shard and inbox copy of
+    /// an affected tuple receives a deletion marker at the worker that
+    /// holds it.
     fn delete_specs(&self, deletes: &[(RelationId, Tuple)]) -> Result<Vec<WorkerSpec>> {
         let interner = &self.interner;
         let mut specs = Vec::with_capacity(self.workers.len());
@@ -612,21 +613,19 @@ impl UpdateSession {
                 }
             }
 
-            let outgoing: Vec<ChannelOut> = pp
-                .outgoing
+            // Every route becomes its `~del` twin, flagged as retraction
+            // traffic: the cone's tuples retrace the routing of the
+            // derivations they retract.
+            let routes: Vec<Route> = pp
+                .routes
                 .iter()
-                .map(|c| ChannelOut {
-                    channel: del_id(interner, c.channel),
-                    dest: c.dest,
-                    inbox: del_id(interner, c.inbox),
+                .map(|r| Route {
+                    source: atom(del_id(interner, r.source_id()), r.source.terms.clone()),
+                    key: r.key.clone(),
+                    dests: r.dests.iter().map(|&(j, inbox)| (j, del_id(interner, inbox))).collect(),
+                    retract: true,
                 })
                 .collect();
-            let mut retract_channels: Vec<RelationId> = Vec::new();
-            for c in &outgoing {
-                if !retract_channels.contains(&c.channel) {
-                    retract_channels.push(c.channel);
-                }
-            }
             let inboxes: Vec<RelationId> =
                 pp.inboxes.iter().map(|&x| del_id(interner, x)).collect();
             // The deletion seeds arrive as base facts of the `~del`
@@ -666,12 +665,11 @@ impl UpdateSession {
                 program: ProcessorProgram {
                     processor: i,
                     program: Program::new(rules, interner.clone()),
-                    outgoing,
+                    routes,
                     inboxes,
                     processing_rules,
                     pooling,
                     local_idb,
-                    retract_channels,
                 },
                 edb: Arc::new(db),
                 session: None,

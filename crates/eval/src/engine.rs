@@ -8,23 +8,26 @@
 //!    atoms (the initialization rules of the paper's schemes) into the
 //!    pending pool;
 //! 2. [`FixpointEngine::advance`] — end a round: deduplicate pending
-//!    tuples into fresh deltas (the paper's "difference operation");
+//!    tuples into fresh deltas (the paper's "difference operation") and,
+//!    when the site has a route table, hash each fresh row to its
+//!    destination (the paper's sending step);
 //! 3. [`FixpointEngine::process_round`] — fire every delta version of
 //!    every recursive rule against the current deltas, producing the next
 //!    pending pool.
 //!
 //! The parallel runtime interleaves [`FixpointEngine::inject`] (receive)
-//! and delta draining (send) between strokes; the sequential drivers
-//! [`seminaive_eval`] and [`naive_eval`] just loop.
+//! and shipping the [`Outlet`]s an advance filled (send) between strokes;
+//! the sequential drivers [`seminaive_eval`] and [`naive_eval`] just loop.
 
 use std::sync::Arc;
 
-use gst_common::{Error, FxHashMap, Result, Tuple};
+use gst_common::{Error, FxHashMap, Result, Tuple, Value};
 use gst_frontend::{Program, ProgramAnalysis};
 use gst_storage::{Database, HashIndex, Relation};
 
 use crate::exec::{run_plan, run_plan_morsels_profiled, Access, MorselConfig, MorselPool};
 use crate::plan::{compile_rule_with, idb_occurrence_count, AtomSource, PlanOptions, PlanStep, RelationId, RulePlan};
+use crate::route::{self, Outlet, Route, Router, Sink};
 use crate::stats::{EvalStats, TimeMode};
 
 /// Derived-relation state under semi-naive iteration.
@@ -36,28 +39,39 @@ use crate::stats::{EvalStats, TimeMode};
 /// row ranges of one arena and share its hash indexes.
 #[derive(Debug)]
 struct IdbState {
+    id: RelationId,
     full: Relation,
     /// First arena row of the current delta.
     delta_start: usize,
     pending: Vec<Tuple>,
+    /// One index per probe-column set any plan scans this relation by;
+    /// it serves the full, `Old` and delta views alike.
+    indexes: Vec<HashIndex>,
 }
 
 impl IdbState {
-    fn new(arity: usize) -> Self {
+    fn new(id: RelationId) -> Self {
         IdbState {
-            full: Relation::new(arity),
+            id,
+            full: Relation::new(id.1),
             delta_start: 0,
             pending: Vec::new(),
+            indexes: Vec::new(),
         }
     }
 
     /// `pending ∖ full → delta`; returns `(submitted, fresh)`. The set
     /// insert into the arena is the paper's difference operation — the
-    /// surviving rows *are* the new delta.
+    /// surviving rows *are* the new delta. Fresh rows are fed to the
+    /// relation's indexes in place, so the fixpoint stays O(total tuples),
+    /// not O(rounds × tuples).
     fn advance(&mut self) -> (u64, u64) {
         let submitted = self.pending.len() as u64;
         self.delta_start = self.full.len();
         let fresh = self.full.insert_batch(&mut self.pending);
+        if fresh > 0 {
+            self.indexes.iter_mut().for_each(|index| index.sync(&self.full));
+        }
         (submitted, fresh)
     }
 
@@ -65,27 +79,90 @@ impl IdbState {
     fn delta_slice(&self) -> &[Tuple] {
         &self.full.rows()[self.delta_start..]
     }
-
-    fn delta_is_empty(&self) -> bool {
-        self.delta_start == self.full.len()
-    }
 }
 
-type IndexKey = (RelationId, Vec<usize>);
+/// The position of the first element of `v` that `is`, pushing `make()`
+/// when there is none.
+pub(crate) fn find_or_push<T>(v: &mut Vec<T>, is: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> usize {
+    v.iter().position(is).unwrap_or_else(|| {
+        v.push(make());
+        v.len() - 1
+    })
+}
+
+/// The sending step: put every fresh row of each routed predicate into the
+/// pending pool of the local inbox it hashes to, or into the outlet of
+/// its destination. A row goes to a sink once, however many routes pick
+/// it (Example 8: two occurrences hash it to one processor). Out of line
+/// on purpose: compiled into `advance`, between its two dedup phases,
+/// this loop doubled the cost of the advance (EXPERIMENTS.md P10).
+#[inline(never)]
+fn route_fresh(
+    routers: &[Router],
+    heads: &[IdbState],
+    inboxes: &mut [IdbState],
+    outlets: &mut [Outlet],
+) -> Result<()> {
+    let mut scratch: Vec<Value> = Vec::new();
+    let mut hit: Vec<Sink> = Vec::new();
+    for router in routers {
+        for row in heads[router.source].delta_slice() {
+            hit.clear();
+            let broadcast = router.all.iter().map(|&sink| Ok(Some(sink)));
+            let hashed = router.keyed.iter().map(|keyed| keyed.sink(row, &mut scratch));
+            for sink in broadcast.chain(hashed) {
+                let Some(sink) = sink? else { continue };
+                if hit.contains(&sink) {
+                    continue;
+                }
+                hit.push(sink);
+                match sink {
+                    Sink::Local(slot) => inboxes[slot].pending.push(row.clone()),
+                    Sink::Remote(o) => outlets[o].rows.push(row.clone()),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Where a plan's scan step reads, resolved once at construction: the
+/// relation's slot and the slot of the index on the step's probe columns
+/// (`None` for a full scan).
+#[derive(Debug, Clone, Copy)]
+enum ScanSlot {
+    Edb { index: Option<usize> },
+    Idb { state: usize, index: Option<usize> },
+}
+
+/// A rule plan with its head and scans resolved to slots.
+struct SlottedPlan {
+    plan: RulePlan,
+    /// Slot of the head predicate's state.
+    head: usize,
+    /// Aligned with `plan.steps`; `None` for filter steps.
+    scans: Vec<Option<ScanSlot>>,
+}
 
 /// A resumable semi-naive evaluator for one evaluation site.
 pub struct FixpointEngine {
     edb: Arc<Database>,
-    idb: FxHashMap<RelationId, IdbState>,
-    /// Plans fired every round (delta versions of rules with derived
-    /// body atoms).
-    round_plans: Vec<RulePlan>,
-    /// Plans fired once at bootstrap (no derived body atoms).
-    bootstrap_plans: Vec<RulePlan>,
-    edb_indexes: FxHashMap<IndexKey, HashIndex>,
-    /// One index per (relation, columns) serves the full, `Old`, and
-    /// delta views — they are row ranges of the same arena.
-    full_indexes: FxHashMap<IndexKey, HashIndex>,
+    /// Derived predicates in advance order: rule heads and declared
+    /// predicates first, then — from `inboxes_from` on — the local inboxes
+    /// of the route table, so a row routed to this site is a delta of the
+    /// same round. Without routes the second phase is empty.
+    idb: Vec<IdbState>,
+    inboxes_from: usize,
+    slots: FxHashMap<RelationId, usize>,
+    /// `plans[..round_from]` fire once at bootstrap (no derived body
+    /// atoms); the rest — the delta versions of rules with derived body
+    /// atoms — fire every round.
+    plans: Vec<SlottedPlan>,
+    round_from: usize,
+    /// `(relation, index)`; built on first use, the EDB never grows.
+    edb_indexes: Vec<(RelationId, HashIndex)>,
+    routers: Vec<Router>,
+    outlets: Vec<Outlet>,
     stats: EvalStats,
     bootstrapped: bool,
     /// Predicates installed by [`FixpointEngine::preseed`]: bootstrap
@@ -111,62 +188,113 @@ impl FixpointEngine {
     /// Build an engine for `program` over the base relations in `edb`.
     ///
     /// `extra_idb` declares predicates that receive tuples only via
-    /// [`FixpointEngine::inject`] (the incoming-channel predicates `t_ji`
-    /// of the paper's receive rules); they are treated as derived even
-    /// though no rule in `program` defines them.
+    /// [`FixpointEngine::inject`] (the inboxes `t_in^i` of the paper's
+    /// receive rules); they are treated as derived even though no rule in
+    /// `program` defines them.
     pub fn new(program: &Program, edb: Arc<Database>, extra_idb: &[RelationId]) -> Result<Self> {
-        Self::with_options(program, edb, extra_idb, PlanOptions::default())
+        Self::with_routes(program, edb, extra_idb, 0, &[], PlanOptions::default())
     }
 
-    /// [`FixpointEngine::new`] with explicit [`PlanOptions`] — used by the
-    /// ablation benchmarks to disable individual planner optimizations.
-    pub fn with_options(
+    /// The general constructor — explicit [`PlanOptions`] (the ablation
+    /// benchmarks disable individual planner optimizations) and, for
+    /// processor `processor` of a parallel scheme, a route table: every
+    /// advance then routes the fresh rows of each route's source, to the
+    /// local inbox's pending pool when the row hashes here, to an
+    /// [`Outlet`] otherwise.
+    ///
+    /// # Errors
+    /// Every route's source and local inbox must be derived predicates of
+    /// one arity, a local inbox must not itself be routed, and a hash
+    /// route's key variables must occur in its pattern.
+    pub fn with_routes(
         program: &Program,
         edb: Arc<Database>,
         extra_idb: &[RelationId],
+        processor: usize,
+        routes: &[Route],
         options: PlanOptions,
     ) -> Result<Self> {
         ProgramAnalysis::new(program)?; // safety check
 
-        let mut idb: FxHashMap<RelationId, IdbState> = FxHashMap::default();
-        for rule in &program.rules {
-            let id: RelationId = (rule.head.predicate, rule.head.terms.len());
-            idb.entry(id).or_insert_with(|| IdbState::new(id.1));
+        // Advance order: heads in rule order, then declared predicates;
+        // the route table's local inboxes move to the back.
+        let mut ids: Vec<RelationId> = Vec::new();
+        let heads = program.rules.iter().map(|r| (r.head.predicate, r.head.terms.len()));
+        for id in heads.chain(extra_idb.iter().copied()) {
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
         }
-        for &id in extra_idb {
-            idb.entry(id).or_insert_with(|| IdbState::new(id.1));
-        }
+        let is_local_inbox = |id: &RelationId| {
+            routes
+                .iter()
+                .any(|r| r.dests.iter().any(|(d, inbox)| *d == processor && inbox == id))
+        };
+        let (inboxes, mut order): (Vec<RelationId>, Vec<RelationId>) =
+            ids.iter().partition(|id| is_local_inbox(id));
+        let inboxes_from = order.len();
+        order.extend(inboxes);
+        let mut idb: Vec<IdbState> = order.iter().map(|&id| IdbState::new(id)).collect();
+        let slots: FxHashMap<RelationId, usize> =
+            order.iter().enumerate().map(|(slot, &id)| (id, slot)).collect();
 
-        let idb_ids: Vec<RelationId> = idb.keys().copied().collect();
-        let is_idb = move |rel: RelationId| idb_ids.contains(&rel);
+        let is_idb = |rel: RelationId| slots.contains_key(&rel);
+        let mut edb_indexes: Vec<(RelationId, HashIndex)> = Vec::new();
+        let mut slot_plan = |plan: RulePlan| -> SlottedPlan {
+            let scans = plan
+                .steps
+                .iter()
+                .map(|step| {
+                    let PlanStep::Scan(sc) = step else { return None };
+                    let cols = &sc.probe_columns;
+                    let index = |ix: &HashIndex| ix.key_columns() == cols;
+                    Some(match sc.source {
+                        AtomSource::Edb => ScanSlot::Edb {
+                            index: (!cols.is_empty()).then(|| {
+                                let same = |(rel, ix): &(RelationId, HashIndex)| *rel == sc.relation && index(ix);
+                                find_or_push(&mut edb_indexes, same, || (sc.relation, HashIndex::new(cols)))
+                            }),
+                        },
+                        _ => {
+                            let state = slots[&sc.relation];
+                            let indexes = &mut idb[state].indexes;
+                            let index = (!cols.is_empty())
+                                .then(|| find_or_push(indexes, index, || HashIndex::new(cols)));
+                            ScanSlot::Idb { state, index }
+                        }
+                    })
+                })
+                .collect();
+            SlottedPlan { head: slots[&plan.head], scans, plan }
+        };
 
         let mut round_plans = Vec::new();
         let mut bootstrap_plans = Vec::new();
         for (rule_index, rule) in program.rules.iter().enumerate() {
             let occurrences = idb_occurrence_count(rule, &is_idb);
             if occurrences == 0 {
-                bootstrap_plans.push(compile_rule_with(rule, rule_index, &is_idb, None, options)?);
+                let plan = compile_rule_with(rule, rule_index, &is_idb, None, options)?;
+                bootstrap_plans.push(slot_plan(plan));
             } else {
                 for version in 0..occurrences {
-                    round_plans.push(compile_rule_with(
-                        rule,
-                        rule_index,
-                        &is_idb,
-                        Some(version),
-                        options,
-                    )?);
+                    let plan = compile_rule_with(rule, rule_index, &is_idb, Some(version), options)?;
+                    round_plans.push(slot_plan(plan));
                 }
             }
         }
 
+        let (routers, outlets) = route::compile(routes, processor, &slots, inboxes_from)?;
         let stats = EvalStats::new(program.rules.len());
         Ok(FixpointEngine {
             edb,
             idb,
-            round_plans,
-            bootstrap_plans,
-            edb_indexes: FxHashMap::default(),
-            full_indexes: FxHashMap::default(),
+            inboxes_from,
+            slots,
+            round_from: bootstrap_plans.len(),
+            plans: bootstrap_plans.into_iter().chain(round_plans).collect(),
+            edb_indexes,
+            routers,
+            outlets,
             stats,
             bootstrapped: false,
             preseeded: Vec::new(),
@@ -200,12 +328,19 @@ impl FixpointEngine {
         self.time_mode = mode;
     }
 
+    fn state_mut(&mut self, pred: RelationId, what: &str) -> Result<&mut IdbState> {
+        match self.slots.get(&pred) {
+            Some(&slot) => Ok(&mut self.idb[slot]),
+            None => Err(Error::Eval(format!("{what} non-derived predicate {pred:?}"))),
+        }
+    }
+
     /// Install `state` as the complete already-derived relation for
     /// `pred`, with an **empty delta**: the rows are treated as known
     /// from previous evaluation rounds, so no rule refires on them and
-    /// they sit below every shipping watermark. This is how an update
-    /// session resumes a maintained fixpoint — each round's engine
-    /// starts from the previous round's state instead of re-deriving it.
+    /// no route ships them. This is how an update session resumes a
+    /// maintained fixpoint — each round's engine starts from the previous
+    /// round's state instead of re-deriving it.
     ///
     /// The relation may carry tombstones (rows deleted between rounds);
     /// dead rows stay out of scans and dedup probes but keep their
@@ -229,41 +364,40 @@ impl FixpointEngine {
                 pred.1
             )));
         }
-        let s = self.idb.get_mut(&pred).ok_or_else(|| {
-            Error::Eval(format!("preseed of non-derived predicate {pred:?}"))
-        })?;
+        let s = self.state_mut(pred, "preseed of")?;
         s.delta_start = state.len();
         s.full = state;
         self.preseeded.push(pred);
         Ok(())
     }
 
-    /// Derived predicates (including injected channel predicates).
+    /// Derived predicates (including the inboxes), in advance order.
     pub fn idb_predicates(&self) -> Vec<RelationId> {
-        self.idb.keys().copied().collect()
+        self.idb.iter().map(|s| s.id).collect()
     }
 
     /// Everything derived so far for `pred` (None if not derived here).
     pub fn relation(&self, pred: RelationId) -> Option<&Relation> {
-        self.idb.get(&pred).map(|s| &s.full)
+        self.slots.get(&pred).map(|&slot| &self.idb[slot].full)
     }
 
     /// The previous round's fresh tuples for `pred` — a borrowed slice
-    /// of the relation's row arena (what a worker transmits on the
-    /// channels after an advance, and encodes without copying).
+    /// of the relation's row arena.
     pub fn delta_tuples(&self, pred: RelationId) -> &[Tuple] {
-        self.idb.get(&pred).map(|s| s.delta_slice()).unwrap_or(&[])
+        self.slots.get(&pred).map(|&slot| self.idb[slot].delta_slice()).unwrap_or(&[])
     }
 
-    /// Everything appended to `pred`'s row arena at or after row `from` —
-    /// a borrowed slice spanning any number of rounds. Workers read what
-    /// a channel has not shipped yet this way: the arena keeps rows in
-    /// insertion order, so the backlog is just a suffix.
-    pub fn rows_from(&self, pred: RelationId, from: usize) -> &[Tuple] {
-        self.idb
-            .get(&pred)
-            .map(|s| &s.full.rows()[from.min(s.full.len())..])
-            .unwrap_or(&[])
+    /// What the last [`FixpointEngine::advance`] routed to other
+    /// processors (paper: the output of the sending step). The caller
+    /// ships the non-empty outlets and then calls
+    /// [`FixpointEngine::clear_outlets`].
+    pub fn outlets(&self) -> &[Outlet] {
+        &self.outlets
+    }
+
+    /// Empty every outlet, keeping its buffer for the next round.
+    pub fn clear_outlets(&mut self) {
+        self.outlets.iter_mut().for_each(|o| o.rows.clear());
     }
 
     /// Statistics accumulated so far.
@@ -273,28 +407,17 @@ impl FixpointEngine {
 
     /// Queue externally received tuples for `pred` (the receive step).
     pub fn inject(&mut self, pred: RelationId, tuples: impl IntoIterator<Item = Tuple>) -> Result<()> {
-        let state = self.idb.get_mut(&pred).ok_or_else(|| {
-            Error::Eval(format!("inject into non-derived predicate {pred:?}"))
-        })?;
-        for t in tuples {
-            if t.arity() != pred.1 {
-                return Err(Error::Eval(format!(
-                    "injected tuple arity {} != predicate arity {}",
-                    t.arity(),
-                    pred.1
-                )));
-            }
-            state.pending.push(t);
-        }
-        Ok(())
+        self.inject_with(pred, |pending| {
+            pending.extend(tuples);
+            Ok(())
+        })
     }
 
     /// Queue externally received tuples for `pred` by letting `fill`
     /// append directly into the pending pool — the zero-copy receive
     /// path: a transport decoder writes tuples where the engine will
-    /// drain them, with no intermediate buffer. The arity invariant of
-    /// [`FixpointEngine::inject`] is preserved by checking the appended
-    /// suffix afterwards; on any failure the pool is rolled back to its
+    /// drain them, with no intermediate buffer. The appended suffix is
+    /// checked afterwards; on any failure the pool is rolled back to its
     /// pre-call length.
     ///
     /// # Errors
@@ -305,9 +428,7 @@ impl FixpointEngine {
         pred: RelationId,
         fill: impl FnOnce(&mut Vec<Tuple>) -> Result<T>,
     ) -> Result<T> {
-        let state = self.idb.get_mut(&pred).ok_or_else(|| {
-            Error::Eval(format!("inject into non-derived predicate {pred:?}"))
-        })?;
+        let state = self.state_mut(pred, "inject into")?;
         let before = state.pending.len();
         match fill(&mut state.pending) {
             Ok(v) => {
@@ -329,52 +450,12 @@ impl FixpointEngine {
         }
     }
 
-    /// Queue every row of `from` at or after arena row `from_row` into the
-    /// pending pool of `to` — the path for a worker's self-channel
-    /// (`t_ii`), which needs no wire format: the self-channel counterpart
-    /// of encoding [`FixpointEngine::rows_from`]. Returns the tuples
-    /// queued.
-    ///
-    /// # Errors
-    /// `to` must be a derived predicate with the same arity as `from`.
-    pub fn loopback_from(
-        &mut self,
-        from: RelationId,
-        to: RelationId,
-        from_row: usize,
-    ) -> Result<u64> {
-        if !self.idb.contains_key(&to) {
-            return Err(Error::Eval(format!(
-                "loopback into non-derived predicate {to:?}"
-            )));
-        }
-        if from.1 != to.1 {
-            return Err(Error::Eval(format!(
-                "loopback arity mismatch: {} -> {}",
-                from.1, to.1
-            )));
-        }
-        if from == to || self.idb.get(&from).is_none_or(|s| s.full.len() <= from_row) {
-            // Self-loopback would only re-submit rows the arena already
-            // holds; an empty backlog ships nothing.
-            return Ok(0);
-        }
-        let mut dst = self.idb.remove(&to).expect("presence checked above");
-        let n = {
-            let src = &self.idb[&from].full.rows()[from_row..];
-            dst.pending.extend_from_slice(src);
-            src.len() as u64
-        };
-        self.idb.insert(to, dst);
-        Ok(n)
-    }
-
     /// True when no delta and no pending tuples exist anywhere — the local
     /// idle condition of the paper's termination test.
     pub fn quiescent(&self) -> bool {
         self.idb
-            .values()
-            .all(|s| s.delta_is_empty() && s.pending.is_empty())
+            .iter()
+            .all(|s| s.delta_slice().is_empty() && s.pending.is_empty())
     }
 
     /// Fire initialization rules (no derived body atoms) and seed derived
@@ -388,55 +469,52 @@ impl FixpointEngine {
         // Facts supplied for derived predicates become part of the input
         // — except for preseeded predicates, whose resumed state already
         // reflects every surviving input fact.
-        let edb = Arc::clone(&self.edb);
-        for (&id, state) in self.idb.iter_mut() {
-            if self.preseeded.contains(&id) {
+        for state in &mut self.idb {
+            if self.preseeded.contains(&state.id) {
                 continue;
             }
-            if let Some(rel) = edb.relation(id) {
+            if let Some(rel) = self.edb.relation(state.id) {
                 state.pending.extend(rel.iter().cloned());
             }
         }
 
-        for i in 0..self.bootstrap_plans.len() {
-            self.run_plan_step(PlanSet::Bootstrap, i);
+        for i in 0..self.round_from {
+            self.run_plan_step(i);
         }
         Ok(())
     }
 
-    /// End the round: move pending to deltas, update incremental indexes.
+    /// End the round: move pending to deltas and update the indexes —
+    /// first for the heads, then, once the route table has pushed the
+    /// heads' fresh rows that hash here into the local inboxes' pending
+    /// pools (and the others into their [`Outlet`]s), for the inboxes.
     /// Returns the number of fresh tuples across all derived predicates.
-    pub fn advance(&mut self) -> u64 {
-        let mut fresh_total = 0;
-        let mut submitted_total = 0;
-        let ids: Vec<RelationId> = self.idb.keys().copied().collect();
-        for id in ids {
-            let state = self.idb.get_mut(&id).expect("iterating own keys");
-            let (submitted, fresh) = state.advance();
-            self.stats.record_advance(submitted, fresh);
-            submitted_total += submitted;
-            fresh_total += fresh;
-            if fresh > 0 {
-                // Feed the appended arena rows into every cached index of
-                // this relation so the fixpoint stays O(total tuples), not
-                // O(rounds × tuples). `sync` reads the rows in place — no
-                // delta copy, no tuple clones.
-                let full = &self.idb[&id].full;
-                for ((rel, _cols), index) in self.full_indexes.iter_mut() {
-                    if *rel == id {
-                        index.sync(full);
-                    }
-                }
+    ///
+    /// # Errors
+    /// Only a route can fail: a key that is no partitioning constraint,
+    /// or one that hashes a row to a processor the route does not list.
+    pub fn advance(&mut self) -> Result<u64> {
+        let (mut submitted_total, mut fresh_total) = (0, 0);
+        let mut phase = |states: &mut [IdbState], stats: &mut EvalStats| {
+            for state in states {
+                let (submitted, fresh) = state.advance();
+                stats.record_advance(submitted, fresh);
+                submitted_total += submitted;
+                fresh_total += fresh;
             }
-        }
+        };
+        let (heads, inboxes) = self.idb.split_at_mut(self.inboxes_from);
+        phase(heads, &mut self.stats);
+        route_fresh(&self.routers, heads, inboxes, &mut self.outlets)?;
+        phase(inboxes, &mut self.stats);
         self.stats.end_round(submitted_total, fresh_total);
-        fresh_total
+        Ok(fresh_total)
     }
 
     /// Fire every delta-version plan once, pushing results into pending.
     pub fn process_round(&mut self) {
-        for i in 0..self.round_plans.len() {
-            self.run_plan_step(PlanSet::Round, i);
+        for i in self.round_from..self.plans.len() {
+            self.run_plan_step(i);
         }
     }
 
@@ -445,18 +523,19 @@ impl FixpointEngine {
     /// time (wall micros or firings-as-ticks) and per-chunk morsel
     /// service samples. The `Off` path is the pre-profiling code exactly,
     /// modulo two predictable branches.
-    fn run_plan_step(&mut self, set: PlanSet, i: usize) {
-        self.sync_indexes_for(set, i);
-        let plan = self.plan(set, i);
-        let head = plan.head;
-        let rule_index = plan.rule_index;
-        let mut pending = self.take_pending(head);
+    fn run_plan_step(&mut self, i: usize) {
+        self.sync_indexes_for(i);
+        let (head, rule_index) = (self.plans[i].head, self.plans[i].plan.rule_index);
+        // Lend the head's pending pool out for the run, so the plan emits
+        // straight into it — no per-rule output buffer, no copy when the
+        // round ends. (Plans never *read* pending, only arenas.)
+        let mut pending = std::mem::take(&mut self.idb[head].pending);
         let timing = self.time_mode;
         let mut chunk_scratch = std::mem::take(&mut self.chunk_scratch);
         chunk_scratch.clear();
         let t0 = (timing == TimeMode::Wall).then(std::time::Instant::now);
         let collector = (timing != TimeMode::Off).then_some(&mut chunk_scratch);
-        let (firings, morsels) = self.run_one_into(set, i, &mut pending, collector);
+        let (firings, morsels) = self.run_one_into(i, &mut pending, collector);
         match timing {
             TimeMode::Off => {}
             TimeMode::Wall => {
@@ -474,7 +553,7 @@ impl FixpointEngine {
         self.chunk_scratch = chunk_scratch;
         self.stats.record_firings(rule_index, firings);
         self.stats.record_morsels(morsels);
-        self.put_pending(head, pending);
+        self.idb[head].pending = pending;
     }
 
     /// Run to the local fixpoint: bootstrap, then advance/process rounds
@@ -483,7 +562,7 @@ impl FixpointEngine {
         self.bootstrap()?;
         let mut total = 0;
         loop {
-            let fresh = self.advance();
+            let fresh = self.advance()?;
             total += fresh;
             if fresh == 0 {
                 return Ok(total);
@@ -496,93 +575,39 @@ impl FixpointEngine {
     /// to avoid cloning large results). The engine keeps an empty
     /// relation in its place; only call after the fixpoint.
     pub fn take_relation(&mut self, pred: RelationId) -> Option<Relation> {
-        self.idb.get_mut(&pred).map(|s| {
-            s.delta_start = 0;
-            std::mem::replace(&mut s.full, Relation::new(pred.1))
-        })
+        let s = &mut self.idb[*self.slots.get(&pred)?];
+        s.delta_start = 0;
+        Some(std::mem::replace(&mut s.full, Relation::new(pred.1)))
     }
 
     /// Extract the final derived relations (consumes nothing; clones).
     pub fn snapshot(&self) -> FxHashMap<RelationId, Relation> {
-        self.idb
-            .iter()
-            .map(|(&id, state)| (id, state.full.clone()))
-            .collect()
+        self.idb.iter().map(|s| (s.id, s.full.clone())).collect()
     }
 
     // ----- internals -------------------------------------------------
 
-    fn plan(&self, set: PlanSet, i: usize) -> &RulePlan {
-        match set {
-            PlanSet::Bootstrap => &self.bootstrap_plans[i],
-            PlanSet::Round => &self.round_plans[i],
-        }
-    }
-
-    /// Make sure every index a plan's scans need exists and is current.
-    fn sync_indexes_for(&mut self, set: PlanSet, i: usize) {
-        let needs: Vec<(RelationId, AtomSource, Vec<usize>)> = self
-            .plan(set, i)
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                PlanStep::Scan(sc) if !sc.probe_columns.is_empty() => {
-                    Some((sc.relation, sc.source, sc.probe_columns.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-
-        for (rel, source, cols) in needs {
-            let key = (rel, cols.clone());
-            match source {
-                AtomSource::Edb => {
-                    // Borrow the EDB relation in place; a missing relation
-                    // gets a permanently-empty index (the EDB never grows
-                    // during evaluation).
-                    if !self.edb_indexes.contains_key(&key) {
-                        let index = match self.edb.relation(rel) {
-                            Some(relation) => HashIndex::build(relation, &cols),
-                            None => HashIndex::new(&cols),
-                        };
-                        self.edb_indexes.insert(key, index);
+    /// Make sure every index a plan's scans probe is current. An EDB
+    /// index is built here on its first use (the EDB never grows during
+    /// evaluation; a missing relation leaves the index empty); a derived
+    /// relation's indexes are kept current by `advance`, so this only
+    /// finds work after a preseed.
+    fn sync_indexes_for(&mut self, i: usize) {
+        for scan in self.plans[i].scans.iter().flatten() {
+            match *scan {
+                ScanSlot::Edb { index: Some(k) } => {
+                    let (rel, index) = &mut self.edb_indexes[k];
+                    if let Some(relation) = self.edb.relation(*rel) {
+                        index.sync(relation);
                     }
                 }
-                AtomSource::IdbFull | AtomSource::IdbOld | AtomSource::IdbDelta => {
-                    // All three views share the full-arena index; `sync`
-                    // ingests only the rows appended since the last call.
-                    let full = &self.idb[&rel].full;
-                    self.full_indexes
-                        .entry(key)
-                        .or_insert_with(|| HashIndex::new(&cols))
-                        .sync(full);
+                ScanSlot::Idb { state, index: Some(k) } => {
+                    let state = &mut self.idb[state];
+                    state.indexes[k].sync(&state.full);
                 }
+                _ => {}
             }
         }
-    }
-
-    /// Execute one plan against current state. Returns (firings, output).
-    /// Borrow the head predicate's pending pool for the duration of one
-    /// rule run, so [`FixpointEngine::run_one_into`] can emit straight
-    /// into it — no per-rule output buffer, no copy when the round ends.
-    /// (Plans never *read* pending, only arenas, so lending it out is
-    /// safe.)
-    fn take_pending(&mut self, head: RelationId) -> Vec<Tuple> {
-        std::mem::take(
-            &mut self
-                .idb
-                .get_mut(&head)
-                .expect("head predicate has state")
-                .pending,
-        )
-    }
-
-    /// Return a pending pool borrowed with [`FixpointEngine::take_pending`].
-    fn put_pending(&mut self, head: RelationId, pending: Vec<Tuple>) {
-        self.idb
-            .get_mut(&head)
-            .expect("head predicate has state")
-            .pending = pending;
     }
 
     /// Execute one plan against current state, emitting into `out`.
@@ -590,20 +615,18 @@ impl FixpointEngine {
     /// sequential path ran.
     fn run_one_into(
         &self,
-        set: PlanSet,
         i: usize,
         out: &mut Vec<Tuple>,
         chunk_times: Option<&mut Vec<(u64, u64)>>,
     ) -> (u64, u64) {
-        let plan = self.plan(set, i);
-        // EDB relations referenced without data need a live empty relation
-        // to borrow; collect owned empties first.
+        let SlottedPlan { plan, scans, .. } = &self.plans[i];
         let accesses: Vec<Option<Access<'_>>> = plan
             .steps
             .iter()
-            .map(|s| match s {
-                PlanStep::Filter { .. } => None,
-                PlanStep::Scan(sc) => Some(self.access_for(sc)),
+            .zip(scans)
+            .map(|(step, slot)| match (step, slot) {
+                (PlanStep::Scan(sc), Some(slot)) => Some(self.access_for(sc, *slot)),
+                _ => None,
             })
             .collect();
         if self.morsels.enabled() {
@@ -621,72 +644,33 @@ impl FixpointEngine {
         (run_plan(plan, &accesses, &mut |t| out.push(t)), 0)
     }
 
-    fn access_for<'a>(&'a self, scan: &crate::plan::ScanStep) -> Access<'a> {
-        let key = (scan.relation, scan.probe_columns.clone());
-        match scan.source {
-            AtomSource::Edb => {
-                if !scan.probe_columns.is_empty() {
-                    match (self.edb_indexes.get(&key), self.edb.relation(scan.relation)) {
-                        (Some(idx), Some(rel)) => Access::probe_all(idx, rel),
-                        _ => Access::Empty,
-                    }
-                } else {
-                    match self.edb.relation(scan.relation) {
-                        Some(rel) => Access::scan_all(rel),
-                        None => Access::Empty,
-                    }
+    fn access_for<'a>(&'a self, scan: &crate::plan::ScanStep, slot: ScanSlot) -> Access<'a> {
+        match slot {
+            ScanSlot::Edb { index } => match (self.edb.relation(scan.relation), index) {
+                (None, _) => Access::Empty,
+                (Some(rel), Some(k)) => Access::probe_all(&self.edb_indexes[k].1, rel),
+                (Some(rel), None) => Access::scan_all(rel),
+            },
+            ScanSlot::Idb { state, index } => {
+                let state = &self.idb[state];
+                // Old = the arena rows below the delta watermark, delta =
+                // those at or above it.
+                let (start, end) = match scan.source {
+                    AtomSource::IdbOld => (0, state.delta_start),
+                    AtomSource::IdbDelta => (state.delta_start, state.full.len()),
+                    _ => (0, state.full.len()),
+                };
+                if start == end {
+                    return Access::Empty;
                 }
-            }
-            AtomSource::IdbFull => {
-                let state = &self.idb[&scan.relation];
-                if state.full.is_empty() {
-                    Access::Empty
-                } else if !scan.probe_columns.is_empty() {
-                    Access::probe_all(&self.full_indexes[&key], &state.full)
-                } else {
-                    Access::scan_all(&state.full)
-                }
-            }
-            AtomSource::IdbOld => {
-                // Old = the arena rows below the delta watermark.
-                let state = &self.idb[&scan.relation];
-                if state.delta_start == 0 {
-                    Access::Empty
-                } else if !scan.probe_columns.is_empty() {
-                    Access::probe_range(
-                        &self.full_indexes[&key],
-                        &state.full,
-                        0,
-                        state.delta_start as u32,
-                    )
-                } else {
-                    Access::scan_range(&state.full, 0, state.delta_start as u32)
-                }
-            }
-            AtomSource::IdbDelta => {
-                // Delta = the arena rows at or above the watermark.
-                let state = &self.idb[&scan.relation];
-                if state.delta_is_empty() {
-                    Access::Empty
-                } else if !scan.probe_columns.is_empty() {
-                    Access::probe_range(
-                        &self.full_indexes[&key],
-                        &state.full,
-                        state.delta_start as u32,
-                        state.full.len() as u32,
-                    )
-                } else {
-                    Access::scan_range(&state.full, state.delta_start as u32, state.full.len() as u32)
+                let (start, end) = (start as u32, end as u32);
+                match index {
+                    Some(k) => Access::probe_range(&state.indexes[k], &state.full, start, end),
+                    None => Access::scan_range(&state.full, start, end),
                 }
             }
         }
     }
-}
-
-#[derive(Clone, Copy)]
-enum PlanSet {
-    Bootstrap,
-    Round,
 }
 
 /// The outcome of a sequential evaluation.
@@ -721,7 +705,7 @@ pub fn seminaive_eval_with(
     options: PlanOptions,
 ) -> Result<EvalResult> {
     let mut engine =
-        FixpointEngine::with_options(program, Arc::new(edb.clone()), &[], options)?;
+        FixpointEngine::with_routes(program, Arc::new(edb.clone()), &[], 0, &[], options)?;
     engine.run_to_fixpoint()?;
     Ok(EvalResult {
         idb: engine.snapshot(),
@@ -992,7 +976,7 @@ mod tests {
         engine.inject(t_id, vec![ituple![2, 9]]).unwrap();
         assert!(!engine.quiescent());
         loop {
-            if engine.advance() == 0 {
+            if engine.advance().unwrap() == 0 {
                 break;
             }
             engine.process_round();
@@ -1013,7 +997,7 @@ mod tests {
 
     #[test]
     fn extra_idb_predicates_accept_injection() {
-        // channel predicate `in_ch` feeds t but has no defining rule.
+        // inbox predicate `in_ch` feeds t but has no defining rule.
         let (p, db) = load("t(X,Y) :- in_ch(X,Y).\nt(X,Y) :- e(X,Z), t(Z,Y).\ne(0,1).");
         let in_ch = (p.interner.get("in_ch").unwrap(), 2);
         let t_id = (p.interner.get("t").unwrap(), 2);
@@ -1021,7 +1005,7 @@ mod tests {
         engine.bootstrap().unwrap();
         engine.inject(in_ch, vec![ituple![1, 5]]).unwrap();
         loop {
-            if engine.advance() == 0 {
+            if engine.advance().unwrap() == 0 {
                 break;
             }
             engine.process_round();
@@ -1037,11 +1021,11 @@ mod tests {
         let t_id = (p.interner.get("t").unwrap(), 2);
         let mut engine = FixpointEngine::new(&p, Arc::new(db), &[]).unwrap();
         engine.bootstrap().unwrap();
-        assert!(engine.advance() > 0);
+        assert!(engine.advance().unwrap() > 0);
         let first_delta = engine.delta_tuples(t_id);
         assert_eq!(first_delta.len(), 2); // e copied
         engine.process_round();
-        assert_eq!(engine.advance(), 1); // t(1,3)
+        assert_eq!(engine.advance().unwrap(), 1); // t(1,3)
         assert_eq!(engine.delta_tuples(t_id), vec![ituple![1, 3]]);
     }
 
@@ -1112,12 +1096,11 @@ mod tests {
         let fresh = resumed.run_to_fixpoint().unwrap();
         assert_eq!(fresh, 0, "preseeded state is already the fixpoint");
         assert_eq!(resumed.relation(t_id).unwrap().len(), len);
-        assert!(resumed.rows_from(t_id, len).is_empty(), "nothing above watermark");
 
         // Injecting a new edge-reachable tuple continues from the state.
         resumed.inject(t_id, vec![ituple![3, 9]]).unwrap();
         loop {
-            if resumed.advance() == 0 {
+            if resumed.advance().unwrap() == 0 {
                 break;
             }
             resumed.process_round();
@@ -1125,7 +1108,7 @@ mod tests {
         let t = resumed.relation(t_id).unwrap();
         assert!(t.contains(&ituple![1, 9]) && t.contains(&ituple![2, 9]));
         // Exactly the genuinely new tuples sit above the resume watermark.
-        assert_eq!(resumed.rows_from(t_id, len).len(), 3);
+        assert_eq!(t.rows()[len..].len(), 3);
     }
 
     #[test]
@@ -1143,14 +1126,14 @@ mod tests {
         resumed.preseed(t_id, state).unwrap();
         resumed.inject(t_id, vec![ituple![1, 2]]).unwrap();
         loop {
-            if resumed.advance() == 0 {
+            if resumed.advance().unwrap() == 0 {
                 break;
             }
             resumed.process_round();
         }
         // The re-inserted tuple landed in a fresh arena row above the
-        // watermark — a shipping loop reading `rows_from` re-ships it.
-        assert_eq!(resumed.rows_from(t_id, watermark), &[ituple![1, 2]]);
+        // watermark: it was a delta again, so a route would re-ship it.
+        assert_eq!(&resumed.relation(t_id).unwrap().rows()[watermark..], &[ituple![1, 2]]);
     }
 
     #[test]
@@ -1201,5 +1184,135 @@ mod tests {
         let b_id = (interner.get("b").unwrap(), 1);
         assert_eq!(snap[&a_id].len(), 1);
         assert_eq!(snap[&b_id].len(), 1);
+    }
+
+    /// The route key `X mod n = ·` of these tests.
+    struct ModKey(Vec<gst_frontend::Variable>, i64);
+
+    impl gst_frontend::Constraint for ModKey {
+        fn variables(&self) -> &[gst_frontend::Variable] {
+            &self.0
+        }
+        fn holds(&self, _: &[Value]) -> bool {
+            true
+        }
+        fn describe(&self, _: &Interner) -> String {
+            "mod".into()
+        }
+        fn partition(&self, bound: &[Value]) -> Option<usize> {
+            match bound[0] {
+                Value::Int(k) => Some(k.rem_euclid(self.1) as usize),
+                Value::Sym(_) => None,
+            }
+        }
+    }
+
+    /// `t/2` routed to `t_in/2` at processors `0..n`: rows matching
+    /// `pattern` (variable names or integers) by `key`'s value mod `n`,
+    /// or — no key — every row everywhere.
+    fn route(p: &Program, pattern: [&str; 2], key: Option<&str>, n: usize) -> Route {
+        let var = |name: &str| gst_frontend::Variable(p.interner.intern(name));
+        let term = |tok: &str| match tok.parse::<i64>() {
+            Ok(k) => gst_frontend::Term::Const(Value::Int(k)),
+            Err(_) => gst_frontend::Term::Var(var(tok)),
+        };
+        let t_in = (p.interner.intern("t_in"), 2);
+        Route {
+            source: gst_frontend::Atom::new(p.interner.intern("t"), pattern.map(term).to_vec()),
+            key: key.map(|k| Arc::new(ModKey(vec![var(k)], n as i64)) as _),
+            dests: (0..n).map(|j| (j, t_in)).collect(),
+            retract: false,
+        }
+    }
+
+    /// Processor 0's engine for `source`, bootstrapped and advanced once;
+    /// what it put into `t_in` here, and its outlets.
+    fn routed(source: &str, routes: impl Fn(&Program) -> Vec<Route>) -> Result<(Vec<Tuple>, FixpointEngine)> {
+        let (p, db) = load(source);
+        let t_in = (p.interner.intern("t_in"), 2);
+        let mut engine =
+            FixpointEngine::with_routes(&p, Arc::new(db), &[t_in], 0, &routes(&p), PlanOptions::default())?;
+        engine.bootstrap()?;
+        engine.advance()?;
+        let mut local = engine.delta_tuples(t_in).to_vec();
+        local.sort();
+        Ok((local, engine))
+    }
+
+    const CHAIN: &str = "t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), t_in(Z,Y).\n\
+                         e(0,1). e(1,2). e(2,3). e(3,4). e(4,5). e(5,6).";
+    const PAIRS: &str = "t(X,Y) :- s(X,Y).\ns(1,3). s(1,2). s(4,6).";
+
+    #[test]
+    fn a_locally_routed_row_is_a_delta_of_the_same_round() {
+        let (local, mut engine) = routed(CHAIN, |p| vec![route(p, ["A", "B"], Some("A"), 2)]).unwrap();
+        assert_eq!(local, vec![ituple![0, 1], ituple![2, 3], ituple![4, 5]]);
+        assert_eq!(engine.stats().derived, 6 + 3, "6 edges into t, the 3 even ones into t_in");
+        let [outlet] = engine.outlets() else { panic!("one remote destination") };
+        assert_eq!(outlet.dests.len(), 1);
+        assert_eq!(outlet.rows, vec![ituple![1, 2], ituple![3, 4], ituple![5, 6]]);
+        engine.clear_outlets();
+        // No sending rule fired: the firings are the two rules' own.
+        engine.process_round();
+        assert_eq!(engine.stats().firings, 6 + 2, "t_in(2,3) and t_in(4,5) have an edge into them");
+        assert!(engine.outlets()[0].rows.is_empty());
+    }
+
+    #[test]
+    fn a_route_pattern_selects_like_the_rule_it_stands_for() {
+        // Only rows t(3, _) are routed, by their second column.
+        let (local, engine) = routed(CHAIN, |p| vec![route(p, ["3", "B"], Some("B"), 2)]).unwrap();
+        assert_eq!(local, vec![ituple![3, 4]]);
+        assert!(engine.outlets()[0].rows.is_empty());
+    }
+
+    #[test]
+    fn a_row_reaches_an_inbox_once_however_many_routes_pick_it() {
+        // Example 8's shape: t routed on both columns. t(1,3) hashes to
+        // processor 1 under either route and is buffered once; t(1,2)
+        // goes to 1 (by X) and stays here (by Y); t(4,6) stays, once.
+        let both = |p: &Program| vec![route(p, ["A", "B"], Some("A"), 2), route(p, ["A", "B"], Some("B"), 2)];
+        let (local, engine) = routed(PAIRS, both).unwrap();
+        assert_eq!(local, vec![ituple![1, 2], ituple![4, 6]]);
+        let mut remote = engine.outlets()[0].rows.clone();
+        remote.sort();
+        assert_eq!(remote, vec![ituple![1, 2], ituple![1, 3]]);
+
+        // A broadcast of the same source covers its hash routes: one
+        // shared outlet for both remote processors, each row in it once.
+        let mixed = |p: &Program| vec![route(p, ["A", "B"], Some("A"), 3), route(p, ["A", "B"], None, 3)];
+        let (local, engine) = routed(PAIRS, mixed).unwrap();
+        let [outlet] = engine.outlets() else { panic!("one shared outlet") };
+        assert_eq!((outlet.dests.len(), outlet.rows.len(), local.len()), (2, 3, 3));
+    }
+
+    #[test]
+    fn bad_routes_are_typed_errors() {
+        let err = |routes: &dyn Fn(&Program) -> Vec<Route>| match routed(PAIRS, routes) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("accepted"),
+        };
+        let wrong = |edit: fn(&Program, &mut Route)| {
+            move |p: &Program| {
+                let mut r = route(p, ["A", "B"], None, 2);
+                edit(p, &mut r);
+                vec![r]
+            }
+        };
+        let e = err(&wrong(|p, r| r.dests[0].1 = (p.interner.intern("elsewhere"), 2)));
+        assert!(e.contains("local inbox is not a derived predicate"), "{e}");
+        let e = err(&wrong(|p, r| r.source.predicate = p.interner.intern("s")));
+        assert!(e.contains("source is not a derived predicate"), "{e}");
+        let e = err(&wrong(|_, r| r.source.predicate = r.dests[0].1 .0));
+        assert!(e.contains("local inbox of another route"), "{e}");
+        let e = err(&wrong(|_, r| r.dests[1].1 .1 = 3));
+        assert!(e.contains("arity differs"), "{e}");
+        let e = err(&wrong(|_, r| r.source.terms[0] = gst_frontend::Term::Const(Value::Int(1))));
+        assert!(e.contains("broadcast route must not select"), "{e}");
+        let e = err(&|p| vec![route(p, ["A", "B"], Some("Q"), 2)]);
+        assert!(e.contains("key variable does not occur"), "{e}");
+        // A key that hashes outside the route's table fails the advance.
+        let e = err(&|p| vec![Route { dests: vec![], ..route(p, ["A", "B"], Some("B"), 5) }]);
+        assert!(e.contains("to processor 3, which it lists no inbox for"), "{e}");
     }
 }

@@ -19,9 +19,11 @@
 pub mod engine;
 pub mod exec;
 pub mod plan;
+pub mod route;
 pub mod stats;
 
 pub use engine::{fire_once, naive_eval, seminaive_eval, seminaive_eval_with, EvalResult, FixpointEngine};
 pub use exec::{run_plan_morsels, run_plan_morsels_profiled, MorselConfig, MorselPool};
 pub use plan::{compile_rule, compile_rule_with, AtomSource, PlanOptions, PlanStep, RulePlan};
+pub use route::{Outlet, Route};
 pub use stats::{EvalStats, RoundSample, TimeMode};

@@ -146,6 +146,16 @@ pub trait Constraint: Send + Sync {
         None
     }
 
+    /// For a constraint of the shape `f(variables) = k` over a
+    /// partitioning function `f`: the value `f(bound)`, whatever `k` is.
+    /// A route table evaluates this once per tuple and indexes the
+    /// destination, instead of testing [`Constraint::holds`] once per
+    /// candidate `k`. `None` (the default) for any other constraint.
+    fn partition(&self, bound: &[Value]) -> Option<usize> {
+        let _ = bound;
+        None
+    }
+
     /// Decide whether the constraint *could* hold given values for only a
     /// leading prefix of [`Constraint::variables`]. Used when fragmenting a
     /// base relation whose atom binds some but not all of the constraint's

@@ -64,78 +64,18 @@ pub struct RuntimeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChannelOut, ProcessorProgram, WorkerSpec};
     use crate::transport::{ThreadedTransport, Transport};
     use gst_common::{ituple, Interner};
-    use gst_frontend::parse_program;
-    use gst_storage::Database;
     use std::sync::Arc;
 
-    /// Hand-built two-processor pipeline:
-    /// processor 0 derives t0 from its fragment and ships everything to 1;
-    /// processor 1 stores what it receives. Exercise wiring, inboxes,
-    /// pooling and termination without the rewrite layer.
+    /// Hand-built two-processor pipeline: processor 0 derives out0 from
+    /// its fragment and ships everything to 1; processor 1 stores what it
+    /// receives. Exercise wiring, inboxes, pooling and termination
+    /// without the rewrite layer.
     #[test]
     fn two_stage_pipeline_pools_results() {
-        let interner = Interner::new();
-        // Processor 0: out0(X) :- e(X). ship0 holds what goes to 1.
-        let unit0 = gst_frontend::parser::parse_program_with(
-            "out0(X) :- e(X).\n\
-             ship0(X) :- out0(X).",
-            &interner,
-        )
-        .unwrap();
-        // Processor 1: out1(X) :- inbox1(X).
-        let unit1 = gst_frontend::parser::parse_program_with("out1(X) :- inbox1(X).", &interner)
-            .unwrap();
-
-        let e = (interner.intern("e"), 1);
-        let ship0 = (interner.get("ship0").unwrap(), 1);
-        let inbox1 = (interner.intern("inbox1"), 1);
-        let out0 = (interner.get("out0").unwrap(), 1);
-        let out1 = (interner.get("out1").unwrap(), 1);
-        let answer = (interner.intern("answer"), 1);
-
-        let mut db0 = Database::new(interner.clone());
-        db0.insert(e, ituple![1]).unwrap();
-        db0.insert(e, ituple![2]).unwrap();
-        let db1 = Database::new(interner.clone());
-
-        let spec0 = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit0.program,
-                outgoing: vec![ChannelOut {
-                    channel: ship0,
-                    dest: 1,
-                    inbox: inbox1,
-                }],
-                inboxes: vec![],
-                processing_rules: vec![0],
-                pooling: vec![(out0, answer)],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db0),
-            session: None,
-        };
-        let spec1 = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 1,
-                program: unit1.program,
-                outgoing: vec![],
-                inboxes: vec![inbox1],
-                processing_rules: vec![0],
-                pooling: vec![(out1, answer)],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db1),
-            session: None,
-        };
-
-        let outcome =
-            ThreadedTransport.execute(vec![spec0, spec1], &RuntimeConfig::default()).unwrap();
+        let (specs, answer) = crate::fixtures::pipeline();
+        let outcome = ThreadedTransport.execute(specs, &RuntimeConfig::default()).unwrap();
         let answer_rel = outcome.relation(answer);
         assert_eq!(answer_rel.len(), 2);
         assert!(answer_rel.contains(&ituple![1]));
@@ -150,74 +90,21 @@ mod tests {
 
     #[test]
     fn single_processor_runs_sequentially() {
-        let unit = parse_program("t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), t(Z,Y).\ne(1,2). e(2,3).")
-            .unwrap();
-        let mut db = Database::new(unit.program.interner.clone());
-        db.load_facts(unit.facts.clone()).unwrap();
-        let t = (unit.program.interner.get("t").unwrap(), 2);
-        let global = (unit.program.interner.intern("t_answer"), 2);
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit.program.clone(),
-                outgoing: vec![],
-                inboxes: vec![],
-                processing_rules: vec![0, 1],
-                pooling: vec![(t, global)],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db),
-            session: None,
-        };
+        let (spec, answer) = crate::fixtures::lone_worker();
         let outcome = ThreadedTransport.execute(vec![spec], &RuntimeConfig::default()).unwrap();
-        assert_eq!(outcome.relation(global).len(), 3);
+        assert_eq!(outcome.relation(answer).len(), 15);
         assert!(outcome.stats.communication_free());
     }
 
     #[test]
-    fn misnumbered_processor_is_rejected() {
-        let unit = parse_program("t(X) :- e(X).").unwrap();
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 5,
-                program: unit.program.clone(),
-                outgoing: vec![],
-                inboxes: vec![],
-                processing_rules: vec![],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(Database::new(unit.program.interner.clone())),
-            session: None,
-        };
-        assert!(ThreadedTransport.execute(vec![spec], &RuntimeConfig::default()).is_err());
-    }
-
-    #[test]
-    fn out_of_range_channel_is_rejected() {
-        let unit = parse_program("t(X) :- e(X).").unwrap();
-        let interner = unit.program.interner.clone();
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit.program.clone(),
-                outgoing: vec![ChannelOut {
-                    channel: (interner.intern("c"), 1),
-                    dest: 3,
-                    inbox: (interner.intern("i"), 1),
-                }],
-                inboxes: vec![],
-                processing_rules: vec![],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(Database::new(interner)),
-            session: None,
-        };
-        assert!(ThreadedTransport.execute(vec![spec], &RuntimeConfig::default()).is_err());
+    fn misnumbered_processor_and_out_of_range_route_are_rejected() {
+        let (spec, _) = crate::fixtures::lone_worker();
+        let mut misnumbered = spec.clone();
+        misnumbered.program.processor = 5;
+        assert!(ThreadedTransport.execute(vec![misnumbered], &RuntimeConfig::default()).is_err());
+        let mut astray = spec;
+        astray.program.routes[0].dests[0].0 = 3;
+        assert!(ThreadedTransport.execute(vec![astray], &RuntimeConfig::default()).is_err());
     }
 
     #[test]
@@ -225,61 +112,34 @@ mod tests {
         assert!(ThreadedTransport.execute(vec![], &RuntimeConfig::default()).is_err());
     }
 
+    /// A route key that sends every row to processor 7.
+    struct Misdirect(Vec<gst_frontend::Variable>);
+
+    impl gst_frontend::Constraint for Misdirect {
+        fn variables(&self) -> &[gst_frontend::Variable] {
+            &self.0
+        }
+        fn holds(&self, _: &[gst_common::Value]) -> bool {
+            true
+        }
+        fn describe(&self, _: &Interner) -> String {
+            "misdirect".into()
+        }
+        fn partition(&self, _: &[gst_common::Value]) -> Option<usize> {
+            Some(7)
+        }
+    }
+
     /// A peer failure must not hang the fleet — and must not even need
     /// the watchdog: the supervisor broadcasts `Abort` the moment the
     /// fatal error is reported, so the fleet tears down in milliseconds.
     #[test]
     fn worker_failure_is_detected_not_hung() {
-        let interner = Interner::new();
-        // Worker 0 ships e-tuples (arity 1) into an inbox that worker 1
-        // declares with arity 2 — worker 1's inject fails immediately.
-        let unit0 = gst_frontend::parser::parse_program_with(
-            "out0(X) :- e(X).\nship0(X) :- out0(X).",
-            &interner,
-        )
-        .unwrap();
-        let unit1 =
-            gst_frontend::parser::parse_program_with("out1(X,Y) :- inbox1(X,Y).", &interner)
-                .unwrap();
-        let e = (interner.intern("e"), 1);
-        let ship0 = (interner.get("ship0").unwrap(), 1);
-        let inbox1_wrong = (interner.intern("inbox1"), 2);
-
-        let mut db0 = Database::new(interner.clone());
-        db0.insert(e, ituple![1]).unwrap();
-
-        let spec0 = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit0.program,
-                outgoing: vec![ChannelOut {
-                    channel: ship0,
-                    dest: 1,
-                    inbox: inbox1_wrong,
-                }],
-                inboxes: vec![],
-                processing_rules: vec![0],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db0),
-            session: None,
-        };
-        let spec1 = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 1,
-                program: unit1.program,
-                outgoing: vec![],
-                inboxes: vec![inbox1_wrong],
-                processing_rules: vec![0],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(Database::new(interner.clone())),
-            session: None,
-        };
+        // Worker 0's route hashes its first row to a processor the fleet
+        // does not have — its advance fails immediately.
+        let (mut specs, _) = crate::fixtures::pipeline();
+        let route = &mut specs[0].program.routes[0];
+        route.key = Some(Arc::new(Misdirect(route.source.variables().collect())));
 
         // Pin the watchdog far above the timing bound: finishing under
         // the bound then proves the Abort broadcast (not the watchdog)
@@ -288,14 +148,14 @@ mod tests {
         let mut config = RuntimeConfig::default();
         config.worker.idle_watchdog = std::time::Duration::from_secs(300);
         let started = std::time::Instant::now();
-        let err = ThreadedTransport.execute(vec![spec0, spec1], &config).unwrap_err();
+        let err = ThreadedTransport.execute(specs, &config).unwrap_err();
         assert!(
             started.elapsed() < std::time::Duration::from_secs(60),
             "abort must tear the fleet down long before any watchdog"
         );
         let message = err.to_string();
         assert!(
-            message.contains("arity"),
+            message.contains("processor 7"),
             "the causal error (not teardown noise) must surface: {message}"
         );
     }
@@ -306,66 +166,7 @@ mod tests {
     /// least model.
     #[test]
     fn fail_point_crash_recovers_on_threads() {
-        let interner = Interner::new();
-        let unit0 = gst_frontend::parser::parse_program_with(
-            "t0(X,Y) :- e0(X,Y).\n\
-             t0(X,Y) :- e0(X,Z), in0(Z,Y).\n\
-             ship0(Z,Y) :- t0(Z,Y).",
-            &interner,
-        )
-        .unwrap();
-        let unit1 = gst_frontend::parser::parse_program_with(
-            "t1(X,Y) :- e1(X,Z), in1(Z,Y).\n\
-             ship1(Z,Y) :- t1(Z,Y).",
-            &interner,
-        )
-        .unwrap();
-        let e0 = (interner.get("e0").unwrap(), 2);
-        let e1 = (interner.get("e1").unwrap(), 2);
-        let t0 = (interner.get("t0").unwrap(), 2);
-        let t1 = (interner.get("t1").unwrap(), 2);
-        let in0 = (interner.intern("in0"), 2);
-        let in1 = (interner.intern("in1"), 2);
-        let ship0 = (interner.get("ship0").unwrap(), 2);
-        let ship1 = (interner.get("ship1").unwrap(), 2);
-        let answer = (interner.intern("t"), 2);
-        let mut db0 = Database::new(interner.clone());
-        let mut db1 = Database::new(interner.clone());
-        for k in 0..8i64 {
-            let id = if k % 2 == 0 { e0 } else { e1 };
-            let db = if k % 2 == 0 { &mut db0 } else { &mut db1 };
-            db.insert(id, ituple![k, k + 1]).unwrap();
-        }
-        let specs = vec![
-            WorkerSpec {
-                program: ProcessorProgram {
-                    processor: 0,
-                    program: unit0.program,
-                    outgoing: vec![ChannelOut { channel: ship0, dest: 1, inbox: in1 }],
-                    inboxes: vec![in0],
-                    processing_rules: vec![0, 1],
-                    pooling: vec![(t0, answer)],
-                    local_idb: vec![],
-                    retract_channels: vec![],
-                },
-                edb: Arc::new(db0),
-                session: None,
-            },
-            WorkerSpec {
-                program: ProcessorProgram {
-                    processor: 1,
-                    program: unit1.program,
-                    outgoing: vec![ChannelOut { channel: ship1, dest: 0, inbox: in0 }],
-                    inboxes: vec![in1],
-                    processing_rules: vec![0],
-                    pooling: vec![(t1, answer)],
-                    local_idb: vec![],
-                    retract_channels: vec![],
-                },
-                edb: Arc::new(db1),
-                session: None,
-            },
-        ];
+        let (specs, answer) = crate::fixtures::chain_fleet(2, 8);
 
         let baseline =
             ThreadedTransport.execute(specs.clone(), &RuntimeConfig::default()).unwrap();

@@ -194,59 +194,11 @@ pub fn shrink_failure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChannelOut, ProcessorProgram};
-    use gst_common::{ituple, Interner};
-    use gst_storage::Database;
-    use std::sync::Arc;
+    use gst_common::ituple;
 
     /// A two-worker pipeline whose expected answer we know exactly.
     fn pipeline() -> (Vec<WorkerSpec>, ExpectedModel) {
-        let interner = Interner::new();
-        let unit0 = gst_frontend::parser::parse_program_with(
-            "out0(X) :- e(X).\nship0(X) :- out0(X).",
-            &interner,
-        )
-        .unwrap();
-        let unit1 = gst_frontend::parser::parse_program_with("out1(X) :- inbox1(X).", &interner)
-            .unwrap();
-        let e = (interner.intern("e"), 1);
-        let ship0 = (interner.get("ship0").unwrap(), 1);
-        let inbox1 = (interner.intern("inbox1"), 1);
-        let out1 = (interner.get("out1").unwrap(), 1);
-        let answer = (interner.intern("answer"), 1);
-        let mut db0 = Database::new(interner.clone());
-        db0.insert(e, ituple![1]).unwrap();
-        db0.insert(e, ituple![2]).unwrap();
-        let specs = vec![
-            WorkerSpec {
-                program: ProcessorProgram {
-                    processor: 0,
-                    program: unit0.program,
-                    outgoing: vec![ChannelOut { channel: ship0, dest: 1, inbox: inbox1 }],
-                    inboxes: vec![],
-                    processing_rules: vec![0],
-                    pooling: vec![],
-                    local_idb: vec![],
-                    retract_channels: vec![],
-                },
-                edb: Arc::new(db0),
-                session: None,
-            },
-            WorkerSpec {
-                program: ProcessorProgram {
-                    processor: 1,
-                    program: unit1.program,
-                    outgoing: vec![],
-                    inboxes: vec![inbox1],
-                    processing_rules: vec![0],
-                    pooling: vec![(out1, answer)],
-                    local_idb: vec![],
-                    retract_channels: vec![],
-                },
-                edb: Arc::new(Database::new(interner.clone())),
-                session: None,
-            },
-        ];
+        let (specs, answer) = crate::fixtures::pipeline();
         let mut expected = ExpectedModel::default();
         expected.insert(answer, [ituple![1], ituple![2]].into_iter().collect());
         (specs, expected)

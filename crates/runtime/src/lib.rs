@@ -46,6 +46,8 @@ pub mod codec;
 pub mod coordinator;
 pub mod explore;
 pub mod fault;
+#[cfg(test)]
+pub(crate) mod fixtures;
 pub mod message;
 pub mod net;
 pub mod obs;
@@ -70,6 +72,6 @@ pub use profile::{
     HotRule, IdleGap, PhaseTotals, ProfileReport, RoundCost, WorkerProfile, PHASES,
 };
 pub use sim::SimTransport;
-pub use spec::{ChannelOut, ProcessorProgram, SessionSeed, WorkerSpec};
+pub use spec::{ProcessorProgram, Route, SessionSeed, WorkerSpec};
 pub use stats::{ExecutionOutcome, ParallelStats, WorkerReport};
 pub use transport::{ThreadedTransport, Transport};

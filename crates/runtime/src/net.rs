@@ -1253,8 +1253,12 @@ impl Supervisor<'_> {
             ack: 0,
             message: Message::Recover { epoch: self.epoch, restarted: index },
         };
-        // Survivors repair now; the replacement repairs right after its
-        // job arrives (see `on_conn`).
+        // Survivors repair now. A worker with no link — the replacement,
+        // and any peer that has not connected for the first time yet —
+        // starts in this epoch and repairs right after its job arrives
+        // (see `on_conn`): without the handshake it would drop what its
+        // peers shipped it before the bump as stale and never ask for
+        // the replay.
         let mut failed = Vec::new();
         for (peer, slot) in self.links.iter_mut().enumerate() {
             if let Some(link) = slot {
@@ -1262,9 +1266,10 @@ impl Supervisor<'_> {
                 if wire::write_frame(&mut link.stream, wire::FRAME_ENVELOPE, &body).is_err() {
                     failed.push(peer);
                 }
+            } else {
+                self.pending_recover[peer] = Some(recover.clone());
             }
         }
-        self.pending_recover[index] = Some(recover);
         let backoff = self.config.supervisor.restart_backoff * self.restarts_used[index];
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
@@ -1394,11 +1399,8 @@ fn link_reader(index: usize, incarnation: u64, mut stream: TcpStream, tx: Sender
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChannelOut, ProcessorProgram};
+    use crate::fixtures::chain_fleet;
     use crate::transport::ThreadedTransport;
-    use gst_common::{ituple, Interner};
-    use gst_eval::plan::RelationId;
-    use gst_storage::Database;
 
     fn coordinator(launcher: InProcessLauncher) -> NetCoordinator {
         // Short connect budget so failure paths stay fast in CI; the
@@ -1409,73 +1411,6 @@ mod tests {
             ..NetConfig::default()
         };
         NetCoordinator::new(Arc::new(launcher), net)
-    }
-
-    /// Two workers computing transitive closure of a chain split across
-    /// them — every derivation needs the other worker's frontier, so the
-    /// link carries real traffic in both directions.
-    fn chain_fleet(interner: &Interner, edges: i64) -> (Vec<WorkerSpec>, RelationId) {
-        let unit0 = gst_frontend::parser::parse_program_with(
-            "t0(X,Y) :- e0(X,Y).\n\
-             t0(X,Y) :- e0(X,Z), in0(Z,Y).\n\
-             ship0(Z,Y) :- t0(Z,Y).",
-            interner,
-        )
-        .unwrap();
-        let unit1 = gst_frontend::parser::parse_program_with(
-            "t1(X,Y) :- e1(X,Y).\n\
-             t1(X,Y) :- e1(X,Z), in1(Z,Y).\n\
-             ship1(Z,Y) :- t1(Z,Y).",
-            interner,
-        )
-        .unwrap();
-        let e0 = (interner.get("e0").unwrap(), 2);
-        let e1 = (interner.get("e1").unwrap(), 2);
-        let t0 = (interner.get("t0").unwrap(), 2);
-        let t1 = (interner.get("t1").unwrap(), 2);
-        let in0 = (interner.intern("in0"), 2);
-        let in1 = (interner.intern("in1"), 2);
-        let ship0 = (interner.get("ship0").unwrap(), 2);
-        let ship1 = (interner.get("ship1").unwrap(), 2);
-        let answer = (interner.intern("t"), 2);
-        let mut db0 = Database::new(interner.clone());
-        let mut db1 = Database::new(interner.clone());
-        for k in 0..edges {
-            let id = if k % 2 == 0 { e0 } else { e1 };
-            let db = if k % 2 == 0 { &mut db0 } else { &mut db1 };
-            db.insert(id, ituple![k, k + 1]).unwrap();
-        }
-        let specs = vec![
-            WorkerSpec {
-                program: ProcessorProgram {
-                    processor: 0,
-                    program: unit0.program,
-                    outgoing: vec![ChannelOut { channel: ship0, dest: 1, inbox: in1 }],
-                    inboxes: vec![in0],
-                    processing_rules: vec![0, 1],
-                    pooling: vec![(t0, answer)],
-                    local_idb: vec![],
-                    retract_channels: vec![],
-                },
-                edb: Arc::new(db0),
-                session: None,
-            },
-            WorkerSpec {
-                program: ProcessorProgram {
-                    processor: 1,
-                    program: unit1.program,
-                    outgoing: vec![ChannelOut { channel: ship1, dest: 0, inbox: in0 }],
-                    inboxes: vec![in1],
-                    processing_rules: vec![0, 1],
-                    pooling: vec![(t1, answer)],
-                    local_idb: vec![],
-                    retract_channels: vec![],
-                },
-                edb: Arc::new(db1),
-                session: None,
-            },
-        ];
-        (specs, answer)
     }
 
     #[test]
@@ -1542,8 +1477,7 @@ mod tests {
     /// traffic (bytes on the wire, reconnect-free).
     #[test]
     fn tcp_loopback_matches_threaded_transport() {
-        let interner = Interner::new();
-        let (specs, answer) = chain_fleet(&interner, 12);
+        let (specs, answer) = chain_fleet(2, 12);
         let config = RuntimeConfig::default();
         let baseline = ThreadedTransport.execute(specs.clone(), &config).unwrap();
         let outcome = coordinator(InProcessLauncher::default())
@@ -1564,8 +1498,7 @@ mod tests {
     /// reaches the exact least model.
     #[test]
     fn socket_faults_recover_to_the_exact_least_model() {
-        let interner = Interner::new();
-        let (specs, answer) = chain_fleet(&interner, 12);
+        let (specs, answer) = chain_fleet(2, 12);
         let config = RuntimeConfig::default();
         let baseline = ThreadedTransport.execute(specs.clone(), &config).unwrap();
         for fault in ["1:disconnect@150", "1:truncate@150", "1:garbage@150"] {
@@ -1590,8 +1523,7 @@ mod tests {
     /// panic.
     #[test]
     fn persistent_fault_exhausts_the_budget_cleanly() {
-        let interner = Interner::new();
-        let (specs, _) = chain_fleet(&interner, 12);
+        let (specs, _) = chain_fleet(2, 12);
         let mut config = RuntimeConfig::default();
         config.worker.idle_watchdog = Duration::from_secs(300);
         let coord = coordinator(InProcessLauncher::default())
@@ -1614,8 +1546,7 @@ mod tests {
     /// restart at all.
     #[test]
     fn delayed_connect_is_absorbed_by_backoff() {
-        let interner = Interner::new();
-        let (specs, answer) = chain_fleet(&interner, 6);
+        let (specs, answer) = chain_fleet(2, 6);
         let config = RuntimeConfig::default();
         let coord = coordinator(InProcessLauncher::default())
             .with_faults(NetFaultPlan::parse("0:delay@150").unwrap());
@@ -1687,10 +1618,9 @@ mod tests {
     #[test]
     fn failed_ping_to_a_finished_worker_is_not_a_death() {
         // Worker 0 of the chain fleet on its own: its three edges, no peer.
-        let interner = Interner::new();
-        let (mut specs, answer) = chain_fleet(&interner, 6);
+        let (mut specs, answer) = chain_fleet(2, 6);
         specs.truncate(1);
-        specs[0].program.outgoing.clear();
+        specs[0].program.routes.clear();
         let net = NetConfig { heartbeat_interval: Duration::ZERO, ..NetConfig::default() };
         for run in 0..50 {
             let outcome = NetCoordinator::new(Arc::new(HangUpLauncher), net.clone())
@@ -1701,12 +1631,26 @@ mod tests {
         }
     }
 
+    /// A worker that connects for the first time after a recovery already
+    /// bumped the epoch runs the `Recover` handshake too. Worker 0 connects
+    /// 200 ms late; worker 2 dies inside its first shipment, so the rows
+    /// worker 1 shipped to 0 before the bump are parked, arrive stale —
+    /// and must be asked for again, or a third of the closure is lost.
+    #[test]
+    fn a_late_first_connection_after_a_recovery_gets_its_replay() {
+        let (specs, answer) = chain_fleet(4, 16);
+        let coord = coordinator(InProcessLauncher::default())
+            .with_faults(NetFaultPlan::parse("2:disconnect@100,0:delay@200").unwrap());
+        let outcome = coord.execute(specs, &RuntimeConfig::default()).unwrap();
+        assert_eq!(outcome.stats.restarts, 1);
+        assert_eq!(outcome.relation(answer).len(), 16 * 17 / 2);
+    }
+
     /// Tracing a recovered run records the transport-level crash and
     /// restart lifecycle events.
     #[test]
     fn traced_recovery_journals_crash_and_restart() {
-        let interner = Interner::new();
-        let (specs, _) = chain_fleet(&interner, 12);
+        let (specs, _) = chain_fleet(2, 12);
         let config = RuntimeConfig { trace: true, ..RuntimeConfig::default() };
         let coord = coordinator(InProcessLauncher::default())
             .with_faults(NetFaultPlan::parse("1:disconnect@150").unwrap());

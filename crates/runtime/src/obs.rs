@@ -74,11 +74,12 @@ pub enum ObsKind {
         /// Rule firings the processing step performed.
         firings: u64,
     },
-    /// A channel relation's round delta was encoded for the wire — once
-    /// per channel, however many destinations share the payload `Arc`
+    /// The rows one round routed to an outlet were encoded for the wire —
+    /// once, however many destinations share the payload `Arc`
     /// (single-encode multicast).
     BatchEncoded {
-        /// The channel relation's predicate symbol (raw interner id).
+        /// The predicate symbol (raw interner id) of the inbox the batch
+        /// is addressed to (at its first destination).
         channel: u32,
         /// Tuples in the batch.
         tuples: u64,

@@ -490,82 +490,10 @@ impl Transport for SimTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChannelOut, ProcessorProgram};
-    use gst_common::{ituple, Interner};
-    use gst_storage::Database;
-    use std::sync::Arc;
-
-    /// A ping-pong fleet: two workers alternately extending paths over a
-    /// chain whose edges they own half each.
-    fn ping_pong_specs() -> (Vec<WorkerSpec>, gst_eval::plan::RelationId) {
-        let interner = Interner::new();
-        let unit0 = gst_frontend::parser::parse_program_with(
-            "t0(X,Y) :- e0(X,Y).\n\
-             t0(X,Y) :- e0(X,Z), in0(Z,Y).\n\
-             ship0(Z,Y) :- t0(Z,Y).",
-            &interner,
-        )
-        .unwrap();
-        let unit1 = gst_frontend::parser::parse_program_with(
-            "t1(X,Y) :- e1(X,Z), in1(Z,Y).\n\
-             ship1(Z,Y) :- t1(Z,Y).",
-            &interner,
-        )
-        .unwrap();
-        let e0 = (interner.get("e0").unwrap(), 2);
-        let e1 = (interner.get("e1").unwrap(), 2);
-        let t0 = (interner.get("t0").unwrap(), 2);
-        let t1 = (interner.get("t1").unwrap(), 2);
-        let in0 = (interner.intern("in0"), 2);
-        let in1 = (interner.intern("in1"), 2);
-        let ship0 = (interner.get("ship0").unwrap(), 2);
-        let ship1 = (interner.get("ship1").unwrap(), 2);
-        let answer = (interner.intern("t"), 2);
-
-        let mut db0 = Database::new(interner.clone());
-        let mut db1 = Database::new(interner.clone());
-        for k in 0..6i64 {
-            let id = if k % 2 == 0 { e0 } else { e1 };
-            let db = if k % 2 == 0 { &mut db0 } else { &mut db1 };
-            db.insert(id, ituple![k, k + 1]).unwrap();
-        }
-        let spec0 = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit0.program,
-                outgoing: vec![ChannelOut { channel: ship0, dest: 1, inbox: in1 }],
-                inboxes: vec![in0],
-                processing_rules: vec![0, 1],
-                pooling: vec![(t0, answer)],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db0),
-            session: None,
-        };
-        let spec1 = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 1,
-                program: unit1.program,
-                outgoing: vec![ChannelOut { channel: ship1, dest: 0, inbox: in0 }],
-                inboxes: vec![in1],
-                processing_rules: vec![0],
-                pooling: vec![(t1, answer)],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(Database::new(interner.clone())),
-            session: None,
-        };
-        // db1's edges: re-add (moved above into db1 before Arc).
-        let mut specs = vec![spec0, spec1];
-        specs[1].edb = Arc::new(db1);
-        (specs, answer)
-    }
 
     #[test]
     fn sim_matches_threaded_semantics() {
-        let (specs, answer) = ping_pong_specs();
+        let (specs, answer) = crate::fixtures::chain_fleet(2, 6);
         let threaded = crate::transport::ThreadedTransport
             .execute(specs.clone(), &RuntimeConfig::default())
             .unwrap();
@@ -583,7 +511,7 @@ mod tests {
 
     #[test]
     fn same_seed_is_bit_for_bit_reproducible() {
-        let (specs, answer) = ping_pong_specs();
+        let (specs, answer) = crate::fixtures::chain_fleet(2, 6);
         let sim = SimTransport::with_faults(99, FaultPlan::chaos());
         let (a, ja) = sim.run_traced(specs.clone(), &RuntimeConfig::default());
         let (b, jb) = sim.run_traced(specs, &RuntimeConfig::default());
@@ -601,7 +529,7 @@ mod tests {
 
     #[test]
     fn different_seeds_explore_different_schedules() {
-        let (specs, _) = ping_pong_specs();
+        let (specs, _) = crate::fixtures::chain_fleet(2, 6);
         let sim_a = SimTransport::with_faults(1, FaultPlan::jitter());
         let sim_b = SimTransport::with_faults(2, FaultPlan::jitter());
         let (_, ja) = sim_a.run_traced(specs.clone(), &RuntimeConfig::default());
@@ -611,7 +539,7 @@ mod tests {
 
     #[test]
     fn faults_do_not_change_the_least_model() {
-        let (specs, answer) = ping_pong_specs();
+        let (specs, answer) = crate::fixtures::chain_fleet(2, 6);
         let clean = SimTransport::new(0)
             .execute(specs.clone(), &RuntimeConfig::default())
             .unwrap();
@@ -628,7 +556,7 @@ mod tests {
 
     #[test]
     fn duplicates_are_observed_and_absorbed() {
-        let (specs, _) = ping_pong_specs();
+        let (specs, _) = crate::fixtures::chain_fleet(2, 6);
         let plan = FaultPlan {
             dup_prob: 1.0,
             ..FaultPlan::jitter()
@@ -648,7 +576,7 @@ mod tests {
 
     #[test]
     fn crash_surfaces_watchdog_error_not_hang() {
-        let (specs, _) = ping_pong_specs();
+        let (specs, _) = crate::fixtures::chain_fleet(2, 6);
         // Kill worker 1 early, before the fixpoint can complete.
         let sim = SimTransport::with_faults(3, FaultPlan::with_crash(1, 2));
         let (result, journal) = sim.run_traced(specs.clone(), &RuntimeConfig::default());
@@ -670,7 +598,7 @@ mod tests {
 
     #[test]
     fn recoverable_crash_reaches_the_same_least_model() {
-        let (specs, answer) = ping_pong_specs();
+        let (specs, answer) = crate::fixtures::chain_fleet(2, 6);
         let clean = SimTransport::new(0)
             .execute(specs.clone(), &RuntimeConfig::default())
             .unwrap();
@@ -697,7 +625,7 @@ mod tests {
 
     #[test]
     fn recoverable_crash_without_budget_fails_fast() {
-        let (specs, _) = ping_pong_specs();
+        let (specs, _) = crate::fixtures::chain_fleet(2, 6);
         let mut config = RuntimeConfig::default();
         config.supervisor.max_restarts = 0;
         let sim = SimTransport::with_faults(3, FaultPlan::with_recovering_crash(1, 2));
@@ -712,35 +640,10 @@ mod tests {
 
     #[test]
     fn single_worker_fleet_terminates_in_sim() {
-        let interner = Interner::new();
-        let unit = gst_frontend::parser::parse_program_with(
-            "t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), t(Z,Y).",
-            &interner,
-        )
-        .unwrap();
-        let e = (interner.intern("e"), 2);
-        let t = (interner.get("t").unwrap(), 2);
-        let answer = (interner.intern("answer"), 2);
-        let mut db = Database::new(interner.clone());
-        db.insert(e, ituple![1, 2]).unwrap();
-        db.insert(e, ituple![2, 3]).unwrap();
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit.program,
-                outgoing: vec![],
-                inboxes: vec![],
-                processing_rules: vec![0, 1],
-                pooling: vec![(t, answer)],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db),
-            session: None,
-        };
+        let (spec, answer) = crate::fixtures::lone_worker();
         let outcome = SimTransport::new(11)
             .execute(vec![spec], &RuntimeConfig::default())
             .unwrap();
-        assert_eq!(outcome.relation(answer).len(), 3);
+        assert_eq!(outcome.relation(answer).len(), 15);
     }
 }

@@ -1,51 +1,41 @@
 //! Specification of what each processor executes.
 //!
 //! The rewriting schemes (`gst-core`) compile a source program into one
-//! [`ProcessorProgram`] per processor: the local rules (`Q_i`, `R_i` or
-//! `T_i` of the paper) plus the routing metadata the runtime needs —
-//! which local head predicates are channels and where their tuples go,
-//! which predicates accept network input, which rules count as
-//! *processing* rules for the non-redundancy theorems, and which local
-//! relations are pooled into the global answer.
+//! [`ProcessorProgram`] per processor: the local rules (the
+//! initialization and processing rules of `Q_i`, `R_i` or `T_i`) plus
+//! the routing metadata the runtime needs — the route table that stands
+//! for the paper's sending rules, which predicates accept network input,
+//! which rules count as *processing* rules for the non-redundancy
+//! theorems, and which local relations are pooled into the global answer.
 
 use std::sync::Arc;
 
 use gst_common::{Result, Tuple};
-use gst_eval::plan::RelationId;
+use gst_eval::plan::{PlanOptions, RelationId};
 use gst_eval::FixpointEngine;
 use gst_frontend::Program;
 use gst_storage::{Database, Relation};
 
-/// One outgoing channel of a processor.
-///
-/// The paper's sending rule `t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j` makes
-/// `channel` the head predicate of a local rule; after every round the
-/// runtime ships the predicate's fresh delta to processor `dest`, where it
-/// is injected into `inbox` (realizing the receiving rule
-/// `t_in^j(W̄) :- t_ij(W̄)` without materializing `t_ij` twice). Delta
-/// shipping also implements the paper's note that "duplicate tuples
-/// generated by the same processor may be detected by a difference
-/// operation and need not be sent repeatedly".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelOut {
-    /// Local head predicate holding outbound tuples (`t_ij`).
-    pub channel: RelationId,
-    /// Destination processor `j`.
-    pub dest: usize,
-    /// Predicate at the destination to inject into (`t_in^j`).
-    pub inbox: RelationId,
-}
+pub use gst_eval::Route;
 
 /// The program processor `i` executes, with routing metadata.
 #[derive(Debug, Clone)]
 pub struct ProcessorProgram {
     /// This processor's index in `P = {0, …, n−1}`.
     pub processor: usize,
-    /// The local rules (initialization, processing, sending — receiving
-    /// and pooling are realized by the runtime).
+    /// The local rules: initialization and processing. Sending is the
+    /// route table; receiving and pooling are realized by the runtime.
     pub program: Program,
-    /// Outbound channels.
-    pub outgoing: Vec<ChannelOut>,
+    /// The sending step: each [`Route`] is the paper's rule family
+    /// `t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j` for all `j`, evaluated by the
+    /// engine on every row `advance` admits to `t_out^i` (only fresh rows
+    /// — the paper's sender-side "difference operation"); a remote row is
+    /// shipped to `j` and injected into `t_in^j`, which realizes the
+    /// receiving rule without materializing `t_ij` at either end. A route
+    /// flagged `retract` carries the over-deletion cone of a DRed update
+    /// round: its batches are marked on the envelope so deletion traffic
+    /// is accounted separately, and otherwise handled identically.
+    pub routes: Vec<Route>,
     /// Predicates that accept injected tuples from the network (this
     /// processor's `t_in^i`s). Declared even when no rule defines them.
     pub inboxes: Vec<RelationId>,
@@ -62,14 +52,6 @@ pub struct ProcessorProgram {
     /// semi-naive delta machinery. Empty in batch mode — batch-mode
     /// plans, firings, and wire traffic are unchanged.
     pub local_idb: Vec<RelationId>,
-    /// Outgoing channel predicates whose batches carry **retractions**
-    /// (the over-deletion cone of a DRed update round) rather than
-    /// derivations. Tuples on these channels are facts of `~del`
-    /// predicates — the shipped batch is marked with the envelope's
-    /// retract flag so receivers and stats can account for deletion
-    /// traffic, but routing and injection are identical to ordinary
-    /// batches (the delete phase is itself a monotone fixpoint).
-    pub retract_channels: Vec<RelationId>,
 }
 
 /// A processor program plus the base data it runs over.
@@ -96,9 +78,9 @@ pub struct WorkerSpec {
 /// Each update round is one complete (monotone) run over fresh worker
 /// cores; this seed carries everything a round inherits from the
 /// previous one. Preseeded relations enter with an **empty delta** —
-/// no rule refires on them and they sit below every ship watermark —
-/// while injected tuples enter the pending pools and become the first
-/// deltas of the round.
+/// no rule refires on them and no route ships them — while injected
+/// tuples enter the pending pools and become the first deltas of the
+/// round.
 #[derive(Debug, Clone, Default)]
 pub struct SessionSeed {
     /// `(predicate, resumed state)` — installed via the engine's
@@ -114,14 +96,17 @@ impl WorkerSpec {
     /// Construct this worker's fixpoint engine — the one place the
     /// session seed is applied, so a supervisor-restarted core and a
     /// single-threaded fallback build byte-identical state. Preseeded
-    /// relations are installed before bootstrap (empty delta, below
-    /// every ship watermark); injected tuples land in pending pools and
-    /// become the first deltas of the run.
+    /// relations are installed before bootstrap (empty delta: nothing
+    /// refires, nothing ships); injected tuples land in pending pools
+    /// and become the first deltas of the run.
     pub fn build_engine(&self) -> Result<FixpointEngine> {
-        let mut engine = FixpointEngine::new(
+        let mut engine = FixpointEngine::with_routes(
             &self.program.program,
             self.edb.clone(),
             &self.program.extra_idb(),
+            self.program.processor,
+            &self.program.routes,
+            PlanOptions::default(),
         )?;
         if let Some(seed) = &self.session {
             for (pred, state) in &seed.preseed {
@@ -147,30 +132,14 @@ impl ProcessorProgram {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use gst_frontend::parse_program;
-
     #[test]
-    fn extra_idb_is_the_inboxes() {
-        let unit = parse_program("t(X) :- s(X).").unwrap();
-        let interner = unit.program.interner.clone();
-        let inbox = (interner.intern("t_in"), 1);
-        let pp = ProcessorProgram {
-            processor: 0,
-            program: unit.program,
-            outgoing: vec![],
-            inboxes: vec![inbox],
-            processing_rules: vec![0],
-            pooling: vec![],
-            local_idb: vec![],
-            retract_channels: vec![],
-        };
+    fn extra_idb_is_the_inboxes_then_the_local_idb() {
+        let (spec, _) = crate::fixtures::lone_worker();
+        let mut pp = spec.program;
+        let inbox = pp.inboxes[0];
         assert_eq!(pp.extra_idb(), vec![inbox]);
-        let local = (interner.intern("s"), 1);
-        let with_local = ProcessorProgram {
-            local_idb: vec![local],
-            ..pp
-        };
-        assert_eq!(with_local.extra_idb(), vec![inbox, local]);
+        let local = (pp.program.interner.intern("s"), 1);
+        pp.local_idb = vec![local];
+        assert_eq!(pp.extra_idb(), vec![inbox, local]);
     }
 }

@@ -36,8 +36,8 @@ pub struct WorkerReport {
     /// Wire bytes received.
     pub received_bytes: u64,
     /// Distinct `encode_batch` calls on the ship path — one per
-    /// (round, channel relation), however many destinations the
-    /// payload was multicast to.
+    /// (round, outlet), however many destinations the payload was
+    /// multicast to.
     pub encode_calls: u64,
     /// Bytes those encodes produced. Each multicast payload is counted
     /// once here, unlike `sent_bytes_to` which counts per link.

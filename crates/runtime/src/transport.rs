@@ -61,8 +61,11 @@ pub trait Transport {
     fn execute(&self, specs: Vec<WorkerSpec>, config: &RuntimeConfig) -> Result<ExecutionOutcome>;
 }
 
-/// Shared spec validation: positions match processor ids, channel
-/// destinations exist.
+/// Shared spec validation, before any worker starts: positions match
+/// processor ids, and every route delivers to a processor that exists,
+/// into an inbox that processor declares, of the routed predicate's
+/// arity — a misroute is a typed error here, not an inject failure inside
+/// a worker one step later.
 pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<()> {
     if specs.is_empty() {
         return Err(Error::Runtime("no processors to execute".into()));
@@ -74,11 +77,23 @@ pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<()> {
                 spec.program.processor
             )));
         }
-        for out in &spec.program.outgoing {
-            if out.dest >= specs.len() {
+        for route in &spec.program.routes {
+            let interner = &spec.program.program.interner;
+            let source = route.source_id();
+            for &(dest, inbox) in &route.dests {
+                let name = interner.resolve(inbox.0);
+                let why = match specs.get(dest) {
+                    None => "which does not exist".to_string(),
+                    Some(peer) if !peer.program.inboxes.contains(&inbox) => {
+                        format!("which declares no inbox {name}/{}", inbox.1)
+                    }
+                    Some(_) if inbox.1 != source.1 => format!("whose inbox {name} has arity {}", inbox.1),
+                    Some(_) => continue,
+                };
                 return Err(Error::Runtime(format!(
-                    "processor {i} has a channel to nonexistent processor {}",
-                    out.dest
+                    "processor {i} routes {}/{} to processor {dest}, {why}",
+                    interner.resolve(source.0),
+                    source.1
                 )));
             }
         }
@@ -152,23 +167,19 @@ pub(crate) fn assemble_outcome(
     })
 }
 
-/// True when the compiled scheme's minimal network graph has no live
-/// channel: every outgoing entry is a self-loopback (`t_ii`). Theorem 3's
-/// zero-communication case, and trivially any single-worker run.
+/// True when no tuple can cross between processors: a single worker
+/// (every route is local), or no route table at all. Theorem 3's
+/// zero-communication case.
 pub(crate) fn network_is_silent(specs: &[WorkerSpec]) -> bool {
-    specs.iter().all(|s| {
-        s.program
-            .outgoing
-            .iter()
-            .all(|out| out.dest == s.program.processor)
-    })
+    specs.len() == 1 || specs.iter().all(|s| s.program.routes.is_empty())
 }
 
 /// Run one spec's local fixpoint with none of the distributed machinery —
 /// no queues, no codec, no replay logs, no termination ring. Sound exactly
 /// when the network is silent: with nothing to receive and nothing to
 /// ship, local quiescence *is* the paper's termination condition, observed
-/// directly. Self-loopback channels are folded in between inner fixpoints.
+/// directly. A lone worker's routes all end in its own inboxes, which the
+/// engine fills as it advances.
 fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<WorkerResult> {
     let t0 = Instant::now();
     // The shared construction path applies any update-session seed, so
@@ -176,29 +187,7 @@ fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<Work
     // would.
     let mut engine = spec.build_engine()?;
     engine.set_morsels(gst_eval::MorselConfig::with_threads(config.worker.morsel_threads));
-    engine.bootstrap()?;
-    let mut ship_from = vec![0usize; spec.program.outgoing.len()];
-    loop {
-        while engine.advance() > 0 {
-            engine.process_round();
-        }
-        // Local loopbacks (t_ii) re-activate the engine; repeat until the
-        // backlog stays empty.
-        let mut looped = false;
-        for (k, out) in spec.program.outgoing.iter().enumerate() {
-            debug_assert_eq!(out.dest, spec.program.processor, "network must be silent");
-            let from_row = ship_from[k];
-            let backlog = engine.rows_from(out.channel, from_row).len();
-            if backlog > 0 {
-                ship_from[k] = from_row + backlog;
-                engine.loopback_from(out.channel, out.inbox, from_row)?;
-                looped = true;
-            }
-        }
-        if !looped {
-            break;
-        }
-    }
+    engine.run_to_fixpoint()?;
     let pooled: PooledRelations = if config.worker.pool_results {
         spec.program
             .pooling
@@ -563,57 +552,37 @@ impl Transport for ThreadedTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ChannelOut, ProcessorProgram};
-    use gst_common::{ituple, Interner};
-    use gst_storage::Database;
-
-    /// A single worker with a self-loopback channel: transitive closure
-    /// where the frontier feeds back through `t_00`.
-    fn loopback_spec(interner: &Interner) -> WorkerSpec {
-        let unit = gst_frontend::parser::parse_program_with(
-            "t(X,Y) :- e(X,Y).\n\
-             t(X,Y) :- e(X,Z), inbox(Z,Y).\n\
-             ship(Z,Y) :- t(Z,Y).",
-            interner,
-        )
-        .unwrap();
-        let e = (interner.intern("e"), 2);
-        let ship = (interner.get("ship").unwrap(), 2);
-        let inbox = (interner.intern("inbox"), 2);
-        let t = (interner.get("t").unwrap(), 2);
-        let answer = (interner.intern("answer"), 2);
-        let mut db = Database::new(interner.clone());
-        for k in 0..5i64 {
-            db.insert(e, ituple![k, k + 1]).unwrap();
-        }
-        WorkerSpec {
-            program: ProcessorProgram {
-                processor: 0,
-                program: unit.program,
-                outgoing: vec![ChannelOut { channel: ship, dest: 0, inbox }],
-                inboxes: vec![inbox],
-                processing_rules: vec![0, 1],
-                pooling: vec![(t, answer)],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db),
-            session: None,
-        }
-    }
+    use crate::fixtures::lone_worker;
 
     #[test]
-    fn silence_detection_accepts_self_loopbacks_only() {
-        let interner = Interner::new();
-        let spec = loopback_spec(&interner);
-        assert!(network_is_silent(std::slice::from_ref(&spec)));
-        let mut live = spec.clone();
-        live.program.outgoing.push(ChannelOut {
-            channel: (interner.intern("c"), 2),
-            dest: 1,
-            inbox: (interner.intern("i"), 2),
-        });
-        assert!(!network_is_silent(&[live]));
+    fn silence_is_one_worker_or_no_routes() {
+        let mut pair = [lone_worker().0, lone_worker().0];
+        assert!(network_is_silent(&pair[..1]));
+        assert!(!network_is_silent(&pair));
+        pair.iter_mut().for_each(|spec| spec.program.routes.clear());
+        assert!(network_is_silent(&pair));
+    }
+
+    /// A misroute is rejected before any worker starts, with the
+    /// processor, predicate and destination named.
+    #[test]
+    fn misroutes_are_rejected_up_front() {
+        let (mut specs, _) = crate::fixtures::pipeline();
+        let interner = specs[0].program.program.interner.clone();
+        let wide = (interner.intern("wide"), 2);
+        specs[1].program.inboxes.push(wide);
+        let inbox = specs[0].program.routes[0].dests[0].1;
+        let err = |dest: (usize, RelationId)| {
+            let mut specs = specs.clone();
+            specs[0].program.routes[0].dests = vec![dest];
+            validate_specs(&specs).unwrap_err().to_string()
+        };
+        let e = err((2, inbox));
+        assert!(e.contains("processor 0 routes out0/1 to processor 2, which does not exist"), "{e}");
+        let e = err((1, (interner.intern("nowhere"), 1)));
+        assert!(e.contains("to processor 1, which declares no inbox nowhere/1"), "{e}");
+        let e = err((1, wide));
+        assert!(e.contains("whose inbox wide has arity 2"), "{e}");
     }
 
     /// The zero-communication fast path computes the same least model and
@@ -621,9 +590,7 @@ mod tests {
     /// tracing), on the same silent spec.
     #[test]
     fn silent_fast_path_matches_full_machinery() {
-        let interner = Interner::new();
-        let answer = (interner.intern("answer"), 2);
-        let spec = loopback_spec(&interner);
+        let (spec, answer) = lone_worker();
 
         let fast = ThreadedTransport
             .execute(vec![spec.clone()], &RuntimeConfig::default())

@@ -53,7 +53,7 @@ use gst_storage::{Database, Relation};
 
 use crate::codec::{self, put_bytes, put_uv, put_sv, Cursor};
 use crate::message::{Envelope, Message, Payload};
-use crate::spec::{ChannelOut, ProcessorProgram, SessionSeed, WorkerSpec};
+use crate::spec::{ProcessorProgram, Route, SessionSeed, WorkerSpec};
 use crate::stats::WorkerReport;
 use crate::termination::{Color, TokenMsg};
 use crate::worker::{PooledRelations, WorkerConfig};
@@ -173,6 +173,14 @@ fn get_usize(c: &mut Cursor, what: &str) -> Result<usize> {
     usize::try_from(v).map_err(|_| corrupt(what))
 }
 
+fn get_flag(c: &mut Cursor, what: &str) -> Result<bool> {
+    match c.get_u8() {
+        Some(0) => Ok(false),
+        Some(1) => Ok(true),
+        _ => Err(corrupt(what)),
+    }
+}
+
 fn get_symbol(c: &mut Cursor, interner: &Interner, what: &str) -> Result<SymbolId> {
     let idx = c.get_uv().ok_or_else(|| corrupt(what))?;
     if idx >= interner.len() as u64 {
@@ -244,11 +252,7 @@ pub(crate) fn encode_error(fatal: bool, message: &str) -> Vec<u8> {
 
 pub(crate) fn decode_error(bytes: &[u8]) -> Result<(bool, String)> {
     let mut c = Cursor::new(bytes);
-    let fatal = match c.get_u8().ok_or_else(|| corrupt("error flag"))? {
-        0 => false,
-        1 => true,
-        other => return Err(corrupt(&format!("unknown error flag {other}"))),
-    };
+    let fatal = get_flag(&mut c, "error flag")?;
     let msg = c.get_bytes().ok_or_else(|| corrupt("error message"))?;
     let msg = std::str::from_utf8(msg).map_err(|_| corrupt("error message utf8"))?;
     if c.remaining() != 0 {
@@ -368,22 +372,14 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
         return Err(corrupt(&format!("implausible fleet size {n}")));
     }
     let idle_watchdog = c.get_uv().ok_or_else(|| corrupt("job idle_watchdog"))?;
-    let pool_results = match c.get_u8().ok_or_else(|| corrupt("job pool flag"))? {
-        0 => false,
-        1 => true,
-        other => return Err(corrupt(&format!("unknown pool flag {other}"))),
-    };
+    let pool_results = get_flag(&mut c, "job pool flag")?;
     let morsel_threads = get_usize(&mut c, "job morsel threads")?;
     if morsel_threads == 0 || morsel_threads > 1 << 12 {
         return Err(corrupt(&format!(
             "implausible morsel thread count {morsel_threads}"
         )));
     }
-    let profile = match c.get_u8().ok_or_else(|| corrupt("job profile flag"))? {
-        0 => false,
-        1 => true,
-        other => return Err(corrupt(&format!("unknown profile flag {other}"))),
-    };
+    let profile = get_flag(&mut c, "job profile flag")?;
     let worker = WorkerConfig {
         idle_watchdog: Duration::from_micros(idle_watchdog),
         pool_results,
@@ -414,6 +410,9 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
             program.processor
         )));
     }
+    if let Some((dest, _)) = program.routes.iter().flat_map(|r| &r.dests).find(|(d, _)| *d >= n) {
+        return Err(corrupt(&format!("route to processor {dest} outside fleet of {n}")));
+    }
 
     let mut edb = Database::new(interner.clone());
     let nrels = get_count(&mut c, "edb relations")?;
@@ -423,37 +422,33 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
         edb.put_relation(id, rel)?;
     }
 
-    let session = match c.get_u8().ok_or_else(|| corrupt("session flag"))? {
-        0 => None,
-        1 => {
-            let npre = get_count(&mut c, "preseed relations")?;
-            let mut preseed = Vec::with_capacity(npre.min(1024));
-            for _ in 0..npre {
-                let id = get_relation_id(&mut c, &interner)?;
-                preseed.push((id, get_relation_tuples(&mut c, id.1)?));
-            }
-            let ninj = get_count(&mut c, "inject relations")?;
-            let mut inject = Vec::with_capacity(ninj.min(1024));
-            for _ in 0..ninj {
-                let id = get_relation_id(&mut c, &interner)?;
-                let bytes = c.get_bytes().ok_or_else(|| corrupt("inject payload"))?;
-                inject.push((id, codec::decode_batch(bytes)?));
-            }
-            Some(Arc::new(SessionSeed { preseed, inject }))
+    let session = if get_flag(&mut c, "session flag")? {
+        let npre = get_count(&mut c, "preseed relations")?;
+        let mut preseed = Vec::with_capacity(npre.min(1024));
+        for _ in 0..npre {
+            let id = get_relation_id(&mut c, &interner)?;
+            preseed.push((id, get_relation_tuples(&mut c, id.1)?));
         }
-        other => return Err(corrupt(&format!("unknown session flag {other}"))),
+        let ninj = get_count(&mut c, "inject relations")?;
+        let mut inject = Vec::with_capacity(ninj.min(1024));
+        for _ in 0..ninj {
+            let id = get_relation_id(&mut c, &interner)?;
+            let bytes = c.get_bytes().ok_or_else(|| corrupt("inject payload"))?;
+            inject.push((id, codec::decode_batch(bytes)?));
+        }
+        Some(Arc::new(SessionSeed { preseed, inject }))
+    } else {
+        None
     };
-    let recover = match c.get_u8().ok_or_else(|| corrupt("recover flag"))? {
-        0 => None,
-        1 => {
-            let bytes = c.get_bytes().ok_or_else(|| corrupt("recover envelope"))?;
-            let (_, env) = decode_envelope(bytes, &interner)?;
-            if !matches!(env.message, Message::Recover { .. }) {
-                return Err(corrupt("job recovery slot holds a non-Recover message"));
-            }
-            Some(env)
+    let recover = if get_flag(&mut c, "recover flag")? {
+        let bytes = c.get_bytes().ok_or_else(|| corrupt("recover envelope"))?;
+        let (_, env) = decode_envelope(bytes, &interner)?;
+        if !matches!(env.message, Message::Recover { .. }) {
+            return Err(corrupt("job recovery slot holds a non-Recover message"));
         }
-        other => return Err(corrupt(&format!("unknown recover flag {other}"))),
+        Some(env)
+    } else {
+        None
     };
     if c.remaining() != 0 {
         return Err(corrupt("trailing bytes after job"));
@@ -470,11 +465,22 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
 fn put_processor_program(buf: &mut Vec<u8>, pp: &ProcessorProgram) -> Result<()> {
     put_uv(buf, pp.processor as u64);
     put_program(buf, &pp.program)?;
-    put_uv(buf, pp.outgoing.len() as u64);
-    for ch in &pp.outgoing {
-        put_relation_id(buf, ch.channel);
-        put_uv(buf, ch.dest as u64);
-        put_relation_id(buf, ch.inbox);
+    put_uv(buf, pp.routes.len() as u64);
+    for route in &pp.routes {
+        put_atom(buf, &route.source);
+        match &route.key {
+            None => buf.push(0),
+            Some(key) => {
+                buf.push(1);
+                put_constraint(buf, key, &pp.program.interner)?;
+            }
+        }
+        put_uv(buf, route.dests.len() as u64);
+        for (dest, inbox) in &route.dests {
+            put_uv(buf, *dest as u64);
+            put_relation_id(buf, *inbox);
+        }
+        buf.push(u8::from(route.retract));
     }
     put_uv(buf, pp.inboxes.len() as u64);
     for id in &pp.inboxes {
@@ -493,10 +499,6 @@ fn put_processor_program(buf: &mut Vec<u8>, pp: &ProcessorProgram) -> Result<()>
     for id in &pp.local_idb {
         put_relation_id(buf, *id);
     }
-    put_uv(buf, pp.retract_channels.len() as u64);
-    for id in &pp.retract_channels {
-        put_relation_id(buf, *id);
-    }
     Ok(())
 }
 
@@ -507,13 +509,20 @@ fn get_processor_program(
 ) -> Result<ProcessorProgram> {
     let processor = get_usize(c, "processor index")?;
     let program = get_program(c, interner, decode_constraint)?;
-    let nout = get_count(c, "outgoing channels")?;
-    let mut outgoing = Vec::with_capacity(nout.min(1024));
-    for _ in 0..nout {
-        let channel = get_relation_id(c, interner)?;
-        let dest = get_usize(c, "channel dest")?;
-        let inbox = get_relation_id(c, interner)?;
-        outgoing.push(ChannelOut { channel, dest, inbox });
+    let nroutes = get_count(c, "routes")?;
+    let mut routes = Vec::with_capacity(nroutes.min(1024));
+    for _ in 0..nroutes {
+        let source = get_atom(c, interner)?;
+        let keyed = get_flag(c, "route key flag")?;
+        let key = keyed.then(|| get_constraint(c, decode_constraint)).transpose()?;
+        let ndests = get_count(c, "route destinations")?;
+        let mut dests = Vec::with_capacity(ndests.min(1024));
+        for _ in 0..ndests {
+            let dest = get_usize(c, "route dest")?;
+            dests.push((dest, get_relation_id(c, interner)?));
+        }
+        let retract = get_flag(c, "route retract flag")?;
+        routes.push(Route { source, key, dests, retract });
     }
     let read_ids = |c: &mut Cursor, what: &str| -> Result<Vec<RelationId>> {
         let k = get_count(c, what)?;
@@ -537,16 +546,14 @@ fn get_processor_program(
         pooling.push((local, global));
     }
     let local_idb = read_ids(c, "local idb")?;
-    let retract_channels = read_ids(c, "retract channels")?;
     Ok(ProcessorProgram {
         processor,
         program,
-        outgoing,
+        routes,
         inboxes,
         processing_rules,
         pooling,
         local_idb,
-        retract_channels,
     })
 }
 
@@ -568,20 +575,34 @@ fn put_program(buf: &mut Vec<u8>, program: &Program) -> Result<()> {
                     put_atom(buf, a);
                 }
                 Literal::Constraint(cref) => {
-                    let encoded = cref.wire_encode().ok_or_else(|| {
-                        Error::Runtime(format!(
-                            "constraint {} cannot travel to a worker process \
-                             (no wire encoding)",
-                            cref.describe(&program.interner)
-                        ))
-                    })?;
                     buf.push(LIT_CONSTRAINT);
-                    put_bytes(buf, &encoded);
+                    put_constraint(buf, cref, &program.interner)?;
                 }
             }
         }
     }
     Ok(())
+}
+
+fn put_constraint(buf: &mut Vec<u8>, cref: &ConstraintRef, interner: &Interner) -> Result<()> {
+    let encoded = cref.wire_encode().ok_or_else(|| {
+        Error::Runtime(format!(
+            "constraint {} cannot travel to a worker process (no wire encoding)",
+            cref.describe(interner)
+        ))
+    })?;
+    put_bytes(buf, &encoded);
+    Ok(())
+}
+
+fn get_constraint(c: &mut Cursor, decode_constraint: ConstraintDecode) -> Result<ConstraintRef> {
+    let bytes = c.get_bytes().ok_or_else(|| corrupt("constraint bytes"))?;
+    let decode = decode_constraint.ok_or_else(|| {
+        Error::Runtime(
+            "job carries a constraint but this worker has no constraint decoder".into(),
+        )
+    })?;
+    decode(bytes)
 }
 
 fn put_atom(buf: &mut Vec<u8>, atom: &Atom) {
@@ -620,15 +641,7 @@ fn get_program(
             match c.get_u8().ok_or_else(|| corrupt("literal tag"))? {
                 LIT_ATOM => body.push(Literal::Atom(get_atom(c, interner)?)),
                 LIT_CONSTRAINT => {
-                    let bytes = c.get_bytes().ok_or_else(|| corrupt("constraint bytes"))?;
-                    let decode = decode_constraint.ok_or_else(|| {
-                        Error::Runtime(
-                            "job carries a constraint literal but this worker has \
-                             no constraint decoder"
-                                .into(),
-                        )
-                    })?;
-                    body.push(Literal::Constraint(decode(bytes)?));
+                    body.push(Literal::Constraint(get_constraint(c, decode_constraint)?));
                 }
                 other => return Err(corrupt(&format!("unknown literal tag {other}"))),
             }
@@ -742,11 +755,7 @@ pub(crate) fn decode_envelope(bytes: &[u8], interner: &Interner) -> Result<(usiz
     let message = match c.get_u8().ok_or_else(|| corrupt("message tag"))? {
         MSG_BATCH => {
             let inbox = get_relation_id(&mut c, interner)?;
-            let retract = match c.get_u8().ok_or_else(|| corrupt("retract flag"))? {
-                0 => false,
-                1 => true,
-                other => return Err(corrupt(&format!("unknown retract flag {other}"))),
-            };
+            let retract = get_flag(&mut c, "retract flag")?;
             let payload = c.get_bytes().ok_or_else(|| corrupt("batch payload"))?;
             // Full structural walk, not just the header: a corrupt
             // payload must die at the link (recoverable) instead of in
@@ -1009,31 +1018,29 @@ pub(crate) fn decode_result(
         let tuples = c.get_uv().ok_or_else(|| corrupt("send round tuples"))?;
         sent_per_round.push((round, tuples));
     }
-    let profile = match c.get_u8().ok_or_else(|| corrupt("profile flag"))? {
-        0 => None,
-        1 => {
-            let phases = get_phase_totals(&mut c, "profile phases")?;
-            let round_latency = get_histogram(&mut c, "round latency histogram")?;
-            let encode_time = get_histogram(&mut c, "encode time histogram")?;
-            let decode_time = get_histogram(&mut c, "decode time histogram")?;
-            let batch_bytes = get_histogram(&mut c, "batch bytes histogram")?;
-            let nprofrounds = get_count(&mut c, "profile rounds")?;
-            let mut prof_per_round = Vec::with_capacity(nprofrounds.min(1024));
-            for _ in 0..nprofrounds {
-                let round = c.get_uv().ok_or_else(|| corrupt("profile round"))?;
-                let totals = get_phase_totals(&mut c, "profile round phases")?;
-                prof_per_round.push((round, totals));
-            }
-            Some(crate::profile::WorkerProfile {
-                phases,
-                round_latency,
-                encode_time,
-                decode_time,
-                batch_bytes,
-                per_round: prof_per_round,
-            })
+    let profile = if get_flag(&mut c, "profile flag")? {
+        let phases = get_phase_totals(&mut c, "profile phases")?;
+        let round_latency = get_histogram(&mut c, "round latency histogram")?;
+        let encode_time = get_histogram(&mut c, "encode time histogram")?;
+        let decode_time = get_histogram(&mut c, "decode time histogram")?;
+        let batch_bytes = get_histogram(&mut c, "batch bytes histogram")?;
+        let nprofrounds = get_count(&mut c, "profile rounds")?;
+        let mut prof_per_round = Vec::with_capacity(nprofrounds.min(1024));
+        for _ in 0..nprofrounds {
+            let round = c.get_uv().ok_or_else(|| corrupt("profile round"))?;
+            let totals = get_phase_totals(&mut c, "profile round phases")?;
+            prof_per_round.push((round, totals));
         }
-        other => return Err(corrupt(&format!("unknown profile flag {other}"))),
+        Some(crate::profile::WorkerProfile {
+            phases,
+            round_latency,
+            encode_time,
+            decode_time,
+            batch_bytes,
+            per_round: prof_per_round,
+        })
+    } else {
+        None
     };
     let report = WorkerReport {
         processor,
@@ -1078,14 +1085,12 @@ mod tests {
     fn sample_spec() -> WorkerSpec {
         let unit = parse_program(
             "t(X,Y) :- e(X,Y).\n\
-             t(X,Y) :- e(X,Z), t(Z,Y).\n\
-             ship(X,Y) :- t(X,Y).",
+             t(X,Y) :- e(X,Z), t(Z,Y).",
         )
         .unwrap();
         let interner = unit.program.interner.clone();
         let e = (interner.get("e").unwrap(), 2);
         let t = (interner.get("t").unwrap(), 2);
-        let ship = (interner.get("ship").unwrap(), 2);
         let inbox = (interner.intern("t@in"), 2);
         let answer = (interner.intern("answer"), 2);
         let sym = interner.intern("leaf");
@@ -1094,20 +1099,11 @@ mod tests {
             db.insert(e, ituple![k, k + 1]).unwrap();
         }
         db.insert(e, Tuple::new(&[Value::Sym(sym), Value::Int(-3)])).unwrap();
-        WorkerSpec {
-            program: ProcessorProgram {
-                processor: 1,
-                program: unit.program,
-                outgoing: vec![ChannelOut { channel: ship, dest: 0, inbox }],
-                inboxes: vec![inbox],
-                processing_rules: vec![0, 1],
-                pooling: vec![(t, answer)],
-                local_idb: vec![],
-                retract_channels: vec![ship],
-            },
-            edb: Arc::new(db),
-            session: None,
-        }
+        let route = Route {
+            retract: true,
+            ..Route::broadcast(t, &interner, vec![(0, inbox), (1, inbox)])
+        };
+        crate::fixtures::spec(1, unit.program, vec![route], vec![inbox], vec![(t, answer)], db)
     }
 
     fn roundtrip_job(spec: &WorkerSpec) -> JobFrame {
@@ -1126,11 +1122,13 @@ mod tests {
         assert_eq!(job.worker.morsel_threads, 1);
         assert_eq!(job.spec.program.processor, 1);
         assert_eq!(job.spec.program.program.rules, spec.program.program.rules);
-        assert_eq!(job.spec.program.outgoing, spec.program.outgoing);
+        let (got, sent) = (&job.spec.program.routes[0], &spec.program.routes[0]);
+        assert_eq!(job.spec.program.routes.len(), 1);
+        assert_eq!((&got.source, &got.dests, got.retract), (&sent.source, &sent.dests, true));
+        assert!(got.key.is_none());
         assert_eq!(job.spec.program.inboxes, spec.program.inboxes);
         assert_eq!(job.spec.program.processing_rules, spec.program.processing_rules);
         assert_eq!(job.spec.program.pooling, spec.program.pooling);
-        assert_eq!(job.spec.program.retract_channels, spec.program.retract_channels);
         // The decoded interner resolves every shipped symbol identically.
         let a = &spec.program.program.interner;
         let b = &job.spec.program.program.interner;

@@ -11,19 +11,23 @@
 //! until "termination"
 //! ```
 //!
-//! Initialization/processing/sending rules run inside the local
-//! [`FixpointEngine`]; the *receiving* rules are realized by injecting
-//! arriving batches into the inbox predicates; and the asynchrony the
-//! paper insists on ("processor i does not wait for data from processor
-//! j") falls out of absorbing whatever has arrived before each engine
-//! round, never blocking for more. The loop body is one [`WorkerCore::step`]:
-//! receive (absorb and inject what arrived), close the previous round
-//! (`advance`: dedup the derived rows into the arenas), **send** the
-//! channel rows that advance admitted, then process one round. Sending
-//! every round — not once at the local fixpoint — is what lets processor
-//! `j` start on `i`'s first frontier while `i` is still deriving its
-//! second; a worker that ships only when it has nothing left to do makes
-//! the fleet compute in alternation.
+//! Initialization and processing rules run inside the local
+//! [`FixpointEngine`]; the *sending* rules are its route table — closing
+//! a round (`advance`) hashes every row it admits to `t_out^i` to its
+//! destination, straight into the local inbox or into a per-destination
+//! buffer this worker encodes and ships; the *receiving* rules are
+//! realized by injecting arriving batches into the inbox predicates; and
+//! the asynchrony the paper insists on ("processor i does not wait for
+//! data from processor j") falls out of absorbing whatever has arrived
+//! before each engine round, never blocking for more. The loop body is
+//! one [`WorkerCore::step`]: receive (absorb and inject what arrived),
+//! close the previous round (`advance`: dedup the derived rows into the
+//! arenas and route the fresh ones), **send** the buffers that advance
+//! filled, then process one round. Sending every round — not once at the
+//! local fixpoint — is what lets processor `j` start on `i`'s first
+//! frontier while `i` is still deriving its second; a worker that ships
+//! only when it has nothing left to do makes the fleet compute in
+//! alternation.
 //!
 //! The worker is deliberately **re-entrant**: it owns no channel handles
 //! and no event loop. [`WorkerCore::step`] performs exactly one scheduling
@@ -111,8 +115,8 @@ pub(crate) enum Step {
 /// acked prefix is *compacted*: its `(inbox, payload)` pairs move, still
 /// encoded, onto the snapshot list and lose their per-batch sequence
 /// numbers. No decode, no hashing — an ack costs a pointer move per batch
-/// and the retained data stays at wire size. Channel arena rows are
-/// distinct and each ships once per link, so memory is bounded by the
+/// and the retained data stays at wire size. Only rows fresh in `t_out^i`
+/// are routed, so each ships once per link and memory is bounded by the
 /// number of *distinct* tuples ever shipped on the link, not by total
 /// traffic. Replay for a receiver whose watermark predates the tail ships
 /// the snapshot (as one logical message standing in for sequence numbers
@@ -191,12 +195,6 @@ pub(crate) struct WorkerCore {
     seen_above: Vec<FxHashSet<u64>>,
     /// Sender-side replay log per destination link.
     replay: Vec<ReplayLog>,
-    /// Outgoing channels grouped by channel relation. Every round ships
-    /// what the round's `advance` admitted: the arena's insertion order
-    /// makes "not yet shipped" a borrowable suffix, encoded straight onto
-    /// the wire. A channel feeding several destinations (the broadcast
-    /// scheme) is encoded once and the payload `Arc` shared.
-    ship_groups: Vec<ShipGroup>,
     /// Batches accepted since the last drain, grouped per inbox (same
     /// order as `spec.program.inboxes`): the decode-and-inject pass runs
     /// once per inbox per step however many batches arrived, so a worker
@@ -218,32 +216,11 @@ pub(crate) struct WorkerCore {
     was_idle: bool,
 }
 
-/// One send group: a channel relation with every destination it feeds and
-/// the arena watermark of rows already shipped (or looped back).
-struct ShipGroup {
-    channel: RelationId,
-    /// Rows of the channel relation below this index are already out.
-    from_row: usize,
-    /// `(dest, inbox)` pairs in spec order.
-    dests: Vec<(usize, RelationId)>,
-}
-
 impl WorkerCore {
     /// A core in recovery epoch `epoch`: 0 for a fresh fleet, higher when a
     /// supervisor rebuilds a crashed processor from its retained spec.
     pub(crate) fn with_epoch(spec: WorkerSpec, n: usize, epoch: u64) -> Result<Self> {
         let id = spec.program.processor;
-        let mut ship_groups: Vec<ShipGroup> = Vec::new();
-        for ch in &spec.program.outgoing {
-            match ship_groups.iter_mut().find(|g| g.channel == ch.channel) {
-                Some(g) => g.dests.push((ch.dest, ch.inbox)),
-                None => ship_groups.push(ShipGroup {
-                    channel: ch.channel,
-                    from_row: 0,
-                    dests: vec![(ch.dest, ch.inbox)],
-                }),
-            }
-        }
         let stash = vec![Vec::new(); spec.program.inboxes.len()];
         // One construction path for cold starts and crash restarts: the
         // spec (including any update-session seed) fully determines the
@@ -267,7 +244,6 @@ impl WorkerCore {
             recv_floor: vec![0; n],
             seen_above: vec![FxHashSet::default(); n],
             replay: (0..n).map(|_| ReplayLog::default()).collect(),
-            ship_groups,
             stash,
             stash_count: 0,
             report: WorkerReport::new(id, n),
@@ -411,12 +387,13 @@ impl WorkerCore {
         }
 
         // Close the previous round: dedup what it derived (and what just
-        // arrived) into the arenas and bring the indexes up to date. This
-        // is where the storage work lives, so it is compute time; the
-        // tick proxy is the tuples submitted. An advance with nothing
-        // submitted is charged nothing and opens no per-round entry.
+        // arrived) into the arenas, route the fresh rows and bring the
+        // indexes up to date. This is where the storage work lives, so it
+        // is compute time; the tick proxy is the tuples submitted. An
+        // advance with nothing submitted is charged nothing and opens no
+        // per-round entry.
         let t0 = self.phase_start();
-        let fresh = self.engine.advance();
+        let fresh = self.engine.advance()?;
         // `advance` already closed the round in the stats, so the round
         // its rows feed — shipped now, processed next — is `rounds - 1`.
         let round = self.engine.stats().rounds - 1;
@@ -427,7 +404,7 @@ impl WorkerCore {
         if fresh > 0 {
             // Sending step, every round: peers start on these rows while
             // this worker is still processing them.
-            self.ship_channel_deltas(round, out)?;
+            self.ship_outlets(round, out)?;
 
             // Processing step: one engine round.
             let firings_before = self.engine.stats().firings;
@@ -442,13 +419,7 @@ impl WorkerCore {
             return Ok(Step::Worked);
         }
 
-        // Local fixpoint. Every admitted row went out with its round, so
-        // this final flush finds a backlog only if some path ever admits
-        // channel rows without running a round; a loopback would then
-        // re-activate the engine, hence `Worked`.
-        if self.ship_channel_deltas(round, out)? {
-            return Ok(Step::Worked);
-        }
+        // Local fixpoint: nothing fresh, so nothing was routed.
         debug_assert!(self.engine.quiescent());
 
         // Passive: a held token may now be handled (Safra forwards only
@@ -689,22 +660,16 @@ impl WorkerCore {
         self.stash_payload(inbox, payload)
     }
 
-    /// Queue a payload for the next coalesced inject pass. An inbox
-    /// predicate the spec does not declare falls through to a direct
-    /// inject so the engine raises its typed error (misrouted envelope)
-    /// at the receiving step, not one round later.
+    /// Queue a payload for the next coalesced inject pass. Spec validation
+    /// admits no route into an inbox its destination does not declare, so
+    /// an envelope naming one is corrupt.
     fn stash_payload(&mut self, inbox: RelationId, payload: Payload) -> Result<()> {
-        match self.spec.program.inboxes.iter().position(|p| *p == inbox) {
-            Some(idx) => {
-                self.stash[idx].push(payload);
-                self.stash_count += 1;
-                Ok(())
-            }
-            None => self
-                .engine
-                .inject_with(inbox, |out| crate::codec::decode_batch_into(&payload, out))
-                .map(|_| ()),
-        }
+        let idx = self.spec.program.inboxes.iter().position(|p| *p == inbox).ok_or_else(|| {
+            Error::Runtime(format!("processor {}: batch for undeclared inbox {inbox:?}", self.id))
+        })?;
+        self.stash[idx].push(payload);
+        self.stash_count += 1;
+        Ok(())
     }
 
     /// Coalesced receiving step: decode every stashed payload of an inbox
@@ -742,87 +707,52 @@ impl WorkerCore {
         }
     }
 
-    /// Ship every channel predicate's unshipped rows (paper: sending
-    /// step) — what the advance that opened `round` admitted.
+    /// Ship what the advance that opened `round` routed to other
+    /// processors (paper: sending step).
     ///
-    /// The backlog is a borrowed arena suffix encoded straight onto the
-    /// wire — no intermediate tuple vector; the only retained copy is the
-    /// payload the replay log needs anyway. A channel feeding several
-    /// remote destinations (the broadcast scheme's shared head predicate)
+    /// Each outlet's rows are encoded straight onto the wire; the only
+    /// retained copy is the payload the replay log needs anyway. A
+    /// broadcast is one outlet addressed to every remote destination: it
     /// is encoded exactly once and every destination's envelope clones
     /// the payload `Arc` — single-encode multicast.
-    fn ship_channel_deltas(&mut self, round: u64, out: &mut dyn Outbox) -> Result<bool> {
-        let mut shipped = false;
-        for k in 0..self.ship_groups.len() {
-            let (channel, from_row) =
-                (self.ship_groups[k].channel, self.ship_groups[k].from_row);
-            let count = self.engine.rows_from(channel, from_row).len();
-            if count == 0 {
-                continue;
+    fn ship_outlets(&mut self, round: u64, out: &mut dyn Outbox) -> Result<()> {
+        for k in 0..self.engine.outlets().len() {
+            let outlet = &self.engine.outlets()[k];
+            let Some(arity) = outlet.rows.first().map(|t| t.arity()) else { continue };
+            let t0 = self.phase_start();
+            let (count, retract) = (outlet.rows.len() as u64, outlet.retract);
+            let label = outlet.dests.first().map_or(0, |(_, inbox)| inbox.0 .0);
+            let payload = crate::codec::encode_batch(arity, &outlet.rows)?;
+            let bytes = payload.len() as u64;
+            let raw_bytes = crate::codec::row_format_bytes(arity, count as usize);
+            self.report.encode_calls += 1;
+            self.report.encoded_bytes += bytes;
+            self.report.encoded_raw_bytes += raw_bytes;
+            self.sink.emit(ObsKind::BatchEncoded { channel: label, tuples: count, bytes, raw_bytes });
+            if let Some((d, profile)) = self.phase_stop(t0, PHASE_ENCODE, round, bytes) {
+                profile.encode_time.record(d);
+                profile.batch_bytes.record(bytes);
             }
-            self.ship_groups[k].from_row = from_row + count;
-            shipped = true;
-            let payload = if self.ship_groups[k].dests.iter().any(|(d, _)| *d != self.id) {
-                let t0 = self.phase_start();
-                let payload = {
-                    let tuples = self.engine.rows_from(channel, from_row);
-                    crate::codec::encode_batch(channel.1, tuples)?
-                };
-                let bytes = payload.len() as u64;
-                let raw_bytes = crate::codec::row_format_bytes(channel.1, count);
-                self.report.encode_calls += 1;
-                self.report.encoded_bytes += bytes;
-                self.report.encoded_raw_bytes += raw_bytes;
-                self.sink.emit(ObsKind::BatchEncoded {
-                    channel: channel.0 .0,
-                    tuples: count as u64,
-                    bytes,
-                    raw_bytes,
-                });
-                if let Some((d, profile)) = self.phase_stop(t0, PHASE_ENCODE, round, bytes) {
-                    profile.encode_time.record(d);
-                    profile.batch_bytes.record(bytes);
-                }
-                Some(payload)
-            } else {
-                None
-            };
-            // Delete-marked channel: the batch carries DRed retractions.
-            // Routing, replay, and Safra accounting are identical — only
-            // the envelope flag and traffic attribution differ.
-            let retract = self.spec.program.retract_channels.contains(&channel);
-            for d in 0..self.ship_groups[k].dests.len() {
-                let (dest, inbox) = self.ship_groups[k].dests[d];
-                if dest == self.id {
-                    // Local loopback (t_ii): no network, no counters — a
-                    // copy into the inbox's pending pool, so compute time.
-                    let t0 = self.phase_start();
-                    let looped = self.engine.loopback_from(channel, inbox, from_row)?;
-                    self.phase_stop(t0, PHASE_COMPUTE, round, looped);
-                    continue;
-                }
-                let payload = payload.clone().expect("remote dest implies an encode");
+            for d in 0..self.engine.outlets()[k].dests.len() {
+                let (dest, inbox) = self.engine.outlets()[k].dests[d];
+                // A retract route's batch carries DRed retractions.
+                // Routing, replay, and Safra accounting are identical —
+                // only the envelope flag and traffic attribution differ.
                 if retract {
-                    self.report.retract_tuples_sent += count as u64;
+                    self.report.retract_tuples_sent += count;
                 }
-                self.report.sent_tuples_to[dest] += count as u64;
-                self.report.sent_bytes_to[dest] += payload.len() as u64;
+                self.report.sent_tuples_to[dest] += count;
+                self.report.sent_bytes_to[dest] += bytes;
                 self.report.sent_messages += 1;
                 // Attribute the tuples to the round they feed (sparse
-                // series; one entry when the round ships on several
-                // channels).
+                // series; one entry when the round ships several outlets).
                 match self.report.sent_per_round.last_mut() {
-                    Some((r, total)) if *r == round => *total += count as u64,
-                    _ => self.report.sent_per_round.push((round, count as u64)),
+                    Some((r, total)) if *r == round => *total += count,
+                    _ => self.report.sent_per_round.push((round, count)),
                 }
                 self.safra.on_send();
                 let seq = self.next_batch_seq(dest);
-                self.sink.emit(ObsKind::BatchSent {
-                    to: dest,
-                    tuples: count as u64,
-                    bytes: payload.len() as u64,
-                    seq,
-                });
+                self.sink.emit(ObsKind::BatchSent { to: dest, tuples: count, bytes, seq });
                 // Retain for crash-recovery replay until the receiver acks
                 // it (compaction) or the run terminates.
                 self.replay[dest]
@@ -835,12 +765,13 @@ impl WorkerCore {
                         seq,
                         epoch: self.epoch,
                         ack: self.recv_floor[dest],
-                        message: Message::Batch { inbox, payload, retract },
+                        message: Message::Batch { inbox, payload: payload.clone(), retract },
                     },
                 )?;
             }
         }
-        Ok(shipped)
+        self.engine.clear_outlets();
+        Ok(())
     }
 
     fn handle_token(&mut self, token: TokenMsg, out: &mut dyn Outbox) -> Result<()> {
@@ -958,7 +889,6 @@ pub(crate) fn watchdog_error(id: usize, idle_for: impl std::fmt::Debug) -> Error
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::ProcessorProgram;
     use crate::termination::Color;
     use gst_common::{ituple, Interner};
     use gst_storage::Database;
@@ -1010,41 +940,26 @@ mod tests {
     }
 
     /// Processor `processor` of `n`: closes a 4-edge chain over four rounds
-    /// (4, 3, 2 then 1 new `t` rows) and ships every `t` row on channel
-    /// `send` to each processor in `dests`; accepts batches on `inbox/2`.
+    /// (4, 3, 2 then 1 new `t` rows) and routes every `t` row to `inbox/2`
+    /// at each processor in `dests`; accepts batches on `inbox/2`.
     fn chain_core(processor: usize, dests: &[usize], n: usize) -> WorkerCore {
         let interner = Interner::new();
         let unit = gst_frontend::parser::parse_program_with(
             "t(X,Y) :- e(X,Y).\n\
-             t(X,Y) :- e(X,Z), t(Z,Y).\n\
-             send(X,Y) :- t(X,Y).",
+             t(X,Y) :- e(X,Z), t(Z,Y).",
             &interner,
         )
         .unwrap();
         let e = (interner.intern("e"), 2);
-        let send = (interner.get("send").unwrap(), 2);
+        let t = (interner.get("t").unwrap(), 2);
         let inbox = (interner.intern("inbox"), 2);
         let mut db = Database::new(interner.clone());
         for k in 0..4i64 {
             db.insert(e, ituple![k, k + 1]).unwrap();
         }
-        let spec = WorkerSpec {
-            program: ProcessorProgram {
-                processor,
-                program: unit.program,
-                outgoing: dests
-                    .iter()
-                    .map(|&dest| crate::spec::ChannelOut { channel: send, dest, inbox })
-                    .collect(),
-                inboxes: vec![inbox],
-                processing_rules: vec![0, 1],
-                pooling: vec![],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(db),
-            session: None,
-        };
+        let dests = dests.iter().map(|&dest| (dest, inbox)).collect();
+        let routes = vec![crate::spec::Route::broadcast(t, &interner, dests)];
+        let spec = crate::fixtures::spec(processor, unit.program, routes, vec![inbox], vec![], db);
         WorkerCore::with_epoch(spec, n, 0).unwrap()
     }
 
@@ -1065,12 +980,12 @@ mod tests {
         Envelope { from, seq: 0, epoch, ack, message }
     }
 
-    /// The sending step runs every round: a round that admitted channel
+    /// The sending step runs every round: a round that admitted routed
     /// rows ships them in the same step that goes on to process them —
     /// the engine is mid-fixpoint when the batch leaves — and the step
     /// that finds the fixpoint has nothing left to flush.
     #[test]
-    fn channel_rows_ship_with_their_round_not_at_the_fixpoint() {
+    fn routed_rows_ship_with_their_round_not_at_the_fixpoint() {
         let mut core = chain_core(0, &[1], 2);
         let mut out = Recorder::default();
         let mut sizes = Vec::new();
@@ -1094,11 +1009,11 @@ mod tests {
     }
 
     /// Under the simulator's clock the storage work is visible as compute
-    /// ticks: every tuple submitted to an `advance`, and every tuple a
-    /// self-channel copies into its inbox, is one tick on top of the
-    /// firings.
+    /// ticks: every tuple submitted to an `advance` — a derived one, or
+    /// one the route table pushed into the local inbox — is one tick on
+    /// top of the firings.
     #[test]
-    fn advance_and_loopback_ticks_land_in_compute() {
+    fn advance_and_local_routing_ticks_land_in_compute() {
         let mut core = chain_core(0, &[0], 1);
         core.set_profiler(Profiler::ticks(), gst_eval::TimeMode::Ticks);
         let mut out = Recorder::default();
@@ -1108,10 +1023,10 @@ mod tests {
         }
         let stats = core.engine.stats();
         let (firings, submitted) = (stats.firings, stats.derived + stats.duplicates);
-        // 10 `t` rows fire `send` once each and loop back once each.
-        assert_eq!((firings, submitted), (20, 30));
+        // 10 `t` rows, each derived once and routed to the inbox once.
+        assert_eq!((firings, submitted), (10, 20));
         let phases = core.prof.as_ref().unwrap().profile.phases;
-        assert_eq!(phases.compute, firings + submitted + 10);
+        assert_eq!(phases.compute, firings + submitted);
         assert_eq!(phases.encode + phases.decode + phases.replay, 0);
     }
 
@@ -1321,12 +1236,12 @@ mod tests {
         assert_eq!(core.report.replayed_batches, 3, "one snapshot and two batches");
     }
 
-    /// A channel feeding several destinations (the broadcast scheme's
-    /// shared head predicate) is encoded exactly once per round: every
+    /// A broadcast route is one outlet addressed to every destination,
+    /// encoded exactly once per round: every
     /// destination's envelope shares the same payload `Arc`, and the
     /// journal records one `encode` event for the two `send`s.
     #[test]
-    fn broadcast_channel_is_encoded_once_and_shared() {
+    fn broadcast_is_encoded_once_and_shared() {
         let mut core = chain_core(0, &[1, 2], 3);
         core.set_sink(TraceSink::virtual_clock(0));
         let mut out = Recorder::default();
@@ -1342,7 +1257,7 @@ mod tests {
         let count = |pick: fn(&ObsKind) -> bool| events.iter().filter(|e| pick(&e.kind)).count();
         let encodes = count(|k| matches!(k, ObsKind::BatchEncoded { .. }));
         let sends = count(|k| matches!(k, ObsKind::BatchSent { .. }));
-        assert_eq!(encodes, 4, "one encode per (round, channel relation)");
+        assert_eq!(encodes, 4, "one encode per (round, outlet)");
         assert_eq!(sends, 8, "but one send per destination");
     }
 

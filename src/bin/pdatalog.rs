@@ -690,8 +690,8 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 match ProfileReport::build(&outcome.stats, base) {
                     Some(report) => {
                         // Magic/adorned rules keep their source indices in
-                        // the processor program (sending rules come after),
-                        // so the rewrite's provenance labels line up.
+                        // the processor program, so the rewrite's
+                        // provenance labels line up.
                         let report = match &query_ctx {
                             Some(rw) => report.with_rule_labels(
                                 rw.rules.iter().map(|info| info.label()).collect(),

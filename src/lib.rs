@@ -71,7 +71,7 @@ pub mod prelude {
         Term, Variable,
     };
     pub use gst_runtime::{
-        ChannelOut, ExecutionOutcome, ProcessorProgram, RuntimeConfig,
+        ExecutionOutcome, ProcessorProgram, Route, RuntimeConfig,
         SessionSeed, ThreadedTransport, Transport, WorkerSpec,
     };
     pub use gst_storage::{
