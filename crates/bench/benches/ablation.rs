@@ -44,17 +44,12 @@ fn bench_constraint_pushdown(c: &mut Criterion) {
     use gst_core::prelude::{rewrite_general, RuleChoice};
     use gst_core::schemes::BaseDistribution;
     use gst_eval::FixpointEngine;
-    use gst_frontend::Variable;
     use gst_workloads::nonlinear_ancestor;
 
     let fx = nonlinear_ancestor();
     let db = fx.database(&gst_workloads::grid(8, 8));
-    let var = |n: &str| Variable(fx.program.interner.get(n).unwrap());
     let h: DiscriminatorRef = Arc::new(HashMod::new(4, 13));
-    let choices = vec![
-        RuleChoice { v: vec![var("Y")], h: h.clone() },
-        RuleChoice { v: vec![var("Z")], h },
-    ];
+    let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     let scheme =
         rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
     let worker = scheme.workers[0].clone();

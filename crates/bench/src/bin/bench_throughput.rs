@@ -61,10 +61,10 @@
 //! plans, firings, and wire bytes it produced before the session layer
 //! existed.
 //!
-//! A full or `--smoke` run also fails unless every `n = 1` row fired
-//! exactly what the sequential engine fires on the program the row runs
-//! (`firings == seq_firings`): one processor pays no rewrite tax in
-//! firings.
+//! A full or `--smoke` run also fails unless every `n = 1` row fired and
+//! inserted exactly what the sequential engine does on the program the
+//! row runs (`firings == seq_firings`, `derived == seq_derived`): one
+//! processor pays no rewrite tax in firings, and stores every tuple once.
 //!
 //! Every row is checked against the sequential semi-naive oracle (same
 //! least model) before its timing is trusted, and the report records the
@@ -112,9 +112,12 @@ struct Row {
     comm_tuples: u64,
     /// Total rule firings across workers (semantics fingerprint).
     firings: u64,
-    /// What the sequential engine fires on the program this row runs
-    /// (filled in by the caller of [`measure`]).
+    /// Distinct tuples inserted across workers' derived relations.
+    derived: u64,
+    /// What the sequential engine fires and inserts on the program this
+    /// row runs (filled in by [`Row::against`]).
     seq_firings: u64,
+    seq_derived: u64,
     /// Processing firings per worker, in processor order — the per-cell
     /// load-skew record.
     worker_firings: Vec<u64>,
@@ -127,6 +130,13 @@ struct Row {
     /// Point-query cells only: this row's firings over the matching
     /// `rl-full` full-closure cell's firings. `None` everywhere else.
     demand_ratio: Option<f64>,
+}
+
+impl Row {
+    /// This row beside the sequential run of the same program.
+    fn against(self, seq: &gst_eval::EvalStats) -> Row {
+        Row { seq_firings: seq.firings, seq_derived: seq.derived, ..self }
+    }
 }
 
 fn measure(
@@ -187,7 +197,9 @@ fn measure(
         bytes_shipped: outcome.stats.total_bytes_sent(),
         comm_tuples: outcome.stats.total_tuples_sent(),
         firings: outcome.stats.total_firings(),
+        derived: outcome.stats.workers.iter().map(|w| w.eval.derived).sum(),
         seq_firings: 0,
+        seq_derived: 0,
         worker_firings,
         phase_us,
         correct: answer.set_eq(oracle),
@@ -525,7 +537,7 @@ fn main() {
             }
             for (sname, scheme, config) in &schemes {
                 let row = measure((wname, sname), n, scheme, &reference, anc, reps, config);
-                rows.push(Row { seq_firings: oracle.stats.firings, ..row });
+                rows.push(row.against(&oracle.stats));
             }
 
             // Demand-driven point-query cells (DESIGN.md §15): the same
@@ -547,8 +559,7 @@ fn main() {
                     reps,
                     &plain,
                 );
-                let seq_firings = seminaive_eval(&rlfx.program, &rl_db).unwrap().stats.firings;
-                let full = Row { seq_firings, ..full };
+                let full = full.against(&seminaive_eval(&rlfx.program, &rl_db).unwrap().stats);
                 let goal = Atom::new(
                     rlfx.output_id().0,
                     vec![
@@ -566,7 +577,7 @@ fn main() {
                 let mut seeded = rl_db.clone();
                 let seed = (rw.seed_predicate.name, rw.seed_predicate.arity);
                 seeded.insert(seed, rw.seed_fact.clone()).unwrap();
-                let mut magic = measure(
+                let magic = measure(
                     (wname, "magic-point"),
                     n,
                     &compile_demand(&rw, &rl_db, n).unwrap(),
@@ -575,7 +586,7 @@ fn main() {
                     reps,
                     &plain,
                 );
-                magic.seq_firings = seminaive_eval(&rw.program, &seeded).unwrap().stats.firings;
+                let mut magic = magic.against(&seminaive_eval(&rw.program, &seeded).unwrap().stats);
                 magic.demand_ratio = Some(magic.firings as f64 / full.firings.max(1) as f64);
                 rows.push(full);
                 rows.push(magic);
@@ -617,13 +628,16 @@ fn main() {
         "all {} configurations matched the sequential least model: {all_correct}",
         rows.len()
     );
-    let astray: Vec<&Row> =
-        rows.iter().filter(|r| r.n == 1 && r.firings != r.seq_firings).collect();
-    for Row { workload, scheme, firings, seq_firings, .. } in &astray {
-        eprintln!("FAIL: {workload}/{scheme}/n=1 fired {firings} rules, sequential {seq_firings}");
+    let level = |r: &&Row| (r.firings, r.derived) == (r.seq_firings, r.seq_derived);
+    let astray: Vec<&Row> = rows.iter().filter(|r| r.n == 1 && !level(r)).collect();
+    for Row { workload, scheme, firings, derived, seq_firings, seq_derived, .. } in &astray {
+        eprintln!(
+            "FAIL: {workload}/{scheme}/n=1 fired {firings} rules and inserted {derived} tuples, \
+             sequential {seq_firings} and {seq_derived}"
+        );
     }
     let n1_ok = astray.is_empty();
-    println!("every n=1 row fires exactly what the sequential engine fires: {n1_ok}");
+    println!("every n=1 row fires and inserts exactly what the sequential engine does: {n1_ok}");
 
     let report = Json::obj(vec![
         ("bench", s("throughput")),
@@ -648,6 +662,8 @@ fn main() {
                             ("comm_tuples", count(r.comm_tuples)),
                             ("firings", count(r.firings)),
                             ("seq_firings", count(r.seq_firings)),
+                            ("derived", count(r.derived)),
+                            ("seq_derived", count(r.seq_derived)),
                             (
                                 "worker_firings",
                                 Json::Arr(r.worker_firings.iter().map(|&f| count(f)).collect()),

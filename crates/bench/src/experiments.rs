@@ -16,17 +16,13 @@ use gst_core::prelude::{
 };
 use gst_core::schemes::{BaseDistribution, CompiledScheme};
 use gst_eval::seminaive_eval;
-use gst_frontend::{LinearSirup, Program, Variable};
+use gst_frontend::LinearSirup;
 use gst_runtime::{ExecutionOutcome, FaultPlan, Journal, ObsKind, RuntimeConfig};
 use gst_storage::{round_robin_fragment, Relation};
 use gst_workloads::{
     chain, chain_sirup, even_odd, example6_sirup, grid, layered, linear_ancestor,
     nonlinear_ancestor, random_digraph,
 };
-
-fn var(p: &Program, name: &str) -> Variable {
-    Variable(p.interner.get(name).unwrap())
-}
 
 /// A rendered figure plus whether it matches the paper's drawing.
 #[derive(Debug, Clone)]
@@ -83,8 +79,8 @@ pub fn figure3() -> FigureResult {
     let h = BitVector::new(BitFn::new(1), 2);
     let net = derive_network(
         &s,
-        &[var(&fx.program, "Y"), var(&fx.program, "Z")],
-        &[var(&fx.program, "X"), var(&fx.program, "Y")],
+        &[fx.program.var("Y"), fx.program.var("Z")],
+        &[fx.program.var("X"), fx.program.var("Y")],
         &h,
     )
     .unwrap();
@@ -107,8 +103,8 @@ pub fn figure4() -> FigureResult {
     let h = Linear::new(BitFn::new(1), vec![1, -1, 1]);
     let net = derive_network(
         &s,
-        &[var(&fx.program, "V"), var(&fx.program, "W"), var(&fx.program, "Z")],
-        &[var(&fx.program, "U"), var(&fx.program, "V"), var(&fx.program, "W")],
+        &[fx.program.var("V"), fx.program.var("W"), fx.program.var("Z")],
+        &[fx.program.var("U"), fx.program.var("V"), fx.program.var("W")],
         &h,
     )
     .unwrap();
@@ -290,8 +286,8 @@ pub fn tradeoff_sweep(rows: u64, cols: u64, n: usize, alphas: &[f64]) -> Vec<Tra
                 .map(|i| Arc::new(Mixed::new(i, base_h.clone(), alpha, 31)) as DiscriminatorRef)
                 .collect();
             let cfg = GeneralizedConfig {
-                v_r: vec![var(&fx.program, "Z")],
-                v_e: vec![var(&fx.program, "X")],
+                v_r: vec![fx.program.var("Z")],
+                v_e: vec![fx.program.var("X")],
                 h_prime: base_h.clone(),
                 h_locals,
             };
@@ -363,16 +359,7 @@ pub fn nonredundancy_table() -> Vec<NonRedundancyRow> {
         let seq = seminaive_eval(&fx.program, &db).unwrap();
         for n in [2usize, 4] {
             let h: DiscriminatorRef = Arc::new(HashMod::new(n, 13));
-            let choices = vec![
-                RuleChoice {
-                    v: vec![var(&fx.program, "Y")],
-                    h: h.clone(),
-                },
-                RuleChoice {
-                    v: vec![var(&fx.program, "Z")],
-                    h,
-                },
-            ];
+            let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
             let outcome = rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared)
                 .unwrap()
                 .run()
@@ -415,16 +402,7 @@ pub fn general_scheme_experiments(n: usize) -> Vec<GeneralRow> {
     let fx = nonlinear_ancestor();
     let db = fx.database(&random_digraph(30, 70, 17));
     let h: DiscriminatorRef = Arc::new(HashMod::new(n, 13));
-    let choices = vec![
-        RuleChoice {
-            v: vec![var(&fx.program, "Y")],
-            h: h.clone(),
-        },
-        RuleChoice {
-            v: vec![var(&fx.program, "Z")],
-            h: h.clone(),
-        },
-    ];
+    let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     let outcome = rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared)
         .unwrap()
         .run()
@@ -445,14 +423,7 @@ pub fn general_scheme_experiments(n: usize) -> Vec<GeneralRow> {
     let zero: Relation = [gst_common::ituple![0]].into_iter().collect();
     let db = fx.database_multi(&[zero, succ]);
     let h: DiscriminatorRef = Arc::new(HashMod::new(n, 29));
-    let choices: Vec<RuleChoice> = [
-        vec![var(&fx.program, "X")],
-        vec![var(&fx.program, "Y")],
-        vec![var(&fx.program, "Y")],
-    ]
-    .into_iter()
-    .map(|v| RuleChoice { v, h: h.clone() })
-    .collect();
+    let choices = RuleChoice::by_name(&fx.program, &["X", "Y", "Y"], &h);
     let outcome = rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared)
         .unwrap()
         .run()
@@ -584,7 +555,7 @@ pub fn strategy_decisions() -> (Vec<SchemeProfile>, Vec<(f64, f64, String)>) {
     let o2 = e2.run().unwrap();
     // The no-comm redundant scheme as a fourth candidate.
     let cfg = NoCommConfig {
-        v_e: vec![var(&fx.program, "X")],
+        v_e: vec![fx.program.var("X")],
         h_prime: Arc::new(HashMod::new(4, 11)),
     };
     let nc = rewrite_no_comm(&sirup, &cfg, &db).unwrap();
@@ -684,7 +655,7 @@ pub fn load_balance(n: usize) -> Vec<LoadBalanceRow> {
         // Degenerate: split the exit substitutions on X — on a star every
         // edge shares the hub as X, so one processor gets everything.
         let cfg = NoCommConfig {
-            v_e: vec![var(&fx.program, "X")],
+            v_e: vec![fx.program.var("X")],
             h_prime: Arc::new(HashMod::new(n, 11)),
         };
         let nc = rewrite_no_comm(&sirup, &cfg, &db).unwrap().run().unwrap();
@@ -879,8 +850,8 @@ pub fn generalized_constant_is_communication_free(n: usize) -> bool {
         .map(|i| Arc::new(Constant::new(n, i)) as DiscriminatorRef)
         .collect();
     let cfg = GeneralizedConfig {
-        v_r: vec![var(&fx.program, "Z")],
-        v_e: vec![var(&fx.program, "X")],
+        v_r: vec![fx.program.var("Z")],
+        v_e: vec![fx.program.var("X")],
         h_prime: Arc::new(HashMod::new(n, 17)),
         h_locals,
     };

@@ -27,7 +27,6 @@ use gst_core::schemes::BaseDistribution;
 use gst_core::session::RoundReport;
 use gst_eval::seminaive_eval;
 use gst_eval::plan::RelationId;
-use gst_frontend::Variable;
 use gst_runtime::{RuntimeConfig, SimTransport, ThreadedTransport, Transport};
 use gst_storage::Relation;
 use gst_workloads::{chain, grid, linear_ancestor, random_digraph, Fixture};
@@ -48,11 +47,7 @@ fn workloads() -> Vec<(&'static str, Relation, u64)> {
 fn tc_session(fx: &Fixture, edges: &Relation, disc_seed: u64) -> UpdateSession {
     let db = fx.database(edges);
     let h: DiscriminatorRef = Arc::new(HashMod::new(3, disc_seed));
-    let var = |name: &str| Variable(fx.program.interner.get(name).unwrap());
-    let choices = vec![
-        RuleChoice { v: vec![var("Y")], h: h.clone() },
-        RuleChoice { v: vec![var("Z")], h },
-    ];
+    let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     let scheme =
         rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
     UpdateSession::new(&scheme, &fx.program, &db).unwrap()

@@ -66,15 +66,6 @@ pub fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// Inclusive lower bound of bucket `i`.
-pub fn bucket_lower(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
-    }
-}
-
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
@@ -205,7 +196,7 @@ mod tests {
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
         for i in 1..HIST_BUCKETS {
-            assert_eq!(bucket_index(bucket_lower(i)), i, "lower bound of {i}");
+            assert_eq!(bucket_index(1u64 << (i - 1)), i, "lower bound of {i}");
             if i < 63 {
                 assert_eq!(bucket_index(bucket_upper(i)), i, "upper bound of {i}");
             }

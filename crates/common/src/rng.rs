@@ -53,12 +53,6 @@ impl SmallRng {
         self.next_u64() % bound
     }
 
-    /// Uniform value in the half-open range `[lo, hi)`.
-    pub fn gen_range(&mut self, range: std::ops::Range<u64>) -> u64 {
-        assert!(range.start < range.end, "empty range");
-        range.start + self.gen_below(range.end - range.start)
-    }
-
     /// Uniform value in the closed range `[lo, hi]`.
     pub fn gen_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "inverted range");
@@ -142,8 +136,6 @@ mod tests {
     fn ranges_stay_in_bounds() {
         let mut r = SmallRng::seed_from_u64(7);
         for _ in 0..1000 {
-            let v = r.gen_range(3..17);
-            assert!((3..17).contains(&v));
             let w = r.gen_range_i64(-5..5);
             assert!((-5..5).contains(&w));
             let u = r.gen_inclusive(2, 2);

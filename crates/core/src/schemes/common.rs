@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use gst_common::{Error, Interner, Result};
 use gst_eval::plan::RelationId;
+use gst_eval::route::home_inbox;
 use gst_frontend::ast::{Atom, Literal, Rule, Term};
 use gst_frontend::{LinearSirup, Program, Variable};
 use gst_runtime::{ProcessorProgram, Route, WorkerSpec};
@@ -113,6 +114,15 @@ pub fn sending_route(
         },
         None => Route::broadcast(namer.out(pred, i), &namer.interner, dests),
     }
+}
+
+/// The final-pooling pair of `pred` at processor `i`, given its routes:
+/// `t(W̄) :- t_out^i(W̄)` — or `:- t_in^i(W̄)` when the home rows of
+/// `t_out^i` are stored in the inbox instead ([`home_inbox`]), whose
+/// union over the processors is then the whole of `t`.
+pub fn pooling_pair(namer: &Namer, routes: &[Route], pred: RelationId, i: usize) -> (RelationId, RelationId) {
+    let out = namer.out(pred, i);
+    (home_inbox(routes, i, out).unwrap_or(out), pred)
 }
 
 /// The initialization rule `head(Z̄) :- s-body, h'(v(e)) = i` of the sirup

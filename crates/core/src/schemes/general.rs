@@ -19,10 +19,13 @@
 //!
 //! As in §3 the sending rules are the specification: each consuming
 //! occurrence becomes one [`gst_runtime::Route`] of `C_out^i`, and the
-//! engine hashes a tuple under every route of its predicate as it is
-//! deduplicated — a tuple two occurrences send to the same processor
-//! goes there once. An occurrence whose `v(r_k)` is not bound by the
-//! atom broadcasts.
+//! engine hashes a tuple under every route of its predicate where it is
+//! emitted — a tuple two occurrences send to the same processor goes
+//! there once, and one every occurrence keeps at `i` is stored in
+//! `C_in^i` alone. An occurrence whose `v(r_k)` is not bound by the atom
+//! broadcasts. A predicate is pooled from `C_in^i` when some occurrence
+//! consumes every tuple of it and none broadcasts to another processor
+//! ([`gst_eval::route::home_inbox`]), from `C_out^i` otherwise.
 //!
 //! Base relations are distributed per [`BaseDistribution`]: the paper's
 //! `D_in^i :- D, h(v(r)) = i` fragments fall out of
@@ -37,7 +40,7 @@ use gst_storage::Database;
 
 use crate::discriminator::{DiscConstraint, DiscriminatorRef};
 use crate::schemes::common::{
-    assemble, atom, can_route, program, rel_id, sending_route, validate_sequence,
+    assemble, atom, can_route, pooling_pair, program, rel_id, sending_route, validate_sequence,
     BaseDistribution, Namer,
 };
 use crate::schemes::CompiledScheme;
@@ -49,6 +52,16 @@ pub struct RuleChoice {
     pub v: Vec<Variable>,
     /// `h_k`: the rule's discriminating function.
     pub h: DiscriminatorRef,
+}
+
+impl RuleChoice {
+    /// One choice per rule of `program`, rule `k` discriminating on its
+    /// variable named `vars[k]`, all under `h` — the shape of the paper's
+    /// Example 8 (`v(r₁) = ⟨Y⟩`, `v(r₂) = ⟨Z⟩`, `h₁ = h₂ = h`).
+    pub fn by_name(program: &Program, vars: &[&str], h: &DiscriminatorRef) -> Vec<RuleChoice> {
+        let choice = |v: &&str| RuleChoice { v: vec![Variable(program.interner.intern(v))], h: h.clone() };
+        vars.iter().map(choice).collect()
+    }
 }
 
 /// Rewrite an arbitrary Datalog program into the §7 parallel scheme.
@@ -157,10 +170,10 @@ pub fn rewrite_general(
         programs.push(ProcessorProgram {
             processor: i,
             program: program(rules, &interner),
+            pooling: derived.iter().map(|&d| pooling_pair(&namer, &routes, d, i)).collect(),
             routes,
             inboxes: derived.iter().map(|&d| namer.input(d, i)).collect(),
             processing_rules: (0..rule_count).collect(),
-            pooling: derived.iter().map(|&d| (namer.out(d, i), d)).collect(),
             local_idb: vec![],
         });
     }
@@ -179,23 +192,10 @@ mod tests {
     };
     use std::sync::Arc;
 
-    fn var(p: &Program, name: &str) -> Variable {
-        Variable(p.interner.get(name).unwrap())
-    }
-
     /// Paper Example 8: v(r₁) = ⟨Y⟩, v(r₂) = ⟨Z⟩, h₁ = h₂ = h.
     fn example8_choices(p: &Program, n: usize) -> Vec<RuleChoice> {
         let h: DiscriminatorRef = Arc::new(HashMod::new(n, 13));
-        vec![
-            RuleChoice {
-                v: vec![var(p, "Y")],
-                h: h.clone(),
-            },
-            RuleChoice {
-                v: vec![var(p, "Z")],
-                h,
-            },
-        ]
+        RuleChoice::by_name(p, &["Y", "Z"], &h)
     }
 
     #[test]
@@ -242,16 +242,7 @@ mod tests {
         let fx = linear_ancestor();
         let db = fx.database(&chain(15));
         let h: DiscriminatorRef = Arc::new(HashMod::new(3, 19));
-        let choices = vec![
-            RuleChoice {
-                v: vec![var(&fx.program, "Y")],
-                h: h.clone(),
-            },
-            RuleChoice {
-                v: vec![var(&fx.program, "Z")],
-                h,
-            },
-        ];
+        let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
         let scheme =
             rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
         let outcome = scheme.run().unwrap();
@@ -269,14 +260,7 @@ mod tests {
         let zero: gst_storage::Relation = [ituple![0]].into_iter().collect();
         let db = fx.database_multi(&[zero, succ]);
         let h: DiscriminatorRef = Arc::new(HashMod::new(3, 29));
-        let choices: Vec<RuleChoice> = [
-            vec![var(&fx.program, "X")],
-            vec![var(&fx.program, "Y")],
-            vec![var(&fx.program, "Y")],
-        ]
-        .into_iter()
-        .map(|v| RuleChoice { v, h: h.clone() })
-        .collect();
+        let choices = RuleChoice::by_name(&fx.program, &["X", "Y", "Y"], &h);
         let scheme =
             rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
         let outcome = scheme.run().unwrap();
@@ -334,11 +318,11 @@ mod tests {
         let db = fx.database(&chain(3));
         let choices = vec![
             RuleChoice {
-                v: vec![var(&fx.program, "Y")],
+                v: vec![fx.program.var("Y")],
                 h: Arc::new(HashMod::new(2, 1)),
             },
             RuleChoice {
-                v: vec![var(&fx.program, "Z")],
+                v: vec![fx.program.var("Z")],
                 h: Arc::new(HashMod::new(3, 1)),
             },
         ];

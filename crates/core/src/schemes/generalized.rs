@@ -28,7 +28,10 @@
 //! which also guarantees `h_i` can always be evaluated on an outgoing
 //! tuple (no broadcast fallback exists in this scheme). As in §3, the
 //! sending rules are the specification; processor `i` runs them as one
-//! [`gst_runtime::Route`] keyed on its own `h_i`.
+//! [`gst_runtime::Route`] keyed on its own `h_i`, keeps a tuple with
+//! `h_i = i` in `t_in^i` alone, and pools `t_in^i`. No send is gated on an
+//! inbox — `t_out^i` alone decides what `i` ships — so differing `h_i`
+//! stay correct.
 //!
 //! [`Constant`]: crate::discriminator::Constant
 //! [`Mixed`]: crate::discriminator::Mixed
@@ -41,7 +44,7 @@ use gst_storage::Database;
 
 use crate::discriminator::DiscriminatorRef;
 use crate::schemes::common::{
-    assemble, initialization_rule, processing_rule, program, rel_id, sending_route,
+    assemble, initialization_rule, pooling_pair, processing_rule, program, rel_id, sending_route,
     validate_sequence, BaseDistribution, Namer,
 };
 use crate::schemes::CompiledScheme;
@@ -118,10 +121,10 @@ pub fn rewrite_generalized(
         programs.push(ProcessorProgram {
             processor: i,
             program: program(rules, &interner),
+            pooling: vec![pooling_pair(&namer, &routes, t, i)],
             routes,
             inboxes: vec![in_i],
             processing_rules: vec![0, 1],
-            pooling: vec![(out_i, t)],
             local_idb: vec![],
         });
     }
@@ -143,18 +146,14 @@ mod tests {
         (s, fx)
     }
 
-    fn var(s: &LinearSirup, name: &str) -> Variable {
-        Variable(s.program.interner.get(name).unwrap())
-    }
-
     fn config_with(
         s: &LinearSirup,
         h_locals: Vec<DiscriminatorRef>,
         n: usize,
     ) -> GeneralizedConfig {
         GeneralizedConfig {
-            v_r: vec![var(s, "Z")],
-            v_e: vec![var(s, "X")],
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
             h_prime: Arc::new(HashMod::new(n, 17)),
             h_locals,
         }
@@ -233,8 +232,8 @@ mod tests {
         let n = 2;
         let h: DiscriminatorRef = Arc::new(HashMod::new(n, 1));
         let cfg = GeneralizedConfig {
-            v_r: vec![var(&s, "X")], // X ∉ Ȳ = (Z, Y)
-            v_e: vec![var(&s, "X")],
+            v_r: vec![s.program.var("X")], // X ∉ Ȳ = (Z, Y)
+            v_e: vec![s.program.var("X")],
             h_prime: h.clone(),
             h_locals: vec![h; n],
         };
@@ -249,8 +248,8 @@ mod tests {
         let h2: DiscriminatorRef = Arc::new(HashMod::new(2, 1));
         let h3: DiscriminatorRef = Arc::new(HashMod::new(3, 1));
         let cfg = GeneralizedConfig {
-            v_r: vec![var(&s, "Z")],
-            v_e: vec![var(&s, "X")],
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
             h_prime: h3,
             h_locals: vec![h2.clone(), h2],
         };
@@ -262,8 +261,8 @@ mod tests {
     fn rejects_zero_processors() {
         let (s, fx) = setup();
         let cfg = GeneralizedConfig {
-            v_r: vec![var(&s, "Z")],
-            v_e: vec![var(&s, "X")],
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
             h_prime: Arc::new(HashMod::new(1, 1)),
             h_locals: vec![],
         };

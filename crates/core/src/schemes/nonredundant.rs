@@ -22,10 +22,12 @@
 //! initialization and processing rules plus a [route table]: the sending
 //! rules `{t_ij}_j` are one [`Route`] — body atom `t_out^i(Ȳ)`, condition
 //! `h(v(r)) = ·`, inbox `t_in^j` per destination — which the engine
-//! evaluates on each tuple as it is deduplicated into `t_out^i`: `h` is
-//! computed once and the tuple appended to `t_in^i`'s pending pool
-//! (`j = i`, the same round) or to processor `j`'s ship buffer. No `t_ij`
-//! is materialized and no sending rule fires.
+//! evaluates on each tuple where a rule emits it: a tuple with `j = i`
+//! goes straight to `t_in^i`'s pending pool (the same round) and is
+//! stored there only, any other is deduplicated into `t_out^i` — which so
+//! holds what `i` has shipped — and appended to processor `j`'s ship
+//! buffer. No `t_ij` is materialized and no sending rule fires; final
+//! pooling then reads `t_in^i`, whose union over `i` is all of `t`.
 //!
 //! Implementation notes:
 //! * receiving and pooling are performed by the runtime (inbox injection
@@ -35,7 +37,8 @@
 //!   drops its condition and broadcasts, exactly the resolution the
 //!   paper adopts for Example 2 ("the extra communication does not make
 //!   the parallel execution either incorrect or redundant"); the
-//!   broadcast is buffered and encoded once for all destinations;
+//!   broadcast is buffered and encoded once for all destinations, every
+//!   tuple is shipped, and `t_out^i` stays the pooled relation;
 //! * the selection `h(v(r)) = i` of the processing rule is pushed into
 //!   the join by the planner's eager constraint placement, realizing the
 //!   fragment reads `b_k^i :- b_k, h(v(r)) = i` of the paper.
@@ -51,7 +54,7 @@ use gst_storage::Database;
 
 use crate::discriminator::{DiscConstraint, DiscriminatorRef};
 use crate::schemes::common::{
-    assemble, can_route, initialization_rule, processing_rule, program, rel_id, sending_route,
+    assemble, can_route, initialization_rule, pooling_pair, processing_rule, program, rel_id, sending_route,
     validate_sequence, BaseDistribution, Namer,
 };
 use crate::schemes::CompiledScheme;
@@ -115,10 +118,10 @@ pub fn rewrite_non_redundant(
         programs.push(ProcessorProgram {
             processor: i,
             program: program(rules, &interner),
+            pooling: vec![pooling_pair(&namer, &routes, t, i)],
             routes,
             inboxes: vec![in_i],
             processing_rules: vec![0, 1],
-            pooling: vec![(out_i, t)],
             local_idb: vec![],
         });
     }
@@ -140,15 +143,11 @@ mod tests {
         (LinearSirup::from_program(&fx.program).unwrap(), fx)
     }
 
-    fn var(s: &LinearSirup, name: &str) -> Variable {
-        Variable(s.program.interner.get(name).unwrap())
-    }
-
     fn example3_config(s: &LinearSirup, n: usize) -> NonRedundantConfig {
         let h: DiscriminatorRef = Arc::new(HashMod::new(n, 7));
         NonRedundantConfig {
-            v_r: vec![var(s, "Z")],
-            v_e: vec![var(s, "X")],
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
             h: h.clone(),
             h_prime: h,
             base: BaseDistribution::MinimalFragments,
@@ -234,8 +233,8 @@ mod tests {
         let (s, fx) = ancestor_sirup();
         let db = fx.database(&chain(4));
         let cfg = NonRedundantConfig {
-            v_r: vec![var(&s, "Z")],
-            v_e: vec![var(&s, "X")],
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
             h: Arc::new(HashMod::new(2, 0)),
             h_prime: Arc::new(HashMod::new(3, 0)),
             base: BaseDistribution::Shared,
@@ -251,7 +250,7 @@ mod tests {
         let h: DiscriminatorRef = Arc::new(HashMod::new(2, 0));
         let cfg = NonRedundantConfig {
             v_r: vec![w],
-            v_e: vec![var(&s, "X")],
+            v_e: vec![s.program.var("X")],
             h: h.clone(),
             h_prime: h,
             base: BaseDistribution::Shared,
@@ -268,8 +267,8 @@ mod tests {
         // v(r) = ⟨U⟩ (first arg of the body sg-atom), v(e) = ⟨X⟩.
         let h: DiscriminatorRef = Arc::new(HashMod::new(3, 5));
         let cfg = NonRedundantConfig {
-            v_r: vec![var(&s, "U")],
-            v_e: vec![var(&s, "X")],
+            v_r: vec![s.program.var("U")],
+            v_e: vec![s.program.var("X")],
             h: h.clone(),
             h_prime: h,
             base: BaseDistribution::Shared,
@@ -297,8 +296,8 @@ mod tests {
         let db = fx.database_multi(&[sdata, qdata]);
         let h: DiscriminatorRef = Arc::new(HashMod::new(2, 3));
         let cfg = NonRedundantConfig {
-            v_r: vec![var(&s, "V"), var(&s, "W"), var(&s, "Z")],
-            v_e: vec![var(&s, "U"), var(&s, "V"), var(&s, "W")],
+            v_r: vec![s.program.var("V"), s.program.var("W"), s.program.var("Z")],
+            v_e: vec![s.program.var("U"), s.program.var("V"), s.program.var("W")],
             h: h.clone(),
             h_prime: h,
             base: BaseDistribution::Shared,

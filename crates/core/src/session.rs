@@ -2,14 +2,15 @@
 //! inserts and deletes without recomputing from scratch.
 //!
 //! An [`UpdateSession`] wraps a [`CompiledScheme`] and keeps, between
-//! update rounds, every worker's **maintained state**: its local answer
-//! shards (`t@out^i`, the pooled head predicates), its inbox replicas
-//! (`t@in^i` — joinable copies of remote derivations, which must be
-//! maintained exactly like the shards), and its replica of every
-//! updatable base predicate. Nothing else is stored: the route table
-//! ships exactly the rows that are fresh in `t@out^i` in the phase at
-//! hand, so a preseeded shard ships nothing and a re-inserted tuple
-//! ships again, without any plumbing.
+//! update rounds, every worker's **maintained state**: its rule heads
+//! (`t@out^i` — what it has shipped, or everything it derived when no
+//! row of `t` is stored at home), its inboxes (`t@in^i` — its home rows
+//! and joinable copies of remote derivations), and its replica of every
+//! updatable base predicate. The answer shard is whichever of the two
+//! the scheme pools ([`gst_eval::route::home_inbox`]). Nothing else is
+//! stored: the route table ships exactly the rows that are fresh in
+//! `t@out^i` in the phase at hand, so a preseeded head ships nothing and
+//! a re-inserted tuple ships again, without any plumbing.
 //!
 //! Each update round applies one [`UpdateBatch`] in two phases:
 //!
@@ -50,6 +51,7 @@ use std::sync::Arc;
 use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
 use gst_eval::fire_once;
 use gst_eval::plan::RelationId;
+use gst_eval::route::home_inbox;
 use gst_frontend::ast::Literal;
 use gst_frontend::Program;
 use gst_runtime::{
@@ -120,9 +122,9 @@ pub struct UpdateSession {
     /// per-worker capture predicates.
     workers: Vec<WorkerSpec>,
     /// Per worker: every local predicate whose state is maintained
-    /// across rounds (answer shards + inbox replicas + base replicas).
+    /// across rounds (rule heads + inboxes + base replicas).
     maintained: Vec<Vec<RelationId>>,
-    /// Per worker: the derived subset of `maintained` (shards and
+    /// Per worker: the derived subset of `maintained` (heads and
     /// inboxes — the predicates the deletion cone tombstones), each
     /// paired with the global answer predicate it replicates. A local
     /// with no known global (a scheme-internal auxiliary) is paired
@@ -131,6 +133,10 @@ pub struct UpdateSession {
     /// `(answer predicate, [(worker, local shard)])` from the original
     /// batch-mode pooling — how maintained shards union into answers.
     by_answer: Vec<(RelationId, Vec<(usize, RelationId)>)>,
+    /// Per worker: `(answer predicate, rule head)` — the head whose rows
+    /// the shard pools, where rederivation seeds enter so that the engine
+    /// places and routes them like emitted rows.
+    seed_heads: Vec<Vec<(RelationId, RelationId)>>,
     /// Updatable base predicates (every EDB predicate the rules read).
     base_preds: Vec<RelationId>,
     /// The current global extensional database (tombstoned in place).
@@ -210,50 +216,47 @@ impl UpdateSession {
         let mut maintained = Vec::with_capacity(n);
         let mut derived_global = Vec::with_capacity(n);
         let mut by_answer: Vec<(RelationId, Vec<(usize, RelationId)>)> = Vec::new();
+        let mut seed_heads = Vec::with_capacity(n);
         for spec in &scheme.workers {
             let i = spec.program.processor;
             let mut derived: Vec<RelationId> =
                 spec.program.pooling.iter().map(|&(local, _)| local).collect();
-            for &inbox in &spec.program.inboxes {
-                if !derived.contains(&inbox) {
-                    derived.push(inbox);
+            let heads: Vec<RelationId> =
+                spec.program.program.rules.iter().map(|r| (r.head.predicate, r.head.terms.len())).collect();
+            for &local in heads.iter().chain(&spec.program.inboxes) {
+                if !derived.contains(&local) {
+                    derived.push(local);
                 }
             }
             // Which global answer predicate each derived local is a
-            // replica of: shards say so in the pooling pairs, inbox
-            // replicas follow the scheme namer's `@in` convention.
-            let globals: Vec<(RelationId, RelationId)> = derived
-                .iter()
-                .map(|&local| {
-                    let global = spec
-                        .program
-                        .pooling
-                        .iter()
-                        .find(|&&(l, _)| l == local)
-                        .map(|&(_, g)| g)
-                        .or_else(|| {
-                            scheme
-                                .answers
-                                .iter()
-                                .copied()
-                                .find(|&g| namer.input(g, i) == local)
-                        })
-                        .unwrap_or(local);
-                    (local, global)
-                })
-                .collect();
+            // replica of: shards say so in the pooling pairs, the other
+            // heads and inboxes follow the scheme namer's convention.
+            let global_of = |local: RelationId| {
+                let pooled = spec.program.pooling.iter().find(|&&(l, _)| l == local).map(|&(_, g)| g);
+                let named = |&g: &RelationId| namer.input(g, i) == local || namer.out(g, i) == local;
+                pooled.or_else(|| scheme.answers.iter().copied().find(named)).unwrap_or(local)
+            };
+            let globals: Vec<(RelationId, RelationId)> = derived.iter().map(|&l| (l, global_of(l))).collect();
             let mut locals = derived.clone();
             for &p in &base_preds {
                 if !locals.contains(&p) {
                     locals.push(p);
                 }
             }
+            let mut seeded = Vec::new();
             for &(local, global) in &spec.program.pooling {
                 match by_answer.iter_mut().find(|(g, _)| *g == global) {
                     Some((_, shards)) => shards.push((i, local)),
                     None => by_answer.push((global, vec![(i, local)])),
                 }
+                let pooled = |head| home_inbox(&spec.program.routes, i, head).unwrap_or(head) == local;
+                for &head in heads.iter().filter(|&&head| pooled(head)) {
+                    if !seeded.contains(&(global, head)) {
+                        seeded.push((global, head));
+                    }
+                }
             }
+            seed_heads.push(seeded);
             let mut program = spec.program.clone();
             program.local_idb = base_preds.clone();
             program.pooling = locals
@@ -276,6 +279,7 @@ impl UpdateSession {
             maintained,
             derived_global,
             by_answer,
+            seed_heads,
             base_preds,
             global_edb: db.clone(),
             state: Vec::new(),
@@ -494,21 +498,12 @@ impl UpdateSession {
                     .collect();
                 let mut inject: Vec<(RelationId, Vec<Tuple>)> = Vec::new();
                 // Rederivation seeds are injected into every worker's
-                // answer shard: its routes fan each seed out to exactly
-                // the inbox replicas that need it, and set semantics
-                // absorbs the redundancy.
+                // rule head for the answer: the engine stores a seed at
+                // home or fans it out to exactly the inbox replicas that
+                // need it, and set semantics absorbs the redundancy.
                 for (g, tuples) in &seeds {
-                    for &(w, local) in &self
-                        .by_answer
-                        .iter()
-                        .find(|(answer, _)| answer == g)
-                        .expect("seed heads are answer predicates")
-                        .1
-                    {
-                        if w == i {
-                            inject.push((local, tuples.clone()));
-                        }
-                    }
+                    let heads = self.seed_heads[i].iter().filter(|(answer, _)| answer == g);
+                    inject.extend(heads.map(|&(_, head)| (head, tuples.clone())));
                 }
                 // Base inserts broadcast to every replica; the rules'
                 // discriminating constraints keep processing partitioned.
@@ -687,13 +682,8 @@ mod tests {
     use crate::schemes::BaseDistribution;
     use gst_common::ituple;
     use gst_eval::seminaive_eval;
-    use gst_frontend::ast::Variable;
     use gst_runtime::{SimTransport, ThreadedTransport};
     use gst_workloads::{chain, linear_ancestor, nonlinear_ancestor, random_digraph};
-
-    fn var(p: &Program, name: &str) -> Variable {
-        Variable(p.interner.get(name).unwrap())
-    }
 
     /// Linear transitive closure over 3 workers (the §7 general scheme),
     /// wrapped in an update session. Returns (session, anc, edge).
@@ -701,10 +691,7 @@ mod tests {
         let fx = linear_ancestor();
         let db = fx.database(edges);
         let h: DiscriminatorRef = Arc::new(HashMod::new(3, 19));
-        let choices = vec![
-            RuleChoice { v: vec![var(&fx.program, "Y")], h: h.clone() },
-            RuleChoice { v: vec![var(&fx.program, "Z")], h },
-        ];
+        let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
         let scheme =
             rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
         let session = UpdateSession::new(&scheme, &fx.program, &db).unwrap();
@@ -845,10 +832,7 @@ mod tests {
         let edges = random_digraph(12, 24, 7);
         let db = fx.database(&edges);
         let h: DiscriminatorRef = Arc::new(HashMod::new(3, 13));
-        let choices = vec![
-            RuleChoice { v: vec![var(&fx.program, "Y")], h: h.clone() },
-            RuleChoice { v: vec![var(&fx.program, "Z")], h },
-        ];
+        let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
         let scheme =
             rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
         let mut session = UpdateSession::new(&scheme, &fx.program, &db).unwrap();

@@ -173,16 +173,6 @@ impl SchemeProfile {
                 .sum(),
         }
     }
-
-    /// Build a profile from an execution outcome alone (no storage term).
-    pub fn from_outcome(name: impl Into<String>, outcome: &gst_runtime::ExecutionOutcome) -> Self {
-        SchemeProfile {
-            name: name.into(),
-            firings: outcome.stats.total_processing_firings(),
-            tuples_sent: outcome.stats.total_tuples_sent(),
-            base_tuples: 0,
-        }
-    }
 }
 
 /// Pick the cheapest profile under the model. Ties go to the earlier

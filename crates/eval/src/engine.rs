@@ -15,6 +15,13 @@
 //!    every recursive rule against the current deltas, producing the next
 //!    pending pool.
 //!
+//! Where a row of a routed head `t_out^i` lives is decided once, where a
+//! rule emits it (or bootstrap seeds it, or [`FixpointEngine::inject`]
+//! queues it): when [`route::home_inbox`] holds for the head, a row all of
+//! whose destinations are this site goes to the pending pool of `t_in^i`
+//! and is stored there only; every other row is deduplicated into
+//! `t_out^i`, which so holds what the site has shipped.
+//!
 //! The parallel runtime interleaves [`FixpointEngine::inject`] (receive)
 //! and shipping the [`Outlet`]s an advance filled (send) between strokes;
 //! the sequential drivers [`seminaive_eval`] and [`naive_eval`] just loop.
@@ -47,6 +54,9 @@ struct IdbState {
     /// One index per probe-column set any plan scans this relation by;
     /// it serves the full, `Old` and delta views alike.
     indexes: Vec<HashIndex>,
+    /// The predicate's router, when its home rows bypass it
+    /// ([`route::home_inbox`]).
+    home: Option<usize>,
 }
 
 impl IdbState {
@@ -57,6 +67,7 @@ impl IdbState {
             delta_start: 0,
             pending: Vec::new(),
             indexes: Vec::new(),
+            home: None,
         }
     }
 
@@ -90,12 +101,50 @@ pub(crate) fn find_or_push<T>(v: &mut Vec<T>, is: impl Fn(&T) -> bool, make: imp
     })
 }
 
+/// The pending pools the rows of a head whose home rows bypass it are
+/// submitted to, lent out of the engine while a plan runs (plans read
+/// arenas, never pending pools).
+struct Pools<'r> {
+    router: &'r Router,
+    /// The head's own pool: rows with a destination elsewhere.
+    stored: Vec<Tuple>,
+    /// The inbox-phase states' pools, by inbox slot.
+    homes: Vec<Vec<Tuple>>,
+    scratch: Vec<Value>,
+    hit: Vec<Sink>,
+}
+
+impl Pools<'_> {
+    /// A home row — every sink a local inbox — goes to those inboxes'
+    /// pools; any other takes the stored path, `t_out^i`'s dedup and then
+    /// [`route_fresh`], which is also where a row whose key cannot be
+    /// evaluated has its error reported.
+    #[inline]
+    fn submit(&mut self, row: Tuple) {
+        if let Some(slot) = self.router.always {
+            return self.homes[slot].push(row);
+        }
+        let routed = self.router.sinks(&row, &mut self.scratch, &mut self.hit);
+        let leaves = self.hit.iter().any(|sink| matches!(sink, Sink::Remote(_)));
+        let mut slots = self.hit.iter().filter_map(|sink| match *sink {
+            Sink::Local(slot) => Some(slot),
+            Sink::Remote(_) => None,
+        });
+        match slots.next() {
+            Some(first) if routed.is_ok() && !leaves => {
+                slots.for_each(|slot| self.homes[slot].push(row.clone()));
+                self.homes[first].push(row);
+            }
+            _ => self.stored.push(row),
+        }
+    }
+}
+
 /// The sending step: put every fresh row of each routed predicate into the
 /// pending pool of the local inbox it hashes to, or into the outlet of
-/// its destination. A row goes to a sink once, however many routes pick
-/// it (Example 8: two occurrences hash it to one processor). Out of line
-/// on purpose: compiled into `advance`, between its two dedup phases,
-/// this loop doubled the cost of the advance (EXPERIMENTS.md P10).
+/// its destination. Out of line on purpose: compiled into `advance`,
+/// between its two dedup phases, this loop doubled the cost of the
+/// advance (EXPERIMENTS.md P10).
 #[inline(never)]
 fn route_fresh(
     routers: &[Router],
@@ -107,16 +156,9 @@ fn route_fresh(
     let mut hit: Vec<Sink> = Vec::new();
     for router in routers {
         for row in heads[router.source].delta_slice() {
-            hit.clear();
-            let broadcast = router.all.iter().map(|&sink| Ok(Some(sink)));
-            let hashed = router.keyed.iter().map(|keyed| keyed.sink(row, &mut scratch));
-            for sink in broadcast.chain(hashed) {
-                let Some(sink) = sink? else { continue };
-                if hit.contains(&sink) {
-                    continue;
-                }
-                hit.push(sink);
-                match sink {
+            router.sinks(row, &mut scratch, &mut hit)?;
+            for sink in &hit {
+                match *sink {
                     Sink::Local(slot) => inboxes[slot].pending.push(row.clone()),
                     Sink::Remote(o) => outlets[o].rows.push(row.clone()),
                 }
@@ -197,15 +239,17 @@ impl FixpointEngine {
 
     /// The general constructor — explicit [`PlanOptions`] (the ablation
     /// benchmarks disable individual planner optimizations) and, for
-    /// processor `processor` of a parallel scheme, a route table: every
-    /// advance then routes the fresh rows of each route's source, to the
-    /// local inbox's pending pool when the row hashes here, to an
-    /// [`Outlet`] otherwise.
+    /// processor `processor` of a parallel scheme, a route table: a row
+    /// of a route's source that hashes home is queued for the local inbox
+    /// where it is emitted ([`route::home_inbox`]), and every advance
+    /// routes the fresh rows of each source, to the local inbox's pending
+    /// pool when the row hashes here, to an [`Outlet`] otherwise.
     ///
     /// # Errors
     /// Every route's source and local inbox must be derived predicates of
-    /// one arity, a local inbox must not itself be routed, and a hash
-    /// route's key variables must occur in its pattern.
+    /// one arity, a local inbox must not itself be routed, a hash route's
+    /// key variables must occur in its pattern, and no rule may read a
+    /// source whose home rows are stored in its inbox.
     pub fn with_routes(
         program: &Program,
         edb: Arc<Database>,
@@ -284,6 +328,15 @@ impl FixpointEngine {
         }
 
         let (routers, outlets) = route::compile(routes, processor, &slots, inboxes_from)?;
+        for (k, router) in routers.iter().enumerate().filter(|(_, r)| r.home) {
+            let source = router.source;
+            let reads = |scan: &ScanSlot| matches!(*scan, ScanSlot::Idb { state, .. } if state == source);
+            if bootstrap_plans.iter().chain(&round_plans).any(|p| p.scans.iter().flatten().any(reads)) {
+                let what = "its home rows are stored in the inbox, but a rule reads the source";
+                return Err(Error::Eval(format!("route of {:?}: {what}", idb[source].id)));
+            }
+            idb[source].home = Some(k);
+        }
         let stats = EvalStats::new(program.rules.len());
         Ok(FixpointEngine {
             edb,
@@ -418,7 +471,8 @@ impl FixpointEngine {
     /// path: a transport decoder writes tuples where the engine will
     /// drain them, with no intermediate buffer. The appended suffix is
     /// checked afterwards; on any failure the pool is rolled back to its
-    /// pre-call length.
+    /// pre-call length. Rows for a routed head are then placed like
+    /// emitted ones: the home rows move on to the local inbox's pool.
     ///
     /// # Errors
     /// `pred` must be a derived predicate; `fill`'s error is propagated;
@@ -440,6 +494,11 @@ impl FixpointEngine {
                         "injected tuple arity {got} != predicate arity {}",
                         pred.1
                     )));
+                }
+                if let Some(router) = state.home {
+                    let rows = state.pending.split_off(before);
+                    let slot = self.slots[&pred];
+                    self.with_pools(slot, router, |_, pools| rows.into_iter().for_each(|t| pools.submit(t)));
                 }
                 Ok(v)
             }
@@ -469,12 +528,14 @@ impl FixpointEngine {
         // Facts supplied for derived predicates become part of the input
         // — except for preseeded predicates, whose resumed state already
         // reflects every surviving input fact.
-        for state in &mut self.idb {
-            if self.preseeded.contains(&state.id) {
+        let edb = Arc::clone(&self.edb);
+        for slot in 0..self.idb.len() {
+            let id = self.idb[slot].id;
+            if self.preseeded.contains(&id) {
                 continue;
             }
-            if let Some(rel) = self.edb.relation(state.id) {
-                state.pending.extend(rel.iter().cloned());
+            if let Some(rel) = edb.relation(id) {
+                self.inject(id, rel.iter().cloned())?;
             }
         }
 
@@ -526,16 +587,26 @@ impl FixpointEngine {
     fn run_plan_step(&mut self, i: usize) {
         self.sync_indexes_for(i);
         let (head, rule_index) = (self.plans[i].head, self.plans[i].plan.rule_index);
-        // Lend the head's pending pool out for the run, so the plan emits
-        // straight into it — no per-rule output buffer, no copy when the
-        // round ends. (Plans never *read* pending, only arenas.)
-        let mut pending = std::mem::take(&mut self.idb[head].pending);
         let timing = self.time_mode;
         let mut chunk_scratch = std::mem::take(&mut self.chunk_scratch);
         chunk_scratch.clear();
         let t0 = (timing == TimeMode::Wall).then(std::time::Instant::now);
         let collector = (timing != TimeMode::Off).then_some(&mut chunk_scratch);
-        let (firings, morsels) = self.run_one_into(i, &mut pending, collector);
+        // Lend the pending pools out for the run, so the plan emits
+        // straight into them — no per-rule output buffer, no copy when the
+        // round ends: the head's own pool, or, for a head whose home rows
+        // bypass it, that and the inboxes', chosen per row as it is emitted.
+        let (firings, morsels) = match self.idb[head].home {
+            None => {
+                let mut pending = std::mem::take(&mut self.idb[head].pending);
+                let counts = self.run_one_into(i, collector, &mut |t| pending.push(t));
+                self.idb[head].pending = pending;
+                counts
+            }
+            Some(router) => self.with_pools(head, router, |engine, pools| {
+                engine.run_one_into(i, collector, &mut |t| pools.submit(t))
+            }),
+        };
         match timing {
             TimeMode::Off => {}
             TimeMode::Wall => {
@@ -553,7 +624,27 @@ impl FixpointEngine {
         self.chunk_scratch = chunk_scratch;
         self.stats.record_firings(rule_index, firings);
         self.stats.record_morsels(morsels);
-        self.idb[head].pending = pending;
+    }
+
+    /// Run `run` with the pending pools of `head` — routed by `router`,
+    /// home rows bypassing it — and of the inboxes lent out as [`Pools`].
+    /// (Plans never *read* a pending pool, only arenas.)
+    fn with_pools<T>(&mut self, head: usize, router: usize, run: impl FnOnce(&Self, &mut Pools<'_>) -> T) -> T {
+        let take = |state: &mut IdbState| std::mem::take(&mut state.pending);
+        let mut pools = Pools {
+            router: &self.routers[router],
+            stored: take(&mut self.idb[head]),
+            homes: self.idb[self.inboxes_from..].iter_mut().map(take).collect(),
+            scratch: Vec::new(),
+            hit: Vec::new(),
+        };
+        let out = run(self, &mut pools);
+        let Pools { stored, homes, .. } = pools;
+        self.idb[head].pending = stored;
+        for (state, pool) in self.idb[self.inboxes_from..].iter_mut().zip(homes) {
+            state.pending = pool;
+        }
+        out
     }
 
     /// Run to the local fixpoint: bootstrap, then advance/process rounds
@@ -580,9 +671,9 @@ impl FixpointEngine {
         Some(std::mem::replace(&mut s.full, Relation::new(pred.1)))
     }
 
-    /// Extract the final derived relations (consumes nothing; clones).
-    pub fn snapshot(&self) -> FxHashMap<RelationId, Relation> {
-        self.idb.iter().map(|s| (s.id, s.full.clone())).collect()
+    /// Finish: the derived relations, moved out, and the statistics.
+    pub fn into_result(self) -> EvalResult {
+        EvalResult { idb: self.idb.into_iter().map(|s| (s.id, s.full)).collect(), stats: self.stats }
     }
 
     // ----- internals -------------------------------------------------
@@ -610,14 +701,14 @@ impl FixpointEngine {
         }
     }
 
-    /// Execute one plan against current state, emitting into `out`.
+    /// Execute one plan against current state, emitting through `emit`.
     /// Returns `(firings, morsel_chunks)` — chunks is zero when the
     /// sequential path ran.
     fn run_one_into(
         &self,
         i: usize,
-        out: &mut Vec<Tuple>,
         chunk_times: Option<&mut Vec<(u64, u64)>>,
+        emit: &mut impl FnMut(Tuple),
     ) -> (u64, u64) {
         let SlottedPlan { plan, scans, .. } = &self.plans[i];
         let accesses: Vec<Option<Access<'_>>> = plan
@@ -636,12 +727,12 @@ impl FixpointEngine {
                 &self.morsels,
                 self.pool.as_ref(),
                 chunk_times,
-                &mut |t| out.push(t),
+                emit,
             ) {
                 return (firings, chunks);
             }
         }
-        (run_plan(plan, &accesses, &mut |t| out.push(t)), 0)
+        (run_plan(plan, &accesses, emit), 0)
     }
 
     fn access_for<'a>(&'a self, scan: &crate::plan::ScanStep, slot: ScanSlot) -> Access<'a> {
@@ -707,10 +798,7 @@ pub fn seminaive_eval_with(
     let mut engine =
         FixpointEngine::with_routes(program, Arc::new(edb.clone()), &[], 0, &[], options)?;
     engine.run_to_fixpoint()?;
-    Ok(EvalResult {
-        idb: engine.snapshot(),
-        stats: engine.stats().clone(),
-    })
+    Ok(engine.into_result())
 }
 
 /// Fire every rule of `program` exactly once, with **every** body atom
@@ -1173,11 +1261,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_includes_all_idb() {
+    fn the_result_includes_all_idb() {
         let (p, db) = load("a(X) :- e(X).\nb(X) :- a(X).\ne(1).");
-        let mut engine = FixpointEngine::new(&p, Arc::new(db), &[]).unwrap();
-        engine.run_to_fixpoint().unwrap();
-        let snap = engine.snapshot();
+        let snap = seminaive_eval(&p, &db).unwrap().idb;
         assert_eq!(snap.len(), 2);
         let interner: &Interner = &p.interner;
         let a_id = (interner.get("a").unwrap(), 1);
@@ -1243,14 +1329,21 @@ mod tests {
                          e(0,1). e(1,2). e(2,3). e(3,4). e(4,5). e(5,6).";
     const PAIRS: &str = "t(X,Y) :- s(X,Y).\ns(1,3). s(1,2). s(4,6).";
 
+    /// What the routed head `t` (first in advance order) holds.
+    fn stored(engine: &FixpointEngine) -> Vec<Tuple> {
+        engine.relation(engine.idb_predicates()[0]).unwrap().rows().to_vec()
+    }
+
     #[test]
     fn a_locally_routed_row_is_a_delta_of_the_same_round() {
         let (local, mut engine) = routed(CHAIN, |p| vec![route(p, ["A", "B"], Some("A"), 2)]).unwrap();
         assert_eq!(local, vec![ituple![0, 1], ituple![2, 3], ituple![4, 5]]);
-        assert_eq!(engine.stats().derived, 6 + 3, "6 edges into t, the 3 even ones into t_in");
+        // A home row is stored once, in the inbox; `t` holds what shipped.
+        assert_eq!(engine.stats().derived, 3 + 3, "the 3 odd edges into t, the 3 even ones into t_in");
         let [outlet] = engine.outlets() else { panic!("one remote destination") };
         assert_eq!(outlet.dests.len(), 1);
         assert_eq!(outlet.rows, vec![ituple![1, 2], ituple![3, 4], ituple![5, 6]]);
+        assert_eq!(stored(&engine), outlet.rows);
         engine.clear_outlets();
         // No sending rule fired: the firings are the two rules' own.
         engine.process_round();
@@ -1259,31 +1352,92 @@ mod tests {
     }
 
     #[test]
+    fn an_injected_or_morsel_merged_row_is_placed_like_an_emitted_one() {
+        let by_a = |p: &Program| vec![route(p, ["A", "B"], Some("A"), 2)];
+        let (local, emitted) = routed(CHAIN, by_a).unwrap();
+        // The same six rows, injected into the head instead of derived.
+        let (p, db) = load("t(X,Y) :- e(X,Z), t_in(Z,Y).");
+        let (t, t_in) = ((p.interner.intern("t"), 2), (p.interner.intern("t_in"), 2));
+        let mut engine =
+            FixpointEngine::with_routes(&p, Arc::new(db), &[t_in], 0, &by_a(&p), PlanOptions::default()).unwrap();
+        engine.inject(t, (0..6i64).map(|k| ituple![k, k + 1])).unwrap();
+        assert!(engine.inject(t, vec![ituple![0, 1], ituple![7]]).is_err(), "rolled back whole");
+        engine.advance().unwrap();
+        assert_eq!(engine.delta_tuples(t_in), local);
+        assert_eq!(stored(&engine), stored(&emitted));
+        assert_eq!(engine.outlets()[0].rows, emitted.outlets()[0].rows);
+
+        // Chunked across four threads, the merge emits through the same
+        // closure: arenas, outlets and counters are bit-identical.
+        let facts: String = (0..600i64).map(|k| format!("e({k},{}).", (k * 7 + 1) % 600)).collect();
+        let source = format!("t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), t_in(Z,Y).\n{facts}");
+        let run = |threads| {
+            let (p, db) = load(&source);
+            let t_in = (p.interner.intern("t_in"), 2);
+            let mut engine =
+                FixpointEngine::with_routes(&p, Arc::new(db), &[t_in], 0, &by_a(&p), PlanOptions::default()).unwrap();
+            engine.set_morsels(MorselConfig { threads, chunk_rows: 64, min_rows: 128 });
+            engine.bootstrap().unwrap();
+            let mut shipped = Vec::new();
+            for _ in 0..3 {
+                engine.advance().unwrap();
+                shipped.extend(engine.outlets()[0].rows.iter().cloned());
+                engine.clear_outlets();
+                engine.process_round();
+            }
+            let stats = engine.stats();
+            (shipped, stored(&engine), engine.relation(t_in).unwrap().rows().to_vec(), stats.derived, stats.morsel_runs)
+        };
+        let (sequential, chunked) = (run(1), run(4));
+        assert!(chunked.4 > 0 && sequential.4 == 0, "the morsel path must engage");
+        assert_eq!((&sequential.0, &sequential.1, &sequential.2, sequential.3), (&chunked.0, &chunked.1, &chunked.2, chunked.3));
+    }
+
+    #[test]
     fn a_route_pattern_selects_like_the_rule_it_stands_for() {
-        // Only rows t(3, _) are routed, by their second column.
-        let (local, engine) = routed(CHAIN, |p| vec![route(p, ["3", "B"], Some("B"), 2)]).unwrap();
+        // Only rows t(3, _) are routed, by their second column. With no
+        // route that selects every row, `t` keeps every row — the home
+        // row t(3,4) too — and stays the pooled relation.
+        let selective = |p: &Program| vec![route(p, ["3", "B"], Some("B"), 2)];
+        let (local, engine) = routed(CHAIN, selective).unwrap();
         assert_eq!(local, vec![ituple![3, 4]]);
         assert!(engine.outlets()[0].rows.is_empty());
+        assert_eq!(stored(&engine).len(), 6);
+        let (p, _) = load(CHAIN);
+        let (t, t_in) = ((p.interner.intern("t"), 2), (p.interner.intern("t_in"), 2));
+        assert_eq!(route::home_inbox(&selective(&p), 0, t), None);
+        // Beside a route that selects every row, the same route does not
+        // stop the home rows from bypassing `t`.
+        let both = |p: &Program| vec![route(p, ["A", "A"], Some("A"), 2), route(p, ["A", "B"], Some("A"), 2)];
+        assert_eq!(route::home_inbox(&both(&p), 0, t), Some(t_in));
+        assert_eq!(stored(&routed(CHAIN, both).unwrap().1).len(), 3);
     }
 
     #[test]
     fn a_row_reaches_an_inbox_once_however_many_routes_pick_it() {
         // Example 8's shape: t routed on both columns. t(1,3) hashes to
         // processor 1 under either route and is buffered once; t(1,2)
-        // goes to 1 (by X) and stays here (by Y); t(4,6) stays, once.
+        // goes to 1 (by X) and stays here (by Y); t(4,6) stays, once —
+        // home under both keys, it alone is not stored in `t`.
         let both = |p: &Program| vec![route(p, ["A", "B"], Some("A"), 2), route(p, ["A", "B"], Some("B"), 2)];
         let (local, engine) = routed(PAIRS, both).unwrap();
         assert_eq!(local, vec![ituple![1, 2], ituple![4, 6]]);
         let mut remote = engine.outlets()[0].rows.clone();
         remote.sort();
         assert_eq!(remote, vec![ituple![1, 2], ituple![1, 3]]);
+        assert_eq!(stored(&engine), vec![ituple![1, 3], ituple![1, 2]]);
 
         // A broadcast of the same source covers its hash routes: one
         // shared outlet for both remote processors, each row in it once.
+        // Every row is shipped, so every row is stored in `t`; broadcast
+        // to this processor alone (N = 1), none is.
         let mixed = |p: &Program| vec![route(p, ["A", "B"], Some("A"), 3), route(p, ["A", "B"], None, 3)];
         let (local, engine) = routed(PAIRS, mixed).unwrap();
         let [outlet] = engine.outlets() else { panic!("one shared outlet") };
         assert_eq!((outlet.dests.len(), outlet.rows.len(), local.len()), (2, 3, 3));
+        assert_eq!(stored(&engine).len(), 3);
+        let (local, engine) = routed(PAIRS, |p| vec![route(p, ["A", "B"], None, 1)]).unwrap();
+        assert_eq!((local.len(), stored(&engine).len(), engine.stats().derived), (3, 0, 3));
     }
 
     #[test]
@@ -1311,6 +1465,10 @@ mod tests {
         assert!(e.contains("broadcast route must not select"), "{e}");
         let e = err(&|p| vec![route(p, ["A", "B"], Some("Q"), 2)]);
         assert!(e.contains("key variable does not occur"), "{e}");
+        // `t`'s home rows would bypass it; a rule reading `t` would miss them.
+        let reads_source = "t(X,Y) :- s(X,Y).\nt(X,Y) :- s(X,Z), t(Z,Y).";
+        let e = routed(reads_source, |p| vec![route(p, ["A", "B"], Some("A"), 2)]).err().unwrap().to_string();
+        assert!(e.contains("but a rule reads the source"), "{e}");
         // A key that hashes outside the route's table fails the advance.
         let e = err(&|p| vec![Route { dests: vec![], ..route(p, ["A", "B"], Some("B"), 5) }]);
         assert!(e.contains("to processor 3, which it lists no inbox for"), "{e}");

@@ -1,13 +1,17 @@
 //! The route table: the paper's sending step, done where a tuple is
-//! deduplicated instead of by copy rules.
+//! emitted and deduplicated instead of by copy rules.
 //!
 //! The §3 sending rule `t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j` is a selection
 //! on one hash value. A [`Route`] is that rule for every `j` at once: the
 //! body atom `t_out^i(Ȳ)`, the condition `h(v(r)) = ·` and, per
-//! destination `j`, the inbox `t_in^j` its head feeds. The engine walks
-//! the rows an advance admitted to `t_out^i` once, evaluates `h` once per
-//! row, and appends the row to the local inbox's pending pool or to the
-//! destination's [`Outlet`] — no channel relation, no rule firing.
+//! destination `j`, the inbox `t_in^j` its head feeds. The engine
+//! evaluates `h` on a row where a rule emits it: a *home* row — every
+//! route sends it to processor `i` itself — goes straight to `t_in^i`'s
+//! pending pool and is stored there only; any other row is deduplicated
+//! into `t_out^i` (the sender-side difference, so nothing ships twice)
+//! and, when fresh, appended to its destinations' [`Outlet`]s and local
+//! inboxes — no channel relation, no rule firing. [`home_inbox`] says
+//! for which predicates the first half applies.
 
 use gst_common::{Error, FxHashMap, Interner, Result, Tuple, Value};
 use gst_frontend::ast::{Atom, ConstraintRef, Term, Variable};
@@ -58,6 +62,35 @@ impl std::fmt::Debug for Route {
     }
 }
 
+/// The storage rule, the one place it is stated: where the rows of
+/// `source` that hash home are stored at `processor`, and so which
+/// relation is pooled for `source` there.
+///
+/// `Some(t_in^i)` when a row all of whose destinations are `processor`
+/// itself is put straight into that inbox and never into `source`, which
+/// then holds exactly the rows that were shipped. That needs (1) no
+/// broadcast route of `source` reaching another processor — every row of
+/// a remote broadcast is shipped, so none is home, and its inboxes are
+/// full copies not worth pooling — and (2) a route that selects every row
+/// (a pattern of distinct variables) and lists an inbox here, so that the
+/// inboxes of that route, over all processors, hold the whole predicate.
+/// `None` — a predicate no route consumes, or one only selective routes
+/// or a remote broadcast do — keeps every row in `source`, the relation
+/// then pooled.
+pub fn home_inbox(routes: &[Route], processor: usize, source: RelationId) -> Option<RelationId> {
+    let mut of_source = routes.iter().filter(|r| r.source_id() == source);
+    let reaches_out = |r: &Route| r.key.is_none() && r.dests.iter().any(|&(j, _)| j != processor);
+    if of_source.clone().any(reaches_out) {
+        return None;
+    }
+    let selects_all = |r: &&Route| {
+        let terms = &r.source.terms;
+        terms.iter().enumerate().all(|(p, t)| t.as_var().is_some() && !terms[..p].contains(t))
+    };
+    let here = |r: &Route| r.dests.iter().find(|&&(j, _)| j == processor).map(|&(_, inbox)| inbox);
+    of_source.find(selects_all).and_then(here)
+}
+
 /// Rows the last advance routed to other processors, addressed to every
 /// `(processor, inbox)` in `dests`. A broadcast has one outlet with all
 /// its destinations, so its rows are buffered — and encoded — once.
@@ -85,10 +118,35 @@ pub(crate) enum Sink {
 pub(crate) struct Router {
     /// Slot of the source predicate (a head-phase state).
     pub(crate) source: usize,
+    /// [`home_inbox`] holds: home rows bypass the source.
+    pub(crate) home: bool,
+    /// … and every row is one, whatever its keys: each route ends in this
+    /// one local inbox (a lone processor), so no key need be evaluated.
+    pub(crate) always: Option<usize>,
     /// Where every fresh row goes: the source's broadcast routes, merged
     /// — local inboxes, and one outlet for all remote destinations.
     pub(crate) all: Vec<Sink>,
     pub(crate) keyed: Vec<KeyedRoute>,
+}
+
+impl Router {
+    /// The distinct sinks of `row`, into `hit`: the source's broadcast
+    /// sinks, then each hash route's — a sink once, however many routes
+    /// pick it (Example 8: two occurrences hash a row to one processor).
+    /// `scratch` is a reusable buffer for a key's ground instance.
+    #[inline]
+    pub(crate) fn sinks(&self, row: &Tuple, scratch: &mut Vec<Value>, hit: &mut Vec<Sink>) -> Result<()> {
+        hit.clear();
+        hit.extend_from_slice(&self.all);
+        for keyed in &self.keyed {
+            if let Some(sink) = keyed.sink(row, scratch)? {
+                if !hit.contains(&sink) {
+                    hit.push(sink);
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A selection a row must pass, from a constant or a repeated variable
@@ -113,8 +171,8 @@ pub(crate) struct KeyedRoute {
 
 impl KeyedRoute {
     /// Where `row` goes: `None` when the pattern does not select it.
-    /// `scratch` is a reusable buffer for the key's ground instance.
-    pub(crate) fn sink(&self, row: &Tuple, scratch: &mut Vec<Value>) -> Result<Option<Sink>> {
+    #[inline]
+    fn sink(&self, row: &Tuple, scratch: &mut Vec<Value>) -> Result<Option<Sink>> {
         let vals = row.as_slice();
         let selected = self.tests.iter().all(|t| match *t {
             Test::Const(p, v) => vals[p] == v,
@@ -163,7 +221,8 @@ pub(crate) fn compile(
             Some(_) => return Err(bad("the source is a local inbox of another route")),
             None => return Err(bad("the source is not a derived predicate")),
         };
-        let fresh = || Router { source, all: Vec::new(), keyed: Vec::new() };
+        let home = home_inbox(routes, processor, id).is_some();
+        let fresh = || Router { source, home, always: None, all: Vec::new(), keyed: Vec::new() };
         let k = find_or_push(&mut routers, |r| r.source == source, fresh);
         // The outlet this source's broadcast routes share, if any yet.
         let mut shared = routers[k].all.iter().find_map(|s| match *s {
@@ -232,6 +291,12 @@ pub(crate) fn compile(
         };
         let columns = key.variables().iter().map(column).collect::<Result<Vec<usize>>>()?;
         routers[k].keyed.push(KeyedRoute { tests, columns, key: key.clone(), table });
+    }
+    for router in routers.iter_mut().filter(|r| r.home) {
+        let mut sinks = router.all.iter().chain(router.keyed.iter().flat_map(|k| k.table.iter().flatten()));
+        if let Some(&Sink::Local(slot)) = sinks.next() {
+            router.always = sinks.all(|sink| *sink == Sink::Local(slot)).then_some(slot);
+        }
     }
     Ok((routers, outlets))
 }

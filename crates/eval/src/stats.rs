@@ -97,12 +97,6 @@ impl EvalStats {
         }
     }
 
-    /// Total time attributed across all rules (the profiler's `compute`
-    /// phase as seen from inside the engine).
-    pub fn rule_time_total(&self) -> u64 {
-        self.time_by_rule.iter().sum()
-    }
-
     /// Record a morsel-parallel execution that split a delta scan into
     /// `chunks` morsels. A `chunks` of 0 means the executor declined and
     /// fell back to the sequential path — not counted.

@@ -290,6 +290,11 @@ impl Program {
         Program { rules, interner }
     }
 
+    /// The variable named `name` (as written in the source).
+    pub fn var(&self, name: &str) -> Variable {
+        Variable(self.interner.intern(name))
+    }
+
     /// All predicates appearing anywhere, base and derived, deduplicated in
     /// first-occurrence order.
     pub fn predicates(&self) -> Vec<Predicate> {

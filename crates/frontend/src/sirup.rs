@@ -16,7 +16,7 @@
 use gst_common::{Error, Result};
 
 use crate::analysis::ProgramAnalysis;
-use crate::ast::{Atom, Predicate, Program, Rule, Term, Variable};
+use crate::ast::{Atom, Predicate, Program, Rule, Term};
 
 /// A linear sirup decomposed into the paper's canonical pieces.
 #[derive(Debug, Clone)]
@@ -153,32 +153,17 @@ impl LinearSirup {
         &self.program.rules[self.recursive_index]
     }
 
-    /// Distinct variables of the recursive rule, first-occurrence order.
-    pub fn recursive_variables(&self) -> Vec<Variable> {
-        self.recursive_rule().variables()
-    }
-
-    /// Distinct variables of the exit rule, first-occurrence order.
-    pub fn exit_variables(&self) -> Vec<Variable> {
-        self.exit_rule().variables()
-    }
-
-    /// The variables of `Ȳ` (arguments of the body `t`-atom), with
-    /// constants skipped, in position order (repeats preserved).
-    pub fn recursive_arg_variables(&self) -> Vec<Variable> {
-        self.recursive_args.iter().filter_map(Term::as_var).collect()
-    }
-
-    /// The variables of the recursive head `X̄`, constants skipped.
-    pub fn head_variables(&self) -> Vec<Variable> {
-        self.head.iter().filter_map(Term::as_var).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
+
+    /// The names of the variables among `terms`, in position order.
+    fn names(terms: &[Term], i: &gst_common::Interner) -> Vec<String> {
+        terms.iter().filter_map(Term::as_var).map(|v| v.name(i)).collect()
+    }
 
     fn sirup(src: &str) -> Result<LinearSirup> {
         let unit = parse_program(src).unwrap();
@@ -199,12 +184,7 @@ mod tests {
         assert_eq!(s.recursive_index, 1);
         assert_eq!(s.base_atoms.len(), 1);
         assert_eq!(s.recursive_atom_index, 1);
-        let y: Vec<String> = s
-            .recursive_arg_variables()
-            .iter()
-            .map(|v| v.name(i))
-            .collect();
-        assert_eq!(y, vec!["Z", "Y"]);
+        assert_eq!(names(&s.recursive_args, i), vec!["Z", "Y"]);
     }
 
     #[test]
@@ -229,14 +209,8 @@ mod tests {
         let i = &s.program.interner;
         assert_eq!(s.head.len(), 3);
         assert_eq!(s.recursive_args.len(), 3);
-        let x: Vec<String> = s.head_variables().iter().map(|v| v.name(i)).collect();
-        assert_eq!(x, vec!["U", "V", "W"]);
-        let y: Vec<String> = s
-            .recursive_arg_variables()
-            .iter()
-            .map(|v| v.name(i))
-            .collect();
-        assert_eq!(y, vec!["V", "W", "Z"]);
+        assert_eq!(names(&s.head, i), vec!["U", "V", "W"]);
+        assert_eq!(names(&s.recursive_args, i), vec!["V", "W", "Z"]);
         assert_eq!(s.base_atoms.len(), 1);
         assert_eq!(i.resolve(s.base_atoms[0].predicate).as_ref(), "q");
     }
@@ -312,7 +286,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.exit_rule(), &s.program.rules[0]);
         assert_eq!(s.recursive_rule(), &s.program.rules[1]);
-        assert_eq!(s.recursive_variables().len(), 3);
-        assert_eq!(s.exit_variables().len(), 2);
+        assert_eq!(s.recursive_rule().variables().len(), 3);
+        assert_eq!(s.exit_rule().variables().len(), 2);
     }
 }

@@ -81,7 +81,8 @@ pub(crate) fn pipeline() -> (Vec<WorkerSpec>, RelationId) {
 
 /// A single worker closing the chain `0 → 1 → … → 5` (15 `t` tuples,
 /// pooled into `answer`), its frontier fed back through its own inbox:
-/// every `t` row is routed to `inbox` here.
+/// every `t` row is routed to `inbox` here — a home row, so stored in
+/// `inbox` only, which is therefore what is pooled.
 pub(crate) fn lone_worker() -> (WorkerSpec, RelationId) {
     let interner = Interner::new();
     let id = |name: &str| (interner.intern(name), 2);
@@ -93,5 +94,5 @@ pub(crate) fn lone_worker() -> (WorkerSpec, RelationId) {
     }
     let (t, inbox, answer) = (id("t"), id("inbox"), id("answer"));
     let route = Route::broadcast(t, &interner, vec![(0, inbox)]);
-    (spec(0, program, vec![route], vec![inbox], vec![(t, answer)], db), answer)
+    (spec(0, program, vec![route], vec![inbox], vec![(inbox, answer)], db), answer)
 }

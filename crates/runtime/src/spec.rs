@@ -6,11 +6,13 @@
 //! the routing metadata the runtime needs — the route table that stands
 //! for the paper's sending rules, which predicates accept network input,
 //! which rules count as *processing* rules for the non-redundancy
-//! theorems, and which local relations are pooled into the global answer.
+//! theorems, and which local relations are pooled into the global answer:
+//! `t_out^i`, or `t_in^i` where the route table stores the home rows of
+//! `t_out^i` there instead ([`gst_eval::route::home_inbox`]).
 
 use std::sync::Arc;
 
-use gst_common::{Result, Tuple};
+use gst_common::{Error, Result, Tuple};
 use gst_eval::plan::{PlanOptions, RelationId};
 use gst_eval::FixpointEngine;
 use gst_frontend::Program;
@@ -28,7 +30,8 @@ pub struct ProcessorProgram {
     pub program: Program,
     /// The sending step: each [`Route`] is the paper's rule family
     /// `t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j` for all `j`, evaluated by the
-    /// engine on every row `advance` admits to `t_out^i` (only fresh rows
+    /// engine where a row is emitted — a home row goes to `t_in^i` alone
+    /// — and on every row `advance` admits to `t_out^i` (only fresh rows
     /// — the paper's sender-side "difference operation"); a remote row is
     /// shipped to `j` and injected into `t_in^j`, which realizes the
     /// receiving rule without materializing `t_ij` at either end. A route
@@ -43,7 +46,8 @@ pub struct ProcessorProgram {
     /// *processing* work under Definition 4 / Theorems 2 and 6.
     pub processing_rules: Vec<usize>,
     /// `(local, global)` pairs: the final-pooling step unions the local
-    /// relation into the global answer predicate.
+    /// relation — a rule head, an inbox or a `local_idb` predicate — into
+    /// the global answer predicate.
     pub pooling: Vec<(RelationId, RelationId)>,
     /// Additional predicates the engine must treat as derived even
     /// without defining rules, *besides* the inboxes. An update session
@@ -127,6 +131,27 @@ impl ProcessorProgram {
         let mut v = self.inboxes.clone();
         v.extend(self.local_idb.iter().copied());
         v
+    }
+
+    /// Every pooling pair must name a relation this processor's engine
+    /// holds (a rule head, an inbox, a `local_idb` predicate), of its
+    /// global's arity: pooling anything else would silently contribute
+    /// nothing to the answer.
+    pub fn check_pooling(&self) -> Result<()> {
+        let mut held = self.extra_idb();
+        held.extend(self.program.rules.iter().map(|r| (r.head.predicate, r.head.terms.len())));
+        for &(local, global) in &self.pooling {
+            let why = if !held.contains(&local) {
+                "which it neither derives nor declares as an inbox".to_string()
+            } else if local.1 != global.1 {
+                format!("into {}/{}", self.program.interner.resolve(global.0), global.1)
+            } else {
+                continue;
+            };
+            let name = self.program.interner.resolve(local.0);
+            return Err(Error::Runtime(format!("processor {} pools {name}/{}, {why}", self.processor, local.1)));
+        }
+        Ok(())
     }
 }
 

@@ -49,7 +49,7 @@ use crate::message::{Envelope, Message};
 use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
 use crate::spec::WorkerSpec;
 use crate::stats::{ExecutionOutcome, ParallelStats, WorkerReport};
-use crate::worker::{finish_core, watchdog_error, Outbox, PooledRelations, Step, WorkerCore};
+use crate::worker::{finish_core, take_pooled, watchdog_error, Outbox, PooledRelations, Step, WorkerCore};
 
 /// Something that can run a fleet of processor programs to distributed
 /// termination and pool the global answer.
@@ -62,10 +62,11 @@ pub trait Transport {
 }
 
 /// Shared spec validation, before any worker starts: positions match
-/// processor ids, and every route delivers to a processor that exists,
-/// into an inbox that processor declares, of the routed predicate's
-/// arity — a misroute is a typed error here, not an inject failure inside
-/// a worker one step later.
+/// processor ids, every pooled relation is one the processor holds, and
+/// every route delivers to a processor that exists, into an inbox that
+/// processor declares, of the routed predicate's arity — a misroute is a
+/// typed error here, not an inject failure inside a worker one step
+/// later, and a mis-declared pooling pair not a silently empty answer.
 pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<()> {
     if specs.is_empty() {
         return Err(Error::Runtime("no processors to execute".into()));
@@ -77,6 +78,7 @@ pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<()> {
                 spec.program.processor
             )));
         }
+        spec.program.check_pooling()?;
         for route in &spec.program.routes {
             let interner = &spec.program.program.interner;
             let source = route.source_id();
@@ -188,15 +190,7 @@ fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<Work
     let mut engine = spec.build_engine()?;
     engine.set_morsels(gst_eval::MorselConfig::with_threads(config.worker.morsel_threads));
     engine.run_to_fixpoint()?;
-    let pooled: PooledRelations = if config.worker.pool_results {
-        spec.program
-            .pooling
-            .iter()
-            .filter_map(|(local, global)| engine.take_relation(*local).map(|rel| (*global, rel)))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let pooled = if config.worker.pool_results { take_pooled(&mut engine, &spec.program) } else { Vec::new() };
     let mut report = WorkerReport::new(spec.program.processor, n);
     report.set_eval(engine.stats(), &spec.program.processing_rules);
     report.pooled_tuples = pooled.iter().map(|(_, r)| r.len() as u64).sum();
@@ -583,6 +577,19 @@ mod tests {
         assert!(e.contains("to processor 1, which declares no inbox nowhere/1"), "{e}");
         let e = err((1, wide));
         assert!(e.contains("whose inbox wide has arity 2"), "{e}");
+
+        // Nor is a pooling pair the engine would find nothing under, or
+        // one that changes arity on the way into the answer.
+        let pools = |local: RelationId| {
+            let mut specs = specs.clone();
+            specs[1].program.pooling[0].0 = local;
+            validate_specs(&specs).unwrap_err().to_string()
+        };
+        let e = pools((interner.intern("nowhere"), 1));
+        assert!(e.contains("processor 1 pools nowhere/1, which it neither derives nor declares"), "{e}");
+        let e = pools(wide);
+        assert!(e.contains("processor 1 pools wide/2, into answer/1"), "{e}");
+        assert!(matches!(validate_specs(&specs), Ok(())), "an inbox may be pooled");
     }
 
     /// The zero-communication fast path computes the same least model and

@@ -413,6 +413,7 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
     if let Some((dest, _)) = program.routes.iter().flat_map(|r| &r.dests).find(|(d, _)| *d >= n) {
         return Err(corrupt(&format!("route to processor {dest} outside fleet of {n}")));
     }
+    program.check_pooling()?;
 
     let mut edb = Database::new(interner.clone());
     let nrels = get_count(&mut c, "edb relations")?;
@@ -1157,6 +1158,15 @@ mod tests {
         let body = encode_job(0, 2, &config, &spec, None).unwrap();
         let job = decode_job(&body, None).unwrap();
         assert_eq!(job.worker.morsel_threads, 6);
+    }
+
+    #[test]
+    fn job_rejects_a_pooling_pair_the_processor_does_not_hold() {
+        let mut spec = sample_spec();
+        spec.program.pooling[0].0 = (spec.program.program.interner.intern("elsewhere"), 2);
+        let body = encode_job(0, 2, &WorkerConfig::default(), &spec, None).unwrap();
+        let e = decode_job(&body, None).err().unwrap().to_string();
+        assert!(e.contains("processor 1 pools elsewhere/2, which it neither derives"), "{e}");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! ```
 //!
 //! Initialization and processing rules run inside the local
-//! [`FixpointEngine`]; the *sending* rules are its route table — closing
-//! a round (`advance`) hashes every row it admits to `t_out^i` to its
-//! destination, straight into the local inbox or into a per-destination
+//! [`FixpointEngine`]; the *sending* rules are its route table — a row
+//! that hashes home goes straight into the local inbox where it is
+//! emitted, and closing a round (`advance`) puts every other row it admits
+//! to `t_out^i` into a per-destination
 //! buffer this worker encodes and ships; the *receiving* rules are
 //! realized by injecting arriving batches into the inbox predicates; and
 //! the asynchrony the paper insists on ("processor i does not wait for
@@ -50,7 +51,7 @@ use gst_eval::FixpointEngine;
 use crate::message::{Envelope, Message, Payload};
 use crate::obs::{ObsEvent, ObsKind, TraceSink};
 use crate::profile::{Profiler, PHASE_COMPUTE, PHASE_DECODE, PHASE_ENCODE, PHASE_REPLAY};
-use crate::spec::WorkerSpec;
+use crate::spec::{ProcessorProgram, WorkerSpec};
 use crate::stats::WorkerReport;
 use crate::termination::{Safra, TokenAction, TokenMsg};
 
@@ -844,19 +845,15 @@ impl WorkerCore {
         report.pooled_tuples = pooled_tuples;
         report
     }
+}
 
-    /// Move the pooled relations out of the engine (final pooling, §3
-    /// step 5) — a move, not a clone, so pooling cost is one union at the
-    /// coordinator.
-    pub(crate) fn take_pooled(&mut self) -> PooledRelations {
-        let pairs = self.spec.program.pooling.clone();
-        pairs
-            .into_iter()
-            .filter_map(|(local, global)| {
-                self.engine.take_relation(local).map(|rel| (global, rel))
-            })
-            .collect()
-    }
+/// Move the pooled relations out of the engine (final pooling, §3
+/// step 5) — a move, not a clone, so pooling cost is one union at the
+/// coordinator. Every pair names a relation the engine holds
+/// ([`ProcessorProgram::check_pooling`], checked before any worker starts).
+pub(crate) fn take_pooled(engine: &mut FixpointEngine, program: &ProcessorProgram) -> PooledRelations {
+    let pairs = program.pooling.iter();
+    pairs.filter_map(|&(local, global)| Some((global, engine.take_relation(local)?))).collect()
 }
 
 /// `(global predicate, relation)` pairs a worker pools into the answer.
@@ -868,11 +865,7 @@ pub(crate) fn finish_core(
     mut core: WorkerCore,
     config: &WorkerConfig,
 ) -> (WorkerReport, PooledRelations, Vec<ObsEvent>) {
-    let pooled = if config.pool_results {
-        core.take_pooled()
-    } else {
-        Vec::new()
-    };
+    let pooled = if config.pool_results { take_pooled(&mut core.engine, &core.spec.program) } else { Vec::new() };
     let pooled_tuples = pooled.iter().map(|(_, r)| r.len() as u64).sum();
     let events = core.take_trace_events();
     (core.into_report(pooled_tuples), pooled, events)
@@ -944,12 +937,10 @@ mod tests {
     /// at each processor in `dests`; accepts batches on `inbox/2`.
     fn chain_core(processor: usize, dests: &[usize], n: usize) -> WorkerCore {
         let interner = Interner::new();
-        let unit = gst_frontend::parser::parse_program_with(
-            "t(X,Y) :- e(X,Y).\n\
-             t(X,Y) :- e(X,Z), t(Z,Y).",
-            &interner,
-        )
-        .unwrap();
+        // A worker that routes to itself reads its rows back from the inbox.
+        let frontier = if dests.contains(&processor) { "inbox" } else { "t" };
+        let source = format!("t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), {frontier}(Z,Y).");
+        let unit = gst_frontend::parser::parse_program_with(&source, &interner).unwrap();
         let e = (interner.intern("e"), 2);
         let t = (interner.get("t").unwrap(), 2);
         let inbox = (interner.intern("inbox"), 2);
@@ -1009,9 +1000,9 @@ mod tests {
     }
 
     /// Under the simulator's clock the storage work is visible as compute
-    /// ticks: every tuple submitted to an `advance` — a derived one, or
-    /// one the route table pushed into the local inbox — is one tick on
-    /// top of the firings.
+    /// ticks: every tuple submitted to an `advance` — to a rule head, or
+    /// to the local inbox it hashes home to — is one tick on top of the
+    /// firings.
     #[test]
     fn advance_and_local_routing_ticks_land_in_compute() {
         let mut core = chain_core(0, &[0], 1);
@@ -1023,8 +1014,8 @@ mod tests {
         }
         let stats = core.engine.stats();
         let (firings, submitted) = (stats.firings, stats.derived + stats.duplicates);
-        // 10 `t` rows, each derived once and routed to the inbox once.
-        assert_eq!((firings, submitted), (10, 20));
+        // 10 `t` rows, each a home row: submitted once, to the inbox.
+        assert_eq!((firings, submitted), (10, 10));
         let phases = core.prof.as_ref().unwrap().profile.phases;
         assert_eq!(phases.compute, firings + submitted);
         assert_eq!(phases.encode + phases.decode + phases.replay, 0);

@@ -136,18 +136,6 @@ pub fn grid(rows: u64, cols: u64) -> Relation {
     rel
 }
 
-/// Arity-2 helper: the set of distinct node ids appearing in `edges`.
-pub fn nodes_of(edges: &Relation) -> Vec<Tuple> {
-    let mut seen = gst_common::FxHashSet::default();
-    for t in edges.iter() {
-        seen.insert(t.get(0));
-        seen.insert(t.get(1));
-    }
-    let mut v: Vec<Tuple> = seen.into_iter().map(|x| Tuple::new(&[x])).collect();
-    v.sort();
-    v
-}
-
 /// Up/down/flat input for the same-generation program over a complete
 /// binary tree of `depth`: `up(child, parent)`, `down = up⁻¹`,
 /// `flat(x, x)` on the root.
@@ -261,12 +249,6 @@ mod tests {
         // rows*cols nodes; right edges rows*(cols-1); down (rows-1)*cols.
         let g = grid(3, 4);
         assert_eq!(g.len(), 3 * 3 + 2 * 4);
-    }
-
-    #[test]
-    fn nodes_of_collects_endpoints() {
-        let c = chain(3);
-        assert_eq!(nodes_of(&c).len(), 4);
     }
 
     #[test]

@@ -21,18 +21,8 @@ fn main() -> Result<()> {
     // anc(X,Y) :- anc(X,Z), anc(Z,Y).  v(r2) = ⟨Z⟩,  h1 = h2 = h
     let fx = nonlinear_ancestor();
     let db = fx.database(&random_digraph(40, 90, 17));
-    let var = |name: &str| Variable(fx.program.interner.get(name).unwrap());
     let h: DiscriminatorRef = Arc::new(HashMod::new(n, 13));
-    let choices = vec![
-        RuleChoice {
-            v: vec![var("Y")],
-            h: h.clone(),
-        },
-        RuleChoice {
-            v: vec![var("Z")],
-            h: h.clone(),
-        },
-    ];
+    let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     let scheme = rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared)?;
     let outcome = scheme.run()?;
     let sequential = seminaive_eval(&fx.program, &db)?;
@@ -62,12 +52,8 @@ fn main() -> Result<()> {
     let succ: Relation = (0..len).map(|k| ituple![k, k + 1]).collect();
     let zero: Relation = [ituple![0]].into_iter().collect();
     let db = fx.database_multi(&[zero, succ]);
-    let var = |name: &str| Variable(fx.program.interner.get(name).unwrap());
     let h: DiscriminatorRef = Arc::new(HashMod::new(n, 29));
-    let choices: Vec<RuleChoice> = [vec![var("X")], vec![var("Y")], vec![var("Y")]]
-        .into_iter()
-        .map(|v| RuleChoice { v, h: h.clone() })
-        .collect();
+    let choices = RuleChoice::by_name(&fx.program, &["X", "Y", "Y"], &h);
     let scheme = rewrite_general(&fx.program, &choices, &db, BaseDistribution::MinimalFragments)?;
     let outcome = scheme.run()?;
     let sequential = seminaive_eval(&fx.program, &db)?;

@@ -518,16 +518,13 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
         .as_str()
     {
         "seq" | "naive" => {
-            let result = if scheme_name == "seq" {
+            let mut result = if scheme_name == "seq" {
                 seminaive_eval(&program, &db)
             } else {
                 naive_eval(&program, &db)
             }
             .map_err(|e| e.to_string())?;
-            let rels = print_ids
-                .iter()
-                .map(|(label, id)| (label.clone(), result.relation(*id)))
-                .collect();
+            let rels = take_printed(&print_ids, &mut result.idb);
             let mut line = format!(
                 "rounds={} firings={} derived={} duplicates={}",
                 result.stats.rounds,
@@ -662,7 +659,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                     started,
                 );
             }
-            let outcome = match &sim_transport {
+            let mut outcome = match &sim_transport {
                 // A failed simulated run still has a journal, and it shows
                 // the fault that killed it.
                 Some(sim) if config.trace => {
@@ -782,10 +779,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 }
                 _ => extra,
             };
-            let rels = print_ids
-                .iter()
-                .map(|(label, id)| (label.clone(), outcome.relation(*id)))
-                .collect();
+            let rels = take_printed(&print_ids, &mut outcome.relations);
             let tables = if show_stats {
                 format!(
                     "{}{}{}{}",
@@ -888,6 +882,16 @@ fn cmd_net_worker(args: Vec<String>) -> std::result::Result<(), String> {
     .map_err(|e| e.to_string())
 }
 
+/// Move the relations to print out of a finished run's answer (empty
+/// where nothing was derived) — the answer is not copied to be printed.
+fn take_printed(
+    print_ids: &[(String, (gst_common::SymbolId, usize))],
+    relations: &mut gst_common::FxHashMap<(gst_common::SymbolId, usize), Relation>,
+) -> Vec<(String, Relation)> {
+    let take = |(label, id): &(String, _)| (label.clone(), relations.remove(id).unwrap_or_else(|| Relation::new(id.1)));
+    print_ids.iter().map(take).collect()
+}
+
 /// Shared tail of `cmd_run`: print the relations and the stats footer.
 #[allow(clippy::too_many_arguments)]
 fn finish_run(
@@ -903,7 +907,9 @@ fn finish_run(
     for (label, rel) in &relations {
         println!("% {label}: {} tuples", rel.len());
         let name = label.split('/').next().unwrap_or(label);
-        for t in rel.sorted() {
+        let mut rows: Vec<&gst_common::Tuple> = rel.iter().collect();
+        rows.sort();
+        for t in rows {
             let cols: Vec<String> = t.iter().map(|v| v.display(interner)).collect();
             println!("{name}({}).", cols.join(", "));
         }

@@ -6,6 +6,11 @@ fn pdatalog() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pdatalog"))
 }
 
+/// `pdatalog <cmd> <file> <args, split on whitespace>`, run to completion.
+fn cli(cmd: &str, file: impl AsRef<std::ffi::OsStr>, args: &str) -> std::process::Output {
+    pdatalog().arg(cmd).arg(file).args(args.split_whitespace()).output().unwrap()
+}
+
 fn write_program(name: &str, source: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("pdatalog-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -21,7 +26,7 @@ const ANCESTOR: &str = "anc(X,Y) :- par(X,Y).\n\
 #[test]
 fn run_sequential_prints_the_closure() {
     let file = write_program("seq.dl", ANCESTOR);
-    let out = pdatalog().args(["run"]).arg(&file).output().unwrap();
+    let out = cli("run", &file, "");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("% anc/2: 6 tuples"), "{stdout}");
@@ -34,12 +39,7 @@ fn run_all_schemes_agree() {
     let file = write_program("schemes.dl", ANCESTOR);
     let mut outputs = Vec::new();
     for scheme in ["seq", "naive", "example1", "example2", "example3", "nocomm", "general"] {
-        let out = pdatalog()
-            .args(["run"])
-            .arg(&file)
-            .args(["--scheme", scheme, "--workers", "3"])
-            .output()
-            .unwrap();
+        let out = cli("run", &file, &format!("--scheme {scheme} --workers 3"));
         assert!(
             out.status.success(),
             "scheme {scheme}: {}",
@@ -56,12 +56,7 @@ fn run_all_schemes_agree() {
 #[test]
 fn run_with_print_filter_and_stats() {
     let file = write_program("print.dl", ANCESTOR);
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--print", "anc/2", "--stats", "--scheme", "example3"])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, "--print anc/2 --stats --scheme example3");
     assert!(out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("processing_firings="), "{stderr}");
@@ -78,12 +73,7 @@ fn print_checks_the_arity_and_accepts_base_predicates() {
     let file = write_program("print-arity.dl", ANCESTOR);
     for scheme in ["seq", "example3"] {
         let run = |spec: &str| {
-            pdatalog()
-                .args(["run"])
-                .arg(&file)
-                .args(["--scheme", scheme, "--workers", "2", "--print", spec])
-                .output()
-                .unwrap()
+            cli("run", &file, &format!("--scheme {scheme} --workers 2 --print {spec}"))
         };
         for spec in ["par/3", "anc/1"] {
             let out = run(spec);
@@ -104,7 +94,7 @@ fn print_checks_the_arity_and_accepts_base_predicates() {
 #[test]
 fn analyze_reports_sirup_and_theorem3() {
     let file = write_program("analyze.dl", ANCESTOR);
-    let out = pdatalog().args(["analyze"]).arg(&file).output().unwrap();
+    let out = cli("analyze", &file, "");
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("linear sirup: yes"));
@@ -118,7 +108,7 @@ fn analyze_flags_non_sirup() {
         "nonlin.dl",
         "anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), anc(Z,Y).\npar(1,2).",
     );
-    let out = pdatalog().args(["analyze"]).arg(&file).output().unwrap();
+    let out = cli("analyze", &file, "");
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("linear sirup: no"));
@@ -130,17 +120,12 @@ fn network_bits_and_linear() {
         "net.dl",
         "p(X,Y) :- q(X,Y).\np(X,Y) :- p(Y,Z), r(X,Z).\nq(1,2).",
     );
-    let out = pdatalog().args(["network"]).arg(&file).output().unwrap();
+    let out = cli("network", &file, "");
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("(00) → (10)"), "{stdout}");
 
-    let out = pdatalog()
-        .args(["network"])
-        .arg(&file)
-        .args(["--linear", "1,-1"])
-        .output()
-        .unwrap();
+    let out = cli("network", &file, "--linear 1,-1");
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("P = [-1, 0, 1]"), "{stdout}");
@@ -156,12 +141,7 @@ fn bad_usage_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 
     let file = write_program("bad.dl", ANCESTOR);
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "bogus"])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, "--scheme bogus");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown scheme"));
 }
@@ -169,7 +149,7 @@ fn bad_usage_fails_cleanly() {
 #[test]
 fn parse_errors_reported_with_location() {
     let file = write_program("syntax.dl", "anc(X,Y :- par(X,Y).");
-    let out = pdatalog().args(["run"]).arg(&file).output().unwrap();
+    let out = cli("run", &file, "");
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("parse error"), "{stderr}");
@@ -178,12 +158,7 @@ fn parse_errors_reported_with_location() {
 #[test]
 fn query_binds_variables() {
     let file = write_program("query.dl", ANCESTOR);
-    let out = pdatalog()
-        .args(["query"])
-        .arg(&file)
-        .arg("anc(1, X)")
-        .output()
-        .unwrap();
+    let out = cli("query", &file, "anc(1,X)");
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("% X"));
@@ -193,9 +168,9 @@ fn query_binds_variables() {
 #[test]
 fn query_ground_goals_answer_true_false() {
     let file = write_program("query2.dl", ANCESTOR);
-    let yes = pdatalog().args(["query"]).arg(&file).arg("anc(1, 4)").output().unwrap();
+    let yes = cli("query", &file, "anc(1,4)");
     assert_eq!(String::from_utf8_lossy(&yes.stdout).trim(), "true");
-    let no = pdatalog().args(["query"]).arg(&file).arg("anc(4, 1)").output().unwrap();
+    let no = cli("query", &file, "anc(4,1)");
     assert_eq!(String::from_utf8_lossy(&no.stdout).trim(), "false");
 }
 
@@ -205,7 +180,7 @@ fn query_repeated_variables_filter() {
         "query3.dl",
         "t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), t(Z,Y).\ne(1,2). e(2,1). e(2,3).",
     );
-    let out = pdatalog().args(["query"]).arg(&file).arg("t(X, X)").output().unwrap();
+    let out = cli("query", &file, "t(X,X)");
     let stdout = String::from_utf8(out.stdout).unwrap();
     // Self-reachable nodes: 1 and 2 (via the 1↔2 cycle).
     assert!(stdout.contains('1') && stdout.contains('2'), "{stdout}");
@@ -215,14 +190,14 @@ fn query_repeated_variables_filter() {
 #[test]
 fn query_unknown_predicate_fails() {
     let file = write_program("query4.dl", ANCESTOR);
-    let out = pdatalog().args(["query"]).arg(&file).arg("zzz(X)").output().unwrap();
+    let out = cli("query", &file, "zzz(X)");
     assert!(!out.status.success());
 }
 
 #[test]
 fn query_base_relation_directly() {
     let file = write_program("query5.dl", ANCESTOR);
-    let out = pdatalog().args(["query"]).arg(&file).arg("par(2, X)").output().unwrap();
+    let out = cli("query", &file, "par(2,X)");
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains('3'));
@@ -237,7 +212,7 @@ fn sample_programs_ship_and_run() {
         ("examples/programs/chain_sirup.dl", "p("),
         ("examples/programs/org.dl", "chain("),
     ] {
-        let out = pdatalog().args(["run"]).arg(root.join(file)).output().unwrap();
+        let out = cli("run", root.join(file), "");
         assert!(
             out.status.success(),
             "{file}: {}",
@@ -253,30 +228,15 @@ fn sample_programs_ship_and_run() {
 #[test]
 fn sim_recoverable_crash_reports_restart_and_matches_sequential() {
     let file = write_program("recover.dl", ANCESTOR);
-    let seq = pdatalog().args(["run"]).arg(&file).output().unwrap();
+    let seq = cli("run", &file, "");
     assert!(seq.status.success());
     let reference = String::from_utf8(seq.stdout).unwrap();
 
     // A mid-run crash marked `recover`: the supervisor restarts the
     // worker, peers replay, and the pooled model must still match the
     // sequential closure bit-for-bit.
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args([
-            "--scheme",
-            "example3",
-            "--workers",
-            "3",
-            "--sim",
-            "--seed",
-            "5",
-            "--faults",
-            "chaos,crash=1@40,recover",
-            "--stats",
-        ])
-        .output()
-        .unwrap();
+    let crashed = "--scheme example3 --workers 3 --sim --seed 5 --faults chaos,crash=1@40,recover";
+    let out = cli("run", &file, &format!("{crashed} --stats"));
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert_eq!(String::from_utf8_lossy(&out.stdout), reference, "recovered model differs");
     let stderr = String::from_utf8(out.stderr).unwrap();
@@ -285,35 +245,13 @@ fn sim_recoverable_crash_reports_restart_and_matches_sequential() {
 
     // Same crash with the restart budget zeroed out: fail fast (the
     // watchdog names the starved processor), never hang.
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args([
-            "--scheme",
-            "example3",
-            "--workers",
-            "3",
-            "--sim",
-            "--seed",
-            "5",
-            "--faults",
-            "chaos,crash=1@40,recover",
-            "--max-restarts",
-            "0",
-        ])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, &format!("{crashed} --max-restarts 0"));
     assert!(!out.status.success(), "zero restart budget must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("idle"), "{stderr}");
 
     // `recover` is a crash modifier, not a standalone fault.
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "example3", "--sim", "--faults", "chaos,recover"])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, "--scheme example3 --sim --faults chaos,recover");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("recover without a crash"));
 }
@@ -325,14 +263,7 @@ fn threaded_trace_out_writes_chrome_json() {
         .join("pdatalog-cli-tests")
         .join("trace_threaded.json");
     let _ = std::fs::remove_file(&trace);
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "example3", "--workers", "4", "--trace-out"])
-        .arg(&trace)
-        .args(["--stats"])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, &format!("--scheme example3 --workers 4 --trace-out {} --stats", trace.display()));
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let body = std::fs::read_to_string(&trace).unwrap();
     assert!(body.starts_with("{\"traceEvents\":["), "{body}");
@@ -347,12 +278,7 @@ fn threaded_trace_out_writes_chrome_json() {
 #[test]
 fn threaded_trace_prints_the_journal() {
     let file = write_program("tracejournal.dl", ANCESTOR);
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "example3", "--workers", "2", "--trace"])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, "--scheme example3 --workers 2 --trace");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("round 0 begin"), "{stderr}");
@@ -363,14 +289,8 @@ fn threaded_trace_prints_the_journal() {
 fn sim_flags_still_require_sim_but_trace_does_not() {
     let file = write_program("traceflags.dl", ANCESTOR);
     // --seed / --faults remain simulation-only...
-    for args in [vec!["--seed", "3"], vec!["--faults", "jitter"]] {
-        let out = pdatalog()
-            .args(["run"])
-            .arg(&file)
-            .args(["--scheme", "example3"])
-            .args(&args)
-            .output()
-            .unwrap();
+    for args in ["--seed 3", "--faults jitter"] {
+        let out = cli("run", &file, &format!("--scheme example3 {args}"));
         assert!(!out.status.success());
         assert!(
             String::from_utf8_lossy(&out.stderr).contains("only make sense with --sim"),
@@ -378,12 +298,7 @@ fn sim_flags_still_require_sim_but_trace_does_not() {
         );
     }
     // ...and tracing needs a parallel run to observe.
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "seq", "--trace"])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, "--scheme seq --trace");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("parallel scheme"));
 }
@@ -392,15 +307,7 @@ fn sim_flags_still_require_sim_but_trace_does_not() {
 fn sim_trace_is_deterministic_per_seed() {
     let file = write_program("tracesim.dl", ANCESTOR);
     let run = || {
-        let out = pdatalog()
-            .args(["run"])
-            .arg(&file)
-            .args([
-                "--scheme", "example3", "--workers", "3", "--sim", "--seed", "11",
-                "--faults", "jitter", "--trace",
-            ])
-            .output()
-            .unwrap();
+        let out = cli("run", &file, "--scheme example3 --workers 3 --sim --seed 11 --faults jitter --trace");
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         String::from_utf8(out.stderr).unwrap()
     };
@@ -417,16 +324,7 @@ fn profile_flags_write_all_three_exports() {
     let metrics = dir.join("profile_threaded.prom");
     let _ = std::fs::remove_file(&json);
     let _ = std::fs::remove_file(&metrics);
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "example3", "--workers", "4", "--profile", "--profile-json"])
-        .arg(&json)
-        .arg("--metrics-out")
-        .arg(&metrics)
-        .args(["--stats"])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, &format!("--scheme example3 --workers 4 --profile --profile-json {} --metrics-out {} --stats", json.display(), metrics.display()));
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("% profile (us"), "{stderr}");
@@ -450,16 +348,7 @@ fn sim_profile_json_is_deterministic_per_seed() {
     let run = |name: &str| {
         let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
-        let out = pdatalog()
-            .args(["run"])
-            .arg(&file)
-            .args([
-                "--scheme", "example3", "--workers", "3", "--sim", "--seed", "11",
-                "--faults", "jitter", "--profile-json",
-            ])
-            .arg(&path)
-            .output()
-            .unwrap();
+        let out = cli("run", &file, &format!("--scheme example3 --workers 3 --sim --seed 11 --faults jitter --profile-json {}", path.display()));
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         std::fs::read_to_string(&path).unwrap()
     };
@@ -493,7 +382,7 @@ fn profile_requires_a_parallel_scheme() {
 #[test]
 fn analyze_shows_advisor_recommendations() {
     let file = write_program("advise.dl", ANCESTOR);
-    let out = pdatalog().args(["analyze"]).arg(&file).output().unwrap();
+    let out = cli("analyze", &file, "");
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(
         stdout.contains("advisor [minimize communication]: v(r) = ⟨Y⟩"),
@@ -523,13 +412,7 @@ fn updates_stream_matches_recompute_and_reports_rounds() {
          commit.\n\
          -par(99,100).\n",
     );
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "general", "--workers", "3", "--stats", "--updates"])
-        .arg(&ups)
-        .output()
-        .unwrap();
+    let out = cli("run", &file, &format!("--scheme general --workers 3 --stats --updates {}", ups.display()));
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
 
@@ -540,7 +423,7 @@ fn updates_stream_matches_recompute_and_reports_rounds() {
          anc(X,Y) :- par(X,Z), anc(Z,Y).\n\
          par(1,2). par(3,4). par(4,5). par(2,5).",
     );
-    let seq = pdatalog().args(["run"]).arg(&final_file).output().unwrap();
+    let seq = cli("run", &final_file, "");
     assert!(seq.status.success());
     let reference = String::from_utf8(seq.stdout).unwrap();
     assert_eq!(stdout, reference, "maintained view differs from the recompute");
@@ -581,37 +464,19 @@ fn updates_under_simulation_match_threaded() {
 fn updates_usage_errors_are_clean() {
     let file = write_program("updates_bad.dl", ANCESTOR);
     let ups = write_program("updates_bad.stream", "+par(9,10).\n");
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "seq", "--updates"])
-        .arg(&ups)
-        .output()
-        .unwrap();
+    let out = cli("run", &file, &format!("--scheme seq --updates {}", ups.display()));
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("parallel scheme"), "{stderr}");
 
     let garbled = write_program("updates_garbled.stream", "+par(1,2).\nfrobnicate!\n");
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "general", "--workers", "2", "--updates"])
-        .arg(&garbled)
-        .output()
-        .unwrap();
+    let out = cli("run", &file, &format!("--scheme general --workers 2 --updates {}", garbled.display()));
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("line 2"), "{stderr}");
 
     let nonground = write_program("updates_nonground.stream", "+par(X,2).\n");
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "general", "--workers", "2", "--updates"])
-        .arg(&nonground)
-        .output()
-        .unwrap();
+    let out = cli("run", &file, &format!("--scheme general --workers 2 --updates {}", nonground.display()));
     assert!(!out.status.success());
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("ground"), "{stderr}");
@@ -633,13 +498,7 @@ fn query_mode_prints_only_the_goals_answers() {
         vec!["--scheme", "general", "--workers", "3", "--sim", "--seed", "7", "--faults", "jitter"],
     ];
     for extra in runs {
-        let out = pdatalog()
-            .args(["run"])
-            .arg(&file)
-            .args(["--query", "anc(2, Y)"])
-            .args(&extra)
-            .output()
-            .unwrap();
+        let out = cli("run", &file, &format!("--query anc(2,Y) {}", extra.join(" ")));
         assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
         let stdout = String::from_utf8(out.stdout).unwrap();
         assert!(stdout.contains("% anc/2: 2 tuples"), "{extra:?}: {stdout}");
@@ -657,14 +516,14 @@ fn query_mode_uses_the_files_embedded_goal() {
         "magic_embedded.dl",
         &format!("{ANCESTOR}\n?- anc(3, Y).\n"),
     );
-    let out = pdatalog().args(["run"]).arg(&file).arg("--query").output().unwrap();
+    let out = cli("run", &file, "--query");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("% anc/2: 1 tuples"), "{stdout}");
     assert!(stdout.contains("anc(3, 4)."), "{stdout}");
 
     let bare = write_program("magic_no_goal.dl", ANCESTOR);
-    let out = pdatalog().args(["run"]).arg(&bare).arg("--query").output().unwrap();
+    let out = cli("run", &bare, "--query");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("?- goal"), "needs a goal");
 }
@@ -674,12 +533,7 @@ fn query_mode_uses_the_files_embedded_goal() {
 #[test]
 fn explain_rewrite_prints_the_magic_program() {
     let file = write_program("magic_explain.dl", ANCESTOR);
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--query", "anc(1, Y)", "--explain-rewrite"])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, "--query anc(1,Y) --explain-rewrite");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("anc_bf(X, Y) :- m_anc_bf(X), par(X, Y)."), "{stdout}");
@@ -694,13 +548,7 @@ fn explain_rewrite_prints_the_magic_program() {
 fn query_stats_report_demand_ratio() {
     let file = write_program("magic_stats.dl", &chain_program(20));
     for extra in [vec![], vec!["--scheme", "general", "--workers", "3"]] {
-        let out = pdatalog()
-            .args(["run"])
-            .arg(&file)
-            .args(["--query", "anc(17, Y)", "--stats"])
-            .args(&extra)
-            .output()
-            .unwrap();
+        let out = cli("run", &file, &format!("--query anc(17,Y) --stats {}", extra.join(" ")));
         assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains("demand_ratio=0."), "{extra:?}: {stderr}");
@@ -712,15 +560,7 @@ fn query_stats_report_demand_ratio() {
 #[test]
 fn query_profile_labels_magic_rules() {
     let file = write_program("magic_profile.dl", ANCESTOR);
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args([
-            "--query", "anc(1, Y)", "--scheme", "general", "--workers", "2",
-            "--sim", "--seed", "3", "--profile",
-        ])
-        .output()
-        .unwrap();
+    let out = cli("run", &file, "--query anc(1,Y) --scheme general --workers 2 --sim --seed 3 --profile");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("hot rules"), "{stderr}");
@@ -731,15 +571,15 @@ fn query_profile_labels_magic_rules() {
 #[test]
 fn query_usage_errors_are_clean() {
     let file = write_program("magic_usage.dl", ANCESTOR);
-    let cases: Vec<(Vec<&str>, &str)> = vec![
-        (vec!["--query", "anc(1, Y)", "--print", "anc/2"], "--print"),
-        (vec!["--explain-rewrite"], "--query"),
-        (vec!["--query", "anc(1, Y)", "--scheme", "example3"], "seq, naive, or general"),
-        (vec!["--query", "anc(X, Y)"], "bound argument"),
-        (vec!["--query", "par(1, Y)"], "derived"),
+    let cases = [
+        ("--query anc(1,Y) --print anc/2", "--print"),
+        ("--explain-rewrite", "--query"),
+        ("--query anc(1,Y) --scheme example3", "seq, naive, or general"),
+        ("--query anc(X,Y)", "bound argument"),
+        ("--query par(1,Y)", "derived"),
     ];
     for (args, want) in cases {
-        let out = pdatalog().args(["run"]).arg(&file).args(&args).output().unwrap();
+        let out = cli("run", &file, args);
         assert!(!out.status.success(), "{args:?} must be rejected");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(want), "{args:?}: {stderr}");
@@ -750,12 +590,7 @@ fn query_usage_errors_are_clean() {
 #[test]
 fn org_magic_example_answers_its_embedded_query() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let out = pdatalog()
-        .args(["run"])
-        .arg(root.join("examples/programs/org_magic.dl"))
-        .args(["--query", "--scheme", "general", "--workers", "4", "--stats"])
-        .output()
-        .unwrap();
+    let out = cli("run", root.join("examples/programs/org_magic.dl"), "--query --scheme general --workers 4 --stats");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("% boss/2: 4 tuples"), "{stdout}");
@@ -867,13 +702,7 @@ fn net_sigkill_mid_updates_recovers_bit_exact() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let reference = String::from_utf8(out.stdout).unwrap();
 
-    let out = pdatalog()
-        .args(["run"])
-        .arg(&file)
-        .args(["--scheme", "general", "--workers", "3", "--net", "--net-kill", "1@300", "--stats", "--updates"])
-        .arg(&ups)
-        .output()
-        .unwrap();
+    let out = cli("run", &file, &format!("--scheme general --workers 3 --net --net-kill 1@300 --stats --updates {}", ups.display()));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert_eq!(String::from_utf8(out.stdout).unwrap(), reference);
@@ -925,12 +754,12 @@ fn net_persistent_fault_fails_fast() {
 fn net_usage_errors_are_clean() {
     let file = write_program("net_usage.dl", &chain_program(5));
     for (args, want) in [
-        (vec!["--scheme", "example3", "--net", "--sim"], "exclusive"),
-        (vec!["--scheme", "seq", "--net"], "parallel scheme"),
-        (vec!["--scheme", "example3", "--net-kill", "1@100"], "--net"),
-        (vec!["--scheme", "seq", "--watchdog-ms", "100"], "parallel scheme"),
+        ("--scheme example3 --net --sim", "exclusive"),
+        ("--scheme seq --net", "parallel scheme"),
+        ("--scheme example3 --net-kill 1@100", "--net"),
+        ("--scheme seq --watchdog-ms 100", "parallel scheme"),
     ] {
-        let out = pdatalog().args(["run"]).arg(&file).args(&args).output().unwrap();
+        let out = cli("run", &file, args);
         assert!(!out.status.success(), "{args:?} must be rejected");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(want), "{args:?}: {stderr}");

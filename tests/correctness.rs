@@ -11,7 +11,7 @@ use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::FaultPlan;
 use parallel_datalog::workloads::{
     binary_tree, chain, cycle, grid, layered, linear_ancestor, nonlinear_ancestor,
-    random_digraph, same_generation, same_generation_tree, star,
+    random_digraph, same_generation, same_generation_tree, star, Fixture,
 };
 
 fn datasets() -> Vec<(&'static str, Relation)> {
@@ -32,8 +32,10 @@ fn datasets() -> Vec<(&'static str, Relation)> {
 /// single-threaded schedule that repeats bit for bit.
 const SIM_SEED: u64 = 1990;
 
-fn var(p: &Program, name: &str) -> Variable {
-    Variable(p.interner.get(name).unwrap())
+/// The parallel answer is the sequential engine's.
+fn agrees(fx: &Fixture, db: &Database, outcome: &ExecutionOutcome) -> bool {
+    let (seq, out) = (seminaive_eval(&fx.program, db).unwrap(), fx.output_id());
+    outcome.relation(out).set_eq(&seq.relation(out))
 }
 
 /// Theorem 1 on Q_i across datasets (Example 3's discriminating choice).
@@ -46,12 +48,7 @@ fn theorem1_non_redundant_scheme_equals_sequential() {
             let db = fx.database(&edges);
             let scheme = example3_hash_partition(&sirup, n, &db).unwrap();
             let outcome = scheme.run().unwrap();
-            let seq = seminaive_eval(&fx.program, &db).unwrap();
-            let anc = fx.output_id();
-            assert!(
-                outcome.relation(anc).set_eq(&seq.relation(anc)),
-                "dataset {name}, n={n}"
-            );
+            assert!(agrees(&fx, &db, &outcome), "dataset {name}, n={n}");
         }
     }
 }
@@ -69,9 +66,7 @@ fn theorem1_zero_comm_scheme_equals_sequential() {
             outcome.stats.communication_free(),
             "dataset {name}: Example 1 must never communicate"
         );
-        let seq = seminaive_eval(&fx.program, &db).unwrap();
-        let anc = fx.output_id();
-        assert!(outcome.relation(anc).set_eq(&seq.relation(anc)), "dataset {name}");
+        assert!(agrees(&fx, &db, &outcome), "dataset {name}");
     }
 }
 
@@ -88,9 +83,7 @@ fn theorem1_fragmented_broadcast_equals_sequential() {
         let frag = round_robin_fragment(&edges, 3).unwrap();
         let scheme = example2_valduriez(&sirup, frag, &db).unwrap();
         let outcome = scheme.run().unwrap();
-        let seq = seminaive_eval(&fx.program, &db).unwrap();
-        let anc = fx.output_id();
-        assert!(outcome.relation(anc).set_eq(&seq.relation(anc)), "dataset {name}");
+        assert!(agrees(&fx, &db, &outcome), "dataset {name}");
     }
 }
 
@@ -112,15 +105,13 @@ fn theorem4_generalized_scheme_equals_sequential() {
     for (name, edges) in datasets() {
         let db = fx.database(&edges);
         let cfg = GeneralizedConfig {
-            v_r: vec![var(&fx.program, "Z")],
-            v_e: vec![var(&fx.program, "X")],
+            v_r: vec![fx.program.var("Z")],
+            v_e: vec![fx.program.var("X")],
             h_prime: base_h.clone(),
             h_locals: h_locals.clone(),
         };
         let outcome = rewrite_generalized(&sirup, &cfg, &db).unwrap().run().unwrap();
-        let seq = seminaive_eval(&fx.program, &db).unwrap();
-        let anc = fx.output_id();
-        assert!(outcome.relation(anc).set_eq(&seq.relation(anc)), "dataset {name}");
+        assert!(agrees(&fx, &db, &outcome), "dataset {name}");
     }
 }
 
@@ -130,27 +121,13 @@ fn theorem4_generalized_scheme_equals_sequential() {
 fn theorem5_general_scheme_equals_sequential() {
     let fx = nonlinear_ancestor();
     let h: DiscriminatorRef = Arc::new(HashMod::new(3, 13));
-    let choices = vec![
-        RuleChoice {
-            v: vec![var(&fx.program, "Y")],
-            h: h.clone(),
-        },
-        RuleChoice {
-            v: vec![var(&fx.program, "Z")],
-            h,
-        },
-    ];
+    let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     for dist in [BaseDistribution::Shared, BaseDistribution::MinimalFragments] {
         for (name, edges) in datasets() {
             let db = fx.database(&edges);
             let scheme = rewrite_general(&fx.program, &choices, &db, dist).unwrap();
             let outcome = scheme.run().unwrap();
-            let seq = seminaive_eval(&fx.program, &db).unwrap();
-            let anc = fx.output_id();
-            assert!(
-                outcome.relation(anc).set_eq(&seq.relation(anc)),
-                "dataset {name}, dist {dist:?}"
-            );
+            assert!(agrees(&fx, &db, &outcome), "dataset {name}, dist {dist:?}");
         }
     }
 }
@@ -193,18 +170,16 @@ fn same_generation_parallel_is_correct() {
     let db = fx.database_multi(&[up, down, flat]);
     let h: DiscriminatorRef = Arc::new(HashMod::new(4, 3));
     let cfg = NonRedundantConfig {
-        v_r: vec![var(&fx.program, "U")],
-        v_e: vec![var(&fx.program, "X")],
+        v_r: vec![fx.program.var("U")],
+        v_e: vec![fx.program.var("X")],
         h: h.clone(),
         h_prime: h,
         base: BaseDistribution::Shared,
     };
     let outcome = rewrite_non_redundant(&sirup, &cfg, &db).unwrap().run().unwrap();
-    let seq = seminaive_eval(&fx.program, &db).unwrap();
-    let sg = fx.output_id();
-    assert!(outcome.relation(sg).set_eq(&seq.relation(sg)));
+    assert!(agrees(&fx, &db, &outcome));
     // All 16 leaves of the depth-5 tree are one generation: 16² pairs.
-    assert!(outcome.relation(sg).len() >= 16 * 16);
+    assert!(outcome.relation(fx.output_id()).len() >= 16 * 16);
 }
 
 /// A fixed-seed simulated run — single-threaded, deterministic — and the
@@ -252,16 +227,7 @@ fn fixed_seed_sim_on_general_scheme() {
     let fx = nonlinear_ancestor();
     let db = fx.database(&grid(4, 4));
     let h: DiscriminatorRef = Arc::new(HashMod::new(3, 13));
-    let choices = vec![
-        RuleChoice {
-            v: vec![var(&fx.program, "Y")],
-            h: h.clone(),
-        },
-        RuleChoice {
-            v: vec![var(&fx.program, "Z")],
-            h,
-        },
-    ];
+    let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     let scheme =
         rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
     let sim = scheme.run_simulated(SIM_SEED, FaultPlan::none()).unwrap();

@@ -8,10 +8,6 @@ use parallel_datalog::core::dataflow::DataflowGraph;
 use parallel_datalog::prelude::*;
 use parallel_datalog::workloads::{chain_sirup, example6_sirup, linear_ancestor, random_digraph};
 
-fn var(p: &Program, name: &str) -> Variable {
-    Variable(p.interner.get(name).unwrap())
-}
-
 /// Run Example 6's sirup with the bit-vector function and check observed
 /// traffic against the derived Figure-3 network, over several datasets
 /// and `g` seeds.
@@ -19,8 +15,8 @@ fn var(p: &Program, name: &str) -> Variable {
 fn example6_network_is_sound() {
     let fx = example6_sirup();
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
-    let v_r = vec![var(&fx.program, "Y"), var(&fx.program, "Z")];
-    let v_e = vec![var(&fx.program, "X"), var(&fx.program, "Y")];
+    let v_r = vec![fx.program.var("Y"), fx.program.var("Z")];
+    let v_e = vec![fx.program.var("X"), fx.program.var("Y")];
 
     for g_seed in [1u64, 2, 3] {
         let bv = BitVector::new(BitFn::new(g_seed), 2);
@@ -57,8 +53,8 @@ fn example6_network_is_sound() {
 fn example6_network_is_reasonably_tight() {
     let fx = example6_sirup();
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
-    let v_r = vec![var(&fx.program, "Y"), var(&fx.program, "Z")];
-    let v_e = vec![var(&fx.program, "X"), var(&fx.program, "Y")];
+    let v_r = vec![fx.program.var("Y"), fx.program.var("Z")];
+    let v_e = vec![fx.program.var("X"), fx.program.var("Y")];
     let bv = BitVector::new(BitFn::new(1), 2);
     let net = derive_network(&sirup, &v_r, &v_e, &bv).unwrap();
 
@@ -90,14 +86,14 @@ fn example7_network_is_sound() {
     let fx = chain_sirup();
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
     let v_r = vec![
-        var(&fx.program, "V"),
-        var(&fx.program, "W"),
-        var(&fx.program, "Z"),
+        fx.program.var("V"),
+        fx.program.var("W"),
+        fx.program.var("Z"),
     ];
     let v_e = vec![
-        var(&fx.program, "U"),
-        var(&fx.program, "V"),
-        var(&fx.program, "W"),
+        fx.program.var("U"),
+        fx.program.var("V"),
+        fx.program.var("W"),
     ];
     let lin = Linear::new(BitFn::new(4), vec![1, -1, 1]);
     let net = derive_network(&sirup, &v_r, &v_e, &lin).unwrap();

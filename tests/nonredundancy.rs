@@ -21,10 +21,6 @@ fn datasets() -> Vec<(&'static str, Relation)> {
     ]
 }
 
-fn var(p: &Program, name: &str) -> Variable {
-    Variable(p.interner.get(name).unwrap())
-}
-
 #[test]
 fn theorem2_on_the_non_redundant_scheme() {
     let fx = linear_ancestor();
@@ -72,16 +68,7 @@ fn theorem2_on_example1_and_example2() {
 fn theorem6_on_the_general_scheme() {
     let fx = nonlinear_ancestor();
     let h: DiscriminatorRef = Arc::new(HashMod::new(4, 13));
-    let choices = vec![
-        RuleChoice {
-            v: vec![var(&fx.program, "Y")],
-            h: h.clone(),
-        },
-        RuleChoice {
-            v: vec![var(&fx.program, "Z")],
-            h,
-        },
-    ];
+    let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     for (name, edges) in datasets() {
         let db = fx.database(&edges);
         let seq = seminaive_eval(&fx.program, &db).unwrap();
@@ -128,7 +115,7 @@ fn no_comm_scheme_is_redundant_where_expected() {
     let db = fx.database(&grid(6, 6));
     let seq = seminaive_eval(&fx.program, &db).unwrap();
     let cfg = NoCommConfig {
-        v_e: vec![var(&fx.program, "X")],
+        v_e: vec![fx.program.var("X")],
         h_prime: Arc::new(HashMod::new(4, 11)),
     };
     let outcome = rewrite_no_comm(&sirup, &cfg, &db).unwrap().run().unwrap();

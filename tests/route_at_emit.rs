@@ -1,15 +1,18 @@
 //! Route at emit: the §3 sending rules are a route table the engine
-//! evaluates as it deduplicates a tuple, not rules it fires. Over the
-//! program corpus × every scheme: firings are processing firings (at N=1
-//! the sequential engine's), no channel relation exists, the traffic is
-//! what the sending rules shipped (pinned on the last commit that executed
-//! them), a doubly routed tuple goes once, a broadcast is encoded once, a
-//! misroute is a typed error before any worker starts.
+//! evaluates where a tuple is emitted and deduplicated, not rules it
+//! fires. Over the program corpus × every scheme: firings are processing
+//! firings, and one processor fires, inserts and discards exactly what
+//! the sequential engine does; a home row is stored once, in `t@in_i`,
+//! and `t@out_i` holds what processor `i` shipped; no channel relation
+//! exists; the traffic is what the sending rules shipped (pinned on the
+//! last commit that executed them); a doubly routed tuple goes once, a
+//! broadcast is encoded once; a misroute or a mis-declared pooling pair
+//! is a typed error before any worker starts.
 
 use std::sync::Arc;
 
 use parallel_datalog::core::schemes::BaseDistribution;
-use parallel_datalog::eval::{plan::RelationId, FixpointEngine};
+use parallel_datalog::eval::{plan::RelationId, route::home_inbox, FixpointEngine};
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{
     FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, Route, SimTransport,
@@ -86,7 +89,8 @@ fn schemes(fx: &Fixture, db: &Database, n: usize) -> Vec<(&'static str, Compiled
 }
 
 /// (a) The only rules a processor fires are processing rules; one
-/// processor fires exactly what the sequential engine fires.
+/// processor fires, inserts and discards exactly what the sequential
+/// engine does — every row is a home row, so every `t@out` stays empty.
 #[test]
 fn total_firings_are_processing_firings_and_sequential_at_n1() {
     for (name, fx, db) in corpus() {
@@ -104,10 +108,18 @@ fn total_firings_are_processing_firings_and_sequential_at_n1() {
                     "{what}: a non-processing rule fired"
                 );
                 if n == 1 {
-                    assert_eq!(outcome.stats.total_firings(), seq.stats.firings, "{what}");
-                    // The inline fast path and the worker loop agree.
-                    let threaded = scheme.run().unwrap();
-                    assert_eq!(threaded.stats.total_firings(), seq.stats.firings, "{what}");
+                    // The worker loop and the inline fast path agree.
+                    for run in [outcome, scheme.run().unwrap()] {
+                        let eval = &run.stats.workers[0].eval;
+                        let counters = |s: &EvalStats| (s.firings, s.derived, s.duplicates);
+                        assert_eq!(counters(eval), counters(&seq.stats), "{what}");
+                    }
+                    let engine = &run_by_hand(&scheme, |_, _| {})[0];
+                    for p in engine.idb_predicates() {
+                        let name = fx.program.interner.resolve(p.0);
+                        let rows = engine.relation(p).unwrap().len();
+                        assert!(!name.contains("@out") || rows == 0, "{what}: {rows} rows in {name}");
+                    }
                 }
                 accepted += 1;
             }
@@ -152,28 +164,44 @@ fn run_by_hand(
 }
 
 /// (b) No channel is materialised: a processor's derived predicates are
-/// `t@out_i` and `t@in_i` and nothing else, and what it stores is those
-/// relations' rows.
+/// its rule heads `t@out_i` and inboxes `t@in_i`, every stored row is
+/// stored once, and where home rows bypass `t@out_i` it holds exactly the
+/// rows processor `i` shipped.
 #[test]
-fn a_processor_stores_its_out_and_in_relations_and_nothing_else() {
+fn a_home_row_is_stored_once_and_t_out_holds_what_was_shipped() {
+    let mut bypassed = 0;
     for (name, fx, db) in corpus() {
         let seq = seminaive_eval(&fx.program, &db).unwrap();
         let derived = fx.program.derived_predicates().len();
         for (kind, scheme) in schemes(&fx, &db, 3) {
             let what = format!("{name} / {kind}");
+            let mut shipped: Vec<Vec<Tuple>> = vec![Vec::new(); 3];
+            let engines = run_by_hand(&scheme, |i, engine| {
+                shipped[i].extend(engine.outlets().iter().flat_map(|o| o.rows.iter().cloned()));
+            });
             let mut pooled = Relation::new(fx.output.1);
-            for (engine, w) in run_by_hand(&scheme, |_, _| {}).iter().zip(&scheme.workers) {
+            for ((engine, w), mut shipped) in engines.iter().zip(&scheme.workers).zip(shipped) {
                 let len = |p: RelationId| engine.relation(p).unwrap().len();
                 let preds = engine.idb_predicates();
-                let own: Vec<RelationId> =
-                    w.program.pooling.iter().map(|(l, _)| *l).chain(w.program.inboxes.clone()).collect();
+                let heads: Vec<RelationId> =
+                    w.program.program.rules.iter().map(|r| (r.head.predicate, r.head.terms.len())).collect();
                 for p in &preds {
                     let name = fx.program.interner.resolve(p.0);
-                    assert!(own.contains(p) && !name.contains("@ch") && !name.contains("@bc"), "{what}: {name}");
+                    let own = heads.contains(p) || w.program.inboxes.contains(p);
+                    assert!(own && !name.contains("@ch") && !name.contains("@bc"), "{what}: {name}");
                 }
                 assert_eq!(preds.len(), if w.program.inboxes.is_empty() { derived } else { 2 * derived });
-                let stored: usize = own.iter().map(|p| len(*p)).sum();
-                assert_eq!(engine.stats().derived as usize, stored, "{what}: rows outside t_out / t_in");
+                let stored: usize = preds.iter().map(|p| len(*p)).sum();
+                assert_eq!(engine.stats().derived as usize, stored, "{what}: a row stored twice");
+                let (routes, i) = (&w.program.routes, w.program.processor);
+                if let [head] = preds[..preds.len() / 2] {
+                    if home_inbox(routes, i, head).is_some() {
+                        shipped.sort();
+                        shipped.dedup();
+                        assert_eq!(engine.relation(head).unwrap().sorted(), shipped, "{what}: t@out_{i}");
+                        bypassed += len(head);
+                    }
+                }
                 for (local, _) in w.program.pooling.iter().filter(|(_, g)| *g == fx.output_id()) {
                     pooled.absorb(engine.relation(*local).unwrap()).unwrap();
                 }
@@ -181,15 +209,76 @@ fn a_processor_stores_its_out_and_in_relations_and_nothing_else() {
             assert!(pooled.set_eq(&seq.relation(fx.output_id())), "{what}: least model");
         }
     }
+    assert!(bypassed > 0, "some scheme must route by hash");
 }
 
-fn var(p: &Program, name: &str) -> Variable {
-    Variable(p.interner.get(name).unwrap())
+/// Each worker's `t@out_i` and `t@in_i`, captured by pooling them under
+/// per-worker names, after a fixed-seed simulated run.
+fn stored_after_sim(scheme: &CompiledScheme, t: RelationId) -> (ExecutionOutcome, Vec<[Relation; 2]>) {
+    let mut specs = scheme.workers.clone();
+    let interner = specs[0].program.program.interner.clone();
+    let cap = |what: &str, i: usize| (interner.intern(&format!("{what}~{i}")), t.1);
+    for (i, spec) in specs.iter_mut().enumerate() {
+        let pp = &mut spec.program;
+        let head = (pp.program.rules[0].head.predicate, t.1);
+        pp.pooling = vec![(head, cap("out", i)), (pp.inboxes[0], cap("in", i))];
+    }
+    let outcome = SimTransport::new(5).execute(specs, &RuntimeConfig::default()).unwrap();
+    let stored = (0..scheme.processors())
+        .map(|i| [outcome.relation(cap("out", i)), outcome.relation(cap("in", i))])
+        .collect();
+    (outcome, stored)
 }
 
-/// The three ways this suite runs linear ancestor.
-fn ancestor_scheme(kind: &str, n: usize, edges: &Relation) -> CompiledScheme {
+/// (b') Hash partitioning: `|t@out_i|` is the number of tuples `i`
+/// shipped, their sum is the run's communication, and the `t@in_i` — the
+/// pooled relations — partition the answer.
+#[test]
+fn hash_partitioned_t_out_is_the_traffic_and_t_in_partitions_the_answer() {
     let fx = linear_ancestor();
+    for (kind, n) in [("example3", 2), ("example3", 4), ("general", 2), ("general", 4)] {
+        let (what, edges) = (format!("{kind} / n={n}"), grid(8, 8));
+        let seq = seminaive_eval(&fx.program, &fx.database(&edges)).unwrap();
+        let (outcome, stored) = stored_after_sim(&ancestor_scheme(&fx, kind, n, &edges), fx.output_id());
+        let mut answer = Relation::new(2);
+        for (i, [out, inbox]) in stored.iter().enumerate() {
+            let sent: u64 = outcome.stats.channel_matrix[i].iter().sum();
+            assert_eq!(out.len() as u64, sent, "{what}: t@out_{i}");
+            assert!(inbox.iter().all(|t| !answer.contains(t)), "{what}: t@in_{i} overlaps another");
+            answer.absorb(inbox).unwrap();
+        }
+        assert!(outcome.stats.total_tuples_sent() > 0 && answer.set_eq(&seq.relation(fx.output_id())), "{what}");
+    }
+}
+
+/// (c) Where only selective routes consume a predicate — a constant or
+/// a repeated variable in the consuming atom — the rows no route selects
+/// stay in `t@out`, which stays the pooled relation, and the answer is
+/// the oracle's. (Example 2's broadcast and Example 8's two routes run in
+/// (a) at N = 2, 4; §6's per-processor `h_i`, where no send may be gated
+/// on an inbox, in `correctness.rs`'s Theorem 4 sweep.)
+#[test]
+fn rows_no_route_selects_are_still_pooled() {
+    let h: DiscriminatorRef = Arc::new(HashMod::new(3, 19));
+    for rule in ["r(X,Y) :- r(X,3), e(3,Y).", "r(X,Y) :- r(X,X), e(X,Z), e(Z,Y)."] {
+        let edge = |t: &Tuple| format!("e({},{}).", t.get(0).as_int().unwrap(), t.get(1).as_int().unwrap());
+        let facts: String = random_digraph(12, 40, 3).iter().map(edge).collect();
+        let unit = parse_program(&format!("r(X,Y) :- e(X,Y).\n{rule}\ne(3,3). {facts}")).unwrap();
+        let mut db = Database::new(unit.program.interner.clone());
+        db.load_facts(unit.facts.clone()).unwrap();
+        let choices = RuleChoice::by_name(&unit.program, &["X", "X"], &h);
+        let scheme = rewrite_general(&unit.program, &choices, &db, BaseDistribution::Shared).unwrap();
+        let (r, w) = (scheme.answers[0], &scheme.workers[0].program);
+        let out = (w.program.rules[0].head.predicate, 2);
+        assert_eq!((home_inbox(&w.routes, 0, out), &w.pooling[..]), (None, &[(out, r)][..]), "{rule}");
+        let seq = seminaive_eval(&unit.program, &db).unwrap().relation(r);
+        let outcome = scheme.run_simulated(9, FaultPlan::none()).unwrap();
+        assert!(seq.len() > 41 && outcome.relation(r).set_eq(&seq), "{rule}");
+    }
+}
+
+/// The three ways this suite runs linear ancestor (`fx`).
+fn ancestor_scheme(fx: &Fixture, kind: &str, n: usize, edges: &Relation) -> CompiledScheme {
     let db = fx.database(edges);
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
     match kind {
@@ -199,10 +288,7 @@ fn ancestor_scheme(kind: &str, n: usize, edges: &Relation) -> CompiledScheme {
         "example3" => example3_hash_partition(&sirup, n, &db).unwrap(),
         _ => {
             let h: DiscriminatorRef = Arc::new(HashMod::new(n, 19));
-            let choices = vec![
-                RuleChoice { v: vec![var(&fx.program, "Y")], h: h.clone() },
-                RuleChoice { v: vec![var(&fx.program, "Z")], h },
-            ];
+            let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
             rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap()
         }
     }
@@ -237,7 +323,7 @@ fn channel_matrix_is_what_the_sending_rules_shipped() {
     ];
     for &(graph, kind, n, matrix, processing) in pinned {
         let edges = if graph == "grid" { grid(12, 12) } else { random_digraph(30, 60, 5) };
-        let scheme = ancestor_scheme(kind, n, &edges);
+        let scheme = ancestor_scheme(&linear_ancestor(), kind, n, &edges);
         for outcome in [scheme.run_simulated(1, FaultPlan::none()).unwrap(), scheme.run().unwrap()] {
             assert_eq!(outcome.stats.channel_matrix, matrix, "{graph} / {kind} / n={n}");
             assert_eq!(outcome.stats.total_processing_firings(), processing, "{graph} / {kind} / n={n}");
@@ -255,14 +341,11 @@ fn example8_sends_a_doubly_routed_tuple_once() {
     let n = 3;
     let hash = HashMod::new(n, 13);
     let h: DiscriminatorRef = Arc::new(hash.clone());
-    let choices = vec![
-        RuleChoice { v: vec![var(&fx.program, "Y")], h: h.clone() },
-        RuleChoice { v: vec![var(&fx.program, "Z")], h },
-    ];
+    let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     let scheme = rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
     assert_eq!(scheme.workers[0].program.routes.len(), 2, "one route per occurrence");
     let mut doubly_routed = 0;
-    run_by_hand(&scheme, |i, engine| {
+    let engines = run_by_hand(&scheme, |i, engine| {
         for outlet in engine.outlets() {
             let [(dest, _)] = outlet.dests[..] else { panic!("hash routes address one inbox") };
             let mut rows = outlet.rows.clone();
@@ -276,12 +359,21 @@ fn example8_sends_a_doubly_routed_tuple_once() {
         }
     });
     assert!(doubly_routed > 0, "the workload must exercise the case");
+    // A row is home only when both keys hash home: those rows are in
+    // `anc@in_i` without ever having been stored in `anc@out_i`.
+    for (i, (engine, w)) in engines.iter().zip(&scheme.workers).enumerate() {
+        let home = |t: &Tuple| hash.assign(&[t.get(0)]) == i && hash.assign(&[t.get(1)]) == i;
+        let (out, inbox) = (w.program.program.rules[0].head.predicate, w.program.inboxes[0]);
+        let out = engine.relation((out, 2)).unwrap();
+        assert!(!out.iter().any(home), "processor {i} stored a home row in anc@out");
+        assert!(engine.relation(inbox).unwrap().iter().any(home), "processor {i} has home rows");
+    }
 }
 
 /// (e) Example 2 broadcasts: one buffer, one encoding, three envelopes.
 #[test]
 fn a_broadcast_is_encoded_once_per_shipping_round() {
-    let outcome = ancestor_scheme("example2", 4, &grid(8, 8)).run().unwrap();
+    let outcome = ancestor_scheme(&linear_ancestor(), "example2", 4, &grid(8, 8)).run().unwrap();
     for w in &outcome.stats.workers {
         assert!(w.encode_calls > 0);
         assert_eq!(w.encode_calls as usize, w.sent_per_round.len(), "worker {}", w.processor);
@@ -297,7 +389,7 @@ fn update_rounds_ship_retractions_and_only_fresh_rows() {
     let fx = linear_ancestor();
     let edges = chain(10);
     let db = fx.database(&edges);
-    let scheme = ancestor_scheme("general", 3, &edges);
+    let scheme = ancestor_scheme(&fx, "general", 3, &edges);
     let mut session = UpdateSession::new(&scheme, &fx.program, &db).unwrap();
     let (t, cfg) = (ThreadedTransport, RuntimeConfig::default());
     let (anc, edge) = (fx.output_id(), fx.input_id(0));
@@ -321,12 +413,13 @@ fn update_rounds_ship_retractions_and_only_fresh_rows() {
     assert!(session.answer(anc).set_eq(&oracle.relation(anc)));
 }
 
-/// A route into an inbox its destination does not declare is refused by
+/// A route into an inbox its destination does not declare, or a pooling
+/// pair naming a relation its processor does not hold, is refused by
 /// every transport before a worker starts, naming processor, predicate
 /// and destination.
 #[test]
 fn a_misroute_is_a_typed_error_on_every_transport() {
-    let mut specs = ancestor_scheme("example3", 2, &chain(6)).workers;
+    let mut specs = ancestor_scheme(&linear_ancestor(), "example3", 2, &chain(6)).workers;
     let interner = specs[0].program.program.interner.clone();
     let stray = (interner.intern("nowhere"), 2);
     let source = specs[0].program.routes[0].source_id();
@@ -338,6 +431,9 @@ fn a_misroute_is_a_typed_error_on_every_transport() {
     );
     let transports: [(&str, &dyn Transport); 3] =
         [("threads", &ThreadedTransport), ("sim", &SimTransport::new(3)), ("net", &net)];
+    let mut mispooled = specs.clone();
+    mispooled[0].program.routes.pop();
+    mispooled[1].program.pooling[0].0 = stray;
     for (name, transport) in transports {
         let err = transport.execute(specs.clone(), &cfg).unwrap_err();
         assert!(matches!(err, Error::Runtime(_)), "{name}: {err:?}");
@@ -347,5 +443,8 @@ fn a_misroute_is_a_typed_error_on_every_transport() {
                 && message.contains("declares no inbox nowhere/2"),
             "{name}: {message}"
         );
+        let err = transport.execute(mispooled.clone(), &cfg).unwrap_err();
+        assert!(matches!(err, Error::Runtime(_)), "{name}: {err:?}");
+        assert!(err.to_string().contains("processor 1 pools nowhere/2, which it neither derives"), "{name}: {err}");
     }
 }

@@ -210,11 +210,7 @@ fn update_rounds_recover_from_crash_schedules() {
     for seed in 0..24u64 {
         let db = fx.database(&edges);
         let h: DiscriminatorRef = Arc::new(HashMod::new(3, seed ^ 0x5bd1));
-        let var = |name: &str| Variable(fx.program.interner.get(name).unwrap());
-        let choices = vec![
-            RuleChoice { v: vec![var("Y")], h: h.clone() },
-            RuleChoice { v: vec![var("Z")], h },
-        ];
+        let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
         let scheme =
             rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
         let mut session = UpdateSession::new(&scheme, &fx.program, &db).unwrap();
@@ -404,7 +400,7 @@ fn every_send_is_followed_by_the_round_that_processes_it() {
 #[test]
 fn recovery_replays_a_snapshot_of_many_acked_batches() {
     let (scheme, expected) = grid12_example3();
-    let plan = FaultPlan::with_recovering_crash(1, 400);
+    let plan = FaultPlan::with_recovering_crash(1, 300);
     let (result, journal) = SimTransport::with_faults(3, plan)
         .run_traced(scheme.workers.clone(), &RuntimeConfig::default());
     let outcome = result.unwrap();
@@ -424,6 +420,6 @@ fn recovery_replays_a_snapshot_of_many_acked_batches() {
     for (&pred, want) in &expected {
         assert!(outcome.relation(pred).set_eq(want), "recovered model diverges");
     }
-    let replayed = sweep_recovery("grid(12,12)/example3", &scheme, &expected, 0..8, |_| 400);
+    let replayed = sweep_recovery("grid(12,12)/example3", &scheme, &expected, 0..8, |_| 300);
     assert!(replayed > 0, "no seed replayed anything");
 }
