@@ -1,52 +1,122 @@
-//! Fixed-arity tuples of [`Value`]s.
+//! Fixed-arity tuples of [`Value`]s — the row type.
 //!
 //! Tuples are the unit of everything: facts, deltas, channel messages,
-//! index keys. Almost every relation in the paper's workloads has arity 2
-//! or 3 (`par`, `anc`, the chain sirup's `p/3`), so [`Tuple`] stores up to
-//! [`INLINE_CAP`] values inline and only heap-allocates beyond that; the
-//! heap representation is an `Arc<[Value]>` so wide tuples still clone in
-//! O(1). Equality and hashing are by content, independent of
-//! representation.
+//! index keys, and every §3 step (processing, difference, sending,
+//! receiving) is charged per tuple. Almost every relation in the paper's
+//! workloads has arity 2 or 3 (`par`, `anc`, the chain sirup's `p/3`), and
+//! the host's bottleneck is memory speed, so a row costs what it holds:
+//!
+//! * **A row of arity ≤ [`INLINE_CAP`] is 32 bytes**: a length byte, a
+//!   one-byte type mask and three untagged 64-bit words. `Int(n)` is
+//!   stored as `n`'s two's-complement bits, `Sym(s)` as its `u32` id
+//!   zero-extended; bit `k` of the mask says column `k` is a `Sym`. A
+//!   tagged [`Value`] is 16 bytes (8 of them a discriminant and padding),
+//!   which made the same row 56 — and every arena, pending pool, outlet
+//!   and decode buffer is a `Vec<Tuple>`.
+//! * **Why a mask and not a tag bit in the word**: `Int` spans all of
+//!   `i64`, so no bit of the word is free; one byte beside the length
+//!   types the whole row, and is zero for the all-integer rows of every
+//!   generated workload.
+//! * **Canonical form**: unused words and mask bits are zero and the
+//!   representation is a function of arity alone, so equality is field
+//!   equality (no per-column tag match) and hashing feeds the length/mask
+//!   and then the used words. Ordering is *not* a word compare: it stays
+//!   the `Value`-wise lexicographic order (`Int < Sym`, integers signed)
+//!   that `--print`, `Relation::sorted` and the sorted RESULT frames show.
+//! * **Why `Heap` is unchanged**: arity > 3 is rare, an `Arc<[Value]>`
+//!   clones in O(1), and it fits beside the inline row without growing
+//!   the enum past 32 bytes.
+//! * **Why there is no `&[Value]` view**: a slice view needs 16-byte
+//!   tagged slots in the row. Read a column with [`Tuple::get`] or walk
+//!   the row by value with [`Tuple::iter`].
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Deref;
 use std::sync::Arc;
 
-use crate::interner::Interner;
+use crate::interner::{Interner, SymbolId};
 use crate::value::Value;
 
 /// Maximum arity stored without heap allocation.
 pub const INLINE_CAP: usize = 3;
 
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 enum Repr {
-    Inline { len: u8, vals: [Value; INLINE_CAP] },
+    /// `words[k]` for `k < len` is column `k`'s payload, a `Sym` iff bit
+    /// `k` of `syms` is set; everything past `len` is zero.
+    Inline {
+        len: u8,
+        syms: u8,
+        words: [u64; INLINE_CAP],
+    },
     Heap(Arc<[Value]>),
 }
 
 /// An immutable tuple of constants.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Tuple {
     repr: Repr,
+}
+
+/// A value's untagged word and whether it is a `Sym`.
+#[inline]
+fn to_word(value: Value) -> (u64, bool) {
+    match value {
+        Value::Int(n) => (n as u64, false),
+        Value::Sym(s) => (u64::from(s.0), true),
+    }
+}
+
+#[inline]
+fn from_word(word: u64, sym: bool) -> Value {
+    if sym {
+        Value::Sym(SymbolId(word as u32))
+    } else {
+        Value::Int(word as i64)
+    }
 }
 
 impl Tuple {
     /// Build a tuple from a slice of values.
     pub fn new(values: &[Value]) -> Self {
         if values.len() <= INLINE_CAP {
-            let mut vals = [Value::Int(0); INLINE_CAP];
-            vals[..values.len()].copy_from_slice(values);
-            Tuple {
-                repr: Repr::Inline {
-                    len: values.len() as u8,
-                    vals,
-                },
-            }
+            Self::inline(values.len(), |k| values[k])
         } else {
             Tuple {
                 repr: Repr::Heap(values.into()),
             }
+        }
+    }
+
+    /// An inline row of `len ≤ INLINE_CAP` columns, column `k` from `col(k)`.
+    #[inline]
+    fn inline(len: usize, col: impl Fn(usize) -> Value) -> Self {
+        debug_assert!(len <= INLINE_CAP);
+        let (mut syms, mut words) = (0u8, [0u64; INLINE_CAP]);
+        for (k, word) in words.iter_mut().enumerate().take(len) {
+            let (w, sym) = to_word(col(k));
+            *word = w;
+            syms |= u8::from(sym) << k;
+        }
+        Tuple {
+            repr: Repr::Inline {
+                len: len as u8,
+                syms,
+                words,
+            },
+        }
+    }
+
+    /// Build from untagged words (an `Int`'s two's-complement bits, a
+    /// `Sym`'s zero-extended id), column `k` a `Sym` iff `is_sym(k)` — what
+    /// a decoder holds before any [`Value`] exists.
+    pub fn from_words(words: &[u64], is_sym: impl Fn(usize) -> bool) -> Self {
+        if words.len() <= INLINE_CAP {
+            Self::inline(words.len(), |k| from_word(words[k], is_sym(k)))
+        } else {
+            let typed = |(k, &w)| from_word(w, is_sym(k));
+            words.iter().enumerate().map(typed).collect()
         }
     }
 
@@ -69,22 +139,28 @@ impl Tuple {
     /// Tuple arity.
     #[inline]
     pub fn arity(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// View as a slice of values.
-    #[inline]
-    pub fn as_slice(&self) -> &[Value] {
         match &self.repr {
-            Repr::Inline { len, vals } => &vals[..*len as usize],
-            Repr::Heap(h) => h,
+            Repr::Inline { len, .. } => *len as usize,
+            Repr::Heap(h) => h.len(),
         }
     }
 
     /// The value at `index`, panicking if out of bounds.
     #[inline]
     pub fn get(&self, index: usize) -> Value {
-        self.as_slice()[index]
+        match &self.repr {
+            Repr::Inline { len, syms, words } => {
+                assert!(index < *len as usize, "column {index} of an arity-{len} tuple");
+                from_word(words[index], syms >> index & 1 == 1)
+            }
+            Repr::Heap(h) => h[index],
+        }
+    }
+
+    /// The columns in order, by value.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Value> + DoubleEndedIterator + '_ {
+        (0..self.arity()).map(move |k| self.get(k))
     }
 
     /// Project the tuple onto the given column indexes.
@@ -92,74 +168,71 @@ impl Tuple {
     /// Used by indexes (key extraction) and by discriminating functions
     /// (extracting the ground instance of the discriminating sequence).
     pub fn project(&self, columns: &[usize]) -> Tuple {
-        let slice = self.as_slice();
         if columns.len() <= INLINE_CAP {
-            let mut vals = [Value::Int(0); INLINE_CAP];
-            for (out, &c) in vals.iter_mut().zip(columns) {
-                *out = slice[c];
-            }
-            Tuple {
-                repr: Repr::Inline {
-                    len: columns.len() as u8,
-                    vals,
-                },
-            }
+            Self::inline(columns.len(), |k| self.get(columns[k]))
         } else {
-            Tuple::from_vec(columns.iter().map(|&c| slice[c]).collect())
+            columns.iter().map(|&c| self.get(c)).collect()
         }
     }
 
-    /// True if the tuple required a heap allocation (diagnostics/tests).
+    /// True unless the tuple required a heap allocation (diagnostics/tests).
     pub fn is_inline(&self) -> bool {
         matches!(self.repr, Repr::Inline { .. })
     }
 
     /// Render using `interner` for symbols: `(a, b, 3)`.
     pub fn display(&self, interner: &Interner) -> String {
-        let cols: Vec<String> = self.as_slice().iter().map(|v| v.display(interner)).collect();
+        let cols: Vec<String> = self.iter().map(|v| v.display(interner)).collect();
         format!("({})", cols.join(", "))
     }
 }
 
-impl Deref for Tuple {
-    type Target = [Value];
-    #[inline]
-    fn deref(&self) -> &[Value] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for Tuple {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Tuple {}
-
 impl PartialOrd for Tuple {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Tuple {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
+    /// `Value`-wise lexicographic (`Int < Sym`, integers signed), a shorter
+    /// tuple before its extensions.
+    fn cmp(&self, other: &Self) -> Ordering {
+        if let (
+            Repr::Inline { len: la, syms: 0, words: a },
+            Repr::Inline { len: lb, syms: 0, words: b },
+        ) = (&self.repr, &other.repr)
+        {
+            // All integers: signed word order, then length (the unused
+            // words are zero on both sides, so compare only shared ones).
+            let shared = (*la).min(*lb) as usize;
+            return a[..shared]
+                .iter()
+                .map(|&w| w as i64)
+                .cmp(b[..shared].iter().map(|&w| w as i64))
+                .then(la.cmp(lb));
+        }
+        self.iter().cmp(other.iter())
     }
 }
 
 impl Hash for Tuple {
     #[inline]
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        match &self.repr {
+            Repr::Inline { len, syms, words } => {
+                state.write_u16(u16::from(*len) | u16::from(*syms) << 8);
+                for &w in &words[..*len as usize] {
+                    state.write_u64(w);
+                }
+            }
+            Repr::Heap(h) => h.hash(state),
+        }
     }
 }
 
 impl fmt::Debug for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.as_slice()).finish()
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -222,7 +295,7 @@ mod tests {
         let t = ituple![10, 20, 30];
         assert_eq!(t.arity(), 3);
         assert_eq!(t.get(1), Value::Int(20));
-        assert_eq!(&t[..2], &[Value::Int(10), Value::Int(20)]);
+        assert_eq!(t.iter().collect::<Vec<_>>(), [10, 20, 30].map(Value::Int));
     }
 
     #[test]
@@ -260,18 +333,6 @@ mod tests {
         let t: Tuple = (0..4).map(Value::Int).collect();
         assert_eq!(t.arity(), 4);
         assert_eq!(Tuple::from_vec(vals(2)), ituple![0, 1]);
-    }
-
-    #[test]
-    fn hash_agrees_with_slice_hash() {
-        // Required for borrowed lookups keyed by slices elsewhere.
-        let t = ituple![4, 5];
-        assert_eq!(hash_one(&t), {
-            use std::hash::{Hash, Hasher};
-            let mut h = crate::FxHasher::default();
-            t.as_slice().hash(&mut h);
-            h.finish()
-        });
     }
 
     #[test]

@@ -394,7 +394,7 @@ impl Discriminator for FragmentOwner {
         for fragment in self.fragmentation.fragments() {
             wire::put_uv(buf, fragment.len() as u64);
             for tuple in fragment.iter() {
-                for &value in tuple.as_slice() {
+                for value in tuple.iter() {
                     wire::put_value(buf, value);
                 }
             }
@@ -1112,7 +1112,7 @@ mod tests {
         let h = FragmentOwner::new(frag.clone());
         assert!(!h.locally_evaluable());
         for t in rel.iter() {
-            let owner = h.assign(t.as_slice());
+            let owner = h.assign(&t.iter().collect::<Vec<_>>());
             assert!(frag.fragment(owner).contains(t));
         }
         // Unknown tuples park on 0.

@@ -92,8 +92,7 @@ pub fn sample_key_frequencies(rel: &Relation, columns: &[usize]) -> KeyFrequency
     let mut by_key: BTreeMap<Vec<Value>, u64> = BTreeMap::new();
     let mut total = 0u64;
     for t in rel.iter() {
-        let row = t.as_slice();
-        let key: Vec<Value> = columns.iter().map(|&c| row[c]).collect();
+        let key: Vec<Value> = columns.iter().map(|&c| t.get(c)).collect();
         *by_key.entry(key).or_insert(0) += 1;
         total += 1;
     }

@@ -173,16 +173,15 @@ impl KeyedRoute {
     /// Where `row` goes: `None` when the pattern does not select it.
     #[inline]
     fn sink(&self, row: &Tuple, scratch: &mut Vec<Value>) -> Result<Option<Sink>> {
-        let vals = row.as_slice();
         let selected = self.tests.iter().all(|t| match *t {
-            Test::Const(p, v) => vals[p] == v,
-            Test::Same(p, q) => vals[p] == vals[q],
+            Test::Const(p, v) => row.get(p) == v,
+            Test::Same(p, q) => row.get(p) == row.get(q),
         });
         if !selected {
             return Ok(None);
         }
         scratch.clear();
-        scratch.extend(self.columns.iter().map(|&c| vals[c]));
+        scratch.extend(self.columns.iter().map(|&c| row.get(c)));
         let dest = self.key.partition(scratch).ok_or_else(|| {
             Error::Eval("route key is not a partitioning constraint `h(v) = k`".into())
         })?;

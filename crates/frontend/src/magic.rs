@@ -110,7 +110,7 @@ impl MagicRewrite {
     pub fn seed_atom(&self) -> Atom {
         Atom::new(
             self.seed_predicate.name,
-            self.seed_fact.as_slice().iter().map(|v| Term::Const(*v)).collect(),
+            self.seed_fact.iter().map(Term::Const).collect(),
         )
     }
 
@@ -456,7 +456,7 @@ mod tests {
              anc_bf(X, Y) :- m_anc_bf(X), par(X, Z), anc_bf(Z, Y).",
             "unexpected rewrite:\n{text}"
         );
-        assert_eq!(rw.seed_fact.len(), 1);
+        assert_eq!(rw.seed_fact.arity(), 1);
         assert_eq!(rw.answer.arity, 2);
         let i = &rw.program.interner;
         assert_eq!(&*i.resolve(rw.answer.name), "anc_bf");

@@ -36,7 +36,7 @@
 //! [`Error::Runtime`] naming the corruption, so a fault-injected or
 //! truncated delivery surfaces as a worker error the coordinator reports.
 
-use gst_common::{Error, Result, SymbolId, Tuple, Value};
+use gst_common::{Error, Result, Tuple, Value};
 
 use crate::message::Payload;
 
@@ -109,8 +109,11 @@ pub fn encode_batch(arity: usize, tuples: &[Tuple]) -> Result<Payload> {
 }
 
 fn encode_column(buf: &mut Vec<u8>, tuples: &[Tuple], c: usize) {
-    let all_int = tuples.iter().all(|t| matches!(t.get(c), Value::Int(_)));
-    if all_int {
+    let syms = tuples
+        .iter()
+        .filter(|t| matches!(t.get(c), Value::Sym(_)))
+        .count();
+    if syms == 0 {
         let ints = tuples.iter().map(|t| match t.get(c) {
             Value::Int(n) => n,
             Value::Sym(_) => unreachable!("column checked monotypic Int"),
@@ -139,8 +142,7 @@ fn encode_column(buf: &mut Vec<u8>, tuples: &[Tuple], c: usize) {
         }
         return;
     }
-    let all_sym = tuples.iter().all(|t| matches!(t.get(c), Value::Sym(_)));
-    if all_sym {
+    if syms == tuples.len() {
         buf.push(COL_SYM);
         for t in tuples {
             match t.get(c) {
@@ -258,6 +260,30 @@ fn read_header(cur: &mut Cursor<'_>) -> Result<(usize, usize)> {
     Ok((arity, count))
 }
 
+/// Open a batch for reading: the header, checked against the payload's
+/// size, and a cursor at the first column (there are `arity` columns when
+/// `count > 0`, none otherwise).
+fn open_batch(bytes: &[u8]) -> Result<(Cursor<'_>, usize, usize)> {
+    let mut cur = Cursor::new(bytes);
+    let (arity, count) = read_header(&mut cur)?;
+    if arity == 0 && count > IMPLAUSIBLE {
+        return Err(corrupt("implausible arity-0 tuple count"));
+    }
+    if arity > 0 && count > 0 {
+        // Every column costs at least one tag byte plus one byte per
+        // value, so a lying count cannot force a huge allocation: it is
+        // rejected before any buffer is sized from it.
+        let min_needed = count
+            .checked_add(1)
+            .and_then(|per_col| per_col.checked_mul(arity))
+            .ok_or_else(|| corrupt("implausible tuple count"))?;
+        if cur.remaining() < min_needed {
+            return Err(corrupt("tuple count implausible for payload size"));
+        }
+    }
+    Ok((cur, arity, count))
+}
+
 /// Deserialize a batch, appending its tuples to `out` — the zero-copy
 /// receive path: the transport hands the destination's pending buffer
 /// directly, so decoded tuples land where the engine will drain them
@@ -268,115 +294,101 @@ fn read_header(cur: &mut Cursor<'_>) -> Result<(usize, usize)> {
 /// varints, unknown column tags, implausible counts, or trailing bytes.
 /// On error `out` is untouched (columns decode into scratch first).
 pub fn decode_batch_into(bytes: &[u8], out: &mut Vec<Tuple>) -> Result<usize> {
-    let mut cur = Cursor::new(bytes);
-    let (arity, count) = read_header(&mut cur)?;
-    if count == 0 {
-        if cur.remaining() > 0 {
-            return Err(corrupt("trailing bytes"));
-        }
-        return Ok(0);
-    }
-    if arity == 0 {
-        if count > IMPLAUSIBLE {
-            return Err(corrupt("implausible arity-0 tuple count"));
-        }
-        if cur.remaining() > 0 {
-            return Err(corrupt("trailing bytes"));
-        }
-        out.reserve(count);
-        for _ in 0..count {
-            out.push(Tuple::unit());
-        }
-        return Ok(count);
-    }
-    // Every column costs at least one tag byte plus one byte per value,
-    // so a lying count cannot force a huge allocation: it is rejected
-    // before any buffer is sized from it.
-    let min_needed = count
-        .checked_add(1)
-        .and_then(|per_col| per_col.checked_mul(arity))
-        .ok_or_else(|| corrupt("implausible tuple count"))?;
-    if cur.remaining() < min_needed {
-        return Err(corrupt("tuple count implausible for payload size"));
-    }
-    // Column-major scratch: column c occupies flat[c*count .. (c+1)*count].
-    let mut flat: Vec<Value> = Vec::with_capacity(arity * count);
-    for _ in 0..arity {
-        decode_column(&mut cur, count, &mut flat)?;
+    let (mut cur, arity, count) = open_batch(bytes)?;
+    let columns = if count == 0 { 0 } else { arity };
+    // Column-major scratch of untagged words: column c occupies
+    // words[c*count .. (c+1)*count], typed by kinds[c].
+    let mut words: Vec<u64> = Vec::with_capacity(columns * count);
+    let mut kinds: Vec<ColumnKind> = Vec::with_capacity(columns);
+    for _ in 0..columns {
+        kinds.push(read_column(&mut cur, count, |w| words.push(w))?);
     }
     if cur.remaining() > 0 {
         return Err(corrupt("trailing bytes"));
     }
     out.reserve(count);
-    let mut row: Vec<Value> = Vec::with_capacity(arity);
+    let mut row = vec![0u64; columns];
     for r in 0..count {
-        row.clear();
-        for c in 0..arity {
-            row.push(flat[c * count + r]);
+        for (c, word) in row.iter_mut().enumerate() {
+            *word = words[c * count + r];
         }
-        out.push(Tuple::new(&row));
+        out.push(Tuple::from_words(&row, |c| match kinds[c] {
+            ColumnKind::Int => false,
+            ColumnKind::Sym => true,
+            ColumnKind::Mixed { vtags } => bytes[vtags + r] == VTAG_SYM,
+        }));
     }
     Ok(count)
 }
 
-fn decode_column(cur: &mut Cursor<'_>, count: usize, flat: &mut Vec<Value>) -> Result<()> {
+/// What types the decoded words of one column.
+#[derive(Clone, Copy)]
+enum ColumnKind {
+    Int,
+    Sym,
+    /// Row `r` is typed by the (already validated) value tag at payload
+    /// offset `vtags + r`.
+    Mixed { vtags: usize },
+}
+
+/// Read one column, handing each value's untagged word (an `Int`'s
+/// two's-complement bits, a `Sym`'s id) to `sink` in row order.
+fn read_column(cur: &mut Cursor<'_>, count: usize, mut sink: impl FnMut(u64)) -> Result<ColumnKind> {
+    let sym_word = |v: u64| {
+        u32::try_from(v)
+            .map(u64::from)
+            .map_err(|_| corrupt("symbol id overflows u32"))
+    };
     match cur.get_u8() {
         None => Err(corrupt("truncated column tag")),
         Some(COL_INT) => {
             for _ in 0..count {
                 let n = cur.get_sv().ok_or_else(|| corrupt("truncated Int column"))?;
-                flat.push(Value::Int(n));
+                sink(n as u64);
             }
-            Ok(())
+            Ok(ColumnKind::Int)
         }
         Some(COL_SYM) => {
             for _ in 0..count {
                 let v = cur.get_uv().ok_or_else(|| corrupt("truncated Sym column"))?;
-                let v = u32::try_from(v).map_err(|_| corrupt("symbol id overflows u32"))?;
-                flat.push(Value::Sym(SymbolId(v)));
+                sink(sym_word(v)?);
             }
-            Ok(())
+            Ok(ColumnKind::Sym)
         }
         Some(COL_INT_DELTA) => {
-            let first = cur
+            let mut prev = cur
                 .get_sv()
                 .ok_or_else(|| corrupt("truncated delta column"))?;
-            flat.push(Value::Int(first));
-            let mut prev = first;
+            sink(prev as u64);
             for _ in 0..count - 1 {
                 let d = cur
                     .get_uv()
                     .ok_or_else(|| corrupt("truncated delta column"))?;
                 prev = prev.wrapping_add(d as i64);
-                flat.push(Value::Int(prev));
+                sink(prev as u64);
             }
-            Ok(())
+            Ok(ColumnKind::Int)
         }
         Some(COL_MIXED) => {
-            let start = cur.pos;
+            let vtags = cur.pos;
             if cur.remaining() < count {
                 return Err(corrupt("truncated tag run"));
             }
             cur.pos += count;
             for k in 0..count {
-                let value = match cur.bytes[start + k] {
-                    VTAG_INT => Value::Int(
-                        cur.get_sv()
-                            .ok_or_else(|| corrupt("truncated mixed Int value"))?,
-                    ),
-                    VTAG_SYM => {
-                        let v = cur
-                            .get_uv()
-                            .ok_or_else(|| corrupt("truncated mixed Sym value"))?;
-                        let v =
-                            u32::try_from(v).map_err(|_| corrupt("symbol id overflows u32"))?;
-                        Value::Sym(SymbolId(v))
-                    }
+                sink(match cur.bytes[vtags + k] {
+                    VTAG_INT => cur
+                        .get_sv()
+                        .ok_or_else(|| corrupt("truncated mixed Int value"))?
+                        as u64,
+                    VTAG_SYM => sym_word(
+                        cur.get_uv()
+                            .ok_or_else(|| corrupt("truncated mixed Sym value"))?,
+                    )?,
                     tag => return Err(corrupt(&format!("unknown value tag {tag}"))),
-                };
-                flat.push(value);
+                });
             }
-            Ok(())
+            Ok(ColumnKind::Mixed { vtags })
         }
         Some(tag) => Err(corrupt(&format!("unknown column tag {tag}"))),
     }
@@ -396,81 +408,14 @@ fn decode_column(cur: &mut Cursor<'_>, count: usize, flat: &mut Vec<Value>) -> R
 /// # Errors
 /// Returns [`Error::Runtime`] (never panics) on any malformed input.
 pub fn validate_batch(bytes: &[u8]) -> Result<(usize, usize)> {
-    let mut cur = Cursor::new(bytes);
-    let (arity, count) = read_header(&mut cur)?;
-    if count == 0 || arity == 0 {
-        if arity == 0 && count > IMPLAUSIBLE {
-            return Err(corrupt("implausible arity-0 tuple count"));
-        }
-        if cur.remaining() > 0 {
-            return Err(corrupt("trailing bytes"));
-        }
-        return Ok((arity, count));
-    }
-    let min_needed = count
-        .checked_add(1)
-        .and_then(|per_col| per_col.checked_mul(arity))
-        .ok_or_else(|| corrupt("implausible tuple count"))?;
-    if cur.remaining() < min_needed {
-        return Err(corrupt("tuple count implausible for payload size"));
-    }
-    for _ in 0..arity {
-        validate_column(&mut cur, count)?;
+    let (mut cur, arity, count) = open_batch(bytes)?;
+    for _ in 0..if count == 0 { 0 } else { arity } {
+        read_column(&mut cur, count, |_| ())?;
     }
     if cur.remaining() > 0 {
         return Err(corrupt("trailing bytes"));
     }
     Ok((arity, count))
-}
-
-fn validate_column(cur: &mut Cursor<'_>, count: usize) -> Result<()> {
-    match cur.get_u8() {
-        None => Err(corrupt("truncated column tag")),
-        Some(COL_INT) => {
-            for _ in 0..count {
-                cur.get_sv().ok_or_else(|| corrupt("truncated Int column"))?;
-            }
-            Ok(())
-        }
-        Some(COL_SYM) => {
-            for _ in 0..count {
-                let v = cur.get_uv().ok_or_else(|| corrupt("truncated Sym column"))?;
-                u32::try_from(v).map_err(|_| corrupt("symbol id overflows u32"))?;
-            }
-            Ok(())
-        }
-        Some(COL_INT_DELTA) => {
-            cur.get_sv().ok_or_else(|| corrupt("truncated delta column"))?;
-            for _ in 0..count - 1 {
-                cur.get_uv().ok_or_else(|| corrupt("truncated delta column"))?;
-            }
-            Ok(())
-        }
-        Some(COL_MIXED) => {
-            let start = cur.pos;
-            if cur.remaining() < count {
-                return Err(corrupt("truncated tag run"));
-            }
-            cur.pos += count;
-            for k in 0..count {
-                match cur.bytes[start + k] {
-                    VTAG_INT => {
-                        cur.get_sv()
-                            .ok_or_else(|| corrupt("truncated mixed Int value"))?;
-                    }
-                    VTAG_SYM => {
-                        let v = cur
-                            .get_uv()
-                            .ok_or_else(|| corrupt("truncated mixed Sym value"))?;
-                        u32::try_from(v).map_err(|_| corrupt("symbol id overflows u32"))?;
-                    }
-                    tag => return Err(corrupt(&format!("unknown value tag {tag}"))),
-                }
-            }
-            Ok(())
-        }
-        Some(tag) => Err(corrupt(&format!("unknown column tag {tag}"))),
-    }
 }
 
 /// Deserialize a batch; the inverse of [`encode_batch`].
@@ -493,7 +438,7 @@ pub fn row_format_bytes(arity: usize, count: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gst_common::{ituple, Interner, SmallRng};
+    use gst_common::{ituple, Interner, SmallRng, SymbolId};
 
     #[test]
     fn round_trips_int_tuples() {

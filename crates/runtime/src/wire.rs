@@ -214,11 +214,15 @@ fn put_relation_tuples(buf: &mut Vec<u8>, arity: usize, rel: &Relation) -> Resul
 
 fn get_relation_tuples(c: &mut Cursor, arity: usize) -> Result<Relation> {
     let bytes = c.get_bytes().ok_or_else(|| corrupt("relation payload"))?;
-    let tuples = codec::decode_batch(bytes)?;
-    let mut rel = Relation::with_capacity(arity, tuples.len());
-    for t in tuples {
-        rel.insert(t)?;
+    let mut tuples = codec::decode_batch(bytes)?;
+    // A batch has one arity, so the first row speaks for all of them.
+    if let Some(got) = tuples.first().map(Tuple::arity).filter(|&a| a != arity) {
+        return Err(Error::Storage(format!(
+            "arity mismatch: relation has arity {arity}, tuple has {got}"
+        )));
     }
+    let mut rel = Relation::with_capacity(arity, tuples.len());
+    rel.insert_batch(&mut tuples);
     Ok(rel)
 }
 
@@ -1343,6 +1347,19 @@ mod tests {
         assert_eq!(got_pooled.len(), 1);
         assert_eq!(got_pooled[0].0, answer);
         assert!(got_pooled[0].1.set_eq(&rel));
+    }
+
+    #[test]
+    fn relation_payload_of_the_wrong_arity_is_a_typed_error() {
+        let mut frame = Vec::new();
+        let batch = [ituple![5], ituple![5], ituple![6]];
+        put_bytes(&mut frame, &codec::encode_batch(1, &batch).unwrap());
+        let err = get_relation_tuples(&mut Cursor::new(&frame), 2).unwrap_err();
+        assert!(matches!(err, Error::Storage(_)), "got {err:?}");
+        assert!(err.to_string().contains("arity mismatch"));
+        // The right arity takes the batch insert, duplicates dropped.
+        let rel = get_relation_tuples(&mut Cursor::new(&frame), 1).unwrap();
+        assert_eq!(rel.sorted(), vec![ituple![5], ituple![6]]);
     }
 
     #[test]

@@ -251,7 +251,7 @@ mod tests {
         let rel = chain(20);
         // Even keys replicate to workers 0 and 2; odd keys go to worker 1.
         let frags = replicated_fragments(&rel, 3, |t| {
-            if t.as_slice()[0].as_int().unwrap() % 2 == 0 {
+            if t.get(0).as_int().unwrap() % 2 == 0 {
                 vec![0, 2]
             } else {
                 vec![1]

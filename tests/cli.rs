@@ -91,6 +91,33 @@ fn print_checks_the_arity_and_accepts_base_predicates() {
     }
 }
 
+/// `--print` lists a relation in `Value` order — integers signed and
+/// ascending, every integer before every symbol, symbols in the order
+/// the program first names them (`zed` before `a` here) — column by
+/// column. The expected text is what the 56-byte tagged row printed; a
+/// row type that compares its raw words would put `-3` after `2` and mix
+/// symbol ids in among the integers.
+#[test]
+fn print_order_is_value_order_across_ints_and_symbols() {
+    let file = write_program(
+        "print-order.dl",
+        "p(X,Y) :- q(X,Y).\n\
+         p(X,Y) :- p(Y,X).\n\
+         q(-3, zed). q(2, a). q(zed, 1). q(-3, -7). q(a, zed). q(2, -7). q(0, 0).",
+    );
+    let expected = "% p/2: 13 tuples\n\
+                    p(-7, -3).\np(-7, 2).\np(-3, -7).\np(-3, zed).\np(0, 0).\n\
+                    p(1, zed).\np(2, -7).\np(2, a).\n\
+                    p(zed, -3).\np(zed, 1).\np(zed, a).\np(a, 2).\np(a, zed).\n";
+    for scheme in ["seq", "general --workers 2"] {
+        let out = cli("run", &file, &format!("--scheme {scheme} --print p/2"));
+        assert!(out.status.success(), "{scheme}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let (got, want): (Vec<_>, Vec<_>) = (stdout.lines().collect(), expected.lines().collect());
+        assert_eq!(got, want, "--scheme {scheme}");
+    }
+}
+
 #[test]
 fn analyze_reports_sirup_and_theorem3() {
     let file = write_program("analyze.dl", ANCESTOR);
