@@ -428,6 +428,11 @@ impl Discriminator for Constant {
         self.target
     }
 
+    /// The image is `{target}` whatever is known of the instance.
+    fn assign_prefix(&self, _prefix: &[Value]) -> Option<Vec<usize>> {
+        Some(vec![self.target])
+    }
+
     fn describe(&self) -> String {
         format!("constant {}", self.target)
     }

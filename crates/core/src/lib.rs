@@ -44,12 +44,12 @@ pub mod prelude {
     pub use crate::network::{derive_network, NetworkGraph, SymbolicDisc};
     pub use crate::schemes::demand::compile_demand;
     pub use crate::schemes::general::{rewrite_general, RuleChoice};
-    pub use crate::schemes::generalized::{rewrite_generalized, GeneralizedConfig};
-    pub use crate::schemes::nocomm::{rewrite_no_comm, NoCommConfig};
-    pub use crate::schemes::nonredundant::{rewrite_non_redundant, NonRedundantConfig};
     pub use crate::schemes::presets::{
-        example1_wolfson, example2_valduriez, example3_hash_partition, skew_aware_hash_partition,
+        example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_generalized,
+        rewrite_no_comm, rewrite_non_redundant, skew_aware_hash_partition, GeneralizedConfig,
+        NoCommConfig, NonRedundantConfig,
     };
+    pub use crate::schemes::common::first_body_variable;
     pub use crate::schemes::{BaseDistribution, CompiledScheme};
     pub use crate::session::{RoundReport, UpdateBatch, UpdateSession};
     pub use crate::strategy::{

@@ -1,19 +1,15 @@
-//! Shared machinery for the rewriting schemes: predicate naming, rule
-//! assembly, the route table that stands for the sending rules,
-//! validation, and distribution of base relations to workers.
+//! What the rewrite loop stands on: predicate naming, validation of a
+//! discriminating sequence, and distribution of base relations to
+//! workers.
 
 use std::sync::Arc;
 
 use gst_common::{Error, Interner, Result};
 use gst_eval::plan::RelationId;
-use gst_eval::route::home_inbox;
 use gst_frontend::ast::{Atom, Literal, Rule, Term};
-use gst_frontend::{LinearSirup, Program, Variable};
-use gst_runtime::{ProcessorProgram, Route, WorkerSpec};
+use gst_frontend::Variable;
+use gst_runtime::ProcessorProgram;
 use gst_storage::{Database, Relation};
-
-use crate::discriminator::{DiscConstraint, DiscriminatorRef};
-use crate::schemes::CompiledScheme;
 
 /// Generates the per-processor predicate names of the rewritten programs.
 ///
@@ -45,26 +41,25 @@ impl Namer {
         let name = format!("{}@in{}", self.base_name(pred), i);
         (self.interner.intern(&name), pred.1)
     }
+}
 
-    /// `t^i` of the communication-free scheme ([Wolfson 88] / §6).
-    pub fn local(&self, pred: RelationId, i: usize) -> RelationId {
-        let name = format!("{}@loc{}", self.base_name(pred), i);
-        (self.interner.intern(&name), pred.1)
-    }
+/// The default discriminating sequence of `rule`: the first variable its
+/// body atoms bind, or `⟨⟩` when they bind none.
+pub fn first_body_variable(rule: &Rule) -> Vec<Variable> {
+    rule.body_atoms().flat_map(Atom::variables).take(1).collect()
 }
 
 /// Check that every variable of `vars` occurs in at least one body atom
-/// of `rule` — the paper's §3 requirement on discriminating sequences.
+/// of `rule` — the paper's §3 requirement on discriminating sequences —
+/// and that `vars` is empty only when no body atom binds a variable: such
+/// a rule has one ground substitution, and `h(⟨⟩)` names its processor.
 pub fn validate_sequence(rule: &Rule, vars: &[Variable], which: &str) -> Result<()> {
-    if vars.is_empty() {
+    let body_vars: Vec<Variable> = rule.body_atoms().flat_map(Atom::variables).collect();
+    if vars.is_empty() && !body_vars.is_empty() {
         return Err(Error::Discriminator(format!(
             "the discriminating sequence {which} must not be empty"
         )));
     }
-    let body_vars: Vec<Variable> = rule
-        .body_atoms()
-        .flat_map(|a| a.variables().collect::<Vec<_>>())
-        .collect();
     for v in vars {
         if !body_vars.contains(v) {
             return Err(Error::Discriminator(format!(
@@ -81,101 +76,7 @@ pub fn validate_sequence(rule: &Rule, vars: &[Variable], which: &str) -> Result<
 /// pattern — i.e. occurs in `pattern` — and `h` is locally evaluable.
 /// Otherwise the scheme broadcasts (Example 2).
 pub fn can_route(pattern: &[Term], vars: &[Variable], locally_evaluable: bool) -> bool {
-    locally_evaluable
-        && vars.iter().all(|v| {
-            pattern
-                .iter()
-                .any(|t| matches!(t, Term::Var(tv) if tv == v))
-        })
-}
-
-/// The sending step of one consuming occurrence `t(Ȳ)` at processor `i`
-/// of `n`, as a [`Route`]: the rule family
-/// `t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j` (the `j = i` member feeding
-/// `t_in^i` directly) when `key = (v(r), h)` can be evaluated on the
-/// tuple, and the unconditioned broadcast of Example 2 — every `t_out^i`
-/// tuple to every processor — when the caller found it cannot
-/// ([`can_route`]) and passes `None`.
-pub fn sending_route(
-    namer: &Namer,
-    pred: RelationId,
-    i: usize,
-    n: usize,
-    args: &[Term],
-    key: Option<(&[Variable], &DiscriminatorRef)>,
-) -> Route {
-    let dests = (0..n).map(|j| (j, namer.input(pred, j))).collect();
-    match key {
-        Some((v, h)) => Route {
-            source: atom(namer.out(pred, i), args.to_vec()),
-            key: Some(DiscConstraint::literal(v.to_vec(), h.clone(), i)),
-            dests,
-            retract: false,
-        },
-        None => Route::broadcast(namer.out(pred, i), &namer.interner, dests),
-    }
-}
-
-/// The final-pooling pair of `pred` at processor `i`, given its routes:
-/// `t(W̄) :- t_out^i(W̄)` — or `:- t_in^i(W̄)` when the home rows of
-/// `t_out^i` are stored in the inbox instead ([`home_inbox`]), whose
-/// union over the processors is then the whole of `t`.
-pub fn pooling_pair(namer: &Namer, routes: &[Route], pred: RelationId, i: usize) -> (RelationId, RelationId) {
-    let out = namer.out(pred, i);
-    (home_inbox(routes, i, out).unwrap_or(out), pred)
-}
-
-/// The initialization rule `head(Z̄) :- s-body, h'(v(e)) = i` of the sirup
-/// schemes: the whole exit body — atoms and any built-in constraint
-/// literals (e.g. comparisons) the rule carries — plus the condition.
-pub fn initialization_rule(
-    sirup: &LinearSirup,
-    head: RelationId,
-    v_e: &[Variable],
-    h_prime: &DiscriminatorRef,
-    i: usize,
-) -> Rule {
-    let mut body: Vec<Literal> = sirup.exit_rule().body.to_vec();
-    body.push(Literal::Constraint(DiscConstraint::literal(v_e.to_vec(), h_prime.clone(), i)));
-    Rule::new(atom(head, sirup.exit_head.clone()), body)
-}
-
-/// The recursive rule with its `t`-atom reading `input`, its head writing
-/// `head`, and `condition` (the processing rule's `h(v(r)) = i`, if the
-/// scheme has one) appended.
-pub fn processing_rule(
-    sirup: &LinearSirup,
-    head: RelationId,
-    input: RelationId,
-    condition: Option<gst_frontend::ast::ConstraintRef>,
-) -> Rule {
-    let mut body: Vec<Literal> = sirup.recursive_rule().body.to_vec();
-    let mut atoms = body.iter_mut().filter_map(|l| match l {
-        Literal::Atom(a) => Some(a),
-        Literal::Constraint(_) => None,
-    });
-    if let Some(a) = atoms.nth(sirup.recursive_atom_index) {
-        a.predicate = input.0;
-    }
-    body.extend(condition.map(Literal::Constraint));
-    Rule::new(atom(head, sirup.head.clone()), body)
-}
-
-/// Distribute the base relations over `programs` and assemble the scheme.
-pub fn assemble(
-    programs: Vec<ProcessorProgram>,
-    db: &Database,
-    base: BaseDistribution,
-    answers: Vec<RelationId>,
-    kind: &'static str,
-) -> Result<CompiledScheme> {
-    let edbs = worker_databases(db, &programs, base)?;
-    let workers = programs
-        .into_iter()
-        .zip(edbs)
-        .map(|(program, edb)| WorkerSpec { program, edb, session: None })
-        .collect();
-    Ok(CompiledScheme { workers, answers, kind, hot_keys_split: 0 })
+    locally_evaluable && vars.iter().all(|v| pattern.contains(&Term::Var(*v)))
 }
 
 /// How base relations reach the workers.
@@ -343,21 +244,11 @@ pub fn atom(pred: RelationId, terms: Vec<Term>) -> Atom {
     Atom::new(pred.0, terms)
 }
 
-/// Construct a program over an existing interner.
-pub fn program(rules: Vec<Rule>, interner: &Interner) -> Program {
-    Program::new(rules, interner.clone())
-}
-
-/// Helper: the `SymbolId` part of a frontend predicate.
-pub fn rel_id(p: gst_frontend::Predicate) -> RelationId {
-    (p.name, p.arity)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gst_common::ituple;
-    use gst_frontend::parse_program;
+    use gst_frontend::{parse_program, Program};
 
     /// Processor `processor` running `program`'s one rule, no routing.
     fn bare(processor: usize, program: Program) -> ProcessorProgram {

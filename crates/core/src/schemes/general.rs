@@ -1,15 +1,27 @@
-//! The §7 general scheme `T_i`: parallelizing **any** Datalog program —
-//! non-linear rules, multiple recursive rules, mutual recursion.
+//! The one rewrite loop. §7's scheme `T_i` parallelizes **any** Datalog
+//! program — non-linear rules, multiple recursive rules, mutual recursion
+//! — and §3's `Q_i`, §6's `R_i` and the communication-free scheme are the
+//! same loop under other `RulePolicy`s (the presets table in
+//! [`crate::schemes`]).
 //!
 //! Every rule `r_k : A :- B, …, C` gets its own discriminating sequence
-//! `v(r_k)` and function `h_k`. Processor `i` executes, per rule,
+//! `v(r_k)` and, per processor `i`, a function `h_k^i`. Processor `i`
+//! executes, per rule,
 //!
 //! ```text
-//! processing:       A_out^i :- B_in^i, …, C_in^i, h_k(v(r_k)) = i
-//! sending (∀ derived C in r_k, ∀j):  C_ij :- C_out^i, h_k(v(r_k)) = j
+//! processing:       A_out^i :- B_in^i, …, C_in^i [, h_k^i(v(r_k)) = i]
+//! sending (∀ derived C in r_k, ∀j):  C_ij :- C_out^i, h_k^i(v(r_k)) = j
 //! receiving (∀ derived t, ∀j):       t_in^i(W̄) :- t_ji(W̄)
 //! final pooling (∀ derived t):       t(W̄) :- t_out^i(W̄)
 //! ```
+//!
+//! §3 and §7 condition every processing rule and share one `h_k` between
+//! the processors, which is what makes them non-redundant (Theorems 2
+//! and 6). §6 drops the recursive rule's condition and lets `h_k^i` differ
+//! per processor — routing becomes a local decision, at the price of
+//! redundant firings — and then requires every consuming occurrence to
+//! bind `v(r_k)` (`v(r) ⊆ Ȳ`): with no condition to fall back on, a tuple
+//! must be routable from the tuple alone.
 //!
 //! A tuple of a predicate consumed by several rules (or at several
 //! positions of one rule, as in Example 8's non-linear ancestor) is
@@ -17,31 +29,40 @@
 //! goes both to `h(b)` (to join as `anc(X,Z)`) and to `h(a)` (to join as
 //! `anc(Z,Y)`), matching the paper's two sending rules for Example 8.
 //!
-//! As in §3 the sending rules are the specification: each consuming
-//! occurrence becomes one [`gst_runtime::Route`] of `C_out^i`, and the
-//! engine hashes a tuple under every route of its predicate where it is
-//! emitted — a tuple two occurrences send to the same processor goes
-//! there once, and one every occurrence keeps at `i` is stored in
-//! `C_in^i` alone. An occurrence whose `v(r_k)` is not bound by the atom
-//! broadcasts. A predicate is pooled from `C_in^i` when some occurrence
-//! consumes every tuple of it and none broadcasts to another processor
-//! ([`gst_eval::route::home_inbox`]), from `C_out^i` otherwise.
+//! The sending rules are the specification: each consuming occurrence
+//! becomes one [`gst_runtime::Route`] of `C_out^i`, and the engine hashes
+//! a tuple under every route of its predicate where it is emitted — a
+//! tuple two occurrences send to the same processor goes there once, and
+//! one every occurrence keeps at `i` is stored in `C_in^i` alone. An
+//! occurrence of a conditioned rule whose `v(r_k)` the atom does not
+//! bind, or whose `h_k` cannot be evaluated away from the data (Example
+//! 2's [`FragmentOwner`]), broadcasts — "the extra communication does not
+//! make the parallel execution either incorrect or redundant". A route
+//! lists only the processors its function can name, so `h^i(x) = i`
+//! ([`Constant`]) ships nothing and needs no network. A predicate is
+//! pooled from `C_in^i` or `C_out^i` as [`gst_eval::route::home_inbox`]
+//! says.
 //!
-//! Base relations are distributed per [`BaseDistribution`]: the paper's
-//! `D_in^i :- D, h(v(r)) = i` fragments fall out of
-//! [`BaseDistribution::MinimalFragments`].
+//! The planner pushes `h(v(r_k)) = i` into the join, and the paper's
+//! `D_in^i :- D, h(v(r)) = i` fragments of the base relations fall out
+//! of [`BaseDistribution::MinimalFragments`]. A rule whose body binds no
+//! variable takes the empty sequence: its one ground substitution fires
+//! at the one processor `h(⟨⟩)` names.
+//!
+//! [`FragmentOwner`]: crate::discriminator::FragmentOwner
+//! [`Constant`]: crate::discriminator::Constant
 
 use gst_common::{Error, Result};
 use gst_eval::plan::RelationId;
-use gst_frontend::ast::Literal;
-use gst_frontend::{Program, ProgramAnalysis, Variable};
-use gst_runtime::ProcessorProgram;
+use gst_eval::route::home_inbox;
+use gst_frontend::ast::{Atom, Literal};
+use gst_frontend::{Program, ProgramAnalysis, Rule, Variable};
+use gst_runtime::{ProcessorProgram, Route, WorkerSpec};
 use gst_storage::Database;
 
 use crate::discriminator::{DiscConstraint, DiscriminatorRef};
 use crate::schemes::common::{
-    assemble, atom, can_route, pooling_pair, program, rel_id, sending_route, validate_sequence,
-    BaseDistribution, Namer,
+    atom, can_route, validate_sequence, worker_databases, BaseDistribution, Namer,
 };
 use crate::schemes::CompiledScheme;
 
@@ -64,6 +85,25 @@ impl RuleChoice {
     }
 }
 
+/// What the loop is told about one rule: a [`RuleChoice`] plus the two
+/// things §6 adds to it.
+pub(crate) struct RulePolicy {
+    /// `v(r_k)`.
+    pub v: Vec<Variable>,
+    /// `h_k^i`, one per processor: what processor `i` conditions the rule
+    /// on and routes the tuples it consumes with.
+    pub h: Vec<DiscriminatorRef>,
+    /// Whether the processing rule carries `h_k^i(v(r_k)) = i`.
+    pub conditioned: bool,
+}
+
+impl RulePolicy {
+    /// The §3/§7 policy: conditioned, one `h` shared by `n` processors.
+    pub fn shared(v: Vec<Variable>, h: &DiscriminatorRef, n: usize) -> Self {
+        RulePolicy { v, h: vec![h.clone(); n], conditioned: true }
+    }
+}
+
 /// Rewrite an arbitrary Datalog program into the §7 parallel scheme.
 ///
 /// `choices[k]` is the discriminating choice for `source.rules[k]`; all
@@ -75,110 +115,135 @@ pub fn rewrite_general(
     db: &Database,
     base: BaseDistribution,
 ) -> Result<CompiledScheme> {
-    if choices.len() != source.rules.len() {
+    let n = choices.first().map_or(0, |c| c.h.processors());
+    let policies: Vec<RulePolicy> =
+        choices.iter().map(|c| RulePolicy::shared(c.v.clone(), &c.h, n)).collect();
+    rewrite(source, &policies, db, base, "general scheme (§7 T_i)")
+}
+
+/// The loop: `policies[k]` governs `source.rules[k]`, and processor `i`
+/// gets one processing rule per source rule, same order, and one route
+/// per rule and distinct derived body occurrence.
+pub(crate) fn rewrite(
+    source: &Program,
+    policies: &[RulePolicy],
+    db: &Database,
+    base: BaseDistribution,
+    kind: &'static str,
+) -> Result<CompiledScheme> {
+    if policies.len() != source.rules.len() {
         return Err(Error::Discriminator(format!(
             "need one discriminating choice per rule: {} rules, {} choices",
             source.rules.len(),
-            choices.len()
+            policies.len()
         )));
     }
     ProgramAnalysis::new(source)?;
-    let n = choices
-        .first()
-        .map(|c| c.h.processors())
-        .ok_or_else(|| Error::Discriminator("program has no rules".into()))?;
-    if choices.iter().any(|c| c.h.processors() != n) {
+    let n = policies.first().map_or(0, |p| p.h.len());
+    if n == 0 || policies.iter().any(|p| p.h.len() != n || p.h.iter().any(|h| h.processors() != n)) {
         return Err(Error::Discriminator(
-            "all rules' discriminating functions must share one processor set".into(),
+            "all rules' discriminating functions must share one non-empty processor set".into(),
         ));
     }
-    for (k, choice) in choices.iter().enumerate() {
-        validate_sequence(&source.rules[k], &choice.v, &format!("v(r{k})"))?;
+    for (k, (rule, policy)) in source.rules.iter().zip(policies).enumerate() {
+        // An unconditioned rule's `v(r_k)` only keys its routes, which check it.
+        if policy.conditioned {
+            validate_sequence(rule, &policy.v, &format!("v(r{k})"))?;
+        }
     }
 
     let interner = source.interner.clone();
     let namer = Namer::new(interner.clone());
-    let derived: Vec<RelationId> = source
-        .derived_predicates()
-        .into_iter()
-        .map(rel_id)
-        .collect();
+    let derived: Vec<RelationId> = source.derived_predicates().into_iter().map(Into::into).collect();
     for d in &derived {
         if db.relation(*d).is_some_and(|r| !r.is_empty()) {
             return Err(Error::Shape(format!(
-                "input facts for derived predicate {} are not supported by the \
-                 general scheme; load them under a base predicate",
+                "input facts for derived predicate {} are not supported by the parallel \
+                 schemes; load them under a base predicate",
                 interner.resolve(d.0)
             )));
         }
     }
+    let is_derived = |a: &Atom| derived.contains(&a.pred().into());
 
-    let rule_count = source.rules.len();
     let mut programs = Vec::with_capacity(n);
     for i in 0..n {
-        let mut rules = Vec::new();
-
-        // Processing copies, one per source rule, same order.
-        for (k, rule) in source.rules.iter().enumerate() {
-            let head_id = rel_id(rule.head.pred());
+        let (mut rules, mut routes) = (Vec::with_capacity(source.rules.len()), Vec::new());
+        for (rule, policy) in source.rules.iter().zip(policies) {
+            let h = &policy.h[i];
+            // Processing: the rule over `t_in^i`, writing `t_out^i`.
             let mut body: Vec<Literal> = Vec::with_capacity(rule.body.len() + 1);
             for literal in &rule.body {
-                match literal {
-                    Literal::Atom(a) => {
-                        let id: RelationId = (a.predicate, a.terms.len());
-                        if derived.contains(&id) {
-                            body.push(Literal::Atom(atom(
-                                namer.input(id, i),
-                                a.terms.clone(),
-                            )));
-                        } else {
-                            body.push(Literal::Atom(a.clone()));
-                        }
+                body.push(match literal {
+                    Literal::Atom(a) if is_derived(a) => {
+                        Literal::Atom(atom(namer.input(a.pred().into(), i), a.terms.clone()))
                     }
-                    Literal::Constraint(c) => body.push(Literal::Constraint(c.clone())),
-                }
+                    other => other.clone(),
+                });
             }
-            body.push(Literal::Constraint(DiscConstraint::literal(
-                choices[k].v.clone(),
-                choices[k].h.clone(),
-                i,
-            )));
-            rules.push(gst_frontend::Rule::new(
-                atom(namer.out(head_id, i), rule.head.terms.clone()),
-                body,
-            ));
+            if policy.conditioned {
+                body.push(Literal::Constraint(DiscConstraint::literal(policy.v.clone(), h.clone(), i)));
+            }
+            let head = namer.out(rule.head.pred().into(), i);
+            rules.push(Rule::new(atom(head, rule.head.terms.clone()), body));
+
+            // Sending: one route per distinct derived occurrence `C(Ȳ)` —
+            // the family `C_ij(Ȳ) :- C_out^i(Ȳ), h(v(r_k)) = j`, one member
+            // per processor `h` can name, when the tuple binds `v(r_k)` and
+            // `h` can be evaluated on it; Example 2's unconditioned
+            // broadcast to every processor otherwise.
+            let mut seen: Vec<&Atom> = Vec::new();
+            for a in rule.body_atoms().filter(|a| is_derived(a)) {
+                if seen.contains(&a) {
+                    continue;
+                }
+                seen.push(a);
+                let out = namer.out(a.pred().into(), i);
+                let inboxes = |to: Vec<usize>| to.into_iter().map(|j| (j, namer.input(a.pred().into(), j))).collect();
+                let everyone = || (0..n).collect();
+                routes.push(if can_route(&a.terms, &policy.v, h.locally_evaluable()) {
+                    Route {
+                        source: atom(out, a.terms.clone()),
+                        key: Some(DiscConstraint::literal(policy.v.clone(), h.clone(), i)),
+                        dests: inboxes(h.assign_prefix(&[]).unwrap_or_else(everyone)),
+                        retract: false,
+                    }
+                } else if policy.conditioned {
+                    Route::broadcast(out, &interner, inboxes(everyone()))
+                } else {
+                    return Err(Error::Discriminator(
+                        "§6 requires every variable in v(r) to appear in Ȳ (the body t-atom): \
+                         an unconditioned rule has no broadcast to fall back on"
+                            .into(),
+                    ));
+                });
+            }
         }
 
-        // Sending: one route per rule and distinct derived occurrence.
-        let mut routes = Vec::new();
-        for (k, rule) in source.rules.iter().enumerate() {
-            let choice = &choices[k];
-            let mut occurrences: Vec<(RelationId, &[gst_frontend::Term])> = Vec::new();
-            for a in rule.body_atoms() {
-                let occurrence = ((a.predicate, a.terms.len()), a.terms.as_slice());
-                if derived.contains(&occurrence.0) && !occurrences.contains(&occurrence) {
-                    occurrences.push(occurrence);
-                }
-            }
-            for (c_id, args) in occurrences {
-                let routed = can_route(args, &choice.v, choice.h.locally_evaluable());
-                let key = routed.then_some((choice.v.as_slice(), &choice.h));
-                routes.push(sending_route(&namer, c_id, i, n, args, key));
-            }
-        }
-
+        // Final pooling reads `t_in^i` where the home rows of `t_out^i`
+        // are stored there instead, `t_out^i` otherwise.
+        let pooled = |&d: &RelationId| {
+            let out = namer.out(d, i);
+            (home_inbox(&routes, i, out).unwrap_or(out), d)
+        };
         programs.push(ProcessorProgram {
             processor: i,
-            program: program(rules, &interner),
-            pooling: derived.iter().map(|&d| pooling_pair(&namer, &routes, d, i)).collect(),
-            routes,
+            program: Program::new(rules, interner.clone()),
+            pooling: derived.iter().map(pooled).collect(),
             inboxes: derived.iter().map(|&d| namer.input(d, i)).collect(),
-            processing_rules: (0..rule_count).collect(),
+            routes,
+            processing_rules: (0..source.rules.len()).collect(),
             local_idb: vec![],
         });
     }
 
-    assemble(programs, db, base, derived, "general scheme (§7 T_i)")
+    let edbs = worker_databases(db, &programs, base)?;
+    let workers = programs
+        .into_iter()
+        .zip(edbs)
+        .map(|(program, edb)| WorkerSpec { program, edb, session: None })
+        .collect();
+    Ok(CompiledScheme { workers, answers: derived, kind, hot_keys_split: 0 })
 }
 
 #[cfg(test)]

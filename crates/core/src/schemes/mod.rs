@@ -1,13 +1,24 @@
-//! The paper's parallelization schemes as program rewritings.
+//! The paper's parallelization schemes as one program rewriting.
 //!
-//! | Module | Paper | Scheme |
-//! |---|---|---|
-//! | [`nonredundant`] | §3 | `Q_i`: shared `h`, provably non-redundant |
-//! | [`nocomm`] | §6 / [Wolfson 88] | `t^i`: zero communication, redundant |
-//! | [`generalized`] | §6 | `R_i`: per-processor `h_i`, the trade-off spectrum |
-//! | [`general`] | §7 | `T_i`: arbitrary Datalog programs |
-//! | [`presets`] | §4 | Examples 1–3 ready-made for transitive closure |
+//! [`general`] holds the loop — the only code that turns (program,
+//! per-rule choice, base distribution) into per-processor programs — and
+//! [`presets`] every named way of calling it ([`demand`] is one more, for
+//! magic-sets rewrites). A preset differs from another in four choices
+//! and nothing else:
 //!
+//! | Preset | Paper | `v(r)` | condition on `r` | `h_i` | base |
+//! |---|---|---|---|---|---|
+//! | [`presets::rewrite_non_redundant`] | §3 `Q_i` | given | yes | shared `h` | given |
+//! | [`presets::rewrite_generalized`] | §6 `R_i` | given, `⊆ Ȳ` | no | given per processor | shared |
+//! | [`presets::rewrite_no_comm`] | §6 / [Wolfson 88] | `⟨⟩` | no | `h_i(x) = i` | shared |
+//! | [`general::rewrite_general`] | §7 `T_i` | given per rule | yes | shared `h_k` | given |
+//! | [`presets::example1_wolfson`] | §4 Ex. 1 | a dataflow cycle | yes | symmetric hash | shared |
+//! | [`presets::example2_valduriez`] | §4 Ex. 2 | the base atom's variables | yes | fragment owner | its fragments |
+//! | [`presets::example3_hash_partition`] | §4 Ex. 3 | `Ȳ`'s first base-bound variable | yes | hash | minimal fragments |
+//! | [`presets::skew_aware_hash_partition`] | §6 | Ex. 3's, then the rest of `Ȳ` | yes | hash, hot keys split | minimal fragments |
+//! | [`demand::compile_demand`] | §7 | each rule's magic guard | yes | hash | minimal fragments |
+//!
+//! The exit rule of a sirup preset is always conditioned on `h'(v(e))`.
 //! Every rewriting produces a [`CompiledScheme`]: one
 //! [`gst_runtime::WorkerSpec`] per processor plus the identity of the
 //! global answer predicates. Executing it runs the real multi-threaded
@@ -16,9 +27,6 @@
 pub mod common;
 pub mod demand;
 pub mod general;
-pub mod generalized;
-pub mod nocomm;
-pub mod nonredundant;
 pub mod presets;
 
 use gst_common::Result;

@@ -1,6 +1,14 @@
-//! Ready-made §4 algorithms: the three parallel transitive-closure
-//! evaluations the paper derives from one framework by varying the
-//! discriminating sequence.
+//! The presets: every way of filling in the one loop
+//! ([`crate::schemes::general`]) that the paper names. A preset builds
+//! the two-rule program `[exit, recursive]` of a linear sirup and one
+//! policy per rule, and calls the loop; it compiles nothing itself.
+//!
+//! §3's `Q_i` ([`rewrite_non_redundant`]) conditions both rules and shares
+//! `h`; §6's `R_i` ([`rewrite_generalized`]) drops the recursive rule's
+//! condition and routes with a per-processor `h_i`; the communication-free
+//! scheme of [Wolfson 88] ([`rewrite_no_comm`]) is `R_i` with
+//! `h_i(x) = i`, as §6 states it. The §4 algorithms are `Q_i` under three
+//! discriminating sequences:
 //!
 //! | Preset | Paper | `v(r)` | communication | base relation |
 //! |---|---|---|---|---|
@@ -8,7 +16,7 @@
 //! | [`example2_valduriez`] | Ex. 2, ref \[16\] | `⟨X,Z⟩` (fragment) | broadcast | any fragmentation |
 //! | [`example3_hash_partition`] | Ex. 3, new | `⟨Z⟩` | point-to-point | disjoint hash fragments |
 //!
-//! Each preset works for any linear sirup in *transitive-closure shape*:
+//! Each works for any linear sirup in *transitive-closure shape*:
 //! `t(X,Y) :- b(X,Z), t(Z,Y)` with exit `t(X,Y) :- s(X,Y)` — positions
 //! may differ; the shape requirements are validated per preset.
 
@@ -16,17 +24,123 @@ use std::sync::Arc;
 
 use gst_common::{Error, Result};
 use gst_frontend::ast::Term;
-use gst_frontend::{LinearSirup, Variable};
+use gst_frontend::{LinearSirup, Program, Variable};
 use gst_storage::{Database, Fragmentation};
 
 use crate::dataflow::zero_comm_choice;
 use crate::discriminator::{
-    Discriminator, DiscriminatorRef, FragmentOwner, HashMod, SkewAwareHashMod, SymmetricHashMod,
+    Constant, Discriminator, DiscriminatorRef, FragmentOwner, HashMod, SkewAwareHashMod,
+    SymmetricHashMod,
 };
 use crate::schemes::common::BaseDistribution;
-use crate::schemes::nonredundant::{rewrite_non_redundant, NonRedundantConfig};
+use crate::schemes::general::{rewrite, RulePolicy};
 use crate::schemes::CompiledScheme;
 use crate::strategy::{sample_key_frequencies, SkewPolicy};
+
+/// `sirup` as the program `[exit, recursive]`, through the loop.
+fn rewrite_sirup(
+    sirup: &LinearSirup,
+    policies: [RulePolicy; 2],
+    db: &Database,
+    base: BaseDistribution,
+    kind: &'static str,
+) -> Result<CompiledScheme> {
+    let rules = vec![sirup.exit_rule().clone(), sirup.recursive_rule().clone()];
+    rewrite(&Program::new(rules, sirup.program.interner.clone()), &policies, db, base, kind)
+}
+
+/// Parameters of the §3 rewriting.
+#[derive(Clone)]
+pub struct NonRedundantConfig {
+    /// `v(r)` — discriminating sequence of the recursive rule.
+    pub v_r: Vec<Variable>,
+    /// `v(e)` — discriminating sequence of the exit rule.
+    pub v_e: Vec<Variable>,
+    /// `h` — discriminating function of the recursive rule.
+    pub h: DiscriminatorRef,
+    /// `h'` — discriminating function of the exit rule.
+    pub h_prime: DiscriminatorRef,
+    /// How base relations reach the workers.
+    pub base: BaseDistribution,
+}
+
+/// §3's non-redundant scheme `Q_i`: both rules conditioned, every
+/// processor routing with the one `h` — §7's `T_i` on a linear sirup.
+pub fn rewrite_non_redundant(
+    sirup: &LinearSirup,
+    cfg: &NonRedundantConfig,
+    db: &Database,
+) -> Result<CompiledScheme> {
+    let n = cfg.h_prime.processors();
+    let policies = [
+        RulePolicy::shared(cfg.v_e.clone(), &cfg.h_prime, n),
+        RulePolicy::shared(cfg.v_r.clone(), &cfg.h, n),
+    ];
+    rewrite_sirup(sirup, policies, db, cfg.base, "non-redundant (§3 Q_i)")
+}
+
+/// Parameters of the §6 rewriting.
+#[derive(Clone)]
+pub struct GeneralizedConfig {
+    /// `v(r)`; every variable must appear in the body `t`-atom `Ȳ`.
+    pub v_r: Vec<Variable>,
+    /// `v(e)`.
+    pub v_e: Vec<Variable>,
+    /// `h'` shared by all processors for initialization.
+    pub h_prime: DiscriminatorRef,
+    /// `h_i` per processor — the local routing decisions.
+    pub h_locals: Vec<DiscriminatorRef>,
+}
+
+/// §6's generalized trade-off scheme `R_i`: the recursive rule
+/// unconditioned, processor `i` routing with its own `h_i`. `h_i = h`
+/// gives `Q_i`'s traffic back, [`Constant`] the communication-free scheme,
+/// [`crate::discriminator::Mixed`] the spectrum between.
+///
+/// Base relations are shared: the processing rule is unconditioned, so a
+/// processor may fire any instance its inputs reach.
+pub fn rewrite_generalized(
+    sirup: &LinearSirup,
+    cfg: &GeneralizedConfig,
+    db: &Database,
+) -> Result<CompiledScheme> {
+    let policies = [
+        RulePolicy::shared(cfg.v_e.clone(), &cfg.h_prime, cfg.h_prime.processors()),
+        RulePolicy { v: cfg.v_r.clone(), h: cfg.h_locals.clone(), conditioned: false },
+    ];
+    rewrite_sirup(sirup, policies, db, BaseDistribution::Shared, "generalized trade-off (§6 R_i)")
+}
+
+/// Parameters of the communication-free rewriting.
+#[derive(Clone)]
+pub struct NoCommConfig {
+    /// `v(e)` — the only discriminating sequence the scheme uses.
+    pub v_e: Vec<Variable>,
+    /// `h'` — partitions the exit-rule substitutions across processors.
+    pub h_prime: DiscriminatorRef,
+}
+
+/// The communication-free, possibly redundant scheme of [Wolfson 88], as
+/// §6 restates it: `R_i` with `h_i(x) = i`. No tuple leaves its producer,
+/// the same tuple may be generated by several processors, and base
+/// relations are shared — every processor must be able to fire any
+/// instance of the recursive rule that its seeds reach.
+pub fn rewrite_no_comm(
+    sirup: &LinearSirup,
+    cfg: &NoCommConfig,
+    db: &Database,
+) -> Result<CompiledScheme> {
+    let n = cfg.h_prime.processors();
+    let generalized = GeneralizedConfig {
+        v_r: vec![], // a constant ignores its argument
+        v_e: cfg.v_e.clone(),
+        h_prime: cfg.h_prime.clone(),
+        h_locals: (0..n).map(|i| Arc::new(Constant::new(n, i)) as DiscriminatorRef).collect(),
+    };
+    let mut scheme = rewrite_generalized(sirup, &generalized, db)?;
+    scheme.kind = "communication-free ([Wolfson 88] / §6)";
+    Ok(scheme)
+}
 
 /// Example 1 — the Wolfson–Silberschatz algorithm \[19\]: discriminate on a
 /// dataflow-graph cycle, so no tuple ever changes processors. Works for
@@ -522,5 +636,428 @@ mod tests {
             skew_fn(&skewed),
             skew_fn(&plain)
         );
+    }
+}
+
+#[cfg(test)]
+mod nonredundant {
+    use super::*;
+    use crate::discriminator::HashMod;
+    use gst_common::ituple;
+    use gst_eval::seminaive_eval;
+    use gst_workloads::{chain, linear_ancestor, random_digraph};
+    use std::sync::Arc;
+
+    fn ancestor_sirup() -> (LinearSirup, gst_workloads::Fixture) {
+        let fx = linear_ancestor();
+        (LinearSirup::from_program(&fx.program).unwrap(), fx)
+    }
+
+    fn example3_config(s: &LinearSirup, n: usize) -> NonRedundantConfig {
+        let h: DiscriminatorRef = Arc::new(HashMod::new(n, 7));
+        NonRedundantConfig {
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
+            h: h.clone(),
+            h_prime: h,
+            base: BaseDistribution::MinimalFragments,
+        }
+    }
+
+    #[test]
+    fn matches_sequential_on_chain() {
+        let (s, fx) = ancestor_sirup();
+        let db = fx.database(&chain(12));
+        let scheme = rewrite_non_redundant(&s, &example3_config(&s, 3), &db).unwrap();
+        assert_eq!(scheme.processors(), 3);
+        let outcome = scheme.run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        let anc = fx.output_id();
+        assert!(outcome.relation(anc).set_eq(&seq.relation(anc)));
+        assert_eq!(outcome.relation(anc).len(), 78);
+    }
+
+    #[test]
+    fn matches_sequential_on_random_graphs() {
+        let (s, fx) = ancestor_sirup();
+        for seed in 0..3u64 {
+            let db = fx.database(&random_digraph(30, 60, seed));
+            let scheme = rewrite_non_redundant(&s, &example3_config(&s, 4), &db).unwrap();
+            let outcome = scheme.run().unwrap();
+            let seq = seminaive_eval(&fx.program, &db).unwrap();
+            let anc = fx.output_id();
+            assert!(
+                outcome.relation(anc).set_eq(&seq.relation(anc)),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn is_seminaive_non_redundant() {
+        // Theorem 2: parallel processing firings ≤ sequential firings.
+        let (s, fx) = ancestor_sirup();
+        // A bushy graph with many duplicate derivations.
+        let db = fx.database(&gst_workloads::grid(6, 6));
+        let scheme = rewrite_non_redundant(&s, &example3_config(&s, 4), &db).unwrap();
+        let outcome = scheme.run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        assert!(
+            outcome.stats.total_processing_firings() <= seq.stats.firings,
+            "parallel {} > sequential {}",
+            outcome.stats.total_processing_firings(),
+            seq.stats.firings
+        );
+    }
+
+    #[test]
+    fn fragments_partition_base_relation() {
+        let (s, fx) = ancestor_sirup();
+        let edges = chain(40);
+        let db = fx.database(&edges);
+        let scheme = rewrite_non_redundant(&s, &example3_config(&s, 4), &db).unwrap();
+        let par = fx.input_id(0);
+        let total: usize = scheme
+            .workers
+            .iter()
+            .map(|w| w.edb.relation(par).map(|r| r.len()).unwrap_or(0))
+            .sum();
+        // Each worker holds the X-fragment ∪ Z-fragment: ≤ 2·|par| total,
+        // and strictly less than full replication (4·|par|).
+        assert!(total <= 2 * edges.len());
+        assert!(total >= edges.len());
+    }
+
+    #[test]
+    fn single_processor_degenerates_to_sequential() {
+        let (s, fx) = ancestor_sirup();
+        let db = fx.database(&chain(8));
+        let scheme = rewrite_non_redundant(&s, &example3_config(&s, 1), &db).unwrap();
+        let outcome = scheme.run().unwrap();
+        assert!(outcome.stats.communication_free());
+        assert_eq!(outcome.relation(fx.output_id()).len(), 36);
+    }
+
+    #[test]
+    fn rejects_mismatched_processor_counts() {
+        let (s, fx) = ancestor_sirup();
+        let db = fx.database(&chain(4));
+        let cfg = NonRedundantConfig {
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
+            h: Arc::new(HashMod::new(2, 0)),
+            h_prime: Arc::new(HashMod::new(3, 0)),
+            base: BaseDistribution::Shared,
+        };
+        assert!(rewrite_non_redundant(&s, &cfg, &db).is_err());
+    }
+
+    #[test]
+    fn rejects_foreign_discriminating_variable() {
+        let (s, fx) = ancestor_sirup();
+        let db = fx.database(&chain(4));
+        let w = Variable(s.program.interner.intern("Wxyz"));
+        let h: DiscriminatorRef = Arc::new(HashMod::new(2, 0));
+        let cfg = NonRedundantConfig {
+            v_r: vec![w],
+            v_e: vec![s.program.var("X")],
+            h: h.clone(),
+            h_prime: h,
+            base: BaseDistribution::Shared,
+        };
+        assert!(rewrite_non_redundant(&s, &cfg, &db).is_err());
+    }
+
+    #[test]
+    fn works_on_same_generation() {
+        let fx = gst_workloads::same_generation();
+        let s = LinearSirup::from_program(&fx.program).unwrap();
+        let (up, down, flat) = gst_workloads::same_generation_tree(4);
+        let db = fx.database_multi(&[up, down, flat]);
+        // v(r) = ⟨U⟩ (first arg of the body sg-atom), v(e) = ⟨X⟩.
+        let h: DiscriminatorRef = Arc::new(HashMod::new(3, 5));
+        let cfg = NonRedundantConfig {
+            v_r: vec![s.program.var("U")],
+            v_e: vec![s.program.var("X")],
+            h: h.clone(),
+            h_prime: h,
+            base: BaseDistribution::Shared,
+        };
+        let scheme = rewrite_non_redundant(&s, &cfg, &db).unwrap();
+        let outcome = scheme.run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        let sg = fx.output_id();
+        assert!(outcome.relation(sg).set_eq(&seq.relation(sg)));
+        assert!(outcome.relation(sg).contains(&ituple![2, 3]));
+    }
+
+    #[test]
+    fn chain_sirup_arity3_is_supported() {
+        let fx = gst_workloads::chain_sirup();
+        let s = LinearSirup::from_program(&fx.program).unwrap();
+        // s(u,v,w): seed tuples; q(u,z) drives the recursion.
+        let mut sdata = gst_storage::Relation::new(3);
+        sdata.insert(ituple![1, 2, 3]).unwrap();
+        sdata.insert(ituple![5, 6, 7]).unwrap();
+        let mut qdata = gst_storage::Relation::new(2);
+        for k in 0..6i64 {
+            qdata.insert(ituple![k, k + 2]).unwrap();
+        }
+        let db = fx.database_multi(&[sdata, qdata]);
+        let h: DiscriminatorRef = Arc::new(HashMod::new(2, 3));
+        let cfg = NonRedundantConfig {
+            v_r: vec![s.program.var("V"), s.program.var("W"), s.program.var("Z")],
+            v_e: vec![s.program.var("U"), s.program.var("V"), s.program.var("W")],
+            h: h.clone(),
+            h_prime: h,
+            base: BaseDistribution::Shared,
+        };
+        let scheme = rewrite_non_redundant(&s, &cfg, &db).unwrap();
+        let outcome = scheme.run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        let p = fx.output_id();
+        assert!(outcome.relation(p).set_eq(&seq.relation(p)));
+        assert!(!outcome.relation(p).is_empty());
+    }
+}
+
+#[cfg(test)]
+mod generalized {
+    use super::*;
+    use crate::discriminator::{Constant, HashMod, Mixed};
+    use gst_eval::seminaive_eval;
+    use gst_workloads::{grid, linear_ancestor, random_digraph};
+    use std::sync::Arc;
+
+    fn setup() -> (LinearSirup, gst_workloads::Fixture) {
+        let fx = linear_ancestor();
+        let s = LinearSirup::from_program(&fx.program).unwrap();
+        (s, fx)
+    }
+
+    fn config_with(
+        s: &LinearSirup,
+        h_locals: Vec<DiscriminatorRef>,
+        n: usize,
+    ) -> GeneralizedConfig {
+        GeneralizedConfig {
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
+            h_prime: Arc::new(HashMod::new(n, 17)),
+            h_locals,
+        }
+    }
+
+    #[test]
+    fn shared_h_reduces_to_non_redundant() {
+        let (s, fx) = setup();
+        let n = 4;
+        let h: DiscriminatorRef = Arc::new(HashMod::new(n, 23));
+        let cfg = config_with(&s, vec![h; n], n);
+        let db = fx.database(&grid(5, 5));
+        let outcome = rewrite_generalized(&s, &cfg, &db).unwrap().run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        let anc = fx.output_id();
+        assert!(outcome.relation(anc).set_eq(&seq.relation(anc)));
+        // Theorem 2 regime: non-redundant.
+        assert!(outcome.stats.total_processing_firings() <= seq.stats.firings);
+    }
+
+    #[test]
+    fn constant_h_reduces_to_no_communication() {
+        let (s, fx) = setup();
+        let n = 3;
+        let h_locals: Vec<DiscriminatorRef> = (0..n)
+            .map(|i| Arc::new(Constant::new(n, i)) as DiscriminatorRef)
+            .collect();
+        let cfg = config_with(&s, h_locals, n);
+        let db = fx.database(&random_digraph(20, 40, 4));
+        let outcome = rewrite_generalized(&s, &cfg, &db).unwrap().run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        let anc = fx.output_id();
+        assert!(outcome.relation(anc).set_eq(&seq.relation(anc)));
+        assert!(outcome.stats.communication_free());
+    }
+
+    #[test]
+    fn mixed_alpha_trades_communication_for_redundancy() {
+        let (s, fx) = setup();
+        let n = 4;
+        let db = fx.database(&grid(6, 6));
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        let anc = fx.output_id();
+
+        let base: DiscriminatorRef = Arc::new(HashMod::new(n, 23));
+        let mut comm = Vec::new();
+        let mut firings = Vec::new();
+        for &alpha in &[0.0, 0.5, 1.0] {
+            let h_locals: Vec<DiscriminatorRef> = (0..n)
+                .map(|i| Arc::new(Mixed::new(i, base.clone(), alpha, 31)) as DiscriminatorRef)
+                .collect();
+            let cfg = config_with(&s, h_locals, n);
+            let outcome = rewrite_generalized(&s, &cfg, &db).unwrap().run().unwrap();
+            assert!(
+                outcome.relation(anc).set_eq(&seq.relation(anc)),
+                "α={alpha}: correctness must hold everywhere on the spectrum"
+            );
+            comm.push(outcome.stats.total_tuples_sent());
+            firings.push(outcome.stats.total_processing_firings());
+        }
+        // α=0 (pure hash) communicates the most and fires the least;
+        // α=1 (keep-local) communicates nothing.
+        assert!(comm[0] > comm[1], "comm: {comm:?}");
+        assert!(comm[1] > comm[2], "comm: {comm:?}");
+        assert_eq!(comm[2], 0);
+        assert!(firings[0] <= seq.stats.firings);
+        assert!(
+            firings[2] >= firings[0],
+            "keep-local must not fire fewer times: {firings:?}"
+        );
+    }
+
+    #[test]
+    fn rejects_v_r_outside_y() {
+        let (s, fx) = setup();
+        let n = 2;
+        let h: DiscriminatorRef = Arc::new(HashMod::new(n, 1));
+        let cfg = GeneralizedConfig {
+            v_r: vec![s.program.var("X")], // X ∉ Ȳ = (Z, Y)
+            v_e: vec![s.program.var("X")],
+            h_prime: h.clone(),
+            h_locals: vec![h; n],
+        };
+        let db = fx.database(&grid(3, 3));
+        let err = rewrite_generalized(&s, &cfg, &db).unwrap_err();
+        assert!(err.to_string().contains("appear in Ȳ"));
+    }
+
+    #[test]
+    fn rejects_mismatched_ranges() {
+        let (s, fx) = setup();
+        let h2: DiscriminatorRef = Arc::new(HashMod::new(2, 1));
+        let h3: DiscriminatorRef = Arc::new(HashMod::new(3, 1));
+        let cfg = GeneralizedConfig {
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
+            h_prime: h3,
+            h_locals: vec![h2.clone(), h2],
+        };
+        let db = fx.database(&grid(3, 3));
+        assert!(rewrite_generalized(&s, &cfg, &db).is_err());
+    }
+
+    #[test]
+    fn rejects_zero_processors() {
+        let (s, fx) = setup();
+        let cfg = GeneralizedConfig {
+            v_r: vec![s.program.var("Z")],
+            v_e: vec![s.program.var("X")],
+            h_prime: Arc::new(HashMod::new(1, 1)),
+            h_locals: vec![],
+        };
+        let db = fx.database(&grid(2, 2));
+        assert!(rewrite_generalized(&s, &cfg, &db).is_err());
+    }
+}
+
+#[cfg(test)]
+mod nocomm {
+    use super::*;
+    use crate::discriminator::{HashMod, SymmetricHashMod};
+    use gst_eval::seminaive_eval;
+    use gst_workloads::{chain, linear_ancestor, random_digraph};
+    use std::sync::Arc;
+
+    /// `v(e) = ⟨X⟩`: a generic (non-pivot) split of the exit substitutions.
+    fn setup(n: usize) -> (LinearSirup, gst_workloads::Fixture, NoCommConfig) {
+        let fx = linear_ancestor();
+        let s = LinearSirup::from_program(&fx.program).unwrap();
+        let x = Variable(s.program.interner.get("X").unwrap());
+        let cfg = NoCommConfig {
+            v_e: vec![x],
+            h_prime: Arc::new(HashMod::new(n, 11)),
+        };
+        (s, fx, cfg)
+    }
+
+    #[test]
+    fn computes_the_closure_without_communication() {
+        let (s, fx, cfg) = setup(4);
+        let db = fx.database(&random_digraph(25, 50, 2));
+        let scheme = rewrite_no_comm(&s, &cfg, &db).unwrap();
+        let outcome = scheme.run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        let anc = fx.output_id();
+        assert!(outcome.relation(anc).set_eq(&seq.relation(anc)));
+        // Property 1 of §6: zero interprocessor tuples.
+        assert!(outcome.stats.communication_free());
+        assert_eq!(outcome.stats.total_messages(), 0);
+    }
+
+    #[test]
+    fn may_duplicate_work_across_processors() {
+        // On a grid, a tuple (x, y) is derivable through many paths whose
+        // final edges start at different nodes; with seeds split by
+        // h'(X), several processors rediscover the same tuple — the
+        // redundancy §6 trades against communication.
+        let (s, fx, cfg) = setup(4);
+        let db = fx.database(&gst_workloads::grid(6, 6));
+        let scheme = rewrite_no_comm(&s, &cfg, &db).unwrap();
+        let outcome = scheme.run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        assert!(
+            outcome.stats.total_processing_firings() > seq.stats.firings,
+            "expected redundancy: parallel {} vs sequential {}",
+            outcome.stats.total_processing_firings(),
+            seq.stats.firings
+        );
+    }
+
+    #[test]
+    fn seeds_are_partitioned_not_replicated() {
+        let (s, fx, cfg) = setup(3);
+        let db = fx.database(&chain(30));
+        let scheme = rewrite_no_comm(&s, &cfg, &db).unwrap();
+        let outcome = scheme.run().unwrap();
+        // Each edge seeds exactly one processor: summed init firings
+        // (rule 0 per worker) equal |par|.
+        let init_total: u64 = outcome
+            .stats
+            .workers
+            .iter()
+            .map(|w| w.eval.firings_by_rule[0])
+            .sum();
+        assert_eq!(init_total, 30);
+    }
+
+    #[test]
+    fn wolfson_pivot_choice_is_non_redundant_here() {
+        // Special structure: for ancestor, discriminating on Y (which the
+        // recursion preserves) makes even the no-comm scheme duplicate-
+        // free across processors — every derivation chain stays where its
+        // seed landed. This is the [19] "pivoting" insight Theorem 3
+        // generalizes; with a symmetric h it is Example 1.
+        let fx = linear_ancestor();
+        let s = LinearSirup::from_program(&fx.program).unwrap();
+        let y = Variable(s.program.interner.get("Y").unwrap());
+        let cfg = NoCommConfig {
+            v_e: vec![y],
+            h_prime: Arc::new(SymmetricHashMod::new(4, 3)),
+        };
+        let db = fx.database(&random_digraph(20, 45, 9));
+        let scheme = rewrite_no_comm(&s, &cfg, &db).unwrap();
+        let outcome = scheme.run().unwrap();
+        let seq = seminaive_eval(&fx.program, &db).unwrap();
+        let anc = fx.output_id();
+        assert!(outcome.relation(anc).set_eq(&seq.relation(anc)));
+        assert!(outcome.stats.total_processing_firings() <= seq.stats.firings);
+    }
+
+    #[test]
+    fn rejects_empty_sequence() {
+        let (s, fx, mut cfg) = setup(2);
+        cfg.v_e.clear();
+        let db = fx.database(&chain(3));
+        assert!(rewrite_no_comm(&s, &cfg, &db).is_err());
     }
 }

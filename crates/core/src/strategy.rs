@@ -15,13 +15,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gst_common::{Error, Result, Value};
+use gst_common::{Result, Value};
 use gst_frontend::magic::MagicRewrite;
-use gst_frontend::Variable;
 use gst_storage::Relation;
 
 use crate::discriminator::{DiscriminatorRef, HashMod};
-use crate::schemes::common::validate_sequence;
+use crate::schemes::common::{first_body_variable, validate_sequence};
 use crate::schemes::general::RuleChoice;
 
 /// Knobs of the hot-key detector.
@@ -211,7 +210,8 @@ pub const DEMAND_HASH_SEED: u64 = 0xD17;
 /// the demand-bounded answer set, not the full closure.
 ///
 /// Rules whose guard binds no variable (an all-free sub-adornment, or a
-/// constant-bound head) fall back to the first body-atom variable.
+/// constant-bound head) fall back to the first body-atom variable, and to
+/// the empty sequence when the body is ground.
 pub fn demand_choices(
     rewrite: &MagicRewrite,
     workers: usize,
@@ -225,20 +225,7 @@ pub fn demand_choices(
         .zip(&rewrite.rules)
         .enumerate()
         .map(|(k, (rule, info))| {
-            let v: Vec<Variable> = if info.guard.is_empty() {
-                rule.body_atoms()
-                    .flat_map(|a| a.variables().collect::<Vec<_>>())
-                    .take(1)
-                    .collect()
-            } else {
-                info.guard.clone()
-            };
-            if v.is_empty() {
-                return Err(Error::Discriminator(format!(
-                    "rule {k} of the magic program has no body variable to \
-                     discriminate on"
-                )));
-            }
+            let v = if info.guard.is_empty() { first_body_variable(rule) } else { info.guard.clone() };
             validate_sequence(rule, &v, &format!("demand v(r{k})"))?;
             Ok(RuleChoice { v, h: h.clone() })
         })

@@ -37,8 +37,6 @@ pub struct LinearSirup {
     pub head: Vec<Term>,
     /// `Ȳ`: terms of the unique `t`-occurrence in the recursive body.
     pub recursive_args: Vec<Term>,
-    /// Position of the `t`-atom within the recursive rule's body.
-    pub recursive_atom_index: usize,
     /// `b₁ … b_k`: the base atoms of the recursive body, in order.
     pub base_atoms: Vec<Atom>,
 }
@@ -111,23 +109,10 @@ impl LinearSirup {
             ));
         }
 
-        let mut recursive_atom_index = None;
-        let mut base_atoms = Vec::new();
-        for (i, atom) in recursive_rule.body_atoms().enumerate() {
-            if atom.pred() == target {
-                recursive_atom_index = Some(i);
-            } else {
-                base_atoms.push(atom.clone());
-            }
-        }
-        let recursive_atom_index =
-            recursive_atom_index.expect("occurrence count checked above");
-        let recursive_args = recursive_rule
-            .body_atoms()
-            .nth(recursive_atom_index)
-            .expect("index from enumeration")
-            .terms
-            .clone();
+        let (recursive, base_atoms): (Vec<&Atom>, Vec<&Atom>) =
+            recursive_rule.body_atoms().partition(|atom| atom.pred() == target);
+        let recursive_args = recursive.first().expect("occurrence count checked above").terms.clone();
+        let base_atoms = base_atoms.into_iter().cloned().collect();
 
         Ok(LinearSirup {
             target,
@@ -137,7 +122,6 @@ impl LinearSirup {
             exit_head: exit_rule.head.terms.clone(),
             head: recursive_rule.head.terms.clone(),
             recursive_args,
-            recursive_atom_index,
             base_atoms,
             program: program.clone(),
         })
@@ -183,7 +167,6 @@ mod tests {
         assert_eq!(s.exit_index, 0);
         assert_eq!(s.recursive_index, 1);
         assert_eq!(s.base_atoms.len(), 1);
-        assert_eq!(s.recursive_atom_index, 1);
         assert_eq!(names(&s.recursive_args, i), vec!["Z", "Y"]);
     }
 
@@ -274,7 +257,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.base_atoms.len(), 2);
-        assert_eq!(s.recursive_atom_index, 1);
     }
 
     #[test]

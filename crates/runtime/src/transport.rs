@@ -169,18 +169,19 @@ pub(crate) fn assemble_outcome(
     })
 }
 
-/// True when no tuple can cross between processors: a single worker
-/// (every route is local), or no route table at all. Theorem 3's
-/// zero-communication case.
+/// True when no tuple can cross between processors: every destination of
+/// every route is the processor that owns the route — a single worker,
+/// an empty route table, or §6's `h_i(x) = i`, whose routes name only `i`.
 pub(crate) fn network_is_silent(specs: &[WorkerSpec]) -> bool {
-    specs.len() == 1 || specs.iter().all(|s| s.program.routes.is_empty())
+    let home = |s: &WorkerSpec| s.program.routes.iter().flat_map(|r| &r.dests).all(|&(j, _)| j == s.program.processor);
+    specs.iter().all(home)
 }
 
 /// Run one spec's local fixpoint with none of the distributed machinery —
 /// no queues, no codec, no replay logs, no termination ring. Sound exactly
 /// when the network is silent: with nothing to receive and nothing to
 /// ship, local quiescence *is* the paper's termination condition, observed
-/// directly. A lone worker's routes all end in its own inboxes, which the
+/// directly. A silent worker's routes all end in its own inboxes, which the
 /// engine fills as it advances.
 fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<WorkerResult> {
     let t0 = Instant::now();
@@ -549,11 +550,11 @@ mod tests {
     use crate::fixtures::lone_worker;
 
     #[test]
-    fn silence_is_one_worker_or_no_routes() {
-        let mut pair = [lone_worker().0, lone_worker().0];
-        assert!(network_is_silent(&pair[..1]));
+    fn silence_is_every_route_ending_at_its_owner() {
+        assert!(network_is_silent(&[lone_worker().0]));
+        let (mut pair, _) = crate::fixtures::pipeline();
         assert!(!network_is_silent(&pair));
-        pair.iter_mut().for_each(|spec| spec.program.routes.clear());
+        pair[0].program.routes.clear();
         assert!(network_is_silent(&pair));
     }
 

@@ -17,8 +17,9 @@
 //!
 //! Schemes for `run`: `seq` (semi-naive, default), `naive`, `example1`
 //! (zero communication), `example2` (fragmented + broadcast), `example3`
-//! (hash partition), `nocomm` (redundant zero-comm), `general` (§7, works
-//! for any program; discriminates each rule on its first body variable).
+//! (hash partition), `nocomm` (redundant zero-comm: §6's `R_i` with
+//! `h_i(x) = i`), `general` (§7, works for any program; discriminates each
+//! rule on its first body variable, a ground-body rule on `⟨⟩`).
 //!
 //! `--query` turns the run into a demand-driven *point query*: the goal
 //! (inline, or the file's `?- anc("ann", Y).` line) is rewritten with
@@ -1160,21 +1161,18 @@ fn build_scheme(
 ) -> std::result::Result<parallel_datalog::core::schemes::CompiledScheme, String> {
     use parallel_datalog::core::schemes::BaseDistribution;
     let err = |e: Error| e.to_string();
+    let sirup = || LinearSirup::from_program(program).map_err(err);
     if skew_aware {
         // Same discriminating choice as example3, but with EDB key
         // frequencies sampled at compile time and hot keys split across
         // processors (§6 R_i; DESIGN.md §13).
-        let sirup = LinearSirup::from_program(program).map_err(err)?;
-        return skew_aware_hash_partition(&sirup, workers, db, &SkewPolicy::default())
+        return skew_aware_hash_partition(&sirup()?, workers, db, &SkewPolicy::default())
             .map_err(err);
     }
     match name {
-        "example1" => {
-            let sirup = LinearSirup::from_program(program).map_err(err)?;
-            example1_wolfson(&sirup, workers, db).map_err(err)
-        }
+        "example1" => example1_wolfson(&sirup()?, workers, db).map_err(err),
         "example2" => {
-            let sirup = LinearSirup::from_program(program).map_err(err)?;
+            let sirup = sirup()?;
             let source = sirup.source;
             let base = db
                 .relation((source.name, source.arity))
@@ -1182,42 +1180,20 @@ fn build_scheme(
             let frag = round_robin_fragment(base, workers).map_err(err)?;
             example2_valduriez(&sirup, frag, db).map_err(err)
         }
-        "example3" => {
-            let sirup = LinearSirup::from_program(program).map_err(err)?;
-            example3_hash_partition(&sirup, workers, db).map_err(err)
-        }
+        "example3" => example3_hash_partition(&sirup()?, workers, db).map_err(err),
         "nocomm" => {
-            let sirup = LinearSirup::from_program(program).map_err(err)?;
+            let sirup = sirup()?;
             // Split the exit substitutions on the first exit-body variable.
-            let v = sirup
-                .exit_rule()
-                .body_atoms()
-                .flat_map(|a| a.variables().collect::<Vec<_>>())
-                .next()
-                .ok_or("nocomm needs a variable in the exit body")?;
             let cfg = NoCommConfig {
-                v_e: vec![v],
+                v_e: first_body_variable(sirup.exit_rule()),
                 h_prime: Arc::new(HashMod::new(workers, 0xC11)),
             };
             rewrite_no_comm(&sirup, &cfg, db).map_err(err)
         }
         "general" => {
             let h: DiscriminatorRef = Arc::new(HashMod::new(workers, 0xC17));
-            let choices: Vec<RuleChoice> = program
-                .rules
-                .iter()
-                .map(|rule| {
-                    let v = rule
-                        .body_atoms()
-                        .flat_map(|a| a.variables().collect::<Vec<_>>())
-                        .next()
-                        .ok_or("general scheme needs a variable per rule body")?;
-                    Ok(RuleChoice {
-                        v: vec![v],
-                        h: h.clone(),
-                    })
-                })
-                .collect::<std::result::Result<_, String>>()?;
+            let choice = |rule| RuleChoice { v: first_body_variable(rule), h: h.clone() };
+            let choices: Vec<RuleChoice> = program.rules.iter().map(choice).collect();
             rewrite_general(program, &choices, db, BaseDistribution::Shared).map_err(err)
         }
         other => Err(format!("unknown scheme `{other}`")),

@@ -53,6 +53,38 @@ fn run_all_schemes_agree() {
     }
 }
 
+/// An input fact for a derived predicate is refused by every parallel
+/// scheme — none of them seeds `t_in` from the database, so accepting it
+/// would silently drop `anc(9,1)` from the answer `seq` gives.
+#[test]
+fn derived_predicate_facts_are_refused_by_every_parallel_scheme() {
+    let file = write_program("derived-fact.dl", &format!("{ANCESTOR} anc(9,1)."));
+    assert!(String::from_utf8(cli("run", &file, "").stdout).unwrap().contains("% anc/2: 7 tuples"));
+    for scheme in ["example1", "example2", "example3", "nocomm", "general"] {
+        let out = cli("run", &file, &format!("--scheme {scheme} --workers 2"));
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(!out.status.success(), "{scheme} must fail");
+        assert!(stderr.contains("input facts for derived predicate anc are not supported"), "{scheme}: {stderr}");
+    }
+}
+
+/// §7 is for any program: a rule whose body is ground (`ok(1) :- flag(1).`)
+/// takes the empty discriminating sequence, under `general` and under the
+/// magic rewrite of a goal that demands it.
+#[test]
+fn ground_body_rules_run_under_general_and_query() {
+    let source = "r(X,Y) :- e(X,Y), ok(1).\nr(X,Y) :- e(X,Z), r(Z,Y).\nok(1) :- flag(1).\n\
+                  e(1,2). e(2,3). e(3,4). flag(1).";
+    let file = write_program("ground-body.dl", source);
+    for (query, tuples) in [("", "% r/2: 6 tuples"), ("--query r(1,Y)", "% r/2: 3 tuples")] {
+        let seq = cli("run", &file, &format!("{query} --scheme seq"));
+        let general = cli("run", &file, &format!("{query} --scheme general --workers 2"));
+        assert!(general.status.success(), "{}", String::from_utf8_lossy(&general.stderr));
+        assert!(String::from_utf8_lossy(&seq.stdout).contains(tuples));
+        assert_eq!(general.stdout, seq.stdout, "{query}");
+    }
+}
+
 #[test]
 fn run_with_print_filter_and_stats() {
     let file = write_program("print.dl", ANCESTOR);

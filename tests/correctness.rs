@@ -336,24 +336,23 @@ fn constants_in_the_recursive_atom_pattern() {
     assert!(outcome.stats.total_processing_firings() <= seq.stats.firings);
 }
 
-/// Rules without body variables cannot carry a discriminating sequence;
-/// the general scheme reports that cleanly instead of panicking.
+/// A rule whose body binds no variable takes the empty sequence: its one
+/// ground substitution fires at the processor `h(⟨⟩)` names, and `go`,
+/// which `step`'s `⟨X⟩` cannot route, is broadcast.
 #[test]
-fn zero_arity_programs_are_rejected_cleanly() {
-    let unit = parse_program("go :- ready.\nstep(X) :- go, e(X).").unwrap();
+fn zero_arity_programs_take_the_empty_sequence() {
+    let unit = parse_program("go :- ready.\nstep(X) :- go, e(X).\nready. e(1). e(2). e(3).").unwrap();
     let h: DiscriminatorRef = Arc::new(HashMod::new(2, 1));
-    // Rule 0 (`go :- ready`) has no variables at all.
-    let choices = vec![
-        RuleChoice { v: vec![], h: h.clone() },
-        RuleChoice {
-            v: vec![Variable(unit.program.interner.get("X").unwrap())],
-            h,
-        },
-    ];
-    let db = Database::new(unit.program.interner.clone());
-    let err = rewrite_general(&unit.program, &choices, &db, BaseDistribution::Shared)
-        .unwrap_err();
-    assert!(err.to_string().contains("must not be empty"));
+    let x = Variable(unit.program.interner.get("X").unwrap());
+    let choices = vec![RuleChoice { v: vec![], h: h.clone() }, RuleChoice { v: vec![x], h }];
+    let mut db = Database::new(unit.program.interner.clone());
+    db.load_facts(unit.facts.clone()).unwrap();
+    let scheme = rewrite_general(&unit.program, &choices, &db, BaseDistribution::Shared).unwrap();
+    let (outcome, seq) = (scheme.run().unwrap(), seminaive_eval(&unit.program, &db).unwrap());
+    for id in scheme.answers.iter().copied() {
+        assert!(!seq.relation(id).is_empty() && outcome.relation(id).set_eq(&seq.relation(id)));
+    }
+    assert_eq!(outcome.stats.total_processing_firings(), seq.stats.firings);
 }
 
 /// Repeated variables in the recursive atom (`t(Z,Z)`) make the send

@@ -13,13 +13,14 @@ use std::sync::Arc;
 
 use parallel_datalog::core::schemes::BaseDistribution;
 use parallel_datalog::eval::{plan::RelationId, route::home_inbox, FixpointEngine};
+use parallel_datalog::frontend::pretty;
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{
-    FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, Route, SimTransport,
+    FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, ParallelStats, Route, SimTransport,
 };
 use parallel_datalog::workloads::{
     chain, even_odd, grid, linear_ancestor, nonlinear_ancestor, random_digraph,
-    same_generation_tree, sirup_corpus, Fixture,
+    same_generation_tree, sirup_corpus, star, Fixture,
 };
 
 /// The corpus: every sirup, plus the two programs only §7 accepts, each
@@ -277,17 +278,30 @@ fn rows_no_route_selects_are_still_pooled() {
     }
 }
 
-/// The three ways this suite runs linear ancestor (`fx`).
+/// The ways this suite runs linear ancestor (`fx`): the presets, §6's
+/// `R_i` (`v(r) = ⟨Z⟩`, `v(e) = ⟨X⟩`) under three `h_i`, and §7 directly.
 fn ancestor_scheme(fx: &Fixture, kind: &str, n: usize, edges: &Relation) -> CompiledScheme {
     let db = fx.database(edges);
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
+    let h: DiscriminatorRef = Arc::new(HashMod::new(n, 19));
+    let v_e = vec![fx.program.var("X")];
+    let r_i = |h_i: &dyn Fn(usize) -> DiscriminatorRef| {
+        let (v_r, h_locals) = (vec![fx.program.var("Z")], (0..n).map(h_i).collect());
+        let cfg = GeneralizedConfig { v_r, v_e: v_e.clone(), h_prime: h.clone(), h_locals };
+        rewrite_generalized(&sirup, &cfg, &db).unwrap()
+    };
     match kind {
+        "example1" => example1_wolfson(&sirup, n, &db).unwrap(),
         "example2" => {
             example2_valduriez(&sirup, round_robin_fragment(edges, n).unwrap(), &db).unwrap()
         }
         "example3" => example3_hash_partition(&sirup, n, &db).unwrap(),
+        "skew" => skew_aware_hash_partition(&sirup, n, &db, &SkewPolicy::default()).unwrap(),
+        "nocomm" => rewrite_no_comm(&sirup, &NoCommConfig { v_e, h_prime: h }, &db).unwrap(),
+        "r-shared" => r_i(&|_| h.clone()),
+        "r-mixed" => r_i(&|i| Arc::new(Mixed::new(i, h.clone(), 0.5, 31))),
+        "r-constant" => r_i(&|i| Arc::new(Constant::new(n, i))),
         _ => {
-            let h: DiscriminatorRef = Arc::new(HashMod::new(n, 19));
             let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
             rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap()
         }
@@ -296,7 +310,9 @@ fn ancestor_scheme(fx: &Fixture, kind: &str, n: usize, edges: &Relation) -> Comp
 
 /// (c) Traffic is unchanged: `channel_matrix` and processing firings as
 /// recorded on the last commit whose workers executed the sending rules
-/// (PR 13), `grid(12,12)` and `random_digraph(30,60,5)`.
+/// (PR 13; `example2`, `example3`, `general`) and on the last commit that
+/// had one rewrite loop per scheme (PR 16; the rest), `grid(12,12)`,
+/// `random_digraph(30,60,5)` and, for the skew split, `star(40)`.
 #[test]
 fn channel_matrix_is_what_the_sending_rules_shipped() {
     type Pinned = (&'static str, &'static str, usize, &'static [&'static [u64]], u64);
@@ -320,13 +336,105 @@ fn channel_matrix_is_what_the_sending_rules_shipped() {
         ("random", "general", 2, &[&[0, 199], &[252, 0]], 1350),
         ("random", "general", 3, &[&[0, 30, 196], &[112, 0, 57], &[85, 140, 0]], 1350),
         ("random", "general", 4, &[&[0, 28, 0, 56], &[56, 0, 56, 116], &[30, 58, 0, 114], &[112, 140, 112, 0]], 1350),
+        ("grid", "example1", 2, &[&[0, 0], &[0, 0]], 10296),
+        ("grid", "example1", 3, &[&[0, 0, 0], &[0, 0, 0], &[0, 0, 0]], 10296),
+        ("grid", "example1", 4, &[&[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0]], 10296),
+        ("grid", "nocomm", 2, &[&[0, 0], &[0, 0]], 17556),
+        ("grid", "nocomm", 3, &[&[0, 0, 0], &[0, 0, 0], &[0, 0, 0]], 14863),
+        ("grid", "nocomm", 4, &[&[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0]], 17556),
+        ("grid", "r-shared", 2, &[&[0, 2280], &[2736, 0]], 10296),
+        ("grid", "r-shared", 3, &[&[0, 1208, 830], &[815, 0, 1145], &[1075, 742, 0]], 10296),
+        ("grid", "r-shared", 4, &[&[0, 0, 0, 1368], &[1134, 0, 0, 0], &[0, 912, 0, 0], &[0, 0, 1602, 0]], 10296),
+        ("grid", "r-mixed", 2, &[&[0, 948], &[1437, 0]], 13676),
+        ("grid", "r-mixed", 3, &[&[0, 750, 585], &[650, 0, 532], &[538, 647, 0]], 14693),
+        ("grid", "r-mixed", 4, &[&[0, 36, 569, 441], &[549, 0, 295, 318], &[303, 480, 0, 121], &[84, 189, 779, 0]], 14830),
+        ("grid", "r-constant", 2, &[&[0, 0], &[0, 0]], 17556),
+        ("grid", "r-constant", 3, &[&[0, 0, 0], &[0, 0, 0], &[0, 0, 0]], 14863),
+        ("grid", "r-constant", 4, &[&[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0]], 17556),
+        ("random", "example1", 2, &[&[0, 0], &[0, 0]], 1350),
+        ("random", "example1", 3, &[&[0, 0, 0], &[0, 0, 0], &[0, 0, 0]], 1350),
+        ("random", "example1", 4, &[&[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0]], 1350),
+        ("random", "nocomm", 2, &[&[0, 0], &[0, 0]], 1810),
+        ("random", "nocomm", 3, &[&[0, 0, 0], &[0, 0, 0], &[0, 0, 0]], 1994),
+        ("random", "nocomm", 4, &[&[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0]], 2224),
+        ("random", "r-shared", 2, &[&[0, 196], &[252, 0]], 1350),
+        ("random", "r-shared", 3, &[&[0, 29, 196], &[112, 0, 56], &[84, 140, 0]], 1350),
+        ("random", "r-shared", 4, &[&[0, 28, 0, 56], &[56, 0, 56, 114], &[28, 56, 0, 112], &[112, 140, 112, 0]], 1350),
+        ("random", "r-mixed", 2, &[&[0, 140], &[112, 0]], 1867),
+        ("random", "r-mixed", 3, &[&[0, 56, 84], &[112, 0, 6], &[56, 56, 0]], 2063),
+        ("random", "r-mixed", 4, &[&[0, 56, 0, 84], &[56, 0, 0, 85], &[28, 33, 0, 40], &[56, 56, 28, 0]], 2558),
+        ("random", "r-constant", 2, &[&[0, 0], &[0, 0]], 1810),
+        ("random", "r-constant", 3, &[&[0, 0, 0], &[0, 0, 0], &[0, 0, 0]], 1994),
+        ("random", "r-constant", 4, &[&[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0]], 2224),
+        ("star", "skew", 2, &[&[0, 0], &[0, 0]], 40),
+        ("star", "skew", 3, &[&[0, 8, 3], &[6, 0, 9], &[10, 4, 0]], 40),
+        ("star", "skew", 4, &[&[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0], &[0, 0, 0, 0]], 40),
     ];
     for &(graph, kind, n, matrix, processing) in pinned {
-        let edges = if graph == "grid" { grid(12, 12) } else { random_digraph(30, 60, 5) };
+        let edges = match graph {
+            "grid" => grid(12, 12),
+            "random" => random_digraph(30, 60, 5),
+            _ => star(40),
+        };
         let scheme = ancestor_scheme(&linear_ancestor(), kind, n, &edges);
         for outcome in [scheme.run_simulated(1, FaultPlan::none()).unwrap(), scheme.run().unwrap()] {
             assert_eq!(outcome.stats.channel_matrix, matrix, "{graph} / {kind} / n={n}");
             assert_eq!(outcome.stats.total_processing_firings(), processing, "{graph} / {kind} / n={n}");
+        }
+    }
+}
+
+/// What each worker of `scheme` runs, printed: rules, routes (pattern,
+/// inboxes), inboxes, pooling pairs, processing rules — and every rule
+/// condition and route key by its wire bytes, which carry the function
+/// and its seed.
+fn printed(scheme: &CompiledScheme) -> Vec<String> {
+    let worker = |w: &WorkerSpec| {
+        let pp = &w.program;
+        let conditions = pp.program.rules.iter().flat_map(|r| &r.body).filter_map(|l| match l {
+            Literal::Constraint(c) => Some(c),
+            Literal::Atom(_) => None,
+        });
+        let keys: Vec<_> = conditions.chain(pp.routes.iter().flat_map(|r| &r.key)).map(|c| c.wire_encode()).collect();
+        let rules = pretty::program(&pp.program);
+        format!("{rules} {keys:?} {:?} {:?} {:?} {:?}", pp.routes, pp.inboxes, pp.pooling, pp.processing_rules)
+    };
+    scheme.workers.iter().map(worker).collect()
+}
+
+/// The paper's two reductions, over every sirup. §3 is §7 on a linear
+/// sirup: `Q_i` and `rewrite_general` on the same two choices compile to
+/// the same worker programs, whichever rule the source lists first. And
+/// `h_i = h` is `Q_i`: `R_i` under a shared `h` ships and fires, worker
+/// by worker, what `Q_i` does.
+#[test]
+fn q_i_is_t_i_on_a_sirup_and_r_i_under_a_shared_h() {
+    for (name, fx, db) in corpus().into_iter().take(sirup_corpus().len()) {
+        let (exit_first, mut flipped) = (fx.program.clone(), fx.program.clone());
+        flipped.rules.reverse();
+        for n in [1usize, 2, 4] {
+            let (h, h_prime): (DiscriminatorRef, DiscriminatorRef) =
+                (Arc::new(HashMod::new(n, 19)), Arc::new(HashMod::new(n, 23)));
+            for source in [&exit_first, &flipped] {
+                let sirup = LinearSirup::from_program(source).unwrap();
+                let (v_r, v_e) = (first_var(&sirup.recursive_args), first_var(&sirup.exit_head));
+                let choices = [
+                    RuleChoice { v: v_e.clone(), h: h_prime.clone() },
+                    RuleChoice { v: v_r.clone(), h: h.clone() },
+                ];
+                let base = BaseDistribution::Shared;
+                let cfg = NonRedundantConfig { v_r, v_e, h: h.clone(), h_prime: h_prime.clone(), base };
+                let q_i = rewrite_non_redundant(&sirup, &cfg, &db).unwrap();
+                let t_i = rewrite_general(&exit_first, &choices, &db, base).unwrap();
+                assert_eq!(printed(&q_i), printed(&t_i), "{name} / n={n}");
+
+                let NonRedundantConfig { v_r, v_e, h_prime, .. } = cfg;
+                let cfg = GeneralizedConfig { v_r, v_e, h_prime, h_locals: vec![h.clone(); n] };
+                let r_i = rewrite_generalized(&sirup, &cfg, &db).unwrap();
+                let [q, r] = [q_i, r_i].map(|s| s.run_simulated(3, FaultPlan::none()).unwrap().stats);
+                let firings = |s: &ParallelStats| s.workers.iter().map(|w| w.processing_firings).collect::<Vec<_>>();
+                assert_eq!((&q.channel_matrix, firings(&q)), (&r.channel_matrix, firings(&r)), "{name} / n={n}");
+            }
         }
     }
 }
