@@ -592,6 +592,7 @@ mod tests {
             reconnects: 0,
             relay_bytes: 0,
             wall_time: std::time::Duration::ZERO,
+            pooling_time: std::time::Duration::ZERO,
         };
         let report = ProfileReport::build(&stats, TimeBase::VirtualTicks)
             .expect("profiles present");

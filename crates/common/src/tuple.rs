@@ -35,7 +35,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use crate::interner::{Interner, SymbolId};
+use crate::interner::Interner;
 use crate::value::Value;
 
 /// Maximum arity stored without heap allocation.
@@ -59,29 +59,11 @@ pub struct Tuple {
     repr: Repr,
 }
 
-/// A value's untagged word and whether it is a `Sym`.
-#[inline]
-fn to_word(value: Value) -> (u64, bool) {
-    match value {
-        Value::Int(n) => (n as u64, false),
-        Value::Sym(s) => (u64::from(s.0), true),
-    }
-}
-
-#[inline]
-fn from_word(word: u64, sym: bool) -> Value {
-    if sym {
-        Value::Sym(SymbolId(word as u32))
-    } else {
-        Value::Int(word as i64)
-    }
-}
-
 impl Tuple {
     /// Build a tuple from a slice of values.
     pub fn new(values: &[Value]) -> Self {
         if values.len() <= INLINE_CAP {
-            Self::inline(values.len(), |k| values[k])
+            Self::inline(values.len(), |k| values[k].word())
         } else {
             Tuple {
                 repr: Repr::Heap(values.into()),
@@ -89,15 +71,37 @@ impl Tuple {
         }
     }
 
-    /// An inline row of `len ≤ INLINE_CAP` columns, column `k` from `col(k)`.
+    /// An inline row of `len ≤ INLINE_CAP` columns, column `k` the
+    /// [`Value::word`] pair `col(k)`.
     #[inline]
-    fn inline(len: usize, col: impl Fn(usize) -> Value) -> Self {
-        debug_assert!(len <= INLINE_CAP);
+    fn inline(len: usize, col: impl Fn(usize) -> (u64, bool)) -> Self {
         let (mut syms, mut words) = (0u8, [0u64; INLINE_CAP]);
         for (k, word) in words.iter_mut().enumerate().take(len) {
-            let (w, sym) = to_word(col(k));
+            let (w, sym) = col(k);
             *word = w;
             syms |= u8::from(sym) << k;
+        }
+        Self::from_parts(len, syms, words)
+    }
+
+    /// The inline row of `len ≤ INLINE_CAP` columns whose column `k` is the
+    /// untagged word `words[k]`, a `Sym` iff bit `k` of `syms` is set — how
+    /// the join emits a head without building a [`Value`]. Whatever lies
+    /// past `len`, and a `Sym` word's high half, is dropped, so the row is
+    /// in canonical form whatever the caller left there.
+    ///
+    /// # Panics
+    /// Panics if `len > INLINE_CAP`.
+    #[inline]
+    pub fn from_parts(len: usize, syms: u8, mut words: [u64; INLINE_CAP]) -> Self {
+        assert!(len <= INLINE_CAP, "an inline row holds at most {INLINE_CAP} columns, not {len}");
+        let syms = syms & ((1u8 << len) - 1);
+        for (k, word) in words.iter_mut().enumerate() {
+            if k >= len {
+                *word = 0;
+            } else if syms >> k & 1 == 1 {
+                *word &= u64::from(u32::MAX);
+            }
         }
         Tuple {
             repr: Repr::Inline {
@@ -113,9 +117,9 @@ impl Tuple {
     /// a decoder holds before any [`Value`] exists.
     pub fn from_words(words: &[u64], is_sym: impl Fn(usize) -> bool) -> Self {
         if words.len() <= INLINE_CAP {
-            Self::inline(words.len(), |k| from_word(words[k], is_sym(k)))
+            Self::inline(words.len(), |k| (words[k], is_sym(k)))
         } else {
-            let typed = |(k, &w)| from_word(w, is_sym(k));
+            let typed = |(k, &w)| Value::from_word(w, is_sym(k));
             words.iter().enumerate().map(typed).collect()
         }
     }
@@ -149,11 +153,25 @@ impl Tuple {
     #[inline]
     pub fn get(&self, index: usize) -> Value {
         match &self.repr {
-            Repr::Inline { len, syms, words } => {
-                assert!(index < *len as usize, "column {index} of an arity-{len} tuple");
-                from_word(words[index], syms >> index & 1 == 1)
+            Repr::Inline { .. } => {
+                let (word, sym) = self.word(index);
+                Value::from_word(word, sym)
             }
             Repr::Heap(h) => h[index],
+        }
+    }
+
+    /// Column `index` as [`Value::word`] gives it — the untagged word and
+    /// whether it is a `Sym` — panicking if out of bounds. What the join,
+    /// the indexes and the route table read instead of [`Tuple::get`].
+    #[inline]
+    pub fn word(&self, index: usize) -> (u64, bool) {
+        match &self.repr {
+            Repr::Inline { len, syms, words } => {
+                assert!(index < *len as usize, "column {index} of an arity-{len} tuple");
+                (words[index], syms >> index & 1 == 1)
+            }
+            Repr::Heap(h) => h[index].word(),
         }
     }
 
@@ -169,7 +187,7 @@ impl Tuple {
     /// (extracting the ground instance of the discriminating sequence).
     pub fn project(&self, columns: &[usize]) -> Tuple {
         if columns.len() <= INLINE_CAP {
-            Self::inline(columns.len(), |k| self.get(columns[k]))
+            Self::inline(columns.len(), |k| self.word(columns[k]))
         } else {
             columns.iter().map(|&c| self.get(c)).collect()
         }
@@ -296,6 +314,29 @@ mod tests {
         assert_eq!(t.arity(), 3);
         assert_eq!(t.get(1), Value::Int(20));
         assert_eq!(t.iter().collect::<Vec<_>>(), [10, 20, 30].map(Value::Int));
+    }
+
+    #[test]
+    fn word_reads_and_from_parts_builds_the_row_as_stored() {
+        let sym = Value::Sym(crate::SymbolId(5));
+        let rows = [vec![], vec![Value::Int(-1)], vec![sym, Value::Int(5), sym], vec![Value::Int(5), sym, sym, Value::Int(i64::MIN)]];
+        for row in rows {
+            let t = Tuple::new(&row);
+            let (mut syms, mut words) = (0xF8u8, [u64::MAX; INLINE_CAP]);
+            for (k, v) in row.iter().enumerate() {
+                assert_eq!(t.word(k), v.word());
+                assert_eq!(Value::from_word(t.word(k).0, t.word(k).1), *v);
+                if k < INLINE_CAP {
+                    // Garbage in a `Sym`'s high half, as past `len`, is dropped.
+                    words[k] = v.word().0 | u64::from(v.word().1) << 40;
+                    syms |= u8::from(v.word().1) << k;
+                }
+            }
+            if row.len() <= INLINE_CAP {
+                let built = Tuple::from_parts(row.len(), syms, words);
+                assert_eq!((&built, hash_one(&built)), (&t, hash_one(&t)));
+            }
+        }
     }
 
     #[test]

@@ -37,6 +37,27 @@ impl Value {
         }
     }
 
+    /// The untagged word a row stores for this value — an `Int`'s
+    /// two's-complement bits, a `Sym`'s zero-extended id — and whether it
+    /// is a `Sym`. Two values are equal iff their pairs are.
+    #[inline]
+    pub fn word(self) -> (u64, bool) {
+        match self {
+            Value::Int(n) => (n as u64, false),
+            Value::Sym(s) => (u64::from(s.0), true),
+        }
+    }
+
+    /// The value [`Value::word`] took apart (a `Sym` keeps the low 32 bits).
+    #[inline]
+    pub fn from_word(word: u64, sym: bool) -> Self {
+        if sym {
+            Value::Sym(SymbolId(word as u32))
+        } else {
+            Value::Int(word as i64)
+        }
+    }
+
     /// Render the value using `interner` to resolve symbols.
     pub fn display(self, interner: &Interner) -> String {
         match self {

@@ -32,10 +32,11 @@
 //!   per tuple), else defer to a base function: the knob that sweeps §6's
 //!   redundancy/communication spectrum.
 
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use gst_common::fxhash::hash_one;
-use gst_common::{Error, Interner, Result, Value};
+use gst_common::{Error, FxHasher, Interner, Result, Tuple, Value};
 use gst_frontend::{Constraint, Variable};
 use gst_storage::Fragmentation;
 
@@ -46,6 +47,14 @@ pub trait Discriminator: Send + Sync {
 
     /// Assign a ground instance to a processor.
     fn assign(&self, ground: &[Value]) -> usize;
+
+    /// [`Discriminator::assign`] of the ground instance held in `row`'s
+    /// `columns`. A function that can work on the row's untagged words
+    /// ([`Tuple::word`]) overrides this and must agree with the default,
+    /// which rebuilds the values.
+    fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
+        self.assign(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
+    }
 
     /// Whether a processor can evaluate this function from a tuple alone.
     /// When `false`, sending rules cannot carry the `h(v(r)) = j`
@@ -137,6 +146,23 @@ impl Discriminator for HashMod {
 
     fn assign(&self, ground: &[Value]) -> usize {
         (hash_one(&(self.seed, ground)) % self.n as u64) as usize
+    }
+
+    /// `hash_one(&(seed, ground))` replayed step for step on the words:
+    /// the seed, the slice's length prefix, then each value's variant
+    /// index and payload.
+    fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
+        let mut h = FxHasher::default();
+        h.write_u64(self.seed);
+        h.write_usize(columns.len());
+        for &c in columns {
+            let (word, sym) = row.word(c);
+            h.write_u64(u64::from(sym));
+            h.write_u64(word);
+        }
+        let (hash, n) = (h.finish(), self.n as u64);
+        // A mask is the remainder when `n` is a power of two.
+        (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
     }
 
     fn describe(&self) -> String {
@@ -368,7 +394,7 @@ impl Discriminator for FragmentOwner {
         // Tuples outside every fragment can never fire a processing rule;
         // parking them on processor 0 is safe and keeps `assign` total.
         self.fragmentation
-            .owner_of(&gst_common::Tuple::new(ground))
+            .owner_of(&Tuple::new(ground))
             .unwrap_or(0)
     }
 
@@ -680,6 +706,10 @@ impl Constraint for DiscConstraint {
         Some(self.disc.assign(bound))
     }
 
+    fn partition_words(&self, row: &Tuple, columns: &[usize]) -> Option<usize> {
+        Some(self.disc.assign_words(row, columns))
+    }
+
     fn describe(&self, interner: &Interner) -> String {
         let names: Vec<String> = self.vars.iter().map(|v| v.name(interner)).collect();
         format!(
@@ -914,7 +944,7 @@ fn decode_disc(r: &mut wire::Reader<'_>, depth: usize) -> Result<DiscriminatorRe
                         row.push(r.get_value().ok_or_else(|| corrupt("truncated fragment tuple"))?);
                     }
                     fragment
-                        .insert(gst_common::Tuple::new(&row))
+                        .insert(Tuple::new(&row))
                         .map_err(|e| corrupt(&format!("fragment tuple rejected: {e}")))?;
                 }
                 fragments.push(fragment);

@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use gst_common::{Error, FxHashMap, Result, Tuple, Value};
+use gst_common::{Error, FxHashMap, Result, Tuple};
 use gst_frontend::{Program, ProgramAnalysis};
 use gst_storage::{Database, HashIndex, Relation};
 
@@ -110,7 +110,6 @@ struct Pools<'r> {
     stored: Vec<Tuple>,
     /// The inbox-phase states' pools, by inbox slot.
     homes: Vec<Vec<Tuple>>,
-    scratch: Vec<Value>,
     hit: Vec<Sink>,
 }
 
@@ -124,7 +123,14 @@ impl Pools<'_> {
         if let Some(slot) = self.router.always {
             return self.homes[slot].push(row);
         }
-        let routed = self.router.sinks(&row, &mut self.scratch, &mut self.hit);
+        // One hash route: its sink is the row's only one, no list needed.
+        if let Some(keyed) = self.router.lone() {
+            return match keyed.sink(&row) {
+                Ok(Some(Sink::Local(slot))) => self.homes[slot].push(row),
+                _ => self.stored.push(row),
+            };
+        }
+        let routed = self.router.sinks(&row, &mut self.hit);
         let leaves = self.hit.iter().any(|sink| matches!(sink, Sink::Remote(_)));
         let mut slots = self.hit.iter().filter_map(|sink| match *sink {
             Sink::Local(slot) => Some(slot),
@@ -152,17 +158,24 @@ fn route_fresh(
     inboxes: &mut [IdbState],
     outlets: &mut [Outlet],
 ) -> Result<()> {
-    let mut scratch: Vec<Value> = Vec::new();
     let mut hit: Vec<Sink> = Vec::new();
+    let mut put = |sink: Sink, row: &Tuple| match sink {
+        Sink::Local(slot) => inboxes[slot].pending.push(row.clone()),
+        Sink::Remote(o) => outlets[o].rows.push(row.clone()),
+    };
     for router in routers {
-        for row in heads[router.source].delta_slice() {
-            router.sinks(row, &mut scratch, &mut hit)?;
-            for sink in &hit {
-                match *sink {
-                    Sink::Local(slot) => inboxes[slot].pending.push(row.clone()),
-                    Sink::Remote(o) => outlets[o].rows.push(row.clone()),
+        let fresh = heads[router.source].delta_slice();
+        if let Some(keyed) = router.lone() {
+            for row in fresh {
+                if let Some(sink) = keyed.sink(row)? {
+                    put(sink, row);
                 }
             }
+            continue;
+        }
+        for row in fresh {
+            router.sinks(row, &mut hit)?;
+            hit.iter().for_each(|&sink| put(sink, row));
         }
     }
     Ok(())
@@ -635,7 +648,6 @@ impl FixpointEngine {
             router: &self.routers[router],
             stored: take(&mut self.idb[head]),
             homes: self.idb[self.inboxes_from..].iter_mut().map(take).collect(),
-            scratch: Vec::new(),
             hit: Vec::new(),
         };
         let out = run(self, &mut pools);
@@ -916,7 +928,7 @@ pub fn naive_eval(program: &Program, edb: &Database) -> Result<EvalResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gst_common::{ituple, Interner};
+    use gst_common::{ituple, Interner, Value};
     use gst_frontend::parse_program;
 
     /// Load `source`, returning (program, database).

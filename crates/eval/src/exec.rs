@@ -14,13 +14,18 @@
 //! keeps index syncing, which needs `&mut`, out of the immutable
 //! execution pass) and receives every successful ground substitution via
 //! the `emit` callback; the return value is the firing count that the
-//! paper's non-redundancy theorems (2 and 6) are stated over. Probe keys
-//! are never allocated per probe: key values are hashed directly into
-//! the index's bucket space via a scratch buffer reused for the whole
-//! plan.
+//! paper's non-redundancy theorems (2 and 6) are stated over.
+//!
+//! The join works on what a row stores (DESIGN.md §8): a binding slot is
+//! a column's untagged word and its is-`Sym` bit ([`Value::word`]),
+//! selections compare such pairs, a probe key is gathered on the stack
+//! and hashed as words, and a head of arity ≤ 3 is assembled from its
+//! parts. A [`Value`] is rebuilt only for an opaque constraint's
+//! arguments and for the columns of a wider (heap) head.
 
 use std::sync::{Arc, Condvar, Mutex};
 
+use gst_common::tuple::INLINE_CAP;
 use gst_common::{Tuple, Value};
 use gst_storage::{postings_in_range, HashIndex, Relation};
 
@@ -99,21 +104,9 @@ pub fn run_plan(
     emit: &mut impl FnMut(Tuple),
 ) -> u64 {
     debug_assert_eq!(accesses.len(), plan.steps.len());
-    let mut bindings = vec![Value::Int(0); plan.slot_count];
-    let mut head_buf: Vec<Value> = vec![Value::Int(0); plan.head_terms.len()];
-    let mut key_buf: Vec<Value> = Vec::new();
-    let mut firings = 0u64;
-    descend(
-        plan,
-        accesses,
-        0,
-        &mut bindings,
-        &mut head_buf,
-        &mut key_buf,
-        &mut firings,
-        emit,
-    );
-    firings
+    let mut run = Run { plan, accesses, slots: vec![(0, false); plan.slot_count], firings: 0, emit };
+    run.step(0);
+    run.firings
 }
 
 /// Configuration of the morsel-parallel executor (ROADMAP item 4b).
@@ -451,181 +444,154 @@ pub fn run_plan_morsels_profiled(
     Some((firings, nchunks as u64))
 }
 
-/// Resolve one probe-key source against current bindings.
+/// A bound value as the join holds it: [`Value::word`]'s pair.
+type Word = (u64, bool);
+
+/// Probe keys and filter arguments up to this long are gathered on the
+/// stack.
+const STACK_KEY: usize = 4;
+
+/// `f` on the items `item(0..n)`: in a stack buffer (of `zero`s) when they
+/// fit — this runs once per candidate, and a heap buffer would cost more
+/// than the probe it keys — and in a `Vec` otherwise.
 #[inline]
-fn resolve(src: &KeySource, bindings: &[Value]) -> Value {
-    match src {
-        KeySource::Slot(s) => bindings[*s],
-        KeySource::Const(c) => *c,
+fn gather<T: Copy, R>(n: usize, zero: T, item: impl Fn(usize) -> T, f: impl FnOnce(&[T]) -> R) -> R {
+    let mut stack = [zero; STACK_KEY];
+    match stack.get_mut(..n) {
+        Some(buf) => {
+            buf.iter_mut().enumerate().for_each(|(k, slot)| *slot = item(k));
+            f(buf)
+        }
+        None => f(&(0..n).map(item).collect::<Vec<T>>()),
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal hot path, flattened on purpose
-fn descend(
-    plan: &RulePlan,
-    accesses: &[Option<Access<'_>>],
-    step_index: usize,
-    bindings: &mut [Value],
-    head_buf: &mut Vec<Value>,
-    key_buf: &mut Vec<Value>,
-    firings: &mut u64,
-    emit: &mut impl FnMut(Tuple),
-) {
-    if step_index == plan.steps.len() {
-        *firings += 1;
-        for (out, term) in head_buf.iter_mut().zip(&plan.head_terms) {
-            *out = match term {
-                HeadTerm::Slot(s) => bindings[*s],
-                HeadTerm::Const(c) => *c,
-            };
+/// One execution of a plan: the binding slots and the firing count.
+struct Run<'p, 'a, F> {
+    plan: &'p RulePlan,
+    accesses: &'p [Option<Access<'a>>],
+    /// One word pair per rule variable.
+    slots: Vec<Word>,
+    firings: u64,
+    emit: &'p mut F,
+}
+
+impl<'p, F: FnMut(Tuple)> Run<'p, '_, F> {
+    #[inline]
+    fn resolve(&self, src: &KeySource) -> Word {
+        match *src {
+            KeySource::Slot(s) => self.slots[s],
+            KeySource::Const(c) => c.word(),
         }
-        emit(Tuple::new(head_buf));
-        return;
     }
 
-    match &plan.steps[step_index] {
-        PlanStep::Filter { constraint, slots } => {
-            // Discriminating sequences are short: gather the bound values
-            // on the stack — this runs once per candidate, and sending
-            // rules filter every delta tuple for every destination.
-            let mut stack = [Value::Int(0); 8];
-            let heap: Vec<Value>;
-            let values: &[Value] = if slots.len() <= stack.len() {
-                for (out, &s) in stack.iter_mut().zip(slots.iter()) {
-                    *out = bindings[s];
-                }
-                &stack[..slots.len()]
-            } else {
-                heap = slots.iter().map(|&s| bindings[s]).collect();
-                &heap
-            };
-            if constraint.holds(values) {
-                descend(
-                    plan,
-                    accesses,
-                    step_index + 1,
-                    bindings,
-                    head_buf,
-                    key_buf,
-                    firings,
-                    emit,
-                );
-            }
+    /// On to step `step_index` — or, past the last one, fire. (Deciding
+    /// here, in the caller's loop, spares a call per firing.)
+    #[inline]
+    fn step(&mut self, step_index: usize) {
+        if step_index == self.plan.steps.len() {
+            self.fire();
+        } else {
+            self.descend(step_index);
         }
-        PlanStep::Scan(scan) => {
-            let access = accesses[step_index]
-                .as_ref()
-                .expect("scan step must have a prepared access");
-            match *access {
-                Access::Empty => {}
-                Access::Probe {
-                    index,
-                    rel,
-                    start,
-                    end,
-                } => {
-                    key_buf.clear();
-                    for src in &scan.probe_values {
-                        key_buf.push(resolve(src, bindings));
-                    }
-                    let postings = postings_in_range(index.probe(rel, key_buf), start, end);
-                    let has_dead = rel.dead_count() != 0;
-                    for &row in postings {
-                        // Rows tombstoned after the index ingested them.
-                        if has_dead && !rel.is_live(row) {
-                            continue;
-                        }
-                        try_candidate(
-                            plan,
-                            accesses,
-                            step_index,
-                            scan,
-                            rel.row(row),
-                            false,
-                            bindings,
-                            head_buf,
-                            key_buf,
-                            firings,
-                            emit,
-                        );
-                    }
+    }
+
+    fn descend(&mut self, step_index: usize) {
+        let plan: &'p RulePlan = self.plan;
+        match &plan.steps[step_index] {
+            PlanStep::Filter { constraint, slots } => {
+                // An opaque constraint reads `Value`s: rebuild its arguments.
+                let value = |k: usize| {
+                    let (word, sym) = self.slots[slots[k]];
+                    Value::from_word(word, sym)
+                };
+                if gather(slots.len(), Value::Int(0), value, |bound| constraint.holds(bound)) {
+                    self.step(step_index + 1);
                 }
-                Access::Scan { rel, start, end } => {
-                    if rel.dead_count() == 0 {
-                        // Hot path: delete-free arena, plain slice walk.
-                        for t in &rel.rows()[start as usize..end as usize] {
-                            try_candidate(
-                                plan, accesses, step_index, scan, t, true, bindings, head_buf,
-                                key_buf, firings, emit,
-                            );
+            }
+            PlanStep::Scan(scan) => {
+                let access = self.accesses[step_index].expect("scan step must have a prepared access");
+                match access {
+                    Access::Empty => {}
+                    Access::Probe { index, rel, start, end } => {
+                        let sources = &scan.probe_values;
+                        let mut postings =
+                            gather(sources.len(), (0, false), |k| self.resolve(&sources[k]), |key| index.probe_words(rel, key));
+                        // Every EDB probe reads the whole arena: nothing to slice.
+                        if start != 0 || end as usize != rel.len() {
+                            postings = postings_in_range(postings, start, end);
                         }
-                    } else {
-                        for row in start..end {
-                            if !rel.is_live(row) {
+                        let has_dead = rel.dead_count() != 0;
+                        for &row in postings {
+                            // Rows tombstoned after the index ingested them.
+                            if has_dead && !rel.is_live(row) {
                                 continue;
                             }
-                            try_candidate(
-                                plan,
-                                accesses,
-                                step_index,
-                                scan,
-                                rel.row(row),
-                                true,
-                                bindings,
-                                head_buf,
-                                key_buf,
-                                firings,
-                                emit,
-                            );
+                            self.candidate(step_index, scan, rel.row(row), false);
+                        }
+                    }
+                    Access::Scan { rel, start, end } => {
+                        if rel.dead_count() == 0 {
+                            // Hot path: delete-free arena, plain slice walk.
+                            for t in &rel.rows()[start as usize..end as usize] {
+                                self.candidate(step_index, scan, t, true);
+                            }
+                        } else {
+                            for row in (start..end).filter(|&row| rel.is_live(row)) {
+                                self.candidate(step_index, scan, rel.row(row), true);
+                            }
                         }
                     }
                 }
             }
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)] // internal hot path, flattened on purpose
-fn try_candidate(
-    plan: &RulePlan,
-    accesses: &[Option<Access<'_>>],
-    step_index: usize,
-    scan: &ScanStep,
-    tuple: &Tuple,
-    check_probe: bool,
-    bindings: &mut [Value],
-    head_buf: &mut Vec<Value>,
-    key_buf: &mut Vec<Value>,
-    firings: &mut u64,
-    emit: &mut impl FnMut(Tuple),
-) {
-    if check_probe {
+    /// Test `tuple` against the step's selections, bind its fresh columns
+    /// and go on to the next step.
+    #[inline]
+    fn candidate(&mut self, step_index: usize, scan: &ScanStep, tuple: &Tuple, check_probe: bool) {
         // Raw scans must verify probe columns that an index would have
         // guaranteed.
-        for (col, src) in scan.probe_columns.iter().zip(&scan.probe_values) {
-            if tuple.get(*col) != resolve(src, bindings) {
-                return;
-            }
-        }
-    }
-    for (col, earlier) in &scan.intra_checks {
-        if tuple.get(*col) != tuple.get(*earlier) {
+        let probed = |(col, src): (&usize, &KeySource)| tuple.word(*col) == self.resolve(src);
+        if check_probe && !scan.probe_columns.iter().zip(&scan.probe_values).all(probed) {
             return;
         }
+        if !scan.intra_checks.iter().all(|&(col, earlier)| tuple.word(col) == tuple.word(earlier)) {
+            return;
+        }
+        for &(col, slot) in &scan.bindings {
+            self.slots[slot] = tuple.word(col);
+        }
+        self.step(step_index + 1);
     }
-    for (col, slot) in &scan.bindings {
-        bindings[*slot] = tuple.get(*col);
+
+    /// A successful ground substitution: count it and emit its head.
+    #[inline]
+    fn fire(&mut self) {
+        self.firings += 1;
+        let terms = &self.plan.head_terms;
+        let word = |term: &HeadTerm| match *term {
+            HeadTerm::Slot(s) => self.slots[s],
+            HeadTerm::Const(c) => c.word(),
+        };
+        let head = if terms.len() <= INLINE_CAP {
+            let (mut syms, mut words) = (0u8, [0u64; INLINE_CAP]);
+            for (k, term) in terms.iter().enumerate() {
+                let (w, sym) = word(term);
+                words[k] = w;
+                syms |= u8::from(sym) << k;
+            }
+            Tuple::from_parts(terms.len(), syms, words)
+        } else {
+            let value = |term| {
+                let (w, sym) = word(term);
+                Value::from_word(w, sym)
+            };
+            terms.iter().map(value).collect()
+        };
+        (self.emit)(head);
     }
-    descend(
-        plan,
-        accesses,
-        step_index + 1,
-        bindings,
-        head_buf,
-        key_buf,
-        firings,
-        emit,
-    );
 }
 
 #[cfg(test)]
@@ -919,9 +885,9 @@ mod tests {
     }
 
     #[test]
-    fn nested_probes_reuse_the_key_buffer() {
-        // Three-way join forces probe-inside-probe recursion; the shared
-        // key buffer must not corrupt outer probes.
+    fn nested_probes_keep_their_own_keys() {
+        // Three-way join forces probe-inside-probe recursion; an inner
+        // probe's key must not corrupt the outer probe's postings walk.
         let p = parse_program("t(X,W) :- e(X,Y), e(Y,Z), e(Z,W).")
             .unwrap()
             .program;

@@ -13,7 +13,7 @@
 //! inboxes — no channel relation, no rule firing. [`home_inbox`] says
 //! for which predicates the first half applies.
 
-use gst_common::{Error, FxHashMap, Interner, Result, Tuple, Value};
+use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
 use gst_frontend::ast::{Atom, ConstraintRef, Term, Variable};
 
 use crate::engine::find_or_push;
@@ -130,16 +130,26 @@ pub(crate) struct Router {
 }
 
 impl Router {
+    /// The source's one route, when that is a hash route: a row then has
+    /// at most one sink, [`KeyedRoute::sink`], and no list of them need be
+    /// built (every §3 preset routes a predicate so).
+    #[inline]
+    pub(crate) fn lone(&self) -> Option<&KeyedRoute> {
+        match (&self.all[..], &self.keyed[..]) {
+            ([], [keyed]) => Some(keyed),
+            _ => None,
+        }
+    }
+
     /// The distinct sinks of `row`, into `hit`: the source's broadcast
     /// sinks, then each hash route's — a sink once, however many routes
     /// pick it (Example 8: two occurrences hash a row to one processor).
-    /// `scratch` is a reusable buffer for a key's ground instance.
     #[inline]
-    pub(crate) fn sinks(&self, row: &Tuple, scratch: &mut Vec<Value>, hit: &mut Vec<Sink>) -> Result<()> {
+    pub(crate) fn sinks(&self, row: &Tuple, hit: &mut Vec<Sink>) -> Result<()> {
         hit.clear();
         hit.extend_from_slice(&self.all);
         for keyed in &self.keyed {
-            if let Some(sink) = keyed.sink(row, scratch)? {
+            if let Some(sink) = keyed.sink(row)? {
                 if !hit.contains(&sink) {
                     hit.push(sink);
                 }
@@ -149,11 +159,11 @@ impl Router {
     }
 }
 
-/// A selection a row must pass, from a constant or a repeated variable
-/// in the route's pattern.
+/// A selection a row must pass, from a constant (as [`Value::word`]
+/// gives it) or a repeated variable in the route's pattern.
 #[derive(Debug, Clone, Copy)]
 enum Test {
-    Const(usize, Value),
+    Const(usize, (u64, bool)),
     Same(usize, usize),
 }
 
@@ -170,19 +180,18 @@ pub(crate) struct KeyedRoute {
 }
 
 impl KeyedRoute {
-    /// Where `row` goes: `None` when the pattern does not select it.
+    /// Where `row` goes: `None` when the pattern does not select it. The
+    /// selections and the key read the row's words; no `Value` is built.
     #[inline]
-    fn sink(&self, row: &Tuple, scratch: &mut Vec<Value>) -> Result<Option<Sink>> {
+    pub(crate) fn sink(&self, row: &Tuple) -> Result<Option<Sink>> {
         let selected = self.tests.iter().all(|t| match *t {
-            Test::Const(p, v) => row.get(p) == v,
-            Test::Same(p, q) => row.get(p) == row.get(q),
+            Test::Const(p, word) => row.word(p) == word,
+            Test::Same(p, q) => row.word(p) == row.word(q),
         });
         if !selected {
             return Ok(None);
         }
-        scratch.clear();
-        scratch.extend(self.columns.iter().map(|&c| row.get(c)));
-        let dest = self.key.partition(scratch).ok_or_else(|| {
+        let dest = self.key.partition_words(row, &self.columns).ok_or_else(|| {
             Error::Eval("route key is not a partitioning constraint `h(v) = k`".into())
         })?;
         match self.table.get(dest) {
@@ -274,7 +283,7 @@ pub(crate) fn compile(
         let mut tests = Vec::new();
         for (p, term) in terms.iter().enumerate() {
             match term {
-                Term::Const(v) => tests.push(Test::Const(p, *v)),
+                Term::Const(v) => tests.push(Test::Const(p, v.word())),
                 Term::Var(_) => {
                     if let Some(q) = terms[..p].iter().position(|t| t == term) {
                         tests.push(Test::Same(p, q));

@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use gst_common::{Interner, SymbolId, Value};
+use gst_common::{Interner, SymbolId, Tuple, Value};
 
 /// A variable name (interned). By convention variables start with an
 /// uppercase letter or `_` in the surface syntax.
@@ -154,6 +154,15 @@ pub trait Constraint: Send + Sync {
     fn partition(&self, bound: &[Value]) -> Option<usize> {
         let _ = bound;
         None
+    }
+
+    /// [`Constraint::partition`] of the values in `row`'s `columns`, which
+    /// hold the constraint's variables in order — what a route table asks,
+    /// per emitted row. An implementation that can evaluate `f` on the
+    /// row's untagged words ([`Tuple::word`]) overrides this and must
+    /// agree with the default, which rebuilds the values.
+    fn partition_words(&self, row: &Tuple, columns: &[usize]) -> Option<usize> {
+        self.partition(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
     }
 
     /// Decide whether the constraint *could* hold given values for only a

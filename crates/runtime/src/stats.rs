@@ -134,6 +134,9 @@ pub struct ParallelStats {
     pub relay_bytes: u64,
     /// Wall-clock time of the parallel section.
     pub wall_time: Duration,
+    /// Wall-clock time of the final pooling — the serial union of the
+    /// workers' shares into the answer, after `wall_time` stops.
+    pub pooling_time: Duration,
 }
 
 impl ParallelStats {
@@ -298,6 +301,7 @@ mod tests {
             reconnects: 0,
             relay_bytes: 0,
             wall_time: Duration::ZERO,
+            pooling_time: Duration::ZERO,
         };
         assert_eq!(stats.total_tuples_sent(), 5);
         assert_eq!(stats.used_channels(), vec![(0, 1), (1, 0)]);
@@ -320,6 +324,7 @@ mod tests {
             reconnects: 0,
             relay_bytes: 0,
             wall_time: Duration::ZERO,
+            pooling_time: Duration::ZERO,
         };
         assert!(stats.communication_free());
         assert!(stats.used_channels().is_empty());

@@ -140,11 +140,13 @@ pub(crate) fn assemble_outcome(
     let mut reports: Vec<WorkerReport> = Vec::with_capacity(results.len());
     let mut relations: FxHashMap<RelationId, Relation> = FxHashMap::default();
     let mut buffers: Vec<(usize, Vec<ObsEvent>)> = Vec::with_capacity(results.len());
+    let pooling = Instant::now();
     for (report, pooled, events) in results {
         pool_into(&mut relations, pooled)?;
         buffers.push((report.processor, events));
         reports.push(report);
     }
+    let pooling_time = pooling.elapsed();
     reports.sort_by_key(|r| r.processor);
     // Deterministic tie-breaking for the stable time sort: worker buffers
     // concatenate in processor order.
@@ -164,6 +166,7 @@ pub(crate) fn assemble_outcome(
             reconnects: 0,
             relay_bytes: 0,
             wall_time,
+            pooling_time,
         },
         journal,
     })

@@ -7,7 +7,10 @@
 //! index, neither as a key nor as a posting. Keys exist only as hashes:
 //! equality on probe is verified against the projected columns of the
 //! bucket's first row, so probing needs the source relation but never
-//! allocates a key tuple.
+//! allocates a key tuple. The hash is of the key columns' untagged words
+//! ([`Tuple::word`]), so hashing a row's projection, a `Value` key and
+//! the join's word key is one function and reads no type tag; the type
+//! bit is compared when the representative row is.
 //!
 //! Because rows only append and the index ingests them in row order, each
 //! bucket's posting list is sorted ascending. A caller that wants only
@@ -47,23 +50,19 @@ pub struct HashIndex {
     built_at: u64,
 }
 
-/// Hash a probe key given as a value slice. Must agree with
-/// [`hash_projection`] — both feed the raw values to the same hasher.
-pub fn hash_key(key: &[Value]) -> u64 {
+/// Hash a key's untagged words; an `Int` and the `Sym` sharing its word
+/// collide here and are told apart when the bucket's row is verified.
+#[inline]
+fn hash_words(words: impl Iterator<Item = u64>) -> u64 {
     let mut h = FxHasher::default();
-    for v in key {
-        std::hash::Hash::hash(v, &mut h);
-    }
+    words.for_each(|w| h.write_u64(w));
     h.finish()
 }
 
-/// Hash the projection of `tuple` onto `columns`.
-fn hash_projection(tuple: &Tuple, columns: &[usize]) -> u64 {
-    let mut h = FxHasher::default();
-    for &c in columns {
-        std::hash::Hash::hash(&tuple.get(c), &mut h);
-    }
-    h.finish()
+/// Hash a probe key given as a value slice: the hash the index files the
+/// rows projecting onto `key` under.
+pub fn hash_key(key: &[Value]) -> u64 {
+    hash_words(key.iter().map(|v| v.word().0))
 }
 
 impl HashIndex {
@@ -98,38 +97,45 @@ impl HashIndex {
     /// yield `&[]`. `relation` must be the indexed relation: it supplies
     /// the representative tuple that verifies key equality.
     pub fn probe<'a>(&'a self, relation: &Relation, key: &[Value]) -> &'a [u32] {
-        debug_assert_eq!(key.len(), self.key_columns.len());
         self.probe_hashed(relation, hash_key(key), key)
     }
 
     /// [`HashIndex::probe`] with the key hash precomputed by
     /// [`hash_key`] (hot paths hoist the hashing out of posting slicing).
-    pub fn probe_hashed<'a>(
-        &'a self,
-        relation: &Relation,
-        hash: u64,
-        key: &[Value],
-    ) -> &'a [u32] {
+    pub fn probe_hashed<'a>(&'a self, relation: &Relation, hash: u64, key: &[Value]) -> &'a [u32] {
+        debug_assert_eq!(key.len(), self.key_columns.len());
+        self.postings(relation, hash, |rep| self.key_columns.iter().zip(key).all(|(&c, v)| rep.get(c) == *v))
+    }
+
+    /// [`HashIndex::probe`] for a key given as [`Value::word`] pairs, as
+    /// the join holds it: hashed and compared without building a `Value`.
+    #[inline]
+    pub fn probe_words<'a>(&'a self, relation: &Relation, key: &[(u64, bool)]) -> &'a [u32] {
+        debug_assert_eq!(key.len(), self.key_columns.len());
+        let hash = hash_words(key.iter().map(|k| k.0));
+        self.postings(relation, hash, |rep| self.key_columns.iter().zip(key).all(|(&c, k)| rep.word(c) == *k))
+    }
+
+    /// The postings filed under `hash` whose representative row `is_key`.
+    #[inline]
+    fn postings(&self, relation: &Relation, hash: u64, is_key: impl Fn(&Tuple) -> bool) -> &[u32] {
         if self.buckets.is_empty() {
             return &[];
         }
+        &self.buckets[self.slot(relation, hash, is_key)].rows
+    }
+
+    /// The bucket a key is filed in — occupied, its hash `hash` and its
+    /// representative row one `is_key` holds of — or else the vacant one
+    /// that ends the key's probe chain.
+    #[inline]
+    fn slot(&self, relation: &Relation, hash: u64, is_key: impl Fn(&Tuple) -> bool) -> usize {
         let mask = self.buckets.len() - 1;
         let mut i = (hash as usize) & mask;
         loop {
             let b = &self.buckets[i];
-            if b.rows.is_empty() {
-                return &[];
-            }
-            if b.hash == hash {
-                let rep = relation.row(b.rows[0]);
-                if self
-                    .key_columns
-                    .iter()
-                    .zip(key)
-                    .all(|(&c, v)| rep.get(c) == *v)
-                {
-                    return &b.rows;
-                }
+            if b.rows.is_empty() || (b.hash == hash && is_key(relation.row(b.rows[0]))) {
+                return i;
             }
             i = (i + 1) & mask;
         }
@@ -192,26 +198,9 @@ impl HashIndex {
             self.grow_to((self.buckets.len() * 2).max(16));
         }
         let tuple = relation.row(row);
-        let hash = hash_projection(tuple, &self.key_columns);
-        let mask = self.buckets.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let b = &self.buckets[i];
-            if b.rows.is_empty() {
-                break;
-            }
-            if b.hash == hash {
-                let rep = relation.row(b.rows[0]);
-                if self
-                    .key_columns
-                    .iter()
-                    .all(|&c| rep.get(c) == tuple.get(c))
-                {
-                    break;
-                }
-            }
-            i = (i + 1) & mask;
-        }
+        let columns = &self.key_columns;
+        let hash = hash_words(columns.iter().map(|&c| tuple.word(c).0));
+        let i = self.slot(relation, hash, |rep| columns.iter().all(|&c| rep.word(c) == tuple.word(c)));
         let b = &mut self.buckets[i];
         if b.rows.is_empty() {
             b.hash = hash;

@@ -795,12 +795,13 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             (
                 rels,
                 format!(
-                    "processors={} tuples_sent={} messages={} processing_firings={} wall={:?}{extra}{recovery}{mode}",
+                    "processors={} tuples_sent={} messages={} processing_firings={} wall={:?} pooling={:?}{extra}{recovery}{mode}",
                     scheme.processors(),
                     outcome.stats.total_tuples_sent(),
                     outcome.stats.total_messages(),
                     outcome.stats.total_processing_firings(),
-                    outcome.stats.wall_time
+                    outcome.stats.wall_time,
+                    outcome.stats.pooling_time
                 ),
                 tables,
             )
@@ -905,21 +906,44 @@ fn finish_run(
     started: std::time::Instant,
 ) -> std::result::Result<(), String> {
     let elapsed = started.elapsed();
-    for (label, rel) in &relations {
-        println!("% {label}: {} tuples", rel.len());
-        let name = label.split('/').next().unwrap_or(label);
-        let mut rows: Vec<&gst_common::Tuple> = rel.iter().collect();
-        rows.sort();
-        for t in rows {
-            let cols: Vec<String> = t.iter().map(|v| v.display(interner)).collect();
-            println!("{name}({}).", cols.join(", "));
-        }
+    // A reader that closes the pipe early (`… --print anc/2 | head -1`)
+    // ends the printing, not the run: the footer still goes to stderr
+    // and the exit status stays 0.
+    match print_relations(&relations, interner) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => return Err(format!("cannot write the answer: {e}")),
+        _ => {}
     }
     if show_stats {
         eprintln!("% scheme={scheme_name} {stats_line} total={elapsed:?}");
         eprint!("{stats_tables}");
     }
     Ok(())
+}
+
+/// Write `% pred/arity: N tuples` and the sorted facts of each relation
+/// through one buffer over the locked stdout, flushed once — a lock and,
+/// into a pipe, a `write(2)` per line cost more than evaluating.
+fn print_relations(relations: &[(String, Relation)], interner: &Interner) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut out = std::io::BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
+    for (label, rel) in relations {
+        writeln!(out, "% {label}: {} tuples", rel.len())?;
+        let name = label.split('/').next().unwrap_or(label);
+        let mut rows: Vec<&gst_common::Tuple> = rel.iter().collect();
+        rows.sort();
+        for t in rows {
+            write!(out, "{name}(")?;
+            for (k, v) in t.iter().enumerate() {
+                let sep = if k == 0 { "" } else { ", " };
+                match v {
+                    Value::Int(n) => write!(out, "{sep}{n}")?,
+                    Value::Sym(s) => write!(out, "{sep}{}", interner.resolve(s))?,
+                }
+            }
+            out.write_all(b").\n")?;
+        }
+    }
+    out.flush()
 }
 
 /// Parse an `--updates` stream: one `+fact(…).`, `-fact(…).`, or

@@ -53,6 +53,28 @@ fn run_all_schemes_agree() {
     }
 }
 
+/// A reader that closes the pipe after the header ends the printing, not
+/// the run: exit 0, silently, and `--stats` still writes its footer.
+#[test]
+fn a_closed_stdout_pipe_ends_the_printing_and_keeps_the_footer() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // 79 800 tuples, 1.2 MB of facts: far more than a pipe buffers.
+    let facts: String = (1..400).map(|k| format!("par({k},{}).", k + 1)).collect();
+    let file = write_program("closed_pipe.dl", &format!("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).\n{facts}"));
+    let mut command = pdatalog();
+    command.arg("run").arg(&file).args(["--print", "anc/2", "--stats"]);
+    let mut child = command.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().unwrap();
+    let mut header = String::new();
+    // The reader, and with it the pipe's read end, is dropped on this line.
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut header).unwrap();
+    assert_eq!(header, "% anc/2: 79800 tuples\n");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.starts_with("% scheme=seq rounds="), "only the footer: {stderr}");
+}
+
 /// An input fact for a derived predicate is refused by every parallel
 /// scheme — none of them seeds `t_in` from the database, so accepting it
 /// would silently drop `anc(9,1)` from the answer `seq` gives.

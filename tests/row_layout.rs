@@ -174,6 +174,9 @@ fn index_probe_matches_a_filtered_scan() {
                 // `hash_key` of the values is the hash the index filed the
                 // projected rows under.
                 assert_eq!(index.probe_hashed(&rel, hash_key(&key), &key), scan);
+                // The word-key probe the join calls returns the same postings.
+                let words: Vec<(u64, bool)> = key.iter().map(|v| v.word()).collect();
+                assert_eq!(index.probe_words(&rel, &words), scan, "arity {arity} on {columns:?} key {key:?}");
             }
         }
     }
