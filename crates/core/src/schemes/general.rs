@@ -40,8 +40,8 @@
 //! make the parallel execution either incorrect or redundant". A route
 //! lists only the processors its function can name, so `h^i(x) = i`
 //! ([`Constant`]) ships nothing and needs no network. A predicate is
-//! pooled from `C_in^i` or `C_out^i` as [`gst_eval::route::home_inbox`]
-//! says.
+//! pooled from `C_in^i` or `C_out^i`, and its shards appended, moved or
+//! unioned, as [`gst_eval::route::pooled_shard`] says.
 //!
 //! The planner pushes `h(v(r_k)) = i` into the join, and the paper's
 //! `D_in^i :- D, h(v(r)) = i` fragments of the base relations fall out
@@ -52,9 +52,11 @@
 //! [`FragmentOwner`]: crate::discriminator::FragmentOwner
 //! [`Constant`]: crate::discriminator::Constant
 
+use std::sync::Arc;
+
 use gst_common::{Error, Result};
 use gst_eval::plan::RelationId;
-use gst_eval::route::home_inbox;
+use gst_eval::route::pooled_shard;
 use gst_frontend::ast::{Atom, Literal};
 use gst_frontend::{Program, ProgramAnalysis, Rule, Variable};
 use gst_runtime::{ProcessorProgram, Route, WorkerSpec};
@@ -165,6 +167,10 @@ pub(crate) fn rewrite(
         }
     }
     let is_derived = |a: &Atom| derived.contains(&a.pred().into());
+    // One `h` per rule, shared by all processors: every route table then
+    // routes as every other does, which is what lets one of them speak for
+    // how a predicate's shards relate.
+    let uniform = policies.iter().all(|p| p.h.iter().all(|h| Arc::ptr_eq(h, &p.h[0])));
 
     let mut programs = Vec::with_capacity(n);
     for i in 0..n {
@@ -220,11 +226,12 @@ pub(crate) fn rewrite(
             }
         }
 
-        // Final pooling reads `t_in^i` where the home rows of `t_out^i`
-        // are stored there instead, `t_out^i` otherwise.
+        // Final pooling reads `t_in^i` where the inboxes partition or
+        // replicate `t`, or hold the home rows of `t_out^i`; `t_out^i`
+        // otherwise.
         let pooled = |&d: &RelationId| {
-            let out = namer.out(d, i);
-            (home_inbox(&routes, i, out).unwrap_or(out), d)
+            let (local, shards) = pooled_shard(&routes, i, n, namer.out(d, i), uniform);
+            (local, d, shards)
         };
         programs.push(ProcessorProgram {
             processor: i,
@@ -255,7 +262,6 @@ mod tests {
     use gst_workloads::{
         chain, even_odd, grid, linear_ancestor, nonlinear_ancestor, random_digraph,
     };
-    use std::sync::Arc;
 
     /// Paper Example 8: v(r₁) = ⟨Y⟩, v(r₂) = ⟨Z⟩, h₁ = h₂ = h.
     fn example8_choices(p: &Program, n: usize) -> Vec<RuleChoice> {

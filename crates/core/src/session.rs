@@ -7,7 +7,7 @@
 //! row of `t` is stored at home), its inboxes (`t@in^i` — its home rows
 //! and joinable copies of remote derivations), and its replica of every
 //! updatable base predicate. The answer shard is whichever of the two
-//! the scheme pools ([`gst_eval::route::home_inbox`]). Nothing else is
+//! the scheme pools ([`gst_eval::route::pooled_shard`]). Nothing else is
 //! stored: the route table ships exactly the rows that are fresh in
 //! `t@out^i` in the phase at hand, so a preseeded head ships nothing and
 //! a re-inserted tuple ships again, without any plumbing.
@@ -51,11 +51,10 @@ use std::sync::Arc;
 use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
 use gst_eval::fire_once;
 use gst_eval::plan::RelationId;
-use gst_eval::route::home_inbox;
 use gst_frontend::ast::Literal;
 use gst_frontend::Program;
 use gst_runtime::{
-    ExecutionOutcome, ParallelStats, ProcessorProgram, Route, RuntimeConfig, SessionSeed,
+    ExecutionOutcome, ParallelStats, ProcessorProgram, Route, RuntimeConfig, SessionSeed, Shards,
     Transport, WorkerSpec,
 };
 use gst_storage::{Database, Relation};
@@ -220,7 +219,7 @@ impl UpdateSession {
         for spec in &scheme.workers {
             let i = spec.program.processor;
             let mut derived: Vec<RelationId> =
-                spec.program.pooling.iter().map(|&(local, _)| local).collect();
+                spec.program.pooling.iter().map(|&(local, ..)| local).collect();
             let heads: Vec<RelationId> =
                 spec.program.program.rules.iter().map(|r| (r.head.predicate, r.head.terms.len())).collect();
             for &local in heads.iter().chain(&spec.program.inboxes) {
@@ -232,7 +231,7 @@ impl UpdateSession {
             // replica of: shards say so in the pooling pairs, the other
             // heads and inboxes follow the scheme namer's convention.
             let global_of = |local: RelationId| {
-                let pooled = spec.program.pooling.iter().find(|&&(l, _)| l == local).map(|&(_, g)| g);
+                let pooled = spec.program.pooling.iter().find(|&&(l, ..)| l == local).map(|&(_, g, _)| g);
                 let named = |&g: &RelationId| namer.input(g, i) == local || namer.out(g, i) == local;
                 pooled.or_else(|| scheme.answers.iter().copied().find(named)).unwrap_or(local)
             };
@@ -244,13 +243,17 @@ impl UpdateSession {
                 }
             }
             let mut seeded = Vec::new();
-            for &(local, global) in &spec.program.pooling {
+            for &(local, global, shards) in &spec.program.pooling {
                 match by_answer.iter_mut().find(|(g, _)| *g == global) {
-                    Some((_, shards)) => shards.push((i, local)),
+                    // One copy of a replicated answer is the answer.
+                    Some(_) if shards == Shards::Replica => {}
+                    Some((_, locals)) => locals.push((i, local)),
                     None => by_answer.push((global, vec![(i, local)])),
                 }
-                let pooled = |head| home_inbox(&spec.program.routes, i, head).unwrap_or(head) == local;
-                for &head in heads.iter().filter(|&&head| pooled(head)) {
+                // The heads whose rows the pooled relation holds: itself,
+                // or whichever a route carries into it here.
+                let routed = |head| spec.program.routes.iter().any(|r| r.source_id() == head && r.dests.contains(&(i, local)));
+                for &head in heads.iter().filter(|&&head| head == local || routed(head)) {
                     if !seeded.contains(&(global, head)) {
                         seeded.push((global, head));
                     }
@@ -261,7 +264,7 @@ impl UpdateSession {
             program.local_idb = base_preds.clone();
             program.pooling = locals
                 .iter()
-                .map(|&l| (l, cap_id(&interner, l, i)))
+                .map(|&l| (l, cap_id(&interner, l, i), Shards::Overlap))
                 .collect();
             workers.push(WorkerSpec {
                 program,
@@ -632,11 +635,11 @@ impl UpdateSession {
                 .iter()
                 .map(|&p| del_id(interner, p))
                 .collect();
-            let pooling: Vec<(RelationId, RelationId)> = self.derived_global[i]
+            let pooling = self.derived_global[i]
                 .iter()
                 .map(|&(l, _)| {
                     let d = del_id(interner, l);
-                    (d, cap_id(interner, d, i))
+                    (d, cap_id(interner, d, i), Shards::Overlap)
                 })
                 .collect();
 

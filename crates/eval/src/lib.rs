@@ -25,5 +25,5 @@ pub mod stats;
 pub use engine::{fire_once, naive_eval, seminaive_eval, seminaive_eval_with, EvalResult, FixpointEngine};
 pub use exec::{run_plan_morsels, run_plan_morsels_profiled, MorselConfig, MorselPool};
 pub use plan::{compile_rule, compile_rule_with, AtomSource, PlanOptions, PlanStep, RulePlan};
-pub use route::{Outlet, Route};
+pub use route::{Outlet, Route, Shards};
 pub use stats::{EvalStats, RoundSample, TimeMode};

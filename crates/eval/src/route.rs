@@ -62,21 +62,30 @@ impl std::fmt::Debug for Route {
     }
 }
 
+/// How the shards of one answer predicate — the relation each processor
+/// pools for it — relate, and so what final pooling has to do with them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shards {
+    /// Every row is in exactly one shard: the arenas are appended.
+    Partition,
+    /// Every shard is the whole predicate: one is moved, the rest dropped.
+    Replica,
+    /// Shards may share rows: they are unioned through the dedup table.
+    Overlap,
+}
+
 /// The storage rule, the one place it is stated: where the rows of
-/// `source` that hash home are stored at `processor`, and so which
-/// relation is pooled for `source` there.
+/// `source` that hash home are stored at `processor`.
 ///
 /// `Some(t_in^i)` when a row all of whose destinations are `processor`
 /// itself is put straight into that inbox and never into `source`, which
 /// then holds exactly the rows that were shipped. That needs (1) no
 /// broadcast route of `source` reaching another processor — every row of
-/// a remote broadcast is shipped, so none is home, and its inboxes are
-/// full copies not worth pooling — and (2) a route that selects every row
-/// (a pattern of distinct variables) and lists an inbox here, so that the
-/// inboxes of that route, over all processors, hold the whole predicate.
-/// `None` — a predicate no route consumes, or one only selective routes
-/// or a remote broadcast do — keeps every row in `source`, the relation
-/// then pooled.
+/// a remote broadcast is shipped, so none is home — and (2) a route that
+/// selects every row (a pattern of distinct variables) and lists an inbox
+/// here, so that the inboxes of that route, over all processors, hold the
+/// whole predicate. `None` — a predicate no route consumes, or one only
+/// selective routes or a remote broadcast do — keeps every row in `source`.
 pub fn home_inbox(routes: &[Route], processor: usize, source: RelationId) -> Option<RelationId> {
     let mut of_source = routes.iter().filter(|r| r.source_id() == source);
     let reaches_out = |r: &Route| r.key.is_none() && r.dests.iter().any(|&(j, _)| j != processor);
@@ -87,8 +96,42 @@ pub fn home_inbox(routes: &[Route], processor: usize, source: RelationId) -> Opt
         let terms = &r.source.terms;
         terms.iter().enumerate().all(|(p, t)| t.as_var().is_some() && !terms[..p].contains(t))
     };
-    let here = |r: &Route| r.dests.iter().find(|&&(j, _)| j == processor).map(|&(_, inbox)| inbox);
-    of_source.find(selects_all).and_then(here)
+    of_source.find(selects_all).and_then(|r| inbox_at(r, processor))
+}
+
+/// The inbox the route lists at `processor`.
+fn inbox_at(route: &Route, processor: usize) -> Option<RelationId> {
+    route.dests.iter().find(|&&(j, _)| j == processor).map(|&(_, inbox)| inbox)
+}
+
+/// … and its consequence for final pooling: the relation `processor`, one
+/// of `n`, pools for `source`, and how the `n` of them relate. `uniform`
+/// is the caller's word that every processor's table routes `source` as
+/// this one does, key functions included (one `h` shared by all); one
+/// table shows nothing of the others, so without it the answer is
+/// [`home_inbox`]'s relation, or `source`, as a [`Shards::Overlap`]. A
+/// kind is a property of all `n` shards, so both claims below rest on a
+/// route that lists an inbox at every one of the `n` processors: the same
+/// table at another processor then makes the same claim.
+///
+/// * A broadcast route — it selects every row — reaching all `n` processors
+///   makes every `t_in^j` the whole predicate: the inbox, a
+///   [`Shards::Replica`] (`source` holds only what `processor` derived).
+/// * Where [`home_inbox`] holds and `source` has that one route, keyed and
+///   reaching all `n`, a row is stored in the one inbox its key names,
+///   whoever derived it: the inbox, a [`Shards::Partition`]. A second route
+///   would copy the row to a second inbox; an `h` that cannot name every
+///   processor (`h(x) = 1`) leaves the others pooling what they shipped.
+pub fn pooled_shard(routes: &[Route], processor: usize, n: usize, source: RelationId, uniform: bool) -> (RelationId, Shards) {
+    let of_source = || routes.iter().filter(|r| r.source_id() == source);
+    let to_all = |r: &Route| uniform && (0..n).all(|j| inbox_at(r, j).is_some());
+    let replica = of_source().find(|r| r.key.is_none() && to_all(r)).and_then(|r| inbox_at(r, processor));
+    let one_keyed = of_source().map(|r| r.key.is_some() && to_all(r)).eq([true]);
+    match (replica, home_inbox(routes, processor, source)) {
+        (Some(inbox), _) => (inbox, Shards::Replica),
+        (None, Some(inbox)) if one_keyed => (inbox, Shards::Partition),
+        (None, home) => (home.unwrap_or(source), Shards::Overlap),
+    }
 }
 
 /// Rows the last advance routed to other processors, addressed to every

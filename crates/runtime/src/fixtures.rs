@@ -8,9 +8,10 @@ use gst_eval::plan::RelationId;
 use gst_frontend::parser::parse_program_with;
 use gst_storage::Database;
 
-use crate::spec::{ProcessorProgram, Route, WorkerSpec};
+use crate::spec::{ProcessorProgram, Route, Shards, WorkerSpec};
 
-/// A spec whose every rule is a processing rule, no session.
+/// A spec whose every rule is a processing rule, no session; hand-built,
+/// so its pooled shards claim nothing ([`Shards::Overlap`]).
 pub(crate) fn spec(
     processor: usize,
     program: gst_frontend::Program,
@@ -27,7 +28,7 @@ pub(crate) fn spec(
             routes,
             inboxes,
             processing_rules,
-            pooling,
+            pooling: pooling.into_iter().map(|(local, global)| (local, global, Shards::Overlap)).collect(),
             local_idb: vec![],
         },
         edb: Arc::new(db),

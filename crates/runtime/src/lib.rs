@@ -72,6 +72,6 @@ pub use profile::{
     HotRule, IdleGap, PhaseTotals, ProfileReport, RoundCost, WorkerProfile, PHASES,
 };
 pub use sim::SimTransport;
-pub use spec::{ProcessorProgram, Route, SessionSeed, WorkerSpec};
+pub use spec::{ProcessorProgram, Route, SessionSeed, Shards, WorkerSpec};
 pub use stats::{ExecutionOutcome, ParallelStats, WorkerReport};
-pub use transport::{ThreadedTransport, Transport};
+pub use transport::{shard_kinds, ShardKinds, ThreadedTransport, Transport};

@@ -738,7 +738,9 @@ pub fn run_net_worker(args: &NetWorkerArgs, decoder: Option<ConstraintDecoderFn>
             }
         }
     }
-    let (report, pooled, _events) = finish_core(core, &worker_cfg);
+    // `core` is dropped after the RESULT frame is written: the coordinator
+    // pools while this process frees its arenas.
+    let (report, pooled, _events) = finish_core(&mut core);
     let body = wire::encode_result(&report, &pooled)?;
     let mut guard = lock_gate(&gate);
     wire::write_frame(&mut *guard, wire::FRAME_RESULT, &body)
@@ -797,7 +799,7 @@ impl NetCoordinator {
 
 impl Transport for NetCoordinator {
     fn execute(&self, specs: Vec<WorkerSpec>, config: &RuntimeConfig) -> Result<ExecutionOutcome> {
-        validate_specs(&specs)?;
+        let kinds = validate_specs(&specs)?;
         let listener = TcpListener::bind(self.net.bind)
             .map_err(|e| Error::Runtime(format!("binding {}: {e}", self.net.bind)))?;
         let addr = listener
@@ -863,7 +865,7 @@ impl Transport for NetCoordinator {
 
         let (results, wall, restarts, events, reconnects, relay_bytes) = outcome?;
         let mut outcome =
-            assemble_outcome(results, wall, restarts, TimeBase::WallMicros, events)?;
+            assemble_outcome(results, &kinds, wall, restarts, TimeBase::WallMicros, events)?;
         outcome.stats.reconnects = reconnects;
         outcome.stats.relay_bytes = relay_bytes;
         Ok(outcome)
@@ -1597,7 +1599,7 @@ mod tests {
                 while core.step(&mut out).unwrap() != Step::Done {
                     out.sends.drain(..).for_each(|(_, env)| core.enqueue(env));
                 }
-                let (report, pooled, _) = finish_core(core, &job.worker);
+                let (report, pooled, _) = finish_core(&mut core);
                 let mut frames = Vec::new();
                 for nonce in 0..64 {
                     let body = wire::encode_nonce(nonce);

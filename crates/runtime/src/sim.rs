@@ -47,7 +47,7 @@ use crate::message::{Envelope, Message, MessageKind};
 use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
 use crate::spec::WorkerSpec;
 use crate::stats::ExecutionOutcome;
-use crate::transport::{assemble_outcome, validate_specs, Transport};
+use crate::transport::{assemble_outcome, validate_specs, ShardKinds, Transport};
 use crate::worker::{finish_core, watchdog_error, Outbox, Step, WorkerCore};
 
 /// Extra virtual ticks a step may cost beyond its base tick — the
@@ -194,8 +194,8 @@ impl SimTransport {
             .crash
             .is_some_and(|c| c.recover)
             .then(|| specs.clone());
-        let mut cores = match self.build_cores(specs, config) {
-            Ok(cores) => cores,
+        let (kinds, mut cores) = match self.build_cores(specs, config) {
+            Ok(built) => built,
             Err(e) => return (Err(e), Journal::default()),
         };
         // Transport-level journal entries (deliveries, stalls, crashes,
@@ -210,12 +210,10 @@ impl SimTransport {
             cores.iter_mut().map(WorkerCore::take_trace_events).collect(),
         );
         let result = driven.and_then(|restarts| {
-            let results = cores
-                .into_iter()
-                .map(|core| finish_core(core, &config.worker))
-                .collect();
+            let results = cores.iter_mut().map(finish_core).collect();
             assemble_outcome(
                 results,
+                &kinds,
                 started.elapsed(),
                 restarts,
                 TimeBase::VirtualTicks,
@@ -225,13 +223,14 @@ impl SimTransport {
         (result, journal)
     }
 
-    /// Validate the fleet and build one core per spec.
+    /// Validate the fleet — `Ok` leads with what the validation found, how
+    /// each answer's shards pool — and build one core per spec.
     fn build_cores(
         &self,
         specs: Vec<WorkerSpec>,
         config: &RuntimeConfig,
-    ) -> Result<Vec<WorkerCore>> {
-        validate_specs(&specs)?;
+    ) -> Result<(ShardKinds, Vec<WorkerCore>)> {
+        let kinds = validate_specs(&specs)?;
         if let Some(crash) = self.faults.crash {
             if crash.worker >= specs.len() {
                 return Err(gst_common::Error::Runtime(format!(
@@ -241,10 +240,8 @@ impl SimTransport {
             }
         }
         let n = specs.len();
-        specs
-            .into_iter()
-            .map(|spec| new_core(spec, n, 0, config))
-            .collect()
+        let cores = specs.into_iter().map(|spec| new_core(spec, n, 0, config));
+        Ok((kinds, cores.collect::<Result<_>>()?))
     }
 
     /// The discrete-event loop: step and deliver until every survivor

@@ -6,9 +6,9 @@
 //! the routing metadata the runtime needs — the route table that stands
 //! for the paper's sending rules, which predicates accept network input,
 //! which rules count as *processing* rules for the non-redundancy
-//! theorems, and which local relations are pooled into the global answer:
-//! `t_out^i`, or `t_in^i` where the route table stores the home rows of
-//! `t_out^i` there instead ([`gst_eval::route::home_inbox`]).
+//! theorems, and which local relations are pooled into the global answer,
+//! and how: `t_out^i`, or `t_in^i` where the route table makes the inboxes
+//! a partition or replicas of `t` ([`gst_eval::route::pooled_shard`]).
 
 use std::sync::Arc;
 
@@ -18,7 +18,7 @@ use gst_eval::FixpointEngine;
 use gst_frontend::Program;
 use gst_storage::{Database, Relation};
 
-pub use gst_eval::Route;
+pub use gst_eval::{Route, Shards};
 
 /// The program processor `i` executes, with routing metadata.
 #[derive(Debug, Clone)]
@@ -45,10 +45,11 @@ pub struct ProcessorProgram {
     /// Rule indexes (into `program.rules`) whose firings count as
     /// *processing* work under Definition 4 / Theorems 2 and 6.
     pub processing_rules: Vec<usize>,
-    /// `(local, global)` pairs: the final-pooling step unions the local
-    /// relation — a rule head, an inbox or a `local_idb` predicate — into
-    /// the global answer predicate.
-    pub pooling: Vec<(RelationId, RelationId)>,
+    /// `(local, global, shards)`: final pooling puts the local relation —
+    /// a rule head, an inbox or a `local_idb` predicate — into the global
+    /// answer predicate, as `shards` says the processors' locals relate.
+    /// A compiler's claim; a hand-built spec says [`Shards::Overlap`].
+    pub pooling: Vec<(RelationId, RelationId, Shards)>,
     /// Additional predicates the engine must treat as derived even
     /// without defining rules, *besides* the inboxes. An update session
     /// lists the updatable base predicates here so live inserts can be
@@ -140,7 +141,7 @@ impl ProcessorProgram {
     pub fn check_pooling(&self) -> Result<()> {
         let mut held = self.extra_idb();
         held.extend(self.program.rules.iter().map(|r| (r.head.predicate, r.head.terms.len())));
-        for &(local, global) in &self.pooling {
+        for &(local, global, _) in &self.pooling {
             let why = if !held.contains(&local) {
                 "which it neither derives nor declares as an inbox".to_string()
             } else if local.1 != global.1 {

@@ -47,7 +47,7 @@ use gst_storage::Relation;
 use crate::coordinator::RuntimeConfig;
 use crate::message::{Envelope, Message};
 use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
-use crate::spec::WorkerSpec;
+use crate::spec::{Shards, WorkerSpec};
 use crate::stats::{ExecutionOutcome, ParallelStats, WorkerReport};
 use crate::worker::{finish_core, take_pooled, watchdog_error, Outbox, PooledRelations, Step, WorkerCore};
 
@@ -61,13 +61,38 @@ pub trait Transport {
     fn execute(&self, specs: Vec<WorkerSpec>, config: &RuntimeConfig) -> Result<ExecutionOutcome>;
 }
 
+/// Per answer predicate, how its shards relate.
+pub type ShardKinds = FxHashMap<RelationId, Shards>;
+
+/// How final pooling puts each answer predicate's shards together: the one
+/// [`Shards`] every processor pooling it declares. A kind is a property of
+/// all the shards, so processors that disagree are a typed error — a
+/// partition appended to an overlap would be a duplicate row — and so is a
+/// replica processor 0, the one copy taken, does not pool.
+pub fn shard_kinds(specs: &[WorkerSpec]) -> Result<ShardKinds> {
+    let mut kinds = ShardKinds::default();
+    for spec in specs {
+        for &(_, global, shards) in &spec.program.pooling {
+            let known = *kinds.entry(global).or_insert(shards);
+            let untaken = shards == Shards::Replica && specs[0].program.pooling.iter().all(|p| p.1 != global);
+            if known != shards || untaken {
+                let (i, name) = (spec.program.processor, spec.program.program.interner.resolve(global.0));
+                let clash = if untaken { "processor 0 pools none".into() } else { format!("an earlier processor as {known:?}") };
+                return Err(Error::Runtime(format!("processor {i} pools {name}/{} as {shards:?}, {clash}", global.1)));
+            }
+        }
+    }
+    Ok(kinds)
+}
+
 /// Shared spec validation, before any worker starts: positions match
 /// processor ids, every pooled relation is one the processor holds, and
 /// every route delivers to a processor that exists, into an inbox that
 /// processor declares, of the routed predicate's arity — a misroute is a
 /// typed error here, not an inject failure inside a worker one step
 /// later, and a mis-declared pooling pair not a silently empty answer.
-pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<()> {
+/// `Ok` is [`shard_kinds`]: what [`pool_into`] is to do with each answer.
+pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<ShardKinds> {
     if specs.is_empty() {
         return Err(Error::Runtime("no processors to execute".into()));
     }
@@ -100,21 +125,27 @@ pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<()> {
             }
         }
     }
-    Ok(())
+    shard_kinds(specs)
 }
 
-/// Union one worker's pooled relations into the global answer. The first
-/// shard per predicate arrives by move (no per-tuple cost).
+/// Put one worker's pooled relations into the global answer. The first
+/// shard per predicate arrives by move (no per-tuple cost); a later one as
+/// the predicate's entry in `kinds` says — appended, dropped, or unioned.
 pub(crate) fn pool_into(
     relations: &mut FxHashMap<RelationId, Relation>,
+    kinds: &ShardKinds,
     pooled: PooledRelations,
 ) -> Result<()> {
     for (global, rel) in pooled {
-        match relations.entry(global) {
-            Entry::Vacant(slot) => {
+        match (relations.entry(global), kinds.get(&global).copied().unwrap_or(Shards::Overlap)) {
+            (Entry::Vacant(slot), _) => {
                 slot.insert(rel);
             }
-            Entry::Occupied(mut slot) => {
+            (Entry::Occupied(_), Shards::Replica) => {}
+            (Entry::Occupied(mut slot), Shards::Partition) => {
+                slot.get_mut().append_disjoint(rel)?;
+            }
+            (Entry::Occupied(mut slot), Shards::Overlap) => {
                 slot.get_mut().absorb_owned(rel)?;
             }
         }
@@ -129,9 +160,10 @@ pub(crate) type WorkerResult = (WorkerReport, PooledRelations, Vec<ObsEvent>);
 /// Assemble the final outcome from per-worker results (shared by all
 /// transports). Worker journal buffers travel with their reports and are
 /// merged — in processor order, after the transport's own events — into
-/// one time-sorted [`Journal`].
+/// one time-sorted [`Journal`]. `kinds` is what [`validate_specs`] gave.
 pub(crate) fn assemble_outcome(
     results: Vec<WorkerResult>,
+    kinds: &ShardKinds,
     wall_time: std::time::Duration,
     restarts: u64,
     base: TimeBase,
@@ -142,7 +174,7 @@ pub(crate) fn assemble_outcome(
     let mut buffers: Vec<(usize, Vec<ObsEvent>)> = Vec::with_capacity(results.len());
     let pooling = Instant::now();
     for (report, pooled, events) in results {
-        pool_into(&mut relations, pooled)?;
+        pool_into(&mut relations, kinds, pooled)?;
         buffers.push((report.processor, events));
         reports.push(report);
     }
@@ -194,7 +226,7 @@ fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<Work
     let mut engine = spec.build_engine()?;
     engine.set_morsels(gst_eval::MorselConfig::with_threads(config.worker.morsel_threads));
     engine.run_to_fixpoint()?;
-    let pooled = if config.worker.pool_results { take_pooled(&mut engine, &spec.program) } else { Vec::new() };
+    let pooled = take_pooled(&mut engine, &spec.program);
     let mut report = WorkerReport::new(spec.program.processor, n);
     report.set_eval(engine.stats(), &spec.program.processing_rules);
     report.pooled_tuples = pooled.iter().map(|(_, r)| r.len() as u64).sum();
@@ -204,7 +236,7 @@ fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<Work
 
 /// The zero-communication fast path: every worker runs [`run_local`] —
 /// inline for a single processor, on scoped threads otherwise.
-fn execute_silent(specs: &[WorkerSpec], config: &RuntimeConfig) -> Result<ExecutionOutcome> {
+fn execute_silent(specs: &[WorkerSpec], kinds: &ShardKinds, config: &RuntimeConfig) -> Result<ExecutionOutcome> {
     let n = specs.len();
     let started = Instant::now();
     let results: Vec<WorkerResult> = if n == 1 {
@@ -228,13 +260,7 @@ fn execute_silent(specs: &[WorkerSpec], config: &RuntimeConfig) -> Result<Execut
                 .collect::<Result<Vec<WorkerResult>>>()
         })?
     };
-    assemble_outcome(
-        results,
-        started.elapsed(),
-        0,
-        TimeBase::WallMicros,
-        Vec::new(),
-    )
+    assemble_outcome(results, kinds, started.elapsed(), 0, TimeBase::WallMicros, Vec::new())
 }
 
 /// One OS thread per processor, unbounded queues, OS scheduling, a
@@ -300,7 +326,7 @@ impl Outbox for ThreadOutbox {
 /// The per-thread driver: drain the queue, step the core, block on the
 /// queue when idle — every wake-up cause (batch, token, recover, abort)
 /// is a message on it — for at most what is left of the watchdog, honor
-/// the fail-point.
+/// the fail-point. `Ok` is the core at distributed termination.
 fn run_threaded(
     spec: WorkerSpec,
     senders: Registry,
@@ -309,12 +335,9 @@ fn run_threaded(
     epoch: u64,
     fail_after: Option<u64>,
     trace_origin: Option<Instant>,
-) -> WorkerExit {
+) -> std::result::Result<WorkerCore, WorkerExit> {
     let n = senders.len();
-    let mut core = match WorkerCore::with_epoch(spec, n, epoch) {
-        Ok(core) => core,
-        Err(e) => return WorkerExit::Fatal(e),
-    };
+    let mut core = WorkerCore::with_epoch(spec, n, epoch).map_err(WorkerExit::Fatal)?;
     core.set_morsel_threads(config.worker.morsel_threads);
     if let Some(origin) = trace_origin {
         // All sinks share the run's origin so the tracks line up.
@@ -328,23 +351,23 @@ fn run_threaded(
     let mut steps = 0u64;
     loop {
         if fail_after == Some(steps) {
-            return WorkerExit::Recoverable(Error::Runtime(format!(
+            return Err(WorkerExit::Recoverable(Error::Runtime(format!(
                 "injected fail-point crash at step {steps}"
-            )));
+            ))));
         }
         steps += 1;
         while let Ok(env) = rx.try_recv() {
             core.enqueue(env);
         }
         match core.step(&mut out) {
-            Err(e) => return WorkerExit::Fatal(e),
-            Ok(Step::Done) => break,
+            Err(e) => return Err(WorkerExit::Fatal(e)),
+            Ok(Step::Done) => return Ok(core),
             Ok(Step::Worked) => idle_since = None,
             Ok(Step::Idle) => {
                 let since = *idle_since.get_or_insert_with(Instant::now);
                 let left = config.worker.idle_watchdog.saturating_sub(since.elapsed());
                 if left.is_zero() {
-                    return WorkerExit::Fatal(watchdog_error(core.id(), since.elapsed()));
+                    return Err(WorkerExit::Fatal(watchdog_error(core.id(), since.elapsed())));
                 }
                 match rx.recv_timeout(left) {
                     Ok(env) => core.enqueue(env),
@@ -354,16 +377,15 @@ fn run_threaded(
                         // The registry anchor is gone: the coordinator
                         // itself is unwinding. Distinct from the watchdog
                         // (which means a *peer* starved us).
-                        return WorkerExit::Fatal(Error::Runtime(format!(
+                        return Err(WorkerExit::Fatal(Error::Runtime(format!(
                             "processor {}: peer channels disconnected during teardown",
                             core.id()
-                        )));
+                        ))));
                     }
                 }
             }
         }
     }
-    WorkerExit::Finished(Box::new(finish_core(core, &config.worker)))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -378,7 +400,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 impl Transport for ThreadedTransport {
     fn execute(&self, specs: Vec<WorkerSpec>, config: &RuntimeConfig) -> Result<ExecutionOutcome> {
-        validate_specs(&specs)?;
+        let kinds = validate_specs(&specs)?;
         // A silent network needs none of the machinery below. Keep the
         // full path when tracing (the journal wants round/termination
         // events), when profiling (phase attribution lives in the worker
@@ -389,7 +411,7 @@ impl Transport for ThreadedTransport {
             && !config.worker.profile
             && config.supervisor.fail_point.is_none()
         {
-            return execute_silent(&specs, config);
+            return execute_silent(&specs, &kinds, config);
         }
         let n = specs.len();
         let mut slots = Vec::with_capacity(n);
@@ -407,8 +429,7 @@ impl Transport for ThreadedTransport {
 
         let started = Instant::now();
         let trace_origin = config.trace.then_some(started);
-        let (results, total_restarts, first_error, transport_events) =
-            std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let spawn_worker =
                 |id: usize, rx: Receiver<Envelope>, epoch: u64, fail_after: Option<u64>| {
                     let spec = specs[id].clone();
@@ -416,8 +437,15 @@ impl Transport for ThreadedTransport {
                     let config = config.clone();
                     let exit_tx = exit_tx.clone();
                     scope.spawn(move || {
+                        // The report goes out first; the core — arenas,
+                        // indexes, replay logs — is freed after it, while
+                        // the supervisor already pools.
+                        let mut core = None;
                         let exit = catch_unwind(AssertUnwindSafe(|| {
-                            run_threaded(spec, registry, rx, config, epoch, fail_after, trace_origin)
+                            match run_threaded(spec, registry, rx, config, epoch, fail_after, trace_origin) {
+                                Ok(done) => WorkerExit::Finished(Box::new(finish_core(core.insert(done)))),
+                                Err(exit) => exit,
+                            }
                         }))
                         .unwrap_or_else(|payload| {
                             WorkerExit::Recoverable(Error::Runtime(format!(
@@ -527,23 +555,18 @@ impl Transport for ThreadedTransport {
                     }
                 }
             }
-            (results, total_restarts, first_error, transport_events)
-        });
-        let wall_time = started.elapsed();
-        if let Some(err) = first_error {
-            return Err(err);
-        }
-        let results: Vec<(WorkerReport, PooledRelations, Vec<ObsEvent>)> = results
-            .into_iter()
-            .map(|r| *r.expect("no error implies every worker finished"))
-            .collect();
-        assemble_outcome(
-            results,
-            wall_time,
-            total_restarts,
-            TimeBase::WallMicros,
-            transport_events,
-        )
+            let wall_time = started.elapsed();
+            if let Some(err) = first_error {
+                return Err(err);
+            }
+            let results: Vec<WorkerResult> = results
+                .into_iter()
+                .map(|r| *r.expect("no error implies every worker finished"))
+                .collect();
+            // Pooled inside the scope: the worker threads are joined when
+            // it ends, and until then they are still freeing their cores.
+            assemble_outcome(results, &kinds, wall_time, total_restarts, TimeBase::WallMicros, transport_events)
+        })
     }
 }
 
@@ -565,7 +588,7 @@ mod tests {
     /// processor, predicate and destination named.
     #[test]
     fn misroutes_are_rejected_up_front() {
-        let (mut specs, _) = crate::fixtures::pipeline();
+        let (mut specs, answer) = crate::fixtures::pipeline();
         let interner = specs[0].program.program.interner.clone();
         let wide = (interner.intern("wide"), 2);
         specs[1].program.inboxes.push(wide);
@@ -593,7 +616,17 @@ mod tests {
         assert!(e.contains("processor 1 pools nowhere/1, which it neither derives nor declares"), "{e}");
         let e = pools(wide);
         assert!(e.contains("processor 1 pools wide/2, into answer/1"), "{e}");
-        assert!(matches!(validate_specs(&specs), Ok(())), "an inbox may be pooled");
+        let kinds = validate_specs(&specs).expect("an inbox may be pooled");
+        assert_eq!(kinds.into_iter().collect::<Vec<_>>(), [(answer, Shards::Overlap)]);
+        // A kind is the predicate's, not a processor's: two that disagree
+        // would append to a union. And a replica only processor 1
+        // declares would be taken from nobody.
+        specs[1].program.pooling[0].2 = Shards::Replica;
+        let e = validate_specs(&specs).unwrap_err().to_string();
+        assert!(e.contains("processor 1 pools answer/1 as Replica, an earlier processor as Overlap"), "{e}");
+        specs[0].program.pooling.clear();
+        let e = validate_specs(&specs).unwrap_err().to_string();
+        assert!(e.contains("processor 1 pools answer/1 as Replica, processor 0 pools none"), "{e}");
     }
 
     /// The zero-communication fast path computes the same least model and

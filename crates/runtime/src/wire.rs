@@ -53,7 +53,7 @@ use gst_storage::{Database, Relation};
 
 use crate::codec::{self, put_bytes, put_uv, put_sv, Cursor};
 use crate::message::{Envelope, Message, Payload};
-use crate::spec::{ProcessorProgram, Route, SessionSeed, WorkerSpec};
+use crate::spec::{ProcessorProgram, Route, SessionSeed, Shards, WorkerSpec};
 use crate::stats::WorkerReport;
 use crate::termination::{Color, TokenMsg};
 use crate::worker::{PooledRelations, WorkerConfig};
@@ -180,6 +180,10 @@ fn get_flag(c: &mut Cursor, what: &str) -> Result<bool> {
         _ => Err(corrupt(what)),
     }
 }
+
+/// How a pooled predicate's shards relate, as one byte of the JOB frame
+/// (`take_pooled` reads it): its index here.
+const SHARDS: [Shards; 3] = [Shards::Partition, Shards::Replica, Shards::Overlap];
 
 fn get_symbol(c: &mut Cursor, interner: &Interner, what: &str) -> Result<SymbolId> {
     let idx = c.get_uv().ok_or_else(|| corrupt(what))?;
@@ -315,7 +319,6 @@ pub(crate) fn encode_job(
     put_uv(&mut buf, epoch);
     put_uv(&mut buf, n as u64);
     put_uv(&mut buf, worker.idle_watchdog.as_micros() as u64);
-    buf.push(u8::from(worker.pool_results));
     put_uv(&mut buf, worker.morsel_threads as u64);
     buf.push(u8::from(worker.profile));
 
@@ -376,7 +379,6 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
         return Err(corrupt(&format!("implausible fleet size {n}")));
     }
     let idle_watchdog = c.get_uv().ok_or_else(|| corrupt("job idle_watchdog"))?;
-    let pool_results = get_flag(&mut c, "job pool flag")?;
     let morsel_threads = get_usize(&mut c, "job morsel threads")?;
     if morsel_threads == 0 || morsel_threads > 1 << 12 {
         return Err(corrupt(&format!(
@@ -386,7 +388,6 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
     let profile = get_flag(&mut c, "job profile flag")?;
     let worker = WorkerConfig {
         idle_watchdog: Duration::from_micros(idle_watchdog),
-        pool_results,
         morsel_threads,
         profile,
     };
@@ -496,9 +497,10 @@ fn put_processor_program(buf: &mut Vec<u8>, pp: &ProcessorProgram) -> Result<()>
         put_uv(buf, *r as u64);
     }
     put_uv(buf, pp.pooling.len() as u64);
-    for (local, global) in &pp.pooling {
+    for (local, global, shards) in &pp.pooling {
         put_relation_id(buf, *local);
         put_relation_id(buf, *global);
+        buf.push(SHARDS.iter().position(|s| s == shards).expect("every kind is listed") as u8);
     }
     put_uv(buf, pp.local_idb.len() as u64);
     for id in &pp.local_idb {
@@ -548,7 +550,8 @@ fn get_processor_program(
     for _ in 0..npool {
         let local = get_relation_id(c, interner)?;
         let global = get_relation_id(c, interner)?;
-        pooling.push((local, global));
+        let shards = c.get_u8().and_then(|b| SHARDS.get(usize::from(b)));
+        pooling.push((local, global, *shards.ok_or_else(|| corrupt("pooling shards"))?));
     }
     let local_idb = read_ids(c, "local idb")?;
     Ok(ProcessorProgram {
@@ -1123,7 +1126,6 @@ mod tests {
         assert_eq!(job.epoch, 3);
         assert_eq!(job.n, 4);
         assert_eq!(job.worker.idle_watchdog, WorkerConfig::default().idle_watchdog);
-        assert!(job.worker.pool_results);
         assert_eq!(job.worker.morsel_threads, 1);
         assert_eq!(job.spec.program.processor, 1);
         assert_eq!(job.spec.program.program.rules, spec.program.program.rules);

@@ -51,7 +51,7 @@ use gst_eval::FixpointEngine;
 use crate::message::{Envelope, Message, Payload};
 use crate::obs::{ObsEvent, ObsKind, TraceSink};
 use crate::profile::{Profiler, PHASE_COMPUTE, PHASE_DECODE, PHASE_ENCODE, PHASE_REPLAY};
-use crate::spec::{ProcessorProgram, WorkerSpec};
+use crate::spec::{ProcessorProgram, Shards, WorkerSpec};
 use crate::stats::WorkerReport;
 use crate::termination::{Safra, TokenAction, TokenMsg};
 
@@ -61,11 +61,6 @@ pub struct WorkerConfig {
     /// Give up if passive this long with no arrival — batch, token or
     /// control message — on the queue the worker blocks on (a peer died).
     pub idle_watchdog: Duration,
-    /// Perform the final-pooling step. Disable to measure the recursive
-    /// computation alone — the paper treats pooling as a separate cost
-    /// ("might require communication from all processors to a single
-    /// processor", §3 step 5).
-    pub pool_results: bool,
     /// Intra-worker morsel parallelism: threads each worker's engine may
     /// fan a large semi-naive delta across. 1 (the default) keeps the
     /// engine strictly sequential.
@@ -80,7 +75,6 @@ impl Default for WorkerConfig {
     fn default() -> Self {
         WorkerConfig {
             idle_watchdog: Duration::from_secs(30),
-            pool_results: true,
             morsel_threads: 1,
             profile: false,
         }
@@ -206,7 +200,7 @@ pub(crate) struct WorkerCore {
     /// The report this worker will hand back, counted into as it runs:
     /// traffic, codec, recovery and busy-time counters. The engine's side
     /// (`eval`, `processing_firings`), the profile and the pooled count
-    /// are filled in by [`WorkerCore::into_report`].
+    /// are filled in by [`finish_core`].
     report: WorkerReport,
     /// Event journal buffer; disabled (free) unless tracing is on.
     sink: TraceSink,
@@ -837,38 +831,34 @@ impl WorkerCore {
         self.ctrl_seq[dest] += 1;
         seq
     }
-
-    pub(crate) fn into_report(self, pooled_tuples: u64) -> WorkerReport {
-        let mut report = self.report;
-        report.set_eval(self.engine.stats(), &self.spec.program.processing_rules);
-        report.profile = self.prof.map(|p| p.profile);
-        report.pooled_tuples = pooled_tuples;
-        report
-    }
 }
 
 /// Move the pooled relations out of the engine (final pooling, §3
-/// step 5) — a move, not a clone, so pooling cost is one union at the
-/// coordinator. Every pair names a relation the engine holds
-/// ([`ProcessorProgram::check_pooling`], checked before any worker starts).
+/// step 5) — a move, not a clone. Every pair names a relation the engine
+/// holds ([`ProcessorProgram::check_pooling`], checked before any worker
+/// starts). Of a [`Shards::Replica`] only processor 0's copy is taken:
+/// the others are the same rows, neither moved nor shipped.
 pub(crate) fn take_pooled(engine: &mut FixpointEngine, program: &ProcessorProgram) -> PooledRelations {
-    let pairs = program.pooling.iter();
-    pairs.filter_map(|&(local, global)| Some((global, engine.take_relation(local)?))).collect()
+    let pairs = program.pooling.iter().filter(|pair| pair.2 != Shards::Replica || program.processor == 0);
+    pairs.filter_map(|&(local, global, _)| Some((global, engine.take_relation(local)?))).collect()
 }
 
-/// `(global predicate, relation)` pairs a worker pools into the answer.
-pub(crate) type PooledRelations = Vec<((gst_common::SymbolId, usize), gst_storage::Relation)>;
+/// `(global predicate, relation)` pairs a worker pools into the answer;
+/// how they go in is the coordinator's to look up
+/// ([`crate::transport::shard_kinds`]), not the worker's to say.
+pub(crate) type PooledRelations = Vec<(RelationId, gst_storage::Relation)>;
 
-/// Finish a terminated core: pool (if configured), drain the journal
-/// buffer, and build the report.
-pub(crate) fn finish_core(
-    mut core: WorkerCore,
-    config: &WorkerConfig,
-) -> (WorkerReport, PooledRelations, Vec<ObsEvent>) {
-    let pooled = if config.pool_results { take_pooled(&mut core.engine, &core.spec.program) } else { Vec::new() };
-    let pooled_tuples = pooled.iter().map(|(_, r)| r.len() as u64).sum();
-    let events = core.take_trace_events();
-    (core.into_report(pooled_tuples), pooled, events)
+/// Finish a terminated core: pool, drain the journal buffer and build the
+/// report. The core is left to its caller, who hands this result on
+/// *before* dropping it: freeing the engine's arenas and indexes and the
+/// replay logs then overlaps final pooling instead of delaying it.
+pub(crate) fn finish_core(core: &mut WorkerCore) -> (WorkerReport, PooledRelations, Vec<ObsEvent>) {
+    let pooled = take_pooled(&mut core.engine, &core.spec.program);
+    let mut report = std::mem::replace(&mut core.report, WorkerReport::new(core.id, core.n));
+    report.set_eval(core.engine.stats(), &core.spec.program.processing_rules);
+    report.profile = core.prof.take().map(|p| p.profile);
+    report.pooled_tuples = pooled.iter().map(|(_, r)| r.len() as u64).sum();
+    (report, pooled, core.take_trace_events())
 }
 
 /// The watchdog error every transport reports when a worker starves while

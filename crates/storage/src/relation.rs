@@ -20,6 +20,8 @@
 //! the *arena* row count — callers that want the set cardinality use
 //! [`Relation::live_len`].
 
+use std::sync::OnceLock;
+
 use gst_common::{fxhash::hash_one, Error, Interner, Result, Tuple};
 
 /// Sentinel marking a vacant dedup slot; real row ids stay below it.
@@ -60,6 +62,20 @@ impl RowTable {
         let mut t = RowTable::default();
         if rows > 0 {
             t.grow_to(slots_for(rows));
+        }
+        t
+    }
+
+    /// The table of an arena whose live rows are pairwise distinct: every
+    /// live row is hashed once and put in the first vacant slot of its
+    /// chain — no probe for equality, no growth.
+    fn of_rows(rows: &[Tuple], dead: &[u64]) -> Self {
+        let mut t = RowTable::with_capacity(rows.len());
+        for (row, tuple) in rows.iter().enumerate().filter(|&(row, _)| live(dead, row)) {
+            let hash = fold(hash_one(tuple));
+            if let Err(slot) = t.probe(hash, |_| false) {
+                t.occupy(slot, hash, row as u32);
+            }
         }
         t
     }
@@ -202,6 +218,25 @@ fn slots_for(rows: usize) -> usize {
     (rows * 8 / 5 + 1).next_power_of_two().max(16)
 }
 
+/// True unless bit `row` of the tombstone bitmap `dead` is set.
+#[inline]
+fn live(dead: &[u64], row: usize) -> bool {
+    dead.get(row / 64).is_none_or(|word| word & (1u64 << (row % 64)) == 0)
+}
+
+/// The typed error of a union across arities.
+fn arity_mismatch(a: usize, b: usize) -> Error {
+    Error::Storage(format!("arity mismatch in union: {a} vs {b}"))
+}
+
+/// Row ids are `u32`s below [`VACANT`]: an arena of `rows` rows must fit.
+fn check_row_ids(rows: usize) -> Result<()> {
+    if rows >= VACANT as usize {
+        return Err(Error::Storage(format!("{rows} rows exceed the u32 row-id space")));
+    }
+    Ok(())
+}
+
 /// A set of tuples of a fixed arity, stored once in insertion order.
 ///
 /// Inserts are idempotent (set semantics) and report whether the tuple
@@ -214,7 +249,11 @@ fn slots_for(rows: usize) -> usize {
 pub struct Relation {
     arity: usize,
     rows: Vec<Tuple>,
-    table: RowTable,
+    /// The dedup table: set at construction and kept in step by every
+    /// insert and delete. Only [`Relation::append_disjoint`] unsets it; the
+    /// first probe or mutation after that rebuilds it from the arena, once
+    /// (through `&self` too, hence the `OnceLock`: a relation stays `Sync`).
+    table: OnceLock<RowTable>,
     /// Tombstone bitmap over arena rows: bit set ⇒ row is dead. Bits
     /// past the vector's end are implicitly live, so appends never have
     /// to grow it — the (overwhelmingly common) delete-free relation
@@ -230,7 +269,7 @@ impl Relation {
         Relation {
             arity,
             rows: Vec::new(),
-            table: RowTable::default(),
+            table: OnceLock::from(RowTable::default()),
             dead: Vec::new(),
             dead_count: 0,
         }
@@ -241,7 +280,7 @@ impl Relation {
         Relation {
             arity,
             rows: Vec::with_capacity(capacity),
-            table: RowTable::with_capacity(capacity),
+            table: OnceLock::from(RowTable::with_capacity(capacity)),
             dead: Vec::new(),
             dead_count: 0,
         }
@@ -278,10 +317,20 @@ impl Relation {
     /// Rows past the bitmap's end are live by construction.
     #[inline]
     pub fn is_live(&self, row: u32) -> bool {
-        match self.dead.get(row as usize / 64) {
-            Some(word) => word & (1u64 << (row % 64)) == 0,
-            None => true,
-        }
+        live(&self.dead, row as usize)
+    }
+
+    /// The dedup table for a probe, rebuilt first (once, whoever asks) if
+    /// [`Relation::append_disjoint`] discarded it.
+    fn table(&self) -> &RowTable {
+        self.table.get_or_init(|| RowTable::of_rows(&self.rows, &self.dead))
+    }
+
+    /// … and for a mutation. Takes the fields, not `self`, so the caller
+    /// may go on reading and pushing `rows`.
+    fn table_mut<'a>(table: &'a mut OnceLock<RowTable>, rows: &[Tuple], dead: &[u64]) -> &'a mut RowTable {
+        table.get_or_init(|| RowTable::of_rows(rows, dead));
+        table.get_mut().expect("initialised above")
     }
 
     /// Monotone stamp bumped on every successful insert.
@@ -330,17 +379,18 @@ impl Relation {
     pub fn insert_unchecked(&mut self, tuple: Tuple) -> bool {
         debug_assert_eq!(tuple.arity(), self.arity);
         let hash = fold(hash_one(&tuple));
+        let table = Self::table_mut(&mut self.table, &self.rows, &self.dead);
         // Grow *before* probing so the vacant slot the probe lands on is
         // still the right insert position afterwards.
-        self.table.reserve_one();
+        table.reserve_one();
         let rows = &self.rows;
-        match self.table.probe(hash, |r| rows[r as usize] == tuple) {
+        match table.probe(hash, |r| rows[r as usize] == tuple) {
             Ok(_) => false,
             Err(slot) => {
                 let row = self.rows.len() as u32;
                 debug_assert!(row < VACANT, "relation exceeds u32 row-id space");
                 self.rows.push(tuple);
-                self.table.occupy(slot, hash, row);
+                table.occupy(slot, hash, row);
                 true
             }
         }
@@ -360,21 +410,22 @@ impl Relation {
             return 0;
         }
         let before = self.rows.len();
-        self.table.reserve_rows(before + pending.len());
+        let table = Self::table_mut(&mut self.table, &self.rows, &self.dead);
+        table.reserve_rows(before + pending.len());
         let mut hashes: Vec<u32> = Vec::with_capacity(pending.len());
         hashes.extend(pending.iter().map(|t| fold(hash_one(t))));
         for (i, t) in pending.drain(..).enumerate() {
             debug_assert_eq!(t.arity(), self.arity);
             if let Some(&ahead) = hashes.get(i + LOOKAHEAD) {
-                self.table.touch(ahead);
+                table.touch(ahead);
             }
             let hash = hashes[i];
             let rows = &self.rows;
-            if let Err(slot) = self.table.probe(hash, |r| rows[r as usize] == t) {
+            if let Err(slot) = table.probe(hash, |r| rows[r as usize] == t) {
                 let row = self.rows.len() as u32;
                 debug_assert!(row < VACANT, "relation exceeds u32 row-id space");
                 self.rows.push(t);
-                self.table.occupy(slot, hash, row);
+                table.occupy(slot, hash, row);
             }
         }
         (self.rows.len() - before) as u64
@@ -394,7 +445,8 @@ impl Relation {
         }
         let rows = &self.rows;
         let hash = fold(hash_one(tuple));
-        match self.table.remove(hash, |r| &rows[r as usize] == tuple) {
+        let table = Self::table_mut(&mut self.table, rows, &self.dead);
+        match table.remove(hash, |r| &rows[r as usize] == tuple) {
             Some(row) => {
                 let word = row as usize / 64;
                 if word >= self.dead.len() {
@@ -413,7 +465,7 @@ impl Relation {
     /// table entry).
     pub fn contains(&self, tuple: &Tuple) -> bool {
         let rows = &self.rows;
-        self.table
+        self.table()
             .find(fold(hash_one(tuple)), |r| &rows[r as usize] == tuple)
             .is_some()
     }
@@ -450,10 +502,7 @@ impl Relation {
     /// Absorb all tuples of `other`; returns how many were new.
     pub fn absorb(&mut self, other: &Relation) -> Result<usize> {
         if other.arity != self.arity {
-            return Err(Error::Storage(format!(
-                "arity mismatch in union: {} vs {}",
-                self.arity, other.arity
-            )));
+            return Err(arity_mismatch(self.arity, other.arity));
         }
         let mut added = 0;
         for t in other.iter() {
@@ -473,28 +522,41 @@ impl Relation {
     /// Arity mismatch, as for [`Relation::absorb`].
     pub fn absorb_owned(&mut self, other: Relation) -> Result<usize> {
         if other.arity != self.arity {
-            return Err(Error::Storage(format!(
-                "arity mismatch in union: {} vs {}",
-                self.arity, other.arity
-            )));
+            return Err(arity_mismatch(self.arity, other.arity));
         }
         let mut rows = if other.dead_count == 0 {
             other.rows
         } else {
             // Dead rows must not be resurrected by the union.
             let dead = &other.dead;
-            other
-                .rows
-                .into_iter()
-                .enumerate()
-                .filter(|(row, _)| {
-                    dead.get(row / 64)
-                        .is_none_or(|w| w & (1u64 << (row % 64)) == 0)
-                })
-                .map(|(_, t)| t)
-                .collect()
+            other.rows.into_iter().enumerate().filter(|&(row, _)| live(dead, row)).map(|(_, t)| t).collect()
         };
         Ok(self.insert_batch(&mut rows) as usize)
+    }
+
+    /// Append the rows of `other`, none of which `self` holds — the
+    /// caller's word, checked in debug builds (final pooling of a hash
+    /// partition: every row has one home). The arena is extended and the
+    /// dedup table *discarded*: no row is hashed or probed, no table grown;
+    /// whoever first probes or mutates the relation rebuilds it, once.
+    /// Returns how many rows were appended. A shard carrying tombstones
+    /// goes through [`Relation::absorb_owned`] instead.
+    ///
+    /// # Errors
+    /// Arity mismatch, or an arena outgrowing the `u32` row-id space.
+    pub fn append_disjoint(&mut self, other: Relation) -> Result<usize> {
+        if other.dead_count != 0 {
+            return self.absorb_owned(other);
+        }
+        if other.arity != self.arity {
+            return Err(arity_mismatch(self.arity, other.arity));
+        }
+        check_row_ids(self.rows.len() + other.rows.len())?;
+        debug_assert!(other.rows.iter().all(|t| !self.contains(t)), "append_disjoint: a row is already present");
+        let added = other.rows.len();
+        self.rows.extend(other.rows);
+        self.table = OnceLock::new();
+        Ok(added)
     }
 
     /// Render the relation as sorted, one-tuple-per-line text.
@@ -694,6 +756,81 @@ mod tests {
         dst2.insert(ituple![4]).unwrap();
         assert_eq!(dst2.absorb_owned(src2).unwrap(), 0);
         assert!(dst2.contains(&ituple![4]), "dead source row cannot delete");
+    }
+
+    /// `0..n` as unary rows, built by inserts (the eager state).
+    fn upto(range: std::ops::Range<i64>) -> Relation {
+        range.map(|k| ituple![k]).collect()
+    }
+
+    /// `0..4` then `4..8`, appended: the table-less state.
+    fn appended() -> Relation {
+        let mut r = upto(0..4);
+        assert_eq!(r.append_disjoint(upto(4..8)).unwrap(), 4);
+        assert!(r.table.get().is_none(), "append_disjoint discards the table");
+        r
+    }
+
+    #[test]
+    fn append_disjoint_extends_the_arena_in_order_and_probes_rebuild_the_table_once() {
+        let (r, built) = (appended(), upto(0..8));
+        assert_eq!((r.rows(), r.len(), r.live_len()), (built.rows(), 8, 8));
+        assert!(r.clone().table.get().is_none(), "a clone stays table-less");
+        assert!(r.contains(&ituple![6]) && !r.contains(&ituple![8]));
+        let first = r.table.get().expect("the probe built it") as *const RowTable;
+        assert!(r.contains(&ituple![0]) && std::ptr::eq(first, r.table.get().unwrap()), "and only once");
+        assert!(appended().set_eq(&built) && built.set_eq(&appended()), "set_eq, either side table-less");
+        assert!(!appended().set_eq(&upto(0..7)) && !upto(1..9).set_eq(&appended()));
+    }
+
+    #[test]
+    fn mutations_after_append_disjoint_agree_with_a_relation_built_by_inserts() {
+        let mut r = appended();
+        assert!(!r.insert_unchecked(ituple![5]) && r.insert_unchecked(ituple![8]));
+        assert_eq!(r.rows(), upto(0..9).rows());
+
+        let mut r = appended();
+        assert_eq!(r.insert_batch(&mut vec![ituple![7], ituple![9], ituple![0], ituple![9]]), 1);
+        assert_eq!(r.sorted(), [upto(0..8).sorted(), vec![ituple![9]]].concat());
+
+        let mut r = appended();
+        assert!(r.delete(&ituple![6]) && !r.delete(&ituple![6]) && !r.contains(&ituple![6]));
+        assert!((r.len(), r.live_len()) == (8, 7) && r.insert_unchecked(ituple![6]) && r.is_live(8));
+
+        let (mut r, mut into) = (appended(), upto(6..10));
+        assert_eq!((r.absorb(&upto(6..10)).unwrap(), into.absorb(&appended()).unwrap()), (2, 6));
+        assert!(r.set_eq(&upto(0..10)) && into.set_eq(&r));
+        assert_eq!(upto(6..10).absorb_owned(appended()).unwrap(), 6);
+
+        // Appending twice, and appending to a relation holding tombstones:
+        // the rebuilt table leaves the dead row out.
+        let mut r = appended();
+        r.delete(&ituple![1]);
+        r.append_disjoint(upto(8..12)).unwrap();
+        assert!(r.contains(&ituple![11]) && !r.contains(&ituple![1]) && r.insert_unchecked(ituple![1]));
+        assert_eq!((r.len(), r.live_len()), (13, 12));
+    }
+
+    #[test]
+    fn append_disjoint_unions_a_tombstoned_shard_and_types_its_errors() {
+        let mut shard = upto(2..6);
+        shard.delete(&ituple![4]);
+        let mut r = upto(0..3);
+        assert_eq!(r.append_disjoint(shard).unwrap(), 2, "2 is held, 4 is dead: the absorb_owned path");
+        assert!(r.table.get().is_some() && r.sorted() == [upto(0..4).sorted(), vec![ituple![5]]].concat());
+        let err = r.append_disjoint(Relation::new(2)).unwrap_err();
+        assert!(matches!(&err, Error::Storage(m) if m.contains("arity mismatch")), "{err}");
+        // Row ids stop short of the vacant-slot sentinel; one past is an error.
+        assert!(check_row_ids(u32::MAX as usize - 1).is_ok());
+        let err = check_row_ids(u32::MAX as usize).unwrap_err();
+        assert!(matches!(&err, Error::Storage(m) if m.contains("row-id space")), "{err}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already present")]
+    fn append_disjoint_checks_the_callers_word_in_debug_builds() {
+        upto(0..4).append_disjoint(upto(3..6)).unwrap();
     }
 
     /// Tiny deterministic PRNG (xorshift64*) so the property tests below

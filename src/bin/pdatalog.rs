@@ -118,7 +118,7 @@ use std::sync::Arc;
 
 use parallel_datalog::core::dataflow::{zero_comm_choice, DataflowGraph};
 use parallel_datalog::prelude::*;
-use parallel_datalog::runtime::{FaultPlan, SimTransport};
+use parallel_datalog::runtime::{shard_kinds, FaultPlan, Shards, SimTransport};
 use parallel_datalog::storage::round_robin_fragment;
 
 fn main() -> ExitCode {
@@ -780,6 +780,21 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 }
                 _ => extra,
             };
+            // What final pooling did with each answer predicate's shards:
+            // the lookup `pool_into` itself acted on.
+            let kinds = shard_kinds(&scheme.workers).map_err(|e| e.to_string())?;
+            let pooled: Vec<String> = scheme
+                .answers
+                .iter()
+                .map(|answer| {
+                    let how = match kinds.get(answer) {
+                        Some(Shards::Partition) if workers > 1 => "append",
+                        Some(Shards::Overlap) if workers > 1 => "union",
+                        _ => "move",
+                    };
+                    format!("{}/{}:{how}", program.interner.resolve(answer.0), answer.1)
+                })
+                .collect();
             let rels = take_printed(&print_ids, &mut outcome.relations);
             let tables = if show_stats {
                 format!(
@@ -795,13 +810,14 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             (
                 rels,
                 format!(
-                    "processors={} tuples_sent={} messages={} processing_firings={} wall={:?} pooling={:?}{extra}{recovery}{mode}",
+                    "processors={} tuples_sent={} messages={} processing_firings={} wall={:?} pooling={:?} pooled={}{extra}{recovery}{mode}",
                     scheme.processors(),
                     outcome.stats.total_tuples_sent(),
                     outcome.stats.total_messages(),
                     outcome.stats.total_processing_firings(),
                     outcome.stats.wall_time,
-                    outcome.stats.pooling_time
+                    outcome.stats.pooling_time,
+                    pooled.join(",")
                 ),
                 tables,
             )

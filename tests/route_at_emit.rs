@@ -16,7 +16,7 @@ use parallel_datalog::eval::{plan::RelationId, route::home_inbox, FixpointEngine
 use parallel_datalog::frontend::pretty;
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{
-    FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, ParallelStats, Route, SimTransport,
+    FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, ParallelStats, Route, Shards, SimTransport,
 };
 use parallel_datalog::workloads::{
     chain, even_odd, grid, linear_ancestor, nonlinear_ancestor, random_digraph,
@@ -203,7 +203,7 @@ fn a_home_row_is_stored_once_and_t_out_holds_what_was_shipped() {
                         bypassed += len(head);
                     }
                 }
-                for (local, _) in w.program.pooling.iter().filter(|(_, g)| *g == fx.output_id()) {
+                for (local, ..) in w.program.pooling.iter().filter(|(_, g, _)| *g == fx.output_id()) {
                     pooled.absorb(engine.relation(*local).unwrap()).unwrap();
                 }
             }
@@ -222,7 +222,7 @@ fn stored_after_sim(scheme: &CompiledScheme, t: RelationId) -> (ExecutionOutcome
     for (i, spec) in specs.iter_mut().enumerate() {
         let pp = &mut spec.program;
         let head = (pp.program.rules[0].head.predicate, t.1);
-        pp.pooling = vec![(head, cap("out", i)), (pp.inboxes[0], cap("in", i))];
+        pp.pooling = vec![(head, cap("out", i), Shards::Overlap), (pp.inboxes[0], cap("in", i), Shards::Overlap)];
     }
     let outcome = SimTransport::new(5).execute(specs, &RuntimeConfig::default()).unwrap();
     let stored = (0..scheme.processors())
@@ -271,7 +271,7 @@ fn rows_no_route_selects_are_still_pooled() {
         let scheme = rewrite_general(&unit.program, &choices, &db, BaseDistribution::Shared).unwrap();
         let (r, w) = (scheme.answers[0], &scheme.workers[0].program);
         let out = (w.program.rules[0].head.predicate, 2);
-        assert_eq!((home_inbox(&w.routes, 0, out), &w.pooling[..]), (None, &[(out, r)][..]), "{rule}");
+        assert_eq!((home_inbox(&w.routes, 0, out), &w.pooling[..]), (None, &[(out, r, Shards::Overlap)][..]), "{rule}");
         let seq = seminaive_eval(&unit.program, &db).unwrap().relation(r);
         let outcome = scheme.run_simulated(9, FaultPlan::none()).unwrap();
         assert!(seq.len() > 41 && outcome.relation(r).set_eq(&seq), "{rule}");
