@@ -1,231 +1,254 @@
 //! Compile-time choice of discriminating sequences.
 //!
-//! Section 5 closes with: the network derivation "can be performed at
-//! compile time and can be used to adapt the parallel execution onto an
-//! existing parallel architecture". This module is that compiler pass for
-//! linear sirups: enumerate the position-based candidate sequences,
-//! derive each candidate's properties — zero-communication (Theorem 3),
-//! network density under a bit-vector function, whether sends can be
-//! routed point-to-point, whether the base relations can be fragmented —
-//! and rank them against a target architecture's preferences.
+//! §7 lets every rule `r_k` take any sequence `v(r_k)` of its body
+//! variables and leaves the choice to the compiler (§5 closes with "can be
+//! performed at compile time", §8 says the same of the whole scheme); the
+//! rewrite's broadcast fallback keeps *any* choice correct, so the choice
+//! is free to minimise traffic. This module makes it, for any program, and
+//! states the prediction it ranks by: what happens to the rows one rule
+//! produces on their way to one consuming occurrence of their predicate —
+//! one [`Pair`] per sending-rule family of the rewrite, its [`Flow`]
+//! decided by the `can_route` the rewrite loop itself asks, so prediction
+//! and compiled routes cannot drift.
 //!
-//! Candidates are *position subsets* of the recursive body `t`-atom `Ȳ`
-//! whose positions are variables in both `Ȳ` and the exit head `Z̄`
-//! (the pairing Examples 1/3 and Theorem 3 use: `v(r) = Ȳ|C`,
-//! `v(e) = Z̄|C`). This covers all of §4's algorithms except Example 2,
-//! whose fragment-ownership function is not position-based.
+//! Both functions assume what `rewrite_general` is given by its callers:
+//! every rule conditioned, one function `h` shared by all rules.
 
-use gst_common::Result;
-use gst_frontend::{LinearSirup, Term, Variable};
+use std::cmp::Reverse;
 
-use crate::dataflow::DataflowGraph;
-use crate::discriminator::{BitFn, BitVector};
-use crate::network::derive_network;
+use gst_frontend::ast::{Atom, Term};
+use gst_frontend::{Program, Variable};
 
-/// One evaluated candidate discriminating choice.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    /// The chosen positions of `Ȳ`/`Z̄` (0-based).
-    pub positions: Vec<usize>,
-    /// `v(r)`: the `Ȳ` variables at those positions.
-    pub v_r: Vec<Variable>,
-    /// `v(e)`: the exit-head variables at those positions.
-    pub v_e: Vec<Variable>,
-    /// Data-independently communication-free (empty derived network).
-    pub communication_free: bool,
-    /// Derived channels / possible channels under a 1-bit-per-position
-    /// bit-vector function (lower = sparser network).
-    pub network_density: (usize, usize),
-    /// Sending rules can evaluate `h` per tuple (no broadcast needed);
-    /// true by construction for position-based candidates.
-    pub point_to_point: bool,
-    /// Some base atom of the recursive rule binds every `v(r)` variable:
-    /// [`crate::schemes::BaseDistribution::MinimalFragments`] will
-    /// fragment it instead of replicating (Example 3's storage win).
-    pub base_fragmentable: bool,
+use crate::schemes::common::{can_route, consuming_occurrences};
+
+/// Where the rows of a producing rule go to reach a consuming occurrence,
+/// cheapest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Flow {
+    /// The producer's head carries its own `v(r_p)` in the columns the
+    /// consumer keys on: the processor that fires the rule is the one the
+    /// route names, and the row never leaves it (Theorem 3's dataflow
+    /// self-cycle, stated for any program).
+    Home,
+    /// Routed point-to-point by `h(v(r_c))`: ≈ (N−1)/N of the rows ship.
+    Keyed,
+    /// The occurrence does not bind `v(r_c)`: every row goes everywhere.
+    Broadcast,
 }
 
-/// What the target architecture cares about, in priority order.
+/// One (producing rule → consuming occurrence) pair and its predicted flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArchitecturePreference {
-    /// Shared/replicated base data is cheap; avoid communication above
-    /// all (Example 1's habitat).
-    MinimizeCommunication,
-    /// Memory per node is scarce; prefer fragmentable bases, then less
-    /// communication (Example 3's habitat).
-    MinimizeReplication,
+pub struct Pair<'a> {
+    /// Index of the rule whose head is the occurrence's predicate.
+    pub producer: usize,
+    /// Index of the rule whose body holds the occurrence.
+    pub consumer: usize,
+    /// The occurrence: a derived body atom of the consumer.
+    pub atom: &'a Atom,
+    /// What the rewrite's route for the occurrence does with the rows.
+    pub flow: Flow,
 }
 
-/// Enumerate and evaluate all position-based candidates (subsets of size
-/// 1 and 2; larger sequences only densify the network). Returns an empty
-/// list when no position of `Ȳ` is a variable that also has a variable
-/// exit-head position.
-pub fn candidates(sirup: &LinearSirup) -> Result<Vec<Candidate>> {
-    let m = sirup.head.len();
-    let usable: Vec<usize> = (0..m)
-        .filter(|&p| {
-            matches!(sirup.recursive_args.get(p), Some(Term::Var(_)))
-                && matches!(sirup.exit_head.get(p), Some(Term::Var(_)))
+/// Every (producer, consumer, occurrence) the rewrite builds sending rules
+/// for, consumer-major, in rule and body order.
+fn links(program: &Program) -> Vec<(usize, usize, &Atom)> {
+    let mut links = Vec::new();
+    for (c, rule) in program.rules.iter().enumerate() {
+        for atom in consuming_occurrences(program, rule) {
+            let producers = program.rules.iter().enumerate().filter(|(_, r)| r.head.pred() == atom.pred());
+            links.extend(producers.map(|(p, _)| (p, c, atom)));
+        }
+    }
+    links
+}
+
+/// The flow from a rule with `head`, conditioned on `h(v_p) = i`, to the
+/// occurrence `atom` of a rule keyed on `v_c`.
+fn flow(head: &Atom, v_p: &[Variable], atom: &Atom, v_c: &[Variable]) -> Flow {
+    if !can_route(&atom.terms, v_c, true) {
+        return Flow::Broadcast;
+    }
+    // A route reads a key variable at its first column in the pattern
+    // (`gst_eval::route::compile`); the row is home when the head holds
+    // the producer's own key there, variable for variable.
+    let carried = |(c, p): (&Variable, &Variable)| {
+        let column = atom.terms.iter().position(|t| t.as_var() == Some(*c));
+        column.is_some_and(|q| head.terms[q] == Term::Var(*p))
+    };
+    if v_c.len() == v_p.len() && v_c.iter().zip(v_p).all(carried) {
+        Flow::Home
+    } else {
+        Flow::Keyed
+    }
+}
+
+/// The predicted flow of every pair when `program.rules[k]` discriminates
+/// on `v[k]`.
+pub fn predict<'a>(program: &'a Program, v: &[Vec<Variable>]) -> Vec<Pair<'a>> {
+    let pair = |(producer, consumer, atom): (usize, usize, &'a Atom)| {
+        let flow = flow(&program.rules[producer].head, &v[producer], atom, &v[consumer]);
+        Pair { producer, consumer, atom, flow }
+    };
+    links(program).into_iter().map(pair).collect()
+}
+
+/// Choose `v(r_k)` for every rule of `program`: what `--scheme general`
+/// runs. Candidates are the single variables a rule's body atoms bind
+/// (`⟨⟩` when they bind none); the choice minimises broadcast pairs, then
+/// pairs that are not home, body order breaking ties. A pure function of
+/// the program text — no data, no processor count, no hash seed.
+///
+/// Broadcasts depend on the consumer's variable alone, so each rule first
+/// keeps the candidates that broadcast least. What is left couples rules
+/// (a pair is home only if producer and consumer agree on a column), and
+/// is settled by sweeps of best responses: a rule takes the candidate with
+/// the fewest non-home pairs among those it is an end of, counting a pair
+/// with a still undecided rule as home if any candidate of that rule would
+/// make it so. Rules that consume more pairs go first — a consumer's key
+/// column is what its producers answer to. After the first sweep every
+/// change lowers the total, so the sweeps end; the work is polynomial in
+/// rules × variables × pairs.
+pub fn choose_sequences(program: &Program) -> Vec<Vec<Variable>> {
+    let rules = &program.rules;
+    let links = links(program);
+    let candidates: Vec<Vec<Vec<Variable>>> = (0..rules.len())
+        .map(|k| {
+            let mut vars: Vec<Variable> = Vec::new();
+            for v in rules[k].body_atoms().flat_map(Atom::variables) {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            let mut all: Vec<Vec<Variable>> = vars.into_iter().map(|v| vec![v]).collect();
+            if all.is_empty() {
+                all.push(Vec::new());
+            }
+            let broadcasts = |v: &Vec<Variable>| {
+                links.iter().filter(|&&(_, c, a)| c == k && !can_route(&a.terms, v, true)).count()
+            };
+            let least = all.iter().map(broadcasts).min();
+            all.retain(|v| Some(broadcasts(v)) == least);
+            all
         })
         .collect();
 
-    let mut subsets: Vec<Vec<usize>> = usable.iter().map(|&p| vec![p]).collect();
-    for (a, &p) in usable.iter().enumerate() {
-        for &q in &usable[a + 1..] {
-            subsets.push(vec![p, q]);
+    let mut pick: Vec<Option<usize>> = vec![None; rules.len()];
+    // Non-home pairs with an end at `k`, undecided rules at their best.
+    let away = |pick: &[Option<usize>], k: usize| {
+        let open = |r: usize| match pick[r] {
+            Some(i) => &candidates[r][i..=i],
+            None => &candidates[r][..],
+        };
+        let home = |&&(p, c, a): &&(usize, usize, &Atom)| {
+            open(p).iter().any(|v_p| open(c).iter().any(|v_c| flow(&rules[p].head, v_p, a, v_c) == Flow::Home))
+        };
+        links.iter().filter(|l| l.0 == k || l.1 == k).filter(|l| !home(l)).count()
+    };
+    let mut order: Vec<usize> = (0..rules.len()).collect();
+    order.sort_by_key(|&k| Reverse(links.iter().filter(|l| l.1 == k).count()));
+    loop {
+        let mut changed = false;
+        for &k in &order {
+            let held = pick[k];
+            let mut best = (usize::MAX, 0);
+            for i in 0..candidates[k].len() {
+                pick[k] = Some(i);
+                let cost = away(&pick, k);
+                // The held pick wins a tie: a later sweep moves only downhill.
+                if cost < best.0 || (cost == best.0 && held == Some(i)) {
+                    best = (cost, i);
+                }
+            }
+            pick[k] = Some(best.1);
+            changed |= held != pick[k];
+        }
+        if !changed {
+            break;
         }
     }
-
-    let graph = DataflowGraph::of(sirup);
-    let base_vars: Vec<Variable> = sirup
-        .base_atoms
-        .iter()
-        .flat_map(|a| a.variables().collect::<Vec<_>>())
-        .collect();
-
-    let mut out = Vec::with_capacity(subsets.len());
-    for positions in subsets {
-        let v_r: Vec<Variable> = positions
-            .iter()
-            .map(|&p| match sirup.recursive_args[p] {
-                Term::Var(v) => v,
-                Term::Const(_) => unreachable!("filtered above"),
-            })
-            .collect();
-        let v_e: Vec<Variable> = positions
-            .iter()
-            .map(|&p| match sirup.exit_head[p] {
-                Term::Var(v) => v,
-                Term::Const(_) => unreachable!("filtered above"),
-            })
-            .collect();
-        let h = BitVector::new(BitFn::new(1), positions.len());
-        let network = derive_network(sirup, &v_r, &v_e, &h)?;
-        // Fragmentable: one base atom binds every v(r) variable.
-        let base_fragmentable = sirup.base_atoms.iter().any(|atom| {
-            v_r.iter().all(|v| {
-                atom.terms
-                    .iter()
-                    .any(|t| matches!(t, Term::Var(tv) if tv == v))
-            })
-        });
-        out.push(Candidate {
-            communication_free: network.edges.is_empty(),
-            network_density: network.density(),
-            point_to_point: true,
-            base_fragmentable,
-            positions,
-            v_r,
-            v_e,
-        });
-    }
-    let _ = (graph, base_vars); // graph informs docs; density is decisive
-    Ok(out)
-}
-
-/// Rank candidates for `preference`; the first element is the advisor's
-/// pick. Ties break toward smaller sequences (cheaper hashing).
-pub fn advise(sirup: &LinearSirup, preference: ArchitecturePreference) -> Result<Vec<Candidate>> {
-    let mut list = candidates(sirup)?;
-    let density = |c: &Candidate| -> (usize, usize) { c.network_density };
-    match preference {
-        ArchitecturePreference::MinimizeCommunication => list.sort_by_key(|c| {
-            (
-                !c.communication_free as usize,
-                density(c).0,
-                c.positions.len(),
-            )
-        }),
-        ArchitecturePreference::MinimizeReplication => list.sort_by_key(|c| {
-            (
-                !c.base_fragmentable as usize,
-                !c.communication_free as usize,
-                density(c).0,
-                c.positions.len(),
-            )
-        }),
-    }
-    Ok(list)
+    pick.iter().zip(candidates).map(|(i, mut c)| c.swap_remove(i.expect("every rule was swept"))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gst_frontend::parse_program;
+    use crate::dataflow::zero_comm_choice;
+    use gst_frontend::{parse_program, LinearSirup};
 
-    fn sirup(src: &str) -> LinearSirup {
-        LinearSirup::from_program(&parse_program(src).unwrap().program).unwrap()
+    fn program(src: &str) -> Program {
+        parse_program(src).unwrap().program
     }
 
-    fn names(vars: &[Variable], s: &LinearSirup) -> Vec<String> {
-        vars.iter().map(|v| v.name(&s.program.interner)).collect()
+    /// The choice, one string of variable names per rule.
+    fn chosen(p: &Program) -> Vec<String> {
+        let name = |v: &Variable| v.name(&p.interner);
+        choose_sequences(p).iter().map(|v| v.iter().map(name).collect()).collect()
     }
 
-    #[test]
-    fn ancestor_candidates_cover_examples_1_and_3() {
-        let s = sirup("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).");
-        let list = candidates(&s).unwrap();
-        // Positions {0}, {1}, {0,1} of Ȳ = (Z, Y).
-        assert_eq!(list.len(), 3);
-        let ex3 = list.iter().find(|c| c.positions == vec![0]).unwrap();
-        assert_eq!(names(&ex3.v_r, &s), vec!["Z"]);
-        assert_eq!(names(&ex3.v_e, &s), vec!["X"]);
-        assert!(!ex3.communication_free);
-        assert!(ex3.base_fragmentable, "Z occurs in par(X,Z)");
-
-        let ex1 = list.iter().find(|c| c.positions == vec![1]).unwrap();
-        assert_eq!(names(&ex1.v_r, &s), vec!["Y"]);
-        assert!(ex1.communication_free, "Theorem 3 through the §5 lens");
-        assert!(!ex1.base_fragmentable, "Y occurs in no base atom");
+    fn flows(p: &Program) -> Vec<Flow> {
+        predict(p, &choose_sequences(p)).iter().map(|pair| pair.flow).collect()
     }
 
     #[test]
-    fn advisor_picks_example1_for_comm_and_example3_for_memory() {
-        let s = sirup("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).");
-        let comm = advise(&s, ArchitecturePreference::MinimizeCommunication).unwrap();
-        assert_eq!(names(&comm[0].v_r, &s), vec!["Y"], "Example 1's choice");
-
-        let memory = advise(&s, ArchitecturePreference::MinimizeReplication).unwrap();
-        assert_eq!(names(&memory[0].v_r, &s), vec!["Z"], "Example 3's choice");
-        assert!(memory[0].base_fragmentable);
+    fn ancestor_takes_theorem3s_communication_free_choice() {
+        let p = program("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).");
+        assert_eq!(chosen(&p), ["Y", "Y"], "Example 1's choice");
+        assert_eq!(flows(&p), [Flow::Home, Flow::Home]);
+        // … which is the dataflow graph's self-cycle, by another road.
+        let theorem3 = zero_comm_choice(&LinearSirup::from_program(&p).unwrap()).unwrap();
+        assert_eq!(choose_sequences(&p), [theorem3.v_e, theorem3.v_r]);
     }
 
     #[test]
-    fn chain_sirup_has_no_zero_comm_candidate() {
-        let s = sirup("p(U,V,W) :- s(U,V,W).\np(U,V,W) :- p(V,W,Z), q(U,Z).");
-        let list = candidates(&s).unwrap();
-        assert!(!list.is_empty());
-        assert!(
-            list.iter().all(|c| !c.communication_free),
-            "acyclic dataflow graph: Theorem 3 cannot apply"
-        );
-        // Some candidate still prunes channels: the 2-position choice
-        // (V, W) is Example-6-shaped with a 6-of-12 network.
-        assert!(
-            list.iter()
-                .any(|c| c.network_density.0 < c.network_density.1),
-            "{list:?}"
-        );
+    fn same_generation_is_keyed_on_the_recursive_atom() {
+        let p = program("sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,U), sg(U,V), down(V,Y).");
+        assert_eq!(chosen(&p), ["X", "U"]);
+        assert_eq!(flows(&p), [Flow::Home, Flow::Keyed]);
+        // The first body variable — what the CLI used to take — broadcasts.
+        let first = predict(&p, &[vec![p.var("X")], vec![p.var("X")]]);
+        assert!(first.iter().all(|pair| pair.flow == Flow::Broadcast));
     }
 
     #[test]
-    fn constant_positions_are_excluded() {
-        let s = sirup("t(X,Y) :- s(X,Y).\nt(X,Y) :- t(0,Z), e(Z,X,Y).");
-        // Position 0 of Ȳ is the constant 0: only position 1 is usable.
-        let list = candidates(&s).unwrap();
-        assert!(list.iter().all(|c| !c.positions.contains(&0)));
+    fn example8_keys_both_occurrences_on_z() {
+        let p = program("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), anc(Z,Y).");
+        assert_eq!(chosen(&p), ["X", "Z"], "Z is the only variable both anc atoms bind");
+        let pairs = predict(&p, &choose_sequences(&p));
+        assert_eq!(pairs.len(), 4, "two producers × two occurrences");
+        assert!(pairs.iter().all(|pair| pair.flow != Flow::Broadcast));
+        // r0's rows are home for anc(Z,Y), which keys on the column X fills.
+        let home: Vec<_> = pairs.iter().filter(|pair| pair.flow == Flow::Home).collect();
+        assert_eq!(home.len(), 1);
+        assert_eq!((home[0].producer, home[0].atom), (0, p.rules[1].body_atoms().nth(1).unwrap()));
     }
 
     #[test]
-    fn same_generation_candidates_exist_but_need_sharing() {
-        let s = sirup(
-            "sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,U), sg(U,V), down(V,Y).",
-        );
-        let list = candidates(&s).unwrap();
-        // Ȳ = (U, V): both vars exist and map to exit-head X, Y.
-        assert_eq!(list.len(), 3);
-        assert!(list.iter().all(|c| !c.communication_free));
-        // U is bound by up(X,U), V by down(V,Y): singletons fragment.
-        assert!(list.iter().filter(|c| c.positions.len() == 1).all(|c| c.base_fragmentable));
+    fn an_acyclic_dataflow_graph_keeps_the_recursion_keyed() {
+        let p = program("p(U,V,W) :- s(U,V,W).\np(U,V,W) :- p(V,W,Z), q(U,Z).");
+        assert_eq!(chosen(&p), ["U", "V"], "the exit rule answers the column r1 reads V at");
+        assert_eq!(flows(&p), [Flow::Home, Flow::Keyed], "no column of p feeds itself: Theorem 3 cannot apply");
+    }
+
+    #[test]
+    fn constants_repeats_and_ground_bodies() {
+        // The constant column cannot key; Z can.
+        let p = program("t(X,Y) :- s(X,Y).\nt(X,Y) :- t(0,Z), e(Z,X,Y).");
+        assert_eq!(chosen(&p), ["Y", "Z"]);
+        assert_eq!(flows(&p), [Flow::Home, Flow::Keyed]);
+        // A repeated variable keys on its first column.
+        let p = program("t(X,Y) :- s(X,Y).\nu(X) :- t(X,X).");
+        assert_eq!(chosen(&p), ["X", "X"]);
+        assert_eq!(flows(&p), [Flow::Home]);
+        // A ground body takes ⟨⟩; its one row is keyed to wherever X hashes.
+        let p = program("t(1,2) :- s(3).\nu(X) :- t(X,Y).");
+        assert_eq!(chosen(&p), ["", "X"]);
+        assert_eq!(flows(&p), [Flow::Keyed]);
+    }
+
+    #[test]
+    fn a_first_variable_that_is_already_optimal_is_kept() {
+        let p = program("even(X) :- zero(X).\neven(Y) :- succ(X,Y), odd(X).\nodd(Y) :- succ(X,Y), even(X).");
+        assert_eq!(chosen(&p), ["X", "X", "X"]);
+        assert_eq!(flows(&p), [Flow::Keyed, Flow::Home, Flow::Keyed]);
     }
 }

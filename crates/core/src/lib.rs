@@ -34,7 +34,7 @@ pub mod strategy;
 
 /// Convenient imports for building and running schemes.
 pub mod prelude {
-    pub use crate::advisor::{advise, candidates, ArchitecturePreference, Candidate};
+    pub use crate::advisor::{choose_sequences, predict, Flow, Pair};
     pub use crate::dataflow::{zero_comm_choice, DataflowGraph, ZeroCommChoice};
     pub use crate::discriminator::{
         decode_constraint, BitFn, BitVector, Constant, DiscConstraint, Discriminator,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use gst_common::{Error, Interner, Result};
 use gst_eval::plan::RelationId;
 use gst_frontend::ast::{Atom, Literal, Rule, Term};
-use gst_frontend::Variable;
+use gst_frontend::{Program, Variable};
 use gst_runtime::ProcessorProgram;
 use gst_storage::{Database, Relation};
 
@@ -43,10 +43,25 @@ impl Namer {
     }
 }
 
-/// The default discriminating sequence of `rule`: the first variable its
-/// body atoms bind, or `⟨⟩` when they bind none.
+/// The first variable `rule`'s body atoms bind, or `⟨⟩` when they bind
+/// none: a discriminating sequence for a caller with nothing to choose by
+/// (an exit rule's `v(e)`, a magic rule without a guard). What
+/// `--scheme general` runs is [`crate::advisor::choose_sequences`].
 pub fn first_body_variable(rule: &Rule) -> Vec<Variable> {
     rule.body_atoms().flat_map(Atom::variables).take(1).collect()
+}
+
+/// The consuming occurrences of `rule`: its distinct derived body atoms,
+/// in body order. The rewrite builds one route per occurrence, and the
+/// chooser predicts one flow per occurrence and producing rule.
+pub fn consuming_occurrences<'a>(program: &Program, rule: &'a Rule) -> Vec<&'a Atom> {
+    let mut seen: Vec<&Atom> = Vec::new();
+    for a in rule.body_atoms().filter(|a| program.is_derived(a.pred())) {
+        if !seen.contains(&a) {
+            seen.push(a);
+        }
+    }
+    seen
 }
 
 /// Check that every variable of `vars` occurs in at least one body atom
@@ -248,7 +263,7 @@ pub fn atom(pred: RelationId, terms: Vec<Term>) -> Atom {
 mod tests {
     use super::*;
     use gst_common::ituple;
-    use gst_frontend::{parse_program, Program};
+    use gst_frontend::parse_program;
 
     /// Processor `processor` running `program`'s one rule, no routing.
     fn bare(processor: usize, program: Program) -> ProcessorProgram {

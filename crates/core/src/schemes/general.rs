@@ -64,7 +64,8 @@ use gst_storage::Database;
 
 use crate::discriminator::{DiscConstraint, DiscriminatorRef};
 use crate::schemes::common::{
-    atom, can_route, validate_sequence, worker_databases, BaseDistribution, Namer,
+    atom, can_route, consuming_occurrences, validate_sequence, worker_databases, BaseDistribution,
+    Namer,
 };
 use crate::schemes::CompiledScheme;
 
@@ -140,6 +141,14 @@ pub(crate) fn rewrite(
             policies.len()
         )));
     }
+    if source.rules.is_empty() {
+        return Err(Error::Shape(
+            "the program has no rules: nothing is derived, so there is nothing to distribute \
+             and no discriminating function to take a processor count from (evaluate it \
+             sequentially)"
+                .into(),
+        ));
+    }
     ProgramAnalysis::new(source)?;
     let n = policies.first().map_or(0, |p| p.h.len());
     if n == 0 || policies.iter().any(|p| p.h.len() != n || p.h.iter().any(|h| h.processors() != n)) {
@@ -198,12 +207,7 @@ pub(crate) fn rewrite(
             // per processor `h` can name, when the tuple binds `v(r_k)` and
             // `h` can be evaluated on it; Example 2's unconditioned
             // broadcast to every processor otherwise.
-            let mut seen: Vec<&Atom> = Vec::new();
-            for a in rule.body_atoms().filter(|a| is_derived(a)) {
-                if seen.contains(&a) {
-                    continue;
-                }
-                seen.push(a);
+            for a in consuming_occurrences(source, rule) {
                 let out = namer.out(a.pred().into(), i);
                 let inboxes = |to: Vec<usize>| to.into_iter().map(|j| (j, namer.input(a.pred().into(), j))).collect();
                 let everyone = || (0..n).collect();

@@ -198,8 +198,10 @@ pub const DEMAND_HASH_SEED: u64 = 0xD17;
 /// columns of the demanded predicate — under a single shared
 /// [`HashMod`].
 ///
-/// Why this beats the generic first-body-variable choice for magic
-/// programs: every magic atom's argument pattern *is* its guard key, so
+/// Why a magic program gets its own choice and not the program-text
+/// chooser `--scheme general` runs ([`crate::advisor::choose_sequences`]):
+/// the demand key is known from the adornment, not guessed from the
+/// rules. Every magic atom's argument pattern *is* its guard key, so
 /// magic (demand) tuples always route point-to-point to `h(key)` — they
 /// never broadcast — and [`crate::schemes::BaseDistribution::MinimalFragments`] places
 /// the base fragments whose join column carries the same key on the same

@@ -58,25 +58,11 @@ fn main() -> Result<()> {
 
     // The same program runs under the §7 general scheme: `chain` is a
     // linear sirup but `peers` makes the program multi-rule, so T_i is
-    // the right rewriting. Discriminate each rule on its first body
-    // variable.
+    // the right rewriting. The compiler chooses each rule's `v(r_k)` —
+    // here Theorem 3's choice for `chain`: nothing crosses a channel.
     let h: DiscriminatorRef = std::sync::Arc::new(HashMod::new(3, 7));
-    let choices: Vec<RuleChoice> = unit
-        .program
-        .rules
-        .iter()
-        .map(|rule| {
-            let v = rule
-                .body_atoms()
-                .flat_map(|a| a.variables().collect::<Vec<_>>())
-                .next()
-                .expect("every rule has a body variable");
-            RuleChoice {
-                v: vec![v],
-                h: h.clone(),
-            }
-        })
-        .collect();
+    let choices: Vec<RuleChoice> =
+        choose_sequences(&unit.program).into_iter().map(|v| RuleChoice { v, h: h.clone() }).collect();
     let scheme = rewrite_general(
         &unit.program,
         &choices,

@@ -18,8 +18,10 @@
 //! Schemes for `run`: `seq` (semi-naive, default), `naive`, `example1`
 //! (zero communication), `example2` (fragmented + broadcast), `example3`
 //! (hash partition), `nocomm` (redundant zero-comm: §6's `R_i` with
-//! `h_i(x) = i`), `general` (§7, works for any program; discriminates each
-//! rule on its first body variable, a ground-body rule on `⟨⟩`).
+//! `h_i(x) = i`), `general` (§7, works for any program; the compiler
+//! chooses each rule's `v(r_k)` — a variable its derived body atoms bind,
+//! so nothing is broadcast that can be routed — and `analyze` prints the
+//! choice; a ground-body rule takes `⟨⟩`).
 //!
 //! `--query` turns the run into a demand-driven *point query*: the goal
 //! (inline, or the file's `?- anc("ann", Y).` line) is rewritten with
@@ -751,6 +753,11 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 );
                 if skew_aware {
                     s.push_str(&format!(" hot_keys_split={}", scheme.hot_keys_split));
+                } else if parallel == "general" && query_ctx.is_none() {
+                    // Which plan this was: the sequences `build_scheme` keyed
+                    // the rules on (a pure function of the program).
+                    let v: Vec<String> = choose_sequences(&program).iter().map(|v| sequence(v, &interner)).collect();
+                    s.push_str(&format!(" v={}", v.join(",")));
                 }
                 if morsels > 1 {
                     let runs: u64 =
@@ -1232,12 +1239,18 @@ fn build_scheme(
         }
         "general" => {
             let h: DiscriminatorRef = Arc::new(HashMod::new(workers, 0xC17));
-            let choice = |rule| RuleChoice { v: first_body_variable(rule), h: h.clone() };
-            let choices: Vec<RuleChoice> = program.rules.iter().map(choice).collect();
+            let choice = |v| RuleChoice { v, h: h.clone() };
+            let choices: Vec<RuleChoice> = choose_sequences(program).into_iter().map(choice).collect();
             rewrite_general(program, &choices, db, BaseDistribution::Shared).map_err(err)
         }
         other => Err(format!("unknown scheme `{other}`")),
     }
+}
+
+/// `⟨X, Y⟩`.
+fn sequence(v: &[Variable], interner: &Interner) -> String {
+    let names: Vec<String> = v.iter().map(|v| v.name(interner)).collect();
+    format!("⟨{}⟩", names.join(", "))
 }
 
 /// `pdatalog query file.dl "anc(1, X)"`: evaluate, then print the
@@ -1361,6 +1374,23 @@ fn cmd_analyze(args: Vec<String>) -> std::result::Result<(), String> {
         );
     }
 
+    // What `--scheme general` runs, and what its routes will do with the
+    // rows each rule produces (§5's closing claim, for any program).
+    let chosen = choose_sequences(&program);
+    println!("discriminating sequences chosen for --scheme general:");
+    for (k, v) in chosen.iter().enumerate() {
+        println!("  v(r{k}) = {}", sequence(v, &interner));
+    }
+    for pair in predict(&program, &chosen) {
+        println!(
+            "  r{} → {} in r{}: {}",
+            pair.producer,
+            parallel_datalog::frontend::pretty::atom(pair.atom, &interner),
+            pair.consumer,
+            format!("{:?}", pair.flow).to_lowercase()
+        );
+    }
+
     match LinearSirup::from_program(&program) {
         Err(e) => println!("linear sirup: no ({e})"),
         Ok(sirup) => {
@@ -1371,58 +1401,11 @@ fn cmd_analyze(args: Vec<String>) -> std::result::Result<(), String> {
             );
             let graph = DataflowGraph::of(&sirup);
             println!("dataflow graph (Def. 2): {}", graph.display());
-            // Compile-time advisor (§5's closing claim): ranked
-            // discriminating choices per architecture preference.
-            for (label, pref) in [
-                ("minimize communication", ArchitecturePreference::MinimizeCommunication),
-                ("minimize replication", ArchitecturePreference::MinimizeReplication),
-            ] {
-                if let Ok(ranked) = advise(&sirup, pref) {
-                    if let Some(best) = ranked.first() {
-                        let (have, possible) = best.network_density;
-                        println!(
-                            "advisor [{label}]: v(r) = ⟨{}⟩, v(e) = ⟨{}⟩ — {}, network {}/{}, base {}",
-                            best.v_r
-                                .iter()
-                                .map(|v| v.name(&interner))
-                                .collect::<Vec<_>>()
-                                .join(", "),
-                            best.v_e
-                                .iter()
-                                .map(|v| v.name(&interner))
-                                .collect::<Vec<_>>()
-                                .join(", "),
-                            if best.communication_free {
-                                "communication-free"
-                            } else {
-                                "point-to-point"
-                            },
-                            have,
-                            possible,
-                            if best.base_fragmentable {
-                                "fragmentable"
-                            } else {
-                                "shared/replicated"
-                            },
-                        );
-                    }
-                }
-            }
             match zero_comm_choice(&sirup) {
                 Ok(choice) => println!(
-                    "Theorem 3: communication-free with v(r) = ⟨{}⟩, v(e) = ⟨{}⟩",
-                    choice
-                        .v_r
-                        .iter()
-                        .map(|v| v.name(&interner))
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                    choice
-                        .v_e
-                        .iter()
-                        .map(|v| v.name(&interner))
-                        .collect::<Vec<_>>()
-                        .join(", ")
+                    "Theorem 3: communication-free with v(r) = {}, v(e) = {}",
+                    sequence(&choice.v_r, &interner),
+                    sequence(&choice.v_e, &interner)
                 ),
                 Err(_) => println!(
                     "Theorem 3: dataflow graph is acyclic — every discriminating choice \

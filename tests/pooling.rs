@@ -90,13 +90,17 @@ fn cells(n: usize) -> Vec<Cell> {
     let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
     cell("example 8 (two routes)", &fx, &db, rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared), Overlap);
 
-    // Same generation as the CLI's `--scheme general` compiles it: v(r) =
-    // ⟨X⟩ is not bound by sg(U,V), so sg is broadcast.
+    // Same generation on each rule's first body variable: v(r) = ⟨X⟩ is
+    // not bound by sg(U,V), so sg is broadcast …
     let fx = same_generation();
     let (up, down, flat) = same_generation_tree(4);
     let db = fx.database_multi(&[up, down, flat]);
     let choices = RuleChoice::by_name(&fx.program, &["X", "X"], &h);
     cell("same generation (broadcast)", &fx, &db, rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared), Replica);
+    // … and as `--scheme general` compiles it: the chooser keys the rule on
+    // the U that sg(U,V) binds, one hash route, every row in one inbox.
+    let choices = choose_sequences(&fx.program).into_iter().map(|v| RuleChoice { v, h: h.clone() }).collect::<Vec<_>>();
+    cell("same generation (chosen)", &fx, &db, rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared), Partition);
 
     // Mutual recursion: two answer predicates, hashed on the variable the
     // consuming atom binds, or broadcast where it binds none of v(r).
