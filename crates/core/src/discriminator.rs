@@ -80,19 +80,25 @@ pub trait Discriminator: Send + Sync {
         false
     }
 
-    /// The set of processors a ground instance could be assigned to when
-    /// only a leading `prefix` of the discriminating sequence is known, or
-    /// `None` when the prefix does not narrow the range (the default).
+    /// The length of the shortest leading prefix of the discriminating
+    /// sequence that narrows the processors an instance may be assigned
+    /// to, or `None` (the default) when only a full instance does.
+    fn narrowing_prefix(&self) -> Option<usize> {
+        None
+    }
+
+    /// Whether a ground instance whose leading values are `row`'s
+    /// `columns` may be assigned to `processor` (`true`, the default, when
+    /// the prefix is shorter than [`Discriminator::narrowing_prefix`]).
     ///
     /// This is the hook behind §6-style replication: a fragmenting base
     /// atom that binds only the key prefix of an extended sequence keeps a
-    /// tuple at every processor in the returned set. Implementations must
-    /// stay consistent with [`Discriminator::assign`]: for every full
-    /// ground instance extending `prefix`, the assigned processor must be
-    /// a member of the returned set.
-    fn assign_prefix(&self, prefix: &[Value]) -> Option<Vec<usize>> {
-        let _ = prefix;
-        None
+    /// tuple at every processor this admits. Implementations must stay
+    /// consistent with [`Discriminator::assign`]: the processor assigned to
+    /// every full ground instance extending the prefix must be admitted.
+    fn may_assign_prefix(&self, row: &Tuple, columns: &[usize], processor: usize) -> bool {
+        let _ = (row, columns, processor);
+        true
     }
 }
 
@@ -398,6 +404,10 @@ impl Discriminator for FragmentOwner {
             .unwrap_or(0)
     }
 
+    fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
+        self.fragmentation.owner_of(&row.project(columns)).unwrap_or(0)
+    }
+
     fn locally_evaluable(&self) -> bool {
         false
     }
@@ -455,8 +465,12 @@ impl Discriminator for Constant {
     }
 
     /// The image is `{target}` whatever is known of the instance.
-    fn assign_prefix(&self, _prefix: &[Value]) -> Option<Vec<usize>> {
-        Some(vec![self.target])
+    fn narrowing_prefix(&self) -> Option<usize> {
+        Some(0)
+    }
+
+    fn may_assign_prefix(&self, _row: &Tuple, _columns: &[usize], processor: usize) -> bool {
+        processor == self.target
     }
 
     fn describe(&self) -> String {
@@ -544,7 +558,7 @@ impl Discriminator for Mixed {
 /// deterministic total function over a longer valid discriminating
 /// sequence. The price is §6's `R_i` redundancy: the complementary base
 /// fragment of a hot key must be replicated to every processor in its
-/// split set, which [`Discriminator::assign_prefix`] exposes to the
+/// split set, which [`Discriminator::may_assign_prefix`] exposes to the
 /// fragmenter.
 #[derive(Debug, Clone)]
 pub struct SkewAwareHashMod {
@@ -631,15 +645,21 @@ impl Discriminator for SkewAwareHashMod {
         }
     }
 
-    fn assign_prefix(&self, prefix: &[Value]) -> Option<Vec<usize>> {
-        if prefix.len() < self.key_len {
-            return None;
+    fn narrowing_prefix(&self) -> Option<usize> {
+        Some(self.key_len)
+    }
+
+    /// A hot key may go to its split set, a cold one to where [`HashMod`]
+    /// over the key sends it — decided on the row's words.
+    fn may_assign_prefix(&self, row: &Tuple, columns: &[usize], processor: usize) -> bool {
+        let Some(key) = columns.get(..self.key_len) else {
+            return true;
+        };
+        let hot = self.hot.binary_search_by(|(k, _)| k.iter().copied().cmp(key.iter().map(|&c| row.get(c))));
+        match hot {
+            Ok(i) => self.hot[i].1.contains(&processor),
+            Err(_) => HashMod::new(self.n, self.seed).assign_words(row, key) == processor,
         }
-        let key = &prefix[..self.key_len];
-        Some(match self.split_set(key) {
-            Some(targets) => targets.to_vec(),
-            None => vec![self.base_assign(key)],
-        })
     }
 
     fn describe(&self) -> String {
@@ -735,14 +755,16 @@ impl Constraint for DiscConstraint {
         }
     }
 
-    fn may_hold_prefix(&self, bound: &[Value]) -> bool {
-        if bound.len() == self.vars.len() {
-            return self.holds(bound);
+    fn may_hold_prefix(&self, row: &Tuple, columns: &[usize]) -> bool {
+        if columns.len() == self.vars.len() {
+            self.disc.assign_words(row, columns) == self.expect
+        } else {
+            self.disc.may_assign_prefix(row, columns, self.expect)
         }
-        match self.disc.assign_prefix(bound) {
-            Some(targets) => targets.contains(&self.expect),
-            None => true,
-        }
+    }
+
+    fn narrows(&self, bound: usize) -> bool {
+        bound == self.vars.len() || self.disc.narrowing_prefix().is_some_and(|len| bound >= len)
     }
 }
 
@@ -1252,17 +1274,19 @@ mod tests {
     fn skew_aware_prefix_is_consistent_with_assign() {
         let h = SkewAwareHashMod::new(6, 1, 3, 4)
             .with_hot_keys([(vals(&[2]), vec![0, 4]), (vals(&[5]), vec![1, 2, 3])]);
-        assert_eq!(h.assign_prefix(&[]), None, "short prefix narrows nothing");
+        let admitted = |k: i64| (0..6).filter(|&p| h.may_assign_prefix(&ituple![k], &[0], p)).collect::<Vec<_>>();
+        assert_eq!(h.narrowing_prefix(), Some(1));
+        assert!((0..6).all(|p| h.may_assign_prefix(&ituple![2], &[], p)), "short prefix narrows nothing");
         for k in 0..20i64 {
-            let targets = h.assign_prefix(&vals(&[k])).unwrap();
+            let targets = admitted(k);
             for y in 0..40i64 {
                 let a = h.assign(&vals(&[k, y]));
-                assert!(targets.contains(&a), "assign ∈ assign_prefix set");
+                assert!(targets.contains(&a), "assign ∈ the admitted set");
             }
         }
-        assert_eq!(h.assign_prefix(&vals(&[2])).unwrap(), vec![0, 4]);
-        assert_eq!(h.assign_prefix(&vals(&[5])).unwrap().len(), 3);
-        assert_eq!(h.assign_prefix(&vals(&[7])).unwrap().len(), 1);
+        assert_eq!(admitted(2), vec![0, 4]);
+        assert_eq!(admitted(5).len(), 3);
+        assert_eq!(admitted(7), vec![h.assign(&vals(&[7]))]);
     }
 
     #[test]
@@ -1276,12 +1300,13 @@ mod tests {
         for expect in 0..4 {
             let c = DiscConstraint::literal(vec![z, y], h.clone(), expect);
             // Hot key 1 may land on workers 0 and 2 only.
-            assert_eq!(c.may_hold_prefix(&vals(&[1])), expect == 0 || expect == 2);
+            assert_eq!(c.may_hold_prefix(&ituple![1, 8], &[0]), expect == 0 || expect == 2);
             // Cold keys land exactly where the base hash says.
-            let base = h.assign_prefix(&vals(&[3])).unwrap()[0];
-            assert_eq!(c.may_hold_prefix(&vals(&[3])), expect == base);
+            let base = HashMod::new(4, 9).assign(&vals(&[3]));
+            assert_eq!(c.may_hold_prefix(&ituple![3, 8], &[0]), expect == base);
             // A full binding decides exactly.
-            assert_eq!(c.may_hold_prefix(&vals(&[1, 8])), h.assign(&vals(&[1, 8])) == expect);
+            assert_eq!(c.may_hold_prefix(&ituple![1, 8], &[0, 1]), h.assign(&vals(&[1, 8])) == expect);
+            assert!(c.narrows(1) && c.narrows(2));
         }
     }
 
@@ -1293,8 +1318,9 @@ mod tests {
         let h: DiscriminatorRef = Arc::new(HashMod::new(4, 1));
         let c = DiscConstraint::literal(vec![z, y], h, 3);
         // HashMod cannot narrow a prefix, so fragmentation must keep the
-        // tuple.
-        assert!(c.may_hold_prefix(&vals(&[5])));
+        // tuple — and knows so before reading one.
+        assert!(c.may_hold_prefix(&ituple![5], &[0]));
+        assert!(!c.narrows(1) && c.narrows(2));
     }
 
     #[test]
@@ -1315,8 +1341,8 @@ mod tests {
                 let ground = vals(&[k, v]);
                 assert_eq!(decoded.holds(&ground), c.holds(&ground));
                 assert_eq!(
-                    decoded.may_hold_prefix(&vals(&[k])),
-                    c.may_hold_prefix(&vals(&[k]))
+                    decoded.may_hold_prefix(&ituple![k, v], &[0]),
+                    c.may_hold_prefix(&ituple![k, v], &[0])
                 );
             }
         }

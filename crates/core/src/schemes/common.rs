@@ -4,9 +4,9 @@
 
 use std::sync::Arc;
 
-use gst_common::{Error, Interner, Result};
+use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
 use gst_eval::plan::RelationId;
-use gst_frontend::ast::{Atom, Literal, Rule, Term};
+use gst_frontend::ast::{Atom, ConstraintRef, Literal, Rule, Term};
 use gst_frontend::{Program, Variable};
 use gst_runtime::ProcessorProgram;
 use gst_storage::{Database, Relation};
@@ -108,149 +108,121 @@ pub enum BaseDistribution {
 }
 
 /// Materialize each worker's extensional database.
+///
+/// Under [`BaseDistribution::MinimalFragments`] what a worker needs of a
+/// base relation is decided from its rules before a tuple is read
+/// ([`needs`]). A relation some rule of the worker reads unconstrained is
+/// shared whole, not copied ([`Database::share_from`]). Every other
+/// relation is cut in one pass over its tuples, which hands each tuple to
+/// every worker one of whose covers keeps it. A worker's fragment lists
+/// its first cover's tuples, then those only its second keeps, and so on,
+/// each group in the relation's order.
 pub fn worker_databases(
     global: &Database,
     programs: &[ProcessorProgram],
     distribution: BaseDistribution,
 ) -> Result<Vec<Arc<Database>>> {
-    match distribution {
-        BaseDistribution::Shared => {
-            let shared = Arc::new(global.clone());
-            Ok(programs.iter().map(|_| Arc::clone(&shared)).collect())
+    if distribution == BaseDistribution::Shared {
+        let shared = Arc::new(global.clone());
+        return Ok(programs.iter().map(|_| Arc::clone(&shared)).collect());
+    }
+    let needs: Vec<FxHashMap<RelationId, Vec<Cover>>> = programs.iter().map(|pp| needs(global, pp)).collect();
+    let mut edbs: Vec<Database> = programs.iter().map(|_| Database::new(global.interner().clone())).collect();
+    for (&id, relation) in global.iter() {
+        // The workers cutting this relation, each with a group per cover.
+        let mut cutting = Vec::new();
+        for (w, need) in needs.iter().enumerate() {
+            match need.get(&id) {
+                None => {}
+                Some(covers) if covers[0].constraint.is_none() => edbs[w].share_from(global, id),
+                Some(covers) => cutting.push((w, covers, vec![Vec::new(); covers.len()])),
+            }
         }
-        BaseDistribution::MinimalFragments => programs
-            .iter()
-            .map(|pp| Ok(Arc::new(fragment_database(global, pp)?)))
-            .collect(),
+        if cutting.is_empty() {
+            continue;
+        }
+        for t in relation.iter() {
+            for (_, covers, groups) in &mut cutting {
+                if let Some(k) = covers.iter().position(|c| c.keeps(t)) {
+                    groups[k].push(t.clone());
+                }
+            }
+        }
+        for (w, _, groups) in cutting {
+            let fragment = Relation::from_distinct(id.1, groups.into_iter().flatten().collect())?;
+            edbs[w].put_relation(id, fragment)?;
+        }
+    }
+    Ok(edbs.into_iter().map(Arc::new).collect())
+}
+
+/// A constraint of a rule and where the rule's atom over a base relation
+/// binds a leading prefix of its variables: the tuples it may hold on.
+struct Cover<'a> {
+    /// `None` keeps every tuple: the atom is read unconstrained, or binds
+    /// too short a prefix to narrow anything.
+    constraint: Option<&'a ConstraintRef>,
+    columns: Vec<usize>,
+}
+
+impl Cover<'_> {
+    fn keeps(&self, t: &Tuple) -> bool {
+        self.constraint.is_none_or(|c| c.may_hold_prefix(t, &self.columns))
     }
 }
 
-/// Compute the fragment of the global EDB that worker `pp` needs: for
-/// every base atom of every rule, the tuples passing some constraint of
-/// that rule whose variables the atom binds — or the full relation if any
-/// rule reads the atom unconstrained.
+/// What worker `pp` needs of each base relation `global` holds: the tuples
+/// one of its covers keeps — all of them when the first keeps every tuple.
+/// For every base atom of every rule, the cover is the constraint of that
+/// rule binding the most of its variables (a full cover before any prefix,
+/// the earliest on ties); an atom read unconstrained needs the whole
+/// relation whatever else reads it.
 ///
 /// An atom that binds only a leading *prefix* of a constraint's variables
 /// still fragments, via [`Constraint::may_hold_prefix`]: a tuple is kept
 /// exactly when some extension of the prefix could satisfy the constraint.
 /// For a plain hash function the prefix narrows nothing and the worker
-/// keeps the whole relation (the old behaviour); for a skew-aware function
-/// over an extended discriminating sequence this is precisely §6's `R_i`
-/// replication — a hot key's complementary base fragment lands at every
-/// worker of its split set, a cold key's at exactly one.
-fn fragment_database(global: &Database, pp: &ProcessorProgram) -> Result<Database> {
-    let derived: Vec<RelationId> = pp
-        .program
-        .derived_predicates()
-        .into_iter()
-        .map(|p| (p.name, p.arity))
-        .chain(pp.inboxes.iter().copied())
-        .collect();
-
-    let mut out = Database::new(global.interner().clone());
-    // needed[pred] = None ⇒ full relation; Some(set) ⇒ union of σs.
-    let mut needed: gst_common::FxHashMap<RelationId, Option<Relation>> =
-        gst_common::FxHashMap::default();
-
+/// keeps the whole relation; for a skew-aware function over an extended
+/// discriminating sequence this is precisely §6's `R_i` replication — a
+/// hot key's complementary base fragment lands at every worker of its
+/// split set, a cold key's at exactly one.
+///
+/// [`Constraint::may_hold_prefix`]: gst_frontend::Constraint::may_hold_prefix
+fn needs<'a>(global: &Database, pp: &'a ProcessorProgram) -> FxHashMap<RelationId, Vec<Cover<'a>>> {
+    let derived: Vec<RelationId> =
+        pp.program.derived_predicates().into_iter().map(Into::into).chain(pp.inboxes.iter().copied()).collect();
+    let mut needs: FxHashMap<RelationId, Vec<Cover>> = FxHashMap::default();
     for rule in &pp.program.rules {
-        let constraints: Vec<&gst_frontend::ast::ConstraintRef> = rule
-            .body
-            .iter()
-            .filter_map(|l| match l {
-                Literal::Constraint(c) => Some(c),
-                Literal::Atom(_) => None,
-            })
-            .collect();
         for atom in rule.body_atoms() {
             let id: RelationId = (atom.predicate, atom.terms.len());
-            if derived.contains(&id) {
+            if derived.contains(&id) || global.relation(id).is_none() {
                 continue;
             }
-            let Some(relation) = global.relation(id) else {
-                continue; // no data: nothing to distribute
-            };
-            // How many leading constraint variables the atom binds: a full
-            // cover decides exactly, a non-empty prefix may still narrow
-            // (skew-aware functions), zero tells us nothing.
-            let bound_prefix = |c: &gst_frontend::ast::ConstraintRef| {
-                c.variables()
-                    .iter()
-                    .take_while(|v| {
-                        atom.terms
-                            .iter()
-                            .any(|t| matches!(t, Term::Var(tv) if tv == *v))
-                    })
-                    .count()
-            };
-            // Prefer a full cover over a prefix, a longer prefix over a
-            // shorter one, and the earliest constraint on ties (matching
-            // the pre-prefix behaviour of taking the first full cover).
-            let mut covering: Option<(&gst_frontend::ast::ConstraintRef, usize)> = None;
-            for c in &constraints {
-                let m = bound_prefix(c);
-                if m == 0 {
-                    continue;
-                }
-                let rank = (m == c.variables().len(), m);
-                let current = covering.map(|(bc, bm)| (bm == bc.variables().len(), bm));
-                if current.is_none_or(|best| rank > best) {
+            let position = |v: &Variable| atom.terms.iter().position(|t| *t == Term::Var(*v));
+            // How many leading constraint variables the atom binds, ranked
+            // full cover first, then longer prefix, then earlier constraint.
+            let mut covering: Option<(&ConstraintRef, usize)> = None;
+            for literal in &rule.body {
+                let Literal::Constraint(c) = literal else { continue };
+                let m = c.variables().iter().take_while(|v| position(v).is_some()).count();
+                let rank = |(c, m): (&ConstraintRef, usize)| (m == c.variables().len(), m);
+                if m > 0 && covering.is_none_or(|best| rank((c, m)) > rank(best)) {
                     covering = Some((c, m));
                 }
             }
+            let covers = needs.entry(id).or_default();
             match covering {
-                None => {
-                    needed.insert(id, None); // full
-                }
+                None => *covers = vec![Cover { constraint: None, columns: Vec::new() }],
+                // Past a cover that keeps every tuple, no cover adds one.
+                Some(_) if covers.last().is_some_and(|last| last.constraint.is_none()) => {}
                 Some((c, m)) => {
-                    // Positions of each bound constraint variable in the atom.
-                    let positions: Vec<usize> = c
-                        .variables()
-                        .iter()
-                        .take(m)
-                        .map(|v| {
-                            atom.terms
-                                .iter()
-                                .position(|t| matches!(t, Term::Var(tv) if tv == v))
-                                .expect("prefix variable is bound")
-                        })
-                        .collect();
-                    let entry = needed
-                        .entry(id)
-                        .or_insert_with(|| Some(Relation::new(id.1)));
-                    if let Some(fragment) = entry {
-                        for t in relation.iter() {
-                            let ground: Vec<gst_common::Value> =
-                                positions.iter().map(|&p| t.get(p)).collect();
-                            if c.may_hold_prefix(&ground) {
-                                fragment.insert_unchecked(t.clone());
-                            }
-                        }
-                    }
+                    let columns = c.variables()[..m].iter().filter_map(position).collect();
+                    covers.push(Cover { constraint: c.narrows(m).then_some(c), columns });
                 }
             }
         }
     }
-
-    for (id, fragment) in needed {
-        match fragment {
-            None => {
-                let full = global
-                    .relation(id)
-                    .cloned()
-                    .unwrap_or_else(|| Relation::new(id.1));
-                out.put_relation(id, full)?;
-            }
-            Some(fragment) => {
-                // Union with anything already placed (a pred may be both
-                // fully and partially required across rules; full wins
-                // because `None` overwrote the map entry).
-                let mut existing = out.relation_or_empty(id);
-                existing.absorb(&fragment)?;
-                out.put_relation(id, existing)?;
-            }
-        }
-    }
-    Ok(out)
+    needs
 }
 
 /// Build an atom quickly.
@@ -262,7 +234,7 @@ pub fn atom(pred: RelationId, terms: Vec<Term>) -> Atom {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gst_common::ituple;
+    use gst_common::{ituple, Value};
     use gst_frontend::parse_program;
 
     /// Processor `processor` running `program`'s one rule, no routing.
@@ -354,13 +326,7 @@ mod tests {
         let mut programs = Vec::new();
         for i in 0..2usize {
             let mut rules = program.rules.clone();
-            rules[0]
-                .body
-                .push(Literal::Constraint(DiscConstraint::literal(
-                    vec![y],
-                    h.clone(),
-                    i,
-                )));
+            rules[0].body.push(Literal::Constraint(DiscConstraint::literal(vec![y], h.clone(), i)));
             programs.push(bare(i, Program::new(rules, interner.clone())));
         }
         program.rules.clear();
@@ -374,6 +340,117 @@ mod tests {
         for (i, dbw) in dbs.iter().enumerate() {
             for t in dbw.relation(e).unwrap().iter() {
                 assert_eq!(h.assign(&[t.get(1)]), i);
+            }
+        }
+    }
+
+    /// What worker `pp` needs of `global`, the plain way — per processor,
+    /// value by value: for each base atom of each rule, the tuples the
+    /// covering constraint admits (the whole relation when the atom is read
+    /// unconstrained), unioned over the rules in order.
+    fn reference(global: &Database, pp: &ProcessorProgram) -> Vec<(RelationId, Vec<Tuple>)> {
+        let derived: Vec<RelationId> =
+            pp.program.derived_predicates().into_iter().map(Into::into).chain(pp.inboxes.iter().copied()).collect();
+        let mut out: FxHashMap<RelationId, Option<Vec<Tuple>>> = FxHashMap::default(); // `None`: all of it
+        for rule in &pp.program.rules {
+            for atom in rule.body_atoms() {
+                let id = (atom.predicate, atom.terms.len());
+                let Some(relation) = global.relation(id).filter(|_| !derived.contains(&id)) else { continue };
+                let at = |v: &Variable| atom.terms.iter().position(|t| *t == Term::Var(*v));
+                // The constraint binding the most variables, a full binding
+                // first, the earliest on ties (`max_by_key` keeps the last).
+                let best = rule.body.iter().filter_map(|l| match l {
+                    Literal::Constraint(c) => Some((c, c.variables().iter().take_while(|v| at(v).is_some()).count())),
+                    Literal::Atom(_) => None,
+                });
+                let best = best.filter(|&(_, m)| m > 0).rev().max_by_key(|&(c, m)| (m == c.variables().len(), m));
+                match (best, out.entry(id).or_insert_with(|| Some(Vec::new()))) {
+                    (_, None) => {}
+                    (None, kept) => *kept = None,
+                    (Some((c, m)), Some(kept)) => {
+                        for t in relation.iter() {
+                            let key: Vec<Value> = c.variables()[..m].iter().map(|v| t.get(at(v).unwrap())).collect();
+                            let admitted = if m == c.variables().len() {
+                                c.holds(&key)
+                            } else {
+                                c.may_hold_prefix(&Tuple::new(&key), &(0..m).collect::<Vec<_>>())
+                            };
+                            if admitted && !kept.contains(t) {
+                                kept.push(t.clone());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let all = |id| global.relation(id).unwrap().iter().cloned().collect();
+        out.into_iter().map(|(id, kept)| (id, kept.unwrap_or_else(|| all(id)))).collect()
+    }
+
+    /// `worker_databases(MinimalFragments)` is the reference, tuple for
+    /// tuple and in the same order, on the workers of every preset — the
+    /// skew-aware prefix cover and §6's per-processor `h_i` among them —
+    /// of `general` on two programs and of two magic plans.
+    #[test]
+    fn fragments_match_a_per_processor_reference() {
+        use crate::advisor::choose_sequences;
+        use crate::discriminator::{DiscriminatorRef, HashMod, Mixed};
+        use crate::schemes::demand::compile_demand;
+        use crate::schemes::general::{rewrite_general, RuleChoice};
+        use crate::schemes::presets::*;
+        use crate::strategy::SkewPolicy;
+        use gst_frontend::magic::magic_rewrite;
+        use gst_frontend::LinearSirup;
+        use gst_storage::round_robin_fragment;
+        use gst_workloads::*;
+
+        let edges = random_digraph(24, 60, 5);
+        let skewed = zipf_digraph(200, 150, 20, 9);
+        for n in [1, 2, 3, 4, 7] {
+            let fx = linear_ancestor();
+            let sirup = LinearSirup::from_program(&fx.program).unwrap();
+            let (db, hot_db) = (fx.database(&edges), fx.database(&skewed));
+            let h: DiscriminatorRef = Arc::new(HashMod::new(n, 3));
+            let var = |name| fx.program.var(name);
+            let skew = skew_aware_hash_partition(&sirup, n, &hot_db, &SkewPolicy::default()).unwrap();
+            assert!(n == 1 || skew.hot_keys_split > 0, "the zipf graph has a hot key at n={n}");
+            let local = |i| Arc::new(Mixed::new(i, h.clone(), 0.5, 7)) as DiscriminatorRef;
+            let generalized = GeneralizedConfig { v_r: vec![var("Z")], v_e: vec![var("X")], h_prime: h.clone(), h_locals: (0..n).map(local).collect() };
+            let mut plans = vec![
+                ("example1", db.clone(), example1_wolfson(&sirup, n, &db).unwrap()),
+                ("example2", db.clone(), example2_valduriez(&sirup, round_robin_fragment(&edges, n).unwrap(), &db).unwrap()),
+                ("example3", db.clone(), example3_hash_partition(&sirup, n, &db).unwrap()),
+                ("skew-aware", hot_db, skew),
+                ("§6 per-processor h_i", db.clone(), rewrite_generalized(&sirup, &generalized, &db).unwrap()),
+                ("nocomm", db.clone(), rewrite_no_comm(&sirup, &NoCommConfig { v_e: vec![var("X")], h_prime: h.clone() }, &db).unwrap()),
+            ];
+            let (sg, tree) = (same_generation(), same_generation_tree(3));
+            for (name, fx, db) in [
+                ("general nonlinear", nonlinear_ancestor(), nonlinear_ancestor().database(&edges)),
+                ("general sg", sg.clone(), sg.database_multi(&[tree.0, tree.1, tree.2])),
+            ] {
+                let choices: Vec<RuleChoice> =
+                    choose_sequences(&fx.program).into_iter().map(|v| RuleChoice { v, h: h.clone() }).collect();
+                plans.push((name, db.clone(), rewrite_general(&fx.program, &choices, &db, BaseDistribution::MinimalFragments).unwrap()));
+            }
+            for (name, fx) in [("magic left-linear", linear_ancestor()), ("magic right-linear", right_linear_ancestor())] {
+                let y = Term::Var(fx.program.var("Y"));
+                let rw = magic_rewrite(&fx.program, &Atom::new(fx.output_id().0, vec![Term::Const(Value::Int(3)), y])).unwrap();
+                let mut db = fx.database(&edges);
+                db.insert((rw.seed_predicate.name, rw.seed_predicate.arity), rw.seed_fact.clone()).unwrap();
+                plans.push((name, db.clone(), compile_demand(&rw, &db, n).unwrap()));
+            }
+            for (name, db, scheme) in plans {
+                let programs: Vec<ProcessorProgram> = scheme.workers.iter().map(|w| w.program.clone()).collect();
+                let edbs = worker_databases(&db, &programs, BaseDistribution::MinimalFragments).unwrap();
+                for (pp, edb) in programs.iter().zip(&edbs) {
+                    let want = reference(&db, pp);
+                    assert_eq!(edb.relation_count(), want.len(), "{name}, n={n}, worker {}", pp.processor);
+                    for (id, rows) in want {
+                        let got = edb.relation(id).unwrap();
+                        assert!(got.iter().eq(&rows), "{name}, n={n}, worker {}: {got:?} != {rows:?}", pp.processor);
+                    }
+                }
             }
         }
     }

@@ -54,7 +54,7 @@
 
 use std::sync::Arc;
 
-use gst_common::{Error, Result};
+use gst_common::{Error, Result, Tuple};
 use gst_eval::plan::RelationId;
 use gst_eval::route::pooled_shard;
 use gst_frontend::ast::{Atom, Literal};
@@ -215,7 +215,7 @@ pub(crate) fn rewrite(
                     Route {
                         source: atom(out, a.terms.clone()),
                         key: Some(DiscConstraint::literal(policy.v.clone(), h.clone(), i)),
-                        dests: inboxes(h.assign_prefix(&[]).unwrap_or_else(everyone)),
+                        dests: inboxes((0..n).filter(|&j| h.may_assign_prefix(&Tuple::unit(), &[], j)).collect()),
                         retract: false,
                     }
                 } else if policy.conditioned {

@@ -368,9 +368,7 @@ fn skew_hash(
     };
     let profile = sample_key_frequencies(rel, &[col]);
     let hot = profile.hot_keys(n, policy).into_iter().map(|(key, _)| {
-        let home = cold
-            .assign_prefix(&key)
-            .expect("full key prefix always narrows")[0];
+        let home = cold.assign(&key);
         let targets = (0..split_k).map(|j| (home + j) % n).collect();
         (key, targets)
     });

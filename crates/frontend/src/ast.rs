@@ -114,6 +114,15 @@ impl Atom {
     pub fn is_ground(&self) -> bool {
         self.terms.iter().all(|t| matches!(t, Term::Const(_)))
     }
+
+    /// True if `tuple` is an instance of the atom: its constants agree and
+    /// a repeated variable takes one value.
+    pub fn matches(&self, tuple: &Tuple) -> bool {
+        self.terms.iter().enumerate().all(|(i, term)| match term {
+            Term::Const(c) => tuple.get(i) == *c,
+            Term::Var(_) => self.terms[..i].iter().position(|t| t == term).is_none_or(|j| tuple.get(j) == tuple.get(i)),
+        })
+    }
 }
 
 /// The interface constraint literals implement.
@@ -165,19 +174,25 @@ pub trait Constraint: Send + Sync {
         self.partition(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
     }
 
-    /// Decide whether the constraint *could* hold given values for only a
-    /// leading prefix of [`Constraint::variables`]. Used when fragmenting a
-    /// base relation whose atom binds some but not all of the constraint's
-    /// variables: `false` means no extension of the prefix satisfies the
-    /// constraint, so the tuple can be dropped from the fragment. The
-    /// default is conservative — a full binding decides exactly, anything
-    /// shorter is assumed possible.
-    fn may_hold_prefix(&self, bound: &[Value]) -> bool {
-        if bound.len() == self.variables().len() {
-            self.holds(bound)
-        } else {
-            true
-        }
+    /// Decide whether the constraint *could* hold given the values in
+    /// `row`'s `columns`, which bind a leading prefix of
+    /// [`Constraint::variables`] — what the fragmenter asks of a base tuple
+    /// whose atom binds some or all of the constraint's variables: `false`
+    /// means no extension of the prefix satisfies the constraint, so the
+    /// tuple can be dropped from the fragment. The default is conservative
+    /// — a full binding decides exactly, anything shorter is assumed
+    /// possible. An implementation that reads the row's words overrides it.
+    fn may_hold_prefix(&self, row: &Tuple, columns: &[usize]) -> bool {
+        columns.len() < self.variables().len()
+            || self.holds(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
+    }
+
+    /// Whether a prefix of `bound` variables can make
+    /// [`Constraint::may_hold_prefix`] false at all — asked before a tuple
+    /// is read, so a prefix that narrows nothing costs no pass. The
+    /// default: only a full binding does.
+    fn narrows(&self, bound: usize) -> bool {
+        bound == self.variables().len()
     }
 }
 
@@ -354,27 +369,8 @@ mod tests {
     use super::*;
 
     fn setup() -> (Interner, Program) {
-        // anc(X,Y) :- par(X,Y).
-        // anc(X,Y) :- par(X,Z), anc(Z,Y).
-        let i = Interner::new();
-        let anc = i.intern("anc");
-        let par = i.intern("par");
-        let x = Variable(i.intern("X"));
-        let y = Variable(i.intern("Y"));
-        let z = Variable(i.intern("Z"));
-        let r1 = Rule::new(
-            Atom::new(anc, vec![Term::Var(x), Term::Var(y)]),
-            vec![Literal::Atom(Atom::new(par, vec![Term::Var(x), Term::Var(y)]))],
-        );
-        let r2 = Rule::new(
-            Atom::new(anc, vec![Term::Var(x), Term::Var(y)]),
-            vec![
-                Literal::Atom(Atom::new(par, vec![Term::Var(x), Term::Var(z)])),
-                Literal::Atom(Atom::new(anc, vec![Term::Var(z), Term::Var(y)])),
-            ],
-        );
-        let p = Program::new(vec![r1, r2], i.clone());
-        (i, p)
+        let p = crate::parser::parse_program("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).").unwrap().program;
+        (p.interner.clone(), p)
     }
 
     #[test]
@@ -409,18 +405,11 @@ mod tests {
 
     #[test]
     fn safety_check() {
-        let (i, p) = setup();
+        let (_, p) = setup();
         assert!(p.rules[0].is_safe());
         assert!(p.rules[1].is_safe());
         // q(X, W) :- par(X, X).   — W unsafe.
-        let q = i.intern("q");
-        let par = i.get("par").unwrap();
-        let x = Variable(i.get("X").unwrap());
-        let w = Variable(i.intern("W"));
-        let bad = Rule::new(
-            Atom::new(q, vec![Term::Var(x), Term::Var(w)]),
-            vec![Literal::Atom(Atom::new(par, vec![Term::Var(x), Term::Var(x)]))],
-        );
+        let bad = crate::parser::parse_program("q(X, W) :- par(X, X).").unwrap().program.rules[0].clone();
         assert!(!bad.is_safe());
     }
 

@@ -33,7 +33,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use gst_common::{Error, Result, Tuple, Value};
+use gst_common::{Error, Result, Tuple};
 
 use crate::ast::{Atom, Literal, Predicate, Program, Rule, Term, Variable};
 use crate::pretty;
@@ -117,27 +117,7 @@ impl MagicRewrite {
     /// True if `tuple` (from the answer relation) matches the query
     /// goal: constants agree and repeated variables bind consistently.
     pub fn answer_matches(&self, tuple: &Tuple) -> bool {
-        let mut bound: HashMap<Variable, Value> = HashMap::new();
-        for (i, term) in self.query.terms.iter().enumerate() {
-            match term {
-                Term::Const(c) => {
-                    if tuple.get(i) != *c {
-                        return false;
-                    }
-                }
-                Term::Var(v) => match bound.get(v) {
-                    Some(prev) => {
-                        if *prev != tuple.get(i) {
-                            return false;
-                        }
-                    }
-                    None => {
-                        bound.insert(*v, tuple.get(i));
-                    }
-                },
-            }
-        }
-        true
+        self.query.matches(tuple)
     }
 
     /// Pretty-print the rewrite: every generated rule with a provenance
@@ -196,35 +176,30 @@ impl Namer {
     }
 
     fn adorned(&mut self, program: &Program, p: Predicate, a: &[bool]) -> Predicate {
-        if let Some(q) = self.adorned.get(&(p, a.to_vec())) {
-            return *q;
-        }
-        let base = program.interner.resolve(p.name).to_string();
-        let astr = adornment_str(a);
-        let name = if astr.is_empty() {
-            self.fresh(format!("{base}_q"))
-        } else {
-            self.fresh(format!("{base}_{astr}"))
-        };
-        let q = Predicate::new(program.interner.intern(&name), p.arity);
-        self.adorned.insert((p, a.to_vec()), q);
-        q
+        self.name(program, p, a, false)
     }
 
     fn magic(&mut self, program: &Program, p: Predicate, a: &[bool]) -> Predicate {
-        if let Some(q) = self.magic.get(&(p, a.to_vec())) {
+        self.name(program, p, a, true)
+    }
+
+    /// `p` under adornment `a`: its adorned copy (`anc_bf`) or its demand
+    /// predicate over the bound arguments (`m_anc_bf`), named once.
+    fn name(&mut self, program: &Program, p: Predicate, a: &[bool], magic: bool) -> Predicate {
+        let key = (p, a.to_vec());
+        if let Some(q) = if magic { &self.magic } else { &self.adorned }.get(&key) {
             return *q;
         }
-        let base = program.interner.resolve(p.name).to_string();
-        let astr = adornment_str(a);
-        let name = if astr.is_empty() {
-            self.fresh(format!("m_{base}"))
-        } else {
-            self.fresh(format!("m_{base}_{astr}"))
+        let (base, astr) = (program.interner.resolve(p.name), adornment_str(a));
+        let name = match (magic, astr.is_empty()) {
+            (false, true) => format!("{base}_q"),
+            (false, false) => format!("{base}_{astr}"),
+            (true, true) => format!("m_{base}"),
+            (true, false) => format!("m_{base}_{astr}"),
         };
-        let arity = a.iter().filter(|&&b| b).count();
-        let q = Predicate::new(program.interner.intern(&name), arity);
-        self.magic.insert((p, a.to_vec()), q);
+        let arity = if magic { a.iter().filter(|&&b| b).count() } else { p.arity };
+        let q = Predicate::new(program.interner.intern(&self.fresh(name)), arity);
+        if magic { &mut self.magic } else { &mut self.adorned }.insert(key, q);
         q
     }
 }
@@ -431,6 +406,7 @@ pub fn magic_rewrite(source: &Program, query: &Atom) -> Result<MagicRewrite> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gst_common::Value;
     use crate::parser::parse_program;
     use crate::pretty;
 

@@ -1,5 +1,7 @@
 //! The database catalog: a named collection of relations.
 
+use std::sync::Arc;
+
 use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
 
 use crate::relation::Relation;
@@ -11,10 +13,14 @@ use crate::relation::Relation;
 pub type RelationId = (gst_common::SymbolId, usize);
 
 /// A catalog of named relations sharing one interner.
+///
+/// A relation is held behind an `Arc` and copied on write: cloning a
+/// database, or sharing one of its relations with another
+/// ([`Database::share_from`]), copies no tuple until one side mutates it.
 #[derive(Debug, Clone)]
 pub struct Database {
     interner: Interner,
-    relations: FxHashMap<RelationId, Relation>,
+    relations: FxHashMap<RelationId, Arc<Relation>>,
 }
 
 impl Database {
@@ -33,26 +39,25 @@ impl Database {
 
     /// Get (creating if needed) the relation for `id`.
     pub fn relation_mut(&mut self, id: RelationId) -> &mut Relation {
-        self.relations.entry(id).or_insert_with(|| Relation::new(id.1))
+        Arc::make_mut(self.relations.entry(id).or_insert_with(|| Arc::new(Relation::new(id.1))))
     }
 
     /// Get the relation for `id`, if it exists.
     pub fn relation(&self, id: RelationId) -> Option<&Relation> {
-        self.relations.get(&id)
-    }
-
-    /// The relation for `id`, or an empty one (shared static) if absent.
-    pub fn relation_or_empty(&self, id: RelationId) -> Relation {
-        self.relations
-            .get(&id)
-            .cloned()
-            .unwrap_or_else(|| Relation::new(id.1))
+        self.relations.get(&id).map(Arc::as_ref)
     }
 
     /// Look up by name string; `None` if the name or relation is unknown.
     pub fn relation_by_name(&self, name: &str, arity: usize) -> Option<&Relation> {
-        let sym = self.interner.get(name)?;
-        self.relations.get(&(sym, arity))
+        self.relation((self.interner.get(name)?, arity))
+    }
+
+    /// Hold `other`'s relation `id` as this database's, copying no tuple
+    /// (nothing happens if `other` has none).
+    pub fn share_from(&mut self, other: &Database, id: RelationId) {
+        if let Some(relation) = other.relations.get(&id) {
+            self.relations.insert(id, Arc::clone(relation));
+        }
     }
 
     /// Insert one fact.
@@ -71,25 +76,36 @@ impl Database {
     /// [`Relation::delete`]).
     pub fn delete(&mut self, id: RelationId, tuple: &Tuple) -> bool {
         match self.relations.get_mut(&id) {
-            Some(rel) => rel.delete(tuple),
+            Some(rel) => Arc::make_mut(rel).delete(tuple),
             None => false,
         }
     }
 
-    /// Bulk-load `(id, tuple)` facts, e.g. from the parser.
+    /// Bulk-load `(id, tuple)` facts, e.g. from the parser; returns how
+    /// many were new.
     ///
     /// Accepts anything convertible to `RelationId` pairs; the parser's
     /// `(Predicate, Tuple)` output converts via `Predicate::{name, arity}`.
+    /// Each run of facts for one relation is looked up once and inserted
+    /// as one batch ([`Relation::insert_batch`]).
     pub fn load_facts<I, P>(&mut self, facts: I) -> Result<usize>
     where
         I: IntoIterator<Item = (P, Tuple)>,
         P: Into<RelationId>,
     {
-        let mut loaded = 0;
-        for (pred, tuple) in facts {
-            if self.insert(pred.into(), tuple)? {
-                loaded += 1;
+        let mut facts = facts.into_iter().map(|(p, t)| (p.into(), t)).peekable();
+        let (mut loaded, mut run) = (0, Vec::new());
+        while let Some((id, first)) = facts.next() {
+            run.push(first);
+            run.extend(std::iter::from_fn(|| facts.next_if(|(next, _)| *next == id).map(|(_, t)| t)));
+            if let Some(t) = run.iter().find(|t| t.arity() != id.1) {
+                return Err(Error::Storage(format!(
+                    "fact arity {} does not match relation arity {}",
+                    t.arity(),
+                    id.1
+                )));
             }
+            loaded += self.relation_mut(id).insert_batch(&mut run) as usize;
         }
         Ok(loaded)
     }
@@ -103,18 +119,18 @@ impl Database {
                 id.1
             )));
         }
-        self.relations.insert(id, relation);
+        self.relations.insert(id, Arc::new(relation));
         Ok(())
     }
 
     /// Iterate over all `(id, relation)` pairs (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (&RelationId, &Relation)> {
-        self.relations.iter()
+        self.relations.iter().map(|(id, relation)| (id, relation.as_ref()))
     }
 
     /// Total number of live tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::live_len).sum()
+        self.relations.values().map(|relation| relation.live_len()).sum()
     }
 
     /// Number of relations.
@@ -149,13 +165,6 @@ mod tests {
     fn insert_arity_mismatch_is_error() {
         let (mut d, par) = db();
         assert!(d.insert(par, ituple![1]).is_err());
-    }
-
-    #[test]
-    fn relation_or_empty_for_missing() {
-        let (d, par) = db();
-        assert_eq!(d.relation_or_empty(par).len(), 0);
-        assert_eq!(d.relation_or_empty(par).arity(), 2);
     }
 
     #[test]

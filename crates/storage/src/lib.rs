@@ -16,5 +16,5 @@ pub mod relation;
 
 pub use database::Database;
 pub use index::{hash_key, postings_in_range, HashIndex};
-pub use partition::{hash_fragment, replicated_fragments, round_robin_fragment, Fragmentation};
+pub use partition::{hash_fragment, round_robin_fragment, Fragmentation};
 pub use relation::Relation;

@@ -110,40 +110,6 @@ pub fn hash_fragment(relation: &Relation, columns: &[usize], n: usize) -> Result
     Fragmentation::from_fragments(fragments)
 }
 
-/// Distribute `relation` into `n` possibly *overlapping* pieces: `targets`
-/// names every worker that must hold a given tuple. This is the §6 `R_i`
-/// replicating counterpart of [`hash_fragment`] — a skew-aware partition
-/// replicates a hot key's complementary join fragment to every member of
-/// the key's split set, deliberately breaking the disjointness invariant
-/// [`Fragmentation`] enforces, so the result is a plain `Vec<Relation>`.
-///
-/// # Errors
-/// Fails when `n` is zero or `targets` names a worker out of range.
-pub fn replicated_fragments<F>(
-    relation: &Relation,
-    n: usize,
-    mut targets: F,
-) -> Result<Vec<Relation>>
-where
-    F: FnMut(&Tuple) -> Vec<usize>,
-{
-    if n == 0 {
-        return Err(Error::Storage("cannot fragment into 0 pieces".into()));
-    }
-    let mut fragments = vec![Relation::new(relation.arity()); n];
-    for t in relation.iter() {
-        for i in targets(t) {
-            if i >= n {
-                return Err(Error::Storage(format!(
-                    "replication target {i} out of range for {n} workers"
-                )));
-            }
-            fragments[i].insert_unchecked(t.clone());
-        }
-    }
-    Ok(fragments)
-}
-
 /// Partition `relation` round-robin over its (arbitrary) iteration order —
 /// an "adversarial" fragmentation exercising Example 2's claim that *any*
 /// horizontal partition works.
@@ -244,31 +210,5 @@ mod tests {
         let rel = chain(30);
         let frag = round_robin_fragment(&rel, 7).unwrap();
         assert!(frag.union().set_eq(&rel));
-    }
-
-    #[test]
-    fn replicated_fragments_overlap_where_asked() {
-        let rel = chain(20);
-        // Even keys replicate to workers 0 and 2; odd keys go to worker 1.
-        let frags = replicated_fragments(&rel, 3, |t| {
-            if t.get(0).as_int().unwrap() % 2 == 0 {
-                vec![0, 2]
-            } else {
-                vec![1]
-            }
-        })
-        .unwrap();
-        assert_eq!(frags.len(), 3);
-        assert!(frags[0].set_eq(&frags[2]), "replicas are identical");
-        assert_eq!(frags[0].len() + frags[1].len(), 20);
-        // The union still reconstructs the relation.
-        let mut union = Relation::new(2);
-        for f in &frags {
-            union.absorb(f).unwrap();
-        }
-        assert!(union.set_eq(&rel));
-        // Out-of-range targets and n=0 are rejected.
-        assert!(replicated_fragments(&rel, 3, |_| vec![3]).is_err());
-        assert!(replicated_fragments(&rel, 0, |_| vec![0]).is_err());
     }
 }

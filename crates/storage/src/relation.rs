@@ -275,6 +275,20 @@ impl Relation {
         }
     }
 
+    /// A relation over `rows`, pairwise distinct and of arity `arity` —
+    /// the caller's word, checked in debug builds. No row is hashed: as
+    /// after [`Relation::append_disjoint`], whoever first probes or mutates
+    /// the relation builds its dedup table, once.
+    ///
+    /// # Errors
+    /// An arena outgrowing the `u32` row-id space.
+    pub fn from_distinct(arity: usize, rows: Vec<Tuple>) -> Result<Self> {
+        check_row_ids(rows.len())?;
+        debug_assert!(rows.iter().all(|t| t.arity() == arity), "from_distinct: a row of another arity");
+        debug_assert_eq!(rows.iter().collect::<gst_common::FxHashSet<_>>().len(), rows.len(), "from_distinct: a row repeats");
+        Ok(Relation { arity, rows, table: OnceLock::new(), dead: Vec::new(), dead_count: 0 })
+    }
+
     /// Create an empty relation with room for `capacity` tuples.
     pub fn with_capacity(arity: usize, capacity: usize) -> Self {
         Relation {

@@ -119,6 +119,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use parallel_datalog::core::dataflow::{zero_comm_choice, DataflowGraph};
+use parallel_datalog::frontend::pretty;
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{shard_kinds, FaultPlan, Shards, SimTransport};
 use parallel_datalog::storage::round_robin_fragment;
@@ -187,7 +188,7 @@ fn load(path: &str) -> std::result::Result<(Program, Database, Vec<Atom>), Strin
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let unit = parse_program(&source).map_err(|e| e.to_string())?;
     let mut db = Database::new(unit.program.interner.clone());
-    db.load_facts(unit.facts.clone()).map_err(|e| e.to_string())?;
+    db.load_facts(unit.facts).map_err(|e| e.to_string())?;
     Ok((unit.program, db, unit.queries))
 }
 
@@ -208,8 +209,8 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let mut net_faults: Option<String> = None;
     let mut net_kill: Option<String> = None;
     let mut net_config = parallel_datalog::runtime::NetConfig::default();
-    let mut watchdog_ms: Option<u64> = None;
-    let mut restart_backoff_ms: Option<u64> = None;
+    let mut watchdog: Option<std::time::Duration> = None;
+    let mut restart_backoff: Option<std::time::Duration> = None;
     let mut skew_aware = false;
     let mut morsels = 1usize;
     let mut show_profile = false;
@@ -220,25 +221,21 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let mut query: Option<Option<String>> = None;
     let mut explain_rewrite = false;
 
-    fn next_ms(
-        flag: &str,
-        it: &mut std::iter::Peekable<std::vec::IntoIter<String>>,
-    ) -> std::result::Result<std::time::Duration, String> {
-        it.next()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(std::time::Duration::from_millis)
-            .ok_or_else(|| format!("{flag} needs a duration in milliseconds"))
+    /// The flag's value, parsed, or `message`.
+    fn parsed<T: std::str::FromStr>(
+        it: &mut impl Iterator<Item = String>,
+        message: &str,
+    ) -> std::result::Result<T, String> {
+        it.next().and_then(|v| v.parse().ok()).ok_or_else(|| message.to_string())
     }
+    let next_ms = |flag: &str, it: &mut std::iter::Peekable<std::vec::IntoIter<String>>| {
+        parsed(it, &format!("{flag} needs a duration in milliseconds")).map(std::time::Duration::from_millis)
+    };
 
     let mut it = args.into_iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--workers needs a positive integer")?;
-            }
+            "--workers" => workers = parsed(&mut it, "--workers needs a positive integer")?,
             "--scheme" => {
                 scheme_name = it.next().ok_or("--scheme needs a name")?;
             }
@@ -267,12 +264,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                     .ok_or("--morsels needs a thread count of at least 1")?;
             }
             "--sim" => sim = true,
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--seed needs an unsigned integer")?;
-            }
+            "--seed" => seed = parsed(&mut it, "--seed needs an unsigned integer")?,
             "--faults" => {
                 faults = it.next().ok_or("--faults needs a plan (none|jitter|chaos)")?;
             }
@@ -287,13 +279,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             "--metrics-out" => {
                 metrics_out = Some(it.next().ok_or("--metrics-out needs a file path")?);
             }
-            "--max-restarts" => {
-                max_restarts = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-restarts needs an unsigned integer")?,
-                );
-            }
+            "--max-restarts" => max_restarts = Some(parsed(&mut it, "--max-restarts needs an unsigned integer")?),
             "--updates" => {
                 updates = Some(it.next().ok_or("--updates needs a file path")?);
             }
@@ -314,122 +300,72 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             "--connect-backoff-ms" => {
                 net_config.connect_backoff = next_ms("--connect-backoff-ms", &mut it)?;
             }
-            "--watchdog-ms" => {
-                watchdog_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--watchdog-ms needs a duration in milliseconds")?,
-                );
-            }
-            "--restart-backoff-ms" => {
-                restart_backoff_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--restart-backoff-ms needs a duration in milliseconds")?,
-                );
-            }
+            "--watchdog-ms" => watchdog = Some(next_ms("--watchdog-ms", &mut it)?),
+            "--restart-backoff-ms" => restart_backoff = Some(next_ms("--restart-backoff-ms", &mut it)?),
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
     let file = file.ok_or("missing input file")?;
-    if workers == 0 {
-        return Err("--workers must be at least 1".into());
-    }
-    if sim && matches!(scheme_name.as_str(), "seq" | "naive") {
-        return Err("--sim needs a parallel scheme (try --scheme example3)".into());
-    }
-    if (seed != 0 || faults != "none") && !sim {
-        return Err("--seed/--faults only make sense with --sim".into());
-    }
-    if (show_trace || trace_out.is_some()) && matches!(scheme_name.as_str(), "seq" | "naive") {
-        return Err(
-            "--trace/--trace-out need a parallel scheme (the journal records worker events)"
-                .into(),
-        );
-    }
+    let sequential = matches!(scheme_name.as_str(), "seq" | "naive");
+    let tracing = show_trace || trace_out.is_some();
     let profiling = show_profile || profile_json.is_some() || metrics_out.is_some();
-    if profiling && matches!(scheme_name.as_str(), "seq" | "naive") {
-        return Err(
-            "--profile/--profile-json/--metrics-out need a parallel scheme (phase timers live in the workers)"
-                .into(),
-        );
-    }
-    if max_restarts.is_some() && matches!(scheme_name.as_str(), "seq" | "naive") {
-        return Err("--max-restarts needs a parallel scheme (it sizes the supervisor's restart budget)".into());
-    }
-    if (watchdog_ms.is_some() || restart_backoff_ms.is_some())
-        && matches!(scheme_name.as_str(), "seq" | "naive")
-    {
-        return Err(
-            "--watchdog-ms/--restart-backoff-ms need a parallel scheme (they tune the supervisor)"
-                .into(),
-        );
-    }
-    if skew_aware && scheme_name != "example3" {
-        return Err(
-            "--skew-aware replaces example3's hash partition; use --scheme example3".into(),
-        );
-    }
-    if morsels > 1 && matches!(scheme_name.as_str(), "seq" | "naive") {
-        return Err("--morsels needs a parallel scheme (it threads each worker's engine)".into());
-    }
-    if net && sim {
-        return Err("--net and --sim are exclusive: pick OS processes or the simulator".into());
-    }
-    if net && matches!(scheme_name.as_str(), "seq" | "naive") {
-        return Err("--net needs a parallel scheme (try --scheme example3)".into());
-    }
-    if !net && (net_faults.is_some() || net_kill.is_some()) {
-        return Err("--net-faults/--net-kill only make sense with --net".into());
-    }
-    if updates.is_some() && matches!(scheme_name.as_str(), "seq" | "naive") {
-        return Err(
+    // The usage rules, in the order they are checked: when one is broken,
+    // and what the user is told.
+    let usage = [
+        (workers == 0, "--workers must be at least 1"),
+        (sim && sequential, "--sim needs a parallel scheme (try --scheme example3)"),
+        ((seed != 0 || faults != "none") && !sim, "--seed/--faults only make sense with --sim"),
+        (tracing && sequential, "--trace/--trace-out need a parallel scheme (the journal records worker events)"),
+        (
+            profiling && sequential,
+            "--profile/--profile-json/--metrics-out need a parallel scheme (phase timers live in the workers)",
+        ),
+        (
+            max_restarts.is_some() && sequential,
+            "--max-restarts needs a parallel scheme (it sizes the supervisor's restart budget)",
+        ),
+        (
+            (watchdog.is_some() || restart_backoff.is_some()) && sequential,
+            "--watchdog-ms/--restart-backoff-ms need a parallel scheme (they tune the supervisor)",
+        ),
+        (skew_aware && scheme_name != "example3", "--skew-aware replaces example3's hash partition; use --scheme example3"),
+        (morsels > 1 && sequential, "--morsels needs a parallel scheme (it threads each worker's engine)"),
+        (net && sim, "--net and --sim are exclusive: pick OS processes or the simulator"),
+        (net && sequential, "--net needs a parallel scheme (try --scheme example3)"),
+        (!net && (net_faults.is_some() || net_kill.is_some()), "--net-faults/--net-kill only make sense with --net"),
+        (
+            updates.is_some() && sequential,
             "--updates needs a parallel scheme (the maintained view lives in the workers; \
-             use --scheme general --workers 1 for a single-process session)"
-                .into(),
-        );
+             use --scheme general --workers 1 for a single-process session)",
+        ),
+        (updates.is_some() && tracing, "--trace covers a single fixpoint; it does not compose with --updates"),
+        (updates.is_some() && profiling, "--profile covers a single fixpoint; it does not compose with --updates"),
+        (explain_rewrite && query.is_none(), "--explain-rewrite needs --query (it prints the magic-sets rewrite)"),
+        (
+            query.is_some() && print_pred.is_some(),
+            "--query prints only the goal's answers; it does not compose with --print",
+        ),
+        (
+            query.is_some() && updates.is_some(),
+            "--query runs one demand-bounded fixpoint; it does not compose with --updates \
+             (apply updates through the library's UpdateSession instead)",
+        ),
+        (
+            query.is_some() && skew_aware,
+            "--skew-aware tunes example3's full-closure partition; query mode already \
+             partitions on the demand key",
+        ),
+        (
+            query.is_some() && !sequential && scheme_name != "general",
+            "query mode supports --scheme seq, naive, or general (the magic program runs \
+             under the demand-partitioned §7 scheme)",
+        ),
+    ];
+    if let Some((_, message)) = usage.iter().find(|(broken, _)| *broken) {
+        return Err(message.to_string());
     }
-    if updates.is_some() && (show_trace || trace_out.is_some()) {
-        return Err("--trace covers a single fixpoint; it does not compose with --updates".into());
-    }
-    if updates.is_some() && profiling {
-        return Err(
-            "--profile covers a single fixpoint; it does not compose with --updates".into(),
-        );
-    }
-    if explain_rewrite && query.is_none() {
-        return Err("--explain-rewrite needs --query (it prints the magic-sets rewrite)".into());
-    }
-    if query.is_some() {
-        if print_pred.is_some() {
-            return Err(
-                "--query prints only the goal's answers; it does not compose with --print".into(),
-            );
-        }
-        if updates.is_some() {
-            return Err(
-                "--query runs one demand-bounded fixpoint; it does not compose with --updates \
-                 (apply updates through the library's UpdateSession instead)"
-                    .into(),
-            );
-        }
-        if skew_aware {
-            return Err(
-                "--skew-aware tunes example3's full-closure partition; query mode already \
-                 partitions on the demand key"
-                    .into(),
-            );
-        }
-        if !matches!(scheme_name.as_str(), "seq" | "naive" | "general") {
-            return Err(
-                "query mode supports --scheme seq, naive, or general (the magic program runs \
-                 under the demand-partitioned §7 scheme)"
-                    .into(),
-            );
-        }
-    }
-    let (program, db, file_queries) = load(&file)?;
+    let (program, mut db, file_queries) = load(&file)?;
     let interner = program.interner.clone();
 
     // `--query`: magic-sets rewrite (DESIGN.md §15). The rewritten
@@ -458,23 +394,11 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
         }
     }
 
-    // In query mode the executed program is the magic program and the
-    // database carries the demand seed; keep the originals around for the
-    // full-closure baseline behind `--stats`.
-    let original = query_ctx.as_ref().map(|_| (program.clone(), db.clone()));
-    let (program, db) = match &query_ctx {
-        Some(rw) => {
-            let mut seeded = db.clone();
-            seeded
-                .insert(
-                    (rw.seed_predicate.name, rw.seed_predicate.arity),
-                    rw.seed_fact.clone(),
-                )
-                .map_err(|e| e.to_string())?;
-            (rw.program.clone(), seeded)
-        }
-        None => (program, db),
-    };
+    // In query mode the executed program is the magic program. Its demand
+    // seed goes where the program runs — into `db` for `seq`/`naive`, into
+    // the workers' fragments by `compile_demand` — so `program` and `db`
+    // stay the originals a `--stats` full-closure baseline runs on.
+    let executed = query_ctx.as_ref().map_or(&program, |rw| &rw.program);
 
     // Resolve what to print: the query's answer relation (under the
     // original predicate name), else explicit --print, else every
@@ -521,10 +445,20 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
         .as_str()
     {
         "seq" | "naive" => {
+            // Query mode: the work the rewrite avoided, against a
+            // full-closure run of the original program.
+            let full = match (&query_ctx, show_stats) {
+                (Some(_), true) => Some(seminaive_eval(&program, &db).map_err(|e| e.to_string())?),
+                _ => None,
+            };
+            if let Some(rw) = &query_ctx {
+                let seed = (rw.seed_predicate.name, rw.seed_predicate.arity);
+                db.insert(seed, rw.seed_fact.clone()).map_err(|e| e.to_string())?;
+            }
             let mut result = if scheme_name == "seq" {
-                seminaive_eval(&program, &db)
+                seminaive_eval(executed, &db)
             } else {
-                naive_eval(&program, &db)
+                naive_eval(executed, &db)
             }
             .map_err(|e| e.to_string())?;
             let rels = take_printed(&print_ids, &mut result.idb);
@@ -535,10 +469,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 result.stats.derived,
                 result.stats.duplicates
             );
-            // Query mode: quantify the work the rewrite avoided against
-            // a full-closure run of the original program.
-            if let (Some((orig_program, orig_db)), true) = (&original, show_stats) {
-                let full = seminaive_eval(orig_program, orig_db).map_err(|e| e.to_string())?;
+            if let Some(full) = full {
                 let ratio = if full.stats.firings > 0 {
                     result.stats.firings as f64 / full.stats.firings as f64
                 } else {
@@ -565,13 +496,13 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             if let Some(budget) = max_restarts {
                 config.supervisor.max_restarts = budget;
             }
-            if let Some(ms) = watchdog_ms {
-                config.worker.idle_watchdog = std::time::Duration::from_millis(ms);
+            if let Some(d) = watchdog {
+                config.worker.idle_watchdog = d;
             }
-            if let Some(ms) = restart_backoff_ms {
-                config.supervisor.restart_backoff = std::time::Duration::from_millis(ms);
+            if let Some(d) = restart_backoff {
+                config.supervisor.restart_backoff = d;
             }
-            config.trace = show_trace || trace_out.is_some();
+            config.trace = tracing;
             // The one place the transport is chosen; the batch path and
             // the `--updates` path both run on it.
             let sim_transport = if sim {
@@ -680,7 +611,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 eprint!("{}", outcome.journal);
             }
             if let Some(path) = &trace_out {
-                write_chrome_trace(path, &outcome.journal)?;
+                write_text(path, &outcome.journal.chrome_trace())?;
             }
             if profiling {
                 use parallel_datalog::runtime::{ProfileReport, TimeBase};
@@ -771,9 +702,9 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             // Query mode: quantify the work and traffic the rewrite
             // avoided against a full-closure parallel run (threaded §7
             // scheme on the original program, same worker count).
-            let extra = match (&original, show_stats) {
-                (Some((orig_program, orig_db)), true) => {
-                    let full = build_scheme("general", orig_program, orig_db, workers, false)?
+            let extra = match (&query_ctx, show_stats) {
+                (Some(_), true) => {
+                    let full = build_scheme("general", &program, &db, workers, false)?
                         .run()
                         .map_err(|e| e.to_string())?;
                     let (mf, ff) =
@@ -833,19 +764,14 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     // The adorned relation also holds answers for transitively demanded
     // bindings; keep exactly the tuples matching the query's constants.
     let relations = match &query_ctx {
-        Some(rw) => {
-            let mut filtered = Vec::with_capacity(relations.len());
-            for (label, rel) in relations {
-                let mut out = Relation::new(rw.answer.arity);
-                for t in rel.iter() {
-                    if rw.answer_matches(t) {
-                        out.insert(t.clone()).map_err(|e| e.to_string())?;
-                    }
-                }
-                filtered.push((label, out));
-            }
-            filtered
-        }
+        Some(rw) => relations
+            .into_iter()
+            .map(|(label, rel)| {
+                let answers = rel.iter().filter(|t| rw.answer_matches(t)).cloned().collect();
+                Ok((label, Relation::from_distinct(rel.arity(), answers)?))
+            })
+            .collect::<Result<_>>()
+            .map_err(|e| e.to_string())?,
         None => relations,
     };
     finish_run(
@@ -960,7 +886,7 @@ fn print_relations(relations: &[(String, Relation)], interner: &Interner) -> std
                 let sep = if k == 0 { "" } else { ", " };
                 match v {
                     Value::Int(n) => write!(out, "{sep}{n}")?,
-                    Value::Sym(s) => write!(out, "{sep}{}", interner.resolve(s))?,
+                    Value::Sym(s) => write!(out, "{sep}{}", pretty::symbol(&interner.resolve(s)))?,
                 }
             }
             out.write_all(b").\n")?;
@@ -1001,48 +927,19 @@ fn parse_updates(
                 ))
             }
         };
-        // Parse the fact by wrapping it in a throwaway rule over the
-        // program's interner, so constants unify with its symbols.
-        let wrapped = format!("upd__ :- {fact_src}.");
-        let unit =
-            parallel_datalog::frontend::parser::parse_program_with(&wrapped, &program.interner)
-                .map_err(|e| format!("updates line {lineno}: {e}"))?;
-        let atom = unit.program.rules[0]
-            .body_atoms()
-            .next()
-            .ok_or_else(|| format!("updates line {lineno}: no atom in `{fact_src}`"))?
-            .clone();
-        let mut values = Vec::with_capacity(atom.terms.len());
-        for term in &atom.terms {
-            match term {
-                Term::Const(c) => values.push(*c),
-                Term::Var(_) => {
-                    return Err(format!(
-                        "updates line {lineno}: update facts must be ground, got `{fact_src}`"
-                    ))
-                }
-            }
-        }
-        let id = (atom.predicate, atom.terms.len());
-        let tuple = Tuple::new(&values);
-        if insert {
-            current.inserts.push((id, tuple));
-        } else {
-            current.deletes.push((id, tuple));
-        }
+        // The fact parses alone over the program's interner, so its
+        // constants unify with the program's symbols.
+        let unit = parallel_datalog::frontend::parser::parse_program_with(&format!("{fact_src}."), &program.interner)
+            .map_err(|e| format!("updates line {lineno}: {e}"))?;
+        let [(pred, tuple)] = <[_; 1]>::try_from(unit.facts)
+            .map_err(|_| format!("updates line {lineno}: expected one fact, got `{fact_src}`"))?;
+        let batch = if insert { &mut current.inserts } else { &mut current.deletes };
+        batch.push((pred.into(), tuple));
     }
     if !current.is_empty() {
         batches.push(current);
     }
     Ok(batches)
-}
-
-/// Write the journal as Chrome trace-event JSON, creating parent dirs.
-fn write_chrome_trace(
-    path: &str,
-    journal: &parallel_datalog::runtime::Journal,
-) -> std::result::Result<(), String> {
-    write_text(path, &journal.chrome_trace())
 }
 
 /// Write a text artifact (trace JSON, profile JSON, metrics), creating
@@ -1274,49 +1171,22 @@ fn cmd_query(args: Vec<String>) -> std::result::Result<(), String> {
             .ok_or_else(|| format!("unknown predicate in goal: {goal_src}"))?
     };
 
-    // Match tuples against the goal pattern.
-    let mut bindings_header: Vec<String> = Vec::new();
-    let mut var_positions: Vec<(usize, usize)> = Vec::new(); // (col, header idx)
-    let mut seen: Vec<Variable> = Vec::new();
+    // One column per distinct variable of the goal, at its first position.
+    let mut columns: Vec<(usize, Variable)> = Vec::new();
     for (col, term) in goal.terms.iter().enumerate() {
         if let Term::Var(v) = term {
-            if !seen.contains(v) {
-                seen.push(*v);
-                bindings_header.push(v.name(&program.interner));
-                var_positions.push((col, bindings_header.len() - 1));
+            if columns.iter().all(|(_, seen)| seen != v) {
+                columns.push((col, *v));
             }
         }
     }
-
-    let mut answers: Vec<Vec<String>> = Vec::new();
-    'tuples: for t in relation.sorted() {
-        // Constants and repeated variables must match.
-        let mut bound: Vec<(Variable, Value)> = Vec::new();
-        for (col, term) in goal.terms.iter().enumerate() {
-            match term {
-                Term::Const(c) => {
-                    if t.get(col) != *c {
-                        continue 'tuples;
-                    }
-                }
-                Term::Var(v) => {
-                    if let Some((_, val)) = bound.iter().find(|(bv, _)| bv == v) {
-                        if *val != t.get(col) {
-                            continue 'tuples;
-                        }
-                    } else {
-                        bound.push((*v, t.get(col)));
-                    }
-                }
-            }
-        }
-        answers.push(
-            var_positions
-                .iter()
-                .map(|&(col, _)| t.get(col).display(&program.interner))
-                .collect(),
-        );
-    }
+    let bindings_header: Vec<String> = columns.iter().map(|(_, v)| v.name(&program.interner)).collect();
+    let answers: Vec<Vec<String>> = relation
+        .sorted()
+        .iter()
+        .filter(|t| goal.matches(t))
+        .map(|t| columns.iter().map(|&(col, _)| t.get(col).display(&program.interner)).collect())
+        .collect();
 
     if bindings_header.is_empty() {
         println!("{}", if answers.is_empty() { "false" } else { "true" });
@@ -1365,7 +1235,7 @@ fn cmd_analyze(args: Vec<String>) -> std::result::Result<(), String> {
     for (k, rule) in program.rules.iter().enumerate() {
         println!(
             "rule {k}: {} [{}]",
-            parallel_datalog::frontend::pretty::rule(rule, &interner),
+            pretty::rule(rule, &interner),
             if analysis.is_recursive_rule(k) {
                 "recursive"
             } else {
@@ -1385,7 +1255,7 @@ fn cmd_analyze(args: Vec<String>) -> std::result::Result<(), String> {
         println!(
             "  r{} → {} in r{}: {}",
             pair.producer,
-            parallel_datalog::frontend::pretty::atom(pair.atom, &interner),
+            pretty::atom(pair.atom, &interner),
             pair.consumer,
             format!("{:?}", pair.flow).to_lowercase()
         );

@@ -172,6 +172,36 @@ fn print_order_is_value_order_across_ints_and_symbols() {
     }
 }
 
+/// `--print` spells a constant the way the parser reads it — a symbol that
+/// is not a plain lowercase identifier quoted and escaped, `i64::MIN` as
+/// itself — so what one run prints parses back to the relation it printed.
+#[test]
+fn print_output_parses_back_to_the_same_facts() {
+    use parallel_datalog::prelude::*;
+    let source = r#"r(X,Y) :- e(X,Y).
+        r(X,Y) :- e(X,Z), r(Z,Y).
+        e("Ada Lovelace", "Grace Hopper"). e("Grace Hopper", "a\"b"). e("a\"b", alice).
+        e(alice, "Alice"). e("Alice", -9223372036854775808). e(-9223372036854775808, "").
+        e("", "tab\there"). e("tab\there", "new\nline"). e("new\nline", "back\\slash"). e(ß, "ü x")."#;
+    let file = write_program("print-roundtrip.dl", source);
+    let unit = parse_program(source).unwrap();
+    let mut db = Database::new(unit.program.interner.clone());
+    db.load_facts(unit.facts).unwrap();
+    let r = (unit.program.interner.get("r").unwrap(), 2);
+    let want = seminaive_eval(&unit.program, &db).unwrap().relation(r);
+    for scheme in ["seq", "general --workers 2"] {
+        let out = cli("run", &file, &format!("--scheme {scheme} --print r/2"));
+        assert!(out.status.success(), "{scheme}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.contains("\nr(-9223372036854775808, \"\").\n"), "{scheme}:\n{stdout}");
+        let printed = parallel_datalog::frontend::parser::parse_program_with(&stdout, &unit.program.interner)
+            .unwrap_or_else(|e| panic!("{scheme}: {e}\n{stdout}"));
+        assert!(printed.facts.iter().all(|(p, _)| (p.name, p.arity) == r), "{scheme}");
+        let got: Relation = printed.facts.into_iter().map(|(_, t)| t).collect();
+        assert!(got.len() == want.len() && got.set_eq(&want), "{scheme}:\n{stdout}");
+    }
+}
+
 #[test]
 fn analyze_reports_sirup_and_theorem3() {
     let file = write_program("analyze.dl", ANCESTOR);

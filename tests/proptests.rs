@@ -194,16 +194,7 @@ fn comparisons_equal_prefiltered_closure() {
         let with_builtin = seminaive_eval(&unit.program, &db).unwrap();
 
         // Oracle: filter the edges first, then run plain TC.
-        let filtered: Relation = edges
-            .iter()
-            .filter(|t| t.get(0) < t.get(1))
-            .cloned()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .fold(Relation::new(2), |mut r, t| {
-                r.insert_unchecked(t);
-                r
-            });
+        let filtered = Relation::from_distinct(2, edges.iter().filter(|t| t.get(0) < t.get(1)).cloned().collect()).unwrap();
         let fx = linear_ancestor();
         let db2 = fx.database(&filtered);
         let oracle = seminaive_eval(&fx.program, &db2).unwrap();
@@ -216,27 +207,73 @@ fn comparisons_equal_prefiltered_closure() {
     }
 }
 
-/// The parser and pretty-printer round-trip rule structure.
+/// A random source in three sections — rules, facts, goals — with
+/// comments, odd whitespace, comparisons and every spelling of a constant
+/// the lexer accepts: bare and quoted symbols, escapes, non-ASCII, leading
+/// zeros, `-0`, `i64::MIN` and `i64::MAX`.
+fn arb_source(rng: &mut SmallRng) -> String {
+    const PREDS: &[&str] = &["p", "edge", "r2_d2", "ünder", "tc"];
+    const VARS: &[&str] = &["X", "Y", "Z", "_t", "Ünï", "W9"];
+    const CONSTS: &[&str] = &[
+        "alice", r#""alice""#, r#""John Smith""#, r#""a\"b""#, r#""tab\there""#, r#""new\nline""#,
+        r#""back\\slash""#, r#""Ünï""#, r#""""#, "ß", r#""p""#, "0", "-0", "42", "-7", "007",
+        "-9223372036854775808", "9223372036854775807",
+    ];
+    const GAPS: &[&str] = &["", " ", "\t", "\n", "\r\n", " % a comment\n", "\n// another\n"];
+    const OPS: &[&str] = &["<", "<=", ">", ">=", "=", "!="];
+    fn pick(rng: &mut SmallRng, xs: &[&'static str]) -> &'static str {
+        xs[rng.gen_below(xs.len() as u64) as usize]
+    }
+    fn atom(rng: &mut SmallRng, terms: &[&'static str]) -> String {
+        let args: Vec<&str> = (0..rng.gen_below(4)).map(|_| pick(rng, terms)).collect();
+        let gap = pick(rng, GAPS);
+        match args.len() {
+            0 if rng.gen_bool(0.5) => pick(rng, PREDS).to_string(),
+            _ => format!("{}({gap}{})", pick(rng, PREDS), args.join(&format!(",{gap}"))),
+        }
+    }
+    let mut out = String::new();
+    let both: Vec<&'static str> = VARS.iter().chain(CONSTS).copied().collect();
+    for _ in 0..rng.gen_below(4) {
+        let mut body: Vec<String> = (0..1 + rng.gen_below(3)).map(|_| atom(rng, &both)).collect();
+        if rng.gen_bool(0.5) {
+            body.push(format!("{} {} {}", pick(rng, &both), pick(rng, OPS), pick(rng, &both)));
+        }
+        let gap = pick(rng, GAPS);
+        out.push_str(&format!("{}{gap}:-{gap}{}.{}\n", atom(rng, &both), body.join(","), pick(rng, GAPS)));
+    }
+    for _ in 0..rng.gen_below(6) {
+        out.push_str(&format!("{}.{}\n", atom(rng, CONSTS), pick(rng, GAPS)));
+    }
+    for _ in 0..rng.gen_below(3) {
+        out.push_str(&format!("?-{}{}.\n", pick(rng, GAPS), atom(rng, &both)));
+    }
+    out
+}
+
+/// The parser and pretty-printer round-trip whole units: `pretty::unit`
+/// of a random source parses to an equal unit — every symbol under the
+/// same id, the same facts in the same order, the same goals, and rules
+/// that render to the same text (with the symbol table equal, that is the
+/// same rules).
 #[test]
 fn parser_pretty_round_trip() {
+    use parallel_datalog::common::SymbolId;
+    use parallel_datalog::frontend::{pretty, ParsedUnit};
+    let names = |u: &ParsedUnit| {
+        let i = &u.program.interner;
+        (0..i.len() as u32).map(|k| i.resolve(SymbolId(k))).collect::<Vec<_>>()
+    };
     let mut rng = SmallRng::seed_from_u64(0xA6);
-    for case in 0..CASES {
-        let arity = 1 + rng.gen_below(3) as usize;
-        let body_len = 1 + rng.gen_below(3) as usize;
-        // Build a random-but-safe rule: head vars all drawn from body.
-        let head_args: Vec<String> = (0..arity).map(|k| format!("V{k}")).collect();
-        let body: Vec<String> = (0..body_len)
-            .map(|b| format!("e{b}({})", head_args.join(", ")))
-            .collect();
-        let src = format!("t({}) :- {}.", head_args.join(", "), body.join(", "));
-        let first = parse_program(&src).unwrap();
-        let rendered = parallel_datalog::frontend::pretty::program(&first.program);
-        let second = parse_program(&rendered).unwrap();
-        assert_eq!(
-            parallel_datalog::frontend::pretty::program(&second.program),
-            rendered,
-            "case {case}"
-        );
+    for case in 0..CASES * 8 {
+        let source = arb_source(&mut rng);
+        let first = parse_program(&source).unwrap_or_else(|e| panic!("case {case}: {e}\n{source}"));
+        let rendered = pretty::unit(&first);
+        let second = parse_program(&rendered).unwrap_or_else(|e| panic!("case {case}: {e}\n{rendered}"));
+        assert_eq!(names(&first), names(&second), "case {case}: symbol ids\n{source}\n{rendered}");
+        assert_eq!(first.facts, second.facts, "case {case}");
+        assert_eq!(first.queries, second.queries, "case {case}");
+        assert_eq!(pretty::unit(&second), rendered, "case {case}");
     }
 }
 

@@ -65,7 +65,7 @@ fn schemes(fx: &Fixture, db: &Database, n: usize) -> Vec<(&'static str, Compiled
     let h: DiscriminatorRef = Arc::new(HashMod::new(n, 19));
     if let Ok(sirup) = LinearSirup::from_program(&fx.program) {
         let (v_r, v_e) = (first_var(&sirup.recursive_args), first_var(&sirup.exit_head));
-        let frag = round_robin_fragment(&db.relation_or_empty(fx.input_id(0)), n);
+        let frag = round_robin_fragment(db.relation(fx.input_id(0)).unwrap_or(&Relation::new(2)), n);
         let no_comm = NoCommConfig { v_e: v_e.clone(), h_prime: h.clone() };
         let generalized =
             GeneralizedConfig { v_r, v_e, h_prime: h.clone(), h_locals: vec![h.clone(); n] };
