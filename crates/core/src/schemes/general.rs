@@ -231,8 +231,8 @@ pub(crate) fn rewrite(
         }
 
         // Final pooling reads `t_in^i` where the inboxes partition or
-        // replicate `t`, or hold the home rows of `t_out^i`; `t_out^i`
-        // otherwise.
+        // replicate `t`, or hold the rows of a `t_out^i` that stores none;
+        // `t_out^i` otherwise.
         let pooled = |&d: &RelationId| {
             let (local, shards) = pooled_shard(&routes, i, n, namer.out(d, i), uniform);
             (local, d, shards)

@@ -3,14 +3,17 @@
 //!
 //! An [`UpdateSession`] wraps a [`CompiledScheme`] and keeps, between
 //! update rounds, every worker's **maintained state**: its rule heads
-//! (`t@out^i` — what it has shipped, or everything it derived when no
-//! row of `t` is stored at home), its inboxes (`t@in^i` — its home rows
-//! and joinable copies of remote derivations), and its replica of every
-//! updatable base predicate. The answer shard is whichever of the two
-//! the scheme pools ([`gst_eval::route::pooled_shard`]). Nothing else is
-//! stored: the route table ships exactly the rows that are fresh in
-//! `t@out^i` in the phase at hand, so a preseeded head ships nothing and
-//! a re-inserted tuple ships again, without any plumbing.
+//! (`t@out^i` — empty where `t` has a home inbox, whose rows go straight
+//! to the inboxes, else everything it derived), its inboxes (`t@in^i` —
+//! its home rows and joinable copies of remote derivations), and its
+//! replica of every updatable base predicate. The answer shard is
+//! whichever of the two the scheme pools
+//! ([`gst_eval::route::pooled_shard`]). Nothing else is stored: the route
+//! table ships what the phase at hand derives — every emitted row of a
+//! home source, the rows fresh in `t@out^i` of any other — and the
+//! preseeded inboxes absorb what they already hold, so preseeded state
+//! ships nothing by itself and a re-inserted tuple ships again, without
+//! any plumbing.
 //!
 //! Each update round applies one [`UpdateBatch`] in two phases:
 //!

@@ -9,22 +9,24 @@
 //!    pending pool;
 //! 2. [`FixpointEngine::advance`] — end a round: deduplicate pending
 //!    tuples into fresh deltas (the paper's "difference operation") and,
-//!    when the site has a route table, hash each fresh row to its
-//!    destination (the paper's sending step);
+//!    when the site has a route table, hash each fresh row of a source
+//!    without a home inbox to its destination (the paper's sending step);
 //! 3. [`FixpointEngine::process_round`] — fire every delta version of
 //!    every recursive rule against the current deltas, producing the next
 //!    pending pool.
 //!
-//! Where a row of a routed head `t_out^i` lives is decided once, where a
+//! Where a row of a routed head `t_out^i` goes is decided once, where a
 //! rule emits it (or bootstrap seeds it, or [`FixpointEngine::inject`]
-//! queues it): when [`route::home_inbox`] holds for the head, a row all of
-//! whose destinations are this site goes to the pending pool of `t_in^i`
-//! and is stored there only; every other row is deduplicated into
-//! `t_out^i`, which so holds what the site has shipped.
+//! queues it): when [`route::home_inbox`] holds for the head, the row goes
+//! straight to every sink its keys name — the pending pool of `t_in^i`
+//! here, the [`Outlet`] of a remote destination — and is stored only by
+//! the inbox that receives it, so `t_out^i` stays empty. Only a source
+//! without a home inbox (a remote broadcast, selective routes) stores its
+//! rows in `t_out^i` and routes the fresh ones when the round ends.
 //!
 //! The parallel runtime interleaves [`FixpointEngine::inject`] (receive)
-//! and shipping the [`Outlet`]s an advance filled (send) between strokes;
-//! the sequential drivers [`seminaive_eval`] and [`naive_eval`] just loop.
+//! and shipping the filled [`Outlet`]s (send) between strokes; the
+//! sequential drivers [`seminaive_eval`] and [`naive_eval`] just loop.
 
 use std::sync::Arc;
 
@@ -54,7 +56,7 @@ struct IdbState {
     /// One index per probe-column set any plan scans this relation by;
     /// it serves the full, `Old` and delta views alike.
     indexes: Vec<HashIndex>,
-    /// The predicate's router, when its home rows bypass it
+    /// The predicate's router, when its rows bypass it
     /// ([`route::home_inbox`]).
     home: Option<usize>,
 }
@@ -101,23 +103,27 @@ pub(crate) fn find_or_push<T>(v: &mut Vec<T>, is: impl Fn(&T) -> bool, make: imp
     })
 }
 
-/// The pending pools the rows of a head whose home rows bypass it are
-/// submitted to, lent out of the engine while a plan runs (plans read
-/// arenas, never pending pools).
+/// The pending pools and outlets the rows of a head with a home inbox
+/// are submitted to, lent out of the engine while a plan runs
+/// (plans read arenas, never pending pools or outlets).
 struct Pools<'r> {
     router: &'r Router,
-    /// The head's own pool: rows with a destination elsewhere.
+    /// The head's own pool: only rows whose route fails, kept for the
+    /// advance to report.
     stored: Vec<Tuple>,
     /// The inbox-phase states' pools, by inbox slot.
     homes: Vec<Vec<Tuple>>,
+    outlets: Vec<Outlet>,
     hit: Vec<Sink>,
 }
 
 impl Pools<'_> {
-    /// A home row — every sink a local inbox — goes to those inboxes'
-    /// pools; any other takes the stored path, `t_out^i`'s dedup and then
-    /// [`route_fresh`], which is also where a row whose key cannot be
-    /// evaluated has its error reported.
+    /// A row goes, as it is emitted, to every sink its keys name: a local
+    /// inbox's pool or a remote destination's outlet. Nothing is stored
+    /// at the sender; the inbox that receives a row is its only difference
+    /// operation. A row whose key cannot be evaluated takes the stored
+    /// path, `t_out^i` and then [`route_fresh`], where its error is
+    /// reported.
     #[inline]
     fn submit(&mut self, row: Tuple) {
         if let Some(slot) = self.router.always {
@@ -126,31 +132,37 @@ impl Pools<'_> {
         // One hash route: its sink is the row's only one, no list needed.
         if let Some(keyed) = self.router.lone() {
             return match keyed.sink(&row) {
-                Ok(Some(Sink::Local(slot))) => self.homes[slot].push(row),
+                Ok(Some(sink)) => put(&mut self.homes, &mut self.outlets, sink, row),
                 _ => self.stored.push(row),
             };
         }
         let routed = self.router.sinks(&row, &mut self.hit);
-        let leaves = self.hit.iter().any(|sink| matches!(sink, Sink::Remote(_)));
-        let mut slots = self.hit.iter().filter_map(|sink| match *sink {
-            Sink::Local(slot) => Some(slot),
-            Sink::Remote(_) => None,
-        });
-        match slots.next() {
-            Some(first) if routed.is_ok() && !leaves => {
-                slots.for_each(|slot| self.homes[slot].push(row.clone()));
-                self.homes[first].push(row);
+        match self.hit.split_last() {
+            Some((&last, rest)) if routed.is_ok() => {
+                rest.iter().for_each(|&sink| put(&mut self.homes, &mut self.outlets, sink, row.clone()));
+                put(&mut self.homes, &mut self.outlets, last, row);
             }
             _ => self.stored.push(row),
         }
     }
 }
 
-/// The sending step: put every fresh row of each routed predicate into the
-/// pending pool of the local inbox it hashes to, or into the outlet of
-/// its destination. Out of line on purpose: compiled into `advance`,
-/// between its two dedup phases, this loop doubled the cost of the
-/// advance (EXPERIMENTS.md P10).
+/// Put `row` into `sink`: a local inbox's pool or an outlet.
+#[inline]
+fn put(homes: &mut [Vec<Tuple>], outlets: &mut [Outlet], sink: Sink, row: Tuple) {
+    match sink {
+        Sink::Local(slot) => homes[slot].push(row),
+        Sink::Remote(o) => outlets[o].rows.push(row),
+    }
+}
+
+/// The sending step of a source without a home inbox: put every fresh row
+/// of it into the pending pool of the local inbox it hashes to, or into
+/// the outlet of its destination. (A home source's rows were placed where
+/// they were emitted; its delta holds only rows whose route failed, and
+/// the error is reported here.) Out of line on purpose: compiled into
+/// `advance`, between its two dedup phases, this loop doubled the cost of
+/// the advance (EXPERIMENTS.md P10).
 #[inline(never)]
 fn route_fresh(
     routers: &[Router],
@@ -253,16 +265,16 @@ impl FixpointEngine {
     /// The general constructor — explicit [`PlanOptions`] (the ablation
     /// benchmarks disable individual planner optimizations) and, for
     /// processor `processor` of a parallel scheme, a route table: a row
-    /// of a route's source that hashes home is queued for the local inbox
-    /// where it is emitted ([`route::home_inbox`]), and every advance
-    /// routes the fresh rows of each source, to the local inbox's pending
-    /// pool when the row hashes here, to an [`Outlet`] otherwise.
+    /// of a source with a home inbox ([`route::home_inbox`]) is queued
+    /// where it is emitted, for the local inbox when it hashes here and in
+    /// an [`Outlet`] otherwise; every advance routes the fresh rows of
+    /// each other source the same way.
     ///
     /// # Errors
     /// Every route's source and local inbox must be derived predicates of
     /// one arity, a local inbox must not itself be routed, a hash route's
     /// key variables must occur in its pattern, and no rule may read a
-    /// source whose home rows are stored in its inbox.
+    /// source with a home inbox, which stores none of its rows.
     pub fn with_routes(
         program: &Program,
         edb: Arc<Database>,
@@ -345,7 +357,7 @@ impl FixpointEngine {
             let source = router.source;
             let reads = |scan: &ScanSlot| matches!(*scan, ScanSlot::Idb { state, .. } if state == source);
             if bootstrap_plans.iter().chain(&round_plans).any(|p| p.scans.iter().flatten().any(reads)) {
-                let what = "its home rows are stored in the inbox, but a rule reads the source";
+                let what = "its rows are stored in the inboxes, but a rule reads the source";
                 return Err(Error::Eval(format!("route of {:?}: {what}", idb[source].id)));
             }
             idb[source].home = Some(k);
@@ -453,10 +465,11 @@ impl FixpointEngine {
         self.slots.get(&pred).map(|&slot| self.idb[slot].delta_slice()).unwrap_or(&[])
     }
 
-    /// What the last [`FixpointEngine::advance`] routed to other
-    /// processors (paper: the output of the sending step). The caller
-    /// ships the non-empty outlets and then calls
-    /// [`FixpointEngine::clear_outlets`].
+    /// What was routed to other processors since the outlets were last
+    /// cleared (paper: the output of the sending step): the rows of a home
+    /// source as its rules emitted them, those of any other source as an
+    /// advance admitted them. The caller ships the non-empty outlets and
+    /// then calls [`FixpointEngine::clear_outlets`].
     pub fn outlets(&self) -> &[Outlet] {
         &self.outlets
     }
@@ -484,8 +497,8 @@ impl FixpointEngine {
     /// path: a transport decoder writes tuples where the engine will
     /// drain them, with no intermediate buffer. The appended suffix is
     /// checked afterwards; on any failure the pool is rolled back to its
-    /// pre-call length. Rows for a routed head are then placed like
-    /// emitted ones: the home rows move on to the local inbox's pool.
+    /// pre-call length. Rows for a head with a home inbox are then placed
+    /// like emitted ones: into the local inbox's pool or an outlet.
     ///
     /// # Errors
     /// `pred` must be a derived predicate; `fill`'s error is propagated;
@@ -560,13 +573,15 @@ impl FixpointEngine {
 
     /// End the round: move pending to deltas and update the indexes —
     /// first for the heads, then, once the route table has pushed the
-    /// heads' fresh rows that hash here into the local inboxes' pending
-    /// pools (and the others into their [`Outlet`]s), for the inboxes.
-    /// Returns the number of fresh tuples across all derived predicates.
+    /// fresh rows of the heads without a home inbox that hash here into
+    /// the local inboxes' pending pools (and the others into their
+    /// [`Outlet`]s), for the inboxes. Returns the number of fresh tuples
+    /// across all derived predicates.
     ///
     /// # Errors
     /// Only a route can fail: a key that is no partitioning constraint,
-    /// or one that hashes a row to a processor the route does not list.
+    /// or one that hashes a row to a processor the route does not list —
+    /// on any row emitted since the last advance.
     pub fn advance(&mut self) -> Result<u64> {
         let (mut submitted_total, mut fresh_total) = (0, 0);
         let mut phase = |states: &mut [IdbState], stats: &mut EvalStats| {
@@ -607,8 +622,9 @@ impl FixpointEngine {
         let collector = (timing != TimeMode::Off).then_some(&mut chunk_scratch);
         // Lend the pending pools out for the run, so the plan emits
         // straight into them — no per-rule output buffer, no copy when the
-        // round ends: the head's own pool, or, for a head whose home rows
-        // bypass it, that and the inboxes', chosen per row as it is emitted.
+        // round ends: the head's own pool, or, for a head with a home
+        // inbox, the inboxes' pools and the outlets, chosen per row as it
+        // is emitted.
         let (firings, morsels) = match self.idb[head].home {
             None => {
                 let mut pending = std::mem::take(&mut self.idb[head].pending);
@@ -639,20 +655,21 @@ impl FixpointEngine {
         self.stats.record_morsels(morsels);
     }
 
-    /// Run `run` with the pending pools of `head` — routed by `router`,
-    /// home rows bypassing it — and of the inboxes lent out as [`Pools`].
-    /// (Plans never *read* a pending pool, only arenas.)
+    /// Run `run` with the pending pools of `head` — routed by `router` —
+    /// and of the inboxes, and the outlets, lent out as [`Pools`]. (Plans
+    /// never *read* a pending pool or an outlet, only arenas.)
     fn with_pools<T>(&mut self, head: usize, router: usize, run: impl FnOnce(&Self, &mut Pools<'_>) -> T) -> T {
         let take = |state: &mut IdbState| std::mem::take(&mut state.pending);
         let mut pools = Pools {
             router: &self.routers[router],
             stored: take(&mut self.idb[head]),
             homes: self.idb[self.inboxes_from..].iter_mut().map(take).collect(),
+            outlets: std::mem::take(&mut self.outlets),
             hit: Vec::new(),
         };
         let out = run(self, &mut pools);
-        let Pools { stored, homes, .. } = pools;
-        self.idb[head].pending = stored;
+        let Pools { stored, homes, outlets, .. } = pools;
+        (self.idb[head].pending, self.outlets) = (stored, outlets);
         for (state, pool) in self.idb[self.inboxes_from..].iter_mut().zip(homes) {
             state.pending = pool;
         }
@@ -1350,17 +1367,19 @@ mod tests {
     fn a_locally_routed_row_is_a_delta_of_the_same_round() {
         let (local, mut engine) = routed(CHAIN, |p| vec![route(p, ["A", "B"], Some("A"), 2)]).unwrap();
         assert_eq!(local, vec![ituple![0, 1], ituple![2, 3], ituple![4, 5]]);
-        // A home row is stored once, in the inbox; `t` holds what shipped.
-        assert_eq!(engine.stats().derived, 3 + 3, "the 3 odd edges into t, the 3 even ones into t_in");
+        // A row is stored once, by the inbox that receives it: the 3 even
+        // edges in t_in here, the 3 odd ones nowhere — they are shipped.
+        assert_eq!(engine.stats().derived, 3, "only the even edges are stored here");
         let [outlet] = engine.outlets() else { panic!("one remote destination") };
         assert_eq!(outlet.dests.len(), 1);
         assert_eq!(outlet.rows, vec![ituple![1, 2], ituple![3, 4], ituple![5, 6]]);
-        assert_eq!(stored(&engine), outlet.rows);
+        assert!(stored(&engine).is_empty());
         engine.clear_outlets();
-        // No sending rule fired: the firings are the two rules' own.
+        // No sending rule fired: the firings are the two rules' own, and a
+        // row a rule emits for elsewhere is in the outlet before any advance.
         engine.process_round();
         assert_eq!(engine.stats().firings, 6 + 2, "t_in(2,3) and t_in(4,5) have an edge into them");
-        assert!(engine.outlets()[0].rows.is_empty());
+        assert_eq!(engine.outlets()[0].rows, vec![ituple![1, 3], ituple![3, 5]]);
     }
 
     #[test]
@@ -1419,10 +1438,11 @@ mod tests {
         let (t, t_in) = ((p.interner.intern("t"), 2), (p.interner.intern("t_in"), 2));
         assert_eq!(route::home_inbox(&selective(&p), 0, t), None);
         // Beside a route that selects every row, the same route does not
-        // stop the home rows from bypassing `t`.
+        // stop the rows from bypassing `t`.
         let both = |p: &Program| vec![route(p, ["A", "A"], Some("A"), 2), route(p, ["A", "B"], Some("A"), 2)];
         assert_eq!(route::home_inbox(&both(&p), 0, t), Some(t_in));
-        assert_eq!(stored(&routed(CHAIN, both).unwrap().1).len(), 3);
+        let engine = routed(CHAIN, both).unwrap().1;
+        assert_eq!((stored(&engine).len(), engine.outlets()[0].rows.len()), (0, 3));
     }
 
     #[test]
@@ -1430,14 +1450,14 @@ mod tests {
         // Example 8's shape: t routed on both columns. t(1,3) hashes to
         // processor 1 under either route and is buffered once; t(1,2)
         // goes to 1 (by X) and stays here (by Y); t(4,6) stays, once —
-        // home under both keys, it alone is not stored in `t`.
+        // home under both keys. None is stored in `t`.
         let both = |p: &Program| vec![route(p, ["A", "B"], Some("A"), 2), route(p, ["A", "B"], Some("B"), 2)];
         let (local, engine) = routed(PAIRS, both).unwrap();
         assert_eq!(local, vec![ituple![1, 2], ituple![4, 6]]);
         let mut remote = engine.outlets()[0].rows.clone();
         remote.sort();
         assert_eq!(remote, vec![ituple![1, 2], ituple![1, 3]]);
-        assert_eq!(stored(&engine), vec![ituple![1, 3], ituple![1, 2]]);
+        assert!(stored(&engine).is_empty());
 
         // A broadcast of the same source covers its hash routes: one
         // shared outlet for both remote processors, each row in it once.
@@ -1484,5 +1504,23 @@ mod tests {
         // A key that hashes outside the route's table fails the advance.
         let e = err(&|p| vec![Route { dests: vec![], ..route(p, ["A", "B"], Some("B"), 5) }]);
         assert!(e.contains("to processor 3, which it lists no inbox for"), "{e}");
+    }
+
+    #[test]
+    fn a_home_row_whose_key_fails_fails_the_next_advance() {
+        // `t` has a home inbox, so its rows are routed as they are emitted;
+        // one whose key cannot name a listed processor (`mod n` over inboxes
+        // at 0 and 1) still fails the advance with the route's error —
+        // under one hash route, and under two (Example 8) where the other
+        // key routes the row fine.
+        let cases = [("s(1,a).", 2, "route key is not a partitioning constraint"), ("s(1,3).", 5, "to processor 3, which it lists no inbox for")];
+        for ((fact, n, error), keys) in cases.into_iter().flat_map(|case| [(case, &["B"][..]), (case, &["A", "B"])]) {
+            let source = format!("t(X,Y) :- s(X,Y).\n{fact}");
+            let routes = |p: &Program| keys.iter().map(|&k| Route { dests: route(p, ["A", "B"], None, 2).dests, ..route(p, ["A", "B"], Some(k), n) }).collect::<Vec<_>>();
+            let (p, _) = load(&source);
+            assert!(route::home_inbox(&routes(&p), 0, (p.interner.intern("t"), 2)).is_some());
+            let e = routed(&source, routes).err();
+            assert!(matches!(&e, Some(Error::Eval(m)) if m.contains(error)), "{fact} keyed by {keys:?}: {e:?}");
+        }
     }
 }

@@ -1,17 +1,19 @@
 //! The route table: the paper's sending step, done where a tuple is
-//! emitted and deduplicated instead of by copy rules.
+//! emitted instead of by copy rules.
 //!
 //! The §3 sending rule `t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j` is a selection
 //! on one hash value. A [`Route`] is that rule for every `j` at once: the
 //! body atom `t_out^i(Ȳ)`, the condition `h(v(r)) = ·` and, per
 //! destination `j`, the inbox `t_in^j` its head feeds. The engine
-//! evaluates `h` on a row where a rule emits it: a *home* row — every
-//! route sends it to processor `i` itself — goes straight to `t_in^i`'s
-//! pending pool and is stored there only; any other row is deduplicated
-//! into `t_out^i` (the sender-side difference, so nothing ships twice)
-//! and, when fresh, appended to its destinations' [`Outlet`]s and local
-//! inboxes — no channel relation, no rule firing. [`home_inbox`] says
-//! for which predicates the first half applies.
+//! evaluates `h` on a row where a rule emits it and puts the row straight
+//! into every sink the keys name — `t_in^i`'s pending pool here, the
+//! [`Outlet`] of a remote `j` — so a row is stored once, by the inbox
+//! that receives it, and that inbox's dedup is the only difference
+//! operation it meets: no channel relation, no rule firing, no copy in
+//! `t_out^i`. [`home_inbox`] says for which predicates this holds; the
+//! rows of any other (a remote broadcast, selective routes) are
+//! deduplicated into `t_out^i`, which is what such a predicate pools, and
+//! routed when fresh.
 
 use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
 use gst_frontend::ast::{Atom, ConstraintRef, Term, Variable};
@@ -22,8 +24,8 @@ use crate::plan::RelationId;
 /// One sending rule family `{ t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j }_j`.
 #[derive(Clone)]
 pub struct Route {
-    /// The body atom `t_out^i(Ȳ)`: the predicate whose fresh rows are
-    /// routed, and the pattern a row must match (constants and repeated
+    /// The body atom `t_out^i(Ȳ)`: the predicate whose rows are routed,
+    /// and the pattern a row must match (constants and repeated
     /// variables select, as they would in the rule).
     pub source: Atom,
     /// The condition `h(v(r)) = ·`; every variable must occur in the
@@ -78,8 +80,9 @@ pub enum Shards {
 /// `source` that hash home are stored at `processor`.
 ///
 /// `Some(t_in^i)` when a row all of whose destinations are `processor`
-/// itself is put straight into that inbox and never into `source`, which
-/// then holds exactly the rows that were shipped. That needs (1) no
+/// itself is put straight into that inbox and never into `source` — nor
+/// is any other row, which goes straight to its destinations: `source`
+/// stays empty and the inboxes are what is pooled. That needs (1) no
 /// broadcast route of `source` reaching another processor — every row of
 /// a remote broadcast is shipped, so none is home — and (2) a route that
 /// selects every row (a pattern of distinct variables) and lists an inbox
@@ -134,16 +137,18 @@ pub fn pooled_shard(routes: &[Route], processor: usize, n: usize, source: Relati
     }
 }
 
-/// Rows the last advance routed to other processors, addressed to every
-/// `(processor, inbox)` in `dests`. A broadcast has one outlet with all
-/// its destinations, so its rows are buffered — and encoded — once.
+/// Rows routed to other processors since the last shipment, addressed to
+/// every `(processor, inbox)` in `dests`. A broadcast has one outlet with
+/// all its destinations, so its rows are buffered — and encoded — once.
 #[derive(Debug)]
 pub struct Outlet {
     /// `(j, t_in^j)` pairs the rows are addressed to, `j` remote.
     pub dests: Vec<(usize, RelationId)>,
     /// The rows are retractions.
     pub retract: bool,
-    /// The routed rows, in the order the source arena admitted them.
+    /// The routed rows: a home source's in the order its rules emitted
+    /// them, one per firing, any other's in the order its arena admitted
+    /// them.
     pub rows: Vec<Tuple>,
 }
 
@@ -161,7 +166,8 @@ pub(crate) enum Sink {
 pub(crate) struct Router {
     /// Slot of the source predicate (a head-phase state).
     pub(crate) source: usize,
-    /// [`home_inbox`] holds: home rows bypass the source.
+    /// [`home_inbox`] holds: rows go where they are emitted, never into
+    /// the source.
     pub(crate) home: bool,
     /// … and every row is one, whatever its keys: each route ends in this
     /// one local inbox (a lone processor), so no key need be evaluated.

@@ -30,10 +30,10 @@ pub struct ProcessorProgram {
     pub program: Program,
     /// The sending step: each [`Route`] is the paper's rule family
     /// `t_ij(Ȳ) :- t_out^i(Ȳ), h(v(r)) = j` for all `j`, evaluated by the
-    /// engine where a row is emitted — a home row goes to `t_in^i` alone
-    /// — and on every row `advance` admits to `t_out^i` (only fresh rows
-    /// — the paper's sender-side "difference operation"); a remote row is
-    /// shipped to `j` and injected into `t_in^j`, which realizes the
+    /// engine where a row is emitted when the source has a home inbox (the
+    /// row goes to `t_in^i` or an outlet, never into `t_out^i`), else on
+    /// every row `advance` admits to `t_out^i` (only fresh rows); a remote
+    /// row is shipped to `j` and injected into `t_in^j`, which realizes the
     /// receiving rule without materializing `t_ij` at either end. A route
     /// flagged `retract` carries the over-deletion cone of a DRed update
     /// round: its batches are marked on the envelope so deletion traffic

@@ -13,19 +13,19 @@
 //!
 //! Initialization and processing rules run inside the local
 //! [`FixpointEngine`]; the *sending* rules are its route table — a row
-//! that hashes home goes straight into the local inbox where it is
-//! emitted, and closing a round (`advance`) puts every other row it admits
-//! to `t_out^i` into a per-destination
-//! buffer this worker encodes and ships; the *receiving* rules are
+//! goes, where it is emitted, into the local inbox or the per-destination
+//! buffer its key names (a source without a home inbox is routed when
+//! `advance` admits its fresh rows to `t_out^i`), and this worker encodes
+//! and ships the buffers; the *receiving* rules are
 //! realized by injecting arriving batches into the inbox predicates; and
 //! the asynchrony the paper insists on ("processor i does not wait for
 //! data from processor j") falls out of absorbing whatever has arrived
 //! before each engine round, never blocking for more. The loop body is
 //! one [`WorkerCore::step`]: receive (absorb and inject what arrived),
 //! close the previous round (`advance`: dedup the derived rows into the
-//! arenas and route the fresh ones), **send** the buffers that advance
-//! filled, then process one round. Sending every round — not once at the
-//! local fixpoint — is what lets processor `j` start on `i`'s first
+//! arenas), **send** the buffers the round filled — also when nothing
+//! fresh stayed here — then process one round. Sending every round — not
+//! once at the local fixpoint — is what lets processor `j` start on `i`'s first
 //! frontier while `i` is still deriving its second; a worker that ships
 //! only when it has nothing left to do makes the fleet compute in
 //! alternation.
@@ -110,12 +110,13 @@ pub(crate) enum Step {
 /// acked prefix is *compacted*: its `(inbox, payload)` pairs move, still
 /// encoded, onto the snapshot list and lose their per-batch sequence
 /// numbers. No decode, no hashing — an ack costs a pointer move per batch
-/// and the retained data stays at wire size. Only rows fresh in `t_out^i`
-/// are routed, so each ships once per link and memory is bounded by the
-/// number of *distinct* tuples ever shipped on the link, not by total
-/// traffic. Replay for a receiver whose watermark predates the tail ships
-/// the snapshot (as one logical message standing in for sequence numbers
-/// `< base`) followed by the tail.
+/// and the retained data stays at wire size. A row of a source with a
+/// home inbox ships as its rule emits it, with no sender-side dedup, so
+/// memory is bounded by the number of *firings* whose head row routes onto
+/// the link (a source without a home inbox ships each fresh row of
+/// `t_out^i` once: distinct tuples). Replay for a receiver whose watermark
+/// predates the tail ships the snapshot (as one logical message standing
+/// in for sequence numbers `< base`) followed by the tail.
 #[derive(Default)]
 struct ReplayLog {
     /// Every batch with sequence number `< base` has been compacted into
@@ -396,11 +397,12 @@ impl WorkerCore {
         if submitted > 0 {
             self.phase_stop(t0, PHASE_COMPUTE, round, submitted);
         }
+        // Sending step, after every advance: peers start on these rows
+        // while this worker is still processing its own — and a round
+        // whose whole output left this processor ships before it goes
+        // passive, with nothing fresh here.
+        self.ship_outlets(round, out)?;
         if fresh > 0 {
-            // Sending step, every round: peers start on these rows while
-            // this worker is still processing them.
-            self.ship_outlets(round, out)?;
-
             // Processing step: one engine round.
             let firings_before = self.engine.stats().firings;
             let t0 = self.phase_start();
@@ -414,8 +416,9 @@ impl WorkerCore {
             return Ok(Step::Worked);
         }
 
-        // Local fixpoint: nothing fresh, so nothing was routed.
+        // Local fixpoint: nothing fresh, and everything routed has shipped.
         debug_assert!(self.engine.quiescent());
+        debug_assert!(self.engine.outlets().iter().all(|o| o.rows.is_empty()), "passive with queued rows");
 
         // Passive: a held token may now be handled (Safra forwards only
         // while passive), and the initiator may launch a probe.
@@ -702,8 +705,10 @@ impl WorkerCore {
         }
     }
 
-    /// Ship what the advance that opened `round` routed to other
-    /// processors (paper: sending step).
+    /// Ship what was routed to other processors since the last shipment
+    /// (paper: sending step): the rows the last round's rules emitted and
+    /// the advance that opened `round` admitted. Empty outlets ship
+    /// nothing.
     ///
     /// Each outlet's rows are encoded straight onto the wire; the only
     /// retained copy is the payload the replay log needs anyway. A
