@@ -11,8 +11,7 @@
 //! * processors: N ∈ {1, 2, 4, 8};
 //! * schemes: §4 Example 1 (zero-communication), §3 Q_i (Example 3 hash
 //!   partition), §4 Example 2 (broadcast); on the skewed workloads also
-//!   `skew-hash` (hot keys split, §6 R_i) and, on zipf, `skew-morsels`
-//!   (skew-aware + 4 morsel threads per worker).
+//!   `skew-hash` (hot keys split, §6 R_i).
 //!
 //! The chain/random/zipf workloads additionally run two demand-driven
 //! point-query cells (DESIGN.md §15): `rl-full` computes the whole
@@ -509,34 +508,22 @@ fn main() {
             // sizes); the wire guard keeps its plain default config.
             let mut plain = RuntimeConfig::default();
             plain.worker.profile = true;
-            let mut schemes: Vec<(&'static str, CompiledScheme, RuntimeConfig)> = vec![
-                ("ex1-zerocomm", example1_wolfson(&sirup, n, &db).unwrap(), plain.clone()),
-                ("qi-hash", example3_hash_partition(&sirup, n, &db).unwrap(), plain.clone()),
-                ("ex2-broadcast", example2_valduriez(&sirup, frag, &db).unwrap(), plain.clone()),
+            let mut schemes: Vec<(&'static str, CompiledScheme)> = vec![
+                ("ex1-zerocomm", example1_wolfson(&sirup, n, &db).unwrap()),
+                ("qi-hash", example3_hash_partition(&sirup, n, &db).unwrap()),
+                ("ex2-broadcast", example2_valduriez(&sirup, frag, &db).unwrap()),
             ];
             // The skewed workloads additionally run the skew-aware
-            // partition, and zipf composes it with 4 morsel threads per
-            // worker — the acceptance cells for hot-key splitting.
+            // partition — the acceptance cells for hot-key splitting.
             if matches!(*wname, "star" | "zipf") {
                 let skew = SkewPolicy::default();
                 schemes.push((
                     "skew-hash",
                     skew_aware_hash_partition(&sirup, n, &db, &skew).unwrap(),
-                    plain.clone(),
                 ));
-                if *wname == "zipf" {
-                    let mut morsels = RuntimeConfig::default();
-                    morsels.worker.morsel_threads = 4;
-                    morsels.worker.profile = true;
-                    schemes.push((
-                        "skew-morsels",
-                        skew_aware_hash_partition(&sirup, n, &db, &skew).unwrap(),
-                        morsels,
-                    ));
-                }
             }
-            for (sname, scheme, config) in &schemes {
-                let row = measure((wname, sname), n, scheme, &reference, anc, reps, config);
+            for (sname, scheme) in &schemes {
+                let row = measure((wname, sname), n, scheme, &reference, anc, reps, &plain);
                 rows.push(row.against(&oracle.stats));
             }
 

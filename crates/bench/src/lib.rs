@@ -8,6 +8,7 @@
 //! Micro-benches in `benches/` time the underlying executions with the
 //! dependency-free harness in [`micro`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

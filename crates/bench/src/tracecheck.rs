@@ -283,7 +283,7 @@ fn check_worker_profile(v: &Json, at: &str) -> Result<[u64; 5], String> {
 ///    phase totals;
 /// 3. the merged phase totals equal the sum over workers;
 /// 4. `time_by_rule` and `firings_by_rule` are equal-length numeric
-///    arrays and `chunk_service` is a histogram;
+///    arrays;
 /// 5. every critical-path round names a known phase as dominant, and
 ///    `hot_rules`/`idle_gaps` entries are well-formed.
 pub fn check_profile_json(text: &str) -> Result<ProfileSummary, String> {
@@ -346,7 +346,6 @@ pub fn check_profile_json(text: &str) -> Result<ProfileSummary, String> {
             v.as_num().ok_or_else(|| format!("{k}[{i}]: not a number"))?;
         }
     }
-    check_histogram(doc.get("chunk_service").ok_or("missing chunk_service")?, "chunk_service")?;
 
     let rounds = doc
         .get("rounds")
@@ -500,11 +499,9 @@ mod tests {
         format!(
             "{{\"time_base\":\"virtual_ticks\",\"workers\":[{{\"processor\":0,\"profile\":{profile}}}],\
              \"merged\":{profile},\"time_by_rule\":[{compute}],\"firings_by_rule\":[4],\
-             \"chunk_service\":{},\
              \"rounds\":[{{\"round\":0,\"straggler\":0,\"straggler_time\":{compute},\"dominant_phase\":\"compute\",\"compute\":{compute},\"comm\":0,\"idle\":{idle}}}],\
              \"hot_rules\":[{{\"rule\":0,\"time\":{compute},\"firings\":4}}],\
-             \"idle_gaps\":[{{\"worker\":0,\"round\":0,\"idle\":{idle}}}]}}",
-            hist(0, 0, 0),
+             \"idle_gaps\":[{{\"worker\":0,\"round\":0,\"idle\":{idle}}}]}}"
         )
     }
 

@@ -9,6 +9,7 @@
 //! parser, storage and evaluation layers share so that tuples can cross
 //! crate (and thread) boundaries without conversion.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -22,6 +22,7 @@
 //!   measured profiles and an architecture's computation/communication
 //!   cost ratio.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod advisor;

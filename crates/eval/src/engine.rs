@@ -34,7 +34,7 @@ use gst_common::{Error, FxHashMap, Result, Tuple};
 use gst_frontend::{Program, ProgramAnalysis};
 use gst_storage::{Database, HashIndex, Relation};
 
-use crate::exec::{run_plan, run_plan_morsels_profiled, Access, MorselConfig, MorselPool};
+use crate::exec::{run_plan, Access};
 use crate::plan::{compile_rule_with, idb_occurrence_count, AtomSource, PlanOptions, PlanStep, RelationId, RulePlan};
 use crate::route::{self, Outlet, Route, Router, Sink};
 use crate::stats::{EvalStats, TimeMode};
@@ -235,20 +235,9 @@ pub struct FixpointEngine {
     /// Predicates installed by [`FixpointEngine::preseed`]: bootstrap
     /// must not seed these again from the EDB.
     preseeded: Vec<RelationId>,
-    /// Morsel-parallel join settings (disabled by default; the sequential
-    /// and morsel paths produce bit-identical results, see
-    /// [`run_plan_morsels`]).
-    morsels: MorselConfig,
-    /// Persistent helper threads for the morsel path, created by
-    /// [`FixpointEngine::set_morsels`] when it enables morsels. Spawning
-    /// threads per round would cost more than a medium delta's join work.
-    pool: Option<MorselPool>,
-    /// Per-rule / per-chunk time attribution mode (off by default; the
-    /// unprofiled path pays one branch per rule execution).
+    /// Per-rule time attribution mode (off by default; the unprofiled
+    /// path pays one branch per rule execution).
     time_mode: TimeMode,
-    /// Scratch buffer for morsel chunk `(micros, tuples)` samples,
-    /// reused across rule executions to avoid per-rule allocation.
-    chunk_scratch: Vec<(u64, u64)>,
 }
 
 impl FixpointEngine {
@@ -376,30 +365,13 @@ impl FixpointEngine {
             stats,
             bootstrapped: false,
             preseeded: Vec::new(),
-            morsels: MorselConfig::default(),
-            pool: None,
             time_mode: TimeMode::Off,
-            chunk_scratch: Vec::new(),
         })
     }
 
-    /// Set the morsel-parallel join configuration. Safe to call at any
-    /// point: the morsel path is bit-identical to the sequential one, so
-    /// this only changes how large leading scans are executed.
-    pub fn set_morsels(&mut self, morsels: MorselConfig) {
-        self.morsels = morsels;
-        if morsels.enabled() {
-            if self.pool.as_ref().map(MorselPool::participants) != Some(morsels.threads) {
-                self.pool = Some(MorselPool::new(morsels.threads));
-            }
-        } else {
-            self.pool = None;
-        }
-    }
-
     /// Set the time-attribution mode. `Wall` splits per-rule compute time
-    /// in microseconds; `Ticks` uses deterministic work proxies (firings,
-    /// tuples) so simulated runs profile reproducibly; `Off` (default)
+    /// in microseconds; `Ticks` uses a deterministic work proxy (firings)
+    /// so simulated runs profile reproducibly; `Off` (default)
     /// records nothing. Safe to call at any point — attribution is purely
     /// observational.
     pub fn set_time_mode(&mut self, mode: TimeMode) {
@@ -608,32 +580,28 @@ impl FixpointEngine {
     }
 
     /// Sync indexes, run one plan, and record its firings — plus, when a
-    /// [`TimeMode`] is active, its time attribution: per-rule compute
-    /// time (wall micros or firings-as-ticks) and per-chunk morsel
-    /// service samples. The `Off` path is the pre-profiling code exactly,
-    /// modulo two predictable branches.
+    /// [`TimeMode`] is active, its per-rule compute time (wall micros or
+    /// firings-as-ticks). The `Off` path is the pre-profiling code
+    /// exactly, modulo one predictable branch.
     fn run_plan_step(&mut self, i: usize) {
         self.sync_indexes_for(i);
         let (head, rule_index) = (self.plans[i].head, self.plans[i].plan.rule_index);
         let timing = self.time_mode;
-        let mut chunk_scratch = std::mem::take(&mut self.chunk_scratch);
-        chunk_scratch.clear();
         let t0 = (timing == TimeMode::Wall).then(std::time::Instant::now);
-        let collector = (timing != TimeMode::Off).then_some(&mut chunk_scratch);
         // Lend the pending pools out for the run, so the plan emits
         // straight into them — no per-rule output buffer, no copy when the
         // round ends: the head's own pool, or, for a head with a home
         // inbox, the inboxes' pools and the outlets, chosen per row as it
         // is emitted.
-        let (firings, morsels) = match self.idb[head].home {
+        let firings = match self.idb[head].home {
             None => {
                 let mut pending = std::mem::take(&mut self.idb[head].pending);
-                let counts = self.run_one_into(i, collector, &mut |t| pending.push(t));
+                let firings = self.run_one_into(i, &mut |t| pending.push(t));
                 self.idb[head].pending = pending;
-                counts
+                firings
             }
             Some(router) => self.with_pools(head, router, |engine, pools| {
-                engine.run_one_into(i, collector, &mut |t| pools.submit(t))
+                engine.run_one_into(i, &mut |t| pools.submit(t))
             }),
         };
         match timing {
@@ -644,15 +612,7 @@ impl FixpointEngine {
             }
             TimeMode::Ticks => self.stats.record_rule_time(rule_index, firings),
         }
-        if timing != TimeMode::Off {
-            for &(micros, tuples) in &chunk_scratch {
-                let sample = if timing == TimeMode::Wall { micros } else { tuples };
-                self.stats.chunk_service.record(sample);
-            }
-        }
-        self.chunk_scratch = chunk_scratch;
         self.stats.record_firings(rule_index, firings);
-        self.stats.record_morsels(morsels);
     }
 
     /// Run `run` with the pending pools of `head` — routed by `router` —
@@ -731,14 +691,8 @@ impl FixpointEngine {
     }
 
     /// Execute one plan against current state, emitting through `emit`.
-    /// Returns `(firings, morsel_chunks)` — chunks is zero when the
-    /// sequential path ran.
-    fn run_one_into(
-        &self,
-        i: usize,
-        chunk_times: Option<&mut Vec<(u64, u64)>>,
-        emit: &mut impl FnMut(Tuple),
-    ) -> (u64, u64) {
+    /// Returns the firing count.
+    fn run_one_into(&self, i: usize, emit: &mut impl FnMut(Tuple)) -> u64 {
         let SlottedPlan { plan, scans, .. } = &self.plans[i];
         let accesses: Vec<Option<Access<'_>>> = plan
             .steps
@@ -749,19 +703,7 @@ impl FixpointEngine {
                 _ => None,
             })
             .collect();
-        if self.morsels.enabled() {
-            if let Some((firings, chunks)) = run_plan_morsels_profiled(
-                plan,
-                &accesses,
-                &self.morsels,
-                self.pool.as_ref(),
-                chunk_times,
-                emit,
-            ) {
-                return (firings, chunks);
-            }
-        }
-        (run_plan(plan, &accesses, emit), 0)
+        run_plan(plan, &accesses, emit)
     }
 
     fn access_for<'a>(&'a self, scan: &crate::plan::ScanStep, slot: ScanSlot) -> Access<'a> {
@@ -1383,7 +1325,7 @@ mod tests {
     }
 
     #[test]
-    fn an_injected_or_morsel_merged_row_is_placed_like_an_emitted_one() {
+    fn an_injected_row_is_placed_like_an_emitted_one() {
         let by_a = |p: &Program| vec![route(p, ["A", "B"], Some("A"), 2)];
         let (local, emitted) = routed(CHAIN, by_a).unwrap();
         // The same six rows, injected into the head instead of derived.
@@ -1397,31 +1339,6 @@ mod tests {
         assert_eq!(engine.delta_tuples(t_in), local);
         assert_eq!(stored(&engine), stored(&emitted));
         assert_eq!(engine.outlets()[0].rows, emitted.outlets()[0].rows);
-
-        // Chunked across four threads, the merge emits through the same
-        // closure: arenas, outlets and counters are bit-identical.
-        let facts: String = (0..600i64).map(|k| format!("e({k},{}).", (k * 7 + 1) % 600)).collect();
-        let source = format!("t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), t_in(Z,Y).\n{facts}");
-        let run = |threads| {
-            let (p, db) = load(&source);
-            let t_in = (p.interner.intern("t_in"), 2);
-            let mut engine =
-                FixpointEngine::with_routes(&p, Arc::new(db), &[t_in], 0, &by_a(&p), PlanOptions::default()).unwrap();
-            engine.set_morsels(MorselConfig { threads, chunk_rows: 64, min_rows: 128 });
-            engine.bootstrap().unwrap();
-            let mut shipped = Vec::new();
-            for _ in 0..3 {
-                engine.advance().unwrap();
-                shipped.extend(engine.outlets()[0].rows.iter().cloned());
-                engine.clear_outlets();
-                engine.process_round();
-            }
-            let stats = engine.stats();
-            (shipped, stored(&engine), engine.relation(t_in).unwrap().rows().to_vec(), stats.derived, stats.morsel_runs)
-        };
-        let (sequential, chunked) = (run(1), run(4));
-        assert!(chunked.4 > 0 && sequential.4 == 0, "the morsel path must engage");
-        assert_eq!((&sequential.0, &sequential.1, &sequential.2, sequential.3), (&chunked.0, &chunked.1, &chunked.2, chunked.3));
     }
 
     #[test]

@@ -23,8 +23,6 @@
 //! parts. A [`Value`] is rebuilt only for an opaque constraint's
 //! arguments and for the columns of a wider (heap) head.
 
-use std::sync::{Arc, Condvar, Mutex};
-
 use gst_common::tuple::INLINE_CAP;
 use gst_common::{Tuple, Value};
 use gst_storage::{postings_in_range, HashIndex, Relation};
@@ -107,341 +105,6 @@ pub fn run_plan(
     let mut run = Run { plan, accesses, slots: vec![(0, false); plan.slot_count], firings: 0, emit };
     run.step(0);
     run.firings
-}
-
-/// Configuration of the morsel-parallel executor (ROADMAP item 4b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MorselConfig {
-    /// Scoped worker threads to fan morsels across; `1` disables the
-    /// parallel path entirely.
-    pub threads: usize,
-    /// Rows per morsel.
-    pub chunk_rows: usize,
-    /// Minimum leading-scan row count before chunking engages — below
-    /// this, thread spawn overhead beats the parallelism.
-    pub min_rows: usize,
-}
-
-impl Default for MorselConfig {
-    fn default() -> Self {
-        MorselConfig {
-            threads: 1,
-            chunk_rows: 256,
-            min_rows: 512,
-        }
-    }
-}
-
-impl MorselConfig {
-    /// The default thresholds with `threads` workers.
-    pub fn with_threads(threads: usize) -> Self {
-        MorselConfig {
-            threads: threads.max(1),
-            ..MorselConfig::default()
-        }
-    }
-
-    /// Whether the parallel path can ever engage.
-    pub fn enabled(&self) -> bool {
-        self.threads > 1
-    }
-}
-
-/// A persistent pool of parked helper threads for the morsel executor.
-///
-/// Spawning OS threads per `run_plan_morsels` call (`thread::scope`)
-/// costs on the order of 100µs per round — more than the join work of a
-/// typical medium delta, which made `--morsels` a net loss on every
-/// workload small enough to finish in milliseconds. The pool spawns its
-/// helpers once per engine lifetime; between jobs they park on a condvar,
-/// so an engaged morsel run pays only a mutex handoff.
-///
-/// The job is published as a type-erased pointer to the caller's borrowed
-/// closure. [`MorselPool::run`] does not return until every helper has
-/// finished the job, so the borrow outlives all uses — the same guarantee
-/// `thread::scope` provides, enforced here by the `active` counter.
-pub struct MorselPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signals helpers: a new generation was published (or `quit`).
-    start: Condvar,
-    /// Signals the caller: a helper finished (active decremented).
-    done: Condvar,
-}
-
-struct PoolState {
-    job: Option<Job>,
-    /// Bumped once per published job so a helper never runs the same job
-    /// twice and never misses one (condvar wakeups are advisory).
-    generation: u64,
-    /// Helpers still working on the current generation.
-    active: usize,
-    /// A helper caught a panic in the job; reported to the caller.
-    poisoned: bool,
-    quit: bool,
-}
-
-/// Type-erased pointer to the caller's borrowed job closure. Only
-/// dereferenced by helpers between publication and the `active == 0`
-/// handshake, during which [`MorselPool::run`] keeps the referent alive
-/// by blocking.
-#[derive(Clone, Copy)]
-struct Job(*const (dyn Fn() + Sync));
-
-// SAFETY: the pointee is `Sync` (required by `run`'s signature) and its
-// lifetime spans every dereference (see `Job` docs), so sharing the
-// pointer with helper threads is sound.
-unsafe impl Send for Job {}
-
-impl MorselPool {
-    /// Pool for `threads` total participants. The caller of
-    /// [`MorselPool::run`] is one of them, so `threads - 1` helper
-    /// threads are spawned.
-    pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                job: None,
-                generation: 0,
-                active: 0,
-                poisoned: false,
-                quit: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (1..threads.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("morsel".into())
-                    .spawn(move || helper_loop(&shared))
-                    .expect("spawn morsel helper")
-            })
-            .collect();
-        MorselPool { shared, handles }
-    }
-
-    /// Helper threads parked in this pool.
-    pub fn helpers(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Total participants (helpers plus the calling thread).
-    pub fn participants(&self) -> usize {
-        self.handles.len() + 1
-    }
-
-    /// Run `f` once on the calling thread and once on every helper,
-    /// returning after all of them have finished. `f` is expected to
-    /// claim work items from shared state (e.g. an atomic counter) so
-    /// the participants cooperate rather than duplicate.
-    ///
-    /// # Panics
-    /// Propagates (as a fresh panic) any panic a helper caught while
-    /// running `f`, mirroring `thread::scope`'s join behavior.
-    pub fn run(&self, f: &(dyn Fn() + Sync)) {
-        if self.handles.is_empty() {
-            f();
-            return;
-        }
-        // Erase the borrow: `Job`'s safety contract is discharged by the
-        // `active == 0` wait below, which keeps `f` alive past the last
-        // helper dereference.
-        let job = Job(unsafe {
-            std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(f)
-        });
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            debug_assert!(st.job.is_none() && st.active == 0, "pool re-entered");
-            st.job = Some(job);
-            st.generation += 1;
-            st.active = self.handles.len();
-        }
-        self.shared.start.notify_all();
-        f(); // the caller is a participant, not just a coordinator
-        let mut st = self.shared.state.lock().unwrap();
-        while st.active > 0 {
-            st = self.shared.done.wait(st).unwrap();
-        }
-        st.job = None;
-        if st.poisoned {
-            st.poisoned = false;
-            drop(st);
-            panic!("morsel helper panicked");
-        }
-    }
-}
-
-impl Drop for MorselPool {
-    fn drop(&mut self) {
-        if let Ok(mut st) = self.shared.state.lock() {
-            st.quit = true;
-        }
-        self.shared.start.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn helper_loop(shared: &PoolShared) {
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.quit {
-                    return;
-                }
-                if st.generation != seen {
-                    // A new generation implies a live job: `run` clears
-                    // `job` only after every helper decremented `active`,
-                    // which this helper has not yet done.
-                    seen = st.generation;
-                    break st.job.expect("published generation carries a job");
-                }
-                st = shared.start.wait(st).unwrap();
-            }
-        };
-        // SAFETY: `run` blocks until `active == 0`, so the closure behind
-        // the pointer is alive for the duration of this call.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-            (*job.0)()
-        }));
-        let mut st = shared.state.lock().unwrap();
-        st.active -= 1;
-        if outcome.is_err() {
-            st.poisoned = true;
-        }
-        if st.active == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
-/// Run `plan` with its leading scan chunked into fixed-size morsels fanned
-/// across `pool` (or a one-shot scoped spawn when no pool is supplied), or
-/// return `None` when the plan's shape does not admit chunking (no leading
-/// arena scan, or one smaller than `cfg.min_rows`) — the caller then falls
-/// back to [`run_plan`].
-///
-/// Determinism argument: the leading access iterates arena rows
-/// `[start, end)` in row order, and every deeper step is a pure function
-/// of the outer row, so the sequence of emissions under row `r` is
-/// independent of what other rows emitted. Chunking `[start, end)` into
-/// consecutive ranges and concatenating the per-chunk emission buffers in
-/// chunk order therefore reproduces the sequential emission order
-/// *bit-identically* — same tuples, same order, same firing count — which
-/// keeps downstream arena insertion order, dedup tables, and semi-naive
-/// deltas byte-equal to the single-threaded path. Returns
-/// `(firings, morsels_executed)`.
-pub fn run_plan_morsels(
-    plan: &RulePlan,
-    accesses: &[Option<Access<'_>>],
-    cfg: &MorselConfig,
-    pool: Option<&MorselPool>,
-    emit: &mut impl FnMut(Tuple),
-) -> Option<(u64, u64)> {
-    run_plan_morsels_profiled(plan, accesses, cfg, pool, None, emit)
-}
-
-/// [`run_plan_morsels`] with per-chunk service-time collection. When
-/// `chunk_times` is supplied, each executed chunk appends one
-/// `(wall_micros, tuples_emitted)` pair, in chunk order — the profiler
-/// records whichever component matches its time mode (micros under wall
-/// clocks, the deterministic tuple count under virtual ticks). Timing is
-/// only measured when the collector is present, so the unprofiled path
-/// pays nothing.
-pub fn run_plan_morsels_profiled(
-    plan: &RulePlan,
-    accesses: &[Option<Access<'_>>],
-    cfg: &MorselConfig,
-    pool: Option<&MorselPool>,
-    chunk_times: Option<&mut Vec<(u64, u64)>>,
-    emit: &mut impl FnMut(Tuple),
-) -> Option<(u64, u64)> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    if !cfg.enabled() {
-        return None;
-    }
-    if !matches!(plan.steps.first(), Some(PlanStep::Scan(_))) {
-        return None;
-    }
-    let Some(Access::Scan { rel, start, end }) = accesses[0] else {
-        return None;
-    };
-    let rows = end.saturating_sub(start) as usize;
-    if rows < cfg.min_rows.max(2) {
-        return None;
-    }
-    let chunk = (cfg.chunk_rows.max(1)) as u32;
-    let nchunks = rows.div_ceil(chunk as usize);
-    if nchunks < 2 {
-        return None;
-    }
-    let threads = cfg.threads.min(nchunks);
-
-    let timed = chunk_times.is_some();
-    let next = AtomicUsize::new(0);
-    #[allow(clippy::type_complexity)]
-    let results: Mutex<Vec<(usize, u64, u64, Vec<Tuple>)>> =
-        Mutex::new(Vec::with_capacity(nchunks));
-    let work = || {
-        let mut local: Vec<(usize, u64, u64, Vec<Tuple>)> = Vec::new();
-        loop {
-            let c = next.fetch_add(1, Ordering::Relaxed);
-            if c >= nchunks {
-                break;
-            }
-            let lo = start + (c as u32) * chunk;
-            let hi = (lo + chunk).min(end);
-            let mut sub = accesses.to_vec();
-            sub[0] = Some(Access::Scan {
-                rel,
-                start: lo,
-                end: hi,
-            });
-            let mut tuples = Vec::new();
-            let t0 = timed.then(std::time::Instant::now);
-            let firings = run_plan(plan, &sub, &mut |t| tuples.push(t));
-            let micros = t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-            local.push((c, firings, micros, tuples));
-        }
-        if !local.is_empty() {
-            results.lock().unwrap().append(&mut local);
-        }
-    };
-    match pool {
-        Some(pool) if pool.helpers() > 0 => pool.run(&work),
-        _ => std::thread::scope(|s| {
-            let work = &work;
-            let handles: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
-            work();
-            for h in handles {
-                h.join().expect("morsel worker panicked");
-            }
-        }),
-    }
-    // Chunk-order concatenation = sequential row order (see above).
-    let mut per_chunk = results.into_inner().unwrap();
-    per_chunk.sort_unstable_by_key(|&(c, _, _, _)| c);
-    let mut firings = 0u64;
-    let mut collector = chunk_times;
-    for (_, f, micros, tuples) in per_chunk {
-        firings += f;
-        if let Some(times) = collector.as_deref_mut() {
-            times.push((micros, tuples.len() as u64));
-        }
-        for t in tuples {
-            emit(t);
-        }
-    }
-    Some((firings, nchunks as u64))
 }
 
 /// A bound value as the join holds it: [`Value::word`]'s pair.
@@ -750,138 +413,6 @@ mod tests {
             &[Some(Access::scan_all(&e)), Some(Access::scan_all(&e))],
         );
         assert_eq!(with_idx, without);
-    }
-
-    #[test]
-    fn morsels_match_sequential_bit_for_bit() {
-        // Join large enough to split: t(X,Z) :- e(X,Y), e(Y,Z) on a chain.
-        let p = parse_program("t(X,Z) :- e(X,Y), e(Y,Z).").unwrap().program;
-        let plan = compile_rule(&p.rules[0], 0, &|_| false, None).unwrap();
-        let e: Relation = (0..500i64).map(|k| ituple![k, k + 1]).collect();
-        let idx = HashIndex::build(&e, &[0]);
-        let accesses = [Some(Access::scan_all(&e)), Some(Access::probe_all(&idx, &e))];
-        let mut seq = Vec::new();
-        let seq_firings = run_plan(&plan, &accesses, &mut |t| seq.push(t));
-        for (threads, chunk) in [(2, 1), (3, 7), (4, 64), (2, 4096)] {
-            let cfg = MorselConfig {
-                threads,
-                chunk_rows: chunk,
-                min_rows: 2,
-            };
-            // Both fan-out mechanisms — one-shot scoped spawn and the
-            // persistent pool, reused across geometries — must agree.
-            let pool = MorselPool::new(threads);
-            for pool in [None, Some(&pool)] {
-                let mut par = Vec::new();
-                match run_plan_morsels(&plan, &accesses, &cfg, pool, &mut |t| par.push(t)) {
-                    Some((firings, morsels)) => {
-                        assert_eq!(firings, seq_firings, "threads={threads} chunk={chunk}");
-                        assert_eq!(par, seq, "emission order must be identical");
-                        assert!(morsels >= 2);
-                    }
-                    None => {
-                        // chunk ≥ rows leaves a single morsel: fallback is
-                        // the correct answer, not an error.
-                        assert_eq!(chunk, 4096);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn morsels_decline_unsplittable_shapes() {
-        let p = parse_program("t(Y) :- e(2, Y).").unwrap().program;
-        let plan = compile_rule(&p.rules[0], 0, &|_| false, None).unwrap();
-        let e = edges();
-        let idx = HashIndex::build(&e, &[0]);
-        let cfg = MorselConfig {
-            threads: 4,
-            chunk_rows: 1,
-            min_rows: 2,
-        };
-        let mut out = Vec::new();
-        // Probe access at step 0: no row range to chunk.
-        assert!(run_plan_morsels(
-            &plan,
-            &[Some(Access::probe_all(&idx, &e))],
-            &cfg,
-            None,
-            &mut |t| out.push(t)
-        )
-        .is_none());
-        // Disabled config never engages.
-        assert!(run_plan_morsels(
-            &plan,
-            &[Some(Access::scan_all(&e))],
-            &MorselConfig::default(),
-            None,
-            &mut |t| out.push(t)
-        )
-        .is_none());
-        // Below the row threshold the sequential path wins.
-        let small = MorselConfig {
-            threads: 4,
-            chunk_rows: 1,
-            min_rows: 100,
-        };
-        assert!(run_plan_morsels(
-            &plan,
-            &[Some(Access::scan_all(&e))],
-            &small,
-            None,
-            &mut |t| out.push(t)
-        )
-        .is_none());
-    }
-
-    #[test]
-    fn morsel_pool_is_reusable_across_jobs() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Many back-to-back jobs through one pool: every participant must
-        // run every job exactly once, and Drop must join cleanly.
-        let pool = MorselPool::new(4);
-        assert_eq!(pool.helpers(), 3);
-        assert_eq!(pool.participants(), 4);
-        let hits = AtomicUsize::new(0);
-        for round in 1..=50usize {
-            pool.run(&|| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 4 * round);
-        }
-        // A single-participant pool degenerates to a plain call.
-        let solo = MorselPool::new(1);
-        assert_eq!(solo.helpers(), 0);
-        let ran = AtomicUsize::new(0);
-        solo.run(&|| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn morsels_respect_tombstones() {
-        let p = parse_program("t(X,Y) :- e(X,Y).").unwrap().program;
-        let plan = compile_rule(&p.rules[0], 0, &|_| false, None).unwrap();
-        let mut e: Relation = (0..300i64).map(|k| ituple![k, k + 1]).collect();
-        for k in (0..300i64).step_by(3) {
-            e.delete(&ituple![k, k + 1]);
-        }
-        let accesses = [Some(Access::scan_all(&e))];
-        let mut seq = Vec::new();
-        let seq_firings = run_plan(&plan, &accesses, &mut |t| seq.push(t));
-        let cfg = MorselConfig {
-            threads: 3,
-            chunk_rows: 16,
-            min_rows: 2,
-        };
-        let mut par = Vec::new();
-        let pool = MorselPool::new(cfg.threads);
-        let (firings, _) =
-            run_plan_morsels(&plan, &accesses, &cfg, Some(&pool), &mut |t| par.push(t)).unwrap();
-        assert_eq!(firings, seq_firings);
-        assert_eq!(par, seq);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! firing and every duplicate, per rule, making the non-redundancy
 //! theorems executable assertions.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;
@@ -23,7 +24,6 @@ pub mod route;
 pub mod stats;
 
 pub use engine::{fire_once, naive_eval, seminaive_eval, seminaive_eval_with, EvalResult, FixpointEngine};
-pub use exec::{run_plan_morsels, run_plan_morsels_profiled, MorselConfig, MorselPool};
 pub use plan::{compile_rule, compile_rule_with, AtomSource, PlanOptions, PlanStep, RulePlan};
 pub use route::{Outlet, Route, Shards};
 pub use stats::{EvalStats, RoundSample, TimeMode};

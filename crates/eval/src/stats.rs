@@ -7,15 +7,13 @@
 //! reason about. `duplicates` counts firings whose head tuple was already
 //! known (wasted work — the redundancy the §6 trade-off spends).
 
-use gst_common::Histogram;
-
-/// How the engine attributes time to rules and morsel chunks.
+/// How the engine attributes time to rules.
 ///
 /// `Wall` records wall-clock microseconds — the right unit for threaded
-/// and TCP runs. `Ticks` records deterministic *work proxies* (firings
-/// per rule execution, tuples per morsel chunk) so the simulated
-/// transport's profiles are bit-identical across same-seed reruns while
-/// still ranking rules and chunks by actual work done. `Off` (the
+/// and TCP runs. `Ticks` records a deterministic *work proxy* (firings
+/// per rule execution) so the simulated transport's profiles are
+/// bit-identical across same-seed reruns while still ranking rules by
+/// actual work done. `Off` (the
 /// default) records nothing and costs one branch per rule execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TimeMode {
@@ -24,7 +22,7 @@ pub enum TimeMode {
     Off,
     /// Wall-clock microseconds.
     Wall,
-    /// Deterministic work proxies (firings / tuples).
+    /// Deterministic work proxy (firings).
     Ticks,
 }
 
@@ -59,15 +57,8 @@ pub struct EvalStats {
     /// Unit depends on the engine's [`TimeMode`]: microseconds under
     /// `Wall`, firings under `Ticks`, all zeros under `Off`.
     pub time_by_rule: Vec<u64>,
-    /// Rule executions that ran through the morsel-parallel executor.
-    pub morsel_runs: u64,
-    /// Total morsel chunks claimed across all morsel-parallel executions.
-    pub morsel_chunks: u64,
     /// Per-round delta sizes, one sample per completed round.
     pub per_round: Vec<RoundSample>,
-    /// Morsel chunk service times ([`TimeMode`] units; empty when
-    /// profiling is off or the morsel path never engaged).
-    pub chunk_service: Histogram,
 }
 
 impl EvalStats {
@@ -94,16 +85,6 @@ impl EvalStats {
     pub fn record_rule_time(&mut self, rule_index: usize, t: u64) {
         if let Some(slot) = self.time_by_rule.get_mut(rule_index) {
             *slot += t;
-        }
-    }
-
-    /// Record a morsel-parallel execution that split a delta scan into
-    /// `chunks` morsels. A `chunks` of 0 means the executor declined and
-    /// fell back to the sequential path — not counted.
-    pub fn record_morsels(&mut self, chunks: u64) {
-        if chunks > 0 {
-            self.morsel_runs += 1;
-            self.morsel_chunks += chunks;
         }
     }
 
@@ -142,8 +123,6 @@ impl EvalStats {
         self.firings += other.firings;
         self.derived += other.derived;
         self.duplicates += other.duplicates;
-        self.morsel_runs += other.morsel_runs;
-        self.morsel_chunks += other.morsel_chunks;
         if self.firings_by_rule.len() < other.firings_by_rule.len() {
             self.firings_by_rule.resize(other.firings_by_rule.len(), 0);
         }
@@ -156,7 +135,6 @@ impl EvalStats {
         for (i, &t) in other.time_by_rule.iter().enumerate() {
             self.time_by_rule[i] += t;
         }
-        self.chunk_service.merge(&other.chunk_service);
         // Per-round samples combine index-wise: round r of the aggregate
         // is the sum over engines of each one's round r.
         if self.per_round.len() < other.per_round.len() {

@@ -9,6 +9,7 @@
 //! interface; `gst-core` supplies hash-based implementations and `gst-eval`
 //! evaluates them during semi-naive iteration.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

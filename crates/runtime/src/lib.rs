@@ -40,6 +40,7 @@
 //! experiments use to verify the paper's communication and non-redundancy
 //! claims.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

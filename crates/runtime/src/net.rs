@@ -620,7 +620,6 @@ pub fn run_net_worker(args: &NetWorkerArgs, decoder: Option<ConstraintDecoderFn>
             return Err(e);
         }
     };
-    core.set_morsel_threads(worker_cfg.morsel_threads);
     if worker_cfg.profile {
         // Per-process wall clock: the profile carries durations only, so
         // worker-local origins are fine — the coordinator merges the

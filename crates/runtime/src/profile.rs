@@ -24,7 +24,7 @@
 //! bit-identical across same-seed reruns while still ranking the same
 //! hot spots. Distribution shape is captured in mergeable log-bucketed
 //! [`Histogram`]s (round latency, per-batch encode/decode time, batch
-//! bytes, morsel chunk service time); TCP workers ship their profile in
+//! bytes); TCP workers ship their profile in
 //! the RESULT frame and the coordinator merges, so `--net` runs report
 //! the same profile shape as in-process ones.
 //!
@@ -356,8 +356,6 @@ pub struct ProfileReport {
     pub time_by_rule: Vec<u64>,
     /// Per-rule firings merged across workers.
     pub firings_by_rule: Vec<u64>,
-    /// Morsel chunk service times merged across workers.
-    pub chunk_service: Histogram,
     /// Per-round critical path and cost decomposition, in round order.
     pub rounds: Vec<RoundCost>,
     /// Top rules by attributed time, descending (ties by rule index).
@@ -393,7 +391,6 @@ impl ProfileReport {
 
         let mut time_by_rule: Vec<u64> = Vec::new();
         let mut firings_by_rule: Vec<u64> = Vec::new();
-        let mut chunk_service = Histogram::new();
         for w in &stats.workers {
             if time_by_rule.len() < w.eval.time_by_rule.len() {
                 time_by_rule.resize(w.eval.time_by_rule.len(), 0);
@@ -407,7 +404,6 @@ impl ProfileReport {
             for (i, &f) in w.eval.firings_by_rule.iter().enumerate() {
                 firings_by_rule[i] += f;
             }
-            chunk_service.merge(&w.eval.chunk_service);
         }
 
         // Per-round critical path: every round any worker attributed time
@@ -490,7 +486,6 @@ impl ProfileReport {
             merged,
             time_by_rule,
             firings_by_rule,
-            chunk_service,
             rounds,
             hot_rules,
             idle_gaps,
@@ -582,17 +577,6 @@ impl ProfileReport {
             let _ = writeln!(
                 out,
                 "  batch bytes: n={} p50={} p99={} max={}",
-                h.count,
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.max
-            );
-        }
-        if self.chunk_service.count > 0 {
-            let h = &self.chunk_service;
-            let _ = writeln!(
-                out,
-                "  morsel chunk service ({unit}): n={} p50={} p99={} max={}",
                 h.count,
                 h.quantile(0.50),
                 h.quantile(0.99),
@@ -738,10 +722,8 @@ impl ProfileReport {
             }
             let _ = write!(out, "{f}");
         }
-        out.push_str("],\"chunk_service\":");
-        hist_json(&mut out, &self.chunk_service);
 
-        out.push_str(",\"rounds\":[");
+        out.push_str("],\"rounds\":[");
         for (i, rc) in self.rounds.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -804,7 +786,6 @@ impl ProfileReport {
             ("encode_time", &self.merged.encode_time),
             ("decode_time", &self.merged.decode_time),
             ("batch_bytes", &self.merged.batch_bytes),
-            ("chunk_service", &self.chunk_service),
         ] {
             let _ = writeln!(out, "# TYPE pdatalog_{label} summary");
             for (q, ql) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
@@ -943,7 +924,6 @@ mod tests {
             },
             time_by_rule: vec![90, 50],
             firings_by_rule: vec![9, 5],
-            chunk_service: Histogram::new(),
             rounds: Vec::new(),
             hot_rules: vec![HotRule { rule: 0, time: 90, firings: 9 }],
             idle_gaps: vec![IdleGap { worker: 0, round: 1, idle: 30 }],

@@ -123,7 +123,6 @@ impl Outbox for SimOutbox {
 /// proxies, so same-seed runs are bit-identical in both.
 fn new_core(spec: WorkerSpec, n: usize, epoch: u64, config: &RuntimeConfig) -> Result<WorkerCore> {
     let mut core = WorkerCore::with_epoch(spec, n, epoch)?;
-    core.set_morsel_threads(config.worker.morsel_threads);
     if config.trace {
         core.set_sink(TraceSink::virtual_clock(core.id()));
     }

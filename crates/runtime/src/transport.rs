@@ -218,13 +218,12 @@ pub(crate) fn network_is_silent(specs: &[WorkerSpec]) -> bool {
 /// ship, local quiescence *is* the paper's termination condition, observed
 /// directly. A silent worker's routes all end in its own inboxes, which the
 /// engine fills as it advances.
-fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<WorkerResult> {
+fn run_local(spec: &WorkerSpec, n: usize) -> Result<WorkerResult> {
     let t0 = Instant::now();
     // The shared construction path applies any update-session seed, so
     // the N=1 fast path maintains exactly the state a distributed run
     // would.
     let mut engine = spec.build_engine()?;
-    engine.set_morsels(gst_eval::MorselConfig::with_threads(config.worker.morsel_threads));
     engine.run_to_fixpoint()?;
     let pooled = take_pooled(&mut engine, &spec.program);
     let mut report = WorkerReport::new(spec.program.processor, n);
@@ -236,16 +235,16 @@ fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<Work
 
 /// The zero-communication fast path: every worker runs [`run_local`] —
 /// inline for a single processor, on scoped threads otherwise.
-fn execute_silent(specs: &[WorkerSpec], kinds: &ShardKinds, config: &RuntimeConfig) -> Result<ExecutionOutcome> {
+fn execute_silent(specs: &[WorkerSpec], kinds: &ShardKinds) -> Result<ExecutionOutcome> {
     let n = specs.len();
     let started = Instant::now();
     let results: Vec<WorkerResult> = if n == 1 {
-        vec![run_local(&specs[0], n, config)?]
+        vec![run_local(&specs[0], n)?]
     } else {
         std::thread::scope(|scope| {
             let handles: Vec<_> = specs
                 .iter()
-                .map(|spec| scope.spawn(move || run_local(spec, n, config)))
+                .map(|spec| scope.spawn(move || run_local(spec, n)))
                 .collect();
             handles
                 .into_iter()
@@ -338,7 +337,6 @@ fn run_threaded(
 ) -> std::result::Result<WorkerCore, WorkerExit> {
     let n = senders.len();
     let mut core = WorkerCore::with_epoch(spec, n, epoch).map_err(WorkerExit::Fatal)?;
-    core.set_morsel_threads(config.worker.morsel_threads);
     if let Some(origin) = trace_origin {
         // All sinks share the run's origin so the tracks line up.
         core.set_sink(TraceSink::wall(core.id(), origin));
@@ -411,7 +409,7 @@ impl Transport for ThreadedTransport {
             && !config.worker.profile
             && config.supervisor.fail_point.is_none()
         {
-            return execute_silent(&specs, &kinds, config);
+            return execute_silent(&specs, &kinds);
         }
         let n = specs.len();
         let mut slots = Vec::with_capacity(n);

@@ -319,7 +319,6 @@ pub(crate) fn encode_job(
     put_uv(&mut buf, epoch);
     put_uv(&mut buf, n as u64);
     put_uv(&mut buf, worker.idle_watchdog.as_micros() as u64);
-    put_uv(&mut buf, worker.morsel_threads as u64);
     buf.push(u8::from(worker.profile));
 
     // Symbol table: the entire interner, ids 0..len in order. The worker
@@ -379,16 +378,9 @@ pub(crate) fn decode_job(bytes: &[u8], decode_constraint: ConstraintDecode) -> R
         return Err(corrupt(&format!("implausible fleet size {n}")));
     }
     let idle_watchdog = c.get_uv().ok_or_else(|| corrupt("job idle_watchdog"))?;
-    let morsel_threads = get_usize(&mut c, "job morsel threads")?;
-    if morsel_threads == 0 || morsel_threads > 1 << 12 {
-        return Err(corrupt(&format!(
-            "implausible morsel thread count {morsel_threads}"
-        )));
-    }
     let profile = get_flag(&mut c, "job profile flag")?;
     let worker = WorkerConfig {
         idle_watchdog: Duration::from_micros(idle_watchdog),
-        morsel_threads,
         profile,
     };
 
@@ -888,8 +880,6 @@ pub(crate) fn encode_result(
     put_uv(&mut buf, report.eval.firings);
     put_uv(&mut buf, report.eval.derived);
     put_uv(&mut buf, report.eval.duplicates);
-    put_uv(&mut buf, report.eval.morsel_runs);
-    put_uv(&mut buf, report.eval.morsel_chunks);
     put_uv(&mut buf, report.eval.firings_by_rule.len() as u64);
     for f in &report.eval.firings_by_rule {
         put_uv(&mut buf, *f);
@@ -904,7 +894,6 @@ pub(crate) fn encode_result(
         put_uv(&mut buf, s.submitted);
         put_uv(&mut buf, s.fresh);
     }
-    put_histogram(&mut buf, &report.eval.chunk_service);
     put_uv(&mut buf, report.processing_firings);
     put_uv(&mut buf, report.sent_tuples_to.len() as u64);
     for v in &report.sent_tuples_to {
@@ -969,8 +958,6 @@ pub(crate) fn decode_result(
     let firings = c.get_uv().ok_or_else(|| corrupt("eval firings"))?;
     let derived = c.get_uv().ok_or_else(|| corrupt("eval derived"))?;
     let duplicates = c.get_uv().ok_or_else(|| corrupt("eval duplicates"))?;
-    let morsel_runs = c.get_uv().ok_or_else(|| corrupt("eval morsel runs"))?;
-    let morsel_chunks = c.get_uv().ok_or_else(|| corrupt("eval morsel chunks"))?;
     let nrules = get_count(&mut c, "firings by rule")?;
     let mut firings_by_rule = Vec::with_capacity(nrules.min(1024));
     for _ in 0..nrules {
@@ -990,18 +977,14 @@ pub(crate) fn decode_result(
             fresh: c.get_uv().ok_or_else(|| corrupt("sample fresh"))?,
         });
     }
-    let chunk_service = get_histogram(&mut c, "chunk service histogram")?;
     let eval = EvalStats {
         rounds,
         firings,
         derived,
         duplicates,
-        morsel_runs,
-        morsel_chunks,
         firings_by_rule,
         time_by_rule,
         per_round,
-        chunk_service,
     };
     let processing_firings = c.get_uv().ok_or_else(|| corrupt("processing firings"))?;
     let nlinks = get_count(&mut c, "link counters")?;
@@ -1126,7 +1109,7 @@ mod tests {
         assert_eq!(job.epoch, 3);
         assert_eq!(job.n, 4);
         assert_eq!(job.worker.idle_watchdog, WorkerConfig::default().idle_watchdog);
-        assert_eq!(job.worker.morsel_threads, 1);
+        assert_eq!(job.worker.profile, WorkerConfig::default().profile);
         assert_eq!(job.spec.program.processor, 1);
         assert_eq!(job.spec.program.program.rules, spec.program.program.rules);
         let (got, sent) = (&job.spec.program.routes[0], &spec.program.routes[0]);
@@ -1155,35 +1138,12 @@ mod tests {
     }
 
     #[test]
-    fn job_carries_morsel_threads() {
-        let spec = sample_spec();
-        let config = WorkerConfig {
-            morsel_threads: 6,
-            ..WorkerConfig::default()
-        };
-        let body = encode_job(0, 2, &config, &spec, None).unwrap();
-        let job = decode_job(&body, None).unwrap();
-        assert_eq!(job.worker.morsel_threads, 6);
-    }
-
-    #[test]
     fn job_rejects_a_pooling_pair_the_processor_does_not_hold() {
         let mut spec = sample_spec();
         spec.program.pooling[0].0 = (spec.program.program.interner.intern("elsewhere"), 2);
         let body = encode_job(0, 2, &WorkerConfig::default(), &spec, None).unwrap();
         let e = decode_job(&body, None).err().unwrap().to_string();
         assert!(e.contains("processor 1 pools elsewhere/2, which it neither derives"), "{e}");
-    }
-
-    #[test]
-    fn job_rejects_zero_morsel_threads() {
-        let spec = sample_spec();
-        let config = WorkerConfig {
-            morsel_threads: 0,
-            ..WorkerConfig::default()
-        };
-        let body = encode_job(0, 2, &config, &spec, None).unwrap();
-        assert!(decode_job(&body, None).is_err());
     }
 
     #[test]
@@ -1261,17 +1221,9 @@ mod tests {
                 firings: 100,
                 derived: 60,
                 duplicates: 40,
-                morsel_runs: 2,
-                morsel_chunks: 9,
                 firings_by_rule: vec![10, 90],
                 time_by_rule: vec![3, 1200],
                 per_round: vec![RoundSample { round: 1, submitted: 5, fresh: 3 }],
-                chunk_service: {
-                    let mut h = gst_common::Histogram::new();
-                    h.record(40);
-                    h.record(512);
-                    h
-                },
             },
             processing_firings: 90,
             sent_tuples_to: vec![0, 4, 9],
@@ -1344,7 +1296,7 @@ mod tests {
         assert_eq!(got_report.busy, Duration::from_micros(12345));
         assert_eq!(got_report.sent_per_round, vec![(2, 4), (5, 5)]);
         assert_eq!(got_report.eval.time_by_rule, vec![3, 1200]);
-        assert_eq!(got_report.eval.chunk_service, report.eval.chunk_service);
+        assert_eq!(got_report.eval, report.eval);
         assert_eq!(got_report.profile, report.profile);
         assert_eq!(got_pooled.len(), 1);
         assert_eq!(got_pooled[0].0, answer);

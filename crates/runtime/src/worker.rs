@@ -61,10 +61,6 @@ pub struct WorkerConfig {
     /// Give up if passive this long with no arrival — batch, token or
     /// control message — on the queue the worker blocks on (a peer died).
     pub idle_watchdog: Duration,
-    /// Intra-worker morsel parallelism: threads each worker's engine may
-    /// fan a large semi-naive delta across. 1 (the default) keeps the
-    /// engine strictly sequential.
-    pub morsel_threads: usize,
     /// Phase-attributed profiling: account every step's time to
     /// compute/encode/decode/replay/idle and record latency histograms.
     /// Off (the default) costs one `Option` branch per phase site.
@@ -75,7 +71,6 @@ impl Default for WorkerConfig {
     fn default() -> Self {
         WorkerConfig {
             idle_watchdog: Duration::from_secs(30),
-            morsel_threads: 1,
             profile: false,
         }
     }
@@ -253,15 +248,6 @@ impl WorkerCore {
     /// clock: wall-origin for threads, virtual for the simulator.
     pub(crate) fn set_sink(&mut self, sink: TraceSink) {
         self.sink = sink;
-    }
-
-    /// Apply the transport's [`WorkerConfig::morsel_threads`] knob to this
-    /// core's engine. Chunk-order merging keeps firings and models
-    /// bit-identical to the sequential path, so this is purely a
-    /// wall-clock knob.
-    pub(crate) fn set_morsel_threads(&mut self, threads: usize) {
-        self.engine
-            .set_morsels(gst_eval::MorselConfig::with_threads(threads));
     }
 
     /// Install a phase profiler (profiling on). The transport decides the

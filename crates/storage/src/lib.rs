@@ -7,6 +7,7 @@
 //! `i` and base relations are either shared (read-only, behind an `Arc` at
 //! the runtime layer) or fragmented.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod database;

@@ -8,6 +8,7 @@
 //! of Examples 4/7, the two-bit program of Example 6, and same-generation.
 //! All generators are seeded and reproducible.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod graphs;

@@ -1,7 +1,7 @@
 //! `pdatalog` — command-line front end for the parallel-datalog library.
 //!
 //! ```text
-//! pdatalog run <file.dl> [--workers N] [--scheme S] [--skew-aware] [--morsels T]
+//! pdatalog run <file.dl> [--workers N] [--scheme S] [--skew-aware]
 //!                        [--query ["goal(…)"] [--explain-rewrite]]
 //!                        [--print PRED/ARITY] [--stats]
 //!                        [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS]
@@ -40,10 +40,9 @@
 //!
 //! `--skew-aware` (with `--scheme example3`) samples EDB key frequencies
 //! at compile time and splits hot keys across processors under the §6
-//! `R_i` replication trade-off; `--morsels T` lets each worker fan large
-//! semi-naive deltas across `T` threads (bit-identical results; see
-//! DESIGN.md §13). `--stats` then also reports `hot_keys_split`,
-//! `firing_skew` (max/mean per-worker firings) and morsel counters.
+//! `R_i` replication trade-off (DESIGN.md §13). `--stats` then also
+//! reports `hot_keys_split` next to `firing_skew` (max/mean per-worker
+//! firings).
 //!
 //! `--trace` prints the unified event journal (rounds, sends, receives,
 //! tokens, idles, recoveries) on stderr for any parallel run — threaded
@@ -169,7 +168,7 @@ fn run(args: Vec<String>) -> std::result::Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|naive|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--skew-aware] [--morsels T] [--print PRED/ARITY] [--stats] [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--metrics-out FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES] [--heartbeat-ms MS] [--heartbeat-timeout-ms MS] [--connect-timeout-ms MS] [--connect-backoff-ms MS]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [timing flags]\n  pdatalog query <file.dl> \"anc(1, X)\"\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--bits | --linear c1,c2,...]\n\nsupervision defaults: --watchdog-ms 30000, --max-restarts 1, --restart-backoff-ms 10.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq, naive, or general (demand-partitioned).\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
+    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|naive|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--skew-aware] [--print PRED/ARITY] [--stats] [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--metrics-out FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES] [--heartbeat-ms MS] [--heartbeat-timeout-ms MS] [--connect-timeout-ms MS] [--connect-backoff-ms MS]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [timing flags]\n  pdatalog query <file.dl> \"anc(1, X)\"\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--bits | --linear c1,c2,...]\n\nsupervision defaults: --watchdog-ms 30000, --max-restarts 1, --restart-backoff-ms 10.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq, naive, or general (demand-partitioned).\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
 }
 
 /// Parse `PRED/ARITY`, e.g. `anc/2`.
@@ -212,7 +211,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let mut watchdog: Option<std::time::Duration> = None;
     let mut restart_backoff: Option<std::time::Duration> = None;
     let mut skew_aware = false;
-    let mut morsels = 1usize;
     let mut show_profile = false;
     let mut profile_json: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -256,13 +254,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             }
             "--explain-rewrite" => explain_rewrite = true,
             "--skew-aware" => skew_aware = true,
-            "--morsels" => {
-                morsels = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t| t >= 1)
-                    .ok_or("--morsels needs a thread count of at least 1")?;
-            }
             "--sim" => sim = true,
             "--seed" => seed = parsed(&mut it, "--seed needs an unsigned integer")?,
             "--faults" => {
@@ -330,7 +321,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             "--watchdog-ms/--restart-backoff-ms need a parallel scheme (they tune the supervisor)",
         ),
         (skew_aware && scheme_name != "example3", "--skew-aware replaces example3's hash partition; use --scheme example3"),
-        (morsels > 1 && sequential, "--morsels needs a parallel scheme (it threads each worker's engine)"),
         (net && sim, "--net and --sim are exclusive: pick OS processes or the simulator"),
         (net && sequential, "--net needs a parallel scheme (try --scheme example3)"),
         (!net && (net_faults.is_some() || net_kill.is_some()), "--net-faults/--net-kill only make sense with --net"),
@@ -491,7 +481,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 None => build_scheme(parallel, &program, &db, workers, skew_aware)?,
             };
             let mut config = RuntimeConfig::default();
-            config.worker.morsel_threads = morsels;
             config.worker.profile = profiling;
             if let Some(budget) = max_restarts {
                 config.supervisor.max_restarts = budget;
@@ -664,10 +653,8 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             } else {
                 String::new()
             };
-            // Per-worker firing balance (max/mean), plus the skew/morsel
-            // counters when those features are engaged: hot_keys_split
-            // comes from compile time, the morsel counters from the
-            // workers' engines.
+            // Per-worker firing balance (max/mean), plus hot_keys_split
+            // (from compile time) when the skew-aware partition is on.
             let extra = {
                 let firings: Vec<u64> = outcome
                     .stats
@@ -689,13 +676,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                     // the rules on (a pure function of the program).
                     let v: Vec<String> = choose_sequences(&program).iter().map(|v| sequence(v, &interner)).collect();
                     s.push_str(&format!(" v={}", v.join(",")));
-                }
-                if morsels > 1 {
-                    let runs: u64 =
-                        outcome.stats.workers.iter().map(|w| w.eval.morsel_runs).sum();
-                    let chunks: u64 =
-                        outcome.stats.workers.iter().map(|w| w.eval.morsel_chunks).sum();
-                    s.push_str(&format!(" morsel_runs={runs} morsel_chunks={chunks}"));
                 }
                 s
             };

@@ -53,6 +53,8 @@
 //! assert!(outcome.stats.total_processing_firings() <= seq.stats.firings);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use gst_common as common;
 pub use gst_core as core;
 pub use gst_eval as eval;
