@@ -5,9 +5,9 @@
 //! cargo run --release -p gst-bench --bin harness -- f3 s1   # a subset
 //! ```
 //!
-//! Experiment ids (see DESIGN.md §4): f1 f2 f3 f4 t1 t2 e4 e5 s1 s2 p1 p2 p3 l1 r1.
+//! Experiment ids (see DESIGN.md §4): f1 f2 f3 f4 t1 t2 e4 e5 s1 s2 p2 p3 l1 r1.
 
-use gst_bench::json::{count, s, Json};
+use gst_common::json::{count, num, s, Json};
 use gst_bench::table::Table;
 use gst_bench::*;
 
@@ -171,7 +171,7 @@ fn main() {
                 pts.iter()
                     .map(|p| {
                         Json::obj(vec![
-                            ("alpha", gst_bench::json::num(p.alpha)),
+                            ("alpha", num(p.alpha)),
                             ("comm_tuples", count(p.comm_tuples)),
                             ("firings", count(p.firings)),
                             ("redundancy", count(p.redundancy)),
@@ -200,36 +200,6 @@ fn main() {
                 r.comm_tuples.to_string(),
                 r.correct.to_string(),
                 r.non_redundant.to_string(),
-            ]);
-        }
-        println!("{}\n", t.render());
-    }
-
-    if want("p1") {
-        banner("P1 — speedup of the zero-communication scheme (Example 1)");
-        if cfg!(debug_assertions) {
-            println!("(debug build: timings indicative only; use --release)\n");
-        }
-        let (seq_ms, cores, rows) = speedup_curve(6, 220, 3, &[1, 2, 4, 8]);
-        println!(
-            "sequential semi-naive: {seq_ms:.1} ms; physical cores available: {cores}\n\
-             (simulated = per-worker engines timed in isolation — exact for a\n\
-             communication-free scheme; real wall is bounded by physical cores)"
-        );
-        let mut t = Table::new(vec![
-            "workers",
-            "real wall ms",
-            "simulated ms",
-            "simulated speedup",
-            "balance",
-        ]);
-        for r in &rows {
-            t.row(vec![
-                r.n.to_string(),
-                format!("{:.1}", r.wall_ms),
-                format!("{:.1}", r.simulated_ms),
-                format!("{:.2}×", r.simulated_speedup),
-                format!("{:.2}", r.balance),
             ]);
         }
         println!("{}\n", t.render());

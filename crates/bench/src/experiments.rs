@@ -2,7 +2,6 @@
 //! and EXPERIMENTS.md for recorded paper-vs-measured outcomes.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use gst_core::dataflow::{zero_comm_choice, DataflowGraph};
 use gst_core::discriminator::{
@@ -443,94 +442,6 @@ pub fn general_scheme_experiments(n: usize) -> Vec<GeneralRow> {
         non_redundant: outcome.stats.total_processing_firings() <= seq.stats.firings,
     });
     rows
-}
-
-/// One row of the speedup experiment.
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    /// Worker count.
-    pub n: usize,
-    /// Real multi-threaded wall time, milliseconds (limited by the
-    /// machine's physical cores).
-    pub wall_ms: f64,
-    /// Modeled wall time on an ideal `n`-processor machine: the workers
-    /// of a communication-free scheme are fully independent, so each is
-    /// timed in isolation and the model wall is their maximum.
-    pub simulated_ms: f64,
-    /// Sequential time / simulated wall (the paper's load-sharing claim).
-    pub simulated_speedup: f64,
-    /// Load balance: max worker time / mean worker time (1.0 = perfect).
-    pub balance: f64,
-}
-
-/// **P1**: scaling of the zero-communication scheme on a wide layered
-/// workload. Returns `(sequential_ms, available_cores, rows)`.
-///
-/// The paper assumes a multiprocessor; on machines with fewer cores than
-/// workers, real wall-clock cannot speed up, so the experiment *also*
-/// simulates the idealized architecture: Example 1's workers share no
-/// data and exchange no messages, so running each worker's engine alone
-/// and taking the slowest is exactly the parallel makespan (documented in
-/// DESIGN.md as a hardware substitution). Meaningful numbers need
-/// `--release`.
-pub fn speedup_curve(
-    layers: u64,
-    width: u64,
-    fanout: u64,
-    ns: &[usize],
-) -> (f64, usize, Vec<SpeedupRow>) {
-    let fx = linear_ancestor();
-    let data = layered(layers, width, fanout, 99);
-    let db = fx.database(&data);
-    let sirup = LinearSirup::from_program(&fx.program).unwrap();
-
-    let t0 = Instant::now();
-    let seq = seminaive_eval(&fx.program, &db).unwrap();
-    let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let anc = fx.output_id();
-    let reference = seq.relation(anc);
-
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-
-    let rows = ns
-        .iter()
-        .map(|&n| {
-            let scheme = example1_wolfson(&sirup, n, &db).unwrap();
-
-            // Real threads (bounded by physical cores). `wall_time` ends
-            // at termination: final pooling (§3 step 5) is a separate
-            // cost, reported as `pooling_time`.
-            let outcome = scheme.run().unwrap();
-            let wall_ms = outcome.stats.wall_time.as_secs_f64() * 1e3;
-            assert!(outcome.stats.communication_free());
-
-            // Ideal machine: time each independent worker in isolation.
-            let mut worker_ms = Vec::with_capacity(n);
-            let mut check = gst_storage::Relation::new(anc.1);
-            for w in &scheme.workers {
-                let t0 = Instant::now();
-                let mut engine = w.build_engine().unwrap();
-                engine.run_to_fixpoint().unwrap();
-                worker_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                for (local, ..) in &w.program.pooling {
-                    check
-                        .absorb(engine.relation(*local).expect("pooled relation"))
-                        .unwrap();
-                }
-            }
-            assert!(check.set_eq(&reference), "simulated run must be correct");
-            let simulated_ms = worker_ms.iter().cloned().fold(0.0f64, f64::max);
-            let mean = worker_ms.iter().sum::<f64>() / n as f64;
-            SpeedupRow {
-                n,
-                wall_ms,
-                simulated_ms,
-                simulated_speedup: seq_ms / simulated_ms,
-                balance: simulated_ms / mean,
-            }
-        })
-        .collect();
-    (seq_ms, cores, rows)
 }
 
 /// **P2 — §8**: profile the candidate schemes once, then show which one a
@@ -1035,15 +946,5 @@ mod tests {
             .iter()
             .filter(|r| r.label.starts_with("example3"))
             .all(|r| r.bytes_per_worker.len() == 4));
-    }
-
-    #[test]
-    fn speedup_runs_and_is_correct() {
-        // Small instance: we assert execution and shape, not timing.
-        let (_seq_ms, cores, rows) = speedup_curve(3, 6, 2, &[1, 2]);
-        assert!(cores >= 1);
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|r| r.wall_ms > 0.0 && r.simulated_ms > 0.0));
-        assert!(rows.iter().all(|r| r.balance >= 1.0));
     }
 }

@@ -5,15 +5,11 @@
 //! one of those artifacts — or attaches numbers to one of the paper's
 //! qualitative claims — and returns a structured result that the
 //! `harness` binary renders as text and the test suite asserts on.
-//! Micro-benches in `benches/` time the underlying executions with the
-//! dependency-free harness in [`micro`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod json;
-pub mod micro;
 pub mod table;
 pub mod tracecheck;
 

@@ -8,7 +8,7 @@
 //! pairing, and (optionally) that every expected worker track is present
 //! and reached termination.
 
-use crate::json::Json;
+use gst_common::json::Json;
 
 /// What a validated trace contained, for the checker's one-line report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

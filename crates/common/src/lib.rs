@@ -3,7 +3,8 @@
 //! This crate holds the data-representation layer every other crate builds
 //! on: interned [`Value`]s, fixed-arity [`Tuple`]s with an inline
 //! small-tuple representation, a fast non-cryptographic hasher
-//! ([`fxhash`]), and the workspace-wide [`Error`] type.
+//! ([`fxhash`]), the workspace-wide [`Error`] type, and the one JSON
+//! writer and parser ([`json`]) every report and export goes through.
 //!
 //! Nothing in this crate knows about Datalog; it is the substrate the
 //! parser, storage and evaluation layers share so that tuples can cross
@@ -16,6 +17,7 @@ pub mod error;
 pub mod fxhash;
 pub mod hist;
 pub mod interner;
+pub mod json;
 pub mod rng;
 pub mod tuple;
 pub mod value;

@@ -35,7 +35,7 @@ use gst_frontend::{Program, ProgramAnalysis};
 use gst_storage::{Database, HashIndex, Relation};
 
 use crate::exec::{run_plan, Access};
-use crate::plan::{compile_rule_with, idb_occurrence_count, AtomSource, PlanOptions, PlanStep, RelationId, RulePlan};
+use crate::plan::{compile_rule, idb_occurrence_count, AtomSource, PlanStep, RelationId, RulePlan};
 use crate::route::{self, Outlet, Route, Router, Sink};
 use crate::stats::{EvalStats, TimeMode};
 
@@ -248,16 +248,14 @@ impl FixpointEngine {
     /// receive rules); they are treated as derived even though no rule in
     /// `program` defines them.
     pub fn new(program: &Program, edb: Arc<Database>, extra_idb: &[RelationId]) -> Result<Self> {
-        Self::with_routes(program, edb, extra_idb, 0, &[], PlanOptions::default())
+        Self::with_routes(program, edb, extra_idb, 0, &[])
     }
 
-    /// The general constructor — explicit [`PlanOptions`] (the ablation
-    /// benchmarks disable individual planner optimizations) and, for
-    /// processor `processor` of a parallel scheme, a route table: a row
-    /// of a source with a home inbox ([`route::home_inbox`]) is queued
-    /// where it is emitted, for the local inbox when it hashes here and in
-    /// an [`Outlet`] otherwise; every advance routes the fresh rows of
-    /// each other source the same way.
+    /// The general constructor: for processor `processor` of a parallel
+    /// scheme, a route table. A row of a source with a home inbox
+    /// ([`route::home_inbox`]) is queued where it is emitted, for the local
+    /// inbox when it hashes here and in an [`Outlet`] otherwise; every
+    /// advance routes the fresh rows of each other source the same way.
     ///
     /// # Errors
     /// Every route's source and local inbox must be derived predicates of
@@ -270,7 +268,6 @@ impl FixpointEngine {
         extra_idb: &[RelationId],
         processor: usize,
         routes: &[Route],
-        options: PlanOptions,
     ) -> Result<Self> {
         ProgramAnalysis::new(program)?; // safety check
 
@@ -331,11 +328,11 @@ impl FixpointEngine {
         for (rule_index, rule) in program.rules.iter().enumerate() {
             let occurrences = idb_occurrence_count(rule, &is_idb);
             if occurrences == 0 {
-                let plan = compile_rule_with(rule, rule_index, &is_idb, None, options)?;
+                let plan = compile_rule(rule, rule_index, &is_idb, None)?;
                 bootstrap_plans.push(slot_plan(plan));
             } else {
                 for version in 0..occurrences {
-                    let plan = compile_rule_with(rule, rule_index, &is_idb, Some(version), options)?;
+                    let plan = compile_rule(rule, rule_index, &is_idb, Some(version))?;
                     round_plans.push(slot_plan(plan));
                 }
             }
@@ -757,17 +754,7 @@ impl EvalResult {
 /// Sequential semi-naive evaluation of `program` over `edb` — the paper's
 /// baseline (§2) against which non-redundancy is defined.
 pub fn seminaive_eval(program: &Program, edb: &Database) -> Result<EvalResult> {
-    seminaive_eval_with(program, edb, PlanOptions::default())
-}
-
-/// [`seminaive_eval`] with explicit [`PlanOptions`] (ablation studies).
-pub fn seminaive_eval_with(
-    program: &Program,
-    edb: &Database,
-    options: PlanOptions,
-) -> Result<EvalResult> {
-    let mut engine =
-        FixpointEngine::with_routes(program, Arc::new(edb.clone()), &[], 0, &[], options)?;
+    let mut engine = FixpointEngine::new(program, Arc::new(edb.clone()), &[])?;
     engine.run_to_fixpoint()?;
     Ok(engine.into_result())
 }
@@ -788,7 +775,7 @@ pub fn fire_once(program: &Program, db: &Database) -> Result<Vec<(RelationId, Ve
     let is_idb = |_: RelationId| false;
     let mut out: FxHashMap<RelationId, Vec<Tuple>> = FxHashMap::default();
     for (i, rule) in program.rules.iter().enumerate() {
-        let plan = compile_rule_with(rule, i, &is_idb, None, PlanOptions::default())?;
+        let plan = compile_rule(rule, i, &is_idb, None)?;
         let accesses: Vec<Option<Access<'_>>> = plan
             .steps
             .iter()
@@ -831,7 +818,7 @@ pub fn naive_eval(program: &Program, edb: &Database) -> Result<EvalResult> {
         .rules
         .iter()
         .enumerate()
-        .map(|(i, r)| compile_rule_with(r, i, &is_idb, None, PlanOptions::default()))
+        .map(|(i, r)| compile_rule(r, i, &is_idb, None))
         .collect::<Result<_>>()?;
 
     let mut stats = EvalStats::new(program.rules.len());
@@ -1111,34 +1098,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_options_are_semantics_preserving() {
-        let (p, db) = load(
-            "anc(X,Y) :- par(X,Y).\n\
-             anc(X,Y) :- par(X,Z), anc(Z,Y).\n\
-             par(1,2). par(2,3). par(3,4). par(2,5). par(5,2).",
-        );
-        let reference = seminaive_eval(&p, &db).unwrap();
-        let anc = (p.interner.get("anc").unwrap(), 2);
-        for delta_leading in [true, false] {
-            for eager_constraints in [true, false] {
-                let opts = crate::plan::PlanOptions {
-                    delta_leading,
-                    eager_constraints,
-                };
-                let r = seminaive_eval_with(&p, &db, opts).unwrap();
-                assert!(
-                    r.relation(anc).set_eq(&reference.relation(anc)),
-                    "options {opts:?} changed the least model"
-                );
-                assert_eq!(
-                    r.stats.firings, reference.stats.firings,
-                    "options {opts:?} changed the firing count"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn preseed_resumes_without_refiring() {
         // Fixpoint once; preseed a second engine with the result; it
         // must be quiescent immediately (no refires, no fresh tuples).
@@ -1288,7 +1247,7 @@ mod tests {
         let (p, db) = load(source);
         let t_in = (p.interner.intern("t_in"), 2);
         let mut engine =
-            FixpointEngine::with_routes(&p, Arc::new(db), &[t_in], 0, &routes(&p), PlanOptions::default())?;
+            FixpointEngine::with_routes(&p, Arc::new(db), &[t_in], 0, &routes(&p))?;
         engine.bootstrap()?;
         engine.advance()?;
         let mut local = engine.delta_tuples(t_in).to_vec();
@@ -1332,7 +1291,7 @@ mod tests {
         let (p, db) = load("t(X,Y) :- e(X,Z), t_in(Z,Y).");
         let (t, t_in) = ((p.interner.intern("t"), 2), (p.interner.intern("t_in"), 2));
         let mut engine =
-            FixpointEngine::with_routes(&p, Arc::new(db), &[t_in], 0, &by_a(&p), PlanOptions::default()).unwrap();
+            FixpointEngine::with_routes(&p, Arc::new(db), &[t_in], 0, &by_a(&p)).unwrap();
         engine.inject(t, (0..6i64).map(|k| ituple![k, k + 1])).unwrap();
         assert!(engine.inject(t, vec![ituple![0, 1], ituple![7]]).is_err(), "rolled back whole");
         engine.advance().unwrap();

@@ -23,7 +23,7 @@ pub mod plan;
 pub mod route;
 pub mod stats;
 
-pub use engine::{fire_once, naive_eval, seminaive_eval, seminaive_eval_with, EvalResult, FixpointEngine};
-pub use plan::{compile_rule, compile_rule_with, AtomSource, PlanOptions, PlanStep, RulePlan};
+pub use engine::{fire_once, naive_eval, seminaive_eval, EvalResult, FixpointEngine};
+pub use plan::{compile_rule, AtomSource, PlanStep, RulePlan};
 pub use route::{Outlet, Route, Shards};
 pub use stats::{EvalStats, RoundSample, TimeMode};

@@ -122,31 +122,7 @@ pub struct RulePlan {
     pub delta_version: Option<usize>,
 }
 
-/// Planner knobs, exposed so the benchmark suite can ablate the two
-/// optimizations the engine relies on. Production callers use
-/// [`PlanOptions::default`] (both on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanOptions {
-    /// Move the delta atom to the front of the join order and add the
-    /// remaining atoms greedily by connectivity. Off = keep source order
-    /// (each round then rescans static relations).
-    pub delta_leading: bool,
-    /// Place each constraint literal immediately after the step binding
-    /// its last variable (the paper's "pushing the selection into the
-    /// joins", §3). Off = evaluate all constraints after the full join.
-    pub eager_constraints: bool,
-}
-
-impl Default for PlanOptions {
-    fn default() -> Self {
-        PlanOptions {
-            delta_leading: true,
-            eager_constraints: true,
-        }
-    }
-}
-
-/// Compile one delta version of `rule` with default [`PlanOptions`].
+/// Compile one delta version of `rule`.
 ///
 /// `is_idb` decides whether a body atom reads a derived relation;
 /// `delta_version = Some(j)` makes the `j`-th derived occurrence (0-based,
@@ -159,17 +135,6 @@ pub fn compile_rule(
     rule_index: usize,
     is_idb: &dyn Fn(RelationId) -> bool,
     delta_version: Option<usize>,
-) -> Result<RulePlan> {
-    compile_rule_with(rule, rule_index, is_idb, delta_version, PlanOptions::default())
-}
-
-/// [`compile_rule`] with explicit [`PlanOptions`].
-pub fn compile_rule_with(
-    rule: &Rule,
-    rule_index: usize,
-    is_idb: &dyn Fn(RelationId) -> bool,
-    delta_version: Option<usize>,
-    options: PlanOptions,
 ) -> Result<RulePlan> {
     // ---- collect atoms (with their semi-naive sources) and constraints.
     let mut atoms: Vec<(&Atom, AtomSource)> = Vec::new();
@@ -205,8 +170,6 @@ pub fn compile_rule_with(
     // already-bound variables first, original order as tie-break.
     let order: Vec<usize> = if atoms.is_empty() {
         Vec::new()
-    } else if !options.delta_leading {
-        (0..atoms.len()).collect()
     } else {
         let seed = atoms
             .iter()
@@ -285,38 +248,20 @@ pub fn compile_rule_with(
         }));
 
         // Place any waiting constraints whose variables are now all
-        // bound, preserving their relative order. With eager placement
-        // off, everything is deferred to the end of the join.
-        if options.eager_constraints {
-            let mut still_waiting = Vec::new();
-            for c in waiting.drain(..) {
-                if c.variables().iter().all(|v| slots.contains_key(v)) {
-                    let cslots = c.variables().iter().map(|v| slots[v]).collect();
-                    steps.push(PlanStep::Filter {
-                        constraint: c,
-                        slots: cslots,
-                    });
-                } else {
-                    still_waiting.push(c);
-                }
+        // bound, preserving their relative order.
+        let mut still_waiting = Vec::new();
+        for c in waiting.drain(..) {
+            if c.variables().iter().all(|v| slots.contains_key(v)) {
+                let cslots = c.variables().iter().map(|v| slots[v]).collect();
+                steps.push(PlanStep::Filter {
+                    constraint: c,
+                    slots: cslots,
+                });
+            } else {
+                still_waiting.push(c);
             }
-            waiting = still_waiting;
         }
-    }
-
-    if !options.eager_constraints {
-        // Late placement: all constraints after the complete join.
-        let (placeable, unbound): (Vec<_>, Vec<_>) = waiting
-            .drain(..)
-            .partition(|c| c.variables().iter().all(|v| slots.contains_key(v)));
-        for c in placeable {
-            let cslots = c.variables().iter().map(|v| slots[v]).collect();
-            steps.push(PlanStep::Filter {
-                constraint: c,
-                slots: cslots,
-            });
-        }
-        waiting = unbound;
+        waiting = still_waiting;
     }
 
     if !waiting.is_empty() {
@@ -522,69 +467,6 @@ mod tests {
         rule.body.push(Literal::Constraint(c));
         let err = compile_rule(&rule, 0, &|_| false, None).unwrap_err();
         assert!(err.to_string().contains("discriminating variables"));
-    }
-
-    #[test]
-    fn source_order_option_keeps_written_order() {
-        let p = ancestor();
-        let is_idb = idb_of(&p);
-        let opts = PlanOptions {
-            delta_leading: false,
-            eager_constraints: true,
-        };
-        let plan = compile_rule_with(&p.rules[1], 1, &is_idb, Some(0), opts).unwrap();
-        let sources: Vec<AtomSource> = plan
-            .steps
-            .iter()
-            .filter_map(|s| match s {
-                PlanStep::Scan(sc) => Some(sc.source),
-                _ => None,
-            })
-            .collect();
-        // Written order: par first, then the delta atom.
-        assert_eq!(sources, vec![AtomSource::Edb, AtomSource::IdbDelta]);
-    }
-
-    #[test]
-    fn late_constraints_option_defers_filters() {
-        let unit = parse_program("t(X) :- a(X), b(X, Z).").unwrap();
-        let p = unit.program;
-        let x = Variable(p.interner.get("X").unwrap());
-        let c: ConstraintRef = Arc::new(AlwaysTrue { vars: vec![x] });
-        let mut rule = p.rules[0].clone();
-        rule.body.insert(0, Literal::Constraint(c));
-        let opts = PlanOptions {
-            delta_leading: true,
-            eager_constraints: false,
-        };
-        let plan = compile_rule_with(&rule, 0, &|_| false, None, opts).unwrap();
-        let kinds: Vec<&str> = plan
-            .steps
-            .iter()
-            .map(|s| match s {
-                PlanStep::Scan(_) => "scan",
-                PlanStep::Filter { .. } => "filter",
-            })
-            .collect();
-        // X binds at the first scan, but the filter still lands last.
-        assert_eq!(kinds, vec!["scan", "scan", "filter"]);
-    }
-
-    #[test]
-    fn options_do_not_change_results() {
-        // Differential check at the plan level is done by the engine
-        // tests; here: unbound constraint still rejected under late mode.
-        let unit = parse_program("t(X) :- a(X).").unwrap();
-        let p = unit.program;
-        let w = Variable(p.interner.intern("W"));
-        let c: ConstraintRef = Arc::new(AlwaysTrue { vars: vec![w] });
-        let mut rule = p.rules[0].clone();
-        rule.body.push(Literal::Constraint(c));
-        let opts = PlanOptions {
-            delta_leading: false,
-            eager_constraints: false,
-        };
-        assert!(compile_rule_with(&rule, 0, &|_| false, None, opts).is_err());
     }
 
     #[test]

@@ -36,6 +36,7 @@
 
 use std::time::Instant;
 
+use gst_common::json::Json;
 pub use gst_common::{Histogram, HIST_BUCKETS};
 
 use crate::obs::TimeBase;
@@ -743,7 +744,7 @@ impl ProfileReport {
             }
             let _ = write!(out, "{{\"rule\":{},\"time\":{},\"firings\":{}", h.rule, h.time, h.firings);
             if let Some(label) = self.rule_label(h.rule) {
-                let _ = write!(out, ",\"label\":\"{}\"", label.escape_default());
+                let _ = write!(out, ",\"label\":{}", Json::Str(label.to_string()).render());
             }
             out.push('}');
         }

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use gst_common::{Error, Result, Tuple};
-use gst_eval::plan::{PlanOptions, RelationId};
+use gst_eval::plan::RelationId;
 use gst_eval::FixpointEngine;
 use gst_frontend::Program;
 use gst_storage::{Database, Relation};
@@ -111,7 +111,6 @@ impl WorkerSpec {
             &self.program.extra_idb(),
             self.program.processor,
             &self.program.routes,
-            PlanOptions::default(),
         )?;
         if let Some(seed) = &self.session {
             for (pred, state) in &seed.preseed {

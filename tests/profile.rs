@@ -7,6 +7,7 @@
 //! same seed), it survives the TCP wire format round trip, and turning
 //! it on never perturbs the least model.
 
+use parallel_datalog::common::json::Json;
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{FaultPlan, ProfileReport, TimeBase};
 use parallel_datalog::workloads::{graphs, linear_ancestor};
@@ -64,6 +65,29 @@ fn same_seed_same_profile_json() {
             a, b,
             "seed {seed}: same seed must replay a bit-identical profile"
         );
+    }
+}
+
+#[test]
+fn non_ascii_rule_labels_export_as_valid_json() {
+    // Identifiers may be non-ASCII, and so may the labels the magic
+    // rewrite builds from them; the export must still parse.
+    let (fx, db) = fixture();
+    let sirup = LinearSirup::from_program(&fx.program).unwrap();
+    let scheme = example3_hash_partition(&sirup, 2, &db).unwrap();
+    let outcome = scheme
+        .run_simulated_with(7, FaultPlan::none(), &profiled_config())
+        .unwrap();
+    let label = "ancêtre^bf [adorned r1] \"π\"";
+    let text = ProfileReport::build(&outcome.stats, TimeBase::VirtualTicks)
+        .unwrap()
+        .with_rule_labels(vec![label.to_string(); fx.program.rules.len()])
+        .to_json();
+    let json = Json::parse(&text).unwrap_or_else(|e| panic!("invalid JSON: {e}"));
+    let hot = json.get("hot_rules").and_then(Json::as_arr).unwrap();
+    assert!(!hot.is_empty(), "no hot rule carries a label");
+    for rule in hot {
+        assert_eq!(rule.get("label").and_then(Json::as_str), Some(label));
     }
 }
 

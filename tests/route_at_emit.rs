@@ -15,14 +15,14 @@ use std::sync::Arc;
 
 use parallel_datalog::core::schemes::BaseDistribution;
 use parallel_datalog::eval::{plan::RelationId, route::home_inbox, FixpointEngine};
-use parallel_datalog::frontend::{ast::ConstraintRef, pretty};
+use parallel_datalog::frontend::{ast::ConstraintRef, magic::magic_rewrite, pretty};
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{
     FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, ParallelStats, Route, Shards, SimTransport,
 };
 use parallel_datalog::workloads::{
     chain, even_odd, grid, linear_ancestor, nonlinear_ancestor, random_digraph,
-    same_generation_tree, sirup_corpus, star, Fixture,
+    right_linear_ancestor, same_generation_tree, sirup_corpus, star, Fixture,
 };
 
 /// The corpus: every sirup, plus the two programs only §7 accepts, each
@@ -94,6 +94,8 @@ fn schemes(fx: &Fixture, db: &Database, n: usize) -> Vec<(&'static str, Compiled
 /// (a) The only rules a processor fires are processing rules; one
 /// processor fires, inserts and discards exactly what the sequential
 /// engine does — every row is a home row, so every `t@out` stays empty.
+/// The corpus under every scheme, and the demand plan of a magic point
+/// query against the seeded magic program.
 #[test]
 fn total_firings_are_processing_firings_and_sequential_at_n1() {
     for (name, fx, db) in corpus() {
@@ -101,33 +103,60 @@ fn total_firings_are_processing_firings_and_sequential_at_n1() {
         let mut accepted = 0;
         for n in [1usize, 2, 4] {
             for (kind, scheme) in schemes(&fx, &db, n) {
-                let outcome = scheme.run_simulated(7, FaultPlan::none()).unwrap();
                 let what = format!("{name} / {kind} / n={n}");
-                let out = fx.output_id();
-                assert!(outcome.relation(out).set_eq(&seq.relation(out)), "{what}: least model");
-                assert_eq!(
-                    outcome.stats.total_firings(),
-                    outcome.stats.total_processing_firings(),
-                    "{what}: a non-processing rule fired"
-                );
-                if n == 1 {
-                    // The worker loop and the inline fast path agree.
-                    for run in [outcome, scheme.run().unwrap()] {
-                        let eval = &run.stats.workers[0].eval;
-                        let counters = |s: &EvalStats| (s.firings, s.derived, s.duplicates);
-                        assert_eq!(counters(eval), counters(&seq.stats), "{what}");
-                    }
-                    let engine = &run_by_hand(&scheme, |_, _| {})[0];
-                    for p in engine.idb_predicates() {
-                        let name = fx.program.interner.resolve(p.0);
-                        let rows = engine.relation(p).unwrap().len();
-                        assert!(!name.contains("@out") || rows == 0, "{what}: {rows} rows in {name}");
-                    }
-                }
+                fires_what_seq_fires(&what, &scheme, &fx.program, &seq, fx.output_id());
                 accepted += 1;
             }
         }
         assert!(accepted >= 3, "{name}: the general scheme accepts every program");
+    }
+    let fx = right_linear_ancestor();
+    let db = fx.database(&random_digraph(30, 60, 5));
+    let y = Term::Var(Variable(fx.program.interner.intern("QY")));
+    let goal = Atom::new(fx.output_id().0, vec![Term::Const(Value::Int(3)), y]);
+    let rw = magic_rewrite(&fx.program, &goal).unwrap();
+    let (answer, seed) = ((rw.answer.name, rw.answer.arity), (rw.seed_predicate.name, rw.seed_predicate.arity));
+    let mut seeded = db.clone();
+    seeded.insert(seed, rw.seed_fact.clone()).unwrap();
+    let seq = seminaive_eval(&rw.program, &seeded).unwrap();
+    assert!(!seq.relation(answer).is_empty(), "a vacuous point query");
+    for n in [1usize, 2, 4] {
+        let scheme = compile_demand(&rw, &db, n).unwrap();
+        fires_what_seq_fires(&format!("magic point / n={n}"), &scheme, &rw.program, &seq, answer);
+    }
+}
+
+/// `scheme` computes `seq`'s `out` firing processing rules only, and at
+/// one processor fires, inserts and discards what `seq` did with every
+/// `t@out` of `program` empty.
+fn fires_what_seq_fires(
+    what: &str,
+    scheme: &CompiledScheme,
+    program: &Program,
+    seq: &EvalResult,
+    out: RelationId,
+) {
+    let outcome = scheme.run_simulated(7, FaultPlan::none()).unwrap();
+    assert!(outcome.relation(out).set_eq(&seq.relation(out)), "{what}: least model");
+    assert_eq!(
+        outcome.stats.total_firings(),
+        outcome.stats.total_processing_firings(),
+        "{what}: a non-processing rule fired"
+    );
+    if scheme.workers.len() > 1 {
+        return;
+    }
+    // The worker loop and the inline fast path agree.
+    for run in [outcome, scheme.run().unwrap()] {
+        let eval = &run.stats.workers[0].eval;
+        let counters = |s: &EvalStats| (s.firings, s.derived, s.duplicates);
+        assert_eq!(counters(eval), counters(&seq.stats), "{what}");
+    }
+    let engine = &run_by_hand(scheme, |_, _| {})[0];
+    for p in engine.idb_predicates() {
+        let name = program.interner.resolve(p.0);
+        let rows = engine.relation(p).unwrap().len();
+        assert!(!name.contains("@out") || rows == 0, "{what}: {rows} rows in {name}");
     }
 }
 
