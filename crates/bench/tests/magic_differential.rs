@@ -121,9 +121,11 @@ fn fast_simulated_crash_recovery_matches() {
             let rw = magic_rewrite(&fx.program, &point_query(fx, c)).unwrap();
             let scheme = compile_demand(&rw, &db, 3).unwrap();
             let want = oracle(fx, &db, &rw);
+            // A one-key plan runs on one processor: crash the last there is.
+            let crash = format!("chaos,crash={}@40,recover", scheme.processors() - 1);
             for (fname, plan) in [
                 ("jitter", FaultPlan::parse("jitter").unwrap()),
-                ("crash+recover", FaultPlan::parse("chaos,crash=1@40,recover").unwrap()),
+                ("crash+recover", FaultPlan::parse(&crash).unwrap()),
             ] {
                 let seed = rng.gen_below(1 << 20);
                 let outcome = scheme.run_simulated_with(seed, plan, &config).unwrap();

@@ -130,6 +130,21 @@ impl BitFn {
     }
 }
 
+/// `hash_one(&(seed, ground))` of the ground instance in `row`'s
+/// `columns`, replayed step for step on the words: the seed, the slice's
+/// length prefix, then each value's variant index and payload.
+fn hash_words(seed: u64, row: &Tuple, columns: &[usize]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u64(seed);
+    h.write_usize(columns.len());
+    for &c in columns {
+        let (word, sym) = row.word(c);
+        h.write_u64(u64::from(sym));
+        h.write_u64(word);
+    }
+    h.finish()
+}
+
 /// `h(ā) = hash(ā) mod n` — an arbitrary hash partition.
 #[derive(Debug, Clone)]
 pub struct HashMod {
@@ -154,19 +169,8 @@ impl Discriminator for HashMod {
         (hash_one(&(self.seed, ground)) % self.n as u64) as usize
     }
 
-    /// `hash_one(&(seed, ground))` replayed step for step on the words:
-    /// the seed, the slice's length prefix, then each value's variant
-    /// index and payload.
     fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
-        let mut h = FxHasher::default();
-        h.write_u64(self.seed);
-        h.write_usize(columns.len());
-        for &c in columns {
-            let (word, sym) = row.word(c);
-            h.write_u64(u64::from(sym));
-            h.write_u64(word);
-        }
-        let (hash, n) = (h.finish(), self.n as u64);
+        let (hash, n) = (hash_words(self.seed, row, columns), self.n as u64);
         // A mask is the remainder when `n` is a power of two.
         (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
     }
@@ -620,9 +624,9 @@ impl SkewAwareHashMod {
     }
 
     /// The split set of a hot key, if the key is hot.
-    fn split_set(&self, key: &[Value]) -> Option<&[usize]> {
+    fn split_set(&self, key: impl Iterator<Item = Value> + Clone) -> Option<&[usize]> {
         self.hot
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+            .binary_search_by(|(k, _)| k.iter().copied().cmp(key.clone()))
             .ok()
             .map(|i| self.hot[i].1.as_slice())
     }
@@ -636,12 +640,23 @@ impl Discriminator for SkewAwareHashMod {
     fn assign(&self, ground: &[Value]) -> usize {
         debug_assert!(ground.len() >= self.key_len);
         let key = &ground[..self.key_len.min(ground.len())];
-        match self.split_set(key) {
+        match self.split_set(key.iter().copied()) {
             Some(targets) => {
                 let pick = hash_one(&(self.secondary_seed, ground)) % targets.len() as u64;
                 targets[pick as usize]
             }
             None => self.base_assign(key),
+        }
+    }
+
+    /// `assign` replayed on the row's words: a cold key goes where
+    /// [`HashMod`] over the key columns sends it, a hot one to the member
+    /// of its split set that the secondary hash of every column picks.
+    fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
+        let key = &columns[..self.key_len.min(columns.len())];
+        match self.split_set(key.iter().map(|&c| row.get(c))) {
+            Some(targets) => targets[(hash_words(self.secondary_seed, row, columns) % targets.len() as u64) as usize],
+            None => HashMod::new(self.n, self.seed).assign_words(row, key),
         }
     }
 
@@ -655,10 +670,9 @@ impl Discriminator for SkewAwareHashMod {
         let Some(key) = columns.get(..self.key_len) else {
             return true;
         };
-        let hot = self.hot.binary_search_by(|(k, _)| k.iter().copied().cmp(key.iter().map(|&c| row.get(c))));
-        match hot {
-            Ok(i) => self.hot[i].1.contains(&processor),
-            Err(_) => HashMod::new(self.n, self.seed).assign_words(row, key) == processor,
+        match self.split_set(key.iter().map(|&c| row.get(c))) {
+            Some(targets) => targets.contains(&processor),
+            None => HashMod::new(self.n, self.seed).assign_words(row, key) == processor,
         }
     }
 

@@ -15,9 +15,13 @@
 //! [`BaseDistribution::MinimalFragments`]: a base atom whose join column
 //! carries the demand key is fragmented by the same hash that routes the
 //! demand tuples, co-locating demand with data.
+//!
+//! A rewrite whose only demand tuple is the seed is compiled for one
+//! processor ([`one_demand_key`]): every firing would land on `h(seed)`,
+//! so the other processors could only wait.
 
 use gst_common::Result;
-use gst_frontend::magic::MagicRewrite;
+use gst_frontend::magic::{MagicRewrite, MagicRuleKind};
 use gst_storage::Database;
 
 use crate::schemes::common::BaseDistribution;
@@ -25,8 +29,20 @@ use crate::schemes::general::rewrite_general;
 use crate::schemes::CompiledScheme;
 use crate::strategy::{demand_choices, DEMAND_HASH_SEED};
 
+/// Whether every firing of `rewrite`'s demand plan lands on one processor,
+/// whatever the processor count: the rewrite has no magic rule, so the
+/// seed is the one demand tuple, and every rule's guard is the whole
+/// demand tuple in distinct variables, so `v(r)` binds exactly the seed's
+/// values, in order. Then `h(v(r)) = h(seed)` for every ground
+/// substitution of every rule (DESIGN.md §15).
+fn one_demand_key(rewrite: &MagicRewrite) -> bool {
+    let key = rewrite.seed_fact.arity();
+    rewrite.rules.iter().all(|r| r.kind != MagicRuleKind::Magic && r.guard.len() == key)
+}
+
 /// Compile a magic-sets rewrite into a demand-partitioned parallel
-/// scheme over `workers` processors.
+/// scheme over at most `workers` processors: over one when
+/// [`one_demand_key`] holds, over `workers` otherwise.
 ///
 /// The returned scheme's answer relations are the rewrite's derived
 /// predicates; filter [`MagicRewrite::answer`]'s relation through
@@ -43,7 +59,8 @@ pub fn compile_demand(
         (rewrite.seed_predicate.name, rewrite.seed_predicate.arity),
         rewrite.seed_fact.clone(),
     )?;
-    let choices = demand_choices(rewrite, workers, DEMAND_HASH_SEED)?;
+    let n = if one_demand_key(rewrite) { 1 } else { workers };
+    let choices = demand_choices(rewrite, n, DEMAND_HASH_SEED)?;
     let mut scheme = rewrite_general(
         &rewrite.program,
         &choices,
@@ -183,5 +200,25 @@ mod tests {
         let got = answers(&outcome, &rw);
         assert_eq!(got.len(), 1);
         assert_eq!(got.iter().next().unwrap(), &Tuple::new(&[Value::Int(2), Value::Int(7)]));
+    }
+
+    #[test]
+    fn a_guard_binding_part_of_the_seed_keeps_every_processor() {
+        // Under `p(5, 1)` the first rule's guard is `m_p_bb(X, 1)`: its
+        // `v(r) = ⟨X⟩` hashes part of the seed, the seed rule's `⟨B0, B1⟩`
+        // all of it, so two processors may fire. Under `p(5, Y)` every
+        // guard is `m_p_bf(X)`, the whole seed.
+        let unit = gst_frontend::parse_program("p(X,1) :- e(X).\np(X,Y) :- f(X,Y).\ne(5). f(5,2).").unwrap();
+        let mut db = Database::new(unit.program.interner.clone());
+        db.load_facts(unit.facts).unwrap();
+        let p = unit.program.interner.get("p").unwrap();
+        let y = Term::Var(Variable(unit.program.interner.intern("Y")));
+        for (second, one_key) in [(Term::Const(Value::Int(1)), false), (y, true)] {
+            let rw = magic_rewrite(&unit.program, &Atom::new(p, vec![Term::Const(Value::Int(5)), second])).unwrap();
+            assert_eq!(one_demand_key(&rw), one_key);
+            let scheme = compile_demand(&rw, &db, 3).unwrap();
+            assert_eq!(scheme.processors(), if one_key { 1 } else { 3 });
+            assert!(!answers(&scheme.run().unwrap(), &rw).is_empty());
+        }
     }
 }

@@ -45,9 +45,11 @@
 //!
 //! The planner pushes `h(v(r_k)) = i` into the join, and the paper's
 //! `D_in^i :- D, h(v(r)) = i` fragments of the base relations fall out
-//! of [`BaseDistribution::MinimalFragments`]. A rule whose body binds no
-//! variable takes the empty sequence: its one ground substitution fires
-//! at the one processor `h(⟨⟩)` names.
+//! of [`BaseDistribution::MinimalFragments`]. Over one processor the
+//! literal is a tautology and is left out, so a one-processor plan runs
+//! no filter and shares every base relation whole. A rule whose body
+//! binds no variable takes the empty sequence: its one ground
+//! substitution fires at the one processor `h(⟨⟩)` names.
 //!
 //! [`FragmentOwner`]: crate::discriminator::FragmentOwner
 //! [`Constant`]: crate::discriminator::Constant
@@ -196,7 +198,9 @@ pub(crate) fn rewrite(
                     other => other.clone(),
                 });
             }
-            if policy.conditioned {
+            // Over one processor `h(v(r_k)) = 0` holds for every
+            // substitution: no filter to run, no base fragment to cut.
+            if policy.conditioned && n > 1 {
                 body.push(Literal::Constraint(DiscConstraint::literal(policy.v.clone(), h.clone(), i)));
             }
             let head = namer.out(rule.head.pred().into(), i);

@@ -18,7 +18,8 @@
 //! | [`presets::skew_aware_hash_partition`] | §6 | Ex. 3's, then the rest of `Ȳ` | yes | hash, hot keys split | minimal fragments |
 //! | [`demand::compile_demand`] | §7 | each rule's magic guard | yes | hash | minimal fragments |
 //!
-//! The exit rule of a sirup preset is always conditioned on `h'(v(e))`.
+//! The exit rule of a sirup preset is always conditioned on `h'(v(e))`,
+//! and over one processor no rule is: `h(v(r)) = 0` always holds there.
 //! Every rewriting produces a [`CompiledScheme`]: one
 //! [`gst_runtime::WorkerSpec`] per processor plus the identity of the
 //! global answer predicates. Executing it runs the real multi-threaded

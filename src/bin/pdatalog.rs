@@ -31,8 +31,10 @@
 //! program is ordinary Datalog, so it runs on every transport; under a
 //! parallel scheme each generated rule discriminates on its magic
 //! guard's columns, co-locating demand with the matching base-relation
-//! fragments. Only the goal's answers print, under the original
-//! predicate name. `--explain-rewrite` prints the rewritten program
+//! fragments; a goal whose only demand is its own constants runs on one
+//! processor, `--workers` being a ceiling (`--stats` prints
+//! `processors=1 of 4 (one demand key)`). Only the goal's answers
+//! print, under the original predicate name. `--explain-rewrite` prints the rewritten program
 //! (with provenance comments) instead of running it; `--stats` adds
 //! `demand_ratio` — magic firings over a full-closure run's firings —
 //! plus the firings/bytes avoided; `--profile` labels magic/adorned
@@ -706,8 +708,8 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 .iter()
                 .map(|answer| {
                     let how = match kinds.get(answer) {
-                        Some(Shards::Partition) if workers > 1 => "append",
-                        Some(Shards::Overlap) if workers > 1 => "union",
+                        Some(Shards::Partition) if scheme.processors() > 1 => "append",
+                        Some(Shards::Overlap) if scheme.processors() > 1 => "union",
                         _ => "move",
                     };
                     format!("{}/{}:{how}", program.interner.resolve(answer.0), answer.1)
@@ -725,11 +727,15 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             } else {
                 String::new()
             };
+            // `compile_demand` lowers N only for a one-key demand plan.
+            let processors = match scheme.processors() {
+                n if n < workers => format!("{n} of {workers} (one demand key)"),
+                n => n.to_string(),
+            };
             (
                 rels,
                 format!(
-                    "processors={} tuples_sent={} messages={} processing_firings={} wall={:?} pooling={:?} pooled={}{extra}{recovery}{mode}",
-                    scheme.processors(),
+                    "processors={processors} tuples_sent={} messages={} processing_firings={} wall={:?} pooling={:?} pooled={}{extra}{recovery}{mode}",
                     outcome.stats.total_tuples_sent(),
                     outcome.stats.total_messages(),
                     outcome.stats.total_processing_firings(),

@@ -739,6 +739,32 @@ fn org_magic_example_answers_its_embedded_query() {
     assert!(stderr.contains("demand_ratio=0."), "{stderr}");
 }
 
+/// `--workers` is a ceiling: a goal whose only demand is its seed runs on
+/// one processor and `--stats` says why; a goal whose demand grows keeps
+/// every worker. A crash plan must name a processor the plan has.
+#[test]
+fn query_stats_show_the_processor_count_the_compiler_picked() {
+    let org = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/programs/org_magic.dl");
+    let run = |goal: &str, extra: &[&str]| {
+        let args = ["--query", goal, "--scheme", "general", "--workers", "4", "--stats"];
+        pdatalog().arg("run").arg(&org).args(args).args(extra).output().unwrap()
+    };
+    let one = "processors=1 of 4 (one demand key) ";
+    for (goal, extra, want) in [
+        ("boss(ivan, B)", &[][..], &[one][..]),
+        ("boss(ivan, B)", &["--sim", "--faults", "chaos,crash=0@0,recover"][..], &[one, "restarts=1 "][..]),
+        ("boss(E, ceo)", &[][..], &["processors=4 "][..]),
+    ] {
+        let out = run(goal, extra);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(out.status.success() && want.iter().all(|w| stderr.contains(w)), "{goal} {extra:?}: {stderr}");
+        assert!(String::from_utf8(out.stdout).unwrap().contains("boss(ivan, ceo)."), "{goal}");
+    }
+    let out = run("boss(ivan, B)", &["--sim", "--faults", "chaos,crash=1@0"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nonexistent processor 1"));
+}
+
 // ---------------------------------------------------------------------
 // `--net`: one OS process per worker over loopback TCP (DESIGN.md §12).
 // ---------------------------------------------------------------------

@@ -9,13 +9,17 @@
 //! what the sending rules shipped (pinned on the last commit that
 //! executed them); a doubly routed tuple goes once per firing, a
 //! broadcast is encoded once; a misroute or a mis-declared pooling pair
-//! is a typed error before any worker starts.
+//! is a typed error before any worker starts. A point query whose only
+//! demand is its seed compiles to one processor, and a one-processor plan
+//! runs no filter and copies no base relation.
 
 use std::sync::Arc;
 
 use parallel_datalog::core::schemes::BaseDistribution;
-use parallel_datalog::eval::{plan::RelationId, route::home_inbox, FixpointEngine};
-use parallel_datalog::frontend::{ast::ConstraintRef, magic::magic_rewrite, pretty};
+use parallel_datalog::eval::plan::{PlanStep, RelationId};
+use parallel_datalog::eval::{compile_rule, route::home_inbox, FixpointEngine};
+use parallel_datalog::frontend::magic::{magic_rewrite, MagicRewrite};
+use parallel_datalog::frontend::{ast::ConstraintRef, parser::parse_program_with, pretty};
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{
     FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, ParallelStats, Route, Shards, SimTransport,
@@ -126,9 +130,126 @@ fn total_firings_are_processing_firings_and_sequential_at_n1() {
     }
 }
 
+/// `source` parsed, its facts the database.
+fn load(source: &str) -> (Program, Database) {
+    let unit = parse_program(source).unwrap();
+    let mut db = Database::new(unit.program.interner.clone());
+    db.load_facts(unit.facts).unwrap();
+    (unit.program, db)
+}
+
+/// Point queries, each a program with its facts and a goal: first those
+/// whose demand is the seed alone — right-linear ancestor, a ground goal
+/// on a view, the shipped `org_magic.dl` — then goals whose demand grows:
+/// left-linear ancestor, a ground goal on right-linear ancestor (its
+/// recursive occurrence demands `anc^bf`), a goal that binds `boss`'s
+/// second argument (`m_boss_ff`).
+fn point_queries() -> [(&'static str, String, String); 6] {
+    let edges = random_digraph(30, 60, 5);
+    let int = |t: &Tuple, k| t.get(k).as_int().unwrap();
+    let par: String = edges.iter().map(|t| format!("par({},{}). ", int(t, 0), int(t, 1))).collect();
+    let (a, b) = (int(&edges.rows()[0], 0), int(&edges.rows()[0], 1));
+    let right = format!("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), par(Z,Y).\n{par}");
+    let left = format!("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).\n{par}");
+    let view = format!("sym(X,Y) :- par(X,Y).\nsym(X,Y) :- par(Y,X).\n{par}");
+    let org = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs/org_magic.dl")).unwrap();
+    [
+        ("right-linear", right.clone(), format!("anc({a}, Y)")),
+        ("view", view, format!("sym({b}, {a})")),
+        ("org_magic", org.clone(), "boss(ivan, B)".into()),
+        ("left-linear", left, format!("anc({a}, Y)")),
+        ("ground right-linear", right, format!("anc({a}, {b})")),
+        ("org boss(E, ceo)", org, "boss(E, ceo)".into()),
+    ]
+}
+
+/// The magic rewrite of `goal` over `program`, and `db` with its seed.
+fn rewrite_goal(program: &Program, db: &Database, goal: &str) -> (MagicRewrite, Database) {
+    let wrapped = parse_program_with(&format!("goal :- {goal}."), &program.interner).unwrap();
+    let goal = wrapped.program.rules[0].body_atoms().next().unwrap().clone();
+    let rw = magic_rewrite(program, &goal).unwrap();
+    let mut seeded = db.clone();
+    seeded.insert((rw.seed_predicate.name, rw.seed_predicate.arity), rw.seed_fact.clone()).unwrap();
+    (rw, seeded)
+}
+
+/// The compiler picks N: a point query whose only demand is its seed
+/// compiles to one processor under any ceiling, and fires and inserts what
+/// `seminaive_eval` does on the seeded magic program. The premise: built
+/// directly at W processors, such a plan fires on one worker and ships
+/// nothing, so N = 1 gives no parallelism away. A goal whose demand grows
+/// keeps W, with the Σ processing firings and `comm_tuples` of a seed-7
+/// sim run as recorded before the compiler could pick N.
+#[test]
+fn a_point_query_whose_only_demand_is_its_seed_runs_on_one_processor() {
+    let growing: [[(u64, u64); 3]; 3] = [
+        [(1261, 646), (1261, 1275), (1261, 1894)],
+        [(65, 29), (65, 57), (65, 85)],
+        [(62, 45), (62, 90), (62, 135)],
+    ];
+    for (k, (name, source, goal)) in point_queries().into_iter().enumerate() {
+        let (program, db) = load(&source);
+        let (rw, seeded) = rewrite_goal(&program, &db, &goal);
+        let answer = (rw.answer.name, rw.answer.arity);
+        let seq = seminaive_eval(&rw.program, &seeded).unwrap();
+        assert!(seq.relation(answer).iter().any(|t| rw.answer_matches(t)), "{name}: a vacuous point query");
+        for w in [2usize, 3, 4] {
+            let what = format!("{name} / W={w}");
+            let scheme = compile_demand(&rw, &db, w).unwrap();
+            if k >= 3 {
+                assert_eq!(scheme.processors(), w, "{what}: the demand grows");
+                let stats = scheme.run_simulated(7, FaultPlan::none()).unwrap().stats;
+                let counters = (stats.total_processing_firings(), stats.total_tuples_sent());
+                assert_eq!(counters, growing[k - 3][w - 2], "{what}");
+                continue;
+            }
+            assert_eq!(scheme.processors(), 1, "{what}: one demand key");
+            fires_what_seq_fires(&what, &scheme, &rw.program, &seq, answer);
+            let choices = demand_choices(&rw, w, DEMAND_HASH_SEED).unwrap();
+            let direct = rewrite_general(&rw.program, &choices, &seeded, BaseDistribution::MinimalFragments).unwrap();
+            let outcome = direct.run_simulated(7, FaultPlan::none()).unwrap();
+            assert!(outcome.relation(answer).set_eq(&seq.relation(answer)), "{what}: least model at W");
+            let firing = outcome.stats.workers.iter().filter(|r| r.processing_firings > 0).count();
+            assert_eq!((firing, outcome.stats.total_tuples_sent()), (1, 0), "{what}: one worker fires, none ships");
+        }
+    }
+}
+
+/// Over one processor `h(v(r)) = 0` always holds, so no compiled plan has
+/// a filter and every base relation is the caller's, shared and not
+/// copied: the corpus under every scheme but Example 2 (whose base *is*
+/// its fragments), and every point query's plan, whose seed relation the
+/// compiler adds.
+#[test]
+fn a_one_processor_plan_runs_no_filter_and_copies_no_base_relation() {
+    let check = |what: &str, scheme: &CompiledScheme, db: &Database, added: &[RelationId]| {
+        assert_eq!(scheme.processors(), 1, "{what}");
+        let w = &scheme.workers[0];
+        for (k, rule) in w.program.program.rules.iter().enumerate() {
+            let plan = compile_rule(rule, k, &|id| w.edb.relation(id).is_none(), None).unwrap();
+            assert!(!plan.steps.iter().any(|s| matches!(s, PlanStep::Filter { .. })), "{what}: rule {k} filters");
+        }
+        for (id, relation) in w.edb.iter().filter(|(id, _)| !added.contains(id)) {
+            assert!(std::ptr::eq(relation, db.relation(*id).unwrap()), "{what}: a copy of {}", w.program.program.interner.resolve(id.0));
+        }
+    };
+    for (name, fx, db) in corpus() {
+        for (kind, scheme) in schemes(&fx, &db, 1).iter().filter(|(kind, _)| *kind != "example2") {
+            check(&format!("{name} / {kind}"), scheme, &db, &[]);
+        }
+    }
+    for (name, source, goal) in point_queries() {
+        let (program, db) = load(&source);
+        let (rw, _) = rewrite_goal(&program, &db, &goal);
+        let seed = (rw.seed_predicate.name, rw.seed_predicate.arity);
+        check(name, &compile_demand(&rw, &db, 1).unwrap(), &db, &[seed]);
+    }
+}
+
 /// `scheme` computes `seq`'s `out` firing processing rules only, and at
 /// one processor fires, inserts and discards what `seq` did with every
-/// `t@out` of `program` empty.
+/// routed `t@out` empty (a predicate no rule reads has no route, and its
+/// `t@out` is what pools).
 fn fires_what_seq_fires(
     what: &str,
     scheme: &CompiledScheme,
@@ -153,10 +274,10 @@ fn fires_what_seq_fires(
         assert_eq!(counters(eval), counters(&seq.stats), "{what}");
     }
     let engine = &run_by_hand(scheme, |_, _| {})[0];
-    for p in engine.idb_predicates() {
-        let name = program.interner.resolve(p.0);
-        let rows = engine.relation(p).unwrap().len();
-        assert!(!name.contains("@out") || rows == 0, "{what}: {rows} rows in {name}");
+    for route in &scheme.workers[0].program.routes {
+        let name = program.interner.resolve(route.source_id().0);
+        let rows = engine.relation(route.source_id()).unwrap().len();
+        assert!(rows == 0, "{what}: {rows} rows in {name}");
     }
 }
 
