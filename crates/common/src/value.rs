@@ -58,6 +58,22 @@ impl Value {
         }
     }
 
+    /// `f` on the values `words` hold, rebuilt by [`Value::from_word`]: in
+    /// a stack buffer when there are at most four — a filter asks once per
+    /// candidate, and a heap buffer would cost more than the test — and in
+    /// a `Vec` otherwise.
+    #[inline]
+    pub fn from_words<R>(words: &[(u64, bool)], f: impl FnOnce(&[Value]) -> R) -> R {
+        let mut stack = [Value::Int(0); 4];
+        match stack.get_mut(..words.len()) {
+            Some(values) => {
+                values.iter_mut().zip(words).for_each(|(v, &(word, sym))| *v = Value::from_word(word, sym));
+                f(values)
+            }
+            None => f(&words.iter().map(|&(word, sym)| Value::from_word(word, sym)).collect::<Vec<_>>()),
+        }
+    }
+
     /// Render the value using `interner` to resolve symbols.
     pub fn display(self, interner: &Interner) -> String {
         match self {

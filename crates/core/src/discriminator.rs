@@ -56,6 +56,14 @@ pub trait Discriminator: Send + Sync {
         self.assign(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
     }
 
+    /// [`Discriminator::assign`] of the ground instance given as
+    /// [`Value::word`] pairs, as a join's binding slots hold it. A function
+    /// that can work on the words overrides this and must agree with the
+    /// default, which rebuilds the values.
+    fn assign_bound_words(&self, bound: &[(u64, bool)]) -> usize {
+        Value::from_words(bound, |ground| self.assign(ground))
+    }
+
     /// Whether a processor can evaluate this function from a tuple alone.
     /// When `false`, sending rules cannot carry the `h(v(r)) = j`
     /// condition and the scheme falls back to broadcasting (paper §4,
@@ -130,19 +138,23 @@ impl BitFn {
     }
 }
 
-/// `hash_one(&(seed, ground))` of the ground instance in `row`'s
-/// `columns`, replayed step for step on the words: the seed, the slice's
-/// length prefix, then each value's variant index and payload.
-fn hash_words(seed: u64, row: &Tuple, columns: &[usize]) -> u64 {
+/// `hash_one(&(seed, ground))` of the ground instance whose values
+/// [`Value::word`] gave `words`, replayed step for step: the seed, the
+/// slice's length prefix, then each value's variant index and payload.
+fn hash_words(seed: u64, words: impl ExactSizeIterator<Item = (u64, bool)>) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(seed);
-    h.write_usize(columns.len());
-    for &c in columns {
-        let (word, sym) = row.word(c);
+    h.write_usize(words.len());
+    for (word, sym) in words {
         h.write_u64(u64::from(sym));
         h.write_u64(word);
     }
     h.finish()
+}
+
+/// The words of `row`'s `columns`, in order.
+fn row_words<'a>(row: &'a Tuple, columns: &'a [usize]) -> impl ExactSizeIterator<Item = (u64, bool)> + 'a {
+    columns.iter().map(|&c| row.word(c))
 }
 
 /// `h(ā) = hash(ā) mod n` — an arbitrary hash partition.
@@ -158,6 +170,13 @@ impl HashMod {
         assert!(n >= 1, "need at least one processor");
         HashMod { n, seed }
     }
+
+    /// [`Discriminator::assign`] of the instance whose words are `words`.
+    fn assign_word_iter(&self, words: impl ExactSizeIterator<Item = (u64, bool)>) -> usize {
+        let (hash, n) = (hash_words(self.seed, words), self.n as u64);
+        // A mask is the remainder when `n` is a power of two.
+        (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
+    }
 }
 
 impl Discriminator for HashMod {
@@ -170,9 +189,11 @@ impl Discriminator for HashMod {
     }
 
     fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
-        let (hash, n) = (hash_words(self.seed, row, columns), self.n as u64);
-        // A mask is the remainder when `n` is a power of two.
-        (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
+        self.assign_word_iter(row_words(row, columns))
+    }
+
+    fn assign_bound_words(&self, bound: &[(u64, bool)]) -> usize {
+        self.assign_word_iter(bound.iter().copied())
     }
 
     fn describe(&self) -> String {
@@ -655,7 +676,7 @@ impl Discriminator for SkewAwareHashMod {
     fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
         let key = &columns[..self.key_len.min(columns.len())];
         match self.split_set(key.iter().map(|&c| row.get(c))) {
-            Some(targets) => targets[(hash_words(self.secondary_seed, row, columns) % targets.len() as u64) as usize],
+            Some(targets) => targets[(hash_words(self.secondary_seed, row_words(row, columns)) % targets.len() as u64) as usize],
             None => HashMod::new(self.n, self.seed).assign_words(row, key),
         }
     }
@@ -714,6 +735,8 @@ pub struct DiscConstraint {
     pub disc: DiscriminatorRef,
     /// The processor the instance must hash to.
     pub expect: usize,
+    /// The data placement guarantees the literal ([`Constraint::implied`]).
+    pub implied: bool,
 }
 
 impl DiscConstraint {
@@ -723,7 +746,7 @@ impl DiscConstraint {
         disc: DiscriminatorRef,
         expect: usize,
     ) -> gst_frontend::ast::ConstraintRef {
-        Arc::new(DiscConstraint { vars, disc, expect })
+        Arc::new(DiscConstraint { vars, disc, expect, implied: false })
     }
 }
 
@@ -734,6 +757,14 @@ impl Constraint for DiscConstraint {
 
     fn holds(&self, bound: &[Value]) -> bool {
         self.disc.assign(bound) == self.expect
+    }
+
+    fn holds_words(&self, bound: &[(u64, bool)]) -> bool {
+        self.disc.assign_bound_words(bound) == self.expect
+    }
+
+    fn implied(&self) -> bool {
+        self.implied
     }
 
     fn partition(&self, bound: &[Value]) -> Option<usize> {
@@ -762,6 +793,7 @@ impl Constraint for DiscConstraint {
             wire::put_uv(&mut buf, v.0 .0 as u64);
         }
         wire::put_uv(&mut buf, self.expect as u64);
+        buf.push(u8::from(self.implied));
         if self.disc.wire_encode_into(&mut buf) {
             Some(buf)
         } else {
@@ -790,7 +822,7 @@ impl Constraint for DiscConstraint {
 /// (the multi-process transport ships it once per job).
 ///
 /// ```text
-/// constraint := 0xD5 | nvars:uv | symid:uv × nvars | expect:uv | disc
+/// constraint := 0xD5 | nvars:uv | symid:uv × nvars | expect:uv | implied:u8 | disc
 /// disc       := tag:u8 | body
 ///   0 HashMod          n:uv seed:uv
 ///   1 SymmetricHashMod n:uv seed:uv
@@ -1082,6 +1114,11 @@ pub fn decode_constraint(bytes: &[u8]) -> Result<gst_frontend::ast::ConstraintRe
         vars.push(Variable(gst_common::SymbolId(raw)));
     }
     let expect = r.get_uv().ok_or_else(|| corrupt("truncated expected processor"))? as usize;
+    let implied = match r.get_u8() {
+        Some(flag @ (0 | 1)) => flag == 1,
+        Some(flag) => return Err(corrupt(&format!("implied flag {flag}"))),
+        None => return Err(corrupt("truncated implied flag")),
+    };
     let disc = decode_disc(&mut r, 0)?;
     if r.remaining() > 0 {
         return Err(corrupt("trailing bytes"));
@@ -1089,7 +1126,7 @@ pub fn decode_constraint(bytes: &[u8]) -> Result<gst_frontend::ast::ConstraintRe
     if expect >= disc.processors() {
         return Err(corrupt("expected processor out of range"));
     }
-    Ok(DiscConstraint::literal(vars, disc, expect))
+    Ok(Arc::new(DiscConstraint { vars, disc, expect, implied }))
 }
 
 #[cfg(test)]
@@ -1363,6 +1400,21 @@ mod tests {
     }
 
     #[test]
+    fn the_implied_mark_travels_and_a_bad_flag_is_refused() {
+        let interner = Interner::new();
+        let x = Variable(interner.intern("X"));
+        let h: DiscriminatorRef = Arc::new(HashMod::new(3, 0));
+        for implied in [false, true] {
+            let c = DiscConstraint { vars: vec![x], disc: h.clone(), expect: 2, implied };
+            assert_eq!(decode_constraint(&c.wire_encode().unwrap()).unwrap().implied(), implied);
+        }
+        // magic, nvars=1, symid, expect=2, then the flag.
+        let mut bytes = DiscConstraint::literal(vec![x], h, 2).wire_encode().unwrap();
+        bytes[4] = 2;
+        assert!(decode_constraint(&bytes).is_err());
+    }
+
+    #[test]
     fn skew_aware_decode_rejects_corruption() {
         let interner = Interner::new();
         let z = Variable(interner.intern("Z"));
@@ -1377,9 +1429,9 @@ mod tests {
         }
         // A lying hot-key count is rejected by the plausibility bound.
         let mut lying = bytes.clone();
-        // Find the nhot byte: magic, nvars=1, symid, expect=1, tag=7,
-        // n=4, keylen=1, seed=1, seed2=2, nhot — position 9.
-        lying[9] = 0x7f;
+        // Find the nhot byte: magic, nvars=1, symid, expect=1, implied=0,
+        // tag=7, n=4, keylen=1, seed=1, seed2=2, nhot — position 10.
+        lying[10] = 0x7f;
         assert!(decode_constraint(&lying).is_err());
     }
 }

@@ -44,7 +44,7 @@ pub mod prelude {
     };
     pub use crate::network::{derive_network, NetworkGraph, SymbolicDisc};
     pub use crate::schemes::demand::compile_demand;
-    pub use crate::schemes::general::{rewrite_general, RuleChoice};
+    pub use crate::schemes::general::{implied_conditions, rewrite_general, RuleChoice};
     pub use crate::schemes::presets::{
         example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_generalized,
         rewrite_no_comm, rewrite_non_redundant, skew_aware_hash_partition, GeneralizedConfig,

@@ -43,11 +43,15 @@
 //! pooled from `C_in^i` or `C_out^i`, and its shards appended, moved or
 //! unioned, as [`gst_eval::route::pooled_shard`] says.
 //!
-//! The planner pushes `h(v(r_k)) = i` into the join, and the paper's
-//! `D_in^i :- D, h(v(r)) = i` fragments of the base relations fall out
-//! of [`BaseDistribution::MinimalFragments`]. Over one processor the
-//! literal is a tautology and is left out, so a one-processor plan runs
-//! no filter and shares every base relation whole. A rule whose body
+//! The planner pushes `h(v(r_k)) = i` into the join, or omits it where the
+//! placement implies it: where every row the rule reads through some atom
+//! reached its inbox by a route keyed on that same condition
+//! ([`implied_by`]; the literal stays in the rule, marked, and a debug
+//! build asserts it). The paper's `D_in^i :- D, h(v(r)) = i` fragments of
+//! the base relations fall out of [`BaseDistribution::MinimalFragments`].
+//! Over one processor the literal is a tautology and is left out, so a
+//! one-processor plan runs no filter and shares every base relation
+//! whole. A rule whose body
 //! binds no variable takes the empty sequence: its one ground
 //! substitution fires at the one processor `h(⟨⟩)` names.
 //!
@@ -59,7 +63,7 @@ use std::sync::Arc;
 use gst_common::{Error, Result, Tuple};
 use gst_eval::plan::RelationId;
 use gst_eval::route::pooled_shard;
-use gst_frontend::ast::{Atom, Literal};
+use gst_frontend::ast::{Atom, Literal, Term};
 use gst_frontend::{Program, ProgramAnalysis, Rule, Variable};
 use gst_runtime::{ProcessorProgram, Route, WorkerSpec};
 use gst_storage::Database;
@@ -109,6 +113,19 @@ impl RulePolicy {
     }
 }
 
+/// One `h` per rule, shared by all processors: every route table then
+/// routes as every other does.
+fn uniform(policies: &[RulePolicy]) -> bool {
+    policies.iter().all(|p| p.h.iter().all(|h| Arc::ptr_eq(h, &p.h[0])))
+}
+
+/// The policies `rewrite_general` runs `choices` under: §7's, one `h_k`
+/// shared by every processor.
+fn shared_policies(choices: &[RuleChoice]) -> Vec<RulePolicy> {
+    let n = choices.first().map_or(0, |c| c.h.processors());
+    choices.iter().map(|c| RulePolicy::shared(c.v.clone(), &c.h, n)).collect()
+}
+
 /// Rewrite an arbitrary Datalog program into the §7 parallel scheme.
 ///
 /// `choices[k]` is the discriminating choice for `source.rules[k]`; all
@@ -120,10 +137,52 @@ pub fn rewrite_general(
     db: &Database,
     base: BaseDistribution,
 ) -> Result<CompiledScheme> {
-    let n = choices.first().map_or(0, |c| c.h.processors());
-    let policies: Vec<RulePolicy> =
-        choices.iter().map(|c| RulePolicy::shared(c.v.clone(), &c.h, n)).collect();
-    rewrite(source, &policies, db, base, "general scheme (§7 T_i)")
+    rewrite(source, &shared_policies(choices), db, base, "general scheme (§7 T_i)")
+}
+
+/// [`implied_by`] of every rule, as [`rewrite_general`] compiles `choices`.
+pub fn implied_conditions<'a>(source: &'a Program, choices: &[RuleChoice]) -> Vec<Option<(&'a Atom, Vec<usize>)>> {
+    let policies = shared_policies(choices);
+    (0..source.rules.len().min(policies.len())).map(|k| implied_by(source, &policies, k)).collect()
+}
+
+/// Whether the data placement implies rule `k`'s condition `h_k(v(r_k)) =
+/// i` at every processor `i` — the rewrite then marks the literal
+/// [`Constraint::implied`] — and if so the body atom `a` that implies it,
+/// with the columns `c` of `a` holding `v(r_k)`, in order. It does when
+/// rule `k` is conditioned, one `h` per rule is shared by every processor,
+/// and some derived body atom `a` binds `v(r_k)` such that every route
+/// into `a`'s inboxes — one per consuming occurrence of `a`'s predicate,
+/// in any rule — is keyed (none broadcasts), by the very function `h_k`
+/// (`Arc::ptr_eq`), on the columns `c`. A route puts a row in `t_in^i`
+/// only when its key names `i`, so every row of `t_in^i` has `h_k` of its
+/// columns `c` equal to `i`, and so has every substitution that reads it.
+///
+/// [`Constraint::implied`]: gst_frontend::Constraint::implied
+pub(crate) fn implied_by<'a>(source: &'a Program, policies: &[RulePolicy], k: usize) -> Option<(&'a Atom, Vec<usize>)> {
+    let policy = &policies[k];
+    if !policy.conditioned || !uniform(policies) {
+        return None;
+    }
+    // Where a route keyed on `v` reads it in `terms`: each variable's first
+    // column (`gst_eval::route::compile`).
+    let columns = |terms: &[Term], v: &[Variable]| -> Option<Vec<usize>> {
+        v.iter().map(|x| terms.iter().position(|t| t.as_var() == Some(*x))).collect()
+    };
+    let keyed_alike = |a: &Atom, c: &[usize]| {
+        source.rules.iter().zip(policies).all(|(rule, p)| {
+            let same_key = |b: &&Atom| {
+                can_route(&b.terms, &p.v, p.h[0].locally_evaluable())
+                    && Arc::ptr_eq(&p.h[0], &policy.h[0])
+                    && columns(&b.terms, &p.v).as_deref() == Some(c)
+            };
+            consuming_occurrences(source, rule).iter().filter(|b| b.pred() == a.pred()).all(same_key)
+        })
+    };
+    consuming_occurrences(source, &source.rules[k]).into_iter().find_map(|atom| {
+        let c = columns(&atom.terms, &policy.v)?;
+        keyed_alike(atom, &c).then_some((atom, c))
+    })
 }
 
 /// The loop: `policies[k]` governs `source.rules[k]`, and processor `i`
@@ -178,15 +237,15 @@ pub(crate) fn rewrite(
         }
     }
     let is_derived = |a: &Atom| derived.contains(&a.pred().into());
-    // One `h` per rule, shared by all processors: every route table then
-    // routes as every other does, which is what lets one of them speak for
-    // how a predicate's shards relate.
-    let uniform = policies.iter().all(|p| p.h.iter().all(|h| Arc::ptr_eq(h, &p.h[0])));
+    // Under one shared `h`, one route table speaks for how a predicate's
+    // shards relate.
+    let uniform = uniform(policies);
+    let implied: Vec<bool> = (0..policies.len()).map(|k| implied_by(source, policies, k).is_some()).collect();
 
     let mut programs = Vec::with_capacity(n);
     for i in 0..n {
         let (mut rules, mut routes) = (Vec::with_capacity(source.rules.len()), Vec::new());
-        for (rule, policy) in source.rules.iter().zip(policies) {
+        for ((rule, policy), &implied) in source.rules.iter().zip(policies).zip(&implied) {
             let h = &policy.h[i];
             // Processing: the rule over `t_in^i`, writing `t_out^i`.
             let mut body: Vec<Literal> = Vec::with_capacity(rule.body.len() + 1);
@@ -201,7 +260,8 @@ pub(crate) fn rewrite(
             // Over one processor `h(v(r_k)) = 0` holds for every
             // substitution: no filter to run, no base fragment to cut.
             if policy.conditioned && n > 1 {
-                body.push(Literal::Constraint(DiscConstraint::literal(policy.v.clone(), h.clone(), i)));
+                let condition = DiscConstraint { vars: policy.v.clone(), disc: h.clone(), expect: i, implied };
+                body.push(Literal::Constraint(Arc::new(condition)));
             }
             let head = namer.out(rule.head.pred().into(), i);
             rules.push(Rule::new(atom(head, rule.head.terms.clone()), body));

@@ -780,7 +780,7 @@ pub fn fire_once(program: &Program, db: &Database) -> Result<Vec<(RelationId, Ve
             .steps
             .iter()
             .map(|s| match s {
-                PlanStep::Filter { .. } => None,
+                PlanStep::Filter { .. } | PlanStep::Implied { .. } => None,
                 PlanStep::Scan(sc) => Some(match db.relation(sc.relation) {
                     Some(rel) if !rel.is_empty() => Access::scan_all(rel),
                     _ => Access::Empty,
@@ -829,7 +829,7 @@ pub fn naive_eval(program: &Program, edb: &Database) -> Result<EvalResult> {
                 .steps
                 .iter()
                 .map(|s| match s {
-                    PlanStep::Filter { .. } => None,
+                    PlanStep::Filter { .. } | PlanStep::Implied { .. } => None,
                     PlanStep::Scan(sc) => Some(match sc.source {
                         AtomSource::Edb => match edb.relation(sc.relation) {
                             Some(rel) => Access::scan_all(rel),

@@ -18,13 +18,15 @@
 //!
 //! The join works on what a row stores (DESIGN.md §8): a binding slot is
 //! a column's untagged word and its is-`Sym` bit ([`Value::word`]),
-//! selections compare such pairs, a probe key is gathered on the stack
-//! and hashed as words, and a head of arity ≤ 3 is assembled from its
-//! parts. A [`Value`] is rebuilt only for an opaque constraint's
-//! arguments and for the columns of a wider (heap) head.
+//! selections compare such pairs, a probe key and a filter's arguments are
+//! gathered on the stack — the key hashed as words, the arguments handed to
+//! [`Constraint::holds_words`] — and a head of arity ≤ 3 is assembled from
+//! its parts. A [`Value`] is rebuilt only for the columns of a wider (heap)
+//! head and by a constraint that cannot decide on words.
 
 use gst_common::tuple::INLINE_CAP;
 use gst_common::{Tuple, Value};
+use gst_frontend::Constraint;
 use gst_storage::{postings_in_range, HashIndex, Relation};
 
 use crate::plan::{HeadTerm, KeySource, PlanStep, RulePlan, ScanStep};
@@ -114,18 +116,18 @@ type Word = (u64, bool);
 /// stack.
 const STACK_KEY: usize = 4;
 
-/// `f` on the items `item(0..n)`: in a stack buffer (of `zero`s) when they
-/// fit — this runs once per candidate, and a heap buffer would cost more
-/// than the probe it keys — and in a `Vec` otherwise.
+/// `f` on the words `item(0..n)`: in a stack buffer when they fit — this
+/// runs once per candidate, and a heap buffer would cost more than the
+/// probe it keys — and in a `Vec` otherwise.
 #[inline]
-fn gather<T: Copy, R>(n: usize, zero: T, item: impl Fn(usize) -> T, f: impl FnOnce(&[T]) -> R) -> R {
-    let mut stack = [zero; STACK_KEY];
+fn gather<R>(n: usize, item: impl Fn(usize) -> Word, f: impl FnOnce(&[Word]) -> R) -> R {
+    let mut stack = [(0, false); STACK_KEY];
     match stack.get_mut(..n) {
         Some(buf) => {
             buf.iter_mut().enumerate().for_each(|(k, slot)| *slot = item(k));
             f(buf)
         }
-        None => f(&(0..n).map(item).collect::<Vec<T>>()),
+        None => f(&(0..n).map(item).collect::<Vec<Word>>()),
     }
 }
 
@@ -140,6 +142,12 @@ struct Run<'p, 'a, F> {
 }
 
 impl<'p, F: FnMut(Tuple)> Run<'p, '_, F> {
+    /// `constraint` on the words bound in `slots`.
+    #[inline]
+    fn holds(&self, constraint: &dyn Constraint, slots: &[usize]) -> bool {
+        gather(slots.len(), |k| self.slots[slots[k]], |bound| constraint.holds_words(bound))
+    }
+
     #[inline]
     fn resolve(&self, src: &KeySource) -> Word {
         match *src {
@@ -163,14 +171,13 @@ impl<'p, F: FnMut(Tuple)> Run<'p, '_, F> {
         let plan: &'p RulePlan = self.plan;
         match &plan.steps[step_index] {
             PlanStep::Filter { constraint, slots } => {
-                // An opaque constraint reads `Value`s: rebuild its arguments.
-                let value = |k: usize| {
-                    let (word, sym) = self.slots[slots[k]];
-                    Value::from_word(word, sym)
-                };
-                if gather(slots.len(), Value::Int(0), value, |bound| constraint.holds(bound)) {
+                if self.holds(constraint.as_ref(), slots) {
                     self.step(step_index + 1);
                 }
+            }
+            PlanStep::Implied { constraint, slots } => {
+                debug_assert!(self.holds(constraint.as_ref(), slots), "an implied condition fails: a row reached an inbox its key does not name");
+                self.step(step_index + 1);
             }
             PlanStep::Scan(scan) => {
                 let access = self.accesses[step_index].expect("scan step must have a prepared access");
@@ -179,7 +186,7 @@ impl<'p, F: FnMut(Tuple)> Run<'p, '_, F> {
                     Access::Probe { index, rel, start, end } => {
                         let sources = &scan.probe_values;
                         let mut postings =
-                            gather(sources.len(), (0, false), |k| self.resolve(&sources[k]), |key| index.probe_words(rel, key));
+                            gather(sources.len(), |k| self.resolve(&sources[k]), |key| index.probe_words(rel, key));
                         // Every EDB probe reads the whole arena: nothing to slice.
                         if start != 0 || end as usize != rel.len() {
                             postings = postings_in_range(postings, start, end);

@@ -14,7 +14,10 @@
 //! join work. A constraint whose variables never appear in any body atom
 //! is rejected, mirroring the paper's requirement that "all the variables
 //! appearing in a discriminating sequence ... must also appear in at least
-//! one atom in the body".
+//! one atom in the body". A constraint the data placement implies
+//! ([`Constraint::implied`]) is not scheduled at all: a release build runs
+//! no step for it, a debug build asserts it once the substitution is
+//! complete.
 //!
 //! For semi-naive evaluation, [`compile_rule`] produces one plan per
 //! occurrence of a derived predicate in the body (the *delta versions*):
@@ -23,6 +26,8 @@
 //! round's relation, so every derivation fires exactly once across
 //! versions — the property the paper's non-redundancy accounting
 //! (Definition 1) presumes of the sequential baseline.
+//!
+//! [`Constraint::implied`]: gst_frontend::Constraint::implied
 
 use gst_common::{Error, FxHashMap, Result, SymbolId, Value};
 use gst_frontend::ast::{Atom, ConstraintRef, Literal, Rule, Term, Variable};
@@ -82,15 +87,25 @@ pub enum PlanStep {
         /// Slot of each constraint variable, in the constraint's order.
         slots: Vec<usize>,
     },
+    /// Assert a constraint the data placement implies
+    /// ([`Constraint::implied`]): compiled by debug builds only, after the
+    /// last scan, where the substitution is complete.
+    ///
+    /// [`Constraint::implied`]: gst_frontend::Constraint::implied
+    Implied {
+        /// The constraint that must hold.
+        constraint: ConstraintRef,
+        /// Slot of each constraint variable, in the constraint's order.
+        slots: Vec<usize>,
+    },
 }
 
 impl std::fmt::Debug for PlanStep {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PlanStep::Scan(s) => f.debug_tuple("Scan").field(s).finish(),
-            PlanStep::Filter { slots, .. } => {
-                f.debug_struct("Filter").field("slots", slots).finish()
-            }
+            PlanStep::Filter { slots, .. } => f.debug_struct("Filter").field("slots", slots).finish(),
+            PlanStep::Implied { slots, .. } => f.debug_struct("Implied").field("slots", slots).finish(),
         }
     }
 }
@@ -201,6 +216,9 @@ pub fn compile_rule(
     let mut slots: FxHashMap<Variable, usize> = FxHashMap::default();
     let mut steps: Vec<PlanStep> = Vec::with_capacity(rule.body.len());
     let mut waiting: Vec<ConstraintRef> = constraints;
+    // An implied constraint is no filter: it holds for every complete
+    // substitution, and only a debug build checks that, at the end.
+    let mut implied: Vec<PlanStep> = Vec::new();
 
     for &ai in &order {
         let (atom, source) = (atoms[ai].0, atoms[ai].1);
@@ -253,10 +271,11 @@ pub fn compile_rule(
         for c in waiting.drain(..) {
             if c.variables().iter().all(|v| slots.contains_key(v)) {
                 let cslots = c.variables().iter().map(|v| slots[v]).collect();
-                steps.push(PlanStep::Filter {
-                    constraint: c,
-                    slots: cslots,
-                });
+                if !c.implied() {
+                    steps.push(PlanStep::Filter { constraint: c, slots: cslots });
+                } else if cfg!(debug_assertions) {
+                    implied.push(PlanStep::Implied { constraint: c, slots: cslots });
+                }
             } else {
                 still_waiting.push(c);
             }
@@ -271,6 +290,7 @@ pub fn compile_rule(
                 .into(),
         ));
     }
+    steps.extend(implied);
 
     let mut head_terms = Vec::with_capacity(rule.head.terms.len());
     for term in &rule.head.terms {
@@ -313,11 +333,15 @@ mod tests {
 
     struct AlwaysTrue {
         vars: Vec<Variable>,
+        implied: bool,
     }
 
     impl Constraint for AlwaysTrue {
         fn variables(&self) -> &[Variable] {
             &self.vars
+        }
+        fn implied(&self) -> bool {
+            self.implied
         }
         fn holds(&self, _bound: &[Value]) -> bool {
             true
@@ -442,7 +466,7 @@ mod tests {
         let unit = parse_program("t(X) :- a(X), b(X, Z).").unwrap();
         let p = unit.program;
         let z = Variable(p.interner.get("Z").unwrap());
-        let c: ConstraintRef = Arc::new(AlwaysTrue { vars: vec![z] });
+        let c: ConstraintRef = Arc::new(AlwaysTrue { vars: vec![z], implied: false });
         let mut rule = p.rules[0].clone();
         rule.body.insert(0, Literal::Constraint(c));
         let plan = compile_rule(&rule, 0, &|_| false, None).unwrap();
@@ -452,9 +476,32 @@ mod tests {
             .map(|s| match s {
                 PlanStep::Scan(_) => "scan",
                 PlanStep::Filter { .. } => "filter",
+                PlanStep::Implied { .. } => "implied",
             })
             .collect();
         assert_eq!(kinds, vec!["scan", "scan", "filter"]);
+    }
+
+    #[test]
+    fn an_implied_constraint_is_no_filter_and_a_debug_build_asserts_it_last() {
+        // h(X) would be placed after a(X); implied, it is no filter, and a
+        // debug build checks it once the substitution is complete.
+        let p = parse_program("t(X) :- a(X), b(X, Z).").unwrap().program;
+        let x = Variable(p.interner.get("X").unwrap());
+        let mut rule = p.rules[0].clone();
+        rule.body.push(Literal::Constraint(Arc::new(AlwaysTrue { vars: vec![x], implied: true })));
+        let plan = compile_rule(&rule, 0, &|_| false, None).unwrap();
+        let kinds: Vec<&str> = plan
+            .steps
+            .iter()
+            .map(|s| match s {
+                PlanStep::Scan(_) => "scan",
+                PlanStep::Filter { .. } => "filter",
+                PlanStep::Implied { .. } => "implied",
+            })
+            .collect();
+        let checked: &[&str] = if cfg!(debug_assertions) { &["implied"] } else { &[] };
+        assert_eq!(kinds, [&["scan", "scan"][..], checked].concat());
     }
 
     #[test]
@@ -462,7 +509,7 @@ mod tests {
         let unit = parse_program("t(X) :- a(X).").unwrap();
         let p = unit.program;
         let w = Variable(p.interner.intern("W"));
-        let c: ConstraintRef = Arc::new(AlwaysTrue { vars: vec![w] });
+        let c: ConstraintRef = Arc::new(AlwaysTrue { vars: vec![w], implied: false });
         let mut rule = p.rules[0].clone();
         rule.body.push(Literal::Constraint(c));
         let err = compile_rule(&rule, 0, &|_| false, None).unwrap_err();

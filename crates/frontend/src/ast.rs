@@ -140,6 +140,24 @@ pub trait Constraint: Send + Sync {
     /// [`Constraint::variables`], in the same order.
     fn holds(&self, bound: &[Value]) -> bool;
 
+    /// [`Constraint::holds`] of the values given as [`Value::word`] pairs,
+    /// as a join's binding slots hold them. An implementation that can
+    /// decide on the words overrides this and must agree with the default,
+    /// which rebuilds the values.
+    fn holds_words(&self, bound: &[(u64, bool)]) -> bool {
+        Value::from_words(bound, |values| self.holds(values))
+    }
+
+    /// Whether the data placement guarantees the constraint for every
+    /// substitution of its rule: a compiler's claim, made where every row
+    /// an atom of the rule reads arrived through a route keyed on the
+    /// constraint itself. The planner runs no step for such a constraint;
+    /// a debug build still evaluates it, last, and asserts that it holds.
+    /// `false` (the default) for any other constraint.
+    fn implied(&self) -> bool {
+        false
+    }
+
     /// Human-readable rendering, e.g. `h(Y, Z) = 3`.
     fn describe(&self, interner: &Interner) -> String;
 

@@ -495,7 +495,8 @@ fn analyze_shows_advisor_recommendations() {
     // Linear ancestor: Theorem 3's choice, every pair home …
     let file = write_program("advise.dl", ANCESTOR);
     let stdout = String::from_utf8(cli("analyze", &file, "").stdout).unwrap();
-    for line in ["  v(r0) = ⟨Y⟩", "  v(r1) = ⟨Y⟩", "  r0 → anc(Z, Y) in r1: home", "  r1 → anc(Z, Y) in r1: home"] {
+    let implied = "  v(r1) = ⟨Y⟩: condition implied by anc_in (key ⟨Y⟩ at column 1)";
+    for line in ["  v(r0) = ⟨Y⟩: filtered", implied, "  r0 → anc(Z, Y) in r1: home", "  r1 → anc(Z, Y) in r1: home"] {
         assert!(stdout.lines().any(|l| l == line), "missing `{line}`:\n{stdout}");
     }
     // … and the plan a `general` run reports is the one `analyze` printed.
@@ -511,7 +512,7 @@ fn analyze_shows_advisor_recommendations() {
     ] {
         let file = write_program(name, src);
         let stdout = String::from_utf8(cli("analyze", &file, "").stdout).unwrap();
-        let chosen: Vec<&str> = stdout.lines().filter_map(|l| l.strip_prefix("  v(r")?.split(" = ").nth(1)).collect();
+        let chosen: Vec<&str> = stdout.lines().filter_map(|l| l.strip_prefix("  v(r")?.split(" = ").nth(1)?.split(':').next()).collect();
         assert_eq!(chosen.join(","), v, "{stdout}");
         let flows: Vec<&str> = stdout.lines().filter(|l| l.contains(" → ") && l.contains(" in r")).collect();
         assert_eq!(flows.len(), pairs, "{stdout}");
@@ -519,6 +520,24 @@ fn analyze_shows_advisor_recommendations() {
         let run = cli("run", &file, "--scheme general --workers 2 --stats");
         assert!(String::from_utf8(run.stderr).unwrap().contains(&format!(" v={v} ")), "{name}");
     }
+}
+
+/// `analyze` says, per rule, whether `--scheme general` filters on its
+/// condition or the placement implies it: linear ancestor's recursive rule
+/// reads `anc_in`, which every route keys on its `v(r)`; Example 8 keys
+/// `anc` on two columns, so neither rule's condition is implied.
+#[test]
+fn analyze_says_which_conditions_the_placement_implies() {
+    let conditions = |file: &std::path::Path| -> Vec<String> {
+        let out = cli("analyze", file, "");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        stdout.lines().filter_map(|l| Some(l.strip_prefix("  v(r")?.split_once(": ")?.1.to_string())).collect()
+    };
+    let shipped = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/programs/ancestor.dl");
+    assert_eq!(conditions(&shipped), ["filtered", "condition implied by anc_in (key ⟨Y⟩ at column 1)"]);
+    let example8 = write_program("implied_ex8.dl", "anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), anc(Z,Y).\npar(1,2).");
+    assert_eq!(conditions(&example8), ["filtered", "filtered"]);
 }
 
 /// A program of facts alone has nothing to distribute: the parallel run

@@ -11,7 +11,9 @@
 //! broadcast is encoded once; a misroute or a mis-declared pooling pair
 //! is a typed error before any worker starts. A point query whose only
 //! demand is its seed compiles to one processor, and a one-processor plan
-//! runs no filter and copies no base relation.
+//! runs no filter and copies no base relation. A condition the routes
+//! into a rule's inbox already guarantee is compiled to no filter, and
+//! runs exactly as the unmarked plan does.
 
 use std::sync::Arc;
 
@@ -19,7 +21,7 @@ use parallel_datalog::core::schemes::BaseDistribution;
 use parallel_datalog::eval::plan::{PlanStep, RelationId};
 use parallel_datalog::eval::{compile_rule, route::home_inbox, FixpointEngine};
 use parallel_datalog::frontend::magic::{magic_rewrite, MagicRewrite};
-use parallel_datalog::frontend::{ast::ConstraintRef, parser::parse_program_with, pretty};
+use parallel_datalog::frontend::{ast::ConstraintRef, parser::parse_program_with, pretty, Constraint};
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{
     FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, ParallelStats, Route, Shards, SimTransport,
@@ -705,6 +707,11 @@ fn update_rounds_ship_retractions_and_only_fresh_rows() {
     let edges = chain(10);
     let db = fx.database(&edges);
     let scheme = ancestor_scheme(&fx, "general", 3, &edges);
+    // The recursive rule reads `anc_in`, keyed on its `v(r) = ⟨Z⟩`: its
+    // condition is implied, and every round below — preseeded inboxes,
+    // injected seeds, the deletion cone — runs with that asserted in a
+    // debug build. No session places a row where its key does not.
+    assert_eq!(filters_and_marks("session", &scheme), (1, 1));
     let mut session = UpdateSession::new(&scheme, &fx.program, &db).unwrap();
     let (t, cfg) = (ThreadedTransport, RuntimeConfig::default());
     let (anc, edge) = (fx.output_id(), fx.input_id(0));
@@ -761,5 +768,122 @@ fn a_misroute_is_a_typed_error_on_every_transport() {
         let err = transport.execute(mispooled.clone(), &cfg).unwrap_err();
         assert!(matches!(err, Error::Runtime(_)), "{name}: {err:?}");
         assert!(err.to_string().contains("processor 1 pools nowhere/2, which it neither derives"), "{name}: {err}");
+    }
+}
+
+/// A rule condition rebuilt unmarked: the same test, claiming nothing of
+/// the placement.
+struct Unmarked(ConstraintRef);
+
+impl Constraint for Unmarked {
+    fn variables(&self) -> &[Variable] {
+        self.0.variables()
+    }
+    fn holds(&self, bound: &[Value]) -> bool {
+        self.0.holds(bound)
+    }
+    fn holds_words(&self, bound: &[(u64, bool)]) -> bool {
+        self.0.holds_words(bound)
+    }
+    fn describe(&self, interner: &Interner) -> String {
+        self.0.describe(interner)
+    }
+}
+
+/// `scheme` with every rule condition rebuilt unmarked: every worker runs
+/// every filter.
+fn unmarked(scheme: &CompiledScheme) -> CompiledScheme {
+    let mut scheme = scheme.clone();
+    for rule in scheme.workers.iter_mut().flat_map(|w| &mut w.program.program.rules) {
+        for literal in &mut rule.body {
+            if let Literal::Constraint(c) = literal {
+                *c = Arc::new(Unmarked(c.clone()));
+            }
+        }
+    }
+    scheme
+}
+
+/// The `Filter` steps in a worker's compiled plans and the conditions its
+/// rules mark implied — the same at every worker of `scheme`.
+fn filters_and_marks(what: &str, scheme: &CompiledScheme) -> (usize, usize) {
+    let count = |w: &WorkerSpec| {
+        let pp = &w.program;
+        let heads = pp.program.rules.iter().map(|r| (r.head.predicate, r.head.terms.len()));
+        let idb: Vec<RelationId> = heads.chain(pp.extra_idb()).collect();
+        let (mut filters, mut asserted) = (0, 0);
+        for (k, rule) in pp.program.rules.iter().enumerate() {
+            for step in compile_rule(rule, k, &|id| idb.contains(&id), None).unwrap().steps {
+                filters += usize::from(matches!(step, PlanStep::Filter { .. }));
+                asserted += usize::from(matches!(step, PlanStep::Implied { .. }));
+            }
+        }
+        let body = pp.program.rules.iter().flat_map(|r| &r.body);
+        let marks = body.filter(|l| matches!(l, Literal::Constraint(c) if c.implied())).count();
+        assert_eq!(asserted, if cfg!(debug_assertions) { marks } else { 0 }, "{what}: a debug build asserts every mark");
+        (filters, marks)
+    };
+    let per_worker: Vec<(usize, usize)> = scheme.workers.iter().map(count).collect();
+    assert!(per_worker.windows(2).all(|p| p[0] == p[1]), "{what}: {per_worker:?}");
+    per_worker[0]
+}
+
+/// A condition the placement implies is marked and compiled to no filter,
+/// and the mark changes nothing: on every preset, on `general` over linear
+/// ancestor, same-generation and Example 8, and on a growing demand plan,
+/// at W = 2, 3, 4, each worker's plans hold the pinned number of `Filter`
+/// steps, and a run of the scheme as compiled and one with every condition
+/// rebuilt unmarked give the same per-worker firings, channel matrix,
+/// tuples sent and least model. The recursive rule's filter goes where its
+/// inbox is keyed on `v(r)` by the rule's own `h`, and so do the demand
+/// plan's magic, exit and recursive rules, which all read the demand
+/// inbox; Example 2 broadcasts, Example 8 keys `anc` on two columns,
+/// `nocomm`'s `h_i` differ per processor, and an exit rule over a base
+/// relation reads no inbox, so theirs stay.
+#[test]
+fn a_condition_the_placement_implies_runs_no_filter_and_changes_nothing() {
+    let edges = random_digraph(30, 60, 5);
+    let fx = linear_ancestor();
+    let sirup = LinearSirup::from_program(&fx.program).unwrap();
+    let (db, anc) = (fx.database(&edges), fx.output_id());
+    let hot = fx.database(&parallel_datalog::workloads::zipf_digraph(200, 150, 20, 9));
+    let (sg, tree) = (parallel_datalog::workloads::same_generation(), same_generation_tree(5));
+    let sg_db = sg.database_multi(&[tree.0, tree.1, tree.2]);
+    let (ex8, ex8_db) = (nonlinear_ancestor(), nonlinear_ancestor().database(&edges));
+    let (program, facts) = load(&point_queries()[3].1);
+    let (rw, _) = rewrite_goal(&program, &facts, &point_queries()[3].2);
+    let general = |fx: &Fixture, db: &Database, n: usize| {
+        let h: DiscriminatorRef = Arc::new(HashMod::new(n, 0xC17));
+        let choices: Vec<RuleChoice> = choose_sequences(&fx.program).into_iter().map(|v| RuleChoice { v, h: h.clone() }).collect();
+        rewrite_general(&fx.program, &choices, db, BaseDistribution::Shared).unwrap()
+    };
+    for n in [2usize, 3, 4] {
+        let h: DiscriminatorRef = Arc::new(HashMod::new(n, 19));
+        let no_comm = NoCommConfig { v_e: vec![fx.program.var("X")], h_prime: h.clone() };
+        #[rustfmt::skip]
+        let cells: Vec<(&str, CompiledScheme, RelationId, (usize, usize))> = vec![
+            ("example1", example1_wolfson(&sirup, n, &db).unwrap(), anc, (1, 1)),
+            ("example2", example2_valduriez(&sirup, round_robin_fragment(&edges, n).unwrap(), &db).unwrap(), anc, (2, 0)),
+            ("example3", example3_hash_partition(&sirup, n, &db).unwrap(), anc, (1, 1)),
+            ("nocomm", rewrite_no_comm(&sirup, &no_comm, &db).unwrap(), anc, (1, 0)),
+            ("skew-aware", skew_aware_hash_partition(&sirup, n, &hot, &SkewPolicy::default()).unwrap(), anc, (1, 1)),
+            ("general ancestor", general(&fx, &db, n), anc, (1, 1)),
+            ("general same-generation", general(&sg, &sg_db, n), sg.output_id(), (1, 1)),
+            ("general Example 8", general(&ex8, &ex8_db, n), ex8.output_id(), (2, 0)),
+            ("growing demand", compile_demand(&rw, &facts, n).unwrap(), (rw.answer.name, rw.answer.arity), (1, 3)),
+        ];
+        for (kind, scheme, answer, pinned) in cells {
+            let what = format!("{kind} / W={n}");
+            assert_eq!(scheme.processors(), n, "{what}");
+            assert_eq!(filters_and_marks(&what, &scheme), pinned, "{what}: (filters, marks) per worker");
+            let plain = unmarked(&scheme);
+            assert_eq!(filters_and_marks(&what, &plain), (pinned.0 + pinned.1, 0), "{what}: unmarked");
+            let [marked, plain] = [scheme, plain].map(|s| s.run_simulated(7, FaultPlan::none()).unwrap());
+            let firings = |o: &ExecutionOutcome| o.stats.workers.iter().map(|w| (w.processing_firings, w.eval.firings)).collect::<Vec<_>>();
+            assert_eq!(firings(&marked), firings(&plain), "{what}: per-worker firings");
+            assert_eq!(marked.stats.channel_matrix, plain.stats.channel_matrix, "{what}: channel matrix");
+            assert_eq!(marked.stats.total_tuples_sent(), plain.stats.total_tuples_sent(), "{what}: tuples sent");
+            assert!(!marked.relation(answer).is_empty() && marked.relation(answer).set_eq(&plain.relation(answer)), "{what}: least model");
+        }
     }
 }

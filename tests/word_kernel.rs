@@ -7,7 +7,8 @@
 //! ones a word path gets wrong when it drops the type bit, mishandles a
 //! constant, a repeated variable, a heap row, an empty head, a wide key or
 //! a dead row. Then two equalities: every discriminator's `assign_words`
-//! is its `assign`, and `HashIndex::probe_words` is `probe`.
+//! and `assign_bound_words` are its `assign`, its literal's `holds_words`
+//! at every processor is `holds`, and `HashIndex::probe_words` is `probe`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -219,12 +220,16 @@ fn every_discriminator_assigns_words_as_it_assigns_values() {
             all.push(Arc::new(Linear::new(BitFn::new(seed), (0..arity).map(|k| k as i64 - 1).collect())));
             all.push(Arc::new(SkewAwareHashMod::new(n, 1, seed, seed ^ 2).with_hot_keys(rng.gen_bool(0.5).then_some(hot))));
         }
-        let row = Tuple::new(&row);
+        let (row, slots) = (Tuple::new(&row), ground.iter().map(|v| v.word()).collect::<Vec<_>>());
         for disc in all {
             let expect = disc.assign(&ground);
             assert_eq!(disc.assign_words(&row, &columns), expect, "case {case}: {} on {ground:?}", disc.describe());
-            let literal = DiscConstraint::literal(Vec::new(), disc, 0);
-            assert_eq!(literal.partition_words(&row, &columns), literal.partition(&ground), "case {case}");
+            assert_eq!(disc.assign_bound_words(&slots), expect, "case {case}: {} on {ground:?}", disc.describe());
+            for k in 0..disc.processors() {
+                let literal = DiscConstraint::literal(Vec::new(), disc.clone(), k);
+                assert_eq!(literal.holds_words(&slots), literal.holds(&ground), "case {case}: {} = {k}", disc.describe());
+                assert_eq!(literal.partition_words(&row, &columns), literal.partition(&ground), "case {case}");
+            }
         }
     }
 }
