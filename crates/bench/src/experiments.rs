@@ -205,7 +205,7 @@ pub struct RecoveryRow {
     pub restarts: u64,
     /// Replay-log retransmissions during recovery.
     pub replayed_batches: u64,
-    /// Stale pre-epoch deliveries discarded (including stale tokens).
+    /// Stale pre-epoch deliveries discarded (and repeated `Recover`s).
     pub stale_dropped: u64,
     /// Least model identical to the fault-free sequential oracle.
     pub correct: bool,
@@ -213,9 +213,9 @@ pub struct RecoveryRow {
 
 /// **R1 — crash recovery**: under a chaotic network plus one recoverable
 /// mid-run crash per seed, the supervised runtime must restart the dead
-/// worker, replay its lost traffic, repair the termination-detection
-/// ring, and still compute the exact sequential least model (DESIGN.md
-/// §7's end-to-end claim).
+/// worker, replay its lost traffic, detect termination in the new epoch,
+/// and still compute the exact sequential least model (DESIGN.md §7's
+/// end-to-end claim).
 pub fn recovery_experiment(nodes: u64, edges: u64, n: usize, seeds: std::ops::Range<u64>) -> Vec<RecoveryRow> {
     let fx = linear_ancestor();
     let data = random_digraph(nodes, edges, 42);

@@ -155,7 +155,7 @@ fn chain_under_the_broadcast() {
         scheme: "ex2-broadcast",
         processing_firings: 18_528,
         comm_tuples: 55_584,
-        sim_bytes: 171_948,
+        sim_bytes: 182_040,
     };
     let fx = linear_ancestor();
     let sirup = LinearSirup::from_program(&fx.program).unwrap();

@@ -23,7 +23,7 @@
 //!    whose other atoms read the pre-delete maintained state (shipped
 //!    into the phase as plain base facts). The cone is itself a
 //!    monotone Datalog fixpoint, so it runs on the unmodified parallel
-//!    runtime — same semi-naive deltas, same Safra termination, same
+//!    runtime — same semi-naive deltas, same termination detection, same
 //!    crash recovery — with its routes flagged
 //!    [`retract`](gst_runtime::Route::retract) so deletion traffic is
 //!    accounted separately on the wire.

@@ -162,7 +162,7 @@ mod tests {
 
     /// Crash recovery end to end on OS threads: a fail-point kills one
     /// worker's first incarnation mid-run; the supervisor restarts it,
-    /// the fleet repairs the ring, replays, and still computes the full
+    /// the fleet enters the new epoch, replays, and still computes the full
     /// least model.
     #[test]
     fn fail_point_crash_recovers_on_threads() {

@@ -11,10 +11,12 @@
 //!
 //! Two invariants keep the plans *faults*, not *bugs*:
 //!
-//! * duplication and loss apply to **data batches only**. Safra's argument
-//!   needs the ring token neither duplicated (two tokens would race) nor
-//!   lost (the probe would stall forever) — a real transport achieves this
-//!   with acknowledgements; the simulator simply exempts control traffic.
+//! * duplication and loss apply to **data batches only**. Batches carry
+//!   the link sequence numbers a receiver dedups by and the termination
+//!   detector compares; control messages (the recovery handshake and its
+//!   snapshots) carry none, and a real transport keeps them reliable with
+//!   acknowledgements — the simulator simply exempts them. `Recover` and
+//!   `Terminate` come from the supervisor on a reliable path anyway.
 //! * loss is modeled as **delayed redelivery** (`drop_redeliver_after`
 //!   added to the latency draw), matching a retransmitting transport.
 //!   Silent unbounded loss would falsify the paper's channel model and

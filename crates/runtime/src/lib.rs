@@ -10,15 +10,15 @@
 //!
 //! Here each processor is a transport-agnostic state machine
 //! ([`worker::WorkerCore`]) running a [`gst_eval::FixpointEngine`] over its
-//! rewritten program, with termination detected by Safra's colored-token
-//! ring algorithm (the same diffusing-computation family the paper cites),
-//! implemented as a pure, unit-testable state machine in [`termination`].
+//! rewritten program. Termination is detected by the transport's one
+//! supervisor, from the per-link watermarks each worker reports when it
+//! goes passive: one pure, unit-tested function in [`quiescence`].
 //! How the machines are driven is the [`transport::Transport`]'s choice,
 //! and `Transport::execute` is the only way to run a fleet:
 //!
 //! * [`transport::ThreadedTransport`] — one OS thread per processor,
 //!   blocking queues, real parallelism (a fleet whose compiled network is
-//!   silent skips the queues, codec and termination ring altogether);
+//!   silent skips the queues, codec and termination detection altogether);
 //! * [`sim::SimTransport`] — every processor interleaved on one thread
 //!   under a virtual clock with a seeded scheduler and [`fault::FaultPlan`]
 //!   injection: deterministic, replayable, adversarial. [`explore`] sweeps
@@ -53,10 +53,10 @@ pub mod message;
 pub mod net;
 pub mod obs;
 pub mod profile;
+pub mod quiescence;
 pub mod sim;
 pub mod spec;
 pub mod stats;
-pub mod termination;
 pub mod transport;
 pub(crate) mod wire;
 pub mod worker;

@@ -4,8 +4,6 @@ use std::sync::Arc;
 
 use gst_eval::plan::RelationId;
 
-use crate::termination::TokenMsg;
-
 /// An immutable, cheaply cloneable serialized batch. Cloning an envelope
 /// (e.g. when the fault injector duplicates a delivery) copies a pointer,
 /// not the payload.
@@ -35,13 +33,12 @@ pub enum Message {
         /// receivers account the traffic separately.
         retract: bool,
     },
-    /// Safra's termination-detection token, traveling the ring.
-    Token(TokenMsg),
-    /// Global termination announcement (from the ring initiator).
+    /// Global termination announcement, broadcast by the supervisor once
+    /// every link balances ([`crate::quiescence`]).
     Terminate,
-    /// Ring repair: processor `restarted` was rebuilt; every receiver
-    /// enters `epoch`, voids pre-epoch accounting, and answers with
-    /// [`Message::AckSync`] so senders know where to replay from.
+    /// Recovery: processor `restarted` was rebuilt; every receiver enters
+    /// `epoch`, forgets the restarted link's receive state, and answers
+    /// with [`Message::AckSync`] so senders know where to replay from.
     Recover {
         /// The new recovery epoch.
         epoch: u64,
@@ -79,7 +76,6 @@ impl Message {
     pub fn kind(&self) -> MessageKind {
         match self {
             Message::Batch { .. } => MessageKind::Batch,
-            Message::Token(_) => MessageKind::Token,
             Message::Terminate => MessageKind::Terminate,
             Message::Recover { .. } => MessageKind::Recover,
             Message::AckSync { .. } => MessageKind::AckSync,
@@ -94,11 +90,9 @@ impl Message {
 pub enum MessageKind {
     /// A tuple batch (the only kind subject to duplication/drop faults).
     Batch,
-    /// A termination-detection token.
-    Token,
     /// The termination broadcast.
     Terminate,
-    /// The ring-repair broadcast.
+    /// The recovery broadcast.
     Recover,
     /// The recovery watermark handshake.
     AckSync,
@@ -112,7 +106,6 @@ impl std::fmt::Display for MessageKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MessageKind::Batch => write!(f, "batch"),
-            MessageKind::Token => write!(f, "token"),
             MessageKind::Terminate => write!(f, "terminate"),
             MessageKind::Recover => write!(f, "recover"),
             MessageKind::AckSync => write!(f, "ack-sync"),
@@ -132,9 +125,8 @@ pub struct Envelope {
     /// watermark for replay truncation); control messages draw from a
     /// separate space used only for traces. A transport that duplicates a
     /// delivery (fault injection) reuses the sequence number, so the
-    /// receiver can keep the termination detector's message accounting
-    /// exact while still absorbing the duplicate payload (harmless under
-    /// set semantics).
+    /// duplicate moves no receive watermark while its payload is still
+    /// absorbed (harmless under set semantics).
     pub seq: u64,
     /// Recovery epoch the envelope was sent in. Receivers in a later epoch
     /// drop the envelope uncounted — its content is guaranteed by replay.
@@ -147,10 +139,19 @@ pub struct Envelope {
     pub message: Message,
 }
 
+impl Envelope {
+    /// A supervisor's broadcast (`Recover`, `Terminate`, `Abort`): it
+    /// travels on no link, so it has no sequence number and acknowledges
+    /// nothing. `from` is the processor a `Recover` or `Abort` concerns,
+    /// and 0 for `Terminate`.
+    pub(crate) fn control(from: usize, epoch: u64, message: Message) -> Envelope {
+        Envelope { from, seq: 0, epoch, ack: 0, message }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::termination::{Color, TokenMsg};
     use gst_common::ituple;
 
     #[test]
@@ -175,25 +176,7 @@ mod tests {
             }
             _ => panic!("wrong variant"),
         }
-        let tok = Envelope {
-            from: 0,
-            seq: 1,
-            epoch: 0,
-            ack: 0,
-            message: Message::Token(TokenMsg {
-                color: Color::White,
-                count: 0,
-                epoch: 0,
-            }),
-        };
-        assert_eq!(tok.message.kind(), MessageKind::Token);
-        let term = Envelope {
-            from: 0,
-            seq: 2,
-            epoch: 0,
-            ack: 0,
-            message: Message::Terminate,
-        };
+        let term = Envelope::control(0, 0, Message::Terminate);
         assert_eq!(term.message.kind(), MessageKind::Terminate);
     }
 
@@ -222,6 +205,7 @@ mod tests {
     #[test]
     fn recovery_kinds_have_display_tags() {
         for (msg, tag) in [
+            (Message::Terminate, "terminate"),
             (Message::Recover { epoch: 1, restarted: 2 }, "recover"),
             (Message::AckSync { acked: 3 }, "ack-sync"),
             (Message::Snapshot { payloads: vec![], upto: 4 }, "snapshot"),

@@ -9,7 +9,9 @@
 //! [`ProcessLauncher`], or a thread speaking real loopback TCP under
 //! [`InProcessLauncher`] for tests and benchmarks), ships each worker its
 //! [`WorkerSpec`] over the framed wire protocol ([`crate::wire`]), relays
-//! worker-to-worker envelopes by destination, and pools the answer.
+//! worker-to-worker envelopes by destination, detects termination from
+//! the workers' passive reports ([`crate::quiescence`]), and pools the
+//! answer.
 //!
 //! ## Topology and protocol
 //!
@@ -58,6 +60,7 @@ use gst_frontend::ast::ConstraintRef;
 use crate::coordinator::RuntimeConfig;
 use crate::message::{Envelope, Message};
 use crate::obs::{ObsEvent, ObsKind, TimeBase};
+use crate::quiescence::{quiescent, PassiveReport};
 use crate::spec::WorkerSpec;
 use crate::stats::ExecutionOutcome;
 use crate::transport::{assemble_outcome, validate_specs, Transport, WorkerResult};
@@ -508,7 +511,8 @@ fn lock_gate(gate: &SharedGate) -> MutexGuard<'_, FaultGate> {
 }
 
 /// Worker outbox: every envelope becomes one framed write on the link,
-/// destination first so the coordinator can relay without re-encoding.
+/// destination first so the coordinator can relay without re-encoding;
+/// a report is a frame for the coordinator itself.
 struct NetOutbox {
     gate: SharedGate,
 }
@@ -517,6 +521,11 @@ impl Outbox for NetOutbox {
     fn send(&mut self, to: usize, env: Envelope) -> Result<()> {
         let body = wire::encode_envelope(to, &env);
         wire::write_frame(&mut *lock_gate(&self.gate), wire::FRAME_ENVELOPE, &body)
+    }
+
+    fn report(&mut self, report: PassiveReport) -> Result<()> {
+        let body = wire::encode_report(&report);
+        wire::write_frame(&mut *lock_gate(&self.gate), wire::FRAME_REPORT, &body)
     }
 }
 
@@ -762,7 +771,7 @@ struct Persist {
 /// The TCP transport: launches one worker per processor via its
 /// [`Launcher`], distributes [`WorkerSpec`]s over the framed wire
 /// protocol, relays worker-to-worker envelopes, supervises crashes with
-/// restart + replay, and pools the answer.
+/// restart + replay, detects termination, and pools the answer.
 pub struct NetCoordinator {
     launcher: Arc<dyn Launcher>,
     net: NetConfig,
@@ -836,6 +845,8 @@ impl Transport for NetCoordinator {
             finished: (0..specs.len()).map(|_| None).collect(),
             pending_recover: vec![None; specs.len()],
             parked: vec![Vec::new(); specs.len()],
+            latest: vec![None; specs.len()],
+            terminating: false,
             restarts_used: vec![0; specs.len()],
             total_restarts: 0,
             epoch: 0,
@@ -958,9 +969,13 @@ struct Supervisor<'a> {
     /// equivalent, flushed in order once the destination (re)connects.
     /// Pre-crash entries are dropped by the receiver's epoch filter, so
     /// parking never delivers stale state. Dropping them instead would
-    /// desynchronize Safra's counts (a message counted as sent but never
-    /// received keeps the termination token circulating forever).
+    /// lose batches shipped in the current epoch, which no replay resends:
+    /// the link would never balance and the run would end in the watchdog.
     parked: Vec<Vec<Vec<u8>>>,
+    /// Each worker's latest passive report, for termination detection.
+    latest: Vec<Option<PassiveReport>>,
+    /// `Terminate` went out: no death is recoverable from here on.
+    terminating: bool,
     restarts_used: Vec<u32>,
     total_restarts: u64,
     epoch: u64,
@@ -1064,8 +1079,9 @@ impl Supervisor<'_> {
         // incarnation absorbs it before its first engine step, exactly
         // like the threaded supervisor's broadcast-before-spawn. A
         // separate envelope frame would race the reader thread against
-        // the fixpoint loop, and a batch sent before the Recover is
-        // absorbed has its Safra send-count erased by the epoch repair.
+        // the fixpoint loop, and a Recover absorbed after a current-epoch
+        // batch forgets that batch's place above the watermark — no replay
+        // resends it, so the link never balances (DESIGN.md §12).
         let job = match wire::encode_job(
             self.epoch,
             self.specs.len(),
@@ -1197,6 +1213,16 @@ impl Supervisor<'_> {
                 Ok((false, message)) => self.die(index, Error::Runtime(message)),
                 Err(e) => self.die(index, e),
             },
+            wire::FRAME_REPORT => match wire::decode_report(&body, self.specs.len()) {
+                Ok(report) => {
+                    self.latest[index] = Some(report);
+                    if !self.terminating && quiescent(self.epoch, &self.latest) {
+                        self.terminating = true;
+                        self.broadcast(&Envelope::control(0, self.epoch, Message::Terminate));
+                    }
+                }
+                Err(e) => self.die(index, e),
+            },
             wire::FRAME_PONG => {
                 // last_heard is already refreshed; just insist the reply
                 // is well-formed.
@@ -1223,10 +1249,10 @@ impl Supervisor<'_> {
         if self.aborting.is_some() {
             return;
         }
-        let within_budget = self.restarts_used[index] < self.config.supervisor.max_restarts
-            && self.finished.iter().all(Option::is_none);
+        let within_budget =
+            self.restarts_used[index] < self.config.supervisor.max_restarts && !self.terminating;
         if !within_budget {
-            // Budget exhausted, or a peer already terminated (finished
+            // Budget exhausted, or termination already decided (finished
             // workers answer no AckSync, so replay cannot complete).
             self.abort(index, error);
             return;
@@ -1247,13 +1273,7 @@ impl Supervisor<'_> {
                 kind: ObsKind::Restarted { epoch: self.epoch },
             });
         }
-        let recover = Envelope {
-            from: index,
-            seq: 0,
-            epoch: self.epoch,
-            ack: 0,
-            message: Message::Recover { epoch: self.epoch, restarted: index },
-        };
+        let recover = Envelope::control(index, self.epoch, Message::Recover { epoch: self.epoch, restarted: index });
         // Survivors repair now. A worker with no link — the replacement,
         // and any peer that has not connected for the first time yet —
         // starts in this epoch and repairs right after its job arrives
@@ -1292,20 +1312,19 @@ impl Supervisor<'_> {
         // Tear the fleet down fast (workers error out on Abort) instead
         // of letting survivors idle into their watchdogs; the hard kill
         // in teardown handles whoever misses the message.
-        let abort = Envelope {
-            from,
-            seq: 0,
-            epoch: self.epoch,
-            ack: 0,
-            message: Message::Abort { reason: error.to_string() },
-        };
+        self.broadcast(&Envelope::control(from, self.epoch, Message::Abort { reason: error.to_string() }));
+        self.aborting = Some(error);
+    }
+
+    /// Write `env` to every live link. A failed write is left to the
+    /// link's reader, which reports the death.
+    fn broadcast(&mut self, env: &Envelope) {
         for (peer, slot) in self.links.iter_mut().enumerate() {
             if let Some(link) = slot {
-                let body = wire::encode_envelope(peer, &abort);
+                let body = wire::encode_envelope(peer, env);
                 let _ = wire::write_frame(&mut link.stream, wire::FRAME_ENVELOPE, &body);
             }
         }
-        self.aborting = Some(error);
     }
 
     /// Periodic duties: heartbeat pings, silence detection, and connect
@@ -1592,11 +1611,22 @@ mod tests {
                     }
                 };
                 let job = wire::decode_job(&job, None).unwrap();
+                let interner = job.spec.program.program.interner.clone();
                 let mut core = WorkerCore::with_epoch(job.spec, job.n, job.epoch).unwrap();
-                // A fleet of one: whatever it sends (the token) is to itself.
+                // A fleet of one sends nothing: run to the fixpoint, report
+                // passive, and wait for the coordinator's Terminate.
                 let mut out = crate::sim::SimOutbox::default();
+                while core.step(&mut out).unwrap() == Step::Worked {}
+                let body = wire::encode_report(&out.reports.pop().unwrap());
+                wire::write_frame(&mut stream, wire::FRAME_REPORT, &body).unwrap();
                 while core.step(&mut out).unwrap() != Step::Done {
-                    out.sends.drain(..).for_each(|(_, env)| core.enqueue(env));
+                    match wire::read_frame(&mut stream).unwrap() {
+                        Some((wire::FRAME_ENVELOPE, body)) => {
+                            core.enqueue(wire::decode_envelope(&body, &interner).unwrap().1)
+                        }
+                        Some(_) => {}
+                        None => return,
+                    }
                 }
                 let (report, pooled, _) = finish_core(&mut core);
                 let mut frames = Vec::new();
@@ -1656,6 +1686,7 @@ mod tests {
         let coord = coordinator(InProcessLauncher::default())
             .with_faults(NetFaultPlan::parse("1:disconnect@150").unwrap());
         let outcome = coord.execute(specs, &config).unwrap();
+        outcome.journal.validate().expect("a traced TCP run's journal is well-formed");
         let kinds: Vec<_> = outcome
             .journal
             .events

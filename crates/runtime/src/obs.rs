@@ -123,18 +123,6 @@ pub enum ObsKind {
         /// Sequence watermark the snapshot stands in for.
         upto: u64,
     },
-    /// A Safra termination token was forwarded around the ring.
-    TokenSent {
-        /// Next processor on the ring.
-        to: usize,
-        /// Accumulated message-count sum the token carries.
-        count: i64,
-        /// True if the token was black (termination cannot be concluded
-        /// this probe).
-        black: bool,
-    },
-    /// A stale (pre-recovery-epoch) token was discarded.
-    TokenDropped,
     /// Replay-log retransmission toward a recovering peer.
     ReplaySent {
         /// The recovering processor.
@@ -187,8 +175,6 @@ impl ObsKind {
             ObsKind::BatchSent { .. } => "send",
             ObsKind::BatchReceived { .. } => "recv",
             ObsKind::SnapshotReceived { .. } => "snapshot-recv",
-            ObsKind::TokenSent { .. } => "token",
-            ObsKind::TokenDropped => "token-drop",
             ObsKind::ReplaySent { .. } => "replay",
             ObsKind::EpochRepair { .. } => "repair",
             ObsKind::IdleWait => "idle",
@@ -464,11 +450,6 @@ impl Journal {
                     "i",
                     format!("\"from\":{from},\"payloads\":{payloads},\"upto\":{upto}"),
                 ),
-                ObsKind::TokenSent { to, count, black } => (
-                    "i",
-                    format!("\"to\":{to},\"count\":{count},\"black\":{black}"),
-                ),
-                ObsKind::TokenDropped => ("i", String::new()),
                 ObsKind::ReplaySent { to, messages } => {
                     ("i", format!("\"to\":{to},\"messages\":{messages}"))
                 }
@@ -525,11 +506,6 @@ impl std::fmt::Display for Journal {
                 ObsKind::SnapshotReceived { from, payloads, upto } => {
                     writeln!(f, "snapshot <- w{from} {payloads} payloads upto #{upto}")
                 }
-                ObsKind::TokenSent { to, count, black } => {
-                    let color = if *black { "black" } else { "white" };
-                    writeln!(f, "token   -> w{to} ({color}, count {count})")
-                }
-                ObsKind::TokenDropped => writeln!(f, "token dropped (stale epoch)"),
                 ObsKind::ReplaySent { to, messages } => {
                     writeln!(f, "replay  -> w{to} {messages} messages")
                 }
@@ -741,13 +717,13 @@ mod tests {
             events: vec![
                 ev(1, 0, ObsKind::RoundBegin { round: 1 }),
                 ev(2, 0, ObsKind::RoundEnd { round: 1, fresh: 1, firings: 1 }),
-                ev(3, 0, ObsKind::TokenSent { to: 1, count: -1, black: true }),
+                ev(3, 0, ObsKind::ReplaySent { to: 1, messages: 2 }),
                 ev(4, 0, ObsKind::Terminated),
             ],
         };
         let text = journal.to_string();
         assert!(text.contains("round 1 begin"));
-        assert!(text.contains("token   -> w1 (black, count -1)"));
+        assert!(text.contains("replay  -> w1 2 messages"));
         assert!(text.contains("terminated"));
         assert!(text.contains("end of journal (4 events, ticks)"));
     }

@@ -18,8 +18,8 @@
 //! the threaded transport; nothing is mocked above the wire. This is the
 //! simulation-testing discipline FoundationDB popularized, applied to the
 //! paper's architecture: the algorithmic claims (least-model correctness
-//! under asynchrony, Safra termination, set-semantics idempotence under
-//! duplication) are checked under schedules far nastier than an OS will
+//! under asynchrony, termination detection, set-semantics idempotence
+//! under duplication) are checked under schedules far nastier than an OS will
 //! produce in a CI run.
 //!
 //! Crashes come in two flavors. A plain [`crate::fault::CrashSpec`] kills a
@@ -29,11 +29,13 @@
 //! spec in a fresh recovery epoch and broadcasts `Recover` to the whole
 //! fleet over a reliable path (bypassing the fault plan, like a
 //! supervisor's control channel), whereupon peers replay their logged
-//! traffic and the repaired ring re-runs termination detection — see
-//! `DESIGN.md` §7. One modeling caveat: a worker that crashes *after* the
-//! termination decision keeps its in-memory result for pooling (the crash
-//! handler skips terminated cores), which is the abstraction boundary of a
-//! single-process simulation, not a claim about durable storage.
+//! traffic — see `DESIGN.md` §7. The event loop is also the supervisor
+//! that detects termination: a worker's passive report reaches it at the
+//! end of the step that made it, and `Terminate` goes out on the same
+//! reliable path. One modeling caveat: a worker that crashes *after* the
+//! termination decision keeps its in-memory result for pooling, which is
+//! the abstraction boundary of a single-process simulation, not a claim
+//! about durable storage.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -45,6 +47,7 @@ use crate::coordinator::RuntimeConfig;
 use crate::fault::FaultPlan;
 use crate::message::{Envelope, Message, MessageKind};
 use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
+use crate::quiescence::{quiescent, PassiveReport};
 use crate::spec::WorkerSpec;
 use crate::stats::ExecutionOutcome;
 use crate::transport::{assemble_outcome, validate_specs, ShardKinds, Transport};
@@ -104,15 +107,22 @@ impl Ord for Event {
     }
 }
 
-/// Outbox that collects a step's sends for the event loop to route.
+/// Outbox that collects a step's sends for the event loop to route, and
+/// its report for the event loop to supervise.
 #[derive(Default)]
 pub(crate) struct SimOutbox {
     pub(crate) sends: Vec<(usize, Envelope)>,
+    pub(crate) reports: Vec<PassiveReport>,
 }
 
 impl Outbox for SimOutbox {
     fn send(&mut self, to: usize, env: Envelope) -> Result<()> {
         self.sends.push((to, env));
+        Ok(())
+    }
+
+    fn report(&mut self, report: PassiveReport) -> Result<()> {
+        self.reports.push(report);
         Ok(())
     }
 }
@@ -244,7 +254,8 @@ impl SimTransport {
     }
 
     /// The discrete-event loop: step and deliver until every survivor
-    /// terminated or the queue ran dry. Returns the number of restarts.
+    /// terminated or the queue ran dry, playing the supervisor that
+    /// detects termination. Returns the number of restarts.
     fn drive(
         &self,
         cores: &mut [WorkerCore],
@@ -273,6 +284,9 @@ impl SimTransport {
 
         let mut ready_pending = vec![false; n];
         let mut crashed = vec![false; n];
+        // The supervisor's view: each worker's latest passive report.
+        let mut latest: Vec<Option<PassiveReport>> = vec![None; n];
+        let mut terminating = false;
         // Random initial offsets: even the first step order is part of the
         // explored schedule space.
         for (w, pending) in ready_pending.iter_mut().enumerate() {
@@ -308,6 +322,17 @@ impl SimTransport {
                     let step = cores[w].step(&mut out)?;
                     for (to, env) in out.sends {
                         self.route(&mut rng, &mut push, &mut heap, now, to, env);
+                    }
+                    if let Some(report) = out.reports.pop() {
+                        latest[w] = Some(report);
+                        if !terminating && quiescent(epoch, &latest) {
+                            // Broadcast on the reliable path, like Recover.
+                            terminating = true;
+                            for to in 0..n {
+                                let env = Envelope::control(0, epoch, Message::Terminate);
+                                push(&mut heap, now, EventKind::Deliver { to, env, duplicate: false });
+                            }
+                        }
                     }
                     if step == Step::Worked {
                         let mut at = now + 1 + rng.gen_below(STEP_JITTER);
@@ -349,6 +374,7 @@ impl SimTransport {
                 EventKind::Crash(w) => {
                     if !cores[w].terminated() {
                         crashed[w] = true;
+                        latest[w] = None;
                         record(events, now, w, ObsKind::Crashed);
                         let recoverable = self.faults.crash.is_some_and(|c| c.recover);
                         if recoverable && config.supervisor.max_restarts >= 1 {
@@ -357,11 +383,11 @@ impl SimTransport {
                     }
                 }
                 EventKind::Restart(w) => {
-                    // Recovery is only sound while no worker has accepted a
-                    // termination decision; the ring stalls through the dead
-                    // worker, so in practice nobody can have terminated, but
-                    // guard anyway (mirrors the threaded supervisor).
-                    if cores.iter().any(|c| c.terminated()) || !crashed[w] {
+                    // Recovery is only sound before the termination
+                    // decision; a crashed worker has no current report, so
+                    // in practice none was taken, but guard anyway (mirrors
+                    // the threaded supervisor).
+                    if terminating || !crashed[w] {
                         continue;
                     }
                     let specs = retained.expect("restart without retained specs");
@@ -383,21 +409,8 @@ impl SimTransport {
                     // the fresh incarnation's own sends can only leave after
                     // its first Ready, at a strictly later tiebreak.
                     for to in 0..n {
-                        push(
-                            &mut heap,
-                            now,
-                            EventKind::Deliver {
-                                to,
-                                env: Envelope {
-                                    from: w,
-                                    seq: 0,
-                                    epoch,
-                                    ack: 0,
-                                    message: Message::Recover { epoch, restarted: w },
-                                },
-                                duplicate: false,
-                            },
-                        );
+                        let env = Envelope::control(w, epoch, Message::Recover { epoch, restarted: w });
+                        push(&mut heap, now, EventKind::Deliver { to, env, duplicate: false });
                     }
                 }
             }
@@ -438,10 +451,11 @@ impl SimTransport {
     ) {
         let plan = &self.faults;
         let mut delay = rng.gen_inclusive(plan.min_delay, plan.max_delay);
-        // Control traffic (token, terminate) is exempt from duplication
-        // and loss: Safra's invariant is one token in the ring, and a real
-        // transport keeps control messages reliable via acks. Delay (and
-        // therefore reordering against batches) still applies.
+        // Control traffic (the recovery handshake and its snapshots) is
+        // exempt from duplication and loss: only batches carry the link
+        // sequence numbers a receiver dedups by, and a real transport
+        // keeps control messages reliable via acks. Delay (and therefore
+        // reordering against batches) still applies.
         if env.message.kind() == MessageKind::Batch {
             if rng.gen_bool(plan.drop_prob) {
                 // Loss with guaranteed redelivery: the retransmit pays the

@@ -56,7 +56,7 @@ pub struct WorkerReport {
     /// the transport's retransmissions.
     pub replayed_batches: u64,
     /// Stale deliveries discarded by the epoch filter during recovery
-    /// (pre-crash envelopes, including stale termination tokens).
+    /// (envelopes sent before the epoch bump, and repeated `Recover`s).
     pub stale_dropped: u64,
     /// Tuples shipped on delete-marked channels — the over-deletion cone
     /// of a DRed update round crossing the network. Zero in batch mode.
@@ -221,7 +221,7 @@ impl ParallelStats {
     }
 
     /// Total stale (pre-recovery-epoch) deliveries discarded, including
-    /// stale termination tokens.
+    /// repeated `Recover`s.
     pub fn total_stale_dropped(&self) -> u64 {
         self.workers.iter().map(|w| w.stale_dropped).sum()
     }

@@ -29,10 +29,12 @@
 //! (panic, injected fail-point: the computation is fine, the incarnation
 //! died). A recoverable death within the restart budget is answered by
 //! rebuilding the worker from its retained spec under a bumped recovery
-//! epoch and broadcasting `Recover` so the fleet repairs the termination
-//! ring and replays the dead worker's inbound traffic. Anything else
-//! broadcasts `Abort`, which tears the fleet down in milliseconds instead
-//! of leaving healthy peers to idle into their watchdogs.
+//! epoch and broadcasting `Recover` so the fleet replays the dead worker's
+//! inbound traffic. Anything else broadcasts `Abort`, which tears the fleet
+//! down in milliseconds instead of leaving healthy peers to idle into their
+//! watchdogs. The same loop detects termination: every worker reports its
+//! link watermarks when it goes passive, and the supervisor broadcasts
+//! `Terminate` once they balance ([`crate::quiescence`]).
 
 use std::collections::hash_map::Entry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,6 +49,7 @@ use gst_storage::Relation;
 use crate::coordinator::RuntimeConfig;
 use crate::message::{Envelope, Message};
 use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
+use crate::quiescence::{quiescent, PassiveReport};
 use crate::spec::{Shards, WorkerSpec};
 use crate::stats::{ExecutionOutcome, ParallelStats, WorkerReport};
 use crate::worker::{finish_core, take_pooled, watchdog_error, Outbox, PooledRelations, Step, WorkerCore};
@@ -56,7 +59,7 @@ use crate::worker::{finish_core, take_pooled, watchdog_error, Outbox, PooledRela
 pub trait Transport {
     /// Execute one [`WorkerSpec`] per processor and pool the results.
     ///
-    /// `specs[i].program.processor` must equal `i` — the termination ring
+    /// `specs[i].program.processor` must equal `i` — the link watermarks
     /// and the channel matrix are indexed by position.
     fn execute(&self, specs: Vec<WorkerSpec>, config: &RuntimeConfig) -> Result<ExecutionOutcome>;
 }
@@ -213,7 +216,7 @@ pub(crate) fn network_is_silent(specs: &[WorkerSpec]) -> bool {
 }
 
 /// Run one spec's local fixpoint with none of the distributed machinery —
-/// no queues, no codec, no replay logs, no termination ring. Sound exactly
+/// no queues, no codec, no replay logs, no termination detection. Sound exactly
 /// when the network is silent: with nothing to receive and nothing to
 /// ship, local quiescence *is* the paper's termination condition, observed
 /// directly. A silent worker's routes all end in its own inboxes, which the
@@ -281,9 +284,10 @@ fn lock(slot: &Mutex<Sender<Envelope>>) -> MutexGuard<'_, Sender<Envelope>> {
 
 /// Enqueue `env` to every worker's current incarnation, holding every
 /// slot until the last queue has its copy: a worker that acts on its
-/// `Recover` at once cannot get a new-epoch envelope (its `AckSync`, the
-/// relaunched token) into a peer's queue ahead of that peer's `Recover`,
-/// whose epoch repair would discard it. Workers lock one slot at a time,
+/// `Recover` at once cannot get a new-epoch envelope (its `AckSync`, a
+/// replayed batch) into a peer's queue ahead of that peer's `Recover`,
+/// which the peer would then drop as from a future epoch. Workers lock
+/// one slot at a time,
 /// so taking them all in index order cannot deadlock. Sends to a worker
 /// that already exited fail silently — its receiver is gone, and so is
 /// its interest.
@@ -294,8 +298,11 @@ fn broadcast(registry: &Registry, env: &Envelope) {
     }
 }
 
-/// How a worker thread ended, as reported to the supervisor.
-enum WorkerExit {
+/// What a worker thread tells the supervisor: that it went passive, or
+/// how it ended.
+enum Notice {
+    /// Went passive: its link watermarks, for termination detection.
+    Passive(PassiveReport),
     /// Reached distributed termination.
     Finished(Box<WorkerResult>),
     /// An error restarting cannot cure: the spec, the data, or the fleet
@@ -306,9 +313,11 @@ enum WorkerExit {
     Recoverable(Error),
 }
 
-/// Outbox over the hot-swappable registry.
+/// Outbox over the hot-swappable registry, with a line to the supervisor.
 struct ThreadOutbox {
+    id: usize,
     senders: Registry,
+    supervisor: Sender<(usize, Notice)>,
 }
 
 impl Outbox for ThreadOutbox {
@@ -320,23 +329,30 @@ impl Outbox for ThreadOutbox {
         let _ = lock(&self.senders[to]).send(env);
         Ok(())
     }
+
+    fn report(&mut self, report: PassiveReport) -> Result<()> {
+        // The supervisor outlives every worker; a failed send means it is
+        // already unwinding.
+        let _ = self.supervisor.send((self.id, Notice::Passive(report)));
+        Ok(())
+    }
 }
 
 /// The per-thread driver: drain the queue, step the core, block on the
-/// queue when idle — every wake-up cause (batch, token, recover, abort)
-/// is a message on it — for at most what is left of the watchdog, honor
-/// the fail-point. `Ok` is the core at distributed termination.
+/// queue when idle — every wake-up cause (batch, recover, terminate,
+/// abort) is a message on it — for at most what is left of the watchdog,
+/// honor the fail-point. `Ok` is the core at distributed termination.
 fn run_threaded(
     spec: WorkerSpec,
-    senders: Registry,
+    mut out: ThreadOutbox,
     rx: Receiver<Envelope>,
     config: RuntimeConfig,
     epoch: u64,
     fail_after: Option<u64>,
     trace_origin: Option<Instant>,
-) -> std::result::Result<WorkerCore, WorkerExit> {
-    let n = senders.len();
-    let mut core = WorkerCore::with_epoch(spec, n, epoch).map_err(WorkerExit::Fatal)?;
+) -> std::result::Result<WorkerCore, Notice> {
+    let n = out.senders.len();
+    let mut core = WorkerCore::with_epoch(spec, n, epoch).map_err(Notice::Fatal)?;
     if let Some(origin) = trace_origin {
         // All sinks share the run's origin so the tracks line up.
         core.set_sink(TraceSink::wall(core.id(), origin));
@@ -344,12 +360,11 @@ fn run_threaded(
     if config.worker.profile {
         core.set_profiler(crate::profile::Profiler::wall(), gst_eval::TimeMode::Wall);
     }
-    let mut out = ThreadOutbox { senders };
     let mut idle_since: Option<Instant> = None;
     let mut steps = 0u64;
     loop {
         if fail_after == Some(steps) {
-            return Err(WorkerExit::Recoverable(Error::Runtime(format!(
+            return Err(Notice::Recoverable(Error::Runtime(format!(
                 "injected fail-point crash at step {steps}"
             ))));
         }
@@ -358,14 +373,14 @@ fn run_threaded(
             core.enqueue(env);
         }
         match core.step(&mut out) {
-            Err(e) => return Err(WorkerExit::Fatal(e)),
+            Err(e) => return Err(Notice::Fatal(e)),
             Ok(Step::Done) => return Ok(core),
             Ok(Step::Worked) => idle_since = None,
             Ok(Step::Idle) => {
                 let since = *idle_since.get_or_insert_with(Instant::now);
                 let left = config.worker.idle_watchdog.saturating_sub(since.elapsed());
                 if left.is_zero() {
-                    return Err(WorkerExit::Fatal(watchdog_error(core.id(), since.elapsed())));
+                    return Err(Notice::Fatal(watchdog_error(core.id(), since.elapsed())));
                 }
                 match rx.recv_timeout(left) {
                     Ok(env) => core.enqueue(env),
@@ -375,7 +390,7 @@ fn run_threaded(
                         // The registry anchor is gone: the coordinator
                         // itself is unwinding. Distinct from the watchdog
                         // (which means a *peer* starved us).
-                        return Err(WorkerExit::Fatal(Error::Runtime(format!(
+                        return Err(Notice::Fatal(Error::Runtime(format!(
                             "processor {}: peer channels disconnected during teardown",
                             core.id()
                         ))));
@@ -423,7 +438,7 @@ impl Transport for ThreadedTransport {
         // The registry doubles as the coordinator's sender anchor: a
         // worker blocked in recv_timeout sees Timeout (not Disconnected)
         // for as long as the supervisor lives.
-        let (exit_tx, exit_rx) = channel::<(usize, WorkerExit)>();
+        let (notice_tx, notice_rx) = channel::<(usize, Notice)>();
 
         let started = Instant::now();
         let trace_origin = config.trace.then_some(started);
@@ -431,27 +446,27 @@ impl Transport for ThreadedTransport {
             let spawn_worker =
                 |id: usize, rx: Receiver<Envelope>, epoch: u64, fail_after: Option<u64>| {
                     let spec = specs[id].clone();
-                    let registry = registry.clone();
+                    let out = ThreadOutbox { id, senders: registry.clone(), supervisor: notice_tx.clone() };
+                    let notice_tx = notice_tx.clone();
                     let config = config.clone();
-                    let exit_tx = exit_tx.clone();
                     scope.spawn(move || {
                         // The report goes out first; the core — arenas,
                         // indexes, replay logs — is freed after it, while
                         // the supervisor already pools.
                         let mut core = None;
                         let exit = catch_unwind(AssertUnwindSafe(|| {
-                            match run_threaded(spec, registry, rx, config, epoch, fail_after, trace_origin) {
-                                Ok(done) => WorkerExit::Finished(Box::new(finish_core(core.insert(done)))),
+                            match run_threaded(spec, out, rx, config, epoch, fail_after, trace_origin) {
+                                Ok(done) => Notice::Finished(Box::new(finish_core(core.insert(done)))),
                                 Err(exit) => exit,
                             }
                         }))
                         .unwrap_or_else(|payload| {
-                            WorkerExit::Recoverable(Error::Runtime(format!(
+                            Notice::Recoverable(Error::Runtime(format!(
                                 "worker panicked: {}",
                                 panic_message(payload.as_ref())
                             )))
                         });
-                        let _ = exit_tx.send((id, exit));
+                        let _ = notice_tx.send((id, exit));
                     });
                 };
 
@@ -464,8 +479,8 @@ impl Transport for ThreadedTransport {
                 spawn_worker(id, rx, 0, fail_after);
             }
 
-            // The supervisor loop: collect exits until every incarnation
-            // is accounted for.
+            // The supervisor loop: collect reports and exits until every
+            // incarnation is accounted for.
             let mut outstanding = n;
             let mut results: Vec<Option<Box<WorkerResult>>> = (0..n).map(|_| None).collect();
             // Transport-level journal entries (crash/restart): the thread
@@ -475,22 +490,30 @@ impl Transport for ThreadedTransport {
             let mut restarts_used = vec![0u32; n];
             let mut total_restarts = 0u64;
             let mut epoch = 0u64;
+            let mut latest: Vec<Option<PassiveReport>> = vec![None; n];
+            let mut terminating = false;
             let mut aborting = false;
             let mut first_error: Option<Error> = None;
             while outstanding > 0 {
-                let (id, exit) = exit_rx.recv().expect("supervisor retains an exit sender");
-                outstanding -= 1;
-                match exit {
-                    WorkerExit::Finished(result) => {
+                let (id, notice) = notice_rx.recv().expect("supervisor retains a notice sender");
+                match notice {
+                    Notice::Passive(report) => {
+                        latest[id] = Some(report);
+                        if !terminating && !aborting && quiescent(epoch, &latest) {
+                            terminating = true;
+                            broadcast(&registry, &Envelope::control(0, epoch, Message::Terminate));
+                        }
+                        continue;
+                    }
+                    Notice::Finished(result) => {
                         results[id] = Some(result);
                     }
-                    WorkerExit::Fatal(_) | WorkerExit::Recoverable(_) if aborting => {
+                    Notice::Fatal(_) | Notice::Recoverable(_) if aborting => {
                         // Teardown noise after the Abort broadcast; the
                         // first (causal) error is already recorded.
                     }
-                    WorkerExit::Recoverable(_)
-                        if restarts_used[id] < config.supervisor.max_restarts
-                            && results.iter().all(Option::is_none) =>
+                    Notice::Recoverable(_)
+                        if restarts_used[id] < config.supervisor.max_restarts && !terminating =>
                     {
                         restarts_used[id] += 1;
                         total_restarts += 1;
@@ -519,39 +542,22 @@ impl Transport for ThreadedTransport {
                         // anything the new incarnation can send, so no
                         // worker sees epoch-`epoch` traffic before it has
                         // repaired into that epoch.
-                        broadcast(
-                            &registry,
-                            &Envelope {
-                                from: id,
-                                seq: 0,
-                                epoch,
-                                ack: 0,
-                                message: Message::Recover { epoch, restarted: id },
-                            },
-                        );
+                        broadcast(&registry, &Envelope::control(id, epoch, Message::Recover { epoch, restarted: id }));
                         spawn_worker(id, rx, epoch, None);
                         outstanding += 1;
                     }
-                    WorkerExit::Fatal(e) | WorkerExit::Recoverable(e) => {
-                        // Fatal, restart budget exhausted, or a peer
-                        // already terminated (replay is then impossible:
+                    Notice::Fatal(e) | Notice::Recoverable(e) => {
+                        // Fatal, restart budget exhausted, or termination
+                        // already decided (replay is then impossible:
                         // finished workers answer no AckSync). Tear the
                         // fleet down fast instead of letting healthy
                         // workers idle into their watchdogs.
                         aborting = true;
-                        broadcast(
-                            &registry,
-                            &Envelope {
-                                from: id,
-                                seq: 0,
-                                epoch,
-                                ack: 0,
-                                message: Message::Abort { reason: e.to_string() },
-                            },
-                        );
+                        broadcast(&registry, &Envelope::control(id, epoch, Message::Abort { reason: e.to_string() }));
                         first_error = Some(e);
                     }
                 }
+                outstanding -= 1;
             }
             let wall_time = started.elapsed();
             if let Some(err) = first_error {

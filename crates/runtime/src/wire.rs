@@ -24,6 +24,7 @@
 //! | 5    | Ping     | c → w     | `nonce uv`                             |
 //! | 6    | Pong     | w → c     | `nonce uv`                             |
 //! | 7    | Shutdown | c → w     | empty                                  |
+//! | 8    | Report   | w → c     | `epoch uv`, then `batch_seq` and `recv_floor`, fleet-size uv each |
 //!
 //! The `Envelope` body leads with the *destination* processor. The
 //! coordinator relays worker-to-worker traffic by validating the whole
@@ -53,9 +54,9 @@ use gst_storage::{Database, Relation};
 
 use crate::codec::{self, put_bytes, put_uv, put_sv, Cursor};
 use crate::message::{Envelope, Message, Payload};
+use crate::quiescence::PassiveReport;
 use crate::spec::{ProcessorProgram, Route, SessionSeed, Shards, WorkerSpec};
 use crate::stats::WorkerReport;
-use crate::termination::{Color, TokenMsg};
 use crate::worker::{PooledRelations, WorkerConfig};
 
 /// Upper bound on a frame's declared length (256 MiB). A length prefix
@@ -78,6 +79,8 @@ pub(crate) const FRAME_PING: u8 = 5;
 pub(crate) const FRAME_PONG: u8 = 6;
 /// Coordinator → worker: tear down and exit cleanly.
 pub(crate) const FRAME_SHUTDOWN: u8 = 7;
+/// Worker → coordinator: went passive; its link watermarks.
+pub(crate) const FRAME_REPORT: u8 = 8;
 
 /// A decoder for constraint literals shipped inside a [`FRAME_JOB`].
 ///
@@ -284,6 +287,29 @@ pub(crate) fn decode_nonce(bytes: &[u8]) -> Result<u64> {
     Ok(nonce)
 }
 
+pub(crate) fn encode_report(report: &PassiveReport) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + 4 * report.batch_seq.len());
+    put_uv(&mut buf, report.epoch);
+    for &v in report.batch_seq.iter().chain(&report.recv_floor) {
+        put_uv(&mut buf, v);
+    }
+    buf
+}
+
+/// Decode a report from a fleet of `n`: anything but `n` entries per
+/// watermark is corruption.
+pub(crate) fn decode_report(bytes: &[u8], n: usize) -> Result<PassiveReport> {
+    let mut c = Cursor::new(bytes);
+    let epoch = c.get_uv().ok_or_else(|| corrupt("report epoch"))?;
+    let mut watermarks = (0..2 * n).map(|_| c.get_uv().ok_or_else(|| corrupt("report watermark")));
+    let batch_seq = watermarks.by_ref().take(n).collect::<Result<_>>()?;
+    let recv_floor = watermarks.collect::<Result<_>>()?;
+    if c.remaining() != 0 {
+        return Err(corrupt("trailing bytes after report"));
+    }
+    Ok(PassiveReport { epoch, batch_seq, recv_floor })
+}
+
 // ---------------------------------------------------------------------
 // Job frames
 // ---------------------------------------------------------------------
@@ -298,13 +324,13 @@ pub(crate) struct JobFrame {
     pub(crate) worker: WorkerConfig,
     /// What to run (program, routing, EDB, optional session seed).
     pub(crate) spec: WorkerSpec,
-    /// A pending `Recover` the incarnation must absorb before its first
-    /// engine step. Embedding it in the job (rather than sending it as a
-    /// separate envelope frame) removes the race between the reader
-    /// thread delivering it and the main loop stepping: a replacement
-    /// that fires a batch before absorbing `Recover` has that send
-    /// erased when `on_recover` zeroes its Safra counter, leaving the
-    /// termination ring permanently unbalanced.
+    /// A pending `Recover` the incarnation must absorb before anything
+    /// else: its `AckSync`s are what ask the peers to replay. Embedding it
+    /// in the job (rather than sending it as a separate envelope frame)
+    /// removes the race between the reader thread delivering it and the
+    /// main loop stepping: a `Recover` absorbed after a current-epoch batch
+    /// clears that batch's place above the watermark, no replay resends a
+    /// current-epoch batch, and the link never balances.
     pub(crate) recover: Option<Envelope>,
 }
 
@@ -675,12 +701,11 @@ fn get_atom(c: &mut Cursor, interner: &Interner) -> Result<Atom> {
 // ---------------------------------------------------------------------
 
 const MSG_BATCH: u8 = 0;
-const MSG_TOKEN: u8 = 1;
-const MSG_TERMINATE: u8 = 2;
-const MSG_RECOVER: u8 = 3;
-const MSG_ACK_SYNC: u8 = 4;
-const MSG_SNAPSHOT: u8 = 5;
-const MSG_ABORT: u8 = 6;
+const MSG_TERMINATE: u8 = 1;
+const MSG_RECOVER: u8 = 2;
+const MSG_ACK_SYNC: u8 = 3;
+const MSG_SNAPSHOT: u8 = 4;
+const MSG_ABORT: u8 = 5;
 
 /// Encode a routed envelope. The destination leads so a relay can route
 /// the frame without decoding the rest.
@@ -697,15 +722,6 @@ pub(crate) fn encode_envelope(dest: usize, env: &Envelope) -> Vec<u8> {
             put_relation_id(&mut buf, *inbox);
             buf.push(u8::from(*retract));
             put_bytes(&mut buf, payload);
-        }
-        Message::Token(t) => {
-            buf.push(MSG_TOKEN);
-            buf.push(match t.color {
-                Color::White => 0,
-                Color::Black => 1,
-            });
-            put_sv(&mut buf, t.count);
-            put_uv(&mut buf, t.epoch);
         }
         Message::Terminate => buf.push(MSG_TERMINATE),
         Message::Recover { epoch, restarted } => {
@@ -766,16 +782,6 @@ pub(crate) fn decode_envelope(bytes: &[u8], interner: &Interner) -> Result<(usiz
                 payload: Payload::new(payload.to_vec()),
                 retract,
             }
-        }
-        MSG_TOKEN => {
-            let color = match c.get_u8().ok_or_else(|| corrupt("token color"))? {
-                0 => Color::White,
-                1 => Color::Black,
-                other => return Err(corrupt(&format!("unknown token color {other}"))),
-            };
-            let count = c.get_sv().ok_or_else(|| corrupt("token count"))?;
-            let tepoch = c.get_uv().ok_or_else(|| corrupt("token epoch"))?;
-            Message::Token(TokenMsg { color, count, epoch: tepoch })
         }
         MSG_TERMINATE => Message::Terminate,
         MSG_RECOVER => {
@@ -1195,7 +1201,6 @@ mod tests {
         let payload = codec::encode_batch(2, &[ituple![1, 2], ituple![3, 4]]).unwrap();
         let messages = vec![
             Message::Batch { inbox, payload: payload.clone(), retract: true },
-            Message::Token(TokenMsg { color: Color::Black, count: -7, epoch: 2 }),
             Message::Terminate,
             Message::Recover { epoch: 5, restarted: 3 },
             Message::AckSync { acked: 42 },
@@ -1324,6 +1329,14 @@ mod tests {
             (true, "watchdog expired".to_string())
         );
         assert_eq!(decode_nonce(&encode_nonce(0xFEED)).unwrap(), 0xFEED);
+    }
+
+    #[test]
+    fn report_round_trips_and_checks_the_fleet_size() {
+        let report = PassiveReport { epoch: 2, batch_seq: vec![0, 7, 300], recv_floor: vec![5, 0, 1] };
+        let body = encode_report(&report);
+        assert_eq!(decode_report(&body, 3).unwrap(), report);
+        assert!(decode_report(&body, 2).is_err() && decode_report(&body, 4).is_err());
     }
 
     /// A `Read` that hands out at most `chunk` bytes per call — the
@@ -1460,6 +1473,7 @@ mod tests {
             ("result", encode_result(&report, &[]).unwrap()),
             ("error", encode_error(false, "x")),
             ("nonce", encode_nonce(7)),
+            ("report", encode_report(&PassiveReport { epoch: 1, batch_seq: vec![3, 0], recv_floor: vec![0, 4] })),
         ];
         let decode_all = |name: &str, bytes: &[u8]| {
             // Each decoder must return cleanly (Ok or typed Err) on any
@@ -1472,6 +1486,7 @@ mod tests {
                 let _ = decode_result(bytes, &interner);
                 let _ = decode_error(bytes);
                 let _ = decode_nonce(bytes);
+                let _ = decode_report(bytes, 2);
             }));
             assert!(r.is_ok(), "decoder panicked on corrupted {name} body");
         };

@@ -32,10 +32,10 @@
 //!
 //! The worker is deliberately **re-entrant**: it owns no channel handles
 //! and no event loop. [`WorkerCore::step`] performs exactly one scheduling
-//! quantum — absorb pending envelopes, then either run one engine round
-//! (shipping its input first) or handle the termination token — and
-//! reports whether it worked, went idle, or terminated. How steps are
-//! driven is the transport's business:
+//! quantum — absorb pending envelopes, then run one engine round (shipping
+//! its input first) or, passive, report its link watermarks to the
+//! supervisor — and says whether it worked, went idle, or terminated. How
+//! steps are driven is the transport's business:
 //! [`crate::transport::ThreadedTransport`] wraps the core in an OS thread
 //! with a blocking queue, while [`crate::sim::SimTransport`] interleaves
 //! many cores under a virtual clock, one `step` at a time, in whatever
@@ -51,15 +51,15 @@ use gst_eval::FixpointEngine;
 use crate::message::{Envelope, Message, Payload};
 use crate::obs::{ObsEvent, ObsKind, TraceSink};
 use crate::profile::{Profiler, PHASE_COMPUTE, PHASE_DECODE, PHASE_ENCODE, PHASE_REPLAY};
+use crate::quiescence::PassiveReport;
 use crate::spec::{ProcessorProgram, Shards, WorkerSpec};
 use crate::stats::WorkerReport;
-use crate::termination::{Safra, TokenAction, TokenMsg};
 
 /// Runtime knobs shared by all workers.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
-    /// Give up if passive this long with no arrival — batch, token or
-    /// control message — on the queue the worker blocks on (a peer died).
+    /// Give up if passive this long with no arrival — batch or control
+    /// message — on the queue the worker blocks on (a peer died).
     pub idle_watchdog: Duration,
     /// Phase-attributed profiling: account every step's time to
     /// compute/encode/decode/replay/idle and record latency histograms.
@@ -76,18 +76,20 @@ impl Default for WorkerConfig {
     }
 }
 
-/// Where a worker's outbound envelopes go. The only seam between a worker
-/// and its transport: threads send over channels, the simulator schedules
-/// deliveries on its virtual clock.
+/// Where a worker's outbound envelopes and reports go. The only seam
+/// between a worker and its transport: threads send over channels, the
+/// simulator schedules deliveries on its virtual clock.
 pub(crate) trait Outbox {
     /// Hand `env` to the transport for delivery to processor `to`.
     fn send(&mut self, to: usize, env: Envelope) -> Result<()>;
+    /// Hand the supervisor this worker's report on going passive.
+    fn report(&mut self, report: PassiveReport) -> Result<()>;
 }
 
 /// What one scheduling quantum accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// Progress was made (engine round, token handling, or absorption);
+    /// Progress was made (an engine round, or absorbed envelopes);
     /// schedule another step.
     Worked,
     /// Locally quiescent with nothing pending: the worker needs no more
@@ -124,10 +126,9 @@ struct ReplayLog {
     /// each tagged with the recovery epoch it was shipped in and the inbox
     /// it addresses (the payload itself is destination-independent).
     /// Replay retransmits only batches from *earlier* epochs: a batch
-    /// shipped in the current epoch was counted post-recovery and is
-    /// guaranteed deliverable, so retransmitting it would double-count the
-    /// send while the receiver dedups the copy — a permanent +1 in Safra's
-    /// sum.
+    /// shipped in the current epoch reaches a receiver that is already in
+    /// that epoch, so its epoch filter keeps it and a second copy would
+    /// only be a duplicate.
     /// Each entry also keeps the batch's retract flag so a replayed
     /// envelope is bit-identical to the original send.
     tail: VecDeque<(u64, u64, RelationId, Payload, bool)>,
@@ -151,15 +152,13 @@ impl ReplayLog {
     }
 }
 
-/// The per-processor state machine: fixpoint engine, Safra state, pending
-/// message queue, and traffic counters. Contains no I/O.
+/// The per-processor state machine: fixpoint engine, pending message
+/// queue, link watermarks and traffic counters. Contains no I/O.
 pub(crate) struct WorkerCore {
     id: usize,
     n: usize,
     engine: FixpointEngine,
     spec: WorkerSpec,
-    safra: Safra,
-    held_token: Option<TokenMsg>,
     terminated: bool,
     bootstrapped: bool,
     pending: VecDeque<Envelope>,
@@ -180,10 +179,13 @@ pub(crate) struct WorkerCore {
     /// outgoing envelopes as the cumulative ack.
     recv_floor: Vec<u64>,
     /// Batch sequence numbers `≥ recv_floor[p]` already absorbed, per
-    /// source — transport duplicates are recognized here so Safra's
-    /// counter stays exact; entries below the floor are pruned as it
-    /// advances, bounding memory by the reorder window.
+    /// source — transport duplicates are recognized here and move no
+    /// watermark; entries below the floor are pruned as it advances,
+    /// bounding memory by the reorder window.
     seen_above: Vec<FxHashSet<u64>>,
+    /// The last report sent to the supervisor: a passive step reports
+    /// again only when the epoch or a watermark moved.
+    reported: Option<PassiveReport>,
     /// Sender-side replay log per destination link.
     replay: Vec<ReplayLog>,
     /// Batches accepted since the last drain, grouped per inbox (same
@@ -223,8 +225,6 @@ impl WorkerCore {
             n,
             engine,
             spec,
-            safra: Safra::with_epoch(id, n, epoch),
-            held_token: None,
             terminated: false,
             bootstrapped: false,
             pending: VecDeque::new(),
@@ -234,6 +234,7 @@ impl WorkerCore {
             ctrl_seq: vec![0; n],
             recv_floor: vec![0; n],
             seen_above: vec![FxHashSet::default(); n],
+            reported: None,
             replay: (0..n).map(|_| ReplayLog::default()).collect(),
             stash,
             stash_count: 0,
@@ -291,11 +292,11 @@ impl WorkerCore {
     }
 
     /// One scheduling quantum: absorb everything pending, then do at most
-    /// one unit of work (an engine round, or token handling when passive).
+    /// one unit of work (an engine round, or a report when passive).
     pub(crate) fn step(&mut self, out: &mut dyn Outbox) -> Result<Step> {
         if self.prof.is_some() && self.was_idle {
             // The gap since the previous step's end was spent waiting for
-            // messages or the termination probe: idle time.
+            // messages or the termination decision: idle time.
             let round = self.engine.stats().rounds;
             if let Some(p) = self.prof.as_mut() {
                 p.idle_gap(round);
@@ -406,29 +407,27 @@ impl WorkerCore {
         debug_assert!(self.engine.quiescent());
         debug_assert!(self.engine.outlets().iter().all(|o| o.rows.is_empty()), "passive with queued rows");
 
-        // Passive: a held token may now be handled (Safra forwards only
-        // while passive), and the initiator may launch a probe.
-        if let Some(token) = self.held_token.take() {
-            self.handle_token(token, out)?;
-            return Ok(if self.terminated { Step::Done } else { Step::Worked });
-        }
-        if self.id == 0 {
-            if let Some(token) = self.safra.launch() {
-                self.send_token(self.safra.next(), token, out)?;
-                return Ok(Step::Worked);
-            }
+        // Passive: tell the supervisor what this worker has sent and
+        // absorbed, unless it already knows (DESIGN.md §7).
+        let report = PassiveReport {
+            epoch: self.epoch,
+            batch_seq: self.batch_seq.clone(),
+            recv_floor: self.recv_floor.clone(),
+        };
+        if self.reported.as_ref() != Some(&report) {
+            out.report(report.clone())?;
+            self.reported = Some(report);
         }
         Ok(if absorbed { Step::Worked } else { Step::Idle })
     }
 
-    /// Absorb one envelope: inject batches, hold tokens until passive,
-    /// honor terminate, run the recovery handshakes.
+    /// Absorb one envelope: inject batches, honor terminate, run the
+    /// recovery handshakes.
     ///
     /// Epoch discipline: a `Recover` may *raise* our epoch; any other
     /// envelope from an earlier epoch is dropped uncounted — the sender's
     /// replay (triggered by our post-recovery `AckSync`) re-delivers its
-    /// content inside the new epoch, keeping Safra's per-epoch accounting
-    /// exact.
+    /// content inside the new epoch.
     fn absorb(&mut self, env: Envelope, out: &mut dyn Outbox) -> Result<()> {
         if let Message::Recover { epoch, restarted } = env.message {
             return self.on_recover(epoch, restarted, out);
@@ -447,13 +446,6 @@ impl WorkerCore {
         match env.message {
             Message::Batch { inbox, payload, retract } => {
                 self.accept_batch(env.from, env.seq, inbox, payload, retract)
-            }
-            Message::Token(token) => {
-                // One token circulates the ring; a second can only appear
-                // if a transport duplicated it (faults must not).
-                debug_assert!(self.held_token.is_none(), "two tokens in the ring");
-                self.held_token = Some(token);
-                Ok(())
             }
             Message::Terminate => {
                 self.terminated = true;
@@ -474,13 +466,12 @@ impl WorkerCore {
         }
     }
 
-    /// Ring repair (see DESIGN.md §7). Entering epoch `epoch`:
-    /// pre-epoch accounting is void (counter zeroed, color blackened,
-    /// probe abandoned, held token discarded), receive-state for the
-    /// restarted link is forgotten (its new incarnation restarts at
-    /// sequence 0), above-floor dedup state is cleared for every link
-    /// (those batches will be replayed and must be re-counted), and an
-    /// `AckSync` with our watermark goes to every peer to trigger replay.
+    /// Recovery (see DESIGN.md §7). Entering epoch `epoch`: receive-state
+    /// for the restarted link is forgotten (its new incarnation restarts
+    /// at sequence 0), above-floor dedup state is cleared for every link
+    /// (replay sends those batches again), and an `AckSync` with our
+    /// watermark goes to every peer: it is what asks the peer to replay.
+    /// The next report carries the new epoch.
     fn on_recover(&mut self, epoch: u64, restarted: usize, out: &mut dyn Outbox) -> Result<()> {
         if epoch < self.epoch || (epoch == self.epoch && self.recover_handled) {
             self.report.stale_dropped += 1;
@@ -489,10 +480,6 @@ impl WorkerCore {
         self.epoch = epoch;
         self.recover_handled = true;
         self.sink.emit(ObsKind::EpochRepair { epoch });
-        self.safra.on_recover(epoch);
-        if self.held_token.take().is_some() {
-            self.report.stale_dropped += 1;
-        }
         if restarted != self.id {
             // The restarted peer's new incarnation numbers its batches
             // from 0 again; stale receive-state would misclassify them as
@@ -518,11 +505,10 @@ impl WorkerCore {
     /// for our link. Everything at or above it that was shipped *before*
     /// the current epoch is retransmitted — the compacted snapshot first
     /// if the watermark predates the tail, then the retained pre-epoch
-    /// batches. Each replayed message is counted as a fresh basic message
-    /// of the current epoch (the receiver's dedup state for this range was
-    /// cleared by `Recover`, so it counts each exactly once too). Batches
-    /// already shipped in the current epoch are skipped: their original
-    /// send was counted post-recovery and the transport delivers it.
+    /// batches. Replay reuses the batches' sequence numbers, so it moves
+    /// no counter: the receiver's watermark reaches our `batch_seq` once it
+    /// has them all. Batches already shipped in the current epoch are
+    /// skipped: the transport delivers those.
     fn replay_link(&mut self, to: usize, acked: u64, out: &mut dyn Outbox) -> Result<()> {
         let t0 = self.phase_start();
         self.replay[to].truncate_to(acked);
@@ -530,16 +516,8 @@ impl WorkerCore {
         let base = self.replay[to].base;
         if acked < base {
             let payloads = self.replay[to].snapshot.clone();
-            self.safra.on_send();
             self.report.replayed_batches += 1;
-            let env = Envelope {
-                from: self.id,
-                seq: self.next_ctrl_seq(to),
-                epoch: self.epoch,
-                ack: self.recv_floor[to],
-                message: Message::Snapshot { payloads, upto: base },
-            };
-            out.send(to, env)?;
+            self.send_ctrl(to, Message::Snapshot { payloads, upto: base }, out)?;
         }
         let resend: Vec<(u64, RelationId, Payload, bool)> = self
             .replay[to]
@@ -551,7 +529,6 @@ impl WorkerCore {
             })
             .collect();
         for (seq, inbox, payload, retract) in resend {
-            self.safra.on_send();
             self.report.replayed_batches += 1;
             let env = Envelope {
                 from: self.id,
@@ -572,15 +549,13 @@ impl WorkerCore {
 
     /// Absorb a compacted replay-log prefix: stash every payload for the
     /// coalesced inject pass and advance the watermark to `upto` (the
-    /// sequence range the snapshot stands in for). One logical message for
-    /// Safra's accounting.
+    /// sequence range the snapshot stands in for).
     fn accept_snapshot(
         &mut self,
         from: usize,
         payloads: Vec<(RelationId, Payload)>,
         upto: u64,
     ) -> Result<()> {
-        self.safra.on_basic_receive();
         self.sink.emit(ObsKind::SnapshotReceived {
             from,
             payloads: payloads.len() as u64,
@@ -606,12 +581,10 @@ impl WorkerCore {
     /// inbox on the next engine step, so a worker that fell behind pays
     /// one index sync however many batches queued up.
     ///
-    /// A transport-level duplicate (same link sequence number) is *not*
-    /// counted by the termination detector — Safra instruments logical
-    /// messages, and a retransmission is the same logical message — but
-    /// its payload is still stashed: under set semantics re-deriving a
-    /// tuple is a no-op, which is exactly the idempotence the simulation
-    /// tests exercise.
+    /// A transport-level duplicate (same link sequence number) moves no
+    /// watermark and no traffic counter, but its payload is still stashed:
+    /// under set semantics re-deriving a tuple is a no-op, which is exactly
+    /// the idempotence the simulation tests exercise.
     fn accept_batch(
         &mut self,
         from: usize,
@@ -631,7 +604,6 @@ impl WorkerCore {
             duplicate: !first_delivery,
         });
         if first_delivery {
-            self.safra.on_basic_receive();
             self.report.received_bytes += payload.len() as u64;
             self.report.received_tuples += count as u64;
             if retract {
@@ -722,8 +694,8 @@ impl WorkerCore {
             for d in 0..self.engine.outlets()[k].dests.len() {
                 let (dest, inbox) = self.engine.outlets()[k].dests[d];
                 // A retract route's batch carries DRed retractions.
-                // Routing, replay, and Safra accounting are identical —
-                // only the envelope flag and traffic attribution differ.
+                // Routing and replay are identical — only the envelope
+                // flag and traffic attribution differ.
                 if retract {
                     self.report.retract_tuples_sent += count;
                 }
@@ -736,7 +708,6 @@ impl WorkerCore {
                     Some((r, total)) if *r == round => *total += count,
                     _ => self.report.sent_per_round.push((round, count)),
                 }
-                self.safra.on_send();
                 let seq = self.next_batch_seq(dest);
                 self.sink.emit(ObsKind::BatchSent { to: dest, tuples: count, bytes, seq });
                 // Retain for crash-recovery replay until the receiver acks
@@ -760,43 +731,8 @@ impl WorkerCore {
         Ok(())
     }
 
-    fn handle_token(&mut self, token: TokenMsg, out: &mut dyn Outbox) -> Result<()> {
-        match self.safra.on_token(token) {
-            TokenAction::Forward(t) | TokenAction::Relaunch(t) => {
-                self.send_token(self.safra.next(), t, out)
-            }
-            TokenAction::Drop => {
-                // A pre-recovery token survived in our queue; the current
-                // epoch's probe supersedes it.
-                self.report.stale_dropped += 1;
-                self.sink.emit(ObsKind::TokenDropped);
-                Ok(())
-            }
-            TokenAction::Terminate => {
-                self.terminated = true;
-                self.replay.iter_mut().for_each(ReplayLog::clear);
-                self.sink.emit(ObsKind::Terminated);
-                for dest in 0..self.n {
-                    if dest != self.id {
-                        self.send_ctrl(dest, Message::Terminate, out)?;
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    fn send_token(&mut self, dest: usize, token: TokenMsg, out: &mut dyn Outbox) -> Result<()> {
-        self.sink.emit(ObsKind::TokenSent {
-            to: dest,
-            count: token.count,
-            black: token.is_black(),
-        });
-        self.send_ctrl(dest, Message::Token(token), out)
-    }
-
-    /// Send a control message (token, terminate, recovery handshake) with
-    /// the piggybacked cumulative ack for the destination's link.
+    /// Send a control message (`AckSync`, a replay `Snapshot`) with the
+    /// piggybacked cumulative ack for the destination's link.
     fn send_ctrl(&mut self, dest: usize, message: Message, out: &mut dyn Outbox) -> Result<()> {
         let seq = self.next_ctrl_seq(dest);
         out.send(
@@ -863,23 +799,12 @@ pub(crate) fn watchdog_error(id: usize, idle_for: impl std::fmt::Debug) -> Error
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::termination::Color;
     use gst_common::{ituple, Interner};
     use gst_storage::Database;
     use std::sync::Arc;
 
-    /// Outbox that records sends for inspection.
-    #[derive(Default)]
-    struct Recorder {
-        sent: Vec<(usize, Envelope)>,
-    }
-
-    impl Outbox for Recorder {
-        fn send(&mut self, to: usize, env: Envelope) -> Result<()> {
-            self.sent.push((to, env));
-            Ok(())
-        }
-    }
+    /// Outbox that records sends and reports for inspection.
+    type Recorder = crate::sim::SimOutbox;
 
     /// Compaction keeps the acked batches exactly as they were shipped:
     /// the same `Arc`s, in ship order, never decoded — the payloads here
@@ -946,10 +871,11 @@ mod tests {
             .collect()
     }
 
-    /// An envelope from `from` whose only content is its piggybacked ack.
+    /// An envelope from `from` whose only content is its piggybacked ack:
+    /// an `AckSync` stating the same watermark, which replays nothing while
+    /// no batch predates the epoch.
     fn ack_from(from: usize, epoch: u64, ack: u64) -> Envelope {
-        let message = Message::Token(TokenMsg { color: Color::White, count: 0, epoch });
-        Envelope { from, seq: 0, epoch, ack, message }
+        Envelope { from, seq: 0, epoch, ack, message: Message::AckSync { acked: ack } }
     }
 
     /// The sending step runs every round: a round that admitted routed
@@ -962,9 +888,9 @@ mod tests {
         let mut out = Recorder::default();
         let mut sizes = Vec::new();
         loop {
-            let before = batches_to(&out.sent, 1).len();
+            let before = batches_to(&out.sends, 1).len();
             let step = core.step(&mut out).unwrap();
-            let new = &batches_to(&out.sent, 1)[before..];
+            let new = &batches_to(&out.sends, 1)[before..];
             for payload in new {
                 assert!(
                     !core.engine.quiescent(),
@@ -990,7 +916,7 @@ mod tests {
         core.set_profiler(Profiler::ticks(), gst_eval::TimeMode::Ticks);
         let mut out = Recorder::default();
         while !matches!(core.step(&mut out).unwrap(), Step::Idle | Step::Done) {
-            let sent = std::mem::take(&mut out.sent);
+            let sent = std::mem::take(&mut out.sends);
             sent.into_iter().for_each(|(_, env)| core.enqueue(env));
         }
         let stats = core.engine.stats();
@@ -1002,60 +928,50 @@ mod tests {
         assert_eq!(phases.encode + phases.decode + phases.replay, 0);
     }
 
-    /// Safra's rule: an *active* process holds the token and forwards it
-    /// only once passive. The core must keep stepping productive rounds
-    /// with the token parked, and forward it exactly when the engine goes
-    /// quiescent.
+    /// A core reports to its supervisor once per passive transition —
+    /// when it goes passive with an epoch or a watermark that moved — and
+    /// never while an outlet or the stash holds rows: a report follows the
+    /// shipment of everything the core routed away.
     #[test]
-    fn token_is_held_while_active_and_forwarded_when_passive() {
-        let mut core = chain_core(1, &[], 2);
+    fn a_core_reports_once_per_passive_transition() {
+        let mut core = chain_core(0, &[1], 2);
+        let inbox = core.spec.program.inboxes[0];
         let mut out = Recorder::default();
-        core.enqueue(ack_from(0, 0, 0));
-        // The chain of length 4 needs several rounds; the token must not
-        // appear in the outbox while rounds still produce fresh tuples.
-        let mut worked = 0;
-        loop {
-            match core.step(&mut out).unwrap() {
-                Step::Worked => {
-                    worked += 1;
-                    assert!(worked < 100, "no quiescence");
+        let run = |core: &mut WorkerCore, out: &mut Recorder| {
+            let mut worked = 0;
+            loop {
+                let before = out.reports.len();
+                let step = core.step(out).unwrap();
+                if out.reports.len() > before {
+                    assert!(core.engine.outlets().iter().all(|o| o.rows.is_empty()), "rows left to ship");
+                    assert_eq!(core.stash_count, 0, "rows left to inject");
                 }
-                Step::Idle => break,
-                Step::Done => panic!("no terminate was sent"),
+                match step {
+                    Step::Worked => worked += 1,
+                    Step::Idle => return worked,
+                    Step::Done => panic!("no terminate was sent"),
+                }
             }
-        }
-        assert!(worked > 2, "the chain workload takes multiple rounds");
-        let forwarded: Vec<&(usize, Envelope)> = out
-            .sent
-            .iter()
-            .filter(|(_, env)| matches!(env.message, Message::Token(_)))
-            .collect();
-        assert_eq!(forwarded.len(), 1, "token forwarded exactly once");
-        let (dest, env) = forwarded[0];
-        assert_eq!(*dest, 0, "ring of two: 1 forwards to 0");
-        match env.message {
-            // The worker never received a basic message, so it stayed
-            // white and only accumulated its (zero) counter.
-            Message::Token(t) => {
-                assert_eq!(t, TokenMsg { color: Color::White, count: 0, epoch: 0 })
-            }
-            _ => unreachable!(),
-        }
-    }
+        };
+        assert!(run(&mut core, &mut out) > 2, "the chain workload takes multiple rounds");
+        let shipped = batches_to(&out.sends, 1).len() as u64;
+        let first = PassiveReport { epoch: 0, batch_seq: vec![0, shipped], recv_floor: vec![0, 0] };
+        assert_eq!(out.reports, vec![first.clone()], "one report, after all four batches left");
+        run(&mut core, &mut out);
+        assert_eq!(out.reports.len(), 1, "still passive, nothing moved: no second report");
 
-    /// Two tokens can never legitimately coexist in Safra's ring; the
-    /// debug assertion must catch a transport that duplicates one.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "two tokens in the ring")]
-    fn duplicated_token_trips_the_ring_invariant() {
-        let mut core = chain_core(1, &[], 2);
-        let mut out = Recorder::default();
-        core.enqueue(ack_from(0, 0, 0));
-        core.enqueue(ack_from(0, 0, 0));
-        // Both tokens are absorbed in one step while the engine is active:
-        // the second must trip the debug assertion.
-        let _ = core.step(&mut out);
+        // A batch from processor 1 wakes the core; going passive again is
+        // the second transition. A duplicate of it moves nothing.
+        let payload = crate::codec::encode_batch(inbox.1, &[ituple![7, 8]]).unwrap();
+        let message = Message::Batch { inbox, payload, retract: false };
+        let batch = Envelope { from: 1, seq: 0, epoch: 0, ack: 4, message };
+        core.enqueue(batch.clone());
+        run(&mut core, &mut out);
+        let second = PassiveReport { recv_floor: vec![0, 1], ..first };
+        assert_eq!(out.reports.last(), Some(&second));
+        core.enqueue(batch);
+        run(&mut core, &mut out);
+        assert_eq!(out.reports.len(), 2, "a duplicate moves no watermark");
     }
 
     /// A transport-duplicated batch (same link sequence number) is
@@ -1086,8 +1002,8 @@ mod tests {
             Some(1),
             "set semantics: the duplicate adds nothing new"
         );
-        // Safra saw exactly one logical receive: counter −1, black.
-        assert_eq!(core.safra.counter(), -1);
+        // One receive moved the watermark; the duplicate did not.
+        assert_eq!(core.recv_floor[0], 1);
     }
 
     /// Replay-log memory stays bounded: a shipped batch is retained in
@@ -1100,7 +1016,7 @@ mod tests {
         let mut core = chain_core(0, &[1], 2);
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
-        let shipped = batches_to(&out.sent, 1);
+        let shipped = batches_to(&out.sends, 1);
         assert_eq!(shipped.len(), 4, "one batch per round of the chain");
         assert_eq!(core.replay[1].tail.len(), 4, "shipped batches are retained for replay");
 
@@ -1132,7 +1048,7 @@ mod tests {
         let mut core = chain_core(0, &[1, 2], 3);
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
-        let shipped = batches_to(&out.sent, 2);
+        let shipped = batches_to(&out.sends, 2);
         assert_eq!(core.replay[1].tail.len(), 4, "four batches retained per destination");
         assert_eq!(core.replay[2].tail.len(), 4);
 
@@ -1156,13 +1072,13 @@ mod tests {
         });
         core.step(&mut out).unwrap();
         let acksyncs = out
-            .sent
+            .sends
             .iter()
             .filter(|(_, env)| matches!(env.message, Message::AckSync { .. }))
             .map(|(to, _)| *to)
             .collect::<Vec<_>>();
         assert_eq!(acksyncs, vec![1, 2], "recovery handshake reaches every peer");
-        let mark = out.sent.len();
+        let mark = out.sends.len();
 
         // The surviving peer's watermark already covers the compacted
         // prefix: its `AckSync` must trigger no retransmission at all.
@@ -1175,7 +1091,7 @@ mod tests {
         });
         core.step(&mut out).unwrap();
         assert_eq!(
-            out.sent.len(),
+            out.sends.len(),
             mark,
             "an acked prefix is never re-replayed after the epoch bump"
         );
@@ -1191,7 +1107,7 @@ mod tests {
             message: Message::AckSync { acked: 0 },
         });
         core.step(&mut out).unwrap();
-        let replayed = &out.sent[mark..];
+        let replayed = &out.sends[mark..];
         match &replayed[0].1.message {
             Message::Snapshot { payloads, upto: 2 } => assert!(
                 payloads.len() == 2
@@ -1219,7 +1135,7 @@ mod tests {
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
 
-        let (to_1, to_2) = (batches_to(&out.sent, 1), batches_to(&out.sent, 2));
+        let (to_1, to_2) = (batches_to(&out.sends, 1), batches_to(&out.sends, 2));
         assert_eq!((to_1.len(), to_2.len()), (4, 4), "one batch per round per destination");
         assert!(
             to_1.iter().zip(&to_2).all(|(a, b)| Arc::ptr_eq(a, b)),

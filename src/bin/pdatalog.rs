@@ -47,7 +47,7 @@
 //! firings).
 //!
 //! `--trace` prints the unified event journal (rounds, sends, receives,
-//! tokens, idles, recoveries) on stderr for any parallel run — threaded
+//! deliveries, idles, recoveries, termination) on stderr for any parallel run — threaded
 //! or simulated. `--trace-out FILE` writes the same journal as Chrome
 //! trace-event JSON, loadable in Perfetto or `chrome://tracing` (one
 //! track per worker, rounds as spans). See DESIGN.md §9.

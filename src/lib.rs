@@ -13,8 +13,8 @@
 //! * [`frontend`] — Datalog parser, AST, program analysis, linear sirups;
 //! * [`storage`] — relations, indexes, deltas, fragmentation;
 //! * [`eval`] — naive and semi-naive sequential engines;
-//! * [`runtime`] — multi-worker runtime with channels and distributed
-//!   termination detection;
+//! * [`runtime`] — multi-worker runtime with channels, and termination
+//!   detected by one supervisor from the workers' link watermarks;
 //! * [`core`] — the paper's contribution: discriminating functions, the
 //!   rewriting schemes of §3/§6/§7, dataflow graphs (§5) and minimal
 //!   network-graph derivation (§5);
