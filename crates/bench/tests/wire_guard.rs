@@ -138,7 +138,7 @@ fn grid_under_the_hash_partition() {
         scheme: "qi-hash",
         processing_firings: 79_800,
         comm_tuples: 39_520,
-        sim_bytes: 144_380,
+        sim_bytes: 144_302,
     };
     let fx = linear_ancestor();
     let sirup = LinearSirup::from_program(&fx.program).unwrap();

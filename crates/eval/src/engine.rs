@@ -13,7 +13,11 @@
 //!    without a home inbox to its destination (the paper's sending step);
 //! 3. [`FixpointEngine::process_round`] — fire every delta version of
 //!    every recursive rule against the current deltas, producing the next
-//!    pending pool.
+//!    pending pool. The round is resumable: [`FixpointEngine::process_chunk`]
+//!    fires it in parts, each reading at most a given number of rows of
+//!    the leading delta scans, and `process_round` is that call run to the
+//!    end. No watermark moves inside a round, so the parts' firings are
+//!    exactly the round's.
 //!
 //! Where a row of a routed head `t_out^i` goes is decided once, where a
 //! rule emits it (or bootstrap seeds it, or [`FixpointEngine::inject`]
@@ -25,8 +29,9 @@
 //! rows in `t_out^i` and routes the fresh ones when the round ends.
 //!
 //! The parallel runtime interleaves [`FixpointEngine::inject`] (receive)
-//! and shipping the filled [`Outlet`]s (send) between strokes; the
-//! sequential drivers [`seminaive_eval`] and [`naive_eval`] just loop.
+//! between strokes, and ships the filled [`Outlet`]s (send) between
+//! strokes and between the parts of a round; the sequential drivers
+//! [`seminaive_eval`] and [`naive_eval`] just loop, unchunked.
 
 use std::sync::Arc;
 
@@ -209,6 +214,11 @@ struct SlottedPlan {
     head: usize,
     /// Aligned with `plan.steps`; `None` for filter steps.
     scans: Vec<Option<ScanSlot>>,
+    /// The state slot of the plan's leading scan when that scan reads a
+    /// delta without an index: a round fired in parts cuts that scan's
+    /// rows. (`compile_rule` leads with the delta atom; a constant in it
+    /// makes the scan a probe, which is fired whole.)
+    lead: Option<usize>,
 }
 
 /// A resumable semi-naive evaluator for one evaluation site.
@@ -226,6 +236,10 @@ pub struct FixpointEngine {
     /// atoms — fire every round.
     plans: Vec<SlottedPlan>,
     round_from: usize,
+    /// Where a round fired in parts stopped: the next plan, and the next
+    /// row of its leading delta scan counted from the delta's start.
+    /// `None` between rounds.
+    cursor: Option<(usize, usize)>,
     /// `(relation, index)`; built on first use, the EDB never grows.
     edb_indexes: Vec<(RelationId, HashIndex)>,
     routers: Vec<Router>,
@@ -296,7 +310,7 @@ impl FixpointEngine {
         let is_idb = |rel: RelationId| slots.contains_key(&rel);
         let mut edb_indexes: Vec<(RelationId, HashIndex)> = Vec::new();
         let mut slot_plan = |plan: RulePlan| -> SlottedPlan {
-            let scans = plan
+            let scans: Vec<Option<ScanSlot>> = plan
                 .steps
                 .iter()
                 .map(|step| {
@@ -320,7 +334,15 @@ impl FixpointEngine {
                     })
                 })
                 .collect();
-            SlottedPlan { head: slots[&plan.head], scans, plan }
+            let lead = match (plan.steps.first(), scans.first()) {
+                (Some(PlanStep::Scan(sc)), Some(&Some(ScanSlot::Idb { state, index: None })))
+                    if sc.source == AtomSource::IdbDelta =>
+                {
+                    Some(state)
+                }
+                _ => None,
+            };
+            SlottedPlan { head: slots[&plan.head], scans, lead, plan }
         };
 
         let mut round_plans = Vec::new();
@@ -355,6 +377,7 @@ impl FixpointEngine {
             inboxes_from,
             slots,
             round_from: bootstrap_plans.len(),
+            cursor: None,
             plans: bootstrap_plans.into_iter().chain(round_plans).collect(),
             edb_indexes,
             routers,
@@ -445,7 +468,12 @@ impl FixpointEngine {
 
     /// Empty every outlet, keeping its buffer for the next round.
     pub fn clear_outlets(&mut self) {
-        self.outlets.iter_mut().for_each(|o| o.rows.clear());
+        (0..self.outlets.len()).for_each(|k| self.clear_outlet(k));
+    }
+
+    /// Empty outlet `k` (its position in [`FixpointEngine::outlets`]).
+    pub fn clear_outlet(&mut self, k: usize) {
+        self.outlets[k].rows.clear();
     }
 
     /// Statistics accumulated so far.
@@ -535,7 +563,7 @@ impl FixpointEngine {
         }
 
         for i in 0..self.round_from {
-            self.run_plan_step(i);
+            self.run_plan_step(i, None);
         }
         Ok(())
     }
@@ -552,6 +580,7 @@ impl FixpointEngine {
     /// or one that hashes a row to a processor the route does not list —
     /// on any row emitted since the last advance.
     pub fn advance(&mut self) -> Result<u64> {
+        debug_assert!(self.cursor.is_none(), "advance inside a round fired in parts");
         let (mut submitted_total, mut fresh_total) = (0, 0);
         let mut phase = |states: &mut [IdbState], stats: &mut EvalStats| {
             for state in states {
@@ -571,16 +600,52 @@ impl FixpointEngine {
 
     /// Fire every delta-version plan once, pushing results into pending.
     pub fn process_round(&mut self) {
-        for i in self.round_from..self.plans.len() {
-            self.run_plan_step(i);
-        }
+        while !self.process_chunk(usize::MAX) {}
     }
 
-    /// Sync indexes, run one plan, and record its firings — plus, when a
-    /// [`TimeMode`] is active, its per-rule compute time (wall micros or
+    /// Fire the current round in parts: resume where the last call
+    /// stopped and fire plans in order until `rows` rows of leading delta
+    /// scans have been read, or the round is done. Only a plan led by an
+    /// unindexed delta scan is cut; any other plan is fired whole and
+    /// reads nothing of the budget. Returns true when the round is done;
+    /// until then the engine must not [`advance`](FixpointEngine::advance).
+    ///
+    /// What a part emits is in the pending pools and outlets when the
+    /// call returns, so a caller may ship the outlets between parts. The
+    /// rows, arenas and watermarks every plan reads do not move until
+    /// the next advance, so the parts fire exactly what one call of
+    /// [`FixpointEngine::process_round`] would.
+    pub fn process_chunk(&mut self, rows: usize) -> bool {
+        assert!(rows > 0, "a part reads at least one row");
+        let (mut plan, mut from) = self.cursor.take().unwrap_or((self.round_from, 0));
+        let mut budget = rows;
+        while plan < self.plans.len() {
+            if budget == 0 {
+                self.cursor = Some((plan, from));
+                return false;
+            }
+            let Some(state) = self.plans[plan].lead else {
+                self.run_plan_step(plan, None);
+                plan += 1;
+                continue;
+            };
+            let (start, len) = (self.idb[state].delta_start, self.idb[state].delta_slice().len());
+            let to = len.min(from.saturating_add(budget));
+            if from < to {
+                self.run_plan_step(plan, Some((start + from, start + to)));
+            }
+            budget -= to - from;
+            (plan, from) = if to < len { (plan, to) } else { (plan + 1, 0) };
+        }
+        true
+    }
+
+    /// Sync indexes, run one plan — its leading delta scan restricted to
+    /// arena rows `lead` when given — and record its firings, plus, when
+    /// a [`TimeMode`] is active, its per-rule compute time (wall micros or
     /// firings-as-ticks). The `Off` path is the pre-profiling code
     /// exactly, modulo one predictable branch.
-    fn run_plan_step(&mut self, i: usize) {
+    fn run_plan_step(&mut self, i: usize, lead: Option<(usize, usize)>) {
         self.sync_indexes_for(i);
         let (head, rule_index) = (self.plans[i].head, self.plans[i].plan.rule_index);
         let timing = self.time_mode;
@@ -593,12 +658,12 @@ impl FixpointEngine {
         let firings = match self.idb[head].home {
             None => {
                 let mut pending = std::mem::take(&mut self.idb[head].pending);
-                let firings = self.run_one_into(i, &mut |t| pending.push(t));
+                let firings = self.run_one_into(i, lead, &mut |t| pending.push(t));
                 self.idb[head].pending = pending;
                 firings
             }
             Some(router) => self.with_pools(head, router, |engine, pools| {
-                engine.run_one_into(i, &mut |t| pools.submit(t))
+                engine.run_one_into(i, lead, &mut |t| pools.submit(t))
             }),
         };
         match timing {
@@ -687,11 +752,12 @@ impl FixpointEngine {
         }
     }
 
-    /// Execute one plan against current state, emitting through `emit`.
-    /// Returns the firing count.
-    fn run_one_into(&self, i: usize, emit: &mut impl FnMut(Tuple)) -> u64 {
+    /// Execute one plan against current state — its leading scan over
+    /// arena rows `lead` when given — emitting through `emit`. Returns
+    /// the firing count.
+    fn run_one_into(&self, i: usize, lead: Option<(usize, usize)>, emit: &mut impl FnMut(Tuple)) -> u64 {
         let SlottedPlan { plan, scans, .. } = &self.plans[i];
-        let accesses: Vec<Option<Access<'_>>> = plan
+        let mut accesses: Vec<Option<Access<'_>>> = plan
             .steps
             .iter()
             .zip(scans)
@@ -700,6 +766,9 @@ impl FixpointEngine {
                 _ => None,
             })
             .collect();
+        if let (Some((start, end)), Some(state)) = (lead, self.plans[i].lead) {
+            accesses[0] = Some(Access::scan_range(&self.idb[state].full, start as u32, end as u32));
+        }
         run_plan(plan, &accesses, emit)
     }
 
@@ -1200,6 +1269,76 @@ mod tests {
         let b_id = (interner.get("b").unwrap(), 1);
         assert_eq!(snap[&a_id].len(), 1);
         assert_eq!(snap[&b_id].len(), 1);
+    }
+
+    /// The pending pools of every derived predicate, each sorted: the row
+    /// multiset the round emitted.
+    fn emitted(engine: &FixpointEngine) -> Vec<Vec<Tuple>> {
+        let sorted = |s: &IdbState| {
+            let mut rows = s.pending.clone();
+            rows.sort();
+            rows
+        };
+        engine.idb.iter().map(sorted).collect()
+    }
+
+    /// A round fired in parts — one, seven or 1 024 rows of the leading
+    /// delta scans at a time, or unbounded — fires the same count and
+    /// emits the same rows as `process_round`, round after round to the
+    /// fixpoint: no watermark moves inside a round. Non-linear ancestor
+    /// has two delta versions, `Δ ⋈ Old` and `Full ⋈ Δ`, where a boundary
+    /// that moved between parts would double or drop firings.
+    #[test]
+    fn a_round_fired_in_parts_fires_what_the_whole_round_fires() {
+        // The n × n grid's edges, right and down.
+        let grid = |n: i64| -> Vec<[i64; 2]> {
+            let right = (0..n * n).filter(|k| k % n + 1 < n).map(|k| [k, k + 1]);
+            right.chain((0..n * n - n).map(|k| [k, k + n])).collect()
+        };
+        // A binary tree of 127 nodes, node k the parent of 2k and 2k + 1.
+        let tree = |up: bool| (2..128i64).map(|k| if up { [k, k / 2] } else { [k / 2, k] }).collect();
+        let cases = [
+            ("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).", vec![("par", grid(20))]),
+            (
+                "sg(X,Y) :- flat(X,Y).\nsg(X,Y) :- up(X,U), sg(U,V), down(V,Y).",
+                vec![("flat", vec![[1, 1]]), ("up", tree(true)), ("down", tree(false))],
+            ),
+            ("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), anc(Z,Y).", vec![("par", grid(10))]),
+        ];
+        for (source, facts) in cases {
+            let (p, mut db) = load(source);
+            for (name, rows) in facts {
+                for [a, b] in rows {
+                    db.insert((p.interner.intern(name), 2), ituple![a, b]).unwrap();
+                }
+            }
+            let db = Arc::new(db);
+            for chunk in [1, 7, 1024, usize::MAX] {
+                let build = || {
+                    let mut engine = FixpointEngine::new(&p, Arc::clone(&db), &[]).unwrap();
+                    engine.bootstrap().unwrap();
+                    engine
+                };
+                let (mut whole, mut parts) = (build(), build());
+                let (mut widest, mut cut) = (0, 0);
+                while whole.advance().unwrap() > 0 {
+                    parts.advance().unwrap();
+                    widest = widest.max(whole.idb.iter().map(|s| s.delta_slice().len()).max().unwrap());
+                    whole.process_round();
+                    let mut calls = 1;
+                    while !parts.process_chunk(chunk) {
+                        calls += 1;
+                    }
+                    cut += (calls > 1) as usize;
+                    let what = format!("{source} in parts of {chunk}, round {}", whole.stats().rounds);
+                    assert_eq!(parts.stats().firings, whole.stats().firings, "{what}");
+                    assert_eq!(parts.stats().firings_by_rule, whole.stats().firings_by_rule, "{what}");
+                    assert_eq!(emitted(&parts), emitted(&whole), "{what}");
+                }
+                assert_eq!(parts.advance().unwrap(), 0);
+                assert!(chunk >= widest || cut > 0, "{source}: no round was cut in parts of {chunk}");
+            }
+        }
     }
 
     /// The route key `X mod n = ·` of these tests.

@@ -112,9 +112,10 @@ impl PhaseTotals {
 pub struct WorkerProfile {
     /// Whole-run phase totals.
     pub phases: PhaseTotals,
-    /// One sample per processed round: the round's compute time.
+    /// One sample per processed round: the time its chunks spent firing,
+    /// not the ships between them.
     pub round_latency: Histogram,
-    /// One sample per wire encode (per channel per round).
+    /// One sample per wire encode (per outlet per shipment).
     pub encode_time: Histogram,
     /// One sample per coalesced decode-and-inject pass.
     pub decode_time: Histogram,

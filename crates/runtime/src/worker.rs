@@ -24,17 +24,22 @@
 //! one [`WorkerCore::step`]: receive (absorb and inject what arrived),
 //! close the previous round (`advance`: dedup the derived rows into the
 //! arenas), **send** the buffers the round filled — also when nothing
-//! fresh stayed here — then process one round. Sending every round — not
-//! once at the local fixpoint — is what lets processor `j` start on `i`'s first
-//! frontier while `i` is still deriving its second; a worker that ships
-//! only when it has nothing left to do makes the fleet compute in
-//! alternation.
+//! fresh stayed here — then process one round, fired in chunks of
+//! [`CHUNK_ROWS`] leading delta rows, and **send** between two chunks
+//! every buffer holding at least a chunk's worth of rows. Sending while
+//! a round runs — not once at the local fixpoint, nor only between
+//! rounds — is what lets processor `j` start on `i`'s frontier while `i`
+//! is still deriving it; a worker that ships only when it has nothing
+//! left to do makes the fleet compute in alternation, and one that ships
+//! only between rounds makes a peer wait out its longest round.
 //!
 //! The worker is deliberately **re-entrant**: it owns no channel handles
 //! and no event loop. [`WorkerCore::step`] performs exactly one scheduling
 //! quantum — absorb pending envelopes, then run one engine round (shipping
-//! its input first) or, passive, report its link watermarks to the
-//! supervisor — and says whether it worked, went idle, or terminated. How
+//! its input first, and its output as it goes) or, passive, report its
+//! link watermarks to the supervisor — and says whether it worked, went
+//! idle, or terminated. Arrivals wait for the next step: a round's
+//! `Old`/delta boundary does not move while it runs. How
 //! steps are driven is the transport's business:
 //! [`crate::transport::ThreadedTransport`] wraps the core in an OS thread
 //! with a blocking queue, while [`crate::sim::SimTransport`] interleaves
@@ -54,6 +59,11 @@ use crate::profile::{Profiler, PHASE_COMPUTE, PHASE_DECODE, PHASE_ENCODE, PHASE_
 use crate::quiescence::PassiveReport;
 use crate::spec::{ProcessorProgram, Shards, WorkerSpec};
 use crate::stats::WorkerReport;
+
+/// A worker fires its round in chunks of this many leading delta rows,
+/// and between two chunks ships every outlet holding at least this many
+/// rows (EXPERIMENTS.md P22).
+pub const CHUNK_ROWS: usize = 1024;
 
 /// Runtime knobs shared by all workers.
 #[derive(Debug, Clone)]
@@ -388,17 +398,33 @@ impl WorkerCore {
         // while this worker is still processing its own — and a round
         // whose whole output left this processor ships before it goes
         // passive, with nothing fresh here.
-        self.ship_outlets(round, out)?;
+        self.ship_outlets(round, 1, out)?;
         if fresh > 0 {
-            // Processing step: one engine round.
+            // Processing step: one engine round, fired in chunks of
+            // `CHUNK_ROWS` leading delta rows. After each chunk an outlet
+            // holding a chunk's worth of rows ships, so a peer starts on
+            // them while this worker derives the rest; what is left ships
+            // after the next advance. The ship is encode time, not the
+            // round's: compute and the round's latency are its chunks'.
             let firings_before = self.engine.stats().firings;
-            let t0 = self.phase_start();
+            let mut latency = 0;
             self.sink.emit(ObsKind::RoundBegin { round });
-            self.engine.process_round();
+            loop {
+                let (t0, before) = (self.phase_start(), self.engine.stats().firings);
+                let done = self.engine.process_chunk(CHUNK_ROWS);
+                let firings = self.engine.stats().firings - before;
+                latency += self.phase_stop(t0, PHASE_COMPUTE, round, firings).map_or(0, |(d, _)| d);
+                if done {
+                    break;
+                }
+                // These rows feed the round after this one, as they would
+                // had they waited for the next advance.
+                self.ship_outlets(round + 1, CHUNK_ROWS, out)?;
+            }
             let firings = self.engine.stats().firings - firings_before;
             self.sink.emit(ObsKind::RoundEnd { round, fresh, firings });
-            if let Some((d, profile)) = self.phase_stop(t0, PHASE_COMPUTE, round, firings) {
-                profile.round_latency.record(d);
+            if let Some(p) = self.prof.as_mut() {
+                p.profile.round_latency.record(latency);
             }
             return Ok(Step::Worked);
         }
@@ -664,8 +690,11 @@ impl WorkerCore {
     }
 
     /// Ship what was routed to other processors since the last shipment
-    /// (paper: sending step): the rows the last round's rules emitted and
-    /// the advance that opened `round` admitted. Empty outlets ship
+    /// (paper: sending step): every outlet holding at least `min_rows`
+    /// rows — after an advance, all the rows the last round's rules
+    /// emitted and the advance that opened `round` admitted; between two
+    /// chunks of a round, what those chunks emitted. The shipment is
+    /// credited to `round`, the round its rows feed. Empty outlets ship
     /// nothing.
     ///
     /// Each outlet's rows are encoded straight onto the wire; the only
@@ -673,10 +702,13 @@ impl WorkerCore {
     /// broadcast is one outlet addressed to every remote destination: it
     /// is encoded exactly once and every destination's envelope clones
     /// the payload `Arc` — single-encode multicast.
-    fn ship_outlets(&mut self, round: u64, out: &mut dyn Outbox) -> Result<()> {
+    fn ship_outlets(&mut self, round: u64, min_rows: usize, out: &mut dyn Outbox) -> Result<()> {
         for k in 0..self.engine.outlets().len() {
             let outlet = &self.engine.outlets()[k];
             let Some(arity) = outlet.rows.first().map(|t| t.arity()) else { continue };
+            if outlet.rows.len() < min_rows {
+                continue;
+            }
             let t0 = self.phase_start();
             let (count, retract) = (outlet.rows.len() as u64, outlet.retract);
             let label = outlet.dests.first().map_or(0, |(_, inbox)| inbox.0 .0);
@@ -726,8 +758,8 @@ impl WorkerCore {
                     },
                 )?;
             }
+            self.engine.clear_outlet(k);
         }
-        self.engine.clear_outlets();
         Ok(())
     }
 
@@ -1147,6 +1179,79 @@ mod tests {
         let sends = count(|k| matches!(k, ObsKind::BatchSent { .. }));
         assert_eq!(encodes, 4, "one encode per (round, outlet)");
         assert_eq!(sends, 8, "but one send per destination");
+    }
+
+    /// The route key `X ≥ 10 000`: a row of `t` whose first column is at
+    /// least 10 000 goes to processor 1, any other stays here.
+    struct Split(Vec<gst_frontend::Variable>);
+
+    impl gst_frontend::Constraint for Split {
+        fn variables(&self) -> &[gst_frontend::Variable] {
+            &self.0
+        }
+        fn holds(&self, _: &[gst_common::Value]) -> bool {
+            true
+        }
+        fn describe(&self, _: &Interner) -> String {
+            "X >= 10000".into()
+        }
+        fn partition(&self, bound: &[gst_common::Value]) -> Option<usize> {
+            Some(usize::from(bound[0].as_int()? >= 10_000))
+        }
+    }
+
+    /// A round that routes more than three chunks of rows to a peer ships
+    /// them while it runs: a batch per chunk inside the one `step` that
+    /// fires the round, between its `RoundBegin` and `RoundEnd`, and the
+    /// rest after the next advance. In ship order, those batches are the
+    /// rows the round fired whole puts in the outlet.
+    #[test]
+    fn a_round_ships_its_rows_while_it_runs() {
+        let rows = 3 * CHUNK_ROWS as i64 + 100;
+        let interner = Interner::new();
+        let src = "t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), inbox(Z,Y).";
+        let program = gst_frontend::parser::parse_program_with(src, &interner).unwrap().program;
+        let (e, t, inbox) = ((interner.intern("e"), 2), (interner.intern("t"), 2), (interner.intern("inbox"), 2));
+        let mut db = Database::new(interner.clone());
+        for k in 0..rows {
+            // `t(k, 5000 + k)` stays here and is the round's delta; the edge
+            // into `k` routes each delta row's firing to processor 1.
+            db.insert(e, ituple![k, 5_000 + k]).unwrap();
+            db.insert(e, ituple![10_000 + k, k]).unwrap();
+        }
+        let var = |name: &str| gst_frontend::Variable(interner.intern(name));
+        let route = crate::spec::Route {
+            source: gst_frontend::Atom::new(t.0, vec![gst_frontend::Term::Var(var("A")), gst_frontend::Term::Var(var("B"))]),
+            key: Some(Arc::new(Split(vec![var("A")]))),
+            dests: vec![(0, inbox), (1, inbox)],
+            retract: false,
+        };
+        let spec = crate::fixtures::spec(0, program, vec![route], vec![inbox], vec![], db);
+
+        let mut engine = spec.build_engine().unwrap();
+        engine.bootstrap().unwrap();
+        engine.advance().unwrap();
+        engine.clear_outlets();
+        engine.process_round();
+        let whole = engine.outlets()[0].rows.clone();
+        assert_eq!(whole.len(), rows as usize);
+
+        let mut core = WorkerCore::with_epoch(spec, 2, 0).unwrap();
+        core.set_sink(TraceSink::virtual_clock(0));
+        let mut out = Recorder::default();
+        assert_eq!(core.step(&mut out).unwrap(), Step::Worked);
+        let events = core.take_trace_events();
+        let at = |pick: fn(&ObsKind) -> bool| events.iter().position(|e| pick(&e.kind)).expect("one round");
+        let (begin, end) = (at(|k| matches!(k, ObsKind::RoundBegin { .. })), at(|k| matches!(k, ObsKind::RoundEnd { .. })));
+        let inside = events[begin..end].iter().filter(|e| matches!(e.kind, ObsKind::BatchSent { .. })).count();
+        assert_eq!(inside, 3, "one batch per full chunk, inside the round");
+        assert_eq!(batches_to(&out.sends, 1).len(), 1 + inside, "the bootstrap's rows left before the round");
+
+        while core.step(&mut out).unwrap() == Step::Worked {}
+        let sent = batches_to(&out.sends, 1);
+        assert_eq!(sent.len(), 2 + inside, "the last part of the round ships after the next advance");
+        let shipped: Vec<_> = sent[1..].iter().flat_map(|p| crate::codec::decode_batch(p).unwrap()).collect();
+        assert_eq!(shipped, whole);
     }
 
     /// Terminate wins over queued work: once absorbed, the core reports

@@ -24,10 +24,10 @@ use parallel_datalog::frontend::magic::{magic_rewrite, MagicRewrite};
 use parallel_datalog::frontend::{ast::ConstraintRef, parser::parse_program_with, pretty, Constraint};
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{
-    FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, ParallelStats, Route, Shards, SimTransport,
+    FaultPlan, InProcessLauncher, Journal, NetConfig, NetCoordinator, ObsKind, ParallelStats, Route, Shards, SimTransport,
 };
 use parallel_datalog::workloads::{
-    chain, even_odd, grid, linear_ancestor, nonlinear_ancestor, random_digraph,
+    chain, even_odd, grid, layered, linear_ancestor, nonlinear_ancestor, random_digraph,
     right_linear_ancestor, same_generation_tree, sirup_corpus, star, Fixture,
 };
 
@@ -592,6 +592,71 @@ fn channel_matrix_is_what_the_sending_rules_shipped() {
             assert_eq!(outcome.stats.total_processing_firings(), processing, "{what}");
         }
     }
+}
+
+/// Batches worker `worker` sent inside one of its rounds, between its
+/// `RoundBegin` and `RoundEnd`: the chunks a round shipped while it ran.
+fn shipped_mid_round(journal: &Journal, worker: usize) -> usize {
+    let mut open = false;
+    let mut inside = 0;
+    for e in journal.events.iter().filter(|e| e.worker == worker) {
+        match e.kind {
+            ObsKind::RoundBegin { .. } => open = true,
+            ObsKind::RoundEnd { .. } => open = false,
+            ObsKind::BatchSent { .. } => inside += open as usize,
+            _ => {}
+        }
+    }
+    inside
+}
+
+/// (c') A round ships while it runs: a worker fires its leading delta in
+/// chunks of `CHUNK_ROWS` rows and ships an outlet between two chunks once
+/// it holds a chunk's worth. On a layered graph whose rounds span several
+/// chunks, every preset and `general` at N = 2, 3, 4, on five simulated
+/// schedules and on threads, fire, ship and compute what the engines fire
+/// whole, in lock-step rounds by hand: per-worker firings, the channel
+/// matrix, `tuples_sent` and the least model. Rows shipped mid-round reach
+/// a peer before the round that emitted them ends, so the schedules differ
+/// from the hand's; none of these counts may, and every journal, with its
+/// sends inside rounds, validates.
+#[test]
+fn a_round_fired_and_shipped_in_chunks_fires_and_ships_what_it_fires_whole() {
+    let fx = linear_ancestor();
+    let kinds = ["example1", "example2", "example3", "skew", "nocomm", "r-shared", "r-mixed", "r-constant", "general"];
+    let mut mid_round = [0; 5];
+    for n in [2usize, 3, 4] {
+        // Three layers of 60·N nodes, each wired to 12 of the next: the
+        // middle layer's edges are half of the first round's delta and fire
+        // about 12 times each, so at every processor that round reads more
+        // than a chunk of rows and fills every outlet past a chunk.
+        let edges = layered(3, 60 * n as u64, 12, 7);
+        let seq = seminaive_eval(&fx.program, &fx.database(&edges)).unwrap().relation(fx.output_id());
+        for kind in kinds {
+            let (what, scheme) = (format!("{kind} / n={n}"), ancestor_scheme(&fx, kind, n, &edges));
+            let mut matrix = vec![vec![0; n]; n];
+            let engines = run_by_hand(&scheme, |i, engine| {
+                for outlet in engine.outlets() {
+                    outlet.dests.iter().for_each(|&(j, _)| matrix[i][j] += outlet.rows.len() as u64);
+                }
+            });
+            let firings: Vec<u64> = engines.iter().map(|e| e.stats().firings).collect();
+            let config = RuntimeConfig { trace: true, ..RuntimeConfig::default() };
+            let sim = (0..5).map(|seed| (format!("seed {seed}"), SimTransport::new(seed).execute(scheme.workers.clone(), &config)));
+            let threads = ThreadedTransport.execute(scheme.workers.clone(), &config);
+            for (run, outcome) in sim.chain([("threads".to_string(), threads)]) {
+                let (outcome, what) = (outcome.unwrap(), format!("{what} / {run}"));
+                let stats = &outcome.stats;
+                assert!(outcome.relation(fx.output_id()).set_eq(&seq), "{what}: least model");
+                assert_eq!(stats.workers.iter().map(|w| w.eval.firings).collect::<Vec<_>>(), firings, "{what}: firings");
+                assert_eq!(stats.channel_matrix, matrix, "{what}: channel matrix");
+                assert_eq!(stats.total_tuples_sent(), matrix.iter().flatten().sum::<u64>(), "{what}: tuples_sent");
+                outcome.journal.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
+                mid_round[n] += (0..n).map(|w| shipped_mid_round(&outcome.journal, w)).sum::<usize>();
+            }
+        }
+    }
+    assert!(mid_round[2..].iter().all(|&k| k > 0), "no round shipped while it ran: {mid_round:?}");
 }
 
 /// What each worker of `scheme` runs, printed: rules, routes (pattern,

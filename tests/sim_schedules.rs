@@ -368,6 +368,8 @@ fn grid12_example3() -> (CompiledScheme, ExpectedModel) {
 /// round it just ended emitted — it comes right after a `RoundEnd`
 /// (arrivals aside) or bootstrap — and counted by what follows the run:
 /// `(the round that processes the rows that stayed, anything else)`.
+/// (The workloads it is used on have rounds of less than a chunk, which
+/// never ship mid-round.)
 fn sends(journal: &Journal, worker: usize) -> (usize, usize) {
     let arrival = |kind: &ObsKind| matches!(kind, ObsKind::Delivered { .. } | ObsKind::BatchReceived { .. });
     let sending = |kind: &&ObsKind| matches!(kind, ObsKind::BatchEncoded { .. } | ObsKind::BatchSent { .. });
@@ -454,4 +456,49 @@ fn recovery_replays_a_snapshot_of_many_acked_batches() {
     }
     let replayed = sweep_recovery("grid(12,12)/example3", &scheme, &expected, 0..8, |_| 300);
     assert!(replayed > 0, "no seed replayed anything");
+}
+
+/// Positions in `journal` of the batches a worker sent inside one of its
+/// rounds — the chunks of a round shipped while it ran. A crash closes
+/// the crashed incarnation's round.
+fn mid_round_sends(journal: &Journal) -> Vec<usize> {
+    let mut open = std::collections::BTreeSet::new();
+    let mut at = Vec::new();
+    for (k, e) in journal.events.iter().enumerate() {
+        match e.kind {
+            ObsKind::RoundBegin { .. } => drop(open.insert(e.worker)),
+            ObsKind::RoundEnd { .. } | ObsKind::Crashed => drop(open.remove(&e.worker)),
+            ObsKind::BatchSent { .. } if open.contains(&e.worker) => at.push(k),
+            _ => {}
+        }
+    }
+    at
+}
+
+/// Recovery when rounds ship while they run: on a layered graph whose
+/// first round spans several chunks at every processor, 30 crash
+/// schedules (worker `seed % 3`, ticks 1–8: the whole run is about ten
+/// ticks) each recover to the exact least model, and the sweep witnesses
+/// replay and crashes that land between two mid-round ships — batches
+/// sent inside a round before the crash and after it. (The other sweeps'
+/// rounds fit in one chunk and never ship mid-round.)
+#[test]
+fn example3_recovers_when_a_crash_lands_between_mid_round_ships() {
+    let (scheme, expected) = example3_on(&graphs::layered(3, 180, 12, 7), 3);
+    let (mut between, mut replayed) = (0, 0);
+    for seed in 0..30u64 {
+        let plan = FaultPlan::with_recovering_crash((seed % 3) as usize, 1 + seed % 8);
+        let (result, journal) =
+            SimTransport::with_faults(seed, plan).run_traced(scheme.workers.clone(), &RuntimeConfig::default());
+        let outcome = result.unwrap_or_else(|e| panic!("seed {seed}: recovery run failed: {e}"));
+        assert!(outcome.stats.restarts >= 1, "seed {seed}: the crash never triggered a restart");
+        replayed += outcome.stats.total_replayed_batches();
+        for (&pred, want) in &expected {
+            assert!(outcome.relation(pred).set_eq(want), "seed {seed}: recovered model diverges");
+        }
+        let crash = journal.events.iter().position(|e| matches!(e.kind, ObsKind::Crashed)).expect("a crash");
+        let mid = mid_round_sends(&journal);
+        between += (mid.first() < Some(&crash) && mid.last() > Some(&crash)) as usize;
+    }
+    assert!(between > 0 && replayed > 0, "no crash landed between two mid-round ships, or nothing was replayed");
 }
