@@ -23,25 +23,22 @@
 //!   trivially hang any algorithm built on it.
 //!
 //! Worker-side faults: `stall_prob` freezes a worker between steps
-//! (GC pause, noisy neighbor); [`CrashSpec`] kills one worker outright at
-//! a virtual time — the run must then surface the idle-watchdog error at
-//! some healthy peer rather than hang.
+//! (GC pause, noisy neighbor); [`CrashSpec`] kills one worker at a virtual
+//! time, and the run must end in an error or the least model, never hang.
 
 use gst_common::{Error, Result};
 
-/// When (and whom) to crash. Without `recover` this is the only fault
-/// that is *supposed* to make the run fail; with `recover` the simulated
-/// supervisor restarts the worker and the run must still compute the
-/// exact least model (see `DESIGN.md` §7).
+/// When (and whom) to crash. Without `recover` the death goes unobserved,
+/// so the idle watchdog fails the run; with `recover` the supervisor
+/// observes it and decides what follows (`supervisor.rs`, `DESIGN.md` §7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSpec {
     /// Processor index to kill.
     pub worker: usize,
     /// Virtual time (ticks) at which it dies.
     pub at_time: u64,
-    /// Restart the worker (crash-with-recovery) instead of leaving it
-    /// dead. Recovery still requires a restart budget
-    /// (`SupervisorConfig::max_restarts > 0`).
+    /// Report the death to the supervisor, like a thread's panic, instead
+    /// of leaving the worker silently dead.
     pub recover: bool,
 }
 
@@ -126,8 +123,7 @@ impl FaultPlan {
     }
 
     /// `chaos` plus a crash of `worker` at tick `at_time` that the
-    /// simulated supervisor recovers from (restart + replay + ring
-    /// repair).
+    /// supervisor observes (restart + replay within the budget).
     pub fn with_recovering_crash(worker: usize, at_time: u64) -> Self {
         FaultPlan {
             crash: Some(CrashSpec { worker, at_time, recover: true }),

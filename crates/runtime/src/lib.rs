@@ -10,9 +10,11 @@
 //!
 //! Here each processor is a transport-agnostic state machine
 //! ([`worker::WorkerCore`]) running a [`gst_eval::FixpointEngine`] over its
-//! rewritten program. Termination is detected by the transport's one
-//! supervisor, from the per-link watermarks each worker reports when it
-//! goes passive: one pure, unit-tested function in [`quiescence`].
+//! rewritten program. Each transport has one supervisor, and every
+//! decision it takes — termination, read off the per-link watermarks each
+//! worker reports when it goes passive, restart and abort — is made by one
+//! unit-tested state machine in `supervisor.rs`; the transports only
+//! deliver its broadcasts and spawn what it restarts.
 //! How the machines are driven is the [`transport::Transport`]'s choice,
 //! and `Transport::execute` is the only way to run a fleet:
 //!
@@ -53,10 +55,10 @@ pub mod message;
 pub mod net;
 pub mod obs;
 pub mod profile;
-pub mod quiescence;
 pub mod sim;
 pub mod spec;
 pub mod stats;
+pub(crate) mod supervisor;
 pub mod transport;
 pub(crate) mod wire;
 pub mod worker;

@@ -34,7 +34,7 @@ pub enum Message {
         retract: bool,
     },
     /// Global termination announcement, broadcast by the supervisor once
-    /// every link balances ([`crate::quiescence`]).
+    /// every link balances (`supervisor.rs`).
     Terminate,
     /// Recovery: processor `restarted` was rebuilt; every receiver enters
     /// `epoch`, forgets the restarted link's receive state, and answers

@@ -9,9 +9,9 @@
 //! [`ProcessLauncher`], or a thread speaking real loopback TCP under
 //! [`InProcessLauncher`] for tests and benchmarks), ships each worker its
 //! [`WorkerSpec`] over the framed wire protocol ([`crate::wire`]), relays
-//! worker-to-worker envelopes by destination, detects termination from
-//! the workers' passive reports ([`crate::quiescence`]), and pools the
-//! answer.
+//! worker-to-worker envelopes by destination, hands the workers' passive
+//! reports and deaths to the run's supervisor (`supervisor.rs`), and pools
+//! the answer.
 //!
 //! ## Topology and protocol
 //!
@@ -28,15 +28,14 @@
 //!
 //! ## Crash recovery
 //!
-//! The supervisor protocol mirrors the threaded transport's exactly
-//! (`DESIGN.md` §7): a worker death — process exit, socket EOF or reset,
-//! corrupt frame, heartbeat timeout — is *recoverable*; within the restart
-//! budget the coordinator bumps the recovery epoch, broadcasts `Recover`
-//! to the survivors (who replay from their per-link replay logs), and
-//! launches a fresh incarnation, which receives the Job again plus the
-//! same `Recover` so it repairs into the current epoch. A typed
-//! [`wire::FRAME_ERROR`] marked fatal (arity bugs, watchdog expiry)
-//! aborts the fleet immediately.
+//! A worker death — process exit, socket EOF or reset, corrupt frame,
+//! heartbeat timeout — is *recoverable*; a typed [`wire::FRAME_ERROR`]
+//! marked fatal (arity bugs, watchdog expiry) is not. The supervisor
+//! decides what follows (`DESIGN.md` §7); the relay carries it out. A
+//! restart sends `Recover` to the survivors (who replay from their
+//! per-link replay logs) and launches a fresh incarnation, which receives
+//! the Job again plus the same `Recover` so it repairs into the current
+//! epoch.
 //!
 //! ## Fault injection
 //!
@@ -58,12 +57,12 @@ use gst_common::{Error, FxHashMap, Interner, Result};
 use gst_frontend::ast::ConstraintRef;
 
 use crate::coordinator::RuntimeConfig;
-use crate::message::{Envelope, Message};
+use crate::message::Envelope;
 use crate::obs::{ObsEvent, ObsKind, TimeBase};
-use crate::quiescence::{quiescent, PassiveReport};
 use crate::spec::WorkerSpec;
 use crate::stats::ExecutionOutcome;
-use crate::transport::{assemble_outcome, validate_specs, Transport, WorkerResult};
+use crate::supervisor::{Action, PassiveReport, Supervisor};
+use crate::transport::{validate_specs, Transport};
 use crate::wire;
 use crate::worker::{finish_core, watchdog_error, Outbox, Step, WorkerCore};
 
@@ -826,7 +825,7 @@ impl Transport for NetCoordinator {
                 .map_err(|e| Error::Runtime(format!("spawning accept thread: {e}")))?
         };
 
-        let mut sup = Supervisor {
+        let mut relay = Relay {
             specs: &specs,
             config,
             net: &self.net,
@@ -842,15 +841,9 @@ impl Transport for NetCoordinator {
             handles: (0..specs.len()).map(|_| None).collect(),
             incarnations: vec![0; specs.len()],
             awaiting: vec![None; specs.len()],
-            finished: (0..specs.len()).map(|_| None).collect(),
+            supervisor: Supervisor::new(specs.len(), &config.supervisor),
             pending_recover: vec![None; specs.len()],
             parked: vec![Vec::new(); specs.len()],
-            latest: vec![None; specs.len()],
-            terminating: false,
-            restarts_used: vec![0; specs.len()],
-            total_restarts: 0,
-            epoch: 0,
-            aborting: None,
             transport_events: Vec::new(),
             started: Instant::now(),
             reconnects: 0,
@@ -858,24 +851,24 @@ impl Transport for NetCoordinator {
             nonce: 0,
             last_ping: Instant::now(),
         };
-        let outcome = sup.run();
+        relay.run();
+        let wall = relay.started.elapsed();
 
         // Teardown: orderly shutdown for survivors, hard kill (and reap)
         // for the rest, and unblock the accept loop so it can exit.
-        for link in sup.links.iter_mut().flatten() {
+        for link in relay.links.iter_mut().flatten() {
             let _ = wire::write_frame(&mut link.stream, wire::FRAME_SHUTDOWN, &[]);
         }
-        sup.links.iter_mut().for_each(|l| *l = None);
-        for handle in sup.handles.iter_mut().flatten() {
+        relay.links.iter_mut().for_each(|l| *l = None);
+        for handle in relay.handles.iter_mut().flatten() {
             handle.kill();
         }
         stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
         let _ = accept_thread.join();
 
-        let (results, wall, restarts, events, reconnects, relay_bytes) = outcome?;
-        let mut outcome =
-            assemble_outcome(results, &kinds, wall, restarts, TimeBase::WallMicros, events)?;
+        let Relay { supervisor, transport_events, reconnects, relay_bytes, .. } = relay;
+        let mut outcome = supervisor.outcome(&kinds, wall, TimeBase::WallMicros, transport_events)?;
         outcome.stats.reconnects = reconnects;
         outcome.stats.relay_bytes = relay_bytes;
         Ok(outcome)
@@ -930,20 +923,13 @@ struct Link {
     incarnation: u64,
     last_heard: Instant,
     /// A heartbeat write failed: stop pinging. Not a verdict — see
-    /// [`Supervisor::tick`].
+    /// [`Relay::tick`].
     write_dead: bool,
 }
 
-type RunOutput = (
-    Vec<WorkerResult>,
-    Duration,
-    u64,
-    Vec<ObsEvent>,
-    u64,
-    u64,
-);
-
-struct Supervisor<'a> {
+/// The coordinator's side of a run: links, launches and the relay between
+/// workers. What a death or a report leads to, the supervisor decides.
+struct Relay<'a> {
     specs: &'a [WorkerSpec],
     config: &'a RuntimeConfig,
     net: &'a NetConfig,
@@ -961,7 +947,7 @@ struct Supervisor<'a> {
     handles: Vec<Option<Box<dyn WorkerHandle>>>,
     incarnations: Vec<u64>,
     awaiting: Vec<Option<Instant>>,
-    finished: Vec<Option<WorkerResult>>,
+    supervisor: Supervisor,
     pending_recover: Vec<Option<Envelope>>,
     /// Envelope frames relayed toward a worker that has no live link
     /// *right now* — not yet connected, or restarting. The threaded
@@ -972,14 +958,6 @@ struct Supervisor<'a> {
     /// lose batches shipped in the current epoch, which no replay resends:
     /// the link would never balance and the run would end in the watchdog.
     parked: Vec<Vec<Vec<u8>>>,
-    /// Each worker's latest passive report, for termination detection.
-    latest: Vec<Option<PassiveReport>>,
-    /// `Terminate` went out: no death is recoverable from here on.
-    terminating: bool,
-    restarts_used: Vec<u32>,
-    total_restarts: u64,
-    epoch: u64,
-    aborting: Option<Error>,
     transport_events: Vec<ObsEvent>,
     started: Instant,
     reconnects: u64,
@@ -988,11 +966,11 @@ struct Supervisor<'a> {
     last_ping: Instant,
 }
 
-impl Supervisor<'_> {
-    fn run(&mut self) -> Result<RunOutput> {
+impl Relay<'_> {
+    fn run(&mut self) {
         for index in 0..self.specs.len() {
             if let Err(e) = self.spawn(index) {
-                self.abort(0, e);
+                self.fail(index, e);
                 break;
             }
         }
@@ -1000,7 +978,7 @@ impl Supervisor<'_> {
             .net
             .heartbeat_interval
             .min(Duration::from_millis(100));
-        while self.aborting.is_none() && self.finished.iter().any(Option::is_none) {
+        while !self.supervisor.settled() {
             match self.ev_rx.recv_timeout(tick) {
                 Ok(Ev::Conn { index, incarnation, stream }) => {
                     self.on_conn(index, incarnation, stream);
@@ -1012,7 +990,7 @@ impl Supervisor<'_> {
                     if self.links[index]
                         .as_ref()
                         .is_some_and(|l| l.incarnation == incarnation)
-                        && self.finished[index].is_none()
+                        && !self.supervisor.finished(index)
                     {
                         self.die(index, error);
                     }
@@ -1022,21 +1000,6 @@ impl Supervisor<'_> {
             }
             self.tick();
         }
-        if let Some(e) = self.aborting.take() {
-            return Err(e);
-        }
-        let results = std::mem::take(&mut self.finished)
-            .into_iter()
-            .map(|r| r.expect("loop exits only when every worker finished"))
-            .collect();
-        Ok((
-            results,
-            self.started.elapsed(),
-            self.total_restarts,
-            std::mem::take(&mut self.transport_events),
-            self.reconnects,
-            self.relay_bytes,
-        ))
     }
 
     fn spawn(&mut self, index: usize) -> Result<()> {
@@ -1066,8 +1029,7 @@ impl Supervisor<'_> {
         if index >= self.specs.len()
             || incarnation != self.incarnations[index]
             || self.links[index].is_some()
-            || self.finished[index].is_some()
-            || self.aborting.is_some()
+            || self.supervisor.finished(index)
         {
             // Stale incarnation (a zombie reconnecting after its
             // replacement was spawned), duplicate hello, or a link for a
@@ -1083,7 +1045,7 @@ impl Supervisor<'_> {
         // batch forgets that batch's place above the watermark — no replay
         // resends it, so the link never balances (DESIGN.md §12).
         let job = match wire::encode_job(
-            self.epoch,
+            self.supervisor.epoch(),
             self.specs.len(),
             &self.config.worker,
             &self.specs[index],
@@ -1091,7 +1053,7 @@ impl Supervisor<'_> {
         ) {
             Ok(job) => job,
             Err(e) => {
-                self.abort(index, e);
+                self.fail(index, e);
                 return;
             }
         };
@@ -1122,7 +1084,7 @@ impl Supervisor<'_> {
             .name(format!("net-link-{index}"))
             .spawn(move || link_reader(index, incarnation, reader, tx));
         if let Err(e) = spawned {
-            self.abort(index, Error::Runtime(format!("spawning link reader: {e}")));
+            self.fail(index, Error::Runtime(format!("spawning link reader: {e}")));
             return;
         }
         if incarnation > 0 {
@@ -1181,7 +1143,7 @@ impl Supervisor<'_> {
                             // destination (re)connects. Only a *finished*
                             // destination discards — it has already
                             // terminated and sent its result.
-                            if self.finished[dest].is_none() {
+                            if !self.supervisor.finished(dest) {
                                 self.parked[dest].push(body);
                             }
                             true
@@ -1191,7 +1153,7 @@ impl Supervisor<'_> {
                                 .is_ok()
                         }
                     };
-                    if !delivered && self.finished[dest].is_none() {
+                    if !delivered && !self.supervisor.finished(dest) {
                         self.die(
                             dest,
                             Error::Runtime(format!("worker {dest}: link died during relay write")),
@@ -1203,24 +1165,16 @@ impl Supervisor<'_> {
                 ))),
             },
             wire::FRAME_RESULT => match wire::decode_result(&body, &self.interner) {
-                Ok((report, pooled)) => {
-                    self.finished[index] = Some((report, pooled, Vec::new()));
-                }
+                Ok((report, pooled)) => self.supervisor.on_exit(index, (report, pooled, Vec::new())),
                 Err(e) => self.die(index, e),
             },
             wire::FRAME_ERROR => match wire::decode_error(&body) {
-                Ok((true, message)) => self.abort(index, Error::Runtime(message)),
+                Ok((true, message)) => self.fail(index, Error::Runtime(message)),
                 Ok((false, message)) => self.die(index, Error::Runtime(message)),
                 Err(e) => self.die(index, e),
             },
             wire::FRAME_REPORT => match wire::decode_report(&body, self.specs.len()) {
-                Ok(report) => {
-                    self.latest[index] = Some(report);
-                    if !self.terminating && quiescent(self.epoch, &self.latest) {
-                        self.terminating = true;
-                        self.broadcast(&Envelope::control(0, self.epoch, Message::Terminate));
-                    }
-                }
+                Ok(report) => self.decide(|s| s.on_report(index, report)),
                 Err(e) => self.die(index, e),
             },
             wire::FRAME_PONG => {
@@ -1236,9 +1190,8 @@ impl Supervisor<'_> {
         }
     }
 
-    /// Handle one worker death: hard-kill the incarnation, then either
-    /// restart-with-replay (within budget, mirroring the threaded
-    /// supervisor's conditions exactly) or abort the fleet.
+    /// A recoverable death: hard-kill the incarnation, then do what the
+    /// supervisor decides.
     fn die(&mut self, index: usize, error: Error) {
         self.links[index] = None;
         if let Some(handle) = self.handles[index].as_mut() {
@@ -1246,74 +1199,60 @@ impl Supervisor<'_> {
         }
         self.handles[index] = None;
         self.awaiting[index] = None;
-        if self.aborting.is_some() {
-            return;
-        }
-        let within_budget =
-            self.restarts_used[index] < self.config.supervisor.max_restarts && !self.terminating;
-        if !within_budget {
-            // Budget exhausted, or termination already decided (finished
-            // workers answer no AckSync, so replay cannot complete).
-            self.abort(index, error);
-            return;
-        }
-        self.restarts_used[index] += 1;
-        self.total_restarts += 1;
-        self.epoch += 1;
-        if self.config.trace {
-            let now = self.started.elapsed().as_micros() as u64;
-            self.transport_events.push(ObsEvent {
-                time: now,
-                worker: index,
-                kind: ObsKind::Crashed,
-            });
-            self.transport_events.push(ObsEvent {
-                time: now,
-                worker: index,
-                kind: ObsKind::Restarted { epoch: self.epoch },
-            });
-        }
-        let recover = Envelope::control(index, self.epoch, Message::Recover { epoch: self.epoch, restarted: index });
-        // Survivors repair now. A worker with no link — the replacement,
-        // and any peer that has not connected for the first time yet —
-        // starts in this epoch and repairs right after its job arrives
-        // (see `on_conn`): without the handshake it would drop what its
-        // peers shipped it before the bump as stale and never ask for
-        // the replay.
-        let mut failed = Vec::new();
-        for (peer, slot) in self.links.iter_mut().enumerate() {
-            if let Some(link) = slot {
-                let body = wire::encode_envelope(peer, &recover);
-                if wire::write_frame(&mut link.stream, wire::FRAME_ENVELOPE, &body).is_err() {
-                    failed.push(peer);
-                }
-            } else {
-                self.pending_recover[peer] = Some(recover.clone());
-            }
-        }
-        let backoff = self.config.supervisor.restart_backoff * self.restarts_used[index];
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-        self.incarnations[index] += 1;
-        if let Err(e) = self.spawn(index) {
-            self.abort(index, e);
-            return;
-        }
-        for peer in failed {
-            self.die(peer, Error::Runtime(format!("worker {peer}: recover send failed")));
-        }
+        self.decide(|s| s.on_death(index, error, true));
     }
 
-    fn abort(&mut self, from: usize, error: Error) {
-        if self.aborting.is_some() {
-            return;
+    /// A fatal death, which aborts the run.
+    fn fail(&mut self, index: usize, error: Error) {
+        self.decide(|s| s.on_death(index, error, false));
+    }
+
+    /// Tell the supervisor something, and carry out what it decides.
+    fn decide(&mut self, tell: impl FnOnce(&mut Supervisor) -> Option<Action>) {
+        match tell(&mut self.supervisor) {
+            None => {}
+            // A `Terminate`, or an `Abort` that tears the fleet down fast
+            // (workers error out on it) instead of letting survivors idle
+            // into their watchdogs; the hard kill in teardown handles
+            // whoever misses it.
+            Some(Action::Broadcast(env)) => self.broadcast(&env),
+            Some(Action::Restart { worker, epoch, backoff, recover }) => {
+                if self.config.trace {
+                    let now = self.started.elapsed().as_micros() as u64;
+                    for kind in [ObsKind::Crashed, ObsKind::Restarted { epoch }] {
+                        self.transport_events.push(ObsEvent { time: now, worker, kind });
+                    }
+                }
+                // Survivors repair now. A worker with no link — the
+                // replacement, and any peer that has not connected for the
+                // first time yet — starts in this epoch and repairs right
+                // after its job arrives (see `on_conn`): without the
+                // handshake it would drop what its peers shipped it before
+                // the bump as stale and never ask for the replay.
+                let mut failed = Vec::new();
+                for (peer, slot) in self.links.iter_mut().enumerate() {
+                    if let Some(link) = slot {
+                        let body = wire::encode_envelope(peer, &recover);
+                        if wire::write_frame(&mut link.stream, wire::FRAME_ENVELOPE, &body).is_err() {
+                            failed.push(peer);
+                        }
+                    } else {
+                        self.pending_recover[peer] = Some(recover.clone());
+                    }
+                }
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
+                }
+                self.incarnations[worker] += 1;
+                if let Err(e) = self.spawn(worker) {
+                    self.fail(worker, e);
+                    return;
+                }
+                for peer in failed {
+                    self.die(peer, Error::Runtime(format!("worker {peer}: recover send failed")));
+                }
+            }
         }
-        // Tear the fleet down fast (workers error out on Abort) instead
-        // of letting survivors idle into their watchdogs; the hard kill
-        // in teardown handles whoever misses the message.
-        self.broadcast(&Envelope::control(from, self.epoch, Message::Abort { reason: error.to_string() }));
-        self.aborting = Some(error);
     }
 
     /// Write `env` to every live link. A failed write is left to the
@@ -1330,9 +1269,6 @@ impl Supervisor<'_> {
     /// Periodic duties: heartbeat pings, silence detection, and connect
     /// deadlines for launched-but-never-connected incarnations.
     fn tick(&mut self) {
-        if self.aborting.is_some() {
-            return;
-        }
         if self.last_ping.elapsed() >= self.net.heartbeat_interval {
             self.last_ping = Instant::now();
             self.nonce += 1;
@@ -1360,7 +1296,7 @@ impl Supervisor<'_> {
             }
         }
         for peer in silent {
-            if self.finished[peer].is_none() {
+            if !self.supervisor.finished(peer) {
                 self.die(peer, Error::Runtime(format!("worker {peer}: heartbeat timeout")));
             } else {
                 self.links[peer] = None;

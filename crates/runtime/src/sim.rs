@@ -23,34 +23,32 @@
 //! produce in a CI run.
 //!
 //! Crashes come in two flavors. A plain [`crate::fault::CrashSpec`] kills a
-//! worker for good and the run must surface the idle-watchdog error at a
-//! healthy peer. With `recover: true` the event loop plays the supervisor:
-//! after [`RESTART_DELAY`] ticks it rebuilds the worker from its retained
-//! spec in a fresh recovery epoch and broadcasts `Recover` to the whole
-//! fleet over a reliable path (bypassing the fault plan, like a
-//! supervisor's control channel), whereupon peers replay their logged
-//! traffic — see `DESIGN.md` §7. The event loop is also the supervisor
-//! that detects termination: a worker's passive report reaches it at the
-//! end of the step that made it, and `Terminate` goes out on the same
-//! reliable path. One modeling caveat: a worker that crashes *after* the
-//! termination decision keeps its in-memory result for pooling, which is
-//! the abstraction boundary of a single-process simulation, not a claim
-//! about durable storage.
+//! worker unobserved, and the run must surface the idle-watchdog error at
+//! a healthy peer. With `recover: true` the death is reported to the
+//! supervisor (`supervisor.rs`), like a thread's panic or a dead TCP link:
+//! a restart it decides happens [`RESTART_DELAY`] ticks later, an abort at
+//! once. A passive report reaches the supervisor at the end of the step
+//! that made it, and every broadcast it decides — `Terminate`, `Recover`,
+//! `Abort` — is delivered in the same tick over a reliable path that
+//! bypasses the fault plan, like a supervisor's control channel
+//! (`DESIGN.md` §7). So once `Terminate` is decided every worker holds it,
+//! and a crash falling due after that is a crash of a terminated worker,
+//! which is not injected.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use gst_common::{Result, SmallRng};
+use gst_common::{Error, Result, SmallRng};
 
 use crate::coordinator::RuntimeConfig;
 use crate::fault::FaultPlan;
-use crate::message::{Envelope, Message, MessageKind};
+use crate::message::{Envelope, MessageKind};
 use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
-use crate::quiescence::{quiescent, PassiveReport};
 use crate::spec::WorkerSpec;
 use crate::stats::ExecutionOutcome;
-use crate::transport::{assemble_outcome, validate_specs, ShardKinds, Transport};
+use crate::supervisor::{Action, PassiveReport, Supervisor};
+use crate::transport::{validate_specs, ShardKinds, Transport};
 use crate::worker::{finish_core, watchdog_error, Outbox, Step, WorkerCore};
 
 /// Extra virtual ticks a step may cost beyond its base tick — the
@@ -77,8 +75,8 @@ enum EventKind {
     },
     /// Kill a worker.
     Crash(usize),
-    /// Bring a crashed worker back (simulated supervisor restart).
-    Restart(usize),
+    /// Bring a crashed worker back in `epoch`, then deliver `recover`.
+    Restart { worker: usize, epoch: u64, recover: Envelope },
 }
 
 struct Event {
@@ -212,22 +210,18 @@ impl SimTransport {
         // worker steps are journaled as rounds and idles by the workers'
         // own sinks.
         let mut events: Vec<ObsEvent> = Vec::new();
-        let driven = self.drive(&mut cores, retained.as_deref(), config, &mut events);
+        let mut supervisor = Supervisor::new(cores.len(), &config.supervisor);
+        let driven = self.drive(&mut cores, &mut supervisor, retained.as_deref(), config, &mut events);
         let journal = Journal::assemble(
             TimeBase::VirtualTicks,
             events,
             cores.iter_mut().map(WorkerCore::take_trace_events).collect(),
         );
-        let result = driven.and_then(|restarts| {
-            let results = cores.iter_mut().map(finish_core).collect();
-            assemble_outcome(
-                results,
-                &kinds,
-                started.elapsed(),
-                restarts,
-                TimeBase::VirtualTicks,
-                Vec::new(),
-            )
+        let result = driven.and_then(|()| {
+            for core in cores.iter_mut().filter(|c| c.terminated()) {
+                supervisor.on_exit(core.id(), finish_core(core));
+            }
+            supervisor.outcome(&kinds, started.elapsed(), TimeBase::VirtualTicks, Vec::new())
         });
         (result, journal)
     }
@@ -253,16 +247,17 @@ impl SimTransport {
         Ok((kinds, cores.collect::<Result<_>>()?))
     }
 
-    /// The discrete-event loop: step and deliver until every survivor
-    /// terminated or the queue ran dry, playing the supervisor that
-    /// detects termination. Returns the number of restarts.
+    /// The discrete-event loop: step and deliver until every worker
+    /// terminated or the queue ran dry, telling `supervisor` what happens
+    /// and carrying out what it decides.
     fn drive(
         &self,
         cores: &mut [WorkerCore],
+        supervisor: &mut Supervisor,
         retained: Option<&[WorkerSpec]>,
         config: &RuntimeConfig,
         events: &mut Vec<ObsEvent>,
-    ) -> Result<u64> {
+    ) -> Result<()> {
         let n = cores.len();
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let record = |events: &mut Vec<ObsEvent>, time: u64, worker: usize, kind: ObsKind| {
@@ -281,12 +276,20 @@ impl SimTransport {
             });
             tiebreak += 1;
         };
+        // A supervisor broadcast reaches every worker in the tick it is
+        // decided, bypassing the fault plan. It is pushed ahead of anything
+        // a worker sends in reply, so every queue holds it first.
+        let broadcast = |push: &mut dyn FnMut(&mut BinaryHeap<Event>, u64, EventKind),
+                         heap: &mut BinaryHeap<Event>,
+                         now: u64,
+                         env: Envelope| {
+            for to in 0..n {
+                push(heap, now, EventKind::Deliver { to, env: env.clone(), duplicate: false });
+            }
+        };
 
         let mut ready_pending = vec![false; n];
         let mut crashed = vec![false; n];
-        // The supervisor's view: each worker's latest passive report.
-        let mut latest: Vec<Option<PassiveReport>> = vec![None; n];
-        let mut terminating = false;
         // Random initial offsets: even the first step order is part of the
         // explored schedule space.
         for (w, pending) in ready_pending.iter_mut().enumerate() {
@@ -300,14 +303,12 @@ impl SimTransport {
 
         let mut now = 0u64;
         let mut processed = 0u64;
-        let mut epoch = 0u64;
-        let mut restarts = 0u64;
         while let Some(event) = heap.pop() {
             debug_assert!(event.time >= now, "virtual time went backwards");
             now = event.time;
             processed += 1;
             if processed > MAX_EVENTS {
-                return Err(gst_common::Error::Runtime(
+                return Err(Error::Runtime(
                     "simulation exceeded its event budget (liveness bug?)".into(),
                 ));
             }
@@ -324,14 +325,8 @@ impl SimTransport {
                         self.route(&mut rng, &mut push, &mut heap, now, to, env);
                     }
                     if let Some(report) = out.reports.pop() {
-                        latest[w] = Some(report);
-                        if !terminating && quiescent(epoch, &latest) {
-                            // Broadcast on the reliable path, like Recover.
-                            terminating = true;
-                            for to in 0..n {
-                                let env = Envelope::control(0, epoch, Message::Terminate);
-                                push(&mut heap, now, EventKind::Deliver { to, env, duplicate: false });
-                            }
+                        if let Some(Action::Broadcast(env)) = supervisor.on_report(w, report) {
+                            broadcast(&mut push, &mut heap, now, env);
                         }
                     }
                     if step == Step::Worked {
@@ -371,28 +366,26 @@ impl SimTransport {
                         push(&mut heap, now, EventKind::Ready(to));
                     }
                 }
+                // Every worker holds a decided `Terminate`: not injected.
+                EventKind::Crash(w) if cores[w].terminated() || supervisor.terminating() => {}
                 EventKind::Crash(w) => {
-                    if !cores[w].terminated() {
-                        crashed[w] = true;
-                        latest[w] = None;
-                        record(events, now, w, ObsKind::Crashed);
-                        let recoverable = self.faults.crash.is_some_and(|c| c.recover);
-                        if recoverable && config.supervisor.max_restarts >= 1 {
-                            push(&mut heap, now + RESTART_DELAY, EventKind::Restart(w));
-                        }
-                    }
-                }
-                EventKind::Restart(w) => {
-                    // Recovery is only sound before the termination
-                    // decision; a crashed worker has no current report, so
-                    // in practice none was taken, but guard anyway (mirrors
-                    // the threaded supervisor).
-                    if terminating || !crashed[w] {
+                    crashed[w] = true;
+                    record(events, now, w, ObsKind::Crashed);
+                    if !self.faults.crash.is_some_and(|c| c.recover) {
+                        supervisor.forget(w);
                         continue;
                     }
+                    let error = Error::Runtime(format!("injected crash of processor {w} at virtual time {now}"));
+                    match supervisor.on_death(w, error, true) {
+                        Some(Action::Restart { worker, epoch, recover, .. }) => {
+                            push(&mut heap, now + RESTART_DELAY, EventKind::Restart { worker, epoch, recover });
+                        }
+                        Some(Action::Broadcast(env)) => broadcast(&mut push, &mut heap, now, env),
+                        None => {}
+                    }
+                }
+                EventKind::Restart { worker: w, epoch, recover } => {
                     let specs = retained.expect("restart without retained specs");
-                    epoch += 1;
-                    restarts += 1;
                     record(events, now, w, ObsKind::Restarted { epoch });
                     // The crashed incarnation's partial profile dies with
                     // it (as its stats do); its journal buffer is salvaged
@@ -403,21 +396,12 @@ impl SimTransport {
                     cores[w] = new_core(specs[w].clone(), n, epoch, config)?;
                     cores[w].set_trace_now(now);
                     crashed[w] = false;
-                    // Broadcast Recover ahead of any new-epoch traffic: the
-                    // deliveries are pushed directly at `now` (bypassing the
-                    // fault plan — a supervisor channel is reliable), while
-                    // the fresh incarnation's own sends can only leave after
-                    // its first Ready, at a strictly later tiebreak.
-                    for to in 0..n {
-                        let env = Envelope::control(w, epoch, Message::Recover { epoch, restarted: w });
-                        push(&mut heap, now, EventKind::Deliver { to, env, duplicate: false });
-                    }
+                    // The fresh incarnation's own sends can only leave
+                    // after its first Ready, at a strictly later tiebreak.
+                    broadcast(&mut push, &mut heap, now, recover);
                 }
             }
-            if cores.iter().enumerate().all(|(w, c)| c.terminated() || crashed[w])
-                && cores.iter().any(|c| c.terminated())
-            {
-                // All survivors terminated; drain nothing further.
+            if cores.iter().all(WorkerCore::terminated) {
                 break;
             }
         }
@@ -431,12 +415,7 @@ impl SimTransport {
         {
             return Err(watchdog_error(w, format!("virtual time {now}")));
         }
-        if cores.iter().all(|c| !c.terminated()) {
-            return Err(gst_common::Error::Runtime(
-                "every worker crashed before termination".into(),
-            ));
-        }
-        Ok(restarts)
+        Ok(())
     }
 
     /// Route one send through the fault plan, scheduling delivery events.
@@ -641,11 +620,44 @@ mod tests {
         let sim = SimTransport::with_faults(3, FaultPlan::with_recovering_crash(1, 2));
         let (result, journal) = sim.run_traced(specs, &config);
         let err = result.unwrap_err().to_string();
-        assert!(err.contains("idle"), "want the watchdog error, got: {err}");
+        let crash = "injected crash of processor 1 at virtual time 2";
+        assert!(err.contains(crash), "want the supervisor's abort naming the crash, got: {err}");
         assert!(
             !journal.events.iter().any(|e| matches!(e.kind, ObsKind::Restarted { .. })),
             "no budget, no restart"
         );
+    }
+
+    /// `Terminate` reaches every worker in the tick it is decided, so a
+    /// crash falling due in that tick — after the decision — is a crash of
+    /// a terminated worker: it is not injected, recoverable or not, and
+    /// the run pools every worker's answer.
+    #[test]
+    fn a_crash_due_after_the_decision_is_not_injected() {
+        // Empty fragments: every worker goes passive in its first step, so
+        // the last first step decides, at a tick the crash event sorts
+        // after.
+        let (specs, _) = crate::fixtures::chain_fleet(3, 0);
+        let config = RuntimeConfig::default();
+        let (clean, journal) = SimTransport::new(4).run_traced(specs.clone(), &config);
+        clean.unwrap();
+        let decided = journal
+            .events
+            .iter()
+            .find(|e| matches!(e.kind, ObsKind::Delivered { kind: MessageKind::Terminate, .. }))
+            .expect("a Terminate delivery")
+            .time;
+        assert!(decided <= STEP_JITTER, "decided by a first step, at tick {decided}");
+        for worker in 0..3 {
+            for recover in [false, true] {
+                let crash = crate::fault::CrashSpec { worker, at_time: decided, recover };
+                let plan = FaultPlan { crash: Some(crash), ..FaultPlan::none() };
+                let (result, journal) = SimTransport::with_faults(4, plan).run_traced(specs.clone(), &config);
+                let outcome = result.unwrap_or_else(|e| panic!("{crash:?}: {e}"));
+                assert!(!journal.events.iter().any(|e| e.kind == ObsKind::Crashed), "{crash:?} was injected");
+                assert_eq!((outcome.stats.restarts, outcome.stats.workers.len()), (0, 3));
+            }
+        }
     }
 
     #[test]

@@ -22,19 +22,13 @@
 //!
 //! ## Supervision (crash recovery)
 //!
-//! The threaded transport runs a supervisor loop on the coordinating
-//! thread (see `DESIGN.md` §7). Every worker thread reports its exit —
-//! finished, *fatal* error (spec/arity bug, watchdog expiry: the program
-//! itself is wrong, restarting cannot help) or *recoverable* death
-//! (panic, injected fail-point: the computation is fine, the incarnation
-//! died). A recoverable death within the restart budget is answered by
-//! rebuilding the worker from its retained spec under a bumped recovery
-//! epoch and broadcasting `Recover` so the fleet replays the dead worker's
-//! inbound traffic. Anything else broadcasts `Abort`, which tears the fleet
-//! down in milliseconds instead of leaving healthy peers to idle into their
-//! watchdogs. The same loop detects termination: every worker reports its
-//! link watermarks when it goes passive, and the supervisor broadcasts
-//! `Terminate` once they balance ([`crate::quiescence`]).
+//! The threaded transport runs its supervisor loop on the coordinating
+//! thread. Every worker thread reports when it goes passive and how it
+//! exits — finished, *fatal* error (spec/arity bug, watchdog expiry:
+//! restarting cannot help) or *recoverable* death (panic, injected
+//! fail-point: the incarnation died, the computation is fine). What to do
+//! about each is `supervisor.rs`'s decision; this loop delivers its
+//! broadcasts to every queue and spawns the workers it restarts.
 
 use std::collections::hash_map::Entry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,11 +41,11 @@ use gst_eval::plan::RelationId;
 use gst_storage::Relation;
 
 use crate::coordinator::RuntimeConfig;
-use crate::message::{Envelope, Message};
+use crate::message::Envelope;
 use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
-use crate::quiescence::{quiescent, PassiveReport};
 use crate::spec::{Shards, WorkerSpec};
 use crate::stats::{ExecutionOutcome, ParallelStats, WorkerReport};
+use crate::supervisor::{Action, PassiveReport, Supervisor};
 use crate::worker::{finish_core, take_pooled, watchdog_error, Outbox, PooledRelations, Step, WorkerCore};
 
 /// Something that can run a fleet of processor programs to distributed
@@ -482,94 +476,54 @@ impl Transport for ThreadedTransport {
             // The supervisor loop: collect reports and exits until every
             // incarnation is accounted for.
             let mut outstanding = n;
-            let mut results: Vec<Option<Box<WorkerResult>>> = (0..n).map(|_| None).collect();
+            let mut supervisor = Supervisor::new(n, &config.supervisor);
             // Transport-level journal entries (crash/restart): the thread
             // owning a crashed incarnation takes its buffer down with it,
-            // so the supervisor records the lifecycle events itself.
+            // so this loop records the lifecycle events itself.
             let mut transport_events: Vec<ObsEvent> = Vec::new();
-            let mut restarts_used = vec![0u32; n];
-            let mut total_restarts = 0u64;
-            let mut epoch = 0u64;
-            let mut latest: Vec<Option<PassiveReport>> = vec![None; n];
-            let mut terminating = false;
-            let mut aborting = false;
-            let mut first_error: Option<Error> = None;
             while outstanding > 0 {
                 let (id, notice) = notice_rx.recv().expect("supervisor retains a notice sender");
-                match notice {
-                    Notice::Passive(report) => {
-                        latest[id] = Some(report);
-                        if !terminating && !aborting && quiescent(epoch, &latest) {
-                            terminating = true;
-                            broadcast(&registry, &Envelope::control(0, epoch, Message::Terminate));
-                        }
-                        continue;
-                    }
+                if !matches!(notice, Notice::Passive(_)) {
+                    outstanding -= 1;
+                }
+                let action = match notice {
+                    Notice::Passive(report) => supervisor.on_report(id, report),
                     Notice::Finished(result) => {
-                        results[id] = Some(result);
+                        supervisor.on_exit(id, *result);
+                        None
                     }
-                    Notice::Fatal(_) | Notice::Recoverable(_) if aborting => {
-                        // Teardown noise after the Abort broadcast; the
-                        // first (causal) error is already recorded.
-                    }
-                    Notice::Recoverable(_)
-                        if restarts_used[id] < config.supervisor.max_restarts && !terminating =>
-                    {
-                        restarts_used[id] += 1;
-                        total_restarts += 1;
-                        epoch += 1;
+                    Notice::Fatal(e) => supervisor.on_death(id, e, false),
+                    Notice::Recoverable(e) => supervisor.on_death(id, e, true),
+                };
+                match action {
+                    None => {}
+                    Some(Action::Broadcast(env)) => broadcast(&registry, &env),
+                    Some(Action::Restart { worker, epoch, backoff, recover }) => {
                         if config.trace {
                             let now = started.elapsed().as_micros() as u64;
-                            transport_events.push(ObsEvent {
-                                time: now,
-                                worker: id,
-                                kind: ObsKind::Crashed,
-                            });
-                            transport_events.push(ObsEvent {
-                                time: now,
-                                worker: id,
-                                kind: ObsKind::Restarted { epoch },
-                            });
+                            for kind in [ObsKind::Crashed, ObsKind::Restarted { epoch }] {
+                                transport_events.push(ObsEvent { time: now, worker, kind });
+                            }
                         }
-                        let backoff = config.supervisor.restart_backoff * restarts_used[id];
                         if !backoff.is_zero() {
                             std::thread::sleep(backoff);
                         }
                         let (tx, rx) = channel::<Envelope>();
-                        *lock(&registry[id]) = tx;
+                        *lock(&registry[worker]) = tx;
                         // Broadcast *before* spawning: the Recover lands in
                         // every queue (including the fresh one) ahead of
                         // anything the new incarnation can send, so no
                         // worker sees epoch-`epoch` traffic before it has
                         // repaired into that epoch.
-                        broadcast(&registry, &Envelope::control(id, epoch, Message::Recover { epoch, restarted: id }));
-                        spawn_worker(id, rx, epoch, None);
+                        broadcast(&registry, &recover);
+                        spawn_worker(worker, rx, epoch, None);
                         outstanding += 1;
                     }
-                    Notice::Fatal(e) | Notice::Recoverable(e) => {
-                        // Fatal, restart budget exhausted, or termination
-                        // already decided (replay is then impossible:
-                        // finished workers answer no AckSync). Tear the
-                        // fleet down fast instead of letting healthy
-                        // workers idle into their watchdogs.
-                        aborting = true;
-                        broadcast(&registry, &Envelope::control(id, epoch, Message::Abort { reason: e.to_string() }));
-                        first_error = Some(e);
-                    }
                 }
-                outstanding -= 1;
             }
-            let wall_time = started.elapsed();
-            if let Some(err) = first_error {
-                return Err(err);
-            }
-            let results: Vec<WorkerResult> = results
-                .into_iter()
-                .map(|r| *r.expect("no error implies every worker finished"))
-                .collect();
             // Pooled inside the scope: the worker threads are joined when
             // it ends, and until then they are still freeing their cores.
-            assemble_outcome(results, &kinds, wall_time, total_restarts, TimeBase::WallMicros, transport_events)
+            supervisor.outcome(&kinds, started.elapsed(), TimeBase::WallMicros, transport_events)
         })
     }
 }

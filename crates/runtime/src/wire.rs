@@ -54,7 +54,7 @@ use gst_storage::{Database, Relation};
 
 use crate::codec::{self, put_bytes, put_uv, put_sv, Cursor};
 use crate::message::{Envelope, Message, Payload};
-use crate::quiescence::PassiveReport;
+use crate::supervisor::PassiveReport;
 use crate::spec::{ProcessorProgram, Route, SessionSeed, Shards, WorkerSpec};
 use crate::stats::WorkerReport;
 use crate::worker::{PooledRelations, WorkerConfig};

@@ -56,7 +56,7 @@ use gst_eval::FixpointEngine;
 use crate::message::{Envelope, Message, Payload};
 use crate::obs::{ObsEvent, ObsKind, TraceSink};
 use crate::profile::{Profiler, PHASE_COMPUTE, PHASE_DECODE, PHASE_ENCODE, PHASE_REPLAY};
-use crate::quiescence::PassiveReport;
+use crate::supervisor::PassiveReport;
 use crate::spec::{ProcessorProgram, Shards, WorkerSpec};
 use crate::stats::WorkerReport;
 

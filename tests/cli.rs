@@ -355,12 +355,13 @@ fn sim_recoverable_crash_reports_restart_and_matches_sequential() {
     assert!(stderr.contains("restarts=1"), "{stderr}");
     assert!(stderr.contains("faults=chaos,crash=1@12,recover"), "{stderr}");
 
-    // Same crash with the restart budget zeroed out: fail fast (the
-    // watchdog names the starved processor), never hang.
-    let out = cli("run", &file, &format!("{crashed} --max-restarts 0"));
+    // Same crash with the restart budget zeroed out: the supervisor
+    // aborts at once, naming the crash, and nothing restarts.
+    let out = cli("run", &file, &format!("{crashed} --max-restarts 0 --trace"));
     assert!(!out.status.success(), "zero restart budget must fail");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("idle"), "{stderr}");
+    assert!(stderr.contains("injected crash of processor 1 at virtual time 12"), "{stderr}");
+    assert!(stderr.contains("crashed") && !stderr.contains("restarted"), "{stderr}");
 
     // `recover` is a crash modifier, not a standalone fault.
     let out = cli("run", &file, "--scheme example3 --sim --faults chaos,recover");
