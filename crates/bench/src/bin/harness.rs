@@ -272,8 +272,9 @@ fn main() {
         println!("{}\n", t.render());
         println!(
             "hash discrimination balances bushy workloads; degenerate choices (the\n\
-             star's hub as v(e)) concentrate all firings on one processor; the\n\
-             skew-aware partition splits hot keys to rebalance star/zipf.\n"
+             star's hub as v(e)) concentrate all firings on one processor; a hot\n\
+             key (star/zipf) skews Example 3's hash, and no census splits it\n\
+             (EXPERIMENTS.md P24).\n"
         );
     }
 

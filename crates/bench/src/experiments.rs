@@ -10,8 +10,8 @@ use gst_core::discriminator::{
 use gst_core::network::derive_network;
 use gst_core::prelude::{
     choose, example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_general,
-    rewrite_generalized, rewrite_no_comm, skew_aware_hash_partition, CostModel,
-    GeneralizedConfig, NoCommConfig, RuleChoice, SchemeProfile, SkewPolicy,
+    rewrite_generalized, rewrite_no_comm, CostModel, GeneralizedConfig, NoCommConfig,
+    RuleChoice, SchemeProfile,
 };
 use gst_core::schemes::{BaseDistribution, CompiledScheme};
 use gst_eval::seminaive_eval;
@@ -526,8 +526,6 @@ pub fn load_balance(n: usize) -> Vec<LoadBalanceRow> {
             .iter()
             .map(|w| w.processing_firings)
             .collect();
-        let max = *per_worker.iter().max().unwrap() as f64;
-        let mean = per_worker.iter().sum::<u64>() as f64 / per_worker.len() as f64;
         let bytes_per_worker: Vec<u64> = outcome
             .stats
             .workers
@@ -539,7 +537,7 @@ pub fn load_balance(n: usize) -> Vec<LoadBalanceRow> {
             bytes_per_worker.iter().sum::<u64>() as f64 / bytes_per_worker.len() as f64;
         rows.push(LoadBalanceRow {
             label,
-            skew: if mean > 0.0 { max / mean } else { 1.0 },
+            skew: outcome.stats.firing_skew(),
             per_worker,
             bytes_skew: if bmean > 0.0 { bmax / bmean } else { 0.0 },
             bytes_per_worker,
@@ -557,11 +555,6 @@ pub fn load_balance(n: usize) -> Vec<LoadBalanceRow> {
         push(format!("example1 / {wname}"), &e1);
         let e3 = example3_hash_partition(&sirup, n, &db).unwrap().run().unwrap();
         push(format!("example3 / {wname}"), &e3);
-        let sk = skew_aware_hash_partition(&sirup, n, &db, &SkewPolicy::default())
-            .unwrap()
-            .run()
-            .unwrap();
-        push(format!("skew-aware / {wname}"), &sk);
         // Degenerate: split the exit substitutions on X — on a star every
         // edge shares the hub as X, so one processor gets everything.
         let cfg = NoCommConfig {
@@ -905,7 +898,7 @@ mod tests {
     #[test]
     fn load_balance_detects_star_skew() {
         let rows = load_balance(4);
-        assert_eq!(rows.len(), 16);
+        assert_eq!(rows.len(), 12);
         let star_nocomm = rows
             .iter()
             .find(|r| r.label == "nocomm(v_e=X) / star-64")
@@ -920,27 +913,6 @@ mod tests {
             star_e1.skew < star_nocomm.skew,
             "discriminating on Y must spread the star's leaves"
         );
-    }
-
-    #[test]
-    fn skew_aware_beats_plain_hash_on_skewed_workloads() {
-        let rows = load_balance(4);
-        for wname in ["star-64", "zipf-300"] {
-            let plain = rows
-                .iter()
-                .find(|r| r.label == format!("example3 / {wname}"))
-                .unwrap();
-            let skewed = rows
-                .iter()
-                .find(|r| r.label == format!("skew-aware / {wname}"))
-                .unwrap();
-            assert!(
-                skewed.skew < plain.skew,
-                "{wname}: skew-aware {:.3} must beat HashMod {:.3}",
-                skewed.skew,
-                plain.skew
-            );
-        }
         // Bytes-skew is populated for the communicating schemes.
         assert!(rows
             .iter()

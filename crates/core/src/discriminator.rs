@@ -88,25 +88,11 @@ pub trait Discriminator: Send + Sync {
         false
     }
 
-    /// The length of the shortest leading prefix of the discriminating
-    /// sequence that narrows the processors an instance may be assigned
-    /// to, or `None` (the default) when only a full instance does.
-    fn narrowing_prefix(&self) -> Option<usize> {
-        None
-    }
-
-    /// Whether a ground instance whose leading values are `row`'s
-    /// `columns` may be assigned to `processor` (`true`, the default, when
-    /// the prefix is shorter than [`Discriminator::narrowing_prefix`]).
-    ///
-    /// This is the hook behind §6-style replication: a fragmenting base
-    /// atom that binds only the key prefix of an extended sequence keeps a
-    /// tuple at every processor this admits. Implementations must stay
-    /// consistent with [`Discriminator::assign`]: the processor assigned to
-    /// every full ground instance extending the prefix must be admitted.
-    fn may_assign_prefix(&self, row: &Tuple, columns: &[usize], processor: usize) -> bool {
-        let _ = (row, columns, processor);
-        true
+    /// The processors [`Discriminator::assign`] can name — all of them
+    /// (the default), or fewer for a function whose image is smaller. A
+    /// route built on this function sends to these only.
+    fn image(&self) -> Vec<usize> {
+        (0..self.processors()).collect()
     }
 }
 
@@ -489,13 +475,8 @@ impl Discriminator for Constant {
         self.target
     }
 
-    /// The image is `{target}` whatever is known of the instance.
-    fn narrowing_prefix(&self) -> Option<usize> {
-        Some(0)
-    }
-
-    fn may_assign_prefix(&self, _row: &Tuple, _columns: &[usize], processor: usize) -> bool {
-        processor == self.target
+    fn image(&self) -> Vec<usize> {
+        vec![self.target]
     }
 
     fn describe(&self) -> String {
@@ -565,164 +546,6 @@ impl Discriminator for Mixed {
         wire::put_uv(buf, self.alpha.to_bits());
         wire::put_uv(buf, self.seed);
         self.base.wire_encode_into(buf)
-    }
-}
-
-/// Skew-aware hash partition over an *extended* discriminating sequence
-/// (ROADMAP item 4 / §6 `R_i` trade-off).
-///
-/// The sequence is `key ++ rest`: the first `key_len` positions are the
-/// join key the classic [`HashMod`] would partition on, the remainder are
-/// the other variables of the recursive atom. Cold keys route exactly like
-/// `HashMod` on the key prefix, so the scheme degenerates to the uniform
-/// plan when no skew is detected. Keys sampled as *hot* at compile time
-/// carry an explicit split set of `k` processors, and each full instance
-/// picks one member by a secondary hash over the whole sequence — the
-/// firings of one hot key spread across `k` workers instead of melting
-/// one. Correctness is the standard Theorem 1/2 argument: this is just a
-/// deterministic total function over a longer valid discriminating
-/// sequence. The price is §6's `R_i` redundancy: the complementary base
-/// fragment of a hot key must be replicated to every processor in its
-/// split set, which [`Discriminator::may_assign_prefix`] exposes to the
-/// fragmenter.
-#[derive(Debug, Clone)]
-pub struct SkewAwareHashMod {
-    n: usize,
-    key_len: usize,
-    seed: u64,
-    secondary_seed: u64,
-    /// Hot keys with their split sets, sorted by key for deterministic
-    /// lookup and wire encoding. Split sets are sorted, deduplicated, and
-    /// non-empty, with every member `< n`.
-    hot: Vec<(Vec<Value>, Vec<usize>)>,
-}
-
-impl SkewAwareHashMod {
-    /// A skew-aware partition over `n` processors with a `key_len`-value
-    /// key prefix and no hot keys (behaves exactly like [`HashMod`] over
-    /// the prefix).
-    pub fn new(n: usize, key_len: usize, seed: u64, secondary_seed: u64) -> Self {
-        assert!(n >= 1, "need at least one processor");
-        assert!(key_len >= 1, "key prefix must be non-empty");
-        SkewAwareHashMod {
-            n,
-            key_len,
-            seed,
-            secondary_seed,
-            hot: Vec::new(),
-        }
-    }
-
-    /// Register hot keys with their split sets. Keys must have exactly
-    /// `key_len` values; split sets are sorted and deduplicated, must be
-    /// non-empty, and every member must be a valid processor.
-    pub fn with_hot_keys(mut self, hot: impl IntoIterator<Item = (Vec<Value>, Vec<usize>)>) -> Self {
-        for (key, mut targets) in hot {
-            assert_eq!(key.len(), self.key_len, "hot key length mismatch");
-            targets.sort_unstable();
-            targets.dedup();
-            assert!(!targets.is_empty(), "hot key needs at least one target");
-            assert!(
-                targets.iter().all(|&t| t < self.n),
-                "hot key target out of range"
-            );
-            self.hot.push((key, targets));
-        }
-        self.hot.sort();
-        self.hot.dedup_by(|a, b| a.0 == b.0);
-        self
-    }
-
-    /// Number of hot keys carrying a split set — the `hot_keys_split`
-    /// figure surfaced in `--stats`.
-    pub fn hot_key_count(&self) -> usize {
-        self.hot.len()
-    }
-
-    /// The base assignment of a key prefix, ignoring hot-key splitting.
-    fn base_assign(&self, key: &[Value]) -> usize {
-        (hash_one(&(self.seed, key)) % self.n as u64) as usize
-    }
-
-    /// The split set of a hot key, if the key is hot.
-    fn split_set(&self, key: impl Iterator<Item = Value> + Clone) -> Option<&[usize]> {
-        self.hot
-            .binary_search_by(|(k, _)| k.iter().copied().cmp(key.clone()))
-            .ok()
-            .map(|i| self.hot[i].1.as_slice())
-    }
-}
-
-impl Discriminator for SkewAwareHashMod {
-    fn processors(&self) -> usize {
-        self.n
-    }
-
-    fn assign(&self, ground: &[Value]) -> usize {
-        debug_assert!(ground.len() >= self.key_len);
-        let key = &ground[..self.key_len.min(ground.len())];
-        match self.split_set(key.iter().copied()) {
-            Some(targets) => {
-                let pick = hash_one(&(self.secondary_seed, ground)) % targets.len() as u64;
-                targets[pick as usize]
-            }
-            None => self.base_assign(key),
-        }
-    }
-
-    /// `assign` replayed on the row's words: a cold key goes where
-    /// [`HashMod`] over the key columns sends it, a hot one to the member
-    /// of its split set that the secondary hash of every column picks.
-    fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
-        let key = &columns[..self.key_len.min(columns.len())];
-        match self.split_set(key.iter().map(|&c| row.get(c))) {
-            Some(targets) => targets[(hash_words(self.secondary_seed, row_words(row, columns)) % targets.len() as u64) as usize],
-            None => HashMod::new(self.n, self.seed).assign_words(row, key),
-        }
-    }
-
-    fn narrowing_prefix(&self) -> Option<usize> {
-        Some(self.key_len)
-    }
-
-    /// A hot key may go to its split set, a cold one to where [`HashMod`]
-    /// over the key sends it — decided on the row's words.
-    fn may_assign_prefix(&self, row: &Tuple, columns: &[usize], processor: usize) -> bool {
-        let Some(key) = columns.get(..self.key_len) else {
-            return true;
-        };
-        match self.split_set(key.iter().map(|&c| row.get(c))) {
-            Some(targets) => targets.contains(&processor),
-            None => HashMod::new(self.n, self.seed).assign_words(row, key) == processor,
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "skew-aware hash mod {} (key {}, {} hot)",
-            self.n,
-            self.key_len,
-            self.hot.len()
-        )
-    }
-
-    fn wire_encode_into(&self, buf: &mut Vec<u8>) -> bool {
-        buf.push(wire::DISC_SKEW_AWARE);
-        wire::put_uv(buf, self.n as u64);
-        wire::put_uv(buf, self.key_len as u64);
-        wire::put_uv(buf, self.seed);
-        wire::put_uv(buf, self.secondary_seed);
-        wire::put_uv(buf, self.hot.len() as u64);
-        for (key, targets) in &self.hot {
-            for &value in key {
-                wire::put_value(buf, value);
-            }
-            wire::put_uv(buf, targets.len() as u64);
-            for &t in targets {
-                wire::put_uv(buf, t as u64);
-            }
-        }
-        true
     }
 }
 
@@ -801,16 +624,8 @@ impl Constraint for DiscConstraint {
         }
     }
 
-    fn may_hold_prefix(&self, row: &Tuple, columns: &[usize]) -> bool {
-        if columns.len() == self.vars.len() {
-            self.disc.assign_words(row, columns) == self.expect
-        } else {
-            self.disc.may_assign_prefix(row, columns, self.expect)
-        }
-    }
-
-    fn narrows(&self, bound: usize) -> bool {
-        bound == self.vars.len() || self.disc.narrowing_prefix().is_some_and(|len| bound >= len)
+    fn holds_row(&self, row: &Tuple, columns: &[usize]) -> bool {
+        self.disc.assign_words(row, columns) == self.expect
     }
 }
 
@@ -831,8 +646,6 @@ impl Constraint for DiscConstraint {
 ///   4 FragmentOwner    nfrags:uv arity:uv × (count:uv (value × arity) × count)
 ///   5 Constant         n:uv target:uv
 ///   6 Mixed            local:uv alpha:uv(f64 bits) seed:uv base:disc
-///   7 SkewAwareHashMod n:uv keylen:uv seed:uv seed2:uv nhot:uv
-///                      × (value × keylen ntargets:uv target:uv × ntargets)
 /// value      := 0 int:sv | 1 sym:uv
 /// uv = unsigned LEB128 varint, sv = zigzag LEB128 varint
 /// ```
@@ -847,7 +660,6 @@ mod wire {
     pub(super) const DISC_FRAGMENT_OWNER: u8 = 4;
     pub(super) const DISC_CONSTANT: u8 = 5;
     pub(super) const DISC_MIXED: u8 = 6;
-    pub(super) const DISC_SKEW_AWARE: u8 = 7;
     const VALUE_INT: u8 = 0;
     const VALUE_SYM: u8 = 1;
 
@@ -1042,45 +854,6 @@ fn decode_disc(r: &mut wire::Reader<'_>, depth: usize) -> Result<DiscriminatorRe
             }
             Ok(Arc::new(Mixed::new(local, base, alpha, seed)))
         }
-        Some(wire::DISC_SKEW_AWARE) => {
-            let n = bounded("processor count", r.get_uv().ok_or_else(|| corrupt("truncated SkewAware"))?)?;
-            let key_len = bounded("key length", r.get_uv().ok_or_else(|| corrupt("truncated SkewAware"))?)?;
-            let seed = r.get_uv().ok_or_else(|| corrupt("truncated SkewAware"))?;
-            let secondary_seed = r.get_uv().ok_or_else(|| corrupt("truncated SkewAware"))?;
-            let nhot = r.get_uv().ok_or_else(|| corrupt("truncated SkewAware"))? as usize;
-            // Every hot entry costs at least keylen value tags plus one
-            // count byte, so a lying count is rejected before any
-            // allocation is sized by it.
-            if nhot
-                .checked_mul(key_len + 1)
-                .is_none_or(|b| b > r.remaining() + 1)
-            {
-                return Err(corrupt("hot key count implausible for payload size"));
-            }
-            let mut hot = Vec::with_capacity(nhot);
-            for _ in 0..nhot {
-                let mut key = Vec::with_capacity(key_len);
-                for _ in 0..key_len {
-                    key.push(r.get_value().ok_or_else(|| corrupt("truncated hot key"))?);
-                }
-                let ntargets = r.get_uv().ok_or_else(|| corrupt("truncated hot key targets"))? as usize;
-                if ntargets == 0 || ntargets > n || ntargets > r.remaining() + 1 {
-                    return Err(corrupt("hot key target count out of range"));
-                }
-                let mut targets = Vec::with_capacity(ntargets);
-                for _ in 0..ntargets {
-                    let t = r.get_uv().ok_or_else(|| corrupt("truncated hot key target"))? as usize;
-                    if t >= n {
-                        return Err(corrupt("hot key target out of range"));
-                    }
-                    targets.push(t);
-                }
-                hot.push((key, targets));
-            }
-            Ok(Arc::new(
-                SkewAwareHashMod::new(n, key_len, seed, secondary_seed).with_hot_keys(hot),
-            ))
-        }
         Some(tag) => Err(corrupt(&format!("unknown discriminator tag {tag}"))),
     }
 }
@@ -1233,6 +1006,9 @@ mod tests {
         assert_eq!(h.assign(&vals(&[1])), 3);
         assert_eq!(h.assign(&vals(&[99, 4])), 3);
         assert_eq!(h.processors(), 5);
+        // A route on it sends to its one target; a hash names everyone.
+        assert_eq!(h.image(), vec![3]);
+        assert_eq!(HashMod::new(3, 0).image(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -1290,116 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn skew_aware_cold_keys_match_prefix_hash() {
-        let h = SkewAwareHashMod::new(4, 1, 0x5A, 0x5B);
-        let plain = HashMod::new(4, 0x5A);
-        for k in 0..100i64 {
-            // Cold key routing depends only on the key prefix, matching a
-            // plain hash of the one-value key.
-            let a = h.assign(&vals(&[k, 7]));
-            assert_eq!(a, h.assign(&vals(&[k, 99])));
-            assert_eq!(a, plain.assign(&vals(&[k])));
-        }
-    }
-
-    #[test]
-    fn skew_aware_splits_hot_key_across_targets() {
-        let h = SkewAwareHashMod::new(8, 1, 1, 2)
-            .with_hot_keys([(vals(&[0]), vec![1, 3, 5])]);
-        let mut hit = [0usize; 8];
-        for y in 0..300i64 {
-            let a = h.assign(&vals(&[0, y]));
-            assert!([1, 3, 5].contains(&a), "hot key stays in its split set");
-            assert_eq!(a, h.assign(&vals(&[0, y])), "deterministic");
-            hit[a] += 1;
-        }
-        assert!(hit[1] > 50 && hit[3] > 50 && hit[5] > 50, "spread: {hit:?}");
-        // Cold keys are untouched by the hot table.
-        let cold = SkewAwareHashMod::new(8, 1, 1, 2);
-        for k in 1..50i64 {
-            assert_eq!(h.assign(&vals(&[k, 0])), cold.assign(&vals(&[k, 0])));
-        }
-    }
-
-    #[test]
-    fn skew_aware_prefix_is_consistent_with_assign() {
-        let h = SkewAwareHashMod::new(6, 1, 3, 4)
-            .with_hot_keys([(vals(&[2]), vec![0, 4]), (vals(&[5]), vec![1, 2, 3])]);
-        let admitted = |k: i64| (0..6).filter(|&p| h.may_assign_prefix(&ituple![k], &[0], p)).collect::<Vec<_>>();
-        assert_eq!(h.narrowing_prefix(), Some(1));
-        assert!((0..6).all(|p| h.may_assign_prefix(&ituple![2], &[], p)), "short prefix narrows nothing");
-        for k in 0..20i64 {
-            let targets = admitted(k);
-            for y in 0..40i64 {
-                let a = h.assign(&vals(&[k, y]));
-                assert!(targets.contains(&a), "assign ∈ the admitted set");
-            }
-        }
-        assert_eq!(admitted(2), vec![0, 4]);
-        assert_eq!(admitted(5).len(), 3);
-        assert_eq!(admitted(7), vec![h.assign(&vals(&[7]))]);
-    }
-
-    #[test]
-    fn skew_aware_constraint_prefix_replicates_hot_keys() {
-        let interner = Interner::new();
-        let z = Variable(interner.intern("Z"));
-        let y = Variable(interner.intern("Y"));
-        let h: DiscriminatorRef = Arc::new(
-            SkewAwareHashMod::new(4, 1, 9, 10).with_hot_keys([(vals(&[1]), vec![0, 2])]),
-        );
-        for expect in 0..4 {
-            let c = DiscConstraint::literal(vec![z, y], h.clone(), expect);
-            // Hot key 1 may land on workers 0 and 2 only.
-            assert_eq!(c.may_hold_prefix(&ituple![1, 8], &[0]), expect == 0 || expect == 2);
-            // Cold keys land exactly where the base hash says.
-            let base = HashMod::new(4, 9).assign(&vals(&[3]));
-            assert_eq!(c.may_hold_prefix(&ituple![3, 8], &[0]), expect == base);
-            // A full binding decides exactly.
-            assert_eq!(c.may_hold_prefix(&ituple![1, 8], &[0, 1]), h.assign(&vals(&[1, 8])) == expect);
-            assert!(c.narrows(1) && c.narrows(2));
-        }
-    }
-
-    #[test]
-    fn default_constraint_prefix_is_conservative() {
-        let interner = Interner::new();
-        let z = Variable(interner.intern("Z"));
-        let y = Variable(interner.intern("Y"));
-        let h: DiscriminatorRef = Arc::new(HashMod::new(4, 1));
-        let c = DiscConstraint::literal(vec![z, y], h, 3);
-        // HashMod cannot narrow a prefix, so fragmentation must keep the
-        // tuple — and knows so before reading one.
-        assert!(c.may_hold_prefix(&ituple![5], &[0]));
-        assert!(!c.narrows(1) && c.narrows(2));
-    }
-
-    #[test]
-    fn skew_aware_wire_roundtrip() {
-        let interner = Interner::new();
-        let z = Variable(interner.intern("Z"));
-        let y = Variable(interner.intern("Y"));
-        let h: DiscriminatorRef = Arc::new(
-            SkewAwareHashMod::new(4, 1, 0xAB, 0xCD)
-                .with_hot_keys([(vals(&[0]), vec![0, 1, 2, 3]), (vals(&[-7]), vec![1, 3])]),
-        );
-        let c = DiscConstraint::literal(vec![z, y], h.clone(), 2);
-        let bytes = c.wire_encode().expect("skew-aware travels");
-        let decoded = decode_constraint(&bytes).expect("roundtrip");
-        assert_eq!(decoded.variables(), c.variables());
-        for k in -10..10i64 {
-            for v in 0..10i64 {
-                let ground = vals(&[k, v]);
-                assert_eq!(decoded.holds(&ground), c.holds(&ground));
-                assert_eq!(
-                    decoded.may_hold_prefix(&ituple![k, v], &[0]),
-                    c.may_hold_prefix(&ituple![k, v], &[0])
-                );
-            }
-        }
-    }
-
-    #[test]
     fn the_implied_mark_travels_and_a_bad_flag_is_refused() {
         let interner = Interner::new();
         let x = Variable(interner.intern("X"));
@@ -1415,23 +1081,28 @@ mod tests {
     }
 
     #[test]
-    fn skew_aware_decode_rejects_corruption() {
+    fn decode_rejects_corruption() {
         let interner = Interner::new();
         let z = Variable(interner.intern("Z"));
-        let h: DiscriminatorRef =
-            Arc::new(SkewAwareHashMod::new(4, 1, 1, 2).with_hot_keys([(vals(&[0]), vec![1, 2])]));
-        let bytes = DiscConstraint::literal(vec![z], h, 1)
-            .wire_encode()
-            .unwrap();
+        let h: DiscriminatorRef = Arc::new(Mixed::new(1, Arc::new(HashMod::new(4, 1)), 0.5, 2));
+        let bytes = DiscConstraint::literal(vec![z], h, 1).wire_encode().unwrap();
         // Truncations never panic.
         for cut in 0..bytes.len() {
             assert!(decode_constraint(&bytes[..cut]).is_err());
         }
-        // A lying hot-key count is rejected by the plausibility bound.
-        let mut lying = bytes.clone();
-        // Find the nhot byte: magic, nvars=1, symid, expect=1, implied=0,
-        // tag=7, n=4, keylen=1, seed=1, seed2=2, nhot — position 10.
-        lying[10] = 0x7f;
+        // Tag 7 names no function: magic, nvars=1, symid, expect=1,
+        // implied=0, then the tag at position 5.
+        let mut unknown = bytes.clone();
+        unknown[5] = 7;
+        let err = decode_constraint(&unknown).err().expect("tag 7 is refused").to_string();
+        assert!(err.contains("unknown discriminator tag 7"), "{err}");
+        // A lying fragment count is rejected by the plausibility bound
+        // before anything is allocated: tag=4, nfrags=2, arity=2, then the
+        // first fragment's count at position 8.
+        let rel: Relation = (0..4i64).map(|k| ituple![k, k + 1]).collect();
+        let owner: DiscriminatorRef = Arc::new(FragmentOwner::new(Arc::new(hash_fragment(&rel, &[0], 2).unwrap())));
+        let mut lying = DiscConstraint::literal(vec![z], owner, 1).wire_encode().unwrap();
+        lying[8] = 0x7f;
         assert!(decode_constraint(&lying).is_err());
     }
 }

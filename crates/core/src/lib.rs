@@ -39,22 +39,20 @@ pub mod prelude {
     pub use crate::dataflow::{zero_comm_choice, DataflowGraph, ZeroCommChoice};
     pub use crate::discriminator::{
         decode_constraint, BitFn, BitVector, Constant, DiscConstraint, Discriminator,
-        DiscriminatorRef, FragmentOwner, HashMod, Linear, Mixed, SkewAwareHashMod,
-        SymmetricHashMod,
+        DiscriminatorRef, FragmentOwner, HashMod, Linear, Mixed, SymmetricHashMod,
     };
     pub use crate::network::{derive_network, NetworkGraph, SymbolicDisc};
     pub use crate::schemes::demand::compile_demand;
     pub use crate::schemes::general::{implied_conditions, rewrite_general, RuleChoice};
     pub use crate::schemes::presets::{
         example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_generalized,
-        rewrite_no_comm, rewrite_non_redundant, skew_aware_hash_partition, GeneralizedConfig,
-        NoCommConfig, NonRedundantConfig,
+        rewrite_no_comm, rewrite_non_redundant, GeneralizedConfig, NoCommConfig,
+        NonRedundantConfig,
     };
     pub use crate::schemes::common::first_body_variable;
     pub use crate::schemes::{BaseDistribution, CompiledScheme};
     pub use crate::session::{RoundReport, UpdateBatch, UpdateSession};
     pub use crate::strategy::{
-        choose, demand_choices, sample_key_frequencies, CostModel,
-        KeyFrequencyProfile, SchemeProfile, SkewPolicy, DEMAND_HASH_SEED,
+        choose, demand_choices, CostModel, SchemeProfile, DEMAND_HASH_SEED,
     };
 }

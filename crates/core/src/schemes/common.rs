@@ -134,7 +134,7 @@ pub fn worker_databases(
         for (w, need) in needs.iter().enumerate() {
             match need.get(&id) {
                 None => {}
-                Some(covers) if covers[0].constraint.is_none() => edbs[w].share_from(global, id),
+                Some(covers) if covers[0].is_none() => edbs[w].share_from(global, id),
                 Some(covers) => cutting.push((w, covers, vec![Vec::new(); covers.len()])),
             }
         }
@@ -143,7 +143,7 @@ pub fn worker_databases(
         }
         for t in relation.iter() {
             for (_, covers, groups) in &mut cutting {
-                if let Some(k) = covers.iter().position(|c| c.keeps(t)) {
+                if let Some(k) = covers.iter().position(|c| keeps(c, t)) {
                     groups[k].push(t.clone());
                 }
             }
@@ -156,38 +156,22 @@ pub fn worker_databases(
     Ok(edbs.into_iter().map(Arc::new).collect())
 }
 
-/// A constraint of a rule and where the rule's atom over a base relation
-/// binds a leading prefix of its variables: the tuples it may hold on.
-struct Cover<'a> {
-    /// `None` keeps every tuple: the atom is read unconstrained, or binds
-    /// too short a prefix to narrow anything.
-    constraint: Option<&'a ConstraintRef>,
-    columns: Vec<usize>,
-}
+/// The tuples of a base relation that one rule's atom over it may join:
+/// those a constraint of the rule holds on, read from the columns where the
+/// atom binds the constraint's variables — or every tuple (`None`).
+type Cover<'a> = Option<(&'a ConstraintRef, Vec<usize>)>;
 
-impl Cover<'_> {
-    fn keeps(&self, t: &Tuple) -> bool {
-        self.constraint.is_none_or(|c| c.may_hold_prefix(t, &self.columns))
-    }
+fn keeps(cover: &Cover, t: &Tuple) -> bool {
+    cover.as_ref().is_none_or(|(c, columns)| c.holds_row(t, columns))
 }
 
 /// What worker `pp` needs of each base relation `global` holds: the tuples
 /// one of its covers keeps — all of them when the first keeps every tuple.
 /// For every base atom of every rule, the cover is the constraint of that
-/// rule binding the most of its variables (a full cover before any prefix,
-/// the earliest on ties); an atom read unconstrained needs the whole
-/// relation whatever else reads it.
-///
-/// An atom that binds only a leading *prefix* of a constraint's variables
-/// still fragments, via [`Constraint::may_hold_prefix`]: a tuple is kept
-/// exactly when some extension of the prefix could satisfy the constraint.
-/// For a plain hash function the prefix narrows nothing and the worker
-/// keeps the whole relation; for a skew-aware function over an extended
-/// discriminating sequence this is precisely §6's `R_i` replication — a
-/// hot key's complementary base fragment lands at every worker of its
-/// split set, a cold key's at exactly one.
-///
-/// [`Constraint::may_hold_prefix`]: gst_frontend::Constraint::may_hold_prefix
+/// rule whose every variable the atom binds (the longest, the earliest on
+/// ties). An atom that binds the leading variable of a constraint but not
+/// all of its variables keeps every tuple; an atom read unconstrained needs
+/// the whole relation whatever else reads it.
 fn needs<'a>(global: &Database, pp: &'a ProcessorProgram) -> FxHashMap<RelationId, Vec<Cover<'a>>> {
     let derived: Vec<RelationId> =
         pp.program.derived_predicates().into_iter().map(Into::into).chain(pp.inboxes.iter().copied()).collect();
@@ -199,26 +183,22 @@ fn needs<'a>(global: &Database, pp: &'a ProcessorProgram) -> FxHashMap<RelationI
                 continue;
             }
             let position = |v: &Variable| atom.terms.iter().position(|t| *t == Term::Var(*v));
-            // How many leading constraint variables the atom binds, ranked
-            // full cover first, then longer prefix, then earlier constraint.
-            let mut covering: Option<(&ConstraintRef, usize)> = None;
+            let (mut full, mut leading): (Option<&ConstraintRef>, bool) = (None, false);
             for literal in &rule.body {
                 let Literal::Constraint(c) = literal else { continue };
-                let m = c.variables().iter().take_while(|v| position(v).is_some()).count();
-                let rank = |(c, m): (&ConstraintRef, usize)| (m == c.variables().len(), m);
-                if m > 0 && covering.is_none_or(|best| rank((c, m)) > rank(best)) {
-                    covering = Some((c, m));
+                let vars = c.variables();
+                leading |= vars.first().is_some_and(|v| position(v).is_some());
+                let binds_all = !vars.is_empty() && vars.iter().all(|v| position(v).is_some());
+                if binds_all && full.is_none_or(|best| vars.len() > best.variables().len()) {
+                    full = Some(c);
                 }
             }
             let covers = needs.entry(id).or_default();
-            match covering {
-                None => *covers = vec![Cover { constraint: None, columns: Vec::new() }],
+            match (full, leading) {
+                (_, false) => *covers = vec![None],
                 // Past a cover that keeps every tuple, no cover adds one.
-                Some(_) if covers.last().is_some_and(|last| last.constraint.is_none()) => {}
-                Some((c, m)) => {
-                    let columns = c.variables()[..m].iter().filter_map(position).collect();
-                    covers.push(Cover { constraint: c.narrows(m).then_some(c), columns });
-                }
+                _ if covers.last().is_some_and(Option::is_none) => {}
+                (full, true) => covers.push(full.map(|c| (c, c.variables().iter().filter_map(position).collect()))),
             }
         }
     }
@@ -370,11 +350,8 @@ mod tests {
                     (Some((c, m)), Some(kept)) => {
                         for t in relation.iter() {
                             let key: Vec<Value> = c.variables()[..m].iter().map(|v| t.get(at(v).unwrap())).collect();
-                            let admitted = if m == c.variables().len() {
-                                c.holds(&key)
-                            } else {
-                                c.may_hold_prefix(&Tuple::new(&key), &(0..m).collect::<Vec<_>>())
-                            };
+                            // A prefix of the variables admits every tuple.
+                            let admitted = m < c.variables().len() || c.holds(&key);
                             if admitted && !kept.contains(t) {
                                 kept.push(t.clone());
                             }
@@ -388,8 +365,8 @@ mod tests {
     }
 
     /// `worker_databases(MinimalFragments)` is the reference, tuple for
-    /// tuple and in the same order, on the workers of every preset — the
-    /// skew-aware prefix cover and §6's per-processor `h_i` among them —
+    /// tuple and in the same order, on the workers of every preset — §6's
+    /// per-processor `h_i` among them, and Example 3 on a Zipf graph too —
     /// of `general` on two programs and of two magic plans.
     #[test]
     fn fragments_match_a_per_processor_reference() {
@@ -398,7 +375,6 @@ mod tests {
         use crate::schemes::demand::compile_demand;
         use crate::schemes::general::{rewrite_general, RuleChoice};
         use crate::schemes::presets::*;
-        use crate::strategy::SkewPolicy;
         use gst_frontend::magic::magic_rewrite;
         use gst_frontend::LinearSirup;
         use gst_storage::round_robin_fragment;
@@ -412,15 +388,13 @@ mod tests {
             let (db, hot_db) = (fx.database(&edges), fx.database(&skewed));
             let h: DiscriminatorRef = Arc::new(HashMod::new(n, 3));
             let var = |name| fx.program.var(name);
-            let skew = skew_aware_hash_partition(&sirup, n, &hot_db, &SkewPolicy::default()).unwrap();
-            assert!(n == 1 || skew.hot_keys_split > 0, "the zipf graph has a hot key at n={n}");
             let local = |i| Arc::new(Mixed::new(i, h.clone(), 0.5, 7)) as DiscriminatorRef;
             let generalized = GeneralizedConfig { v_r: vec![var("Z")], v_e: vec![var("X")], h_prime: h.clone(), h_locals: (0..n).map(local).collect() };
             let mut plans = vec![
                 ("example1", db.clone(), example1_wolfson(&sirup, n, &db).unwrap()),
                 ("example2", db.clone(), example2_valduriez(&sirup, round_robin_fragment(&edges, n).unwrap(), &db).unwrap()),
                 ("example3", db.clone(), example3_hash_partition(&sirup, n, &db).unwrap()),
-                ("skew-aware", hot_db, skew),
+                ("example3 (zipf)", hot_db.clone(), example3_hash_partition(&sirup, n, &hot_db).unwrap()),
                 ("§6 per-processor h_i", db.clone(), rewrite_generalized(&sirup, &generalized, &db).unwrap()),
                 ("nocomm", db.clone(), rewrite_no_comm(&sirup, &NoCommConfig { v_e: vec![var("X")], h_prime: h.clone() }, &db).unwrap()),
             ];

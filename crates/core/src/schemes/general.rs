@@ -60,7 +60,7 @@
 
 use std::sync::Arc;
 
-use gst_common::{Error, Result, Tuple};
+use gst_common::{Error, Result};
 use gst_eval::plan::RelationId;
 use gst_eval::route::pooled_shard;
 use gst_frontend::ast::{Atom, Literal, Term};
@@ -279,7 +279,7 @@ pub(crate) fn rewrite(
                     Route {
                         source: atom(out, a.terms.clone()),
                         key: Some(DiscConstraint::literal(policy.v.clone(), h.clone(), i)),
-                        dests: inboxes((0..n).filter(|&j| h.may_assign_prefix(&Tuple::unit(), &[], j)).collect()),
+                        dests: inboxes(h.image()),
                         retract: false,
                     }
                 } else if policy.conditioned {
@@ -318,7 +318,7 @@ pub(crate) fn rewrite(
         .zip(edbs)
         .map(|(program, edb)| WorkerSpec { program, edb, session: None })
         .collect();
-    Ok(CompiledScheme { workers, answers: derived, kind, hot_keys_split: 0 })
+    Ok(CompiledScheme { workers, answers: derived, kind })
 }
 
 #[cfg(test)]

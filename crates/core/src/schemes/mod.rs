@@ -15,7 +15,6 @@
 //! | [`presets::example1_wolfson`] | §4 Ex. 1 | a dataflow cycle | yes | symmetric hash | shared |
 //! | [`presets::example2_valduriez`] | §4 Ex. 2 | the base atom's variables | yes | fragment owner | its fragments |
 //! | [`presets::example3_hash_partition`] | §4 Ex. 3 | `Ȳ`'s first base-bound variable | yes | hash | minimal fragments |
-//! | [`presets::skew_aware_hash_partition`] | §6 | Ex. 3's, then the rest of `Ȳ` | yes | hash, hot keys split | minimal fragments |
 //! | [`demand::compile_demand`] | §7 | each rule's magic guard | yes | hash | minimal fragments |
 //!
 //! The exit rule of a sirup preset is always conditioned on `h'(v(e))`,
@@ -48,10 +47,6 @@ pub struct CompiledScheme {
     pub answers: Vec<RelationId>,
     /// Which rewriting produced this (for reports).
     pub kind: &'static str,
-    /// Keys the compile-time skew sampler split across processors — zero
-    /// for every scheme except the skew-aware preset. Surfaced in
-    /// `--stats` as `hot_keys_split`.
-    pub hot_keys_split: usize,
 }
 
 impl CompiledScheme {

@@ -7,98 +7,19 @@
 //! volumes per candidate scheme and a machine's cost ratio, pick the
 //! cheapest execution.
 //!
-//! It also holds the compile-time *skew sampler* behind the skew-aware
-//! scheme (ROADMAP item 4): a pass over an EDB relation's key column(s)
-//! that measures per-key frequency and flags the keys hot enough to melt
-//! one worker under a uniform hash partition.
+//! It also holds the per-rule choice of a demand-partitioned magic program
+//! ([`demand_choices`]), whose key the adornment fixes. No choice here
+//! reads the data: there is no key census, and a hot key is hashed like
+//! any other (EXPERIMENTS.md P24).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gst_common::{Result, Value};
+use gst_common::Result;
 use gst_frontend::magic::MagicRewrite;
-use gst_storage::Relation;
 
 use crate::discriminator::{DiscriminatorRef, HashMod};
 use crate::schemes::common::{first_body_variable, validate_sequence};
 use crate::schemes::general::RuleChoice;
-
-/// Knobs of the hot-key detector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SkewPolicy {
-    /// A key is *hot* when its frequency exceeds `hot_factor` fair shares,
-    /// i.e. `count · n > hot_factor · total`. At the default 1.0 a key
-    /// whose own weight exceeds one worker's uniform share (`total / n`)
-    /// gets split: such a key caps the best achievable balance all by
-    /// itself, which is exactly when §6's `R_i` replication pays off.
-    pub hot_factor: f64,
-    /// Processors each hot key splits across; `0` means all `n`.
-    pub split_k: usize,
-}
-
-impl Default for SkewPolicy {
-    fn default() -> Self {
-        SkewPolicy {
-            hot_factor: 1.0,
-            split_k: 0,
-        }
-    }
-}
-
-/// Frequency census of an EDB relation's key column(s).
-#[derive(Debug, Clone)]
-pub struct KeyFrequencyProfile {
-    /// Number of tuples sampled.
-    pub total: u64,
-    /// Distinct keys with their frequencies, most frequent first (ties in
-    /// key order, so the census is deterministic).
-    pub counts: Vec<(Vec<Value>, u64)>,
-}
-
-impl KeyFrequencyProfile {
-    /// The keys hot enough to split under `policy` when partitioning
-    /// across `n` processors, most frequent first.
-    ///
-    /// The rule *peels* the head of the distribution: a key is hot when it
-    /// exceeds `hot_factor` fair shares of the mass **remaining after the
-    /// hotter keys above it were split away** — a split key spreads
-    /// (near-)uniformly, so it stops constraining the achievable maximum,
-    /// and the next key down is judged against the load that is actually
-    /// left to balance. Peeling stops at the first key that fits, since
-    /// every later (smaller) key fits the same remainder a fortiori.
-    pub fn hot_keys(&self, n: usize, policy: &SkewPolicy) -> Vec<(Vec<Value>, u64)> {
-        if n <= 1 || self.total == 0 {
-            return Vec::new();
-        }
-        let mut hot = Vec::new();
-        let mut remaining = self.total;
-        for (key, count) in &self.counts {
-            if (count * n as u64) as f64 <= policy.hot_factor * remaining as f64 {
-                break;
-            }
-            hot.push((key.clone(), *count));
-            remaining -= count;
-        }
-        hot
-    }
-}
-
-/// Census the frequencies of `columns` projections over `rel` — the
-/// compile-time sampling pass of the skew-aware discriminator. The cost is
-/// one scan of the relation; for the workloads this system targets the
-/// EDB is already resident, so "sampling" reads every tuple.
-pub fn sample_key_frequencies(rel: &Relation, columns: &[usize]) -> KeyFrequencyProfile {
-    let mut by_key: BTreeMap<Vec<Value>, u64> = BTreeMap::new();
-    let mut total = 0u64;
-    for t in rel.iter() {
-        let key: Vec<Value> = columns.iter().map(|&c| t.get(c)).collect();
-        *by_key.entry(key).or_insert(0) += 1;
-        total += 1;
-    }
-    let mut counts: Vec<(Vec<Value>, u64)> = by_key.into_iter().collect();
-    counts.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    KeyFrequencyProfile { total, counts }
-}
 
 /// Relative costs of the three resources a scheme spends: computation
 /// (rule firings), communication (tuples shipped), and storage (base
@@ -300,42 +221,6 @@ mod tests {
         assert_eq!(
             choose(&[a, b], &CostModel::with_comm_ratio(2.0)).unwrap().name,
             "first"
-        );
-    }
-
-    #[test]
-    fn sampler_counts_and_ranks_keys() {
-        use gst_common::ituple;
-        // Column 1 frequencies: 0 appears 6×, 1 appears 2×, others once.
-        let rel: gst_storage::Relation = (0..6i64)
-            .map(|k| ituple![k + 10, 0])
-            .chain((0..2i64).map(|k| ituple![k + 20, 1]))
-            .chain((0..4i64).map(|k| ituple![k + 30, k + 2]))
-            .collect();
-        let profile = sample_key_frequencies(&rel, &[1]);
-        assert_eq!(profile.total, 12);
-        assert_eq!(profile.counts[0], (vec![Value::Int(0)], 6));
-        assert_eq!(profile.counts[1], (vec![Value::Int(1)], 2));
-        // Peeling at n=4 under the default policy: key 0 carries 6/12 = 2
-        // fair shares (hot); with it split away 6 tuples remain, against
-        // which key 1's 2·4 = 8 > 6 also exceeds a share (hot); the next
-        // count (1) fits the remaining 4 exactly, so peeling stops.
-        let hot = profile.hot_keys(4, &SkewPolicy::default());
-        assert_eq!(hot.len(), 2);
-        assert_eq!(hot[0].0, vec![Value::Int(0)]);
-        assert_eq!(hot[1].0, vec![Value::Int(1)]);
-        // A stricter factor suppresses it: 6·4 = 24 > 2·12 fails strictly.
-        let strict = SkewPolicy {
-            hot_factor: 2.0,
-            split_k: 0,
-        };
-        assert!(profile.hot_keys(4, &strict).is_empty());
-        // Degenerate cases never split.
-        assert!(profile.hot_keys(1, &SkewPolicy::default()).is_empty());
-        assert!(
-            sample_key_frequencies(&gst_storage::Relation::new(2), &[1])
-                .hot_keys(4, &SkewPolicy::default())
-                .is_empty()
         );
     }
 }

@@ -192,25 +192,13 @@ pub trait Constraint: Send + Sync {
         self.partition(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
     }
 
-    /// Decide whether the constraint *could* hold given the values in
-    /// `row`'s `columns`, which bind a leading prefix of
-    /// [`Constraint::variables`] — what the fragmenter asks of a base tuple
-    /// whose atom binds some or all of the constraint's variables: `false`
-    /// means no extension of the prefix satisfies the constraint, so the
-    /// tuple can be dropped from the fragment. The default is conservative
-    /// — a full binding decides exactly, anything shorter is assumed
-    /// possible. An implementation that reads the row's words overrides it.
-    fn may_hold_prefix(&self, row: &Tuple, columns: &[usize]) -> bool {
-        columns.len() < self.variables().len()
-            || self.holds(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
-    }
-
-    /// Whether a prefix of `bound` variables can make
-    /// [`Constraint::may_hold_prefix`] false at all — asked before a tuple
-    /// is read, so a prefix that narrows nothing costs no pass. The
-    /// default: only a full binding does.
-    fn narrows(&self, bound: usize) -> bool {
-        bound == self.variables().len()
+    /// [`Constraint::holds`] of the values in `row`'s `columns`, which
+    /// hold the constraint's variables in order — what the fragmenter asks
+    /// of a base tuple whose atom binds every variable of the constraint.
+    /// An implementation that can decide on the row's words overrides this
+    /// and must agree with the default, which rebuilds the values.
+    fn holds_row(&self, row: &Tuple, columns: &[usize]) -> bool {
+        self.holds(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
     }
 }
 

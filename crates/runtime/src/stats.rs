@@ -204,6 +204,18 @@ impl ParallelStats {
         mean / max
     }
 
+    /// Load balance of the processing firings: the most any worker fired
+    /// over the mean per worker (1.0 = perfectly even, and when nothing
+    /// fired; N = one worker fired everything).
+    pub fn firing_skew(&self) -> f64 {
+        let max = self.workers.iter().map(|w| w.processing_firings).max().unwrap_or(0);
+        let total = self.total_processing_firings();
+        if total == 0 {
+            return 1.0;
+        }
+        max as f64 / (total as f64 / self.workers.len() as f64)
+    }
+
     /// Total processing-rule firings across processors — the left side of
     /// Theorems 2 and 6.
     pub fn total_processing_firings(&self) -> u64 {
@@ -313,6 +325,28 @@ mod tests {
         assert_eq!(stats.total_encoded_bytes(), 18);
         assert!((stats.compression_ratio() - 10.0).abs() < 1e-9);
         assert_eq!(stats.utilization(), 1.0, "all-zero busy counts as even");
+    }
+
+    #[test]
+    fn firing_skew_is_max_over_mean_and_one_when_nothing_fired() {
+        let fleet = |firings: &[u64]| ParallelStats {
+            workers: firings
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| WorkerReport { processing_firings: f, ..WorkerReport::new(i, firings.len()) })
+                .collect(),
+            channel_matrix: vec![vec![0; firings.len()]; firings.len()],
+            restarts: 0,
+            reconnects: 0,
+            relay_bytes: 0,
+            wall_time: Duration::ZERO,
+            pooling_time: Duration::ZERO,
+        };
+        assert_eq!(fleet(&[0, 0, 0]).firing_skew(), 1.0, "an idle fleet is even");
+        assert_eq!(fleet(&[]).firing_skew(), 1.0, "so is an empty one");
+        assert_eq!(fleet(&[7, 7, 7, 7]).firing_skew(), 1.0);
+        assert!((fleet(&[30, 10, 0, 0]).firing_skew() - 3.0).abs() < 1e-12, "max 30 over mean 10");
+        assert_eq!(fleet(&[0, 0, 9]).firing_skew(), 3.0, "one worker fired everything");
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub fn random_digraph(nodes: u64, edges: u64, seed: u64) -> Relation {
 /// collapsing into one strongly-connected component (where every key
 /// drags the same giant closure and no partition can help). Hash
 /// partitioning the TC join key then concentrates the hot nodes' closures
-/// on whichever processors own them — the adversarial input for
-/// skew-aware partitioning. Deterministic in `seed`. At `s_tenths = 20`
+/// on whichever processors own them — the input that shows a hash
+/// partition's load skew. Deterministic in `seed`. At `s_tenths = 20`
 /// (s = 2) node 0 alone is the source of well over half of all edges.
 pub fn zipf_digraph(nodes: u64, edges: u64, s_tenths: u32, seed: u64) -> Relation {
     assert!(nodes >= 2, "need at least two nodes for non-loop edges");

@@ -1,7 +1,7 @@
 //! `pdatalog` — command-line front end for the parallel-datalog library.
 //!
 //! ```text
-//! pdatalog run <file.dl> [--workers N] [--scheme S] [--skew-aware]
+//! pdatalog run <file.dl> [--workers N] [--scheme S]
 //!                        [--query ["goal(…)"] [--explain-rewrite]]
 //!                        [--print PRED/ARITY] [--stats]
 //!                        [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS]
@@ -39,12 +39,6 @@
 //! `demand_ratio` — magic firings over a full-closure run's firings —
 //! plus the firings/bytes avoided; `--profile` labels magic/adorned
 //! rules in the hot-rule table (e.g. `anc^bf [magic r1]`).
-//!
-//! `--skew-aware` (with `--scheme example3`) samples EDB key frequencies
-//! at compile time and splits hot keys across processors under the §6
-//! `R_i` replication trade-off (DESIGN.md §13). `--stats` then also
-//! reports `hot_keys_split` next to `firing_skew` (max/mean per-worker
-//! firings).
 //!
 //! `--trace` prints the unified event journal (rounds, sends, receives,
 //! deliveries, idles, recoveries, termination) on stderr for any parallel run — threaded
@@ -170,7 +164,7 @@ fn run(args: Vec<String>) -> std::result::Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|naive|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--skew-aware] [--print PRED/ARITY] [--stats] [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--metrics-out FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES] [--heartbeat-ms MS] [--heartbeat-timeout-ms MS] [--connect-timeout-ms MS] [--connect-backoff-ms MS]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [timing flags]\n  pdatalog query <file.dl> \"anc(1, X)\"\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--bits | --linear c1,c2,...]\n\nsupervision defaults: --watchdog-ms 30000, --max-restarts 1, --restart-backoff-ms 10.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq, naive, or general (demand-partitioned).\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
+    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|naive|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--print PRED/ARITY] [--stats] [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--metrics-out FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES] [--heartbeat-ms MS] [--heartbeat-timeout-ms MS] [--connect-timeout-ms MS] [--connect-backoff-ms MS]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [timing flags]\n  pdatalog query <file.dl> \"anc(1, X)\"\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--bits | --linear c1,c2,...]\n\nsupervision defaults: --watchdog-ms 30000, --max-restarts 1, --restart-backoff-ms 10.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq, naive, or general (demand-partitioned).\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
 }
 
 /// Parse `PRED/ARITY`, e.g. `anc/2`.
@@ -212,7 +206,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let mut net_config = parallel_datalog::runtime::NetConfig::default();
     let mut watchdog: Option<std::time::Duration> = None;
     let mut restart_backoff: Option<std::time::Duration> = None;
-    let mut skew_aware = false;
     let mut show_profile = false;
     let mut profile_json: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -255,7 +248,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 query = Some(goal);
             }
             "--explain-rewrite" => explain_rewrite = true,
-            "--skew-aware" => skew_aware = true,
             "--sim" => sim = true,
             "--seed" => seed = parsed(&mut it, "--seed needs an unsigned integer")?,
             "--faults" => {
@@ -322,7 +314,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             (watchdog.is_some() || restart_backoff.is_some()) && sequential,
             "--watchdog-ms/--restart-backoff-ms need a parallel scheme (they tune the supervisor)",
         ),
-        (skew_aware && scheme_name != "example3", "--skew-aware replaces example3's hash partition; use --scheme example3"),
         (net && sim, "--net and --sim are exclusive: pick OS processes or the simulator"),
         (net && sequential, "--net needs a parallel scheme (try --scheme example3)"),
         (!net && (net_faults.is_some() || net_kill.is_some()), "--net-faults/--net-kill only make sense with --net"),
@@ -342,11 +333,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             query.is_some() && updates.is_some(),
             "--query runs one demand-bounded fixpoint; it does not compose with --updates \
              (apply updates through the library's UpdateSession instead)",
-        ),
-        (
-            query.is_some() && skew_aware,
-            "--skew-aware tunes example3's full-closure partition; query mode already \
-             partitions on the demand key",
         ),
         (
             query.is_some() && !sequential && scheme_name != "general",
@@ -480,7 +466,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 // discriminates on its magic guard's columns, so demand
                 // tuples route to the worker owning the matching data.
                 Some(rw) => compile_demand(rw, &db, workers).map_err(|e| e.to_string())?,
-                None => build_scheme(parallel, &program, &db, workers, skew_aware)?,
+                None => build_scheme(parallel, &program, &db, workers)?,
             };
             let mut config = RuntimeConfig::default();
             config.worker.profile = profiling;
@@ -655,25 +641,15 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             } else {
                 String::new()
             };
-            // Per-worker firing balance (max/mean), plus hot_keys_split
-            // (from compile time) when the skew-aware partition is on.
+            // Per-worker firing balance (max/mean), plus the plan `general`
+            // ran.
             let extra = {
-                let firings: Vec<u64> = outcome
-                    .stats
-                    .workers
-                    .iter()
-                    .map(|w| w.processing_firings)
-                    .collect();
-                let max = firings.iter().copied().max().unwrap_or(0);
-                let mean = firings.iter().sum::<u64>() as f64 / firings.len().max(1) as f64;
-                let skew = if mean > 0.0 { max as f64 / mean } else { 0.0 };
                 let mut s = format!(
-                    " firing_skew={skew:.2} utilization={:.2}",
+                    " firing_skew={:.2} utilization={:.2}",
+                    outcome.stats.firing_skew(),
                     outcome.stats.utilization()
                 );
-                if skew_aware {
-                    s.push_str(&format!(" hot_keys_split={}", scheme.hot_keys_split));
-                } else if parallel == "general" && query_ctx.is_none() {
+                if parallel == "general" && query_ctx.is_none() {
                     // Which plan this was: the sequences `build_scheme` keyed
                     // the rules on (a pure function of the program).
                     let v: Vec<String> = choose_sequences(&program).iter().map(|v| sequence(v, &interner)).collect();
@@ -686,7 +662,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             // scheme on the original program, same worker count).
             let extra = match (&query_ctx, show_stats) {
                 (Some(_), true) => {
-                    let full = build_scheme("general", &program, &db, workers, false)?
+                    let full = build_scheme("general", &program, &db, workers)?
                         .run()
                         .map_err(|e| e.to_string())?;
                     let (mf, ff) =
@@ -1087,18 +1063,10 @@ fn build_scheme(
     program: &Program,
     db: &Database,
     workers: usize,
-    skew_aware: bool,
 ) -> std::result::Result<parallel_datalog::core::schemes::CompiledScheme, String> {
     use parallel_datalog::core::schemes::BaseDistribution;
     let err = |e: Error| e.to_string();
     let sirup = || LinearSirup::from_program(program).map_err(err);
-    if skew_aware {
-        // Same discriminating choice as example3, but with EDB key
-        // frequencies sampled at compile time and hot keys split across
-        // processors (§6 R_i; DESIGN.md §13).
-        return skew_aware_hash_partition(&sirup()?, workers, db, &SkewPolicy::default())
-            .map_err(err);
-    }
     match name {
         "example1" => example1_wolfson(&sirup()?, workers, db).map_err(err),
         "example2" => {

@@ -255,6 +255,12 @@ fn bad_usage_fails_cleanly() {
     let out = cli("run", &file, "--scheme bogus");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown scheme"));
+
+    // A retired flag is an unknown argument (EXPERIMENTS.md P24).
+    let out = cli("run", &file, "--scheme example3 --skew-aware");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unexpected argument `--skew-aware`"), "{stderr}");
 }
 
 #[test]
@@ -322,6 +328,7 @@ fn sample_programs_ship_and_run() {
         ("examples/programs/ancestor.dl", "anc("),
         ("examples/programs/chain_sirup.dl", "p("),
         ("examples/programs/org.dl", "chain("),
+        ("examples/programs/zipf_ancestor.dl", "anc("),
     ] {
         let out = cli("run", root.join(file), "");
         assert!(

@@ -66,15 +66,12 @@ fn cells(n: usize) -> Vec<Cell> {
     cell("R_i, per-processor h_i", &fx, &db, rewrite_generalized(&sirup, &r_i(mixed), &db), Overlap);
     let no_comm = NoCommConfig { v_e: v_e.clone(), h_prime: h.clone() };
     cell("no-comm", &fx, &db, rewrite_no_comm(&sirup, &no_comm, &db), Overlap);
-    // The hub of a star, or the head of a Zipf graph, is a hot key: its
-    // rows are split over processors by a second hash of the whole row —
-    // still one home per row, so a Partition (ISSUE 19 expected Overlap;
-    // EXPERIMENTS.md P14 says why not).
-    for (name, edges) in [("skew-aware split (star)", star(40)), ("skew-aware split (zipf)", zipf_digraph(200, 120, 20, 42))] {
+    // The hub of a star, or the head of a Zipf graph, is a hot key: all of
+    // its rows hash to one processor — still one home per row, so a
+    // Partition.
+    for (name, edges) in [("example3 (star)", star(40)), ("example3 (zipf)", zipf_digraph(200, 120, 20, 42))] {
         let hot = fx.database(&edges);
-        let skew = skew_aware_hash_partition(&sirup, n, &hot, &SkewPolicy::default());
-        assert!(n == 1 || skew.as_ref().unwrap().hot_keys_split > 0, "{name}: a hot key must be split");
-        cell(name, &fx, &hot, skew, Partition);
+        cell(name, &fx, &hot, example3_hash_partition(&sirup, n, &hot), Partition);
     }
     // One `h` shared by all — but one that names the last processor alone.
     // Only there is a row of `anc` at home; every other processor pools

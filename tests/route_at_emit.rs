@@ -532,7 +532,6 @@ fn ancestor_scheme(fx: &Fixture, kind: &str, n: usize, edges: &Relation) -> Comp
             example2_valduriez(&sirup, round_robin_fragment(edges, n).unwrap(), &db).unwrap()
         }
         "example3" => example3_hash_partition(&sirup, n, &db).unwrap(),
-        "skew" => skew_aware_hash_partition(&sirup, n, &db, &SkewPolicy::default()).unwrap(),
         "nocomm" => rewrite_no_comm(&sirup, &NoCommConfig { v_e, h_prime: h }, &db).unwrap(),
         "r-shared" => r_i(&|_| h.clone()),
         "r-mixed" => r_i(&|i| Arc::new(Mixed::new(i, h.clone(), 0.5, 31))),
@@ -550,7 +549,7 @@ fn ancestor_scheme(fx: &Fixture, kind: &str, n: usize, edges: &Relation) -> Comp
 /// else it is [`remote_firings`], one row per firing that routes off the
 /// processor. Processing firings as recorded there and on the last commit
 /// that had one rewrite loop per scheme, at n = 2, 3, 4 for the latter.
-/// `grid(12,12)`, `random_digraph(30,60,5)` and, for the skew split,
+/// `grid(12,12)`, `random_digraph(30,60,5)` and, for a hot key,
 /// `star(40)`.
 #[test]
 fn channel_matrix_is_what_the_sending_rules_shipped() {
@@ -572,7 +571,7 @@ fn channel_matrix_is_what_the_sending_rules_shipped() {
         ("grid", "r-mixed", [13676, 14693, 14830]), ("grid", "r-constant", [17556, 14863, 17556]),
         ("random", "example1", [1350; 3]), ("random", "nocomm", [1810, 1994, 2224]),
         ("random", "r-shared", [1350; 3]), ("random", "r-mixed", [1867, 2063, 2558]),
-        ("random", "r-constant", [1810, 1994, 2224]), ("star", "skew", [40; 3]),
+        ("random", "r-constant", [1810, 1994, 2224]), ("star", "example3", [40; 3]),
     ];
     let home = home.iter().flat_map(|&(graph, kind, firings)| (2..5).map(move |n| (graph, kind, n, &[][..], firings[n - 2])));
     for (graph, kind, n, matrix, processing) in pinned.iter().copied().chain(home) {
@@ -623,7 +622,7 @@ fn shipped_mid_round(journal: &Journal, worker: usize) -> usize {
 #[test]
 fn a_round_fired_and_shipped_in_chunks_fires_and_ships_what_it_fires_whole() {
     let fx = linear_ancestor();
-    let kinds = ["example1", "example2", "example3", "skew", "nocomm", "r-shared", "r-mixed", "r-constant", "general"];
+    let kinds = ["example1", "example2", "example3", "nocomm", "r-shared", "r-mixed", "r-constant", "general"];
     let mut mid_round = [0; 5];
     for n in [2usize, 3, 4] {
         // Three layers of 60·N nodes, each wired to 12 of the next: the
@@ -931,7 +930,7 @@ fn a_condition_the_placement_implies_runs_no_filter_and_changes_nothing() {
             ("example2", example2_valduriez(&sirup, round_robin_fragment(&edges, n).unwrap(), &db).unwrap(), anc, (2, 0)),
             ("example3", example3_hash_partition(&sirup, n, &db).unwrap(), anc, (1, 1)),
             ("nocomm", rewrite_no_comm(&sirup, &no_comm, &db).unwrap(), anc, (1, 0)),
-            ("skew-aware", skew_aware_hash_partition(&sirup, n, &hot, &SkewPolicy::default()).unwrap(), anc, (1, 1)),
+            ("example3 (zipf)", example3_hash_partition(&sirup, n, &hot).unwrap(), anc, (1, 1)),
             ("general ancestor", general(&fx, &db, n), anc, (1, 1)),
             ("general same-generation", general(&sg, &sg_db, n), sg.output_id(), (1, 1)),
             ("general Example 8", general(&ex8, &ex8_db, n), ex8.output_id(), (2, 0)),

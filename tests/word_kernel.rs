@@ -8,7 +8,8 @@
 //! constant, a repeated variable, a heap row, an empty head, a wide key or
 //! a dead row. Then two equalities: every discriminator's `assign_words`
 //! and `assign_bound_words` are its `assign`, its literal's `holds_words`
-//! at every processor is `holds`, and `HashIndex::probe_words` is `probe`.
+//! and `holds_row` at every processor are `holds`, and
+//! `HashIndex::probe_words` is `probe`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -215,10 +216,8 @@ fn every_discriminator_assigns_words_as_it_assigns_values() {
             Arc::new(FragmentOwner::new(Arc::new(round_robin_fragment(&owned, n).unwrap()))),
         ];
         if arity > 0 {
-            let hot = (ground[..1].to_vec(), (0..n).filter(|_| rng.gen_bool(0.5)).chain([0]).collect());
             all.push(Arc::new(BitVector::new(BitFn::new(seed), arity)));
             all.push(Arc::new(Linear::new(BitFn::new(seed), (0..arity).map(|k| k as i64 - 1).collect())));
-            all.push(Arc::new(SkewAwareHashMod::new(n, 1, seed, seed ^ 2).with_hot_keys(rng.gen_bool(0.5).then_some(hot))));
         }
         let (row, slots) = (Tuple::new(&row), ground.iter().map(|v| v.word()).collect::<Vec<_>>());
         for disc in all {
@@ -228,44 +227,9 @@ fn every_discriminator_assigns_words_as_it_assigns_values() {
             for k in 0..disc.processors() {
                 let literal = DiscConstraint::literal(Vec::new(), disc.clone(), k);
                 assert_eq!(literal.holds_words(&slots), literal.holds(&ground), "case {case}: {} = {k}", disc.describe());
+                assert_eq!(literal.holds_row(&row, &columns), literal.holds(&ground), "case {case}: {} = {k}", disc.describe());
                 assert_eq!(literal.partition_words(&row, &columns), literal.partition(&ground), "case {case}");
             }
         }
     }
-}
-
-/// The skew-aware function's own `assign_words` replays `assign`: keys of
-/// one to three values, `Sym` and `Int` columns, several hot keys — the
-/// row's own among them half the time — with split sets of every size up
-/// to `n`, most of them not a power of two.
-#[test]
-fn skew_aware_assigns_words_as_it_assigns_values() {
-    let mut rng = SmallRng::seed_from_u64(0x5CE3D);
-    let value = |rng: &mut SmallRng| match rng.gen_below(3) {
-        0 => Value::Sym(SymbolId(rng.gen_below(4) as u32)),
-        1 => Value::Int(rng.next_u64() as i64),
-        _ => Value::Int(rng.gen_below(4) as i64),
-    };
-    let (mut hot, mut uneven_split) = (0, 0);
-    for case in 0..3_000u64 {
-        let (n, key_len) = ([1, 3, 5, 6, 7][rng.gen_below(5) as usize], 1 + rng.gen_below(3) as usize);
-        let row: Vec<Value> = (0..key_len + 3).map(|_| value(&mut rng)).collect();
-        let columns: Vec<usize> = (0..key_len + rng.gen_below(3) as usize).map(|_| rng.gen_below(row.len() as u64) as usize).collect();
-        let ground: Vec<Value> = columns.iter().map(|&c| row[c]).collect();
-        let split = |rng: &mut SmallRng| -> Vec<usize> { (0..n).filter(|_| rng.gen_bool(0.6)).chain([n - 1]).collect() };
-        let mut keys: Vec<(Vec<Value>, Vec<usize>)> = (0..3).map(|_| ((0..key_len).map(|_| value(&mut rng)).collect(), split(&mut rng))).collect();
-        if rng.gen_bool(0.5) {
-            keys.push((ground[..key_len].to_vec(), split(&mut rng)));
-        }
-        let disc = SkewAwareHashMod::new(n, key_len, rng.next_u64(), rng.next_u64()).with_hot_keys(keys.clone());
-        let targets = keys.iter().find(|(k, _)| k[..] == ground[..key_len]).map(|(_, t)| t.clone());
-        hot += usize::from(targets.is_some());
-        uneven_split += usize::from(targets.is_some_and(|mut t| {
-            t.sort_unstable();
-            t.dedup();
-            !t.len().is_power_of_two()
-        }));
-        assert_eq!(disc.assign_words(&Tuple::new(&row), &columns), disc.assign(&ground), "case {case}: {} on {ground:?}", disc.describe());
-    }
-    assert!(hot > 1_000 && uneven_split > 200, "{hot} hot rows, {uneven_split} on split sets whose size is not a power of two");
 }
