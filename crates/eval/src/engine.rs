@@ -5,19 +5,24 @@
 //! parallel) and is driven in three strokes:
 //!
 //! 1. [`FixpointEngine::bootstrap`] — fire the rules with no derived body
-//!    atoms (the initialization rules of the paper's schemes) into the
-//!    pending pool;
-//! 2. [`FixpointEngine::advance`] — end a round: deduplicate pending
-//!    tuples into fresh deltas (the paper's "difference operation") and,
-//!    when the site has a route table, hash each fresh row of a source
-//!    without a home inbox to its destination (the paper's sending step);
+//!    atoms (the initialization rules of the paper's schemes);
+//! 2. [`FixpointEngine::advance`] — end a round: make the rows admitted
+//!    since the last advance the fresh deltas and, when the site has a
+//!    route table, hash each fresh row of a source without a home inbox to
+//!    its destination (the paper's sending step);
 //! 3. [`FixpointEngine::process_round`] — fire every delta version of
-//!    every recursive rule against the current deltas, producing the next
-//!    pending pool. The round is resumable: [`FixpointEngine::process_chunk`]
-//!    fires it in parts, each reading at most a given number of rows of
-//!    the leading delta scans, and `process_round` is that call run to the
-//!    end. No watermark moves inside a round, so the parts' firings are
-//!    exactly the round's.
+//!    every recursive rule against the current deltas. The round is
+//!    resumable: [`FixpointEngine::process_chunk`] fires it in parts, each
+//!    reading at most a given number of rows of the leading delta scans,
+//!    and `process_round` is that call run to the end. No watermark moves
+//!    inside a round, so the parts' firings are exactly the round's.
+//!
+//! The paper's difference operation (`t_new − t`, then `t ∪=`) runs where
+//! rows enter, not where the round ends: every plan run and every
+//! [`FixpointEngine::inject`] ends by deduplicating the rows it produced
+//! into the arena, past the round's delta watermark, where no view of the
+//! round reads them. A site's memory is then its arenas plus one part's
+//! or one arrival's rows, not a whole round's emissions.
 //!
 //! Where a row of a routed head `t_out^i` goes is decided once, where a
 //! rule emits it (or bootstrap seeds it, or [`FixpointEngine::inject`]
@@ -47,16 +52,24 @@ use crate::stats::{EvalStats, TimeMode};
 /// Derived-relation state under semi-naive iteration.
 ///
 /// The delta is not a second relation: `full` is an insertion-ordered
-/// row arena, and the delta is its suffix `full.rows()[delta_start..]`
-/// — the rows the last [`IdbState::advance`] appended. The `Old` view
-/// (`T_{i-1}`) is the complementary prefix, so both views are borrowed
-/// row ranges of one arena and share its hash indexes.
+/// row arena, and the delta is its range `full.rows()[delta_start..delta_end]`
+/// — the rows admitted in the round the last [`IdbState::advance`]
+/// closed. The `Old` view (`T_{i-1}`) is the prefix below it, so both
+/// views are borrowed row ranges of one arena and share its hash indexes.
+/// Rows the current round emits are admitted past `delta_end` as each
+/// plan run ends, where no view of the round reads them; the next advance
+/// makes them the delta.
 #[derive(Debug)]
 struct IdbState {
     id: RelationId,
     full: Relation,
     /// First arena row of the current delta.
     delta_start: usize,
+    /// One past its last: every view of the round stops here.
+    delta_end: usize,
+    /// Rows submitted since the last advance, admitted or not.
+    submitted: u64,
+    /// Rows emitted or injected but not yet admitted; empty between calls.
     pending: Vec<Tuple>,
     /// One index per probe-column set any plan scans this relation by;
     /// it serves the full, `Old` and delta views alike.
@@ -72,30 +85,40 @@ impl IdbState {
             id,
             full: Relation::new(id.1),
             delta_start: 0,
+            delta_end: 0,
+            submitted: 0,
             pending: Vec::new(),
             indexes: Vec::new(),
             home: None,
         }
     }
 
-    /// `pending ∖ full → delta`; returns `(submitted, fresh)`. The set
-    /// insert into the arena is the paper's difference operation — the
-    /// surviving rows *are* the new delta. Fresh rows are fed to the
-    /// relation's indexes in place, so the fixpoint stays O(total tuples),
-    /// not O(rounds × tuples).
+    /// `pending ∖ full`, appended to the arena past `delta_end`: the
+    /// set insert is the paper's difference operation, run on each plan
+    /// run's or arrival's rows as they come, so the pool never holds more
+    /// than one of them.
+    fn admit(&mut self) {
+        self.submitted += self.pending.len() as u64;
+        self.full.insert_batch(&mut self.pending);
+    }
+
+    /// Admit what is left and make everything admitted since the last
+    /// advance the delta; returns `(submitted, fresh)`. Fresh rows are fed
+    /// to the relation's indexes in place, so the fixpoint stays
+    /// O(total tuples), not O(rounds × tuples).
     fn advance(&mut self) -> (u64, u64) {
-        let submitted = self.pending.len() as u64;
-        self.delta_start = self.full.len();
-        let fresh = self.full.insert_batch(&mut self.pending);
+        self.admit();
+        self.delta_start = std::mem::replace(&mut self.delta_end, self.full.len());
+        let fresh = (self.delta_end - self.delta_start) as u64;
         if fresh > 0 {
             self.indexes.iter_mut().for_each(|index| index.sync(&self.full));
         }
-        (submitted, fresh)
+        (std::mem::take(&mut self.submitted), fresh)
     }
 
-    /// The current delta as a borrowed arena suffix.
+    /// The current delta as a borrowed arena range.
     fn delta_slice(&self) -> &[Tuple] {
-        &self.full.rows()[self.delta_start..]
+        &self.full.rows()[self.delta_start..self.delta_end]
     }
 }
 
@@ -435,7 +458,7 @@ impl FixpointEngine {
             )));
         }
         let s = self.state_mut(pred, "preseed of")?;
-        s.delta_start = state.len();
+        (s.delta_start, s.delta_end) = (state.len(), state.len());
         s.full = state;
         self.preseeded.push(pred);
         Ok(())
@@ -451,8 +474,9 @@ impl FixpointEngine {
         self.slots.get(&pred).map(|&slot| &self.idb[slot].full)
     }
 
-    /// The previous round's fresh tuples for `pred` — a borrowed slice
-    /// of the relation's row arena.
+    /// The fresh tuples for `pred` of the round the last advance closed —
+    /// a borrowed range of the relation's row arena, which rows the current
+    /// round admits do not enter.
     pub fn delta_tuples(&self, pred: RelationId) -> &[Tuple] {
         self.slots.get(&pred).map(|&slot| self.idb[slot].delta_slice()).unwrap_or(&[])
     }
@@ -492,10 +516,11 @@ impl FixpointEngine {
     /// Queue externally received tuples for `pred` by letting `fill`
     /// append directly into the pending pool — the zero-copy receive
     /// path: a transport decoder writes tuples where the engine will
-    /// drain them, with no intermediate buffer. The appended suffix is
-    /// checked afterwards; on any failure the pool is rolled back to its
-    /// pre-call length. Rows for a head with a home inbox are then placed
-    /// like emitted ones: into the local inbox's pool or an outlet.
+    /// admit them, with no intermediate buffer. The rows are checked
+    /// afterwards; on any failure the pool is emptied. Rows for a head
+    /// with a home inbox are then placed like emitted ones: into the local
+    /// inbox's pool or an outlet. Every pool is admitted before the call
+    /// returns, so a caller that injects batch by batch holds one batch.
     ///
     /// # Errors
     /// `pred` must be a derived predicate; `fill`'s error is propagated;
@@ -506,38 +531,27 @@ impl FixpointEngine {
         fill: impl FnOnce(&mut Vec<Tuple>) -> Result<T>,
     ) -> Result<T> {
         let state = self.state_mut(pred, "inject into")?;
-        let before = state.pending.len();
-        match fill(&mut state.pending) {
-            Ok(v) => {
-                if let Some(bad) = state.pending[before..].iter().find(|t| t.arity() != pred.1)
-                {
-                    let got = bad.arity();
-                    state.pending.truncate(before);
-                    return Err(Error::Eval(format!(
-                        "injected tuple arity {got} != predicate arity {}",
-                        pred.1
-                    )));
-                }
-                if let Some(router) = state.home {
-                    let rows = state.pending.split_off(before);
-                    let slot = self.slots[&pred];
-                    self.with_pools(slot, router, |_, pools| rows.into_iter().for_each(|t| pools.submit(t)));
-                }
-                Ok(v)
-            }
-            Err(e) => {
-                state.pending.truncate(before);
-                Err(e)
-            }
+        let mut filled = fill(&mut state.pending);
+        if let (Ok(_), Some(bad)) = (&filled, state.pending.iter().find(|t| t.arity() != pred.1)) {
+            let msg = format!("injected tuple arity {} != predicate arity {}", bad.arity(), pred.1);
+            filled = Err(Error::Eval(msg));
         }
+        if filled.is_err() {
+            state.pending.clear();
+        } else if let Some(router) = state.home {
+            let rows = std::mem::take(&mut state.pending);
+            let slot = self.slots[&pred];
+            self.with_pools(slot, router, |_, pools| rows.into_iter().for_each(|t| pools.submit(t)));
+        }
+        self.admit_pools();
+        debug_assert!(self.idb.iter().all(|s| s.pending.is_empty()), "a pending pool outlives an injection");
+        filled
     }
 
-    /// True when no delta and no pending tuples exist anywhere — the local
-    /// idle condition of the paper's termination test.
+    /// True when no delta and no row admitted since the last advance exist
+    /// anywhere — the local idle condition of the paper's termination test.
     pub fn quiescent(&self) -> bool {
-        self.idb
-            .iter()
-            .all(|s| s.delta_slice().is_empty() && s.pending.is_empty())
+        self.idb.iter().all(|s| s.delta_slice().is_empty() && s.full.len() == s.delta_end)
     }
 
     /// Fire initialization rules (no derived body atoms) and seed derived
@@ -568,11 +582,12 @@ impl FixpointEngine {
         Ok(())
     }
 
-    /// End the round: move pending to deltas and update the indexes —
-    /// first for the heads, then, once the route table has pushed the
-    /// fresh rows of the heads without a home inbox that hash here into
-    /// the local inboxes' pending pools (and the others into their
-    /// [`Outlet`]s), for the inboxes. Returns the number of fresh tuples
+    /// End the round: make what each state admitted since the last
+    /// advance its delta and update the indexes — first for the heads,
+    /// then, once the route table has pushed the fresh rows of the heads
+    /// without a home inbox that hash here into the local inboxes' pending
+    /// pools (and the others into their [`Outlet`]s) and those pools are
+    /// admitted, for the inboxes. Returns the number of fresh tuples
     /// across all derived predicates.
     ///
     /// # Errors
@@ -598,7 +613,7 @@ impl FixpointEngine {
         Ok(fresh_total)
     }
 
-    /// Fire every delta-version plan once, pushing results into pending.
+    /// Fire every delta-version plan once, admitting what each emits.
     pub fn process_round(&mut self) {
         while !self.process_chunk(usize::MAX) {}
     }
@@ -610,10 +625,10 @@ impl FixpointEngine {
     /// reads nothing of the budget. Returns true when the round is done;
     /// until then the engine must not [`advance`](FixpointEngine::advance).
     ///
-    /// What a part emits is in the pending pools and outlets when the
-    /// call returns, so a caller may ship the outlets between parts. The
-    /// rows, arenas and watermarks every plan reads do not move until
-    /// the next advance, so the parts fire exactly what one call of
+    /// What a part emits is admitted past the delta watermarks, or in the
+    /// outlets, when the call returns, so a caller may ship the outlets
+    /// between parts. The rows and watermarks every plan reads do not move
+    /// until the next advance, so the parts fire exactly what one call of
     /// [`FixpointEngine::process_round`] would.
     pub fn process_chunk(&mut self, rows: usize) -> bool {
         assert!(rows > 0, "a part reads at least one row");
@@ -622,7 +637,7 @@ impl FixpointEngine {
         while plan < self.plans.len() {
             if budget == 0 {
                 self.cursor = Some((plan, from));
-                return false;
+                break;
             }
             let Some(state) = self.plans[plan].lead else {
                 self.run_plan_step(plan, None);
@@ -637,13 +652,20 @@ impl FixpointEngine {
             budget -= to - from;
             (plan, from) = if to < len { (plan, to) } else { (plan + 1, 0) };
         }
-        true
+        debug_assert!(self.idb.iter().all(|s| s.pending.is_empty()), "a pending pool outlives a part");
+        self.cursor.is_none()
+    }
+
+    /// Admit every pending pool: the end of each plan run and injection.
+    fn admit_pools(&mut self) {
+        self.idb.iter_mut().for_each(IdbState::admit);
     }
 
     /// Sync indexes, run one plan — its leading delta scan restricted to
-    /// arena rows `lead` when given — and record its firings, plus, when
-    /// a [`TimeMode`] is active, its per-rule compute time (wall micros or
-    /// firings-as-ticks). The `Off` path is the pre-profiling code
+    /// arena rows `lead` when given — admit what it emitted, and record its
+    /// firings, plus, when a [`TimeMode`] is active, its per-rule compute
+    /// time (wall micros or firings-as-ticks; admission is the caller's
+    /// compute, not the rule's). The `Off` path is the pre-profiling code
     /// exactly, modulo one predictable branch.
     fn run_plan_step(&mut self, i: usize, lead: Option<(usize, usize)>) {
         self.sync_indexes_for(i);
@@ -651,10 +673,9 @@ impl FixpointEngine {
         let timing = self.time_mode;
         let t0 = (timing == TimeMode::Wall).then(std::time::Instant::now);
         // Lend the pending pools out for the run, so the plan emits
-        // straight into them — no per-rule output buffer, no copy when the
-        // round ends: the head's own pool, or, for a head with a home
-        // inbox, the inboxes' pools and the outlets, chosen per row as it
-        // is emitted.
+        // straight into them — no per-rule output buffer: the head's own
+        // pool, or, for a head with a home inbox, the inboxes' pools and
+        // the outlets, chosen per row as it is emitted.
         let firings = match self.idb[head].home {
             None => {
                 let mut pending = std::mem::take(&mut self.idb[head].pending);
@@ -675,6 +696,7 @@ impl FixpointEngine {
             TimeMode::Ticks => self.stats.record_rule_time(rule_index, firings),
         }
         self.stats.record_firings(rule_index, firings);
+        self.admit_pools();
     }
 
     /// Run `run` with the pending pools of `head` — routed by `router` —
@@ -718,7 +740,7 @@ impl FixpointEngine {
     /// relation in its place; only call after the fixpoint.
     pub fn take_relation(&mut self, pred: RelationId) -> Option<Relation> {
         let s = &mut self.idb[*self.slots.get(&pred)?];
-        s.delta_start = 0;
+        (s.delta_start, s.delta_end) = (0, 0);
         Some(std::mem::replace(&mut s.full, Relation::new(pred.1)))
     }
 
@@ -732,8 +754,9 @@ impl FixpointEngine {
     /// Make sure every index a plan's scans probe is current. An EDB
     /// index is built here on its first use (the EDB never grows during
     /// evaluation; a missing relation leaves the index empty); a derived
-    /// relation's indexes are kept current by `advance`, so this only
-    /// finds work after a preseed.
+    /// relation's indexes are kept current by `advance` — rows admitted
+    /// past the delta wait for it — so this only finds work after a
+    /// preseed.
     fn sync_indexes_for(&mut self, i: usize) {
         for scan in self.plans[i].scans.iter().flatten() {
             match *scan {
@@ -745,7 +768,9 @@ impl FixpointEngine {
                 }
                 ScanSlot::Idb { state, index: Some(k) } => {
                     let state = &mut self.idb[state];
-                    state.indexes[k].sync(&state.full);
+                    if state.indexes[k].built_at() < state.delta_end as u64 {
+                        state.indexes[k].sync(&state.full);
+                    }
                 }
                 _ => {}
             }
@@ -767,6 +792,7 @@ impl FixpointEngine {
             })
             .collect();
         if let (Some((start, end)), Some(state)) = (lead, self.plans[i].lead) {
+            debug_assert!(end <= self.idb[state].delta_end, "a part reaches past the round's delta");
             accesses[0] = Some(Access::scan_range(&self.idb[state].full, start as u32, end as u32));
         }
         run_plan(plan, &accesses, emit)
@@ -781,13 +807,14 @@ impl FixpointEngine {
             },
             ScanSlot::Idb { state, index } => {
                 let state = &self.idb[state];
-                // Old = the arena rows below the delta watermark, delta =
-                // those at or above it.
+                // Old = the arena rows below the delta, full = those below
+                // its end; rows the round admitted lie past every view.
                 let (start, end) = match scan.source {
                     AtomSource::IdbOld => (0, state.delta_start),
-                    AtomSource::IdbDelta => (state.delta_start, state.full.len()),
-                    _ => (0, state.full.len()),
+                    AtomSource::IdbDelta => (state.delta_start, state.delta_end),
+                    _ => (0, state.delta_end),
                 };
+                debug_assert!(end <= state.delta_end, "a view reaches past the round's delta");
                 if start == end {
                     return Access::Empty;
                 }
@@ -1271,23 +1298,20 @@ mod tests {
         assert_eq!(snap[&b_id].len(), 1);
     }
 
-    /// The pending pools of every derived predicate, each sorted: the row
-    /// multiset the round emitted.
-    fn emitted(engine: &FixpointEngine) -> Vec<Vec<Tuple>> {
-        let sorted = |s: &IdbState| {
-            let mut rows = s.pending.clone();
-            rows.sort();
-            rows
-        };
-        engine.idb.iter().map(sorted).collect()
+    /// What every derived predicate admitted since the last advance, in
+    /// arena order.
+    fn admitted(engine: &FixpointEngine) -> Vec<&[Tuple]> {
+        engine.idb.iter().map(|s| &s.full.rows()[s.delta_end..]).collect()
     }
 
     /// A round fired in parts — one, seven or 1 024 rows of the leading
     /// delta scans at a time, or unbounded — fires the same count and
-    /// emits the same rows as `process_round`, round after round to the
-    /// fixpoint: no watermark moves inside a round. Non-linear ancestor
-    /// has two delta versions, `Δ ⋈ Old` and `Full ⋈ Δ`, where a boundary
-    /// that moved between parts would double or drop firings.
+    /// admits the same rows in the same order as `process_round`, round
+    /// after round to the fixpoint, and every part leaves every pool
+    /// empty: no watermark moves inside a round, however many rows the
+    /// parts admit past it. Non-linear ancestor has two delta versions,
+    /// `Δ ⋈ Old` and `Full ⋈ Δ`, where a view that took in admitted rows
+    /// would double or drop firings.
     #[test]
     fn a_round_fired_in_parts_fires_what_the_whole_round_fires() {
         // The n × n grid's edges, right and down.
@@ -1320,23 +1344,31 @@ mod tests {
                     engine
                 };
                 let (mut whole, mut parts) = (build(), build());
-                let (mut widest, mut cut) = (0, 0);
+                let (mut widest, mut cut, mut rows) = (0, 0, 0);
                 while whole.advance().unwrap() > 0 {
                     parts.advance().unwrap();
                     widest = widest.max(whole.idb.iter().map(|s| s.delta_slice().len()).max().unwrap());
                     whole.process_round();
-                    let mut calls = 1;
-                    while !parts.process_chunk(chunk) {
+                    let what = format!("{source} in parts of {chunk}, round {}", whole.stats().rounds);
+                    let mut calls = 0;
+                    loop {
                         calls += 1;
+                        let done = parts.process_chunk(chunk);
+                        let pools_empty = parts.idb.iter().all(|s| s.pending.is_empty());
+                        assert!(pools_empty, "{what}: a pool outlives part {calls}");
+                        if done {
+                            break;
+                        }
                     }
                     cut += (calls > 1) as usize;
-                    let what = format!("{source} in parts of {chunk}, round {}", whole.stats().rounds);
+                    rows += admitted(&whole).iter().map(|r| r.len()).sum::<usize>();
                     assert_eq!(parts.stats().firings, whole.stats().firings, "{what}");
                     assert_eq!(parts.stats().firings_by_rule, whole.stats().firings_by_rule, "{what}");
-                    assert_eq!(emitted(&parts), emitted(&whole), "{what}");
+                    assert_eq!(admitted(&parts), admitted(&whole), "{what}");
                 }
                 assert_eq!(parts.advance().unwrap(), 0);
                 assert!(chunk >= widest || cut > 0, "{source}: no round was cut in parts of {chunk}");
+                assert!(rows > 0, "{source}: no round admitted a row");
             }
         }
     }

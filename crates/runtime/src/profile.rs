@@ -8,10 +8,11 @@
 //!
 //! * `compute` — semi-naive rounds inside the local engine: bootstrap,
 //!   rule firings (further split per rule by `EvalStats::time_by_rule`),
-//!   the `advance` that dedups a round's derivations into the arenas and
-//!   syncs the indexes, and self-channel loopback copies;
+//!   the dedup that admits derived and received rows into the arenas, the
+//!   `advance` that makes them the deltas and syncs the indexes, and
+//!   self-channel loopback copies;
 //! * `encode` — columnar wire encoding on the ship path;
-//! * `decode` — coalesced batch decode-and-inject passes;
+//! * `decode` — wire decoding of the received batches;
 //! * `replay` — crash-recovery retransmission from the replay logs;
 //! * `idle` — gaps between steps while the worker was passive
 //!   (termination/barrier wait).
@@ -48,12 +49,13 @@ pub const PHASES: [&str; 5] = ["compute", "encode", "decode", "replay", "idle"];
 /// Accumulated time per phase, in the run's [`TimeBase`] units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
-    /// Semi-naive round processing: bootstrap, rule firings, the
-    /// `advance` that dedups each round into the arenas, loopback copies.
+    /// Semi-naive round processing: bootstrap, rule firings, admitting
+    /// derived and received rows into the arenas, `advance`, loopback
+    /// copies.
     pub compute: u64,
     /// Columnar wire encoding on the ship path.
     pub encode: u64,
-    /// Coalesced batch decode-and-inject passes.
+    /// Wire decoding of the received batches.
     pub decode: u64,
     /// Crash-recovery retransmission from the replay logs.
     pub replay: u64,
@@ -117,7 +119,7 @@ pub struct WorkerProfile {
     pub round_latency: Histogram,
     /// One sample per wire encode (per outlet per shipment).
     pub encode_time: Histogram,
-    /// One sample per coalesced decode-and-inject pass.
+    /// One sample per step that received batches: their decode time.
     pub decode_time: Histogram,
     /// One sample per wire encode: the payload's size in bytes (always
     /// bytes, in every time base).

@@ -21,10 +21,11 @@
 //! the asynchrony the paper insists on ("processor i does not wait for
 //! data from processor j") falls out of absorbing whatever has arrived
 //! before each engine round, never blocking for more. The loop body is
-//! one [`WorkerCore::step`]: receive (absorb and inject what arrived),
-//! close the previous round (`advance`: dedup the derived rows into the
-//! arenas), **send** the buffers the round filled — also when nothing
-//! fresh stayed here — then process one round, fired in chunks of
+//! one [`WorkerCore::step`]: receive (absorb and inject what arrived,
+//! batch by batch), close the previous round (`advance`: what the round
+//! and the arrivals admitted to the arenas becomes the deltas), **send**
+//! the buffers the round filled — also when nothing fresh stayed here —
+//! then process one round, fired in chunks of
 //! [`CHUNK_ROWS`] leading delta rows, and **send** between two chunks
 //! every buffer holding at least a chunk's worth of rows. Sending while
 //! a round runs — not once at the local fixpoint, nor only between
@@ -199,9 +200,8 @@ pub(crate) struct WorkerCore {
     /// Sender-side replay log per destination link.
     replay: Vec<ReplayLog>,
     /// Batches accepted since the last drain, grouped per inbox (same
-    /// order as `spec.program.inboxes`): the decode-and-inject pass runs
-    /// once per inbox per step however many batches arrived, so a worker
-    /// that fell behind pays one index sync instead of one per batch.
+    /// order as `spec.program.inboxes`): absorbing reads only headers, the
+    /// next engine step decodes and injects them one by one.
     stash: Vec<Vec<Payload>>,
     /// Total payloads currently stashed (fast emptiness check).
     stash_count: usize,
@@ -368,23 +368,32 @@ impl WorkerCore {
             }
         }
 
-        // Coalesced receive: one decode-and-inject pass per inbox over
-        // everything stashed since the last engine step.
+        // Receive everything stashed since the last engine step, payload
+        // by payload. Decoding is the codec's time; admitting the rows is
+        // storage work, compute — on the simulator's clock it is the
+        // tuples submitted, charged with the advance below.
         if self.stash_count > 0 {
             let t0 = self.phase_start();
-            let decoded = self.drain_stash()?;
+            let decoding = self.drain_stash()?;
             let round = self.engine.stats().rounds;
-            if let Some((d, profile)) = self.phase_stop(t0, PHASE_DECODE, round, decoded) {
-                profile.decode_time.record(d);
+            if let (Some(t0), Some(p)) = (t0, self.prof.as_mut()) {
+                // On the simulator's clock `stop` is the proxy itself.
+                let admitting = p.stop(t0, decoding).saturating_sub(decoding);
+                p.add(PHASE_DECODE, round, decoding);
+                p.profile.decode_time.record(decoding);
+                if admitting > 0 {
+                    p.add(PHASE_COMPUTE, round, admitting);
+                }
             }
         }
 
-        // Close the previous round: dedup what it derived (and what just
-        // arrived) into the arenas, route the fresh rows and bring the
-        // indexes up to date. This is where the storage work lives, so it
-        // is compute time; the tick proxy is the tuples submitted. An
-        // advance with nothing submitted is charged nothing and opens no
-        // per-round entry.
+        // Close the previous round: admit what is left, make what the round
+        // and the arrivals admitted the deltas, route the fresh rows and
+        // bring the indexes up to date. Compute time; the tick proxy is
+        // the tuples submitted since the last advance — the storage work
+        // of the round's parts and of the arrivals too. An advance with
+        // nothing submitted is charged nothing and opens no per-round
+        // entry.
         let t0 = self.phase_start();
         let fresh = self.engine.advance()?;
         // `advance` already closed the round in the stats, so the round
@@ -574,7 +583,7 @@ impl WorkerCore {
     }
 
     /// Absorb a compacted replay-log prefix: stash every payload for the
-    /// coalesced inject pass and advance the watermark to `upto` (the
+    /// next engine step and advance the watermark to `upto` (the
     /// sequence range the snapshot stands in for).
     fn accept_snapshot(
         &mut self,
@@ -603,9 +612,7 @@ impl WorkerCore {
 
     /// Accept an incoming batch (the receive step: the decoded tuples
     /// realize `t_in^i(W̄) :- t_ji(W̄)`). Only the header is read here —
-    /// the payload is stashed and decoded in one coalesced inject pass per
-    /// inbox on the next engine step, so a worker that fell behind pays
-    /// one index sync however many batches queued up.
+    /// the payload is stashed and decoded on the next engine step.
     ///
     /// A transport-level duplicate (same link sequence number) moves no
     /// watermark and no traffic counter, but its payload is still stashed:
@@ -642,7 +649,7 @@ impl WorkerCore {
         self.stash_payload(inbox, payload)
     }
 
-    /// Queue a payload for the next coalesced inject pass. Spec validation
+    /// Queue a payload for the next engine step's receive. Spec validation
     /// admits no route into an inbox its destination does not declare, so
     /// an envelope naming one is corrupt.
     fn stash_payload(&mut self, inbox: RelationId, payload: Payload) -> Result<()> {
@@ -654,31 +661,26 @@ impl WorkerCore {
         Ok(())
     }
 
-    /// Coalesced receiving step: decode every stashed payload of an inbox
-    /// inside a single `inject_with` — one index sync per inbox, however
-    /// many batches arrived since the last drain. Returns the number of
-    /// tuples decoded (the profiler's deterministic decode proxy).
+    /// Receiving step: decode and inject the stashed payloads one at a
+    /// time, so the engine's pool never holds more than one batch — each
+    /// is admitted before the next is decoded. Returns the profiler's
+    /// decode charge: the micros spent in the codec under wall time, the
+    /// tuples decoded otherwise (the simulator's deterministic proxy).
     fn drain_stash(&mut self) -> Result<u64> {
-        if self.stash_count == 0 {
-            return Ok(0);
-        }
         self.stash_count = 0;
-        let mut decoded = 0u64;
-        for idx in 0..self.stash.len() {
-            if self.stash[idx].is_empty() {
-                continue;
+        let wall = self.prof.as_ref().is_some_and(|p| p.start().is_some());
+        let (mut tuples, mut spent) = (0, Duration::ZERO);
+        for (batches, &inbox) in self.stash.iter_mut().zip(&self.spec.program.inboxes) {
+            for payload in batches.drain(..) {
+                self.engine.inject_with(inbox, |out| {
+                    let t0 = wall.then(std::time::Instant::now);
+                    tuples += crate::codec::decode_batch_into(&payload, out)? as u64;
+                    spent += t0.map_or(Duration::ZERO, |t| t.elapsed());
+                    Ok(())
+                })?;
             }
-            let batches = std::mem::take(&mut self.stash[idx]);
-            let inbox = self.spec.program.inboxes[idx];
-            decoded += self.engine.inject_with(inbox, |out| {
-                let mut total = 0;
-                for payload in &batches {
-                    total += crate::codec::decode_batch_into(payload, out)?;
-                }
-                Ok(total)
-            })? as u64;
         }
-        Ok(decoded)
+        Ok(if wall { spent.as_micros() as u64 } else { tuples })
     }
 
     /// Slide the contiguous watermark for `from` over any absorbed

@@ -550,8 +550,9 @@ impl Relation {
 
     /// Append the rows of `other`, none of which `self` holds — the
     /// caller's word, checked in debug builds (final pooling of a hash
-    /// partition: every row has one home). The arena is extended and the
-    /// dedup table *discarded*: no row is hashed or probed, no table grown;
+    /// partition: every row has one home). Both dedup tables are
+    /// *discarded* before the arena grows, by exactly `other`'s rows: no
+    /// row is hashed or probed, no table is alive during the copy, and
     /// whoever first probes or mutates the relation rebuilds it, once.
     /// Returns how many rows were appended. A shard carrying tombstones
     /// goes through [`Relation::absorb_owned`] instead.
@@ -567,9 +568,12 @@ impl Relation {
         }
         check_row_ids(self.rows.len() + other.rows.len())?;
         debug_assert!(other.rows.iter().all(|t| !self.contains(t)), "append_disjoint: a row is already present");
-        let added = other.rows.len();
-        self.rows.extend(other.rows);
+        let Relation { rows, table, .. } = other;
+        let added = rows.len();
+        drop(table);
         self.table = OnceLock::new();
+        self.rows.reserve_exact(added);
+        self.rows.extend(rows);
         Ok(added)
     }
 
@@ -700,6 +704,24 @@ mod tests {
         }
         assert!(!r.contains(&ituple![10_000]));
         assert_eq!(r.len(), 10_000);
+    }
+
+    /// A stream inserted part by part sizes the dedup table for the rows
+    /// it keeps: 72 000 rows, two thirds of them duplicates, in batches of
+    /// 4 096 end at `slots_for(live_len)` slots; one batch of them all
+    /// ends at twice that.
+    #[test]
+    fn batches_size_the_table_for_the_rows_they_keep() {
+        let stream: Vec<Tuple> = (0..72_000i64).map(|k| ituple![k * 7_919 % 24_000]).collect();
+        let mut parts = Relation::new(1);
+        for batch in stream.chunks(4_096) {
+            parts.insert_batch(&mut batch.to_vec());
+        }
+        let mut whole = Relation::new(1);
+        whole.insert_batch(&mut stream.clone());
+        assert_eq!((parts.live_len(), whole.live_len()), (24_000, 24_000));
+        assert_eq!(parts.table().slots.len(), slots_for(24_000));
+        assert_eq!(whole.table().slots.len(), 2 * slots_for(24_000));
     }
 
     #[test]
