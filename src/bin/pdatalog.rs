@@ -109,6 +109,17 @@
 //! the supervisor restarts the worker (up to `--max-restarts`, default 1),
 //! peers replay their logged traffic, and the run still computes the exact
 //! least model, reporting `restarts`/`replayed` in `--stats`.
+//!
+//! Every allocation of 2 MiB or more is served on transparent huge pages
+//! (`huge_pages`, the one module allowed `unsafe`); the `--stats` footer
+//! ends with the process's minor page faults and resident high-water
+//! mark, `minflt=N hwm=X.XMiB`, where `/proc` has them.
+
+#![deny(unsafe_code)]
+
+#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[path = "pdatalog/huge_pages.rs"]
+mod huge_pages;
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -825,10 +836,28 @@ fn finish_run(
         _ => {}
     }
     if show_stats {
-        eprintln!("% scheme={scheme_name} {stats_line} total={elapsed:?}");
+        eprintln!("% scheme={scheme_name} {stats_line} total={elapsed:?}{}", memory_fields());
         eprint!("{stats_tables}");
     }
     Ok(())
+}
+
+/// ` minflt=N hwm=X.XMiB`: the minor page faults this process has taken
+/// and its resident high-water mark, read from `/proc/self`; empty where
+/// `/proc` does not have them.
+fn memory_fields() -> String {
+    let read = |file| std::fs::read_to_string(format!("/proc/self/{file}")).ok();
+    // Field 10 of `stat`; the command name before it is parenthesised
+    // and may hold spaces.
+    let minflt = read("stat").and_then(|s| s.rsplit_once(')')?.1.split_whitespace().nth(7)?.parse::<u64>().ok());
+    let hwm_kib = read("status").and_then(|s| {
+        let line = s.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+        line.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+    });
+    match (minflt, hwm_kib) {
+        (Some(faults), Some(kib)) => format!(" minflt={faults} hwm={:.1}MiB", kib as f64 / 1024.0),
+        _ => String::new(),
+    }
 }
 
 /// Write `% pred/arity: N tuples` and the sorted facts of each relation

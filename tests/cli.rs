@@ -116,6 +116,25 @@ fn run_with_print_filter_and_stats() {
     assert!(stderr.contains("processing_firings="), "{stderr}");
 }
 
+/// The footer ends with the process's minor page faults and resident
+/// high-water mark, on the sequential line and the parallel line alike.
+#[test]
+fn the_stats_footer_reports_page_faults_and_the_resident_high_water_mark() {
+    if !std::path::Path::new("/proc/self/stat").exists() {
+        return;
+    }
+    let file = write_program("memory-fields.dl", ANCESTOR);
+    for scheme in ["seq", "general --workers 2"] {
+        let out = cli("run", &file, &format!("--scheme {scheme} --stats"));
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let footer = stderr.lines().find(|l| l.starts_with("% scheme=")).unwrap();
+        let field = |name: &str| footer.split_whitespace().find_map(|f| f.strip_prefix(name)).unwrap_or_else(|| panic!("{name} in {footer}"));
+        field("minflt=").parse::<u64>().unwrap();
+        let hwm: f64 = field("hwm=").strip_suffix("MiB").unwrap().parse().unwrap();
+        assert!(hwm > 0.0, "{footer}");
+    }
+}
+
 /// `--print` of a name the program knows under another arity is a usage
 /// error, sequentially and under a parallel scheme. A *base* predicate at
 /// its own arity is accepted and prints its header without tuples:
