@@ -74,8 +74,8 @@ fn run() -> Result<(), String> {
             ));
         }
         println!(
-            "{path}: ok ({} worker profiles, {} critical-path rounds, idle total {})",
-            summary.workers, summary.rounds, summary.idle_total
+            "{path}: ok ({} worker profiles, idle total {})",
+            summary.workers, summary.idle_total
         );
         return Ok(());
     }

@@ -9,6 +9,7 @@
 //! and reached termination.
 
 use gst_common::json::Json;
+use gst_common::HIST_BUCKETS;
 
 /// What a validated trace contained, for the checker's one-line report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,8 +167,6 @@ pub fn check_chrome_trace(
 pub struct ProfileSummary {
     /// Worker profiles present.
     pub workers: usize,
-    /// Rounds on the critical path.
-    pub rounds: usize,
     /// Merged idle time across all workers (in the profile's time base).
     pub idle_total: u64,
     /// The smallest phase sum (all five phases) of any one worker: zero
@@ -209,7 +208,7 @@ fn check_histogram(v: &Json, at: &str) -> Result<(), String> {
         let idx = pair[0]
             .as_num()
             .ok_or_else(|| format!("{at}: bucket {i} has non-numeric index"))?;
-        if !(0.0..64.0).contains(&idx) {
+        if !(0.0..HIST_BUCKETS as f64).contains(&idx) {
             return Err(format!("{at}: bucket {i} index {idx} out of range"));
         }
         total += pair[1]
@@ -236,38 +235,6 @@ fn check_worker_profile(v: &Json, at: &str) -> Result<[u64; 5], String> {
             .ok_or_else(|| format!("{at}: missing histogram {h:?}"))?;
         check_histogram(hist, &format!("{at}.{h}"))?;
     }
-    let per_round = v
-        .get("per_round")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{at}: missing per_round array"))?;
-    let mut last_round = -1.0f64;
-    let mut by_phase = [0u64; 5];
-    for (i, entry) in per_round.iter().enumerate() {
-        let round = entry
-            .get("round")
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("{at}.per_round[{i}]: missing round"))?;
-        if round <= last_round {
-            return Err(format!(
-                "{at}.per_round[{i}]: round {round} not strictly increasing"
-            ));
-        }
-        last_round = round;
-        let p = entry
-            .get("phases")
-            .ok_or_else(|| format!("{at}.per_round[{i}]: missing phases"))
-            .and_then(|p| check_phases(p, &format!("{at}.per_round[{i}].phases")))?;
-        for (total, v) in by_phase.iter_mut().zip(p) {
-            *total += v;
-        }
-    }
-    // Every tick in a phase total was attributed to some round, and
-    // vice versa — the per-round breakdown must re-sum to the totals.
-    if by_phase != phases {
-        return Err(format!(
-            "{at}: per_round phases sum to {by_phase:?} but totals say {phases:?}"
-        ));
-    }
     Ok(phases)
 }
 
@@ -277,15 +244,12 @@ fn check_worker_profile(v: &Json, at: &str) -> Result<[u64; 5], String> {
 /// 1. the document parses, with `time_base` either `wall_micros` or
 ///    `virtual_ticks`;
 /// 2. every worker entry and the merged profile carry all five phase
-///    totals, the four histograms (each internally consistent: bucket
-///    counts re-sum to `count`, indices in range), and a `per_round`
-///    breakdown with strictly increasing round keys that re-sums to the
-///    phase totals;
+///    totals and the four histograms (each internally consistent: bucket
+///    counts re-sum to `count`, indices in range);
 /// 3. the merged phase totals equal the sum over workers;
 /// 4. `time_by_rule` and `firings_by_rule` are equal-length numeric
 ///    arrays;
-/// 5. every critical-path round names a known phase as dominant, and
-///    `hot_rules`/`idle_gaps` entries are well-formed.
+/// 5. `hot_rules` entries are well-formed.
 pub fn check_profile_json(text: &str) -> Result<ProfileSummary, String> {
     let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let base = doc
@@ -347,25 +311,6 @@ pub fn check_profile_json(text: &str) -> Result<ProfileSummary, String> {
         }
     }
 
-    let rounds = doc
-        .get("rounds")
-        .and_then(Json::as_arr)
-        .ok_or("missing rounds array")?;
-    for (i, rc) in rounds.iter().enumerate() {
-        for k in ["round", "straggler", "straggler_time", "compute", "comm", "idle"] {
-            rc.get(k)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("rounds[{i}]: missing numeric field {k:?}"))?;
-        }
-        let phase = rc
-            .get("dominant_phase")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("rounds[{i}]: missing dominant_phase"))?;
-        if !PROFILE_PHASES.contains(&phase) {
-            return Err(format!("rounds[{i}]: unknown dominant_phase {phase:?}"));
-        }
-    }
-
     let hot_rules = doc
         .get("hot_rules")
         .and_then(Json::as_arr)
@@ -377,21 +322,8 @@ pub fn check_profile_json(text: &str) -> Result<ProfileSummary, String> {
                 .ok_or_else(|| format!("hot_rules[{i}]: missing numeric field {k:?}"))?;
         }
     }
-    let idle_gaps = doc
-        .get("idle_gaps")
-        .and_then(Json::as_arr)
-        .ok_or("missing idle_gaps array")?;
-    for (i, g) in idle_gaps.iter().enumerate() {
-        for k in ["worker", "round", "idle"] {
-            g.get(k)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("idle_gaps[{i}]: missing numeric field {k:?}"))?;
-        }
-    }
-
     Ok(ProfileSummary {
         workers: workers.len(),
-        rounds: rounds.len(),
         idle_total: merged_phases[4],
         quietest_worker,
     })
@@ -474,8 +406,7 @@ mod tests {
         assert!(err.contains("no completed round"), "{err}");
     }
 
-    /// A minimal well-formed profile: one worker whose per-round
-    /// breakdown re-sums to its phase totals, merged = that worker.
+    /// A minimal well-formed profile: one worker, merged = that worker.
     fn profile_doc(compute: u64, idle: u64) -> String {
         let hist = |count: u64, sum: u64, bucket: u64| {
             if count == 0 {
@@ -489,8 +420,7 @@ mod tests {
         };
         let profile = format!(
             "{{\"phases\":{{\"compute\":{compute},\"encode\":0,\"decode\":0,\"replay\":0,\"idle\":{idle}}},\
-             \"round_latency\":{},\"encode_time\":{},\"decode_time\":{},\"batch_bytes\":{},\
-             \"per_round\":[{{\"round\":0,\"phases\":{{\"compute\":{compute},\"encode\":0,\"decode\":0,\"replay\":0,\"idle\":{idle}}}}}]}}",
+             \"round_latency\":{},\"encode_time\":{},\"decode_time\":{},\"batch_bytes\":{}}}",
             hist(1, compute, 5),
             hist(0, 0, 0),
             hist(0, 0, 0),
@@ -499,9 +429,7 @@ mod tests {
         format!(
             "{{\"time_base\":\"virtual_ticks\",\"workers\":[{{\"processor\":0,\"profile\":{profile}}}],\
              \"merged\":{profile},\"time_by_rule\":[{compute}],\"firings_by_rule\":[4],\
-             \"rounds\":[{{\"round\":0,\"straggler\":0,\"straggler_time\":{compute},\"dominant_phase\":\"compute\",\"compute\":{compute},\"comm\":0,\"idle\":{idle}}}],\
-             \"hot_rules\":[{{\"rule\":0,\"time\":{compute},\"firings\":4}}],\
-             \"idle_gaps\":[{{\"worker\":0,\"round\":0,\"idle\":{idle}}}]}}"
+             \"hot_rules\":[{{\"rule\":0,\"time\":{compute},\"firings\":4}}]}}"
         )
     }
 
@@ -510,7 +438,7 @@ mod tests {
         let summary = check_profile_json(&profile_doc(100, 7)).unwrap();
         assert_eq!(
             summary,
-            ProfileSummary { workers: 1, rounds: 1, idle_total: 7, quietest_worker: 107 }
+            ProfileSummary { workers: 1, idle_total: 7, quietest_worker: 107 }
         );
     }
 
@@ -523,21 +451,9 @@ mod tests {
     }
 
     #[test]
-    fn rejects_profile_whose_rounds_do_not_resum() {
-        // Break one per_round compute entry: totals no longer match.
-        let text = profile_doc(100, 7).replacen(
-            "\"per_round\":[{\"round\":0,\"phases\":{\"compute\":100",
-            "\"per_round\":[{\"round\":0,\"phases\":{\"compute\":99",
-            1,
-        );
-        let err = check_profile_json(&text).unwrap_err();
-        assert!(err.contains("per_round phases sum to"), "{err}");
-    }
-
-    #[test]
     fn rejects_profile_with_unknown_phase_or_base() {
-        let bad_phase = profile_doc(100, 7).replace("\"dominant_phase\":\"compute\"", "\"dominant_phase\":\"gc\"");
-        assert!(check_profile_json(&bad_phase).unwrap_err().contains("unknown dominant_phase"));
+        let bad_phase = profile_doc(100, 7).replacen("\"replay\":0", "\"gc\":0", 1);
+        assert!(check_profile_json(&bad_phase).unwrap_err().contains("missing numeric phase \"replay\""));
 
         let bad_base = profile_doc(100, 7).replace("virtual_ticks", "nanoseconds");
         assert!(check_profile_json(&bad_base).unwrap_err().contains("unknown time_base"));
@@ -565,10 +481,6 @@ mod tests {
                 encode_time: Histogram::new(),
                 decode_time: Histogram::new(),
                 batch_bytes,
-                per_round: vec![
-                    (0, PhaseTotals { compute: 60 + w, encode: 5, decode: 0, replay: 0, idle: 0 }),
-                    (1, PhaseTotals { compute: 40, encode: 0, decode: 3, replay: 0, idle: 40 }),
-                ],
             }
         };
         let mut workers = Vec::new();
@@ -595,7 +507,6 @@ mod tests {
             .expect("profiles present");
         let summary = check_profile_json(&report.to_json()).unwrap();
         assert_eq!(summary.workers, 2);
-        assert_eq!(summary.rounds, 2);
         assert_eq!(summary.idle_total, 80);
         assert_eq!(summary.quietest_worker, 100 + 5 + 3 + 40);
     }

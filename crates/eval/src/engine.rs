@@ -596,12 +596,11 @@ impl FixpointEngine {
     /// on any row emitted since the last advance.
     pub fn advance(&mut self) -> Result<u64> {
         debug_assert!(self.cursor.is_none(), "advance inside a round fired in parts");
-        let (mut submitted_total, mut fresh_total) = (0, 0);
+        let mut fresh_total = 0;
         let mut phase = |states: &mut [IdbState], stats: &mut EvalStats| {
             for state in states {
                 let (submitted, fresh) = state.advance();
                 stats.record_advance(submitted, fresh);
-                submitted_total += submitted;
                 fresh_total += fresh;
             }
         };
@@ -609,7 +608,7 @@ impl FixpointEngine {
         phase(heads, &mut self.stats);
         route_fresh(&self.routers, heads, inboxes, &mut self.outlets)?;
         phase(inboxes, &mut self.stats);
-        self.stats.end_round(submitted_total, fresh_total);
+        self.stats.rounds += 1;
         Ok(fresh_total)
     }
 
@@ -959,7 +958,7 @@ pub fn naive_eval(program: &Program, edb: &Database) -> Result<EvalResult> {
             }
         }
         stats.record_advance(submitted, fresh);
-        stats.end_round(submitted, fresh);
+        stats.rounds += 1;
         if fresh == 0 {
             break;
         }

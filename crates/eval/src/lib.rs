@@ -26,4 +26,4 @@ pub mod stats;
 pub use engine::{fire_once, naive_eval, seminaive_eval, EvalResult, FixpointEngine};
 pub use plan::{compile_rule, AtomSource, PlanStep, RulePlan};
 pub use route::{Outlet, Route, Shards};
-pub use stats::{EvalStats, RoundSample, TimeMode};
+pub use stats::{EvalStats, TimeMode};

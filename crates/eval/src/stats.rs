@@ -26,20 +26,6 @@ pub enum TimeMode {
     Ticks,
 }
 
-/// One row of the per-round time series: what a single semi-naive
-/// advance admitted. `submitted - fresh` is the round's duplicate work —
-/// the §6 trade-off, observable round by round instead of only as a
-/// final aggregate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundSample {
-    /// Round index (matches `rounds` counting; bootstrap is round 0).
-    pub round: u64,
-    /// Tuples submitted to derived relations this round.
-    pub submitted: u64,
-    /// Tuples that were actually new — the next round's delta size.
-    pub fresh: u64,
-}
-
 /// Counters accumulated by a fixpoint engine.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvalStats {
@@ -57,8 +43,6 @@ pub struct EvalStats {
     /// Unit depends on the engine's [`TimeMode`]: microseconds under
     /// `Wall`, firings under `Ticks`, all zeros under `Off`.
     pub time_by_rule: Vec<u64>,
-    /// Per-round delta sizes, one sample per completed round.
-    pub per_round: Vec<RoundSample>,
 }
 
 impl EvalStats {
@@ -95,18 +79,6 @@ impl EvalStats {
         self.duplicates += submitted - fresh;
     }
 
-    /// Close the current round: record its time-series sample and bump
-    /// the round counter. `submitted`/`fresh` are the totals this round's
-    /// advance saw across all derived relations.
-    pub fn end_round(&mut self, submitted: u64, fresh: u64) {
-        self.per_round.push(RoundSample {
-            round: self.rounds,
-            submitted,
-            fresh,
-        });
-        self.rounds += 1;
-    }
-
     /// Total firings over a subset of rules (e.g. only the paper's
     /// *processing* rules, excluding send/receive bookkeeping).
     pub fn firings_for_rules(&self, rules: &[usize]) -> u64 {
@@ -134,18 +106,6 @@ impl EvalStats {
         }
         for (i, &t) in other.time_by_rule.iter().enumerate() {
             self.time_by_rule[i] += t;
-        }
-        // Per-round samples combine index-wise: round r of the aggregate
-        // is the sum over engines of each one's round r.
-        if self.per_round.len() < other.per_round.len() {
-            self.per_round
-                .resize_with(other.per_round.len(), Default::default);
-        }
-        for (i, sample) in other.per_round.iter().enumerate() {
-            let slot = &mut self.per_round[i];
-            slot.round = i as u64;
-            slot.submitted += sample.submitted;
-            slot.fresh += sample.fresh;
         }
     }
 }
@@ -188,38 +148,6 @@ mod tests {
         assert_eq!(a.firings, 7);
         assert_eq!(a.derived, 5);
         assert_eq!(a.firings_by_rule, vec![2, 0, 5]);
-    }
-
-    #[test]
-    fn end_round_builds_the_time_series() {
-        let mut s = EvalStats::new(1);
-        s.end_round(10, 7);
-        s.end_round(4, 0);
-        assert_eq!(s.rounds, 2);
-        assert_eq!(
-            s.per_round,
-            vec![
-                RoundSample { round: 0, submitted: 10, fresh: 7 },
-                RoundSample { round: 1, submitted: 4, fresh: 0 },
-            ]
-        );
-    }
-
-    #[test]
-    fn merge_combines_rounds_index_wise() {
-        let mut a = EvalStats::new(1);
-        a.end_round(5, 3);
-        let mut b = EvalStats::new(1);
-        b.end_round(2, 2);
-        b.end_round(8, 1);
-        a.merge(&b);
-        assert_eq!(
-            a.per_round,
-            vec![
-                RoundSample { round: 0, submitted: 7, fresh: 5 },
-                RoundSample { round: 1, submitted: 8, fresh: 1 },
-            ]
-        );
     }
 
     #[test]

@@ -71,9 +71,7 @@ pub use net::{
     NetCoordinator, NetFault, NetFaultPlan, NetWorkerArgs, ProcessLauncher,
 };
 pub use obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
-pub use profile::{
-    HotRule, IdleGap, PhaseTotals, ProfileReport, RoundCost, WorkerProfile, PHASES,
-};
+pub use profile::{HotRule, PhaseTotals, ProfileReport, WorkerProfile, PHASES};
 pub use sim::SimTransport;
 pub use spec::{ProcessorProgram, Route, SessionSeed, Shards, WorkerSpec};
 pub use stats::{ExecutionOutcome, ParallelStats, WorkerReport};

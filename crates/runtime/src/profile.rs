@@ -1,10 +1,8 @@
-//! Phase-attributed profiling: where the time went, per worker, per round.
+//! Phase-attributed profiling: where the time went, per worker.
 //!
 //! The paper's §6 trade-off is a *cost decomposition* — processing cost
-//! against communication cost — but totals alone cannot say which worker
-//! was the straggler in round 7 or whether the p99 round latency is
-//! compute or barrier wait. This module splits every worker's run into
-//! five phases:
+//! against communication cost. This module splits every worker's run
+//! into five phases:
 //!
 //! * `compute` — semi-naive rounds inside the local engine: bootstrap,
 //!   rule firings (further split per rule by `EvalStats::time_by_rule`),
@@ -29,16 +27,19 @@
 //! the RESULT frame and the coordinator merges, so `--net` runs report
 //! the same profile shape as in-process ones.
 //!
-//! [`ProfileReport::build`] is the analyzer: per-round critical path
-//! (straggler worker and its dominant phase), the §6 comm/compute
-//! decomposition as a per-round curve, top-k hot rules by time, and
-//! idle-gap detection. Renderers export a human report, a machine
+//! [`ProfileReport::build`] is the analyzer: the fleet's merged phases
+//! and histograms and the top-k hot rules by time. It keeps no per-round
+//! view: workers fire asynchronously, so round k on one worker and round
+//! k on another are unrelated moments, and the journal's per-worker,
+//! timestamped `RoundBegin`/`RoundEnd` events are the one per-round
+//! record (DESIGN.md §9). Renderers export a human report, a machine
 //! schema (JSON), and a Prometheus-style text exposition.
 
 use std::time::Instant;
 
 use gst_common::json::Json;
 pub use gst_common::{Histogram, HIST_BUCKETS};
+use gst_eval::EvalStats;
 
 use crate::obs::TimeBase;
 use crate::stats::ParallelStats;
@@ -87,29 +88,10 @@ impl PhaseTotals {
     pub fn busy(&self) -> u64 {
         self.total() - self.idle
     }
-
-    /// Communication-side time: encode + decode + replay (the §6
-    /// communication cost as measured, idle excluded).
-    pub fn comm(&self) -> u64 {
-        self.encode + self.decode + self.replay
-    }
-
-    /// The largest phase and its value (first in [`PHASES`] order wins a
-    /// tie, keeping the answer deterministic).
-    pub fn dominant(&self) -> (&'static str, u64) {
-        let values = self.as_array();
-        let mut best = 0;
-        for (i, &v) in values.iter().enumerate() {
-            if v > values[best] {
-                best = i;
-            }
-        }
-        (PHASES[best], values[best])
-    }
 }
 
-/// One worker's complete profile: phase totals, distribution histograms,
-/// and the per-round phase breakdown.
+/// One worker's complete profile: phase totals and distribution
+/// histograms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerProfile {
     /// Whole-run phase totals.
@@ -124,57 +106,23 @@ pub struct WorkerProfile {
     /// One sample per wire encode: the payload's size in bytes (always
     /// bytes, in every time base).
     pub batch_bytes: Histogram,
-    /// Phase totals per engine round, keyed by round index. Sparse and
-    /// strictly increasing in the round key.
-    pub per_round: Vec<(u64, PhaseTotals)>,
 }
 
 impl WorkerProfile {
-    /// Fold `other` into `self`: phase totals and histograms add,
-    /// per-round entries combine by round key. Associative, so the
-    /// coordinator may fold worker profiles in any arrival order and the
-    /// canonical merge (processor order) produces the same result.
+    /// Fold `other` into `self`: phase totals and histograms add.
+    /// Associative, so the coordinator may fold worker profiles in any
+    /// arrival order and the canonical merge (processor order) produces
+    /// the same result.
     pub fn merge(&mut self, other: &WorkerProfile) {
         self.phases.merge(&other.phases);
         self.round_latency.merge(&other.round_latency);
         self.encode_time.merge(&other.encode_time);
         self.decode_time.merge(&other.decode_time);
         self.batch_bytes.merge(&other.batch_bytes);
-        for (round, totals) in &other.per_round {
-            match self.per_round.binary_search_by_key(round, |(r, _)| *r) {
-                Ok(i) => self.per_round[i].1.merge(totals),
-                Err(i) => self.per_round.insert(i, (*round, *totals)),
-            }
-        }
     }
 
-    /// Accumulate `d` units of `phase` against `round`.
-    fn add(&mut self, phase: usize, round: u64, d: u64) {
-        let slot = match self.per_round.last_mut() {
-            Some((r, totals)) if *r == round => totals,
-            Some((r, _)) if *r > round => {
-                // Out-of-order attribution (e.g. a replay for an old
-                // round): fold into the existing entry.
-                match self.per_round.binary_search_by_key(&round, |(r, _)| *r) {
-                    Ok(i) => &mut self.per_round[i].1,
-                    Err(i) => {
-                        self.per_round.insert(i, (round, PhaseTotals::default()));
-                        &mut self.per_round[i].1
-                    }
-                }
-            }
-            _ => {
-                self.per_round.push((round, PhaseTotals::default()));
-                &mut self.per_round.last_mut().expect("just pushed").1
-            }
-        };
-        match phase {
-            0 => slot.compute += d,
-            1 => slot.encode += d,
-            2 => slot.decode += d,
-            3 => slot.replay += d,
-            _ => slot.idle += d,
-        }
+    /// Accumulate `d` units of `phase`.
+    fn add(&mut self, phase: usize, d: u64) {
         match phase {
             0 => self.phases.compute += d,
             1 => self.phases.encode += d,
@@ -275,21 +223,21 @@ impl Profiler {
         }
     }
 
-    /// Accumulate `d` units of `phase` against `round`.
-    pub(crate) fn add(&mut self, phase: usize, round: u64, d: u64) {
-        self.profile.add(phase, round, d);
+    /// Accumulate `d` units of `phase`.
+    pub(crate) fn add(&mut self, phase: usize, d: u64) {
+        self.profile.add(phase, d);
     }
 
     /// The previous step ended and this one starts while the worker was
     /// idle: the gap between them is barrier/termination wait.
-    pub(crate) fn idle_gap(&mut self, round: u64) {
+    pub(crate) fn idle_gap(&mut self) {
         let gap = match (&self.clock, &self.last_step_end) {
             (ProfClock::Wall, Some(ProfStamp::Wall(t))) => t.elapsed().as_micros() as u64,
             (ProfClock::Ticks { now }, Some(ProfStamp::Ticks(t))) => now.saturating_sub(*t),
             _ => 0,
         };
         if gap > 0 {
-            self.profile.add(PHASE_IDLE, round, gap);
+            self.profile.add(PHASE_IDLE, gap);
         }
     }
 
@@ -300,27 +248,6 @@ impl Profiler {
             ProfClock::Ticks { now } => ProfStamp::Ticks(now),
         });
     }
-}
-
-/// One round of the critical-path analysis.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundCost {
-    /// Engine round index.
-    pub round: u64,
-    /// The straggler: the worker with the largest busy (non-idle) time
-    /// this round — the §6 critical path runs through it.
-    pub straggler: usize,
-    /// The straggler's busy time this round.
-    pub straggler_time: u64,
-    /// The straggler's dominant phase this round.
-    pub dominant_phase: &'static str,
-    /// Compute time summed across workers (the §6 processing cost).
-    pub compute: u64,
-    /// Encode + decode + replay summed across workers (the §6
-    /// communication cost as measured).
-    pub comm: u64,
-    /// Idle time summed across workers.
-    pub idle: u64,
 }
 
 /// One hot rule of the top-k ranking.
@@ -334,20 +261,8 @@ pub struct HotRule {
     pub firings: u64,
 }
 
-/// One detected idle gap: a worker that spent `idle` units waiting
-/// within one round.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IdleGap {
-    /// The waiting worker.
-    pub worker: usize,
-    /// The round it waited in.
-    pub round: u64,
-    /// How long it waited ([`TimeBase`] units).
-    pub idle: u64,
-}
-
 /// The analyzed profile of one run: per-worker profiles, the merged
-/// fleet view, the per-round critical path, hot rules and idle gaps.
+/// fleet view and the hot rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProfileReport {
     /// What a time unit means (microseconds or virtual-clock proxies).
@@ -360,20 +275,15 @@ pub struct ProfileReport {
     pub time_by_rule: Vec<u64>,
     /// Per-rule firings merged across workers.
     pub firings_by_rule: Vec<u64>,
-    /// Per-round critical path and cost decomposition, in round order.
-    pub rounds: Vec<RoundCost>,
     /// Top rules by attributed time, descending (ties by rule index).
     pub hot_rules: Vec<HotRule>,
-    /// Largest per-(worker, round) idle gaps, descending (deterministic
-    /// tie-break by round then worker).
-    pub idle_gaps: Vec<IdleGap>,
     /// Optional provenance labels indexed by rule (e.g. `anc^bf [magic r1]`
     /// for a magic-sets rewrite). Empty when the run has no provenance;
     /// rules past the end of the vector are simply unlabeled.
     pub rule_labels: Vec<String>,
 }
 
-/// How many hot rules and idle gaps the analyzer keeps.
+/// How many hot rules the analyzer keeps.
 const TOP_K: usize = 10;
 
 impl ProfileReport {
@@ -393,67 +303,11 @@ impl ProfileReport {
             merged.merge(p);
         }
 
-        let mut time_by_rule: Vec<u64> = Vec::new();
-        let mut firings_by_rule: Vec<u64> = Vec::new();
+        let mut eval = EvalStats::default();
         for w in &stats.workers {
-            if time_by_rule.len() < w.eval.time_by_rule.len() {
-                time_by_rule.resize(w.eval.time_by_rule.len(), 0);
-            }
-            for (i, &t) in w.eval.time_by_rule.iter().enumerate() {
-                time_by_rule[i] += t;
-            }
-            if firings_by_rule.len() < w.eval.firings_by_rule.len() {
-                firings_by_rule.resize(w.eval.firings_by_rule.len(), 0);
-            }
-            for (i, &f) in w.eval.firings_by_rule.iter().enumerate() {
-                firings_by_rule[i] += f;
-            }
+            eval.merge(&w.eval);
         }
-
-        // Per-round critical path: every round any worker attributed time
-        // to, with the straggler = the worker with the most busy time.
-        let mut round_keys: Vec<u64> = merged.per_round.iter().map(|(r, _)| *r).collect();
-        round_keys.sort_unstable();
-        round_keys.dedup();
-        let mut rounds = Vec::with_capacity(round_keys.len());
-        for round in round_keys {
-            let mut straggler = 0usize;
-            let mut straggler_totals = PhaseTotals::default();
-            let mut compute = 0u64;
-            let mut comm = 0u64;
-            let mut idle = 0u64;
-            for (w, p) in &workers {
-                let Some(totals) = p
-                    .per_round
-                    .iter()
-                    .find(|(r, _)| *r == round)
-                    .map(|(_, t)| *t)
-                else {
-                    continue;
-                };
-                compute += totals.compute;
-                comm += totals.comm();
-                idle += totals.idle;
-                if totals.busy() > straggler_totals.busy() {
-                    straggler = *w;
-                    straggler_totals = totals;
-                }
-            }
-            let (dominant_phase, _) = PhaseTotals {
-                idle: 0,
-                ..straggler_totals
-            }
-            .dominant();
-            rounds.push(RoundCost {
-                round,
-                straggler,
-                straggler_time: straggler_totals.busy(),
-                dominant_phase,
-                compute,
-                comm,
-                idle,
-            });
-        }
+        let EvalStats { time_by_rule, firings_by_rule, .. } = eval;
 
         let mut hot_rules: Vec<HotRule> = time_by_rule
             .iter()
@@ -468,31 +322,13 @@ impl ProfileReport {
         hot_rules.sort_by_key(|h| (std::cmp::Reverse(h.time), h.rule));
         hot_rules.truncate(TOP_K);
 
-        let mut idle_gaps: Vec<IdleGap> = workers
-            .iter()
-            .flat_map(|(w, p)| {
-                p.per_round
-                    .iter()
-                    .filter(|(_, t)| t.idle > 0)
-                    .map(|(round, t)| IdleGap {
-                        worker: *w,
-                        round: *round,
-                        idle: t.idle,
-                    })
-            })
-            .collect();
-        idle_gaps.sort_by_key(|g| (std::cmp::Reverse(g.idle), g.round, g.worker));
-        idle_gaps.truncate(TOP_K);
-
         Some(ProfileReport {
             base,
             workers,
             merged,
             time_by_rule,
             firings_by_rule,
-            rounds,
             hot_rules,
-            idle_gaps,
             rule_labels: Vec::new(),
         })
     }
@@ -603,167 +439,65 @@ impl ProfileReport {
             }
         }
 
-        if !self.rounds.is_empty() {
-            let _ = writeln!(out, "  critical path (per round):");
-            let shown = self.rounds.len().min(12);
-            for rc in &self.rounds[..shown] {
-                let _ = writeln!(
-                    out,
-                    "    round {:<4} straggler w{} ({} {unit}, {})  compute={} comm={} idle={}",
-                    rc.round,
-                    rc.straggler,
-                    rc.straggler_time,
-                    rc.dominant_phase,
-                    rc.compute,
-                    rc.comm,
-                    rc.idle
-                );
-            }
-            if self.rounds.len() > shown {
-                let _ = writeln!(out, "    ... {} more rounds", self.rounds.len() - shown);
-            }
-        }
-
-        if !self.idle_gaps.is_empty() {
-            let _ = writeln!(out, "  largest idle gaps:");
-            for g in &self.idle_gaps {
-                let _ = writeln!(
-                    out,
-                    "    w{} round {:<4} {:>12} {unit}",
-                    g.worker, g.round, g.idle
-                );
-            }
-        }
         out
     }
 
     /// Machine-readable JSON (the `--profile-json` schema, validated by
     /// the bench `trace_check` tool). Deterministic: fixed key order,
     /// integers only, no floats — a virtual-tick profile is bit-identical
-    /// across same-seed reruns.
+    /// across same-seed reruns. `Json` numbers are `f64`, exact for every
+    /// count below 2^53.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        fn hist_json(out: &mut String, h: &Histogram) {
-            let _ = write!(
-                out,
-                "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            );
-            let mut first = true;
-            for (i, n) in h.nonzero_buckets() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "[{i},{n}]");
+        let num = |x: u64| Json::Num(x as f64);
+        let nums = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| num(x)).collect());
+        let hist = |h: &Histogram| {
+            let buckets = h.nonzero_buckets().map(|(i, n)| nums(&[i as u64, n])).collect();
+            Json::obj(vec![
+                ("count", num(h.count)),
+                ("sum", num(h.sum)),
+                ("min", num(h.min)),
+                ("max", num(h.max)),
+                ("p50", num(h.quantile(0.50))),
+                ("p95", num(h.quantile(0.95))),
+                ("p99", num(h.quantile(0.99))),
+                ("buckets", Json::Arr(buckets)),
+            ])
+        };
+        let profile = |p: &WorkerProfile| {
+            let phases = PHASES.iter().zip(p.phases.as_array()).map(|(k, v)| (*k, num(v)));
+            Json::obj(vec![
+                ("phases", Json::obj(phases.collect())),
+                ("round_latency", hist(&p.round_latency)),
+                ("encode_time", hist(&p.encode_time)),
+                ("decode_time", hist(&p.decode_time)),
+                ("batch_bytes", hist(&p.batch_bytes)),
+            ])
+        };
+        let workers = self
+            .workers
+            .iter()
+            .map(|(w, p)| Json::obj(vec![("processor", num(*w as u64)), ("profile", profile(p))]));
+        let hot_rules = self.hot_rules.iter().map(|h| {
+            let mut rule =
+                vec![("rule", num(h.rule as u64)), ("time", num(h.time)), ("firings", num(h.firings))];
+            if let Some(label) = self.rule_label(h.rule) {
+                rule.push(("label", Json::Str(label.to_string())));
             }
-            out.push_str("]}");
-        }
-        fn phases_json(out: &mut String, p: &PhaseTotals) {
-            let _ = write!(
-                out,
-                "{{\"compute\":{},\"encode\":{},\"decode\":{},\"replay\":{},\"idle\":{}}}",
-                p.compute, p.encode, p.decode, p.replay, p.idle
-            );
-        }
-        fn profile_json(out: &mut String, p: &WorkerProfile) {
-            out.push_str("{\"phases\":");
-            phases_json(out, &p.phases);
-            out.push_str(",\"round_latency\":");
-            hist_json(out, &p.round_latency);
-            out.push_str(",\"encode_time\":");
-            hist_json(out, &p.encode_time);
-            out.push_str(",\"decode_time\":");
-            hist_json(out, &p.decode_time);
-            out.push_str(",\"batch_bytes\":");
-            hist_json(out, &p.batch_bytes);
-            out.push_str(",\"per_round\":[");
-            for (i, (round, totals)) in p.per_round.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{{\"round\":{round},\"phases\":");
-                phases_json(out, totals);
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-
-        let mut out = String::with_capacity(4096);
+            Json::obj(rule)
+        });
         let base = match self.base {
             TimeBase::WallMicros => "wall_micros",
             TimeBase::VirtualTicks => "virtual_ticks",
         };
-        let _ = write!(out, "{{\"time_base\":\"{base}\",\"workers\":[");
-        for (i, (w, p)) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"processor\":{w},\"profile\":");
-            profile_json(&mut out, p);
-            out.push('}');
-        }
-        out.push_str("],\"merged\":");
-        profile_json(&mut out, &self.merged);
-
-        out.push_str(",\"time_by_rule\":[");
-        for (i, t) in self.time_by_rule.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{t}");
-        }
-        out.push_str("],\"firings_by_rule\":[");
-        for (i, f) in self.firings_by_rule.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{f}");
-        }
-
-        out.push_str("],\"rounds\":[");
-        for (i, rc) in self.rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"round\":{},\"straggler\":{},\"straggler_time\":{},\"dominant_phase\":\"{}\",\
-                 \"compute\":{},\"comm\":{},\"idle\":{}}}",
-                rc.round, rc.straggler, rc.straggler_time, rc.dominant_phase, rc.compute, rc.comm,
-                rc.idle
-            );
-        }
-        out.push_str("],\"hot_rules\":[");
-        for (i, h) in self.hot_rules.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"rule\":{},\"time\":{},\"firings\":{}", h.rule, h.time, h.firings);
-            if let Some(label) = self.rule_label(h.rule) {
-                let _ = write!(out, ",\"label\":{}", Json::Str(label.to_string()).render());
-            }
-            out.push('}');
-        }
-        out.push_str("],\"idle_gaps\":[");
-        for (i, g) in self.idle_gaps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"worker\":{},\"round\":{},\"idle\":{}}}",
-                g.worker, g.round, g.idle
-            );
-        }
-        out.push_str("]}");
-        out
+        Json::obj(vec![
+            ("time_base", Json::Str(base.to_string())),
+            ("workers", Json::Arr(workers.collect())),
+            ("merged", profile(&self.merged)),
+            ("time_by_rule", nums(&self.time_by_rule)),
+            ("firings_by_rule", nums(&self.firings_by_rule)),
+            ("hot_rules", Json::Arr(hot_rules.collect())),
+        ])
+        .render()
     }
 
     /// Prometheus-style text exposition (the `--metrics-out` format) —
@@ -818,47 +552,28 @@ impl ProfileReport {
 mod tests {
     use super::*;
 
-    fn totals(compute: u64, encode: u64, decode: u64, replay: u64, idle: u64) -> PhaseTotals {
-        PhaseTotals {
-            compute,
-            encode,
-            decode,
-            replay,
-            idle,
-        }
-    }
-
     #[test]
-    fn dominant_breaks_ties_deterministically() {
-        assert_eq!(totals(5, 5, 0, 0, 0).dominant(), ("compute", 5));
-        assert_eq!(totals(0, 0, 0, 0, 7).dominant(), ("idle", 7));
-        assert_eq!(totals(0, 0, 0, 0, 0).dominant(), ("compute", 0));
-    }
-
-    #[test]
-    fn profile_add_attributes_phases_per_round() {
+    fn profile_add_attributes_phases() {
         let mut p = WorkerProfile::default();
-        p.add(PHASE_COMPUTE, 1, 10);
-        p.add(PHASE_ENCODE, 1, 3);
-        p.add(PHASE_COMPUTE, 2, 5);
-        p.add(PHASE_REPLAY, 1, 2); // out-of-order: folds into round 1
-        assert_eq!(p.phases.compute, 15);
-        assert_eq!(p.phases.encode, 3);
-        assert_eq!(p.phases.replay, 2);
-        assert_eq!(p.per_round.len(), 2);
-        assert_eq!(p.per_round[0], (1, totals(10, 3, 0, 2, 0)));
-        assert_eq!(p.per_round[1], (2, totals(5, 0, 0, 0, 0)));
+        p.add(PHASE_COMPUTE, 10);
+        p.add(PHASE_ENCODE, 3);
+        p.add(PHASE_COMPUTE, 5);
+        p.add(PHASE_REPLAY, 2);
+        p.add(PHASE_IDLE, 4);
+        let want = PhaseTotals { compute: 15, encode: 3, decode: 0, replay: 2, idle: 4 };
+        assert_eq!(p.phases, want);
+        assert_eq!((p.phases.total(), p.phases.busy()), (24, 20));
     }
 
     #[test]
-    fn profile_merge_combines_rounds_by_key() {
+    fn profile_merge_is_order_independent() {
         let mut a = WorkerProfile::default();
-        a.add(PHASE_COMPUTE, 0, 4);
-        a.add(PHASE_IDLE, 2, 9);
+        a.add(PHASE_COMPUTE, 4);
+        a.add(PHASE_IDLE, 9);
         a.round_latency.record(4);
         let mut b = WorkerProfile::default();
-        b.add(PHASE_COMPUTE, 0, 6);
-        b.add(PHASE_DECODE, 1, 2);
+        b.add(PHASE_COMPUTE, 6);
+        b.add(PHASE_DECODE, 2);
         b.round_latency.record(6);
         let mut ab = a.clone();
         ab.merge(&b);
@@ -866,10 +581,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, ba, "merge is order-independent");
         assert_eq!(ab.phases.compute, 10);
-        assert_eq!(ab.per_round.len(), 3);
-        assert_eq!(ab.per_round[0].0, 0);
-        assert_eq!(ab.per_round[1].0, 1);
-        assert_eq!(ab.per_round[2].0, 2);
         assert_eq!(ab.round_latency.count, 2);
     }
 
@@ -881,10 +592,10 @@ mod tests {
             let t0 = p.start();
             assert!(t0.is_none(), "ticks mode never reads the wall clock");
             let d = p.stop(t0, 42);
-            p.add(PHASE_COMPUTE, 0, d);
+            p.add(PHASE_COMPUTE, d);
             p.step_end();
             p.set_now(25);
-            p.idle_gap(1);
+            p.idle_gap();
             p.profile
         };
         let a = build();
@@ -901,21 +612,21 @@ mod tests {
         assert!(t0.is_some());
         let d = p.stop(t0, 999);
         assert_ne!(d, 999, "wall mode ignores the proxy (elapsed ~0us)");
-        p.add(PHASE_ENCODE, 0, d);
+        p.add(PHASE_ENCODE, d);
         p.step_end();
-        p.idle_gap(0); // gap measured from step_end; tiny but valid
+        p.idle_gap(); // gap measured from step_end; tiny but valid
     }
 
     #[test]
     fn report_json_is_well_formed_and_deterministic() {
         let mut p0 = WorkerProfile::default();
-        p0.add(PHASE_COMPUTE, 0, 100);
-        p0.add(PHASE_IDLE, 1, 30);
+        p0.add(PHASE_COMPUTE, 100);
+        p0.add(PHASE_IDLE, 30);
         p0.round_latency.record(100);
         p0.batch_bytes.record(64);
         let mut p1 = WorkerProfile::default();
-        p1.add(PHASE_COMPUTE, 0, 40);
-        p1.add(PHASE_ENCODE, 0, 10);
+        p1.add(PHASE_COMPUTE, 40);
+        p1.add(PHASE_ENCODE, 10);
         p1.round_latency.record(40);
 
         let report = ProfileReport {
@@ -928,9 +639,7 @@ mod tests {
             },
             time_by_rule: vec![90, 50],
             firings_by_rule: vec![9, 5],
-            rounds: Vec::new(),
             hot_rules: vec![HotRule { rule: 0, time: 90, firings: 9 }],
-            idle_gaps: vec![IdleGap { worker: 0, round: 1, idle: 30 }],
             rule_labels: Vec::new(),
         };
         let a = report.to_json();
@@ -939,7 +648,7 @@ mod tests {
         assert!(a.starts_with("{\"time_base\":\"virtual_ticks\""));
         assert!(a.contains("\"workers\":[{\"processor\":0"));
         assert!(a.contains("\"hot_rules\":[{\"rule\":0,\"time\":90,\"firings\":9}]"));
-        assert!(a.contains("\"idle_gaps\":[{\"worker\":0,\"round\":1,\"idle\":30}]"));
+        assert!(a.ends_with("\"firings_by_rule\":[9,5],\"hot_rules\":[{\"rule\":0,\"time\":90,\"firings\":9}]}"));
         let human = report.render_human();
         assert!(human.contains("w0"));
         assert!(human.contains("hot rules"));

@@ -68,10 +68,6 @@ pub struct WorkerReport {
     pub pooled_tuples: u64,
     /// Time spent computing (local evaluation), excluding idle waits.
     pub busy: std::time::Duration,
-    /// Channel tuples shipped per engine round, `(round, tuples)` —
-    /// sparse (rounds shipping nothing are absent). Together with
-    /// `eval.per_round` this is the §6 trade-off as a time series.
-    pub sent_per_round: Vec<(u64, u64)>,
     /// Phase-attributed profile — `None` unless the run enabled
     /// [`crate::worker::WorkerConfig::profile`].
     pub profile: Option<crate::profile::WorkerProfile>,
@@ -100,7 +96,6 @@ impl WorkerReport {
             retract_tuples_received: 0,
             pooled_tuples: 0,
             busy: Duration::ZERO,
-            sent_per_round: Vec::new(),
             profile: None,
         }
     }

@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use gst_common::{Error, Interner, Result, SymbolId, Tuple};
 use gst_eval::plan::RelationId;
-use gst_eval::{EvalStats, RoundSample};
+use gst_eval::EvalStats;
 use gst_frontend::ast::{
     Atom, ConstraintRef, Literal, Program, Rule, Term, Variable,
 };
@@ -894,12 +894,6 @@ pub(crate) fn encode_result(
     for t in &report.eval.time_by_rule {
         put_uv(&mut buf, *t);
     }
-    put_uv(&mut buf, report.eval.per_round.len() as u64);
-    for s in &report.eval.per_round {
-        put_uv(&mut buf, s.round);
-        put_uv(&mut buf, s.submitted);
-        put_uv(&mut buf, s.fresh);
-    }
     put_uv(&mut buf, report.processing_firings);
     put_uv(&mut buf, report.sent_tuples_to.len() as u64);
     for v in &report.sent_tuples_to {
@@ -925,11 +919,6 @@ pub(crate) fn encode_result(
     ] {
         put_uv(&mut buf, v);
     }
-    put_uv(&mut buf, report.sent_per_round.len() as u64);
-    for (round, tuples) in &report.sent_per_round {
-        put_uv(&mut buf, *round);
-        put_uv(&mut buf, *tuples);
-    }
     match &report.profile {
         None => buf.push(0),
         Some(p) => {
@@ -939,11 +928,6 @@ pub(crate) fn encode_result(
             put_histogram(&mut buf, &p.encode_time);
             put_histogram(&mut buf, &p.decode_time);
             put_histogram(&mut buf, &p.batch_bytes);
-            put_uv(&mut buf, p.per_round.len() as u64);
-            for (round, totals) in &p.per_round {
-                put_uv(&mut buf, *round);
-                put_phase_totals(&mut buf, totals);
-            }
         }
     }
     put_uv(&mut buf, pooled.len() as u64);
@@ -974,15 +958,6 @@ pub(crate) fn decode_result(
     for _ in 0..ntimes {
         time_by_rule.push(c.get_uv().ok_or_else(|| corrupt("rule time"))?);
     }
-    let nsamples = get_count(&mut c, "round samples")?;
-    let mut per_round = Vec::with_capacity(nsamples.min(1024));
-    for _ in 0..nsamples {
-        per_round.push(RoundSample {
-            round: c.get_uv().ok_or_else(|| corrupt("sample round"))?,
-            submitted: c.get_uv().ok_or_else(|| corrupt("sample submitted"))?,
-            fresh: c.get_uv().ok_or_else(|| corrupt("sample fresh"))?,
-        });
-    }
     let eval = EvalStats {
         rounds,
         firings,
@@ -990,7 +965,6 @@ pub(crate) fn decode_result(
         duplicates,
         firings_by_rule,
         time_by_rule,
-        per_round,
     };
     let processing_firings = c.get_uv().ok_or_else(|| corrupt("processing firings"))?;
     let nlinks = get_count(&mut c, "link counters")?;
@@ -1008,33 +982,18 @@ pub(crate) fn decode_result(
             .get_uv()
             .ok_or_else(|| corrupt(&format!("report scalar {k}")))?;
     }
-    let nrounds = get_count(&mut c, "send rounds")?;
-    let mut sent_per_round = Vec::with_capacity(nrounds.min(1024));
-    for _ in 0..nrounds {
-        let round = c.get_uv().ok_or_else(|| corrupt("send round"))?;
-        let tuples = c.get_uv().ok_or_else(|| corrupt("send round tuples"))?;
-        sent_per_round.push((round, tuples));
-    }
     let profile = if get_flag(&mut c, "profile flag")? {
         let phases = get_phase_totals(&mut c, "profile phases")?;
         let round_latency = get_histogram(&mut c, "round latency histogram")?;
         let encode_time = get_histogram(&mut c, "encode time histogram")?;
         let decode_time = get_histogram(&mut c, "decode time histogram")?;
         let batch_bytes = get_histogram(&mut c, "batch bytes histogram")?;
-        let nprofrounds = get_count(&mut c, "profile rounds")?;
-        let mut prof_per_round = Vec::with_capacity(nprofrounds.min(1024));
-        for _ in 0..nprofrounds {
-            let round = c.get_uv().ok_or_else(|| corrupt("profile round"))?;
-            let totals = get_phase_totals(&mut c, "profile round phases")?;
-            prof_per_round.push((round, totals));
-        }
         Some(crate::profile::WorkerProfile {
             phases,
             round_latency,
             encode_time,
             decode_time,
             batch_bytes,
-            per_round: prof_per_round,
         })
     } else {
         None
@@ -1058,7 +1017,6 @@ pub(crate) fn decode_result(
         retract_tuples_received: scalars[10],
         pooled_tuples: scalars[11],
         busy: Duration::from_micros(scalars[12]),
-        sent_per_round,
         profile,
     };
     let npooled = get_count(&mut c, "pooled relations")?;
@@ -1228,7 +1186,6 @@ mod tests {
                 duplicates: 40,
                 firings_by_rule: vec![10, 90],
                 time_by_rule: vec![3, 1200],
-                per_round: vec![RoundSample { round: 1, submitted: 5, fresh: 3 }],
             },
             processing_firings: 90,
             sent_tuples_to: vec![0, 4, 9],
@@ -1246,7 +1203,6 @@ mod tests {
             retract_tuples_received: 5,
             pooled_tuples: 2,
             busy: Duration::from_micros(12345),
-            sent_per_round: vec![(2, 4), (5, 5)],
             profile: Some({
                 let mut p = crate::profile::WorkerProfile {
                     phases: crate::profile::PhaseTotals {
@@ -1263,23 +1219,6 @@ mod tests {
                 p.encode_time.record(25);
                 p.decode_time.record(15);
                 p.batch_bytes.record(4096);
-                p.per_round = vec![
-                    (
-                        0,
-                        crate::profile::PhaseTotals {
-                            compute: 120,
-                            ..Default::default()
-                        },
-                    ),
-                    (
-                        3,
-                        crate::profile::PhaseTotals {
-                            compute: 300,
-                            idle: 400,
-                            ..Default::default()
-                        },
-                    ),
-                ];
                 p
             }),
         };
@@ -1294,12 +1233,10 @@ mod tests {
         assert_eq!(got_report.processor, 2);
         assert_eq!(got_report.eval.firings, 100);
         assert_eq!(got_report.eval.firings_by_rule, vec![10, 90]);
-        assert_eq!(got_report.eval.per_round.len(), 1);
         assert_eq!(got_report.sent_tuples_to, vec![0, 4, 9]);
         assert_eq!(got_report.sent_bytes_to, vec![0, 44, 99]);
         assert_eq!(got_report.replayed_batches, 2);
         assert_eq!(got_report.busy, Duration::from_micros(12345));
-        assert_eq!(got_report.sent_per_round, vec![(2, 4), (5, 5)]);
         assert_eq!(got_report.eval.time_by_rule, vec![3, 1200]);
         assert_eq!(got_report.eval, report.eval);
         assert_eq!(got_report.profile, report.profile);
@@ -1461,7 +1398,6 @@ mod tests {
             profile: Some({
                 let mut p = crate::profile::WorkerProfile::default();
                 p.round_latency.record(77);
-                p.per_round = vec![(1, crate::profile::PhaseTotals::default())];
                 p
             }),
             ..WorkerReport::new(0, 2)

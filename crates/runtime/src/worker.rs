@@ -304,12 +304,11 @@ impl WorkerCore {
     /// One scheduling quantum: absorb everything pending, then do at most
     /// one unit of work (an engine round, or a report when passive).
     pub(crate) fn step(&mut self, out: &mut dyn Outbox) -> Result<Step> {
-        if self.prof.is_some() && self.was_idle {
-            // The gap since the previous step's end was spent waiting for
-            // messages or the termination decision: idle time.
-            let round = self.engine.stats().rounds;
-            if let Some(p) = self.prof.as_mut() {
-                p.idle_gap(round);
+        if let Some(p) = self.prof.as_mut() {
+            if self.was_idle {
+                // The gap since the previous step's end was spent waiting
+                // for messages or the termination decision: idle time.
+                p.idle_gap();
             }
         }
         let t0 = std::time::Instant::now();
@@ -333,18 +332,17 @@ impl WorkerCore {
     }
 
     /// Charge the time since `t0` — or, on the simulator's clock, `proxy`
-    /// ticks of work — to `phase` of `round`. Returns what was charged and
-    /// the profile, for the call sites that also feed a histogram.
+    /// ticks of work — to `phase`. Returns what was charged and the
+    /// profile, for the call sites that also feed a histogram.
     fn phase_stop(
         &mut self,
         t0: Option<Option<std::time::Instant>>,
         phase: usize,
-        round: u64,
         proxy: u64,
     ) -> Option<(u64, &mut crate::profile::WorkerProfile)> {
         let (t0, p) = (t0?, self.prof.as_mut()?);
         let d = p.stop(t0, proxy);
-        p.add(phase, round, d);
+        p.add(phase, d);
         Some((d, &mut p.profile))
     }
 
@@ -356,7 +354,7 @@ impl WorkerCore {
             self.bootstrapped = true;
             let t0 = self.phase_start();
             self.engine.bootstrap()?;
-            self.phase_stop(t0, PHASE_COMPUTE, 0, self.engine.stats().firings);
+            self.phase_stop(t0, PHASE_COMPUTE, self.engine.stats().firings);
         }
 
         // Receiving step: absorb what the transport delivered.
@@ -375,15 +373,12 @@ impl WorkerCore {
         if self.stash_count > 0 {
             let t0 = self.phase_start();
             let decoding = self.drain_stash()?;
-            let round = self.engine.stats().rounds;
             if let (Some(t0), Some(p)) = (t0, self.prof.as_mut()) {
                 // On the simulator's clock `stop` is the proxy itself.
                 let admitting = p.stop(t0, decoding).saturating_sub(decoding);
-                p.add(PHASE_DECODE, round, decoding);
+                p.add(PHASE_DECODE, decoding);
                 p.profile.decode_time.record(decoding);
-                if admitting > 0 {
-                    p.add(PHASE_COMPUTE, round, admitting);
-                }
+                p.add(PHASE_COMPUTE, admitting);
             }
         }
 
@@ -391,23 +386,17 @@ impl WorkerCore {
         // and the arrivals admitted the deltas, route the fresh rows and
         // bring the indexes up to date. Compute time; the tick proxy is
         // the tuples submitted since the last advance — the storage work
-        // of the round's parts and of the arrivals too. An advance with
-        // nothing submitted is charged nothing and opens no per-round
-        // entry.
-        let t0 = self.phase_start();
+        // of the round's parts and of the arrivals too: what the engine's
+        // advance accounting (`derived + duplicates`) grew by.
+        let submitted = |s: &gst_eval::EvalStats| s.derived + s.duplicates;
+        let (t0, before) = (self.phase_start(), submitted(self.engine.stats()));
         let fresh = self.engine.advance()?;
-        // `advance` already closed the round in the stats, so the round
-        // its rows feed — shipped now, processed next — is `rounds - 1`.
-        let round = self.engine.stats().rounds - 1;
-        let submitted = self.engine.stats().per_round.last().map_or(0, |r| r.submitted);
-        if submitted > 0 {
-            self.phase_stop(t0, PHASE_COMPUTE, round, submitted);
-        }
+        self.phase_stop(t0, PHASE_COMPUTE, submitted(self.engine.stats()) - before);
         // Sending step, after every advance: peers start on these rows
         // while this worker is still processing its own — and a round
         // whose whole output left this processor ships before it goes
         // passive, with nothing fresh here.
-        self.ship_outlets(round, 1, out)?;
+        self.ship_outlets(1, out)?;
         if fresh > 0 {
             // Processing step: one engine round, fired in chunks of
             // `CHUNK_ROWS` leading delta rows. After each chunk an outlet
@@ -415,6 +404,9 @@ impl WorkerCore {
             // them while this worker derives the rest; what is left ships
             // after the next advance. The ship is encode time, not the
             // round's: compute and the round's latency are its chunks'.
+            // `advance` already counted the round it opened: its index is
+            // `rounds - 1`.
+            let round = self.engine.stats().rounds - 1;
             let firings_before = self.engine.stats().firings;
             let mut latency = 0;
             self.sink.emit(ObsKind::RoundBegin { round });
@@ -422,13 +414,11 @@ impl WorkerCore {
                 let (t0, before) = (self.phase_start(), self.engine.stats().firings);
                 let done = self.engine.process_chunk(CHUNK_ROWS);
                 let firings = self.engine.stats().firings - before;
-                latency += self.phase_stop(t0, PHASE_COMPUTE, round, firings).map_or(0, |(d, _)| d);
+                latency += self.phase_stop(t0, PHASE_COMPUTE, firings).map_or(0, |(d, _)| d);
                 if done {
                     break;
                 }
-                // These rows feed the round after this one, as they would
-                // had they waited for the next advance.
-                self.ship_outlets(round + 1, CHUNK_ROWS, out)?;
+                self.ship_outlets(CHUNK_ROWS, out)?;
             }
             let firings = self.engine.stats().firings - firings_before;
             self.sink.emit(ObsKind::RoundEnd { round, fresh, firings });
@@ -577,7 +567,7 @@ impl WorkerCore {
         let messages = self.report.replayed_batches - replayed_before;
         if messages > 0 {
             self.sink.emit(ObsKind::ReplaySent { to, messages });
-            self.phase_stop(t0, PHASE_REPLAY, self.engine.stats().rounds, messages);
+            self.phase_stop(t0, PHASE_REPLAY, messages);
         }
         Ok(())
     }
@@ -695,8 +685,7 @@ impl WorkerCore {
     /// (paper: sending step): every outlet holding at least `min_rows`
     /// rows — after an advance, all the rows the last round's rules
     /// emitted and the advance that opened `round` admitted; between two
-    /// chunks of a round, what those chunks emitted. The shipment is
-    /// credited to `round`, the round its rows feed. Empty outlets ship
+    /// chunks of a round, what those chunks emitted. Empty outlets ship
     /// nothing.
     ///
     /// Each outlet's rows are encoded straight onto the wire; the only
@@ -704,7 +693,7 @@ impl WorkerCore {
     /// broadcast is one outlet addressed to every remote destination: it
     /// is encoded exactly once and every destination's envelope clones
     /// the payload `Arc` — single-encode multicast.
-    fn ship_outlets(&mut self, round: u64, min_rows: usize, out: &mut dyn Outbox) -> Result<()> {
+    fn ship_outlets(&mut self, min_rows: usize, out: &mut dyn Outbox) -> Result<()> {
         for k in 0..self.engine.outlets().len() {
             let outlet = &self.engine.outlets()[k];
             let Some(arity) = outlet.rows.first().map(|t| t.arity()) else { continue };
@@ -721,7 +710,7 @@ impl WorkerCore {
             self.report.encoded_bytes += bytes;
             self.report.encoded_raw_bytes += raw_bytes;
             self.sink.emit(ObsKind::BatchEncoded { channel: label, tuples: count, bytes, raw_bytes });
-            if let Some((d, profile)) = self.phase_stop(t0, PHASE_ENCODE, round, bytes) {
+            if let Some((d, profile)) = self.phase_stop(t0, PHASE_ENCODE, bytes) {
                 profile.encode_time.record(d);
                 profile.batch_bytes.record(bytes);
             }
@@ -736,12 +725,6 @@ impl WorkerCore {
                 self.report.sent_tuples_to[dest] += count;
                 self.report.sent_bytes_to[dest] += bytes;
                 self.report.sent_messages += 1;
-                // Attribute the tuples to the round they feed (sparse
-                // series; one entry when the round ships several outlets).
-                match self.report.sent_per_round.last_mut() {
-                    Some((r, total)) if *r == round => *total += count,
-                    _ => self.report.sent_per_round.push((round, count)),
-                }
                 let seq = self.next_batch_seq(dest);
                 self.sink.emit(ObsKind::BatchSent { to: dest, tuples: count, bytes, seq });
                 // Retain for crash-recovery replay until the receiver acks

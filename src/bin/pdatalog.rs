@@ -48,9 +48,8 @@
 //!
 //! `--profile` turns on per-phase time accounting in every worker
 //! (compute, encode, decode, replay, idle) and prints a report on
-//! stderr: per-worker phase totals, latency histograms, hot rules by
-//! time, the per-round critical path (which worker was the straggler
-//! and in which phase), and the largest idle gaps. `--profile-json
+//! stderr: per-worker phase totals, latency histograms and hot rules by
+//! time. `--profile-json
 //! FILE` writes the same report as deterministic JSON (validated by
 //! `trace_check --profile`); `--metrics-out FILE` writes
 //! Prometheus-style text metrics. Threaded and `--net` profiles count
@@ -705,10 +704,9 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             let rels = take_printed(&print_ids, &mut outcome.relations);
             let tables = if show_stats {
                 format!(
-                    "{}{}{}{}",
+                    "{}{}{}",
                     render_channel_matrix(&outcome.stats.channel_matrix),
                     render_wire_table(&outcome.stats),
-                    render_round_table(&outcome.stats),
                     render_busy_table(&outcome.stats)
                 )
             } else {
@@ -1040,50 +1038,6 @@ fn render_wire_table(stats: &parallel_datalog::runtime::ParallelStats) -> String
         stats.workers.iter().map(|w| w.encoded_raw_bytes).sum::<u64>(),
         stats.compression_ratio()
     );
-    out
-}
-
-/// Per-round delta sizes: fresh tuples per worker per semi-naive round,
-/// plus the channel tuples shipped that round (the §6 trade-off as a
-/// time series).
-fn render_round_table(stats: &parallel_datalog::runtime::ParallelStats) -> String {
-    use std::fmt::Write;
-    let rounds = stats
-        .workers
-        .iter()
-        .map(|w| w.eval.per_round.len())
-        .max()
-        .unwrap_or(0);
-    if rounds == 0 {
-        return String::new();
-    }
-    let mut out = String::from("% per-round deltas (fresh tuples per worker, sent = shipped that round):\n");
-    let _ = write!(out, "% {:>6}", "round");
-    for w in &stats.workers {
-        let _ = write!(out, " {:>8}", format!("w{}", w.processor));
-    }
-    let _ = writeln!(out, " {:>8}", "sent");
-    for r in 0..rounds {
-        let _ = write!(out, "% {r:>6}");
-        let mut sent = 0u64;
-        for w in &stats.workers {
-            match w.eval.per_round.get(r) {
-                Some(sample) => {
-                    let _ = write!(out, " {:>8}", sample.fresh);
-                }
-                None => {
-                    let _ = write!(out, " {:>8}", "-");
-                }
-            }
-            sent += w
-                .sent_per_round
-                .iter()
-                .filter(|(round, _)| *round == r as u64)
-                .map(|(_, t)| t)
-                .sum::<u64>();
-        }
-        let _ = writeln!(out, " {sent:>8}");
-    }
     out
 }
 

@@ -411,7 +411,7 @@ fn threaded_trace_out_writes_chrome_json() {
     // The new --stats tables ride along on stderr.
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("channel matrix"), "{stderr}");
-    assert!(stderr.contains("per-round deltas"), "{stderr}");
+    assert!(stderr.contains("wire codec"), "{stderr}");
 }
 
 #[test]
@@ -467,7 +467,7 @@ fn profile_flags_write_all_three_exports() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("% profile (us"), "{stderr}");
-    assert!(stderr.contains("critical path"), "{stderr}");
+    assert!(stderr.contains("round latency"), "{stderr}");
     // The --stats footer gains the per-worker busy table and the
     // utilization figure on the summary line.
     assert!(stderr.contains("worker busy"), "{stderr}");

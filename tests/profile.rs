@@ -136,27 +136,17 @@ fn threaded_profile_attributes_every_round() {
     let rounds = outcome.stats.workers[0].eval.rounds;
     // Wall durations differ run to run; normalize by comparing only the
     // structure — every *productive* engine round got a latency sample
-    // (rounds that derive nothing end the fixpoint without one) and a
-    // per-round entry, and rule time accounting covers every rule.
+    // (rounds that derive nothing end the fixpoint without one), and rule
+    // time accounting covers every rule.
     assert!(
         profile.round_latency.count > 0 && profile.round_latency.count <= rounds,
         "latency samples ({}) must count productive rounds (engine ran {rounds})",
         profile.round_latency.count
     );
-    assert!(
-        !profile.per_round.is_empty() && profile.per_round.len() as u64 <= rounds,
-        "per-round breakdown ({} entries) must stay within {rounds} engine rounds",
-        profile.per_round.len()
-    );
     assert_eq!(
         report.time_by_rule.len(),
         report.firings_by_rule.len(),
         "per-rule time and firing vectors must align"
-    );
-    assert_eq!(
-        report.rounds.len(),
-        profile.per_round.len(),
-        "critical path covers every observed round"
     );
 }
 
