@@ -193,7 +193,11 @@ impl HashIndex {
     /// lists sorted.
     fn insert_row(&mut self, relation: &Relation, row: u32) {
         // 5/8 max load: linear-probe miss chains grow ~1/(1-α)², and
-        // probes for absent keys are common in semi-naive rounds.
+        // probes for absent keys are common in semi-naive rounds. The
+        // dedup table fills to ¾ (relation.rs `within_ceiling`); this
+        // index stays at ⅝: at ⅞ its peak RSS on `sg-general` stayed
+        // inside the run-to-run spread (three runs, EXPERIMENTS.md P28),
+        // so longer chains would buy nothing measured.
         if self.keys * 8 >= self.buckets.len() * 5 {
             self.grow_to((self.buckets.len() * 2).max(16));
         }

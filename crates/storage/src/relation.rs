@@ -106,12 +106,9 @@ impl RowTable {
         }
     }
 
-    /// Grow if another insert would push the load factor past 5/8 —
-    /// linear probing degrades sharply above that (the probe chain for a
-    /// *miss*, the common case on dedup-heavy workloads, scales with
-    /// `1/(1-α)²`).
+    /// Grow if another insert would put the table past [`within_ceiling`].
     fn reserve_one(&mut self) {
-        if self.len * 8 >= self.slots.len() * 5 {
+        if !within_ceiling(self.len + 1, self.slots.len()) {
             self.grow_to((self.slots.len() * 2).max(16));
         }
     }
@@ -181,11 +178,12 @@ impl RowTable {
         debug_assert_eq!(self.slots[slot].row, VACANT);
         self.slots[slot] = Slot { hash, row };
         self.len += 1;
+        self.debug_check_ceiling();
     }
 
-    /// Grow so that `rows` entries fit under the load-factor ceiling
-    /// without any further growth — callers that insert a whole batch
-    /// hoist the capacity check out of the per-tuple loop this way.
+    /// Grow so that `rows` entries fit under [`within_ceiling`] without
+    /// any further growth — callers that insert a whole batch hoist the
+    /// capacity check out of the per-tuple loop this way.
     fn reserve_rows(&mut self, rows: usize) {
         let needed = slots_for(rows);
         if needed > self.slots.len() {
@@ -209,13 +207,41 @@ impl RowTable {
             }
             self.slots[i] = *s;
         }
+        self.debug_check_ceiling();
+    }
+
+    /// Debug builds: the table is within [`within_ceiling`], so a quarter
+    /// of its slots are vacant and every probe loop ends.
+    fn debug_check_ceiling(&self) {
+        debug_assert!(
+            within_ceiling(self.len, self.slots.len()),
+            "dedup table past its load ceiling: {} rows in {} slots",
+            self.len,
+            self.slots.len()
+        );
     }
 }
 
-/// Slot count (power of two) comfortably holding `rows` entries under
-/// the 5/8 load factor.
+/// The dedup table's load ceiling: `rows` entries fit in `slots` slots
+/// iff `rows ≤ ¾ · slots`. Linear probing's chains lengthen with the
+/// load α (a miss walks ~½(1 + 1/(1-α)²) slots); measured over whole
+/// closure runs at W = 2, slots visited per dedup probe average 1.9–2.5
+/// at a ⅝ ceiling, 2.4–3.6 at ¾ and 4.0–6.7 at ⅞ (EXPERIMENTS.md P28).
+/// ¾ lets a table hold a fifth more rows before it doubles, for about one
+/// more slot per probe; ⅞ saved no further memory on the closure cells.
+#[inline]
+fn within_ceiling(rows: usize, slots: usize) -> bool {
+    rows * 4 <= slots * 3
+}
+
+/// The smallest slot count (a power of two, at least 16) holding `rows`
+/// entries within [`within_ceiling`].
 fn slots_for(rows: usize) -> usize {
-    (rows * 8 / 5 + 1).next_power_of_two().max(16)
+    let mut slots = 16;
+    while !within_ceiling(rows, slots) {
+        slots *= 2;
+    }
+    slots
 }
 
 /// True unless bit `row` of the tombstone bitmap `dead` is set.
@@ -692,11 +718,18 @@ mod tests {
         assert_eq!(r.len(), 1);
     }
 
+    /// Row by row, the table fills to ¾ before it doubles: 768 rows in
+    /// 1 024 slots, and row 769 doubles it.
     #[test]
     fn dedup_survives_table_growth() {
         let mut r = Relation::new(1);
         for i in 0..10_000 {
             assert!(r.insert(ituple![i]).unwrap());
+            match i {
+                767 => assert_eq!((r.table().len, r.table().slots.len()), (768, 1_024)),
+                768 => assert_eq!((r.table().len, r.table().slots.len()), (769, 2_048)),
+                _ => {}
+            }
         }
         for i in 0..10_000 {
             assert!(!r.insert(ituple![i]).unwrap());
@@ -707,9 +740,11 @@ mod tests {
     }
 
     /// A stream inserted part by part sizes the dedup table for the rows
-    /// it keeps: 72 000 rows, two thirds of them duplicates, in batches of
-    /// 4 096 end at `slots_for(live_len)` slots; one batch of them all
-    /// ends at twice that.
+    /// it keeps, plus one batch (a batch reserves as if every row in it
+    /// were fresh): 72 000 rows, two thirds of them duplicates, in batches
+    /// of 4 096 end at `slots_for(24 000 + 4 096)` = 65 536 slots; one
+    /// batch of them all ends at `slots_for(72 000)` = 131 072, four times
+    /// the 32 768 that the 24 000 rows kept need.
     #[test]
     fn batches_size_the_table_for_the_rows_they_keep() {
         let stream: Vec<Tuple> = (0..72_000i64).map(|k| ituple![k * 7_919 % 24_000]).collect();
@@ -720,8 +755,12 @@ mod tests {
         let mut whole = Relation::new(1);
         whole.insert_batch(&mut stream.clone());
         assert_eq!((parts.live_len(), whole.live_len()), (24_000, 24_000));
-        assert_eq!(parts.table().slots.len(), slots_for(24_000));
-        assert_eq!(whole.table().slots.len(), 2 * slots_for(24_000));
+        assert_eq!(parts.table().slots.len(), slots_for(24_000 + 4_096));
+        assert_eq!(whole.table().slots.len(), slots_for(72_000));
+        // The ceiling is ¾ for a batch too: 700 000 rows fit 2²⁰ slots,
+        // where ⅝ took 2²¹, and ¾ · 2²⁰ = 786 432 is the last that does.
+        let sizes = [0, 12, 13, 24_000, 24_000 + 4_096, 72_000, 700_000, 786_432, 786_433].map(slots_for);
+        assert_eq!(sizes, [16, 16, 32, 32_768, 65_536, 131_072, 1 << 20, 1 << 20, 1 << 21]);
     }
 
     #[test]
@@ -938,33 +977,39 @@ mod tests {
     /// Property: posting lists built over a tombstoned arena contain
     /// only live rows, and dedup probing stays correct after heavy
     /// backward-shift churn concentrated in few buckets (stress for the
-    /// chain-compaction path in `RowTable::remove`).
+    /// chain-compaction path in `RowTable::remove`) — with 512 keys in
+    /// 1 024 slots, and with 760, just under the ¾ ceiling, where the
+    /// chains that deletion compacts are longest.
     #[test]
     fn dedup_table_survives_backward_shift_churn() {
-        for seed in 0..10u64 {
-            let mut next = rng(seed ^ 0xDEAD);
-            let mut r = Relation::new(1);
-            // Load up, then delete-and-reinsert in waves so probe chains
-            // repeatedly form, break, and compact.
-            for i in 0..512i64 {
-                r.insert(ituple![i]).unwrap();
-            }
-            for _wave in 0..6 {
-                for _ in 0..200 {
-                    let v = next(512) as i64;
-                    r.delete(&ituple![v]);
+        for keys in [512u64, 760] {
+            for seed in 0..10u64 {
+                let mut next = rng(seed ^ 0xDEAD);
+                let mut r = Relation::new(1);
+                // Load up, then delete-and-reinsert in waves so probe chains
+                // repeatedly form, break, and compact.
+                for i in 0..keys as i64 {
+                    r.insert(ituple![i]).unwrap();
                 }
-                for _ in 0..200 {
-                    let v = next(512) as i64;
-                    r.insert(ituple![v]).unwrap();
+                assert_eq!(r.table().slots.len(), 1_024, "keys {keys}");
+                for _wave in 0..6 {
+                    for _ in 0..200 {
+                        let v = next(keys) as i64;
+                        r.delete(&ituple![v]);
+                    }
+                    for _ in 0..200 {
+                        let v = next(keys) as i64;
+                        r.insert(ituple![v]).unwrap();
+                    }
+                    // The table and the bitmap must agree exactly.
+                    for v in 0..keys as i64 {
+                        let t = ituple![v];
+                        let live_somewhere = (0..r.len() as u32)
+                            .any(|row| r.is_live(row) && r.row(row) == &t);
+                        assert_eq!(r.contains(&t), live_somewhere, "keys {keys} seed {seed} v {v}");
+                    }
                 }
-                // The table and the bitmap must agree exactly.
-                for v in 0..512i64 {
-                    let t = ituple![v];
-                    let live_somewhere = (0..r.len() as u32)
-                        .any(|row| r.is_live(row) && r.row(row) == &t);
-                    assert_eq!(r.contains(&t), live_somewhere, "seed {seed} v {v}");
-                }
+                assert_eq!(r.table().slots.len(), 1_024, "churn never grows the table: keys {keys}");
             }
         }
     }
