@@ -9,7 +9,6 @@
 //! and reached termination.
 
 use gst_common::json::Json;
-use gst_common::HIST_BUCKETS;
 
 /// What a validated trace contained, for the checker's one-line report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,65 +176,17 @@ pub struct ProfileSummary {
 /// The five phase names every profile must account, in emission order.
 const PROFILE_PHASES: [&str; 5] = ["compute", "encode", "decode", "replay", "idle"];
 
-fn check_phases(v: &Json, at: &str) -> Result<[u64; 5], String> {
+/// A worker profile's five phase totals, in [`PROFILE_PHASES`] order.
+fn check_worker_profile(v: &Json, at: &str) -> Result<[u64; 5], String> {
+    let phases = v.get("phases").ok_or_else(|| format!("{at}: missing phases object"))?;
     let mut out = [0u64; 5];
     for (k, slot) in PROFILE_PHASES.iter().zip(out.iter_mut()) {
-        *slot = v
+        *slot = phases
             .get(k)
             .and_then(Json::as_num)
-            .ok_or_else(|| format!("{at}: missing numeric phase {k:?}"))? as u64;
+            .ok_or_else(|| format!("{at}.phases: missing numeric phase {k:?}"))? as u64;
     }
     Ok(out)
-}
-
-fn check_histogram(v: &Json, at: &str) -> Result<(), String> {
-    for k in ["count", "sum", "min", "max", "p50", "p95", "p99"] {
-        v.get(k)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("{at}: missing numeric field {k:?}"))?;
-    }
-    let count = v.get("count").and_then(Json::as_num).unwrap_or(0.0) as u64;
-    let buckets = v
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{at}: missing buckets array"))?;
-    let mut total = 0u64;
-    for (i, b) in buckets.iter().enumerate() {
-        let pair = b
-            .as_arr()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("{at}: bucket {i} is not an [index, count] pair"))?;
-        let idx = pair[0]
-            .as_num()
-            .ok_or_else(|| format!("{at}: bucket {i} has non-numeric index"))?;
-        if !(0.0..HIST_BUCKETS as f64).contains(&idx) {
-            return Err(format!("{at}: bucket {i} index {idx} out of range"));
-        }
-        total += pair[1]
-            .as_num()
-            .ok_or_else(|| format!("{at}: bucket {i} has non-numeric count"))?
-            as u64;
-    }
-    if total != count {
-        return Err(format!(
-            "{at}: bucket counts sum to {total} but count says {count}"
-        ));
-    }
-    Ok(())
-}
-
-fn check_worker_profile(v: &Json, at: &str) -> Result<[u64; 5], String> {
-    let phases = v
-        .get("phases")
-        .ok_or_else(|| format!("{at}: missing phases object"))
-        .and_then(|p| check_phases(p, &format!("{at}.phases")))?;
-    for h in ["round_latency", "encode_time", "decode_time", "batch_bytes"] {
-        let hist = v
-            .get(h)
-            .ok_or_else(|| format!("{at}: missing histogram {h:?}"))?;
-        check_histogram(hist, &format!("{at}.{h}"))?;
-    }
-    Ok(phases)
 }
 
 /// Validate profile JSON produced by `pdatalog --profile-json`.
@@ -244,8 +195,7 @@ fn check_worker_profile(v: &Json, at: &str) -> Result<[u64; 5], String> {
 /// 1. the document parses, with `time_base` either `wall_micros` or
 ///    `virtual_ticks`;
 /// 2. every worker entry and the merged profile carry all five phase
-///    totals and the four histograms (each internally consistent: bucket
-///    counts re-sum to `count`, indices in range);
+///    totals;
 /// 3. the merged phase totals equal the sum over workers;
 /// 4. `time_by_rule` and `firings_by_rule` are equal-length numeric
 ///    arrays;
@@ -408,23 +358,8 @@ mod tests {
 
     /// A minimal well-formed profile: one worker, merged = that worker.
     fn profile_doc(compute: u64, idle: u64) -> String {
-        let hist = |count: u64, sum: u64, bucket: u64| {
-            if count == 0 {
-                r#"{"count":0,"sum":0,"min":0,"max":0,"p50":0,"p95":0,"p99":0,"buckets":[]}"#
-                    .to_string()
-            } else {
-                format!(
-                    "{{\"count\":{count},\"sum\":{sum},\"min\":1,\"max\":{sum},\"p50\":1,\"p95\":{sum},\"p99\":{sum},\"buckets\":[[{bucket},{count}]]}}"
-                )
-            }
-        };
         let profile = format!(
-            "{{\"phases\":{{\"compute\":{compute},\"encode\":0,\"decode\":0,\"replay\":0,\"idle\":{idle}}},\
-             \"round_latency\":{},\"encode_time\":{},\"decode_time\":{},\"batch_bytes\":{}}}",
-            hist(1, compute, 5),
-            hist(0, 0, 0),
-            hist(0, 0, 0),
-            hist(0, 0, 0),
+            "{{\"phases\":{{\"compute\":{compute},\"encode\":0,\"decode\":0,\"replay\":0,\"idle\":{idle}}}}}"
         );
         format!(
             "{{\"time_base\":\"virtual_ticks\",\"workers\":[{{\"processor\":0,\"profile\":{profile}}}],\
@@ -443,11 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn rejects_profile_with_inconsistent_buckets() {
+    fn rejects_profile_whose_merged_phases_do_not_resum() {
         let text = profile_doc(100, 7)
-            .replace("\"buckets\":[[5,1]]", "\"buckets\":[[5,3]]");
+            .replace("\"merged\":{\"phases\":{\"compute\":100", "\"merged\":{\"phases\":{\"compute\":101");
         let err = check_profile_json(&text).unwrap_err();
-        assert!(err.contains("bucket counts sum to"), "{err}");
+        assert!(err.contains("!= sum over workers"), "{err}");
     }
 
     #[test]
@@ -464,24 +399,10 @@ mod tests {
         // Feed the runtime exporter's actual to_json() output through the
         // checker: this pins the checker to the producer's key set, so a
         // schema drift on either side fails here rather than in CI.
-        use gst_common::hist::Histogram;
         use gst_runtime::{PhaseTotals, ProfileReport, TimeBase, WorkerProfile};
 
-        let profile_for = |w: u64| {
-            let phases =
-                PhaseTotals { compute: 100 + w, encode: 5, decode: 3, replay: 0, idle: 40 };
-            let mut round_latency = Histogram::new();
-            round_latency.record(60 + w);
-            round_latency.record(40);
-            let mut batch_bytes = Histogram::new();
-            batch_bytes.record(128);
-            WorkerProfile {
-                phases,
-                round_latency,
-                encode_time: Histogram::new(),
-                decode_time: Histogram::new(),
-                batch_bytes,
-            }
+        let profile_for = |w: u64| WorkerProfile {
+            phases: PhaseTotals { compute: 100 + w, encode: 5, decode: 3, replay: 0, idle: 40 },
         };
         let mut workers = Vec::new();
         for w in 0..2usize {

@@ -15,7 +15,6 @@
 
 pub mod error;
 pub mod fxhash;
-pub mod hist;
 pub mod interner;
 pub mod json;
 pub mod rng;
@@ -24,7 +23,6 @@ pub mod value;
 
 pub use error::{Error, Result};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use hist::{Histogram, HIST_BUCKETS};
 pub use interner::{Interner, SymbolId};
 pub use rng::SmallRng;
 pub use tuple::Tuple;

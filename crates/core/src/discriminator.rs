@@ -38,6 +38,7 @@ use std::sync::Arc;
 use gst_common::fxhash::hash_one;
 use gst_common::{Error, FxHasher, Interner, Result, Tuple, Value};
 use gst_frontend::{Constraint, Variable};
+use gst_runtime::codec::IMPLAUSIBLE;
 use gst_storage::Fragmentation;
 
 /// A discriminating function: ground tuple → processor.
@@ -651,6 +652,7 @@ impl Constraint for DiscConstraint {
 /// ```
 mod wire {
     use gst_common::{SymbolId, Value};
+    pub(super) use gst_runtime::codec::{put_sv, put_uv, Cursor};
 
     pub(super) const CONSTRAINT_MAGIC: u8 = 0xD5;
     pub(super) const DISC_HASH_MOD: u8 = 0;
@@ -662,22 +664,6 @@ mod wire {
     pub(super) const DISC_MIXED: u8 = 6;
     const VALUE_INT: u8 = 0;
     const VALUE_SYM: u8 = 1;
-
-    pub(super) fn put_uv(buf: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                buf.push(byte);
-                return;
-            }
-            buf.push(byte | 0x80);
-        }
-    }
-
-    pub(super) fn put_sv(buf: &mut Vec<u8>, n: i64) {
-        put_uv(buf, ((n << 1) ^ (n >> 63)) as u64);
-    }
 
     pub(super) fn put_value(buf: &mut Vec<u8>, value: Value) {
         match value {
@@ -692,71 +678,24 @@ mod wire {
         }
     }
 
-    /// A bounds-checked reader mirroring the runtime codec's discipline:
-    /// truncation and overlong varints yield `None`, never a panic.
-    pub(super) struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub(super) fn new(bytes: &'a [u8]) -> Self {
-            Reader { bytes, pos: 0 }
-        }
-
-        pub(super) fn remaining(&self) -> usize {
-            self.bytes.len() - self.pos
-        }
-
-        pub(super) fn get_u8(&mut self) -> Option<u8> {
-            let b = *self.bytes.get(self.pos)?;
-            self.pos += 1;
-            Some(b)
-        }
-
-        pub(super) fn get_uv(&mut self) -> Option<u64> {
-            let mut value = 0u64;
-            for shift in 0..10 {
-                let byte = self.get_u8()?;
-                let bits = (byte & 0x7f) as u64;
-                if shift == 9 && bits > 1 {
-                    return None;
-                }
-                value |= bits << (shift * 7);
-                if byte & 0x80 == 0 {
-                    return Some(value);
-                }
+    /// A [`put_value`] value; `None` on truncation or an unknown tag.
+    pub(super) fn get_value(r: &mut Cursor<'_>) -> Option<Value> {
+        match r.get_u8()? {
+            VALUE_INT => Some(Value::Int(r.get_sv()?)),
+            VALUE_SYM => {
+                let v = r.get_uv()?;
+                u32::try_from(v).ok().map(|s| Value::Sym(SymbolId(s)))
             }
-            None
-        }
-
-        pub(super) fn get_sv(&mut self) -> Option<i64> {
-            let v = self.get_uv()?;
-            Some(((v >> 1) as i64) ^ -((v & 1) as i64))
-        }
-
-        pub(super) fn get_value(&mut self) -> Option<Value> {
-            match self.get_u8()? {
-                VALUE_INT => Some(Value::Int(self.get_sv()?)),
-                VALUE_SYM => {
-                    let v = self.get_uv()?;
-                    u32::try_from(v).ok().map(|s| Value::Sym(SymbolId(s)))
-                }
-                _ => None,
-            }
+            _ => None,
         }
     }
 }
-
-/// Sanity bound shared with the runtime codec: no real scheme uses 65k
-/// processors, variables, or coefficients.
-const IMPLAUSIBLE: usize = 1 << 16;
 
 fn corrupt(what: &str) -> Error {
     Error::Discriminator(format!("corrupt constraint encoding: {what}"))
 }
 
-fn decode_disc(r: &mut wire::Reader<'_>, depth: usize) -> Result<DiscriminatorRef> {
+fn decode_disc(r: &mut wire::Cursor<'_>, depth: usize) -> Result<DiscriminatorRef> {
     if depth > 8 {
         return Err(corrupt("discriminator nesting too deep"));
     }
@@ -821,7 +760,7 @@ fn decode_disc(r: &mut wire::Reader<'_>, depth: usize) -> Result<DiscriminatorRe
                 for _ in 0..count {
                     row.clear();
                     for _ in 0..arity {
-                        row.push(r.get_value().ok_or_else(|| corrupt("truncated fragment tuple"))?);
+                        row.push(wire::get_value(r).ok_or_else(|| corrupt("truncated fragment tuple"))?);
                     }
                     fragment
                         .insert(Tuple::new(&row))
@@ -870,7 +809,7 @@ fn decode_disc(r: &mut wire::Reader<'_>, depth: usize) -> Result<DiscriminatorRe
 /// Rejects truncated input, unknown tags, out-of-range parameters, and
 /// trailing bytes.
 pub fn decode_constraint(bytes: &[u8]) -> Result<gst_frontend::ast::ConstraintRef> {
-    let mut r = wire::Reader::new(bytes);
+    let mut r = wire::Cursor::new(bytes);
     match r.get_u8() {
         Some(wire::CONSTRAINT_MAGIC) => {}
         Some(b) => return Err(corrupt(&format!("bad magic byte {b:#x}"))),

@@ -50,10 +50,12 @@ const VTAG_SYM: u8 = 1;
 /// Sanity bound on header fields: no real scheme ships arity-65k tuples
 /// or arity-0 batches with more than 65k units. Shared with the stream
 /// framing layer ([`crate::wire`]), which applies the same bound to the
-/// relation arities it decodes.
-pub(crate) const IMPLAUSIBLE: usize = 1 << 16;
+/// relation arities it decodes, and with the constraint encoding in
+/// `gst-core`, which bounds processor, variable and fragment counts.
+pub const IMPLAUSIBLE: usize = 1 << 16;
 
-pub(crate) fn put_uv(buf: &mut Vec<u8>, mut v: u64) {
+/// Append `v` as an unsigned LEB128 varint (1–10 bytes).
+pub fn put_uv(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -73,7 +75,8 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-pub(crate) fn put_sv(buf: &mut Vec<u8>, n: i64) {
+/// Append `n` zigzag-mapped, as a [`put_uv`] varint.
+pub fn put_sv(buf: &mut Vec<u8>, n: i64) {
     put_uv(buf, zigzag(n));
 }
 
@@ -167,24 +170,29 @@ fn encode_column(buf: &mut Vec<u8>, tuples: &[Tuple], c: usize) {
     }
 }
 
-/// A bounds-checked varint reader over a byte slice. Shared with the
+/// A bounds-checked varint reader over a byte slice: truncation and
+/// overlong varints yield `None`, never a panic. Shared with the
 /// stream-framing layer ([`crate::wire`]), which extends the same
-/// never-panic discipline to whole frames.
-pub(crate) struct Cursor<'a> {
+/// discipline to whole frames, and with the constraint encoding in
+/// `gst-core`.
+pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
-    pub(crate) fn remaining(&self) -> usize {
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    pub(crate) fn get_u8(&mut self) -> Option<u8> {
+    /// One byte; `None` at the end.
+    pub fn get_u8(&mut self) -> Option<u8> {
         let b = *self.bytes.get(self.pos)?;
         self.pos += 1;
         Some(b)
@@ -204,7 +212,7 @@ impl<'a> Cursor<'a> {
 
     /// LEB128; `None` on truncation or an encoding longer than 10 bytes /
     /// overflowing 64 bits (an adversarial stream must terminate).
-    pub(crate) fn get_uv(&mut self) -> Option<u64> {
+    pub fn get_uv(&mut self) -> Option<u64> {
         let mut value = 0u64;
         for shift in 0..10 {
             let byte = self.get_u8()?;
@@ -220,7 +228,8 @@ impl<'a> Cursor<'a> {
         None
     }
 
-    pub(crate) fn get_sv(&mut self) -> Option<i64> {
+    /// A [`put_sv`] varint; `None` as for [`Cursor::get_uv`].
+    pub fn get_sv(&mut self) -> Option<i64> {
         self.get_uv().map(unzigzag)
     }
 }

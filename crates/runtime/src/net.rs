@@ -632,7 +632,7 @@ pub fn run_net_worker(args: &NetWorkerArgs, decoder: Option<ConstraintDecoderFn>
         // Per-process wall clock: the profile carries durations only, so
         // worker-local origins are fine — the coordinator merges the
         // shipped profiles, never compares absolute stamps.
-        core.set_profiler(crate::profile::Profiler::wall(), gst_eval::TimeMode::Wall);
+        core.set_profiler(TimeBase::WallMicros);
     }
     if let Some(recover) = job.recover {
         // Absorbed before any engine step (and before any stashed

@@ -21,24 +21,22 @@
 //! tuples submitted and looped back for compute, payload bytes for encode, tuples for decode, messages for
 //! replay, virtual-tick gaps for idle) — so a simulated profile is
 //! bit-identical across same-seed reruns while still ranking the same
-//! hot spots. Distribution shape is captured in mergeable log-bucketed
-//! [`Histogram`]s (round latency, per-batch encode/decode time, batch
-//! bytes); TCP workers ship their profile in
-//! the RESULT frame and the coordinator merges, so `--net` runs report
-//! the same profile shape as in-process ones.
+//! hot spots. TCP workers ship their phase totals in the RESULT frame and
+//! the coordinator merges, so `--net` runs report the same profile shape
+//! as in-process ones.
 //!
 //! [`ProfileReport::build`] is the analyzer: the fleet's merged phases
-//! and histograms and the top-k hot rules by time. It keeps no per-round
-//! view: workers fire asynchronously, so round k on one worker and round
-//! k on another are unrelated moments, and the journal's per-worker,
-//! timestamped `RoundBegin`/`RoundEnd` events are the one per-round
-//! record (DESIGN.md §9). Renderers export a human report, a machine
-//! schema (JSON), and a Prometheus-style text exposition.
+//! and the top-k hot rules by time. A profile is totals, not a second
+//! recording: it keeps no per-round or per-batch view. Workers fire
+//! asynchronously, so round k on one worker and round k on another are
+//! unrelated moments, and the journal's per-worker, timestamped
+//! `RoundBegin`/`RoundEnd`/`BatchEncoded`/`BatchReceived` events are the
+//! one per-round and per-batch record (DESIGN.md §9). Two renderers
+//! export it: a human report and a machine schema (JSON).
 
 use std::time::Instant;
 
 use gst_common::json::Json;
-pub use gst_common::{Histogram, HIST_BUCKETS};
 use gst_eval::EvalStats;
 
 use crate::obs::TimeBase;
@@ -90,35 +88,19 @@ impl PhaseTotals {
     }
 }
 
-/// One worker's complete profile: phase totals and distribution
-/// histograms.
+/// One worker's profile: its phase totals.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerProfile {
     /// Whole-run phase totals.
     pub phases: PhaseTotals,
-    /// One sample per processed round: the time its chunks spent firing,
-    /// not the ships between them.
-    pub round_latency: Histogram,
-    /// One sample per wire encode (per outlet per shipment).
-    pub encode_time: Histogram,
-    /// One sample per step that received batches: their decode time.
-    pub decode_time: Histogram,
-    /// One sample per wire encode: the payload's size in bytes (always
-    /// bytes, in every time base).
-    pub batch_bytes: Histogram,
 }
 
 impl WorkerProfile {
-    /// Fold `other` into `self`: phase totals and histograms add.
-    /// Associative, so the coordinator may fold worker profiles in any
-    /// arrival order and the canonical merge (processor order) produces
-    /// the same result.
+    /// Fold `other` into `self`: phase totals add. Associative, so the
+    /// coordinator may fold worker profiles in any arrival order and the
+    /// canonical merge (processor order) produces the same result.
     pub fn merge(&mut self, other: &WorkerProfile) {
         self.phases.merge(&other.phases);
-        self.round_latency.merge(&other.round_latency);
-        self.encode_time.merge(&other.encode_time);
-        self.decode_time.merge(&other.decode_time);
-        self.batch_bytes.merge(&other.batch_bytes);
     }
 
     /// Accumulate `d` units of `phase`.
@@ -144,18 +126,6 @@ pub(crate) const PHASE_REPLAY: usize = 3;
 /// See [`PHASE_COMPUTE`].
 pub(crate) const PHASE_IDLE: usize = 4;
 
-/// The clock a profiler stamps durations with.
-#[derive(Debug, Clone)]
-enum ProfClock {
-    /// Wall time: durations are measured with `Instant` and recorded as
-    /// microseconds.
-    Wall,
-    /// Virtual time: durations are the caller-supplied deterministic
-    /// work proxies; idle gaps are virtual-tick deltas pushed in via
-    /// [`Profiler::set_now`].
-    Ticks { now: u64 },
-}
-
 /// Timestamp of the previous step's end, in the profiler's clock.
 #[derive(Debug, Clone)]
 enum ProfStamp {
@@ -169,7 +139,13 @@ enum ProfStamp {
 /// [`crate::obs::TraceSink`].
 #[derive(Debug, Clone)]
 pub(crate) struct Profiler {
-    clock: ProfClock,
+    /// The clock durations are stamped with: under wall time they are
+    /// measured with `Instant` and recorded as microseconds; under
+    /// virtual ticks they are the caller-supplied deterministic work
+    /// proxies, and idle gaps are deltas of `now`.
+    base: TimeBase,
+    /// The simulator's virtual clock, pushed in via [`Profiler::set_now`].
+    now: u64,
     /// The profile under construction.
     pub(crate) profile: WorkerProfile,
     /// When the previous step ended — the base of the next idle gap.
@@ -177,49 +153,38 @@ pub(crate) struct Profiler {
 }
 
 impl Profiler {
-    /// A wall-clock profiler (threaded and TCP transports): durations in
-    /// microseconds.
-    pub(crate) fn wall() -> Self {
-        Profiler {
-            clock: ProfClock::Wall,
-            profile: WorkerProfile::default(),
-            last_step_end: None,
-        }
+    /// A profiler on `base`'s clock: wall microseconds (threaded and TCP
+    /// transports) or virtual ticks (simulation).
+    pub(crate) fn new(base: TimeBase) -> Self {
+        Profiler { base, now: 0, profile: WorkerProfile::default(), last_step_end: None }
     }
 
-    /// A virtual-clock profiler (simulation): durations are
-    /// deterministic work proxies, idle gaps are tick deltas.
-    pub(crate) fn ticks() -> Self {
-        Profiler {
-            clock: ProfClock::Ticks { now: 0 },
-            profile: WorkerProfile::default(),
-            last_step_end: None,
-        }
+    /// The clock this profiler stamps durations with.
+    pub(crate) fn base(&self) -> TimeBase {
+        self.base
     }
 
-    /// Push the simulator's virtual clock (no-op under wall time).
+    /// Push the simulator's virtual clock (ignored under wall time).
     pub(crate) fn set_now(&mut self, t: u64) {
-        if let ProfClock::Ticks { now } = &mut self.clock {
-            *now = t;
-        }
+        self.now = t;
     }
 
     /// Begin timing a phase: captures `Instant::now()` under wall time,
     /// nothing under ticks (the proxy passed to [`Profiler::stop`] is the
     /// duration there).
     pub(crate) fn start(&self) -> Option<Instant> {
-        match self.clock {
-            ProfClock::Wall => Some(Instant::now()),
-            ProfClock::Ticks { .. } => None,
+        match self.base {
+            TimeBase::WallMicros => Some(Instant::now()),
+            TimeBase::VirtualTicks => None,
         }
     }
 
     /// Finish timing: elapsed microseconds under wall time, the
     /// deterministic `proxy` under ticks.
     pub(crate) fn stop(&self, t0: Option<Instant>, proxy: u64) -> u64 {
-        match self.clock {
-            ProfClock::Wall => t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-            ProfClock::Ticks { .. } => proxy,
+        match self.base {
+            TimeBase::WallMicros => t0.map_or(0, |t| t.elapsed().as_micros() as u64),
+            TimeBase::VirtualTicks => proxy,
         }
     }
 
@@ -231,10 +196,10 @@ impl Profiler {
     /// The previous step ended and this one starts while the worker was
     /// idle: the gap between them is barrier/termination wait.
     pub(crate) fn idle_gap(&mut self) {
-        let gap = match (&self.clock, &self.last_step_end) {
-            (ProfClock::Wall, Some(ProfStamp::Wall(t))) => t.elapsed().as_micros() as u64,
-            (ProfClock::Ticks { now }, Some(ProfStamp::Ticks(t))) => now.saturating_sub(*t),
-            _ => 0,
+        let gap = match &self.last_step_end {
+            Some(ProfStamp::Wall(t)) => t.elapsed().as_micros() as u64,
+            Some(ProfStamp::Ticks(t)) => self.now.saturating_sub(*t),
+            None => 0,
         };
         if gap > 0 {
             self.profile.add(PHASE_IDLE, gap);
@@ -243,9 +208,9 @@ impl Profiler {
 
     /// Stamp the end of a step (the base of a possible idle gap).
     pub(crate) fn step_end(&mut self) {
-        self.last_step_end = Some(match self.clock {
-            ProfClock::Wall => ProfStamp::Wall(Instant::now()),
-            ProfClock::Ticks { now } => ProfStamp::Ticks(now),
+        self.last_step_end = Some(match self.base {
+            TimeBase::WallMicros => ProfStamp::Wall(Instant::now()),
+            TimeBase::VirtualTicks => ProfStamp::Ticks(self.now),
         });
     }
 }
@@ -387,43 +352,6 @@ impl ProfileReport {
         }
         render_row("all", &self.merged.phases);
 
-        let h = &self.merged.round_latency;
-        let _ = writeln!(
-            out,
-            "  round latency ({unit}): n={} p50={} p95={} p99={} max={}",
-            h.count,
-            h.quantile(0.50),
-            h.quantile(0.95),
-            h.quantile(0.99),
-            h.max
-        );
-        for (name, h) in [
-            ("encode time", &self.merged.encode_time),
-            ("decode time", &self.merged.decode_time),
-        ] {
-            if h.count > 0 {
-                let _ = writeln!(
-                    out,
-                    "  {name} ({unit}): n={} p50={} p99={} max={}",
-                    h.count,
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    h.max
-                );
-            }
-        }
-        if self.merged.batch_bytes.count > 0 {
-            let h = &self.merged.batch_bytes;
-            let _ = writeln!(
-                out,
-                "  batch bytes: n={} p50={} p99={} max={}",
-                h.count,
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.max
-            );
-        }
-
         if !self.hot_rules.is_empty() {
             let _ = writeln!(out, "  hot rules (by time):");
             for h in &self.hot_rules {
@@ -450,28 +378,9 @@ impl ProfileReport {
     pub fn to_json(&self) -> String {
         let num = |x: u64| Json::Num(x as f64);
         let nums = |xs: &[u64]| Json::Arr(xs.iter().map(|&x| num(x)).collect());
-        let hist = |h: &Histogram| {
-            let buckets = h.nonzero_buckets().map(|(i, n)| nums(&[i as u64, n])).collect();
-            Json::obj(vec![
-                ("count", num(h.count)),
-                ("sum", num(h.sum)),
-                ("min", num(h.min)),
-                ("max", num(h.max)),
-                ("p50", num(h.quantile(0.50))),
-                ("p95", num(h.quantile(0.95))),
-                ("p99", num(h.quantile(0.99))),
-                ("buckets", Json::Arr(buckets)),
-            ])
-        };
         let profile = |p: &WorkerProfile| {
             let phases = PHASES.iter().zip(p.phases.as_array()).map(|(k, v)| (*k, num(v)));
-            Json::obj(vec![
-                ("phases", Json::obj(phases.collect())),
-                ("round_latency", hist(&p.round_latency)),
-                ("encode_time", hist(&p.encode_time)),
-                ("decode_time", hist(&p.decode_time)),
-                ("batch_bytes", hist(&p.batch_bytes)),
-            ])
+            Json::obj(vec![("phases", Json::obj(phases.collect()))])
         };
         let workers = self
             .workers
@@ -499,53 +408,6 @@ impl ProfileReport {
         ])
         .render()
     }
-
-    /// Prometheus-style text exposition (the `--metrics-out` format) —
-    /// counters and summaries a scrape endpoint could serve as-is.
-    pub fn to_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(2048);
-        let unit = self.unit();
-        let _ = writeln!(
-            out,
-            "# HELP pdatalog_phase_time_total Time per worker per phase ({unit})."
-        );
-        let _ = writeln!(out, "# TYPE pdatalog_phase_time_total counter");
-        for (w, p) in &self.workers {
-            for (name, v) in PHASES.iter().zip(p.phases.as_array()) {
-                let _ = writeln!(
-                    out,
-                    "pdatalog_phase_time_total{{worker=\"{w}\",phase=\"{name}\"}} {v}"
-                );
-            }
-        }
-        for (label, h) in [
-            ("round_latency", &self.merged.round_latency),
-            ("encode_time", &self.merged.encode_time),
-            ("decode_time", &self.merged.decode_time),
-            ("batch_bytes", &self.merged.batch_bytes),
-        ] {
-            let _ = writeln!(out, "# TYPE pdatalog_{label} summary");
-            for (q, ql) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                let _ = writeln!(
-                    out,
-                    "pdatalog_{label}{{quantile=\"{ql}\"}} {}",
-                    h.quantile(q)
-                );
-            }
-            let _ = writeln!(out, "pdatalog_{label}_sum {}", h.sum);
-            let _ = writeln!(out, "pdatalog_{label}_count {}", h.count);
-        }
-        let _ = writeln!(out, "# TYPE pdatalog_rule_time_total counter");
-        for (rule, &t) in self.time_by_rule.iter().enumerate() {
-            let _ = writeln!(out, "pdatalog_rule_time_total{{rule=\"{rule}\"}} {t}");
-        }
-        let _ = writeln!(out, "# TYPE pdatalog_rule_firings_total counter");
-        for (rule, &f) in self.firings_by_rule.iter().enumerate() {
-            let _ = writeln!(out, "pdatalog_rule_firings_total{{rule=\"{rule}\"}} {f}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -570,24 +432,21 @@ mod tests {
         let mut a = WorkerProfile::default();
         a.add(PHASE_COMPUTE, 4);
         a.add(PHASE_IDLE, 9);
-        a.round_latency.record(4);
         let mut b = WorkerProfile::default();
         b.add(PHASE_COMPUTE, 6);
         b.add(PHASE_DECODE, 2);
-        b.round_latency.record(6);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba, "merge is order-independent");
         assert_eq!(ab.phases.compute, 10);
-        assert_eq!(ab.round_latency.count, 2);
     }
 
     #[test]
     fn ticks_profiler_is_deterministic() {
         let build = || {
-            let mut p = Profiler::ticks();
+            let mut p = Profiler::new(TimeBase::VirtualTicks);
             p.set_now(10);
             let t0 = p.start();
             assert!(t0.is_none(), "ticks mode never reads the wall clock");
@@ -607,7 +466,7 @@ mod tests {
 
     #[test]
     fn wall_profiler_measures_nonnegative_micros() {
-        let mut p = Profiler::wall();
+        let mut p = Profiler::new(TimeBase::WallMicros);
         let t0 = p.start();
         assert!(t0.is_some());
         let d = p.stop(t0, 999);
@@ -622,12 +481,9 @@ mod tests {
         let mut p0 = WorkerProfile::default();
         p0.add(PHASE_COMPUTE, 100);
         p0.add(PHASE_IDLE, 30);
-        p0.round_latency.record(100);
-        p0.batch_bytes.record(64);
         let mut p1 = WorkerProfile::default();
         p1.add(PHASE_COMPUTE, 40);
         p1.add(PHASE_ENCODE, 10);
-        p1.round_latency.record(40);
 
         let report = ProfileReport {
             base: TimeBase::VirtualTicks,
@@ -649,13 +505,15 @@ mod tests {
         assert!(a.contains("\"workers\":[{\"processor\":0"));
         assert!(a.contains("\"hot_rules\":[{\"rule\":0,\"time\":90,\"firings\":9}]"));
         assert!(a.ends_with("\"firings_by_rule\":[9,5],\"hot_rules\":[{\"rule\":0,\"time\":90,\"firings\":9}]}"));
+        assert!(a.contains(
+            "{\"processor\":1,\"profile\":{\"phases\":{\"compute\":40,\"encode\":10,\"decode\":0,\"replay\":0,\"idle\":0}}}"
+        ));
+        assert!(a.contains(
+            "\"merged\":{\"phases\":{\"compute\":140,\"encode\":10,\"decode\":0,\"replay\":0,\"idle\":30}}"
+        ));
         let human = report.render_human();
         assert!(human.contains("w0"));
         assert!(human.contains("hot rules"));
-        let prom = report.to_prometheus();
-        assert!(prom.contains("pdatalog_phase_time_total{worker=\"0\",phase=\"compute\"} 100"));
-        assert!(prom.contains("pdatalog_phase_time_total{worker=\"1\",phase=\"compute\"} 40"));
-        assert!(prom.contains("pdatalog_round_latency_count 2"));
 
         // Provenance labels are strictly additive: labeled rules gain a
         // "label" key and a human-report suffix, rules without a label

@@ -135,7 +135,7 @@ fn new_core(spec: WorkerSpec, n: usize, epoch: u64, config: &RuntimeConfig) -> R
         core.set_sink(TraceSink::virtual_clock(core.id()));
     }
     if config.worker.profile {
-        core.set_profiler(crate::profile::Profiler::ticks(), gst_eval::TimeMode::Ticks);
+        core.set_profiler(TimeBase::VirtualTicks);
     }
     Ok(core)
 }

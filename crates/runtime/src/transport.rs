@@ -352,7 +352,7 @@ fn run_threaded(
         core.set_sink(TraceSink::wall(core.id(), origin));
     }
     if config.worker.profile {
-        core.set_profiler(crate::profile::Profiler::wall(), gst_eval::TimeMode::Wall);
+        core.set_profiler(TimeBase::WallMicros);
     }
     let mut idle_since: Option<Instant> = None;
     let mut steps = 0u64;

@@ -822,40 +822,6 @@ pub(crate) fn decode_envelope(bytes: &[u8], interner: &Interner) -> Result<(usiz
 // Result frames
 // ---------------------------------------------------------------------
 
-/// Sparse histogram encoding: the scalar summary plus only the nonzero
-/// buckets as `(index, count)` pairs — a handful of varints for typical
-/// profiles instead of 64 fixed slots.
-fn put_histogram(buf: &mut Vec<u8>, h: &gst_common::Histogram) {
-    put_uv(buf, h.count);
-    put_uv(buf, h.sum);
-    put_uv(buf, h.min);
-    put_uv(buf, h.max);
-    let nonzero = h.nonzero_buckets().count() as u64;
-    put_uv(buf, nonzero);
-    for (i, n) in h.nonzero_buckets() {
-        put_uv(buf, i as u64);
-        put_uv(buf, n);
-    }
-}
-
-fn get_histogram(c: &mut Cursor, what: &str) -> Result<gst_common::Histogram> {
-    let count = c.get_uv().ok_or_else(|| corrupt(what))?;
-    let sum = c.get_uv().ok_or_else(|| corrupt(what))?;
-    let min = c.get_uv().ok_or_else(|| corrupt(what))?;
-    let max = c.get_uv().ok_or_else(|| corrupt(what))?;
-    let npairs = get_count(c, what)?;
-    if npairs > gst_common::HIST_BUCKETS {
-        return Err(corrupt(&format!("implausible {what} bucket count {npairs}")));
-    }
-    let mut pairs = Vec::with_capacity(npairs);
-    for _ in 0..npairs {
-        let i = get_usize(c, what)?;
-        let n = c.get_uv().ok_or_else(|| corrupt(what))?;
-        pairs.push((i, n));
-    }
-    Ok(gst_common::Histogram::from_sparse(&pairs, count, sum, min, max))
-}
-
 fn put_phase_totals(buf: &mut Vec<u8>, p: &crate::profile::PhaseTotals) {
     for v in p.as_array() {
         put_uv(buf, v);
@@ -924,10 +890,6 @@ pub(crate) fn encode_result(
         Some(p) => {
             buf.push(1);
             put_phase_totals(&mut buf, &p.phases);
-            put_histogram(&mut buf, &p.round_latency);
-            put_histogram(&mut buf, &p.encode_time);
-            put_histogram(&mut buf, &p.decode_time);
-            put_histogram(&mut buf, &p.batch_bytes);
         }
     }
     put_uv(&mut buf, pooled.len() as u64);
@@ -984,17 +946,7 @@ pub(crate) fn decode_result(
     }
     let profile = if get_flag(&mut c, "profile flag")? {
         let phases = get_phase_totals(&mut c, "profile phases")?;
-        let round_latency = get_histogram(&mut c, "round latency histogram")?;
-        let encode_time = get_histogram(&mut c, "encode time histogram")?;
-        let decode_time = get_histogram(&mut c, "decode time histogram")?;
-        let batch_bytes = get_histogram(&mut c, "batch bytes histogram")?;
-        Some(crate::profile::WorkerProfile {
-            phases,
-            round_latency,
-            encode_time,
-            decode_time,
-            batch_bytes,
-        })
+        Some(crate::profile::WorkerProfile { phases })
     } else {
         None
     };
@@ -1203,23 +1155,14 @@ mod tests {
             retract_tuples_received: 5,
             pooled_tuples: 2,
             busy: Duration::from_micros(12345),
-            profile: Some({
-                let mut p = crate::profile::WorkerProfile {
-                    phases: crate::profile::PhaseTotals {
-                        compute: 900,
-                        encode: 50,
-                        decode: 30,
-                        replay: 7,
-                        idle: 400,
-                    },
-                    ..Default::default()
-                };
-                p.round_latency.record(120);
-                p.round_latency.record(300);
-                p.encode_time.record(25);
-                p.decode_time.record(15);
-                p.batch_bytes.record(4096);
-                p
+            profile: Some(crate::profile::WorkerProfile {
+                phases: crate::profile::PhaseTotals {
+                    compute: 900,
+                    encode: 50,
+                    decode: 30,
+                    replay: 7,
+                    idle: 400,
+                },
             }),
         };
         let interner = Interner::new();
@@ -1395,10 +1338,8 @@ mod tests {
         };
         let report = WorkerReport {
             eval: EvalStats::new(2),
-            profile: Some({
-                let mut p = crate::profile::WorkerProfile::default();
-                p.round_latency.record(77);
-                p
+            profile: Some(crate::profile::WorkerProfile {
+                phases: crate::profile::PhaseTotals { compute: 77, ..Default::default() },
             }),
             ..WorkerReport::new(0, 2)
         };

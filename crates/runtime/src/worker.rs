@@ -55,7 +55,7 @@ use gst_eval::plan::RelationId;
 use gst_eval::FixpointEngine;
 
 use crate::message::{Envelope, Message, Payload};
-use crate::obs::{ObsEvent, ObsKind, TraceSink};
+use crate::obs::{ObsEvent, ObsKind, TimeBase, TraceSink};
 use crate::profile::{Profiler, PHASE_COMPUTE, PHASE_DECODE, PHASE_ENCODE, PHASE_REPLAY};
 use crate::supervisor::PassiveReport;
 use crate::spec::{ProcessorProgram, Shards, WorkerSpec};
@@ -73,7 +73,7 @@ pub struct WorkerConfig {
     /// message — on the queue the worker blocks on (a peer died).
     pub idle_watchdog: Duration,
     /// Phase-attributed profiling: account every step's time to
-    /// compute/encode/decode/replay/idle and record latency histograms.
+    /// compute/encode/decode/replay/idle, and every rule's firing time.
     /// Off (the default) costs one `Option` branch per phase site.
     pub profile: bool,
 }
@@ -261,15 +261,18 @@ impl WorkerCore {
         self.sink = sink;
     }
 
-    /// Install a phase profiler (profiling on). The transport decides the
-    /// clock, exactly as for [`set_sink`]: wall time for threads and TCP,
-    /// virtual ticks for the simulator. Also switches the engine into the
-    /// matching per-rule time accounting mode.
+    /// Install a phase profiler (profiling on) on `base`'s clock. The
+    /// transport decides it, exactly as for [`set_sink`]: wall time for
+    /// threads and TCP, virtual ticks for the simulator. The engine's
+    /// per-rule time accounting follows the same clock.
     ///
     /// [`set_sink`]: WorkerCore::set_sink
-    pub(crate) fn set_profiler(&mut self, prof: Profiler, mode: gst_eval::TimeMode) {
-        self.engine.set_time_mode(mode);
-        self.prof = Some(Box::new(prof));
+    pub(crate) fn set_profiler(&mut self, base: TimeBase) {
+        self.engine.set_time_mode(match base {
+            TimeBase::WallMicros => gst_eval::TimeMode::Wall,
+            TimeBase::VirtualTicks => gst_eval::TimeMode::Ticks,
+        });
+        self.prof = Some(Box::new(Profiler::new(base)));
     }
 
     /// Push the simulator's virtual clock into the sink and profiler
@@ -332,18 +335,12 @@ impl WorkerCore {
     }
 
     /// Charge the time since `t0` — or, on the simulator's clock, `proxy`
-    /// ticks of work — to `phase`. Returns what was charged and the
-    /// profile, for the call sites that also feed a histogram.
-    fn phase_stop(
-        &mut self,
-        t0: Option<Option<std::time::Instant>>,
-        phase: usize,
-        proxy: u64,
-    ) -> Option<(u64, &mut crate::profile::WorkerProfile)> {
-        let (t0, p) = (t0?, self.prof.as_mut()?);
-        let d = p.stop(t0, proxy);
-        p.add(phase, d);
-        Some((d, &mut p.profile))
+    /// ticks of work — to `phase`.
+    fn phase_stop(&mut self, t0: Option<Option<std::time::Instant>>, phase: usize, proxy: u64) {
+        if let (Some(t0), Some(p)) = (t0, self.prof.as_mut()) {
+            let d = p.stop(t0, proxy);
+            p.add(phase, d);
+        }
     }
 
     fn step_inner(&mut self, out: &mut dyn Outbox) -> Result<Step> {
@@ -377,7 +374,6 @@ impl WorkerCore {
                 // On the simulator's clock `stop` is the proxy itself.
                 let admitting = p.stop(t0, decoding).saturating_sub(decoding);
                 p.add(PHASE_DECODE, decoding);
-                p.profile.decode_time.record(decoding);
                 p.add(PHASE_COMPUTE, admitting);
             }
         }
@@ -403,18 +399,17 @@ impl WorkerCore {
             // holding a chunk's worth of rows ships, so a peer starts on
             // them while this worker derives the rest; what is left ships
             // after the next advance. The ship is encode time, not the
-            // round's: compute and the round's latency are its chunks'.
+            // round's: compute is its chunks'.
             // `advance` already counted the round it opened: its index is
             // `rounds - 1`.
             let round = self.engine.stats().rounds - 1;
             let firings_before = self.engine.stats().firings;
-            let mut latency = 0;
             self.sink.emit(ObsKind::RoundBegin { round });
             loop {
                 let (t0, before) = (self.phase_start(), self.engine.stats().firings);
                 let done = self.engine.process_chunk(CHUNK_ROWS);
                 let firings = self.engine.stats().firings - before;
-                latency += self.phase_stop(t0, PHASE_COMPUTE, firings).map_or(0, |(d, _)| d);
+                self.phase_stop(t0, PHASE_COMPUTE, firings);
                 if done {
                     break;
                 }
@@ -422,9 +417,6 @@ impl WorkerCore {
             }
             let firings = self.engine.stats().firings - firings_before;
             self.sink.emit(ObsKind::RoundEnd { round, fresh, firings });
-            if let Some(p) = self.prof.as_mut() {
-                p.profile.round_latency.record(latency);
-            }
             return Ok(Step::Worked);
         }
 
@@ -658,7 +650,7 @@ impl WorkerCore {
     /// tuples decoded otherwise (the simulator's deterministic proxy).
     fn drain_stash(&mut self) -> Result<u64> {
         self.stash_count = 0;
-        let wall = self.prof.as_ref().is_some_and(|p| p.start().is_some());
+        let wall = self.prof.as_ref().is_some_and(|p| p.base() == TimeBase::WallMicros);
         let (mut tuples, mut spent) = (0, Duration::ZERO);
         for (batches, &inbox) in self.stash.iter_mut().zip(&self.spec.program.inboxes) {
             for payload in batches.drain(..) {
@@ -710,10 +702,7 @@ impl WorkerCore {
             self.report.encoded_bytes += bytes;
             self.report.encoded_raw_bytes += raw_bytes;
             self.sink.emit(ObsKind::BatchEncoded { channel: label, tuples: count, bytes, raw_bytes });
-            if let Some((d, profile)) = self.phase_stop(t0, PHASE_ENCODE, bytes) {
-                profile.encode_time.record(d);
-                profile.batch_bytes.record(bytes);
-            }
+            self.phase_stop(t0, PHASE_ENCODE, bytes);
             for d in 0..self.engine.outlets()[k].dests.len() {
                 let (dest, inbox) = self.engine.outlets()[k].dests[d];
                 // A retract route's batch carries DRed retractions.
@@ -930,7 +919,7 @@ mod tests {
     #[test]
     fn advance_and_local_routing_ticks_land_in_compute() {
         let mut core = chain_core(0, &[0], 1);
-        core.set_profiler(Profiler::ticks(), gst_eval::TimeMode::Ticks);
+        core.set_profiler(TimeBase::VirtualTicks);
         let mut out = Recorder::default();
         while !matches!(core.step(&mut out).unwrap(), Step::Idle | Step::Done) {
             let sent = std::mem::take(&mut out.sends);

@@ -6,7 +6,7 @@
 //!                        [--print PRED/ARITY] [--stats]
 //!                        [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS]
 //!                        [--trace] [--trace-out FILE]
-//!                        [--profile] [--profile-json FILE] [--metrics-out FILE]
+//!                        [--profile] [--profile-json FILE]
 //!                        [--updates FILE]
 //!                        [--sim [--seed N] [--faults PLAN]]
 //!                        [--net [--net-faults PLAN] [--net-kill W@N] ...]
@@ -48,11 +48,10 @@
 //!
 //! `--profile` turns on per-phase time accounting in every worker
 //! (compute, encode, decode, replay, idle) and prints a report on
-//! stderr: per-worker phase totals, latency histograms and hot rules by
-//! time. `--profile-json
+//! stderr: per-worker phase totals and hot rules by time. `--profile-json
 //! FILE` writes the same report as deterministic JSON (validated by
-//! `trace_check --profile`); `--metrics-out FILE` writes
-//! Prometheus-style text metrics. Threaded and `--net` profiles count
+//! `trace_check --profile`). Per-round and per-batch distributions are
+//! read from the `--trace-out` journal. Threaded and `--net` profiles count
 //! wall-clock microseconds; `--sim` profiles count deterministic work
 //! proxies (virtual ticks) so same-seed reruns produce bit-identical
 //! JSON. See DESIGN.md §14.
@@ -174,7 +173,7 @@ fn run(args: Vec<String>) -> std::result::Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|naive|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--print PRED/ARITY] [--stats] [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--metrics-out FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES] [--heartbeat-ms MS] [--heartbeat-timeout-ms MS] [--connect-timeout-ms MS] [--connect-backoff-ms MS]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [timing flags]\n  pdatalog query <file.dl> \"anc(1, X)\"\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--bits | --linear c1,c2,...]\n\nsupervision defaults: --watchdog-ms 30000, --max-restarts 1, --restart-backoff-ms 10.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq, naive, or general (demand-partitioned).\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
+    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|naive|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--print PRED/ARITY] [--stats] [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES] [--heartbeat-ms MS] [--heartbeat-timeout-ms MS] [--connect-timeout-ms MS] [--connect-backoff-ms MS]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [timing flags]\n  pdatalog query <file.dl> \"anc(1, X)\"\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--bits | --linear c1,c2,...]\n\nsupervision defaults: --watchdog-ms 30000, --max-restarts 1, --restart-backoff-ms 10.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq, naive, or general (demand-partitioned).\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
 }
 
 /// Parse `PRED/ARITY`, e.g. `anc/2`.
@@ -218,7 +217,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let mut restart_backoff: Option<std::time::Duration> = None;
     let mut show_profile = false;
     let mut profile_json: Option<String> = None;
-    let mut metrics_out: Option<String> = None;
     // `None` = full closure; `Some(None)` = point query from the file's
     // `?- goal.` line; `Some(Some(src))` = inline goal text.
     let mut query: Option<Option<String>> = None;
@@ -271,9 +269,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             "--profile-json" => {
                 profile_json = Some(it.next().ok_or("--profile-json needs a file path")?);
             }
-            "--metrics-out" => {
-                metrics_out = Some(it.next().ok_or("--metrics-out needs a file path")?);
-            }
             "--max-restarts" => max_restarts = Some(parsed(&mut it, "--max-restarts needs an unsigned integer")?),
             "--updates" => {
                 updates = Some(it.next().ok_or("--updates needs a file path")?);
@@ -304,7 +299,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let file = file.ok_or("missing input file")?;
     let sequential = matches!(scheme_name.as_str(), "seq" | "naive");
     let tracing = show_trace || trace_out.is_some();
-    let profiling = show_profile || profile_json.is_some() || metrics_out.is_some();
+    let profiling = show_profile || profile_json.is_some();
     // The usage rules, in the order they are checked: when one is broken,
     // and what the user is told.
     let usage = [
@@ -312,10 +307,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
         (sim && sequential, "--sim needs a parallel scheme (try --scheme example3)"),
         ((seed != 0 || faults != "none") && !sim, "--seed/--faults only make sense with --sim"),
         (tracing && sequential, "--trace/--trace-out need a parallel scheme (the journal records worker events)"),
-        (
-            profiling && sequential,
-            "--profile/--profile-json/--metrics-out need a parallel scheme (phase timers live in the workers)",
-        ),
+        (profiling && sequential, "--profile/--profile-json need a parallel scheme (phase timers live in the workers)"),
         (
             max_restarts.is_some() && sequential,
             "--max-restarts needs a parallel scheme (it sizes the supervisor's restart budget)",
@@ -623,9 +615,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                         }
                         if let Some(path) = &profile_json {
                             write_text(path, &report.to_json())?;
-                        }
-                        if let Some(path) = &metrics_out {
-                            write_text(path, &report.to_prometheus())?;
                         }
                     }
                     None => eprintln!("% profile: no worker reported phase timers"),

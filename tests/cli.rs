@@ -456,28 +456,35 @@ fn sim_trace_is_deterministic_per_seed() {
 }
 
 #[test]
-fn profile_flags_write_all_three_exports() {
+fn profile_flags_write_both_exports() {
     let file = write_program("profile.dl", ANCESTOR);
     let dir = std::env::temp_dir().join("pdatalog-cli-tests");
     let json = dir.join("profile_threaded.json");
-    let metrics = dir.join("profile_threaded.prom");
     let _ = std::fs::remove_file(&json);
-    let _ = std::fs::remove_file(&metrics);
-    let out = cli("run", &file, &format!("--scheme example3 --workers 4 --profile --profile-json {} --metrics-out {} --stats", json.display(), metrics.display()));
+    let out = cli("run", &file, &format!("--scheme example3 --workers 4 --profile --profile-json {} --stats", json.display()));
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("% profile (us"), "{stderr}");
-    assert!(stderr.contains("round latency"), "{stderr}");
+    assert!(stderr.contains("busy%"), "{stderr}");
     // The --stats footer gains the per-worker busy table and the
     // utilization figure on the summary line.
     assert!(stderr.contains("worker busy"), "{stderr}");
     assert!(stderr.contains("utilization="), "{stderr}");
     let body = std::fs::read_to_string(&json).unwrap();
     assert!(body.starts_with("{\"time_base\":\"wall_micros\""), "{body}");
+    assert!(body.contains("\"merged\":{\"phases\":{\"compute\":"), "{body}");
     assert!(body.contains("\"hot_rules\""), "{body}");
-    let prom = std::fs::read_to_string(&metrics).unwrap();
-    assert!(prom.contains("pdatalog_phase_time_total{worker=\"0\",phase=\"compute\"}"), "{prom}");
-    assert!(prom.contains("pdatalog_rule_time_total"), "{prom}");
+}
+
+/// A profile is phase totals and per-rule time: there is no Prometheus
+/// export, and the flag that wrote one is an unknown argument.
+#[test]
+fn metrics_out_is_an_unknown_argument() {
+    let file = write_program("profilemetrics.dl", ANCESTOR);
+    let out = cli("run", &file, "--scheme example3 --workers 2 --profile --metrics-out unused.prom");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unexpected argument `--metrics-out`"), "{stderr}");
 }
 
 #[test]
@@ -503,11 +510,11 @@ fn sim_profile_json_is_deterministic_per_seed() {
 #[test]
 fn profile_requires_a_parallel_scheme() {
     let file = write_program("profileseq.dl", ANCESTOR);
-    for flag in ["--profile", "--metrics-out"] {
+    for flag in ["--profile", "--profile-json"] {
         let mut cmd = pdatalog();
         cmd.args(["run"]).arg(&file).args(["--scheme", "seq", flag]);
-        if flag == "--metrics-out" {
-            cmd.arg("/tmp/unused.prom");
+        if flag == "--profile-json" {
+            cmd.arg("unused.json");
         }
         let out = cmd.output().unwrap();
         assert!(!out.status.success());

@@ -132,17 +132,10 @@ fn threaded_profile_attributes_every_round() {
     let report = ProfileReport::build(&outcome.stats, TimeBase::WallMicros).unwrap();
     assert_eq!(report.unit(), "us");
     assert_eq!(report.workers.len(), 1);
-    let profile = &report.workers[0].1;
-    let rounds = outcome.stats.workers[0].eval.rounds;
-    // Wall durations differ run to run; normalize by comparing only the
-    // structure — every *productive* engine round got a latency sample
-    // (rounds that derive nothing end the fixpoint without one), and rule
-    // time accounting covers every rule.
-    assert!(
-        profile.round_latency.count > 0 && profile.round_latency.count <= rounds,
-        "latency samples ({}) must count productive rounds (engine ran {rounds})",
-        profile.round_latency.count
-    );
+    // Wall durations differ run to run; compare only the structure — the
+    // rounds' firing time landed in compute, and rule time accounting
+    // covers every rule.
+    assert!(report.workers[0].1.phases.compute > 0, "no compute time recorded");
     assert_eq!(
         report.time_by_rule.len(),
         report.firings_by_rule.len(),
@@ -172,13 +165,6 @@ fn profile_survives_the_tcp_wire_format() {
             p.phases.compute > 0,
             "worker {} shipped an empty compute phase",
             w.processor
-        );
-        assert!(
-            p.round_latency.count > 0 && p.round_latency.count <= w.eval.rounds,
-            "worker {} latency samples ({}) exceed its {} engine rounds",
-            w.processor,
-            p.round_latency.count,
-            w.eval.rounds
         );
     }
     let report = ProfileReport::build(&outcome.stats, TimeBase::WallMicros).unwrap();

@@ -761,17 +761,16 @@ fn a_broadcast_is_encoded_once_per_shipping_round() {
     }
 }
 
-/// (e') The journal is the one per-round record: each worker's events
-/// add up to its report's traffic and codec counters and to its profile's
-/// round-latency samples, and its rounds are numbered in order. Every
-/// preset and `general` at N = 2, 3, 4 on the layered graph whose rounds
-/// ship in chunks, traced and profiled under `--sim --seed 7`.
+/// (e') The journal is the one per-round and per-batch record: each
+/// worker's events add up to its report's traffic and codec counters,
+/// its rounds' fresh rows to what its engine admitted, and its rounds are
+/// numbered in order. Every preset and `general` at N = 2, 3, 4 on the
+/// layered graph whose rounds ship in chunks, traced under `--sim --seed 7`.
 #[test]
 fn the_journal_carries_every_workers_rounds_and_traffic() {
     let fx = linear_ancestor();
     let kinds = ["example1", "example2", "example3", "nocomm", "r-shared", "r-mixed", "r-constant", "general"];
-    let mut config = RuntimeConfig { trace: true, ..RuntimeConfig::default() };
-    config.worker.profile = true;
+    let config = RuntimeConfig { trace: true, ..RuntimeConfig::default() };
     for n in [2usize, 3, 4] {
         let edges = layered(3, 60 * n as u64, 12, 7);
         for kind in kinds {
@@ -779,21 +778,24 @@ fn the_journal_carries_every_workers_rounds_and_traffic() {
             let outcome = scheme.run_simulated_with(7, FaultPlan::none(), &config).unwrap();
             for (i, w) in outcome.stats.workers.iter().enumerate() {
                 let what = format!("{kind} / n={n} / w{i}");
-                let (mut sent, mut encodes, mut received, mut rounds) = (vec![0; n], 0, 0, Vec::new());
+                let (mut sent, mut encodes, mut received, mut fresh_rows, mut rounds) =
+                    (vec![0; n], 0, 0, 0, Vec::new());
                 for e in outcome.journal.events.iter().filter(|e| e.worker == i) {
                     match e.kind {
                         ObsKind::BatchSent { to, tuples, .. } => sent[to] += tuples,
                         ObsKind::BatchEncoded { .. } => encodes += 1,
                         ObsKind::BatchReceived { tuples, duplicate: false, .. } => received += tuples,
-                        ObsKind::RoundEnd { round, .. } => rounds.push(round),
+                        ObsKind::RoundEnd { round, fresh, .. } => {
+                            fresh_rows += fresh;
+                            rounds.push(round);
+                        }
                         _ => {}
                     }
                 }
                 assert_eq!(sent, outcome.stats.channel_matrix[i], "{what}: sends");
                 assert_eq!(encodes, w.encode_calls, "{what}: encodes");
                 assert_eq!(received, w.received_tuples, "{what}: receives");
-                let profile = w.profile.as_ref().expect("profiled");
-                assert_eq!(rounds.len() as u64, profile.round_latency.count, "{what}: rounds");
+                assert_eq!(fresh_rows, w.eval.derived, "{what}: fresh rows");
                 assert!(rounds.windows(2).all(|r| r[0] < r[1]), "{what}: rounds out of order: {rounds:?}");
             }
         }
