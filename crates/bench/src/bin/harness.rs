@@ -5,7 +5,7 @@
 //! cargo run --release -p gst-bench --bin harness -- f3 s1   # a subset
 //! ```
 //!
-//! Experiment ids (see DESIGN.md §4): f1 f2 f3 f4 t1 t2 e4 e5 s1 s2 p2 p3 l1 r1.
+//! Experiment ids (see DESIGN.md §4): f1 f2 f3 f4 t1 t2 e4 e5 s1 s2 l1 r1.
 
 use gst_common::json::{count, num, s, Json};
 use gst_bench::table::Table;
@@ -221,33 +221,6 @@ fn main() {
         println!("{}\n", t.render());
     }
 
-    if want("p3") {
-        banner("P3 — §8 quantified: predicted wall time per architecture");
-        let rows = simulate_architectures(60, 150, 42, &[2, 4, 8]);
-        let mut t = Table::new(vec![
-            "scheme",
-            "n",
-            "shared-mem (ms)",
-            "LAN (ms)",
-            "WAN (ms)",
-        ]);
-        for r in &rows {
-            t.row(vec![
-                r.scheme.clone(),
-                r.n.to_string(),
-                format!("{:.2}", r.predicted_us.0 / 1e3),
-                format!("{:.2}", r.predicted_us.1 / 1e3),
-                format!("{:.2}", r.predicted_us.2 / 1e3),
-            ]);
-        }
-        println!("{}\n", t.render());
-        println!(
-            "the journal of one fixed-seed simulated run per scheme, priced under\n\
-             three machine models — what communication costs decides the ranking,\n\
-             exactly §8's point. A model, not a measurement: see benchmark/.\n"
-        );
-    }
-
     if want("l1") {
         banner("L1 — load balance / processor utilization (§8 future work)");
         let rows = load_balance(4);
@@ -279,7 +252,7 @@ fn main() {
     }
 
     if want("r1") {
-        banner("R1 — crash recovery: restart + replay + ring repair (DESIGN.md §7)");
+        banner("R1 — crash recovery: restart + replay + stale-epoch drop (DESIGN.md §7)");
         let rows = recovery_experiment(40, 100, 4, 0..6);
         let mut t = Table::new(vec![
             "seed",
@@ -325,25 +298,6 @@ fn main() {
         ));
     }
 
-    if want("p2") {
-        banner("P2 — §8: architecture-dependent scheme selection");
-        let (profiles, decisions) = strategy_decisions();
-        let mut t = Table::new(vec!["candidate", "firings", "tuples sent", "base tuples"]);
-        for p in &profiles {
-            t.row(vec![
-                p.name.clone(),
-                p.firings.to_string(),
-                p.tuples_sent.to_string(),
-                p.base_tuples.to_string(),
-            ]);
-        }
-        println!("{}\n", t.render());
-        let mut t = Table::new(vec!["comm cost", "storage cost", "compiler picks"]);
-        for (comm, storage, name) in &decisions {
-            t.row(vec![comm.to_string(), storage.to_string(), name.clone()]);
-        }
-        println!("{}\n", t.render());
-    }
     if let Some(path) = json_path {
         // Reports conventionally land under the gitignored `out/`
         // directory (`--json out/harness_report.json`); create it.

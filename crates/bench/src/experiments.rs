@@ -9,14 +9,13 @@ use gst_core::discriminator::{
 };
 use gst_core::network::derive_network;
 use gst_core::prelude::{
-    choose, example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_general,
-    rewrite_generalized, rewrite_no_comm, CostModel, GeneralizedConfig, NoCommConfig,
-    RuleChoice, SchemeProfile,
+    example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_general,
+    rewrite_generalized, rewrite_no_comm, GeneralizedConfig, NoCommConfig, RuleChoice,
 };
 use gst_core::schemes::{BaseDistribution, CompiledScheme};
 use gst_eval::seminaive_eval;
 use gst_frontend::LinearSirup;
-use gst_runtime::{ExecutionOutcome, FaultPlan, Journal, ObsKind, RuntimeConfig};
+use gst_runtime::{ExecutionOutcome, FaultPlan};
 use gst_storage::{round_robin_fragment, Relation};
 use gst_workloads::{
     chain, chain_sirup, even_odd, example6_sirup, grid, layered, linear_ancestor,
@@ -444,55 +443,6 @@ pub fn general_scheme_experiments(n: usize) -> Vec<GeneralRow> {
     rows
 }
 
-/// **P2 — §8**: profile the candidate schemes once, then show which one a
-/// cost-model compiler picks as the architecture's communication and
-/// storage costs vary. Returns `(profiles, decisions)`.
-pub fn strategy_decisions() -> (Vec<SchemeProfile>, Vec<(f64, f64, String)>) {
-    let fx = linear_ancestor();
-    let data = random_digraph(40, 100, 21);
-    let db = fx.database(&data);
-    let sirup = LinearSirup::from_program(&fx.program).unwrap();
-
-    let profile = |name: &str, scheme: &CompiledScheme, outcome: &ExecutionOutcome| {
-        SchemeProfile::from_run(name, scheme, outcome)
-    };
-    let e1 = example1_wolfson(&sirup, 4, &db).unwrap();
-    let o1 = e1.run().unwrap();
-    let e3 = example3_hash_partition(&sirup, 4, &db).unwrap();
-    let o3 = e3.run().unwrap();
-    let frag = round_robin_fragment(&data, 4).unwrap();
-    let e2 = example2_valduriez(&sirup, frag, &db).unwrap();
-    let o2 = e2.run().unwrap();
-    // The no-comm redundant scheme as a fourth candidate.
-    let cfg = NoCommConfig {
-        v_e: vec![fx.program.var("X")],
-        h_prime: Arc::new(HashMod::new(4, 11)),
-    };
-    let nc = rewrite_no_comm(&sirup, &cfg, &db).unwrap();
-    let onc = nc.run().unwrap();
-
-    let profiles = vec![
-        profile("example1 (zero-comm)", &e1, &o1),
-        profile("example3 (hash p2p)", &e3, &o3),
-        profile("example2 (broadcast)", &e2, &o2),
-        profile("no-comm redundant", &nc, &onc),
-    ];
-
-    let mut decisions = Vec::new();
-    for &(comm, storage) in &[
-        (0.01, 0.0),
-        (0.01, 10.0),
-        (1.0, 10.0),
-        (100.0, 10.0),
-        (100.0, 0.0),
-    ] {
-        let model = CostModel::with_comm_ratio(comm).with_storage_cost(storage);
-        let best = choose(&profiles, &model).unwrap();
-        decisions.push((comm, storage, best.name.clone()));
-    }
-    (profiles, decisions)
-}
-
 /// One row of the load-balance experiment.
 #[derive(Debug, Clone)]
 pub struct LoadBalanceRow {
@@ -615,134 +565,6 @@ pub fn communication_scaling(n: usize, sizes: &[u64]) -> Vec<ScalingRow> {
         .collect()
 }
 
-/// One row of the machine-model simulation (P3).
-#[derive(Debug, Clone)]
-pub struct SimulatedRow {
-    /// Scheme label.
-    pub scheme: String,
-    /// Worker count.
-    pub n: usize,
-    /// Predicted wall µs per machine model: (shared-memory, LAN, WAN).
-    pub predicted_us: (f64, f64, f64),
-}
-
-/// Cost parameters of a hypothetical parallel machine, in microseconds.
-#[derive(Debug, Clone, Copy)]
-struct MachineModel {
-    /// Per rule firing (compute).
-    firing_us: f64,
-    /// Per tuple on the wire (bandwidth term).
-    tuple_us: f64,
-    /// Per message (latency/overhead term).
-    message_us: f64,
-}
-
-/// Shared-memory multiprocessor: passing a tuple is a pointer write.
-const SHARED_MEMORY: MachineModel = MachineModel { firing_us: 1.0, tuple_us: 0.01, message_us: 0.1 };
-/// A LAN cluster: communication costs real microseconds.
-const LAN_CLUSTER: MachineModel = MachineModel { firing_us: 1.0, tuple_us: 1.0, message_us: 50.0 };
-/// A geo-distributed deployment: latency dominates everything.
-const WAN: MachineModel = MachineModel { firing_us: 1.0, tuple_us: 2.0, message_us: 10_000.0 };
-
-/// Predicted wall time (µs) of a traced run on `model`, pricing the
-/// journal as bulk-synchronous supersteps over a full-bisection network.
-/// The workers' k-th engine rounds form superstep k; a batch belongs to
-/// the round its sender closed last:
-///
-/// ```text
-/// step time = max_w (firings_w · firing_us)                       (compute)
-///           + max_w (batches_w · message_us + tuples_w · tuple_us)   (comm)
-/// total     = Σ_steps step time
-/// ```
-///
-/// Absolute numbers are not the point — which scheme wins on which
-/// machine is. Initialization firings happen outside any round span and
-/// are not priced.
-fn predicted_us(journal: &Journal, model: &MachineModel) -> f64 {
-    use std::collections::BTreeMap;
-    // superstep → worker → (firings, tuples sent, batches sent)
-    let mut steps: BTreeMap<u64, BTreeMap<usize, (u64, u64, u64)>> = BTreeMap::new();
-    let mut last_round: BTreeMap<usize, u64> = BTreeMap::new();
-    for e in &journal.events {
-        match e.kind {
-            ObsKind::RoundEnd { round, firings, .. } => {
-                last_round.insert(e.worker, round);
-                steps.entry(round).or_default().entry(e.worker).or_default().0 += firings;
-            }
-            ObsKind::BatchSent { tuples, .. } => {
-                let round = last_round.get(&e.worker).copied().unwrap_or(0);
-                let cell = steps.entry(round).or_default().entry(e.worker).or_default();
-                cell.1 += tuples;
-                cell.2 += 1;
-            }
-            _ => {}
-        }
-    }
-    steps
-        .values()
-        .map(|workers| {
-            let compute = workers
-                .values()
-                .map(|&(firings, _, _)| firings as f64 * model.firing_us)
-                .fold(0.0, f64::max);
-            let comm = workers
-                .values()
-                .map(|&(_, tuples, batches)| {
-                    tuples as f64 * model.tuple_us + batches as f64 * model.message_us
-                })
-                .fold(0.0, f64::max);
-            compute + comm
-        })
-        .sum()
-}
-
-/// **P3 — §8, quantified**: price the journal of one fixed-seed simulated
-/// run of each §4 scheme under three machine models (shared memory, LAN
-/// cluster, WAN). The winner flips with the architecture — the paper's
-/// closing claim, in predicted microseconds.
-pub fn simulate_architectures(nodes: u64, edges: u64, seed: u64, ns: &[usize]) -> Vec<SimulatedRow> {
-    let fx = linear_ancestor();
-    let data = random_digraph(nodes, edges, seed);
-    let db = fx.database(&data);
-    let sirup = LinearSirup::from_program(&fx.program).unwrap();
-    let traced = RuntimeConfig {
-        trace: true,
-        ..RuntimeConfig::default()
-    };
-
-    let mut rows = Vec::new();
-    for &n in ns {
-        let schemes: Vec<(&str, CompiledScheme)> = vec![
-            ("example1 (zero-comm)", example1_wolfson(&sirup, n, &db).unwrap()),
-            (
-                "example3 (hash p2p)",
-                example3_hash_partition(&sirup, n, &db).unwrap(),
-            ),
-            (
-                "example2 (broadcast)",
-                example2_valduriez(&sirup, round_robin_fragment(&data, n).unwrap(), &db)
-                    .unwrap(),
-            ),
-        ];
-        for (name, scheme) in schemes {
-            let journal = scheme
-                .run_simulated_with(seed, FaultPlan::none(), &traced)
-                .unwrap()
-                .journal;
-            rows.push(SimulatedRow {
-                scheme: name.into(),
-                n,
-                predicted_us: (
-                    predicted_us(&journal, &SHARED_MEMORY),
-                    predicted_us(&journal, &LAN_CLUSTER),
-                    predicted_us(&journal, &WAN),
-                ),
-            });
-        }
-    }
-    rows
-}
-
 /// Degenerate-config §6 check used by the harness: with `h_i ≡ i` the
 /// generalized scheme measures exactly zero communication.
 pub fn generalized_constant_is_communication_free(n: usize) -> bool {
@@ -817,18 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_decisions_vary_with_architecture() {
-        let (profiles, decisions) = strategy_decisions();
-        assert_eq!(profiles.len(), 4);
-        let distinct: std::collections::HashSet<&str> =
-            decisions.iter().map(|(_, _, name)| name.as_str()).collect();
-        assert!(
-            distinct.len() >= 2,
-            "different architectures should pick different schemes: {decisions:?}"
-        );
-    }
-
-    #[test]
     fn communication_scaling_preserves_the_ordering() {
         let rows = communication_scaling(4, &[20, 40]);
         assert_eq!(rows.len(), 2);
@@ -839,60 +649,6 @@ mod tests {
         // Communication grows with the closure.
         assert!(rows[1].closure > rows[0].closure);
         assert!(rows[1].comm.2 > rows[0].comm.2);
-    }
-
-    #[test]
-    fn predicted_time_is_max_per_phase_summed_over_supersteps() {
-        use gst_runtime::{ObsEvent, TimeBase};
-        let ev = |worker, kind| ObsEvent { time: 0, worker, kind };
-        let end = |round, firings| ObsKind::RoundEnd { round, fresh: 0, firings };
-        let sent = |to, tuples| ObsKind::BatchSent { to, tuples, bytes: 0, seq: 0 };
-        let journal = Journal {
-            base: TimeBase::VirtualTicks,
-            events: vec![
-                ev(0, end(0, 10)),
-                ev(1, end(0, 30)),
-                ev(0, sent(1, 5)),
-                ev(0, end(1, 20)),
-                ev(1, end(1, 20)),
-                ev(1, sent(0, 7)),
-            ],
-        };
-        let model = MachineModel { firing_us: 1.0, tuple_us: 1.0, message_us: 10.0 };
-        // step 0: compute max(10,30)=30, comm max(5+10, 0)=15 → 45
-        // step 1: compute max(20,20)=20, comm max(0, 7+10)=17 → 37
-        assert!((predicted_us(&journal, &model) - 82.0).abs() < 1e-9);
-        // Free communication leaves the compute critical path.
-        let free = MachineModel { tuple_us: 0.0, message_us: 0.0, ..model };
-        assert!((predicted_us(&journal, &free) - 50.0).abs() < 1e-9);
-        // Latency-dominated machines punish messages.
-        assert!(predicted_us(&journal, &WAN) > 10.0 * predicted_us(&journal, &SHARED_MEMORY));
-        assert_eq!(predicted_us(&Journal::default(), &LAN_CLUSTER), 0.0);
-    }
-
-    #[test]
-    fn simulated_architectures_flip_the_winner() {
-        let rows = simulate_architectures(40, 100, 21, &[4]);
-        assert_eq!(rows.len(), 3);
-        let best_by = |pick: fn(&SimulatedRow) -> f64| -> &str {
-            rows.iter()
-                .min_by(|a, b| pick(a).partial_cmp(&pick(b)).unwrap())
-                .map(|r| r.scheme.as_str())
-                .unwrap()
-        };
-        // WAN latency punishes chatter: the zero-communication scheme
-        // must win there.
-        assert_eq!(best_by(|r| r.predicted_us.2), "example1 (zero-comm)");
-        // Broadcast must never beat point-to-point on bandwidth-priced
-        // networks.
-        let lan = |name: &str| {
-            rows.iter()
-                .find(|r| r.scheme == name)
-                .unwrap()
-                .predicted_us
-                .1
-        };
-        assert!(lan("example3 (hash p2p)") <= lan("example2 (broadcast)"));
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! * [`dataflow`] — argument-position dataflow graphs (§5, Def. 2) and
 //!   the Theorem-3 zero-communication chooser;
 //! * [`network`] — compile-time derivation of the minimal processor
-//!   network (§5, Def. 3, Examples 6–7 / Figures 3–4);
-//! * [`strategy`] — the §8 "compiler" decision: pick a scheme from
-//!   measured profiles and an architecture's computation/communication
-//!   cost ratio.
+//!   network (§5, Def. 3, Examples 6–7 / Figures 3–4).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +28,6 @@ pub mod discriminator;
 pub mod network;
 pub mod schemes;
 pub mod session;
-pub mod strategy;
 
 /// Convenient imports for building and running schemes.
 pub mod prelude {
@@ -42,7 +38,7 @@ pub mod prelude {
         DiscriminatorRef, FragmentOwner, HashMod, Linear, Mixed, SymmetricHashMod,
     };
     pub use crate::network::{derive_network, NetworkGraph, SymbolicDisc};
-    pub use crate::schemes::demand::compile_demand;
+    pub use crate::schemes::demand::{compile_demand, demand_choices, DEMAND_HASH_SEED};
     pub use crate::schemes::general::{implied_conditions, rewrite_general, RuleChoice};
     pub use crate::schemes::presets::{
         example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_generalized,
@@ -52,7 +48,4 @@ pub mod prelude {
     pub use crate::schemes::common::first_body_variable;
     pub use crate::schemes::{BaseDistribution, CompiledScheme};
     pub use crate::session::{RoundReport, UpdateBatch, UpdateSession};
-    pub use crate::strategy::{
-        choose, demand_choices, CostModel, SchemeProfile, DEMAND_HASH_SEED,
-    };
 }

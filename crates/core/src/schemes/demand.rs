@@ -5,11 +5,10 @@
 //! an ordinary program of magic and adorned rules plus one seed fact;
 //! [`compile_demand`] loads the seed under its auxiliary base predicate,
 //! partitions every generated rule on its *demand key* (the magic
-//! guard's bound columns) with one shared hash
-//! ([`crate::strategy::demand_choices`]), and hands the result to
-//! [`rewrite_general`] — so semi-naive evaluation, every transport,
-//! crash recovery, update sessions and profiling run the demand-bounded
-//! fixpoint unchanged.
+//! guard's bound columns) with one shared hash ([`demand_choices`]), and
+//! hands the result to [`rewrite_general`] — so semi-naive evaluation,
+//! every transport, crash recovery, update sessions and profiling run the
+//! demand-bounded fixpoint unchanged.
 //!
 //! Base relations are distributed as
 //! [`BaseDistribution::MinimalFragments`]: a base atom whose join column
@@ -20,14 +19,68 @@
 //! processor ([`one_demand_key`]): every firing would land on `h(seed)`,
 //! so the other processors could only wait.
 
+use std::sync::Arc;
+
 use gst_common::Result;
 use gst_frontend::magic::{MagicRewrite, MagicRuleKind};
 use gst_storage::Database;
 
-use crate::schemes::common::BaseDistribution;
-use crate::schemes::general::rewrite_general;
+use crate::discriminator::{DiscriminatorRef, HashMod};
+use crate::schemes::common::{first_body_variable, validate_sequence, BaseDistribution};
+use crate::schemes::general::{rewrite_general, RuleChoice};
 use crate::schemes::CompiledScheme;
-use crate::strategy::{demand_choices, DEMAND_HASH_SEED};
+
+/// Hash seed shared by every rule of a demand-partitioned magic program.
+///
+/// One seed across all rules is what makes the strategy *co-locating*:
+/// `h(c)` computes the same worker whether `c` arrives as a magic
+/// (demand) tuple, as the bound column of an adorned answer, or as the
+/// join column of a base fragment.
+pub const DEMAND_HASH_SEED: u64 = 0xD17;
+
+/// Demand-aware partitioning for a magic-sets rewrite: one
+/// [`RuleChoice`] per generated rule, discriminating on the rule's
+/// *demand key* — the variables of its magic guard, i.e. the bound
+/// columns of the demanded predicate — under a single shared
+/// [`HashMod`].
+///
+/// Why a magic program gets its own choice and not the program-text
+/// chooser `--scheme general` runs ([`crate::advisor::choose_sequences`]):
+/// the demand key is known from the adornment, not guessed from the
+/// rules. Every magic atom's argument pattern *is* its guard key, so
+/// magic (demand) tuples always route point-to-point to `h(key)` — they
+/// never broadcast — and [`BaseDistribution::MinimalFragments`] places
+/// the base fragments whose join column carries the same key on the same
+/// worker. Demand lands where the data lives. An adorned answer
+/// occurrence whose pattern does not contain the demand key (e.g. the
+/// recursive atom of the *left*-linear ancestor rule) falls back to
+/// replication — `rewrite_general`'s broadcast path — which ships only
+/// the demand-bounded answer set, not the full closure.
+///
+/// Rules whose guard binds no variable (an all-free sub-adornment, or a
+/// constant-bound head) fall back to the first body-atom variable, and to
+/// the empty sequence when the body is ground. The choice reads no data:
+/// there is no key census, and a hot key is hashed like any other
+/// (EXPERIMENTS.md P24).
+pub fn demand_choices(
+    rewrite: &MagicRewrite,
+    workers: usize,
+    seed: u64,
+) -> Result<Vec<RuleChoice>> {
+    let h: DiscriminatorRef = Arc::new(HashMod::new(workers, seed));
+    rewrite
+        .program
+        .rules
+        .iter()
+        .zip(&rewrite.rules)
+        .enumerate()
+        .map(|(k, (rule, info))| {
+            let v = if info.guard.is_empty() { first_body_variable(rule) } else { info.guard.clone() };
+            validate_sequence(rule, &v, &format!("demand v(r{k})"))?;
+            Ok(RuleChoice { v, h: h.clone() })
+        })
+        .collect()
+}
 
 /// Whether every firing of `rewrite`'s demand plan lands on one processor,
 /// whatever the processor count: the rewrite has no magic rule, so the

@@ -80,22 +80,5 @@ fn main() -> Result<()> {
     assert!(o1.stats.total_tuples_sent() <= o3.stats.total_tuples_sent());
     assert!(o3.stats.total_tuples_sent() <= o2.stats.total_tuples_sent());
 
-    // §8: the scheme a compiler should pick depends on the machine.
-    // Storage-free machines (shared memory) favor Example 1; machines
-    // that pay for replicated base data favor the fragmented schemes.
-    let profiles = vec![
-        SchemeProfile::from_run("example1", &e1, &o1),
-        SchemeProfile::from_run("example3", &e3, &o3),
-        SchemeProfile::from_run("example2", &e2, &o2),
-    ];
-    println!("\n§8 compiler decision (comm ratio × storage cost):");
-    for (ratio, storage) in [(0.1, 0.0), (0.1, 30.0), (50.0, 30.0)] {
-        let model = CostModel::with_comm_ratio(ratio).with_storage_cost(storage);
-        let best = choose(&profiles, &model).unwrap();
-        println!(
-            "  comm ratio {ratio:>5}, storage cost {storage:>5}: compiler picks {}",
-            best.name
-        );
-    }
     Ok(())
 }
