@@ -5,7 +5,8 @@
 //! cargo run --release -p gst-bench --bin harness -- f3 s1   # a subset
 //! ```
 //!
-//! Experiment ids (see DESIGN.md §4): f1 f2 f3 f4 t1 t2 e4 e5 s1 s2 l1 r1.
+//! Experiment ids (see DESIGN.md §4): f1 f2 f3 f4 t1 t2 e4 e5 s1 s2 l1 r1;
+//! any other id is an error.
 
 use gst_common::json::{count, num, s, Json};
 use gst_bench::table::Table;
@@ -25,6 +26,11 @@ fn main() {
             args.drain(k..=k + 1);
             path
         });
+    const IDS: [&str; 13] = ["all", "f1", "f2", "f3", "f4", "t1", "t2", "e4", "e5", "s1", "s2", "l1", "r1"];
+    if let Some(unknown) = args.iter().find(|a| !IDS.contains(&a.as_str())) {
+        eprintln!("unknown experiment id `{unknown}`; known ids: {}", IDS.join(" "));
+        std::process::exit(2);
+    }
     let mut report: Vec<(String, Json)> = Vec::new();
     let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id || a == "all");
 

@@ -36,7 +36,8 @@
 //! [`Error::Runtime`] naming the corruption, so a fault-injected or
 //! truncated delivery surfaces as a worker error the coordinator reports.
 
-use gst_common::{Error, Result, Tuple, Value};
+use gst_common::tuple::INLINE_CAP;
+use gst_common::{Error, Result, Tuple};
 
 use crate::message::Payload;
 
@@ -84,6 +85,8 @@ pub fn put_sv(buf: &mut Vec<u8>, n: i64) {
 ///
 /// Two batches with the same tuples in the same order encode to the same
 /// bytes regardless of destination — the basis of single-encode multicast.
+/// The payload is returned at exactly its wire length, so a replay log
+/// that retains it holds wire bytes and nothing more.
 ///
 /// # Errors
 /// Rejects tuples whose arity differs from `arity` — a misconfigured
@@ -98,35 +101,31 @@ pub fn encode_batch(arity: usize, tuples: &[Tuple]) -> Result<Payload> {
         }
     }
     let count = tuples.len();
-    // Worst case per value: 1 mixed tag + 10 varint bytes.
+    // A value takes 1–10 varint bytes (plus a tag in a Mixed column);
+    // reserve 3, which the small ids of the generated workloads fit, and
+    // give back what the batch did not use once it is written.
     let mut buf = Vec::with_capacity(4 + count * arity * 3);
     put_uv(&mut buf, arity as u64);
     put_uv(&mut buf, count as u64);
-    if count == 0 {
-        return Ok(Payload::new(buf));
-    }
-    for c in 0..arity {
+    for c in 0..if count == 0 { 0 } else { arity } {
         encode_column(&mut buf, tuples, c);
     }
+    buf.shrink_to_fit();
     Ok(Payload::new(buf))
 }
 
+/// Write column `c` as the first of IntDelta, Int, Sym and Mixed that
+/// its values allow.
 fn encode_column(buf: &mut Vec<u8>, tuples: &[Tuple], c: usize) {
-    let syms = tuples
-        .iter()
-        .filter(|t| matches!(t.get(c), Value::Sym(_)))
-        .count();
+    let words = tuples.iter().map(|t| t.word(c));
+    let syms = words.clone().filter(|&(_, sym)| sym).count();
+    let put_value = |buf: &mut Vec<u8>, (word, sym): (u64, bool)| match sym {
+        true => put_uv(buf, word),
+        false => put_sv(buf, word as i64),
+    };
     if syms == 0 {
-        let ints = tuples.iter().map(|t| match t.get(c) {
-            Value::Int(n) => n,
-            Value::Sym(_) => unreachable!("column checked monotypic Int"),
-        });
-        let nondecreasing = tuples.len() >= 2
-            && ints
-                .clone()
-                .zip(ints.clone().skip(1))
-                .all(|(a, b)| a <= b);
-        if nondecreasing {
+        let ints = words.clone().map(|(word, _)| word as i64);
+        if tuples.len() >= 2 && ints.clone().zip(ints.clone().skip(1)).all(|(a, b)| a <= b) {
             buf.push(COL_INT_DELTA);
             let mut prev = None;
             for n in ints {
@@ -137,37 +136,16 @@ fn encode_column(buf: &mut Vec<u8>, tuples: &[Tuple], c: usize) {
                 }
                 prev = Some(n);
             }
-        } else {
-            buf.push(COL_INT);
-            for n in ints {
-                put_sv(buf, n);
-            }
+            return;
         }
-        return;
-    }
-    if syms == tuples.len() {
+        buf.push(COL_INT);
+    } else if syms == tuples.len() {
         buf.push(COL_SYM);
-        for t in tuples {
-            match t.get(c) {
-                Value::Sym(s) => put_uv(buf, s.0 as u64),
-                Value::Int(_) => unreachable!("column checked monotypic Sym"),
-            }
-        }
-        return;
+    } else {
+        buf.push(COL_MIXED);
+        buf.extend(words.clone().map(|(_, sym)| if sym { VTAG_SYM } else { VTAG_INT }));
     }
-    buf.push(COL_MIXED);
-    for t in tuples {
-        buf.push(match t.get(c) {
-            Value::Int(_) => VTAG_INT,
-            Value::Sym(_) => VTAG_SYM,
-        });
-    }
-    for t in tuples {
-        match t.get(c) {
-            Value::Int(n) => put_sv(buf, n),
-            Value::Sym(s) => put_uv(buf, s.0 as u64),
-        }
-    }
+    words.for_each(|word| put_value(buf, word));
 }
 
 /// A bounds-checked varint reader over a byte slice: truncation and
@@ -315,18 +293,27 @@ pub fn decode_batch_into(bytes: &[u8], out: &mut Vec<Tuple>) -> Result<usize> {
     if cur.remaining() > 0 {
         return Err(corrupt("trailing bytes"));
     }
-    out.reserve(count);
-    let mut row = vec![0u64; columns];
-    for r in 0..count {
-        for (c, word) in row.iter_mut().enumerate() {
-            *word = words[c * count + r];
-        }
-        out.push(Tuple::from_words(&row, |c| match kinds[c] {
-            ColumnKind::Int => false,
-            ColumnKind::Sym => true,
-            ColumnKind::Mixed { vtags } => bytes[vtags + r] == VTAG_SYM,
-        }));
+    // Every column is validated, so `out` is touched only from here on.
+    let is_sym = |c: usize, r: usize| match kinds[c] {
+        ColumnKind::Int => false,
+        ColumnKind::Sym => true,
+        ColumnKind::Mixed { vtags } => bytes[vtags + r] == VTAG_SYM,
+    };
+    if arity > INLINE_CAP {
+        let rows: Vec<u64> = (0..count * arity).map(|k| words[k % arity * count + k / arity]).collect();
+        let wide = rows.chunks_exact(arity).enumerate();
+        out.extend(wide.map(|(r, row)| Tuple::from_words(row, |c| is_sym(c, r))));
+        return Ok(count);
     }
+    // The type mask is fixed by the monotypic columns; only a Mixed
+    // column's bit is read per row. A column past `arity` reads as 0.
+    let fixed = (0..columns).fold(0u8, |m, c| m | u8::from(matches!(kinds[c], ColumnKind::Sym)) << c);
+    let mixed: Vec<usize> = (0..columns).filter(|&c| matches!(kinds[c], ColumnKind::Mixed { .. })).collect();
+    let word = |c: usize, r: usize| words.get(c * count + r).copied().unwrap_or(0);
+    out.extend((0..count).map(|r| {
+        let syms = mixed.iter().fold(fixed, |m, &c| m | u8::from(is_sym(c, r)) << c);
+        Tuple::from_parts(arity, syms, std::array::from_fn(|c| word(c, r)))
+    }));
     Ok(count)
 }
 
@@ -447,7 +434,7 @@ pub fn row_format_bytes(arity: usize, count: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gst_common::{ituple, Interner, SmallRng, SymbolId};
+    use gst_common::{ituple, Interner, SmallRng, SymbolId, Value};
 
     #[test]
     fn round_trips_int_tuples() {
@@ -612,6 +599,55 @@ mod tests {
         let mut out = vec![ituple![9, 9]];
         assert!(decode_batch_into(&good[..good.len() - 1], &mut out).is_err());
         assert_eq!(out, vec![ituple![9, 9]]);
+    }
+
+    /// A replay log retains payloads until `Terminate`: each is allocated
+    /// at exactly its wire length, with no reserve left over.
+    #[test]
+    fn every_payload_is_allocated_at_its_wire_length() {
+        let mut rng = SmallRng::seed_from_u64(0x512E);
+        for case in 0..400 {
+            let arity = rng.gen_below(6) as usize;
+            let count = rng.gen_below(300) as usize;
+            let bytes = encode_batch(arity, &random_tuples(&mut rng, arity, count)).unwrap();
+            assert_eq!(bytes.capacity(), bytes.len(), "case {case} (arity {arity}, count {count})");
+        }
+        let sorted: Vec<Tuple> = (0..1_000).map(|k| ituple![k, 7]).collect();
+        let bytes = encode_batch(2, &sorted).unwrap();
+        assert_eq!(bytes.capacity(), bytes.len(), "delta and constant columns");
+    }
+
+    /// Rows decoded from every column kind, at every arity either side of
+    /// the inline capacity, are the rows `Tuple::new` builds from the same
+    /// values: equal, and hashing alike.
+    #[test]
+    fn decoded_rows_equal_and_hash_like_new_rows() {
+        let big = Value::Sym(SymbolId(u32::MAX));
+        let kinds: [(u8, [Value; 5]); 4] = [
+            (COL_INT, [i64::MAX, i64::MIN, 0, -1, 5].map(Value::Int)),
+            (COL_SYM, [big, Value::Sym(SymbolId(0)), big, Value::Sym(SymbolId(7)), big]),
+            (COL_INT_DELTA, [i64::MIN, -1, 0, 7, i64::MAX].map(Value::Int)),
+            (COL_MIXED, [Value::Int(i64::MIN), big, Value::Int(i64::MAX), Value::Sym(SymbolId(0)), Value::Int(3)]),
+        ];
+        for arity in 0..=5 {
+            for shift in 0..kinds.len() {
+                let kind = |c: usize| &kinds[(c + shift) % kinds.len()];
+                let rows: Vec<Tuple> = (0..5)
+                    .map(|r| Tuple::new(&(0..arity).map(|c| kind(c).1[r]).collect::<Vec<_>>()))
+                    .collect();
+                let bytes = encode_batch(arity, &rows).unwrap();
+                let (mut cur, _, _) = open_batch(&bytes).unwrap();
+                for c in 0..arity {
+                    assert_eq!(cur.bytes[cur.pos], kind(c).0, "arity {arity}, column {c}");
+                    read_column(&mut cur, rows.len(), |_| ()).unwrap();
+                }
+                let decoded = decode_batch(&bytes).unwrap();
+                assert_eq!(decoded, rows, "arity {arity}, shift {shift}");
+                for (d, t) in decoded.iter().zip(&rows) {
+                    assert_eq!(gst_common::fxhash::hash_one(d), gst_common::fxhash::hash_one(t));
+                }
+            }
+        }
     }
 
     fn random_tuples(rng: &mut SmallRng, arity: usize, count: usize) -> Vec<Tuple> {

@@ -40,10 +40,13 @@ struct Slot {
     row: u32,
 }
 
-/// Fold a 64-bit hash to the 32 bits the table keys on.
+/// Fold a 64-bit hash to the 32 bits the table keys on: the high half of
+/// a Fibonacci multiply. The bucket is the fold's low bits, and FxHash
+/// ends in an odd multiply that leaves its low bits weak; XOR-ing the
+/// halves kept them weak and the probe chains long (EXPERIMENTS.md P31).
 #[inline]
 fn fold(hash: u64) -> u32 {
-    (hash >> 32) as u32 ^ hash as u32
+    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
 }
 
 /// Open-addressed `(hash, row)` set with linear probing.
