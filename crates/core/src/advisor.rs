@@ -5,21 +5,25 @@
 //! performed at compile time", §8 says the same of the whole scheme); the
 //! rewrite's broadcast fallback keeps *any* choice correct, so the choice
 //! is free to minimise traffic. This module makes it, for any program, and
-//! states the prediction it ranks by: what happens to the rows one rule
-//! produces on their way to one consuming occurrence of their predicate —
-//! one [`Pair`] per sending-rule family of the rewrite, its [`Flow`]
-//! decided by the `can_route` the rewrite loop itself asks, so prediction
-//! and compiled routes cannot drift.
+//! ranks it by what happens to the rows one rule produces on their way to
+//! one consuming occurrence of their predicate: one [`Pair`] per
+//! sending-rule family of the rewrite, its [`Flow`] read off the placement
+//! table the rewrite loop itself builds
+//! ([`crate::schemes::placement`]), so prediction and compiled routes
+//! cannot drift.
 //!
-//! Both functions assume what `rewrite_general` is given by its callers:
+//! Its functions assume what `rewrite_general` is given by its callers:
 //! every rule conditioned, one function `h` shared by all rules.
 
 use std::cmp::Reverse;
+use std::sync::Arc;
 
-use gst_frontend::ast::{Atom, Term};
+use gst_frontend::ast::Atom;
 use gst_frontend::{Program, Variable};
 
-use crate::schemes::common::{can_route, consuming_occurrences};
+use crate::discriminator::{DiscriminatorRef, HashMod};
+use crate::schemes::general::RulePolicy;
+use crate::schemes::placement::{carries, key_columns, links, Placement};
 
 /// Where the rows of a producing rule go to reach a consuming occurrence,
 /// cheapest first.
@@ -49,47 +53,16 @@ pub struct Pair<'a> {
     pub flow: Flow,
 }
 
-/// Every (producer, consumer, occurrence) the rewrite builds sending rules
-/// for, consumer-major, in rule and body order.
-fn links(program: &Program) -> Vec<(usize, usize, &Atom)> {
-    let mut links = Vec::new();
-    for (c, rule) in program.rules.iter().enumerate() {
-        for atom in consuming_occurrences(program, rule) {
-            let producers = program.rules.iter().enumerate().filter(|(_, r)| r.head.pred() == atom.pred());
-            links.extend(producers.map(|(p, _)| (p, c, atom)));
-        }
-    }
-    links
+/// The placement table `rewrite_general` builds when `program.rules[k]`
+/// discriminates on `v[k]`, all rules under one shared `h`.
+pub fn placement<'a>(program: &'a Program, v: &[Vec<Variable>]) -> Placement<'a> {
+    let h: DiscriminatorRef = Arc::new(HashMod::new(1, 0));
+    Placement::new(program, &v.iter().map(|v| RulePolicy::shared(v.clone(), &h, 1)).collect::<Vec<_>>())
 }
 
-/// The flow from a rule with `head`, conditioned on `h(v_p) = i`, to the
-/// occurrence `atom` of a rule keyed on `v_c`.
-fn flow(head: &Atom, v_p: &[Variable], atom: &Atom, v_c: &[Variable]) -> Flow {
-    if !can_route(&atom.terms, v_c, true) {
-        return Flow::Broadcast;
-    }
-    // A route reads a key variable at its first column in the pattern
-    // (`gst_eval::route::compile`); the row is home when the head holds
-    // the producer's own key there, variable for variable.
-    let carried = |(c, p): (&Variable, &Variable)| {
-        let column = atom.terms.iter().position(|t| t.as_var() == Some(*c));
-        column.is_some_and(|q| head.terms[q] == Term::Var(*p))
-    };
-    if v_c.len() == v_p.len() && v_c.iter().zip(v_p).all(carried) {
-        Flow::Home
-    } else {
-        Flow::Keyed
-    }
-}
-
-/// The predicted flow of every pair when `program.rules[k]` discriminates
-/// on `v[k]`.
+/// The predicted flow of every pair under that table.
 pub fn predict<'a>(program: &'a Program, v: &[Vec<Variable>]) -> Vec<Pair<'a>> {
-    let pair = |(producer, consumer, atom): (usize, usize, &'a Atom)| {
-        let flow = flow(&program.rules[producer].head, &v[producer], atom, &v[consumer]);
-        Pair { producer, consumer, atom, flow }
-    };
-    links(program).into_iter().map(pair).collect()
+    placement(program, v).pairs()
 }
 
 /// Choose `v(r_k)` for every rule of `program`: what `--scheme general`
@@ -124,7 +97,7 @@ pub fn choose_sequences(program: &Program) -> Vec<Vec<Variable>> {
                 all.push(Vec::new());
             }
             let broadcasts = |v: &Vec<Variable>| {
-                links.iter().filter(|&&(_, c, a)| c == k && !can_route(&a.terms, v, true)).count()
+                links.iter().filter(|&&(_, c, a)| c == k && key_columns(&a.terms, v).is_none()).count()
             };
             let least = all.iter().map(broadcasts).min();
             all.retain(|v| Some(broadcasts(v)) == least);
@@ -140,7 +113,8 @@ pub fn choose_sequences(program: &Program) -> Vec<Vec<Variable>> {
             None => &candidates[r][..],
         };
         let home = |&&(p, c, a): &&(usize, usize, &Atom)| {
-            open(p).iter().any(|v_p| open(c).iter().any(|v_c| flow(&rules[p].head, v_p, a, v_c) == Flow::Home))
+            let carried = |v_p: &Vec<Variable>, v_c| key_columns(&a.terms, v_c).is_some_and(|q| carries(&rules[p].head, v_p, &q));
+            open(p).iter().any(|v_p| open(c).iter().any(|v_c| carried(v_p, v_c)))
         };
         links.iter().filter(|l| l.0 == k || l.1 == k).filter(|l| !home(l)).count()
     };

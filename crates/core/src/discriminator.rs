@@ -100,6 +100,12 @@ pub trait Discriminator: Send + Sync {
 /// Shared handle to a discriminating function.
 pub type DiscriminatorRef = Arc<dyn Discriminator>;
 
+impl std::fmt::Debug for dyn Discriminator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.describe())
+    }
+}
+
 /// The bit-valued helper `g : constants → {0, 1}` of Examples 6 and 7.
 ///
 /// "Let g be any arbitrary function on the domain ... with range {0,1}" —

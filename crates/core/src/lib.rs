@@ -31,7 +31,7 @@ pub mod session;
 
 /// Convenient imports for building and running schemes.
 pub mod prelude {
-    pub use crate::advisor::{choose_sequences, predict, Flow, Pair};
+    pub use crate::advisor::{choose_sequences, placement, predict, Flow, Pair};
     pub use crate::dataflow::{zero_comm_choice, DataflowGraph, ZeroCommChoice};
     pub use crate::discriminator::{
         decode_constraint, BitFn, BitVector, Constant, DiscConstraint, Discriminator,
@@ -39,13 +39,14 @@ pub mod prelude {
     };
     pub use crate::network::{derive_network, NetworkGraph, SymbolicDisc};
     pub use crate::schemes::demand::{compile_demand, demand_choices, DEMAND_HASH_SEED};
-    pub use crate::schemes::general::{implied_conditions, rewrite_general, RuleChoice};
+    pub use crate::schemes::general::{rewrite_general, RuleChoice};
     pub use crate::schemes::presets::{
         example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_generalized,
         rewrite_no_comm, rewrite_non_redundant, GeneralizedConfig, NoCommConfig,
         NonRedundantConfig,
     };
     pub use crate::schemes::common::first_body_variable;
+    pub use crate::schemes::placement::Holds;
     pub use crate::schemes::{BaseDistribution, CompiledScheme};
     pub use crate::session::{RoundReport, UpdateBatch, UpdateSession};
 }

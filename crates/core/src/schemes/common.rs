@@ -52,8 +52,8 @@ pub fn first_body_variable(rule: &Rule) -> Vec<Variable> {
 }
 
 /// The consuming occurrences of `rule`: its distinct derived body atoms,
-/// in body order. The rewrite builds one route per occurrence, and the
-/// chooser predicts one flow per occurrence and producing rule.
+/// in body order. The placement table keys one route per occurrence
+/// ([`crate::schemes::placement`]).
 pub fn consuming_occurrences<'a>(program: &Program, rule: &'a Rule) -> Vec<&'a Atom> {
     let mut seen: Vec<&Atom> = Vec::new();
     for a in rule.body_atoms().filter(|a| program.is_derived(a.pred())) {
@@ -84,14 +84,6 @@ pub fn validate_sequence(rule: &Rule, vars: &[Variable], which: &str) -> Result<
         }
     }
     Ok(())
-}
-
-/// Whether a conditional send is possible: `h(v(r))` can be evaluated on
-/// an outgoing tuple only if every `v(r)` variable is bound by the tuple
-/// pattern — i.e. occurs in `pattern` — and `h` is locally evaluable.
-/// Otherwise the scheme broadcasts (Example 2).
-pub fn can_route(pattern: &[Term], vars: &[Variable], locally_evaluable: bool) -> bool {
-    locally_evaluable && vars.iter().all(|v| pattern.contains(&Term::Var(*v)))
 }
 
 /// How base relations reach the workers.
@@ -250,19 +242,6 @@ mod tests {
         assert!(validate_sequence(&p.rules[0], &[z], "v(r)").is_ok());
         assert!(validate_sequence(&p.rules[0], &[z, w], "v(r)").is_err());
         assert!(validate_sequence(&p.rules[0], &[], "v(r)").is_err());
-    }
-
-    #[test]
-    fn can_route_requires_pattern_and_evaluability() {
-        let interner = Interner::new();
-        let z = Variable(interner.intern("Z"));
-        let y = Variable(interner.intern("Y"));
-        let x = Variable(interner.intern("X"));
-        let pattern = vec![Term::Var(z), Term::Var(y)];
-        assert!(can_route(&pattern, &[z], true));
-        assert!(can_route(&pattern, &[z, y], true));
-        assert!(!can_route(&pattern, &[x], true));
-        assert!(!can_route(&pattern, &[z], false));
     }
 
     #[test]

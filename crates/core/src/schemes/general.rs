@@ -23,37 +23,30 @@
 //! bind `v(r_k)` (`v(r) ⊆ Ȳ`): with no condition to fall back on, a tuple
 //! must be routable from the tuple alone.
 //!
-//! A tuple of a predicate consumed by several rules (or at several
-//! positions of one rule, as in Example 8's non-linear ancestor) is
-//! shipped once per *consuming occurrence's* routing — e.g. `anc(a,b)`
-//! goes both to `h(b)` (to join as `anc(X,Z)`) and to `h(a)` (to join as
-//! `anc(Z,Y)`), matching the paper's two sending rules for Example 8.
+//! Where a row can be is answered once, by the [`Placement`] table the
+//! loop builds from the policies; [`Placement::check`] refuses a policy
+//! list that under-places a body atom before a tuple moves. Each consuming
+//! occurrence becomes one [`gst_runtime::Route`] of `C_out^i` — a tuple of
+//! a predicate consumed at several positions (Example 8's `anc(a,b)`, to
+//! `h(b)` and to `h(a)`) ships once per occurrence's routing — keyed where
+//! the table keys it. An occurrence that does not bind `v(r_k)`, or whose
+//! `h_k` cannot be evaluated away from the data (Example 2's
+//! [`FragmentOwner`]), broadcasts: "the extra communication does not make
+//! the parallel execution either incorrect or redundant". A route lists
+//! only the processors its function can name, so `h^i(x) = i`
+//! ([`Constant`]) ships nothing. A predicate is pooled from `C_in^i` or
+//! `C_out^i`, as the engine's storage rule [`gst_eval::route::home_inbox`]
+//! says, in the kind [`Placement::shards`] says.
 //!
-//! The sending rules are the specification: each consuming occurrence
-//! becomes one [`gst_runtime::Route`] of `C_out^i`, and the engine hashes
-//! a tuple under every route of its predicate where it is emitted — a
-//! tuple two occurrences send to the same processor goes there once, and
-//! one every occurrence keeps at `i` is stored in `C_in^i` alone. An
-//! occurrence of a conditioned rule whose `v(r_k)` the atom does not
-//! bind, or whose `h_k` cannot be evaluated away from the data (Example
-//! 2's [`FragmentOwner`]), broadcasts — "the extra communication does not
-//! make the parallel execution either incorrect or redundant". A route
-//! lists only the processors its function can name, so `h^i(x) = i`
-//! ([`Constant`]) ships nothing and needs no network. A predicate is
-//! pooled from `C_in^i` or `C_out^i`, and its shards appended, moved or
-//! unioned, as [`gst_eval::route::pooled_shard`] says.
-//!
-//! The planner pushes `h(v(r_k)) = i` into the join, or omits it where the
-//! placement implies it: where every row the rule reads through some atom
-//! reached its inbox by a route keyed on that same condition
-//! ([`implied_by`]; the literal stays in the rule, marked, and a debug
-//! build asserts it). The paper's `D_in^i :- D, h(v(r)) = i` fragments of
-//! the base relations fall out of [`BaseDistribution::MinimalFragments`].
-//! Over one processor the literal is a tautology and is left out, so a
-//! one-processor plan runs no filter and shares every base relation
-//! whole. A rule whose body
-//! binds no variable takes the empty sequence: its one ground
-//! substitution fires at the one processor `h(⟨⟩)` names.
+//! The planner pushes `h(v(r_k)) = i` into the join, or omits it where
+//! [`Placement::implied`] says the placement implies it (the literal stays
+//! in the rule, marked, and a debug build asserts it). The paper's
+//! `D_in^i :- D, h(v(r)) = i` fragments of the base relations fall out of
+//! [`BaseDistribution::MinimalFragments`]. Over one processor the literal
+//! is a tautology and is left out, so a one-processor plan runs no filter
+//! and shares every base relation whole. A rule whose body binds no
+//! variable takes the empty sequence: its one ground substitution fires
+//! at the one processor `h(⟨⟩)` names.
 //!
 //! [`FragmentOwner`]: crate::discriminator::FragmentOwner
 //! [`Constant`]: crate::discriminator::Constant
@@ -62,17 +55,15 @@ use std::sync::Arc;
 
 use gst_common::{Error, Result};
 use gst_eval::plan::RelationId;
-use gst_eval::route::pooled_shard;
-use gst_frontend::ast::{Atom, Literal, Term};
+use gst_eval::route::{home_inbox, Shards};
+use gst_frontend::ast::{Atom, Literal};
 use gst_frontend::{Program, ProgramAnalysis, Rule, Variable};
 use gst_runtime::{ProcessorProgram, Route, WorkerSpec};
 use gst_storage::Database;
 
 use crate::discriminator::{DiscConstraint, DiscriminatorRef};
-use crate::schemes::common::{
-    atom, can_route, consuming_occurrences, validate_sequence, worker_databases, BaseDistribution,
-    Namer,
-};
+use crate::schemes::common::{atom, validate_sequence, worker_databases, BaseDistribution, Namer};
+use crate::schemes::placement::Placement;
 use crate::schemes::CompiledScheme;
 
 /// Discriminating choice for one rule.
@@ -113,19 +104,6 @@ impl RulePolicy {
     }
 }
 
-/// One `h` per rule, shared by all processors: every route table then
-/// routes as every other does.
-fn uniform(policies: &[RulePolicy]) -> bool {
-    policies.iter().all(|p| p.h.iter().all(|h| Arc::ptr_eq(h, &p.h[0])))
-}
-
-/// The policies `rewrite_general` runs `choices` under: §7's, one `h_k`
-/// shared by every processor.
-fn shared_policies(choices: &[RuleChoice]) -> Vec<RulePolicy> {
-    let n = choices.first().map_or(0, |c| c.h.processors());
-    choices.iter().map(|c| RulePolicy::shared(c.v.clone(), &c.h, n)).collect()
-}
-
 /// Rewrite an arbitrary Datalog program into the §7 parallel scheme.
 ///
 /// `choices[k]` is the discriminating choice for `source.rules[k]`; all
@@ -137,52 +115,10 @@ pub fn rewrite_general(
     db: &Database,
     base: BaseDistribution,
 ) -> Result<CompiledScheme> {
-    rewrite(source, &shared_policies(choices), db, base, "general scheme (§7 T_i)")
-}
-
-/// [`implied_by`] of every rule, as [`rewrite_general`] compiles `choices`.
-pub fn implied_conditions<'a>(source: &'a Program, choices: &[RuleChoice]) -> Vec<Option<(&'a Atom, Vec<usize>)>> {
-    let policies = shared_policies(choices);
-    (0..source.rules.len().min(policies.len())).map(|k| implied_by(source, &policies, k)).collect()
-}
-
-/// Whether the data placement implies rule `k`'s condition `h_k(v(r_k)) =
-/// i` at every processor `i` — the rewrite then marks the literal
-/// [`Constraint::implied`] — and if so the body atom `a` that implies it,
-/// with the columns `c` of `a` holding `v(r_k)`, in order. It does when
-/// rule `k` is conditioned, one `h` per rule is shared by every processor,
-/// and some derived body atom `a` binds `v(r_k)` such that every route
-/// into `a`'s inboxes — one per consuming occurrence of `a`'s predicate,
-/// in any rule — is keyed (none broadcasts), by the very function `h_k`
-/// (`Arc::ptr_eq`), on the columns `c`. A route puts a row in `t_in^i`
-/// only when its key names `i`, so every row of `t_in^i` has `h_k` of its
-/// columns `c` equal to `i`, and so has every substitution that reads it.
-///
-/// [`Constraint::implied`]: gst_frontend::Constraint::implied
-pub(crate) fn implied_by<'a>(source: &'a Program, policies: &[RulePolicy], k: usize) -> Option<(&'a Atom, Vec<usize>)> {
-    let policy = &policies[k];
-    if !policy.conditioned || !uniform(policies) {
-        return None;
-    }
-    // Where a route keyed on `v` reads it in `terms`: each variable's first
-    // column (`gst_eval::route::compile`).
-    let columns = |terms: &[Term], v: &[Variable]| -> Option<Vec<usize>> {
-        v.iter().map(|x| terms.iter().position(|t| t.as_var() == Some(*x))).collect()
-    };
-    let keyed_alike = |a: &Atom, c: &[usize]| {
-        source.rules.iter().zip(policies).all(|(rule, p)| {
-            let same_key = |b: &&Atom| {
-                can_route(&b.terms, &p.v, p.h[0].locally_evaluable())
-                    && Arc::ptr_eq(&p.h[0], &policy.h[0])
-                    && columns(&b.terms, &p.v).as_deref() == Some(c)
-            };
-            consuming_occurrences(source, rule).iter().filter(|b| b.pred() == a.pred()).all(same_key)
-        })
-    };
-    consuming_occurrences(source, &source.rules[k]).into_iter().find_map(|atom| {
-        let c = columns(&atom.terms, &policy.v)?;
-        keyed_alike(atom, &c).then_some((atom, c))
-    })
+    // §7's policies: one `h_k` shared by every processor.
+    let n = choices.first().map_or(0, |c| c.h.processors());
+    let policies: Vec<RulePolicy> = choices.iter().map(|c| RulePolicy::shared(c.v.clone(), &c.h, n)).collect();
+    rewrite(source, &policies, db, base, "general scheme (§7 T_i)")
 }
 
 /// The loop: `policies[k]` governs `source.rules[k]`, and processor `i`
@@ -237,15 +173,14 @@ pub(crate) fn rewrite(
         }
     }
     let is_derived = |a: &Atom| derived.contains(&a.pred().into());
-    // Under one shared `h`, one route table speaks for how a predicate's
-    // shards relate.
-    let uniform = uniform(policies);
-    let implied: Vec<bool> = (0..policies.len()).map(|k| implied_by(source, policies, k).is_some()).collect();
+    let placement = Placement::new(source, policies);
+    placement.check()?;
+    let implied: Vec<bool> = (0..policies.len()).map(|k| placement.implied(k).is_some()).collect();
 
     let mut programs = Vec::with_capacity(n);
     for i in 0..n {
         let (mut rules, mut routes) = (Vec::with_capacity(source.rules.len()), Vec::new());
-        for ((rule, policy), &implied) in source.rules.iter().zip(policies).zip(&implied) {
+        for (k, ((rule, policy), &implied)) in source.rules.iter().zip(policies).zip(&implied).enumerate() {
             let h = &policy.h[i];
             // Processing: the rule over `t_in^i`, writing `t_out^i`.
             let mut body: Vec<Literal> = Vec::with_capacity(rule.body.len() + 1);
@@ -268,37 +203,31 @@ pub(crate) fn rewrite(
 
             // Sending: one route per distinct derived occurrence `C(Ȳ)` —
             // the family `C_ij(Ȳ) :- C_out^i(Ȳ), h(v(r_k)) = j`, one member
-            // per processor `h` can name, when the tuple binds `v(r_k)` and
-            // `h` can be evaluated on it; Example 2's unconditioned
-            // broadcast to every processor otherwise.
-            for a in consuming_occurrences(source, rule) {
+            // per processor `h` can name, where the table keys it; Example
+            // 2's unconditioned broadcast to every processor otherwise.
+            for (a, key) in placement.occurrences(k) {
                 let out = namer.out(a.pred().into(), i);
                 let inboxes = |to: Vec<usize>| to.into_iter().map(|j| (j, namer.input(a.pred().into(), j))).collect();
-                let everyone = || (0..n).collect();
-                routes.push(if can_route(&a.terms, &policy.v, h.locally_evaluable()) {
-                    Route {
+                routes.push(match key {
+                    Some(_) => Route {
                         source: atom(out, a.terms.clone()),
                         key: Some(DiscConstraint::literal(policy.v.clone(), h.clone(), i)),
                         dests: inboxes(h.image()),
                         retract: false,
-                    }
-                } else if policy.conditioned {
-                    Route::broadcast(out, &interner, inboxes(everyone()))
-                } else {
-                    return Err(Error::Discriminator(
-                        "§6 requires every variable in v(r) to appear in Ȳ (the body t-atom): \
-                         an unconditioned rule has no broadcast to fall back on"
-                            .into(),
-                    ));
+                    },
+                    None => Route::broadcast(out, &interner, inboxes((0..n).collect())),
                 });
             }
         }
 
-        // Final pooling reads `t_in^i` where the inboxes partition or
-        // replicate `t`, or hold the rows of a `t_out^i` that stores none;
-        // `t_out^i` otherwise.
+        // Final pooling reads `t_in^i` where the inboxes are replicas of
+        // `t` or hold the rows of a `t_out^i` that stores none; `t_out^i`
+        // otherwise.
         let pooled = |&d: &RelationId| {
-            let (local, shards) = pooled_shard(&routes, i, n, namer.out(d, i), uniform);
+            let out = namer.out(d, i);
+            let home = home_inbox(&routes, i, out);
+            let shards = placement.shards(d, home.is_some());
+            let local = if shards == Shards::Replica { namer.input(d, i) } else { home.unwrap_or(out) };
             (local, d, shards)
         };
         programs.push(ProcessorProgram {
@@ -311,6 +240,7 @@ pub(crate) fn rewrite(
             local_idb: vec![],
         });
     }
+    let holds = derived.iter().map(|&d| (d, placement.holds(d).clone())).collect();
 
     let edbs = worker_databases(db, &programs, base)?;
     let workers = programs
@@ -318,13 +248,13 @@ pub(crate) fn rewrite(
         .zip(edbs)
         .map(|(program, edb)| WorkerSpec { program, edb, session: None })
         .collect();
-    Ok(CompiledScheme { workers, answers: derived, kind })
+    Ok(CompiledScheme { workers, answers: derived, holds, kind })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::discriminator::HashMod;
+    use crate::discriminator::{Constant, HashMod};
     use gst_common::ituple;
     use gst_eval::seminaive_eval;
     use gst_workloads::{
@@ -449,6 +379,39 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("derived predicate"));
+    }
+
+    /// A conditioned rule whose `h` differs per processor under-places its
+    /// derived body atoms: producer `j` routes a row by its own `h^j`, and
+    /// the substitution that needs it fires where `h^i` names. On linear
+    /// and on non-linear ancestor over `random_digraph(40, 120, 3)` at
+    /// W = 2 (`HashMod` seeds 7 and 8 on `v(r₁) = ⟨Z⟩`) such a policy,
+    /// compiled, pools 421 of the 1 483 `anc` rows, and an exit rule on two
+    /// swapped constants fires nowhere. Both are refused before a tuple
+    /// moves, as is an unconditioned rule whose occurrence does not bind
+    /// `v(r)`.
+    #[test]
+    fn a_policy_that_under_places_a_body_atom_is_refused() {
+        let per_processor: Vec<DiscriminatorRef> = vec![Arc::new(HashMod::new(2, 7)), Arc::new(HashMod::new(2, 8))];
+        let swapped: Vec<DiscriminatorRef> = vec![Arc::new(Constant::new(2, 1)), Arc::new(Constant::new(2, 0))];
+        for fx in [linear_ancestor(), nonlinear_ancestor()] {
+            let db = fx.database(&random_digraph(40, 120, 3));
+            let policy = |v: &str, h: &[DiscriminatorRef], conditioned| RulePolicy { v: vec![fx.program.var(v)], h: h.to_vec(), conditioned };
+            let compile = |exit, recursive| rewrite(&fx.program, &[exit, recursive], &db, BaseDistribution::Shared, "hand-built");
+            let shared = || vec![per_processor[0].clone(); 2];
+            let refused = |exit, recursive| match compile(exit, recursive) {
+                Err(Error::Discriminator(why)) => why,
+                other => panic!("{:?}: not refused", other.map(|s| s.kind)),
+            };
+            let why = refused(policy("X", &shared(), true), policy("Z", &per_processor, true));
+            assert!(why.starts_with("rule r1 is conditioned on a different h_k^i"), "{why}");
+            assert!(refused(policy("X", &swapped, true), policy("Z", &shared(), true)).starts_with("rule r0"));
+            // Unconditioned, every occurrence must be keyed: anc(Z,Y) does
+            // not bind ⟨X⟩.
+            assert!(refused(policy("X", &shared(), true), policy("X", &per_processor, false)).contains("appear in Ȳ"));
+            // One `h` shared by both processors places every row.
+            compile(policy("X", &shared(), true), policy("Z", &shared(), true)).unwrap();
+        }
     }
 
     #[test]

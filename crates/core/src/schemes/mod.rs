@@ -3,8 +3,9 @@
 //! [`general`] holds the loop — the only code that turns (program,
 //! per-rule choice, base distribution) into per-processor programs — and
 //! [`presets`] every named way of calling it ([`demand`] is one more, for
-//! magic-sets rewrites). A preset differs from another in four choices
-//! and nothing else:
+//! magic-sets rewrites). Where a row can be is one [`placement`] table the
+//! loop builds from its rule policies and checks before any tuple moves. A
+//! preset differs from another in four choices and nothing else:
 //!
 //! | Preset | Paper | `v(r)` | condition on `r` | `h_i` | base |
 //! |---|---|---|---|---|---|
@@ -27,6 +28,7 @@
 pub mod common;
 pub mod demand;
 pub mod general;
+pub mod placement;
 pub mod presets;
 
 use gst_common::Result;
@@ -37,6 +39,7 @@ use gst_runtime::{
 };
 
 pub use common::BaseDistribution;
+use placement::Holds;
 
 /// A fully compiled parallel execution plan.
 #[derive(Debug, Clone)]
@@ -45,6 +48,8 @@ pub struct CompiledScheme {
     pub workers: Vec<WorkerSpec>,
     /// The global (source-program) predicates the answer pools into.
     pub answers: Vec<RelationId>,
+    /// What every inbox of each answer holds: the rewrite's placement table.
+    pub holds: Vec<(RelationId, Holds)>,
     /// Which rewriting produced this (for reports).
     pub kind: &'static str,
 }

@@ -8,7 +8,7 @@
 //! its home rows and joinable copies of remote derivations), and its
 //! replica of every updatable base predicate. The answer shard is
 //! whichever of the two the scheme pools
-//! ([`gst_eval::route::pooled_shard`]). Nothing else is stored: the route
+//! ([`crate::schemes::placement`]). Nothing else is stored: the route
 //! table ships what the phase at hand derives — every emitted row of a
 //! home source, the rows fresh in `t@out^i` of any other — and the
 //! preseeded inboxes absorb what they already hold, so preseeded state

@@ -14,6 +14,10 @@
 //! rows of any other (a remote broadcast, selective routes) are
 //! deduplicated into `t_out^i`, which is what such a predicate pools, and
 //! routed when fresh.
+//! Which routes a predicate gets and what its inboxes then hold are read
+//! off the compiler's placement table (`gst_core::schemes::placement`); a
+//! worker receives routes, not policies, so the storage rule is stated
+//! here, on routes, and the compiler asks it rather than restating it.
 
 use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
 use gst_frontend::ast::{Atom, ConstraintRef, Term, Variable};
@@ -66,6 +70,8 @@ impl std::fmt::Debug for Route {
 
 /// How the shards of one answer predicate — the relation each processor
 /// pools for it — relate, and so what final pooling has to do with them.
+/// The compiler declares it from its placement table
+/// (`gst_core::schemes::placement`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shards {
     /// Every row is in exactly one shard: the arenas are appended.
@@ -99,42 +105,8 @@ pub fn home_inbox(routes: &[Route], processor: usize, source: RelationId) -> Opt
         let terms = &r.source.terms;
         terms.iter().enumerate().all(|(p, t)| t.as_var().is_some() && !terms[..p].contains(t))
     };
-    of_source.find(selects_all).and_then(|r| inbox_at(r, processor))
-}
-
-/// The inbox the route lists at `processor`.
-fn inbox_at(route: &Route, processor: usize) -> Option<RelationId> {
-    route.dests.iter().find(|&&(j, _)| j == processor).map(|&(_, inbox)| inbox)
-}
-
-/// … and its consequence for final pooling: the relation `processor`, one
-/// of `n`, pools for `source`, and how the `n` of them relate. `uniform`
-/// is the caller's word that every processor's table routes `source` as
-/// this one does, key functions included (one `h` shared by all); one
-/// table shows nothing of the others, so without it the answer is
-/// [`home_inbox`]'s relation, or `source`, as a [`Shards::Overlap`]. A
-/// kind is a property of all `n` shards, so both claims below rest on a
-/// route that lists an inbox at every one of the `n` processors: the same
-/// table at another processor then makes the same claim.
-///
-/// * A broadcast route — it selects every row — reaching all `n` processors
-///   makes every `t_in^j` the whole predicate: the inbox, a
-///   [`Shards::Replica`] (`source` holds only what `processor` derived).
-/// * Where [`home_inbox`] holds and `source` has that one route, keyed and
-///   reaching all `n`, a row is stored in the one inbox its key names,
-///   whoever derived it: the inbox, a [`Shards::Partition`]. A second route
-///   would copy the row to a second inbox; an `h` that cannot name every
-///   processor (`h(x) = 1`) leaves the others pooling what they shipped.
-pub fn pooled_shard(routes: &[Route], processor: usize, n: usize, source: RelationId, uniform: bool) -> (RelationId, Shards) {
-    let of_source = || routes.iter().filter(|r| r.source_id() == source);
-    let to_all = |r: &Route| uniform && (0..n).all(|j| inbox_at(r, j).is_some());
-    let replica = of_source().find(|r| r.key.is_none() && to_all(r)).and_then(|r| inbox_at(r, processor));
-    let one_keyed = of_source().map(|r| r.key.is_some() && to_all(r)).eq([true]);
-    match (replica, home_inbox(routes, processor, source)) {
-        (Some(inbox), _) => (inbox, Shards::Replica),
-        (None, Some(inbox)) if one_keyed => (inbox, Shards::Partition),
-        (None, home) => (home.unwrap_or(source), Shards::Overlap),
-    }
+    let inbox = |r: &Route| r.dests.iter().find(|&&(j, _)| j == processor).map(|&(_, inbox)| inbox);
+    of_source.find(selects_all).and_then(inbox)
 }
 
 /// Rows routed to other processors since the last shipment, addressed to

@@ -8,7 +8,7 @@
 //! which rules count as *processing* rules for the non-redundancy
 //! theorems, and which local relations are pooled into the global answer,
 //! and how: `t_out^i`, or `t_in^i` where the route table makes the inboxes
-//! a partition or replicas of `t` ([`gst_eval::route::pooled_shard`]).
+//! a partition or replicas of `t` (the compiler's placement table).
 
 use std::sync::Arc;
 

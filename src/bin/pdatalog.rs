@@ -1171,15 +1171,15 @@ fn cmd_analyze(args: Vec<String>) -> std::result::Result<(), String> {
     }
 
     // What `--scheme general` runs, and what its routes will do with the
-    // rows each rule produces (§5's closing claim, for any program).
-    // Which conditions the placement implies depends on neither the
-    // processor count nor the hash, only on `h` being one and shared.
+    // rows each rule produces (§5's closing claim, for any program), read
+    // off the placement table the rewrite builds. Which conditions the
+    // placement implies depends on neither the processor count nor the
+    // hash, only on `h` being one and shared.
     let chosen = choose_sequences(&program);
-    let h: DiscriminatorRef = Arc::new(HashMod::new(2, 0));
-    let choices: Vec<RuleChoice> = chosen.iter().map(|v| RuleChoice { v: v.clone(), h: h.clone() }).collect();
+    let placement = placement(&program, &chosen);
     println!("discriminating sequences chosen for --scheme general:");
-    for (k, (v, implied)) in chosen.iter().zip(implied_conditions(&program, &choices)).enumerate() {
-        let condition = match implied {
+    for (k, v) in chosen.iter().enumerate() {
+        let condition = match placement.implied(k) {
             Some((atom, columns)) => {
                 let columns: Vec<String> = columns.iter().map(usize::to_string).collect();
                 let (name, key) = (interner.resolve(atom.predicate), sequence(v, &interner));
@@ -1190,7 +1190,7 @@ fn cmd_analyze(args: Vec<String>) -> std::result::Result<(), String> {
         };
         println!("  v(r{k}) = {}: {condition}", sequence(v, &interner));
     }
-    for pair in predict(&program, &chosen) {
+    for pair in placement.pairs() {
         println!(
             "  r{} → {} in r{}: {}",
             pair.producer,

@@ -4,14 +4,16 @@
 //! nothing, so a wrong claim would put a duplicate row in the answer.
 //! Every preset, Example 8, mutual recursion and an `h` that names one
 //! processor only, at N ∈ {1, 2, 3, 4, 7}:
-//! the *declared* kind is checked against the shards themselves, and the
+//! the *declared* kind is checked against the shards themselves, what the
+//! placement table says every inbox holds against the inboxes, and the
 //! pooled answer against the sequential engine's, row count included, on
 //! threads, under the simulator and (one column) over loopback TCP.
 
 use std::sync::Arc;
 
+use parallel_datalog::core::schemes::common::Namer;
 use parallel_datalog::core::schemes::BaseDistribution;
-use parallel_datalog::eval::FixpointEngine;
+use parallel_datalog::eval::{route::home_inbox, FixpointEngine};
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{FaultPlan, InProcessLauncher, NetConfig, NetCoordinator, Shards};
 use parallel_datalog::workloads::{
@@ -138,6 +140,11 @@ fn engines_at_fixpoint(scheme: &CompiledScheme) -> Vec<FixpointEngine> {
 /// The declared kind is what the shards are: processors agree on it, a
 /// Partition's shards are pairwise disjoint, a Replica's pairwise equal,
 /// and whatever the kind, the shards together are the oracle's relation.
+/// The placement table's word on every inbox holds too: each row of a
+/// `Keyed(h, c)` inbox `t_in^i` has `h(row[c]) = i`, a `Whole` inbox is
+/// the model, and a processor pools its inbox — a replica aside — exactly
+/// where the engine's storage rule, `home_inbox`, stores the rows there
+/// and leaves `t_out^i` empty.
 #[test]
 fn the_declared_kind_is_what_the_shards_are() {
     let mut overlapping = Vec::new();
@@ -146,8 +153,32 @@ fn the_declared_kind_is_what_the_shards_are() {
             let what = format!("{name} / n={n}");
             let oracle = seminaive_eval(&program, &db).unwrap();
             let engines = engines_at_fixpoint(&scheme);
+            let namer = Namer::new(program.interner.clone());
             assert!(!scheme.answers.is_empty(), "{what}");
-            for &answer in &scheme.answers {
+            for (a, &answer) in scheme.answers.iter().enumerate() {
+                let model = oracle.relation(answer);
+                let holds = scheme.holds.iter().find(|(d, _)| *d == answer).map(|(_, h)| h).expect("the table places every answer");
+                for (w, engine) in scheme.workers.iter().zip(&engines) {
+                    let (i, inbox) = (w.program.processor, w.program.inboxes[a]);
+                    let rows = engine.relation(inbox).unwrap();
+                    match holds {
+                        Holds::Keyed(h, c) => {
+                            let keyed_here = |row: &Tuple| h.assign(&c.iter().map(|&q| row.get(q)).collect::<Vec<_>>()) == i;
+                            assert!(rows.iter().all(keyed_here), "{what}: a row of a Keyed inbox at {i} is keyed elsewhere");
+                        }
+                        Holds::Whole => assert!(rows.set_eq(&model), "{what}: the Whole inbox at {i} is not the model"),
+                        Holds::Subset => {}
+                    }
+                    let out = namer.out(answer, i);
+                    let (local, _, kind) = *w.program.pooling.iter().find(|(_, g, _)| *g == answer).unwrap();
+                    let home = home_inbox(&w.program.routes, i, out);
+                    assert!(kind != Partition || home.is_some(), "{what}: a partition not stored at its inboxes");
+                    if let Some(home) = home {
+                        assert_eq!(home, inbox, "{what}");
+                        assert!(engine.relation(out).is_none_or(Relation::is_empty), "{what}: a home row stored in t_out^{i}");
+                    }
+                    assert_eq!(local, if kind == Replica { inbox } else { home.unwrap_or(out) }, "{what}: processor {i} pools");
+                }
                 let pairs: Vec<_> = scheme
                     .workers
                     .iter()
@@ -161,7 +192,6 @@ fn the_declared_kind_is_what_the_shards_are() {
                 let mut union = Relation::new(answer.1);
                 let total: usize = shards.iter().map(|s| s.len()).sum();
                 let stored: usize = shards.iter().map(|s| union.absorb(s).unwrap()).sum();
-                let model = oracle.relation(answer);
                 assert_eq!(stored, union.len());
                 assert!(union.set_eq(&model) && !model.is_empty(), "{what}: the shards are not the least model");
                 match declared {
