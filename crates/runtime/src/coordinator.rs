@@ -19,9 +19,6 @@ pub struct SupervisorConfig {
     /// errors (spec/arity bugs, watchdog expiry) always abort immediately.
     /// `0` disables recovery entirely: any death fails the run fast.
     pub max_restarts: u32,
-    /// Pause before each restart, scaled linearly by the worker's restart
-    /// count (crash-looping workers back off harder).
-    pub restart_backoff: std::time::Duration,
     /// Deterministic crash injection for the threaded transport: kill one
     /// worker's first incarnation after a fixed number of steps, as a
     /// recoverable death. Test-oriented — the simulator injects crashes
@@ -33,7 +30,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
             max_restarts: 1,
-            restart_backoff: std::time::Duration::from_millis(10),
             fail_point: None,
         }
     }
@@ -52,9 +48,9 @@ pub struct FailPoint {
 /// Configuration for a parallel execution.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
-    /// Per-worker knobs (poll interval, watchdog).
+    /// Per-worker knobs (watchdog, profiling).
     pub worker: WorkerConfig,
-    /// Crash-recovery knobs (restart budget, backoff, fail-point).
+    /// Crash-recovery knobs (restart budget, fail-point).
     pub supervisor: SupervisorConfig,
     /// Record the event journal ([`crate::obs`]). Off by default: workers
     /// then carry disabled sinks and pay one branch per would-be event.

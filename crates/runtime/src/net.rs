@@ -71,6 +71,16 @@ use crate::worker::{finish_core, watchdog_error, Outbox, Step, WorkerCore};
 /// depend on `gst-core`, so whoever embeds a net worker injects it.
 pub type ConstraintDecoderFn = fn(&[u8]) -> Result<ConstraintRef>;
 
+/// A link silent this long (no frames, no pongs) is declared dead; also
+/// the socket read/write timeout on both ends, so a wedged peer becomes an
+/// error instead of a hang.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(20);
+/// Initial pause between a worker's connect attempts; doubles per failure
+/// up to [`CONNECT_BACKOFF_CAP`].
+const CONNECT_BACKOFF: Duration = Duration::from_millis(50);
+/// Cap on the exponential connect backoff.
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
+
 /// Timing knobs for the TCP transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
@@ -79,19 +89,10 @@ pub struct NetConfig {
     pub bind: SocketAddr,
     /// How often the coordinator pings every live link. Default 1s.
     pub heartbeat_interval: Duration,
-    /// A link silent this long (no frames, no pongs) is declared dead;
-    /// also the socket read/write timeout on both ends, so a wedged peer
-    /// becomes an error instead of a hang. Default 20s.
-    pub heartbeat_timeout: Duration,
     /// Total budget a worker spends trying to connect (and the
     /// coordinator spends waiting for a launched worker's Hello) before
     /// the attempt counts as a death. Default 10s.
     pub connect_timeout: Duration,
-    /// Initial pause between a worker's connect attempts; doubles per
-    /// failure. Default 50ms.
-    pub connect_backoff: Duration,
-    /// Cap on the exponential connect backoff. Default 2s.
-    pub connect_backoff_cap: Duration,
 }
 
 impl Default for NetConfig {
@@ -99,10 +100,7 @@ impl Default for NetConfig {
         NetConfig {
             bind: SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0),
             heartbeat_interval: Duration::from_secs(1),
-            heartbeat_timeout: Duration::from_secs(20),
             connect_timeout: Duration::from_secs(10),
-            connect_backoff: Duration::from_millis(50),
-            connect_backoff_cap: Duration::from_secs(2),
         }
     }
 }
@@ -252,9 +250,9 @@ pub struct NetWorkerArgs {
     pub index: usize,
     /// Incarnation number (0 for the first spawn; bumps per restart).
     pub incarnation: u64,
-    /// Timing knobs (only the connect/heartbeat fields matter to a
-    /// worker).
-    pub net: NetConfig,
+    /// Total budget for connecting to the coordinator
+    /// ([`NetConfig::connect_timeout`]).
+    pub connect_timeout: Duration,
     /// Socket fault armed on this incarnation's write path.
     pub fault: Option<NetFault>,
 }
@@ -270,14 +268,8 @@ impl NetWorkerArgs {
             self.index.to_string(),
             "--incarnation".into(),
             self.incarnation.to_string(),
-            "--heartbeat-timeout-ms".into(),
-            self.net.heartbeat_timeout.as_millis().to_string(),
             "--connect-timeout-ms".into(),
-            self.net.connect_timeout.as_millis().to_string(),
-            "--connect-backoff-ms".into(),
-            self.net.connect_backoff.as_millis().to_string(),
-            "--connect-backoff-cap-ms".into(),
-            self.net.connect_backoff_cap.as_millis().to_string(),
+            self.connect_timeout.as_millis().to_string(),
         ];
         if let Some(fault) = &self.fault {
             args.push("--net-fault".into());
@@ -292,7 +284,7 @@ impl NetWorkerArgs {
             connect: String::new(),
             index: usize::MAX,
             incarnation: 0,
-            net: NetConfig::default(),
+            connect_timeout: NetConfig::default().connect_timeout,
             fault: None,
         };
         let mut it = args.iter();
@@ -318,10 +310,7 @@ impl NetWorkerArgs {
                         Error::Runtime(format!("--incarnation: `{value}` is not a number"))
                     })?;
                 }
-                "--heartbeat-timeout-ms" => out.net.heartbeat_timeout = ms()?,
-                "--connect-timeout-ms" => out.net.connect_timeout = ms()?,
-                "--connect-backoff-ms" => out.net.connect_backoff = ms()?,
-                "--connect-backoff-cap-ms" => out.net.connect_backoff_cap = ms()?,
+                "--connect-timeout-ms" => out.connect_timeout = ms()?,
                 "--net-fault" => out.fault = Some(NetFault::parse(value)?),
                 _ => return Err(Error::Runtime(format!("unknown worker flag {flag}"))),
             }
@@ -536,8 +525,8 @@ enum RxEv {
 
 /// Connect to the coordinator with capped exponential backoff.
 fn connect_with_backoff(args: &NetWorkerArgs) -> Result<TcpStream> {
-    let deadline = Instant::now() + args.net.connect_timeout;
-    let mut backoff = args.net.connect_backoff;
+    let deadline = Instant::now() + args.connect_timeout;
+    let mut backoff = CONNECT_BACKOFF;
     loop {
         match TcpStream::connect(&args.connect) {
             Ok(stream) => return Ok(stream),
@@ -545,11 +534,11 @@ fn connect_with_backoff(args: &NetWorkerArgs) -> Result<TcpStream> {
                 if Instant::now() + backoff > deadline {
                     return Err(Error::Runtime(format!(
                         "worker {}: could not reach coordinator at {} within {:?}: {e}",
-                        args.index, args.connect, args.net.connect_timeout
+                        args.index, args.connect, args.connect_timeout
                     )));
                 }
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(args.net.connect_backoff_cap);
+                backoff = (backoff * 2).min(CONNECT_BACKOFF_CAP);
             }
         }
     }
@@ -575,10 +564,10 @@ pub fn run_net_worker(args: &NetWorkerArgs, decoder: Option<ConstraintDecoderFn>
     let _ = stream.set_nodelay(true);
     let io_err = |e: std::io::Error| Error::Runtime(format!("worker link setup: {e}"));
     stream
-        .set_read_timeout(Some(args.net.heartbeat_timeout))
+        .set_read_timeout(Some(HEARTBEAT_TIMEOUT))
         .map_err(io_err)?;
     stream
-        .set_write_timeout(Some(args.net.heartbeat_timeout))
+        .set_write_timeout(Some(HEARTBEAT_TIMEOUT))
         .map_err(io_err)?;
     let mut reader = stream.try_clone().map_err(io_err)?;
     let gate: SharedGate = Arc::new(Mutex::new(FaultGate {
@@ -818,10 +807,9 @@ impl Transport for NetCoordinator {
         let accept_thread = {
             let tx = ev_tx.clone();
             let stop = stop.clone();
-            let hb_timeout = self.net.heartbeat_timeout;
             std::thread::Builder::new()
                 .name("net-accept".into())
-                .spawn(move || accept_loop(listener, tx, stop, hb_timeout))
+                .spawn(move || accept_loop(listener, tx, stop))
                 .map_err(|e| Error::Runtime(format!("spawning accept thread: {e}")))?
         };
 
@@ -875,12 +863,7 @@ impl Transport for NetCoordinator {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    tx: Sender<Ev>,
-    stop: Arc<AtomicBool>,
-    hb_timeout: Duration,
-) {
+fn accept_loop(listener: TcpListener, tx: Sender<Ev>, stop: Arc<AtomicBool>) {
     loop {
         match listener.accept() {
             Ok((mut stream, _)) => {
@@ -888,8 +871,8 @@ fn accept_loop(
                     return;
                 }
                 let _ = stream.set_nodelay(true);
-                if stream.set_read_timeout(Some(hb_timeout)).is_err()
-                    || stream.set_write_timeout(Some(hb_timeout)).is_err()
+                if stream.set_read_timeout(Some(HEARTBEAT_TIMEOUT)).is_err()
+                    || stream.set_write_timeout(Some(HEARTBEAT_TIMEOUT)).is_err()
                 {
                     continue;
                 }
@@ -1017,7 +1000,7 @@ impl Relay<'_> {
             connect: self.addr.to_string(),
             index,
             incarnation: self.incarnations[index],
-            net: self.net.clone(),
+            connect_timeout: self.net.connect_timeout,
             fault: self.faults.fault_for(index, first_spawn),
         };
         self.handles[index] = Some(self.launcher.spawn_worker(&args)?);
@@ -1290,7 +1273,7 @@ impl Relay<'_> {
         let mut silent = Vec::new();
         for (peer, slot) in self.links.iter().enumerate() {
             if let Some(link) = slot {
-                if link.last_heard.elapsed() > self.net.heartbeat_timeout {
+                if link.last_heard.elapsed() > HEARTBEAT_TIMEOUT {
                     silent.push(peer);
                 }
             }
@@ -1405,23 +1388,14 @@ mod tests {
             connect: "127.0.0.1:4545".into(),
             index: 3,
             incarnation: 2,
-            net: NetConfig {
-                heartbeat_timeout: Duration::from_millis(1234),
-                connect_timeout: Duration::from_millis(777),
-                connect_backoff: Duration::from_millis(9),
-                connect_backoff_cap: Duration::from_millis(99),
-                ..NetConfig::default()
-            },
+            connect_timeout: Duration::from_millis(777),
             fault: Some(NetFault::Garbage(64)),
         };
         let parsed = NetWorkerArgs::parse(&args.to_args()).unwrap();
         assert_eq!(parsed.connect, args.connect);
         assert_eq!(parsed.index, 3);
         assert_eq!(parsed.incarnation, 2);
-        assert_eq!(parsed.net.heartbeat_timeout, Duration::from_millis(1234));
-        assert_eq!(parsed.net.connect_timeout, Duration::from_millis(777));
-        assert_eq!(parsed.net.connect_backoff, Duration::from_millis(9));
-        assert_eq!(parsed.net.connect_backoff_cap, Duration::from_millis(99));
+        assert_eq!(parsed.connect_timeout, Duration::from_millis(777));
         assert_eq!(parsed.fault, Some(NetFault::Garbage(64)));
         assert!(NetWorkerArgs::parse(&["--index".into(), "0".into()]).is_err());
         assert!(NetWorkerArgs::parse(&["--connect".into()]).is_err());

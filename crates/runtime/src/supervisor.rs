@@ -64,6 +64,10 @@ fn quiescent(epoch: u64, latest: &[Option<PassiveReport>]) -> bool {
     })
 }
 
+/// Pause before a restart, scaled linearly by the worker's restart count
+/// (crash-looping workers back off harder).
+const RESTART_BACKOFF: Duration = Duration::from_millis(10);
+
 /// What the transport is to do about what it just told the supervisor.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Action {
@@ -78,7 +82,6 @@ pub(crate) enum Action {
 /// One run's supervision state, and every decision taken on it.
 pub(crate) struct Supervisor {
     max_restarts: u32,
-    restart_backoff: Duration,
     epoch: u64,
     /// Each worker's latest passive report.
     latest: Vec<Option<PassiveReport>>,
@@ -94,7 +97,6 @@ impl Supervisor {
     pub(crate) fn new(n: usize, config: &SupervisorConfig) -> Self {
         Supervisor {
             max_restarts: config.max_restarts,
-            restart_backoff: config.restart_backoff,
             epoch: 0,
             latest: vec![None; n],
             restarts_used: vec![0; n],
@@ -128,7 +130,7 @@ impl Supervisor {
             self.epoch += 1;
             let epoch = self.epoch;
             let recover = Envelope::control(worker, epoch, Message::Recover { epoch, restarted: worker });
-            return Some(Action::Restart { worker, epoch, backoff: self.restart_backoff * *used, recover });
+            return Some(Action::Restart { worker, epoch, backoff: RESTART_BACKOFF * *used, recover });
         }
         let abort = Envelope::control(worker, self.epoch, Message::Abort { reason: error.to_string() });
         self.error = Some(error);
@@ -198,10 +200,8 @@ mod tests {
         Some(PassiveReport { epoch, batch_seq: batch_seq.to_vec(), recv_floor: recv_floor.to_vec() })
     }
 
-    const BACKOFF: Duration = Duration::from_millis(10);
-
     fn supervisor(n: usize, max_restarts: u32) -> Supervisor {
-        Supervisor::new(n, &SupervisorConfig { max_restarts, restart_backoff: BACKOFF, fail_point: None })
+        Supervisor::new(n, &SupervisorConfig { max_restarts, fail_point: None })
     }
 
     /// A passive report of a fleet of two that shipped nothing.
@@ -224,7 +224,7 @@ mod tests {
 
     fn restart(worker: usize, epoch: u64, used: u32) -> Option<Action> {
         let recover = Envelope::control(worker, epoch, Message::Recover { epoch, restarted: worker });
-        Some(Action::Restart { worker, epoch, backoff: BACKOFF * used, recover })
+        Some(Action::Restart { worker, epoch, backoff: RESTART_BACKOFF * used, recover })
     }
 
     fn error(sup: Supervisor) -> Option<String> {

@@ -4,18 +4,18 @@
 //! pdatalog run <file.dl> [--workers N] [--scheme S]
 //!                        [--query ["goal(…)"] [--explain-rewrite]]
 //!                        [--print PRED/ARITY] [--stats]
-//!                        [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS]
+//!                        [--max-restarts N]
 //!                        [--trace] [--trace-out FILE]
 //!                        [--profile] [--profile-json FILE]
 //!                        [--updates FILE]
 //!                        [--sim [--seed N] [--faults PLAN]]
-//!                        [--net [--net-faults PLAN] [--net-kill W@N] ...]
+//!                        [--net [--net-faults PLAN] [--net-kill W@N]]
 //! pdatalog net-worker --connect HOST:PORT --index I ...
 //! pdatalog analyze <file.dl>
-//! pdatalog network <file.dl> [--bits | --linear c1,c2,...]
+//! pdatalog network <file.dl> [--linear c1,c2,...]
 //! ```
 //!
-//! Schemes for `run`: `seq` (semi-naive, default), `naive`, `example1`
+//! Schemes for `run`: `seq` (semi-naive, default), `example1`
 //! (zero communication), `example2` (fragmented + broadcast), `example3`
 //! (hash partition), `nocomm` (redundant zero-comm: §6's `R_i` with
 //! `h_i(x) = i`), `general` (§7, works for any program; the compiler
@@ -34,7 +34,10 @@
 //! fragments; a goal whose only demand is its own constants runs on one
 //! processor, `--workers` being a ceiling (`--stats` prints
 //! `processors=1 of 4 (one demand key)`). Only the goal's answers
-//! print, under the original predicate name. `--explain-rewrite` prints the rewritten program
+//! print, under the original predicate name. A goal the rewrite refuses
+//! — on a base relation, or binding no argument — runs the program as
+//! `run` does and prints the goal's relation filtered by the goal.
+//! `--explain-rewrite` prints the rewritten program
 //! (with provenance comments) instead of running it; `--stats` adds
 //! `demand_ratio` — magic firings over a full-closure run's firings —
 //! plus the firings/bytes avoided; `--profile` labels magic/adorned
@@ -84,17 +87,10 @@
 //! W:kind@BYTES[!]` (kinds `delay`, `disconnect`, `truncate`, `garbage`)
 //! or `--net-kill W@BYTES` — is restarted under a bumped recovery epoch
 //! and peers replay their logged traffic, up to `--max-restarts` total.
-//! Timing knobs: `--heartbeat-ms` (ping cadence, default 1000),
-//! `--heartbeat-timeout-ms` (silence before a link is declared dead,
-//! default 20000), `--connect-timeout-ms` (total connect budget, default
-//! 10000), `--connect-backoff-ms` (initial reconnect pause, doubled per
-//! failure, default 50).
 //!
-//! Supervision knobs shared by every parallel transport: `--watchdog-ms`
-//! aborts a worker passive that long without termination (default 30000 —
-//! the backstop behind a lost peer), `--max-restarts` caps recoverable
-//! restarts fleet-wide (default 1), and `--restart-backoff-ms` scales the
-//! pause before each restart by the worker's restart count (default 10).
+//! `--max-restarts` caps recoverable restarts fleet-wide on every parallel
+//! transport (default 1). A worker passive for 30 s without termination
+//! aborts the run (the backstop behind a lost peer).
 //!
 //! `--sim` replaces the OS threads with the deterministic simulation
 //! transport: one virtual clock, a seeded scheduler, and (via `--faults`)
@@ -161,7 +157,6 @@ fn run(args: Vec<String>) -> std::result::Result<(), String> {
     match command.as_str() {
         "run" => cmd_run(it.collect()),
         "net-worker" => cmd_net_worker(it.collect()),
-        "query" => cmd_query(it.collect()),
         "analyze" => cmd_analyze(it.collect()),
         "network" => cmd_network(it.collect()),
         "--help" | "-h" | "help" => {
@@ -173,7 +168,7 @@ fn run(args: Vec<String>) -> std::result::Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|naive|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--print PRED/ARITY] [--stats] [--max-restarts N] [--watchdog-ms MS] [--restart-backoff-ms MS] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES] [--heartbeat-ms MS] [--heartbeat-timeout-ms MS] [--connect-timeout-ms MS] [--connect-backoff-ms MS]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [timing flags]\n  pdatalog query <file.dl> \"anc(1, X)\"\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--bits | --linear c1,c2,...]\n\nsupervision defaults: --watchdog-ms 30000, --max-restarts 1, --restart-backoff-ms 10.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq, naive, or general (demand-partitioned).\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
+    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--print PRED/ARITY] [--stats] [--max-restarts N] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [--connect-timeout-ms MS] [--net-fault F]\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--linear c1,c2,...]\n\n--workers is at most 1024; --max-restarts defaults to 1.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq or general (demand-partitioned). A goal the\nrewrite refuses (a base relation, no bound argument) runs the whole program and\nprints the goal's matching tuples.\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
 }
 
 /// Parse `PRED/ARITY`, e.g. `anc/2`.
@@ -212,9 +207,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let mut net = false;
     let mut net_faults: Option<String> = None;
     let mut net_kill: Option<String> = None;
-    let mut net_config = parallel_datalog::runtime::NetConfig::default();
-    let mut watchdog: Option<std::time::Duration> = None;
-    let mut restart_backoff: Option<std::time::Duration> = None;
     let mut show_profile = false;
     let mut profile_json: Option<String> = None;
     // `None` = full closure; `Some(None)` = point query from the file's
@@ -229,9 +221,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     ) -> std::result::Result<T, String> {
         it.next().and_then(|v| v.parse().ok()).ok_or_else(|| message.to_string())
     }
-    let next_ms = |flag: &str, it: &mut std::iter::Peekable<std::vec::IntoIter<String>>| {
-        parsed(it, &format!("{flag} needs a duration in milliseconds")).map(std::time::Duration::from_millis)
-    };
 
     let mut it = args.into_iter().peekable();
     while let Some(arg) = it.next() {
@@ -280,30 +269,20 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             "--net-kill" => {
                 net_kill = Some(it.next().ok_or("--net-kill needs W@BYTES")?);
             }
-            "--heartbeat-ms" => net_config.heartbeat_interval = next_ms("--heartbeat-ms", &mut it)?,
-            "--heartbeat-timeout-ms" => {
-                net_config.heartbeat_timeout = next_ms("--heartbeat-timeout-ms", &mut it)?;
-            }
-            "--connect-timeout-ms" => {
-                net_config.connect_timeout = next_ms("--connect-timeout-ms", &mut it)?;
-            }
-            "--connect-backoff-ms" => {
-                net_config.connect_backoff = next_ms("--connect-backoff-ms", &mut it)?;
-            }
-            "--watchdog-ms" => watchdog = Some(next_ms("--watchdog-ms", &mut it)?),
-            "--restart-backoff-ms" => restart_backoff = Some(next_ms("--restart-backoff-ms", &mut it)?),
             other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
     let file = file.ok_or("missing input file")?;
-    let sequential = matches!(scheme_name.as_str(), "seq" | "naive");
+    let sequential = scheme_name == "seq";
     let tracing = show_trace || trace_out.is_some();
     let profiling = show_profile || profile_json.is_some();
     // The usage rules, in the order they are checked: when one is broken,
     // and what the user is told.
     let usage = [
         (workers == 0, "--workers must be at least 1"),
+        // N workers keep 2·N² per-link counters and start N threads or processes.
+        (workers > 1024, "--workers must be at most 1024"),
         (sim && sequential, "--sim needs a parallel scheme (try --scheme example3)"),
         ((seed != 0 || faults != "none") && !sim, "--seed/--faults only make sense with --sim"),
         (tracing && sequential, "--trace/--trace-out need a parallel scheme (the journal records worker events)"),
@@ -311,10 +290,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
         (
             max_restarts.is_some() && sequential,
             "--max-restarts needs a parallel scheme (it sizes the supervisor's restart budget)",
-        ),
-        (
-            (watchdog.is_some() || restart_backoff.is_some()) && sequential,
-            "--watchdog-ms/--restart-backoff-ms need a parallel scheme (they tune the supervisor)",
         ),
         (net && sim, "--net and --sim are exclusive: pick OS processes or the simulator"),
         (net && sequential, "--net needs a parallel scheme (try --scheme example3)"),
@@ -338,7 +313,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
         ),
         (
             query.is_some() && !sequential && scheme_name != "general",
-            "query mode supports --scheme seq, naive, or general (the magic program runs \
+            "query mode supports --scheme seq or general (the magic program runs \
              under the demand-partitioned §7 scheme)",
         ),
     ];
@@ -348,34 +323,42 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let (program, mut db, file_queries) = load(&file)?;
     let interner = program.interner.clone();
 
+    let goal = match &query {
+        None => None,
+        Some(Some(src)) => Some(parse_goal(src, &program)?),
+        Some(None) => Some(
+            file_queries
+                .first()
+                .cloned()
+                .ok_or("--query with no goal needs a `?- goal.` line in the program file")?,
+        ),
+    };
     // `--query`: magic-sets rewrite (DESIGN.md §15). The rewritten
     // program is plain Datalog, so everything downstream — schemes,
     // transports, recovery, profiling — runs it unchanged; only the
     // partitioning choice (demand keys) and the printed relation differ.
-    let query_ctx = match &query {
+    // A goal the rewrite refuses — a base relation, or no bound argument —
+    // runs the program as a plain `run` does, and its relation is
+    // filtered by the goal below.
+    let query_ctx = match &goal {
         None => None,
-        Some(goal_src) => {
-            let goal = match goal_src {
-                Some(src) => parse_goal(src, &program)?,
-                None => file_queries.first().cloned().ok_or(
-                    "--query with no goal needs a `?- goal.` line in the program file",
-                )?,
-            };
-            Some(
-                parallel_datalog::frontend::magic_rewrite(&program, &goal)
-                    .map_err(|e| e.to_string())?,
-            )
-        }
+        Some(goal) => match parallel_datalog::frontend::magic_rewrite(&program, goal) {
+            Ok(rw) if explain_rewrite => {
+                print!("{}", rw.explain());
+                return Ok(());
+            }
+            Ok(rw) => Some(rw),
+            Err(e) if explain_rewrite => return Err(e.to_string()),
+            Err(_) => None,
+        },
     };
-    if let Some(rw) = &query_ctx {
-        if explain_rewrite {
-            print!("{}", rw.explain());
-            return Ok(());
-        }
-    }
+    let print_pred = match (&goal, &query_ctx) {
+        (Some(goal), None) => Some((interner.resolve(goal.predicate).to_string(), goal.terms.len())),
+        _ => print_pred,
+    };
 
     // In query mode the executed program is the magic program. Its demand
-    // seed goes where the program runs — into `db` for `seq`/`naive`, into
+    // seed goes where the program runs — into `db` for `seq`, into
     // the workers' fragments by `compile_demand` — so `program` and `db`
     // stay the originals a `--stats` full-closure baseline runs on.
     let executed = query_ctx.as_ref().map_or(&program, |rw| &rw.program);
@@ -407,7 +390,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 None if known.is_empty() => return Err(format!("unknown predicate `{name}`")),
                 None => {
                     return Err(format!(
-                        "--print {name}/{arity}: `{name}` has arity {}",
+                        "{name}/{arity}: `{name}` has arity {}",
                         known[0].1
                     ))
                 }
@@ -424,7 +407,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let (relations, stats_line, stats_tables): (Vec<(String, Relation)>, String, String) = match scheme_name
         .as_str()
     {
-        "seq" | "naive" => {
+        "seq" => {
             // Query mode: the work the rewrite avoided, against a
             // full-closure run of the original program.
             let full = match (&query_ctx, show_stats) {
@@ -435,12 +418,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 let seed = (rw.seed_predicate.name, rw.seed_predicate.arity);
                 db.insert(seed, rw.seed_fact.clone()).map_err(|e| e.to_string())?;
             }
-            let mut result = if scheme_name == "seq" {
-                seminaive_eval(executed, &db)
-            } else {
-                naive_eval(executed, &db)
-            }
-            .map_err(|e| e.to_string())?;
+            let mut result = seminaive_eval(executed, &db).map_err(|e| e.to_string())?;
             let rels = take_printed(&print_ids, &mut result.idb);
             let mut line = format!(
                 "rounds={} firings={} derived={} duplicates={}",
@@ -475,12 +453,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             if let Some(budget) = max_restarts {
                 config.supervisor.max_restarts = budget;
             }
-            if let Some(d) = watchdog {
-                config.worker.idle_watchdog = d;
-            }
-            if let Some(d) = restart_backoff {
-                config.supervisor.restart_backoff = d;
-            }
             config.trace = tracing;
             // The one place the transport is chosen; the batch path and
             // the `--updates` path both run on it.
@@ -492,7 +464,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             };
             let net_transport = if net {
                 Some(build_net_coordinator(
-                    net_config,
                     net_faults.as_deref(),
                     net_kill.as_deref(),
                 )?)
@@ -721,13 +692,18 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             )
         }
     };
-    // The adorned relation also holds answers for transitively demanded
-    // bindings; keep exactly the tuples matching the query's constants.
-    let relations = match &query_ctx {
-        Some(rw) => relations
+    // Keep exactly the tuples matching the goal: the adorned relation also
+    // holds answers for transitively demanded bindings, and a refused goal
+    // printed its whole relation. A base relation's tuples are its facts.
+    let relations = match &goal {
+        Some(goal) => relations
             .into_iter()
             .map(|(label, rel)| {
-                let answers = rel.iter().filter(|t| rw.answer_matches(t)).cloned().collect();
+                let rel = match db.relation((goal.predicate, goal.terms.len())) {
+                    Some(facts) if !program.is_derived(goal.pred()) => facts,
+                    _ => &rel,
+                };
+                let answers = rel.iter().filter(|t| goal.matches(t)).cloned().collect();
                 Ok((label, Relation::from_distinct(rel.arity(), answers)?))
             })
             .collect::<Result<_>>()
@@ -760,15 +736,14 @@ fn parse_goal(goal_src: &str, program: &Program) -> std::result::Result<Atom, St
 /// Build the TCP coordinator behind `--net`: this very binary re-executed
 /// in `net-worker` mode, one process per worker, over loopback.
 fn build_net_coordinator(
-    net_config: parallel_datalog::runtime::NetConfig,
     net_faults: Option<&str>,
     net_kill: Option<&str>,
 ) -> std::result::Result<parallel_datalog::runtime::NetCoordinator, String> {
-    use parallel_datalog::runtime::{KillSpec, NetCoordinator, NetFaultPlan, ProcessLauncher};
+    use parallel_datalog::runtime::{KillSpec, NetConfig, NetCoordinator, NetFaultPlan, ProcessLauncher};
     let program = std::env::current_exe()
         .map_err(|e| format!("cannot locate this executable for worker spawns: {e}"))?;
     let launcher = ProcessLauncher { program, prefix: vec!["net-worker".into()] };
-    let mut coordinator = NetCoordinator::new(Arc::new(launcher), net_config);
+    let mut coordinator = NetCoordinator::new(Arc::new(launcher), NetConfig::default());
     if let Some(plan) = net_faults {
         coordinator =
             coordinator.with_faults(NetFaultPlan::parse(plan).map_err(|e| e.to_string())?);
@@ -1076,64 +1051,15 @@ fn sequence(v: &[Variable], interner: &Interner) -> String {
     format!("⟨{}⟩", names.join(", "))
 }
 
-/// `pdatalog query file.dl "anc(1, X)"`: evaluate, then print the
-/// bindings of the goal's variables (and `true`/`false` for ground
-/// goals).
-fn cmd_query(args: Vec<String>) -> std::result::Result<(), String> {
-    let mut it = args.into_iter().filter(|a| !a.starts_with('-'));
-    let file = it.next().ok_or("missing input file")?;
-    let goal_src = it.next().ok_or("missing goal, e.g. \"anc(1, X)\"")?;
-    let (program, db, _queries) = load(&file)?;
-    let goal = parse_goal(&goal_src, &program)?;
-    let goal_id = (goal.predicate, goal.terms.len());
-
-    let result = seminaive_eval(&program, &db).map_err(|e| e.to_string())?;
-    // The goal may name a base relation too.
-    let relation = if result.idb.contains_key(&goal_id) {
-        result.relation(goal_id)
-    } else {
-        db.relation(goal_id)
-            .cloned()
-            .ok_or_else(|| format!("unknown predicate in goal: {goal_src}"))?
-    };
-
-    // One column per distinct variable of the goal, at its first position.
-    let mut columns: Vec<(usize, Variable)> = Vec::new();
-    for (col, term) in goal.terms.iter().enumerate() {
-        if let Term::Var(v) = term {
-            if columns.iter().all(|(_, seen)| seen != v) {
-                columns.push((col, *v));
-            }
-        }
-    }
-    let bindings_header: Vec<String> = columns.iter().map(|(_, v)| v.name(&program.interner)).collect();
-    let answers: Vec<Vec<String>> = relation
-        .sorted()
-        .iter()
-        .filter(|t| goal.matches(t))
-        .map(|t| columns.iter().map(|&(col, _)| t.get(col).display(&program.interner)).collect())
-        .collect();
-
-    if bindings_header.is_empty() {
-        println!("{}", if answers.is_empty() { "false" } else { "true" });
-    } else if answers.is_empty() {
-        println!("no answers");
-    } else {
-        println!("% {}", bindings_header.join(", "));
-        for row in &answers {
-            println!("{}", row.join(", "));
-        }
-        eprintln!("% {} answer(s)", answers.len());
-    }
-    Ok(())
-}
-
 fn cmd_analyze(args: Vec<String>) -> std::result::Result<(), String> {
-    let file = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .ok_or("missing input file")?;
-    let (program, db, _queries) = load(file)?;
+    let mut file = None;
+    for arg in args {
+        match arg {
+            arg if !arg.starts_with('-') && file.is_none() => file = Some(arg),
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
+    }
+    let (program, db, _queries) = load(&file.ok_or("missing input file")?)?;
     let interner = program.interner.clone();
 
     println!("rules: {}", program.rules.len());
@@ -1232,7 +1158,6 @@ fn cmd_network(args: Vec<String>) -> std::result::Result<(), String> {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--bits" => linear_coeffs = None,
             "--linear" => {
                 let spec = it.next().ok_or("--linear needs c1,c2,...")?;
                 let coeffs: std::result::Result<Vec<i64>, _> =
