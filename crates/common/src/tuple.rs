@@ -71,6 +71,26 @@ impl Tuple {
         }
     }
 
+    /// The row whose columns are `values` in order, or `None` if one of
+    /// them is `None` — how the parser turns a fact's arguments into its
+    /// row, a variable among them being `None`.
+    pub fn try_from_values<I>(values: I) -> Option<Self>
+    where
+        I: IntoIterator<Item = Option<Value>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut values = values.into_iter();
+        let len = values.len();
+        if len > INLINE_CAP {
+            return values.collect::<Option<Vec<_>>>().map(Self::from_vec);
+        }
+        let mut cols = [(0, false); INLINE_CAP];
+        for col in cols.iter_mut().take(len) {
+            *col = values.next().flatten()?.word();
+        }
+        Some(Self::inline(len, |k| cols[k]))
+    }
+
     /// An inline row of `len ≤ INLINE_CAP` columns, column `k` the
     /// [`Value::word`] pair `col(k)`.
     #[inline]
@@ -374,6 +394,21 @@ mod tests {
         let t: Tuple = (0..4).map(Value::Int).collect();
         assert_eq!(t.arity(), 4);
         assert_eq!(Tuple::from_vec(vals(2)), ituple![0, 1]);
+    }
+
+    #[test]
+    fn try_from_values_is_new_or_none() {
+        for n in 0..=INLINE_CAP + 2 {
+            let mut values: Vec<Value> = vals(n);
+            if n > 1 {
+                values[1] = Value::Sym(crate::SymbolId(7));
+            }
+            assert_eq!(Tuple::try_from_values(values.iter().copied().map(Some)), Some(Tuple::new(&values)), "arity {n}");
+            for hole in 0..n {
+                let with_hole = (0..n).map(|k| (k != hole).then(|| values[k]));
+                assert_eq!(Tuple::try_from_values(with_hole), None, "arity {n}, hole {hole}");
+            }
+        }
     }
 
     #[test]

@@ -193,18 +193,20 @@ impl<'a> Lexer<'a> {
     pub fn next_token(&mut self) -> Token<'a> {
         let src = self.src;
         let bytes = src.as_bytes();
+        // The cursor stays in a local until the token is known: kept in
+        // `self`, it went back to memory at every byte skipped.
+        let mut start = self.pos;
         loop {
-            match bytes.get(self.pos) {
-                Some(b' ' | b'\t' | b'\n' | b'\r' | 0x0B | 0x0C) => self.pos += 1,
-                Some(b'%') => self.skip_line(),
-                Some(b'/') if bytes.get(self.pos + 1) == Some(&b'/') => self.skip_line(),
-                Some(&b) if b >= 0x80 && self.char_at(self.pos).is_whitespace() => {
-                    self.pos += self.char_at(self.pos).len_utf8();
+            match bytes.get(start) {
+                Some(b' ' | b'\t' | b'\n' | b'\r' | 0x0B | 0x0C) => start += 1,
+                Some(b'%') => start = self.line_end(start),
+                Some(b'/') if bytes.get(start + 1) == Some(&b'/') => start = self.line_end(start),
+                Some(&b) if b >= 0x80 && self.char_at(start).is_whitespace() => {
+                    start += self.char_at(start).len_utf8();
                 }
                 _ => break,
             }
         }
-        let start = self.pos;
         let then = |next: u8| bytes.get(start + 1) == Some(&next);
         let (kind, len) = match bytes.get(start) {
             None => (TokenKind::Eof, 0),
@@ -225,15 +227,21 @@ impl<'a> Lexer<'a> {
             Some(b'!') => return self.fail(start, "expected `!=`"),
             Some(&b @ (b'-' | b'0'..=b'9')) => {
                 let digits_at = start + usize::from(b == b'-');
-                // The magnitude of a negative literal may reach 2^63, `i64::MIN`.
-                let (mut end, mut magnitude) = (digits_at, Some(0u64));
+                let (mut end, mut magnitude) = (digits_at, 0u64);
                 while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
-                    magnitude = magnitude.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+                    magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
                     end += 1;
                 }
                 if end == digits_at {
                     return self.fail(start, "`-` must start an integer literal");
                 }
+                // Eighteen digits cannot overflow; a longer literal is read
+                // again, checked digit by digit. The magnitude of a
+                // negative literal may reach 2^63, `i64::MIN`.
+                let magnitude = match &bytes[digits_at..end] {
+                    short if short.len() <= 18 => Some(magnitude),
+                    long => long.iter().try_fold(0u64, |n, d| n.checked_mul(10)?.checked_add(u64::from(d - b'0'))),
+                };
                 let value = match magnitude {
                     Some(m) if b == b'-' => 0i64.checked_sub_unsigned(m),
                     Some(m) => i64::try_from(m).ok(),
@@ -262,6 +270,15 @@ impl<'a> Lexer<'a> {
                     }
                 }
                 (TokenKind::Str(&src[start + 1..at]), at + 1 - start)
+            }
+            // An ASCII-initial identifier needs none of the `char` tests below.
+            Some(b'a'..=b'z') => {
+                let end = self.identifier_end(start + 1);
+                (TokenKind::Ident(&src[start..end]), end - start)
+            }
+            Some(b'A'..=b'Z' | b'_') => {
+                let end = self.identifier_end(start + 1);
+                (TokenKind::UpperIdent(&src[start..end]), end - start)
             }
             Some(&b) => {
                 let first = if b.is_ascii() { b as char } else { self.char_at(start) };
@@ -296,10 +313,11 @@ impl<'a> Lexer<'a> {
         at
     }
 
-    /// Skip to the end of the line (the line break stays for the caller).
-    fn skip_line(&mut self) {
-        let rest = &self.src.as_bytes()[self.pos..];
-        self.pos += rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+    /// Where the line holding byte offset `at` ends: at its line break, or
+    /// at the end of the source.
+    fn line_end(&self, at: usize) -> usize {
+        let rest = &self.src.as_bytes()[at..];
+        at + rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len())
     }
 }
 

@@ -22,12 +22,14 @@
 //! The parser pulls tokens from the [`Lexer`] one at a time, so no token
 //! list is built; a comparison is told from an atom by lexing the token
 //! after an identifier on a copy of the cursor. A fact's arguments go to a
-//! reused buffer and straight into its [`Tuple`], and a name repeated
-//! from one clause to the next is not looked up again. Errors read as if the
-//! whole source had been tokenized first: the first lexical error
-//! anywhere wins over a syntax error before it.
+//! reused buffer, become its row's words, and the row is appended to its
+//! predicate's group, which `Database::load_facts` takes over as the
+//! relation's arena. A name repeated from one clause to the next is not
+//! looked up again, and neither is the group of a run of facts. Errors
+//! read as if the whole source had been tokenized first: the first
+//! lexical error anywhere wins over a syntax error before it.
 
-use gst_common::{Interner, Result, SymbolId, Tuple, Value};
+use gst_common::{FxHashMap, Interner, Result, SymbolId, Tuple, Value};
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -42,8 +44,10 @@ use crate::lexer::{unescape, Lexer, Token, TokenKind};
 pub struct ParsedUnit {
     /// The rules of the unit.
     pub program: Program,
-    /// Ground facts `(predicate, tuple)` in source order.
-    pub facts: Vec<(Predicate, Tuple)>,
+    /// Ground facts, one group per predicate: the groups in the order
+    /// their predicates first appear, each group's rows in source order
+    /// (duplicates kept — loading removes them).
+    pub facts: Vec<(Predicate, Vec<Tuple>)>,
     /// Query goals (`?- atom.`) in source order.
     pub queries: Vec<Atom>,
 }
@@ -59,17 +63,25 @@ pub fn parse_program(source: &str) -> Result<ParsedUnit> {
 /// agree on symbol ids — required when a workload generator produces facts
 /// for a program parsed from text.
 pub fn parse_program_with(source: &str, interner: &Interner) -> Result<ParsedUnit> {
-    let mut lexer = Lexer::new(source);
-    let cur = lexer.next_token();
-    let mut parser = Parser {
-        lexer,
-        cur,
-        interner: interner.clone(),
-        last: None,
-    };
+    let mut parser = Parser::new(source, interner);
     let unit = parser.unit();
     // The first lexical error anywhere wins over a syntax error before it.
     parser.lexer.finish().map_or(unit, Err)
+}
+
+/// Parse `source` as exactly one atom, a `.` after it optional, interning
+/// its symbols into `interner`: anything else — a second literal, a
+/// comparison, a further clause — is a parse error.
+pub fn parse_atom_with(source: &str, interner: &Interner) -> Result<Atom> {
+    let mut parser = Parser::new(source, interner);
+    let atom = parser.atom().and_then(|atom| {
+        if parser.cur.kind == TokenKind::Dot {
+            parser.bump();
+        }
+        parser.expect(TokenKind::Eof)?;
+        Ok(atom)
+    });
+    parser.lexer.finish().map_or(atom, Err)
 }
 
 /// The comparison operator a token spells, if it spells one.
@@ -93,9 +105,28 @@ struct Parser<'a> {
     /// The last name interned: a run of facts names its predicate again
     /// and again, and this spares it the shared interner's lock.
     last: Option<(&'a str, SymbolId)>,
+    /// The fact groups so far, and where each predicate's group is.
+    groups: Vec<(Predicate, Vec<Tuple>)>,
+    group_of: FxHashMap<Predicate, usize>,
+    /// The group the last fact went to: a run of facts stays in it.
+    last_group: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(source: &'a str, interner: &Interner) -> Self {
+        let mut lexer = Lexer::new(source);
+        let cur = lexer.next_token();
+        Parser {
+            lexer,
+            cur,
+            interner: interner.clone(),
+            last: None,
+            groups: Vec::new(),
+            group_of: FxHashMap::default(),
+            last_group: 0,
+        }
+    }
+
     /// Consume the current token. Inlined, lexer and all, at every call
     /// site: measured, that is what keeps a token at a few nanoseconds.
     #[inline(always)]
@@ -128,12 +159,24 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The rows of `pred`'s group: the last fact's group again for a run
+    /// of facts, else found, or opened after the others.
+    fn group(&mut self, pred: Predicate) -> &mut Vec<Tuple> {
+        if self.groups.get(self.last_group).is_none_or(|(p, _)| *p != pred) {
+            let fresh = self.groups.len();
+            self.last_group = *self.group_of.entry(pred).or_insert(fresh);
+            if self.last_group == fresh {
+                self.groups.push((pred, Vec::new()));
+            }
+        }
+        &mut self.groups[self.last_group].1
+    }
+
     fn unit(&mut self) -> Result<ParsedUnit> {
         let mut rules = Vec::new();
-        let mut facts = Vec::new();
         let mut queries = Vec::new();
-        // A clause head's arguments, and a fact's values: reused.
-        let (mut terms, mut values) = (Vec::new(), Vec::new());
+        // A clause head's arguments: reused.
+        let mut terms = Vec::new();
         while self.cur.kind != TokenKind::Eof {
             if self.cur.kind == TokenKind::QuestionDash {
                 self.bump();
@@ -158,21 +201,16 @@ impl<'a> Parser<'a> {
                 }
                 TokenKind::Dot => {
                     let dot = self.bump();
-                    values.clear();
-                    for term in &terms {
-                        let Term::Const(value) = term else {
-                            return Err(self.lexer.error(dot.offset, "a fact (bodyless clause) must be ground"));
-                        };
-                        values.push(*value);
-                    }
-                    facts.push((Predicate::new(name, values.len()), Tuple::new(&values)));
+                    let row = Tuple::try_from_values(terms.iter().map(Term::as_const))
+                        .ok_or_else(|| self.lexer.error(dot.offset, "a fact (bodyless clause) must be ground"))?;
+                    self.group(Predicate::new(name, terms.len())).push(row);
                 }
                 other => return Err(self.lexer.error(self.cur.offset, format!("expected `:-` or `.`, found {}", other.describe()))),
             }
         }
         Ok(ParsedUnit {
             program: Program::new(rules, self.interner.clone()),
-            facts,
+            facts: std::mem::take(&mut self.groups),
             queries,
         })
     }
@@ -271,18 +309,18 @@ mod tests {
              anc(X,Y) :- par(X,Y).",
         )
         .unwrap();
-        assert_eq!(unit.facts.len(), 2);
+        assert_eq!(unit.facts.len(), 1);
         assert_eq!(unit.program.rules.len(), 1);
-        let (pred, tuple) = &unit.facts[1];
-        assert_eq!(pred.arity, 2);
-        assert_eq!(tuple.get(0), Value::Int(1));
+        let (pred, rows) = &unit.facts[0];
+        assert_eq!((pred.arity, rows.len()), (2, 2));
+        assert_eq!(rows[1].get(0), Value::Int(1));
     }
 
     #[test]
     fn symbolic_constants_are_interned_values() {
         let unit = parse_program("par(alice, bob).").unwrap();
         let i = &unit.program.interner;
-        let (_, tuple) = &unit.facts[0];
+        let tuple = &unit.facts[0].1[0];
         assert_eq!(tuple.get(0), Value::Sym(i.get("alice").unwrap()));
     }
 
@@ -290,7 +328,7 @@ mod tests {
     fn string_constants_are_interned_symbols() {
         let unit = parse_program(r#"par("John Smith", bob)."#).unwrap();
         let i = &unit.program.interner;
-        let (_, tuple) = &unit.facts[0];
+        let tuple = &unit.facts[0].1[0];
         assert_eq!(tuple.get(0), Value::Sym(i.get("John Smith").unwrap()));
         assert_eq!(tuple.get(1), Value::Sym(i.get("bob").unwrap()));
     }
@@ -300,7 +338,7 @@ mod tests {
         // "alice" and alice intern to the same symbol.
         let unit = parse_program(r#"p("alice"). q(alice)."#).unwrap();
         let i = &unit.program.interner;
-        assert_eq!(unit.facts[0].1.get(0), unit.facts[1].1.get(0));
+        assert_eq!(unit.facts[0].1[0].get(0), unit.facts[1].1[0].get(0));
         assert_eq!(i.len(), 3); // p, alice, q
     }
 

@@ -10,8 +10,8 @@ use std::borrow::Cow;
 
 use gst_common::{Interner, Tuple, Value};
 
-use crate::ast::{Atom, Literal, Program, Rule, Term};
-use crate::parser::ParsedUnit;
+use crate::ast::{Atom, Literal, Predicate, Program, Rule, Term};
+use crate::parser::{parse_program, ParsedUnit};
 
 /// Render a term; a constant re-parses to itself (a symbol as
 /// [`symbol`] spells it).
@@ -110,17 +110,47 @@ pub fn program(p: &Program) -> String {
 /// the order this text does, so the two parse to equal units, ids and all.
 pub fn unit(u: &ParsedUnit) -> String {
     let interner = &u.program.interner;
-    let rules = u.program.rules.iter().map(|r| rule(r, interner));
-    let fact = |p, t: &Tuple| format!("{}.", atom(&Atom::new(p, t.iter().map(Term::Const).collect()), interner));
-    let facts = u.facts.iter().map(|(p, t)| fact(p.name, t));
+    let rules: Vec<String> = u.program.rules.iter().map(|r| rule(r, interner)).collect();
+    // The rules name the first symbols: as many as their text interns alone.
+    let named = parse_program(&rules.join("\n")).map_or(0, |alone| alone.program.interner.len() as u32);
+    let fact = |(p, t): (Predicate, &Tuple)| format!("{}.", atom(&Atom::new(p.name, t.iter().map(Term::Const).collect()), interner));
+    let facts = in_naming_order(&u.facts, named).into_iter().map(fact);
     let goals = u.queries.iter().map(|q| format!("?- {}.", atom(q, interner)));
-    rules.chain(facts).chain(goals).collect::<Vec<_>>().join("\n")
+    rules.into_iter().chain(facts).chain(goals).collect::<Vec<_>>().join("\n")
+}
+
+/// The rows of `groups`, each group's in order, interleaved so that every
+/// symbol from id `named` on is first written in id order — the order a
+/// parse numbers them in. The source's order is one such interleaving, so
+/// taking the first group whose next row writes no symbol ahead of its
+/// turn never runs out of rows that fit; a unit laid out otherwise gets
+/// the first group's next row when none fits.
+fn in_naming_order(groups: &[(Predicate, Vec<Tuple>)], mut named: u32) -> Vec<(Predicate, &Tuple)> {
+    let mut next = vec![0; groups.len()];
+    let mut out = Vec::new();
+    // Where `row` leaves the count of symbols named, if it fits.
+    let fits = |named: u32, pred: Predicate, row: &Tuple| {
+        let mut symbols = std::iter::once(pred.name).chain(row.iter().filter_map(Value::as_sym));
+        symbols.try_fold(named, |named, s| (s.0 <= named).then_some(named + u32::from(s.0 == named)))
+    };
+    loop {
+        let heads = groups.iter().enumerate().filter_map(|(g, (pred, rows))| Some((g, *pred, rows.get(next[g])?)));
+        let Some((g, pred, row, after)) = heads
+            .clone()
+            .find_map(|(g, pred, row)| Some((g, pred, row, fits(named, pred, row)?)))
+            .or_else(|| heads.clone().next().map(|(g, pred, row)| (g, pred, row, named)))
+        else {
+            return out;
+        };
+        out.push((pred, row));
+        next[g] += 1;
+        named = after;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_program;
 
     #[test]
     fn renders_ancestor() {

@@ -81,31 +81,30 @@ impl Database {
         }
     }
 
-    /// Bulk-load `(id, tuple)` facts, e.g. from the parser; returns how
-    /// many were new.
+    /// Bulk-load facts grouped by relation, e.g. the parser's
+    /// `ParsedUnit::facts`; returns how many distinct facts were new.
     ///
-    /// Accepts anything convertible to `RelationId` pairs; the parser's
-    /// `(Predicate, Tuple)` output converts via `Predicate::{name, arity}`.
-    /// Each run of facts for one relation is looked up once and inserted
-    /// as one batch ([`Relation::insert_batch`]).
-    pub fn load_facts<I, P>(&mut self, facts: I) -> Result<usize>
+    /// A group's id is anything convertible to a `RelationId`; the parser's
+    /// `Predicate` converts via `Predicate::{name, arity}`. A relation
+    /// that is still empty takes the group's vector as its arena and drops
+    /// the repeats in place ([`Relation::insert_owned`]); one that already
+    /// has rows inserts the group as one batch.
+    pub fn load_facts<I, P>(&mut self, groups: I) -> Result<usize>
     where
-        I: IntoIterator<Item = (P, Tuple)>,
+        I: IntoIterator<Item = (P, Vec<Tuple>)>,
         P: Into<RelationId>,
     {
-        let mut facts = facts.into_iter().map(|(p, t)| (p.into(), t)).peekable();
-        let (mut loaded, mut run) = (0, Vec::new());
-        while let Some((id, first)) = facts.next() {
-            run.push(first);
-            run.extend(std::iter::from_fn(|| facts.next_if(|(next, _)| *next == id).map(|(_, t)| t)));
-            if let Some(t) = run.iter().find(|t| t.arity() != id.1) {
+        let mut loaded = 0;
+        for (id, rows) in groups {
+            let id = id.into();
+            if let Some(t) = rows.iter().find(|t| t.arity() != id.1) {
                 return Err(Error::Storage(format!(
                     "fact arity {} does not match relation arity {}",
                     t.arity(),
                     id.1
                 )));
             }
-            loaded += self.relation_mut(id).insert_batch(&mut run) as usize;
+            loaded += self.relation_mut(id).insert_owned(rows) as usize;
         }
         Ok(loaded)
     }
@@ -170,14 +169,14 @@ mod tests {
     #[test]
     fn load_facts_counts_fresh_only() {
         let (mut d, par) = db();
-        let facts = vec![
-            (par, ituple![1, 2]),
-            (par, ituple![2, 3]),
-            (par, ituple![1, 2]),
-        ];
+        let facts = vec![(par, vec![ituple![1, 2], ituple![2, 3], ituple![1, 2]])];
         assert_eq!(d.load_facts(facts).unwrap(), 2);
         assert_eq!(d.total_tuples(), 2);
         assert_eq!(d.relation_count(), 1);
+        // A relation that has rows takes a second group as a batch.
+        assert_eq!(d.load_facts([(par, vec![ituple![2, 3], ituple![3, 4]])]).unwrap(), 1);
+        assert_eq!(d.relation(par).unwrap().rows(), [ituple![1, 2], ituple![2, 3], ituple![3, 4]]);
+        assert!(d.load_facts([(par, vec![ituple![1]])]).is_err());
     }
 
     #[test]

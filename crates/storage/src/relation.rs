@@ -474,6 +474,38 @@ impl Relation {
         (self.rows.len() - before) as u64
     }
 
+    /// Insert `rows`, returning how many were new: what
+    /// [`Relation::insert_batch`] of them does, arena order included — the
+    /// first occurrence of each row stays, in the order given. An empty
+    /// relation takes `rows` itself as its arena and removes the repeats in
+    /// place, probing each row once against the rows kept before it in a
+    /// table sized once for all of them, so no row is copied to a second
+    /// vector.
+    pub fn insert_owned(&mut self, mut rows: Vec<Tuple>) -> u64 {
+        if !self.rows.is_empty() {
+            return self.insert_batch(&mut rows);
+        }
+        if rows.is_empty() {
+            return 0;
+        }
+        debug_assert!(rows.len() < VACANT as usize, "relation exceeds u32 row-id space");
+        let mut table = RowTable::with_capacity(rows.len());
+        let mut kept = 0;
+        for next in 0..rows.len() {
+            debug_assert_eq!(rows[next].arity(), self.arity);
+            let hash = fold(hash_one(&rows[next]));
+            if let Err(slot) = table.probe(hash, |r| rows[r as usize] == rows[next]) {
+                rows.swap(kept, next);
+                table.occupy(slot, hash, kept as u32);
+                kept += 1;
+            }
+        }
+        rows.truncate(kept);
+        self.rows = rows;
+        self.table = OnceLock::from(table);
+        kept as u64
+    }
+
     /// Tombstone a tuple: remove it from the dedup table and mark its
     /// arena row dead. Returns `true` if the tuple was live. The arena
     /// is untouched — row ids and the generation stamp are unaffected —

@@ -119,6 +119,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use parallel_datalog::core::dataflow::{zero_comm_choice, DataflowGraph};
+use parallel_datalog::frontend::parser::parse_atom_with;
 use parallel_datalog::frontend::pretty;
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::{shard_kinds, FaultPlan, Shards, SimTransport};
@@ -721,16 +722,11 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     )
 }
 
-/// Parse a goal atom like `anc(1, X)` against a program's interner, by
-/// wrapping it in a throwaway rule (so constants unify with the
-/// program's symbols).
+/// Parse a goal atom like `anc(1, X)` against a program's interner, so
+/// its constants unify with the program's symbols. A goal is one atom: a
+/// conjunction, a comparison or a further clause is refused.
 fn parse_goal(goal_src: &str, program: &Program) -> std::result::Result<Atom, String> {
-    let wrapped = format!("goal__ :- {goal_src}.");
-    let unit =
-        parallel_datalog::frontend::parser::parse_program_with(&wrapped, &program.interner)
-            .map_err(|e| format!("bad goal `{goal_src}`: {e}"))?;
-    let goal = unit.program.rules[0].body_atoms().next().cloned();
-    goal.ok_or_else(|| format!("bad goal `{goal_src}`: no atom"))
+    parse_atom_with(goal_src, &program.interner).map_err(|e| format!("bad goal `{goal_src}` (a goal is one atom): {e}"))
 }
 
 /// Build the TCP coordinator behind `--net`: this very binary re-executed
@@ -824,7 +820,10 @@ fn memory_fields() -> String {
 
 /// Write `% pred/arity: N tuples` and the sorted facts of each relation
 /// through one buffer over the locked stdout, flushed once — a lock and,
-/// into a pipe, a `write(2)` per line cost more than evaluating.
+/// into a pipe, a `write(2)` per line cost more than evaluating. A fact is
+/// written byte by byte and an integer by [`write_int`], not by `write!`,
+/// which took two thirds of printing a point query's answer (EXPERIMENTS.md
+/// P33).
 fn print_relations(relations: &[(String, Relation)], interner: &Interner) -> std::io::Result<()> {
     use std::io::Write;
     let mut out = std::io::BufWriter::with_capacity(1 << 16, std::io::stdout().lock());
@@ -832,14 +831,17 @@ fn print_relations(relations: &[(String, Relation)], interner: &Interner) -> std
         writeln!(out, "% {label}: {} tuples", rel.len())?;
         let name = label.split('/').next().unwrap_or(label);
         let mut rows: Vec<&gst_common::Tuple> = rel.iter().collect();
-        rows.sort();
+        rows.sort_unstable();
         for t in rows {
-            write!(out, "{name}(")?;
+            out.write_all(name.as_bytes())?;
+            out.write_all(b"(")?;
             for (k, v) in t.iter().enumerate() {
-                let sep = if k == 0 { "" } else { ", " };
+                if k > 0 {
+                    out.write_all(b", ")?;
+                }
                 match v {
-                    Value::Int(n) => write!(out, "{sep}{n}")?,
-                    Value::Sym(s) => write!(out, "{sep}{}", pretty::symbol(&interner.resolve(s)))?,
+                    Value::Int(n) => write_int(&mut out, n)?,
+                    Value::Sym(s) => out.write_all(pretty::symbol(&interner.resolve(s)).as_bytes())?,
                 }
             }
             out.write_all(b").\n")?;
@@ -848,46 +850,64 @@ fn print_relations(relations: &[(String, Relation)], interner: &Interner) -> std
     out.flush()
 }
 
+/// Write `n` in decimal, the bytes `{n}` formats to.
+fn write_int(out: &mut impl std::io::Write, n: i64) -> std::io::Result<()> {
+    // `i64::MIN` is a sign and 19 digits; the sign is the byte before the
+    // first digit written.
+    let (mut digits, mut at, mut rest) = ([b'-'; 20], 20, n.unsigned_abs());
+    while at == 20 || rest > 0 {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    out.write_all(&digits[at - usize::from(n < 0)..])
+}
+
 /// Parse an `--updates` stream: one `+fact(…).`, `-fact(…).`, or
-/// `commit.` directive per line (`%` comments, trailing `.` optional).
-/// Each `commit` closes one [`UpdateBatch`]; a trailing uncommitted
-/// group becomes a final implicit batch.
+/// `commit.` directive per line (`%` and `//` comments, trailing `.`
+/// optional). A directive is read by the program's lexer and parser, so a
+/// `%` inside a quoted string is part of the string. Each `commit` closes
+/// one [`UpdateBatch`]; a trailing uncommitted group becomes a final
+/// implicit batch.
 fn parse_updates(
     src: &str,
     program: &Program,
 ) -> std::result::Result<Vec<UpdateBatch>, String> {
+    use parallel_datalog::frontend::lexer::{tokenize, TokenKind};
     let mut batches = Vec::new();
     let mut current = UpdateBatch::default();
     for (idx, raw) in src.lines().enumerate() {
         let lineno = idx + 1;
-        let line = raw.split('%').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let line = line.strip_suffix('.').unwrap_or(line).trim();
-        if line == "commit" {
-            if !current.is_empty() {
-                batches.push(std::mem::take(&mut current));
-            }
-            continue;
-        }
-        let (insert, fact_src) = match line.chars().next() {
-            Some('+') => (true, line[1..].trim()),
-            Some('-') => (false, line[1..].trim()),
+        let line = raw.trim_start();
+        let (insert, fact_src) = match line.as_bytes().first() {
+            Some(b'+') => (true, &line[1..]),
+            Some(b'-') => (false, &line[1..]),
+            // Anything else is blank, a comment, or `commit`.
             _ => {
-                return Err(format!(
-                    "updates line {lineno}: expected `+fact(…)`, `-fact(…)`, or `commit`, got `{raw}`"
-                ))
+                let kinds: Vec<TokenKind> = tokenize(line).map_or_else(|_| Vec::new(), |ts| ts.iter().map(|t| t.kind).collect());
+                match kinds.as_slice() {
+                    [TokenKind::Eof] => {}
+                    [TokenKind::Ident("commit"), TokenKind::Eof] | [TokenKind::Ident("commit"), TokenKind::Dot, TokenKind::Eof] => {
+                        if !current.is_empty() {
+                            batches.push(std::mem::take(&mut current));
+                        }
+                    }
+                    _ => {
+                        return Err(format!(
+                            "updates line {lineno}: expected `+fact(…)`, `-fact(…)`, or `commit`, got `{raw}`"
+                        ))
+                    }
+                }
+                continue;
             }
         };
         // The fact parses alone over the program's interner, so its
         // constants unify with the program's symbols.
-        let unit = parallel_datalog::frontend::parser::parse_program_with(&format!("{fact_src}."), &program.interner)
-            .map_err(|e| format!("updates line {lineno}: {e}"))?;
-        let [(pred, tuple)] = <[_; 1]>::try_from(unit.facts)
-            .map_err(|_| format!("updates line {lineno}: expected one fact, got `{fact_src}`"))?;
+        let atom = parse_atom_with(fact_src, &program.interner).map_err(|e| format!("updates line {lineno}: {e}"))?;
+        let tuple = Tuple::try_from_values(atom.terms.iter().map(Term::as_const));
+        let tuple = tuple.ok_or_else(|| format!("updates line {lineno}: a fact must be ground, got `{}`", fact_src.trim()))?;
         let batch = if insert { &mut current.inserts } else { &mut current.deletes };
-        batch.push((pred.into(), tuple));
+        batch.push(((atom.predicate, atom.terms.len()), tuple));
     }
     if !current.is_empty() {
         batches.push(current);
@@ -1213,4 +1233,20 @@ fn cmd_network(args: Vec<String>) -> std::result::Result<(), String> {
     println!("minimal network graph ({have} of {possible} channels):");
     println!("{}", net.display());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    /// The digit writer writes what `{n}` formats, at every digit count
+    /// and both extremes.
+    #[test]
+    fn write_int_matches_display() {
+        let powers = (0..19).map(|k| 10i64.pow(k));
+        let near = powers.flat_map(|p| [p - 1, p, p + 1, -p - 1, -p, -p + 1]);
+        for n in near.chain([i64::MIN, i64::MIN + 1, i64::MAX, 0, -1]) {
+            let mut out = Vec::new();
+            super::write_int(&mut out, n).unwrap();
+            assert_eq!(String::from_utf8(out).unwrap(), n.to_string());
+        }
+    }
 }

@@ -36,7 +36,7 @@
 //!      par(1,2). par(2,3). par(3,4).",
 //! ).unwrap();
 //! let mut db = Database::new(unit.program.interner.clone());
-//! db.load_facts(unit.facts.clone()).unwrap();
+//! db.load_facts(unit.facts).unwrap();
 //!
 //! // Recognize the linear sirup and pick discriminating sequences.
 //! let sirup = LinearSirup::from_program(&unit.program).unwrap();

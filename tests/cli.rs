@@ -167,21 +167,24 @@ fn print_checks_the_arity_and_accepts_base_predicates() {
 /// `--print` lists a relation in `Value` order — integers signed and
 /// ascending, every integer before every symbol, symbols in the order
 /// the program first names them (`zed` before `a` here) — column by
-/// column. The expected text is what the 56-byte tagged row printed; a
-/// row type that compares its raw words would put `-3` after `2` and mix
-/// symbol ids in among the integers.
+/// column. The expected text is what the 56-byte tagged row printed, and
+/// the `i64::MIN` / `i64::MAX` / `-1` lines what `write!` formatted before
+/// the digit writer took over; a row type that compares its raw words
+/// would put `-3` after `2` and mix symbol ids in among the integers.
 #[test]
 fn print_order_is_value_order_across_ints_and_symbols() {
     let file = write_program(
         "print-order.dl",
         "p(X,Y) :- q(X,Y).\n\
          p(X,Y) :- p(Y,X).\n\
-         q(-3, zed). q(2, a). q(zed, 1). q(-3, -7). q(a, zed). q(2, -7). q(0, 0).",
+         q(-3, zed). q(2, a). q(zed, 1). q(-3, -7). q(a, zed). q(2, -7). q(0, 0).\n\
+         q(-9223372036854775808, -1). q(9223372036854775807, zed). q(-1, -9223372036854775808).",
     );
-    let expected = "% p/2: 13 tuples\n\
-                    p(-7, -3).\np(-7, 2).\np(-3, -7).\np(-3, zed).\np(0, 0).\n\
-                    p(1, zed).\np(2, -7).\np(2, a).\n\
-                    p(zed, -3).\np(zed, 1).\np(zed, a).\np(a, 2).\np(a, zed).\n";
+    let expected = "% p/2: 17 tuples\n\
+                    p(-9223372036854775808, -1).\np(-7, -3).\np(-7, 2).\np(-3, -7).\np(-3, zed).\n\
+                    p(-1, -9223372036854775808).\np(0, 0).\np(1, zed).\np(2, -7).\np(2, a).\n\
+                    p(9223372036854775807, zed).\n\
+                    p(zed, -3).\np(zed, 1).\np(zed, 9223372036854775807).\np(zed, a).\np(a, 2).\np(a, zed).\n";
     for scheme in ["seq", "general --workers 2"] {
         let out = cli("run", &file, &format!("--scheme {scheme} --print p/2"));
         assert!(out.status.success(), "{scheme}: {}", String::from_utf8_lossy(&out.stderr));
@@ -216,7 +219,7 @@ fn print_output_parses_back_to_the_same_facts() {
         let printed = parallel_datalog::frontend::parser::parse_program_with(&stdout, &unit.program.interner)
             .unwrap_or_else(|e| panic!("{scheme}: {e}\n{stdout}"));
         assert!(printed.facts.iter().all(|(p, _)| (p.name, p.arity) == r), "{scheme}");
-        let got: Relation = printed.facts.into_iter().map(|(_, t)| t).collect();
+        let got: Relation = printed.facts.into_iter().flat_map(|(_, rows)| rows).collect();
         assert!(got.len() == want.len() && got.set_eq(&want), "{scheme}:\n{stdout}");
     }
 }
@@ -681,6 +684,17 @@ fn updates_usage_errors_are_clean() {
     assert!(stderr.contains("ground"), "{stderr}");
 }
 
+/// A directive is read by the program's lexer: a `%` inside a quoted
+/// string belongs to the string, and one after the fact starts a comment.
+#[test]
+fn updates_keep_a_percent_sign_inside_a_string() {
+    let file = write_program("updates_percent.dl", "t(X,Y) :- e(X,Y).\ne(a, b).\n");
+    let ups = write_program("updates_percent.stream", "+e(\"x%y\", \"z\"). % a comment: e(\"not\n// another\ncommit.\n");
+    let out = cli("run", &file, &format!("--scheme general --workers 2 --updates {}", ups.display()));
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), "% t/2: 2 tuples\nt(a, b).\nt(\"x%y\", z).\n");
+}
+
 // ---------------------------------------------------------------------
 // `--query`: demand-driven point queries via magic sets (DESIGN.md §15).
 // ---------------------------------------------------------------------
@@ -777,6 +791,10 @@ fn query_usage_errors_are_clean() {
         ("--query anc(1,Y) --scheme example3", "seq or general"),
         ("--query anc(X,Y) --explain-rewrite", "bound argument"),
         ("--query par(1,Y) --explain-rewrite", "derived"),
+        // A goal is one atom: no conjunction, comparison or further clause.
+        ("--query anc(1,Y),par(Y,2)", "bad goal `anc(1,Y),par(Y,2)`"),
+        ("--query anc(1,Y),Y!=3", "bad goal `anc(1,Y),Y!=3`"),
+        ("--query anc(1,Y).junk(Q):-par(Q,W)", "bad goal `anc(1,Y).junk(Q):-par(Q,W)`"),
     ];
     for (args, want) in cases {
         let out = cli("run", &file, args);

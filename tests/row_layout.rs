@@ -146,6 +146,62 @@ fn relation_matches_a_btreeset_under_insert_delete_reinsert() {
     }
 }
 
+/// Loading a parsed unit builds every base arena the way inserting its
+/// facts one at a time, in source order, does: the same rows in the same
+/// order, each kept where it first occurs, and `load_facts` counts the
+/// distinct ones. The oracle parses each clause alone, in order, over one
+/// interner, so its symbol ids are the whole unit's. The fixture repeats
+/// facts, gives a derived predicate facts, uses `q` at two arities,
+/// interleaves its predicates and holds escaped strings and the extreme
+/// integers.
+#[test]
+fn loading_builds_the_arenas_that_per_fact_inserts_build() {
+    use parallel_datalog::common::FxHashMap;
+    use parallel_datalog::frontend::lexer::{tokenize, TokenKind};
+    use parallel_datalog::frontend::parser::parse_program_with;
+    const FIXTURE: &str = r#"p(X, Y) :- e(X, Y).
+e(1, 2). e(1, 2). q(a). e(-9223372036854775808, 9223372036854775807).
+p(7, 8). p(7, 8). q(a, b). q("a\"b\\c", "new\nline"). e(-1, zed). q(a).
+e(zed, -1). e(1, 2). q(a, b). q(zed). % a comment. With dots.
+"#;
+    let samples = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/programs")).unwrap();
+    let mut sources: Vec<String> = samples.map(|f| std::fs::read_to_string(f.unwrap().path()).unwrap()).collect();
+    sources.push(FIXTURE.into());
+    for source in &sources {
+        let unit = parse_program(source).unwrap();
+        let mut db = Database::new(unit.program.interner.clone());
+        let loaded = db.load_facts(unit.facts).unwrap();
+
+        let interner = Interner::new();
+        let mut want: FxHashMap<(SymbolId, usize), Relation> = FxHashMap::default();
+        let mut clause_at = 0;
+        for dot in tokenize(source).unwrap().into_iter().filter(|t| t.kind == TokenKind::Dot) {
+            let clause = parse_program_with(&source[clause_at..=dot.offset], &interner).unwrap();
+            clause_at = dot.offset + 1;
+            for (pred, rows) in clause.facts {
+                let rel = want.entry((pred.name, pred.arity)).or_insert_with(|| Relation::new(pred.arity));
+                for row in rows {
+                    rel.insert(row).unwrap();
+                }
+            }
+        }
+        assert_eq!(loaded, want.values().map(Relation::len).sum::<usize>(), "{source}");
+        assert_eq!(db.relation_count(), want.len(), "{source}");
+        for (id, rel) in &want {
+            assert_eq!(db.relation(*id).map(Relation::rows), Some(rel.rows()), "{source}");
+        }
+    }
+    assert_eq!(parse_program(FIXTURE).unwrap().facts.iter().map(|(_, rows)| rows.len()).sum::<usize>(), 14);
+    // Errors keep their places: a non-ground fact at its `.`, a bad
+    // character where it stands.
+    for (tail, want) in [
+        ("e(1, X).", "parse error at 5:8: a fact (bodyless clause) must be ground"),
+        ("e(1, #).", "parse error at 5:6: unexpected character `#`"),
+    ] {
+        assert_eq!(parse_program(&format!("{FIXTURE}{tail}")).unwrap_err().to_string(), want);
+    }
+}
+
 #[test]
 fn index_probe_matches_a_filtered_scan() {
     let mut rng = SmallRng::seed_from_u64(0x32_B3);

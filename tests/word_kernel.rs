@@ -91,8 +91,8 @@ fn load(source: &str) -> (Program, Database, Model) {
     let mut db = Database::new(unit.program.interner.clone());
     db.load_facts(unit.facts.clone()).unwrap();
     let mut facts = Model::new();
-    for (pred, tuple) in unit.facts {
-        facts.entry((pred.name, pred.arity)).or_default().insert(tuple);
+    for (pred, rows) in unit.facts {
+        facts.entry((pred.name, pred.arity)).or_default().extend(rows);
     }
     (unit.program, db, facts)
 }
