@@ -244,8 +244,8 @@ impl KillSpec {
 /// launchers, and a worker binary parses that vector back.
 #[derive(Debug, Clone)]
 pub struct NetWorkerArgs {
-    /// Coordinator address to connect to, `host:port`.
-    pub connect: String,
+    /// Coordinator address to connect to, `ip:port` (never a host name).
+    pub connect: SocketAddr,
     /// Processor index this worker runs.
     pub index: usize,
     /// Incarnation number (0 for the first spawn; bumps per restart).
@@ -263,7 +263,7 @@ impl NetWorkerArgs {
     pub fn to_args(&self) -> Vec<String> {
         let mut args = vec![
             "--connect".into(),
-            self.connect.clone(),
+            self.connect.to_string(),
             "--index".into(),
             self.index.to_string(),
             "--incarnation".into(),
@@ -281,7 +281,7 @@ impl NetWorkerArgs {
     /// Parse the vector [`NetWorkerArgs::to_args`] renders.
     pub fn parse(args: &[String]) -> Result<NetWorkerArgs> {
         let mut out = NetWorkerArgs {
-            connect: String::new(),
+            connect: SocketAddr::from(([0; 4], 0)),
             index: usize::MAX,
             incarnation: 0,
             connect_timeout: NetConfig::default().connect_timeout,
@@ -292,30 +292,18 @@ impl NetWorkerArgs {
             let value = it
                 .next()
                 .ok_or_else(|| Error::Runtime(format!("flag {flag} needs a value")))?;
-            let ms = || -> Result<Duration> {
-                value
-                    .parse()
-                    .map(Duration::from_millis)
-                    .map_err(|_| Error::Runtime(format!("{flag}: `{value}` is not a number")))
-            };
+            let bad = |what: &str| Error::Runtime(format!("{flag}: `{value}` is not {what}"));
+            let ms = || value.parse().map(Duration::from_millis).map_err(|_| bad("a number"));
             match flag.as_str() {
-                "--connect" => out.connect = value.clone(),
-                "--index" => {
-                    out.index = value.parse().map_err(|_| {
-                        Error::Runtime(format!("--index: `{value}` is not a number"))
-                    })?;
-                }
-                "--incarnation" => {
-                    out.incarnation = value.parse().map_err(|_| {
-                        Error::Runtime(format!("--incarnation: `{value}` is not a number"))
-                    })?;
-                }
+                "--connect" => out.connect = value.parse().map_err(|_| bad("an ip:port address"))?,
+                "--index" => out.index = value.parse().map_err(|_| bad("a number"))?,
+                "--incarnation" => out.incarnation = value.parse().map_err(|_| bad("a number"))?,
                 "--connect-timeout-ms" => out.connect_timeout = ms()?,
                 "--net-fault" => out.fault = Some(NetFault::parse(value)?),
                 _ => return Err(Error::Runtime(format!("unknown worker flag {flag}"))),
             }
         }
-        if out.connect.is_empty() {
+        if out.connect.port() == 0 {
             return Err(Error::Runtime("worker needs --connect".into()));
         }
         if out.index == usize::MAX {
@@ -528,7 +516,7 @@ fn connect_with_backoff(args: &NetWorkerArgs) -> Result<TcpStream> {
     let deadline = Instant::now() + args.connect_timeout;
     let mut backoff = CONNECT_BACKOFF;
     loop {
-        match TcpStream::connect(&args.connect) {
+        match TcpStream::connect(args.connect) {
             Ok(stream) => return Ok(stream),
             Err(e) => {
                 if Instant::now() + backoff > deadline {
@@ -997,7 +985,7 @@ impl Relay<'_> {
             first
         };
         let args = NetWorkerArgs {
-            connect: self.addr.to_string(),
+            connect: self.addr,
             index,
             incarnation: self.incarnations[index],
             connect_timeout: self.net.connect_timeout,
@@ -1385,7 +1373,7 @@ mod tests {
     #[test]
     fn worker_args_round_trip_through_the_cli_grammar() {
         let args = NetWorkerArgs {
-            connect: "127.0.0.1:4545".into(),
+            connect: SocketAddr::from(([127, 0, 0, 1], 4545)),
             index: 3,
             incarnation: 2,
             connect_timeout: Duration::from_millis(777),
@@ -1399,6 +1387,8 @@ mod tests {
         assert_eq!(parsed.fault, Some(NetFault::Garbage(64)));
         assert!(NetWorkerArgs::parse(&["--index".into(), "0".into()]).is_err());
         assert!(NetWorkerArgs::parse(&["--connect".into()]).is_err());
+        let host = ["--connect", "localhost:4545", "--index", "0"].map(String::from);
+        assert!(NetWorkerArgs::parse(&host).unwrap_err().to_string().contains("--connect: `localhost"));
         assert!(NetWorkerArgs::parse(&["--bogus".into(), "1".into()]).is_err());
     }
 
@@ -1510,7 +1500,7 @@ mod tests {
         fn spawn_worker(&self, args: &NetWorkerArgs) -> Result<Box<dyn WorkerHandle>> {
             let args = args.clone();
             let thread = std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(&args.connect).unwrap();
+                let mut stream = TcpStream::connect(args.connect).unwrap();
                 let hello = wire::encode_hello(args.index, args.incarnation);
                 wire::write_frame(&mut stream, wire::FRAME_HELLO, &hello).unwrap();
                 let job = loop {

@@ -10,7 +10,7 @@
 //!                        [--updates FILE]
 //!                        [--sim [--seed N] [--faults PLAN]]
 //!                        [--net [--net-faults PLAN] [--net-kill W@N]]
-//! pdatalog net-worker --connect HOST:PORT --index I ...
+//! pdatalog net-worker --connect IP:PORT --index I ...
 //! pdatalog analyze <file.dl>
 //! pdatalog network <file.dl> [--linear c1,c2,...]
 //! ```
@@ -169,7 +169,7 @@ fn run(args: Vec<String>) -> std::result::Result<(), String> {
 }
 
 fn usage() -> String {
-    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--print PRED/ARITY] [--stats] [--max-restarts N] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES]]\n  pdatalog net-worker --connect HOST:PORT --index I [--incarnation K] [--connect-timeout-ms MS] [--net-fault F]\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--linear c1,c2,...]\n\n--workers is at most 1024; --max-restarts defaults to 1.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq or general (demand-partitioned). A goal the\nrewrite refuses (a base relation, no bound argument) runs the whole program and\nprints the goal's matching tuples.\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
+    "usage:\n  pdatalog run <file.dl> [--workers N] [--scheme seq|example1|example2|example3|nocomm|general] [--query [\"goal(…)\"] [--explain-rewrite]] [--print PRED/ARITY] [--stats] [--max-restarts N] [--trace] [--trace-out FILE] [--profile] [--profile-json FILE] [--updates FILE] [--sim [--seed N] [--faults none|jitter|chaos[,k=v...][,crash=W@T[,recover]]]] [--net [--net-faults W:kind@BYTES[!][;...]] [--net-kill W@BYTES]]\n  pdatalog net-worker --connect IP:PORT --index I [--incarnation K] [--connect-timeout-ms MS] [--net-fault F]\n  pdatalog analyze <file.dl>\n  pdatalog network <file.dl> [--linear c1,c2,...]\n\n--workers is at most 1024; --max-restarts defaults to 1.\n--net runs one OS process per worker over loopback TCP (net-worker is the\nworker mode the coordinator re-executes); faults: delay|disconnect|truncate|garbage.\n\npoint queries (--query): magic-sets rewrite of the program toward the goal's\nbound arguments (constants), evaluated demand-first; `--query` alone takes the\ngoal from the file's `?- goal.` line, `--explain-rewrite` prints the rewritten\nprogram instead of running it, and `--stats` adds demand_ratio (magic firings /\nfull-closure firings). Schemes: seq or general (demand-partitioned). A goal the\nrewrite refuses (a base relation, no bound argument) runs the whole program and\nprints the goal's matching tuples.\n\nupdate files (--updates): one `+fact(…).`, `-fact(…).`, or `commit.` per line;\neach commit applies the group as one incrementally maintained batch.".into()
 }
 
 /// Parse `PRED/ARITY`, e.g. `anc/2`.
@@ -750,7 +750,7 @@ fn build_net_coordinator(
     Ok(coordinator)
 }
 
-/// `pdatalog net-worker --connect HOST:PORT --index I ...` — the worker
+/// `pdatalog net-worker --connect IP:PORT --index I ...` — the worker
 /// mode `--net` coordinators spawn. Connects back, receives its job over
 /// the socket, runs the fixpoint, and ships its pooled slice; never
 /// invoked by hand except to debug the handshake.

@@ -9,10 +9,11 @@
 //! allocation, and any layout aligned above 2 MiB, goes to `System`.
 //!
 //! `std` exposes none of the four system calls and the workspace takes no
-//! third-party crates, so they are declared here (libc itself is already
-//! linked by `std`), the way `benchmark/` declares `wait4`. The flag
-//! values are Linux's on x86_64 and aarch64, the only targets that
-//! compile this module; everywhere else the binary keeps `System`.
+//! third-party crates, so they are declared here, the way `benchmark/`
+//! declares `wait4`: they resolve against the glibc `std` links, which
+//! `.cargo/config.toml` links statically on x86_64 Linux. The flag values
+//! are Linux's on x86_64 and aarch64, the only targets that compile this
+//! module; everywhere else the binary keeps `System`.
 
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
