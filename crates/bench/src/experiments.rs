@@ -98,7 +98,7 @@ pub fn figure3() -> FigureResult {
 pub fn figure4() -> FigureResult {
     let fx = chain_sirup();
     let s = LinearSirup::from_program(&fx.program).unwrap();
-    let h = Linear::new(BitFn::new(1), vec![1, -1, 1]);
+    let h = Linear::new(BitFn::new(1), vec![1, -1, 1]).unwrap();
     let net = derive_network(
         &s,
         &[fx.program.var("V"), fx.program.var("W"), fx.program.var("Z")],

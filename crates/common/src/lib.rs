@@ -26,4 +26,4 @@ pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use interner::{Interner, SymbolId};
 pub use rng::SmallRng;
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{Value, Word};

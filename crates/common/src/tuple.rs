@@ -36,7 +36,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::interner::Interner;
-use crate::value::Value;
+use crate::value::{Value, Word};
 
 /// Maximum arity stored without heap allocation.
 pub const INLINE_CAP: usize = 3;
@@ -94,7 +94,7 @@ impl Tuple {
     /// An inline row of `len ≤ INLINE_CAP` columns, column `k` the
     /// [`Value::word`] pair `col(k)`.
     #[inline]
-    fn inline(len: usize, col: impl Fn(usize) -> (u64, bool)) -> Self {
+    fn inline(len: usize, col: impl Fn(usize) -> Word) -> Self {
         let (mut syms, mut words) = (0u8, [0u64; INLINE_CAP]);
         for (k, word) in words.iter_mut().enumerate().take(len) {
             let (w, sym) = col(k);
@@ -185,7 +185,7 @@ impl Tuple {
     /// whether it is a `Sym` — panicking if out of bounds. What the join,
     /// the indexes and the route table read instead of [`Tuple::get`].
     #[inline]
-    pub fn word(&self, index: usize) -> (u64, bool) {
+    pub fn word(&self, index: usize) -> Word {
         match &self.repr {
             Repr::Inline { len, syms, words } => {
                 assert!(index < *len as usize, "column {index} of an arity-{len} tuple");

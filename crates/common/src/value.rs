@@ -9,6 +9,30 @@ use std::fmt;
 
 use crate::interner::{Interner, SymbolId};
 
+/// A value as a row stores it and a join slot holds it: [`Value::word`]'s
+/// untagged word and whether it is a `Sym`. It is the one form of a ground
+/// instance that a discriminating function or a constraint reads.
+pub type Word = (u64, bool);
+
+/// Keys up to this long are gathered on the stack by [`gather`].
+const STACK_KEY: usize = 4;
+
+/// `f` on the words `item(0..n)`: in a stack buffer when they fit — a
+/// probe key, a filter's arguments or a route key is gathered once per
+/// candidate or row, and a heap buffer would cost more than the work it
+/// keys — and in a `Vec` otherwise.
+#[inline]
+pub fn gather<R>(n: usize, item: impl Fn(usize) -> Word, f: impl FnOnce(&[Word]) -> R) -> R {
+    let mut stack = [(0, false); STACK_KEY];
+    match stack.get_mut(..n) {
+        Some(buf) => {
+            buf.iter_mut().enumerate().for_each(|(k, slot)| *slot = item(k));
+            f(buf)
+        }
+        None => f(&(0..n).map(item).collect::<Vec<Word>>()),
+    }
+}
+
 /// A Datalog constant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
@@ -41,7 +65,7 @@ impl Value {
     /// two's-complement bits, a `Sym`'s zero-extended id — and whether it
     /// is a `Sym`. Two values are equal iff their pairs are.
     #[inline]
-    pub fn word(self) -> (u64, bool) {
+    pub fn word(self) -> Word {
         match self {
             Value::Int(n) => (n as u64, false),
             Value::Sym(s) => (u64::from(s.0), true),
@@ -55,22 +79,6 @@ impl Value {
             Value::Sym(SymbolId(word as u32))
         } else {
             Value::Int(word as i64)
-        }
-    }
-
-    /// `f` on the values `words` hold, rebuilt by [`Value::from_word`]: in
-    /// a stack buffer when there are at most four — a filter asks once per
-    /// candidate, and a heap buffer would cost more than the test — and in
-    /// a `Vec` otherwise.
-    #[inline]
-    pub fn from_words<R>(words: &[(u64, bool)], f: impl FnOnce(&[Value]) -> R) -> R {
-        let mut stack = [Value::Int(0); 4];
-        match stack.get_mut(..words.len()) {
-            Some(values) => {
-                values.iter_mut().zip(words).for_each(|(v, &(word, sym))| *v = Value::from_word(word, sym));
-                f(values)
-            }
-            None => f(&words.iter().map(|&(word, sym)| Value::from_word(word, sym)).collect::<Vec<_>>()),
         }
     }
 

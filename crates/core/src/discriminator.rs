@@ -35,35 +35,23 @@
 use std::hash::Hasher;
 use std::sync::Arc;
 
-use gst_common::fxhash::hash_one;
-use gst_common::{Error, FxHasher, Interner, Result, Tuple, Value};
+use gst_common::{Error, FxHasher, Interner, Result, Tuple, Value, Word};
 use gst_frontend::{Constraint, Variable};
-use gst_runtime::codec::IMPLAUSIBLE;
+use gst_runtime::codec::{self, IMPLAUSIBLE};
 use gst_storage::Fragmentation;
 
-/// A discriminating function: ground tuple → processor.
+/// A discriminating function: ground tuple → processor. It has one
+/// entrance, [`Discriminator::assign`], which reads the instance as the
+/// words a row stores, so a route, a filter and the fragmenter evaluate
+/// the same function the same way.
 pub trait Discriminator: Send + Sync {
     /// Number of processors in the range `P = {0, …, processors()-1}`.
     fn processors(&self) -> usize;
 
-    /// Assign a ground instance to a processor.
-    fn assign(&self, ground: &[Value]) -> usize;
-
-    /// [`Discriminator::assign`] of the ground instance held in `row`'s
-    /// `columns`. A function that can work on the row's untagged words
-    /// ([`Tuple::word`]) overrides this and must agree with the default,
-    /// which rebuilds the values.
-    fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
-        self.assign(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
-    }
-
-    /// [`Discriminator::assign`] of the ground instance given as
-    /// [`Value::word`] pairs, as a join's binding slots hold it. A function
-    /// that can work on the words overrides this and must agree with the
-    /// default, which rebuilds the values.
-    fn assign_bound_words(&self, bound: &[(u64, bool)]) -> usize {
-        Value::from_words(bound, |ground| self.assign(ground))
-    }
+    /// Assign a ground instance to a processor. The instance is given as
+    /// the [`Word`]s a row's columns and a join's slots hold; a caller
+    /// holding [`Value`]s maps them through [`Value::word`].
+    fn assign(&self, ground: &[Word]) -> usize;
 
     /// Whether a processor can evaluate this function from a tuple alone.
     /// When `false`, sending rules cannot carry the `h(v(r)) = j`
@@ -123,31 +111,40 @@ impl BitFn {
         BitFn { seed }
     }
 
-    /// Evaluate `g(value) ∈ {0, 1}`.
-    pub fn bit(&self, value: Value) -> u8 {
+    /// Evaluate `g(value) ∈ {0, 1}` of the value whose word is `word`.
+    pub fn bit(&self, word: Word) -> u8 {
         // Take the top bit: FxHash's final multiply mixes high bits far
         // better than low ones (the low bit survives odd multiplication).
-        (hash_one(&(self.seed, value)) >> 63) as u8
+        (hash_word(self.seed, word) >> 63) as u8
     }
 }
 
-/// `hash_one(&(seed, ground))` of the ground instance whose values
-/// [`Value::word`] gave `words`, replayed step for step: the seed, the
-/// slice's length prefix, then each value's variant index and payload.
-fn hash_words(seed: u64, words: impl ExactSizeIterator<Item = (u64, bool)>) -> u64 {
+/// Feed one value, as its word, to `h` the way its derived `Hash` does:
+/// the variant index, then the payload (a `Sym`'s `u32` id hashes as its
+/// zero-extended word).
+fn write_word(h: &mut FxHasher, (word, sym): Word) {
+    h.write_u64(u64::from(sym));
+    h.write_u64(word);
+}
+
+/// The hash of a seeded ground instance: `hash_one(&(seed, ground))` over
+/// the values whose words are `words`, replayed step for step — the seed,
+/// the slice's length prefix, then each value.
+fn hash_words(seed: u64, words: &[Word]) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(seed);
     h.write_usize(words.len());
-    for (word, sym) in words {
-        h.write_u64(u64::from(sym));
-        h.write_u64(word);
-    }
+    words.iter().for_each(|&word| write_word(&mut h, word));
     h.finish()
 }
 
-/// The words of `row`'s `columns`, in order.
-fn row_words<'a>(row: &'a Tuple, columns: &'a [usize]) -> impl ExactSizeIterator<Item = (u64, bool)> + 'a {
-    columns.iter().map(|&c| row.word(c))
+/// The hash of one seeded value: `hash_one(&(seed, value))`, replayed —
+/// the seed, then the value, with no length prefix.
+fn hash_word(seed: u64, word: Word) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u64(seed);
+    write_word(&mut h, word);
+    h.finish()
 }
 
 /// `h(ā) = hash(ā) mod n` — an arbitrary hash partition.
@@ -163,13 +160,6 @@ impl HashMod {
         assert!(n >= 1, "need at least one processor");
         HashMod { n, seed }
     }
-
-    /// [`Discriminator::assign`] of the instance whose words are `words`.
-    fn assign_word_iter(&self, words: impl ExactSizeIterator<Item = (u64, bool)>) -> usize {
-        let (hash, n) = (hash_words(self.seed, words), self.n as u64);
-        // A mask is the remainder when `n` is a power of two.
-        (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
-    }
 }
 
 impl Discriminator for HashMod {
@@ -177,16 +167,10 @@ impl Discriminator for HashMod {
         self.n
     }
 
-    fn assign(&self, ground: &[Value]) -> usize {
-        (hash_one(&(self.seed, ground)) % self.n as u64) as usize
-    }
-
-    fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
-        self.assign_word_iter(row_words(row, columns))
-    }
-
-    fn assign_bound_words(&self, bound: &[(u64, bool)]) -> usize {
-        self.assign_word_iter(bound.iter().copied())
+    fn assign(&self, ground: &[Word]) -> usize {
+        let (hash, n) = (hash_words(self.seed, ground), self.n as u64);
+        // A mask is the remainder when `n` is a power of two.
+        (if n.is_power_of_two() { hash & (n - 1) } else { hash % n }) as usize
     }
 
     fn describe(&self) -> String {
@@ -226,10 +210,10 @@ impl Discriminator for SymmetricHashMod {
         self.n
     }
 
-    fn assign(&self, ground: &[Value]) -> usize {
+    fn assign(&self, ground: &[Word]) -> usize {
         let sum: u64 = ground
             .iter()
-            .map(|v| hash_one(&(self.seed, v)))
+            .map(|&w| hash_word(self.seed, w))
             .fold(0u64, u64::wrapping_add);
         (sum % self.n as u64) as usize
     }
@@ -279,11 +263,11 @@ impl Discriminator for BitVector {
         1 << self.len
     }
 
-    fn assign(&self, ground: &[Value]) -> usize {
+    fn assign(&self, ground: &[Word]) -> usize {
         debug_assert_eq!(ground.len(), self.len);
         ground
             .iter()
-            .fold(0usize, |acc, &v| (acc << 1) | self.g.bit(v) as usize)
+            .fold(0usize, |acc, &w| (acc << 1) | self.g.bit(w) as usize)
     }
 
     fn describe(&self) -> String {
@@ -311,14 +295,25 @@ pub struct Linear {
 
 impl Linear {
     /// Linear function with the given ±1 (or any integer) coefficients.
-    pub fn new(g: BitFn, coefficients: Vec<i64>) -> Self {
-        assert!(!coefficients.is_empty() && coefficients.len() <= 20);
-        let values = achievable_sums(&coefficients);
-        Linear {
+    ///
+    /// # Errors
+    /// [`Error::Discriminator`] unless there are 1 to 20 coefficients and
+    /// every achievable sum fits an `i64`.
+    pub fn new(g: BitFn, coefficients: Vec<i64>) -> Result<Self> {
+        if !(1..=20).contains(&coefficients.len()) {
+            return Err(Error::Discriminator(format!(
+                "a linear function takes 1 to 20 coefficients, not {}",
+                coefficients.len()
+            )));
+        }
+        let values = achievable_sums(&coefficients).ok_or_else(|| {
+            Error::Discriminator(format!("linear coefficients {coefficients:?} have a sum that overflows i64"))
+        })?;
+        Ok(Linear {
             g,
             coefficients,
             values,
-        }
+        })
     }
 
     /// The achievable sums, sorted: the paper's processor set `P`.
@@ -337,20 +332,22 @@ impl Linear {
     }
 }
 
-/// All sums `Σ c_k·b_k` over `b ∈ {0,1}^L`, sorted and deduplicated.
-pub fn achievable_sums(coefficients: &[i64]) -> Vec<i64> {
+/// All sums `Σ c_k·b_k` over `b ∈ {0,1}^L`, sorted and deduplicated;
+/// `None` when one overflows `i64`. Every partial sum [`Linear`] adds while
+/// it assigns is itself such a sum, so an assignment never overflows.
+pub fn achievable_sums(coefficients: &[i64]) -> Option<Vec<i64>> {
     let mut values = vec![0i64];
     for &c in coefficients {
         let mut next = Vec::with_capacity(values.len() * 2);
         for &v in &values {
             next.push(v);
-            next.push(v + c);
+            next.push(v.checked_add(c)?);
         }
         next.sort_unstable();
         next.dedup();
         values = next;
     }
-    values
+    Some(values)
 }
 
 impl Discriminator for Linear {
@@ -358,12 +355,12 @@ impl Discriminator for Linear {
         self.values.len()
     }
 
-    fn assign(&self, ground: &[Value]) -> usize {
+    fn assign(&self, ground: &[Word]) -> usize {
         debug_assert_eq!(ground.len(), self.coefficients.len());
         let sum: i64 = ground
             .iter()
             .zip(&self.coefficients)
-            .map(|(&v, &c)| c * self.g.bit(v) as i64)
+            .map(|(&w, &c)| c * self.g.bit(w) as i64)
             .sum();
         self.processor_of_value(sum)
             .expect("every bit assignment yields an achievable sum")
@@ -414,16 +411,11 @@ impl Discriminator for FragmentOwner {
         self.fragmentation.len()
     }
 
-    fn assign(&self, ground: &[Value]) -> usize {
+    fn assign(&self, ground: &[Word]) -> usize {
         // Tuples outside every fragment can never fire a processing rule;
         // parking them on processor 0 is safe and keeps `assign` total.
-        self.fragmentation
-            .owner_of(&Tuple::new(ground))
-            .unwrap_or(0)
-    }
-
-    fn assign_words(&self, row: &Tuple, columns: &[usize]) -> usize {
-        self.fragmentation.owner_of(&row.project(columns)).unwrap_or(0)
+        let tuple: Tuple = ground.iter().map(|&(word, sym)| Value::from_word(word, sym)).collect();
+        self.fragmentation.owner_of(&tuple).unwrap_or(0)
     }
 
     fn locally_evaluable(&self) -> bool {
@@ -439,18 +431,11 @@ impl Discriminator for FragmentOwner {
         // membership, so the function *is* the data.
         buf.push(wire::DISC_FRAGMENT_OWNER);
         wire::put_uv(buf, self.fragmentation.len() as u64);
-        let arity = self
-            .fragmentation
-            .fragments()
-            .first()
-            .map_or(0, |f| f.arity());
-        wire::put_uv(buf, arity as u64);
         for fragment in self.fragmentation.fragments() {
-            wire::put_uv(buf, fragment.len() as u64);
-            for tuple in fragment.iter() {
-                for value in tuple.iter() {
-                    wire::put_value(buf, value);
-                }
+            let tuples: Vec<Tuple> = fragment.iter().cloned().collect();
+            match codec::encode_batch(fragment.arity(), &tuples) {
+                Ok(batch) => codec::put_bytes(buf, &batch),
+                Err(_) => return false,
             }
         }
         true
@@ -478,7 +463,7 @@ impl Discriminator for Constant {
         self.n
     }
 
-    fn assign(&self, _ground: &[Value]) -> usize {
+    fn assign(&self, _ground: &[Word]) -> usize {
         self.target
     }
 
@@ -529,8 +514,8 @@ impl Discriminator for Mixed {
         self.base.processors()
     }
 
-    fn assign(&self, ground: &[Value]) -> usize {
-        let draw = hash_one(&(self.seed, ground)) as f64 / u64::MAX as f64;
+    fn assign(&self, ground: &[Word]) -> usize {
+        let draw = hash_words(self.seed, ground) as f64 / u64::MAX as f64;
         if draw < self.alpha {
             self.local
         } else {
@@ -585,24 +570,16 @@ impl Constraint for DiscConstraint {
         &self.vars
     }
 
-    fn holds(&self, bound: &[Value]) -> bool {
+    fn holds(&self, bound: &[Word]) -> bool {
         self.disc.assign(bound) == self.expect
-    }
-
-    fn holds_words(&self, bound: &[(u64, bool)]) -> bool {
-        self.disc.assign_bound_words(bound) == self.expect
     }
 
     fn implied(&self) -> bool {
         self.implied
     }
 
-    fn partition(&self, bound: &[Value]) -> Option<usize> {
+    fn partition(&self, bound: &[Word]) -> Option<usize> {
         Some(self.disc.assign(bound))
-    }
-
-    fn partition_words(&self, row: &Tuple, columns: &[usize]) -> Option<usize> {
-        Some(self.disc.assign_words(row, columns))
     }
 
     fn describe(&self, interner: &Interner) -> String {
@@ -630,10 +607,6 @@ impl Constraint for DiscConstraint {
             None
         }
     }
-
-    fn holds_row(&self, row: &Tuple, columns: &[usize]) -> bool {
-        self.disc.assign_words(row, columns) == self.expect
-    }
 }
 
 /// Byte format of serialized constraints (`h(v) = i` literals).
@@ -650,14 +623,14 @@ impl Constraint for DiscConstraint {
 ///   1 SymmetricHashMod n:uv seed:uv
 ///   2 BitVector        gseed:uv len:uv
 ///   3 Linear           gseed:uv ncoef:uv coef:sv × ncoef
-///   4 FragmentOwner    nfrags:uv arity:uv × (count:uv (value × arity) × count)
+///   4 FragmentOwner    nfrags:uv (len:uv batch) × nfrags
 ///   5 Constant         n:uv target:uv
 ///   6 Mixed            local:uv alpha:uv(f64 bits) seed:uv base:disc
-/// value      := 0 int:sv | 1 sym:uv
+/// batch      := a fragment's tuples as `gst_runtime::codec::encode_batch`
+///               writes them
 /// uv = unsigned LEB128 varint, sv = zigzag LEB128 varint
 /// ```
 mod wire {
-    use gst_common::{SymbolId, Value};
     pub(super) use gst_runtime::codec::{put_sv, put_uv, Cursor};
 
     pub(super) const CONSTRAINT_MAGIC: u8 = 0xD5;
@@ -668,33 +641,6 @@ mod wire {
     pub(super) const DISC_FRAGMENT_OWNER: u8 = 4;
     pub(super) const DISC_CONSTANT: u8 = 5;
     pub(super) const DISC_MIXED: u8 = 6;
-    const VALUE_INT: u8 = 0;
-    const VALUE_SYM: u8 = 1;
-
-    pub(super) fn put_value(buf: &mut Vec<u8>, value: Value) {
-        match value {
-            Value::Int(n) => {
-                buf.push(VALUE_INT);
-                put_sv(buf, n);
-            }
-            Value::Sym(s) => {
-                buf.push(VALUE_SYM);
-                put_uv(buf, s.0 as u64);
-            }
-        }
-    }
-
-    /// A [`put_value`] value; `None` on truncation or an unknown tag.
-    pub(super) fn get_value(r: &mut Cursor<'_>) -> Option<Value> {
-        match r.get_u8()? {
-            VALUE_INT => Some(Value::Int(r.get_sv()?)),
-            VALUE_SYM => {
-                let v = r.get_uv()?;
-                u32::try_from(v).ok().map(|s| Value::Sym(SymbolId(s)))
-            }
-            _ => None,
-        }
-    }
 }
 
 fn corrupt(what: &str) -> Error {
@@ -734,44 +680,21 @@ fn decode_disc(r: &mut wire::Cursor<'_>, depth: usize) -> Result<DiscriminatorRe
         }
         Some(wire::DISC_LINEAR) => {
             let seed = r.get_uv().ok_or_else(|| corrupt("truncated Linear"))?;
-            let ncoef = r.get_uv().ok_or_else(|| corrupt("truncated Linear"))? as usize;
-            if !(1..=20).contains(&ncoef) {
-                return Err(corrupt("Linear coefficient count out of range"));
-            }
-            let mut coefficients = Vec::with_capacity(ncoef);
-            for _ in 0..ncoef {
-                coefficients.push(r.get_sv().ok_or_else(|| corrupt("truncated Linear coefficient"))?);
-            }
-            Ok(Arc::new(Linear::new(BitFn::new(seed), coefficients)))
+            let ncoef = r.get_uv().ok_or_else(|| corrupt("truncated Linear"))?;
+            // No buffer is sized by the count: a lying one runs out of bytes.
+            let coefficients: Option<Vec<i64>> = (0..ncoef).map(|_| r.get_sv()).collect();
+            let coefficients = coefficients.ok_or_else(|| corrupt("truncated Linear coefficient"))?;
+            Ok(Arc::new(Linear::new(BitFn::new(seed), coefficients)?))
         }
         Some(wire::DISC_FRAGMENT_OWNER) => {
             let nfrags = bounded("fragment count", r.get_uv().ok_or_else(|| corrupt("truncated FragmentOwner"))?)?;
-            let arity = r.get_uv().ok_or_else(|| corrupt("truncated FragmentOwner"))? as usize;
-            if arity > IMPLAUSIBLE {
-                return Err(corrupt("implausible fragment arity"));
-            }
             let mut fragments = Vec::with_capacity(nfrags);
             for _ in 0..nfrags {
-                let count = r.get_uv().ok_or_else(|| corrupt("truncated fragment"))? as usize;
-                // Every value costs at least one tag byte, so a lying
-                // count is rejected before any allocation is sized by it.
-                if count
-                    .checked_mul(arity.max(1))
-                    .is_none_or(|b| b > r.remaining() + 1)
-                {
-                    return Err(corrupt("fragment count implausible for payload size"));
-                }
-                let mut fragment = gst_storage::Relation::with_capacity(arity, count);
-                let mut row = Vec::with_capacity(arity);
-                for _ in 0..count {
-                    row.clear();
-                    for _ in 0..arity {
-                        row.push(wire::get_value(r).ok_or_else(|| corrupt("truncated fragment tuple"))?);
-                    }
-                    fragment
-                        .insert(Tuple::new(&row))
-                        .map_err(|e| corrupt(&format!("fragment tuple rejected: {e}")))?;
-                }
+                let batch = r.get_bytes().ok_or_else(|| corrupt("truncated fragment"))?;
+                let (arity, _) = codec::peek_batch(batch).map_err(|e| corrupt(&format!("fragment: {e}")))?;
+                let mut tuples = codec::decode_batch(batch).map_err(|e| corrupt(&format!("fragment: {e}")))?;
+                let mut fragment = gst_storage::Relation::with_capacity(arity, tuples.len());
+                fragment.insert_batch(&mut tuples);
                 fragments.push(fragment);
             }
             let fragmentation = Fragmentation::from_fragments(fragments)
@@ -853,8 +776,8 @@ mod tests {
     use gst_common::ituple;
     use gst_storage::{hash_fragment, Relation};
 
-    fn vals(xs: &[i64]) -> Vec<Value> {
-        xs.iter().map(|&x| Value::Int(x)).collect()
+    fn vals(xs: &[i64]) -> Vec<Word> {
+        xs.iter().map(|&x| Value::Int(x).word()).collect()
     }
 
     #[test]
@@ -901,7 +824,7 @@ mod tests {
         for a in 0..10i64 {
             for b in 0..10i64 {
                 let expect =
-                    ((g.bit(Value::Int(a)) as usize) << 1) | g.bit(Value::Int(b)) as usize;
+                    ((g.bit(Value::Int(a).word()) as usize) << 1) | g.bit(Value::Int(b).word()) as usize;
                 assert_eq!(h.assign(&vals(&[a, b])), expect);
             }
         }
@@ -912,7 +835,7 @@ mod tests {
     #[test]
     fn linear_matches_example7() {
         // h = g(a1) - g(a2) + g(a3): P = {-1, 0, 1, 2} (sorted).
-        let h = Linear::new(BitFn::new(9), vec![1, -1, 1]);
+        let h = Linear::new(BitFn::new(9), vec![1, -1, 1]).unwrap();
         assert_eq!(h.processor_values(), &[-1, 0, 1, 2]);
         assert_eq!(h.processors(), 4);
         // Every assignment lands on an achievable value.
@@ -926,9 +849,13 @@ mod tests {
 
     #[test]
     fn achievable_sums_enumerates() {
-        assert_eq!(achievable_sums(&[1, 1]), vec![0, 1, 2]);
-        assert_eq!(achievable_sums(&[1, -1]), vec![-1, 0, 1]);
-        assert_eq!(achievable_sums(&[2]), vec![0, 2]);
+        assert_eq!(achievable_sums(&[1, 1]), Some(vec![0, 1, 2]));
+        assert_eq!(achievable_sums(&[1, -1]), Some(vec![-1, 0, 1]));
+        assert_eq!(achievable_sums(&[2]), Some(vec![0, 2]));
+        assert_eq!(achievable_sums(&[i64::MAX, 1]), None);
+        assert_eq!(achievable_sums(&[i64::MIN, -1]), None);
+        assert!(Linear::new(BitFn::new(1), vec![i64::MAX, i64::MAX]).is_err());
+        assert!(Linear::new(BitFn::new(1), vec![]).is_err());
     }
 
     #[test]
@@ -938,7 +865,7 @@ mod tests {
         let h = FragmentOwner::new(frag.clone());
         assert!(!h.locally_evaluable());
         for t in rel.iter() {
-            let owner = h.assign(&t.iter().collect::<Vec<_>>());
+            let owner = h.assign(&t.iter().map(Value::word).collect::<Vec<_>>());
             assert!(frag.fragment(owner).contains(t));
         }
         // Unknown tuples park on 0.
@@ -996,8 +923,8 @@ mod tests {
         let c = DiscConstraint::literal(vec![x], h, expect);
         assert!(c.holds(&vals(&[42])));
         let miss = (0..10i64)
-            .map(Value::Int)
-            .any(|v| !c.holds(&[v]));
+            .map(|k| Value::Int(k).word())
+            .any(|w| !c.holds(&[w]));
         assert!(miss, "some value hashes elsewhere");
         assert!(c.describe(&interner).contains("h(X)"));
     }
@@ -1006,7 +933,7 @@ mod tests {
     fn bitfn_seeds_differ() {
         let g1 = BitFn::new(1);
         let g2 = BitFn::new(2);
-        let differs = (0..64i64).any(|k| g1.bit(Value::Int(k)) != g2.bit(Value::Int(k)));
+        let differs = (0..64i64).map(|k| Value::Int(k).word()).any(|w| g1.bit(w) != g2.bit(w));
         assert!(differs);
     }
 
@@ -1041,13 +968,29 @@ mod tests {
         unknown[5] = 7;
         let err = decode_constraint(&unknown).err().expect("tag 7 is refused").to_string();
         assert!(err.contains("unknown discriminator tag 7"), "{err}");
-        // A lying fragment count is rejected by the plausibility bound
-        // before anything is allocated: tag=4, nfrags=2, arity=2, then the
-        // first fragment's count at position 8.
+        // A fragment whose batch lies about its tuple count is refused by
+        // the codec: tag=4, nfrags=2, the first fragment's length prefix,
+        // then its batch's arity and, at position 9, its count.
         let rel: Relation = (0..4i64).map(|k| ituple![k, k + 1]).collect();
         let owner: DiscriminatorRef = Arc::new(FragmentOwner::new(Arc::new(hash_fragment(&rel, &[0], 2).unwrap())));
-        let mut lying = DiscConstraint::literal(vec![z], owner, 1).wire_encode().unwrap();
-        lying[8] = 0x7f;
+        let literal = DiscConstraint::literal(vec![z], owner, 1);
+        let honest = literal.wire_encode().unwrap();
+        let decoded = decode_constraint(&honest).unwrap();
+        for t in rel.iter() {
+            let words = [t.word(0), t.word(1)];
+            assert_eq!(decoded.partition(&words), literal.partition(&words));
+        }
+        let mut lying = honest.clone();
+        lying[9] = 0x7f;
         assert!(decode_constraint(&lying).is_err());
+        // Two coefficients `i64::MAX` sum past `i64`: tag=3, gseed=0,
+        // ncoef=2, then the two zigzag varints.
+        let mut overflow = bytes[..5].to_vec();
+        overflow.extend([3, 0, 2]);
+        for _ in 0..2 {
+            wire::put_sv(&mut overflow, i64::MAX);
+        }
+        let err = decode_constraint(&overflow).err().expect("an overflowing Linear is refused");
+        assert!(matches!(err, Error::Discriminator(_)) && err.to_string().contains("overflows i64"), "{err}");
     }
 }

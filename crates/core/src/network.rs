@@ -275,7 +275,7 @@ mod tests {
         let s = sirup("p(U,V,W) :- s(U,V,W).\np(U,V,W) :- p(V,W,Z), q(U,Z).");
         let v_r = vars(&s, &["V", "W", "Z"]);
         let v_e = vars(&s, &["U", "V", "W"]);
-        let h = Linear::new(BitFn::new(1), vec![1, -1, 1]);
+        let h = Linear::new(BitFn::new(1), vec![1, -1, 1]).unwrap();
         let net = derive_network(&s, &v_r, &v_e, &h).unwrap();
         // Solve x1−x2+x3=v, x2−x3+x4=u over {0,1}⁴ by hand:
         // enumerate (x1,x2,x3,x4) → (u,v):

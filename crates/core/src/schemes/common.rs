@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use gst_common::value::gather;
 use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
 use gst_eval::plan::RelationId;
 use gst_frontend::ast::{Atom, ConstraintRef, Literal, Rule, Term};
@@ -154,7 +155,7 @@ pub fn worker_databases(
 type Cover<'a> = Option<(&'a ConstraintRef, Vec<usize>)>;
 
 fn keeps(cover: &Cover, t: &Tuple) -> bool {
-    cover.as_ref().is_none_or(|(c, columns)| c.holds_row(t, columns))
+    cover.as_ref().is_none_or(|(c, columns)| gather(columns.len(), |k| t.word(columns[k]), |key| c.holds(key)))
 }
 
 /// What worker `pp` needs of each base relation `global` holds: the tuples
@@ -206,7 +207,7 @@ pub fn atom(pred: RelationId, terms: Vec<Term>) -> Atom {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gst_common::{ituple, Value};
+    use gst_common::{ituple, Value, Word};
     use gst_frontend::parse_program;
 
     /// Processor `processor` running `program`'s one rule, no routing.
@@ -298,7 +299,7 @@ mod tests {
         // Every tuple in fragment i satisfies h(Y)=i.
         for (i, dbw) in dbs.iter().enumerate() {
             for t in dbw.relation(e).unwrap().iter() {
-                assert_eq!(h.assign(&[t.get(1)]), i);
+                assert_eq!(h.assign(&[t.word(1)]), i);
             }
         }
     }
@@ -328,7 +329,7 @@ mod tests {
                     (None, kept) => *kept = None,
                     (Some((c, m)), Some(kept)) => {
                         for t in relation.iter() {
-                            let key: Vec<Value> = c.variables()[..m].iter().map(|v| t.get(at(v).unwrap())).collect();
+                            let key: Vec<Word> = c.variables()[..m].iter().map(|v| t.word(at(v).unwrap())).collect();
                             // A prefix of the variables admits every tuple.
                             let admitted = m < c.variables().len() || c.holds(&key);
                             if admitted && !kept.contains(t) {

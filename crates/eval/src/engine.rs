@@ -969,7 +969,7 @@ pub fn naive_eval(program: &Program, edb: &Database) -> Result<EvalResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gst_common::{ituple, Interner, Value};
+    use gst_common::{ituple, Interner, Value, Word};
     use gst_frontend::parse_program;
 
     /// Load `source`, returning (program, database).
@@ -1379,17 +1379,15 @@ mod tests {
         fn variables(&self) -> &[gst_frontend::Variable] {
             &self.0
         }
-        fn holds(&self, _: &[Value]) -> bool {
+        fn holds(&self, _: &[Word]) -> bool {
             true
         }
         fn describe(&self, _: &Interner) -> String {
             "mod".into()
         }
-        fn partition(&self, bound: &[Value]) -> Option<usize> {
-            match bound[0] {
-                Value::Int(k) => Some(k.rem_euclid(self.1) as usize),
-                Value::Sym(_) => None,
-            }
+        fn partition(&self, bound: &[Word]) -> Option<usize> {
+            let (word, sym) = bound[0];
+            (!sym).then_some((word as i64).rem_euclid(self.1) as usize)
         }
     }
 

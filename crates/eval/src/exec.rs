@@ -17,15 +17,16 @@
 //! paper's non-redundancy theorems (2 and 6) are stated over.
 //!
 //! The join works on what a row stores (DESIGN.md §8): a binding slot is
-//! a column's untagged word and its is-`Sym` bit ([`Value::word`]),
-//! selections compare such pairs, a probe key and a filter's arguments are
-//! gathered on the stack — the key hashed as words, the arguments handed to
-//! [`Constraint::holds_words`] — and a head of arity ≤ 3 is assembled from
-//! its parts. A [`Value`] is rebuilt only for the columns of a wider (heap)
-//! head and by a constraint that cannot decide on words.
+//! a column's [`Word`] — its untagged word and its is-`Sym` bit
+//! ([`Value::word`]) — selections compare such pairs, a probe key and a
+//! filter's arguments are [`gather`]ed on the stack — the key hashed as
+//! words, the arguments handed to [`Constraint::holds`] — and a head of
+//! arity ≤ 3 is assembled from its parts. A [`Value`] is rebuilt only for
+//! the columns of a wider (heap) head and by a comparison.
 
 use gst_common::tuple::INLINE_CAP;
-use gst_common::{Tuple, Value};
+use gst_common::value::gather;
+use gst_common::{Tuple, Value, Word};
 use gst_frontend::Constraint;
 use gst_storage::{postings_in_range, HashIndex, Relation};
 
@@ -109,28 +110,6 @@ pub fn run_plan(
     run.firings
 }
 
-/// A bound value as the join holds it: [`Value::word`]'s pair.
-type Word = (u64, bool);
-
-/// Probe keys and filter arguments up to this long are gathered on the
-/// stack.
-const STACK_KEY: usize = 4;
-
-/// `f` on the words `item(0..n)`: in a stack buffer when they fit — this
-/// runs once per candidate, and a heap buffer would cost more than the
-/// probe it keys — and in a `Vec` otherwise.
-#[inline]
-fn gather<R>(n: usize, item: impl Fn(usize) -> Word, f: impl FnOnce(&[Word]) -> R) -> R {
-    let mut stack = [(0, false); STACK_KEY];
-    match stack.get_mut(..n) {
-        Some(buf) => {
-            buf.iter_mut().enumerate().for_each(|(k, slot)| *slot = item(k));
-            f(buf)
-        }
-        None => f(&(0..n).map(item).collect::<Vec<Word>>()),
-    }
-}
-
 /// One execution of a plan: the binding slots and the firing count.
 struct Run<'p, 'a, F> {
     plan: &'p RulePlan,
@@ -145,7 +124,7 @@ impl<'p, F: FnMut(Tuple)> Run<'p, '_, F> {
     /// `constraint` on the words bound in `slots`.
     #[inline]
     fn holds(&self, constraint: &dyn Constraint, slots: &[usize]) -> bool {
-        gather(slots.len(), |k| self.slots[slots[k]], |bound| constraint.holds_words(bound))
+        gather(slots.len(), |k| self.slots[slots[k]], |bound| constraint.holds(bound))
     }
 
     #[inline]

@@ -343,7 +343,7 @@ mod tests {
         fn implied(&self) -> bool {
             self.implied
         }
-        fn holds(&self, _bound: &[Value]) -> bool {
+        fn holds(&self, _bound: &[gst_common::Word]) -> bool {
             true
         }
         fn describe(&self, _interner: &Interner) -> String {

@@ -19,7 +19,8 @@
 //! worker receives routes, not policies, so the storage rule is stated
 //! here, on routes, and the compiler asks it rather than restating it.
 
-use gst_common::{Error, FxHashMap, Interner, Result, Tuple};
+use gst_common::value::gather;
+use gst_common::{Error, FxHashMap, Interner, Result, Tuple, Word};
 use gst_frontend::ast::{Atom, ConstraintRef, Term, Variable};
 
 use crate::engine::find_or_push;
@@ -184,7 +185,7 @@ impl Router {
 /// gives it) or a repeated variable in the route's pattern.
 #[derive(Debug, Clone, Copy)]
 enum Test {
-    Const(usize, (u64, bool)),
+    Const(usize, Word),
     Same(usize, usize),
 }
 
@@ -212,7 +213,8 @@ impl KeyedRoute {
         if !selected {
             return Ok(None);
         }
-        let dest = self.key.partition_words(row, &self.columns).ok_or_else(|| {
+        let columns = &self.columns;
+        let dest = gather(columns.len(), |k| row.word(columns[k]), |key| self.key.partition(key)).ok_or_else(|| {
             Error::Eval("route key is not a partitioning constraint `h(v) = k`".into())
         })?;
         match self.table.get(dest) {

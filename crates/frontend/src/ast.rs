@@ -14,7 +14,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use gst_common::{Interner, SymbolId, Tuple, Value};
+use gst_common::{Interner, SymbolId, Tuple, Value, Word};
 
 /// A variable name (interned). By convention variables start with an
 /// uppercase letter or `_` in the surface syntax.
@@ -129,24 +129,19 @@ impl Atom {
 ///
 /// A constraint is a deterministic boolean function of the bindings of its
 /// [`Constraint::variables`]. The evaluator calls [`Constraint::holds`] once
-/// all of those variables are bound. Implementations live in `gst-core`
+/// all of those variables are bound, on the [`Word`]s a join's slots and a
+/// row's columns hold — the one form in which a constraint reads a ground
+/// instance; a caller holding [`Value`]s maps them through
+/// [`Value::word`]. Implementations live in `gst-core`
 /// (discriminating functions `h(v(r)) = i`).
 pub trait Constraint: Send + Sync {
     /// The variables the constraint reads. The evaluator guarantees all are
     /// bound before calling [`Constraint::holds`].
     fn variables(&self) -> &[Variable];
 
-    /// Decide the constraint given the values bound to
+    /// Decide the constraint given the words bound to
     /// [`Constraint::variables`], in the same order.
-    fn holds(&self, bound: &[Value]) -> bool;
-
-    /// [`Constraint::holds`] of the values given as [`Value::word`] pairs,
-    /// as a join's binding slots hold them. An implementation that can
-    /// decide on the words overrides this and must agree with the default,
-    /// which rebuilds the values.
-    fn holds_words(&self, bound: &[(u64, bool)]) -> bool {
-        Value::from_words(bound, |values| self.holds(values))
-    }
+    fn holds(&self, bound: &[Word]) -> bool;
 
     /// Whether the data placement guarantees the constraint for every
     /// substitution of its rule: a compiler's claim, made where every row
@@ -175,30 +170,14 @@ pub trait Constraint: Send + Sync {
 
     /// For a constraint of the shape `f(variables) = k` over a
     /// partitioning function `f`: the value `f(bound)`, whatever `k` is.
-    /// A route table evaluates this once per tuple and indexes the
-    /// destination, instead of testing [`Constraint::holds`] once per
-    /// candidate `k`. `None` (the default) for any other constraint.
-    fn partition(&self, bound: &[Value]) -> Option<usize> {
+    /// A route table gathers a row's key columns and evaluates this once
+    /// per row, indexing the destination, instead of testing
+    /// [`Constraint::holds`] once per candidate `k`; the fragmenter asks
+    /// [`Constraint::holds`] of a base row the same way. `None` (the
+    /// default) for any other constraint.
+    fn partition(&self, bound: &[Word]) -> Option<usize> {
         let _ = bound;
         None
-    }
-
-    /// [`Constraint::partition`] of the values in `row`'s `columns`, which
-    /// hold the constraint's variables in order — what a route table asks,
-    /// per emitted row. An implementation that can evaluate `f` on the
-    /// row's untagged words ([`Tuple::word`]) overrides this and must
-    /// agree with the default, which rebuilds the values.
-    fn partition_words(&self, row: &Tuple, columns: &[usize]) -> Option<usize> {
-        self.partition(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
-    }
-
-    /// [`Constraint::holds`] of the values in `row`'s `columns`, which
-    /// hold the constraint's variables in order — what the fragmenter asks
-    /// of a base tuple whose atom binds every variable of the constraint.
-    /// An implementation that can decide on the row's words overrides this
-    /// and must agree with the default, which rebuilds the values.
-    fn holds_row(&self, row: &Tuple, columns: &[usize]) -> bool {
-        self.holds(&columns.iter().map(|&c| row.get(c)).collect::<Vec<_>>())
     }
 }
 

@@ -13,7 +13,7 @@
 //! order). Cross-kind comparisons are deterministic but carry no domain
 //! meaning; programs normally compare like with like.
 
-use gst_common::{Interner, Value};
+use gst_common::{Interner, Value, Word};
 
 use crate::ast::{Constraint, Term, Variable};
 
@@ -88,7 +88,7 @@ impl Comparison {
         Comparison { lhs, op, rhs, vars }
     }
 
-    fn value_of(&self, term: &Term, bound: &[Value]) -> Value {
+    fn value_of(&self, term: &Term, bound: &[Word]) -> Value {
         match term {
             Term::Const(c) => *c,
             Term::Var(v) => {
@@ -97,7 +97,8 @@ impl Comparison {
                     .iter()
                     .position(|bv| bv == v)
                     .expect("operand variable is in vars");
-                bound[k]
+                let (word, sym) = bound[k];
+                Value::from_word(word, sym)
             }
         }
     }
@@ -108,7 +109,7 @@ impl Constraint for Comparison {
         &self.vars
     }
 
-    fn holds(&self, bound: &[Value]) -> bool {
+    fn holds(&self, bound: &[Word]) -> bool {
         self.op
             .eval(self.value_of(&self.lhs, bound), self.value_of(&self.rhs, bound))
     }
@@ -152,8 +153,8 @@ mod tests {
             Term::Var(v(&i, "Y")),
         );
         assert_eq!(c.variables().len(), 2);
-        assert!(c.holds(&[Value::Int(1), Value::Int(5)]));
-        assert!(!c.holds(&[Value::Int(5), Value::Int(1)]));
+        assert!(c.holds(&[Value::Int(1).word(), Value::Int(5).word()]));
+        assert!(!c.holds(&[Value::Int(5).word(), Value::Int(1).word()]));
     }
 
     #[test]
@@ -161,8 +162,8 @@ mod tests {
         let i = Interner::new();
         let c = Comparison::new(Term::Var(v(&i, "X")), CompareOp::Ge, Term::Const(Value::Int(3)));
         assert_eq!(c.variables().len(), 1);
-        assert!(c.holds(&[Value::Int(3)]));
-        assert!(!c.holds(&[Value::Int(2)]));
+        assert!(c.holds(&[Value::Int(3).word()]));
+        assert!(!c.holds(&[Value::Int(2).word()]));
     }
 
     #[test]
@@ -171,7 +172,7 @@ mod tests {
         let x = v(&i, "X");
         let c = Comparison::new(Term::Var(x), CompareOp::Eq, Term::Var(x));
         assert_eq!(c.variables(), &[x]);
-        assert!(c.holds(&[Value::Int(9)]));
+        assert!(c.holds(&[Value::Int(9).word()]));
     }
 
     #[test]

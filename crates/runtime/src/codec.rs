@@ -37,7 +37,7 @@
 //! truncated delivery surfaces as a worker error the coordinator reports.
 
 use gst_common::tuple::INLINE_CAP;
-use gst_common::{Error, Result, Tuple};
+use gst_common::{Error, Result, Tuple, Word};
 
 use crate::message::Payload;
 
@@ -119,7 +119,7 @@ pub fn encode_batch(arity: usize, tuples: &[Tuple]) -> Result<Payload> {
 fn encode_column(buf: &mut Vec<u8>, tuples: &[Tuple], c: usize) {
     let words = tuples.iter().map(|t| t.word(c));
     let syms = words.clone().filter(|&(_, sym)| sym).count();
-    let put_value = |buf: &mut Vec<u8>, (word, sym): (u64, bool)| match sym {
+    let put_value = |buf: &mut Vec<u8>, (word, sym): Word| match sym {
         true => put_uv(buf, word),
         false => put_sv(buf, word as i64),
     };
@@ -178,7 +178,7 @@ impl<'a> Cursor<'a> {
 
     /// A length-prefixed byte run (`len:uv | bytes`), borrowed from the
     /// underlying slice; `None` on truncation.
-    pub(crate) fn get_bytes(&mut self) -> Option<&'a [u8]> {
+    pub fn get_bytes(&mut self) -> Option<&'a [u8]> {
         let len = self.get_uv()? as usize;
         if self.remaining() < len {
             return None;
@@ -213,7 +213,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// A length-prefixed byte run for [`Cursor::get_bytes`].
-pub(crate) fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     put_uv(buf, bytes.len() as u64);
     buf.extend_from_slice(bytes);
 }

@@ -115,13 +115,13 @@ mod tests {
         fn variables(&self) -> &[gst_frontend::Variable] {
             &self.0
         }
-        fn holds(&self, _: &[gst_common::Value]) -> bool {
+        fn holds(&self, _: &[gst_common::Word]) -> bool {
             true
         }
         fn describe(&self, _: &Interner) -> String {
             "misdirect".into()
         }
-        fn partition(&self, _: &[gst_common::Value]) -> Option<usize> {
+        fn partition(&self, _: &[gst_common::Word]) -> Option<usize> {
             Some(7)
         }
     }

@@ -1088,7 +1088,7 @@ mod tests {
             fn variables(&self) -> &[Variable] {
                 &self.0
             }
-            fn holds(&self, _: &[Value]) -> bool {
+            fn holds(&self, _: &[gst_common::Word]) -> bool {
                 true
             }
             fn describe(&self, _: &Interner) -> String {

@@ -1163,14 +1163,15 @@ mod tests {
         fn variables(&self) -> &[gst_frontend::Variable] {
             &self.0
         }
-        fn holds(&self, _: &[gst_common::Value]) -> bool {
+        fn holds(&self, _: &[gst_common::Word]) -> bool {
             true
         }
         fn describe(&self, _: &Interner) -> String {
             "X >= 10000".into()
         }
-        fn partition(&self, bound: &[gst_common::Value]) -> Option<usize> {
-            Some(usize::from(bound[0].as_int()? >= 10_000))
+        fn partition(&self, bound: &[gst_common::Word]) -> Option<usize> {
+            let (word, sym) = bound[0];
+            (!sym).then_some(usize::from(word as i64 >= 10_000))
         }
     }
 

@@ -25,7 +25,7 @@
 
 use std::hash::Hasher;
 
-use gst_common::{FxHasher, Tuple, Value};
+use gst_common::{FxHasher, Tuple, Value, Word};
 
 use crate::relation::Relation;
 
@@ -110,7 +110,7 @@ impl HashIndex {
     /// [`HashIndex::probe`] for a key given as [`Value::word`] pairs, as
     /// the join holds it: hashed and compared without building a `Value`.
     #[inline]
-    pub fn probe_words<'a>(&'a self, relation: &Relation, key: &[(u64, bool)]) -> &'a [u32] {
+    pub fn probe_words<'a>(&'a self, relation: &Relation, key: &[Word]) -> &'a [u32] {
         debug_assert_eq!(key.len(), self.key_columns.len());
         let hash = hash_words(key.iter().map(|k| k.0));
         self.postings(relation, hash, |rep| self.key_columns.iter().zip(key).all(|(&c, k)| rep.word(c) == *k))

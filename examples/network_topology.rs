@@ -57,7 +57,7 @@ fn main() -> Result<()> {
     let _ = var7; // names resolved on fx's interner below
     let i7 = &s7.program.interner;
     let v = |n: &str| Variable(i7.get(n).unwrap());
-    let h7 = Linear::new(BitFn::new(1), vec![1, -1, 1]);
+    let h7 = Linear::new(BitFn::new(1), vec![1, -1, 1])?;
     println!(
         "Figure 4 — minimal network for Example 7, h = g(a1)-g(a2)+g(a3), P = {:?}:",
         h7.processor_values()

@@ -1212,7 +1212,7 @@ fn cmd_network(args: Vec<String>) -> std::result::Result<(), String> {
                     v_r.len()
                 ));
             }
-            let h = Linear::new(BitFn::new(1), coeffs);
+            let h = Linear::new(BitFn::new(1), coeffs).map_err(|e| e.to_string())?;
             println!(
                 "linear function {}; P = {:?}",
                 h.describe(),

@@ -65,7 +65,7 @@ pub use gst_workloads as workloads;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
-    pub use gst_common::{ituple, Error, Interner, Result, SmallRng, Tuple, Value};
+    pub use gst_common::{ituple, Error, Interner, Result, SmallRng, Tuple, Value, Word};
     pub use gst_core::prelude::*;
     pub use gst_eval::{naive_eval, seminaive_eval, EvalResult, EvalStats, FixpointEngine};
     pub use gst_frontend::{

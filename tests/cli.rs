@@ -1003,8 +1003,9 @@ fn net_persistent_fault_fails_fast() {
 
 /// `--net` misuse fails with a clear message instead of a broken fleet,
 /// and so does every retired command, flag and scheme, a worker count
-/// above the ceiling (refused before anything compiles or spawns) and an
-/// argument `analyze` does not read.
+/// above the ceiling (refused before anything compiles or spawns), an
+/// argument `analyze` does not read and linear coefficients whose sums
+/// overflow `i64`.
 #[test]
 fn net_usage_errors_are_clean() {
     let file = write_program("net_usage.dl", &chain_program(5));
@@ -1021,6 +1022,7 @@ fn net_usage_errors_are_clean() {
         ("run", "--scheme example3 --net --connect-backoff-ms 10", "unexpected argument `--connect-backoff-ms`"),
         ("run", "--scheme naive", "unknown scheme `naive`"),
         ("network", "--bits", "unexpected argument `--bits`"),
+        ("network", "--linear 9223372036854775807,9223372036854775807", "overflows i64"),
         ("query", "anc(1,X)", "unknown command `query`"),
         ("analyze", "--bogus 7", "unexpected argument `--bogus`"),
     ] {

@@ -95,7 +95,7 @@ fn example7_network_is_sound() {
         fx.program.var("V"),
         fx.program.var("W"),
     ];
-    let lin = Linear::new(BitFn::new(4), vec![1, -1, 1]);
+    let lin = Linear::new(BitFn::new(4), vec![1, -1, 1]).unwrap();
     let net = derive_network(&sirup, &v_r, &v_e, &lin).unwrap();
 
     let mut s = Relation::new(3);

@@ -163,7 +163,7 @@ fn the_declared_kind_is_what_the_shards_are() {
                     let rows = engine.relation(inbox).unwrap();
                     match holds {
                         Holds::Keyed(h, c) => {
-                            let keyed_here = |row: &Tuple| h.assign(&c.iter().map(|&q| row.get(q)).collect::<Vec<_>>()) == i;
+                            let keyed_here = |row: &Tuple| h.assign(&c.iter().map(|&q| row.word(q)).collect::<Vec<_>>()) == i;
                             assert!(rows.iter().all(keyed_here), "{what}: a row of a Keyed inbox at {i} is keyed elsewhere");
                         }
                         Holds::Whole => assert!(rows.set_eq(&model), "{what}: the Whole inbox at {i} is not the model"),

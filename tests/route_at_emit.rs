@@ -328,9 +328,9 @@ fn value(env: &Env, term: &Term) -> Value {
     }
 }
 
-/// The values of `constraint`'s variables under `env`.
-fn bound(env: &Env, constraint: &ConstraintRef) -> Vec<Value> {
-    constraint.variables().iter().map(|&v| value(env, &Term::Var(v))).collect()
+/// The words of `constraint`'s variables' values under `env`.
+fn bound(env: &Env, constraint: &ConstraintRef) -> Vec<Word> {
+    constraint.variables().iter().map(|&v| value(env, &Term::Var(v)).word()).collect()
 }
 
 /// Bind `terms` to `row`'s values in `env`; false when a constant or an
@@ -735,7 +735,7 @@ fn example8_sends_a_doubly_routed_tuple_once() {
             doubly_routed += outlet
                 .rows
                 .iter()
-                .filter(|t| hash.assign(&[t.get(0)]) == dest && hash.assign(&[t.get(1)]) == dest)
+                .filter(|t| hash.assign(&[t.word(0)]) == dest && hash.assign(&[t.word(1)]) == dest)
                 .count();
         }
     });
@@ -744,7 +744,7 @@ fn example8_sends_a_doubly_routed_tuple_once() {
     // A row is home only when both keys hash home: those rows are in
     // `anc@in_i`, and no row is ever stored in `anc@out_i`.
     for (i, (engine, w)) in engines.iter().zip(&scheme.workers).enumerate() {
-        let home = |t: &Tuple| hash.assign(&[t.get(0)]) == i && hash.assign(&[t.get(1)]) == i;
+        let home = |t: &Tuple| hash.assign(&[t.word(0)]) == i && hash.assign(&[t.word(1)]) == i;
         let (out, inbox) = (w.program.program.rules[0].head.predicate, w.program.inboxes[0]);
         assert!(engine.relation((out, 2)).unwrap().is_empty(), "processor {i} stored a row in anc@out");
         assert!(engine.relation(inbox).unwrap().iter().any(home), "processor {i} has home rows");
@@ -883,11 +883,8 @@ impl Constraint for Unmarked {
     fn variables(&self) -> &[Variable] {
         self.0.variables()
     }
-    fn holds(&self, bound: &[Value]) -> bool {
+    fn holds(&self, bound: &[Word]) -> bool {
         self.0.holds(bound)
-    }
-    fn holds_words(&self, bound: &[(u64, bool)]) -> bool {
-        self.0.holds_words(bound)
     }
     fn describe(&self, interner: &Interner) -> String {
         self.0.describe(interner)
