@@ -9,8 +9,8 @@ use gst_core::discriminator::{
 };
 use gst_core::network::derive_network;
 use gst_core::prelude::{
-    example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_general,
-    rewrite_generalized, rewrite_no_comm, GeneralizedConfig, NoCommConfig, RuleChoice,
+    example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_general, rewrite_sirup,
+    RuleChoice, RulePolicy,
 };
 use gst_core::schemes::{BaseDistribution, CompiledScheme};
 use gst_eval::seminaive_eval;
@@ -74,7 +74,7 @@ pub fn figure2() -> FigureResult {
 pub fn figure3() -> FigureResult {
     let fx = example6_sirup();
     let s = LinearSirup::from_program(&fx.program).unwrap();
-    let h = BitVector::new(BitFn::new(1), 2);
+    let h = BitVector::new(BitFn::new(1), 2).unwrap();
     let net = derive_network(
         &s,
         &[fx.program.var("Y"), fx.program.var("Z")],
@@ -283,13 +283,8 @@ pub fn tradeoff_sweep(rows: u64, cols: u64, n: usize, alphas: &[f64]) -> Vec<Tra
             let h_locals: Vec<DiscriminatorRef> = (0..n)
                 .map(|i| Arc::new(Mixed::new(i, base_h.clone(), alpha, 31)) as DiscriminatorRef)
                 .collect();
-            let cfg = GeneralizedConfig {
-                v_r: vec![fx.program.var("Z")],
-                v_e: vec![fx.program.var("X")],
-                h_prime: base_h.clone(),
-                h_locals,
-            };
-            let outcome = rewrite_generalized(&sirup, &cfg, &db).unwrap().run().unwrap();
+            let policies = [RulePolicy::shared(vec![fx.program.var("X")], &base_h), RulePolicy::local(vec![fx.program.var("Z")], h_locals)];
+            let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§6 R_i").unwrap().run().unwrap();
             let firings = outcome.stats.total_processing_firings();
             TradeoffPoint {
                 alpha,
@@ -494,6 +489,7 @@ pub fn load_balance(n: usize) -> Vec<LoadBalanceRow> {
         });
     };
 
+    let h_x: DiscriminatorRef = Arc::new(HashMod::new(n, 11));
     for (wname, data) in [
         ("grid-8x8", grid(8, 8)),
         ("star-64", gst_workloads::star(64)),
@@ -507,11 +503,8 @@ pub fn load_balance(n: usize) -> Vec<LoadBalanceRow> {
         push(format!("example3 / {wname}"), &e3);
         // Degenerate: split the exit substitutions on X — on a star every
         // edge shares the hub as X, so one processor gets everything.
-        let cfg = NoCommConfig {
-            v_e: vec![fx.program.var("X")],
-            h_prime: Arc::new(HashMod::new(n, 11)),
-        };
-        let nc = rewrite_no_comm(&sirup, &cfg, &db).unwrap().run().unwrap();
+        let policies = [RulePolicy::shared(vec![fx.program.var("X")], &h_x), RulePolicy::local(vec![], Constant::each(n))];
+        let nc = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§6 no-comm").unwrap().run().unwrap();
         push(format!("nocomm(v_e=X) / {wname}"), &nc);
     }
     rows
@@ -571,16 +564,9 @@ pub fn generalized_constant_is_communication_free(n: usize) -> bool {
     let fx = linear_ancestor();
     let db = fx.database(&random_digraph(20, 40, 4));
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
-    let h_locals: Vec<DiscriminatorRef> = (0..n)
-        .map(|i| Arc::new(Constant::new(n, i)) as DiscriminatorRef)
-        .collect();
-    let cfg = GeneralizedConfig {
-        v_r: vec![fx.program.var("Z")],
-        v_e: vec![fx.program.var("X")],
-        h_prime: Arc::new(HashMod::new(n, 17)),
-        h_locals,
-    };
-    let outcome = rewrite_generalized(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let h_prime: DiscriminatorRef = Arc::new(HashMod::new(n, 17));
+    let policies = [RulePolicy::shared(vec![fx.program.var("X")], &h_prime), RulePolicy::local(vec![fx.program.var("Z")], Constant::each(n))];
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§6 R_i").unwrap().run().unwrap();
     outcome.stats.communication_free()
 }
 

@@ -57,7 +57,7 @@ pub struct Pair<'a> {
 /// discriminates on `v[k]`, all rules under one shared `h`.
 pub fn placement<'a>(program: &'a Program, v: &[Vec<Variable>]) -> Placement<'a> {
     let h: DiscriminatorRef = Arc::new(HashMod::new(1, 0));
-    Placement::new(program, &v.iter().map(|v| RulePolicy::shared(v.clone(), &h, 1)).collect::<Vec<_>>())
+    Placement::new(program, &v.iter().map(|v| RulePolicy::shared(v.clone(), &h)).collect::<Vec<_>>())
 }
 
 /// The predicted flow of every pair under that table.

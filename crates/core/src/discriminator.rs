@@ -88,6 +88,18 @@ pub trait Discriminator: Send + Sync {
 /// Shared handle to a discriminating function.
 pub type DiscriminatorRef = Arc<dyn Discriminator>;
 
+/// Whether `a` and `b` are one function: one allocation, or two whose
+/// wire encodings — kind, `n`, seed, coefficients, fragment rows — are
+/// equal bytes, which [`decode_constraint`] rebuilds into one function. A
+/// function that cannot encode itself is only itself.
+pub fn same_function(a: &DiscriminatorRef, b: &DiscriminatorRef) -> bool {
+    let encoding = |h: &DiscriminatorRef| {
+        let mut buf = Vec::new();
+        h.wire_encode_into(&mut buf).then_some(buf)
+    };
+    Arc::ptr_eq(a, b) || encoding(a).is_some_and(|bytes| encoding(b) == Some(bytes))
+}
+
 impl std::fmt::Debug for dyn Discriminator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.describe())
@@ -240,9 +252,16 @@ pub struct BitVector {
 
 impl BitVector {
     /// Bit-vector function over sequences of length `len`.
-    pub fn new(g: BitFn, len: usize) -> Self {
-        assert!((1..=16).contains(&len), "2^len processors must stay sane");
-        BitVector { g, len }
+    ///
+    /// # Errors
+    /// [`Error::Discriminator`] unless `len` is 1 to 16: `2^len` processors.
+    pub fn new(g: BitFn, len: usize) -> Result<Self> {
+        if !(1..=16).contains(&len) {
+            return Err(Error::Discriminator(format!(
+                "a bit-vector function takes a sequence of 1 to 16 variables (2^len processors), not {len}"
+            )));
+        }
+        Ok(BitVector { g, len })
     }
 
     /// Render a processor index as the paper's bit-string, e.g. `(01)`.
@@ -455,6 +474,12 @@ impl Constant {
     pub fn new(n: usize, target: usize) -> Self {
         assert!(target < n);
         Constant { n, target }
+    }
+
+    /// `h_i(x) = i` for every processor `i < n`: §6's per-processor list
+    /// under which no tuple leaves its producer.
+    pub fn each(n: usize) -> Vec<DiscriminatorRef> {
+        (0..n).map(|i| Arc::new(Constant::new(n, i)) as DiscriminatorRef).collect()
     }
 }
 
@@ -673,10 +698,7 @@ fn decode_disc(r: &mut wire::Cursor<'_>, depth: usize) -> Result<DiscriminatorRe
         Some(wire::DISC_BIT_VECTOR) => {
             let seed = r.get_uv().ok_or_else(|| corrupt("truncated BitVector"))?;
             let len = r.get_uv().ok_or_else(|| corrupt("truncated BitVector"))? as usize;
-            if !(1..=16).contains(&len) {
-                return Err(corrupt("BitVector length out of range"));
-            }
-            Ok(Arc::new(BitVector::new(BitFn::new(seed), len)))
+            Ok(Arc::new(BitVector::new(BitFn::new(seed), len)?))
         }
         Some(wire::DISC_LINEAR) => {
             let seed = r.get_uv().ok_or_else(|| corrupt("truncated Linear"))?;
@@ -819,7 +841,7 @@ mod tests {
     #[test]
     fn bit_vector_composes_g() {
         let g = BitFn::new(5);
-        let h = BitVector::new(g, 2);
+        let h = BitVector::new(g, 2).unwrap();
         assert_eq!(h.processors(), 4);
         for a in 0..10i64 {
             for b in 0..10i64 {
@@ -927,6 +949,34 @@ mod tests {
             .any(|w| !c.holds(&[w]));
         assert!(miss, "some value hashes elsewhere");
         assert!(c.describe(&interner).contains("h(X)"));
+    }
+
+    /// Two functions are one when their encodings are: built apart, a
+    /// `HashMod` or a `Mixed` over equal bases is the same function, another
+    /// seed is not, and a function that cannot encode is only itself.
+    #[test]
+    fn a_function_is_compared_by_what_it_is() {
+        struct Opaque;
+        impl Discriminator for Opaque {
+            fn processors(&self) -> usize {
+                1
+            }
+            fn assign(&self, _: &[Word]) -> usize {
+                0
+            }
+            fn describe(&self) -> String {
+                "opaque".into()
+            }
+        }
+        let hash = |seed| Arc::new(HashMod::new(3, seed)) as DiscriminatorRef;
+        let mixed = |seed| Arc::new(Mixed::new(1, hash(seed), 0.5, 9)) as DiscriminatorRef;
+        assert!(same_function(&hash(7), &hash(7)));
+        assert!(!same_function(&hash(7), &hash(8)));
+        assert!(same_function(&mixed(7), &mixed(7)));
+        assert!(!same_function(&mixed(7), &mixed(8)));
+        let opaque: DiscriminatorRef = Arc::new(Opaque);
+        assert!(same_function(&opaque, &opaque.clone()));
+        assert!(!same_function(&opaque, &(Arc::new(Opaque) as DiscriminatorRef)));
     }
 
     #[test]

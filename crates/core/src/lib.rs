@@ -10,10 +10,12 @@
 //! * [`discriminator`] — the function family (§3): hash partitions,
 //!   bit-vector and linear `g`-combinations, fragment ownership, and the
 //!   §6 keep-local mixes;
-//! * [`schemes`] — the rewritings: `Q_i` (§3, non-redundant),
-//!   the communication-free scheme of [Wolfson 88] (§6), `R_i` (§6,
-//!   per-processor functions: the redundancy/communication trade-off),
-//!   `T_i` (§7, arbitrary programs), and the §4 example presets;
+//! * [`schemes`] — the rewriting: one loop under one policy per rule
+//!   (`v(r)`, `h_k^i`, conditioned or not), which is `Q_i` (§3,
+//!   non-redundant), `R_i` (§6, per-processor functions: the
+//!   redundancy/communication trade-off), the communication-free scheme of
+//!   [Wolfson 88] (§6) or `T_i` (§7, arbitrary programs), and the §4
+//!   example presets as policy tables;
 //! * [`dataflow`] — argument-position dataflow graphs (§5, Def. 2) and
 //!   the Theorem-3 zero-communication chooser;
 //! * [`network`] — compile-time derivation of the minimal processor
@@ -39,11 +41,9 @@ pub mod prelude {
     };
     pub use crate::network::{derive_network, NetworkGraph, SymbolicDisc};
     pub use crate::schemes::demand::{compile_demand, demand_choices, DEMAND_HASH_SEED};
-    pub use crate::schemes::general::{rewrite_general, RuleChoice};
+    pub use crate::schemes::general::{rewrite_general, RuleChoice, RulePolicy};
     pub use crate::schemes::presets::{
-        example1_wolfson, example2_valduriez, example3_hash_partition, rewrite_generalized,
-        rewrite_no_comm, rewrite_non_redundant, GeneralizedConfig, NoCommConfig,
-        NonRedundantConfig,
+        example1_wolfson, example2_valduriez, example3_hash_partition, no_comm, rewrite_sirup,
     };
     pub use crate::schemes::common::first_body_variable;
     pub use crate::schemes::placement::Holds;

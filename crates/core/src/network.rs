@@ -127,12 +127,16 @@ enum BitSource {
     Free(usize),
 }
 
+/// The most bits [`derive_network`] enumerates: `2^24` assignments.
+const MAX_BITS: usize = 24;
+
 /// Derive the minimal network graph for `sirup` under sequences `v_r`
 /// (for the recursive rule) and `v_e` (for the exit rule) and symbolic
 /// function `h` (used for both `h` and `h'`, as in the paper's examples).
 ///
 /// Requirements (checked): every `v_r` variable occurs in the body
-/// `t`-atom `Ȳ`; every `v_e` variable occurs in the exit rule.
+/// `t`-atom `Ȳ`; every `v_e` variable occurs in the exit rule; the head's
+/// arity and the `v(r)` variables it lacks add up to at most 24 bits.
 pub fn derive_network(
     sirup: &LinearSirup,
     v_r: &[Variable],
@@ -190,10 +194,15 @@ pub fn derive_network(
         })
         .collect();
 
+    let total_bits = m + free_count;
+    if total_bits > MAX_BITS {
+        return Err(Error::Discriminator(format!(
+            "network derivation enumerates one bit per head position and free v(r) variable: \
+             {total_bits} bits, at most {MAX_BITS}"
+        )));
+    }
     let n = h.processors();
     let mut edges = BTreeSet::new();
-    let total_bits = m + free_count;
-    assert!(total_bits <= 24, "enumeration bounded to 2^24 assignments");
     for assignment in 0u64..(1u64 << total_bits) {
         let bit = |src: &BitSource| -> u8 {
             let idx = match src {
@@ -244,7 +253,7 @@ mod tests {
         let s = sirup("p(X,Y) :- q(X,Y).\np(X,Y) :- p(Y,Z), r(X,Z).");
         let v_r = vars(&s, &["Y", "Z"]);
         let v_e = vars(&s, &["X", "Y"]);
-        let h = BitVector::new(BitFn::new(1), 2);
+        let h = BitVector::new(BitFn::new(1), 2).unwrap();
         let net = derive_network(&s, &v_r, &v_e, &h).unwrap();
         // Processors (00)=0, (01)=1, (10)=2, (11)=3.
         // Derived in the paper: (00)→(10); by symmetry (11)→(01);
@@ -315,7 +324,7 @@ mod tests {
         let s = sirup("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).");
         let v_r = vars(&s, &["Y"]);
         let v_e = vars(&s, &["Y"]);
-        let h = BitVector::new(BitFn::new(1), 1);
+        let h = BitVector::new(BitFn::new(1), 1).unwrap();
         let net = derive_network(&s, &v_r, &v_e, &h).unwrap();
         assert!(net.edges.is_empty());
         assert_eq!(net.display(), "(no interprocessor channels)");
@@ -329,7 +338,7 @@ mod tests {
         let s = sirup("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).");
         let v_r = vars(&s, &["Z"]);
         let v_e = vars(&s, &["X"]);
-        let h = BitVector::new(BitFn::new(1), 1);
+        let h = BitVector::new(BitFn::new(1), 1).unwrap();
         let net = derive_network(&s, &v_r, &v_e, &h).unwrap();
         let expect: BTreeSet<(usize, usize)> = [(0, 1), (1, 0)].into_iter().collect();
         assert_eq!(net.edges, expect);
@@ -342,7 +351,7 @@ mod tests {
         let s = sirup("anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y).");
         let v_r = vars(&s, &["X"]); // X not in anc(Z,Y)
         let v_e = vars(&s, &["X"]);
-        let h = BitVector::new(BitFn::new(1), 1);
+        let h = BitVector::new(BitFn::new(1), 1).unwrap();
         assert!(derive_network(&s, &v_r, &v_e, &h).is_err());
     }
 
@@ -356,7 +365,7 @@ mod tests {
         let i = &s.program.interner;
         let w = Variable(i.get("W").unwrap());
         let y = Variable(i.get("Y").unwrap());
-        let h = BitVector::new(BitFn::new(1), 1);
+        let h = BitVector::new(BitFn::new(1), 1).unwrap();
         // v(r) = ⟨Y⟩ over Ȳ = (Y): consumption is determined by the tuple;
         // v(e) = ⟨W⟩ is free: init tuples can land anywhere.
         let net = derive_network(&s, &[y], &[w], &h).unwrap();
@@ -375,7 +384,7 @@ mod tests {
         let i = &s.program.interner;
         let u = Variable(i.get("U").unwrap());
         let x = Variable(i.get("X").unwrap());
-        let h = BitVector::new(BitFn::new(1), 1);
+        let h = BitVector::new(BitFn::new(1), 1).unwrap();
         let net = derive_network(&s, &[u], &[x], &h).unwrap();
         let (have, possible) = net.density();
         assert_eq!((have, possible), (2, 2), "no compile-time pruning possible");

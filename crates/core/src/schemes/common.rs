@@ -351,9 +351,9 @@ mod tests {
     #[test]
     fn fragments_match_a_per_processor_reference() {
         use crate::advisor::choose_sequences;
-        use crate::discriminator::{DiscriminatorRef, HashMod, Mixed};
+        use crate::discriminator::{Constant, DiscriminatorRef, HashMod, Mixed};
         use crate::schemes::demand::compile_demand;
-        use crate::schemes::general::{rewrite_general, RuleChoice};
+        use crate::schemes::general::{rewrite_general, RuleChoice, RulePolicy};
         use crate::schemes::presets::*;
         use gst_frontend::magic::magic_rewrite;
         use gst_frontend::LinearSirup;
@@ -369,14 +369,16 @@ mod tests {
             let h: DiscriminatorRef = Arc::new(HashMod::new(n, 3));
             let var = |name| fx.program.var(name);
             let local = |i| Arc::new(Mixed::new(i, h.clone(), 0.5, 7)) as DiscriminatorRef;
-            let generalized = GeneralizedConfig { v_r: vec![var("Z")], v_e: vec![var("X")], h_prime: h.clone(), h_locals: (0..n).map(local).collect() };
+            let r_i = [RulePolicy::shared(vec![var("X")], &h), RulePolicy::local(vec![var("Z")], (0..n).map(local).collect())];
+            let no_comm = [RulePolicy::shared(vec![var("X")], &h), RulePolicy::local(vec![], Constant::each(n))];
+            let sirup_plan = |policies| rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§6").unwrap();
             let mut plans = vec![
                 ("example1", db.clone(), example1_wolfson(&sirup, n, &db).unwrap()),
                 ("example2", db.clone(), example2_valduriez(&sirup, round_robin_fragment(&edges, n).unwrap(), &db).unwrap()),
                 ("example3", db.clone(), example3_hash_partition(&sirup, n, &db).unwrap()),
                 ("example3 (zipf)", hot_db.clone(), example3_hash_partition(&sirup, n, &hot_db).unwrap()),
-                ("§6 per-processor h_i", db.clone(), rewrite_generalized(&sirup, &generalized, &db).unwrap()),
-                ("nocomm", db.clone(), rewrite_no_comm(&sirup, &NoCommConfig { v_e: vec![var("X")], h_prime: h.clone() }, &db).unwrap()),
+                ("§6 per-processor h_i", db.clone(), sirup_plan(r_i)),
+                ("nocomm", db.clone(), sirup_plan(no_comm)),
             ];
             let (sg, tree) = (same_generation(), same_generation_tree(3));
             for (name, fx, db) in [

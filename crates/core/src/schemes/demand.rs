@@ -6,7 +6,7 @@
 //! [`compile_demand`] loads the seed under its auxiliary base predicate,
 //! partitions every generated rule on its *demand key* (the magic
 //! guard's bound columns) with one shared hash ([`demand_choices`]), and
-//! hands the result to [`rewrite_general`] — so semi-naive evaluation,
+//! hands the result to the loop ([`general::rewrite`]) — so semi-naive evaluation,
 //! every transport, crash recovery, update sessions and profiling run the
 //! demand-bounded fixpoint unchanged.
 //!
@@ -27,7 +27,7 @@ use gst_storage::Database;
 
 use crate::discriminator::{DiscriminatorRef, HashMod};
 use crate::schemes::common::{first_body_variable, validate_sequence, BaseDistribution};
-use crate::schemes::general::{rewrite_general, RuleChoice};
+use crate::schemes::general::{self, RuleChoice, RulePolicy};
 use crate::schemes::CompiledScheme;
 
 /// Hash seed shared by every rule of a demand-partitioned magic program.
@@ -54,7 +54,7 @@ pub const DEMAND_HASH_SEED: u64 = 0xD17;
 /// worker. Demand lands where the data lives. An adorned answer
 /// occurrence whose pattern does not contain the demand key (e.g. the
 /// recursive atom of the *left*-linear ancestor rule) falls back to
-/// replication — `rewrite_general`'s broadcast path — which ships only
+/// replication — the loop's broadcast path — which ships only
 /// the demand-bounded answer set, not the full closure.
 ///
 /// Rules whose guard binds no variable (an all-free sub-adornment, or a
@@ -113,15 +113,12 @@ pub fn compile_demand(
         rewrite.seed_fact.clone(),
     )?;
     let n = if one_demand_key(rewrite) { 1 } else { workers };
-    let choices = demand_choices(rewrite, n, DEMAND_HASH_SEED)?;
-    let mut scheme = rewrite_general(
-        &rewrite.program,
-        &choices,
-        &seeded,
-        BaseDistribution::MinimalFragments,
-    )?;
-    scheme.kind = "demand-driven magic (§7 T_i, demand-keyed)";
-    Ok(scheme)
+    let policies: Vec<RulePolicy> = demand_choices(rewrite, n, DEMAND_HASH_SEED)?
+        .into_iter()
+        .map(|c| RulePolicy::shared(c.v, &c.h))
+        .collect();
+    let base = BaseDistribution::MinimalFragments;
+    general::rewrite(&rewrite.program, &policies, &seeded, base, "demand-driven magic (§7 T_i, demand-keyed)")
 }
 
 #[cfg(test)]

@@ -85,9 +85,12 @@ impl RuleChoice {
     }
 }
 
-/// What the loop is told about one rule: a [`RuleChoice`] plus the two
-/// things §6 adds to it.
-pub(crate) struct RulePolicy {
+/// What the loop is told about one rule: its `v(r_k)`, its `h_k^i` per
+/// processor, and whether it is conditioned on them. §3's `Q_i`, §6's
+/// `R_i`, the communication-free scheme and §7's `T_i` differ in these and
+/// nothing else.
+#[derive(Clone)]
+pub struct RulePolicy {
     /// `v(r_k)`.
     pub v: Vec<Variable>,
     /// `h_k^i`, one per processor: what processor `i` conditions the rule
@@ -98,9 +101,16 @@ pub(crate) struct RulePolicy {
 }
 
 impl RulePolicy {
-    /// The §3/§7 policy: conditioned, one `h` shared by `n` processors.
-    pub fn shared(v: Vec<Variable>, h: &DiscriminatorRef, n: usize) -> Self {
-        RulePolicy { v, h: vec![h.clone(); n], conditioned: true }
+    /// The §3/§7 policy: conditioned, one `h` shared by its
+    /// `h.processors()` processors.
+    pub fn shared(v: Vec<Variable>, h: &DiscriminatorRef) -> Self {
+        RulePolicy { v, h: vec![h.clone(); h.processors()], conditioned: true }
+    }
+
+    /// The §6 policy: unconditioned, processor `i` routing with `h[i]`.
+    /// Every consuming occurrence must then bind `v` (`v(r) ⊆ Ȳ`).
+    pub fn local(v: Vec<Variable>, h: Vec<DiscriminatorRef>) -> Self {
+        RulePolicy { v, h, conditioned: false }
     }
 }
 
@@ -116,15 +126,15 @@ pub fn rewrite_general(
     base: BaseDistribution,
 ) -> Result<CompiledScheme> {
     // §7's policies: one `h_k` shared by every processor.
-    let n = choices.first().map_or(0, |c| c.h.processors());
-    let policies: Vec<RulePolicy> = choices.iter().map(|c| RulePolicy::shared(c.v.clone(), &c.h, n)).collect();
+    let policies: Vec<RulePolicy> = choices.iter().map(|c| RulePolicy::shared(c.v.clone(), &c.h)).collect();
     rewrite(source, &policies, db, base, "general scheme (§7 T_i)")
 }
 
 /// The loop: `policies[k]` governs `source.rules[k]`, and processor `i`
 /// gets one processing rule per source rule, same order, and one route
-/// per rule and distinct derived body occurrence.
-pub(crate) fn rewrite(
+/// per rule and distinct derived body occurrence. `kind` names the
+/// scheme in reports.
+pub fn rewrite(
     source: &Program,
     policies: &[RulePolicy],
     db: &Database,
@@ -396,7 +406,7 @@ mod tests {
         let swapped: Vec<DiscriminatorRef> = vec![Arc::new(Constant::new(2, 1)), Arc::new(Constant::new(2, 0))];
         for fx in [linear_ancestor(), nonlinear_ancestor()] {
             let db = fx.database(&random_digraph(40, 120, 3));
-            let policy = |v: &str, h: &[DiscriminatorRef], conditioned| RulePolicy { v: vec![fx.program.var(v)], h: h.to_vec(), conditioned };
+            let policy = |v: &str, h: &[DiscriminatorRef], conditioned| RulePolicy { conditioned, ..RulePolicy::local(vec![fx.program.var(v)], h.to_vec()) };
             let compile = |exit, recursive| rewrite(&fx.program, &[exit, recursive], &db, BaseDistribution::Shared, "hand-built");
             let shared = || vec![per_processor[0].clone(); 2];
             let refused = |exit, recursive| match compile(exit, recursive) {
@@ -411,6 +421,40 @@ mod tests {
             assert!(refused(policy("X", &shared(), true), policy("X", &per_processor, false)).contains("appear in Ȳ"));
             // One `h` shared by both processors places every row.
             compile(policy("X", &shared(), true), policy("Z", &shared(), true)).unwrap();
+        }
+    }
+
+    /// Each worker's program printed, with every rule condition and route
+    /// key by its wire bytes, which carry the function and its seed.
+    fn printed(scheme: &CompiledScheme) -> Vec<String> {
+        let worker = |w: &WorkerSpec| {
+            let pp = &w.program;
+            let conditions = pp.program.rules.iter().flat_map(|r| &r.body).filter_map(|l| match l {
+                Literal::Constraint(c) => Some(c),
+                Literal::Atom(_) => None,
+            });
+            let keys: Vec<_> = conditions.chain(pp.routes.iter().flat_map(|r| &r.key)).map(|c| c.wire_encode()).collect();
+            let rules = gst_frontend::pretty::program(&pp.program);
+            format!("{rules} {keys:?} {:?} {:?} {:?}", pp.routes, pp.inboxes, pp.pooling)
+        };
+        scheme.workers.iter().map(worker).collect()
+    }
+
+    /// One function built once per processor is one shared `h`: conditioned
+    /// rules under `HashMod::new(2, 7)` built apart for every processor
+    /// compile, byte for byte, to the worker programs of one shared `Arc`.
+    #[test]
+    fn an_equal_h_built_apart_is_the_shared_h() {
+        for fx in [linear_ancestor(), nonlinear_ancestor()] {
+            let db = fx.database(&random_digraph(40, 120, 3));
+            let conditioned = |v: &str, h: Vec<DiscriminatorRef>| RulePolicy { conditioned: true, ..RulePolicy::local(vec![fx.program.var(v)], h) };
+            let compile = |h: &dyn Fn() -> Vec<DiscriminatorRef>| {
+                let policies = [conditioned("X", h()), conditioned("Z", h())];
+                rewrite(&fx.program, &policies, &db, BaseDistribution::MinimalFragments, "hand-built").unwrap()
+            };
+            let shared: DiscriminatorRef = Arc::new(HashMod::new(2, 7));
+            let apart = || (0..2).map(|_| Arc::new(HashMod::new(2, 7)) as DiscriminatorRef).collect();
+            assert_eq!(printed(&compile(&apart)), printed(&compile(&|| vec![shared.clone(); 2])));
         }
     }
 

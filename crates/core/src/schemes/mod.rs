@@ -1,26 +1,30 @@
 //! The paper's parallelization schemes as one program rewriting.
 //!
-//! [`general`] holds the loop — the only code that turns (program,
-//! per-rule choice, base distribution) into per-processor programs — and
-//! [`presets`] every named way of calling it ([`demand`] is one more, for
-//! magic-sets rewrites). Where a row can be is one [`placement`] table the
-//! loop builds from its rule policies and checks before any tuple moves. A
-//! preset differs from another in four choices and nothing else:
+//! [`general`] holds the loop, [`general::rewrite`] — the only code that
+//! turns (program, one [`general::RulePolicy`] per rule, base distribution)
+//! into per-processor programs. A policy is a rule's `v(r)`, its `h_k^i`
+//! per processor and whether the rule is conditioned on them:
+//! [`RulePolicy::shared`](general::RulePolicy::shared) (conditioned, one
+//! `h`) or [`RulePolicy::local`](general::RulePolicy::local)
+//! (unconditioned, `h_i` per processor). [`presets`] holds the named policy
+//! tables of a linear sirup `[exit, recursive]`, which compiles through
+//! [`presets::rewrite_sirup`], and [`demand`] one more for magic-sets
+//! rewrites. Where a row can be is one [`placement`] table the loop builds
+//! from the policies and checks before any tuple moves.
 //!
-//! | Preset | Paper | `v(r)` | condition on `r` | `h_i` | base |
-//! |---|---|---|---|---|---|
-//! | [`presets::rewrite_non_redundant`] | §3 `Q_i` | given | yes | shared `h` | given |
-//! | [`presets::rewrite_generalized`] | §6 `R_i` | given, `⊆ Ȳ` | no | given per processor | shared |
-//! | [`presets::rewrite_no_comm`] | §6 / [Wolfson 88] | `⟨⟩` | no | `h_i(x) = i` | shared |
-//! | [`general::rewrite_general`] | §7 `T_i` | given per rule | yes | shared `h_k` | given |
-//! | [`presets::example1_wolfson`] | §4 Ex. 1 | a dataflow cycle | yes | symmetric hash | shared |
-//! | [`presets::example2_valduriez`] | §4 Ex. 2 | the base atom's variables | yes | fragment owner | its fragments |
-//! | [`presets::example3_hash_partition`] | §4 Ex. 3 | `Ȳ`'s first base-bound variable | yes | hash | minimal fragments |
-//! | [`demand::compile_demand`] | §7 | each rule's magic guard | yes | hash | minimal fragments |
+//! | Scheme | Paper | policies | base |
+//! |---|---|---|---|
+//! | `rewrite_sirup` | §3 `Q_i` | `[shared(v(e), h'), shared(v(r), h)]` | given |
+//! | `rewrite_sirup` | §6 `R_i` | `[shared(v(e), h'), local(v(r) ⊆ Ȳ, h_i)]` | shared |
+//! | [`presets::no_comm`] | §6 / [Wolfson 88] | `[shared(first exit-body variable, hash), local(⟨⟩, h_i(x) = i)]` | shared |
+//! | [`general::rewrite_general`] | §7 `T_i` | `shared(v(r_k), h_k)` per rule | given |
+//! | [`presets::example1_wolfson`] | §4 Ex. 1 | `[shared(v(e), h), shared(a dataflow cycle, h)]`, `h` symmetric | shared |
+//! | [`presets::example2_valduriez`] | §4 Ex. 2 | `[shared(v(e), h), shared(the base atom's variables, h)]`, `h` the fragment owner | its fragments |
+//! | [`presets::example3_hash_partition`] | §4 Ex. 3 | `[shared(v(e), h), shared(Ȳ's first base-bound variable, h)]`, `h` a hash | minimal fragments |
+//! | [`demand::compile_demand`] | §7 | `shared(the magic guard, h)` per rule | minimal fragments |
 //!
-//! The exit rule of a sirup preset is always conditioned on `h'(v(e))`,
-//! and over one processor no rule is: `h(v(r)) = 0` always holds there.
-//! Every rewriting produces a [`CompiledScheme`]: one
+//! Over one processor no rule is conditioned: `h(v(r)) = 0` always holds
+//! there. Every rewriting produces a [`CompiledScheme`]: one
 //! [`gst_runtime::WorkerSpec`] per processor plus the identity of the
 //! global answer predicates. Executing it runs the real multi-threaded
 //! runtime and returns pooled relations plus communication statistics.

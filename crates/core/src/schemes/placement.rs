@@ -5,14 +5,13 @@
 //! rewrite makes it so with one route per consuming occurrence, and
 //! [`Placement`] records each route's key — `h_k` and the columns holding
 //! `v(r_k)` ([`key_columns`]), or none: a broadcast — and what the routes
-//! leave in every inbox `t_in^i` ([`Holds`]). The loop's keyed-or-broadcast
-//! choice, the parallel-correctness check ([`Placement::check`]), the
-//! implied conditions, every answer's [`Shards`] kind and the chooser's
-//! [`Flow`]s are reads of it.
+//! leave in every inbox `t_in^i` ([`Holds`]). Two `h` are the same when
+//! they are one function ([`same_function`]), however often it was built.
+//! The loop's keyed-or-broadcast choice, the parallel-correctness check
+//! ([`Placement::check`]), the implied conditions, every answer's
+//! [`Shards`] kind and the chooser's [`Flow`]s are reads of it.
 //! Where a worker *stores* a row is the engine's rule on the routes it
 //! receives, [`gst_eval::route::home_inbox`].
-
-use std::sync::Arc;
 
 use gst_common::{Error, Result};
 use gst_eval::plan::RelationId;
@@ -21,7 +20,7 @@ use gst_frontend::ast::{Atom, Term};
 use gst_frontend::{pretty, Predicate, Program, Rule, Variable};
 
 use crate::advisor::{Flow, Pair};
-use crate::discriminator::DiscriminatorRef;
+use crate::discriminator::{same_function, DiscriminatorRef};
 use crate::schemes::common::consuming_occurrences;
 use crate::schemes::general::RulePolicy;
 
@@ -88,7 +87,7 @@ impl<'a> Placement<'a> {
         let placed = |(rule, p): (&'a Rule, &RulePolicy)| {
             let evaluable = p.h.iter().all(|h| h.locally_evaluable());
             let key = |a: &'a Atom| (a, key_columns(&a.terms, &p.v).filter(|_| evaluable));
-            let shared = p.h.iter().all(|h| Arc::ptr_eq(h, &p.h[0])).then(|| p.h[0].clone());
+            let shared = p.h.iter().all(|h| same_function(h, &p.h[0])).then(|| p.h[0].clone());
             let occurrences = consuming_occurrences(program, rule).into_iter().map(key).collect();
             Placed { head: &rule.head, v: p.v.clone(), conditioned: p.conditioned, shared, occurrences }
         };
@@ -98,7 +97,7 @@ impl<'a> Placement<'a> {
             for r in &rules {
                 keys.extend(r.occurrences.iter().filter(|o| o.0.pred() == d).map(|o| (r.shared.as_ref(), o.1.as_ref())));
             }
-            let keyed_by = |h, c| keys.iter().all(|&(g, k)| g.is_some_and(|g| Arc::ptr_eq(g, h)) && k == Some(c));
+            let keyed_by = |h, c| keys.iter().all(|&(g, k)| g.is_some_and(|g| same_function(g, h)) && k == Some(c));
             let holds = match keys.first() {
                 _ if keys.iter().any(|k| k.1.is_none()) => Holds::Whole,
                 Some(&(Some(h), Some(c))) if keyed_by(h, c) => Holds::Keyed(h.clone(), c.clone()),
@@ -183,7 +182,7 @@ impl<'a> Placement<'a> {
     pub fn pairs(&self) -> Vec<Pair<'a>> {
         let pair = |(producer, consumer, atom): (usize, usize, &'a Atom)| {
             let (p, c) = (&self.rules[producer], &self.rules[consumer]);
-            let same_h = p.conditioned && p.shared.as_ref().zip(c.shared.as_ref()).is_some_and(|(a, b)| Arc::ptr_eq(a, b));
+            let same_h = p.conditioned && p.shared.as_ref().zip(c.shared.as_ref()).is_some_and(|(a, b)| same_function(a, b));
             let flow = match &c.occurrences.iter().find(|o| o.0 == atom).expect("an occurrence of its consumer").1 {
                 None => Flow::Broadcast,
                 Some(columns) if same_h && carries(p.head, &p.v, columns) => Flow::Home,

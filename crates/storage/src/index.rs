@@ -7,10 +7,10 @@
 //! index, neither as a key nor as a posting. Keys exist only as hashes:
 //! equality on probe is verified against the projected columns of the
 //! bucket's first row, so probing needs the source relation but never
-//! allocates a key tuple. The hash is of the key columns' untagged words
-//! ([`Tuple::word`]), so hashing a row's projection, a `Value` key and
-//! the join's word key is one function and reads no type tag; the type
-//! bit is compared when the representative row is.
+//! allocates a key tuple. A key is probed as words ([`Tuple::word`]): the
+//! hash is of the key columns' untagged words, so a row's projection, a
+//! `Value` key and the join's word key hash alike and no type tag is read;
+//! the type bit is compared when the representative row is.
 //!
 //! Because rows only append and the index ingests them in row order, each
 //! bucket's posting list is sorted ascending. A caller that wants only
@@ -25,6 +25,7 @@
 
 use std::hash::Hasher;
 
+use gst_common::value::gather;
 use gst_common::{FxHasher, Tuple, Value, Word};
 
 use crate::relation::Relation;
@@ -59,12 +60,6 @@ fn hash_words(words: impl Iterator<Item = u64>) -> u64 {
     h.finish()
 }
 
-/// Hash a probe key given as a value slice: the hash the index files the
-/// rows projecting onto `key` under.
-pub fn hash_key(key: &[Value]) -> u64 {
-    hash_words(key.iter().map(|v| v.word().0))
-}
-
 impl HashIndex {
     /// Create an empty index keyed on `key_columns`.
     pub fn new(key_columns: &[usize]) -> Self {
@@ -95,16 +90,10 @@ impl HashIndex {
 
     /// Row ids whose projection equals `key`, ascending. Missing keys
     /// yield `&[]`. `relation` must be the indexed relation: it supplies
-    /// the representative tuple that verifies key equality.
+    /// the representative tuple that verifies key equality. The values are
+    /// probed as their [`Value::word`]s, gathered on the stack.
     pub fn probe<'a>(&'a self, relation: &Relation, key: &[Value]) -> &'a [u32] {
-        self.probe_hashed(relation, hash_key(key), key)
-    }
-
-    /// [`HashIndex::probe`] with the key hash precomputed by
-    /// [`hash_key`] (hot paths hoist the hashing out of posting slicing).
-    pub fn probe_hashed<'a>(&'a self, relation: &Relation, hash: u64, key: &[Value]) -> &'a [u32] {
-        debug_assert_eq!(key.len(), self.key_columns.len());
-        self.postings(relation, hash, |rep| self.key_columns.iter().zip(key).all(|(&c, v)| rep.get(c) == *v))
+        gather(key.len(), |k| key[k].word(), |words| self.probe_words(relation, words))
     }
 
     /// [`HashIndex::probe`] for a key given as [`Value::word`] pairs, as
@@ -112,16 +101,11 @@ impl HashIndex {
     #[inline]
     pub fn probe_words<'a>(&'a self, relation: &Relation, key: &[Word]) -> &'a [u32] {
         debug_assert_eq!(key.len(), self.key_columns.len());
-        let hash = hash_words(key.iter().map(|k| k.0));
-        self.postings(relation, hash, |rep| self.key_columns.iter().zip(key).all(|(&c, k)| rep.word(c) == *k))
-    }
-
-    /// The postings filed under `hash` whose representative row `is_key`.
-    #[inline]
-    fn postings(&self, relation: &Relation, hash: u64, is_key: impl Fn(&Tuple) -> bool) -> &[u32] {
         if self.buckets.is_empty() {
             return &[];
         }
+        let hash = hash_words(key.iter().map(|k| k.0));
+        let is_key = |rep: &Tuple| self.key_columns.iter().zip(key).all(|(&c, k)| rep.word(c) == *k);
         &self.buckets[self.slot(relation, hash, is_key)].rows
     }
 

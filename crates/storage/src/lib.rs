@@ -16,6 +16,6 @@ pub mod partition;
 pub mod relation;
 
 pub use database::Database;
-pub use index::{hash_key, postings_in_range, HashIndex};
+pub use index::{postings_in_range, HashIndex};
 pub use partition::{hash_fragment, round_robin_fragment, Fragmentation};
 pub use relation::Relation;

@@ -42,7 +42,7 @@ fn main() -> Result<()> {
     let fx6 = example6_sirup();
     let s6 = LinearSirup::from_program(&fx6.program)?;
     let var = |name: &str| Variable(fx6.program.interner.get(name).unwrap());
-    let h6 = BitVector::new(BitFn::new(1), 2);
+    let h6 = BitVector::new(BitFn::new(1), 2)?;
     let net6 = derive_network(&s6, &[var("Y"), var("Z")], &[var("X"), var("Y")], &h6)?;
     println!("Figure 3 — minimal network for Example 6, h(a,b) = (g(a),g(b)):");
     for line in net6.display().lines() {
@@ -75,14 +75,8 @@ fn main() -> Result<()> {
     let r_edges = random_digraph(40, 120, 8);
     let db = fx6.database_multi(&[edges, r_edges]);
     let h: DiscriminatorRef = Arc::new(h6.clone());
-    let cfg = NonRedundantConfig {
-        v_r: vec![var("Y"), var("Z")],
-        v_e: vec![var("X"), var("Y")],
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::Shared,
-    };
-    let scheme = rewrite_non_redundant(&s6, &cfg, &db)?;
+    let policies = [RulePolicy::shared(vec![var("X"), var("Y")], &h), RulePolicy::shared(vec![var("Y"), var("Z")], &h)];
+    let scheme = rewrite_sirup(&s6, policies, &db, BaseDistribution::Shared, "§3 Q_i")?;
     let outcome = scheme.run()?;
     let used = outcome.stats.used_channels();
     println!(

@@ -40,13 +40,8 @@ fn main() -> Result<()> {
         let h_locals: Vec<DiscriminatorRef> = (0..n)
             .map(|i| Arc::new(Mixed::new(i, base_h.clone(), alpha, 31)) as DiscriminatorRef)
             .collect();
-        let cfg = GeneralizedConfig {
-            v_r: vec![var("Z")],
-            v_e: vec![var("X")],
-            h_prime: base_h.clone(),
-            h_locals,
-        };
-        let outcome = rewrite_generalized(&sirup, &cfg, &db)?.run()?;
+        let policies = [RulePolicy::shared(vec![var("X")], &base_h), RulePolicy::local(vec![var("Z")], h_locals)];
+        let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§6 R_i")?.run()?;
         let firings = outcome.stats.total_processing_firings();
         let redundancy = firings.saturating_sub(sequential.stats.firings);
         let comm = outcome.stats.total_tuples_sent();

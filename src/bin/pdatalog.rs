@@ -1046,15 +1046,7 @@ fn build_scheme(
             example2_valduriez(&sirup, frag, db).map_err(err)
         }
         "example3" => example3_hash_partition(&sirup()?, workers, db).map_err(err),
-        "nocomm" => {
-            let sirup = sirup()?;
-            // Split the exit substitutions on the first exit-body variable.
-            let cfg = NoCommConfig {
-                v_e: first_body_variable(sirup.exit_rule()),
-                h_prime: Arc::new(HashMod::new(workers, 0xC11)),
-            };
-            rewrite_no_comm(&sirup, &cfg, db).map_err(err)
-        }
+        "nocomm" => no_comm(&sirup()?, workers, db).map_err(err),
         "general" => {
             let h: DiscriminatorRef = Arc::new(HashMod::new(workers, 0xC17));
             let choice = |v| RuleChoice { v, h: h.clone() };
@@ -1221,7 +1213,7 @@ fn cmd_network(args: Vec<String>) -> std::result::Result<(), String> {
             derive_network(&sirup, &v_r, &v_e, &h).map_err(|e| e.to_string())?
         }
         None => {
-            let h = BitVector::new(BitFn::new(1), v_r.len());
+            let h = BitVector::new(BitFn::new(1), v_r.len()).map_err(|e| e.to_string())?;
             println!("bit-vector function {}; {} processors", h.describe(), {
                 let d: &dyn Discriminator = &h;
                 d.processors()

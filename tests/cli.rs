@@ -1001,33 +1001,47 @@ fn net_persistent_fault_fails_fast() {
     );
 }
 
-/// `--net` misuse fails with a clear message instead of a broken fleet,
-/// and so does every retired command, flag and scheme, a worker count
-/// above the ceiling (refused before anything compiles or spawns), an
-/// argument `analyze` does not read and linear coefficients whose sums
-/// overflow `i64`.
+/// A linear sirup whose recursive atom has arity `k`, each of its
+/// variables bound by the base atom and none in the head.
+fn sirup_of_arity(k: usize) -> String {
+    let vars = |x: &str| (0..k).map(|i| format!("{x}{i}")).collect::<Vec<_>>();
+    let (xs, ys) = (vars("X").join(","), vars("Y").join(","));
+    let b = [vars("X"), vars("Y")].concat().join(",");
+    format!("t({xs}) :- s({xs}).\nt({xs}) :- b({b}), t({ys}).\n")
+}
+
+/// `--net` misuse fails with a clear message and exit status 1 instead of
+/// a broken fleet or a panic, and so does every retired command, flag and
+/// scheme, a worker count above the ceiling (refused before anything
+/// compiles or spawns), an argument `analyze` does not read, linear
+/// coefficients whose sums overflow `i64`, and a network over a sirup too
+/// wide to enumerate or with no variable to discriminate on.
 #[test]
 fn net_usage_errors_are_clean() {
     let file = write_program("net_usage.dl", &chain_program(5));
-    for (cmd, args, want) in [
-        ("run", "--scheme example3 --net --sim", "exclusive"),
-        ("run", "--scheme seq --net", "parallel scheme"),
-        ("run", "--scheme example3 --net-kill 1@100", "--net"),
-        ("run", "--scheme example3 --workers 100000000", "at most 1024"),
-        ("run", "--scheme example3 --watchdog-ms 100", "unexpected argument `--watchdog-ms`"),
-        ("run", "--scheme example3 --restart-backoff-ms 10", "unexpected argument `--restart-backoff-ms`"),
-        ("run", "--scheme example3 --net --heartbeat-ms 10", "unexpected argument `--heartbeat-ms`"),
-        ("run", "--scheme example3 --net --heartbeat-timeout-ms 10", "unexpected argument `--heartbeat-timeout-ms`"),
-        ("run", "--scheme example3 --net --connect-timeout-ms 10", "unexpected argument `--connect-timeout-ms`"),
-        ("run", "--scheme example3 --net --connect-backoff-ms 10", "unexpected argument `--connect-backoff-ms`"),
-        ("run", "--scheme naive", "unknown scheme `naive`"),
-        ("network", "--bits", "unexpected argument `--bits`"),
-        ("network", "--linear 9223372036854775807,9223372036854775807", "overflows i64"),
-        ("query", "anc(1,X)", "unknown command `query`"),
-        ("analyze", "--bogus 7", "unexpected argument `--bogus`"),
+    let [nullary, arity13, arity17] = [0, 13, 17].map(|k| write_program(&format!("arity{k}.dl"), &sirup_of_arity(k)));
+    for (cmd, file, args, want) in [
+        ("run", &file, "--scheme example3 --net --sim", "exclusive"),
+        ("run", &file, "--scheme seq --net", "parallel scheme"),
+        ("run", &file, "--scheme example3 --net-kill 1@100", "--net"),
+        ("run", &file, "--scheme example3 --workers 100000000", "at most 1024"),
+        ("run", &file, "--scheme example3 --watchdog-ms 100", "unexpected argument `--watchdog-ms`"),
+        ("run", &file, "--scheme example3 --restart-backoff-ms 10", "unexpected argument `--restart-backoff-ms`"),
+        ("run", &file, "--scheme example3 --net --heartbeat-ms 10", "unexpected argument `--heartbeat-ms`"),
+        ("run", &file, "--scheme example3 --net --heartbeat-timeout-ms 10", "unexpected argument `--heartbeat-timeout-ms`"),
+        ("run", &file, "--scheme example3 --net --connect-timeout-ms 10", "unexpected argument `--connect-timeout-ms`"),
+        ("run", &file, "--scheme example3 --net --connect-backoff-ms 10", "unexpected argument `--connect-backoff-ms`"),
+        ("run", &file, "--scheme naive", "unknown scheme `naive`"),
+        ("network", &file, "--bits", "unexpected argument `--bits`"),
+        ("network", &file, "--linear 9223372036854775807,9223372036854775807", "overflows i64"),
+        ("query", &file, "anc(1,X)", "unknown command `query`"),
+        ("analyze", &file, "--bogus 7", "unexpected argument `--bogus`"),
+        ("network", &nullary, "", "1 to 16 variables"),
+        ("network", &arity13, "", "at most 24"),
+        ("network", &arity17, "", "1 to 16 variables"),
     ] {
-        let out = cli(cmd, &file, args);
-        assert!(!out.status.success(), "{cmd} {args:?} must be rejected");
+        let out = cli(cmd, file, args);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {file:?} {args:?} must be rejected");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(want), "{cmd} {args:?}: {stderr}");
     }

@@ -104,13 +104,8 @@ fn theorem4_generalized_scheme_equals_sequential() {
     ];
     for (name, edges) in datasets() {
         let db = fx.database(&edges);
-        let cfg = GeneralizedConfig {
-            v_r: vec![fx.program.var("Z")],
-            v_e: vec![fx.program.var("X")],
-            h_prime: base_h.clone(),
-            h_locals: h_locals.clone(),
-        };
-        let outcome = rewrite_generalized(&sirup, &cfg, &db).unwrap().run().unwrap();
+        let policies = [RulePolicy::shared(vec![fx.program.var("X")], &base_h), RulePolicy::local(vec![fx.program.var("Z")], h_locals.clone())];
+        let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§6 R_i").unwrap().run().unwrap();
         assert!(agrees(&fx, &db, &outcome), "dataset {name}");
     }
 }
@@ -169,14 +164,8 @@ fn same_generation_parallel_is_correct() {
     let (up, down, flat) = same_generation_tree(5);
     let db = fx.database_multi(&[up, down, flat]);
     let h: DiscriminatorRef = Arc::new(HashMod::new(4, 3));
-    let cfg = NonRedundantConfig {
-        v_r: vec![fx.program.var("U")],
-        v_e: vec![fx.program.var("X")],
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::Shared,
-    };
-    let outcome = rewrite_non_redundant(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let policies = [RulePolicy::shared(vec![fx.program.var("X")], &h), RulePolicy::shared(vec![fx.program.var("U")], &h)];
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§3 Q_i").unwrap().run().unwrap();
     assert!(agrees(&fx, &db, &outcome));
     // All 16 leaves of the depth-5 tree are one generation: 16² pairs.
     assert!(outcome.relation(fx.output_id()).len() >= 16 * 16);
@@ -270,14 +259,8 @@ fn comparison_builtins_work_sequentially_and_in_parallel() {
     let sirup = LinearSirup::from_program(&unit.program).unwrap();
     let var = |n: &str| Variable(unit.program.interner.get(n).unwrap());
     let h: DiscriminatorRef = Arc::new(HashMod::new(3, 5));
-    let cfg = NonRedundantConfig {
-        v_r: vec![var("Z")],
-        v_e: vec![var("X")],
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::Shared,
-    };
-    let outcome = rewrite_non_redundant(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let policies = [RulePolicy::shared(vec![var("X")], &h), RulePolicy::shared(vec![var("Z")], &h)];
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§3 Q_i").unwrap().run().unwrap();
     assert!(outcome.relation(up).set_eq(&rel));
 }
 
@@ -324,14 +307,8 @@ fn constants_in_the_recursive_atom_pattern() {
     let sirup = LinearSirup::from_program(&unit.program).unwrap();
     let var = |n: &str| Variable(unit.program.interner.get(n).unwrap());
     let h: DiscriminatorRef = Arc::new(HashMod::new(3, 2));
-    let cfg = NonRedundantConfig {
-        v_r: vec![var("Z")],
-        v_e: vec![var("X")],
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::Shared,
-    };
-    let outcome = rewrite_non_redundant(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let policies = [RulePolicy::shared(vec![var("X")], &h), RulePolicy::shared(vec![var("Z")], &h)];
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§3 Q_i").unwrap().run().unwrap();
     assert!(outcome.relation(t_id).set_eq(&seq.relation(t_id)));
     assert!(outcome.stats.total_processing_firings() <= seq.stats.firings);
 }
@@ -377,13 +354,7 @@ fn repeated_variables_in_recursive_atom() {
     let sirup = LinearSirup::from_program(&unit.program).unwrap();
     let var = |n: &str| Variable(unit.program.interner.get(n).unwrap());
     let h: DiscriminatorRef = Arc::new(HashMod::new(4, 9));
-    let cfg = NonRedundantConfig {
-        v_r: vec![var("Z")],
-        v_e: vec![var("X")],
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::Shared,
-    };
-    let outcome = rewrite_non_redundant(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let policies = [RulePolicy::shared(vec![var("X")], &h), RulePolicy::shared(vec![var("Z")], &h)];
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§3 Q_i").unwrap().run().unwrap();
     assert!(outcome.relation(t_id).set_eq(&seq.relation(t_id)));
 }

@@ -19,21 +19,15 @@ fn example6_network_is_sound() {
     let v_e = vec![fx.program.var("X"), fx.program.var("Y")];
 
     for g_seed in [1u64, 2, 3] {
-        let bv = BitVector::new(BitFn::new(g_seed), 2);
+        let bv = BitVector::new(BitFn::new(g_seed), 2).unwrap();
         let net = derive_network(&sirup, &v_r, &v_e, &bv).unwrap();
         for data_seed in [10u64, 11] {
             let q = random_digraph(30, 70, data_seed);
             let r = random_digraph(30, 90, data_seed + 100);
             let db = fx.database_multi(&[q, r]);
             let h: DiscriminatorRef = Arc::new(bv.clone());
-            let cfg = NonRedundantConfig {
-                v_r: v_r.clone(),
-                v_e: v_e.clone(),
-                h: h.clone(),
-                h_prime: h,
-                base: BaseDistribution::Shared,
-            };
-            let outcome = rewrite_non_redundant(&sirup, &cfg, &db)
+            let policies = [RulePolicy::shared(v_e.clone(), &h), RulePolicy::shared(v_r.clone(), &h)];
+            let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§3 Q_i")
                 .unwrap()
                 .run()
                 .unwrap();
@@ -55,21 +49,15 @@ fn example6_network_is_reasonably_tight() {
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
     let v_r = vec![fx.program.var("Y"), fx.program.var("Z")];
     let v_e = vec![fx.program.var("X"), fx.program.var("Y")];
-    let bv = BitVector::new(BitFn::new(1), 2);
+    let bv = BitVector::new(BitFn::new(1), 2).unwrap();
     let net = derive_network(&sirup, &v_r, &v_e, &bv).unwrap();
 
     let q = random_digraph(60, 240, 5);
     let r = random_digraph(60, 300, 6);
     let db = fx.database_multi(&[q, r]);
     let h: DiscriminatorRef = Arc::new(bv);
-    let cfg = NonRedundantConfig {
-        v_r,
-        v_e,
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::Shared,
-    };
-    let outcome = rewrite_non_redundant(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let policies = [RulePolicy::shared(v_e, &h), RulePolicy::shared(v_r, &h)];
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§3 Q_i").unwrap().run().unwrap();
     let used = outcome.stats.used_channels();
     assert!(
         used.len() * 2 >= net.edges.len(),
@@ -113,14 +101,8 @@ fn example7_network_is_sound() {
     }
     let db = fx.database_multi(&[s, q]);
     let h: DiscriminatorRef = Arc::new(lin);
-    let cfg = NonRedundantConfig {
-        v_r,
-        v_e,
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::Shared,
-    };
-    let outcome = rewrite_non_redundant(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let policies = [RulePolicy::shared(v_e, &h), RulePolicy::shared(v_r, &h)];
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§3 Q_i").unwrap().run().unwrap();
     assert!(net.covers(&outcome.stats.used_channels()));
     // The run must actually derive something beyond the two seeds.
     let p = fx.output_id();
@@ -161,13 +143,7 @@ fn theorem3_on_a_two_cycle() {
     assert_eq!(choice.positions.len(), 2);
 
     let h: DiscriminatorRef = Arc::new(SymmetricHashMod::new(3, 2));
-    let cfg = NonRedundantConfig {
-        v_r: choice.v_r,
-        v_e: choice.v_e,
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::Shared,
-    };
+    let policies = [RulePolicy::shared(choice.v_e, &h), RulePolicy::shared(choice.v_r, &h)];
     let mut db = Database::new(unit.program.interner.clone());
     let s_id = (unit.program.interner.get("s").unwrap(), 2);
     let e_id = (unit.program.interner.get("e").unwrap(), 2);
@@ -175,7 +151,7 @@ fn theorem3_on_a_two_cycle() {
         db.insert(s_id, ituple![k, (k * 5) % 12]).unwrap();
         db.insert(e_id, ituple![(k * 7) % 12, k]).unwrap();
     }
-    let outcome = rewrite_non_redundant(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§3 Q_i").unwrap().run().unwrap();
     assert!(outcome.stats.communication_free());
     let seq = seminaive_eval(&unit.program, &db).unwrap();
     let t_id = (unit.program.interner.get("t").unwrap(), 2);

@@ -114,11 +114,9 @@ fn no_comm_scheme_is_redundant_where_expected() {
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
     let db = fx.database(&grid(6, 6));
     let seq = seminaive_eval(&fx.program, &db).unwrap();
-    let cfg = NoCommConfig {
-        v_e: vec![fx.program.var("X")],
-        h_prime: Arc::new(HashMod::new(4, 11)),
-    };
-    let outcome = rewrite_no_comm(&sirup, &cfg, &db).unwrap().run().unwrap();
+    let h: DiscriminatorRef = Arc::new(HashMod::new(4, 11));
+    let policies = [RulePolicy::shared(vec![fx.program.var("X")], &h), RulePolicy::local(vec![], Constant::each(4))];
+    let outcome = rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§6 no-comm").unwrap().run().unwrap();
     assert!(
         outcome.stats.total_processing_firings() > seq.stats.firings,
         "grid workload must show redundancy: {} vs {}",

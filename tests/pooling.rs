@@ -52,22 +52,21 @@ fn cells(n: usize) -> Vec<Cell> {
     let frag = round_robin_fragment(&edges, n).unwrap();
     cell("example2 (broadcast)", &fx, &db, example2_valduriez(&sirup, frag, &db), Replica);
     cell("example3", &fx, &db, example3_hash_partition(&sirup, n, &db), Partition);
-    let q_i = NonRedundantConfig {
-        v_r: v_r.clone(),
-        v_e: v_e.clone(),
-        h: h.clone(),
-        h_prime: Arc::new(HashMod::new(n, 23)),
-        base: BaseDistribution::Shared,
-    };
-    cell("Q_i", &fx, &db, rewrite_non_redundant(&sirup, &q_i, &db), Partition);
-    let r_i = |h_locals| GeneralizedConfig { v_r: v_r.clone(), v_e: v_e.clone(), h_prime: h.clone(), h_locals };
-    cell("R_i, one h", &fx, &db, rewrite_generalized(&sirup, &r_i(vec![h.clone(); n]), &db), Partition);
+    let sirup_scheme = |policies, kind| rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, kind);
+    let h_prime: DiscriminatorRef = Arc::new(HashMod::new(n, 23));
+    let q_i = [RulePolicy::shared(v_e.clone(), &h_prime), RulePolicy::shared(v_r.clone(), &h)];
+    cell("Q_i", &fx, &db, sirup_scheme(q_i, "§3 Q_i"), Partition);
+    let r_i = |v_r: &[Variable], h_locals| sirup_scheme([RulePolicy::shared(v_e.clone(), &h), RulePolicy::local(v_r.to_vec(), h_locals)], "§6 R_i");
+    cell("R_i, one h", &fx, &db, r_i(&v_r, vec![h.clone(); n]), Partition);
+    // One function built once per processor is still one `h`: compared by
+    // what it is, it keys every inbox and partitions the answer.
+    let apart = (0..n).map(|_| Arc::new(HashMod::new(n, 19)) as DiscriminatorRef).collect();
+    cell("R_i, equal h_i built apart", &fx, &db, r_i(&v_r, apart), Partition);
     // §6 proper: processor i keeps a tuple with probability ½, else hashes
     // it — no two processors route alike, and several may store one row.
     let mixed = (0..n).map(|i| Arc::new(Mixed::new(i, h.clone(), 0.5, 31)) as DiscriminatorRef).collect();
-    cell("R_i, per-processor h_i", &fx, &db, rewrite_generalized(&sirup, &r_i(mixed), &db), Overlap);
-    let no_comm = NoCommConfig { v_e: v_e.clone(), h_prime: h.clone() };
-    cell("no-comm", &fx, &db, rewrite_no_comm(&sirup, &no_comm, &db), Overlap);
+    cell("R_i, per-processor h_i", &fx, &db, r_i(&v_r, mixed), Overlap);
+    cell("no-comm", &fx, &db, r_i(&[], Constant::each(n)), Overlap);
     // The hub of a star, or the head of a Zipf graph, is a hot key: all of
     // its rows hash to one processor — still one home per row, so a
     // Partition.

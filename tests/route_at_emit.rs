@@ -74,15 +74,15 @@ fn schemes(fx: &Fixture, db: &Database, n: usize) -> Vec<(&'static str, Compiled
     if let Ok(sirup) = LinearSirup::from_program(&fx.program) {
         let (v_r, v_e) = (first_var(&sirup.recursive_args), first_var(&sirup.exit_head));
         let frag = round_robin_fragment(db.relation(fx.input_id(0)).unwrap_or(&Relation::new(2)), n);
-        let no_comm = NoCommConfig { v_e: v_e.clone(), h_prime: h.clone() };
-        let generalized =
-            GeneralizedConfig { v_r, v_e, h_prime: h.clone(), h_locals: vec![h.clone(); n] };
+        let no_comm = [RulePolicy::shared(v_e.clone(), &h), RulePolicy::local(vec![], Constant::each(n))];
+        let generalized = [RulePolicy::shared(v_e, &h), RulePolicy::local(v_r, vec![h.clone(); n])];
+        let sirup_scheme = |policies, kind| rewrite_sirup(&sirup, policies, db, BaseDistribution::Shared, kind);
         let presets = [
             ("example1", example1_wolfson(&sirup, n, db)),
             ("example3", example3_hash_partition(&sirup, n, db)),
             ("example2", frag.and_then(|frag| example2_valduriez(&sirup, frag, db))),
-            ("no-comm", rewrite_no_comm(&sirup, &no_comm, db)),
-            ("generalized", rewrite_generalized(&sirup, &generalized, db)),
+            ("no-comm", sirup_scheme(no_comm, "§6 no-comm")),
+            ("generalized", sirup_scheme(generalized, "§6 R_i")),
         ];
         out.extend(presets.into_iter().filter_map(|(name, s)| Some((name, s.ok()?))));
     }
@@ -521,21 +521,21 @@ fn ancestor_scheme(fx: &Fixture, kind: &str, n: usize, edges: &Relation) -> Comp
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
     let h: DiscriminatorRef = Arc::new(HashMod::new(n, 19));
     let v_e = vec![fx.program.var("X")];
-    let r_i = |h_i: &dyn Fn(usize) -> DiscriminatorRef| {
-        let (v_r, h_locals) = (vec![fx.program.var("Z")], (0..n).map(h_i).collect());
-        let cfg = GeneralizedConfig { v_r, v_e: v_e.clone(), h_prime: h.clone(), h_locals };
-        rewrite_generalized(&sirup, &cfg, &db).unwrap()
+    let r_i = |v_r: Vec<Variable>, h_locals: Vec<DiscriminatorRef>| {
+        let policies = [RulePolicy::shared(v_e.clone(), &h), RulePolicy::local(v_r, h_locals)];
+        rewrite_sirup(&sirup, policies, &db, BaseDistribution::Shared, "§6 R_i").unwrap()
     };
+    let z = || vec![fx.program.var("Z")];
     match kind {
         "example1" => example1_wolfson(&sirup, n, &db).unwrap(),
         "example2" => {
             example2_valduriez(&sirup, round_robin_fragment(edges, n).unwrap(), &db).unwrap()
         }
         "example3" => example3_hash_partition(&sirup, n, &db).unwrap(),
-        "nocomm" => rewrite_no_comm(&sirup, &NoCommConfig { v_e, h_prime: h }, &db).unwrap(),
-        "r-shared" => r_i(&|_| h.clone()),
-        "r-mixed" => r_i(&|i| Arc::new(Mixed::new(i, h.clone(), 0.5, 31))),
-        "r-constant" => r_i(&|i| Arc::new(Constant::new(n, i))),
+        "nocomm" => r_i(vec![], Constant::each(n)),
+        "r-shared" => r_i(z(), vec![h.clone(); n]),
+        "r-mixed" => r_i(z(), (0..n).map(|i| Arc::new(Mixed::new(i, h.clone(), 0.5, 31)) as DiscriminatorRef).collect()),
+        "r-constant" => r_i(z(), Constant::each(n)),
         _ => {
             let choices = RuleChoice::by_name(&fx.program, &["Y", "Z"], &h);
             rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap()
@@ -697,14 +697,12 @@ fn q_i_is_t_i_on_a_sirup_and_r_i_under_a_shared_h() {
                     RuleChoice { v: v_r.clone(), h: h.clone() },
                 ];
                 let base = BaseDistribution::Shared;
-                let cfg = NonRedundantConfig { v_r, v_e, h: h.clone(), h_prime: h_prime.clone(), base };
-                let q_i = rewrite_non_redundant(&sirup, &cfg, &db).unwrap();
+                let exit = RulePolicy::shared(v_e, &h_prime);
+                let q_i = rewrite_sirup(&sirup, [exit.clone(), RulePolicy::shared(v_r.clone(), &h)], &db, base, "§3 Q_i").unwrap();
                 let t_i = rewrite_general(&exit_first, &choices, &db, base).unwrap();
                 assert_eq!(printed(&q_i), printed(&t_i), "{name} / n={n}");
 
-                let NonRedundantConfig { v_r, v_e, h_prime, .. } = cfg;
-                let cfg = GeneralizedConfig { v_r, v_e, h_prime, h_locals: vec![h.clone(); n] };
-                let r_i = rewrite_generalized(&sirup, &cfg, &db).unwrap();
+                let r_i = rewrite_sirup(&sirup, [exit, RulePolicy::local(v_r, vec![h.clone(); n])], &db, base, "§6 R_i").unwrap();
                 let [q, r] = [q_i, r_i].map(|s| s.run_simulated(3, FaultPlan::none()).unwrap().stats);
                 let firings = |s: &ParallelStats| s.workers.iter().map(|w| w.processing_firings).collect::<Vec<_>>();
                 assert_eq!((&q.channel_matrix, firings(&q)), (&r.channel_matrix, firings(&r)), "{name} / n={n}");
@@ -960,13 +958,13 @@ fn a_condition_the_placement_implies_runs_no_filter_and_changes_nothing() {
     };
     for n in [2usize, 3, 4] {
         let h: DiscriminatorRef = Arc::new(HashMod::new(n, 19));
-        let no_comm = NoCommConfig { v_e: vec![fx.program.var("X")], h_prime: h.clone() };
+        let no_comm = [RulePolicy::shared(vec![fx.program.var("X")], &h), RulePolicy::local(vec![], Constant::each(n))];
         #[rustfmt::skip]
         let cells: Vec<(&str, CompiledScheme, RelationId, (usize, usize))> = vec![
             ("example1", example1_wolfson(&sirup, n, &db).unwrap(), anc, (1, 1)),
             ("example2", example2_valduriez(&sirup, round_robin_fragment(&edges, n).unwrap(), &db).unwrap(), anc, (2, 0)),
             ("example3", example3_hash_partition(&sirup, n, &db).unwrap(), anc, (1, 1)),
-            ("nocomm", rewrite_no_comm(&sirup, &no_comm, &db).unwrap(), anc, (1, 0)),
+            ("nocomm", rewrite_sirup(&sirup, no_comm, &db, BaseDistribution::Shared, "§6 no-comm").unwrap(), anc, (1, 0)),
             ("example3 (zipf)", example3_hash_partition(&sirup, n, &hot).unwrap(), anc, (1, 1)),
             ("general ancestor", general(&fx, &db, n), anc, (1, 1)),
             ("general same-generation", general(&sg, &sg_db, n), sg.output_id(), (1, 1)),

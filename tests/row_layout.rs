@@ -16,7 +16,6 @@ use parallel_datalog::common::fxhash::hash_one;
 use parallel_datalog::common::SymbolId;
 use parallel_datalog::prelude::*;
 use parallel_datalog::runtime::codec::{decode_batch_into, encode_batch};
-use parallel_datalog::storage::hash_key;
 
 const CASES: u64 = 2_000;
 const MAX_ARITY: u64 = 6;
@@ -227,9 +226,6 @@ fn index_probe_matches_a_filtered_scan() {
                     .filter(|&r| columns.iter().zip(&key).all(|(&c, v)| rel.row(r).get(c) == *v))
                     .collect();
                 assert_eq!(index.probe(&rel, &key), scan, "arity {arity} on {columns:?} key {key:?}");
-                // `hash_key` of the values is the hash the index filed the
-                // projected rows under.
-                assert_eq!(index.probe_hashed(&rel, hash_key(&key), &key), scan);
                 // The word-key probe the join calls returns the same postings.
                 let words: Vec<(u64, bool)> = key.iter().map(|v| v.word()).collect();
                 assert_eq!(index.probe_words(&rel, &words), scan, "arity {arity} on {columns:?} key {key:?}");

@@ -127,14 +127,8 @@ fn random_nonredundant() -> (CompiledScheme, ExpectedModel) {
     let z = Variable(fx.program.interner.get("Z").unwrap());
     let x = Variable(fx.program.interner.get("X").unwrap());
     let h: DiscriminatorRef = Arc::new(HashMod::new(2, 7));
-    let cfg = NonRedundantConfig {
-        v_r: vec![z],
-        v_e: vec![x],
-        h: h.clone(),
-        h_prime: h,
-        base: BaseDistribution::MinimalFragments,
-    };
-    let scheme = rewrite_non_redundant(&sirup, &cfg, &db).unwrap();
+    let policies = [RulePolicy::shared(vec![x], &h), RulePolicy::shared(vec![z], &h)];
+    let scheme = rewrite_sirup(&sirup, policies, &db, BaseDistribution::MinimalFragments, "§3 Q_i").unwrap();
     let expected = oracle(&fx, &edges, &scheme);
     (scheme, expected)
 }

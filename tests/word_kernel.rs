@@ -224,7 +224,7 @@ fn every_discriminator_assigns_words_as_it_assigns_values() {
             Arc::new(FragmentOwner::new(Arc::new(round_robin_fragment(&owned, n).unwrap()))),
         ];
         if arity > 0 {
-            all.push(Arc::new(BitVector::new(BitFn::new(seed), arity)));
+            all.push(Arc::new(BitVector::new(BitFn::new(seed), arity).unwrap()));
             all.push(Arc::new(Linear::new(BitFn::new(seed), (0..arity).map(|k| k as i64 - 1).collect()).unwrap()));
         }
         let row = Tuple::new(&row);
