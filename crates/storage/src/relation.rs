@@ -2,13 +2,17 @@
 //! tuples.
 //!
 //! Tuples are stored exactly once, in arrival order, in a row arena
-//! (`Vec<Tuple>`); a compact open-addressed table of `(hash, row-id)`
-//! slots provides set semantics without a second copy of any tuple.
-//! Row ids are dense `u32`s, so secondary structures (hash indexes,
-//! delta windows) can reference tuples by id instead of cloning them,
-//! and a contiguous row range — e.g. "everything inserted since row
-//! `k`" — is a borrowable `&[Tuple]` slice that the runtime can encode
-//! onto the wire without an intermediate buffer.
+//! (`Vec<Tuple>`); a compact open-addressed table of `u64` slots provides
+//! set semantics without a second copy of any tuple. While every live row
+//! is *narrow* (packs into 63 bits, see [`pack`]) a slot is the packed
+//! row itself, times an odd constant, so a probe compares words and never
+//! reads the arena; the
+//! first wide row or delete turns the table, once, into slots of a hash
+//! fold and a row id. Row ids are dense `u32`s, so secondary structures
+//! (hash indexes, delta windows) can reference tuples by id instead of
+//! cloning them, and a contiguous row range — e.g. "everything inserted
+//! since row `k`" — is a borrowable `&[Tuple]` slice that the runtime can
+//! encode onto the wire without an intermediate buffer.
 //!
 //! Deletion is by **tombstone**: [`Relation::delete`] removes the tuple
 //! from the dedup table (so a later insert of the same tuple lands in a
@@ -24,86 +28,161 @@ use std::sync::OnceLock;
 
 use gst_common::{fxhash::hash_one, Error, Interner, Result, Tuple};
 
-/// Sentinel marking a vacant dedup slot; real row ids stay below it.
-const VACANT: u32 = u32::MAX;
+/// The Fibonacci multiplier both forms key on, whose product's high half
+/// holds a bucket: FxHash ends in an odd multiply that leaves its low bits
+/// weak (EXPERIMENTS.md P31), and a packed row's low bits are its last
+/// column's low bits.
+const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// One slot of the dedup table: a folded 32-bit hash plus the row id.
-///
-/// Eight bytes per slot — half a `(u64, u32)` layout — doubles the
-/// slots per cache line, and dedup probes are memory-latency bound.
-/// The bucket position is derived from the *stored* fold, so growth
-/// stays rehash-free; a fold collision between distinct tuples merely
-/// costs one extra `eq` call (~2⁻³² per probe step).
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    hash: u32,
-    row: u32,
-}
+/// The high half of a rows-form slot: the fold a probe key carries.
+const FOLD: u64 = !(u32::MAX as u64);
 
-/// Fold a 64-bit hash to the 32 bits the table keys on: the high half of
-/// a Fibonacci multiply. The bucket is the fold's low bits, and FxHash
-/// ends in an odd multiply that leaves its low bits weak; XOR-ing the
-/// halves kept them weak and the probe chains long (EXPERIMENTS.md P31).
+/// `tuple` packed into 63 bits, or `None` if it is *wide*. Each column
+/// gets ⌊63 / arity⌋ bits — 63 at arity 1, 31 at 2, 21 at 3 — and holds
+/// `word << 1 | sym`, so the packing is one-to-one on the rows of one
+/// arity; an arity-0 row packs to 0. A negative `Int` never fits, a
+/// non-negative word fits below 2³⁰ at arity 2 and below 2²⁰ at 3.
 #[inline]
-fn fold(hash: u64) -> u32 {
-    (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as u32
+fn pack(tuple: &Tuple) -> Option<u64> {
+    let arity = tuple.arity();
+    let bits = match arity {
+        0 => return Some(0),
+        1 => 63,
+        2 => 31,
+        3 => 21,
+        a if a <= 63 => (63 / a) as u32,
+        _ => return None,
+    };
+    (0..arity).try_fold(0u64, |packed, k| {
+        let (word, sym) = tuple.word(k);
+        (word >> (bits - 1) == 0).then(|| packed << bits | word << 1 | u64::from(sym))
+    })
 }
 
-/// Open-addressed `(hash, row)` set with linear probing.
+/// What a [`RowTable`]'s slots hold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Form {
+    /// Every live row is narrow: a slot is `(pack(row) + 1) · φ`, one to
+    /// one since φ is odd, and never 0 since `pack(row) < 2⁶³`. A probe
+    /// hits on slot equality and reads no arena row.
+    #[default]
+    Packed,
+    /// A slot is `fold << 32 | (row + 1)`, `fold` the high half of
+    /// `hash(row) · φ`. A fold hit is confirmed by an equality test on the
+    /// arena row.
+    Rows,
+}
+
+/// Open-addressed set of `u64` slots with linear probing; 0 is vacant in
+/// both [`Form`]s.
 ///
 /// The table never looks at tuples itself: callers supply an equality
 /// closure over row ids, which keeps the arena and the table in
-/// separate fields that the borrow checker can split.
+/// separate fields that the borrow checker can split. Growth and
+/// deletion re-place slots by their stored keys, never by a tuple.
 #[derive(Debug, Clone, Default)]
 struct RowTable {
-    slots: Box<[Slot]>,
+    slots: Box<[u64]>,
     len: usize,
+    form: Form,
 }
 
 impl RowTable {
+    /// An empty table of `slots` vacant slots, written as zeros rather
+    /// than allocated zeroed (the zero kept opaque, or the compiler turns
+    /// the two back into a zeroed allocation): a zeroed table's pages fault
+    /// in under the probes that first touch them, which at W = 2 read ≈ 950
+    /// more minor faults and more system time (EXPERIMENTS.md P37).
+    fn vacant(form: Form, slots: usize) -> Self {
+        let mut zeros = Vec::with_capacity(slots);
+        zeros.resize(slots, std::hint::black_box(0));
+        RowTable { slots: zeros.into_boxed_slice(), len: 0, form }
+    }
+
     fn with_capacity(rows: usize) -> Self {
-        let mut t = RowTable::default();
-        if rows > 0 {
-            t.grow_to(slots_for(rows));
+        Self::vacant(Form::Packed, slots_for(rows))
+    }
+
+    /// The table of an arena whose live rows are pairwise distinct, in the
+    /// packed form if every live row is narrow.
+    fn of_rows(rows: &[Tuple], dead: &[u64]) -> Self {
+        let mut t = Self::vacant(Form::Packed, slots_for(rows.len()));
+        if !t.fill(rows, dead) {
+            t.convert(rows, dead);
         }
         t
     }
 
-    /// The table of an arena whose live rows are pairwise distinct: every
-    /// live row is hashed once and put in the first vacant slot of its
-    /// chain — no probe for equality, no growth.
-    fn of_rows(rows: &[Tuple], dead: &[u64]) -> Self {
-        let mut t = RowTable::with_capacity(rows.len());
+    /// Turn the table into the rows form, in as many slots, holding the
+    /// live rows of `rows` — the arena it holds.
+    fn convert(&mut self, rows: &[Tuple], dead: &[u64]) {
+        *self = Self::vacant(Form::Rows, self.slots.len());
+        let filled = self.fill(rows, dead);
+        debug_assert!(filled, "the rows form keys every row");
+    }
+
+    /// Put the live rows of `rows`, pairwise distinct, into this vacant
+    /// table, each keyed once and put in the first vacant slot of its
+    /// chain — no equality probe, no growth. False, with the table part
+    /// filled, if a live row is wide and the form packed.
+    fn fill(&mut self, rows: &[Tuple], dead: &[u64]) -> bool {
         for (row, tuple) in rows.iter().enumerate().filter(|&(row, _)| live(dead, row)) {
-            let hash = fold(hash_one(tuple));
-            if let Err(slot) = t.probe(hash, |_| false) {
-                t.occupy(slot, hash, row as u32);
+            let Some(key) = self.key(tuple) else { return false };
+            if let Err(at) = self.probe(key, |_| false) {
+                self.occupy(at, key, row as u32);
             }
         }
-        t
+        true
     }
 
-    /// Find the row whose hash matches and for which `eq` holds.
-    fn find(&self, hash: u32, eq: impl FnMut(u32) -> bool) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
+    /// The probe key of `tuple`: in the packed form the slot it would
+    /// fill (`None` if it is wide), in the rows form its fold in the high
+    /// half.
+    #[inline]
+    fn key(&self, tuple: &Tuple) -> Option<u64> {
+        match self.form {
+            Form::Packed => pack(tuple).map(|packed| (packed + 1).wrapping_mul(PHI)),
+            Form::Rows => Some(hash_one(tuple).wrapping_mul(PHI) & FOLD),
         }
-        self.probe(hash, eq).ok()
     }
 
-    /// Walk the probe chain once: `Ok(row)` when the tuple is present,
-    /// `Err(slot)` of the vacant slot ending the chain otherwise — the
-    /// insert position, valid until the next growth.
-    fn probe(&self, hash: u32, mut eq: impl FnMut(u32) -> bool) -> std::result::Result<u32, usize> {
+    /// [`RowTable::key`], turning a packed table into the rows form first,
+    /// in as many slots, if `tuple` is wide. `rows` and `dead` are the
+    /// arena the table holds.
+    fn key_or_convert(&mut self, tuple: &Tuple, rows: &[Tuple], dead: &[u64]) -> u64 {
+        self.key(tuple).unwrap_or_else(|| {
+            self.convert(rows, dead);
+            self.key(tuple).expect("the rows form keys every row")
+        })
+    }
+
+    /// The bucket of a probe key or of a stored slot in either form: the
+    /// low bits of its high half. Taking the top bits instead, as a
+    /// Fibonacci hash usually does, made both closure cells' inserts slower
+    /// (EXPERIMENTS.md P37). Never called on an empty table.
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key >> 32) as usize & (self.slots.len() - 1)
+    }
+
+    /// Walk the probe chain once: `Ok(slot)` where the tuple is, `Err(slot)`
+    /// of the vacant slot ending the chain otherwise — the insert position,
+    /// valid until the next growth.
+    #[inline]
+    fn probe(&self, key: u64, mut eq: impl FnMut(u32) -> bool) -> std::result::Result<usize, usize> {
         let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
+        let mut i = self.home(key);
         loop {
             let s = self.slots[i];
-            if s.row == VACANT {
+            if s == 0 {
                 return Err(i);
             }
-            if s.hash == hash && eq(s.row) {
-                return Ok(s.row);
+            let hit = match self.form {
+                Form::Packed => s == key,
+                Form::Rows => s & FOLD == key && eq(row_id(s)),
+            };
+            if hit {
+                return Ok(i);
             }
             i = (i + 1) & mask;
         }
@@ -116,70 +195,64 @@ impl RowTable {
         }
     }
 
-    /// Pull the bucket line for `hash` into cache. Batch inserts call
+    /// Pull the bucket line for `key` into cache. Batch inserts call
     /// this a few tuples ahead of the probe so the (almost always
     /// out-of-cache) slot loads overlap instead of serializing — dedup
     /// is memory-latency bound, not compute bound. `black_box` keeps the
     /// otherwise-dead load from being optimized away.
     #[inline]
-    fn touch(&self, hash: u32) {
+    fn touch(&self, key: u64) {
         if !self.slots.is_empty() {
-            let i = (hash as usize) & (self.slots.len() - 1);
-            std::hint::black_box(self.slots[i].row);
+            std::hint::black_box(self.slots[self.home(key)]);
         }
     }
 
-    /// Remove the entry whose hash matches and for which `eq` holds,
-    /// returning its row id. Uses backward-shift deletion: the probe
-    /// chain after the removed slot is compacted in place (each entry
-    /// moves back iff the hole lies on its probe path), so no tombstone
-    /// markers accumulate in the table and probe chains never lengthen
-    /// from deletions. Home buckets are recomputed from the *stored*
-    /// folds, so no tuple is hashed or touched.
-    fn remove(&mut self, hash: u32, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+    /// Remove the row whose key matches and for which `eq` holds,
+    /// returning its row id; only the rows form stores row ids. Uses
+    /// backward-shift deletion: the probe chain after the removed slot is
+    /// compacted in place (each entry moves back iff the hole lies on its
+    /// probe path), so no tombstone markers accumulate in the table and
+    /// probe chains never lengthen from deletions. Home buckets are
+    /// recomputed from the *stored* folds, so no tuple is hashed or
+    /// touched.
+    fn remove(&mut self, key: u64, eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        debug_assert_eq!(self.form, Form::Rows, "the packed form stores no row ids");
         if self.slots.is_empty() {
             return None;
         }
+        let mut hole = self.probe(key, eq).ok()?;
+        let removed = row_id(self.slots[hole]);
         let mask = self.slots.len() - 1;
-        let mut hole = {
-            let mut i = (hash as usize) & mask;
-            loop {
-                let s = self.slots[i];
-                if s.row == VACANT {
-                    return None;
-                }
-                if s.hash == hash && eq(s.row) {
-                    break i;
-                }
-                i = (i + 1) & mask;
-            }
-        };
-        let removed = self.slots[hole].row;
         let mut j = (hole + 1) & mask;
         loop {
             let s = self.slots[j];
-            if s.row == VACANT {
+            if s == 0 {
                 break;
             }
             // `s` may fill the hole iff the hole lies cyclically within
             // [home, j) — i.e. vacating slot j does not strand `s` past
             // a gap in its own probe chain.
-            let home = (s.hash as usize) & mask;
+            let home = self.home(s);
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
                 self.slots[hole] = s;
                 hole = j;
             }
             j = (j + 1) & mask;
         }
-        self.slots[hole] = Slot { hash: 0, row: VACANT };
+        self.slots[hole] = 0;
         self.len -= 1;
         Some(removed)
     }
 
-    /// Fill a vacant slot returned by [`RowTable::probe`].
-    fn occupy(&mut self, slot: usize, hash: u32, row: u32) {
-        debug_assert_eq!(self.slots[slot].row, VACANT);
-        self.slots[slot] = Slot { hash, row };
+    /// Fill a vacant slot returned by [`RowTable::probe`] with the row
+    /// `row` of key `key`.
+    #[inline]
+    fn occupy(&mut self, at: usize, key: u64, row: u32) {
+        debug_assert_eq!(self.slots[at], 0);
+        self.slots[at] = match self.form {
+            Form::Packed => key,
+            Form::Rows => key | u64::from(row + 1),
+        };
         self.len += 1;
         self.debug_check_ceiling();
     }
@@ -194,21 +267,18 @@ impl RowTable {
         }
     }
 
-    /// Resize to `cap` slots (a power of two), repositioning entries by
-    /// their stored hashes — no tuple access needed.
+    /// Resize to `cap` slots (a power of two), re-placing every slot by its
+    /// stored key — no tuple access needed.
     fn grow_to(&mut self, cap: usize) {
         debug_assert!(cap.is_power_of_two() && cap > self.slots.len());
-        let old = std::mem::replace(
-            &mut self.slots,
-            vec![Slot { hash: 0, row: VACANT }; cap].into_boxed_slice(),
-        );
+        let old = std::mem::replace(&mut self.slots, Self::vacant(self.form, cap).slots);
         let mask = cap - 1;
-        for s in old.iter().filter(|s| s.row != VACANT) {
-            let mut i = (s.hash as usize) & mask;
-            while self.slots[i].row != VACANT {
+        for &s in old.iter().filter(|&&s| s != 0) {
+            let mut i = self.home(s);
+            while self.slots[i] != 0 {
                 i = (i + 1) & mask;
             }
-            self.slots[i] = *s;
+            self.slots[i] = s;
         }
         self.debug_check_ceiling();
     }
@@ -224,6 +294,15 @@ impl RowTable {
         );
     }
 }
+
+/// The row id a rows-form slot stores.
+#[inline]
+fn row_id(slot: u64) -> u32 {
+    slot as u32 - 1
+}
+
+/// Rows a batch keys, reserves for and inserts at a time.
+const CHUNK: usize = 8_192;
 
 /// The dedup table's load ceiling: `rows` entries fit in `slots` slots
 /// iff `rows ≤ ¾ · slots`. Linear probing's chains lengthen with the
@@ -258,9 +337,10 @@ fn arity_mismatch(a: usize, b: usize) -> Error {
     Error::Storage(format!("arity mismatch in union: {a} vs {b}"))
 }
 
-/// Row ids are `u32`s below [`VACANT`]: an arena of `rows` rows must fit.
+/// Row ids are `u32`s below `u32::MAX` (a rows-form slot stores `row + 1`):
+/// an arena of `rows` rows must fit.
 fn check_row_ids(rows: usize) -> Result<()> {
-    if rows >= VACANT as usize {
+    if rows >= u32::MAX as usize {
         return Err(Error::Storage(format!("{rows} rows exceed the u32 row-id space")));
     }
     Ok(())
@@ -421,19 +501,19 @@ impl Relation {
     /// constructed the tuple against this relation's schema.
     pub fn insert_unchecked(&mut self, tuple: Tuple) -> bool {
         debug_assert_eq!(tuple.arity(), self.arity);
-        let hash = fold(hash_one(&tuple));
         let table = Self::table_mut(&mut self.table, &self.rows, &self.dead);
+        let key = table.key_or_convert(&tuple, &self.rows, &self.dead);
         // Grow *before* probing so the vacant slot the probe lands on is
         // still the right insert position afterwards.
         table.reserve_one();
         let rows = &self.rows;
-        match table.probe(hash, |r| rows[r as usize] == tuple) {
+        match table.probe(key, |r| rows[r as usize] == tuple) {
             Ok(_) => false,
-            Err(slot) => {
+            Err(at) => {
                 let row = self.rows.len() as u32;
-                debug_assert!(row < VACANT, "relation exceeds u32 row-id space");
+                debug_assert!(row < u32::MAX, "relation exceeds u32 row-id space");
                 self.rows.push(tuple);
-                table.occupy(slot, hash, row);
+                table.occupy(at, key, row);
                 true
             }
         }
@@ -442,11 +522,14 @@ impl Relation {
     /// Drain `pending` into the relation, returning how many tuples were
     /// new. Semantically `for t in pending.drain(..) { insert_unchecked(t) }`,
     /// but organized for the dedup-heavy bulk case that semi-naive
-    /// `advance` hits every round: hashes are computed in one sequential
-    /// pass, the table grows at most once up front (so bucket positions
-    /// are stable for the whole batch), and each probe's bucket line is
-    /// prefetched a few tuples ahead, overlapping the cache misses that
-    /// dominate per-insert cost.
+    /// `advance` hits every round. The batch goes in chunks of [`CHUNK`]
+    /// rows: a chunk's keys are computed in one sequential pass, the table
+    /// grows at most once per chunk — for all of its rows being fresh, so a
+    /// batch over-reserves by at most one chunk, and bucket positions are
+    /// stable within it — and each probe's bucket line is prefetched a few
+    /// tuples ahead, overlapping the cache misses that dominate per-insert
+    /// cost. A wide row turns a packed table into the rows form before
+    /// its chunk is keyed.
     pub fn insert_batch(&mut self, pending: &mut Vec<Tuple>) -> u64 {
         const LOOKAHEAD: usize = 8;
         if pending.is_empty() {
@@ -454,21 +537,30 @@ impl Relation {
         }
         let before = self.rows.len();
         let table = Self::table_mut(&mut self.table, &self.rows, &self.dead);
-        table.reserve_rows(before + pending.len());
-        let mut hashes: Vec<u32> = Vec::with_capacity(pending.len());
-        hashes.extend(pending.iter().map(|t| fold(hash_one(t))));
-        for (i, t) in pending.drain(..).enumerate() {
-            debug_assert_eq!(t.arity(), self.arity);
-            if let Some(&ahead) = hashes.get(i + LOOKAHEAD) {
-                table.touch(ahead);
+        let mut keys: Vec<u64> = Vec::with_capacity(pending.len().min(CHUNK));
+        let mut drain = pending.drain(..);
+        while !drain.as_slice().is_empty() {
+            let chunk = &drain.as_slice()[..drain.len().min(CHUNK)];
+            keys.clear();
+            keys.extend(chunk.iter().map_while(|t| table.key(t)));
+            if keys.len() < chunk.len() {
+                table.convert(&self.rows, &self.dead);
+                keys.clear();
+                keys.extend(chunk.iter().map(|t| table.key(t).expect("the rows form keys every row")));
             }
-            let hash = hashes[i];
-            let rows = &self.rows;
-            if let Err(slot) = table.probe(hash, |r| rows[r as usize] == t) {
-                let row = self.rows.len() as u32;
-                debug_assert!(row < VACANT, "relation exceeds u32 row-id space");
-                self.rows.push(t);
-                table.occupy(slot, hash, row);
+            table.reserve_rows(table.len + chunk.len());
+            for (i, t) in drain.by_ref().take(keys.len()).enumerate() {
+                debug_assert_eq!(t.arity(), self.arity);
+                if let Some(&ahead) = keys.get(i + LOOKAHEAD) {
+                    table.touch(ahead);
+                }
+                let rows = &self.rows;
+                if let Err(at) = table.probe(keys[i], |r| rows[r as usize] == t) {
+                    let row = self.rows.len() as u32;
+                    debug_assert!(row < u32::MAX, "relation exceeds u32 row-id space");
+                    self.rows.push(t);
+                    table.occupy(at, keys[i], row);
+                }
             }
         }
         (self.rows.len() - before) as u64
@@ -488,15 +580,15 @@ impl Relation {
         if rows.is_empty() {
             return 0;
         }
-        debug_assert!(rows.len() < VACANT as usize, "relation exceeds u32 row-id space");
+        debug_assert!(rows.len() < u32::MAX as usize, "relation exceeds u32 row-id space");
         let mut table = RowTable::with_capacity(rows.len());
         let mut kept = 0;
         for next in 0..rows.len() {
             debug_assert_eq!(rows[next].arity(), self.arity);
-            let hash = fold(hash_one(&rows[next]));
-            if let Err(slot) = table.probe(hash, |r| rows[r as usize] == rows[next]) {
+            let key = table.key_or_convert(&rows[next], &rows[..kept], &[]);
+            if let Err(at) = table.probe(key, |r| rows[r as usize] == rows[next]) {
                 rows.swap(kept, next);
-                table.occupy(slot, hash, kept as u32);
+                table.occupy(at, key, kept as u32);
                 kept += 1;
             }
         }
@@ -519,9 +611,12 @@ impl Relation {
             return false;
         }
         let rows = &self.rows;
-        let hash = fold(hash_one(tuple));
         let table = Self::table_mut(&mut self.table, rows, &self.dead);
-        match table.remove(hash, |r| &rows[r as usize] == tuple) {
+        if table.form == Form::Packed {
+            table.convert(rows, &self.dead);
+        }
+        let key = table.key(tuple).expect("the rows form keys every row");
+        match table.remove(key, |r| &rows[r as usize] == tuple) {
             Some(row) => {
                 let word = row as usize / 64;
                 if word >= self.dead.len() {
@@ -539,10 +634,12 @@ impl Relation {
     /// Membership test (dead rows are absent: deletion removed their
     /// table entry).
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        let rows = &self.rows;
-        self.table()
-            .find(fold(hash_one(tuple)), |r| &rows[r as usize] == tuple)
-            .is_some()
+        let (rows, table) = (&self.rows, self.table());
+        // A wide tuple is in no packed table, and a packed key says
+        // nothing of another arity.
+        tuple.arity() == self.arity
+            && !table.slots.is_empty()
+            && table.key(tuple).is_some_and(|key| table.probe(key, |r| &rows[r as usize] == tuple).is_ok())
     }
 
     /// Iterate over the live tuples in insertion order.
@@ -775,11 +872,12 @@ mod tests {
     }
 
     /// A stream inserted part by part sizes the dedup table for the rows
-    /// it keeps, plus one batch (a batch reserves as if every row in it
-    /// were fresh): 72 000 rows, two thirds of them duplicates, in batches
-    /// of 4 096 end at `slots_for(24 000 + 4 096)` = 65 536 slots; one
-    /// batch of them all ends at `slots_for(72 000)` = 131 072, four times
-    /// the 32 768 that the 24 000 rows kept need.
+    /// it keeps, plus one chunk (a batch reserves chunk by chunk, as if
+    /// every row in the chunk were fresh): 72 000 rows, two thirds of them
+    /// duplicates, in batches of 4 096 end at `slots_for(24 000 + 4 096)` =
+    /// 65 536 slots, and one batch of them all at `slots_for(24 000 +
+    /// CHUNK)` = 65 536 too, twice the 32 768 that the 24 000 rows kept
+    /// need; reserving for the whole batch took `slots_for(72 000)`.
     #[test]
     fn batches_size_the_table_for_the_rows_they_keep() {
         let stream: Vec<Tuple> = (0..72_000i64).map(|k| ituple![k * 7_919 % 24_000]).collect();
@@ -791,7 +889,7 @@ mod tests {
         whole.insert_batch(&mut stream.clone());
         assert_eq!((parts.live_len(), whole.live_len()), (24_000, 24_000));
         assert_eq!(parts.table().slots.len(), slots_for(24_000 + 4_096));
-        assert_eq!(whole.table().slots.len(), slots_for(72_000));
+        assert_eq!(whole.table().slots.len(), slots_for(24_000 + CHUNK));
         // The ceiling is ¾ for a batch too: 700 000 rows fit 2²⁰ slots,
         // where ⅝ took 2²¹, and ¾ · 2²⁰ = 786 432 is the last that does.
         let sizes = [0, 12, 13, 24_000, 24_000 + 4_096, 72_000, 700_000, 786_432, 786_433].map(slots_for);
@@ -941,6 +1039,152 @@ mod tests {
     #[should_panic(expected = "already present")]
     fn append_disjoint_checks_the_callers_word_in_debug_builds() {
         upto(0..4).append_disjoint(upto(3..6)).unwrap();
+    }
+
+    /// A column value for the two-form tests at `arity`, whose columns
+    /// pack below 2^lim (2²⁰ at arity 3, 2³⁰ at 2, 2⁶² at 1): small words,
+    /// which repeat, and 2^(lim-1) + k and 2^lim - 1, which pack; in
+    /// `mode` 1 also 2^lim and 2^lim + 1, which do not; in `mode` 2 also
+    /// negative `Int`s, large `Sym`s and the other arities' limits.
+    fn column(next: &mut impl FnMut(u64) -> u64, arity: usize, mode: u64) -> gst_common::Value {
+        use gst_common::{SymbolId, Value};
+        let (lim, k) = (63 / arity.max(1) as u32 - 1, next(4));
+        match next([4, 6, 9][mode as usize]) {
+            0 => Value::Sym(SymbolId(k as u32)),
+            1 => Value::Int(k as i64),
+            2 => Value::Int(((1u64 << (lim - 1)) + k) as i64),
+            3 => Value::Int(((1u64 << lim) - 1) as i64),
+            4 | 5 => Value::Int(((1u64 << lim) + k % 2) as i64),
+            6 => Value::Int(-1 - (k % 2) as i64 * i64::MAX),
+            7 => Value::Sym(SymbolId([1 << 19, 1 << 29, u32::MAX, 7][k as usize])),
+            _ => Value::Int([1 << 20, 1 << 30, 1 << 62, i64::MAX][k as usize]),
+        }
+    }
+
+    /// Model check of both table forms: 3 200 seeded operations, 800 at each
+    /// arity 0–3, against a set of live rows and a vector of arena rows.
+    /// Every fresh count, `contains` answer and arena order agrees. Epochs
+    /// of 100 operations start from an empty relation (through
+    /// `insert_owned`, or `append_disjoint` onto an empty one) and cycle
+    /// through the three modes of [`column`]; only the last deletes, so the
+    /// packed form lives through the first and until the first wide row of
+    /// the second — which is where a packing one bit too narrow collides.
+    #[test]
+    fn both_forms_match_a_set_and_vector_model() {
+        use gst_common::FxHashSet;
+        let (mut next, mut seen) = (rng(0x49), [0usize; 2]);
+        for arity in 0..=3usize {
+            let (mut r, mut live, mut arena) = (Relation::new(arity), FxHashSet::default(), Vec::<Tuple>::new());
+            let mut mode = 0;
+            for step in 0..800 {
+                let batch: Vec<Tuple> = (0..next(12))
+                    .map(|_| Tuple::new(&(0..arity).map(|_| column(&mut next, arity, mode)).collect::<Vec<_>>()))
+                    .collect();
+                let fresh_in = |live: &mut FxHashSet<Tuple>, arena: &mut Vec<Tuple>, rows: &[Tuple]| {
+                    rows.iter().filter(|t| live.insert((*t).clone()) && {
+                        arena.push((*t).clone());
+                        true
+                    })
+                    .count() as u64
+                };
+                let at = format!("arity {arity} step {step}");
+                if step % 100 == 0 {
+                    mode = (step / 100 % 3) as u64;
+                    (live, arena) = (FxHashSet::default(), Vec::new());
+                    let want = fresh_in(&mut live, &mut arena, &batch);
+                    r = Relation::new(arity);
+                    if next(2) == 0 {
+                        assert_eq!(r.insert_owned(batch), want, "{at}");
+                    } else {
+                        let mut whole = Relation::new(arity);
+                        whole.insert_batch(&mut batch.clone());
+                        assert_eq!(r.append_disjoint(whole).unwrap() as u64, want, "{at}");
+                    }
+                    continue;
+                }
+                match next(if mode == 2 { 7 } else { 5 }) {
+                    0 => {
+                        let want = fresh_in(&mut live, &mut arena, &batch[..batch.len().min(1)]);
+                        let got = batch.first().is_some_and(|t| r.insert_unchecked(t.clone()));
+                        assert_eq!(u64::from(got), want, "{at}");
+                    }
+                    1 => {
+                        let want = fresh_in(&mut live, &mut arena, &batch);
+                        assert_eq!(r.insert_batch(&mut batch.clone()), want, "{at}");
+                    }
+                    2 => {
+                        let want = fresh_in(&mut live, &mut arena, &batch);
+                        assert_eq!(r.insert_owned(batch.clone()), want, "{at}");
+                    }
+                    3 => {
+                        let mut other = Relation::new(arity);
+                        other.insert_batch(&mut batch.iter().filter(|t| !live.contains(*t)).cloned().collect());
+                        let want = fresh_in(&mut live, &mut arena, other.rows());
+                        assert_eq!(r.append_disjoint(other).unwrap() as u64, want, "{at}");
+                    }
+                    4 => {}
+                    _ => {
+                        for t in &batch {
+                            assert_eq!(r.delete(t), live.remove(t), "{at}");
+                        }
+                    }
+                }
+                for t in &batch {
+                    assert_eq!(r.contains(t), live.contains(t), "{at}");
+                }
+                assert!(r.rows() == arena && r.live_len() == live.len(), "{at}");
+                seen[usize::from(r.table().form == Form::Rows)] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 500), "both forms are exercised: {seen:?}");
+    }
+
+    fn form(r: &Relation) -> Form {
+        r.table().form
+    }
+
+    #[test]
+    fn a_wide_row_mid_batch_turns_the_table_to_the_rows_form() {
+        let mut r = upto(0..100);
+        assert_eq!(form(&r), Form::Packed);
+        let wide = ituple![-5];
+        let mut batch = vec![ituple![7], ituple![100], wide.clone(), ituple![100], ituple![101], wide.clone()];
+        assert_eq!(r.insert_batch(&mut batch), 3);
+        assert_eq!(form(&r), Form::Rows);
+        assert_eq!(&r.rows()[100..], &[ituple![100], wide.clone(), ituple![101]]);
+        assert!(r.contains(&wide) && r.contains(&ituple![99]) && !r.contains(&ituple![-6]));
+        // A pair packs below 2³⁰ per column, and `insert_unchecked` converts too.
+        let mut r = Relation::new(2);
+        assert!(r.insert_unchecked(ituple![(1 << 30) - 1, 0]) && form(&r) == Form::Packed);
+        assert!(r.insert_unchecked(ituple![1 << 30, 0]) && form(&r) == Form::Rows);
+        assert!(!r.insert_unchecked(ituple![(1 << 30) - 1, 0]) && r.len() == 2);
+    }
+
+    #[test]
+    fn the_first_delete_turns_the_table_to_the_rows_form() {
+        let mut r = upto(0..10);
+        assert_eq!(form(&r), Form::Packed);
+        assert!(r.delete(&ituple![3]) && form(&r) == Form::Rows);
+        assert!(!r.contains(&ituple![3]) && r.contains(&ituple![4]) && r.insert_unchecked(ituple![3]));
+        assert_eq!((r.len(), r.live_len(), r.table().len), (11, 10, 10));
+        let mut r = upto(0..10);
+        assert!(!r.delete(&ituple![10]) && form(&r) == Form::Rows, "an absent row converts too");
+    }
+
+    #[test]
+    fn an_append_disjoint_rebuild_picks_the_form_from_the_arena() {
+        let narrow = appended();
+        assert_eq!((form(&narrow), narrow.table().len), (Form::Packed, 8));
+        let mut wide = upto(0..4);
+        wide.append_disjoint([ituple![-1], ituple![5]].into_iter().collect()).unwrap();
+        assert_eq!((form(&wide), wide.table().len), (Form::Rows, 6));
+        assert!(wide.contains(&ituple![-1]) && !wide.insert_unchecked(ituple![5]));
+        // A dead wide row does not count: the live arena is narrow.
+        let mut r: Relation = [ituple![1], ituple![-1]].into_iter().collect();
+        r.delete(&ituple![-1]);
+        r.append_disjoint(upto(2..4)).unwrap();
+        assert_eq!((form(&r), r.live_len()), (Form::Packed, 3));
+        assert!(!r.contains(&ituple![-1]) && r.insert_unchecked(ituple![-1]) && form(&r) == Form::Rows);
     }
 
     /// Tiny deterministic PRNG (xorshift64*) so the property tests below

@@ -35,7 +35,6 @@ fn main() -> Result<()> {
         "α", "tuples sent", "firings", "redundancy", "correct"
     );
 
-    let mut last_comm = u64::MAX;
     for alpha in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let h_locals: Vec<DiscriminatorRef> = (0..n)
             .map(|i| Arc::new(Mixed::new(i, base_h.clone(), alpha, 31)) as DiscriminatorRef)
@@ -57,8 +56,15 @@ fn main() -> Result<()> {
             outcome.relation(anc).set_eq(&sequential.relation(anc)),
             "Theorem 4: correct at every point of the spectrum"
         );
-        assert!(comm <= last_comm, "communication decreases with α");
-        last_comm = comm;
+        // Redundant firings route too, so traffic need not fall at every
+        // step of α (on this grid α = 0.25 ships more than α = 0); the
+        // endpoints are what §6 guarantees.
+        if alpha == 0.0 {
+            assert_eq!(redundancy, 0, "α = 0 is the non-redundant scheme");
+        }
+        if alpha == 1.0 {
+            assert_eq!(comm, 0, "α = 1 keeps every tuple local");
+        }
     }
 
     println!(
