@@ -132,6 +132,17 @@ impl Tuple {
         }
     }
 
+    /// An inline row's parts, as [`Tuple::from_parts`] takes them and in
+    /// its canonical form (zero past `len`), or `None` for a row of more
+    /// than `INLINE_CAP` columns.
+    #[inline]
+    pub fn parts(&self) -> Option<(usize, u8, [u64; INLINE_CAP])> {
+        match &self.repr {
+            Repr::Inline { len, syms, words } => Some((*len as usize, *syms, *words)),
+            Repr::Heap(_) => None,
+        }
+    }
+
     /// Build from untagged words (an `Int`'s two's-complement bits, a
     /// `Sym`'s zero-extended id), column `k` a `Sym` iff `is_sym(k)` — what
     /// a decoder holds before any [`Value`] exists.

@@ -6,9 +6,9 @@
 //! set semantics without a second copy of any tuple. While every live row
 //! is *narrow* (packs into 63 bits, see [`pack`]) a slot is the packed
 //! row itself, times an odd constant, so a probe compares words and never
-//! reads the arena; the
-//! first wide row or delete turns the table, once, into slots of a hash
-//! fold and a row id. Row ids are dense `u32`s, so secondary structures
+//! reads the arena; the first wide row, or the first delete of a row the
+//! relation holds, turns the table, once, into slots of a hash fold and a
+//! row id. Row ids are dense `u32`s, so secondary structures
 //! (hash indexes, delta windows) can reference tuples by id instead of
 //! cloning them, and a contiguous row range — e.g. "everything inserted
 //! since row `k`" — is a borrowable `&[Tuple]` slice that the runtime can
@@ -37,26 +37,24 @@ const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 /// The high half of a rows-form slot: the fold a probe key carries.
 const FOLD: u64 = !(u32::MAX as u64);
 
-/// `tuple` packed into 63 bits, or `None` if it is *wide*. Each column
-/// gets ⌊63 / arity⌋ bits — 63 at arity 1, 31 at 2, 21 at 3 — and holds
-/// `word << 1 | sym`, so the packing is one-to-one on the rows of one
-/// arity; an arity-0 row packs to 0. A negative `Int` never fits, a
-/// non-negative word fits below 2³⁰ at arity 2 and below 2²⁰ at 3.
+/// `tuple` packed into 63 bits, or `None` if it is *wide*. Each column of
+/// an inline row gets ⌊63 / arity⌋ bits — 63 at arity 1, 31 at 2, 21 at
+/// 3 — and holds `word << 1 | sym`, so the packing is one-to-one on the
+/// rows of one arity; an arity-0 row packs to 0. A negative `Int` never
+/// fits, a non-negative word fits below 2³⁰ at arity 2 and below 2²⁰ at
+/// 3, and a row of more than three columns is wide. Read off the row's
+/// parts in one match, this costs less than hashing the row.
 #[inline]
 fn pack(tuple: &Tuple) -> Option<u64> {
-    let arity = tuple.arity();
-    let bits = match arity {
-        0 => return Some(0),
-        1 => 63,
-        2 => 31,
-        3 => 21,
-        a if a <= 63 => (63 / a) as u32,
-        _ => return None,
-    };
-    (0..arity).try_fold(0u64, |packed, k| {
-        let (word, sym) = tuple.word(k);
-        (word >> (bits - 1) == 0).then(|| packed << bits | word << 1 | u64::from(sym))
-    })
+    let (len, syms, w) = tuple.parts()?;
+    let column = |k: usize| w[k] << 1 | u64::from(syms >> k & 1);
+    // Columns past `len` are zero, so one test covers the row.
+    match len {
+        0 => Some(0),
+        1 => (w[0] >> 62 == 0).then(|| column(0)),
+        2 => ((w[0] | w[1]) >> 30 == 0).then(|| column(0) << 31 | column(1)),
+        _ => ((w[0] | w[1] | w[2]) >> 20 == 0).then(|| (column(0) << 21 | column(1)) << 21 | column(2)),
+    }
 }
 
 /// What a [`RowTable`]'s slots hold.
@@ -99,14 +97,18 @@ impl RowTable {
         RowTable { slots: zeros.into_boxed_slice(), len: 0, form }
     }
 
+    /// Room for `rows` rows; no slot at all for none.
     fn with_capacity(rows: usize) -> Self {
+        if rows == 0 {
+            return Self::default();
+        }
         Self::vacant(Form::Packed, slots_for(rows))
     }
 
     /// The table of an arena whose live rows are pairwise distinct, in the
     /// packed form if every live row is narrow.
     fn of_rows(rows: &[Tuple], dead: &[u64]) -> Self {
-        let mut t = Self::vacant(Form::Packed, slots_for(rows.len()));
+        let mut t = Self::with_capacity(rows.len());
         if !t.fill(rows, dead) {
             t.convert(rows, dead);
         }
@@ -192,18 +194,6 @@ impl RowTable {
     fn reserve_one(&mut self) {
         if !within_ceiling(self.len + 1, self.slots.len()) {
             self.grow_to((self.slots.len() * 2).max(16));
-        }
-    }
-
-    /// Pull the bucket line for `key` into cache. Batch inserts call
-    /// this a few tuples ahead of the probe so the (almost always
-    /// out-of-cache) slot loads overlap instead of serializing — dedup
-    /// is memory-latency bound, not compute bound. `black_box` keeps the
-    /// otherwise-dead load from being optimized away.
-    #[inline]
-    fn touch(&self, key: u64) {
-        if !self.slots.is_empty() {
-            std::hint::black_box(self.slots[self.home(key)]);
         }
     }
 
@@ -523,21 +513,23 @@ impl Relation {
     /// new. Semantically `for t in pending.drain(..) { insert_unchecked(t) }`,
     /// but organized for the dedup-heavy bulk case that semi-naive
     /// `advance` hits every round. The batch goes in chunks of [`CHUNK`]
-    /// rows: a chunk's keys are computed in one sequential pass, the table
-    /// grows at most once per chunk — for all of its rows being fresh, so a
-    /// batch over-reserves by at most one chunk, and bucket positions are
-    /// stable within it — and each probe's bucket line is prefetched a few
-    /// tuples ahead, overlapping the cache misses that dominate per-insert
-    /// cost. A wide row turns a packed table into the rows form before
-    /// its chunk is keyed.
+    /// rows: a chunk's keys are computed in one sequential pass, and the
+    /// table grows at most once per chunk, so bucket positions are stable
+    /// within it — for the rest of the batch at the share of the chunk
+    /// before that was fresh, and for at least the chunk itself. An
+    /// all-fresh batch so grows about once, as if reserved whole, and one
+    /// whose rows repeat throughout is not sized for its repeats
+    /// (EXPERIMENTS.md P37). A wide row turns a packed table into the rows
+    /// form before its chunk is keyed.
     pub fn insert_batch(&mut self, pending: &mut Vec<Tuple>) -> u64 {
-        const LOOKAHEAD: usize = 8;
         if pending.is_empty() {
             return 0;
         }
         let before = self.rows.len();
         let table = Self::table_mut(&mut self.table, &self.rows, &self.dead);
         let mut keys: Vec<u64> = Vec::with_capacity(pending.len().min(CHUNK));
+        // The fresh rows of the chunk before, and its length.
+        let mut share = (0, 1);
         let mut drain = pending.drain(..);
         while !drain.as_slice().is_empty() {
             let chunk = &drain.as_slice()[..drain.len().min(CHUNK)];
@@ -548,20 +540,19 @@ impl Relation {
                 keys.clear();
                 keys.extend(chunk.iter().map(|t| table.key(t).expect("the rows form keys every row")));
             }
-            table.reserve_rows(table.len + chunk.len());
-            for (i, t) in drain.by_ref().take(keys.len()).enumerate() {
+            table.reserve_rows(table.len + chunk.len().max(drain.len() * share.0 / share.1));
+            let held = table.len;
+            for (&key, t) in keys.iter().zip(drain.by_ref()) {
                 debug_assert_eq!(t.arity(), self.arity);
-                if let Some(&ahead) = keys.get(i + LOOKAHEAD) {
-                    table.touch(ahead);
-                }
                 let rows = &self.rows;
-                if let Err(at) = table.probe(keys[i], |r| rows[r as usize] == t) {
+                if let Err(at) = table.probe(key, |r| rows[r as usize] == t) {
                     let row = self.rows.len() as u32;
                     debug_assert!(row < u32::MAX, "relation exceeds u32 row-id space");
                     self.rows.push(t);
-                    table.occupy(at, keys[i], row);
+                    table.occupy(at, key, row);
                 }
             }
+            share = (table.len - held, keys.len());
         }
         (self.rows.len() - before) as u64
     }
@@ -606,8 +597,11 @@ impl Relation {
     /// of the same tuple appends a **fresh** arena row (fresh
     /// generation), which is what lets delta watermarks treat a
     /// re-inserted tuple as new.
+    ///
+    /// A packed table turns into the rows form only when the tuple is
+    /// there to delete: the packed form stores no row ids.
     pub fn delete(&mut self, tuple: &Tuple) -> bool {
-        if tuple.arity() != self.arity {
+        if tuple.arity() != self.arity || (self.table().form == Form::Packed && !self.contains(tuple)) {
             return false;
         }
         let rows = &self.rows;
@@ -848,6 +842,8 @@ mod tests {
         assert_eq!(r.arity(), 2);
         r.insert(ituple![1, 2]).unwrap();
         assert_eq!(r.len(), 1);
+        // Room for no row is no slot: an empty decoded batch allocates none.
+        assert!(Relation::with_capacity(2, 0).table().slots.is_empty());
     }
 
     /// Row by row, the table fills to ¾ before it doubles: 768 rows in
@@ -872,12 +868,16 @@ mod tests {
     }
 
     /// A stream inserted part by part sizes the dedup table for the rows
-    /// it keeps, plus one chunk (a batch reserves chunk by chunk, as if
-    /// every row in the chunk were fresh): 72 000 rows, two thirds of them
+    /// it keeps, plus one part: 72 000 rows, two thirds of them
     /// duplicates, in batches of 4 096 end at `slots_for(24 000 + 4 096)` =
-    /// 65 536 slots, and one batch of them all at `slots_for(24 000 +
-    /// CHUNK)` = 65 536 too, twice the 32 768 that the 24 000 rows kept
-    /// need; reserving for the whole batch took `slots_for(72 000)`.
+    /// 65 536 slots. One batch of them all is reserved chunk by chunk, at
+    /// the fresh share of the chunk before and for at least the chunk:
+    /// where every row repeats at once, that share is a third from the
+    /// first chunk on and the table ends at `slots_for(24 000 + CHUNK)` =
+    /// 65 536; where the 24 000 fresh rows come first, the chunks after
+    /// the first read all fresh and the batch is sized for all 72 000 rows,
+    /// `slots_for(72 000)` = 131 072, as when a batch reserved for every
+    /// pending row.
     #[test]
     fn batches_size_the_table_for_the_rows_they_keep() {
         let stream: Vec<Tuple> = (0..72_000i64).map(|k| ituple![k * 7_919 % 24_000]).collect();
@@ -885,11 +885,14 @@ mod tests {
         for batch in stream.chunks(4_096) {
             parts.insert_batch(&mut batch.to_vec());
         }
-        let mut whole = Relation::new(1);
-        whole.insert_batch(&mut stream.clone());
-        assert_eq!((parts.live_len(), whole.live_len()), (24_000, 24_000));
+        let mut repeating = Relation::new(1);
+        repeating.insert_batch(&mut (0..72_000i64).map(|k| ituple![k / 3 * 7_919 % 24_000]).collect());
+        let mut fresh_first = Relation::new(1);
+        fresh_first.insert_batch(&mut stream.clone());
+        assert_eq!([&parts, &repeating, &fresh_first].map(Relation::live_len), [24_000; 3]);
         assert_eq!(parts.table().slots.len(), slots_for(24_000 + 4_096));
-        assert_eq!(whole.table().slots.len(), slots_for(24_000 + CHUNK));
+        assert_eq!(repeating.table().slots.len(), slots_for(24_000 + CHUNK));
+        assert_eq!(fresh_first.table().slots.len(), slots_for(72_000));
         // The ceiling is ¾ for a batch too: 700 000 rows fit 2²⁰ slots,
         // where ⅝ took 2²¹, and ¾ · 2²⁰ = 786 432 is the last that does.
         let sizes = [0, 12, 13, 24_000, 24_000 + 4_096, 72_000, 700_000, 786_432, 786_433].map(slots_for);
@@ -1168,7 +1171,8 @@ mod tests {
         assert!(!r.contains(&ituple![3]) && r.contains(&ituple![4]) && r.insert_unchecked(ituple![3]));
         assert_eq!((r.len(), r.live_len(), r.table().len), (11, 10, 10));
         let mut r = upto(0..10);
-        assert!(!r.delete(&ituple![10]) && form(&r) == Form::Rows, "an absent row converts too");
+        assert!(!r.delete(&ituple![10]) && !r.delete(&ituple![-1]), "absent, and wide");
+        assert_eq!(form(&r), Form::Packed, "a miss leaves the table packed");
     }
 
     #[test]
