@@ -14,8 +14,10 @@
 //!    every recursive rule against the current deltas. The round is
 //!    resumable: [`FixpointEngine::process_chunk`] fires it in parts, each
 //!    reading at most a given number of rows of the leading delta scans,
-//!    and `process_round` is that call run to the end. No watermark moves
-//!    inside a round, so the parts' firings are exactly the round's.
+//!    and `process_round` is that call run to the end in parts of
+//!    [`CHUNK_ROWS`] rows — the parts a worker fires, so a part's
+//!    emissions are admitted while they are still in cache. No watermark
+//!    moves inside a round, so the parts' firings are exactly the round's.
 //!
 //! The paper's difference operation (`t_new − t`, then `t ∪=`) runs where
 //! rows enter, not where the round ends: every plan run and every
@@ -35,8 +37,9 @@
 //!
 //! The parallel runtime interleaves [`FixpointEngine::inject`] (receive)
 //! between strokes, and ships the filled [`Outlet`]s (send) between
-//! strokes and between the parts of a round; the sequential drivers
-//! [`seminaive_eval`] and [`naive_eval`] just loop, unchunked.
+//! strokes and between the parts of a round; the sequential driver
+//! [`seminaive_eval`] just loops over `advance` and `process_round`, and
+//! the oracle [`naive_eval`] refires whole relations without an engine.
 
 use std::sync::Arc;
 
@@ -48,6 +51,12 @@ use crate::exec::{run_plan, Access};
 use crate::plan::{compile_rule, idb_occurrence_count, AtomSource, PlanStep, RelationId, RulePlan};
 use crate::route::{self, Outlet, Route, Router, Sink};
 use crate::stats::{EvalStats, TimeMode};
+
+/// A round is fired in parts of this many leading delta rows — by
+/// [`FixpointEngine::process_round`], and by a worker, which between two
+/// parts ships every outlet holding at least this many rows
+/// (EXPERIMENTS.md P22, P38).
+pub const CHUNK_ROWS: usize = 1024;
 
 /// Derived-relation state under semi-naive iteration.
 ///
@@ -612,9 +621,10 @@ impl FixpointEngine {
         Ok(fresh_total)
     }
 
-    /// Fire every delta-version plan once, admitting what each emits.
+    /// Fire every delta-version plan once, in parts of [`CHUNK_ROWS`]
+    /// leading delta rows, admitting what each part emits.
     pub fn process_round(&mut self) {
-        while !self.process_chunk(usize::MAX) {}
+        while !self.process_chunk(CHUNK_ROWS) {}
     }
 
     /// Fire the current round in parts: resume where the last call
@@ -1305,7 +1315,7 @@ mod tests {
 
     /// A round fired in parts — one, seven or 1 024 rows of the leading
     /// delta scans at a time, or unbounded — fires the same count and
-    /// admits the same rows in the same order as `process_round`, round
+    /// admits the same rows in the same order as one unbounded part, round
     /// after round to the fixpoint, and every part leaves every pool
     /// empty: no watermark moves inside a round, however many rows the
     /// parts admit past it. Non-linear ancestor has two delta versions,
@@ -1347,7 +1357,7 @@ mod tests {
                 while whole.advance().unwrap() > 0 {
                     parts.advance().unwrap();
                     widest = widest.max(whole.idb.iter().map(|s| s.delta_slice().len()).max().unwrap());
-                    whole.process_round();
+                    assert!(whole.process_chunk(usize::MAX), "an unbounded part fires the whole round");
                     let what = format!("{source} in parts of {chunk}, round {}", whole.stats().rounds);
                     let mut calls = 0;
                     loop {
@@ -1370,6 +1380,25 @@ mod tests {
                 assert!(rows > 0, "{source}: no round admitted a row");
             }
         }
+    }
+
+    /// `process_round` fires in parts of `CHUNK_ROWS` rows, so a pending
+    /// pool holds one part's emissions, never a round's. Reachability
+    /// down a binary tree of 2¹⁴ − 1 nodes: the round whose delta is
+    /// level 12 (4 096 rows, four parts) emits 8 192 rows, and each part
+    /// emits two per row it reads.
+    #[test]
+    fn a_pending_pool_holds_one_part_not_a_round() {
+        let (p, mut db) = load("t(X) :- s(X).\nt(Y) :- t(X), e(X,Y).\ns(1).");
+        let e = (p.interner.intern("e"), 2);
+        for k in 1..1i64 << 13 {
+            db.insert(e, ituple![k, 2 * k]).unwrap();
+            db.insert(e, ituple![k, 2 * k + 1]).unwrap();
+        }
+        let mut engine = FixpointEngine::new(&p, Arc::new(db), &[]).unwrap();
+        assert_eq!(engine.run_to_fixpoint().unwrap(), (1 << 14) - 1);
+        let widest = engine.idb.iter().map(|s| s.pending.capacity()).max().unwrap();
+        assert!(widest <= 2 * CHUNK_ROWS, "a pool grew to {widest} rows, more than a part's {}", 2 * CHUNK_ROWS);
     }
 
     /// The route key `X mod n = ·` of these tests.

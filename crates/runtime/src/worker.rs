@@ -25,14 +25,15 @@
 //! batch by batch), close the previous round (`advance`: what the round
 //! and the arrivals admitted to the arenas becomes the deltas), **send**
 //! the buffers the round filled — also when nothing fresh stayed here —
-//! then process one round, fired in chunks of
-//! [`CHUNK_ROWS`] leading delta rows, and **send** between two chunks
-//! every buffer holding at least a chunk's worth of rows. Sending while
-//! a round runs — not once at the local fixpoint, nor only between
-//! rounds — is what lets processor `j` start on `i`'s frontier while `i`
-//! is still deriving it; a worker that ships only when it has nothing
-//! left to do makes the fleet compute in alternation, and one that ships
-//! only between rounds makes a peer wait out its longest round.
+//! then process one round, fired in the parts the sequential engine
+//! fires it in — [`gst_eval::CHUNK_ROWS`] leading delta rows each — and
+//! **send** between two parts every buffer holding at least a part's
+//! worth of rows. Sending while a round runs — not once at the local
+//! fixpoint, nor only between rounds — is what lets processor `j` start
+//! on `i`'s frontier while `i` is still deriving it; a worker that ships
+//! only when it has nothing left to do makes the fleet compute in
+//! alternation, and one that ships only between rounds makes a peer wait
+//! out its longest round.
 //!
 //! The worker is deliberately **re-entrant**: it owns no channel handles
 //! and no event loop. [`WorkerCore::step`] performs exactly one scheduling
@@ -52,7 +53,7 @@ use std::time::Duration;
 
 use gst_common::{Error, FxHashSet, Result};
 use gst_eval::plan::RelationId;
-use gst_eval::FixpointEngine;
+use gst_eval::{FixpointEngine, CHUNK_ROWS};
 
 use crate::message::{Envelope, Message, Payload};
 use crate::obs::{ObsEvent, ObsKind, TimeBase, TraceSink};
@@ -60,11 +61,6 @@ use crate::profile::{Profiler, PHASE_COMPUTE, PHASE_DECODE, PHASE_ENCODE, PHASE_
 use crate::supervisor::PassiveReport;
 use crate::spec::{ProcessorProgram, Shards, WorkerSpec};
 use crate::stats::WorkerReport;
-
-/// A worker fires its round in chunks of this many leading delta rows,
-/// and between two chunks ships every outlet holding at least this many
-/// rows (EXPERIMENTS.md P22).
-pub const CHUNK_ROWS: usize = 1024;
 
 /// Runtime knobs shared by all workers.
 #[derive(Debug, Clone)]
